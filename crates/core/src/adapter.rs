@@ -10,15 +10,18 @@
 //! [`ChannelPool`](dpc_nvmefs::ChannelPool) multiplexer, which never
 //! holds a lock across a round-trip; descriptor state lives in a sharded
 //! fd table (shard mutexes are held only for map lookups, never across a
-//! call) with per-fd size tracked as an atomic; cache access keeps its
-//! own per-entry PCIe-atomic locks. Any number of threads can drive one
-//! `DpcFs` — or many `DpcFs` clones of the same `Dpc` — concurrently.
+//! call) with the logical size tracked as a per-inode atomic; cache
+//! access keeps its own per-entry PCIe-atomic locks. Any number of
+//! threads can drive one `DpcFs` — or many `DpcFs` clones of the same
+//! `Dpc` — concurrently.
 //!
-//! Semantics notes (documented divergences, both standard kernel
-//! behaviour): the adapter tracks each open file's logical size locally
-//! (like the kernel's `i_size`) because the flusher writes whole 4 KiB
-//! pages; `fsync` reconciles by truncating to the logical size after the
-//! flush.
+//! Semantics notes (standard kernel behaviour): the host owns each open
+//! file's logical size, one cell per *inode* like the kernel's `i_size`
+//! ([`InodeSizes`]), because buffered writes grow a file before any of
+//! it reaches the backend. The flusher writes only each page's valid
+//! prefix, so after a flush the backend normally agrees; the `Fsync`
+//! reply carries the backend's size and `fsync` sends a reconciling
+//! `Truncate` only when it differs (DESIGN.md §9.1).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,10 +68,85 @@ impl std::error::Error for DpcError {}
 pub struct Fd(pub u64);
 
 /// Per-descriptor state. The inode is fixed at open; the logical size is
-/// an atomic so the data path updates it without any map lock.
+/// the inode's shared cell, an atomic so the data path updates it without
+/// any map lock. Dropping the entry — at `close`, or when the last
+/// in-flight op that still borrows it returns — gives the hold back.
 struct FdEntry {
     ino: u64,
-    size: AtomicU64,
+    size: Arc<AtomicU64>,
+    sizes: Arc<InodeSizes>,
+}
+
+impl FdEntry {
+    fn open(sizes: &Arc<InodeSizes>, ino: u64, backend_size: u64) -> FdEntry {
+        FdEntry {
+            ino,
+            size: sizes.open(ino, backend_size),
+            sizes: sizes.clone(),
+        }
+    }
+}
+
+impl Drop for FdEntry {
+    fn drop(&mut self) {
+        self.sizes.release(self.ino);
+    }
+}
+
+/// Logical file sizes, one cell per open *inode*: every descriptor of an
+/// inode — through any adapter of the same `Dpc` — shares it, so a write
+/// or truncate through one descriptor is what another's `read`, `fsync`
+/// and `close` see. (Per-descriptor sizes made `close` reconcile the
+/// backend to a stale private size and cut another descriptor's fsynced
+/// data.) Each map entry counts its holders; the last one out removes it.
+pub(crate) struct InodeSizes {
+    shards: [Mutex<HashMap<u64, SizeCell>>; FD_SHARDS],
+}
+
+struct SizeCell {
+    holders: usize,
+    size: Arc<AtomicU64>,
+}
+
+impl InodeSizes {
+    pub(crate) fn new() -> InodeSizes {
+        InodeSizes {
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        }
+    }
+
+    fn shard(&self, ino: u64) -> &Mutex<HashMap<u64, SizeCell>> {
+        &self.shards[(ino % FD_SHARDS as u64) as usize]
+    }
+
+    /// Take a hold on the cell of `ino`. While some descriptor holds the
+    /// inode open its logical size wins (the backend's may lag unflushed
+    /// writes); otherwise the cell starts at `backend_size`.
+    fn open(&self, ino: u64, backend_size: u64) -> Arc<AtomicU64> {
+        let mut shard = self.shard(ino).lock();
+        let cell = shard.entry(ino).or_insert_with(|| SizeCell {
+            holders: 0,
+            size: Arc::new(AtomicU64::new(backend_size)),
+        });
+        cell.holders += 1;
+        cell.size.clone()
+    }
+
+    /// Give one hold back; the last holder of `ino` removes its cell.
+    fn release(&self, ino: u64) {
+        let mut shard = self.shard(ino).lock();
+        if let Some(cell) = shard.get_mut(&ino) {
+            cell.holders -= 1;
+            if cell.holders == 0 {
+                shard.remove(&ino);
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn open_inodes(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().len()).sum()
+    }
 }
 
 /// Sharded descriptor table: fd → entry. A shard mutex is held only long
@@ -93,15 +171,9 @@ impl FdTable {
         &self.shards[(fd % FD_SHARDS as u64) as usize]
     }
 
-    fn insert(&self, ino: u64, size: u64) -> Fd {
+    fn insert(&self, entry: FdEntry) -> Fd {
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.shard(fd).lock().insert(
-            fd,
-            Arc::new(FdEntry {
-                ino,
-                size: AtomicU64::new(size),
-            }),
-        );
+        self.shard(fd).lock().insert(fd, Arc::new(entry));
         Fd(fd)
     }
 
@@ -113,8 +185,8 @@ impl FdTable {
             .ok_or(DpcError(9 /* EBADF */))
     }
 
-    fn remove(&self, fd: Fd) {
-        self.shard(fd.0).lock().remove(&fd.0);
+    fn remove(&self, fd: Fd) -> Option<Arc<FdEntry>> {
+        self.shard(fd.0).lock().remove(&fd.0)
     }
 }
 
@@ -168,6 +240,8 @@ pub struct DpcFs {
     cache: Arc<HybridCache>,
     pool: Arc<ChannelPool>,
     fds: FdTable,
+    /// Per-inode logical sizes, shared across every adapter of one `Dpc`.
+    sizes: Arc<InodeSizes>,
     pub mode: IoMode,
     /// Durability tier `fsync` provides (see [`FsyncMode`]).
     pub fsync_mode: FsyncMode,
@@ -211,6 +285,7 @@ impl DpcFs {
     pub(crate) fn new(
         cache: Arc<HybridCache>,
         pool: Arc<ChannelPool>,
+        sizes: Arc<InodeSizes>,
         mode: IoMode,
         fsync_mode: FsyncMode,
         meta: Option<Arc<MetaCache>>,
@@ -220,6 +295,7 @@ impl DpcFs {
             cache,
             pool,
             fds: FdTable::new(),
+            sizes,
             mode,
             fsync_mode,
             meta,
@@ -414,13 +490,13 @@ impl DpcFs {
         if let Some(meta) = &self.meta {
             meta.note_create(parent, name, ino);
         }
-        Ok(self.fds.insert(ino, 0))
+        Ok(self.fds.insert(FdEntry::open(&self.sizes, ino, 0)))
     }
 
     pub fn open(&self, path: &str) -> Result<Fd, DpcError> {
         let ino = self.resolve(path)?;
         let attr = self.getattr_ino(ino)?;
-        Ok(self.fds.insert(ino, attr.size))
+        Ok(self.fds.insert(FdEntry::open(&self.sizes, ino, attr.size)))
     }
 
     pub fn close(&self, fd: Fd) -> Result<(), DpcError> {
@@ -1438,7 +1514,8 @@ impl DpcFs {
         }
     }
 
-    /// Flush buffered data and reconcile the logical size.
+    /// Flush buffered data and, if the backend then disagrees with the
+    /// logical size, reconcile it.
     ///
     /// Two durability tiers (DESIGN.md §13): [`FsyncMode::Data`] flushes
     /// dirty pages and reconciles the size; [`FsyncMode::Log`] returns
@@ -1451,15 +1528,28 @@ impl DpcFs {
         if self.fsync_mode == FsyncMode::Log && self.cache.wal().is_some() {
             return Ok(());
         }
-        let (ino, size) = (entry.ino, entry.size.load(Ordering::Acquire));
-        // The reconcile below rewrites the backend size/mtime.
+        let ino = entry.ino;
+        // The flush rewrites the backend size/mtime.
         self.meta_invalidate(ino);
-        self.call(&FileRequest::Fsync { ino }, b"", 0)?;
-        // The flusher writes whole pages; trim any padding past the
-        // logical size (kernel i_size reconciliation). No intent record:
-        // replay reconciles every touched file's size itself, from the
-        // records it redoes.
-        self.call(&FileRequest::Truncate { ino, size }, b"", 0)?;
+        let (resp, _) = self.call(&FileRequest::Fsync { ino }, b"", 0)?;
+        let FileResponse::Attr(backend) = resp else {
+            return Err(DpcError::IO);
+        };
+        // Size reconcile (kernel i_size): the flusher writes each page's
+        // valid prefix, so the backend normally lands on the logical size
+        // and this is the only crossing. It differs when the flush was
+        // not the whole story — pages of a write that failed part-way,
+        // pages held back in the flush quarantine — and only then is the
+        // backend truncated to the size this host acknowledged. Known
+        // limitation (ROADMAP item 5): the host's size is trusted even
+        // over another `Dpc` on the same store, so a descriptor here can
+        // cut growth that client fsynced; nothing keeps two clients
+        // coherent yet. No intent record: replay reconciles every touched
+        // file's size itself, from the records it redoes.
+        let size = entry.size.load(Ordering::Acquire);
+        if backend.size != size {
+            self.call(&FileRequest::Truncate { ino, size }, b"", 0)?;
+        }
         Ok(())
     }
 
@@ -1623,5 +1713,27 @@ impl DpcFs {
     pub fn dfs_sync(&self) -> Result<(), DpcError> {
         self.dfs_call(&FileRequest::Fsync { ino: 0 }, b"", 0)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_size_cell_lives_exactly_as_long_as_its_last_holder() {
+        let sizes = Arc::new(InodeSizes::new());
+        let a = Arc::new(FdEntry::open(&sizes, 7, 100));
+        // A second descriptor adopts the live cell, not the backend size.
+        let b = FdEntry::open(&sizes, 7, 0);
+        assert_eq!(b.size.load(Ordering::Acquire), 100);
+        let in_flight = a.clone();
+        drop((a, b));
+        // An op that still borrows a closed descriptor keeps the cell…
+        assert_eq!(sizes.open_inodes(), 1);
+        // …and takes it along when it returns: nothing is left behind.
+        drop(in_flight);
+        assert_eq!(sizes.open_inodes(), 0);
+        assert_eq!(FdEntry::open(&sizes, 7, 5).size.load(Ordering::Acquire), 5);
     }
 }

@@ -527,9 +527,12 @@ impl Dispatcher {
                 }
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
-                // false durability promise.
+                // false durability promise. The reply carries the
+                // post-flush attribute: the host compares its logical
+                // size with it and sends a reconciling `Truncate` only on
+                // disagreement (DESIGN.md §9.1).
                 match kvfs.fsync(*ino) {
-                    Ok(()) => FileResponse::Ok,
+                    Ok(attr) => FileResponse::Attr(wire_attr(&attr)),
                     Err(e) => fs_err(e),
                 }
             }

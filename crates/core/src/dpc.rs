@@ -24,7 +24,7 @@ use dpc_nvmefs::{create_fabric, ChannelPool, PoolStats, QueuePairConfig, RetryPo
 use dpc_pcie::{DmaEngine, HostRegion, PcieSnapshot};
 use dpc_sim::{CrashSwitch, FaultPlan};
 
-use crate::adapter::{DpcFs, FsyncMode, IoMode};
+use crate::adapter::{DpcFs, FsyncMode, InodeSizes, IoMode};
 use crate::dispatch::Dispatcher;
 use crate::runtime::{DpuRuntime, FlusherConfig, PrefetcherConfig};
 
@@ -200,6 +200,8 @@ pub struct Dpc {
     /// Host-side metadata cache shared by every handed-out adapter
     /// (None with `meta_cache` off — provable dormancy).
     meta: Option<Arc<MetaCache>>,
+    /// Per-inode logical sizes shared by every handed-out adapter.
+    sizes: Arc<InodeSizes>,
 }
 
 impl Dpc {
@@ -427,6 +429,7 @@ impl Dpc {
             crash,
             wal,
             meta,
+            sizes: Arc::new(InodeSizes::new()),
         }
     }
 
@@ -461,6 +464,7 @@ impl Dpc {
         DpcFs::new(
             self.cache.clone(),
             self.pool.clone(),
+            self.sizes.clone(),
             self.cfg.io_mode,
             fsync_mode,
             self.meta.clone(),

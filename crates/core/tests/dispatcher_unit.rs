@@ -186,7 +186,11 @@ fn standalone_data_requests() {
         FileRequest::Fsync { ino },
         vec![],
     ));
-    assert_eq!(resp, FileResponse::Ok);
+    // The fsync reply carries the post-flush attribute (size reconcile).
+    let FileResponse::Attr(a) = resp else {
+        panic!()
+    };
+    assert_eq!((a.ino, a.size), (ino, 10));
 }
 
 #[test]

@@ -100,22 +100,16 @@ impl<'a> FileObject<'a> {
     }
 
     /// Drop every block at or beyond `new_size`, and trim the boundary
-    /// block.
+    /// block. An ordered range delete from the first dropped block: blocks
+    /// that stay are never visited, and no block value is ever copied.
     pub fn truncate(&self, new_size: u64) {
         let keep_blocks = new_size.div_ceil(BIG_BLOCK as u64);
-        for (key, _) in self.store.scan_prefix(&big_prefix(self.ino)) {
-            // Skip (don't panic on) malformed short keys in the scan.
-            let Some(Ok(bytes)) = key.get(9..17).map(<[u8; 8]>::try_from) else {
-                continue;
-            };
-            if u64::from_be_bytes(bytes) >= keep_blocks {
-                self.store.delete(&key);
-            }
-        }
+        self.store
+            .delete_range(&big_prefix(self.ino), &big_key(self.ino, keep_blocks));
         let tail = (new_size % BIG_BLOCK as u64) as usize;
         if tail != 0 {
             let key = big_key(self.ino, new_size / BIG_BLOCK as u64);
-            if self.store.contains(&key) {
+            if self.store.value_len(&key).is_some_and(|len| len > tail) {
                 self.store.truncate_value(&key, tail);
             }
         }
@@ -123,9 +117,8 @@ impl<'a> FileObject<'a> {
 
     /// Remove every block (unlink).
     pub fn delete_all(&self) {
-        for (key, _) in self.store.scan_prefix(&big_prefix(self.ino)) {
-            self.store.delete(&key);
-        }
+        let prefix = big_prefix(self.ino);
+        self.store.delete_range(&prefix, &prefix);
     }
 
     /// Number of allocated blocks (diagnostic).

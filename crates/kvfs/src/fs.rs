@@ -726,9 +726,13 @@ impl Kvfs {
         let n = ((attr.size - offset) as usize).min(dst.len());
         match attr.format {
             DataFormat::Small => {
-                let v = self.store.get(&small_key(ino)).unwrap_or_default();
-                for (i, d) in dst[..n].iter_mut().enumerate() {
-                    *d = v.get(offset as usize + i).copied().unwrap_or(0);
+                // Bytes the value does not cover (or all of them, when no
+                // KV exists yet) read as zeros.
+                if !self
+                    .store
+                    .read_sub(&small_key(ino), offset as usize, &mut dst[..n])
+                {
+                    dst[..n].fill(0);
                 }
             }
             DataFormat::Big => {
@@ -767,13 +771,14 @@ impl Kvfs {
         let valid = (attr.size - offset).min(total) as usize;
         match attr.format {
             DataFormat::Small => {
-                let v = self.store.get(&small_key(ino)).unwrap_or_default();
-                let mut pos = offset as usize;
+                let key = small_key(ino);
+                let mut pos = offset;
                 for seg in segments.iter_mut() {
-                    for d in seg.iter_mut() {
-                        *d = v.get(pos).copied().unwrap_or(0);
-                        pos += 1;
+                    // Segments past EOF are padding: no KV op for them.
+                    if pos >= attr.size || !self.store.read_sub(&key, pos as usize, seg) {
+                        seg.fill(0);
                     }
+                    pos += seg.len() as u64;
                 }
             }
             DataFormat::Big => {
@@ -802,6 +807,11 @@ impl Kvfs {
         let mut attr = self.get_attr(ino)?;
         if attr.is_dir() {
             return Err(FsError::IsADirectory);
+        }
+        if size == attr.size {
+            // Nothing to cut, nothing to extend: no KV is touched and the
+            // mtime stands (a size reconcile that finds agreement is free).
+            return Ok(());
         }
         match attr.format {
             DataFormat::Small => {
@@ -833,13 +843,15 @@ impl Kvfs {
     /// the caller (`NotFound`), or the KV service may refuse the barrier
     /// outright (`Io`, modelled by a zero-delay "kv.op" fault fire).
     /// Callers must surface both — PR 8 exists because an earlier version
-    /// swallowed them.
-    pub fn fsync(&self, ino: u64) -> Result<(), FsError> {
-        self.get_attr(ino)?;
+    /// swallowed them. On success returns the attribute the barrier
+    /// covers, so a caller tracking its own logical size can tell whether
+    /// the backend agrees without a second request.
+    pub fn fsync(&self, ino: u64) -> Result<FileAttr, FsError> {
+        let attr = self.get_attr(ino)?;
         if !self.store.barrier() {
             return Err(FsError::Io);
         }
-        Ok(())
+        Ok(attr)
     }
 
     /// Number of KV pairs currently backing the file system (diagnostic).
@@ -1203,6 +1215,53 @@ mod tests {
         fs.truncate(ino, 15_000).unwrap();
         assert_eq!(fs.read(ino, 0, &mut buf).unwrap(), 15_000);
         assert!(buf[10_000..15_000].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn truncate_costs_what_it_drops_not_what_the_file_holds() {
+        let fs = fs();
+        let ino = fs.create("/cost", 0o644).unwrap();
+        fs.write(ino, 0, &vec![3u8; 64 * BIG_BLOCK]).unwrap();
+        let delta = |f: &dyn Fn()| {
+            let before = fs.store().stats();
+            f();
+            let after = fs.store().stats();
+            (
+                after.scans - before.scans,
+                after.deletes - before.deletes,
+                after.puts - before.puts,
+                // Whole-value and sub-value reads: any copy of a block.
+                after.gets - before.gets + after.sub_reads - before.sub_reads,
+            )
+        };
+        // Shrink by 5 blocks: one range seek, five deletes, the attr put —
+        // and none of the 59 surviving blocks is read.
+        let shrink = delta(&|| fs.truncate(ino, 59 * BIG_BLOCK as u64).unwrap());
+        assert_eq!(shrink, (1, 5, 1, 0));
+        assert_eq!(fs.big_file_blocks(ino), 59);
+        // Grow: nothing to delete.
+        let grow = delta(&|| fs.truncate(ino, 70 * BIG_BLOCK as u64).unwrap());
+        assert_eq!(grow, (1, 0, 1, 0));
+        // Same size: not a single KV op, and the file is not "modified".
+        let attr = fs.get_attr(ino).unwrap();
+        let pairs = fs.kv_pairs();
+        let same = delta(&|| fs.truncate(ino, 70 * BIG_BLOCK as u64).unwrap());
+        assert_eq!(same, (0, 0, 0, 0));
+        assert_eq!(fs.get_attr(ino).unwrap(), attr, "mtime must stand");
+        assert_eq!(fs.kv_pairs(), pairs);
+        // Unlink drops the 59 blocks in one range delete (+ dentry, attr).
+        let unlink = delta(&|| fs.unlink("/cost").unwrap());
+        assert_eq!(unlink, (1, 61, 0, 0));
+    }
+
+    #[test]
+    fn same_size_truncate_of_a_small_file_is_free_too() {
+        let fs = fs();
+        let ino = fs.create("/empty", 0o644).unwrap();
+        let (stats, attr) = (fs.store().stats(), fs.get_attr(ino).unwrap());
+        fs.truncate(ino, 0).unwrap();
+        assert_eq!(fs.store().stats(), stats);
+        assert_eq!(fs.get_attr(ino).unwrap(), attr);
     }
 
     #[test]

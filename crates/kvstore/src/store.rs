@@ -10,10 +10,14 @@
 //!   small-file KVs),
 //! - `scan_prefix` — ordered prefix scan (directory listing via the
 //!   `p_ino` key prefix),
+//! - `delete_range` — ordered, key-only range delete (a seek per shard,
+//!   no value is ever copied: truncate and unlink of a big file cost what
+//!   they drop, not what the file holds),
 //! - `read_sub` / `write_sub` — in-place sub-value access at byte
 //!   granularity (the big-file KV's 8 KiB in-place updates).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +25,22 @@ use dpc_sim::fault::FaultSite;
 use parking_lot::RwLock;
 
 const SHARDS: usize = 16;
+
+type Shard = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// The keys of one shard that start with `prefix` and are `>= from`, in
+/// key order: one seek, then a walk that stops at the prefix's end.
+fn range_keys<'a>(
+    shard: &'a Shard,
+    prefix: &'a [u8],
+    from: &[u8],
+) -> impl Iterator<Item = &'a Vec<u8>> {
+    let start = from.max(prefix);
+    shard
+        .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+        .map(|(k, _)| k)
+        .take_while(move |k| k.starts_with(prefix))
+}
 
 /// Operation counters.
 #[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
@@ -40,7 +60,7 @@ pub struct KvStats {
 ///
 /// Scans merge across shards, preserving global byte order of keys.
 pub struct KvStore {
-    shards: Vec<RwLock<BTreeMap<Vec<u8>, Vec<u8>>>>,
+    shards: Vec<RwLock<Shard>>,
     /// Optional "kv.op" fault site: while it fires, ops stall briefly and
     /// retry (the KV API has no error channel — faults here model a busy
     /// or momentarily unreachable service, recovered by waiting).
@@ -117,7 +137,7 @@ impl KvStore {
         }
     }
 
-    fn shard(&self, key: &[u8]) -> &RwLock<BTreeMap<Vec<u8>, Vec<u8>>> {
+    fn shard(&self, key: &[u8]) -> &RwLock<Shard> {
         // FNV-1a over the key; cheap and stable.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in key {
@@ -198,17 +218,30 @@ impl KvStore {
         out
     }
 
+    /// Delete every key that starts with `prefix` and is `>= from`;
+    /// returns how many went. One scan plus one delete per key dropped —
+    /// keys below `from` are never visited.
+    pub fn delete_range(&self, prefix: &[u8], from: &[u8]) -> usize {
+        self.fault_pause();
+        self.scans.fetch_add(1, Ordering::Relaxed);
+        let mut dropped = 0usize;
+        for shard in &self.shards {
+            let mut guard = shard.write();
+            let doomed: Vec<Vec<u8>> = range_keys(&guard, prefix, from).cloned().collect();
+            for key in &doomed {
+                guard.remove(key);
+            }
+            dropped += doomed.len();
+        }
+        self.deletes.fetch_add(dropped as u64, Ordering::Relaxed);
+        dropped
+    }
+
     /// Number of keys with the given prefix (scan without copying values).
     pub fn count_prefix(&self, prefix: &[u8]) -> usize {
         self.shards
             .iter()
-            .map(|shard| {
-                let guard = shard.read();
-                guard
-                    .range(prefix.to_vec()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
-                    .count()
-            })
+            .map(|shard| range_keys(&shard.read(), prefix, prefix).count())
             .sum()
     }
 
@@ -222,9 +255,10 @@ impl KvStore {
         let Some(v) = shard.get(key) else {
             return false;
         };
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = v.get(offset + i).copied().unwrap_or(0);
-        }
+        let src = v.get(offset..).unwrap_or_default();
+        let have = src.len().min(dst.len());
+        dst[..have].copy_from_slice(&src[..have]);
+        dst[have..].fill(0);
         true
     }
 
@@ -234,7 +268,11 @@ impl KvStore {
         self.fault_pause();
         self.sub_writes.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).write();
-        let v = shard.entry(key.to_vec()).or_default();
+        // The in-place update of an existing block must not allocate a key.
+        let v = match shard.get_mut(key) {
+            Some(v) => v,
+            None => shard.entry(key.to_vec()).or_default(),
+        };
         if v.len() < offset + src.len() {
             v.resize(offset + src.len(), 0);
         }
@@ -309,6 +347,52 @@ mod tests {
         let all = kv.scan_prefix(b"");
         assert_eq!(all.len(), 50);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// `tag ‖ ino ‖ lbn`, big-endian — the shape of KVFS's block keys.
+    fn block_key(ino: u64, lbn: u64) -> Vec<u8> {
+        let mut k = vec![0x04];
+        k.extend_from_slice(&ino.to_be_bytes());
+        k.extend_from_slice(&lbn.to_be_bytes());
+        k
+    }
+
+    /// Inodes 6, 7 and 8 with 40 blocks each (plus 7's `u64::MAX` block),
+    /// spread over the 16 shards by key hash.
+    fn three_files() -> KvStore {
+        let kv = KvStore::new();
+        for ino in 6..=8u64 {
+            for lbn in 0..40u64 {
+                kv.put(&block_key(ino, lbn), &[ino as u8; 64]);
+            }
+        }
+        kv.put(&block_key(7, u64::MAX), b"last");
+        kv
+    }
+
+    #[test]
+    fn delete_range_drops_exactly_the_tail() {
+        let kv = three_files();
+        let prefix = &block_key(7, 0)[..9];
+        let before = kv.stats();
+        assert_eq!(kv.delete_range(prefix, &block_key(7, 30)), 11);
+        let after = kv.stats();
+        assert_eq!(after.scans - before.scans, 1);
+        assert_eq!(after.deletes - before.deletes, 11);
+        assert_eq!(kv.count_prefix(prefix), 30);
+        assert!(kv.contains(&block_key(7, 29)));
+        assert!(!kv.contains(&block_key(7, 30)));
+        assert!(!kv.contains(&block_key(7, u64::MAX)));
+        // Nothing at or past `from`: a seek per shard, no delete.
+        assert_eq!(kv.delete_range(prefix, &block_key(7, 30)), 0);
+        assert_eq!(kv.stats().deletes, after.deletes);
+        // `from` past the prefix's end drops nothing; `from` below the
+        // prefix starts at the prefix: the whole file, and only it.
+        assert_eq!(kv.delete_range(prefix, &block_key(8, 0)), 0);
+        assert_eq!(kv.delete_range(prefix, b""), 30);
+        assert_eq!(kv.count_prefix(&block_key(6, 0)[..9]), 40);
+        assert_eq!(kv.count_prefix(&block_key(8, 0)[..9]), 40);
+        assert_eq!(kv.len(), 80);
     }
 
     #[test]

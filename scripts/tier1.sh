@@ -8,5 +8,9 @@ cargo fmt --all --check
 cargo build --workspace --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark is a workspace of its own built against crates/*: a crate
+# API change that breaks it must fail here, not at review.
+cargo build --release --manifest-path dpc-e2e/Cargo.toml
+cargo test --release --manifest-path dpc-e2e/Cargo.toml
 
 echo "tier1: OK"

@@ -1,0 +1,150 @@
+//! The size reconcile (DESIGN.md §9.1): the host owns each open file's
+//! logical size, one cell per inode; `fsync`/`close` flush, learn the
+//! backend's size from the `Fsync` reply, and send a reconciling
+//! `Truncate` only when the two disagree.
+//!
+//! - two descriptors of one file never reconcile the backend to a stale
+//!   private size (acknowledged, fsynced data used to be cut by `close`);
+//! - a clean `open`+`close` or a no-op `fsync` leaves the backend alone;
+//! - a non-page-aligned tail still lands byte-exact, in one crossing.
+
+use dpc::core::{Dpc, DpcConfig};
+
+fn pattern(len: usize, salt: u8) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
+}
+
+/// Size and full content of `path` as a second, fresh instance over the
+/// same store sees them — what actually reached the backend.
+fn cold_read(dpc: &Dpc, path: &str) -> Vec<u8> {
+    let cold = Dpc::with_shared_storage(DpcConfig::default(), Some(dpc.kv_store()), None);
+    let fs = cold.fs();
+    let size = fs.stat(path).unwrap().size as usize;
+    let fd = fs.open(path).unwrap();
+    let mut buf = vec![0u8; size + 16];
+    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), size);
+    buf.truncate(size);
+    buf
+}
+
+#[test]
+fn fsynced_data_survives_the_close_of_a_second_descriptor() {
+    let dpc = Dpc::new(DpcConfig::default());
+    let fs = dpc.fs();
+    let data = pattern(64 * 1024, 0x5A);
+
+    let a = fs.create("/f").unwrap();
+    fs.write(a, 0, &data[..8192]).unwrap();
+    fs.fsync(a).unwrap();
+    let b = fs.open("/f").unwrap(); // opened at 8 KiB
+    fs.write(a, 8192, &data[8192..]).unwrap();
+    // `b` sees what `a` wrote: one logical size per inode.
+    assert_eq!(fs.size(b).unwrap(), data.len() as u64);
+    fs.fsync(b).unwrap();
+    fs.fsync(a).unwrap();
+    fs.close(a).unwrap();
+    fs.close(b).unwrap();
+
+    // Live: a new descriptor reads all 64 KiB back.
+    assert_eq!(fs.stat("/f").unwrap().size, data.len() as u64);
+    let c = fs.open("/f").unwrap();
+    let mut live = vec![0u8; data.len()];
+    assert_eq!(fs.read(c, 0, &mut live).unwrap(), data.len());
+    assert_eq!(live, data);
+    // Cold: so does a second instance over the surviving store.
+    assert_eq!(cold_read(&dpc, "/f"), data);
+}
+
+#[test]
+fn a_truncate_through_one_descriptor_is_what_the_other_syncs() {
+    let dpc = Dpc::new(DpcConfig::default());
+    let (fs_a, fs_b) = (dpc.fs(), dpc.fs()); // two adapters of one Dpc
+    let data = pattern(64 * 1024, 0x33);
+
+    let a = fs_a.create("/t").unwrap();
+    fs_a.write(a, 0, &data).unwrap();
+    fs_a.fsync(a).unwrap();
+    let b = fs_b.open("/t").unwrap(); // opened at 64 KiB
+    fs_a.truncate(a, 8192).unwrap();
+    assert_eq!(fs_b.size(b).unwrap(), 8192);
+    // `b`'s sync must not grow the file back to the size it was opened at.
+    fs_b.fsync(b).unwrap();
+    fs_b.close(b).unwrap();
+    fs_a.close(a).unwrap();
+
+    assert_eq!(fs_a.stat("/t").unwrap().size, 8192);
+    assert_eq!(cold_read(&dpc, "/t"), &data[..8192]);
+}
+
+#[test]
+fn clean_close_and_noop_fsync_leave_the_backend_alone() {
+    let dpc = Dpc::new(DpcConfig::default());
+    let fs = dpc.fs();
+    for (path, len) in [("/empty", 0usize), ("/small", 5_000), ("/big", 40_000)] {
+        let fd = fs.create(path).unwrap();
+        fs.write(fd, 0, &pattern(len, 1)).unwrap();
+        fs.close(fd).unwrap();
+
+        let kvfs = dpc.kvfs_inner();
+        let before = (dpc.metrics().kv, fs.stat(path).unwrap(), kvfs.kv_pairs());
+        let calls = dpc.pool_stats().submitted;
+
+        let fd = fs.open(path).unwrap();
+        fs.close(fd).unwrap();
+        let fd = fs.open(path).unwrap();
+        fs.fsync(fd).unwrap();
+        let synced = dpc.pool_stats().submitted;
+        fs.fsync(fd).unwrap();
+        // Sizes agree: the fsync is exactly one link crossing.
+        assert_eq!(dpc.pool_stats().submitted - synced, 1, "{path}");
+        fs.close(fd).unwrap();
+        assert!(dpc.pool_stats().submitted > calls);
+
+        let kv = dpc.metrics().kv;
+        assert_eq!(
+            (kv.puts, kv.deletes, kv.scans),
+            (before.0.puts, before.0.deletes, before.0.scans),
+            "{path}: a clean close/fsync wrote to the store"
+        );
+        assert_eq!(
+            fs.stat(path).unwrap(),
+            before.1,
+            "{path}: attr (mtime) moved"
+        );
+        assert_eq!(kvfs.kv_pairs(), before.2, "{path}");
+    }
+}
+
+#[test]
+fn unaligned_tail_lands_byte_exact_in_one_crossing() {
+    let data = pattern(10_000, 0x77);
+    for knobs in 0..8u32 {
+        let cfg = DpcConfig {
+            background_flush: knobs & 1 != 0,
+            wal: knobs & 2 != 0,
+            zero_copy: knobs & 4 != 0,
+            ..DpcConfig::default()
+        };
+        let dpc = Dpc::new(cfg);
+        let fs = dpc.fs();
+        let fd = fs.create("/tail").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+
+        // The flusher writes the tail page's valid prefix, so the backend
+        // lands on 10 000 by itself: one call, no reconcile.
+        let calls = dpc.pool_stats().submitted;
+        fs.fsync(fd).unwrap();
+        assert_eq!(dpc.pool_stats().submitted - calls, 1, "knobs {knobs:03b}");
+        assert_eq!(cold_read(&dpc, "/tail"), data, "knobs {knobs:03b}");
+
+        // Move the backend size behind the host's back: now the sizes
+        // disagree, and the fsync pays the second call to put it right.
+        let ino = fs.stat("/tail").unwrap().ino;
+        dpc.kvfs_inner().truncate(ino, 20_000).unwrap();
+        let calls = dpc.pool_stats().submitted;
+        fs.fsync(fd).unwrap();
+        assert_eq!(dpc.pool_stats().submitted - calls, 2, "knobs {knobs:03b}");
+        assert_eq!(cold_read(&dpc, "/tail"), data, "knobs {knobs:03b}");
+        fs.close(fd).unwrap();
+    }
+}
