@@ -4,9 +4,10 @@
 //! metadata — next to the client; KucoFS (PAPERS.md) shows client-side
 //! metadata caching with validation epochs is where the wins live for
 //! stat-heavy small-file trees. This module is the host half of that
-//! plane: a sharded cache in front of the nvme-fs metadata RPCs
-//! (`Lookup`/`GetAttr`/`Readdir`), so a stat stampede over a million-file
-//! tree resolves each hot component once instead of once per call.
+//! plane: a sharded cache in front of the nvme-fs namespace requests
+//! (`StatAt`/`ReaddirAt` and the mutations), primed from the walk trail
+//! their replies carry, so a stat stampede over a million-file tree
+//! crosses the link once per hot path instead of once per call.
 //!
 //! Four layers, all striped over [`MetaConfig::shards`] mutexes (dentry /
 //! negative / readdir / generation state shard by **parent** ino so one
@@ -14,9 +15,11 @@
 //!
 //! - **attr cache**: ino → [`MetaAttr`] stamped with a logical tick;
 //!   entries older than [`MetaConfig::attr_ttl`] ticks (0 = no expiry)
-//!   re-fetch. Serves `GetAttr` (stat, symlink-kind probes, open size).
-//! - **dentry cache**: (parent, name) → ino. Serves per-component
-//!   `Lookup` during path resolution.
+//!   re-fetch. Serves `stat` and the size `open` starts from.
+//! - **dentry cache**: (parent, name) → ino. Serves the prefix of a path
+//!   the host can walk itself; the rest crosses in one request. It never
+//!   holds a symlink's name (the adapter does not insert them), so a hit
+//!   is always safe to walk through.
 //! - **negative cache**: (parent, name) observed ENOENT, stamped with the
 //!   parent's generation — a repeated lookup of an absent name answers
 //!   locally with zero RPCs. Any mutation of the parent bumps its
@@ -247,7 +250,7 @@ impl MetaCache {
         None
     }
 
-    /// Record a backend GetAttr result.
+    /// Record an attribute a reply carried.
     pub fn insert_attr(&self, attr: MetaAttr) {
         let stamp = self.tick.load(Ordering::Relaxed);
         self.shard(attr.ino)

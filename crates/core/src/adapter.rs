@@ -33,7 +33,7 @@ use dpc_cache::{
 };
 use dpc_nvmefs::{
     decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileRequest, FileResponse,
-    WireAttr, WireDirent, ZcOp, SGL_MAX_SEGMENTS,
+    WireAttr, WireDirent, WireStep, ZcOp, MAX_NAME_LEN, MAX_PATH_LEN, SGL_MAX_SEGMENTS,
 };
 use dpc_pcie::{DmaClass, DmaEngine, SgSeg};
 use parking_lot::Mutex;
@@ -53,6 +53,7 @@ impl DpcError {
     pub const EXISTS: DpcError = DpcError(17);
     pub const INVALID: DpcError = DpcError(22);
     pub const IO: DpcError = DpcError(5);
+    pub const NAME_TOO_LONG: DpcError = DpcError(36);
 }
 
 impl core::fmt::Display for DpcError {
@@ -73,7 +74,7 @@ pub struct Fd(pub u64);
 /// in-flight op that still borrows it returns — gives the hold back.
 struct FdEntry {
     ino: u64,
-    size: Arc<AtomicU64>,
+    cell: Arc<InodeCell>,
     sizes: Arc<InodeSizes>,
 }
 
@@ -81,7 +82,7 @@ impl FdEntry {
     fn open(sizes: &Arc<InodeSizes>, ino: u64, backend_size: u64) -> FdEntry {
         FdEntry {
             ino,
-            size: sizes.open(ino, backend_size),
+            cell: sizes.open(ino, backend_size),
             sizes: sizes.clone(),
         }
     }
@@ -105,7 +106,35 @@ pub(crate) struct InodeSizes {
 
 struct SizeCell {
     holders: usize,
-    size: Arc<AtomicU64>,
+    cell: Arc<InodeCell>,
+}
+
+/// What the host tracks per open inode: the logical size, and whether
+/// anything was written since the last `fsync` that covered it.
+struct InodeCell {
+    size: AtomicU64,
+    /// Bumped *before* every `write`/`writev`/`truncate` touches anything.
+    mutations: AtomicU64,
+    /// The `mutations` value a successful scoped `Fsync` is known to
+    /// cover: the one sampled before that request was sent.
+    synced: AtomicU64,
+}
+
+impl InodeCell {
+    fn note_mutation(&self) {
+        self.mutations.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Nothing was modified since the last covering fsync: no page of
+    /// this inode can have been dirtied by this host since, and the
+    /// logical size is the one that fsync reconciled — a `close` has
+    /// nothing to flush and nothing to reconcile. (A mutation racing the
+    /// fsync bumps `mutations` past the value the fsync sampled, so it is
+    /// never taken for covered. A fresh cell is clean: whoever closed last
+    /// either was clean or synced on its way out.)
+    fn is_clean(&self) -> bool {
+        self.synced.load(Ordering::Acquire) == self.mutations.load(Ordering::Acquire)
+    }
 }
 
 impl InodeSizes {
@@ -122,14 +151,18 @@ impl InodeSizes {
     /// Take a hold on the cell of `ino`. While some descriptor holds the
     /// inode open its logical size wins (the backend's may lag unflushed
     /// writes); otherwise the cell starts at `backend_size`.
-    fn open(&self, ino: u64, backend_size: u64) -> Arc<AtomicU64> {
+    fn open(&self, ino: u64, backend_size: u64) -> Arc<InodeCell> {
         let mut shard = self.shard(ino).lock();
         let cell = shard.entry(ino).or_insert_with(|| SizeCell {
             holders: 0,
-            size: Arc::new(AtomicU64::new(backend_size)),
+            cell: Arc::new(InodeCell {
+                size: AtomicU64::new(backend_size),
+                mutations: AtomicU64::new(0),
+                synced: AtomicU64::new(0),
+            }),
         });
         cell.holders += 1;
-        cell.size.clone()
+        cell.cell.clone()
     }
 
     /// Give one hold back; the last holder of `ino` removes its cell.
@@ -256,6 +289,36 @@ pub struct DpcFs {
     zc: Option<DmaEngine>,
 }
 
+/// One path a namespace request asks the DPU to walk: the inode the host's
+/// dentry layer got to (the root, without one) and what is left of the
+/// path from there.
+#[derive(Copy, Clone)]
+struct Leg<'p> {
+    start: u64,
+    rest: &'p str,
+    /// The request acts on the final component (create, unlink, …): the
+    /// walk, and so the trail, stops at its parent directory.
+    to_parent: bool,
+}
+
+impl<'p> Leg<'p> {
+    fn components(&self) -> impl Iterator<Item = &'p str> {
+        self.rest.split('/').filter(|c| !c.is_empty())
+    }
+
+    /// The final component — the name a `to_parent` request acts on.
+    fn leaf(&self) -> &'p str {
+        self.components().last().unwrap_or("")
+    }
+
+    /// The components the DPU walks, and reports in the trail.
+    fn walked(&self) -> impl Iterator<Item = &'p str> {
+        let leaf = self.to_parent as usize;
+        let n = self.components().count().saturating_sub(leaf);
+        self.components().take(n)
+    }
+}
+
 /// Refill `out` from cached meta entries, reusing its slots and their
 /// name buffers (the hit-path twin of `decode_dirents_into`).
 fn copy_dirents_reusing<'a>(
@@ -360,53 +423,144 @@ impl DpcFs {
         }
     }
 
-    /// One path-component lookup through the dentry + negative layers: a
-    /// dentry hit skips the `Lookup` RPC entirely, a valid negative entry
-    /// answers ENOENT with zero RPCs, and a backend round-trip primes
-    /// whichever layer matches its outcome.
-    fn lookup_component(&self, parent: u64, name: &str) -> Result<u64, DpcError> {
+    /// Drop `ino`'s cached attr after a size/nlink/mtime-changing op.
+    fn meta_invalidate(&self, ino: u64) {
         if let Some(meta) = &self.meta {
-            match meta.lookup_name(parent, name) {
-                NameLookup::Hit(ino) => return Ok(ino),
-                NameLookup::Negative => return Err(DpcError::NOT_FOUND),
-                NameLookup::Miss => {}
-            }
-        }
-        match self.call(
-            &FileRequest::Lookup {
-                parent,
-                name: name.to_string(),
-            },
-            b"",
-            0,
-        ) {
-            Ok((FileResponse::Ino(ino), _)) => {
-                if let Some(meta) = &self.meta {
-                    meta.insert_dentry(parent, name, ino);
-                }
-                Ok(ino)
-            }
-            Ok(_) => Err(DpcError::IO),
-            Err(e) => {
-                if e == DpcError::NOT_FOUND {
-                    if let Some(meta) = &self.meta {
-                        meta.insert_negative(parent, name);
-                    }
-                }
-                Err(e)
-            }
+            meta.invalidate_ino(ino);
         }
     }
 
-    /// TTL-validated attr fetch: a cache hit skips the `GetAttr` RPC.
-    fn getattr_ino(&self, ino: u64) -> Result<WireAttr, DpcError> {
-        if let Some(meta) = &self.meta {
-            if let Some(a) = meta.get_attr(ino) {
+    // ---- namespace API (DESIGN.md §14) -----------------------------------
+    //
+    // Every call below is ONE crossing whatever the path's depth: the
+    // request carries `(start ino, rest of the path)` and the DPU walks it
+    // (`Kvfs::walk`), symlinks included. With the meta cache on, the host
+    // first consumes the prefix its dentry layer can answer and learns the
+    // rest from the walk trail the reply carries.
+
+    /// Bound `path` (ENAMETOOLONG before anything is encoded) and walk the
+    /// prefix the dentry layer knows — nothing, with the meta cache off. A
+    /// dentry is never a symlink's (`prime` skips those), so a hit is safe
+    /// to walk through. With `to_parent` the final component is left for
+    /// the request to name.
+    fn enter<'p>(&self, path: &'p str, to_parent: bool) -> Result<Leg<'p>, DpcError> {
+        if path.len() > MAX_PATH_LEN || path.split('/').any(|c| c.len() > MAX_NAME_LEN) {
+            return Err(DpcError::NAME_TOO_LONG);
+        }
+        let (mut start, mut rest) = (0 /* root */, path.trim_start_matches('/'));
+        while let (Some(meta), false) = (&self.meta, rest.is_empty()) {
+            let (comp, tail) = rest.split_once('/').unwrap_or((rest, ""));
+            let tail = tail.trim_start_matches('/');
+            if to_parent && tail.is_empty() {
+                break;
+            }
+            match meta.lookup_name(start, comp) {
+                NameLookup::Hit(ino) => (start, rest) = (ino, tail),
+                // A known-absent name answers a read outright. A mutation
+                // crosses anyway, and the DPU's verdict keeps a two-path
+                // call's errors in the order it walks the paths.
+                NameLookup::Negative if !to_parent => return Err(DpcError::NOT_FOUND),
+                _ => break,
+            }
+        }
+        Ok(Leg {
+            start,
+            rest,
+            to_parent,
+        })
+    }
+
+    /// One namespace crossing: `legs` are the paths `req` has the DPU walk,
+    /// in wire order; `own_len` bounds the read payload the op itself
+    /// returns (a listing, a link target). The walk trail rides behind it,
+    /// with error replies too — asked for only when there is a meta cache
+    /// to prime. Returns the reply, the op's own payload and the inode
+    /// each leg's walk ended on (the parent a mutation is noted under).
+    fn ns_call(
+        &self,
+        req: &FileRequest,
+        legs: &[Leg],
+        own_len: u32,
+    ) -> Result<(FileResponse, Vec<u8>, [u64; 2]), DpcError> {
+        let room = match self.meta {
+            Some(_) => legs
+                .iter()
+                .map(|l| l.walked().count() * WireStep::SIZE)
+                .sum(),
+            None => 0usize,
+        };
+        let mut done = self
+            .pool
+            .call(DispatchType::Standalone, req, b"", own_len + room as u32)
+            .map_err(|e| DpcError(e.errno()))?;
+        if let FileResponse::Err(e) = done.response {
+            let _ = self.prime(legs, &done.payload);
+            return Err(DpcError(e));
+        }
+        // A success walked every component: its trail is the last `room`
+        // bytes, exactly.
+        let own = done.payload.len().checked_sub(room).ok_or(DpcError::IO)?;
+        let ends = self.prime(legs, &done.payload[own..])?;
+        done.payload.truncate(own);
+        Ok((done.response, done.payload, ends))
+    }
+
+    /// Teach the meta cache what the DPU's walk found: a dentry per plain
+    /// component, none for one reached through a symlink (those cross
+    /// every time), a negative entry where the walk fell off. Returns the
+    /// inode each leg ended on, an error if the trail stops short of it;
+    /// zeros with the cache off.
+    fn prime(&self, legs: &[Leg], trail: &[u8]) -> Result<[u64; 2], DpcError> {
+        let mut ends = [0u64; 2];
+        let Some(meta) = &self.meta else {
+            return Ok(ends);
+        };
+        let mut steps = WireStep::decode_all(trail);
+        for (leg, end) in legs.iter().zip(&mut ends) {
+            *end = leg.start;
+            for comp in leg.walked() {
+                match steps.next() {
+                    Some(WireStep::Entry(ino)) => {
+                        meta.insert_dentry(*end, comp, ino);
+                        *end = ino;
+                    }
+                    Some(WireStep::Followed(ino)) => *end = ino,
+                    Some(WireStep::Absent) => {
+                        meta.insert_negative(*end, comp);
+                        return Err(DpcError::NOT_FOUND);
+                    }
+                    None => return Err(DpcError::IO),
+                }
+            }
+        }
+        Ok(ends)
+    }
+
+    /// Note a directory change in the meta cache: `Some(ino)` for a new
+    /// name worth a dentry, `None` for a name gone — or a symlink's, which
+    /// the host cannot follow and so never caches.
+    fn note(&self, parent: u64, leaf: &str, created: Option<u64>) {
+        match (&self.meta, created) {
+            (Some(meta), Some(ino)) => meta.note_create(parent, leaf, ino),
+            (Some(meta), None) => meta.note_remove(parent, leaf),
+            (None, _) => {}
+        }
+    }
+
+    /// Resolve `path`, symlinks followed, to its attributes: no crossing
+    /// when the dentry and attr layers cover it, one otherwise.
+    pub fn stat(&self, path: &str) -> Result<WireAttr, DpcError> {
+        let leg = self.enter(path, false)?;
+        if let (Some(meta), true) = (&self.meta, leg.rest.is_empty()) {
+            if let Some(a) = meta.get_attr(leg.start) {
                 return Ok(Self::meta_to_wire(a));
             }
         }
-        let (resp, _) = self.call(&FileRequest::GetAttr { ino }, b"", 0)?;
-        let FileResponse::Attr(attr) = resp else {
+        let req = FileRequest::StatAt {
+            start: leg.start,
+            path: leg.rest.to_string(),
+        };
+        let (FileResponse::Attr(attr), ..) = self.ns_call(&req, &[leg], 0)? else {
             return Err(DpcError::IO);
         };
         if let Some(meta) = &self.meta {
@@ -415,112 +569,71 @@ impl DpcFs {
         Ok(attr)
     }
 
-    /// Drop `ino`'s cached attr after a size/nlink/mtime-changing op.
-    fn meta_invalidate(&self, ino: u64) {
-        if let Some(meta) = &self.meta {
-            meta.invalidate_ino(ino);
-        }
+    /// Send one request that acts on `path`'s final component; returns
+    /// the reply, and the parent directory and that component to `note`.
+    fn mutate<'p>(
+        &self,
+        path: &'p str,
+        req: impl FnOnce(u64, String) -> FileRequest,
+    ) -> Result<(FileResponse, u64, &'p str), DpcError> {
+        let leg = self.enter(path, true)?;
+        let req = req(leg.start, leg.rest.to_string());
+        let (resp, _, [parent, _]) = self.ns_call(&req, &[leg], 0)?;
+        Ok((resp, parent, leg.leaf()))
     }
 
-    /// Resolve a path to an inode with per-component lookups, following
-    /// symbolic links (depth-capped, ELOOP beyond 8).
-    fn resolve(&self, path: &str) -> Result<u64, DpcError> {
-        self.resolve_depth(path, 0)
-    }
-
-    fn resolve_depth(&self, path: &str, depth: u32) -> Result<u64, DpcError> {
-        if depth > 8 {
-            return Err(DpcError(40 /* ELOOP */));
+    /// A name of the inode `attr` describes is gone (unlink, or a rename
+    /// over it). Its host pages, WAL ownership and dirty data go only with
+    /// the *last* name — the other names still open and read this inode —
+    /// its cached attr always (nlink moved).
+    fn name_removed(&self, attr: &WireAttr) {
+        if attr.nlink == 0 {
+            self.cache.invalidate_ino(attr.ino);
         }
-        let mut ino = 0u64; // root
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            ino = self.lookup_component(ino, comp)?;
-            // Follow symlinks wherever they appear on the path.
-            loop {
-                let attr = self.getattr_ino(ino)?;
-                if attr.kind != 2 {
-                    break;
-                }
-                let (resp, mut payload) = self.call(&FileRequest::Readlink { ino }, b"", 4096)?;
-                let FileResponse::Bytes(n) = resp else {
-                    return Err(DpcError::IO);
-                };
-                // Consume the reply buffer in place — no `to_vec` copy.
-                payload.truncate(n as usize);
-                let target = String::from_utf8(payload).map_err(|_| DpcError::IO)?;
-                ino = self.resolve_depth(&target, depth + 1)?;
-            }
-        }
-        Ok(ino)
+        self.meta_invalidate(attr.ino);
     }
-
-    fn split_parent(path: &str) -> Result<(&str, &str), DpcError> {
-        let trimmed = path.trim_end_matches('/');
-        let (dir, name) = match trimmed.rfind('/') {
-            Some(i) => (&trimmed[..i], &trimmed[i + 1..]),
-            None => ("", trimmed),
-        };
-        if name.is_empty() {
-            return Err(DpcError::INVALID);
-        }
-        Ok((dir, name))
-    }
-
-    // ---- namespace API -------------------------------------------------
 
     pub fn create(&self, path: &str) -> Result<Fd, DpcError> {
         self.create_mode(path, 0o644)
     }
 
     pub fn create_mode(&self, path: &str, mode: u32) -> Result<Fd, DpcError> {
-        let (dir, name) = Self::split_parent(path)?;
-        let parent = self.resolve(dir)?;
-        let (resp, _) = self.call(
-            &FileRequest::Create {
-                parent,
-                name: name.to_string(),
-                mode,
-            },
-            b"",
-            0,
-        )?;
-        let FileResponse::Ino(ino) = resp else {
+        let create = |parent, name| FileRequest::Create { parent, name, mode };
+        let (FileResponse::Ino(ino), parent, leaf) = self.mutate(path, create)? else {
             return Err(DpcError::IO);
         };
-        if let Some(meta) = &self.meta {
-            meta.note_create(parent, name, ino);
-        }
+        self.note(parent, leaf, Some(ino));
         Ok(self.fds.insert(FdEntry::open(&self.sizes, ino, 0)))
     }
 
     pub fn open(&self, path: &str) -> Result<Fd, DpcError> {
-        let ino = self.resolve(path)?;
-        let attr = self.getattr_ino(ino)?;
-        Ok(self.fds.insert(FdEntry::open(&self.sizes, ino, attr.size)))
+        let attr = self.stat(path)?;
+        let entry = FdEntry::open(&self.sizes, attr.ino, attr.size);
+        Ok(self.fds.insert(entry))
     }
 
+    /// Make buffered data durable, then drop the descriptor. A descriptor
+    /// whose inode nobody modified since its last successful `fsync`
+    /// (opened, stat-ed, read) has nothing to flush or reconcile and sends
+    /// nothing — unless a refused flush left pages in quarantine, which sit
+    /// outside any inode's bookkeeping and get another try at every close.
     pub fn close(&self, fd: Fd) -> Result<(), DpcError> {
-        // Make buffered data durable before dropping the descriptor.
-        self.fsync(fd)?;
+        if !self.fds.get(fd)?.cell.is_clean() || self.cache.quarantined_pages() > 0 {
+            self.fsync(fd)?;
+        }
         self.fds.remove(fd);
         Ok(())
     }
 
     pub fn mkdir(&self, path: &str) -> Result<(), DpcError> {
-        let (dir, name) = Self::split_parent(path)?;
-        let parent = self.resolve(dir)?;
-        let (resp, _) = self.call(
-            &FileRequest::Mkdir {
-                parent,
-                name: name.to_string(),
-                mode: 0o755,
-            },
-            b"",
-            0,
-        )?;
-        if let (Some(meta), FileResponse::Ino(ino)) = (&self.meta, resp) {
-            meta.note_create(parent, name, ino);
-        }
+        let mode = 0o755;
+        let mkdir = |parent, name| FileRequest::Mkdir { parent, name, mode };
+        let (FileResponse::Ino(ino), parent, leaf) = self.mutate(path, mkdir)? else {
+            return Err(DpcError::IO);
+        };
+        self.note(parent, leaf, Some(ino));
+        // The new directory's `..` is a link to the parent.
+        self.meta_invalidate(parent);
         Ok(())
     }
 
@@ -535,167 +648,124 @@ impl DpcFs {
     /// (watcher loops, `ls`-style sweeps) decodes the listing without
     /// per-entry allocations once the buffer is warm.
     pub fn readdir_into(&self, path: &str, out: &mut Vec<WireDirent>) -> Result<(), DpcError> {
-        let ino = self.resolve(path)?;
-        if let Some(meta) = &self.meta {
-            if let Some(entries) = meta.get_dir(ino) {
+        let leg = self.enter(path, false)?;
+        if let (Some(meta), true) = (&self.meta, leg.rest.is_empty()) {
+            if let Some(entries) = meta.get_dir(leg.start) {
                 copy_dirents_reusing(out, entries.iter());
                 return Ok(());
             }
         }
-        let (resp, payload) = self.call(
-            &FileRequest::Readdir { ino },
-            b"",
-            // Listing capacity: half a megabyte of dirents (the slot
-            // reserves READ_HEADER_CAP on top, so stay under max_io).
-            512 * 1024,
-        )?;
+        let req = FileRequest::ReaddirAt {
+            start: leg.start,
+            path: leg.rest.to_string(),
+        };
+        // Listing capacity: half a megabyte of dirents (the slot reserves
+        // READ_HEADER_CAP on top, so stay under max_io).
+        let (resp, listing, [dir, _]) = self.ns_call(&req, &[leg], 512 * 1024)?;
         let FileResponse::Entries(n) = resp else {
             return Err(DpcError::IO);
         };
-        decode_dirents_into(&payload, n as usize, out).map_err(|_| DpcError::IO)?;
+        decode_dirents_into(&listing, n as usize, out).map_err(|_| DpcError::IO)?;
         if let Some(meta) = &self.meta {
             // Cache fill, not steady state: once inserted, the hit path
             // above serves every repeat listing allocation-free.
-            meta.insert_dir(
-                ino,
-                out.iter()
-                    .map(|e| MetaDirent {
-                        ino: e.ino,
-                        kind: e.kind,
-                        name: e.name.clone(),
-                    })
-                    .collect(),
-            );
+            let entries = out.iter().map(|e| MetaDirent {
+                ino: e.ino,
+                kind: e.kind,
+                name: e.name.clone(),
+            });
+            meta.insert_dir(dir, entries.collect());
         }
         Ok(())
     }
 
-    pub fn stat(&self, path: &str) -> Result<WireAttr, DpcError> {
-        let ino = self.resolve(path)?;
-        self.getattr_ino(ino)
-    }
-
     pub fn unlink(&self, path: &str) -> Result<(), DpcError> {
-        let (dir, name) = Self::split_parent(path)?;
-        let parent = self.resolve(dir)?;
-        // Find the ino first so cached pages can be invalidated (the
-        // dentry layer usually answers this without an RPC).
-        let ino = self.lookup_component(parent, name)?;
-        self.call(
-            &FileRequest::Unlink {
-                parent,
-                name: name.to_string(),
-            },
-            b"",
-            0,
-        )?;
-        // Drop stale cache pages and metadata (the remaining links' nlink
-        // changed too, so the attr goes regardless).
-        self.cache.invalidate_ino(ino);
-        if let Some(meta) = &self.meta {
-            meta.note_remove(parent, name);
-            meta.invalidate_ino(ino);
-        }
+        let unlink = |parent, name| FileRequest::Unlink { parent, name };
+        let (FileResponse::Attr(victim), parent, leaf) = self.mutate(path, unlink)? else {
+            return Err(DpcError::IO);
+        };
+        self.name_removed(&victim);
+        self.note(parent, leaf, None);
         Ok(())
     }
 
     /// Rename; an existing regular-file destination is replaced.
     pub fn rename(&self, from: &str, to: &str) -> Result<(), DpcError> {
-        let (fdir, fname) = Self::split_parent(from)?;
-        let (tdir, tname) = Self::split_parent(to)?;
-        let parent = self.resolve(fdir)?;
-        let new_parent = self.resolve(tdir)?;
-        self.call(
-            &FileRequest::Rename {
-                parent,
-                name: fname.to_string(),
-                new_parent,
-                new_name: tname.to_string(),
-            },
-            b"",
-            0,
-        )?;
-        if let Some(meta) = &self.meta {
-            // Both directories mutated: bump both generations (killing
-            // their listings and negative entries — a rename *into* a
-            // cached-absent name must start resolving again).
-            meta.note_remove(parent, fname);
-            meta.note_remove(new_parent, tname);
+        let legs = [self.enter(from, true)?, self.enter(to, true)?];
+        let req = FileRequest::Rename {
+            parent: legs[0].start,
+            name: legs[0].rest.to_string(),
+            new_parent: legs[1].start,
+            new_name: legs[1].rest.to_string(),
+        };
+        let (resp, _, [parent, new_parent]) = self.ns_call(&req, &legs, 0)?;
+        if let FileResponse::Attr(replaced) = resp {
+            self.name_removed(&replaced);
         }
+        // Both directories mutated: bump both generations (killing their
+        // listings and negative entries — a rename *into* a cached-absent
+        // name must start resolving again).
+        self.note(parent, legs[0].leaf(), None);
+        self.note(new_parent, legs[1].leaf(), None);
         Ok(())
     }
 
     pub fn rmdir(&self, path: &str) -> Result<(), DpcError> {
-        let (dir, name) = Self::split_parent(path)?;
-        let parent = self.resolve(dir)?;
-        self.call(
-            &FileRequest::Rmdir {
-                parent,
-                name: name.to_string(),
-            },
-            b"",
-            0,
-        )?;
-        if let Some(meta) = &self.meta {
-            meta.note_remove(parent, name);
-        }
+        let rmdir = |parent, name| FileRequest::Rmdir { parent, name };
+        let (_, parent, leaf) = self.mutate(path, rmdir)?;
+        self.note(parent, leaf, None);
+        self.meta_invalidate(parent);
         Ok(())
     }
 
     /// Hard link: `new_path` becomes another name for the file at
     /// `existing`.
     pub fn link(&self, existing: &str, new_path: &str) -> Result<(), DpcError> {
-        let (dir, name) = Self::split_parent(new_path)?;
-        let ino = self.resolve(existing)?;
-        let new_parent = self.resolve(dir)?;
-        self.call(
-            &FileRequest::Link {
-                ino,
-                new_parent,
-                new_name: name.to_string(),
-            },
-            b"",
-            0,
-        )?;
-        if let Some(meta) = &self.meta {
-            meta.note_create(new_parent, name, ino);
-            // nlink changed.
-            meta.invalidate_ino(ino);
-        }
+        let legs = [self.enter(existing, false)?, self.enter(new_path, true)?];
+        let req = FileRequest::Link {
+            parent: legs[0].start,
+            name: legs[0].rest.to_string(),
+            new_parent: legs[1].start,
+            new_name: legs[1].rest.to_string(),
+        };
+        let (.., [ino, new_parent]) = self.ns_call(&req, &legs, 0)?;
+        self.note(new_parent, legs[1].leaf(), Some(ino));
+        // nlink changed.
+        self.meta_invalidate(ino);
         Ok(())
     }
 
     /// Create a symbolic link at `path` pointing to `target`.
     pub fn symlink(&self, path: &str, target: &str) -> Result<(), DpcError> {
-        let (dir, name) = Self::split_parent(path)?;
-        let parent = self.resolve(dir)?;
-        let (resp, _) = self.call(
-            &FileRequest::Symlink {
-                parent,
-                name: name.to_string(),
-                target: target.to_string(),
-            },
-            b"",
-            0,
-        )?;
-        if let (Some(meta), FileResponse::Ino(ino)) = (&self.meta, resp) {
-            meta.note_create(parent, name, ino);
+        if target.len() > MAX_PATH_LEN {
+            return Err(DpcError::NAME_TOO_LONG);
         }
+        let target = target.to_string();
+        let symlink = |parent, name| FileRequest::Symlink {
+            parent,
+            name,
+            target,
+        };
+        let (_, parent, leaf) = self.mutate(path, symlink)?;
+        self.note(parent, leaf, None);
         Ok(())
     }
 
     /// Read a symlink's target. `path` must name the link itself (the
     /// final component is not followed).
     pub fn readlink(&self, path: &str) -> Result<String, DpcError> {
-        let (dir, name) = Self::split_parent(path)?;
-        let parent = self.resolve(dir)?;
-        let ino = self.lookup_component(parent, name)?;
-        let (resp, mut payload) = self.call(&FileRequest::Readlink { ino }, b"", 4096)?;
-        let FileResponse::Bytes(n) = resp else {
+        let leg = self.enter(path, true)?;
+        let req = FileRequest::Readlink {
+            parent: leg.start,
+            name: leg.rest.to_string(),
+        };
+        let (FileResponse::Bytes(n), mut target, _) = self.ns_call(&req, &[leg], 4096)? else {
             return Err(DpcError::IO);
         };
-        payload.truncate(n as usize);
-        String::from_utf8(payload).map_err(|_| DpcError::IO)
+        // Consume the reply buffer in place — no `to_vec` copy. (With no
+        // meta cache the unasked-for trail is still behind the target.)
+        target.truncate(n as usize);
+        String::from_utf8(target).map_err(|_| DpcError::IO)
     }
 
     // ---- zero-copy data path (DESIGN.md §15) -----------------------------
@@ -909,6 +979,7 @@ impl DpcFs {
             .ok_or(DpcError::INVALID)?;
         let entry = self.fds.get(fd)?;
         let ino = entry.ino;
+        entry.cell.note_mutation();
         // Size/mtime change: the cached attr is stale either way.
         self.meta_invalidate(ino);
 
@@ -941,7 +1012,10 @@ impl DpcFs {
                 let FileResponse::Bytes(n) = resp else {
                     return Err(DpcError::IO);
                 };
-                entry.size.fetch_max(offset + n as u64, Ordering::AcqRel);
+                entry
+                    .cell
+                    .size
+                    .fetch_max(offset + n as u64, Ordering::AcqRel);
                 Ok(n as usize)
             }
             IoMode::Buffered => {
@@ -951,7 +1025,10 @@ impl DpcFs {
                 // before acking — still write-ahead, logged exactly once.
                 // Any refusal falls through to the classic staged path.
                 if let Some(n) = self.zc_write(ino, offset, data, DmaClass::WriteAbsorb) {
-                    entry.size.fetch_max(offset + n as u64, Ordering::AcqRel);
+                    entry
+                        .cell
+                        .size
+                        .fetch_max(offset + n as u64, Ordering::AcqRel);
                     return Ok(n);
                 }
                 // Write-ahead: the intent record must be on the ring
@@ -1067,7 +1144,7 @@ impl DpcFs {
                 }
             }
         }
-        entry.size.fetch_max(end, Ordering::AcqRel);
+        entry.cell.size.fetch_max(end, Ordering::AcqRel);
         Ok(data.len())
     }
 
@@ -1106,7 +1183,7 @@ impl DpcFs {
         for lpn in first..=last {
             self.cache.invalidate(ino, lpn);
         }
-        entry.size.fetch_max(end, Ordering::AcqRel);
+        entry.cell.size.fetch_max(end, Ordering::AcqRel);
         Ok(data.len())
     }
 
@@ -1190,7 +1267,7 @@ impl DpcFs {
     /// page before asking the DPU (the fs-adapter's read path).
     pub fn read(&self, fd: Fd, offset: u64, dst: &mut [u8]) -> Result<usize, DpcError> {
         let entry = self.fds.get(fd)?;
-        let (ino, size) = (entry.ino, entry.size.load(Ordering::Acquire));
+        let (ino, size) = (entry.ino, entry.cell.size.load(Ordering::Acquire));
         if offset >= size || dst.is_empty() {
             return Ok(0);
         }
@@ -1434,6 +1511,7 @@ impl DpcFs {
         }
         let entry = self.fds.get(fd)?;
         let ino = entry.ino;
+        entry.cell.note_mutation();
         self.meta_invalidate(ino);
         // O_DIRECT coherence: dirty cached pages overlapping the write
         // must reach the backend before the direct write lands (flush,
@@ -1449,7 +1527,10 @@ impl DpcFs {
         // locks), so neither the O_DIRECT pre-flush nor the post-write
         // invalidation below applies — the cache *is* the destination.
         if let Some(n) = self.zc_writev(ino, offset, segments, total) {
-            entry.size.fetch_max(offset + n as u64, Ordering::AcqRel);
+            entry
+                .cell
+                .size
+                .fetch_max(offset + n as u64, Ordering::AcqRel);
             return Ok(n);
         }
         let first_lpn = offset / PAGE_SIZE as u64;
@@ -1495,7 +1576,10 @@ impl DpcFs {
         let done = res?;
         match done.response {
             FileResponse::Bytes(n) => {
-                entry.size.fetch_max(offset + n as u64, Ordering::AcqRel);
+                entry
+                    .cell
+                    .size
+                    .fetch_max(offset + n as u64, Ordering::AcqRel);
                 // Keep any cached pages coherent with the direct write.
                 // Inclusive last touched page, NOT div_ceil: one page too
                 // far would drop a dirty page past the gather that the
@@ -1531,6 +1615,9 @@ impl DpcFs {
         let ino = entry.ino;
         // The flush rewrites the backend size/mtime.
         self.meta_invalidate(ino);
+        // Sampled before the request leaves: whatever this fsync covers
+        // was written before now (see `InodeCell::is_clean`).
+        let covers = entry.cell.mutations.load(Ordering::Acquire);
         let (resp, _) = self.call(&FileRequest::Fsync { ino }, b"", 0)?;
         let FileResponse::Attr(backend) = resp else {
             return Err(DpcError::IO);
@@ -1546,16 +1633,18 @@ impl DpcFs {
         // cut growth that client fsynced; nothing keeps two clients
         // coherent yet. No intent record: replay reconciles every touched
         // file's size itself, from the records it redoes.
-        let size = entry.size.load(Ordering::Acquire);
+        let size = entry.cell.size.load(Ordering::Acquire);
         if backend.size != size {
             self.call(&FileRequest::Truncate { ino, size }, b"", 0)?;
         }
+        entry.cell.synced.fetch_max(covers, Ordering::AcqRel);
         Ok(())
     }
 
     pub fn truncate(&self, fd: Fd, size: u64) -> Result<(), DpcError> {
         let entry = self.fds.get(fd)?;
-        let (ino, old) = (entry.ino, entry.size.load(Ordering::Acquire));
+        let (ino, old) = (entry.ino, entry.cell.size.load(Ordering::Acquire));
+        entry.cell.note_mutation();
         self.meta_invalidate(ino);
         // Write-ahead: the truncate record orders against live buffered
         // records (positional replay), so a post-crash redo of an older
@@ -1570,7 +1659,7 @@ impl DpcFs {
             }
         }
         res?;
-        entry.size.store(size, Ordering::Release);
+        entry.cell.size.store(size, Ordering::Release);
         // Invalidate cached pages past the new end, and clip the valid
         // length of the boundary page so a later flush cannot re-extend
         // the file.
@@ -1598,7 +1687,9 @@ impl DpcFs {
 
     /// File size as tracked by the adapter.
     pub fn size(&self, fd: Fd) -> Result<u64, DpcError> {
-        self.fds.get(fd).map(|e| e.size.load(Ordering::Acquire))
+        self.fds
+            .get(fd)
+            .map(|e| e.cell.size.load(Ordering::Acquire))
     }
 
     // ---- distributed (DFS) dispatch -------------------------------------
@@ -1726,7 +1817,7 @@ mod tests {
         let a = Arc::new(FdEntry::open(&sizes, 7, 100));
         // A second descriptor adopts the live cell, not the backend size.
         let b = FdEntry::open(&sizes, 7, 0);
-        assert_eq!(b.size.load(Ordering::Acquire), 100);
+        assert_eq!(b.cell.size.load(Ordering::Acquire), 100);
         let in_flight = a.clone();
         drop((a, b));
         // An op that still borrows a closed descriptor keeps the cell…
@@ -1734,6 +1825,12 @@ mod tests {
         // …and takes it along when it returns: nothing is left behind.
         drop(in_flight);
         assert_eq!(sizes.open_inodes(), 0);
-        assert_eq!(FdEntry::open(&sizes, 7, 5).size.load(Ordering::Acquire), 5);
+        assert_eq!(
+            FdEntry::open(&sizes, 7, 5)
+                .cell
+                .size
+                .load(Ordering::Acquire),
+            5
+        );
     }
 }

@@ -14,10 +14,10 @@ use dpc_cache::{
     ControlPlane, FlushBackend, PrefetchJob, PrefetchQueue, ReadBackend, ReadaheadTable,
 };
 use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
-use dpc_kvfs::{FileKind, FsError, Kvfs};
+use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
 use dpc_nvmefs::{
-    encode_dirents, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
-    FileTarget, WireAttr, WireDirent, ZcCmd, ZcOp,
+    encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
+    FileTarget, WireAttr, WireStep, ZcCmd, ZcOp,
 };
 use dpc_sim::FaultSite;
 
@@ -39,16 +39,48 @@ fn wire_attr(a: &dpc_kvfs::FileAttr) -> WireAttr {
         atime_ns: a.atime,
         mtime_ns: a.mtime,
         ctime_ns: a.ctime,
-        kind: match a.kind {
-            FileKind::File => 0,
-            FileKind::Dir => 1,
-            FileKind::Symlink => 2,
-        },
+        kind: a.kind.to_byte(),
+    }
+}
+
+/// A [`Kvfs::walk`] trail that records each step in wire form.
+fn wire_trail(trail: &mut Vec<u8>) -> impl FnMut(WalkStep) + '_ {
+    |step| {
+        match step {
+            WalkStep::Entry(ino) => WireStep::Entry(ino),
+            WalkStep::Followed(ino) => WireStep::Followed(ino),
+            WalkStep::Absent => WireStep::Absent,
+        }
+        .encode(trail)
+    }
+}
+
+/// Stream `dir`'s listing into `out`, each entry encoded straight from
+/// the store's bytes. `cap` is the host's read buffer.
+fn list_dir(kvfs: &Kvfs, dir: u64, cap: u32, out: &mut Vec<u8>) -> FileResponse {
+    let mut entries = 0u32;
+    let listed = kvfs.readdir_with(dir, |ino, kind, name| {
+        encode_dirent(ino, kind.to_byte(), name, out);
+        entries += 1;
+    });
+    match listed {
+        Ok(()) if out.len() > cap as usize => {
+            // The host's buffer cannot hold the listing.
+            out.clear();
+            FileResponse::Err(34 /* ERANGE */)
+        }
+        Ok(()) => FileResponse::Entries(entries),
+        Err(e) => fs_err(e),
     }
 }
 
 fn fs_err(e: FsError) -> FileResponse {
     FileResponse::Err(e.errno())
+}
+
+/// The reply to a KVFS call: its response, or its errno.
+fn reply(result: Result<FileResponse, FsError>) -> FileResponse {
+    result.unwrap_or_else(fs_err)
 }
 
 fn dfs_err(e: DfsError) -> FileResponse {
@@ -235,6 +267,8 @@ pub struct Dispatcher {
     pub(crate) flush_fault: Option<Arc<FaultSite>>,
     /// Recycled read-payload buffer for [`Dispatcher::handle_batch`].
     payload_scratch: Vec<u8>,
+    /// Recycled buffer for the walk trail of the request being served.
+    trail_scratch: Vec<u8>,
 }
 
 impl Dispatcher {
@@ -247,6 +281,7 @@ impl Dispatcher {
             coalesce: true,
             flush_fault: None,
             payload_scratch: Vec::new(),
+            trail_scratch: Vec::new(),
         }
     }
 
@@ -363,24 +398,65 @@ impl Dispatcher {
     }
 
     fn handle_kvfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
+        let mut trail = std::mem::take(&mut self.trail_scratch);
+        trail.clear();
+        let resp = self.serve_kvfs(inc, out, &mut trail);
+        // The walk trail rides behind the op's own payload — with an error
+        // reply too, so the host learns where the walk stopped — as many
+        // whole steps as the host left room for (none when it asked for no
+        // read payload: a host without a dentry cache has no use for it).
+        let room = (inc.read_len as usize).saturating_sub(out.len());
+        let fits = trail.len().min(room) / WireStep::SIZE * WireStep::SIZE;
+        out.extend_from_slice(&trail[..fits]);
+        self.trail_scratch = trail;
+        resp
+    }
+
+    /// A name of the inode `attr` describes went away (unlink, or a rename
+    /// over it). Cached pages of a dead inode are the host's problem (it
+    /// invalidates by ino, from this reply); the readahead stream is ours,
+    /// and dies with the inode's last link, not before.
+    fn name_removed(&self, attr: &FileAttr) -> FileResponse {
+        if let (Some((table, _)), 0) = (&self.ra, attr.nlink) {
+            table.reset(attr.ino);
+        }
+        FileResponse::Attr(wire_attr(attr))
+    }
+
+    /// Serve one standalone request. Every path a request carries is
+    /// resolved here, by the one [`Kvfs::walk`], and reported to `trail`.
+    fn serve_kvfs(
+        &mut self,
+        inc: &FileIncoming,
+        out: &mut Vec<u8>,
+        trail: &mut Vec<u8>,
+    ) -> FileResponse {
         let kvfs = &self.kvfs;
+        let mut steps = wire_trail(trail);
         match &inc.request {
             FileRequest::Lookup { parent, name } => match kvfs.lookup(*parent, name) {
                 Ok(ino) => FileResponse::Ino(ino),
                 Err(e) => fs_err(e),
             },
-            FileRequest::Create { parent, name, mode } => {
-                match kvfs.create_in(*parent, name, *mode) {
-                    Ok(ino) => FileResponse::Ino(ino),
-                    Err(e) => fs_err(e),
-                }
-            }
-            FileRequest::Mkdir { parent, name, mode } => {
-                match kvfs.mkdir_in(*parent, name, *mode) {
-                    Ok(ino) => FileResponse::Ino(ino),
-                    Err(e) => fs_err(e),
-                }
-            }
+            FileRequest::StatAt { start, path } => reply(
+                kvfs.walk(*start, path, &mut steps)
+                    .and_then(|ino| kvfs.get_attr(ino))
+                    .map(|a| FileResponse::Attr(wire_attr(&a))),
+            ),
+            FileRequest::ReaddirAt { start, path } => match kvfs.walk(*start, path, &mut steps) {
+                Ok(dir) => list_dir(kvfs, dir, inc.read_len, out),
+                Err(e) => fs_err(e),
+            },
+            FileRequest::Create { parent, name, mode } => reply(
+                kvfs.walk_parent(*parent, name, &mut steps)
+                    .and_then(|(dir, leaf)| kvfs.create_in(dir, leaf, *mode))
+                    .map(FileResponse::Ino),
+            ),
+            FileRequest::Mkdir { parent, name, mode } => reply(
+                kvfs.walk_parent(*parent, name, &mut steps)
+                    .and_then(|(dir, leaf)| kvfs.mkdir_in(dir, leaf, *mode))
+                    .map(FileResponse::Ino),
+            ),
             FileRequest::Read { ino, offset, len } => {
                 out.resize(*len as usize, 0);
                 let page = dpc_cache::PAGE_SIZE;
@@ -437,55 +513,17 @@ impl Dispatcher {
                 }
                 Err(e) => fs_err(e),
             },
-            FileRequest::Unlink { parent, name } => {
-                // Resolve the victim first (only when readahead is on) so
-                // its stream state can be dropped with the file.
-                let victim = if self.ra.is_some() {
-                    kvfs.lookup(*parent, name).ok()
-                } else {
-                    None
-                };
-                match kvfs.unlink_in(*parent, name) {
-                    Ok(()) => {
-                        // Cached pages of the removed file are the host's
-                        // problem (it invalidates by ino); the readahead
-                        // stream is ours.
-                        if let (Some((table, _)), Some(ino)) = (&self.ra, victim) {
-                            table.reset(ino);
-                        }
-                        FileResponse::Ok
-                    }
-                    Err(e) => fs_err(e),
-                }
-            }
-            FileRequest::Rmdir { parent, name } => match kvfs.rmdir_in(*parent, name) {
-                Ok(()) => FileResponse::Ok,
-                Err(e) => fs_err(e),
-            },
-            FileRequest::Readdir { ino } => match kvfs.readdir(*ino) {
-                Ok(entries) => {
-                    let wire: Vec<WireDirent> = entries
-                        .into_iter()
-                        .map(|e| WireDirent {
-                            ino: e.ino,
-                            kind: match e.kind {
-                                FileKind::File => 0,
-                                FileKind::Dir => 1,
-                                FileKind::Symlink => 2,
-                            },
-                            name: e.name,
-                        })
-                        .collect();
-                    encode_dirents(&wire, out);
-                    if out.len() > inc.read_len as usize {
-                        // The host's buffer cannot hold the listing.
-                        out.clear();
-                        return FileResponse::Err(34 /* ERANGE */);
-                    }
-                    FileResponse::Entries(wire.len() as u32)
-                }
-                Err(e) => fs_err(e),
-            },
+            FileRequest::Unlink { parent, name } => reply(
+                kvfs.walk_parent(*parent, name, &mut steps)
+                    .and_then(|(dir, leaf)| kvfs.unlink_entry(dir, leaf))
+                    .map(|victim| self.name_removed(&victim)),
+            ),
+            FileRequest::Rmdir { parent, name } => reply(
+                kvfs.walk_parent(*parent, name, &mut steps)
+                    .and_then(|(dir, leaf)| kvfs.rmdir_in(dir, leaf))
+                    .map(|()| FileResponse::Ok),
+            ),
+            FileRequest::Readdir { ino } => list_dir(kvfs, *ino, inc.read_len, out),
             FileRequest::GetAttr { ino } => match kvfs.get_attr(*ino) {
                 Ok(a) => FileResponse::Attr(wire_attr(&a)),
                 Err(e) => fs_err(e),
@@ -495,10 +533,18 @@ impl Dispatcher {
                 name,
                 new_parent,
                 new_name,
-            } => match kvfs.rename_in(*parent, name, *new_parent, new_name) {
-                Ok(()) => FileResponse::Ok,
-                Err(e) => fs_err(e),
-            },
+            } => {
+                let renamed = kvfs
+                    .walk_parent(*parent, name, &mut steps)
+                    .and_then(|from| {
+                        Ok((from, kvfs.walk_parent(*new_parent, new_name, &mut steps)?))
+                    })
+                    .and_then(|((fp, fname), (tp, tname))| kvfs.rename_in(fp, fname, tp, tname));
+                reply(renamed.map(|replaced| match replaced {
+                    Some(replaced) => self.name_removed(&replaced),
+                    None => FileResponse::Ok,
+                }))
+            }
             FileRequest::Fsync { ino } => {
                 // Persist the hybrid cache's dirty pages into KVFS, then
                 // the (always-durable) store needs no further barrier.
@@ -537,28 +583,38 @@ impl Dispatcher {
                 }
             }
             FileRequest::Link {
-                ino,
+                parent,
+                name,
                 new_parent,
                 new_name,
-            } => match kvfs.link_in(*ino, *new_parent, new_name) {
-                Ok(()) => FileResponse::Ok,
-                Err(e) => fs_err(e),
-            },
+            } => {
+                let linked = kvfs
+                    .walk(*parent, name, &mut steps)
+                    .and_then(|ino| Ok((ino, kvfs.walk_parent(*new_parent, new_name, &mut steps)?)))
+                    .and_then(|(ino, (dir, leaf))| kvfs.link_in(ino, dir, leaf));
+                reply(linked.map(|attr| FileResponse::Attr(wire_attr(&attr))))
+            }
             FileRequest::Symlink {
                 parent,
                 name,
                 target,
-            } => match kvfs.symlink_in(*parent, name, target) {
-                Ok(ino) => FileResponse::Ino(ino),
-                Err(e) => fs_err(e),
-            },
-            FileRequest::Readlink { ino } => match kvfs.readlink(*ino) {
-                Ok(target) => {
+            } => reply(
+                kvfs.walk_parent(*parent, name, &mut steps)
+                    .and_then(|(dir, leaf)| kvfs.symlink_in(dir, leaf, target))
+                    .map(FileResponse::Ino),
+            ),
+            FileRequest::Readlink { parent, name } => {
+                // The link itself is the subject: walk to its directory,
+                // look the name up, follow nothing.
+                let target = kvfs
+                    .walk_parent(*parent, name, &mut steps)
+                    .and_then(|(dir, leaf)| kvfs.lookup(dir, leaf))
+                    .and_then(|ino| kvfs.readlink(ino));
+                reply(target.map(|target| {
                     out.extend_from_slice(target.as_bytes());
                     FileResponse::Bytes(out.len() as u32)
-                }
-                Err(e) => fs_err(e),
-            },
+                }))
+            }
             FileRequest::CacheEvict { bucket } => {
                 let bucket = *bucket as usize;
                 if !self.control.evict_one(bucket) {
@@ -656,16 +712,14 @@ impl Dispatcher {
             }
             FileRequest::Readdir { ino } => match dfs.readdir(*ino) {
                 Ok((entries, _)) => {
-                    let wire: Vec<WireDirent> = entries
-                        .into_iter()
-                        .map(|(name, ino)| WireDirent { ino, kind: 0, name })
-                        .collect();
-                    encode_dirents(&wire, out);
+                    for (name, ino) in &entries {
+                        encode_dirent(*ino, 0, name, out);
+                    }
                     if out.len() > inc.read_len as usize {
                         out.clear();
                         return FileResponse::Err(34 /* ERANGE */);
                     }
-                    FileResponse::Entries(wire.len() as u32)
+                    FileResponse::Entries(entries.len() as u32)
                 }
                 Err(e) => dfs_err(e),
             },

@@ -8,7 +8,10 @@ use dpc_core::Dispatcher;
 use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
-use dpc_nvmefs::{decode_dirents, DispatchType, FileIncoming, FileRequest, FileResponse};
+use dpc_nvmefs::{
+    decode_dirents, decode_dirents_into, DispatchType, FileIncoming, FileRequest, FileResponse,
+    WireStep,
+};
 use dpc_pcie::DmaEngine;
 
 fn incoming(dispatch: DispatchType, request: FileRequest, payload: Vec<u8>) -> FileIncoming {
@@ -113,7 +116,11 @@ fn standalone_namespace_requests() {
         },
         vec![],
     ));
-    assert_eq!(resp, FileResponse::Ok);
+    // The reply is the victim as the unlink left it: its last name went.
+    let FileResponse::Attr(victim) = resp else {
+        panic!("{resp:?}")
+    };
+    assert_eq!((victim.ino, victim.nlink), (ino, 0));
     let (resp, _) = d.handle(&incoming(
         DispatchType::Standalone,
         FileRequest::Rmdir {
@@ -228,17 +235,232 @@ fn errno_mapping() {
         vec![],
     ));
     assert_eq!(resp, FileResponse::Err(17));
-    // EINVAL (bad name)
-    let (resp, _) = d.handle(&incoming(
-        DispatchType::Standalone,
+    // A name with a `/` is a path now: ENOENT for its missing directory,
+    // ENOTDIR through a file. EINVAL is for names no path can hold,
+    // ENAMETOOLONG for a component past 1024 bytes.
+    for (name, errno) in [
+        ("a/b".to_string(), 2),
+        ("dup/b".to_string(), 20),
+        ("bad\0name".to_string(), 22),
+        ("..".to_string(), 22),
+        ("./b".to_string(), 22),
+        ("x".repeat(1025), 36),
+    ] {
+        let (resp, _) = d.handle(&incoming(
+            DispatchType::Standalone,
+            FileRequest::Create {
+                parent: 0,
+                name: name.clone(),
+                mode: 0o644,
+            },
+            vec![],
+        ));
+        assert_eq!(resp, FileResponse::Err(errno), "{name:.8}");
+    }
+}
+
+/// Send one standalone request with room for a trail; returns the reply,
+/// the op's own payload bytes and the decoded trail behind them.
+fn ask(d: &mut Dispatcher, request: FileRequest) -> (FileResponse, Vec<u8>, Vec<WireStep>) {
+    let (resp, payload) = d.handle(&incoming(DispatchType::Standalone, request, vec![]));
+    let own = match resp {
+        FileResponse::Bytes(n) => n as usize,
+        FileResponse::Entries(n) => {
+            decode_dirents_into(&payload, n as usize, &mut Vec::new()).unwrap()
+        }
+        _ => 0,
+    };
+    let trail = WireStep::decode_all(&payload[own..]).collect();
+    (resp, payload[..own].to_vec(), trail)
+}
+
+fn ino_of(resp: FileResponse) -> u64 {
+    match resp {
+        FileResponse::Ino(ino) => ino,
+        FileResponse::Attr(a) => a.ino,
+        other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn path_requests_walk_on_the_dpu_and_report_the_trail() {
+    let (mut d, kvfs) = dispatcher(false);
+    let mk = |parent, name: &str| FileRequest::Mkdir {
+        parent,
+        name: name.into(),
+        mode: 0o755,
+    };
+    let stat = |start, path: &str| FileRequest::StatAt {
+        start,
+        path: path.into(),
+    };
+    let (resp, _, trail) = ask(&mut d, mk(0, "a"));
+    let a = ino_of(resp);
+    assert_eq!(trail, [], "the parent is the start: nothing walked");
+    // A relative path under a start inode: the walk stops at the parent.
+    let (resp, _, trail) = ask(&mut d, mk(0, "a/b"));
+    let b = ino_of(resp);
+    assert_eq!(trail, [WireStep::Entry(a)]);
+    let (resp, _, trail) = ask(
+        &mut d,
         FileRequest::Create {
-            parent: 0,
-            name: "a/b".into(),
+            parent: a,
+            name: "b/f".into(),
             mode: 0o644,
         },
-        vec![],
-    ));
-    assert_eq!(resp, FileResponse::Err(22));
+    );
+    let f = ino_of(resp);
+    assert_eq!(trail, [WireStep::Entry(b)]);
+
+    // StatAt resolves the whole path, from the root or from anywhere.
+    let (resp, _, trail) = ask(&mut d, stat(0, "/a//b/f/"));
+    assert_eq!(ino_of(resp), f);
+    assert_eq!(
+        trail,
+        [WireStep::Entry(a), WireStep::Entry(b), WireStep::Entry(f)]
+    );
+    let (resp, _, trail) = ask(&mut d, stat(a, "b/f"));
+    assert_eq!(ino_of(resp), f);
+    assert_eq!(trail, [WireStep::Entry(b), WireStep::Entry(f)]);
+    let (resp, _, trail) = ask(&mut d, stat(f, ""));
+    assert_eq!((ino_of(resp), trail), (f, vec![]));
+    // Errors carry the trail up to the component that failed.
+    let (resp, _, trail) = ask(&mut d, stat(0, "a/zz/f"));
+    assert_eq!(resp, FileResponse::Err(2));
+    assert_eq!(trail, [WireStep::Entry(a), WireStep::Absent]);
+    let (resp, _, trail) = ask(&mut d, stat(0, "a/b/f/x"));
+    assert_eq!(resp, FileResponse::Err(20), "ENOTDIR under a file");
+    assert_eq!(trail.len(), 3);
+
+    // A symlinked directory mid-path is followed here, and flagged so
+    // the host never caches it as a dentry.
+    let (resp, _, _) = ask(
+        &mut d,
+        FileRequest::Symlink {
+            parent: 0,
+            name: "a/ln".into(),
+            target: "/a/b".into(),
+        },
+    );
+    let ln = ino_of(resp);
+    let (resp, _, trail) = ask(&mut d, stat(0, "a/ln/f"));
+    assert_eq!(ino_of(resp), f);
+    assert_eq!(
+        trail,
+        [
+            WireStep::Entry(a),
+            WireStep::Followed(b),
+            WireStep::Entry(f)
+        ]
+    );
+    // Readlink names the link itself: target first, then the trail.
+    let (resp, target, trail) = ask(
+        &mut d,
+        FileRequest::Readlink {
+            parent: 0,
+            name: "a/ln".into(),
+        },
+    );
+    assert_eq!(resp, FileResponse::Bytes(4));
+    assert_eq!(
+        (target.as_slice(), trail),
+        (&b"/a/b"[..], vec![WireStep::Entry(a)])
+    );
+
+    // ReaddirAt: entries, then the trail.
+    let (resp, listing, trail) = ask(
+        &mut d,
+        FileRequest::ReaddirAt {
+            start: 0,
+            path: "a/ln".into(),
+        },
+    );
+    assert_eq!(resp, FileResponse::Entries(1));
+    assert_eq!(decode_dirents(&listing, 1).unwrap()[0].name, "f");
+    assert_eq!(trail, [WireStep::Entry(a), WireStep::Followed(b)]);
+    let (resp, _, _) = ask(
+        &mut d,
+        FileRequest::ReaddirAt {
+            start: 0,
+            path: "a/b/f".into(),
+        },
+    );
+    assert_eq!(resp, FileResponse::Err(20));
+
+    // Link / Unlink / Rename reply with the inode the op touched.
+    let link = FileRequest::Link {
+        parent: 0,
+        name: "a/ln/f".into(),
+        new_parent: a,
+        new_name: "hard".into(),
+    };
+    let (resp, _, trail) = ask(&mut d, link);
+    let FileResponse::Attr(linked) = resp else {
+        panic!("{resp:?}")
+    };
+    assert_eq!((linked.ino, linked.nlink), (f, 2));
+    assert_eq!(
+        trail.len(),
+        3,
+        "the first path's steps; the second has none"
+    );
+    let unlink = |name: &str| FileRequest::Unlink {
+        parent: 0,
+        name: name.into(),
+    };
+    let (resp, _, _) = ask(&mut d, unlink("a/hard"));
+    let FileResponse::Attr(left) = resp else {
+        panic!("{resp:?}")
+    };
+    assert_eq!((left.ino, left.nlink), (f, 1), "the other name lives on");
+    let (resp, _, _) = ask(
+        &mut d,
+        FileRequest::Create {
+            parent: 0,
+            name: "a/g".into(),
+            mode: 0o644,
+        },
+    );
+    let g = ino_of(resp);
+    let rename = |from: &str, to: &str| FileRequest::Rename {
+        parent: 0,
+        name: from.into(),
+        new_parent: 0,
+        new_name: to.into(),
+    };
+    let (resp, _, trail) = ask(&mut d, rename("a/g", "a/b/f"));
+    let FileResponse::Attr(replaced) = resp else {
+        panic!("{resp:?}")
+    };
+    assert_eq!((replaced.ino, replaced.nlink), (f, 0), "f died under g");
+    assert_eq!(
+        trail,
+        [WireStep::Entry(a), WireStep::Entry(a), WireStep::Entry(b)]
+    );
+    assert_eq!(ask(&mut d, rename("a/b/f", "a/free")).0, FileResponse::Ok);
+    assert_eq!(kvfs.resolve("/a/free").unwrap(), g);
+    // Unlinking a symlink removes the link, not what it points at.
+    let (resp, _, _) = ask(&mut d, unlink("a/ln"));
+    assert_eq!(ino_of(resp), ln);
+    assert_eq!(kvfs.resolve("/a/b").unwrap(), b);
+    let rmdir = FileRequest::Rmdir {
+        parent: a,
+        name: "b/".into(),
+    };
+    assert_eq!(ask(&mut d, rmdir).0, FileResponse::Ok);
+
+    // No read buffer, no trail: a host without a dentry cache pays nothing.
+    let (resp, payload) = d.handle(&FileIncoming {
+        read_len: 0,
+        ..incoming(DispatchType::Standalone, stat(0, "a/free"), vec![])
+    });
+    assert_eq!((ino_of(resp), payload), (g, vec![]));
+    // A short buffer takes whole steps only.
+    let (_, payload) = d.handle(&FileIncoming {
+        read_len: 2 * WireStep::SIZE as u32 - 1,
+        ..incoming(DispatchType::Standalone, stat(0, "a/free"), vec![])
+    });
+    assert_eq!(payload.len(), WireStep::SIZE);
 }
 
 #[test]

@@ -19,12 +19,14 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::fileobj::FileObject;
 use crate::keys::{
-    attr_key, big_key, inode_key, inode_prefix, name_from_inode_key, small_key, validate_name,
+    attr_key, big_key, dentry_value, inode_key, inode_prefix, name_from_inode_key, parse_dentry,
+    small_key, validate_name,
 };
 #[cfg(test)]
 use crate::types::BIG_BLOCK;
 use crate::types::{
-    DataFormat, Dirent, FileAttr, FileKind, FsError, MAX_NAME_LEN, ROOT_INO, SMALL_FILE_MAX,
+    DataFormat, Dirent, FileAttr, FileKind, FsError, WalkStep, MAX_NAME_LEN, ROOT_INO,
+    SMALL_FILE_MAX,
 };
 
 /// Cache hit/miss counters for the dentry and inode caches.
@@ -50,8 +52,8 @@ const PATH_CACHE_CAP: usize = 65_536;
 pub struct Kvfs {
     store: Arc<KvStore>,
     next_ino: AtomicU64,
-    /// `(p_ino, name) → ino`, the dentry cache.
-    dentry_cache: RwLock<HashMap<(u64, String), u64>>,
+    /// `(p_ino, name) → (ino, kind)`, the dentry cache.
+    dentry_cache: RwLock<HashMap<(u64, String), (u64, FileKind)>>,
     /// `ino → attr`, the inode cache.
     inode_cache: RwLock<HashMap<u64, FileAttr>>,
     /// `path → (ino, gen)`, the resolved-path cache. Entries are valid
@@ -191,20 +193,27 @@ impl Kvfs {
 
     /// One-step lookup: `name` under directory `parent`.
     pub fn lookup(&self, parent: u64, name: &str) -> Result<u64, FsError> {
+        self.lookup_entry(parent, name).map(|(ino, _)| ino)
+    }
+
+    /// [`Kvfs::lookup`] with the entry's kind, which the inode KV records:
+    /// a walk learns "directory", "symlink" or "file" from the dentry it
+    /// just read instead of fetching the child's attribute.
+    fn lookup_entry(&self, parent: u64, name: &str) -> Result<(u64, FileKind), FsError> {
         validate_name(name)?;
         let key = (parent, name.to_string());
-        if let Some(&ino) = self.dentry_cache.read().get(&key) {
+        if let Some(&entry) = self.dentry_cache.read().get(&key) {
             self.dentry_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(ino);
+            return Ok(entry);
         }
         self.dentry_misses.fetch_add(1, Ordering::Relaxed);
         let raw = self
             .store
             .get(&inode_key(parent, name))
             .ok_or(FsError::NotFound)?;
-        let ino = u64::from_le_bytes(raw.try_into().map_err(|_| FsError::NotFound)?);
-        self.dentry_cache.write().insert(key, ino);
-        Ok(ino)
+        let entry = parse_dentry(&raw).ok_or(FsError::NotFound)?;
+        self.dentry_cache.write().insert(key, entry);
+        Ok(entry)
     }
 
     /// Resolve an absolute path to an inode by recursively fetching inode
@@ -227,7 +236,7 @@ impl Kvfs {
         self.path_misses.fetch_add(1, Ordering::Relaxed);
         // Generation read *before* the walk: if a rename lands mid-walk
         // the entry is stamped stale and never validates.
-        let ino = self.resolve_depth(path, 0)?;
+        let ino = self.walk(ROOT_INO, path, &mut |_| {})?;
         let mut pc = self.path_cache.write();
         if pc.len() >= PATH_CACHE_CAP {
             pc.clear();
@@ -238,45 +247,122 @@ impl Kvfs {
 
     /// Resolve without following a final symlink (lstat-style).
     pub fn resolve_nofollow(&self, path: &str) -> Result<u64, FsError> {
-        let (parent, name) = self.resolve_parent(path)?;
+        let (parent, name) = self.parent_of(path)?;
         self.lookup(parent, name)
     }
 
     const MAX_SYMLINK_DEPTH: u32 = 8;
 
-    fn resolve_depth(&self, path: &str, depth: u32) -> Result<u64, FsError> {
+    /// The one path walker: resolve `path` relative to the directory
+    /// `start` (openat-style; an empty path is `start` itself), following
+    /// every symbolic link it meets, the last component's included.
+    /// Empty components (`//`, a trailing `/`) are skipped; `.` and `..`
+    /// are refused like any other invalid name.
+    ///
+    /// Each component walked is reported to `trail` — the nvme-fs
+    /// dispatcher ships those steps to the host so its dentry layer
+    /// learns what this walk learnt. A step costs one dentry-cache probe;
+    /// the walk keeps no per-path state.
+    pub fn walk(
+        &self,
+        start: u64,
+        path: &str,
+        trail: &mut dyn FnMut(WalkStep),
+    ) -> Result<u64, FsError> {
+        self.walk_depth(start, path, 0, trail)
+    }
+
+    fn walk_depth(
+        &self,
+        start: u64,
+        path: &str,
+        depth: u32,
+        trail: &mut dyn FnMut(WalkStep),
+    ) -> Result<u64, FsError> {
         if depth > Self::MAX_SYMLINK_DEPTH {
             return Err(FsError::TooManyLinks);
         }
-        let mut ino = ROOT_INO;
+        let mut ino = start;
+        // Kind of `ino` when a dentry told us; the start's, and that of a
+        // followed link's target, take an attribute probe.
+        let mut kind = None;
         for comp in path.split('/').filter(|c| !c.is_empty()) {
-            let attr = self.get_attr(ino)?;
-            if !attr.is_dir() {
+            let is_dir = match kind {
+                Some(k) => k == FileKind::Dir,
+                None => self.get_attr(ino)?.is_dir(),
+            };
+            if !is_dir {
                 return Err(FsError::NotADirectory);
             }
-            ino = self.lookup(ino, comp)?;
-            // Follow symlinks encountered anywhere on the path.
-            let mut hops = 0u32;
-            loop {
-                let attr = self.get_attr(ino)?;
-                if attr.kind != FileKind::Symlink {
-                    break;
+            let (child, child_kind) = self.lookup_entry(ino, comp).inspect_err(|e| {
+                if *e == FsError::NotFound {
+                    trail(WalkStep::Absent);
                 }
-                hops += 1;
-                if depth + hops > Self::MAX_SYMLINK_DEPTH {
-                    return Err(FsError::TooManyLinks);
-                }
-                let target = self.readlink(ino)?;
+            })?;
+            if child_kind == FileKind::Symlink {
                 // Targets are absolute paths in KVFS (documented choice).
-                ino = self.resolve_depth(&target, depth + hops)?;
+                let target = self.readlink(child)?;
+                ino = self.walk_depth(ROOT_INO, &target, depth + 1, &mut |_| {})?;
+                kind = None;
+                trail(WalkStep::Followed(ino));
+            } else {
+                ino = child;
+                kind = Some(child_kind);
+                trail(WalkStep::Entry(ino));
             }
         }
         Ok(ino)
     }
 
+    /// Walk to the directory that holds `path`'s final component; returns
+    /// it with that component (which is *not* looked up, so a symlink
+    /// there is the caller's to follow or not).
+    pub fn walk_parent<'p>(
+        &self,
+        start: u64,
+        path: &'p str,
+        trail: &mut dyn FnMut(WalkStep),
+    ) -> Result<(u64, &'p str), FsError> {
+        let trimmed = path.trim_end_matches('/');
+        let (dir, name) = match trimmed.rfind('/') {
+            Some(i) => (&trimmed[..i], &trimmed[i + 1..]),
+            None => ("", trimmed),
+        };
+        if name.is_empty() {
+            return Err(FsError::InvalidName);
+        }
+        let parent = self.walk(start, dir, trail)?;
+        if !self.get_attr(parent)?.is_dir() {
+            return Err(FsError::NotADirectory);
+        }
+        Ok((parent, name))
+    }
+
+    /// [`Kvfs::walk_parent`] of an absolute path, for the whole-path calls.
+    fn parent_of<'p>(&self, path: &'p str) -> Result<(u64, &'p str), FsError> {
+        self.walk_parent(ROOT_INO, path, &mut |_| {})
+    }
+
+    /// Claim `name` under `parent` for `ino` in the store.
+    fn claim_name(&self, parent: u64, name: &str, ino: u64, kind: FileKind) -> Result<(), FsError> {
+        let claimed = self
+            .store
+            .put_if_absent(&inode_key(parent, name), &dentry_value(ino, kind));
+        claimed.then_some(()).ok_or(FsError::AlreadyExists)
+    }
+
+    /// Make a claimed name (and the inode behind it, by now complete)
+    /// visible to lookups: the dentry cache, the namespace generation.
+    fn publish_name(&self, parent: u64, name: &str, ino: u64, kind: FileKind) {
+        self.dentry_cache
+            .write()
+            .insert((parent, name.to_string()), (ino, kind));
+        self.bump_ns_gen();
+    }
+
     /// Create a symbolic link at `path` pointing to the absolute `target`.
     pub fn symlink(&self, path: &str, target: &str) -> Result<u64, FsError> {
-        let (parent, name) = self.resolve_parent(path)?;
+        let (parent, name) = self.parent_of(path)?;
         self.symlink_in(parent, name, target)
     }
 
@@ -287,22 +373,14 @@ impl Kvfs {
             return Err(FsError::NameTooLong);
         }
         let ino = self.alloc_ino();
-        if !self
-            .store
-            .put_if_absent(&inode_key(parent, name), &ino.to_le_bytes())
-        {
-            return Err(FsError::AlreadyExists);
-        }
+        self.claim_name(parent, name, ino, FileKind::Symlink)?;
         let mut attr = FileAttr::new_file(ino, 0o777, self.now());
         attr.kind = FileKind::Symlink;
         attr.size = target.len() as u64;
         self.put_attr(&attr);
         // The target string lives in the small-file KV.
         self.store.put(&small_key(ino), target.as_bytes());
-        self.dentry_cache
-            .write()
-            .insert((parent, name.to_string()), ino);
-        self.bump_ns_gen();
+        self.publish_name(parent, name, ino, FileKind::Symlink);
         Ok(ino)
     }
 
@@ -320,57 +398,32 @@ impl Kvfs {
     /// file at `existing`. Directories cannot be hard-linked.
     pub fn link(&self, existing: &str, new_path: &str) -> Result<(), FsError> {
         let ino = self.resolve(existing)?;
-        let (parent, name) = self.resolve_parent(new_path)?;
-        self.link_in(ino, parent, name)
+        let (parent, name) = self.parent_of(new_path)?;
+        self.link_in(ino, parent, name).map(drop)
     }
 
-    /// Hard-link the file at `ino` under a known parent inode.
-    pub fn link_in(&self, ino: u64, parent: u64, name: &str) -> Result<(), FsError> {
+    /// Hard-link the file at `ino` under a known parent inode; returns
+    /// the file's attribute with the new link counted.
+    pub fn link_in(&self, ino: u64, parent: u64, name: &str) -> Result<FileAttr, FsError> {
         let _guard = self.ino_lock(ino).lock();
         let mut attr = self.get_attr(ino)?;
         if attr.kind != FileKind::File {
             return Err(FsError::InvalidOperation);
         }
         validate_name(name)?;
-        if !self
-            .store
-            .put_if_absent(&inode_key(parent, name), &ino.to_le_bytes())
-        {
-            return Err(FsError::AlreadyExists);
-        }
+        self.claim_name(parent, name, ino, FileKind::File)?;
         attr.nlink += 1;
         attr.ctime = self.now();
         self.put_attr(&attr);
-        self.dentry_cache
-            .write()
-            .insert((parent, name.to_string()), ino);
-        self.bump_ns_gen();
-        Ok(())
-    }
-
-    /// Split a path into (parent inode, final component).
-    fn resolve_parent<'p>(&self, path: &'p str) -> Result<(u64, &'p str), FsError> {
-        let trimmed = path.trim_end_matches('/');
-        let (dir, name) = match trimmed.rfind('/') {
-            Some(i) => (&trimmed[..i], &trimmed[i + 1..]),
-            None => ("", trimmed),
-        };
-        if name.is_empty() {
-            return Err(FsError::InvalidName);
-        }
-        let parent = self.resolve(dir)?;
-        let pattr = self.get_attr(parent)?;
-        if !pattr.is_dir() {
-            return Err(FsError::NotADirectory);
-        }
-        Ok((parent, name))
+        self.publish_name(parent, name, ino, FileKind::File);
+        Ok(attr)
     }
 
     // ---- namespace operations -----------------------------------------
 
     /// Create a regular file; returns its inode.
     pub fn create(&self, path: &str, mode: u32) -> Result<u64, FsError> {
-        let (parent, name) = self.resolve_parent(path)?;
+        let (parent, name) = self.parent_of(path)?;
         self.create_in(parent, name, mode)
     }
 
@@ -378,26 +431,18 @@ impl Kvfs {
     pub fn create_in(&self, parent: u64, name: &str, mode: u32) -> Result<u64, FsError> {
         validate_name(name)?;
         let ino = self.alloc_ino();
-        if !self
-            .store
-            .put_if_absent(&inode_key(parent, name), &ino.to_le_bytes())
-        {
-            return Err(FsError::AlreadyExists);
-        }
+        self.claim_name(parent, name, ino, FileKind::File)?;
         let attr = FileAttr::new_file(ino, mode, self.now());
         self.put_attr(&attr);
         // Small-file KV starts empty.
         self.store.put(&small_key(ino), b"");
-        self.dentry_cache
-            .write()
-            .insert((parent, name.to_string()), ino);
-        self.bump_ns_gen();
+        self.publish_name(parent, name, ino, FileKind::File);
         Ok(ino)
     }
 
     /// Create a directory; returns its inode.
     pub fn mkdir(&self, path: &str, mode: u32) -> Result<u64, FsError> {
-        let (parent, name) = self.resolve_parent(path)?;
+        let (parent, name) = self.parent_of(path)?;
         self.mkdir_in(parent, name, mode)
     }
 
@@ -406,12 +451,7 @@ impl Kvfs {
         validate_name(name)?;
         let _guard = self.ino_lock(parent).lock();
         let ino = self.alloc_ino();
-        if !self
-            .store
-            .put_if_absent(&inode_key(parent, name), &ino.to_le_bytes())
-        {
-            return Err(FsError::AlreadyExists);
-        }
+        self.claim_name(parent, name, ino, FileKind::Dir)?;
         let attr = FileAttr::new_dir(ino, mode, self.now());
         self.put_attr(&attr);
         // Parent gains a link ("..").
@@ -419,33 +459,46 @@ impl Kvfs {
             pattr.nlink += 1;
             self.put_attr(&pattr);
         }
-        self.dentry_cache
-            .write()
-            .insert((parent, name.to_string()), ino);
-        self.bump_ns_gen();
+        self.publish_name(parent, name, ino, FileKind::Dir);
         Ok(ino)
     }
 
-    /// List a directory: a prefix scan over `p_ino`-keyed inode KVs.
+    /// List a directory: a prefix scan over `p_ino`-keyed inode KVs, in
+    /// name order.
     pub fn readdir(&self, dir: u64) -> Result<Vec<Dirent>, FsError> {
-        let attr = self.get_attr(dir)?;
-        if !attr.is_dir() {
-            return Err(FsError::NotADirectory);
-        }
         let mut out = Vec::new();
-        for (key, val) in self.store.scan_prefix(&inode_prefix(dir)) {
-            let Some(name) = name_from_inode_key(&key) else {
-                continue;
-            };
-            let ino = u64::from_le_bytes(val.try_into().unwrap_or_default());
-            let kind = self.get_attr(ino).map(|a| a.kind).unwrap_or(FileKind::File);
+        self.readdir_with(dir, |ino, kind, name| {
             out.push(Dirent {
                 ino,
                 name: name.to_string(),
                 kind,
-            });
-        }
+            })
+        })?;
         Ok(out)
+    }
+
+    /// [`Kvfs::readdir`] without the collection: `visit(ino, kind, name)`
+    /// runs once per entry, in name order, on the store's own bytes — one
+    /// ordered scan, no get (the inode KV carries the kind), no clone.
+    /// `visit` runs under the store's read guards and must not call back
+    /// into this file system.
+    pub fn readdir_with(
+        &self,
+        dir: u64,
+        mut visit: impl FnMut(u64, FileKind, &str),
+    ) -> Result<(), FsError> {
+        if !self.get_attr(dir)?.is_dir() {
+            return Err(FsError::NotADirectory);
+        }
+        self.store
+            .scan_prefix_with(&inode_prefix(dir), |key, value| {
+                if let (Some(name), Some((ino, kind))) =
+                    (name_from_inode_key(key), parse_dentry(value))
+                {
+                    visit(ino, kind, name);
+                }
+            });
+        Ok(())
     }
 
     /// Number of entries in a directory, without materialising them.
@@ -469,13 +522,20 @@ impl Kvfs {
 
     /// Remove a regular file.
     pub fn unlink(&self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.resolve_parent(path)?;
+        let (parent, name) = self.parent_of(path)?;
         self.unlink_in(parent, name)
     }
 
     /// Remove a name. Data is reclaimed only when the last hard link to
     /// the inode goes away.
     pub fn unlink_in(&self, parent: u64, name: &str) -> Result<(), FsError> {
+        self.unlink_entry(parent, name).map(drop)
+    }
+
+    /// [`Kvfs::unlink_in`], returning the inode's attribute as the removal
+    /// left it: `nlink == 0` says the inode itself is gone, anything else
+    /// that it lives on under its other names.
+    pub fn unlink_entry(&self, parent: u64, name: &str) -> Result<FileAttr, FsError> {
         let ino = self.lookup(parent, name)?;
         let mut attr = self.get_attr(ino)?;
         if attr.is_dir() {
@@ -487,11 +547,11 @@ impl Kvfs {
             .write()
             .remove(&(parent, name.to_string()));
         self.bump_ns_gen();
-        if attr.nlink > 1 {
-            attr.nlink -= 1;
+        attr.nlink = attr.nlink.saturating_sub(1);
+        if attr.nlink > 0 {
             attr.ctime = self.now();
             self.put_attr(&attr);
-            return Ok(());
+            return Ok(attr);
         }
         match attr.format {
             DataFormat::Small => {
@@ -500,12 +560,12 @@ impl Kvfs {
             DataFormat::Big => FileObject::new(&self.store, ino).delete_all(),
         }
         self.drop_attr(ino);
-        Ok(())
+        Ok(attr)
     }
 
     /// Remove an empty directory.
     pub fn rmdir(&self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.resolve_parent(path)?;
+        let (parent, name) = self.parent_of(path)?;
         self.rmdir_in(parent, name)
     }
 
@@ -533,47 +593,46 @@ impl Kvfs {
         Ok(())
     }
 
-    /// Rename; fails if the destination exists.
+    /// Rename by path; see [`Kvfs::rename_in`].
     pub fn rename(&self, from: &str, to: &str) -> Result<(), FsError> {
-        let (fp, fname) = self.resolve_parent(from)?;
-        let (tp, tname) = self.resolve_parent(to)?;
-        self.rename_in(fp, fname, tp, tname)
+        let (fp, fname) = self.parent_of(from)?;
+        let (tp, tname) = self.parent_of(to)?;
+        self.rename_in(fp, fname, tp, tname).map(drop)
     }
 
     /// Rename under known parent inodes. POSIX semantics: an existing
     /// regular-file destination is atomically replaced (its data reclaimed
     /// when this was its last link); a directory destination is rejected.
-    pub fn rename_in(&self, fp: u64, fname: &str, tp: u64, tname: &str) -> Result<(), FsError> {
+    /// Returns the replaced inode's attribute as [`Kvfs::unlink_entry`]
+    /// left it, `None` when the destination name was free.
+    pub fn rename_in(
+        &self,
+        fp: u64,
+        fname: &str,
+        tp: u64,
+        tname: &str,
+    ) -> Result<Option<FileAttr>, FsError> {
         validate_name(tname)?;
-        let ino = self.lookup(fp, fname)?;
+        let (ino, kind) = self.lookup_entry(fp, fname)?;
         if fp == tp && fname == tname {
-            return Ok(()); // rename to self is a no-op
+            return Ok(None); // rename to self is a no-op
         }
-        if !self
-            .store
-            .put_if_absent(&inode_key(tp, tname), &ino.to_le_bytes())
-        {
+        let value = dentry_value(ino, kind);
+        let mut replaced = None;
+        if !self.store.put_if_absent(&inode_key(tp, tname), &value) {
             // Destination exists: replace a file, refuse a directory.
-            let existing = self.lookup(tp, tname)?;
-            let eattr = self.get_attr(existing)?;
-            if eattr.is_dir() {
-                return Err(FsError::IsADirectory);
-            }
-            self.unlink_in(tp, tname)?;
-            if !self
-                .store
-                .put_if_absent(&inode_key(tp, tname), &ino.to_le_bytes())
-            {
+            replaced = Some(self.unlink_entry(tp, tname)?);
+            if !self.store.put_if_absent(&inode_key(tp, tname), &value) {
                 return Err(FsError::AlreadyExists); // lost a race
             }
         }
         self.store.delete(&inode_key(fp, fname));
         let mut dc = self.dentry_cache.write();
         dc.remove(&(fp, fname.to_string()));
-        dc.insert((tp, tname.to_string()), ino);
+        dc.insert((tp, tname.to_string()), (ino, kind));
         drop(dc);
         self.bump_ns_gen();
-        Ok(())
+        Ok(replaced)
     }
 
     /// `stat` by path. Routed through the shared resolver: a repeated
@@ -1476,6 +1535,222 @@ mod tests {
             assert_eq!(fs.read(ino, 0, &mut buf).unwrap(), 40960);
             assert!(buf.iter().all(|&b| b == t as u8));
         }
+    }
+}
+
+#[cfg(test)]
+mod walk_tests {
+    use super::*;
+
+    /// `/a/b/f`, `/a/ln -> /a/b`, `/top -> /a/ln` on a fresh file system.
+    struct Tree {
+        fs: Kvfs,
+        a: u64,
+        b: u64,
+        f: u64,
+        ln: u64,
+    }
+
+    fn tree() -> Tree {
+        let fs = Kvfs::new(Arc::new(KvStore::new()));
+        let a = fs.mkdir("/a", 0o755).unwrap();
+        let b = fs.mkdir("/a/b", 0o755).unwrap();
+        let f = fs.create("/a/b/f", 0o644).unwrap();
+        let ln = fs.symlink("/a/ln", "/a/b").unwrap();
+        fs.symlink("/top", "/a/ln").unwrap();
+        Tree { fs, a, b, f, ln }
+    }
+
+    fn walk(fs: &Kvfs, start: u64, path: &str) -> (Result<u64, FsError>, Vec<WalkStep>) {
+        let mut trail = Vec::new();
+        let r = fs.walk(start, path, &mut |s| trail.push(s));
+        (r, trail)
+    }
+
+    #[test]
+    fn walks_from_any_start_and_skips_empty_components() {
+        let t = tree();
+        use WalkStep::Entry;
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "/a/b/f"),
+            (Ok(t.f), vec![Entry(t.a), Entry(t.b), Entry(t.f)])
+        );
+        assert_eq!(
+            walk(&t.fs, t.a, "b/f"),
+            (Ok(t.f), vec![Entry(t.b), Entry(t.f)])
+        );
+        assert_eq!(walk(&t.fs, t.b, "f"), (Ok(t.f), vec![Entry(t.f)]));
+        // The empty path is the start itself, whatever it is.
+        assert_eq!(walk(&t.fs, t.f, ""), (Ok(t.f), vec![]));
+        assert_eq!(walk(&t.fs, t.b, "///"), (Ok(t.b), vec![]));
+        // Doubled and trailing slashes do not count as components.
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "//a///b/"),
+            (Ok(t.b), vec![Entry(t.a), Entry(t.b)])
+        );
+        // A path relative to `a` does not see the root's names.
+        assert_eq!(walk(&t.fs, t.a, "a").0, Err(FsError::NotFound));
+    }
+
+    #[test]
+    fn dot_components_are_refused_like_any_invalid_name() {
+        let t = tree();
+        for path in ["a/./b", "a/../a", ".", "..", "a/b/.."] {
+            assert_eq!(
+                walk(&t.fs, ROOT_INO, path).0,
+                Err(FsError::InvalidName),
+                "{path}"
+            );
+        }
+        assert_eq!(
+            t.fs.walk_parent(ROOT_INO, "a/..", &mut |_| {})
+                .map(|(p, n)| (p, n.to_string())),
+            Ok((t.a, "..".to_string())),
+            "the final component is the caller's to validate"
+        );
+        assert_eq!(t.fs.create("/a/..", 0o644), Err(FsError::InvalidName));
+        let long = "x".repeat(MAX_NAME_LEN + 1);
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, &format!("a/{long}/f")).0,
+            Err(FsError::NameTooLong)
+        );
+    }
+
+    #[test]
+    fn failures_report_how_far_the_walk_got() {
+        let t = tree();
+        use WalkStep::{Absent, Entry};
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "a/zz/f"),
+            (Err(FsError::NotFound), vec![Entry(t.a), Absent])
+        );
+        // Under a file: ENOTDIR, and no dentry is claimed absent.
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "a/b/f/x"),
+            (
+                Err(FsError::NotADirectory),
+                vec![Entry(t.a), Entry(t.b), Entry(t.f)]
+            )
+        );
+        assert_eq!(walk(&t.fs, t.f, "x"), (Err(FsError::NotADirectory), vec![]));
+        // A start that does not exist.
+        assert_eq!(walk(&t.fs, 9999, "x").0, Err(FsError::NotFound));
+        // A dangling link fails inside the follow: the link's own dentry
+        // exists, so nothing is reported absent.
+        t.fs.symlink("/a/dangle", "/nowhere").unwrap();
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "a/dangle"),
+            (Err(FsError::NotFound), vec![Entry(t.a)])
+        );
+    }
+
+    #[test]
+    fn symlinks_are_followed_anywhere_and_flagged() {
+        let t = tree();
+        use WalkStep::{Entry, Followed};
+        // Mid-path, chained (top -> /a/ln -> /a/b), and last.
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "a/ln/f"),
+            (Ok(t.f), vec![Entry(t.a), Followed(t.b), Entry(t.f)])
+        );
+        assert_eq!(
+            walk(&t.fs, ROOT_INO, "top/f"),
+            (Ok(t.f), vec![Followed(t.b), Entry(t.f)])
+        );
+        assert_eq!(walk(&t.fs, t.a, "ln"), (Ok(t.b), vec![Followed(t.b)]));
+        // `stat` follows the last component…
+        assert_eq!(t.fs.stat("/top").unwrap().ino, t.b);
+        // …`walk_parent` leaves it alone, so unlink and readlink act on
+        // the link itself.
+        let (dir, leaf) = t.fs.walk_parent(ROOT_INO, "/a/ln", &mut |_| {}).unwrap();
+        assert_eq!((dir, leaf), (t.a, "ln"));
+        assert_eq!(t.fs.resolve_nofollow("/a/ln").unwrap(), t.ln);
+        assert_eq!(t.fs.readlink(t.ln).unwrap(), "/a/b");
+        t.fs.unlink("/a/ln").unwrap();
+        assert_eq!(t.fs.get_attr(t.b).unwrap().ino, t.b, "the target stands");
+        assert_eq!(
+            t.fs.resolve("/top"),
+            Err(FsError::NotFound),
+            "top dangles now"
+        );
+        // The parent of a path *through* a link is the link's target.
+        t.fs.symlink("/a/ln", "/a/b").unwrap();
+        let mut trail = Vec::new();
+        let parent =
+            t.fs.walk_parent(ROOT_INO, "top/new", &mut |s| trail.push(s));
+        assert_eq!((parent, trail), (Ok((t.b, "new")), vec![Followed(t.b)]));
+        // walk_parent wants a directory and a name.
+        assert_eq!(
+            t.fs.walk_parent(ROOT_INO, "a/b/f/x", &mut |_| {}),
+            Err(FsError::NotADirectory)
+        );
+        assert_eq!(
+            t.fs.walk_parent(ROOT_INO, "/", &mut |_| {}),
+            Err(FsError::InvalidName)
+        );
+    }
+
+    #[test]
+    fn a_walk_is_dentry_probes_and_keeps_no_per_path_state() {
+        let t = tree();
+        walk(&t.fs, ROOT_INO, "a/b/f").0.unwrap();
+        let (s0, kv0) = (t.fs.lookup_stats(), t.fs.store().stats());
+        for _ in 0..10 {
+            walk(&t.fs, ROOT_INO, "a/b/f").0.unwrap();
+        }
+        let (s1, kv1) = (t.fs.lookup_stats(), t.fs.store().stats());
+        assert_eq!(kv1, kv0, "a warm walk touches no KV");
+        assert_eq!(s1.dentry_hits - s0.dentry_hits, 30);
+        // One attribute probe per walk: the start's. Every later hop
+        // learnt its kind from the dentry.
+        assert_eq!(s1.inode_hits - s0.inode_hits, 10);
+        assert_eq!(
+            (s1.path_hits, s1.path_misses),
+            (s0.path_hits, s0.path_misses)
+        );
+        assert!(t.fs.path_cache.read().is_empty(), "walk is not resolve");
+    }
+
+    #[test]
+    fn a_listing_is_one_scan_and_no_get() {
+        let store = Arc::new(KvStore::new());
+        {
+            let fs = Kvfs::new(store.clone());
+            fs.mkdir("/d", 0o755).unwrap();
+            for i in 0..256 {
+                fs.create(&format!("/d/f{i:03}"), 0o644).unwrap();
+            }
+            fs.mkdir("/d/sub", 0o755).unwrap();
+            fs.symlink("/d/zlink", "/d").unwrap();
+        }
+        // A remount: no entry's dentry or attribute is cached, the worst
+        // case (the directory's own attribute is, from the `stat`).
+        let fs = Kvfs::open(store).unwrap();
+        let dir = fs.stat("/d").unwrap().ino;
+        let before = fs.store().stats();
+        let mut seen = Vec::new();
+        fs.readdir_with(dir, |ino, kind, name| {
+            seen.push((ino, kind, name.to_string()))
+        })
+        .unwrap();
+        let after = fs.store().stats();
+        assert_eq!(after.scans - before.scans, 1);
+        assert_eq!(after.gets, before.gets, "the dentry carries the kind");
+        assert_eq!(seen.len(), 258);
+        assert!(seen.windows(2).all(|w| w[0].2 < w[1].2), "name order");
+        assert_eq!(seen[256].1, FileKind::Dir);
+        assert_eq!(seen[257].1, FileKind::Symlink);
+        // The collecting form is the same listing.
+        let listed = fs.readdir(dir).unwrap();
+        assert_eq!(listed.len(), 258);
+        assert!(listed
+            .iter()
+            .zip(&seen)
+            .all(|(d, s)| (d.ino, d.kind, &d.name) == (s.0, s.1, &s.2)));
+        assert_eq!(
+            fs.readdir_with(seen[0].0, |_, _, _| {}),
+            Err(FsError::NotADirectory)
+        );
     }
 }
 

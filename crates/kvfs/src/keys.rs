@@ -2,7 +2,7 @@
 //!
 //! | KV            | key                        | value                  |
 //! |---------------|----------------------------|------------------------|
-//! | inode KV      | `0x01 ‖ p_ino ‖ name`      | ino (8 B LE)           |
+//! | inode KV      | `0x01 ‖ p_ino ‖ name`      | ino (8 B LE) ‖ kind    |
 //! | attribute KV  | `0x02 ‖ ino`               | 256-byte attribute     |
 //! | small-file KV | `0x03 ‖ ino`               | file data (< 8 KiB)    |
 //! | big-file KV   | `0x04 ‖ ino ‖ lbn`         | one 8 KiB block        |
@@ -10,9 +10,11 @@
 //! `p_ino` and `lbn` are big-endian so that the byte order of keys matches
 //! numeric order — the `p_ino` prefix property the paper uses for
 //! directory listing ("a prefix-based scan can return all the inode
-//! numbers belonging to a directory").
+//! numbers belonging to a directory"). The inode KV's value also carries
+//! the entry's kind (the `d_type` of a dirent; an inode's kind never
+//! changes), so a listing and a path walk read nothing but inode KVs.
 
-use crate::types::{FsError, MAX_NAME_LEN};
+use crate::types::{FileKind, FsError, MAX_NAME_LEN};
 
 const TAG_INODE: u8 = 0x01;
 const TAG_ATTR: u8 = 0x02;
@@ -59,6 +61,23 @@ pub fn name_from_inode_key(key: &[u8]) -> Option<&str> {
     std::str::from_utf8(&key[9..]).ok()
 }
 
+/// Inode KV value: `ino (8 B LE) ‖ kind`.
+pub fn dentry_value(ino: u64, kind: FileKind) -> [u8; 9] {
+    let mut v = [0u8; 9];
+    v[..8].copy_from_slice(&ino.to_le_bytes());
+    v[8] = kind.to_byte();
+    v
+}
+
+/// Decode an inode KV value; `None` for a malformed (wrong-width) one.
+pub fn parse_dentry(value: &[u8]) -> Option<(u64, FileKind)> {
+    let (ino, kind) = value.split_first_chunk::<8>()?;
+    match kind {
+        [k] => Some((u64::from_le_bytes(*ino), FileKind::from_byte(*k))),
+        _ => None,
+    }
+}
+
 pub fn attr_key(ino: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);
     k.push(TAG_ATTR);
@@ -100,6 +119,17 @@ mod tests {
         assert!(k.starts_with(&inode_prefix(7)));
         assert!(!k.starts_with(&inode_prefix(8)));
         assert_eq!(name_from_inode_key(&k), Some("file.txt"));
+    }
+
+    #[test]
+    fn dentry_value_round_trips_and_rejects_other_widths() {
+        for kind in [FileKind::File, FileKind::Dir, FileKind::Symlink] {
+            let v = dentry_value(u64::MAX - 3, kind);
+            assert_eq!(parse_dentry(&v), Some((u64::MAX - 3, kind)));
+        }
+        assert_eq!(parse_dentry(&7u64.to_le_bytes()), None);
+        assert_eq!(parse_dentry(&[0u8; 10]), None);
+        assert_eq!(parse_dentry(&[1, 2, 3]), None);
     }
 
     #[test]

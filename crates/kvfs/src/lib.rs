@@ -38,6 +38,6 @@ pub use fileobj::FileObject;
 pub use fs::{Kvfs, LookupStats};
 pub use keys::{attr_key, big_key, inode_key, inode_prefix, small_key, validate_name};
 pub use types::{
-    DataFormat, Dirent, FileAttr, FileKind, FsError, BIG_BLOCK, MAX_NAME_LEN, ROOT_INO,
+    DataFormat, Dirent, FileAttr, FileKind, FsError, WalkStep, BIG_BLOCK, MAX_NAME_LEN, ROOT_INO,
     SMALL_FILE_MAX,
 };

@@ -21,6 +21,26 @@ pub enum FileKind {
     Symlink,
 }
 
+impl FileKind {
+    /// The one-byte encoding shared by the attribute KV, the inode KV and
+    /// the nvme-fs wire (0 file, 1 directory, 2 symlink).
+    pub fn to_byte(self) -> u8 {
+        match self {
+            FileKind::File => 0,
+            FileKind::Dir => 1,
+            FileKind::Symlink => 2,
+        }
+    }
+
+    pub(crate) fn from_byte(b: u8) -> FileKind {
+        match b {
+            1 => FileKind::Dir,
+            2 => FileKind::Symlink,
+            _ => FileKind::File,
+        }
+    }
+}
+
 /// On-disk layout of a file's data.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DataFormat {
@@ -97,11 +117,7 @@ impl FileAttr {
         out[32..40].copy_from_slice(&self.atime.to_le_bytes());
         out[40..48].copy_from_slice(&self.mtime.to_le_bytes());
         out[48..56].copy_from_slice(&self.ctime.to_le_bytes());
-        out[56] = match self.kind {
-            FileKind::File => 0,
-            FileKind::Dir => 1,
-            FileKind::Symlink => 2,
-        };
+        out[56] = self.kind.to_byte();
         out[57] = match self.format {
             DataFormat::Small => 0,
             DataFormat::Big => 1,
@@ -123,11 +139,7 @@ impl FileAttr {
             atime: u64::from_le_bytes(bytes[32..40].try_into().unwrap()),
             mtime: u64::from_le_bytes(bytes[40..48].try_into().unwrap()),
             ctime: u64::from_le_bytes(bytes[48..56].try_into().unwrap()),
-            kind: match bytes[56] {
-                1 => FileKind::Dir,
-                2 => FileKind::Symlink,
-                _ => FileKind::File,
-            },
+            kind: FileKind::from_byte(bytes[56]),
             format: if bytes[57] == 1 {
                 DataFormat::Big
             } else {
@@ -135,6 +147,20 @@ impl FileAttr {
             },
         })
     }
+}
+
+/// One component of a [`Kvfs::walk`](crate::Kvfs::walk), as reported to
+/// the walk's trail.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum WalkStep {
+    /// The component's own dentry names this inode (never a symlink's:
+    /// those are followed).
+    Entry(u64),
+    /// The component is a symbolic link; the walk followed it to this
+    /// inode. The name → inode pair is *not* a dentry.
+    Followed(u64),
+    /// The component has no dentry; the walk ends with `NotFound`.
+    Absent,
 }
 
 /// One directory entry returned by `readdir`.

@@ -31,7 +31,9 @@ pub(crate) fn is_idempotent(req: &FileRequest) -> bool {
             | FileRequest::Write { .. }
             | FileRequest::GetAttr { .. }
             | FileRequest::Lookup { .. }
+            | FileRequest::StatAt { .. }
             | FileRequest::Readdir { .. }
+            | FileRequest::ReaddirAt { .. }
             | FileRequest::Readlink { .. }
             | FileRequest::Truncate { .. }
             | FileRequest::Fsync { .. }

@@ -13,6 +13,9 @@
 /// bytes").
 pub const MAX_NAME_LEN: usize = 1024;
 
+/// Maximum length of a path carried by one request (`PATH_MAX`).
+pub const MAX_PATH_LEN: usize = 4096;
+
 /// File attributes on the wire (the paper's 256-byte attribute structure,
 /// here encoded compactly).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -31,12 +34,36 @@ pub struct WireAttr {
 }
 
 /// A file-semantic request from the host's fs-adapter to the DPU.
+///
+/// Namespace requests are openat-style: wherever a request names an entry
+/// as `(parent, name)` or `(start, path)`, the second half may be a
+/// `/`-separated path (≤ [`MAX_PATH_LEN`] bytes, components ≤
+/// [`MAX_NAME_LEN`]) that the DPU walks from the first, following
+/// symbolic links on the way — so the call costs one crossing whatever
+/// its depth. `(parent, name)` requests act on the path's final
+/// component under the directory the rest resolves to and never follow
+/// that component; `(start, path)` requests resolve the whole path. The
+/// reply's read payload ends with the walk's trail (see [`WireStep`]).
+/// [`FileRequest::Lookup`] alone stays a one-component probe.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FileRequest {
     Lookup {
         parent: u64,
         name: String,
     },
+    /// Resolve `path` from `start` and return the target's attributes
+    /// (`stat`, `open`). An empty path is `start` itself.
+    StatAt {
+        start: u64,
+        path: String,
+    },
+    /// Resolve `path` from `start` and list that directory; entries
+    /// return in the read payload, ahead of the trail.
+    ReaddirAt {
+        start: u64,
+        path: String,
+    },
+    /// Replies [`FileResponse::Ino`].
     Create {
         parent: u64,
         name: String,
@@ -63,6 +90,8 @@ pub enum FileRequest {
         ino: u64,
         size: u64,
     },
+    /// Replies the victim's [`FileResponse::Attr`] as the removal left it:
+    /// `nlink == 0` means the inode died with its last name.
     Unlink {
         parent: u64,
         name: String,
@@ -78,6 +107,9 @@ pub enum FileRequest {
     GetAttr {
         ino: u64,
     },
+    /// Replies [`FileResponse::Attr`] of the inode the rename replaced
+    /// (as for [`FileRequest::Unlink`]), [`FileResponse::Ok`] when the
+    /// destination name was free.
     Rename {
         parent: u64,
         name: String,
@@ -102,9 +134,12 @@ pub enum FileRequest {
     CacheEvictBatch {
         buckets: Vec<u64>,
     },
-    /// Hard link: a new name for the file at `ino`.
+    /// Hard link: `new_parent`/`new_name` becomes another name for the
+    /// file `name` resolves to from `parent` (symlinks followed). Replies
+    /// that file's [`FileResponse::Attr`] with the new link counted.
     Link {
-        ino: u64,
+        parent: u64,
+        name: String,
         new_parent: u64,
         new_name: String,
     },
@@ -114,9 +149,11 @@ pub enum FileRequest {
         name: String,
         target: String,
     },
-    /// Read a symlink's target (returned in the read payload).
+    /// Read the target of the symlink at `parent`/`name` (returned in the
+    /// read payload, ahead of the trail).
     Readlink {
-        ino: u64,
+        parent: u64,
+        name: String,
     },
     /// Readahead trigger: the host's demand read hit the marker page of a
     /// prefetched window (the analogue of Linux's `PG_readahead`), telling
@@ -179,6 +216,13 @@ impl Writer<'_> {
         self.u32(s.len() as u32);
         self.0.extend_from_slice(s.as_bytes());
     }
+    /// A relative path (or a symlink target). Callers bound it before
+    /// they build the request — the adapter answers `ENAMETOOLONG`.
+    fn path(&mut self, s: &str) {
+        assert!(s.len() <= MAX_PATH_LEN, "path exceeds 4096 bytes");
+        self.u32(s.len() as u32);
+        self.0.extend_from_slice(s.as_bytes());
+    }
 }
 
 struct Reader<'a> {
@@ -210,15 +254,24 @@ impl<'a> Reader<'a> {
     /// Borrow a length-prefixed name straight out of the buffer —
     /// UTF-8 validation in place, no copy.
     fn name_ref(&mut self) -> Result<&'a str, DecodeError> {
-        let len = self.u32()? as usize;
-        if len > MAX_NAME_LEN {
-            return Err(DecodeError("name exceeds 1024 bytes"));
-        }
-        let bytes = self.take(len)?;
-        core::str::from_utf8(bytes).map_err(|_| DecodeError("name is not UTF-8"))
+        self.str_ref(MAX_NAME_LEN, "name exceeds 1024 bytes")
     }
     fn name(&mut self) -> Result<String, DecodeError> {
         self.name_ref().map(str::to_owned)
+    }
+    fn path(&mut self) -> Result<String, DecodeError> {
+        self.str_ref(MAX_PATH_LEN, "path exceeds 4096 bytes")
+            .map(str::to_owned)
+    }
+    /// The claimed length is checked against `max` before a byte of it is
+    /// looked at, and `take` refuses what the buffer does not hold.
+    fn str_ref(&mut self, max: usize, too_long: &'static str) -> Result<&'a str, DecodeError> {
+        let len = self.u32()? as usize;
+        if len > max {
+            return Err(DecodeError(too_long));
+        }
+        let bytes = self.take(len)?;
+        core::str::from_utf8(bytes).map_err(|_| DecodeError("name is not UTF-8"))
     }
     fn done(&self) -> Result<(), DecodeError> {
         if self.pos == self.buf.len() {
@@ -248,6 +301,8 @@ const T_SYMLINK: u8 = 15;
 const T_READLINK: u8 = 16;
 const T_CACHE_EVICT_BATCH: u8 = 17;
 const T_READAHEAD_HINT: u8 = 18;
+const T_STAT_AT: u8 = 19;
+const T_READDIR_AT: u8 = 20;
 
 impl FileRequest {
     /// Append the wire form to `out`; returns the encoded length.
@@ -260,17 +315,27 @@ impl FileRequest {
                 w.u64(*parent);
                 w.name(name);
             }
+            FileRequest::StatAt { start, path } => {
+                w.u8(T_STAT_AT);
+                w.u64(*start);
+                w.path(path);
+            }
+            FileRequest::ReaddirAt { start, path } => {
+                w.u8(T_READDIR_AT);
+                w.u64(*start);
+                w.path(path);
+            }
             FileRequest::Create { parent, name, mode } => {
                 w.u8(T_CREATE);
                 w.u64(*parent);
                 w.u32(*mode);
-                w.name(name);
+                w.path(name);
             }
             FileRequest::Mkdir { parent, name, mode } => {
                 w.u8(T_MKDIR);
                 w.u64(*parent);
                 w.u32(*mode);
-                w.name(name);
+                w.path(name);
             }
             FileRequest::Read { ino, offset, len } => {
                 w.u8(T_READ);
@@ -292,12 +357,12 @@ impl FileRequest {
             FileRequest::Unlink { parent, name } => {
                 w.u8(T_UNLINK);
                 w.u64(*parent);
-                w.name(name);
+                w.path(name);
             }
             FileRequest::Rmdir { parent, name } => {
                 w.u8(T_RMDIR);
                 w.u64(*parent);
-                w.name(name);
+                w.path(name);
             }
             FileRequest::Readdir { ino } => {
                 w.u8(T_READDIR);
@@ -316,8 +381,8 @@ impl FileRequest {
                 w.u8(T_RENAME);
                 w.u64(*parent);
                 w.u64(*new_parent);
-                w.name(name);
-                w.name(new_name);
+                w.path(name);
+                w.path(new_name);
             }
             FileRequest::Fsync { ino } => {
                 w.u8(T_FSYNC);
@@ -335,14 +400,16 @@ impl FileRequest {
                 }
             }
             FileRequest::Link {
-                ino,
+                parent,
+                name,
                 new_parent,
                 new_name,
             } => {
                 w.u8(T_LINK);
-                w.u64(*ino);
+                w.u64(*parent);
                 w.u64(*new_parent);
-                w.name(new_name);
+                w.path(name);
+                w.path(new_name);
             }
             FileRequest::Symlink {
                 parent,
@@ -351,12 +418,13 @@ impl FileRequest {
             } => {
                 w.u8(T_SYMLINK);
                 w.u64(*parent);
-                w.name(name);
-                w.name(target);
+                w.path(name);
+                w.path(target);
             }
-            FileRequest::Readlink { ino } => {
+            FileRequest::Readlink { parent, name } => {
                 w.u8(T_READLINK);
-                w.u64(*ino);
+                w.u64(*parent);
+                w.path(name);
             }
             FileRequest::ReadaheadHint { ino, lpn } => {
                 w.u8(T_READAHEAD_HINT);
@@ -374,15 +442,23 @@ impl FileRequest {
                 parent: r.u64()?,
                 name: r.name()?,
             },
+            T_STAT_AT => FileRequest::StatAt {
+                start: r.u64()?,
+                path: r.path()?,
+            },
+            T_READDIR_AT => FileRequest::ReaddirAt {
+                start: r.u64()?,
+                path: r.path()?,
+            },
             T_CREATE => FileRequest::Create {
                 parent: r.u64()?,
                 mode: r.u32()?,
-                name: r.name()?,
+                name: r.path()?,
             },
             T_MKDIR => FileRequest::Mkdir {
                 parent: r.u64()?,
                 mode: r.u32()?,
-                name: r.name()?,
+                name: r.path()?,
             },
             T_READ => FileRequest::Read {
                 ino: r.u64()?,
@@ -400,19 +476,19 @@ impl FileRequest {
             },
             T_UNLINK => FileRequest::Unlink {
                 parent: r.u64()?,
-                name: r.name()?,
+                name: r.path()?,
             },
             T_RMDIR => FileRequest::Rmdir {
                 parent: r.u64()?,
-                name: r.name()?,
+                name: r.path()?,
             },
             T_READDIR => FileRequest::Readdir { ino: r.u64()? },
             T_GETATTR => FileRequest::GetAttr { ino: r.u64()? },
             T_RENAME => {
                 let parent = r.u64()?;
                 let new_parent = r.u64()?;
-                let name = r.name()?;
-                let new_name = r.name()?;
+                let name = r.path()?;
+                let new_name = r.path()?;
                 FileRequest::Rename {
                     parent,
                     name,
@@ -432,22 +508,32 @@ impl FileRequest {
                 }
                 FileRequest::CacheEvictBatch { buckets }
             }
-            T_LINK => FileRequest::Link {
-                ino: r.u64()?,
-                new_parent: r.u64()?,
-                new_name: r.name()?,
-            },
+            T_LINK => {
+                let parent = r.u64()?;
+                let new_parent = r.u64()?;
+                let name = r.path()?;
+                let new_name = r.path()?;
+                FileRequest::Link {
+                    parent,
+                    name,
+                    new_parent,
+                    new_name,
+                }
+            }
             T_SYMLINK => {
                 let parent = r.u64()?;
-                let name = r.name()?;
-                let target = r.name()?;
+                let name = r.path()?;
+                let target = r.path()?;
                 FileRequest::Symlink {
                     parent,
                     name,
                     target,
                 }
             }
-            T_READLINK => FileRequest::Readlink { ino: r.u64()? },
+            T_READLINK => FileRequest::Readlink {
+                parent: r.u64()?,
+                name: r.path()?,
+            },
             T_READAHEAD_HINT => FileRequest::ReadaheadHint {
                 ino: r.u64()?,
                 lpn: r.u64()?,
@@ -541,13 +627,67 @@ pub struct WireDirent {
     pub name: String,
 }
 
+/// Append one directory entry to a payload buffer.
+pub fn encode_dirent(ino: u64, kind: u8, name: &str, out: &mut Vec<u8>) {
+    let mut w = Writer(out);
+    w.u64(ino);
+    w.u8(kind);
+    w.name(name);
+}
+
 /// Encode a list of directory entries into a payload buffer.
 pub fn encode_dirents(entries: &[WireDirent], out: &mut Vec<u8>) {
-    let mut w = Writer(out);
     for e in entries {
-        w.u64(e.ino);
-        w.u8(e.kind);
-        w.name(&e.name);
+        encode_dirent(e.ino, e.kind, &e.name, out);
+    }
+}
+
+/// One component of the DPU-side path walk, as the reply's trail reports
+/// it. The trail is the tail of the read payload — after the entries of a
+/// listing or the bytes of a link target — one step per component walked,
+/// in path order (a two-path request's first path first), as many whole
+/// steps as the host's `read_len` left room for; it is also sent with an
+/// error reply, up to the component that failed. It is what lets a host
+/// dentry cache learn from a walk it did not make.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum WireStep {
+    /// The component's dentry names this inode: cacheable as
+    /// `(previous inode, component) → ino`.
+    Entry(u64),
+    /// The component is a symlink the walk followed to this inode. The
+    /// walk goes on from there, but the pair is not a dentry and must
+    /// never be cached as one.
+    Followed(u64),
+    /// The component does not exist (the reply is `ENOENT`).
+    Absent,
+}
+
+impl WireStep {
+    /// Encoded size of one step: a tag byte and an inode number.
+    pub const SIZE: usize = 9;
+
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let (tag, ino) = match *self {
+            WireStep::Entry(ino) => (0u8, ino),
+            WireStep::Followed(ino) => (1, ino),
+            WireStep::Absent => (2, 0),
+        };
+        out.push(tag);
+        out.extend_from_slice(&ino.to_le_bytes());
+    }
+
+    /// Decode the whole steps of `buf`, stopping at the first unknown tag
+    /// (the trail is advisory: a short one teaches the host less).
+    pub fn decode_all(buf: &[u8]) -> impl Iterator<Item = WireStep> + '_ {
+        buf.chunks_exact(Self::SIZE).map_while(|step| {
+            let ino = u64::from_le_bytes(step[1..].try_into().expect("9-byte chunk"));
+            match step[0] {
+                0 => Some(WireStep::Entry(ino)),
+                1 => Some(WireStep::Followed(ino)),
+                2 => Some(WireStep::Absent),
+                _ => None,
+            }
+        })
     }
 }
 
@@ -614,15 +754,17 @@ impl<'a> Iterator for DirentIter<'a> {
 }
 
 /// Decode `count` directory entries into `out`, reusing its entries and
-/// their name buffers — steady-state zero allocations once warmed. On a
-/// decode error `out`'s contents are unspecified.
+/// their name buffers — steady-state zero allocations once warmed.
+/// Returns how many bytes of `buf` the entries took (whatever follows is
+/// not theirs). On a decode error `out`'s contents are unspecified.
 pub fn decode_dirents_into(
     buf: &[u8],
     count: usize,
     out: &mut Vec<WireDirent>,
-) -> Result<(), DecodeError> {
+) -> Result<usize, DecodeError> {
     let mut n = 0usize;
-    for ent in dirent_iter(buf, count) {
+    let mut entries = dirent_iter(buf, count);
+    for ent in entries.by_ref() {
         let ent = ent?;
         if n == out.len() {
             out.push(WireDirent {
@@ -639,7 +781,7 @@ pub fn decode_dirents_into(
         n += 1;
     }
     out.truncate(n);
-    Ok(())
+    Ok(entries.r.pos)
 }
 
 /// Decode `count` directory entries from a payload buffer.
@@ -713,6 +855,140 @@ mod tests {
             ino: 42,
             lpn: u64::MAX,
         });
+    }
+
+    /// One of each request that carries a path, at the given lengths.
+    fn path_requests(path: &str, other: &str) -> Vec<FileRequest> {
+        let (name, new_name) = (path.to_string(), other.to_string());
+        vec![
+            FileRequest::StatAt {
+                start: 3,
+                path: name.clone(),
+            },
+            FileRequest::ReaddirAt {
+                start: u64::MAX,
+                path: name.clone(),
+            },
+            FileRequest::Create {
+                parent: 7,
+                name: name.clone(),
+                mode: 0o600,
+            },
+            FileRequest::Mkdir {
+                parent: 7,
+                name: name.clone(),
+                mode: 0o700,
+            },
+            FileRequest::Unlink {
+                parent: 1,
+                name: name.clone(),
+            },
+            FileRequest::Rmdir {
+                parent: 1,
+                name: name.clone(),
+            },
+            FileRequest::Readlink {
+                parent: 9,
+                name: name.clone(),
+            },
+            FileRequest::Symlink {
+                parent: 9,
+                name: name.clone(),
+                target: new_name.clone(),
+            },
+            FileRequest::Rename {
+                parent: 1,
+                name: name.clone(),
+                new_parent: 2,
+                new_name: new_name.clone(),
+            },
+            FileRequest::Link {
+                parent: 1,
+                name,
+                new_parent: 2,
+                new_name,
+            },
+        ]
+    }
+
+    #[test]
+    fn path_requests_round_trip_up_to_path_max() {
+        let deep = "d/".repeat(2047) + "ff"; // 4096 bytes
+        assert_eq!(deep.len(), MAX_PATH_LEN);
+        for (path, other) in [
+            ("", ""),
+            ("a", "b/c"),
+            ("a/b//c/", "/abs/t"),
+            (&deep, &deep),
+        ] {
+            for req in path_requests(path, other) {
+                round_trip_req(req);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_path_lengths_are_rejected_on_decode() {
+        for req in path_requests("dir/leaf", "other/leaf") {
+            let mut buf = Vec::new();
+            req.encode(&mut buf);
+            // Every truncation of a well-formed message is an error…
+            for cut in 0..buf.len() {
+                assert!(
+                    FileRequest::decode(&buf[..cut]).is_err(),
+                    "{req:?} cut={cut}"
+                );
+            }
+            // …and so is a length that claims more than the bound, or
+            // more than the buffer holds, wherever a path sits.
+            let at = buf.windows(12).position(|w| w[4..] == *b"dir/leaf");
+            let at = at.expect("the path is length-prefixed in the message");
+            for claim in [MAX_PATH_LEN as u32 + 1, u32::MAX, 9] {
+                let mut evil = buf.clone();
+                evil[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+                assert!(FileRequest::decode(&evil).is_err(), "{req:?} claim={claim}");
+            }
+        }
+        // A single-component probe keeps the 1024-byte name bound.
+        let mut evil = vec![T_LOOKUP];
+        evil.extend_from_slice(&0u64.to_le_bytes());
+        evil.extend_from_slice(&2000u32.to_le_bytes());
+        evil.extend_from_slice(&[b'a'; 2000]);
+        assert!(FileRequest::decode(&evil).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "path exceeds 4096 bytes")]
+    fn oversized_path_rejected_on_encode() {
+        // The adapter bounds every path first (ENAMETOOLONG); reaching the
+        // encoder with one is a bug in the caller.
+        FileRequest::StatAt {
+            start: 0,
+            path: "x".repeat(MAX_PATH_LEN + 1),
+        }
+        .encode(&mut Vec::new());
+    }
+
+    #[test]
+    fn trail_round_trips_and_stops_at_garbage() {
+        let steps = [
+            WireStep::Entry(5),
+            WireStep::Followed(u64::MAX),
+            WireStep::Entry(0),
+            WireStep::Absent,
+        ];
+        let mut buf = Vec::new();
+        for s in &steps {
+            s.encode(&mut buf);
+        }
+        assert_eq!(buf.len(), steps.len() * WireStep::SIZE);
+        assert_eq!(WireStep::decode_all(&buf).collect::<Vec<_>>(), steps);
+        // A partial step at the end is not a step.
+        assert_eq!(WireStep::decode_all(&buf[..buf.len() - 1]).count(), 3);
+        assert_eq!(WireStep::decode_all(&[]).count(), 0);
+        // An unknown tag ends the trail: nothing after it is trusted.
+        buf[WireStep::SIZE] = 0xEE;
+        assert_eq!(WireStep::decode_all(&buf).collect::<Vec<_>>(), steps[..1]);
     }
 
     #[test]
@@ -887,7 +1163,12 @@ mod tests {
         let mut buf = Vec::new();
         encode_dirents(&entries, &mut buf);
         let mut out = Vec::new();
-        decode_dirents_into(&buf, 8, &mut out).unwrap();
+        // Reports where the entries end: a trail may follow them.
+        buf.extend_from_slice(b"trail");
+        assert_eq!(
+            decode_dirents_into(&buf, 8, &mut out).unwrap(),
+            buf.len() - 5
+        );
         assert_eq!(out, entries);
         // Decode a shorter page into the same vec: shrinks, keeps buffers.
         let mut small = Vec::new();

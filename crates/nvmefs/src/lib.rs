@@ -33,8 +33,9 @@ pub use driver::{
     FileTarget, RecvError,
 };
 pub use filemsg::{
-    decode_dirents, decode_dirents_into, dirent_iter, encode_dirents, DecodeError, DirentIter,
-    FileRequest, FileResponse, WireAttr, WireDirent, WireDirentRef, MAX_NAME_LEN,
+    decode_dirents, decode_dirents_into, dirent_iter, encode_dirent, encode_dirents, DecodeError,
+    DirentIter, FileRequest, FileResponse, WireAttr, WireDirent, WireDirentRef, WireStep,
+    MAX_NAME_LEN, MAX_PATH_LEN,
 };
 pub use pool::{ChannelPool, PoolStats, RetryPolicy};
 pub use queue::{

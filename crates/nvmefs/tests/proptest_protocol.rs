@@ -14,9 +14,27 @@ fn arb_name() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-zA-Z0-9._-]{1,64}").unwrap()
 }
 
+/// A relative path as the openat-style requests carry it: components,
+/// doubled and trailing slashes included.
+fn arb_path() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[a-zA-Z0-9._/-]{0,160}").unwrap()
+}
+
 fn arb_request() -> impl Strategy<Value = FileRequest> {
     prop_oneof![
         (any::<u64>(), arb_name()).prop_map(|(parent, name)| FileRequest::Lookup { parent, name }),
+        (any::<u64>(), arb_path()).prop_map(|(start, path)| FileRequest::StatAt { start, path }),
+        (any::<u64>(), arb_path()).prop_map(|(start, path)| FileRequest::ReaddirAt { start, path }),
+        (any::<u64>(), arb_path())
+            .prop_map(|(parent, name)| FileRequest::Readlink { parent, name }),
+        (any::<u64>(), arb_path(), any::<u64>(), arb_path()).prop_map(
+            |(parent, name, new_parent, new_name)| FileRequest::Link {
+                parent,
+                name,
+                new_parent,
+                new_name
+            }
+        ),
         (any::<u64>(), arb_name(), any::<u32>())
             .prop_map(|(parent, name, mode)| FileRequest::Create { parent, name, mode }),
         (any::<u64>(), arb_name(), any::<u32>())
@@ -26,7 +44,7 @@ fn arb_request() -> impl Strategy<Value = FileRequest> {
         (any::<u64>(), any::<u64>(), any::<u32>())
             .prop_map(|(ino, offset, len)| FileRequest::Write { ino, offset, len }),
         (any::<u64>(), any::<u64>()).prop_map(|(ino, size)| FileRequest::Truncate { ino, size }),
-        (any::<u64>(), arb_name()).prop_map(|(parent, name)| FileRequest::Unlink { parent, name }),
+        (any::<u64>(), arb_path()).prop_map(|(parent, name)| FileRequest::Unlink { parent, name }),
         any::<u64>().prop_map(|ino| FileRequest::Readdir { ino }),
         any::<u64>().prop_map(|ino| FileRequest::GetAttr { ino }),
         (any::<u64>(), arb_name(), any::<u64>(), arb_name()).prop_map(

@@ -1,11 +1,13 @@
 //! The size reconcile (DESIGN.md §9.1): the host owns each open file's
-//! logical size, one cell per inode; `fsync`/`close` flush, learn the
-//! backend's size from the `Fsync` reply, and send a reconciling
+//! logical size, one cell per inode; `fsync` — and the `close` of a
+//! descriptor whose inode was written since its last fsync — flush, learn
+//! the backend's size from the `Fsync` reply, and send a reconciling
 //! `Truncate` only when the two disagree.
 //!
 //! - two descriptors of one file never reconcile the backend to a stale
 //!   private size (acknowledged, fsynced data used to be cut by `close`);
-//! - a clean `open`+`close` or a no-op `fsync` leaves the backend alone;
+//! - a clean `open`+`close` (one crossing, zero for the close) or a
+//!   no-op `fsync` (always one) leaves the backend alone;
 //! - a non-page-aligned tail still lands byte-exact, in one crossing.
 
 use dpc::core::{Dpc, DpcConfig};
@@ -90,7 +92,11 @@ fn clean_close_and_noop_fsync_leave_the_backend_alone() {
         let calls = dpc.pool_stats().submitted;
 
         let fd = fs.open(path).unwrap();
+        let opened = dpc.pool_stats().submitted;
+        assert_eq!(opened - calls, 1, "{path}: open is one crossing");
+        // Nothing was written through it: the close sends nothing at all.
         fs.close(fd).unwrap();
+        assert_eq!(dpc.pool_stats().submitted, opened, "{path}: clean close");
         let fd = fs.open(path).unwrap();
         fs.fsync(fd).unwrap();
         let synced = dpc.pool_stats().submitted;

@@ -120,7 +120,10 @@ fn sustained_mixed_stress() {
 
     let m = dpc.metrics();
     println!("{m}");
-    assert!(m.requests_served > 500);
+    // Per thread: the mkdir, then 120 rounds of at least one crossing each
+    // (a create, an open, an unlink; the rare round that skips an empty
+    // file is more than made up by the final open + fsync of every file).
+    assert!(m.requests_served > 4 * (1 + 120));
     assert!(m.cache.writes > 100, "buffered path exercised");
     assert!(
         m.cache.flushes + m.pages_flushed > 0,
