@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use dpc_cache::{CacheConfig, FlushPipeline, HybridCache, PipelineConfig, PAGE_SIZE};
 use dpc_codec::{compress, crc32c};
-use dpc_ec::ReedSolomon;
+use dpc_ec::{gf256, ReedSolomon};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{DispatchType, QueuePair, QueuePairConfig, Sqe};
@@ -23,6 +23,20 @@ fn bench_ec(c: &mut Criterion) {
     g.bench_function("rs_4p2_encode_8k", |b| {
         b.iter(|| rs.encode(&mut shards).unwrap())
     });
+    // What `ClientCore::write_block` runs: split an 8 KiB block into
+    // recycled stripe buffers, then encode.
+    let block: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+    let mut recycled = Vec::new();
+    g.bench_function("rs_encode_8k", |b| {
+        b.iter(|| rs.encode_buffer_into(&block, &mut recycled).unwrap())
+    });
+    // One (coefficient, data shard) pass of that encode.
+    let mut acc = vec![0u8; 2048];
+    g.throughput(Throughput::Bytes(2048));
+    g.bench_function("gf_mul_acc_2k", |b| {
+        b.iter(|| gf256::mul_acc_slice(0x8E, &block[..2048], &mut acc))
+    });
+    g.throughput(Throughput::Bytes(8192));
     let encoded: Vec<Vec<u8>> = {
         let mut s = vec![vec![0xA5u8; 8192 / 4]; 6];
         rs.encode(&mut s).unwrap();
@@ -177,6 +191,10 @@ fn bench_codec(c: &mut Criterion) {
     let page: Vec<u8> = (0..PAGE_SIZE).map(|i| ((i / 16) % 251) as u8).collect();
     g.throughput(Throughput::Bytes(PAGE_SIZE as u64));
     g.bench_function("crc32c_4k", |b| b.iter(|| crc32c(&page)));
+    let block = [page.as_slice(), page.as_slice()].concat();
+    g.throughput(Throughput::Bytes(block.len() as u64));
+    g.bench_function("crc32c_8k", |b| b.iter(|| crc32c(&block)));
+    g.throughput(Throughput::Bytes(PAGE_SIZE as u64));
     g.bench_function("lz_compress_4k_structured", |b| b.iter(|| compress(&page)));
     let mut pipeline = FlushPipeline::new(PipelineConfig::default());
     g.bench_function("pipeline_seal_4k", |b| {

@@ -19,6 +19,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::Thread;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -249,7 +251,7 @@ pub struct PrefetchJob {
 /// `push` never blocks: when full, the job is simply dropped (readahead
 /// is best-effort; the demand path must never wait on it).
 pub struct PrefetchQueue {
-    jobs: Mutex<VecDeque<PrefetchJob>>,
+    jobs: Mutex<Jobs>,
     cap: usize,
     /// Jobs popped but not yet completed.
     in_flight: AtomicU64,
@@ -257,10 +259,20 @@ pub struct PrefetchQueue {
     queued: AtomicU64,
 }
 
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<PrefetchJob>,
+    /// A consumer parked in [`PrefetchQueue::pop_or_park`], to be woken by
+    /// the next `push`. Lives under the queue's lock so "found it empty"
+    /// and "registered to be woken" are one step: no push can fall
+    /// between them.
+    parked: Option<Thread>,
+}
+
 impl PrefetchQueue {
     pub fn new(cap: usize) -> PrefetchQueue {
         PrefetchQueue {
-            jobs: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Jobs::default()),
             cap: cap.max(1),
             in_flight: AtomicU64::new(0),
             queued: AtomicU64::new(0),
@@ -270,23 +282,50 @@ impl PrefetchQueue {
     /// Enqueue a job; `false` means the queue was full and the job was
     /// dropped.
     pub fn push(&self, job: PrefetchJob) -> bool {
-        let mut q = self.jobs.lock();
-        if q.len() >= self.cap {
+        let mut jobs = self.jobs.lock();
+        if jobs.queue.len() >= self.cap {
             return false;
         }
-        q.push_back(job);
-        self.queued.store(q.len() as u64, Ordering::Release);
+        jobs.queue.push_back(job);
+        self.queued
+            .store(jobs.queue.len() as u64, Ordering::Release);
+        let parked = jobs.parked.take();
+        drop(jobs);
+        if let Some(consumer) = parked {
+            consumer.unpark();
+        }
         true
     }
 
     /// Dequeue the next job; the caller owes a [`done`](Self::done) call
     /// once the fill completes.
     pub fn pop(&self) -> Option<PrefetchJob> {
-        let mut q = self.jobs.lock();
-        let job = q.pop_front()?;
+        self.take(&mut self.jobs.lock())
+    }
+
+    fn take(&self, jobs: &mut Jobs) -> Option<PrefetchJob> {
+        let job = jobs.queue.pop_front()?;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.queued.store(q.len() as u64, Ordering::Release);
+        self.queued
+            .store(jobs.queue.len() as u64, Ordering::Release);
         Some(job)
+    }
+
+    /// [`pop`](Self::pop), but an empty queue parks the calling thread —
+    /// off the CPU, not polling — until a `push`, an `unpark` from
+    /// elsewhere (shutdown), or `timeout`. `None` means "woke with
+    /// nothing to do": the caller re-checks its exit conditions and
+    /// calls again.
+    pub fn pop_or_park(&self, timeout: Duration) -> Option<PrefetchJob> {
+        {
+            let mut jobs = self.jobs.lock();
+            if let Some(job) = self.take(&mut jobs) {
+                return Some(job);
+            }
+            jobs.parked = Some(std::thread::current());
+        }
+        std::thread::park_timeout(timeout);
+        self.pop()
     }
 
     /// Mark a popped job finished.
@@ -439,5 +478,44 @@ mod tests {
         q.done();
         assert!(q.is_idle());
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_parked_consumer_is_woken_by_push_and_by_nothing_else() {
+        let job = PrefetchJob {
+            ino: 9,
+            window: RaWindow {
+                start: 0,
+                pages: 1,
+                stride: 1,
+                marker: None,
+            },
+        };
+        let q = std::sync::Arc::new(PrefetchQueue::new(4));
+        // A queued job is returned without parking, whatever the timeout.
+        assert!(q.push(job));
+        assert_eq!(q.pop_or_park(Duration::from_secs(3600)).unwrap().ino, 9);
+        q.done();
+        // An empty queue gives the thread back at the timeout.
+        assert!(q.pop_or_park(Duration::from_millis(1)).is_none());
+        // Parked for an hour: only `push` can end this wait. The producer
+        // pushes once it has seen the consumer registered, i.e. strictly
+        // after the consumer found the queue empty.
+        let consumer = {
+            let q = q.clone();
+            std::thread::spawn(move || loop {
+                // `park_timeout` may return spuriously: ask again.
+                if let Some(job) = q.pop_or_park(Duration::from_secs(3600)) {
+                    q.done();
+                    return job.ino;
+                }
+            })
+        };
+        while q.jobs.lock().parked.is_none() {
+            std::thread::yield_now();
+        }
+        assert!(q.push(job));
+        assert_eq!(consumer.join().expect("consumer thread"), 9);
+        assert!(q.is_idle());
     }
 }

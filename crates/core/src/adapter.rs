@@ -31,6 +31,7 @@ use dpc_cache::{
     HybridCache, IntentLog, MetaAttr, MetaCache, MetaDirent, NameLookup, WalError, WalKind,
     WriteError, PAGE_SIZE,
 };
+use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
     decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileRequest, FileResponse,
     WireAttr, WireDirent, WireStep, ZcOp, MAX_NAME_LEN, MAX_PATH_LEN, SGL_MAX_SEGMENTS,
@@ -1755,12 +1756,21 @@ impl DpcFs {
         }
     }
 
-    /// Write one 8 KiB-aligned block through the offloaded DFS client.
+    /// Byte offset of DFS block `block`; EINVAL when it does not fit.
+    fn dfs_block_offset(block: u64) -> Result<u64, DpcError> {
+        block.checked_mul(DFS_BLOCK as u64).ok_or(DpcError::INVALID)
+    }
+
+    /// Write one 8 KiB-aligned block (at most 8 KiB of data) through the
+    /// offloaded DFS client.
     pub fn dfs_write_block(&self, ino: u64, block: u64, data: &[u8]) -> Result<usize, DpcError> {
+        if data.len() > DFS_BLOCK {
+            return Err(DpcError::INVALID);
+        }
         let (resp, _) = self.dfs_call(
             &FileRequest::Write {
                 ino,
-                offset: block * 8192,
+                offset: Self::dfs_block_offset(block)?,
                 len: data.len() as u32,
             },
             data,
@@ -1777,11 +1787,11 @@ impl DpcFs {
         let (resp, payload) = self.dfs_call(
             &FileRequest::Read {
                 ino,
-                offset: block * 8192,
-                len: 8192,
+                offset: Self::dfs_block_offset(block)?,
+                len: DFS_BLOCK as u32,
             },
             b"",
-            8192,
+            DFS_BLOCK as u32,
         )?;
         match resp {
             FileResponse::Bytes(_) => Ok(payload),

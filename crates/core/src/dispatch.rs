@@ -92,6 +92,7 @@ fn dfs_err(e: DfsError) -> FileResponse {
         // A transient server fault that survived the client's retry
         // budget: the host may simply try again.
         DfsError::Transient => 11, // EAGAIN
+        DfsError::InvalidArgument => 22,
     })
 }
 
@@ -685,9 +686,10 @@ impl Dispatcher {
                 Err(e) => dfs_err(e),
             },
             FileRequest::Write { ino, offset, .. } => {
-                if *offset % DFS_BLOCK as u64 != 0 {
+                if *offset % DFS_BLOCK as u64 != 0 || inc.payload.len() > DFS_BLOCK {
                     // The DFS data path is block-granular; an unaligned
-                    // offset is a caller error, not a server invariant.
+                    // offset or an oversize payload is a caller error the
+                    // host must not be able to turn into a DPU panic.
                     return FileResponse::Err(22 /* EINVAL */);
                 }
                 let block = offset / DFS_BLOCK as u64;
@@ -701,13 +703,16 @@ impl Dispatcher {
                     return FileResponse::Err(22 /* EINVAL */);
                 }
                 let block = offset / DFS_BLOCK as u64;
-                match dfs.read_block(*ino, block) {
-                    Ok((data, _)) => {
-                        let take = data.len().min(*len as usize);
-                        out.extend_from_slice(&data[..take]);
-                        FileResponse::Bytes(take as u32)
+                // Shards land in the reply buffer itself.
+                match dfs.read_block_into(*ino, block, out) {
+                    Ok(_) => {
+                        out.truncate(*len as usize);
+                        FileResponse::Bytes(out.len() as u32)
                     }
-                    Err(e) => dfs_err(e),
+                    Err(e) => {
+                        out.clear();
+                        dfs_err(e)
+                    }
                 }
             }
             FileRequest::Readdir { ino } => match dfs.readdir(*ino) {

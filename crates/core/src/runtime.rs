@@ -48,9 +48,14 @@ pub struct PrefetcherConfig {
     pub throttle_free: u64,
 }
 
-/// Adaptive idle backoff for the DPU polling loops (service threads and
-/// the prefetcher): spin briefly (lowest wakeup latency), then yield the
-/// core, then nap with exponentially growing, bounded sleeps.
+/// Longest the idle prefetcher stays parked between looks at the
+/// shutdown flag and the crash switch.
+const PREFETCH_PARK: std::time::Duration = std::time::Duration::from_millis(10);
+
+/// Adaptive idle backoff for the DPU polling loops (service threads,
+/// and the prefetcher up to the point where it parks instead): spin
+/// briefly (lowest wakeup latency), then yield the core, then nap with
+/// exponentially growing, bounded sleeps.
 ///
 /// The previous policy was a cliff — 4096 busy spins, then a fixed 20 µs
 /// sleep — which burned a full timeslice of CPU before ever yielding and
@@ -93,6 +98,11 @@ impl IdleBackoff {
         }
         let step = (self.rounds - Self::YIELD_ROUNDS) / Self::NAPS_PER_STEP;
         (Self::NAP_FLOOR_US << step.min(16)).min(Self::NAP_CEIL_US)
+    }
+
+    /// Still in the spin/yield tiers (the next idle round will not nap)?
+    pub(crate) fn polling(&self) -> bool {
+        self.nap_us() == 0
     }
 
     /// One empty poll: block according to the current tier and deepen.
@@ -262,10 +272,23 @@ impl DpuRuntime {
                         // and pushes jobs). `fill_window` applies the
                         // cache-pressure throttle, the no-clobber rule and
                         // the ino-epoch abort internally, so this loop is
-                        // pure plumbing plus the flusher-style backoff.
+                        // pure plumbing. Between the jobs of a live stream
+                        // it polls (spin, then yield) like the service
+                        // loops; once the queue has stayed empty through
+                        // both tiers it parks instead of napping — a hint
+                        // has no wake-up latency to protect, and a workload
+                        // that never reads sequentially must not pay for a
+                        // poller. `push` unparks it, `Drop` unparks it for
+                        // shutdown, and the timeout bounds how long a
+                        // tripped crash switch goes unnoticed.
                         let mut backoff = IdleBackoff::new();
                         while !shared.shutdown.load(Ordering::Acquire) && !crash.is_tripped() {
-                            match p.queue.pop() {
+                            let job = if backoff.polling() {
+                                p.queue.pop()
+                            } else {
+                                p.queue.pop_or_park(PREFETCH_PARK)
+                            };
+                            match job {
                                 Some(job) => {
                                     backoff.reset();
                                     let mut backend = KvfsRead { kvfs: &p.kvfs };
@@ -276,7 +299,8 @@ impl DpuRuntime {
                                         .fetch_add(inserted as u64, Ordering::Relaxed);
                                     p.queue.done();
                                 }
-                                None => backoff.idle(),
+                                None if backoff.polling() => backoff.idle(),
+                                None => {} // parked, woke to an empty queue
                             }
                         }
                         // Unqueued jobs die with the instance: prefetch is
@@ -468,6 +492,8 @@ impl Drop for DpuRuntime {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         for t in self.threads.drain(..) {
+            // The prefetcher may be parked on its empty queue.
+            t.thread().unpark();
             let _ = t.join();
         }
     }

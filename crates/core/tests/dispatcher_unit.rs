@@ -563,6 +563,63 @@ fn dfs_unaligned_offset_is_einval() {
 }
 
 #[test]
+fn dfs_oversize_and_overflowing_writes_are_einval() {
+    // `ClientCore::write_block` used to `assert!(data.len() <= DFS_BLOCK)`
+    // and compute `block * 8192 + len` unchecked: a hostile host could
+    // kill the service thread with one SQE. Both are EINVAL now, and the
+    // dispatcher keeps serving.
+    let (mut d, _) = dispatcher(true);
+    let (resp, _) = d.handle(&incoming(
+        DispatchType::Distributed,
+        FileRequest::Create {
+            parent: 0,
+            name: "big".into(),
+            mode: 0o644,
+        },
+        vec![],
+    ));
+    let ino = ino_of(resp);
+    let mut write = |offset: u64, payload: Vec<u8>| {
+        let len = payload.len() as u32;
+        let req = FileRequest::Write { ino, offset, len };
+        d.handle(&incoming(DispatchType::Distributed, req, payload))
+            .0
+    };
+    // Two blocks' worth of payload at an aligned offset.
+    assert_eq!(write(0, vec![1u8; 16384]), FileResponse::Err(22));
+    assert_eq!(write(8192, vec![1u8; 8193]), FileResponse::Err(22));
+    // The last aligned offset a u64 holds: the block's end does not fit.
+    assert_eq!(
+        write(u64::MAX - 8191, vec![1u8; 8192]),
+        FileResponse::Err(22)
+    );
+    // Nothing above left a trace, and the next request is served.
+    assert_eq!(write(8192, vec![2u8; 8192]), FileResponse::Bytes(8192));
+    let (resp, payload) = d.handle(&incoming(
+        DispatchType::Distributed,
+        FileRequest::Read {
+            ino,
+            offset: 8192,
+            len: 100,
+        },
+        vec![],
+    ));
+    assert_eq!(resp, FileResponse::Bytes(100), "a short read is clipped");
+    assert_eq!(payload, vec![2u8; 100]);
+    let (resp, payload) = d.handle(&incoming(
+        DispatchType::Distributed,
+        FileRequest::Read {
+            ino,
+            offset: 0,
+            len: 8192,
+        },
+        vec![],
+    ));
+    assert_eq!(resp, FileResponse::Err(2), "block 0 was never written");
+    assert!(payload.is_empty());
+}
+
+#[test]
 fn distributed_requests_without_backend_are_rejected() {
     let (mut d, _) = dispatcher(false);
     let (resp, _) = d.handle(&incoming(

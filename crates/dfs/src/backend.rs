@@ -8,6 +8,7 @@
 //! data servers; EC runs on the MDS for standard clients and on the
 //! client (host or DPU) for optimized/DPC clients.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,6 +24,9 @@ pub const DFS_BLOCK: usize = 8192;
 /// The flush pipeline's extent records are tracked at cache-page
 /// granularity (4 KiB), half a [`DFS_BLOCK`].
 pub const EXTENT_PAGE: usize = 4096;
+
+/// Extent pages per [`DFS_BLOCK`].
+pub const PAGES_PER_BLOCK: usize = DFS_BLOCK / EXTENT_PAGE;
 
 /// High bit tagging the block-number namespace used for extent stripes:
 /// stripe storage keys are `(ino, EXTENT_BLOCK_TAG | extent_id, shard)`,
@@ -49,6 +53,9 @@ pub enum DfsError {
     Delegated,
     /// Transient server fault (injected): safe to retry.
     Transient,
+    /// The request itself is malformed (a block larger than the stripe
+    /// unit, a block number whose byte offset overflows).
+    InvalidArgument,
 }
 
 impl core::fmt::Display for DfsError {
@@ -59,6 +66,7 @@ impl core::fmt::Display for DfsError {
             DfsError::Unrecoverable => "too many shards lost",
             DfsError::Delegated => "delegation held by another client",
             DfsError::Transient => "transient server fault",
+            DfsError::InvalidArgument => "invalid argument",
         };
         f.write_str(s)
     }
@@ -156,10 +164,32 @@ struct StoredShard {
     crc: u32,
 }
 
+type ShardMap = HashMap<(u64, u64, usize), StoredShard>;
+
+/// Store `data` (with the checksum it arrived with) under `key`. An
+/// overwrite reuses the stored buffer, so rewriting a shard at its old
+/// length — every in-place block overwrite — allocates nothing.
+fn store(shards: &mut ShardMap, key: (u64, u64, usize), data: &[u8], crc: u32) {
+    match shards.entry(key) {
+        Entry::Occupied(mut e) => {
+            let stored = e.get_mut();
+            stored.data.clear();
+            stored.data.extend_from_slice(data);
+            stored.crc = crc;
+        }
+        Entry::Vacant(v) => {
+            v.insert(StoredShard {
+                data: data.to_vec(),
+                crc,
+            });
+        }
+    }
+}
+
 /// One data server: shard storage keyed by `(ino, block, shard)`.
 pub struct DataServer {
     pub id: usize,
-    shards: RwLock<HashMap<(u64, u64, usize), StoredShard>>,
+    shards: RwLock<ShardMap>,
     /// Failure injection: a failed server refuses reads and writes.
     failed: std::sync::atomic::AtomicBool,
     /// Optional scheduled fault site (flaky / slow behaviour): when it
@@ -198,10 +228,10 @@ impl DataServer {
         }
     }
 
-    /// Store one shard (checksummed at the insert — the only place the
-    /// payload is copied). Returns `false` when the server refused the
-    /// write (failed, or a scheduled fault fired) — the shard is NOT
-    /// stored.
+    /// Store one shard (checksummed before the lock is taken; the insert
+    /// is the only place the payload is copied). Returns `false` when the
+    /// server refused the write (failed, or a scheduled fault fired) — the
+    /// shard is NOT stored.
     pub fn put_shard(&self, ino: u64, block: u64, shard: usize, data: &[u8]) -> bool {
         self.rpcs.fetch_add(1, Ordering::Relaxed);
         self.ingress_bytes
@@ -209,13 +239,8 @@ impl DataServer {
         if self.refuses() {
             return false;
         }
-        self.shards.write().insert(
-            (ino, block, shard),
-            StoredShard {
-                data: data.to_vec(),
-                crc: crc32c(data),
-            },
-        );
+        let crc = crc32c(data);
+        store(&mut self.shards.write(), (ino, block, shard), data, crc);
         true
     }
 
@@ -231,31 +256,38 @@ impl DataServer {
         }
         let mut shards = self.shards.write();
         for &(ino, block, shard, data) in puts {
-            shards.insert(
-                (ino, block, shard),
-                StoredShard {
-                    data: data.to_vec(),
-                    crc: crc32c(data),
-                },
-            );
+            store(&mut shards, (ino, block, shard), data, crc32c(data));
         }
         true
     }
 
     pub fn get_shard(&self, ino: u64, block: u64, shard: usize) -> Option<Vec<u8>> {
+        let mut data = Vec::new();
+        self.get_shard_into(ino, block, shard, &mut data)
+            .then_some(data)
+    }
+
+    /// Fetch one shard by appending it to `out` — the payload's one copy
+    /// on a healthy read, made under the read lock right after its
+    /// checksum verified. `false` (and `out` untouched) when the server
+    /// refused, holds no such shard, or the checksum failed.
+    pub fn get_shard_into(&self, ino: u64, block: u64, shard: usize, out: &mut Vec<u8>) -> bool {
         self.rpcs.fetch_add(1, Ordering::Relaxed);
         if self.refuses() {
-            return None;
+            return false;
         }
         let shards = self.shards.read();
-        let stored = shards.get(&(ino, block, shard))?;
+        let Some(stored) = shards.get(&(ino, block, shard)) else {
+            return false;
+        };
         if crc32c(&stored.data) != stored.crc {
             // Bit-rot: report the shard as lost so the caller's degraded
             // path reconstructs it (and read-repair overwrites us).
             self.recovery.crc_rejects.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return false;
         }
-        Some(stored.data.clone())
+        out.extend_from_slice(&stored.data);
+        true
     }
 
     /// Test hook: flip one payload bit in a stored shard *without*
@@ -420,7 +452,14 @@ pub struct DfsBackend {
     extent_seq: AtomicU64,
     /// `(ino, lpn)` → newest extent covering that 4 KiB page.
     extents: RwLock<HashMap<(u64, u64), ExtentRecord>>,
+    /// `ring[i] = i % data_servers.len()`, long enough that the servers
+    /// of any stripe are one contiguous slice of it: placements are
+    /// borrowed from here instead of collected per call.
+    ring: Vec<usize>,
 }
+
+/// The widest stripe an [`ExtentRecord`] can name (`k` and `m` are bytes).
+const MAX_STRIPE: usize = 2 * u8::MAX as usize;
 
 impl DfsBackend {
     pub fn new(cfg: DfsConfig) -> Arc<DfsBackend> {
@@ -444,6 +483,9 @@ impl DfsBackend {
             recovery,
             extent_seq: AtomicU64::new(0),
             extents: RwLock::new(HashMap::new()),
+            ring: (0..cfg.data_server_count + MAX_STRIPE)
+                .map(|i| i % cfg.data_server_count)
+                .collect(),
             cfg,
         })
     }
@@ -525,12 +567,15 @@ impl DfsBackend {
 
     /// The data servers hosting block `block` of `ino`, one per EC shard
     /// (rotated by block number for balance).
-    pub fn placement(&self, ino: u64, block: u64) -> Vec<usize> {
-        let n = self.data_servers.len();
-        let base = (hash64(ino, block) % n as u64) as usize;
-        (0..self.cfg.ec_k + self.cfg.ec_m)
-            .map(|s| (base + s) % n)
-            .collect()
+    pub fn placement(&self, ino: u64, block: u64) -> &[usize] {
+        self.stripe_servers(ino, block, self.cfg.ec_k + self.cfg.ec_m)
+    }
+
+    /// `width` consecutive servers starting at the one `(ino, block_key)`
+    /// hashes to.
+    fn stripe_servers(&self, ino: u64, block_key: u64, width: usize) -> &[usize] {
+        let base = (hash64(ino, block_key) % self.data_servers.len() as u64) as usize;
+        &self.ring[base..base + width]
     }
 
     /// Total payload bytes received by all data servers on the write
@@ -601,6 +646,18 @@ impl DfsBackend {
         self.extents.read().get(&(ino, lpn)).copied()
     }
 
+    /// The newest extent covering each 4 KiB page of 8 KiB block `block`
+    /// of `ino` — one pass under one lock acquisition, which is all a
+    /// block read needs to choose between the stripe and extent paths.
+    pub fn block_extents(&self, ino: u64, block: u64) -> [Option<ExtentRecord>; PAGES_PER_BLOCK] {
+        // A block number past the last addressable page has no extents.
+        let Some(lpn0) = block.checked_mul(PAGES_PER_BLOCK as u64) else {
+            return [None; PAGES_PER_BLOCK];
+        };
+        let extents = self.extents.read();
+        std::array::from_fn(|p| extents.get(&(ino, lpn0 + p as u64)).copied())
+    }
+
     /// Drop extent records for pages `>= from_lpn` of `ino` (truncate /
     /// unlink). Stripes are left behind under retired ids — no live
     /// record points at them, and fresh flushes always allocate fresh
@@ -614,26 +671,21 @@ impl DfsBackend {
     /// Stripe placement for an extent: `k + m` distinct data servers
     /// chosen by the extent's unique id (same rotation scheme as block
     /// [`placement`](DfsBackend::placement)).
-    pub fn extent_placement(&self, rec: &ExtentRecord) -> Vec<usize> {
-        let n = self.data_servers.len();
-        let base = (hash64(rec.ino, rec.block_key()) % n as u64) as usize;
-        (0..(rec.k as usize + rec.m as usize))
-            .map(|s| (base + s) % n)
-            .collect()
+    pub fn extent_placement(&self, rec: &ExtentRecord) -> &[usize] {
+        self.stripe_servers(rec.ino, rec.block_key(), rec.k as usize + rec.m as usize)
     }
 
     /// Fan a whole stripe set out to its data servers, one batched RPC
     /// per server (the extent-granular one-doorbell fanout). Returns
     /// per-shard success; a refused server fails every shard it hosts.
     pub fn put_shards_batch(&self, ino: u64, block_key: u64, shards: &[Vec<u8>]) -> Vec<bool> {
-        let n = self.data_servers.len();
-        let base = (hash64(ino, block_key) % n as u64) as usize;
         let mut ok = vec![false; shards.len()];
         // Group shards by destination server; placement rotates so with
         // `shards.len() <= n` each server sees exactly one batch.
-        let mut by_server: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for s in 0..shards.len() {
-            by_server[(base + s) % n].push(s);
+        let mut by_server: Vec<Vec<usize>> = vec![Vec::new(); self.data_servers.len()];
+        let servers = self.stripe_servers(ino, block_key, shards.len());
+        for (s, &server) in servers.iter().enumerate() {
+            by_server[server].push(s);
         }
         for (server, idxs) in by_server.iter().enumerate() {
             if idxs.is_empty() {
@@ -861,7 +913,7 @@ impl DfsBackend {
             .ec
             .encode_buffer(data)
             .map_err(|_| DfsError::Unrecoverable)?;
-        for (s, server) in self.placement(ino, block).into_iter().enumerate() {
+        for (s, &server) in self.placement(ino, block).iter().enumerate() {
             self.data_servers[server].put_shard(ino, block, s, &shards[s]);
         }
         let end = block * DFS_BLOCK as u64 + data.len() as u64;
@@ -922,7 +974,7 @@ impl DfsBackend {
                 .ec
                 .encode_buffer(&buf)
                 .map_err(|_| DfsError::Unrecoverable)?;
-            for (sh, server) in self.placement(ino, block).into_iter().enumerate() {
+            for (sh, &server) in self.placement(ino, block).iter().enumerate() {
                 self.data_servers[server].put_shard(ino, block, sh, &shards[sh]);
             }
         }

@@ -40,6 +40,9 @@ const REPAIR_CAP: usize = 1024;
 /// turning every write into a full queue sweep).
 const REPAIR_DRAIN: usize = 8;
 
+/// One shard write still owed to a server: (server, ino, block, shard, data).
+type Repair = (usize, u64, u64, usize, Vec<u8>);
+
 /// Exponential backoff between recovery attempts (microseconds, capped).
 fn backoff(attempt: u32) {
     let us = (20u64 << attempt.min(8)).min(2_000);
@@ -231,12 +234,15 @@ pub struct ClientCore {
     /// Flush pending metadata after this many batched writes.
     pub meta_batch: usize,
     batched: usize,
-    /// Shards whose home server refused the write even after retries:
-    /// (server, ino, block, shard, data). Drained opportunistically on
-    /// later writes / metadata syncs; bounded by [`REPAIR_CAP`].
-    pending_repair: VecDeque<(usize, u64, u64, usize, Vec<u8>)>,
+    /// Shards whose home server refused the write even after retries.
+    /// Drained opportunistically on later writes / metadata syncs;
+    /// bounded by [`REPAIR_CAP`].
+    pending_repair: VecDeque<Repair>,
     /// Recycled frame buffer for the plain-replication extent path.
     frame_buf: Vec<u8>,
+    /// Recycled `k + m` stripe buffers [`write_block`](Self::write_block)
+    /// encodes into.
+    shard_bufs: Vec<Vec<u8>>,
 }
 
 impl ClientCore {
@@ -250,6 +256,7 @@ impl ClientCore {
             batched: 0,
             pending_repair: VecDeque::new(),
             frame_buf: Vec::new(),
+            shard_bufs: Vec::new(),
         }
     }
 
@@ -262,20 +269,24 @@ impl ClientCore {
         self.pending_repair.len()
     }
 
-    /// Fetch one shard, reissuing a bounded number of times when the
-    /// server refuses and recovery is engaged. Only the first attempt is
-    /// an [`OpTrace`]-visible RPC; reissues land in the recovery counters.
-    fn get_shard_recovering(
+    /// Fetch one shard by appending it to `out`, reissuing a bounded
+    /// number of times when the server refuses and recovery is engaged.
+    /// Only the first attempt is an [`OpTrace`]-visible RPC; reissues land
+    /// in the recovery counters. `false` leaves `out` untouched.
+    fn get_shard_recovering_into(
         &self,
         server: usize,
         ino: u64,
         block: u64,
         shard: usize,
-    ) -> Option<Vec<u8>> {
+        out: &mut Vec<u8>,
+    ) -> bool {
         let ds = self.backend.data_server(server);
-        let got = ds.get_shard(ino, block, shard);
-        if got.is_some() || !self.backend.faults_enabled() {
-            return got;
+        if ds.get_shard_into(ino, block, shard, out) {
+            return true;
+        }
+        if !self.backend.faults_enabled() {
+            return false;
         }
         for attempt in 1..=DS_RETRIES {
             self.backend
@@ -283,25 +294,39 @@ impl ClientCore {
                 .ds_retries
                 .fetch_add(1, Ordering::Relaxed);
             backoff(attempt);
-            if let Some(d) = ds.get_shard(ino, block, shard) {
-                return Some(d);
+            if ds.get_shard_into(ino, block, shard, out) {
+                return true;
             }
         }
-        None
+        false
+    }
+
+    /// [`get_shard_recovering_into`](Self::get_shard_recovering_into) a
+    /// buffer of the shard's own — the degraded paths' shape.
+    fn get_shard_recovering(
+        &self,
+        server: usize,
+        ino: u64,
+        block: u64,
+        shard: usize,
+    ) -> Option<Vec<u8>> {
+        let mut data = Vec::new();
+        self.get_shard_recovering_into(server, ino, block, shard, &mut data)
+            .then_some(data)
     }
 
     /// Queue a shard for background repair, shedding the oldest entry
-    /// when the queue is full.
-    fn queue_repair(&mut self, server: usize, ino: u64, block: u64, shard: usize, data: Vec<u8>) {
-        if self.pending_repair.len() >= REPAIR_CAP {
-            self.pending_repair.pop_front();
-            self.backend
+    /// when the queue is full. (Takes the two fields it touches, so a
+    /// caller may hold a placement borrowed from the backend.)
+    fn queue_repair(pending: &mut VecDeque<Repair>, backend: &DfsBackend, repair: Repair) {
+        if pending.len() >= REPAIR_CAP {
+            pending.pop_front();
+            backend
                 .recovery()
                 .repair_drops
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.pending_repair
-            .push_back((server, ino, block, shard, data));
+        pending.push_back(repair);
     }
 
     /// One repair pass: attempt up to [`REPAIR_DRAIN`] queued shard
@@ -448,25 +473,50 @@ impl ClientCore {
     }
 
     pub fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError> {
-        assert!(data.len() <= DFS_BLOCK);
-        // Client-side EC: the real Reed–Solomon encode runs here.
-        let shards = self
+        // A block that does not fit the stripe unit, or whose end offset
+        // does not fit a u64, is the caller's error — never a panic here.
+        let end = (block.checked_mul(DFS_BLOCK as u64))
+            .and_then(|start| start.checked_add(data.len() as u64))
+            .filter(|_| data.len() <= DFS_BLOCK)
+            .ok_or(DfsError::InvalidArgument)?;
+        // Client-side EC: the real Reed–Solomon encode runs here, into
+        // stripe buffers that outlive the call.
+        let mut shards = std::mem::take(&mut self.shard_bufs);
+        let sent = self
             .backend
             .ec()
-            .encode_buffer(data)
-            .map_err(|_| DfsError::Unrecoverable)?;
-        let shard_bytes: u64 = shards.iter().map(|s| s.len() as u64).sum();
+            .encode_buffer_into(data, &mut shards)
+            .map_err(|_| DfsError::Unrecoverable)
+            .map(|()| self.send_stripe(ino, block, &shards));
+        self.shard_bufs = shards;
+        let mut trace = sent?;
+        trace.ec_bytes = data.len() as u64;
+        // Lazy metadata: batch the size update.
+        let e = self.pending_meta.entry(ino).or_insert(0);
+        *e = (*e).max(end);
+        if let Some(attr) = self.attr_cache.get_mut(&ino) {
+            attr.size = attr.size.max(end);
+        }
+        self.batched += 1;
+        if self.batched >= self.meta_batch {
+            trace.add(self.sync_meta()?);
+        }
+        Ok(trace)
+    }
+
+    /// Direct I/O: one block's `k + m` shards straight to their data
+    /// servers. A refused put is retried with backoff; a persistently
+    /// refusing server gets the shard queued for background repair (the
+    /// block stays readable through parity meanwhile).
+    fn send_stripe(&mut self, ino: u64, block: u64, shards: &[Vec<u8>]) -> OpTrace {
         // Opportunistic repair pass before new work.
-        if self.backend.faults_enabled() && !self.pending_repair.is_empty() {
+        let recovering = self.backend.faults_enabled();
+        if recovering && !self.pending_repair.is_empty() {
             self.drain_repairs();
         }
-        // Direct I/O: shards straight to the data servers. A refused put
-        // is retried with backoff; a persistently refusing server gets the
-        // shard queued for background repair (the block stays readable
-        // through parity meanwhile).
-        let recovering = self.backend.faults_enabled();
-        for (s, server) in self.backend.placement(ino, block).into_iter().enumerate() {
-            let ds = self.backend.data_server(server);
+        let backend = &self.backend;
+        for (s, &server) in backend.placement(ino, block).iter().enumerate() {
+            let ds = backend.data_server(server);
             // The shard travels as a slice the whole way down; the only
             // copy is the storage insert inside `put_shard` (or the
             // repair-queue entry when the server keeps refusing).
@@ -475,7 +525,7 @@ impl ClientCore {
                 continue;
             }
             for attempt in 1..=DS_RETRIES {
-                self.backend
+                backend
                     .recovery()
                     .ds_retries
                     .fetch_add(1, Ordering::Relaxed);
@@ -486,54 +536,53 @@ impl ClientCore {
                 }
             }
             if !ok {
-                self.queue_repair(server, ino, block, s, shards[s].clone());
+                let repair = (server, ino, block, s, shards[s].clone());
+                Self::queue_repair(&mut self.pending_repair, backend, repair);
             }
         }
-        // Lazy metadata: batch the size update.
-        let end = block * DFS_BLOCK as u64 + data.len() as u64;
-        let e = self.pending_meta.entry(ino).or_insert(0);
-        *e = (*e).max(end);
-        if let Some(attr) = self.attr_cache.get_mut(&ino) {
-            attr.size = attr.size.max(end);
-        }
-        self.batched += 1;
-        let mut trace = OpTrace {
+        OpTrace {
             ds_rpcs: shards.len() as u32,
-            ec_bytes: data.len() as u64,
-            bytes_out: shard_bytes,
+            bytes_out: shards.iter().map(|s| s.len() as u64).sum(),
             ..Default::default()
-        };
-        if self.batched >= self.meta_batch {
-            trace.add(self.sync_meta()?);
         }
-        Ok(trace)
     }
 
     pub fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
+        let mut out = Vec::with_capacity(DFS_BLOCK);
+        let trace = self.read_block_into(ino, block, &mut out)?;
+        Ok((out, trace))
+    }
+
+    /// Read one block into `out` (cleared first). A healthy read copies
+    /// each shard once — from its data server's store into `out` — and
+    /// allocates nothing once `out` holds a block's capacity.
+    pub fn read_block_into(
+        &mut self,
+        ino: u64,
+        block: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<OpTrace, DfsError> {
+        out.clear();
         // The inverse of the flush pipeline: if the newest bytes for this
         // block live in published extents, serve them from extent stripes
         // (reconstruct + decompress locally when degraded) instead of the
-        // legacy per-block stripe path.
-        let pages_per_block = (DFS_BLOCK / EXTENT_PAGE) as u64;
-        let lpn0 = block * pages_per_block;
-        let covered =
-            (0..pages_per_block).any(|p| self.backend.extent_record(ino, lpn0 + p).is_some());
-        if !covered {
-            return self.read_block_legacy(ino, block);
+        // per-block stripe.
+        let records = self.backend.block_extents(ino, block);
+        if records.iter().all(|r| r.is_none()) {
+            return self.read_stripe_into(ino, block, out);
         }
-        let mut out = vec![0u8; DFS_BLOCK];
+        out.resize(DFS_BLOCK, 0);
         let mut trace = OpTrace::default();
         // Both halves usually come from the same extent: cache the last
         // decode instead of refetching it.
         let mut last: Option<(u64, Vec<u8>)> = None;
-        let mut legacy: Option<Vec<u8>> = None;
-        for p in 0..pages_per_block {
-            let lpn = lpn0 + p;
-            let dst = (p as usize) * EXTENT_PAGE;
-            match self.backend.extent_record(ino, lpn) {
+        let mut stripe: Option<Vec<u8>> = None;
+        for (p, rec) in records.iter().enumerate() {
+            let dst = p * EXTENT_PAGE;
+            match rec {
                 Some(rec) => {
                     if last.as_ref().map(|(id, _)| *id) != Some(rec.id) {
-                        let (raw, t) = self.read_extent(&rec)?;
+                        let (raw, t) = self.read_extent(rec)?;
                         trace.add(t);
                         last = Some((rec.id, raw));
                     }
@@ -541,6 +590,7 @@ impl ClientCore {
                         .as_ref()
                         .map(|(_, r)| r)
                         .ok_or(DfsError::Unrecoverable)?[..];
+                    let lpn = block * records.len() as u64 + p as u64;
                     let src = ((lpn - rec.start_lpn) as usize) * EXTENT_PAGE;
                     if src < raw.len() {
                         let n = EXTENT_PAGE.min(raw.len() - src);
@@ -549,92 +599,98 @@ impl ClientCore {
                 }
                 None => {
                     // Half a block never flushed through the pipeline:
-                    // fall back to the legacy stripe bytes for that page.
-                    if legacy.is_none() {
-                        let (data, t) = match self.read_block_legacy(ino, block) {
-                            Ok(r) => r,
-                            Err(DfsError::NotFound) => (vec![0u8; DFS_BLOCK], OpTrace::default()),
+                    // fall back to the block stripe's bytes for that page.
+                    if stripe.is_none() {
+                        let mut data = Vec::with_capacity(DFS_BLOCK);
+                        match self.read_stripe_into(ino, block, &mut data) {
+                            Ok(t) => trace.add(t),
+                            Err(DfsError::NotFound) => data.clear(),
                             Err(e) => return Err(e),
-                        };
-                        trace.add(t);
-                        legacy = Some(data);
+                        }
+                        stripe = Some(data);
                     }
-                    if let Some(data) = legacy.as_ref() {
-                        let n = EXTENT_PAGE.min(data.len().saturating_sub(dst));
-                        out[dst..dst + n].copy_from_slice(&data[dst..dst + n]);
+                    // (A stripe that ends before this page leaves zeros.)
+                    if let Some(src) = stripe.as_ref().and_then(|data| data.get(dst..)) {
+                        let n = EXTENT_PAGE.min(src.len());
+                        out[dst..dst + n].copy_from_slice(&src[..n]);
                     }
                 }
             }
         }
-        let n = out.len() as u64;
-        trace.bytes_in = trace.bytes_in.max(n);
-        Ok((out, trace))
+        trace.bytes_in = trace.bytes_in.max(out.len() as u64);
+        Ok(trace)
     }
 
-    fn read_block_legacy(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        let placement = self.backend.placement(ino, block);
-        let k = self.backend.cfg.ec_k;
-        // Fetch the k data shards directly.
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; placement.len()];
-        let mut ds_rpcs = 0u32;
-        for s in 0..k {
-            shards[s] = self.get_shard_recovering(placement[s], ino, block, s);
-            ds_rpcs += 1;
-        }
-        if shards[..k].iter().any(|s| s.is_none()) {
-            if shards[..k].iter().all(|s| s.is_none()) {
+    /// Read one block's own `k + m` stripe, appending its bytes to the
+    /// empty `out`: `k` data-server RPCs when healthy, all `k + m` plus
+    /// a local reconstruct (and read-repair) when a data shard is lost.
+    fn read_stripe_into(
+        &self,
+        ino: u64,
+        block: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<OpTrace, DfsError> {
+        let backend = &self.backend;
+        let placement = backend.placement(ino, block);
+        let k = backend.cfg.ec_k;
+        // Fetch the k data shards directly, each straight into `out`.
+        let lost = placement[..k]
+            .iter()
+            .enumerate()
+            .position(|(s, &server)| !self.get_shard_recovering_into(server, ino, block, s, out));
+        let mut ds_rpcs = k as u32;
+        if let Some(first_lost) = lost {
+            // Degraded read: every shard in a buffer of its own (the shape
+            // `reconstruct` takes), rebuilt locally from any k of the k+m.
+            // Those already in `out` are equal-length pieces of it — one
+            // stripe is always written at one shard length.
+            let fetch = |s: usize| self.get_shard_recovering(placement[s], ino, block, s);
+            let shard_len = out.len().checked_div(first_lost).unwrap_or(0);
+            let mut shards: Vec<Option<Vec<u8>>> = (0..first_lost)
+                .map(|s| Some(out[s * shard_len..(s + 1) * shard_len].to_vec()))
+                .collect();
+            shards.push(None);
+            shards.extend((first_lost + 1..k).map(fetch));
+            if shards.iter().all(|s| s.is_none()) {
                 return Err(DfsError::NotFound);
             }
-            // Degraded read: pull parity shards and reconstruct locally
-            // from any k of the k+m shards.
-            for s in k..placement.len() {
-                shards[s] = self.get_shard_recovering(placement[s], ino, block, s);
-                ds_rpcs += 1;
-            }
+            shards.extend((k..placement.len()).map(fetch));
+            ds_rpcs = placement.len() as u32;
             let missing: Vec<usize> = (0..shards.len()).filter(|&s| shards[s].is_none()).collect();
-            self.backend
+            backend
                 .ec()
                 .reconstruct(&mut shards)
                 .map_err(|_| DfsError::Unrecoverable)?;
-            self.backend
+            backend
                 .recovery()
                 .reconstructions
                 .fetch_add(1, Ordering::Relaxed);
             // Read repair: push the rebuilt shards back to their homes so
             // the stripe heals (only counted when the put sticks; the
             // server may still be down).
-            if self.backend.faults_enabled() {
+            if backend.faults_enabled() {
                 for s in missing {
                     if let Some(data) = shards[s].as_ref() {
-                        if self
-                            .backend
+                        if backend
                             .data_server(placement[s])
                             .put_shard(ino, block, s, data)
                         {
-                            self.backend
-                                .recovery()
-                                .repairs
-                                .fetch_add(1, Ordering::Relaxed);
+                            backend.recovery().repairs.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
             }
-        }
-        let mut out = Vec::with_capacity(DFS_BLOCK);
-        for s in shards.into_iter().take(k) {
-            let shard = s.ok_or(DfsError::Unrecoverable)?;
-            out.extend_from_slice(&shard);
+            out.clear();
+            for shard in shards.into_iter().take(k) {
+                out.extend_from_slice(&shard.ok_or(DfsError::Unrecoverable)?);
+            }
         }
         out.truncate(DFS_BLOCK);
-        let n = out.len() as u64;
-        Ok((
-            out,
-            OpTrace {
-                ds_rpcs,
-                bytes_in: n,
-                ..Default::default()
-            },
-        ))
+        Ok(OpTrace {
+            ds_rpcs,
+            bytes_in: out.len() as u64,
+            ..Default::default()
+        })
     }
 
     // ---- extent data path (the offloaded flush pipeline's sink) --------
@@ -686,7 +742,11 @@ impl ClientCore {
                     }
                 }
                 if !ok[s] {
-                    self.queue_repair(placement[s], ino, key, s, shards[s].clone());
+                    Self::queue_repair(
+                        &mut self.pending_repair,
+                        &self.backend,
+                        (placement[s], ino, key, s, shards[s].clone()),
+                    );
                 }
             }
         }
@@ -737,7 +797,11 @@ impl ClientCore {
                     }
                 }
                 if !ok {
-                    self.queue_repair(server, ino, key, s, frame.clone());
+                    Self::queue_repair(
+                        &mut self.pending_repair,
+                        &self.backend,
+                        (server, ino, key, s, frame.clone()),
+                    );
                 }
             }
             if ok {
@@ -832,11 +896,12 @@ impl ClientCore {
             self.drain_repairs();
         }
         let mut trace = OpTrace::default();
-        for (ino, end) in std::mem::take(&mut self.pending_meta) {
-            let home = self.backend.home_mds_of_ino(ino);
-            retry_mds(&self.backend, || {
-                self.backend.mds_update_size(home, ino, end)
-            })?;
+        // `drain`, not `take`: the map keeps its capacity, so the write
+        // after a metadata flush allocates no more than any other.
+        let backend = &self.backend;
+        for (ino, end) in self.pending_meta.drain() {
+            let home = backend.home_mds_of_ino(ino);
+            retry_mds(backend, || backend.mds_update_size(home, ino, end))?;
             trace.mds_rpcs += 1;
         }
         self.batched = 0;

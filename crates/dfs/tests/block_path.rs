@@ -1,0 +1,173 @@
+//! The DFS client's block data path, driven through `ClientCore` against
+//! a live backend: what a healthy read or write costs in data-server
+//! RPCs, that `read_block` and `read_block_into` are one function, and
+//! that every integrity check still stands between a rotten shard and
+//! the caller.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use dpc_codec::frame_extent_into;
+use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, DFS_BLOCK};
+
+/// The flush pipeline's 4 KiB extent page: half a block.
+const EXTENT_PAGE: usize = DFS_BLOCK / 2;
+
+fn backend() -> Arc<DfsBackend> {
+    DfsBackend::new(DfsConfig::default())
+}
+
+fn block_bytes(tag: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| (i.wrapping_mul(2654435761).wrapping_add(tag * 97) >> 7) as u8)
+        .collect()
+}
+
+/// RPCs served by all data servers so far — the cells `dpc-e2e` sums
+/// into `backend_ops_per_op`.
+fn ds_rpcs(b: &DfsBackend) -> u64 {
+    (0..b.data_server_count())
+        .map(|i| b.data_server(i).rpcs.load(Ordering::Relaxed))
+        .sum()
+}
+
+#[test]
+fn healthy_block_io_costs_k_reads_and_k_plus_m_writes() {
+    let b = backend();
+    let (k, m) = (b.cfg.ec_k as u64, b.cfg.ec_m as u64);
+    let mut core = ClientCore::new(b.clone(), 1);
+    let (attr, _) = core.create(0, "f").unwrap();
+    let data = block_bytes(1, DFS_BLOCK);
+    let mut out = Vec::new();
+    for round in 0..3u64 {
+        // Round 0 inserts the shards, later rounds overwrite them in
+        // place: the same RPCs either way.
+        let before = ds_rpcs(&b);
+        let t = core.write_block(attr.ino, 5, &data).unwrap();
+        assert_eq!(ds_rpcs(&b) - before, k + m, "round {round}");
+        assert_eq!(t.ds_rpcs as u64, k + m);
+        assert_eq!(t.bytes_out, (k + m) * (DFS_BLOCK as u64 / k));
+
+        let before = ds_rpcs(&b);
+        let t = core.read_block_into(attr.ino, 5, &mut out).unwrap();
+        assert_eq!(ds_rpcs(&b) - before, k, "round {round}");
+        assert_eq!(t.ds_rpcs as u64, k);
+        assert_eq!(out, data);
+    }
+    let snap = b.recovery().snapshot();
+    assert_eq!(
+        (snap.crc_rejects, snap.reconstructions, snap.repairs),
+        (0, 0, 0)
+    );
+}
+
+/// CRC-frame `raw` and stripe it exactly as the flush pipeline does.
+fn seal(b: &DfsBackend, raw: &[u8]) -> Vec<Vec<u8>> {
+    let mut frame = Vec::new();
+    frame_extent_into(None, raw, b.cfg.ec_k as u8, b.cfg.ec_m as u8, &mut frame);
+    b.ec().encode_buffer(&frame).unwrap()
+}
+
+#[test]
+fn read_block_and_read_block_into_are_one_function() {
+    let b = backend();
+    let mut core = ClientCore::new(b.clone(), 1);
+    let (attr, _) = core.create(0, "f").unwrap();
+    let ino = attr.ino;
+    // Block 0 full, block 1 a partial tail, block 2 with only its second
+    // page covered by a flushed extent, block 3 never written, block 4
+    // below.
+    let full = block_bytes(2, DFS_BLOCK);
+    let tail = block_bytes(3, 5000);
+    let under = block_bytes(4, DFS_BLOCK);
+    let page = block_bytes(5, EXTENT_PAGE);
+    core.write_block(ino, 0, &full).unwrap();
+    core.write_block(ino, 1, &tail).unwrap();
+    core.write_block(ino, 2, &under).unwrap();
+    let shards = seal(&b, &page);
+    assert!(core.put_extent(ino, 5, 1, page.len() as u32, 4, 2, &shards));
+
+    // Block 4: first page covered by an extent, and a stripe that ends
+    // before the second page begins (this used to slice out of bounds).
+    core.write_block(ino, 4, &tail[..3000]).unwrap();
+    assert!(core.put_extent(ino, 8, 1, page.len() as u32, 4, 2, &shards));
+
+    let mut half = under.clone();
+    half[EXTENT_PAGE..].copy_from_slice(&page);
+    let mut short = page.clone();
+    short.resize(DFS_BLOCK, 0);
+    // A recycled buffer holding something else entirely: `into` replaces.
+    let mut out = vec![0xEEu8; 3 * DFS_BLOCK];
+    for (block, want) in [(0u64, &full), (1, &tail), (2, &half), (4, &short)] {
+        let (fresh, t_fresh) = core.read_block(ino, block).unwrap();
+        let t_into = core.read_block_into(ino, block, &mut out).unwrap();
+        assert_eq!(&fresh, want, "block {block}");
+        assert_eq!(out, fresh, "block {block}");
+        assert_eq!(t_into, t_fresh, "block {block}");
+    }
+    assert!(core.read_block(ino, 3).is_err());
+    assert!(core.read_block_into(ino, 3, &mut out).is_err());
+}
+
+#[test]
+fn rotten_shards_are_rejected_reconstructed_and_repaired() {
+    for rotten in [vec![1usize], vec![0, 3], vec![2, 4]] {
+        let b = backend();
+        b.enable_recovery();
+        let (k, m) = (b.cfg.ec_k as u64, b.cfg.ec_m as u64);
+        let mut core = ClientCore::new(b.clone(), 1);
+        let (attr, _) = core.create(0, "f").unwrap();
+        let data = block_bytes(6, DFS_BLOCK);
+        core.write_block(attr.ino, 0, &data).unwrap();
+        let placement = b.placement(attr.ino, 0).to_vec();
+        for &s in &rotten {
+            assert!(b.data_server(placement[s]).corrupt_shard(attr.ino, 0, s));
+        }
+        // (A rotten parity shard is only ever looked at by the degraded
+        // read a lost data shard forces: every set has a data shard.)
+        let n_rotten = rotten.len() as u64;
+        let mut out = Vec::new();
+        let before = ds_rpcs(&b);
+        let t = core.read_block_into(attr.ino, 0, &mut out).unwrap();
+        assert_eq!(out, data, "rotten {rotten:?}");
+        assert_eq!(t.ds_rpcs as u64, k + m, "degraded read pulled parity");
+        let snap = b.recovery().snapshot();
+        // With recovery engaged a refused get is reissued three times
+        // (`DS_RETRIES`), and each reissue meets the same bad checksum.
+        assert_eq!(snap.crc_rejects, 4 * n_rotten, "rotten {rotten:?}");
+        assert_eq!(snap.ds_retries, 3 * n_rotten);
+        assert_eq!(snap.reconstructions, 1);
+        assert_eq!(
+            snap.repairs,
+            rotten.len() as u64,
+            "read-repair rewrote them"
+        );
+        assert_eq!(
+            ds_rpcs(&b) - before,
+            // the reads, DS_RETRIES reissues per rejected shard, the repairs
+            k + m + 3 * rotten.len() as u64 + rotten.len() as u64
+        );
+        // Healed: the next read is a healthy one.
+        let before = ds_rpcs(&b);
+        let (again, t) = core.read_block(attr.ino, 0).unwrap();
+        assert_eq!(again, data);
+        assert_eq!((t.ds_rpcs as u64, ds_rpcs(&b) - before), (k, k));
+        assert_eq!(b.recovery().snapshot().crc_rejects, snap.crc_rejects);
+    }
+}
+
+#[test]
+fn a_block_that_does_not_fit_is_an_error_not_a_panic() {
+    let b = backend();
+    let mut core = ClientCore::new(b.clone(), 1);
+    let (attr, _) = core.create(0, "f").unwrap();
+    let before = ds_rpcs(&b);
+    assert!(core
+        .write_block(attr.ino, 0, &vec![0u8; DFS_BLOCK + 1])
+        .is_err());
+    assert!(core
+        .write_block(attr.ino, u64::MAX / 4096, &[0u8; 16])
+        .is_err());
+    assert_eq!(ds_rpcs(&b), before, "rejected before anything was sent");
+    core.write_block(attr.ino, 0, &[7u8; 16]).unwrap();
+}

@@ -1,0 +1,51 @@
+//! Steady-state allocation accounting for the DFS block data path.
+//!
+//! Claim under test: once the client's recycled stripe buffers, the
+//! caller's read buffer and the data servers' stored shards exist, a
+//! healthy `read_block_into` and an in-place overwrite `write_block` —
+//! lazy metadata flushes included — perform **zero** heap allocations.
+//!
+//! The counting allocator hook is per-binary and its counter is
+//! process-wide, which is why this is one test in a file of its own.
+
+use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, DFS_BLOCK};
+use dpc_pcie::alloc::{alloc_count, counting_enabled, CountingAllocator};
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+#[test]
+fn warm_block_reads_and_overwrites_allocate_nothing() {
+    assert!(
+        counting_enabled(),
+        "counting allocator must be installed in this binary"
+    );
+    const BLOCKS: u64 = 32;
+    let backend = DfsBackend::new(DfsConfig::default());
+    let mut core = ClientCore::new(backend, 1);
+    let (attr, _) = core.create(0, "f").unwrap();
+    let data: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 31 % 251) as u8).collect();
+    let mut out = Vec::new();
+    // Warm-up: first writes insert the shards and size every buffer; two
+    // passes so the lazy metadata batch has flushed at least once.
+    for _ in 0..2 {
+        for b in 0..BLOCKS {
+            core.write_block(attr.ino, b, &data).unwrap();
+            core.read_block_into(attr.ino, b, &mut out).unwrap();
+        }
+    }
+
+    let before = alloc_count();
+    for b in 0..BLOCKS {
+        core.read_block_into(attr.ino, b, &mut out).unwrap();
+    }
+    assert_eq!(alloc_count() - before, 0, "healthy reads allocated");
+    assert_eq!(out, data);
+
+    let before = alloc_count();
+    for b in 0..BLOCKS {
+        // 32 writes at `meta_batch` 16: two metadata flushes included.
+        core.write_block(attr.ino, b, &data).unwrap();
+    }
+    assert_eq!(alloc_count() - before, 0, "in-place overwrites allocated");
+}

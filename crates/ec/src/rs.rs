@@ -102,9 +102,10 @@ impl ReedSolomon {
         Self::check_lengths(shards)?;
         let (data, parity) = shards.split_at_mut(self.k);
         for (p, out) in parity.iter_mut().enumerate() {
-            let row = self.encode.row(self.k + p).to_vec();
-            out.fill(0);
-            for (d, coeff) in data.iter().zip(row) {
+            let row = self.encode.row(self.k + p);
+            // The first column overwrites, so `out` needs no zeroing pass.
+            gf256::mul_slice(row[0], &data[0], out);
+            for (d, &coeff) in data.iter().zip(row).skip(1) {
                 gf256::mul_acc_slice(coeff, d, out);
             }
         }
@@ -269,27 +270,73 @@ mod tests {
         assert_eq!(&shards[..4], &original[..]);
     }
 
+    /// Every subset of exactly `m` erased shards, as index bitmasks.
+    fn erasure_sets(n: usize, m: usize) -> impl Iterator<Item = u32> {
+        (0u32..1 << n).filter(move |mask| mask.count_ones() as usize == m)
+    }
+
     #[test]
     fn recovers_any_m_erasures() {
-        let rs = ReedSolomon::new(4, 2);
-        let mut shards = sample_shards(4, 2, 128);
-        rs.encode(&mut shards).unwrap();
-        // Every pair of erasures out of 6 shards.
-        for a in 0..6 {
-            for b in (a + 1)..6 {
-                let mut damaged: Vec<Option<Vec<u8>>> = shards.iter().cloned().map(Some).collect();
-                damaged[a] = None;
-                damaged[b] = None;
+        // 131 bytes: four AVX2 vectors plus a 3-byte portable tail.
+        for (k, m) in [(4usize, 2usize), (2, 1), (6, 3)] {
+            let rs = ReedSolomon::new(k, m);
+            let mut shards = sample_shards(k, m, 131);
+            rs.encode(&mut shards).unwrap();
+            for mask in erasure_sets(k + m, m) {
+                let mut damaged: Vec<Option<Vec<u8>>> = shards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (mask & (1 << i) == 0).then(|| s.clone()))
+                    .collect();
                 rs.reconstruct(&mut damaged).unwrap();
                 for (i, s) in damaged.iter().enumerate() {
                     assert_eq!(
                         s.as_ref().unwrap(),
                         &shards[i],
-                        "erasures ({a},{b}) shard {i}"
+                        "({k},{m}) erasures {mask:#b} shard {i}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn parity_bytes_are_pinned() {
+        // Stripes at rest were encoded by earlier builds: whatever kernel
+        // computes parity today must produce the very same bytes, or old
+        // stripes stop verifying and degraded reads decode garbage. The
+        // digests below were taken from the log/exp-table encoder this
+        // code replaced.
+        fn fnv(d: &[u8]) -> u64 {
+            d.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+            })
+        }
+        let input: Vec<u8> = (0..8192u32)
+            .map(|i| (i.wrapping_mul(131) ^ (i >> 8).wrapping_mul(29) ^ (i >> 3)) as u8)
+            .collect();
+        let shards = ReedSolomon::new(4, 2).encode_buffer(&input).unwrap();
+        assert_eq!(shards[..4].concat(), input, "systematic");
+        let (p, q) = (&shards[4], &shards[5]);
+        assert_eq!((p.len(), q.len()), (2048, 2048));
+        assert_eq!(
+            p[..16],
+            [
+                0x1b, 0x98, 0x1d, 0x92, 0x17, 0x94, 0x09, 0x8e, 0x02, 0x81, 0x04, 0xbb, 0x3e, 0xbd,
+                0x30, 0xb7
+            ]
+        );
+        assert_eq!(
+            q[..16],
+            [
+                0xd4, 0x57, 0xd2, 0x5d, 0xd8, 0x5b, 0xc6, 0x41, 0xcd, 0x4e, 0xcb, 0x74, 0xf1, 0x72,
+                0xff, 0x78
+            ]
+        );
+        assert_eq!(p[2040..], [0x15, 0x96, 0x13, 0x8c, 0x09, 0x8a, 0x07, 0x80]);
+        assert_eq!(q[2040..], [0x30, 0xb3, 0x36, 0xa9, 0x2c, 0xaf, 0x22, 0xa5]);
+        assert_eq!(fnv(p), 0x4465_d8b0_a080_4fa5);
+        assert_eq!(fnv(q), 0xa0af_c550_e959_c1e5);
     }
 
     #[test]

@@ -110,3 +110,39 @@ fn standalone_dpc_rejects_distributed_requests() {
     let err = fs.dfs_create(0, "x").unwrap_err();
     assert_eq!(err.errno(), 95 /* EOPNOTSUPP */);
 }
+
+#[test]
+fn dfs_oversize_and_overflowing_blocks_are_einval_not_a_dead_dpu() {
+    // An oversize block used to reach an `assert!` in the offloaded
+    // client and kill the `dpu-svc` thread (every later call then timed
+    // out); `block * 8192` used to overflow. Both are EINVAL, decided in
+    // the adapter before anything is encoded or crosses the link.
+    let dpc = dfs_dpc();
+    let fs = dpc.fs();
+    let ino = fs.dfs_create(0, "bounds").unwrap();
+    let crossings = dpc.pool_stats().submitted;
+    assert_eq!(
+        fs.dfs_write_block(ino, 0, &[0u8; 16384])
+            .unwrap_err()
+            .errno(),
+        22
+    );
+    for block in [1u64 << 51, u64::MAX] {
+        assert_eq!(
+            fs.dfs_write_block(ino, block, &[0u8; 8192])
+                .unwrap_err()
+                .errno(),
+            22
+        );
+        assert_eq!(fs.dfs_read_block(ino, block).unwrap_err().errno(), 22);
+    }
+    assert_eq!(dpc.pool_stats().submitted, crossings, "nothing crossed");
+    // The service thread is alive and serving. The highest block whose
+    // end offset still fits a u64 is a valid address.
+    let block = vec![9u8; 8192];
+    assert_eq!(fs.dfs_write_block(ino, 3, &block).unwrap(), 8192);
+    assert_eq!(fs.dfs_read_block(ino, 3).unwrap(), block);
+    let last = (1u64 << 51) - 2;
+    assert_eq!(fs.dfs_write_block(ino, last, &block).unwrap(), 8192);
+    assert_eq!(fs.dfs_read_block(ino, last).unwrap(), block);
+}
