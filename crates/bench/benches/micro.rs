@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::sync::Arc;
 
-use dpc_cache::{CacheConfig, FlushPipeline, HybridCache, PipelineConfig, PAGE_SIZE};
-use dpc_codec::{compress, crc32c};
+use dpc_cache::{CacheConfig, HybridCache, PAGE_SIZE};
+use dpc_codec::crc32c;
 use dpc_ec::{gf256, ReedSolomon};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
@@ -194,16 +194,6 @@ fn bench_codec(c: &mut Criterion) {
     let block = [page.as_slice(), page.as_slice()].concat();
     g.throughput(Throughput::Bytes(block.len() as u64));
     g.bench_function("crc32c_8k", |b| b.iter(|| crc32c(&block)));
-    g.throughput(Throughput::Bytes(PAGE_SIZE as u64));
-    g.bench_function("lz_compress_4k_structured", |b| b.iter(|| compress(&page)));
-    let mut pipeline = FlushPipeline::new(PipelineConfig::default());
-    g.bench_function("pipeline_seal_4k", |b| {
-        b.iter(|| pipeline.seal(1, 1, &page))
-    });
-    let env = FlushPipeline::new(PipelineConfig::default()).seal(1, 1, &page);
-    g.bench_function("pipeline_unseal_verify_4k", |b| {
-        b.iter(|| pipeline.unseal(1, 1, &env).unwrap())
-    });
     g.finish();
 }
 

@@ -14,7 +14,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod sweep;
 pub mod table;
 pub mod table2;
 

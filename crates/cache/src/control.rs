@@ -7,9 +7,8 @@
 //!
 //! - **Flush** (paper's back-end write path): periodically scan the meta
 //!   hash table, read-lock dirty pages, pull them to DPU DRAM by DMA,
-//!   perform back-end processing (EC, compression — supplied by the
-//!   [`FlushBackend`]), write them to disaggregated storage, then release
-//!   the locks and mark entries clean.
+//!   hand them to the [`FlushBackend`] to write to disaggregated
+//!   storage, then release the locks and mark entries clean.
 //! - **Replacement**: when the host fails to allocate in a bucket it
 //!   notifies the DPU, which evicts the least-recently-touched clean entry.
 //! - **Prefetch**: the dispatcher feeds the miss stream into the
@@ -30,7 +29,6 @@ use dpc_sim::CrashSwitch;
 use crate::host::{HybridCache, WriteError, WriteGuard};
 use crate::layout::{EntryStatus, FLAG_MARKER, FLAG_PREFETCHED, PAGE_SIZE};
 use crate::readahead::PrefetchJob;
-use crate::stages::ExtentPipeline;
 use crate::wal::{WalError, WalKind};
 
 /// Back-end sink for flushed dirty pages (the disaggregated store).
@@ -64,34 +62,6 @@ pub trait FlushBackend {
             p += 1;
         }
         true
-    }
-
-    /// Whether this backend can persist a *sealed* extent — the pipeline's
-    /// CRC-framed, EC-striped shard set — instead of raw page bytes. Off
-    /// by default: backends that must store raw bytes (the KVFS sink, test
-    /// closures) never see shards, and the control plane keeps feeding
-    /// them through [`try_flush_extent`](FlushBackend::try_flush_extent).
-    fn accepts_shards(&self) -> bool {
-        false
-    }
-
-    /// Persist one coalesced extent the pipeline has sealed into `shards`
-    /// (`k` data + `m` parity stripes of the CRC frame; a single frame
-    /// shard when `k == 1, m == 0`). `raw` still carries the plain bytes
-    /// so the default can fall back to the raw-extent path — a backend
-    /// overriding [`accepts_shards`](FlushBackend::accepts_shards) should
-    /// override this too and fan the shards as one batch.
-    fn try_flush_shards(
-        &mut self,
-        ino: u64,
-        lpn: u64,
-        raw: &[u8],
-        shards: &[Vec<u8>],
-        k: u8,
-        m: u8,
-    ) -> bool {
-        let _ = (shards, k, m);
-        self.try_flush_extent(ino, lpn, raw)
     }
 }
 
@@ -166,10 +136,6 @@ pub struct ControlPlane {
     extent_buf: Vec<u8>,
     /// Reusable list of read-locked entry indices for the current extent.
     extent_locks: Vec<usize>,
-    /// The staged seal (compress + EC encode) applied to each coalesced
-    /// extent before it goes to a shard-capable backend. `None` (the
-    /// default) keeps the raw-extent path byte-identical to PR 4.
-    pipeline: Option<ExtentPipeline>,
     /// Simulated DPU crash switch (DESIGN.md §13). Interior flush points
     /// draw it; once tripped every flush entry point returns 0 without
     /// touching the cache — the "DPU is dead" state recovery tests rely on.
@@ -184,7 +150,6 @@ impl ControlPlane {
             max_extent_pages: DEFAULT_EXTENT_PAGES,
             extent_buf: Vec::new(),
             extent_locks: Vec::new(),
-            pipeline: None,
             crash: None,
         }
     }
@@ -194,8 +159,7 @@ impl ControlPlane {
     }
 
     /// Attach the simulated DPU crash switch. Flush paths then draw it at
-    /// their interior injection points (mid-flush, between EC encode and
-    /// shard fanout) and go inert once it trips.
+    /// their interior injection point (mid-flush) and go inert once it trips.
     pub fn set_crash_switch(&mut self, crash: Option<Arc<CrashSwitch>>) {
         self.crash = crash;
     }
@@ -208,20 +172,6 @@ impl ControlPlane {
     /// the DPU just died at this point.
     fn check_crash(&self) -> bool {
         self.crash.as_ref().is_some_and(|c| c.check_crash())
-    }
-
-    /// Arm (or disarm) the staged flush pipeline. Armed, every coalesced
-    /// extent headed to a backend whose
-    /// [`accepts_shards`](FlushBackend::accepts_shards) is true is sealed
-    /// on this thread — compressed, CRC-framed, EC-encoded — and handed
-    /// over as one shard batch; all other backends (and `None`) keep the
-    /// raw [`try_flush_extent`](FlushBackend::try_flush_extent) path.
-    pub fn set_pipeline(&mut self, pipeline: Option<ExtentPipeline>) {
-        self.pipeline = pipeline;
-    }
-
-    pub fn pipeline(&self) -> Option<&ExtentPipeline> {
-        self.pipeline.as_ref()
     }
 
     /// One flush pass over the meta area: safely flush every dirty page
@@ -529,53 +479,15 @@ impl ControlPlane {
 
                 let run = locked.len();
                 let mut tries = 0;
-                let mut ok;
-                if let (Some(pipe), true) = (self.pipeline.as_mut(), backend.accepts_shards()) {
-                    // Staged path: seal once — compress + CRC-frame + EC
-                    // encode into k+m stripes — then fan all shards as one
-                    // batch. Retries reissue the already-sealed stripes;
-                    // the extent is never re-encoded in-pass.
-                    let (k, m) = (pipe.k(), pipe.m());
-                    let shards = pipe.seal(&buf, &self.cache.stats);
-                    // Injection point: the DPU dies between EC encode and
-                    // the shard fanout — nothing reached the backend, the
-                    // pages stay dirty and their intents stay live.
-                    if check_crash() {
-                        for &idx in locked.iter() {
-                            self.dma.record_atomic();
-                            self.cache.entries[idx].read_unlock();
-                        }
-                        self.extent_buf = buf;
-                        self.extent_locks = locked;
-                        return flushed;
-                    }
-                    ok = backend.try_flush_shards(ino, start_lpn, &buf, shards, k, m);
-                    while !ok && tries < FLUSH_RETRIES {
-                        tries += 1;
-                        self.cache
-                            .stats
-                            .flush_retries
-                            .fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(std::time::Duration::from_micros(50 << tries));
-                        ok = backend.try_flush_shards(ino, start_lpn, &buf, shards, k, m);
-                    }
-                    if ok {
-                        self.cache
-                            .stats
-                            .shard_batches
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
+                let mut ok = backend.try_flush_extent(ino, start_lpn, &buf);
+                while !ok && tries < FLUSH_RETRIES {
+                    tries += 1;
+                    self.cache
+                        .stats
+                        .flush_retries
+                        .fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(std::time::Duration::from_micros(50 << tries));
                     ok = backend.try_flush_extent(ino, start_lpn, &buf);
-                    while !ok && tries < FLUSH_RETRIES {
-                        tries += 1;
-                        self.cache
-                            .stats
-                            .flush_retries
-                            .fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(std::time::Duration::from_micros(50 << tries));
-                        ok = backend.try_flush_extent(ino, start_lpn, &buf);
-                    }
                 }
 
                 if ok && check_crash() {
@@ -1827,192 +1739,6 @@ mod tests {
         assert_eq!(cache.stats().flush_failures, 4);
         assert_eq!(cache.stats().extents_flushed, 0);
         // Backend recovers: the next pass drains all four, byte-exact.
-        sink.fail_next = 0;
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 4);
-        assert_eq!(cache.quarantined_pages(), 0);
-        sink.pages.sort();
-        assert_eq!(sink.pages.len(), 4);
-        for (k, (ino, lpn, page)) in sink.pages.iter().enumerate() {
-            assert_eq!((*ino, *lpn), (7, k as u64));
-            assert_eq!(page[0], k as u8 + 1);
-        }
-    }
-
-    /// One recorded shard batch: (ino, lpn, raw_len, shards, k, m).
-    type ShardBatch = (u64, u64, usize, Vec<Vec<u8>>, u8, u8);
-
-    /// A shard-capable sink: records sealed shard batches, falls back to
-    /// raw pages/extents for the legacy paths, and can refuse the next
-    /// `fail_next` shard batches.
-    struct ShardSink {
-        fail_next: usize,
-        batches: Vec<ShardBatch>,
-        extents: Vec<(u64, u64, Vec<u8>)>,
-        pages: Vec<(u64, u64, Vec<u8>)>,
-    }
-
-    impl ShardSink {
-        fn new() -> ShardSink {
-            ShardSink {
-                fail_next: 0,
-                batches: Vec::new(),
-                extents: Vec::new(),
-                pages: Vec::new(),
-            }
-        }
-
-        /// Decode batch `i` back to its raw extent bytes (concat the k
-        /// data stripes, unframe).
-        fn decode(&self, i: usize) -> Vec<u8> {
-            let (_, _, _, shards, k, _) = &self.batches[i];
-            let mut frame = Vec::new();
-            for s in &shards[..*k as usize] {
-                frame.extend_from_slice(s);
-            }
-            dpc_codec::unframe_extent(&frame).unwrap()
-        }
-    }
-
-    impl FlushBackend for ShardSink {
-        fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]) {
-            self.pages.push((ino, lpn, page.to_vec()));
-        }
-        fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-            self.extents.push((ino, lpn, data.to_vec()));
-            true
-        }
-        fn accepts_shards(&self) -> bool {
-            true
-        }
-        fn try_flush_shards(
-            &mut self,
-            ino: u64,
-            lpn: u64,
-            raw: &[u8],
-            shards: &[Vec<u8>],
-            k: u8,
-            m: u8,
-        ) -> bool {
-            if self.fail_next > 0 {
-                self.fail_next -= 1;
-                return false;
-            }
-            self.batches
-                .push((ino, lpn, raw.len(), shards.to_vec(), k, m));
-            true
-        }
-    }
-
-    #[test]
-    fn staged_flush_seals_extents_into_shard_batches() {
-        let (cache, mut cp, dma) = setup(256, 8);
-        cp.set_pipeline(Some(crate::stages::ExtentPipeline::new(
-            crate::stages::ExtentPipelineConfig::default(),
-        )));
-        for lpn in 0..5u64 {
-            dirty_page(&cache, 1, lpn, lpn as u8 + 1, PAGE_SIZE);
-        }
-        for lpn in 8..10u64 {
-            dirty_page(&cache, 1, lpn, 0xAA, PAGE_SIZE);
-        }
-        dirty_page(&cache, 2, 0, 0xBB, PAGE_SIZE);
-
-        let mut sink = ShardSink::new();
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 8);
-        assert_eq!(cache.dirty_pages(), 0);
-        assert!(sink.extents.is_empty(), "no raw extents on the staged path");
-        sink.batches.sort_by_key(|b| (b.0, b.1));
-        assert_eq!(sink.batches.len(), 3, "one batch per coalesced run");
-
-        // Each batch decodes byte-exactly back to its raw extent.
-        let (ino, lpn, raw_len, shards, k, m) = {
-            let b = &sink.batches[0];
-            (b.0, b.1, b.2, b.3.clone(), b.4, b.5)
-        };
-        assert_eq!((ino, lpn, raw_len, k, m), (1, 0, 5 * PAGE_SIZE, 4, 2));
-        assert_eq!(shards.len(), 6);
-        let raw = sink.decode(0);
-        for p in 0..5usize {
-            assert_eq!(raw[p * PAGE_SIZE], p as u8 + 1);
-        }
-        assert_eq!(sink.decode(1), vec![0xAA; 2 * PAGE_SIZE]);
-        assert_eq!(sink.decode(2), vec![0xBB; PAGE_SIZE]);
-
-        // Staging changes nothing about the lock/DMA discipline.
-        let d = dma.snapshot();
-        assert_eq!(d.atomics, 16);
-        assert_eq!(d.dma_ops, 8);
-
-        let s = cache.stats();
-        assert_eq!(s.pipe_extents, 3);
-        assert_eq!(s.shard_batches, 3);
-        assert_eq!(s.ec_encoded_extents, 3);
-        assert_eq!(s.pipe_bytes_in, 8 * PAGE_SIZE as u64);
-        // Uniform pages compress: the wire side beats raw even with parity.
-        assert_eq!(s.compressed_extents, 3);
-        assert!(s.pipe_bytes_out < s.pipe_bytes_in);
-        assert_eq!(s.extents_flushed, 3);
-        assert_eq!(s.flushes, 8);
-    }
-
-    #[test]
-    fn no_pipeline_keeps_raw_path_even_for_shard_capable_sinks() {
-        let (cache, mut cp, _) = setup(256, 8);
-        for lpn in 0..3u64 {
-            dirty_page(&cache, 1, lpn, 9, PAGE_SIZE);
-        }
-        let mut sink = ShardSink::new();
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 3);
-        assert!(sink.batches.is_empty());
-        assert_eq!(sink.extents.len(), 1, "raw coalesced extent");
-        let s = cache.stats();
-        assert_eq!(
-            (
-                s.pipe_extents,
-                s.pipe_bytes_in,
-                s.pipe_bytes_out,
-                s.shard_batches
-            ),
-            (0, 0, 0, 0)
-        );
-        assert_eq!(
-            (s.compressed_extents, s.compress_skips, s.compress_ns),
-            (0, 0, 0)
-        );
-        assert_eq!((s.ec_encoded_extents, s.ec_ns), (0, 0));
-    }
-
-    #[test]
-    fn shard_incapable_sink_bypasses_an_armed_pipeline() {
-        let (cache, mut cp, _) = setup(256, 8);
-        cp.set_pipeline(Some(crate::stages::ExtentPipeline::new(
-            crate::stages::ExtentPipelineConfig::default(),
-        )));
-        dirty_page(&cache, 3, 0, 6, PAGE_SIZE);
-        let mut sink = ExtentSink::new();
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
-        assert_eq!(sink.extents.len(), 1, "raw bytes for the raw-only sink");
-        assert_eq!(sink.extents[0].2, vec![6u8; PAGE_SIZE]);
-        assert_eq!(cache.stats().pipe_extents, 0, "pipeline never engaged");
-    }
-
-    #[test]
-    fn refused_shard_batch_quarantines_raw_pages() {
-        let (cache, mut cp, _) = setup(256, 8);
-        cp.set_pipeline(Some(crate::stages::ExtentPipeline::new(
-            crate::stages::ExtentPipelineConfig::default(),
-        )));
-        for lpn in 0..4u64 {
-            dirty_page(&cache, 7, lpn, lpn as u8 + 1, PAGE_SIZE);
-        }
-        let mut sink = ShardSink::new();
-        sink.fail_next = usize::MAX;
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
-        // NVLog discipline: what parks is the *raw* page bytes, so the
-        // per-page quarantine drain works against any backend.
-        assert_eq!(cache.quarantined_pages(), 4);
-        assert_eq!(cache.stats().shard_batches, 0);
-        assert_eq!(cache.stats().pipe_extents, 1, "sealed once, not per retry");
         sink.fail_next = 0;
         assert_eq!(cp.flush_extents(&mut sink, None, false), 4);
         assert_eq!(cache.quarantined_pages(), 0);

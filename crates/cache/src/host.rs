@@ -232,29 +232,6 @@ pub struct CacheStats {
     /// the control plane's flush/quarantine read locks are not counted —
     /// those never block readers under the seqlock scheme.
     pub read_locks: u64,
-    /// Coalesced extents sealed by the staged flush pipeline (compress +
-    /// EC encode on the flusher thread). Zero when the pipeline is off.
-    pub pipe_extents: u64,
-    /// Raw dirty bytes entering the flush pipeline.
-    pub pipe_bytes_in: u64,
-    /// Bytes handed to the backend after framing/compression/EC — the
-    /// wire-side cost of the pipeline's output.
-    pub pipe_bytes_out: u64,
-    /// Extents whose payload was stored compressed (the ratio gate paid).
-    pub compressed_extents: u64,
-    /// Extents the compressor gave up on (incompressible or the win was
-    /// below the ratio gate) — stored raw inside the frame.
-    pub compress_skips: u64,
-    /// Nanoseconds the flusher thread spent in the compress stage.
-    pub compress_ns: u64,
-    /// Extents EC-encoded whole into k+m stripes (extent-granular encode,
-    /// not per-block).
-    pub ec_encoded_extents: u64,
-    /// Nanoseconds the flusher thread spent in the EC-encode stage.
-    pub ec_ns: u64,
-    /// Sealed extents whose shards were fanned to the backend as one
-    /// vectored batch.
-    pub shard_batches: u64,
     /// Intent-log records appended (writes, truncates, checkpoints).
     /// All six `wal_*` counters are zero when no log is attached.
     pub wal_appends: u64,
@@ -296,15 +273,6 @@ pub(crate) struct StatsCells {
     pub(crate) meta_retries: AtomicU64,
     pub(crate) lock_fallbacks: AtomicU64,
     pub(crate) read_locks: AtomicU64,
-    pub(crate) pipe_extents: AtomicU64,
-    pub(crate) pipe_bytes_in: AtomicU64,
-    pub(crate) pipe_bytes_out: AtomicU64,
-    pub(crate) compressed_extents: AtomicU64,
-    pub(crate) compress_skips: AtomicU64,
-    pub(crate) compress_ns: AtomicU64,
-    pub(crate) ec_encoded_extents: AtomicU64,
-    pub(crate) ec_ns: AtomicU64,
-    pub(crate) shard_batches: AtomicU64,
 }
 
 impl StatsCells {
@@ -591,15 +559,6 @@ impl HybridCache {
             meta_retries: self.stats.meta_retries.load(Ordering::Relaxed),
             lock_fallbacks: self.stats.lock_fallbacks.load(Ordering::Relaxed),
             read_locks: self.stats.read_locks.load(Ordering::Relaxed),
-            pipe_extents: self.stats.pipe_extents.load(Ordering::Relaxed),
-            pipe_bytes_in: self.stats.pipe_bytes_in.load(Ordering::Relaxed),
-            pipe_bytes_out: self.stats.pipe_bytes_out.load(Ordering::Relaxed),
-            compressed_extents: self.stats.compressed_extents.load(Ordering::Relaxed),
-            compress_skips: self.stats.compress_skips.load(Ordering::Relaxed),
-            compress_ns: self.stats.compress_ns.load(Ordering::Relaxed),
-            ec_encoded_extents: self.stats.ec_encoded_extents.load(Ordering::Relaxed),
-            ec_ns: self.stats.ec_ns.load(Ordering::Relaxed),
-            shard_batches: self.stats.shard_batches.load(Ordering::Relaxed),
         }
     }
 

@@ -252,7 +252,7 @@ pub struct CacheConfig {
     /// Serve read hits through the lock-free seqlock meta plane
     /// (DESIGN.md §11). When false, readers fall back to the paper's
     /// literal per-entry read-lock protocol — kept as the comparison
-    /// baseline for `bench-pr6` and the equivalence proptest.
+    /// baseline for the equivalence proptest.
     pub meta_lockfree: bool,
 }
 

@@ -46,16 +46,12 @@ mod control;
 mod host;
 mod layout;
 mod meta;
-mod pipeline;
 mod readahead;
-mod stages;
 mod wal;
 
 pub use control::{ControlPlane, FlushBackend, ReadBackend, DEFAULT_EXTENT_PAGES};
 pub use host::{CacheStats, HybridCache, ReadHint, ReadRef, WriteError, WriteGuard};
 pub use layout::{CacheConfig, CacheEntry, CacheHeader, EntryStatus, LockState, PAGE_SIZE};
 pub use meta::{MetaAttr, MetaCache, MetaConfig, MetaDirent, MetaStats, NameLookup};
-pub use pipeline::{FlushPipeline, PipelineConfig, PipelineStats, UnsealError};
 pub use readahead::{PrefetchJob, PrefetchQueue, RaConfig, RaWindow, ReadaheadTable};
-pub use stages::{ExtentPipeline, ExtentPipelineConfig};
 pub use wal::{IntentLog, WalError, WalKind, WalRecord, WalScan, WalStats, REC_HEADER, WAL_HEADER};

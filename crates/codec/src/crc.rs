@@ -6,10 +6,10 @@
 //! with SSE4.2 the `crc32` instruction — which implements exactly this
 //! polynomial — folds eight bytes per step; everywhere else a portable
 //! slice-by-8 table kernel does. [`update`] picks between them from the
-//! CPU's feature bits, which `std` probes once and caches. Every shard,
-//! extent frame and WAL record on the DFS data path is checksummed
-//! through here, so this is per-byte work on the DPU's cores: it has to
-//! run at memory speed, not at a table lookup per byte.
+//! CPU's feature bits, which `std` probes once and caches. Every DFS
+//! shard and every WAL record is checksummed through here, so this is
+//! per-byte work on the DPU's cores: it has to run at memory speed, not
+//! at a table lookup per byte.
 
 const POLY: u32 = 0x82F6_3B78;
 
@@ -108,72 +108,6 @@ unsafe fn update_sse42(state: u32, data: &[u8]) -> u32 {
     }
     crc
 }
-
-/// A 8-byte DIF-style protection tag for one page: guard (CRC32C) +
-/// application tag (here: the low bits of the LPN, catching misdirected
-/// writes).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct DifTag {
-    pub guard: u32,
-    pub app_tag: u32,
-}
-
-impl DifTag {
-    /// Compute the tag for a page about to be flushed.
-    pub fn compute(ino: u64, lpn: u64, page: &[u8]) -> DifTag {
-        DifTag {
-            guard: crc32c(page),
-            app_tag: ((ino as u32) << 16) ^ (lpn as u32),
-        }
-    }
-
-    /// Verify a page read back from storage.
-    pub fn verify(&self, ino: u64, lpn: u64, page: &[u8]) -> Result<(), DifError> {
-        let expect = DifTag::compute(ino, lpn, page);
-        if expect.app_tag != self.app_tag {
-            return Err(DifError::Misdirected);
-        }
-        if expect.guard != self.guard {
-            return Err(DifError::GuardMismatch);
-        }
-        Ok(())
-    }
-
-    pub fn to_bytes(&self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[..4].copy_from_slice(&self.guard.to_le_bytes());
-        out[4..].copy_from_slice(&self.app_tag.to_le_bytes());
-        out
-    }
-
-    pub fn from_bytes(b: &[u8; 8]) -> DifTag {
-        DifTag {
-            guard: u32::from_le_bytes(b[..4].try_into().unwrap()),
-            app_tag: u32::from_le_bytes(b[4..].try_into().unwrap()),
-        }
-    }
-}
-
-/// Data-integrity verification failures.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum DifError {
-    /// The guard CRC does not match: data corrupted at rest or in flight.
-    GuardMismatch,
-    /// The application tag does not match: the right data for the wrong
-    /// block (misdirected/lost write).
-    Misdirected,
-}
-
-impl core::fmt::Display for DifError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            DifError::GuardMismatch => write!(f, "DIF guard (CRC32C) mismatch"),
-            DifError::Misdirected => write!(f, "DIF application tag mismatch (misdirected write)"),
-        }
-    }
-}
-
-impl std::error::Error for DifError {}
 
 #[cfg(test)]
 mod tests {
@@ -278,32 +212,5 @@ mod tests {
                 assert_eq!(st, whole, "{name} split {split}");
             }
         }
-    }
-
-    #[test]
-    fn single_bit_flip_detected() {
-        let mut page = vec![0xA5u8; 4096];
-        let tag = DifTag::compute(7, 42, &page);
-        tag.verify(7, 42, &page).unwrap();
-        page[1000] ^= 0x10;
-        assert_eq!(tag.verify(7, 42, &page), Err(DifError::GuardMismatch));
-    }
-
-    #[test]
-    fn misdirected_write_detected() {
-        let page = vec![0xA5u8; 4096];
-        let tag = DifTag::compute(7, 42, &page);
-        // Same bytes read back from the wrong block.
-        assert_eq!(tag.verify(7, 43, &page), Err(DifError::Misdirected));
-        assert_eq!(tag.verify(8, 42, &page), Err(DifError::Misdirected));
-    }
-
-    #[test]
-    fn tag_round_trips() {
-        let t = DifTag {
-            guard: 0xDEAD_BEEF,
-            app_tag: 0x1234_5678,
-        };
-        assert_eq!(DifTag::from_bytes(&t.to_bytes()), t);
     }
 }

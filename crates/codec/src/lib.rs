@@ -1,31 +1,14 @@
-//! # dpc-codec — flush-path data processing
+//! # dpc-codec — data-integrity checksums
 //!
-//! §3.3 of the paper: when the DPU control plane flushes dirty pages it
-//! "performs relevant computing operations (e.g., compression, DIF, EC,
-//! etc.) as needed (this step can be accelerated by hardware)". EC lives
-//! in `dpc-ec`; this crate supplies the other two, from scratch:
+//! [`crc32c`] / [`crc32c_update`]: the CRC32C (Castagnoli) guard every
+//! DFS shard and every WAL record carries, computed with the `crc32`
+//! instruction where the CPU has it (DESIGN.md §16).
 //!
-//! - [`crc32c`] / [`DifTag`] — CRC32C guard + application tags in the
-//!   style of NVMe end-to-end data protection, catching both corruption
-//!   and misdirected writes;
-//! - [`compress`] / [`decompress`] — an LZ77-family page compressor with
-//!   a 4 KiB window, returning `None` for incompressible blocks (stored
-//!   raw, as storage stacks do).
-//!
-//! - [`frame_extent_into`] / [`unframe_extent`] — the self-describing
-//!   CRC-framed extent container the PR 7 flush pipeline seals before
-//!   EC striping (compress-if-it-pays, stored-raw otherwise).
-//!
-//! `dpc-cache`'s [`FlushPipeline`](../dpc_cache) wires both into the
-//! hybrid cache's flush pass.
+//! §3.3 of the paper lists "compression, DIF, EC" as flush-time compute
+//! "as needed". EC lives in `dpc-ec` and runs in the offloaded DFS
+//! client; compression and DIF tags on flush are a stated divergence
+//! (DESIGN.md §12) and are not implemented here.
 
 mod crc;
-mod extent;
-mod lz;
 
-pub use crc::{crc32c, update as crc32c_update, DifError, DifTag};
-pub use extent::{
-    extent_frame_geometry, frame_extent_into, unframe_extent, ExtentFrameError, ExtentFrameInfo,
-    EXTENT_HEADER_LEN, EXTENT_MAGIC,
-};
-pub use lz::{compress, decompress, Compressor, CorruptStream};
+pub use crc::{crc32c, update as crc32c_update};

@@ -148,82 +148,6 @@ impl FlushBackend for KvfsFlush<'_> {
     }
 }
 
-/// Cache-flush sink over the offloaded DFS client — the staged flush
-/// pipeline's natural backend. A sealed extent (compressed, CRC-framed
-/// and EC-striped by the control plane) fans out as ONE shard batch per
-/// extent ([`ClientCore::put_extent`]); without an armed pipeline, and on
-/// the per-page quarantine path, raw bytes go out plain-replicated
-/// ([`ClientCore::put_extent_plain`]) — the equivalence baseline the
-/// `flush_ec`/`flush_compress` knobs toggle against.
-///
-/// One fault-site draw per extent attempt ("cache.flush"), mirroring
-/// [`KvfsFlush`]: a refused extent fails whole and the control plane
-/// quarantines every page of it.
-pub struct DfsFlush<'a> {
-    pub core: &'a mut ClientCore,
-    pub fault: Option<&'a Arc<FaultSite>>,
-}
-
-impl DfsFlush<'_> {
-    fn faulted(&self) -> bool {
-        self.fault.as_ref().is_some_and(|site| site.fires())
-    }
-
-    fn pages_of(raw: &[u8]) -> u32 {
-        raw.len().div_ceil(dpc_cache::PAGE_SIZE).max(1) as u32
-    }
-}
-
-impl FlushBackend for DfsFlush<'_> {
-    fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]) {
-        let _ = self.try_flush(ino, lpn, page);
-    }
-
-    fn try_flush(&mut self, ino: u64, lpn: u64, page: &[u8]) -> bool {
-        // Quarantine drains arrive page-wise with raw bytes: each page
-        // becomes its own (replicated) single-page extent.
-        if self.faulted() {
-            return false;
-        }
-        self.core.put_extent_plain(ino, lpn, 1, page)
-    }
-
-    fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-        if self.faulted() {
-            return false;
-        }
-        self.core
-            .put_extent_plain(ino, lpn, Self::pages_of(data), data)
-    }
-
-    fn accepts_shards(&self) -> bool {
-        true
-    }
-
-    fn try_flush_shards(
-        &mut self,
-        ino: u64,
-        lpn: u64,
-        raw: &[u8],
-        shards: &[Vec<u8>],
-        k: u8,
-        m: u8,
-    ) -> bool {
-        if self.faulted() {
-            return false;
-        }
-        self.core.put_extent(
-            ino,
-            lpn,
-            Self::pages_of(raw),
-            raw.len() as u32,
-            k,
-            m,
-            shards,
-        )
-    }
-}
-
 /// The prefetcher's page source: background window fills read from KVFS.
 /// Sequential windows go through the vectored [`Kvfs::read_extent`] so
 /// consecutive pages sharing an 8 KiB block cost one KV read, not two.

@@ -42,7 +42,7 @@ pub struct DpcConfig {
     pub cache_bucket_entries: usize,
     /// Serve cache read hits through the lock-free seqlock meta plane
     /// (DESIGN.md §11). Off = the paper's literal per-entry read-lock
-    /// protocol, kept as the `bench-pr6` comparison baseline.
+    /// protocol.
     pub cache_lockfree: bool,
     /// Default I/O mode of handed-out adapters.
     pub io_mode: IoMode,
@@ -77,15 +77,6 @@ pub struct DpcConfig {
     /// `fsync` only waits for the residual.
     pub flush_low_watermark: f64,
     pub flush_high_watermark: f64,
-    /// Stage the flush pipeline's extent-granular EC encode: coalesced
-    /// extents are CRC-framed and striped k+m (the DFS geometry) on the
-    /// flusher thread, then fanned to shard-capable backends as one batch
-    /// per extent. Off = plain replication, the equivalence baseline.
-    /// Backends that only take raw bytes (KVFS) are unaffected either way.
-    pub flush_ec: bool,
-    /// Stage the flush pipeline's cold-extent compression
-    /// (skip-if-incompressible ratio gate; composes with `flush_ec`).
-    pub flush_compress: bool,
     /// Also stand up a DFS backend and offload its client (Distributed
     /// dispatch). None = standalone-only DPC.
     pub dfs: Option<DfsConfig>,
@@ -154,8 +145,6 @@ impl Default for DpcConfig {
             flush_extent_pages: dpc_cache::DEFAULT_EXTENT_PAGES,
             flush_low_watermark: 0.25,
             flush_high_watermark: 0.75,
-            flush_ec: false,
-            flush_compress: false,
             wal: false,
             wal_bytes: 4 << 20,
             meta_cache: false,
@@ -168,6 +157,55 @@ impl Default for DpcConfig {
             faults: None,
             zero_copy: false,
         }
+    }
+}
+
+/// A [`DpcConfig`] value no instance can run with, named by field.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct ConfigError {
+    pub field: &'static str,
+    pub reason: &'static str,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid DpcConfig::{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl DpcConfig {
+    /// Reject sizing the substrate crates would otherwise panic on (or
+    /// silently misbehave with) long after construction.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let err = |field, reason| Err(ConfigError { field, reason });
+        if self.queues == 0 {
+            return err("queues", "must be at least 1");
+        }
+        if self.queue_depth < 2 {
+            return err("queue_depth", "must be at least 2");
+        }
+        if self.cache_bucket_entries == 0 {
+            return err("cache_bucket_entries", "must be at least 1");
+        }
+        if self.cache_pages == 0 {
+            return err("cache_pages", "must be at least 1");
+        }
+        if !self.cache_pages.is_multiple_of(self.cache_bucket_entries) {
+            return err("cache_pages", "must be a multiple of cache_bucket_entries");
+        }
+        let (low, high) = (self.flush_low_watermark, self.flush_high_watermark);
+        if low.is_nan() || high.is_nan() || low > high {
+            return err(
+                "flush_low_watermark",
+                "must not exceed flush_high_watermark",
+            );
+        }
+        if !(0.0..=1.0).contains(&self.ra_throttle_free) {
+            return err("ra_throttle_free", "must be a fraction in 0.0..=1.0");
+        }
+        Ok(())
     }
 }
 
@@ -205,8 +243,16 @@ pub struct Dpc {
 }
 
 impl Dpc {
+    /// Bring up an instance; panics with the [`ConfigError`] message on a
+    /// config [`DpcConfig::validate`] rejects (see [`Dpc::try_new`]).
     pub fn new(cfg: DpcConfig) -> Dpc {
         Self::build(cfg, None, None)
+    }
+
+    /// [`Dpc::new`] that hands an invalid config back as an error, before
+    /// any thread is spawned.
+    pub fn try_new(cfg: DpcConfig) -> Result<Dpc, ConfigError> {
+        Self::build_with_wal(cfg, None, None, None)
     }
 
     /// Bring up a DPC instance against *shared* disaggregated storage: an
@@ -245,7 +291,8 @@ impl Dpc {
             Some(kv_store),
             dfs_backend,
             Some((region, scan.epoch.wrapping_add(1).max(1))),
-        );
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         let log = dpc.wal.clone().expect("recover builds with wal on");
         DpuRuntime::recover(&dpc.cache, &dpc.kvfs, dpc.dma.clone(), &log, scan);
         dpc
@@ -256,7 +303,7 @@ impl Dpc {
         kv_store: Option<Arc<KvStore>>,
         shared_dfs: Option<Arc<DfsBackend>>,
     ) -> Dpc {
-        Self::build_with_wal(cfg, kv_store, shared_dfs, None)
+        Self::build_with_wal(cfg, kv_store, shared_dfs, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn build_with_wal(
@@ -264,7 +311,8 @@ impl Dpc {
         kv_store: Option<Arc<KvStore>>,
         shared_dfs: Option<Arc<DfsBackend>>,
         wal_region: Option<(HostRegion, u32)>,
-    ) -> Dpc {
+    ) -> Result<Dpc, ConfigError> {
+        cfg.validate()?;
         let dma = DmaEngine::new();
         let cache = Arc::new(HybridCache::new(CacheConfig {
             pages: cfg.cache_pages,
@@ -315,25 +363,6 @@ impl Dpc {
         );
 
         let flush_fault = cfg.faults.as_ref().map(|p| p.site("cache.flush"));
-        // Staged flush pipeline (PR 7): armed on every flush-capable
-        // control plane when either knob is on. It only engages against
-        // shard-capable sinks; the KVFS sink keeps raw bytes, so with
-        // both knobs off (or standalone KVFS flushes) every pipeline
-        // counter stays provably zero.
-        let pipeline_cfg = (cfg.flush_ec || cfg.flush_compress).then(|| {
-            let (k, m) = cfg.dfs.as_ref().map(|d| (d.ec_k, d.ec_m)).unwrap_or((4, 2));
-            dpc_cache::ExtentPipelineConfig {
-                ec: cfg.flush_ec,
-                k,
-                m,
-                compress: cfg.flush_compress,
-            }
-        });
-        let arm = |control: &mut ControlPlane| {
-            if let Some(pc) = pipeline_cfg {
-                control.set_pipeline(Some(dpc_cache::ExtentPipeline::new(pc)));
-            }
-        };
         // One readahead table + job queue shared by every service thread
         // (a stream's reads may land on any queue; the state must follow
         // the inode, not the queue).
@@ -358,7 +387,6 @@ impl Dpc {
                 let mut control = ControlPlane::new(cache.clone(), dma.clone());
                 control.max_extent_pages = cfg.flush_extent_pages.max(1);
                 control.set_crash_switch(Some(crash.clone()));
-                arm(&mut control);
                 let mut dispatcher = Dispatcher::new(
                     kvfs.clone(),
                     control,
@@ -379,7 +407,6 @@ impl Dpc {
             let mut control = ControlPlane::new(cache.clone(), dma.clone());
             control.max_extent_pages = cfg.flush_extent_pages.max(1);
             control.set_crash_switch(Some(crash.clone()));
-            arm(&mut control);
             Some(FlusherConfig {
                 control,
                 kvfs: kvfs.clone(),
@@ -417,7 +444,7 @@ impl Dpc {
             }))
         });
 
-        Dpc {
+        Ok(Dpc {
             cfg,
             dma,
             cache,
@@ -430,7 +457,7 @@ impl Dpc {
             wal,
             meta,
             sizes: Arc::new(InodeSizes::new()),
-        }
+        })
     }
 
     /// Wait until the background prefetcher has drained every queued
@@ -590,5 +617,59 @@ impl Dpc {
                 quarantined: self.cache.quarantined_pages() as u64,
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bad_configs_are_named_before_anything_is_built() {
+        type Case = (fn(&mut DpcConfig), &'static str);
+        let cases: [Case; 9] = [
+            (|c| c.cache_pages = 0, "cache_pages"),
+            (|c| c.cache_pages = 3, "cache_pages"),
+            (|c| c.cache_bucket_entries = 0, "cache_bucket_entries"),
+            (|c| c.queues = 0, "queues"),
+            (|c| c.queue_depth = 0, "queue_depth"),
+            (|c| c.queue_depth = 1, "queue_depth"),
+            (
+                |c| (c.flush_low_watermark, c.flush_high_watermark) = (0.8, 0.2),
+                "flush_low_watermark",
+            ),
+            (|c| c.ra_throttle_free = f64::NAN, "ra_throttle_free"),
+            (|c| c.ra_throttle_free = 2.0, "ra_throttle_free"),
+        ];
+        for (mutate, field) in cases {
+            let mut cfg = DpcConfig::default();
+            mutate(&mut cfg);
+            assert_eq!(cfg.validate().unwrap_err().field, field, "{cfg:?}");
+            let e = Dpc::try_new(cfg).err().expect("try_new must refuse");
+            assert_eq!(e.field, field);
+            assert!(e.to_string().contains(field));
+        }
+    }
+
+    #[test]
+    fn shipped_configs_validate() {
+        assert_eq!(DpcConfig::default().validate(), Ok(()));
+        // What `dpc-e2e` runs every workload at.
+        let e2e = DpcConfig {
+            queues: 1,
+            cache_pages: 4096,
+            dfs: Some(DfsConfig::default()),
+            ..DpcConfig::default()
+        };
+        assert_eq!(e2e.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DpcConfig::cache_pages")]
+    fn new_panics_with_the_named_error() {
+        let _ = Dpc::new(DpcConfig {
+            cache_pages: 0,
+            ..DpcConfig::default()
+        });
     }
 }

@@ -31,7 +31,7 @@ mod runtime;
 
 pub use adapter::{DpcError, DpcFs, Fd, FsyncMode, IoMode};
 pub use config::{DpuSpec, HostCpu, SoftwareCosts, Testbed};
-pub use dispatch::{DfsFlush, Dispatcher, FSYNC_ALL};
-pub use dpc::{Dpc, DpcConfig};
+pub use dispatch::{Dispatcher, FSYNC_ALL};
+pub use dpc::{ConfigError, Dpc, DpcConfig};
 pub use metrics::{MetricsSnapshot, RecoverySnapshot};
 pub use runtime::{DpuRuntime, RuntimeShared};

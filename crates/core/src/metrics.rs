@@ -203,21 +203,6 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "flush pipeline: {} extents sealed ({} B in / {} B out), \
-             {} compressed / {} skips ({} ns), {} ec-encoded ({} ns), \
-             {} shard batches",
-            c.pipe_extents,
-            c.pipe_bytes_in,
-            c.pipe_bytes_out,
-            c.compressed_extents,
-            c.compress_skips,
-            c.compress_ns,
-            c.ec_encoded_extents,
-            c.ec_ns,
-            c.shard_batches
-        )?;
-        writeln!(
-            f,
             "wal: {} appends ({} B), {} checkpoints, {} replayed, \
              {} torn drops, {} stalls",
             c.wal_appends,
@@ -326,7 +311,6 @@ mod tests {
             "hybrid cache:",
             "write-back:",
             "readahead:",
-            "flush pipeline:",
             "wal:",
             "meta cache:",
             "kvfs:",

@@ -21,19 +21,6 @@ use parking_lot::RwLock;
 /// Data is striped and erasure-coded at this granularity.
 pub const DFS_BLOCK: usize = 8192;
 
-/// The flush pipeline's extent records are tracked at cache-page
-/// granularity (4 KiB), half a [`DFS_BLOCK`].
-pub const EXTENT_PAGE: usize = 4096;
-
-/// Extent pages per [`DFS_BLOCK`].
-pub const PAGES_PER_BLOCK: usize = DFS_BLOCK / EXTENT_PAGE;
-
-/// High bit tagging the block-number namespace used for extent stripes:
-/// stripe storage keys are `(ino, EXTENT_BLOCK_TAG | extent_id, shard)`,
-/// which can never collide with a real block number (blocks are byte
-/// offsets / 8 KiB, far below 2^63).
-pub const EXTENT_BLOCK_TAG: u64 = 1 << 63;
-
 /// Minimal file attributes tracked by the MDS.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct DfsAttr {
@@ -196,9 +183,6 @@ pub struct DataServer {
     /// fires, the RPC is refused even though the server is otherwise up.
     fault: RwLock<Option<Arc<FaultSite>>>,
     pub rpcs: AtomicU64,
-    /// Payload bytes received on the write path (wire-byte accounting;
-    /// counted on arrival, whether or not the write was accepted).
-    pub ingress_bytes: AtomicU64,
     /// Shared with [`DfsRecoveryStats::crc_rejects`]: shards whose
     /// stored checksum no longer matched on read.
     recovery: Arc<DfsRecoveryStats>,
@@ -212,7 +196,6 @@ impl DataServer {
             failed: std::sync::atomic::AtomicBool::new(false),
             fault: RwLock::new(None),
             rpcs: AtomicU64::new(0),
-            ingress_bytes: AtomicU64::new(0),
             recovery,
         }
     }
@@ -234,30 +217,11 @@ impl DataServer {
     /// shard is NOT stored.
     pub fn put_shard(&self, ino: u64, block: u64, shard: usize, data: &[u8]) -> bool {
         self.rpcs.fetch_add(1, Ordering::Relaxed);
-        self.ingress_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         if self.refuses() {
             return false;
         }
         let crc = crc32c(data);
         store(&mut self.shards.write(), (ino, block, shard), data, crc);
-        true
-    }
-
-    /// Store several shards in ONE RPC — the net-side mirror of PR 1's
-    /// `submit_many` one-doorbell idiom. One `rpcs` tick, one fault
-    /// draw, all-or-nothing: a refused batch stores none of its shards.
-    pub fn put_shards_batch(&self, puts: &[(u64, u64, usize, &[u8])]) -> bool {
-        self.rpcs.fetch_add(1, Ordering::Relaxed);
-        let bytes: u64 = puts.iter().map(|(_, _, _, d)| d.len() as u64).sum();
-        self.ingress_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if self.refuses() {
-            return false;
-        }
-        let mut shards = self.shards.write();
-        for &(ino, block, shard, data) in puts {
-            store(&mut shards, (ino, block, shard), data, crc32c(data));
-        }
         true
     }
 
@@ -401,37 +365,6 @@ impl DfsRecoveryStats {
     }
 }
 
-/// One published extent from the offloaded flush pipeline: a coalesced
-/// run of 4 KiB cache pages sealed into a CRC frame and striped `k+m`
-/// (or replicated `m + 1` plain frames when `k == 1`). Stripes live in
-/// the ordinary shard store under `(ino, EXTENT_BLOCK_TAG | id, s)`;
-/// this record is the per-page index that maps reads back to the newest
-/// covering extent.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct ExtentRecord {
-    /// Globally unique extent id (monotonic; fresh id per flush, so a
-    /// re-flush of the same pages never overwrites live stripes).
-    pub id: u64,
-    pub ino: u64,
-    /// First 4 KiB page covered.
-    pub start_lpn: u64,
-    /// Pages covered.
-    pub pages: u32,
-    /// Raw (pre-frame, pre-compression) extent length in bytes.
-    pub raw_len: u32,
-    /// Data stripes (1 ⇒ replicated whole frames).
-    pub k: u8,
-    /// Parity stripes (for `k == 1`: replica count − 1).
-    pub m: u8,
-}
-
-impl ExtentRecord {
-    /// The block-namespace key this extent's stripes are stored under.
-    pub fn block_key(&self) -> u64 {
-        EXTENT_BLOCK_TAG | self.id
-    }
-}
-
 /// The whole backend cluster.
 pub struct DfsBackend {
     pub cfg: DfsConfig,
@@ -448,18 +381,11 @@ pub struct DfsBackend {
     /// exactly zero on a healthy run.
     faults_on: std::sync::atomic::AtomicBool,
     recovery: Arc<DfsRecoveryStats>,
-    /// Extent-id allocator for the flush pipeline's stripe namespace.
-    extent_seq: AtomicU64,
-    /// `(ino, lpn)` → newest extent covering that 4 KiB page.
-    extents: RwLock<HashMap<(u64, u64), ExtentRecord>>,
     /// `ring[i] = i % data_servers.len()`, long enough that the servers
     /// of any stripe are one contiguous slice of it: placements are
     /// borrowed from here instead of collected per call.
     ring: Vec<usize>,
 }
-
-/// The widest stripe an [`ExtentRecord`] can name (`k` and `m` are bytes).
-const MAX_STRIPE: usize = 2 * u8::MAX as usize;
 
 impl DfsBackend {
     pub fn new(cfg: DfsConfig) -> Arc<DfsBackend> {
@@ -481,9 +407,7 @@ impl DfsBackend {
             mds_fault: RwLock::new(None),
             faults_on: std::sync::atomic::AtomicBool::new(false),
             recovery,
-            extent_seq: AtomicU64::new(0),
-            extents: RwLock::new(HashMap::new()),
-            ring: (0..cfg.data_server_count + MAX_STRIPE)
+            ring: (0..cfg.data_server_count + cfg.ec_k + cfg.ec_m)
                 .map(|i| i % cfg.data_server_count)
                 .collect(),
             cfg,
@@ -568,140 +492,8 @@ impl DfsBackend {
     /// The data servers hosting block `block` of `ino`, one per EC shard
     /// (rotated by block number for balance).
     pub fn placement(&self, ino: u64, block: u64) -> &[usize] {
-        self.stripe_servers(ino, block, self.cfg.ec_k + self.cfg.ec_m)
-    }
-
-    /// `width` consecutive servers starting at the one `(ino, block_key)`
-    /// hashes to.
-    fn stripe_servers(&self, ino: u64, block_key: u64, width: usize) -> &[usize] {
-        let base = (hash64(ino, block_key) % self.data_servers.len() as u64) as usize;
-        &self.ring[base..base + width]
-    }
-
-    /// Total payload bytes received by all data servers on the write
-    /// path — the "wire bytes" side of the flush pipeline's
-    /// wire-bytes-per-flushed-byte metric.
-    pub fn total_ingress_bytes(&self) -> u64 {
-        self.data_servers
-            .iter()
-            .map(|ds| ds.ingress_bytes.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    // ---- extent registry (offloaded flush pipeline) --------------------
-
-    /// Allocate a fresh extent record covering
-    /// `[start_lpn, start_lpn + pages)` of `ino` — id reserved, nothing
-    /// published yet. Callers store the stripes under
-    /// [`ExtentRecord::block_key`] first and
-    /// [`publish_record`](DfsBackend::publish_record) only once enough
-    /// stripes landed, so readers never see a half-stored extent.
-    pub fn alloc_extent(
-        &self,
-        ino: u64,
-        start_lpn: u64,
-        pages: u32,
-        raw_len: u32,
-        k: u8,
-        m: u8,
-    ) -> ExtentRecord {
-        ExtentRecord {
-            id: self.extent_seq.fetch_add(1, Ordering::Relaxed) + 1,
-            ino,
-            start_lpn,
-            pages,
-            raw_len,
-            k,
-            m,
-        }
-    }
-
-    /// Make `rec` the newest extent for every page it covers.
-    pub fn publish_record(&self, rec: &ExtentRecord) {
-        let mut extents = self.extents.write();
-        for p in 0..rec.pages as u64 {
-            extents.insert((rec.ino, rec.start_lpn + p), *rec);
-        }
-    }
-
-    /// [`alloc_extent`](DfsBackend::alloc_extent) +
-    /// [`publish_record`](DfsBackend::publish_record) in one step (tests
-    /// and single-writer paths).
-    pub fn publish_extent(
-        &self,
-        ino: u64,
-        start_lpn: u64,
-        pages: u32,
-        raw_len: u32,
-        k: u8,
-        m: u8,
-    ) -> ExtentRecord {
-        let rec = self.alloc_extent(ino, start_lpn, pages, raw_len, k, m);
-        self.publish_record(&rec);
-        rec
-    }
-
-    /// The newest extent covering 4 KiB page `lpn` of `ino`, if any.
-    pub fn extent_record(&self, ino: u64, lpn: u64) -> Option<ExtentRecord> {
-        self.extents.read().get(&(ino, lpn)).copied()
-    }
-
-    /// The newest extent covering each 4 KiB page of 8 KiB block `block`
-    /// of `ino` — one pass under one lock acquisition, which is all a
-    /// block read needs to choose between the stripe and extent paths.
-    pub fn block_extents(&self, ino: u64, block: u64) -> [Option<ExtentRecord>; PAGES_PER_BLOCK] {
-        // A block number past the last addressable page has no extents.
-        let Some(lpn0) = block.checked_mul(PAGES_PER_BLOCK as u64) else {
-            return [None; PAGES_PER_BLOCK];
-        };
-        let extents = self.extents.read();
-        std::array::from_fn(|p| extents.get(&(ino, lpn0 + p as u64)).copied())
-    }
-
-    /// Drop extent records for pages `>= from_lpn` of `ino` (truncate /
-    /// unlink). Stripes are left behind under retired ids — no live
-    /// record points at them, and fresh flushes always allocate fresh
-    /// ids, so they can never serve stale bytes.
-    pub fn invalidate_extents(&self, ino: u64, from_lpn: u64) {
-        self.extents
-            .write()
-            .retain(|&(i, lpn), _| i != ino || lpn < from_lpn);
-    }
-
-    /// Stripe placement for an extent: `k + m` distinct data servers
-    /// chosen by the extent's unique id (same rotation scheme as block
-    /// [`placement`](DfsBackend::placement)).
-    pub fn extent_placement(&self, rec: &ExtentRecord) -> &[usize] {
-        self.stripe_servers(rec.ino, rec.block_key(), rec.k as usize + rec.m as usize)
-    }
-
-    /// Fan a whole stripe set out to its data servers, one batched RPC
-    /// per server (the extent-granular one-doorbell fanout). Returns
-    /// per-shard success; a refused server fails every shard it hosts.
-    pub fn put_shards_batch(&self, ino: u64, block_key: u64, shards: &[Vec<u8>]) -> Vec<bool> {
-        let mut ok = vec![false; shards.len()];
-        // Group shards by destination server; placement rotates so with
-        // `shards.len() <= n` each server sees exactly one batch.
-        let mut by_server: Vec<Vec<usize>> = vec![Vec::new(); self.data_servers.len()];
-        let servers = self.stripe_servers(ino, block_key, shards.len());
-        for (s, &server) in servers.iter().enumerate() {
-            by_server[server].push(s);
-        }
-        for (server, idxs) in by_server.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let puts: Vec<(u64, u64, usize, &[u8])> = idxs
-                .iter()
-                .map(|&s| (ino, block_key, s, shards[s].as_slice()))
-                .collect();
-            if self.data_servers[server].put_shards_batch(&puts) {
-                for &s in idxs {
-                    ok[s] = true;
-                }
-            }
-        }
-        ok
+        let base = (hash64(ino, block) % self.data_servers.len() as u64) as usize;
+        &self.ring[base..base + self.cfg.ec_k + self.cfg.ec_m]
     }
 
     // ---- MDS-side operations (each counts an RPC at the serving MDS) ----
@@ -1169,62 +961,6 @@ mod tests {
         let snap = b.recovery().snapshot();
         assert_eq!(snap.crc_rejects, 1);
         assert_eq!(snap.reconstructions, 1);
-    }
-
-    #[test]
-    fn batched_put_is_one_rpc_and_all_or_nothing() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let ds = b.data_server(0);
-        let before = ds.rpcs.load(Ordering::Relaxed);
-        let d0 = vec![1u8; 64];
-        let d1 = vec![2u8; 64];
-        assert!(ds.put_shards_batch(&[(9, 0, 0, &d0), (9, 1, 0, &d1)]));
-        assert_eq!(ds.rpcs.load(Ordering::Relaxed), before + 1);
-        assert_eq!(ds.shard_count(), 2);
-        assert_eq!(ds.ingress_bytes.load(Ordering::Relaxed), 128);
-        // A refused batch stores nothing.
-        ds.set_failed(true);
-        assert!(!ds.put_shards_batch(&[(9, 2, 0, &d0)]));
-        ds.set_failed(false);
-        assert_eq!(ds.shard_count(), 2);
-    }
-
-    #[test]
-    fn extent_registry_newest_wins_and_invalidates() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let a = b.publish_extent(7, 0, 4, 16384, 4, 2);
-        let c = b.publish_extent(7, 2, 4, 16384, 4, 2);
-        assert_ne!(a.id, c.id);
-        assert_eq!(b.extent_record(7, 0), Some(a));
-        assert_eq!(b.extent_record(7, 1), Some(a));
-        assert_eq!(b.extent_record(7, 2), Some(c), "newer record wins");
-        assert_eq!(b.extent_record(7, 5), Some(c));
-        assert_eq!(b.extent_record(7, 6), None);
-        assert_eq!(b.extent_record(8, 0), None);
-        // Placement: k+m distinct servers, stable per record.
-        let placement = b.extent_placement(&a);
-        assert_eq!(placement.len(), 6);
-        let uniq: std::collections::HashSet<_> = placement.iter().collect();
-        assert_eq!(uniq.len(), 6);
-        b.invalidate_extents(7, 3);
-        assert_eq!(b.extent_record(7, 2), Some(c), "below cut survives");
-        assert_eq!(b.extent_record(7, 3), None);
-        assert_eq!(b.extent_record(7, 5), None);
-    }
-
-    #[test]
-    fn extent_stripe_fanout_round_trips_through_shard_store() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let rec = b.publish_extent(3, 0, 8, 32768, 4, 2);
-        let shards: Vec<Vec<u8>> = (0..6u8).map(|s| vec![s; 512]).collect();
-        let ok = b.put_shards_batch(3, rec.block_key(), &shards);
-        assert!(ok.iter().all(|&x| x));
-        for (s, &server) in b.extent_placement(&rec).iter().enumerate() {
-            assert_eq!(
-                b.data_server(server).get_shard(3, rec.block_key(), s),
-                Some(shards[s].clone())
-            );
-        }
     }
 
     #[test]

@@ -24,9 +24,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::backend::{DfsAttr, DfsBackend, DfsError, ExtentRecord, DFS_BLOCK, EXTENT_PAGE};
-use dpc_codec::{frame_extent_into, unframe_extent};
-use dpc_ec::ReedSolomon;
+use crate::backend::{DfsAttr, DfsBackend, DfsError, DFS_BLOCK};
 
 /// Bounded reissues of a refused data-server RPC before giving up on that
 /// server (degraded read / repair queue take over).
@@ -238,8 +236,6 @@ pub struct ClientCore {
     /// Drained opportunistically on later writes / metadata syncs;
     /// bounded by [`REPAIR_CAP`].
     pending_repair: VecDeque<Repair>,
-    /// Recycled frame buffer for the plain-replication extent path.
-    frame_buf: Vec<u8>,
     /// Recycled `k + m` stripe buffers [`write_block`](Self::write_block)
     /// encodes into.
     shard_bufs: Vec<Vec<u8>>,
@@ -255,7 +251,6 @@ impl ClientCore {
             meta_batch: 16,
             batched: 0,
             pending_repair: VecDeque::new(),
-            frame_buf: Vec::new(),
             shard_bufs: Vec::new(),
         }
     }
@@ -553,8 +548,10 @@ impl ClientCore {
         Ok((out, trace))
     }
 
-    /// Read one block into `out` (cleared first). A healthy read copies
-    /// each shard once — from its data server's store into `out` — and
+    /// Read one block into `out` (cleared first): `k` data-server RPCs
+    /// when healthy, all `k + m` plus a local reconstruct (and
+    /// read-repair) when a data shard is lost. A healthy read copies each
+    /// shard once — from its data server's store into `out` — and
     /// allocates nothing once `out` holds a block's capacity.
     pub fn read_block_into(
         &mut self,
@@ -563,73 +560,6 @@ impl ClientCore {
         out: &mut Vec<u8>,
     ) -> Result<OpTrace, DfsError> {
         out.clear();
-        // The inverse of the flush pipeline: if the newest bytes for this
-        // block live in published extents, serve them from extent stripes
-        // (reconstruct + decompress locally when degraded) instead of the
-        // per-block stripe.
-        let records = self.backend.block_extents(ino, block);
-        if records.iter().all(|r| r.is_none()) {
-            return self.read_stripe_into(ino, block, out);
-        }
-        out.resize(DFS_BLOCK, 0);
-        let mut trace = OpTrace::default();
-        // Both halves usually come from the same extent: cache the last
-        // decode instead of refetching it.
-        let mut last: Option<(u64, Vec<u8>)> = None;
-        let mut stripe: Option<Vec<u8>> = None;
-        for (p, rec) in records.iter().enumerate() {
-            let dst = p * EXTENT_PAGE;
-            match rec {
-                Some(rec) => {
-                    if last.as_ref().map(|(id, _)| *id) != Some(rec.id) {
-                        let (raw, t) = self.read_extent(rec)?;
-                        trace.add(t);
-                        last = Some((rec.id, raw));
-                    }
-                    let raw = &last
-                        .as_ref()
-                        .map(|(_, r)| r)
-                        .ok_or(DfsError::Unrecoverable)?[..];
-                    let lpn = block * records.len() as u64 + p as u64;
-                    let src = ((lpn - rec.start_lpn) as usize) * EXTENT_PAGE;
-                    if src < raw.len() {
-                        let n = EXTENT_PAGE.min(raw.len() - src);
-                        out[dst..dst + n].copy_from_slice(&raw[src..src + n]);
-                    }
-                }
-                None => {
-                    // Half a block never flushed through the pipeline:
-                    // fall back to the block stripe's bytes for that page.
-                    if stripe.is_none() {
-                        let mut data = Vec::with_capacity(DFS_BLOCK);
-                        match self.read_stripe_into(ino, block, &mut data) {
-                            Ok(t) => trace.add(t),
-                            Err(DfsError::NotFound) => data.clear(),
-                            Err(e) => return Err(e),
-                        }
-                        stripe = Some(data);
-                    }
-                    // (A stripe that ends before this page leaves zeros.)
-                    if let Some(src) = stripe.as_ref().and_then(|data| data.get(dst..)) {
-                        let n = EXTENT_PAGE.min(src.len());
-                        out[dst..dst + n].copy_from_slice(&src[..n]);
-                    }
-                }
-            }
-        }
-        trace.bytes_in = trace.bytes_in.max(out.len() as u64);
-        Ok(trace)
-    }
-
-    /// Read one block's own `k + m` stripe, appending its bytes to the
-    /// empty `out`: `k` data-server RPCs when healthy, all `k + m` plus
-    /// a local reconstruct (and read-repair) when a data shard is lost.
-    fn read_stripe_into(
-        &self,
-        ino: u64,
-        block: u64,
-        out: &mut Vec<u8>,
-    ) -> Result<OpTrace, DfsError> {
         let backend = &self.backend;
         let placement = backend.placement(ino, block);
         let k = backend.cfg.ec_k;
@@ -691,204 +621,6 @@ impl ClientCore {
             bytes_in: out.len() as u64,
             ..Default::default()
         })
-    }
-
-    // ---- extent data path (the offloaded flush pipeline's sink) --------
-
-    /// Store one sealed extent: `shards` are the `k + m` EC stripes of a
-    /// CRC-framed (possibly compressed) extent covering
-    /// `[start_lpn, start_lpn + pages)` 4 KiB pages. All stripes fan out
-    /// as ONE batched RPC per data server; the record is published only
-    /// once at least `k` stripes landed (missing stripes are retried,
-    /// then queued for background repair). Returns false when the extent
-    /// did not reach durability — the caller keeps its pages dirty.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_extent(
-        &mut self,
-        ino: u64,
-        start_lpn: u64,
-        pages: u32,
-        raw_len: u32,
-        k: u8,
-        m: u8,
-        shards: &[Vec<u8>],
-    ) -> bool {
-        debug_assert_eq!(shards.len(), k as usize + m as usize);
-        if self.backend.faults_enabled() && !self.pending_repair.is_empty() {
-            self.drain_repairs();
-        }
-        let rec = self
-            .backend
-            .alloc_extent(ino, start_lpn, pages, raw_len, k, m);
-        let key = rec.block_key();
-        let mut ok = self.backend.put_shards_batch(ino, key, shards);
-        let recovering = self.backend.faults_enabled();
-        if recovering && ok.iter().any(|&x| !x) {
-            let placement = self.backend.extent_placement(&rec);
-            for s in 0..shards.len() {
-                if ok[s] {
-                    continue;
-                }
-                let ds = self.backend.data_server(placement[s]);
-                for attempt in 1..=DS_RETRIES {
-                    self.backend
-                        .recovery()
-                        .ds_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    backoff(attempt);
-                    if ds.put_shard(ino, key, s, &shards[s]) {
-                        ok[s] = true;
-                        break;
-                    }
-                }
-                if !ok[s] {
-                    Self::queue_repair(
-                        &mut self.pending_repair,
-                        &self.backend,
-                        (placement[s], ino, key, s, shards[s].clone()),
-                    );
-                }
-            }
-        }
-        let stored = ok.iter().filter(|&&x| x).count();
-        let durable = stored >= k as usize && (stored == shards.len() || recovering);
-        if durable {
-            self.backend.publish_record(&rec);
-        }
-        durable
-    }
-
-    /// The plain-replication flush baseline: CRC-frame the raw extent
-    /// (no compression, no striping) and replicate the whole frame to
-    /// `m + 1` data servers, one serial RPC each — exactly the wire and
-    /// RPC cost the EC pipeline is measured against.
-    pub fn put_extent_plain(&mut self, ino: u64, start_lpn: u64, pages: u32, raw: &[u8]) -> bool {
-        if self.backend.faults_enabled() && !self.pending_repair.is_empty() {
-            self.drain_repairs();
-        }
-        let replicas = (self.backend.cfg.ec_m + 1).min(self.backend.data_server_count());
-        let mut frame = std::mem::take(&mut self.frame_buf);
-        frame_extent_into(None, raw, 1, (replicas - 1) as u8, &mut frame);
-        let rec = self.backend.alloc_extent(
-            ino,
-            start_lpn,
-            pages,
-            raw.len() as u32,
-            1,
-            (replicas - 1) as u8,
-        );
-        let key = rec.block_key();
-        let placement = self.backend.extent_placement(&rec);
-        let recovering = self.backend.faults_enabled();
-        let mut stored = 0usize;
-        for (s, &server) in placement.iter().enumerate() {
-            let ds = self.backend.data_server(server);
-            let mut ok = ds.put_shard(ino, key, s, &frame);
-            if !ok && recovering {
-                for attempt in 1..=DS_RETRIES {
-                    self.backend
-                        .recovery()
-                        .ds_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    backoff(attempt);
-                    if ds.put_shard(ino, key, s, &frame) {
-                        ok = true;
-                        break;
-                    }
-                }
-                if !ok {
-                    Self::queue_repair(
-                        &mut self.pending_repair,
-                        &self.backend,
-                        (server, ino, key, s, frame.clone()),
-                    );
-                }
-            }
-            if ok {
-                stored += 1;
-            }
-        }
-        self.frame_buf = frame;
-        let durable = stored >= 1 && (stored == replicas || recovering);
-        if durable {
-            self.backend.publish_record(&rec);
-        }
-        durable
-    }
-
-    /// Fetch one published extent and return its raw bytes. EC extents
-    /// (`k > 1`) read the `k` data stripes and, when degraded, pull
-    /// parity and reconstruct *locally* — then read-repair. Replicated
-    /// extents (`k == 1`) try whole-frame replicas in order: the
-    /// full-extent refetch the stripes replace.
-    pub fn read_extent(&mut self, rec: &ExtentRecord) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        let key = rec.block_key();
-        let placement = self.backend.extent_placement(rec);
-        let mut trace = OpTrace::default();
-        if rec.k <= 1 {
-            for (s, &server) in placement.iter().enumerate() {
-                trace.ds_rpcs += 1;
-                if let Some(frame) = self.get_shard_recovering(server, rec.ino, key, s) {
-                    trace.bytes_in += frame.len() as u64;
-                    let raw = unframe_extent(&frame).map_err(|_| DfsError::Unrecoverable)?;
-                    return Ok((raw, trace));
-                }
-            }
-            return Err(DfsError::NotFound);
-        }
-        let k = rec.k as usize;
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; placement.len()];
-        for s in 0..k {
-            shards[s] = self.get_shard_recovering(placement[s], rec.ino, key, s);
-            trace.ds_rpcs += 1;
-        }
-        if shards[..k].iter().any(|s| s.is_none()) {
-            if shards[..k].iter().all(|s| s.is_none()) {
-                return Err(DfsError::NotFound);
-            }
-            for s in k..placement.len() {
-                shards[s] = self.get_shard_recovering(placement[s], rec.ino, key, s);
-                trace.ds_rpcs += 1;
-            }
-            let missing: Vec<usize> = (0..shards.len()).filter(|&s| shards[s].is_none()).collect();
-            let scratch;
-            let ec = if k == self.backend.cfg.ec_k && rec.m as usize == self.backend.cfg.ec_m {
-                self.backend.ec()
-            } else {
-                scratch = ReedSolomon::new(k, rec.m as usize);
-                &scratch
-            };
-            ec.reconstruct(&mut shards)
-                .map_err(|_| DfsError::Unrecoverable)?;
-            self.backend
-                .recovery()
-                .reconstructions
-                .fetch_add(1, Ordering::Relaxed);
-            if self.backend.faults_enabled() {
-                for s in missing {
-                    if let Some(data) = shards[s].as_ref() {
-                        if self
-                            .backend
-                            .data_server(placement[s])
-                            .put_shard(rec.ino, key, s, data)
-                        {
-                            self.backend
-                                .recovery()
-                                .repairs
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-        let mut frame = Vec::new();
-        for s in shards.into_iter().take(k) {
-            let shard = s.ok_or(DfsError::Unrecoverable)?;
-            frame.extend_from_slice(&shard);
-        }
-        trace.bytes_in += frame.len() as u64;
-        let raw = unframe_extent(&frame).map_err(|_| DfsError::Unrecoverable)?;
-        Ok((raw, trace))
     }
 
     pub fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {
@@ -1124,163 +856,6 @@ mod tests {
         let (_, r1) = opt.read_block(a1.ino, 0).unwrap();
         let (_, r2) = dpc.read_block(a2.ino, 0).unwrap();
         assert_eq!(r1, r2);
-    }
-}
-
-#[cfg(test)]
-mod extent_tests {
-    use super::*;
-    use crate::backend::DfsConfig;
-    use dpc_codec::Compressor;
-
-    fn backend() -> Arc<DfsBackend> {
-        DfsBackend::new(DfsConfig::default())
-    }
-
-    /// Seal raw extent bytes exactly as the flush pipeline does:
-    /// CRC frame (optionally compressed) then k+m EC stripes.
-    fn seal(b: &DfsBackend, raw: &[u8], compress: bool) -> Vec<Vec<u8>> {
-        let mut frame = Vec::new();
-        let mut scratch = Vec::new();
-        let mut comp = Compressor::new();
-        let compressor = compress.then_some((&mut comp, &mut scratch));
-        frame_extent_into(
-            compressor,
-            raw,
-            b.cfg.ec_k as u8,
-            b.cfg.ec_m as u8,
-            &mut frame,
-        );
-        b.ec().encode_buffer(&frame).unwrap()
-    }
-
-    #[test]
-    fn put_then_read_extent_round_trips() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        let raw: Vec<u8> = (0..32768).map(|i| (i / 97) as u8).collect();
-        let shards = seal(&b, &raw, true);
-        assert!(core.put_extent(5, 8, 8, raw.len() as u32, 4, 2, &shards));
-        let rec = b.extent_record(5, 11).unwrap();
-        assert_eq!((rec.start_lpn, rec.pages), (8, 8));
-        let (back, t) = core.read_extent(&rec).unwrap();
-        assert_eq!(back, raw);
-        assert_eq!(t.ds_rpcs, 4, "healthy read touches only data stripes");
-    }
-
-    #[test]
-    fn degraded_extent_read_reconstructs_and_repairs() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        let raw: Vec<u8> = (0..16384u32).map(|i| (i % 251) as u8).collect();
-        let shards = seal(&b, &raw, false);
-        assert!(core.put_extent(9, 0, 4, raw.len() as u32, 4, 2, &shards));
-        let rec = b.extent_record(9, 0).unwrap();
-        b.enable_recovery();
-        let placement = b.extent_placement(&rec);
-        b.data_server(placement[0]).set_failed(true);
-        b.data_server(placement[1]).set_failed(true);
-        let (back, t) = core.read_extent(&rec).unwrap();
-        assert_eq!(back, raw);
-        assert_eq!(t.ds_rpcs, 6, "degraded read pulled parity stripes");
-        assert!(b.recovery().snapshot().reconstructions >= 1);
-        // Servers healed: once they return, read-repair restored stripes.
-        b.data_server(placement[0]).set_failed(false);
-        b.data_server(placement[1]).set_failed(false);
-        let (back2, _) = core.read_extent(&rec).unwrap();
-        assert_eq!(back2, raw);
-    }
-
-    #[test]
-    fn corrupt_stripe_reads_as_lost_and_reconstructs() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        let raw: Vec<u8> = (0..16384u32).map(|i| (i * 7 % 253) as u8).collect();
-        let shards = seal(&b, &raw, true);
-        assert!(core.put_extent(2, 0, 4, raw.len() as u32, 4, 2, &shards));
-        let rec = b.extent_record(2, 0).unwrap();
-        let placement = b.extent_placement(&rec);
-        assert!(b
-            .data_server(placement[1])
-            .corrupt_shard(2, rec.block_key(), 1));
-        let (back, _) = core.read_extent(&rec).unwrap();
-        assert_eq!(back, raw, "bit-rot detected by CRC, rebuilt from parity");
-        let snap = b.recovery().snapshot();
-        assert_eq!(snap.crc_rejects, 1);
-        assert_eq!(snap.reconstructions, 1);
-    }
-
-    #[test]
-    fn plain_replicated_extent_survives_m_failures() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        let raw: Vec<u8> = (0..8192u32).map(|i| (i % 239) as u8).collect();
-        assert!(core.put_extent_plain(4, 0, 2, &raw));
-        let rec = b.extent_record(4, 0).unwrap();
-        assert_eq!((rec.k, rec.m), (1, 2), "m + 1 = 3 replicas");
-        let placement = b.extent_placement(&rec);
-        b.data_server(placement[0]).set_failed(true);
-        b.data_server(placement[1]).set_failed(true);
-        let (back, t) = core.read_extent(&rec).unwrap();
-        assert_eq!(back, raw);
-        assert_eq!(t.ds_rpcs, 3, "replica refetch walked the placement");
-    }
-
-    #[test]
-    fn read_block_serves_newest_extent_bytes() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        // Legacy write first, then a pipeline extent overwrites block 1.
-        let (attr, _) = core.create(0, "mix").unwrap();
-        let old: Vec<u8> = vec![0xAA; DFS_BLOCK];
-        for blk in 0..3 {
-            core.write_block(attr.ino, blk, &old).unwrap();
-        }
-        let raw: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 101) as u8).collect();
-        let shards = seal(&b, &raw, true);
-        // Extent covering exactly block 1 (pages 2..4).
-        assert!(core.put_extent(attr.ino, 2, 2, raw.len() as u32, 4, 2, &shards));
-        let (b0, _) = core.read_block(attr.ino, 0).unwrap();
-        assert_eq!(b0, old, "uncovered block still legacy");
-        let (b1, _) = core.read_block(attr.ino, 1).unwrap();
-        assert_eq!(b1, raw, "covered block serves extent bytes");
-        let (b2, _) = core.read_block(attr.ino, 2).unwrap();
-        assert_eq!(b2, old);
-    }
-
-    #[test]
-    fn read_block_mixes_extent_and_legacy_halves() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        let (attr, _) = core.create(0, "half").unwrap();
-        let old: Vec<u8> = vec![0x55; DFS_BLOCK];
-        core.write_block(attr.ino, 0, &old).unwrap();
-        // Extent covering only the block's second 4 KiB page (lpn 1).
-        let raw: Vec<u8> = vec![0x77; EXTENT_PAGE];
-        let shards = seal(&b, &raw, false);
-        assert!(core.put_extent(attr.ino, 1, 1, raw.len() as u32, 4, 2, &shards));
-        let (back, _) = core.read_block(attr.ino, 0).unwrap();
-        assert_eq!(&back[..EXTENT_PAGE], &old[..EXTENT_PAGE]);
-        assert_eq!(&back[EXTENT_PAGE..], &raw[..]);
-    }
-
-    #[test]
-    fn failed_extent_put_publishes_nothing() {
-        let b = backend();
-        let mut core = ClientCore::new(b.clone(), 1);
-        let raw: Vec<u8> = vec![9; 16384];
-        let shards = seal(&b, &raw, false);
-        // All servers down, recovery off: nothing durable, no record.
-        for s in 0..b.data_server_count() {
-            b.data_server(s).set_failed(true);
-        }
-        assert!(!core.put_extent(6, 0, 4, raw.len() as u32, 4, 2, &shards));
-        assert_eq!(b.extent_record(6, 0), None, "no half-stored extent visible");
-        for s in 0..b.data_server_count() {
-            b.data_server(s).set_failed(false);
-        }
-        assert!(core.put_extent(6, 0, 4, raw.len() as u32, 4, 2, &shards));
-        assert!(b.extent_record(6, 0).is_some());
     }
 }
 

@@ -3,10 +3,13 @@
 //! Claim under test: once the client's recycled stripe buffers, the
 //! caller's read buffer and the data servers' stored shards exist, a
 //! healthy `read_block_into` and an in-place overwrite `write_block` —
-//! lazy metadata flushes included — perform **zero** heap allocations.
+//! lazy metadata flushes included — perform **zero** heap allocations,
+//! and the read is exactly `k` data-server RPCs.
 //!
 //! The counting allocator hook is per-binary and its counter is
 //! process-wide, which is why this is one test in a file of its own.
+
+use std::sync::atomic::Ordering;
 
 use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, DFS_BLOCK};
 use dpc_pcie::alloc::{alloc_count, counting_enabled, CountingAllocator};
@@ -22,7 +25,12 @@ fn warm_block_reads_and_overwrites_allocate_nothing() {
     );
     const BLOCKS: u64 = 32;
     let backend = DfsBackend::new(DfsConfig::default());
-    let mut core = ClientCore::new(backend, 1);
+    let ds_rpcs = || -> u64 {
+        (0..backend.data_server_count())
+            .map(|i| backend.data_server(i).rpcs.load(Ordering::Relaxed))
+            .sum()
+    };
+    let mut core = ClientCore::new(backend.clone(), 1);
     let (attr, _) = core.create(0, "f").unwrap();
     let data: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 31 % 251) as u8).collect();
     let mut out = Vec::new();
@@ -35,11 +43,16 @@ fn warm_block_reads_and_overwrites_allocate_nothing() {
         }
     }
 
-    let before = alloc_count();
+    let (before, rpcs_before) = (alloc_count(), ds_rpcs());
     for b in 0..BLOCKS {
         core.read_block_into(attr.ino, b, &mut out).unwrap();
     }
     assert_eq!(alloc_count() - before, 0, "healthy reads allocated");
+    assert_eq!(
+        ds_rpcs() - rpcs_before,
+        BLOCKS * backend.cfg.ec_k as u64,
+        "a healthy read is exactly k data-server RPCs"
+    );
     assert_eq!(out, data);
 
     let before = alloc_count();

@@ -218,8 +218,8 @@ impl ReedSolomon {
 
     /// [`encode_buffer`](Self::encode_buffer) into caller-owned shard
     /// buffers: once `shards` has grown to `k + m` entries of the
-    /// working size, repeated calls perform no allocation. Used by the
-    /// flush pipeline's steady state.
+    /// working size, repeated calls perform no allocation. Used by
+    /// `ClientCore::write_block`'s steady state.
     pub fn encode_buffer_into(&self, buf: &[u8], shards: &mut Vec<Vec<u8>>) -> Result<(), EcError> {
         let shard_len = buf.len().div_ceil(self.k).max(1);
         shards.resize(self.k + self.m, Vec::new());

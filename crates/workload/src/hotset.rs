@@ -7,10 +7,8 @@
 //!
 //! [`HotSetGen`] reuses the crate's [`Zipf`] distribution twice — once to
 //! pick the file (hot files exist too) and once to pick the page within
-//! it — and [`TailRecorder`] wraps the simulator's log-bucketed histogram
-//! into the p50/p99/p999 summary the tail-latency tables report.
+//! it.
 
-use dpc_sim::{LatencyHistogram, Nanos};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -106,53 +104,6 @@ impl Iterator for HotSetGen {
     }
 }
 
-/// Tail-latency recorder: a log-bucketed histogram summarised as the
-/// p50/p99/p999 triple the hot-set tables report (plus mean and count).
-#[derive(Clone, Default, Debug)]
-pub struct TailRecorder {
-    hist: LatencyHistogram,
-}
-
-/// The summary [`TailRecorder`] produces (all values nanoseconds).
-#[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
-pub struct TailSummary {
-    pub count: u64,
-    pub mean_ns: u64,
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-    pub p999_ns: u64,
-}
-
-impl TailRecorder {
-    pub fn new() -> TailRecorder {
-        TailRecorder::default()
-    }
-
-    /// Record one operation latency, in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        self.hist.record(Nanos(ns));
-    }
-
-    /// Fold another thread's recorder into this one.
-    pub fn merge(&mut self, other: &TailRecorder) {
-        self.hist.merge(&other.hist);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    pub fn summary(&self) -> TailSummary {
-        TailSummary {
-            count: self.hist.count(),
-            mean_ns: self.hist.mean().as_nanos(),
-            p50_ns: self.hist.p50().as_nanos(),
-            p99_ns: self.hist.p99().as_nanos(),
-            p999_ns: self.hist.quantile(0.999).as_nanos(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,23 +154,5 @@ mod tests {
             hottest_file as f64 / N as f64 > 0.3,
             "hottest file drew {hottest_file}/{N}"
         );
-    }
-
-    #[test]
-    fn tail_recorder_summarises_and_merges() {
-        let mut a = TailRecorder::new();
-        let mut b = TailRecorder::new();
-        for v in 1..=1000u64 {
-            a.record_ns(v);
-        }
-        b.record_ns(1_000_000); // one outlier in the other thread
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.count, 1001);
-        // p50 near 500, p99 near 990, p999 captures the outlier's octave.
-        assert!((450..=550).contains(&s.p50_ns), "p50={}", s.p50_ns);
-        assert!((900..=1100).contains(&s.p99_ns), "p99={}", s.p99_ns);
-        assert!(s.p999_ns >= 990, "p999={}", s.p999_ns);
-        assert!(s.p999_ns <= 1_100_000);
     }
 }

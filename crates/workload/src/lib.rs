@@ -7,20 +7,14 @@
 //! sizes, and the thread sweep every figure scans ([`THREAD_SWEEP`]).
 //! [`Zipf`] adds skew for the cache-policy ablations, and [`HotSetGen`]
 //! composes it into the read-mostly hot-set stream (Zipfian offsets over
-//! a small file set) that drives the PR 6 lock-free meta-plane tables,
-//! with [`TailRecorder`] producing their p50/p99/p999 summaries.
-//! [`MetaTreeSpec`] adds the metadata-heavy family — untar-like create
-//! storms, `ls -R` walks, and Zipf stat stampedes over a synthetic
-//! million-file tree — that drives the PR 9 metadata fast path.
+//! a small file set) that drives the lock-free meta-plane chaos suite.
 
 mod fileset;
 mod gen;
 mod hotset;
-mod metadata;
 mod zipf;
 
 pub use fileset::{FileOp, FileSetGen, FileSetMix};
 pub use gen::{IoGen, IoOp, Mix, Pattern, WorkloadSpec, THREAD_SWEEP};
-pub use hotset::{HotSetGen, HotSetOp, HotSetSpec, TailRecorder, TailSummary};
-pub use metadata::{MetaOp, MetaTreeSpec};
+pub use hotset::{HotSetGen, HotSetOp, HotSetSpec};
 pub use zipf::Zipf;
