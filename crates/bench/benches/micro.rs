@@ -162,7 +162,7 @@ fn bench_kv(c: &mut Criterion) {
     let ino = fs.create("/bench.bin", 0o644).unwrap();
     fs.write(ino, 0, &vec![0u8; 1 << 20]).unwrap();
     g.throughput(Throughput::Bytes(8192));
-    g.bench_function("kvfs_big_file_8k_inplace_write", |b| {
+    g.bench_function("kvfs_big_file_8k_overwrite", |b| {
         let mut block = 0u64;
         b.iter(|| {
             fs.write(ino, (block % 128) * 8192, &value).unwrap();

@@ -5,10 +5,11 @@
 //! DPU does, reaching the host-resident meta/data areas with PCIe atomics
 //! and DMA transfers (all accounted through the [`DmaEngine`]).
 //!
-//! - **Flush** (paper's back-end write path): periodically scan the meta
-//!   hash table, read-lock dirty pages, pull them to DPU DRAM by DMA,
-//!   hand them to the [`FlushBackend`] to write to disaggregated
-//!   storage, then release the locks and mark entries clean.
+//! - **Flush** (paper's back-end write path): walk the dirty-range
+//!   index, read-lock runs of adjacent dirty pages, pull them to DPU DRAM
+//!   by DMA, hand each run to the [`FlushBackend`] to write to
+//!   disaggregated storage, then mark the entries clean and release the
+//!   locks ([`flush_extents`](ControlPlane::flush_extents)).
 //! - **Replacement**: when the host fails to allocate in a bucket it
 //!   notifies the DPU, which evicts the least-recently-touched clean entry.
 //! - **Prefetch**: the dispatcher feeds the miss stream into the
@@ -23,13 +24,12 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dpc_pcie::{DmaClass, DmaEngine, SgSeg};
+use dpc_pcie::{DmaClass, DmaEngine};
 use dpc_sim::CrashSwitch;
 
-use crate::host::{HybridCache, WriteError, WriteGuard};
+use crate::host::{HybridCache, WriteError};
 use crate::layout::{EntryStatus, FLAG_MARKER, FLAG_PREFETCHED, PAGE_SIZE};
 use crate::readahead::PrefetchJob;
-use crate::wal::{WalError, WalKind};
 
 /// Back-end sink for flushed dirty pages (the disaggregated store).
 pub trait FlushBackend {
@@ -168,126 +168,6 @@ impl ControlPlane {
         self.crash.as_ref().is_some_and(|c| c.is_tripped())
     }
 
-    /// Draw the crash site once (or observe a prior trip). `true` means
-    /// the DPU just died at this point.
-    fn check_crash(&self) -> bool {
-        self.crash.as_ref().is_some_and(|c| c.check_crash())
-    }
-
-    /// One flush pass over the meta area: safely flush every dirty page
-    /// the pass can read-lock. Returns the number of pages flushed
-    /// (including quarantined pages drained to the backend).
-    ///
-    /// A `try_flush` failure is retried [`FLUSH_RETRIES`] times in-pass;
-    /// a page that still won't flush moves to the bounded quarantine (its
-    /// entry turns clean and reclaimable) or, when the quarantine is full,
-    /// stays dirty so the bucket surfaces back-pressure instead of the
-    /// flusher wedging on it forever.
-    ///
-    /// Flush paths keep taking per-entry *read locks* even when the
-    /// front-end hit path runs lock-free (DESIGN.md §11): an optimistic
-    /// flusher that snapshotted a page, wrote it to the backend and then
-    /// failed seqlock revalidation would already have published
-    /// potentially stale bytes — two concurrent flushers could then race
-    /// a host overwrite and leave the backend holding the older version.
-    /// The lock pins the bytes for the duration of the backend write.
-    /// The front end no longer blocks on these locks (readers validate
-    /// versions instead), so the cost stays off the hit path; these
-    /// control-plane acquisitions are deliberately *not* counted in the
-    /// `read_locks` stat, which proves the hit path alone.
-    pub fn flush_pass(&mut self, backend: &mut dyn FlushBackend) -> usize {
-        if self.crash_tripped() {
-            return 0;
-        }
-        let wal = self.cache.wal();
-        let mut flushed = self.drain_quarantine(backend, None);
-
-        let mut page = [0u8; PAGE_SIZE];
-        for idx in 0..self.cache.cfg.pages {
-            let e = &self.cache.entries[idx];
-            if e.status() != EntryStatus::Dirty {
-                continue;
-            }
-            // PCIe atomic: add the read lock.
-            self.dma.record_atomic();
-            if !e.try_read_lock() {
-                continue; // host writer active; catch it next pass
-            }
-            if e.status() == EntryStatus::Dirty {
-                let (ino, lpn) = (e.ino(), e.lpn());
-                // Pull the page to DPU DRAM by DMA; only the valid prefix
-                // is meaningful (tail pages must not flush padding past
-                // the file's logical end).
-                let valid = (e.valid() as usize).min(PAGE_SIZE);
-                // SAFETY: read lock held on entry `idx`.
-                unsafe { self.cache.pages.read(idx, 0, &mut page) };
-                self.dma.record_external_dma(valid as u64);
-                let mut ok = backend.try_flush(ino, lpn, &page[..valid]);
-                let mut tries = 0;
-                while !ok && tries < FLUSH_RETRIES {
-                    tries += 1;
-                    self.cache
-                        .stats
-                        .flush_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(50 << tries));
-                    ok = backend.try_flush(ino, lpn, &page[..valid]);
-                }
-                if ok && self.check_crash() {
-                    // Mid-flush crash: the backend has the bytes but the
-                    // entry stays Dirty and the intent stays live — replay
-                    // redoes the write (idempotent).
-                    self.dma.record_atomic();
-                    e.read_unlock();
-                    return flushed;
-                }
-                if ok {
-                    // A newer flush of this page supersedes any parked copy
-                    // (skip the lock entirely when nothing is parked).
-                    if !self.cache.quarantine_is_empty() {
-                        let mut q = self.cache.quarantine.lock();
-                        q.remove(&(ino, lpn));
-                        self.cache.quarantine_note_len(&q);
-                    }
-                    // Mark clean while still holding the read lock — the
-                    // write lock is excluded, so no writer can interleave.
-                    e.set_status(EntryStatus::Clean);
-                    self.cache.note_clean(ino, lpn);
-                    if let Some(log) = wal.as_ref() {
-                        // Durable in the backend: the intents owed by this
-                        // page retire and WAL space can reclaim.
-                        log.note_durable(ino, lpn);
-                    }
-                    self.cache.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                    flushed += 1;
-                } else {
-                    self.cache
-                        .stats
-                        .flush_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut q = self.cache.quarantine.lock();
-                    if q.len() < crate::host::QUARANTINE_CAP {
-                        q.insert((ino, lpn), page[..valid].to_vec());
-                        self.cache.quarantine_note_len(&q);
-                        drop(q);
-                        // The quarantine now owns the only durable-pending
-                        // copy; the entry is reclaimable (but not evictable
-                        // — see `evict_one`).
-                        e.set_status(EntryStatus::Clean);
-                        self.cache.note_clean(ino, lpn);
-                    }
-                    // Quarantine full: leave the entry dirty. The bucket
-                    // eventually reports NeedEviction with nothing
-                    // evictable, which the host surfaces as EBUSY.
-                }
-            }
-            // PCIe atomic: release the read lock.
-            self.dma.record_atomic();
-            e.read_unlock();
-        }
-        flushed
-    }
-
     /// Flush quarantined pages to the backend (optionally only one ino's).
     /// Their cache entries may be long gone, so this is their only route
     /// to durability. Pages the backend still refuses are re-parked. No
@@ -409,9 +289,24 @@ impl ControlPlane {
     ///
     /// A partial (file-tail) page terminates its extent: only valid
     /// prefixes are ever sent, so a coalesced write can never push padding
-    /// past a file's logical end. A refused extent is retried in-pass,
-    /// then quarantined *whole* — every page of it is parked (or, when the
-    /// quarantine fills, left dirty); no page is ever dropped.
+    /// past a file's logical end. A refused extent is retried
+    /// [`FLUSH_RETRIES`] times in-pass, then quarantined *whole* — every
+    /// page of it is parked (its entry turns clean and reclaimable) or,
+    /// when the quarantine fills, left dirty so the bucket surfaces
+    /// back-pressure instead of the flusher wedging on it forever; no page
+    /// is ever dropped.
+    ///
+    /// Flushing keeps taking per-entry *read locks* even when the
+    /// front-end hit path runs lock-free (DESIGN.md §11): an optimistic
+    /// flusher that snapshotted a page, wrote it to the backend and then
+    /// failed seqlock revalidation would already have published
+    /// potentially stale bytes — two concurrent flushers could then race
+    /// a host overwrite and leave the backend holding the older version.
+    /// The lock pins the bytes for the duration of the backend write.
+    /// The front end no longer blocks on these locks (readers validate
+    /// versions instead), so the cost stays off the hit path; these
+    /// control-plane acquisitions are deliberately *not* counted in the
+    /// `read_locks` stat, which proves the hit path alone.
     pub fn flush_extents(
         &mut self,
         backend: &mut dyn FlushBackend,
@@ -621,7 +516,7 @@ impl ControlPlane {
     /// clean entry. Returns whether a slot was freed.
     ///
     /// Dirty entries are never evicted directly — the caller should run a
-    /// [`flush_pass`](Self::flush_pass) first if this returns `false`.
+    /// [`flush_extents`](Self::flush_extents) first if this returns `false`.
     pub fn evict_one(&self, bucket: usize) -> bool {
         let _claim = self.cache.bucket_claim[bucket].lock();
         // Choose the clean entry with the oldest touch stamp.
@@ -861,230 +756,6 @@ impl ControlPlane {
         inserted
     }
 
-    /// Direct-placement absorb of one zero-copy write: DMA the caller's
-    /// registered buffer segments straight into the target page-pool
-    /// pages under the per-entry write locks — the DPU half of the
-    /// tentpole's true zero-copy data path. Returns the byte count for
-    /// the CQE, or an errno; the host falls back to the classic staged
-    /// absorb on any error, so a refusal here is never data loss.
-    ///
-    /// The host absorb path's invariants carry over exactly:
-    ///
-    /// - pages lock in ascending LPN order (consistent with every other
-    ///   multi-lock holder, so placements never deadlock each other or
-    ///   the extent flusher);
-    /// - a fresh *partial* page is read-modify-filled from `reader`
-    ///   first (old backend bytes, attributed to the `ReadFill` class);
-    /// - with a WAL attached the intent record is appended **before any
-    ///   page commits**: the payload is pulled once into DPU DRAM (the
-    ///   log stores bytes by definition — there is no zero-copy journal)
-    ///   and the pages absorb from that pull, so the wire DMA count is
-    ///   unchanged and an acked write is always recoverable;
-    /// - without a WAL the segments land in the pool pages directly —
-    ///   no copy of the data exists anywhere between the user buffer
-    ///   and the cache page ([`WriteGuard::place_sg`]);
-    /// - a full bucket evicts, then takes one foreground flush pass and
-    ///   retries, then gives up with `EBUSY` (all fresh claims roll
-    ///   back untouched).
-    #[allow(clippy::too_many_arguments)]
-    pub fn place_write(
-        &mut self,
-        ino: u64,
-        offset: u64,
-        len: u32,
-        segs: &[SgSeg],
-        class: DmaClass,
-        reader: &mut dyn ReadBackend,
-        flusher: &mut dyn FlushBackend,
-    ) -> Result<usize, i32> {
-        const EIO: i32 = 5;
-        const EFAULT: i32 = 14;
-        const EBUSY: i32 = 16;
-        const EINVAL: i32 = 22;
-        const STALL_ROUNDS: u32 = 32;
-
-        if self.crash_tripped() {
-            return Err(EIO);
-        }
-        let total: usize = segs.iter().map(|s| s.len as usize).sum();
-        if total == 0 {
-            return Ok(0);
-        }
-        if total != len as usize || offset.checked_add(len as u64).is_none() {
-            return Err(EINVAL);
-        }
-        // Reject a bogus descriptor before any page is touched: past this
-        // point every segment resolves, so a placement cannot tear a live
-        // page halfway through (the submitting registration pins the
-        // buffer until the completion is consumed).
-        if self.dma.validate_sg(segs).is_err() {
-            return Err(EFAULT);
-        }
-
-        // Split the flat payload into page spans, each owning a sub-run
-        // of (possibly split) source segments.
-        let mut flat: Vec<SgSeg> = Vec::with_capacity(segs.len() + 2);
-        // (lpn, in_page, span_len, flat_start, flat_end)
-        let mut spans: Vec<(u64, usize, usize, usize, usize)> = Vec::new();
-        {
-            let (mut si, mut used) = (0usize, 0u32);
-            let (mut off, mut remaining) = (offset, total);
-            while remaining > 0 {
-                let lpn = off / PAGE_SIZE as u64;
-                let in_page = (off % PAGE_SIZE as u64) as usize;
-                let n = (PAGE_SIZE - in_page).min(remaining);
-                let start = flat.len();
-                let mut need = n as u32;
-                while need > 0 {
-                    let seg = segs[si];
-                    let take = (seg.len - used).min(need);
-                    if take > 0 {
-                        flat.push(SgSeg {
-                            addr: seg.addr + used as u64,
-                            len: take,
-                        });
-                    }
-                    used += take;
-                    if used == seg.len {
-                        si += 1;
-                        used = 0;
-                    }
-                    need -= take;
-                }
-                spans.push((lpn, in_page, n, start, flat.len()));
-                off += n as u64;
-                remaining -= n;
-            }
-        }
-
-        // Write-ahead: the intent record must be on the ring before the
-        // cache absorbs the first page. The log needs the payload bytes,
-        // so the WAL path pulls them to DPU DRAM once (that single
-        // transfer carries the class attribution) and the pages absorb
-        // from the pull; the no-WAL path stays truly zero-copy.
-        let wal = self.cache.wal();
-        let mut staged = Vec::new();
-        let logged = match &wal {
-            None => None,
-            Some(log) => {
-                staged.resize(total, 0);
-                let n = self
-                    .dma
-                    .transfer_sg(segs, &mut staged, class)
-                    .map_err(|_| EFAULT)?;
-                debug_assert_eq!(n, total);
-                let mut rounds = 0u32;
-                let seq = loop {
-                    match log.try_append(WalKind::Write, ino, offset, &staged, spans.len() as u32) {
-                        Ok(seq) => break seq,
-                        Err(WalError::Crashed) => return Err(EIO),
-                        Err(WalError::TooLarge) => return Err(EBUSY),
-                        Err(WalError::WouldBlock) => {
-                            rounds += 1;
-                            if rounds > STALL_ROUNDS {
-                                return Err(EBUSY);
-                            }
-                            // Retire obligations so ring space reclaims.
-                            self.flush_extents(flusher, None, false);
-                        }
-                    }
-                };
-                Some(seq)
-            }
-        };
-        // Any failure after the append voids the record (unless the DPU
-        // crashed, in which case replay must resolve the ambiguous op).
-        let void_record = |err: i32| -> i32 {
-            if let (Some(log), Some(seq)) = (&wal, logged) {
-                if !log.crashed() {
-                    log.retire_all(seq);
-                }
-            }
-            err
-        };
-
-        // Phase 1: write-lock every spanned page (ascending LPN) and
-        // read-modify-fill fresh partial pages from the backend.
-        let cache = self.cache.clone();
-        let mut guards: Vec<WriteGuard<'_>> = Vec::with_capacity(spans.len());
-        let mut flushed_once = false;
-        let mut rmw = [0u8; PAGE_SIZE];
-        for &(lpn, in_page, n, _, _) in &spans {
-            let mut guard = loop {
-                match cache.begin_write(ino, lpn) {
-                    Ok(g) => break g,
-                    Err(WriteError::NeedEviction { bucket }) => {
-                        if self.evict_one(bucket) {
-                            continue;
-                        }
-                        if !flushed_once {
-                            flushed_once = true;
-                            self.flush_extents(flusher, None, false);
-                            if self.evict_one(bucket) {
-                                continue;
-                            }
-                        }
-                        cache.note_evict_stall();
-                        return Err(void_record(EBUSY));
-                    }
-                }
-            };
-            if guard.claimed_free() && (in_page != 0 || n < PAGE_SIZE) {
-                // Partial write into a fresh page: lay down the old
-                // backend content first (and scrub recycled pool bytes —
-                // only the fetched prefix is *valid*).
-                rmw.fill(0);
-                let old = reader.read_page(ino, lpn, &mut rmw);
-                guard.write(0, &rmw);
-                match old {
-                    Some(v) => {
-                        let v = v.min(PAGE_SIZE);
-                        guard.set_valid(v);
-                        self.dma.record_class_dma(DmaClass::ReadFill, 1, v as u64);
-                    }
-                    None => guard.set_valid(0),
-                }
-            }
-            guards.push(guard);
-        }
-
-        // Phase 2: land the bytes — scatter-gather straight into each
-        // pool page, or locally from the WAL pull.
-        let mut fault = None;
-        let mut pos = 0usize;
-        for (gi, &(lpn, in_page, n, s, e)) in spans.iter().enumerate() {
-            if staged.is_empty() {
-                if guards[gi]
-                    .place_sg(in_page, &flat[s..e], &self.dma, class)
-                    .is_err()
-                {
-                    fault = Some(lpn);
-                    break;
-                }
-            } else {
-                guards[gi].write(in_page, &staged[pos..pos + n]);
-            }
-            pos += n;
-        }
-        if let Some(lpn) = fault {
-            // Validated above, so this is a revocation race — the page
-            // may be torn; drop it rather than serve it.
-            drop(guards);
-            cache.invalidate(ino, lpn);
-            return Err(void_record(EIO));
-        }
-
-        // Phase 3: register each page's obligation while still holding
-        // its write lock, then publish (the paper's step 4).
-        for (guard, &(lpn, ..)) in guards.into_iter().zip(&spans) {
-            if let (Some(log), Some(seq)) = (&wal, logged) {
-                log.note_committed(ino, lpn, seq);
-            }
-            guard.commit_dirty();
-        }
-        Ok(total)
-    }
-
     /// Direct read-miss fill: land the backend extent covering
     /// `[offset, offset + len)` straight in the pool pages (one vectored
     /// backend read, one `ReadFill`-class DMA), so the host's final hop
@@ -1188,7 +859,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_pass_writes_dirty_pages_to_backend() {
+    fn flush_writes_dirty_pages_to_backend() {
         let (cache, mut cp, dma) = setup(64, 8);
         for lpn in 0..5u64 {
             let mut g = cache.begin_write(1, lpn).unwrap();
@@ -1196,9 +867,13 @@ mod tests {
             g.commit_dirty();
         }
         let mut sink: Vec<(u64, u64, u8)> = Vec::new();
-        let flushed = cp.flush_pass(&mut |ino: u64, lpn: u64, page: &[u8]| {
-            sink.push((ino, lpn, page[0]));
-        });
+        let flushed = cp.flush_extents(
+            &mut |ino: u64, lpn: u64, page: &[u8]| {
+                sink.push((ino, lpn, page[0]));
+            },
+            None,
+            false,
+        );
         assert_eq!(flushed, 5);
         sink.sort();
         assert_eq!(
@@ -1214,13 +889,19 @@ mod tests {
     }
 
     #[test]
-    fn second_flush_pass_is_empty() {
+    fn second_flush_is_empty() {
         let (cache, mut cp, _) = setup(64, 8);
         let mut g = cache.begin_write(1, 1).unwrap();
         g.write(0, &[1; 8]);
         g.commit_dirty();
-        assert_eq!(cp.flush_pass(&mut |_: u64, _: u64, _: &[u8]| {}), 1);
-        assert_eq!(cp.flush_pass(&mut |_: u64, _: u64, _: &[u8]| {}), 0);
+        assert_eq!(
+            cp.flush_extents(&mut |_: u64, _: u64, _: &[u8]| {}, None, false),
+            1
+        );
+        assert_eq!(
+            cp.flush_extents(&mut |_: u64, _: u64, _: &[u8]| {}, None, false),
+            0
+        );
     }
 
     #[test]
@@ -1233,7 +914,7 @@ mod tests {
         }
         // All dirty: eviction must refuse.
         assert!(!cp.evict_one(0));
-        cp.flush_pass(&mut |_: u64, _: u64, _: &[u8]| {});
+        cp.flush_extents(&mut |_: u64, _: u64, _: &[u8]| {}, None, false);
         // Touch pages 1..8 so page lpn=0 is the LRU victim.
         let mut buf = vec![0u8; PAGE_SIZE];
         for lpn in 1..8u64 {
@@ -1259,7 +940,7 @@ mod tests {
             Err(crate::host::WriteError::NeedEviction { bucket }) => bucket,
             other => panic!("{other:?}"),
         };
-        cp.flush_pass(&mut |_: u64, _: u64, _: &[u8]| {});
+        cp.flush_extents(&mut |_: u64, _: u64, _: &[u8]| {}, None, false);
         assert!(cp.evict_one(bucket));
         let mut g = cache.begin_write(1, 99).unwrap();
         g.write(0, &[7; 8]);
@@ -1472,7 +1153,7 @@ mod tests {
             fail_next: 2,
             flushed: Vec::new(),
         };
-        assert_eq!(cp.flush_pass(&mut sink), 1);
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
         let s = cache.stats();
         assert_eq!(s.flush_retries, 2);
         assert_eq!(s.flush_failures, 0);
@@ -1491,7 +1172,7 @@ mod tests {
             fail_next: usize::MAX,
             flushed: Vec::new(),
         };
-        assert_eq!(cp.flush_pass(&mut sink), 0);
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
         let s = cache.stats();
         assert_eq!(s.flush_failures, 1);
         assert_eq!(s.flushes, 0);
@@ -1500,7 +1181,7 @@ mod tests {
         assert_eq!(cache.quarantined_pages(), 1);
         // Backend recovers: the next pass drains the quarantine.
         sink.fail_next = 0;
-        assert_eq!(cp.flush_pass(&mut sink), 1);
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
         assert_eq!(cache.quarantined_pages(), 0);
         assert_eq!(cache.stats().quarantine_drains, 1);
         assert_eq!(sink.flushed, vec![(2, 7, vec![9; PAGE_SIZE])]);
@@ -1516,7 +1197,7 @@ mod tests {
             fail_next: usize::MAX,
             flushed: Vec::new(),
         };
-        cp.flush_pass(&mut sink);
+        cp.flush_extents(&mut sink, None, false);
         assert_eq!(cache.quarantined_pages(), 1);
         // Clean but quarantined: the cached copy is the only readable one.
         assert!(!cp.evict_one(0));
@@ -1524,7 +1205,7 @@ mod tests {
         assert!(cache.lookup_read(3, 0, &mut buf));
         // Once drained it becomes an ordinary clean page again.
         sink.fail_next = 0;
-        cp.flush_pass(&mut sink);
+        cp.flush_extents(&mut sink, None, false);
         assert!(cp.evict_one(0));
     }
 
@@ -1538,14 +1219,14 @@ mod tests {
             fail_next: usize::MAX,
             flushed: Vec::new(),
         };
-        cp.flush_pass(&mut sink);
+        cp.flush_extents(&mut sink, None, false);
         assert_eq!(cache.quarantined_pages(), 1);
         // Truncate/unlink must kill the parked copy too, or a later pass
         // would resurrect deleted data.
         cache.invalidate(4, 2);
         assert_eq!(cache.quarantined_pages(), 0);
         sink.fail_next = 0;
-        assert_eq!(cp.flush_pass(&mut sink), 0);
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
         assert!(sink.flushed.is_empty());
     }
 
@@ -1563,7 +1244,7 @@ mod tests {
             fail_next: usize::MAX,
             flushed: Vec::new(),
         };
-        assert_eq!(cp.flush_pass(&mut sink), 0);
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
         assert_eq!(cache.quarantined_pages(), crate::host::QUARANTINE_CAP);
         // The overflow page stayed dirty: back-pressure, not data loss.
         assert_eq!(cache.dirty_pages(), 1);
@@ -1783,159 +1464,6 @@ mod tests {
         );
     }
 
-    /// 8-aligned byte buffer for `register_io` (a `Vec<u8>` guarantees
-    /// nothing about alignment).
-    fn aligned_bytes(len: usize, fill: u8) -> Vec<u64> {
-        vec![u64::from_ne_bytes([fill; 8]); len.div_ceil(8)]
-    }
-
-    fn as_bytes(v: &[u64]) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, v.len() * 8) }
-    }
-
-    #[test]
-    fn place_write_aligned_8k_is_two_data_dmas_no_staging() {
-        let (cache, mut cp, dma) = setup(64, 8);
-        let buf = aligned_bytes(2 * PAGE_SIZE, 0xC3);
-        let reg = dma.register_io(as_bytes(&buf)).unwrap();
-        let segs = [
-            SgSeg {
-                addr: reg.addr(),
-                len: PAGE_SIZE as u32,
-            },
-            SgSeg {
-                addr: reg.addr() + PAGE_SIZE as u64,
-                len: PAGE_SIZE as u32,
-            },
-        ];
-        let mut reader = PageSource(|_: u64, _: u64, _: &mut [u8]| None);
-        let mut sink = ExtentSink::new();
-        let n = cp
-            .place_write(
-                7,
-                0,
-                2 * PAGE_SIZE as u32,
-                &segs,
-                DmaClass::WriteAbsorb,
-                &mut reader,
-                &mut sink,
-            )
-            .unwrap();
-        assert_eq!(n, 2 * PAGE_SIZE);
-        // Exactly the paper's data movement: one DMA per 4 KiB page,
-        // nothing staged, nothing bounced — and the bytes are in cache.
-        let a = dma.attribution();
-        let c = a.class(DmaClass::WriteAbsorb);
-        assert_eq!((c.dma_ops, c.dma_bytes), (2, 2 * PAGE_SIZE as u64));
-        assert_eq!((c.staged_bytes, c.dma_bounces), (0, 0));
-        assert!(a.class(DmaClass::ReadFill).is_zero(), "no RMW on aligned");
-        let mut out = vec![0u8; PAGE_SIZE];
-        for lpn in 0..2u64 {
-            assert!(cache.lookup_read(7, lpn, &mut out));
-            assert!(out.iter().all(|&b| b == 0xC3));
-        }
-        assert_eq!(cache.dirty_pages(), 2);
-        // And the dirty pages flush like any host-absorbed write.
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 2);
-    }
-
-    #[test]
-    fn place_write_partial_fresh_page_rmw_fills_from_backend() {
-        let (cache, mut cp, dma) = setup(64, 8);
-        let buf = aligned_bytes(100, 0xEE);
-        let reg = dma.register_io(as_bytes(&buf)).unwrap();
-        let segs = [SgSeg {
-            addr: reg.addr(),
-            len: 100,
-        }];
-        // Backend holds an old full page of 0x11.
-        let mut reader = PageSource(|_: u64, _: u64, out: &mut [u8]| {
-            out.fill(0x11);
-            Some(out.len())
-        });
-        let mut sink = ExtentSink::new();
-        let n = cp
-            .place_write(
-                3,
-                50,
-                100,
-                &segs,
-                DmaClass::WriteAbsorb,
-                &mut reader,
-                &mut sink,
-            )
-            .unwrap();
-        assert_eq!(n, 100);
-        let mut out = vec![0u8; PAGE_SIZE];
-        assert!(cache.lookup_read(3, 0, &mut out));
-        assert!(out[..50].iter().all(|&b| b == 0x11), "old prefix kept");
-        assert!(out[50..150].iter().all(|&b| b == 0xEE), "new bytes placed");
-        assert!(out[150..].iter().all(|&b| b == 0x11), "old suffix kept");
-        // The RMW fill is attributed to the ReadFill class.
-        let a = dma.attribution();
-        assert_eq!(a.class(DmaClass::ReadFill).dma_ops, 1);
-        assert_eq!(a.class(DmaClass::WriteAbsorb).dma_ops, 1);
-    }
-
-    #[test]
-    fn place_write_appends_intent_before_commit_and_flush_retires_it() {
-        let (cache, mut cp, dma) = setup(64, 8);
-        let wal = crate::wal::IntentLog::create(
-            dpc_pcie::HostRegion::new(64 * 1024),
-            DmaEngine::new(),
-            None,
-            1,
-        );
-        cache.attach_wal(wal.clone());
-        let buf = aligned_bytes(PAGE_SIZE, 0x5A);
-        let reg = dma.register_io(as_bytes(&buf)).unwrap();
-        let segs = [SgSeg {
-            addr: reg.addr(),
-            len: PAGE_SIZE as u32,
-        }];
-        let mut reader = PageSource(|_: u64, _: u64, _: &mut [u8]| None);
-        let mut sink = ExtentSink::new();
-        cp.place_write(
-            9,
-            0,
-            PAGE_SIZE as u32,
-            &segs,
-            DmaClass::WriteAbsorb,
-            &mut reader,
-            &mut sink,
-        )
-        .unwrap();
-        assert!(!wal.is_drained(), "intent live until the page is durable");
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
-        assert!(wal.is_drained(), "flush retired the placement's intent");
-    }
-
-    #[test]
-    fn place_write_rejects_unresolvable_segments_untouched() {
-        let (cache, mut cp, _) = setup(64, 8);
-        let segs = [SgSeg {
-            addr: 0xDEAD_0000,
-            len: PAGE_SIZE as u32,
-        }];
-        let mut reader = PageSource(|_: u64, _: u64, _: &mut [u8]| None);
-        let mut sink = ExtentSink::new();
-        let err = cp
-            .place_write(
-                1,
-                0,
-                PAGE_SIZE as u32,
-                &segs,
-                DmaClass::WriteAbsorb,
-                &mut reader,
-                &mut sink,
-            )
-            .unwrap_err();
-        assert_eq!(err, 14 /* EFAULT */);
-        let mut out = vec![0u8; PAGE_SIZE];
-        assert!(!cache.lookup_read(1, 0, &mut out), "no page materialized");
-        assert_eq!(cache.header().free(), 64);
-    }
-
     #[test]
     fn fill_direct_lands_extent_then_serves_zero_copy_hits() {
         let (cache, mut cp, dma) = setup(64, 8);
@@ -2016,13 +1544,17 @@ mod tests {
             let flusher = s.spawn(move || {
                 let mut total = 0;
                 while !stop_ref.load(std::sync::atomic::Ordering::Acquire) {
-                    total += cp.flush_pass(&mut |_ino: u64, _lpn: u64, page: &[u8]| {
-                        let first = page[0];
-                        assert!(page.iter().all(|&b| b == first), "torn flush");
-                    });
+                    total += cp.flush_extents(
+                        &mut |_ino: u64, _lpn: u64, page: &[u8]| {
+                            let first = page[0];
+                            assert!(page.iter().all(|&b| b == first), "torn flush");
+                        },
+                        None,
+                        false,
+                    );
                 }
                 // Final pass to drain.
-                total += cp.flush_pass(&mut |_: u64, _: u64, _: &[u8]| {});
+                total += cp.flush_extents(&mut |_: u64, _: u64, _: &[u8]| {}, None, false);
                 total
             });
             // Writers are the first 4 spawned threads; wait via scope end:

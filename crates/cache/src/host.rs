@@ -117,17 +117,6 @@ impl PagePool {
         };
     }
 
-    /// Borrow page `i` as a mutable slice — the direct-placement target
-    /// for scatter-gather DMA out of a registered host buffer.
-    ///
-    /// # Safety
-    /// Caller must hold entry `i`'s write lock for the whole lifetime of
-    /// the returned slice.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn page_mut(&self, i: usize) -> &mut [u8] {
-        unsafe { &mut (*self.pages[i].get()).0 }
-    }
-
     /// Optimistic (seqlock) copy out of page `i` with **no** lock held.
     ///
     /// A concurrent writer may be mutating the page during the copy. The
@@ -611,6 +600,17 @@ impl HybridCache {
     /// quarantine mutex held, after any mutation of the map.
     pub(crate) fn quarantine_note_len(&self, q: &HashMap<(u64, u64), Vec<u8>>) {
         self.quarantine_len.store(q.len() as u64, Ordering::Release);
+    }
+
+    /// Is any page of `ino` within `first_lpn..=last_lpn` parked in the
+    /// flush quarantine (refused by the backend, cached copy clean)?
+    pub fn has_quarantined_in_range(&self, ino: u64, first_lpn: u64, last_lpn: u64) -> bool {
+        !self.quarantine_is_empty()
+            && self
+                .quarantine
+                .lock()
+                .keys()
+                .any(|&(i, lpn)| i == ino && (first_lpn..=last_lpn).contains(&lpn))
     }
 
     pub(crate) fn is_quarantined(&self, ino: u64, lpn: u64) -> bool {
@@ -1212,27 +1212,6 @@ impl WriteGuard<'_> {
         self.cache.entries[self.idx]
             .flags
             .store(flags, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Zero-copy absorb: scatter-gather DMA the registered `segs`
-    /// straight into this page at `offset` — the user's buffer bytes land
-    /// in the pool page with no intermediate staging (the paper's PRP
-    /// direct placement). One DMA op is counted per segment, attributed
-    /// to `class`. The valid length grows to cover the placed range.
-    pub fn place_sg(
-        &mut self,
-        offset: usize,
-        segs: &[dpc_pcie::SgSeg],
-        dma: &dpc_pcie::DmaEngine,
-        class: dpc_pcie::DmaClass,
-    ) -> Result<usize, dpc_pcie::SgError> {
-        let total: usize = segs.iter().map(|s| s.len as usize).sum();
-        assert!(offset + total <= PAGE_SIZE, "placement exceeds the page");
-        // SAFETY: the guard holds the entry's write lock.
-        let page = unsafe { self.cache.pages.page_mut(self.idx) };
-        let n = dma.transfer_sg(segs, &mut page[offset..offset + total], class)?;
-        self.extend_valid(offset + n);
-        Ok(n)
     }
 
     /// Read back from the page (read-modify-write support).

@@ -36,9 +36,13 @@
 //! // DPU side: flush dirty pages to the disaggregated store.
 //! let mut cp = ControlPlane::new(cache.clone(), DmaEngine::new());
 //! let mut sink = Vec::new();
-//! cp.flush_pass(&mut |ino: u64, lpn: u64, page: &[u8]| {
-//!     sink.push((ino, lpn, page[..10].to_vec()));
-//! });
+//! cp.flush_extents(
+//!     &mut |ino: u64, lpn: u64, page: &[u8]| {
+//!         sink.push((ino, lpn, page[..10].to_vec()));
+//!     },
+//!     /*ino_filter*/ None,
+//!     /*background*/ false,
+//! );
 //! assert_eq!(sink, vec![(7, 0, b"hello page".to_vec())]);
 //! ```
 
@@ -53,5 +57,7 @@ pub use control::{ControlPlane, FlushBackend, ReadBackend, DEFAULT_EXTENT_PAGES}
 pub use host::{CacheStats, HybridCache, ReadHint, ReadRef, WriteError, WriteGuard};
 pub use layout::{CacheConfig, CacheEntry, CacheHeader, EntryStatus, LockState, PAGE_SIZE};
 pub use meta::{MetaAttr, MetaCache, MetaConfig, MetaDirent, MetaStats, NameLookup};
-pub use readahead::{PrefetchJob, PrefetchQueue, RaConfig, RaWindow, ReadaheadTable};
+pub use readahead::{
+    PrefetchJob, PrefetchQueue, RaConfig, RaWindow, ReadaheadTable, PREFETCH_QUEUE_CAP,
+};
 pub use wal::{IntentLog, WalError, WalKind, WalRecord, WalScan, WalStats, REC_HEADER, WAL_HEADER};

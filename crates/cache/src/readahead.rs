@@ -247,6 +247,9 @@ pub struct PrefetchJob {
     pub window: RaWindow,
 }
 
+/// Capacity, in jobs, of the product's prefetch queue.
+pub const PREFETCH_QUEUE_CAP: usize = 256;
+
 /// Bounded MPMC queue feeding the background prefetcher thread.
 /// `push` never blocks: when full, the job is simply dropped (readahead
 /// is best-effort; the demand path must never wait on it).

@@ -92,9 +92,13 @@ proptest! {
                 }
                 Op::FlushPass => {
                     let be = &mut backend;
-                    let flushed = cp.flush_pass(&mut |ino: u64, lpn: u64, page: &[u8]| {
-                        be.insert((ino, lpn), page[0]);
-                    });
+                    let flushed = cp.flush_extents(
+                        &mut |ino: u64, lpn: u64, page: &[u8]| {
+                            be.insert((ino, lpn), page[0]);
+                        },
+                        None,
+                        false,
+                    );
                     prop_assert_eq!(flushed, dirty.len(), "flush drains exactly the dirty set");
                     for (k, v) in dirty.drain() {
                         prop_assert_eq!(backend.get(&k), Some(&v), "flushed content");
@@ -132,9 +136,13 @@ proptest! {
 
         // Nothing dirty may be lost: final flush emits every pending write.
         let be = &mut backend;
-        let flushed = cp.flush_pass(&mut |ino: u64, lpn: u64, page: &[u8]| {
-            be.insert((ino, lpn), page[0]);
-        });
+        let flushed = cp.flush_extents(
+            &mut |ino: u64, lpn: u64, page: &[u8]| {
+                be.insert((ino, lpn), page[0]);
+            },
+            None,
+            false,
+        );
         prop_assert_eq!(flushed, dirty.len());
         for (k, v) in dirty {
             prop_assert_eq!(backend.get(&k), Some(&v));

@@ -34,9 +34,8 @@ use dpc_cache::{
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
     decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileRequest, FileResponse,
-    WireAttr, WireDirent, WireStep, ZcOp, MAX_NAME_LEN, MAX_PATH_LEN, SGL_MAX_SEGMENTS,
+    WireAttr, WireDirent, WireStep, MAX_NAME_LEN, MAX_PATH_LEN,
 };
-use dpc_pcie::{DmaClass, DmaEngine, SgSeg};
 use parking_lot::Mutex;
 
 use crate::dispatch::FSYNC_ALL;
@@ -283,11 +282,10 @@ pub struct DpcFs {
     /// adapter of one `Dpc`. `None` (the default) keeps the metadata
     /// path untouched — no probes, no counters.
     meta: Option<Arc<MetaCache>>,
-    /// Zero-copy data path (DESIGN.md §15): the instance DMA engine, for
-    /// registering caller buffers so SQEs can carry their PRP addresses.
-    /// `None` (`zero_copy` off) keeps the staged path verbatim and every
-    /// `dma_*` class counter provably zero.
-    zc: Option<DmaEngine>,
+    /// Direct read-miss fill (DESIGN.md §15, `DpcConfig::zero_copy`):
+    /// buffered read misses first ask the DPU to land the extent in the
+    /// page pool. Off keeps every `dma_*` class counter provably zero.
+    zc: bool,
 }
 
 /// One path a namespace request asks the DPU to walk: the inode the host's
@@ -345,6 +343,49 @@ fn copy_dirents_reusing<'a>(
     out.truncate(n);
 }
 
+/// One page of the paper's front-end write protocol, shared by the host
+/// absorb and by crash replay: claim the entry, read-modify-fill a fresh
+/// partial page from `fetch_old` (which fills its buffer with the page's
+/// durable bytes — over the link on the host, from KVFS in replay — and
+/// returns how many are valid), write the chunk, register the intent
+/// obligation under the entry lock, commit dirty. `Ok(Ok(()))` means the
+/// cache absorbed the page; `Ok(Err(bucket))` reports a full bucket for
+/// the caller to batch into one eviction command.
+pub(crate) fn cache_write_page<E>(
+    cache: &HybridCache,
+    ino: u64,
+    lpn: u64,
+    in_page: usize,
+    chunk: &[u8],
+    wal: Option<(&Arc<IntentLog>, u64)>,
+    fetch_old: impl FnOnce(&mut [u8]) -> Result<usize, E>,
+) -> Result<Result<(), usize>, E> {
+    match cache.begin_write(ino, lpn) {
+        Ok(mut guard) => {
+            if guard.claimed_free() && chunk.len() < PAGE_SIZE {
+                // Scrub recycled pool bytes and lay down the old content
+                // in one page write. Only the fetched bytes are *valid* —
+                // the zero padding past them must never be flushed (it
+                // would inflate the file's logical size).
+                let mut old = [0u8; PAGE_SIZE];
+                let valid = fetch_old(&mut old)?;
+                guard.write(0, &old);
+                guard.set_valid(valid);
+            }
+            guard.write(in_page, chunk);
+            if let Some((log, seq)) = wal {
+                // Register the obligation while still holding the
+                // entry write lock: the moment `commit_dirty` lands,
+                // a flusher may drain (and try to retire) this page.
+                log.note_committed(ino, lpn, seq);
+            }
+            guard.commit_dirty();
+            Ok(Ok(()))
+        }
+        Err(WriteError::NeedEviction { bucket }) => Ok(Err(bucket)),
+    }
+}
+
 impl DpcFs {
     pub(crate) fn new(
         cache: Arc<HybridCache>,
@@ -353,7 +394,7 @@ impl DpcFs {
         mode: IoMode,
         fsync_mode: FsyncMode,
         meta: Option<Arc<MetaCache>>,
-        zc: Option<DmaEngine>,
+        zc: bool,
     ) -> DpcFs {
         DpcFs {
             cache,
@@ -769,121 +810,7 @@ impl DpcFs {
         String::from_utf8(target).map_err(|_| DpcError::IO)
     }
 
-    // ---- zero-copy data path (DESIGN.md §15) -----------------------------
-
-    /// Split a registered buffer into PRP-style segments: one per 4 KiB
-    /// DMA-address page (registrations are 4 KiB-based, so an aligned
-    /// 8 KiB buffer becomes exactly the two inline PRP entries).
-    fn prp_segs(base: u64, len: usize) -> Vec<SgSeg> {
-        let mut segs = Vec::with_capacity(len.div_ceil(4096) + 1);
-        let mut pos = 0usize;
-        while pos < len {
-            let in_page = ((base + pos as u64) % 4096) as usize;
-            let n = (4096 - in_page).min(len - pos);
-            segs.push(SgSeg {
-                addr: base + pos as u64,
-                len: n as u32,
-            });
-            pos += n;
-        }
-        segs
-    }
-
-    /// Zero-copy buffered absorb: register the caller's buffer, put its
-    /// PRP addresses in the SQE, and let the DPU DMA the payload straight
-    /// into the cache page pool (`ControlPlane::place_write`, which also
-    /// appends the intent record write-ahead of the ack — the host-side
-    /// `wal_admit` is skipped so each write logs exactly once).
-    ///
-    /// `None` means the path did not apply (knob off, op too large for
-    /// the SGL, or the DPU refused — EBUSY under eviction pressure,
-    /// EFAULT on a revoked registration, EIO after a crash): the caller
-    /// falls back to the classic staged path, so a refusal is never data
-    /// loss. An unregisterable buffer takes the *bounce* path instead:
-    /// one host staging copy (counted as `staged_bytes`/`dma_bounces`),
-    /// identical wire shape.
-    fn zc_write(&self, ino: u64, offset: u64, data: &[u8], class: DmaClass) -> Option<usize> {
-        let dma = self.zc.as_ref()?;
-        if data.len().div_ceil(4096) + 1 > SGL_MAX_SEGMENTS {
-            return None;
-        }
-        let done = match dma.register_io(data) {
-            Some(reg) => {
-                let segs = Self::prp_segs(reg.addr(), data.len());
-                self.pool.call_zc(
-                    ZcOp::WriteCached,
-                    class,
-                    ino,
-                    offset,
-                    data.len() as u32,
-                    &segs,
-                )
-            }
-            None => self
-                .pool
-                .call_zc_bounced(ZcOp::WriteCached, class, ino, offset, data),
-        };
-        match done {
-            Ok(c) => match c.response {
-                FileResponse::Bytes(n) => Some(n as usize),
-                _ => None,
-            },
-            Err(_) => None,
-        }
-    }
-
-    /// Zero-copy gathered write: every segment registered individually,
-    /// all PRP entries in one SQE/SGL — one DMA per entry, no host-side
-    /// coalescing copy, absorbed by the cache exactly like [`Self::zc_write`].
-    /// Any unregisterable segment demotes the whole gather to one bounced
-    /// (flattened) staging copy; oversized gathers return `None` for the
-    /// classic path.
-    fn zc_writev(&self, ino: u64, offset: u64, segments: &[&[u8]], total: usize) -> Option<usize> {
-        let dma = self.zc.as_ref()?;
-        if total.div_ceil(4096) + 1 > SGL_MAX_SEGMENTS {
-            return None;
-        }
-        let mut regs = Vec::with_capacity(segments.len());
-        let mut segs: Vec<SgSeg> = Vec::new();
-        let mut direct = true;
-        for s in segments.iter().filter(|s| !s.is_empty()) {
-            match dma.register_io(s) {
-                Some(reg) => {
-                    segs.extend(Self::prp_segs(reg.addr(), s.len()));
-                    regs.push(reg);
-                }
-                None => {
-                    direct = false;
-                    break;
-                }
-            }
-        }
-        let done = if direct && segs.len() <= SGL_MAX_SEGMENTS {
-            self.pool.call_zc(
-                ZcOp::WriteCached,
-                DmaClass::Writev,
-                ino,
-                offset,
-                total as u32,
-                &segs,
-            )
-        } else {
-            drop(regs);
-            let mut flat = Vec::with_capacity(total);
-            for s in segments {
-                flat.extend_from_slice(s);
-            }
-            self.pool
-                .call_zc_bounced(ZcOp::WriteCached, DmaClass::Writev, ino, offset, &flat)
-        };
-        match done {
-            Ok(c) => match c.response {
-                FileResponse::Bytes(n) => Some(n as usize),
-                _ => None,
-            },
-            Err(_) => None,
-        }
-    }
+    // ---- direct miss fill (DESIGN.md §15) --------------------------------
 
     /// Zero-copy read-miss fill: ask the DPU to land the backend extent
     /// directly in pool pages (`ControlPlane::fill_direct`). The SQE
@@ -892,13 +819,7 @@ impl DpcFs {
     /// path. Returns the contiguous servable byte count from `offset`
     /// (0 = nothing landed; the caller falls back to the classic fetch).
     fn zc_fill(&self, ino: u64, offset: u64, len: u32) -> usize {
-        if self.zc.is_none() {
-            return 0;
-        }
-        match self
-            .pool
-            .call_zc(ZcOp::ReadFill, DmaClass::ReadFill, ino, offset, len, &[])
-        {
+        match self.pool.call_zc(ino, offset, len) {
             Ok(c) => match c.response {
                 FileResponse::Bytes(n) => n as usize,
                 _ => 0,
@@ -1020,18 +941,6 @@ impl DpcFs {
                 Ok(n as usize)
             }
             IoMode::Buffered => {
-                // Zero-copy absorb first (DESIGN.md §15): the DPU pulls
-                // the payload straight from the registered user buffer
-                // into the page pool, appending the intent record itself
-                // before acking — still write-ahead, logged exactly once.
-                // Any refusal falls through to the classic staged path.
-                if let Some(n) = self.zc_write(ino, offset, data, DmaClass::WriteAbsorb) {
-                    entry
-                        .cell
-                        .size
-                        .fetch_max(offset + n as u64, Ordering::AcqRel);
-                    return Ok(n);
-                }
                 // Write-ahead: the intent record must be on the ring
                 // before the cache absorbs the first page — an acked
                 // buffered write is then always recoverable.
@@ -1085,6 +994,25 @@ impl DpcFs {
             pos: usize,
             len: usize,
         }
+        let wal = wal.map(|(log, seq)| (log, *seq));
+        // A partial write into a fresh page fetches the old content from
+        // the DPU first (read-modify-write).
+        let absorb = |lpn: u64, in_page: usize, chunk: &[u8]| {
+            cache_write_page(&self.cache, ino, lpn, in_page, chunk, wal, |old| {
+                let (_, payload) = self.call(
+                    &FileRequest::Read {
+                        ino,
+                        offset: lpn * PAGE_SIZE as u64,
+                        len: PAGE_SIZE as u32,
+                    },
+                    b"",
+                    PAGE_SIZE as u32,
+                )?;
+                let n = payload.len().min(old.len());
+                old[..n].copy_from_slice(&payload[..n]);
+                Ok::<_, DpcError>(n)
+            })
+        };
         let mut stalled: Vec<Stalled> = Vec::new();
         let mut buckets: Vec<u64> = Vec::new();
         let mut pos = 0usize;
@@ -1093,7 +1021,7 @@ impl DpcFs {
             let lpn = off / PAGE_SIZE as u64;
             let in_page = (off % PAGE_SIZE as u64) as usize;
             let n = (PAGE_SIZE - in_page).min(data.len() - pos);
-            match self.cache_write_page(ino, lpn, in_page, &data[pos..pos + n], wal)? {
+            match absorb(lpn, in_page, &data[pos..pos + n])? {
                 Ok(()) => {}
                 Err(bucket) => {
                     self.cache.note_evict_stall();
@@ -1129,11 +1057,7 @@ impl DpcFs {
             };
             for s in &stalled {
                 let chunk = &data[s.pos..s.pos + s.len];
-                if evicted
-                    && self
-                        .cache_write_page(ino, s.lpn, s.in_page, chunk, wal)?
-                        .is_ok()
-                {
+                if evicted && absorb(s.lpn, s.in_page, chunk)?.is_ok() {
                     continue;
                 }
                 self.cache.note_write_through();
@@ -1141,7 +1065,7 @@ impl DpcFs {
                 if let Some((log, seq)) = wal {
                     // Written through durably: that page's
                     // obligation is already met.
-                    log.retire_page(*seq);
+                    log.retire_page(seq);
                 }
             }
         }
@@ -1186,58 +1110,6 @@ impl DpcFs {
         }
         entry.cell.size.fetch_max(end, Ordering::AcqRel);
         Ok(data.len())
-    }
-
-    /// One page of the paper's front-end write protocol. `Ok(Ok(()))`
-    /// means the cache absorbed the page; `Ok(Err(bucket))` reports a
-    /// full bucket for the caller to batch into one eviction command.
-    fn cache_write_page(
-        &self,
-        ino: u64,
-        lpn: u64,
-        in_page: usize,
-        chunk: &[u8],
-        wal: Option<&(Arc<IntentLog>, u64)>,
-    ) -> Result<Result<(), usize>, DpcError> {
-        match self.cache.begin_write(ino, lpn) {
-            Ok(mut guard) => {
-                if guard.claimed_free() && chunk.len() < PAGE_SIZE {
-                    // Partial write into a fresh page: fetch the old
-                    // content from the DPU first (read-modify-write).
-                    let (resp, payload) = self.call(
-                        &FileRequest::Read {
-                            ino,
-                            offset: lpn * PAGE_SIZE as u64,
-                            len: PAGE_SIZE as u32,
-                        },
-                        b"",
-                        PAGE_SIZE as u32,
-                    )?;
-                    if let FileResponse::Bytes(_) = resp {
-                        // Scrub recycled pool bytes, then lay down the
-                        // old content. Only the fetched bytes are
-                        // *valid* — the zero padding past them must
-                        // never be flushed (it would inflate the
-                        // file's logical size).
-                        guard.write(0, &vec![0u8; PAGE_SIZE]);
-                        guard.set_valid(0);
-                        if !payload.is_empty() {
-                            guard.write(0, &payload);
-                        }
-                    }
-                }
-                guard.write(in_page, chunk);
-                if let Some((log, seq)) = wal {
-                    // Register the obligation while still holding the
-                    // entry write lock: the moment `commit_dirty` lands,
-                    // a flusher may drain (and try to retire) this page.
-                    log.note_committed(ino, lpn, *seq);
-                }
-                guard.commit_dirty();
-                Ok(Ok(()))
-            }
-            Err(WriteError::NeedEviction { bucket }) => Ok(Err(bucket)),
-        }
     }
 
     /// Bypass the cache for one page-sized chunk (no slot could be
@@ -1299,7 +1171,9 @@ impl DpcFs {
                     in_page: usize,
                     take: usize,
                 }
-                let mut page = vec![0u8; PAGE_SIZE];
+                // Page scratch for the settled-copy and miss paths only:
+                // an all-hit read never sizes (allocates) it.
+                let mut page: Vec<u8> = Vec::new();
                 let mut pos = 0usize;
                 let mut off = offset;
                 // Pass 1: serve cache hits zero-copy, remember the
@@ -1327,6 +1201,7 @@ impl DpcFs {
                                 // are overwritten by whichever settled
                                 // copy (or miss fill) follows.
                                 None => {
+                                    page.resize(PAGE_SIZE, 0);
                                     self.cache
                                         .lookup_read_hint(ino, lpn, &mut page)
                                         .inspect(|_| {
@@ -1357,7 +1232,7 @@ impl DpcFs {
                     pos += take;
                     off += take as u64;
                 }
-                // Zero-copy fills (DESIGN.md §15): one header-only SQE
+                // Direct fills (DESIGN.md §15): one header-only SQE
                 // per contiguous miss run asks the DPU to land the
                 // backend extent *directly* in pool pages
                 // (`ControlPlane::fill_direct`); the final hop into
@@ -1365,7 +1240,7 @@ impl DpcFs {
                 // Pages the fill could not land (pool pressure, epoch
                 // races, short extents) stay on the miss list for the
                 // classic staged fetch below.
-                if !misses.is_empty() && self.zc.is_some() {
+                if !misses.is_empty() && self.zc {
                     let mut runs: Vec<(u64, usize)> = Vec::new();
                     for m in &misses {
                         match runs.last_mut() {
@@ -1390,15 +1265,17 @@ impl DpcFs {
                                     Some(_) => true,
                                     // Torn validation: the locked copy
                                     // path settles it, like a hit would.
-                                    None => self
-                                        .cache
-                                        .lookup_read_hint(ino, m.lpn, &mut page)
-                                        .inspect(|_| {
-                                            dst[m.pos..m.pos + m.take].copy_from_slice(
-                                                &page[m.in_page..m.in_page + m.take],
-                                            );
-                                        })
-                                        .is_some(),
+                                    None => {
+                                        page.resize(PAGE_SIZE, 0);
+                                        self.cache
+                                            .lookup_read_hint(ino, m.lpn, &mut page)
+                                            .inspect(|_| {
+                                                dst[m.pos..m.pos + m.take].copy_from_slice(
+                                                    &page[m.in_page..m.in_page + m.take],
+                                                );
+                                            })
+                                            .is_some()
+                                    }
                                 }
                             }
                             None => false,
@@ -1416,6 +1293,7 @@ impl DpcFs {
                 // (doorbell-coalesced through the pool). A lone miss
                 // degenerates to the old per-page fetch.
                 if !misses.is_empty() {
+                    page.resize(PAGE_SIZE, 0);
                     struct Run {
                         /// Index of the run's first page in `misses`.
                         first: usize,
@@ -1503,8 +1381,9 @@ impl DpcFs {
     }
 
     /// Vectored write (writev): the segments cross nvme-fs as an SGL —
-    /// one DMA per segment, no host-side coalescing copy. Always a direct
-    /// write (gathering through the page cache would defeat the point).
+    /// one DMA per segment, no host-side coalescing copy. Always a durable
+    /// direct write, whatever the I/O mode or `zero_copy` say (gathering
+    /// through the page cache would defeat the point).
     pub fn writev(&self, fd: Fd, offset: u64, segments: &[&[u8]]) -> Result<usize, DpcError> {
         let total: usize = segments.iter().map(|s| s.len()).sum();
         if total == 0 {
@@ -1518,27 +1397,26 @@ impl DpcFs {
         // must reach the backend before the direct write lands (flush,
         // never discard). The dirty-range index answers the overlap
         // query exactly — unrelated files' dirty pages (or this file's
-        // outside the range) no longer force a full flush. Quarantined
-        // pages sit outside the index, so any of them (rare: only under
-        // injected flush faults) still take the conservative path.
+        // outside the range) no longer force a full flush. A page the
+        // backend refused sits in the flush quarantine instead, outside
+        // the index, and an fsync does not promise to drain it: the range
+        // is re-checked after every flush, because the invalidation
+        // below would otherwise discard the only copy of such a page's
+        // bytes around the gather.
         let end = offset.checked_add(total as u64).ok_or(DpcError::INVALID)?;
-        // Zero-copy gather (DESIGN.md §15): the segments' PRP addresses
-        // ride the SQE and the DPU absorbs them straight into the cache
-        // (merging over any overlapping dirty pages under the entry
-        // locks), so neither the O_DIRECT pre-flush nor the post-write
-        // invalidation below applies — the cache *is* the destination.
-        if let Some(n) = self.zc_writev(ino, offset, segments, total) {
-            entry
-                .cell
-                .size
-                .fetch_max(offset + n as u64, Ordering::AcqRel);
-            return Ok(n);
-        }
         let first_lpn = offset / PAGE_SIZE as u64;
         let last_lpn = (end - 1) / PAGE_SIZE as u64;
-        if self.cache.has_dirty_in_range(ino, first_lpn, last_lpn)
-            || self.cache.quarantined_pages() > 0
+        const PREFLUSH_ROUNDS: u32 = 4;
+        let mut rounds = 0;
+        while self.cache.has_dirty_in_range(ino, first_lpn, last_lpn)
+            || self
+                .cache
+                .has_quarantined_in_range(ino, first_lpn, last_lpn)
         {
+            if rounds == PREFLUSH_ROUNDS {
+                return Err(DpcError(16 /* EBUSY */));
+            }
+            rounds += 1;
             self.call(&FileRequest::Fsync { ino }, b"", 0)?;
         }
         // Intent-log the gathered payload (flattened — replay needs the

@@ -17,7 +17,7 @@ use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
 use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
 use dpc_nvmefs::{
     encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
-    FileTarget, WireAttr, WireStep, ZcCmd, ZcOp,
+    FileTarget, WireAttr, WireStep, ZcCmd,
 };
 use dpc_sim::FaultSite;
 
@@ -185,8 +185,8 @@ pub struct Dispatcher {
     /// prefetcher. `None` = readahead off; demand reads are then pure
     /// KVFS reads with no state tracking at all.
     ra: Option<(Arc<ReadaheadTable>, Arc<PrefetchQueue>)>,
-    /// Coalesce adjacent dirty pages into extent writes on the flush
-    /// path (and scope `Fsync` flushes to the requested inode).
+    /// Coalesce adjacent dirty pages into extent writes on the `Fsync`
+    /// flush path; off caps every extent at one page.
     pub coalesce: bool,
     /// Fault site fired on every flush-to-KVFS attempt ("cache.flush").
     pub(crate) flush_fault: Option<Arc<FaultSite>>,
@@ -275,51 +275,46 @@ impl Dispatcher {
         served
     }
 
-    /// Serve one zero-copy command (the tentpole's DPU half) and post
-    /// its header-only completion. A refusal (errno CQE) is always safe:
-    /// the host falls back to the classic staged path, which re-runs the
-    /// op from the original user buffer.
+    /// Serve one zero-copy read fill and post its header-only completion.
+    /// Landing nothing is always safe: the host fetches whatever the fill
+    /// left missing through the classic staged read.
     fn handle_zc(&mut self, inc: &FileIncoming, zc: &ZcCmd, target: &mut FileTarget) {
         if inc.dispatch != DispatchType::Standalone {
-            // The offloaded DFS client has no direct-placement absorb —
-            // distributed files take the classic block path.
+            // Distributed files have no page cache to fill.
             target.reply_zc_err(inc.slot, 95 /* EOPNOTSUPP */);
             return;
         }
-        match zc.op {
-            ZcOp::WriteCached => {
-                let res = self.control.place_write(
-                    zc.ino,
-                    zc.offset,
-                    zc.len,
-                    &zc.segs,
-                    zc.class,
-                    &mut KvfsRead { kvfs: &self.kvfs },
-                    &mut KvfsFlush {
-                        kvfs: &self.kvfs,
-                        fault: self.flush_fault.as_ref(),
-                    },
-                );
-                match res {
-                    Ok(n) => target.reply_zc(inc.slot, n as u32),
-                    Err(errno) => target.reply_zc_err(inc.slot, errno),
-                }
-            }
-            ZcOp::ReadFill => {
-                let n = self.control.fill_direct(
-                    zc.ino,
-                    zc.offset,
-                    zc.len,
-                    &mut KvfsRead { kvfs: &self.kvfs },
-                );
-                if n > 0 {
-                    // Miss-stream feeding works exactly as on the classic
-                    // read path — fills train the readahead table too.
-                    self.note_read(zc.ino, zc.offset, zc.len);
-                }
-                target.reply_zc(inc.slot, n as u32);
-            }
+        let n = self.control.fill_direct(
+            zc.ino,
+            zc.offset,
+            zc.len,
+            &mut KvfsRead { kvfs: &self.kvfs },
+        );
+        if n > 0 {
+            // Miss-stream feeding works exactly as on the classic read
+            // path — fills train the readahead table too.
+            self.note_read(zc.ino, zc.offset, zc.len);
         }
+        target.reply_zc(inc.slot, n as u32);
+    }
+
+    /// One foreground flush of the hybrid cache's dirty pages into KVFS,
+    /// scoped to `ino_filter` when given. With `coalesce` off the extent
+    /// cap is one page: every dirty page is its own backend write.
+    fn flush(&mut self, ino_filter: Option<u64>) {
+        let cap = self.control.max_extent_pages;
+        if !self.coalesce {
+            self.control.max_extent_pages = 1;
+        }
+        self.control.flush_extents(
+            &mut KvfsFlush {
+                kvfs: &self.kvfs,
+                fault: self.flush_fault.as_ref(),
+            },
+            ino_filter,
+            false,
+        );
+        self.control.max_extent_pages = cap;
     }
 
     fn handle_kvfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
@@ -473,36 +468,23 @@ impl Dispatcher {
             FileRequest::Fsync { ino } => {
                 // Persist the hybrid cache's dirty pages into KVFS, then
                 // the (always-durable) store needs no further barrier.
-                // With coalescing the dirty-range index scopes the flush
-                // to this inode (other files' pages are the background
-                // flusher's problem) and adjacent pages go out as extent
-                // writes; the legacy path scans the whole meta area.
-                let mut backend = KvfsFlush {
-                    kvfs,
-                    fault: self.flush_fault.as_ref(),
-                };
+                // The dirty-range index scopes the flush to this inode
+                // (other files' pages are the background flusher's
+                // problem).
                 if *ino == FSYNC_ALL {
                     // Unscoped sweep (WAL ring back-pressure): flush every
                     // inode, no per-inode barrier.
-                    if self.coalesce {
-                        self.control.flush_extents(&mut backend, None, false);
-                    } else {
-                        self.control.flush_pass(&mut backend);
-                    }
+                    self.flush(None);
                     return FileResponse::Ok;
                 }
-                if self.coalesce {
-                    self.control.flush_extents(&mut backend, Some(*ino), false);
-                } else {
-                    self.control.flush_pass(&mut backend);
-                }
+                self.flush(Some(*ino));
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
                 // false durability promise. The reply carries the
                 // post-flush attribute: the host compares its logical
                 // size with it and sends a reconciling `Truncate` only on
                 // disagreement (DESIGN.md §9.1).
-                match kvfs.fsync(*ino) {
+                match self.kvfs.fsync(*ino) {
                     Ok(attr) => FileResponse::Attr(wire_attr(&attr)),
                     Err(e) => fs_err(e),
                 }
@@ -540,31 +522,11 @@ impl Dispatcher {
                     FileResponse::Bytes(out.len() as u32)
                 }))
             }
-            FileRequest::CacheEvict { bucket } => {
-                let bucket = *bucket as usize;
-                if !self.control.evict_one(bucket) {
-                    // Nothing clean: flush first, then retry.
-                    self.control.flush_pass(&mut KvfsFlush {
-                        kvfs,
-                        fault: self.flush_fault.as_ref(),
-                    });
-                    if !self.control.evict_one(bucket) && self.control.bucket_occupied(bucket) {
-                        // Even after a full flush pass nothing in this
-                        // (populated) bucket could be evicted; tell the
-                        // host so it can fall back to write-through
-                        // instead of assuming a free frame exists. An
-                        // empty bucket stays Ok — there was nothing to do.
-                        return FileResponse::Err(16 /* EBUSY */);
-                    }
-                }
-                FileResponse::Ok
-            }
             FileRequest::CacheEvictBatch { buckets } => {
-                // One doorbell frees a slot per requested bucket occurrence
-                // (a stalled write burst ping-ponged one CacheEvict per
-                // page before). Wire-supplied indices are wrapped into
-                // range — the host always sends valid ones, but a hostile
-                // peer must not be able to panic a service thread.
+                // One doorbell frees a slot per requested bucket occurrence.
+                // Wire-supplied indices are wrapped into range — the host
+                // always sends valid ones, but a hostile peer must not be
+                // able to panic a service thread.
                 let nb = self.control.cache().bucket_count();
                 let wanted: Vec<usize> = buckets.iter().map(|b| (*b as usize) % nb).collect();
                 let freed = self.control.evict_batch(
@@ -575,9 +537,11 @@ impl Dispatcher {
                     },
                 );
                 if freed == 0 && wanted.iter().any(|&b| self.control.bucket_occupied(b)) {
-                    // Same contract as CacheEvict: a populated bucket that
-                    // stayed full even after a flush pass is EBUSY — the
-                    // host goes straight to write-through.
+                    // Even after a flush pass nothing in a populated
+                    // bucket could be evicted: tell the host so it falls
+                    // back to write-through instead of assuming a free
+                    // frame exists. All-empty buckets stay a success —
+                    // there was nothing to do.
                     return FileResponse::Err(16 /* EBUSY */);
                 }
                 FileResponse::Bytes(freed as u32)

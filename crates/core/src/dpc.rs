@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dpc_cache::{
     CacheConfig, ControlPlane, HybridCache, IntentLog, MetaCache, MetaConfig, PrefetchQueue,
-    RaConfig, ReadaheadTable, WAL_HEADER,
+    RaConfig, ReadaheadTable, PREFETCH_QUEUE_CAP, WAL_HEADER,
 };
 use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
 use dpc_kvfs::Kvfs;
@@ -53,9 +53,6 @@ pub struct DpcConfig {
     pub ra_initial_window: u32,
     /// Cap the adaptive window doubles toward (pages).
     pub ra_max_window: u32,
-    /// Prefetch-queue capacity (jobs); pushes beyond it are dropped —
-    /// readahead is best-effort and must never block a demand read.
-    pub ra_queue_cap: usize,
     /// Cache-pressure floor for prefetch fills, as a fraction of total
     /// cache pages: a window fill never pushes free pages below
     /// `ra_throttle_free * cache_pages` (it shrinks or drops instead).
@@ -64,19 +61,12 @@ pub struct DpcConfig {
     /// Off by default: dirty pages then persist on fsync/close/eviction,
     /// which keeps size reconciliation deterministic.
     pub background_flush: bool,
-    /// Coalesce adjacent dirty pages into multi-page extent writes on
-    /// every flush path (fsync, eviction pressure, background flusher)
-    /// and scope fsync flushes to the requested inode via the per-ino
-    /// dirty-range index. Off = the legacy one-KV-write-per-page path.
+    /// Coalesce adjacent dirty pages into multi-page extent writes on the
+    /// fsync and background-flusher paths. Off = an extent cap of one
+    /// page (one KV write per dirty page) on the same flush code.
     pub coalesce_flush: bool,
     /// Largest coalesced extent, in pages.
     pub flush_extent_pages: usize,
-    /// Background flusher hysteresis: start draining when the dirty
-    /// ratio reaches the high watermark, stop once it falls to the low
-    /// one. Foreground writes then always find clean evictable pages and
-    /// `fsync` only waits for the residual.
-    pub flush_low_watermark: f64,
-    pub flush_high_watermark: f64,
     /// Also stand up a DFS backend and offload its client (Distributed
     /// dispatch). None = standalone-only DPC.
     pub dfs: Option<DfsConfig>,
@@ -115,13 +105,13 @@ pub struct DpcConfig {
     /// transport, DFS/KV servers, cache flush). None = no faults; all
     /// recovery machinery stays dormant and its counters read zero.
     pub faults: Option<Arc<FaultPlan>>,
-    /// True zero-copy data path (DESIGN.md §15): buffered writes and
-    /// read-miss fills carry PRP/SG descriptors of the caller's buffer in
-    /// the SQE instead of staging payload through the queue region; the
-    /// DPU DMA-places data directly between the registered host buffer
-    /// and the cache page pool. Off = the staged path, kept verbatim as
-    /// the equivalence baseline; every `dma_*` class counter stays
-    /// provably zero.
+    /// Direct read-miss fill (DESIGN.md §15): a buffered read miss first
+    /// sends a header-only SQE asking the DPU to land the backend extent
+    /// straight in the cache page pool, then serves the bytes from the
+    /// hit path; pages the fill could not land take the staged fetch.
+    /// Gates nothing else — `write` and `writev` send the same requests
+    /// either way. Off = every miss is a staged fetch and every `dma_*`
+    /// class counter stays provably zero.
     pub zero_copy: bool,
 }
 
@@ -138,13 +128,10 @@ impl Default for DpcConfig {
             prefetch: true,
             ra_initial_window: 4,
             ra_max_window: 64,
-            ra_queue_cap: 256,
             ra_throttle_free: 0.125,
             background_flush: false,
             coalesce_flush: true,
             flush_extent_pages: dpc_cache::DEFAULT_EXTENT_PAGES,
-            flush_low_watermark: 0.25,
-            flush_high_watermark: 0.75,
             wal: false,
             wal_bytes: 4 << 20,
             meta_cache: false,
@@ -194,13 +181,6 @@ impl DpcConfig {
         }
         if !self.cache_pages.is_multiple_of(self.cache_bucket_entries) {
             return err("cache_pages", "must be a multiple of cache_bucket_entries");
-        }
-        let (low, high) = (self.flush_low_watermark, self.flush_high_watermark);
-        if low.is_nan() || high.is_nan() || low > high {
-            return err(
-                "flush_low_watermark",
-                "must not exceed flush_high_watermark",
-            );
         }
         if !(0.0..=1.0).contains(&self.ra_throttle_free) {
             return err("ra_throttle_free", "must be a fraction in 0.0..=1.0");
@@ -373,7 +353,7 @@ impl Dpc {
                 max_window: cfg.ra_max_window.max(initial),
                 trigger: 2,
             }));
-            let queue = Arc::new(PrefetchQueue::new(cfg.ra_queue_cap.max(1)));
+            let queue = Arc::new(PrefetchQueue::new(PREFETCH_QUEUE_CAP));
             Some((table, queue))
         } else {
             None
@@ -405,15 +385,16 @@ impl Dpc {
 
         let flusher = if cfg.background_flush {
             let mut control = ControlPlane::new(cache.clone(), dma.clone());
-            control.max_extent_pages = cfg.flush_extent_pages.max(1);
+            control.max_extent_pages = if cfg.coalesce_flush {
+                cfg.flush_extent_pages.max(1)
+            } else {
+                1
+            };
             control.set_crash_switch(Some(crash.clone()));
             Some(FlusherConfig {
                 control,
                 kvfs: kvfs.clone(),
                 fault: flush_fault,
-                coalesce: cfg.coalesce_flush,
-                low_watermark: cfg.flush_low_watermark,
-                high_watermark: cfg.flush_high_watermark,
             })
         } else {
             None
@@ -495,7 +476,7 @@ impl Dpc {
             self.cfg.io_mode,
             fsync_mode,
             self.meta.clone(),
-            self.cfg.zero_copy.then(|| self.dma.clone()),
+            self.cfg.zero_copy,
         )
     }
 
@@ -627,17 +608,13 @@ mod tests {
     #[test]
     fn bad_configs_are_named_before_anything_is_built() {
         type Case = (fn(&mut DpcConfig), &'static str);
-        let cases: [Case; 9] = [
+        let cases: [Case; 8] = [
             (|c| c.cache_pages = 0, "cache_pages"),
             (|c| c.cache_pages = 3, "cache_pages"),
             (|c| c.cache_bucket_entries = 0, "cache_bucket_entries"),
             (|c| c.queues = 0, "queues"),
             (|c| c.queue_depth = 0, "queue_depth"),
             (|c| c.queue_depth = 1, "queue_depth"),
-            (
-                |c| (c.flush_low_watermark, c.flush_high_watermark) = (0.8, 0.2),
-                "flush_low_watermark",
-            ),
             (|c| c.ra_throttle_free = f64::NAN, "ra_throttle_free"),
             (|c| c.ra_throttle_free = 2.0, "ra_throttle_free"),
         ];

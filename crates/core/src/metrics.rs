@@ -51,9 +51,8 @@ pub struct RecoverySnapshot {
 #[derive(Copy, Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     pub pcie: PcieSnapshot,
-    /// Per-class DMA attribution of the zero-copy data path (write
-    /// absorbs, read fills, writev gathers, WAL pulls). All-zero with
-    /// `zero_copy` off — the counters only move on the ZC path.
+    /// Per-class DMA attribution of the direct read-miss fill. All-zero
+    /// with `zero_copy` off — the counters only move on that path.
     pub dma: DmaAttribution,
     pub cache: CacheStats,
     pub kvfs_lookups: LookupStats,
@@ -143,12 +142,10 @@ impl core::fmt::Display for MetricsSnapshot {
             for class in DmaClass::ALL {
                 let c = self.dma.class(class);
                 line.push_str(&format!(
-                    " {} {} ops / {} B ({} staged, {} bounces),",
+                    " {} {} ops / {} B,",
                     class.name(),
                     c.dma_ops,
-                    c.dma_bytes,
-                    c.staged_bytes,
-                    c.dma_bounces
+                    c.dma_bytes
                 ));
             }
             line.pop();

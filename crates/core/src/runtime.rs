@@ -9,6 +9,7 @@
 //! prefetcher thread drains the readahead queue, filling planned windows
 //! into the host cache (the paper's back-end read path).
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -19,21 +20,23 @@ use dpc_nvmefs::{FileIncomingBatch, FileTarget};
 use dpc_pcie::DmaEngine;
 use dpc_sim::{CrashSwitch, FaultSite};
 
+use crate::adapter::cache_write_page;
 use crate::dispatch::{Dispatcher, KvfsFlush, KvfsRead};
 
 /// Everything the background flusher thread needs: its own control-plane
-/// slice, the KVFS sink, and the write-back policy knobs.
+/// slice (whose `max_extent_pages` is the coalescing policy) and the
+/// KVFS sink.
 pub struct FlusherConfig {
     pub control: ControlPlane,
     pub kvfs: Arc<Kvfs>,
     pub fault: Option<Arc<FaultSite>>,
-    /// Coalesce adjacent dirty pages into extent writes.
-    pub coalesce: bool,
-    /// Hysteresis band: start draining at `high_watermark` dirty ratio,
-    /// stop at `low_watermark`.
-    pub low_watermark: f64,
-    pub high_watermark: f64,
 }
+
+/// Background flusher hysteresis band, as dirty ratios: start draining
+/// back-to-back at the high watermark, fall back to trickling once the
+/// ratio is down to the low one.
+const FLUSH_HIGH_WATERMARK: f64 = 0.75;
+const FLUSH_LOW_WATERMARK: f64 = 0.25;
 
 /// Everything the background prefetcher thread needs: its own
 /// control-plane slice, the KVFS page source, the shared job queue, and
@@ -208,21 +211,17 @@ impl DpuRuntime {
                         let mut urgent = false;
                         while !shared.shutdown.load(Ordering::Acquire) && !crash.is_tripped() {
                             let ratio = cache.dirty_ratio();
-                            if ratio >= f.high_watermark {
+                            if ratio >= FLUSH_HIGH_WATERMARK {
                                 urgent = true;
                             }
-                            if ratio <= f.low_watermark {
+                            if ratio <= FLUSH_LOW_WATERMARK {
                                 urgent = false;
                             }
                             let mut backend = KvfsFlush {
                                 kvfs: &f.kvfs,
                                 fault: f.fault.as_ref(),
                             };
-                            let flushed = if f.coalesce {
-                                f.control.flush_extents(&mut backend, None, true)
-                            } else {
-                                f.control.flush_pass(&mut backend)
-                            };
+                            let flushed = f.control.flush_extents(&mut backend, None, true);
                             shared
                                 .pages_flushed
                                 .fetch_add(flushed as u64, Ordering::Relaxed);
@@ -246,11 +245,7 @@ impl DpuRuntime {
                                 kvfs: &f.kvfs,
                                 fault: None,
                             };
-                            let flushed = if f.coalesce {
-                                f.control.flush_extents(&mut backend, None, true)
-                            } else {
-                                f.control.flush_pass(&mut backend)
-                            };
+                            let flushed = f.control.flush_extents(&mut backend, None, true);
                             shared
                                 .pages_flushed
                                 .fetch_add(flushed as u64, Ordering::Relaxed);
@@ -368,8 +363,9 @@ impl DpuRuntime {
                         Ok(seq) => {
                             // Re-insert as dirty pages under the fresh
                             // log's protection, page chunk by page chunk —
-                            // the same front-end protocol the adapter
-                            // runs, minus the dispatcher hop.
+                            // the front-end protocol the adapter runs, the
+                            // old bytes read from KVFS instead of over the
+                            // link.
                             let mut pos = 0usize;
                             while pos < rec.payload.len() {
                                 let abs = rec.offset + pos as u64;
@@ -377,39 +373,25 @@ impl DpuRuntime {
                                 let in_page = (abs % PAGE_SIZE as u64) as usize;
                                 let take = (PAGE_SIZE - in_page).min(rec.payload.len() - pos);
                                 let chunk = &rec.payload[pos..pos + take];
-                                match cache.begin_write(rec.ino, lpn) {
-                                    Ok(mut guard) => {
-                                        if guard.claimed_free() && take < PAGE_SIZE {
-                                            // Partial write into a fresh
-                                            // slot: read-modify-write the
-                                            // durable base page first.
-                                            let mut base = vec![0u8; PAGE_SIZE];
-                                            guard.write(0, &base);
-                                            guard.set_valid(0);
-                                            if let Ok(n) = kvfs.read(
-                                                rec.ino,
-                                                lpn * PAGE_SIZE as u64,
-                                                &mut base,
-                                            ) {
-                                                if n > 0 {
-                                                    guard.write(0, &base[..n]);
-                                                }
-                                            }
-                                        }
-                                        guard.write(in_page, chunk);
-                                        // Register the obligation before
-                                        // the page becomes flushable, or a
-                                        // racing drain could miss it.
-                                        log.note_committed(rec.ino, lpn, seq);
-                                        guard.commit_dirty();
-                                    }
-                                    Err(_) => {
-                                        // No slot free: write through
-                                        // durably — that obligation is
-                                        // already met.
-                                        let _ = kvfs.write(rec.ino, abs, chunk);
-                                        log.retire_page(seq);
-                                    }
+                                let absorbed = cache_write_page(
+                                    cache,
+                                    rec.ino,
+                                    lpn,
+                                    in_page,
+                                    chunk,
+                                    Some((log, seq)),
+                                    |old| {
+                                        let base = lpn * PAGE_SIZE as u64;
+                                        Ok::<_, Infallible>(
+                                            kvfs.read(rec.ino, base, old).unwrap_or(0),
+                                        )
+                                    },
+                                );
+                                if let Ok(Err(_full_bucket)) = absorbed {
+                                    // No slot free: write through durably
+                                    // — that obligation is already met.
+                                    let _ = kvfs.write(rec.ino, abs, chunk);
+                                    log.retire_page(seq);
                                 }
                                 pos += take;
                             }
@@ -466,7 +448,7 @@ impl DpuRuntime {
         // so a fully replayed + flushed log reads as drained.
         let mut control = ControlPlane::new(cache.clone(), dma);
         let mut backend = KvfsFlush { kvfs, fault: None };
-        while control.flush_pass(&mut backend) > 0 {}
+        while control.flush_extents(&mut backend, None, false) > 0 {}
         let mut inos: Vec<(u64, u64)> = sizes.into_iter().collect();
         inos.sort_unstable();
         for (ino, size) in inos {

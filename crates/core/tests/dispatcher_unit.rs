@@ -466,14 +466,14 @@ fn path_requests_walk_on_the_dpu_and_report_the_trail() {
 #[test]
 fn cache_evict_request_round_trip() {
     let (mut d, _) = dispatcher(false);
-    // An eviction request against an empty bucket is still Ok (nothing to
-    // do — the host will retry its allocation).
+    // An eviction request against an empty bucket still succeeds, with
+    // nothing freed (nothing to do — the host will retry its allocation).
     let (resp, _) = d.handle(&incoming(
         DispatchType::Standalone,
-        FileRequest::CacheEvict { bucket: 0 },
+        FileRequest::CacheEvictBatch { buckets: vec![0] },
         vec![],
     ));
-    assert_eq!(resp, FileResponse::Ok);
+    assert_eq!(resp, FileResponse::Bytes(0));
 }
 
 #[test]
@@ -505,7 +505,7 @@ fn cache_evict_busy_bucket_surfaces_ebusy() {
 
     let (resp, _) = d.handle(&incoming(
         DispatchType::Standalone,
-        FileRequest::CacheEvict { bucket: 0 },
+        FileRequest::CacheEvictBatch { buckets: vec![0] },
         vec![],
     ));
     assert_eq!(resp, FileResponse::Err(16 /* EBUSY */));
@@ -514,10 +514,10 @@ fn cache_evict_busy_bucket_surfaces_ebusy() {
     drop(guards);
     let (resp, _) = d.handle(&incoming(
         DispatchType::Standalone,
-        FileRequest::CacheEvict { bucket: 0 },
+        FileRequest::CacheEvictBatch { buckets: vec![0] },
         vec![],
     ));
-    assert_eq!(resp, FileResponse::Ok);
+    assert_eq!(resp, FileResponse::Bytes(1));
 }
 
 #[test]

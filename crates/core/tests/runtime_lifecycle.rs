@@ -18,7 +18,7 @@ fn drop_joins_dpu_threads_and_flushes_nothing_dirty() {
         kv_pairs = dpc.kvfs_inner().kv_pairs();
         assert!(kv_pairs > 0);
         // Dirty some pages *without* fsync; the shutdown drain must not
-        // panic (its final flush_pass runs after service threads stop).
+        // panic (its final flush runs after service threads stop).
         fs.write(fd, 0, &vec![2u8; 4096]).unwrap();
     } // Drop: shutdown flag, join service + flusher threads.
       // Reaching here without hangs or panics is the assertion.

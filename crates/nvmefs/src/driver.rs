@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use dpc_pcie::{DmaClass, DmaEngine, SgSeg};
+use dpc_pcie::DmaEngine;
 use dpc_sim::fault::{FaultPlan, FaultSite};
 
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
@@ -18,7 +18,7 @@ use crate::queue::{
     Completion, CompletionBatch, Incoming, IncomingBatch, Initiator, QueueFull, QueuePair,
     QueuePairConfig, Target, ZcCmd,
 };
-use crate::sqe::{CqeStatus, DispatchType, ZcOp};
+use crate::sqe::{CqeStatus, DispatchType};
 
 /// Whether reissuing `req` after a lost/failed completion is safe: the
 /// request must produce the same outcome when executed twice. Namespace
@@ -263,37 +263,10 @@ impl FileChannel {
         staged
     }
 
-    /// Registered base DMA address of this channel's data pool (where
-    /// bounce-path PRPs point).
-    pub fn pool_base(&self) -> u64 {
-        self.ini.pool_base()
-    }
-
-    /// Submit a zero-copy command: request entirely in the SQE, data
-    /// described by registered-buffer segments, reply a bare CQE.
-    pub fn submit_zc(
-        &mut self,
-        op: ZcOp,
-        class: DmaClass,
-        ino: u64,
-        offset: u64,
-        len: u32,
-        segs: &[SgSeg],
-    ) -> Result<u16, QueueFull> {
-        self.ini.submit_zc(op, class, ino, offset, len, segs)
-    }
-
-    /// Submit a zero-copy command via the bounce path (unregistered or
-    /// misaligned buffer): one host staging copy, identical wire cost.
-    pub fn submit_zc_bounced(
-        &mut self,
-        op: ZcOp,
-        class: DmaClass,
-        ino: u64,
-        offset: u64,
-        payload: &[u8],
-    ) -> Result<u16, QueueFull> {
-        self.ini.submit_zc_bounced(op, class, ino, offset, payload)
+    /// Submit a zero-copy read-miss fill: request entirely in the SQE,
+    /// reply a bare CQE.
+    pub fn submit_zc(&mut self, ino: u64, offset: u64, len: u32) -> Result<u16, QueueFull> {
+        self.ini.submit_zc(ino, offset, len)
     }
 
     /// Synchronous convenience: submit and spin for the matching reply.
@@ -421,10 +394,9 @@ pub struct FileIncoming {
     pub payload: Vec<u8>,
     /// Read-payload capacity the host reserved.
     pub read_len: u32,
-    /// Decoded zero-copy command, when the SQE carried one. `request`
-    /// then holds the equivalent classic request (so idempotency checks
-    /// and fault injection treat both paths alike) but `payload` is
-    /// empty — the data is still sitting in the registered buffer.
+    /// Decoded zero-copy read fill, when the SQE carried one. `request`
+    /// then holds the equivalent classic `Read` (so idempotency checks
+    /// and fault injection treat both paths alike).
     pub zc: Option<ZcCmd>,
 }
 
@@ -441,20 +413,13 @@ impl Default for FileIncoming {
     }
 }
 
-/// The classic [`FileRequest`] a zero-copy command mirrors — drives
+/// The classic [`FileRequest`] a zero-copy fill mirrors — drives
 /// idempotency checks and fault injection uniformly across both paths.
 fn zc_equivalent_request(zc: &ZcCmd) -> FileRequest {
-    match zc.op {
-        ZcOp::WriteCached => FileRequest::Write {
-            ino: zc.ino,
-            offset: zc.offset,
-            len: zc.len,
-        },
-        ZcOp::ReadFill => FileRequest::Read {
-            ino: zc.ino,
-            offset: zc.offset,
-            len: zc.len,
-        },
+    FileRequest::Read {
+        ino: zc.ino,
+        offset: zc.offset,
+        len: zc.len,
     }
 }
 
@@ -669,7 +634,7 @@ impl FileTarget {
                 slot.dispatch = inc.sqe.dispatch();
                 slot.read_len = 0;
                 slot.payload.clear();
-                slot.zc = Some(zc.clone());
+                slot.zc = Some(*zc);
             } else {
                 match FileRequest::decode(&inc.header) {
                     Ok(request) => {

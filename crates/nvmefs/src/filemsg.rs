@@ -119,18 +119,14 @@ pub enum FileRequest {
     Fsync {
         ino: u64,
     },
-    /// Hybrid-cache control: the host failed to allocate in `bucket` and
-    /// notifies the DPU to perform cache replacement (§3.3's write
+    /// Hybrid-cache control: the host failed to allocate in these buckets
+    /// and notifies the DPU to perform cache replacement (§3.3's write
     /// protocol: "If it fails to allocate and lock, the host notifies the
-    /// DPU to perform cache replacement").
-    CacheEvict {
-        bucket: u64,
-    },
-    /// Batched cache replacement: one doorbell and one round-trip ask the
-    /// DPU to free a slot per listed bucket (buckets may repeat — each
-    /// occurrence is one needed slot). The write path collects all of a
-    /// burst's `NeedEviction` misses into a single command instead of
-    /// ping-ponging a `CacheEvict` per page.
+    /// DPU to perform cache replacement"). One doorbell and one
+    /// round-trip ask the DPU to free a slot per listed bucket (buckets
+    /// may repeat — each occurrence is one needed slot): the write path
+    /// collects all of a burst's `NeedEviction` misses into a single
+    /// command instead of one round-trip per page.
     CacheEvictBatch {
         buckets: Vec<u64>,
     },
@@ -295,7 +291,6 @@ const T_READDIR: u8 = 9;
 const T_GETATTR: u8 = 10;
 const T_RENAME: u8 = 11;
 const T_FSYNC: u8 = 12;
-const T_CACHE_EVICT: u8 = 13;
 const T_LINK: u8 = 14;
 const T_SYMLINK: u8 = 15;
 const T_READLINK: u8 = 16;
@@ -387,10 +382,6 @@ impl FileRequest {
             FileRequest::Fsync { ino } => {
                 w.u8(T_FSYNC);
                 w.u64(*ino);
-            }
-            FileRequest::CacheEvict { bucket } => {
-                w.u8(T_CACHE_EVICT);
-                w.u64(*bucket);
             }
             FileRequest::CacheEvictBatch { buckets } => {
                 w.u8(T_CACHE_EVICT_BATCH);
@@ -497,7 +488,6 @@ impl FileRequest {
                 }
             }
             T_FSYNC => FileRequest::Fsync { ino: r.u64()? },
-            T_CACHE_EVICT => FileRequest::CacheEvict { bucket: r.u64()? },
             T_CACHE_EVICT_BATCH => {
                 let count = r.u32()? as usize;
                 // `count` is attacker-controlled: decode element by element
@@ -846,7 +836,6 @@ mod tests {
             new_name: "new".into(),
         });
         round_trip_req(FileRequest::Fsync { ino: 5 });
-        round_trip_req(FileRequest::CacheEvict { bucket: 12 });
         round_trip_req(FileRequest::CacheEvictBatch {
             buckets: vec![3, 3, 7, 0, u64::MAX],
         });

@@ -31,12 +31,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dpc_pcie::{DmaClass, SgSeg};
-
 use crate::driver::{is_idempotent, CallError, FileChannel, FileCompletion, RecvError};
 use crate::filemsg::FileRequest;
 use crate::queue::QueueFull;
-use crate::sqe::{DispatchType, ZcOp};
+use crate::sqe::DispatchType;
 
 /// One-shot completion mailbox: filled exactly once by whichever thread
 /// drains the matching CQE, consumed exactly once by the submitting
@@ -428,53 +426,16 @@ impl ChannelPool {
         }
     }
 
-    /// Synchronous zero-copy round-trip: the request rides entirely in
-    /// the SQE, `segs` are registered-buffer addresses, and the reply is
-    /// a bare CQE. Zero-copy commands are idempotent by construction
-    /// (absorbs and fills are positional), so they share the classic
+    /// Synchronous zero-copy read-fill round-trip: the request rides
+    /// entirely in the SQE and the reply is a bare CQE. A fill is
+    /// positional, hence idempotent, so it shares the classic
     /// timeout/reissue recovery.
-    pub fn call_zc(
-        &self,
-        op: ZcOp,
-        class: DmaClass,
-        ino: u64,
-        offset: u64,
-        len: u32,
-        segs: &[SgSeg],
-    ) -> Result<FileCompletion, CallError> {
+    pub fn call_zc(&self, ino: u64, offset: u64, len: u32) -> Result<FileCompletion, CallError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             let (qid, w) = self.submit_slot(self.preferred_queue(), |chan| {
-                chan.submit_zc(op, class, ino, offset, len, segs)
-            });
-            match self.wait(qid, &w) {
-                Ok(c) => return Ok(c),
-                Err(e) if Self::retryable(&e) && attempt < self.retry.attempts => {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Zero-copy call through the bounce path (unregistered or misaligned
-    /// source buffer): each attempt stages one host copy into the slot's
-    /// write region; the wire cost is identical to [`call_zc`].
-    pub fn call_zc_bounced(
-        &self,
-        op: ZcOp,
-        class: DmaClass,
-        ino: u64,
-        offset: u64,
-        payload: &[u8],
-    ) -> Result<FileCompletion, CallError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let (qid, w) = self.submit_slot(self.preferred_queue(), |chan| {
-                chan.submit_zc_bounced(op, class, ino, offset, payload)
+                chan.submit_zc(ino, offset, len)
             });
             match self.wait(qid, &w) {
                 Ok(c) => return Ok(c),

@@ -49,28 +49,21 @@ pub enum Psdt {
     SglBoth,
 }
 
-/// Zero-copy command selector (Dword 1, PR 10 — DESIGN.md §15).
+/// Zero-copy command selector (Dword 1 — DESIGN.md §15).
 ///
 /// A non-zero low byte of Dword 1 marks the SQE as a *zero-copy* command:
-/// the PRP-write fields carry real registered-buffer DMA addresses (not
-/// queue-region staging offsets), the request rides entirely in the SQE
-/// (`wh_len == 0` — no header bytes, no header DMA), and Dwords 6–9 are
-/// repurposed as inode/offset (a zero-copy command returns no read
-/// payload, so the PRP-read fields are free).
+/// the request rides entirely in the SQE (`wh_len == 0` — no header
+/// bytes, no header DMA) and Dwords 6–9 are repurposed as inode/offset (a
+/// zero-copy command returns no read payload, so the PRP-read fields are
+/// free). Tag 1 was PR 10's write absorb, removed at PR 17; it now reads
+/// as "not a zero-copy command".
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum ZcOp {
-    /// Buffered-write absorb: DMA the caller's buffer straight into the
-    /// hybrid cache's page pool under the write-lock + WAL protocol.
-    WriteCached = 1,
     /// Read-miss fill: land the backend extent directly in pool pages;
     /// the host serves the final hop from the `ReadRef` hit path.
     ReadFill = 2,
 }
-
-/// Dword 1 bit 8: the data is described by a scatter-gather descriptor
-/// list staged in the slot's SGL region rather than the two inline PRPs.
-const ZC_LIST_FLAG: u32 = 1 << 8;
 
 /// A 64-byte nvme-fs submission queue entry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -249,37 +242,9 @@ impl Sqe {
     /// The zero-copy command, if Dword 1 selects one.
     pub fn zc_op(&self) -> Option<ZcOp> {
         match self.dwords[1] & 0xFF {
-            1 => Some(ZcOp::WriteCached),
             2 => Some(ZcOp::ReadFill),
             _ => None,
         }
-    }
-
-    /// Flag the data as an SG descriptor list in the slot's SGL region
-    /// (set when the transfer needs more than the two inline PRPs).
-    pub fn set_zc_list(&mut self, on: bool) -> &mut Self {
-        if on {
-            self.dwords[1] |= ZC_LIST_FLAG;
-        } else {
-            self.dwords[1] &= !ZC_LIST_FLAG;
-        }
-        self
-    }
-
-    pub fn zc_list(&self) -> bool {
-        self.dwords[1] & ZC_LIST_FLAG != 0
-    }
-
-    /// DMA-attribution class index of a zero-copy command (Dword 1 bits
-    /// 9–10) — which `dma:` line the transfer's ops are charged to.
-    pub fn set_zc_class(&mut self, class: u8) -> &mut Self {
-        debug_assert!(class < 4, "attribution class index fits two bits");
-        self.dwords[1] = (self.dwords[1] & !(0b11 << 9)) | ((class as u32 & 0b11) << 9);
-        self
-    }
-
-    pub fn zc_class(&self) -> u8 {
-        ((self.dwords[1] >> 9) & 0b11) as u8
     }
 
     /// Target inode of a zero-copy command (Dwords 6–7).
@@ -469,40 +434,21 @@ mod tests {
         // A classic SQE never reads as zero-copy.
         let mut s = Sqe::new();
         assert_eq!(s.zc_op(), None);
-        assert!(!s.zc_list());
         s.set_cid(7).set_write_len(8192).set_wh_len(21);
         assert_eq!(Sqe::from_bytes(&s.to_bytes()).zc_op(), None);
 
         let mut z = Sqe::new();
         z.set_cid(3)
-            .set_zc(ZcOp::WriteCached)
-            .set_zc_list(true)
+            .set_zc(ZcOp::ReadFill)
             .set_zc_ino(0x0102_0304_0506_0708)
             .set_zc_offset(0x1122_3344_5566_7788)
-            .set_prp_write(0xAAAA_0000, 0xBBBB_0000)
             .set_write_len(8192);
         let back = Sqe::from_bytes(&z.to_bytes());
-        assert_eq!(back.zc_op(), Some(ZcOp::WriteCached));
-        assert!(back.zc_list());
+        assert_eq!(back.zc_op(), Some(ZcOp::ReadFill));
         assert_eq!(back.zc_ino(), 0x0102_0304_0506_0708);
         assert_eq!(back.zc_offset(), 0x1122_3344_5566_7788);
-        assert_eq!(back.prp_write(), (0xAAAA_0000, 0xBBBB_0000));
         assert_eq!(back.write_len(), 8192);
         assert_eq!(back.opcode(), 0xA3, "still the nvme-fs opcode");
-        // The list flag clears without touching the op.
-        let mut b2 = back;
-        b2.set_zc_list(false);
-        assert_eq!(b2.zc_op(), Some(ZcOp::WriteCached));
-        assert!(!b2.zc_list());
-        assert_eq!(
-            Sqe::from_bytes(&{
-                let mut r = Sqe::new();
-                r.set_zc(ZcOp::ReadFill);
-                r.to_bytes()
-            })
-            .zc_op(),
-            Some(ZcOp::ReadFill)
-        );
     }
 
     #[test]

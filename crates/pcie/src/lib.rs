@@ -19,13 +19,11 @@
 
 pub mod alloc;
 
-use std::collections::BTreeMap;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_sim::Nanos;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// PCIe generation; fixes the per-lane usable bandwidth.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -146,40 +144,26 @@ impl PcieCounters {
     }
 }
 
-/// Attribution class of a zero-copy DMA transfer (DESIGN.md §15). Every
-/// scatter-gather op is charged both to the global [`PcieCounters`] (it
-/// really crossed the link) and to its class cell, so the per-op-class
-/// DMA budgets of the paper's Figure 4 are counter assertions.
+/// Attribution class of a zero-copy DMA transfer (DESIGN.md §15). A
+/// class-attributed op is charged both to the global [`PcieCounters`] (it
+/// really crossed the link) and to its class cell, so the direct fill's
+/// DMA budget is a counter assertion.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum DmaClass {
-    /// Buffered-write absorb: user buffer → cache page pool.
-    WriteAbsorb = 0,
     /// Read-miss fill: backend extent → cache page pool.
-    ReadFill = 1,
-    /// Vectored gather writes (`writev` over SG descriptors).
-    Writev = 2,
-    /// Intent-log appends riding the zero-copy path.
-    Wal = 3,
+    ReadFill = 0,
 }
 
 /// Number of [`DmaClass`] variants.
-pub const DMA_CLASSES: usize = 4;
+pub const DMA_CLASSES: usize = 1;
 
 impl DmaClass {
-    pub const ALL: [DmaClass; DMA_CLASSES] = [
-        DmaClass::WriteAbsorb,
-        DmaClass::ReadFill,
-        DmaClass::Writev,
-        DmaClass::Wal,
-    ];
+    pub const ALL: [DmaClass; DMA_CLASSES] = [DmaClass::ReadFill];
 
     pub fn name(self) -> &'static str {
         match self {
-            DmaClass::WriteAbsorb => "write-absorb",
             DmaClass::ReadFill => "read-fill",
-            DmaClass::Writev => "writev",
-            DmaClass::Wal => "wal",
         }
     }
 }
@@ -188,21 +172,22 @@ impl DmaClass {
 struct ClassCells {
     dma_ops: AtomicU64,
     dma_bytes: AtomicU64,
-    staged_bytes: AtomicU64,
-    dma_bounces: AtomicU64,
 }
 
 /// Point-in-time view of one class's attribution cells.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
 pub struct DmaClassSnapshot {
-    /// Scatter-gather DMA operations charged to this class.
+    /// DMA operations charged to this class.
     pub dma_ops: u64,
     /// Bytes those operations moved.
     pub dma_bytes: u64,
     /// Bytes that took a host-CPU staging copy (bounce) instead of the
-    /// direct path — zero on the aligned hot path.
+    /// direct path. Structurally zero: the only bounce path was the
+    /// zero-copy write absorb's, removed at PR 17 — nothing records into
+    /// it. Kept because `dpc-e2e` sums the field.
     pub staged_bytes: u64,
-    /// Transfers that fell back to the bounce buffer.
+    /// Transfers that fell back to a bounce buffer. Structurally zero,
+    /// like [`staged_bytes`](Self::staged_bytes).
     pub dma_bounces: u64,
 }
 
@@ -245,106 +230,6 @@ impl DmaAttribution {
     /// True when every cell of every class is zero (the knobs-off proof).
     pub fn is_zero(&self) -> bool {
         self.classes.iter().all(|c| c.is_zero())
-    }
-}
-
-/// One scatter-gather segment: a DMA address inside a registered buffer
-/// (or registered region) plus a byte length. The engine transfers each
-/// segment as one DMA operation, exactly as an NVMe PRP entry / SGL
-/// descriptor costs one engine transaction.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct SgSeg {
-    pub addr: u64,
-    pub len: u32,
-}
-
-/// A scatter-gather transfer touched an address range no registration
-/// covers (stale handle, revoked buffer, or plain garbage). The transfer
-/// stops at the failing segment; prior segments were already copied.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct SgError {
-    pub addr: u64,
-    pub len: usize,
-}
-
-impl core::fmt::Display for SgError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "sg segment {:#x}+{} not registered", self.addr, self.len)
-    }
-}
-
-impl std::error::Error for SgError {}
-
-enum RegBacking {
-    /// An ephemeral host I/O buffer pinned for the duration of one call.
-    /// The raw pointer is only dereferenced while the registry lock is
-    /// held; [`IoRegistration::drop`] removes the entry under the same
-    /// lock, so no transfer can outlive the borrow.
-    Slice { ptr: usize },
-    /// A long-lived DMA-able region (queue data pools — bounce targets).
-    Region { region: HostRegion },
-}
-
-struct RegEntry {
-    len: usize,
-    backing: RegBacking,
-}
-
-struct RegistryInner {
-    next_base: u64,
-    entries: BTreeMap<u64, RegEntry>,
-}
-
-impl Default for RegistryInner {
-    fn default() -> Self {
-        // Base 0 stays unmapped so an all-zero PRP field can never
-        // resolve; a 4 KiB guard gap separates registrations.
-        RegistryInner {
-            next_base: 0x1000,
-            entries: BTreeMap::new(),
-        }
-    }
-}
-
-#[derive(Default)]
-struct Registry {
-    inner: Mutex<RegistryInner>,
-}
-
-/// Cap on live ephemeral registrations: a full table forces the bounce
-/// path rather than growing without bound.
-const REGISTRY_CAP: usize = 4096;
-
-/// RAII handle for an ephemeral buffer registration. Dropping it revokes
-/// the DMA address under the registry lock — a concurrent `transfer_sg`
-/// either completes first or sees the address gone; it can never touch a
-/// freed buffer. The borrow keeps the buffer alive and un-mutated for
-/// the registration's whole lifetime.
-pub struct IoRegistration<'a> {
-    engine: DmaEngine,
-    base: u64,
-    len: usize,
-    _buf: PhantomData<&'a [u8]>,
-}
-
-impl IoRegistration<'_> {
-    /// The buffer's DMA address (what PRP/SG descriptors carry).
-    pub fn addr(&self) -> u64 {
-        self.base
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Drop for IoRegistration<'_> {
-    fn drop(&mut self) {
-        self.engine.registry.inner.lock().entries.remove(&self.base);
     }
 }
 
@@ -482,7 +367,6 @@ impl HostRegion {
 pub struct DmaEngine {
     counters: Arc<PcieCounters>,
     attr: Arc<AttributionCells>,
-    registry: Arc<Registry>,
 }
 
 #[derive(Default)]
@@ -545,133 +429,6 @@ impl DmaEngine {
         self.counters.record_doorbell();
     }
 
-    /// Required buffer alignment for the direct (no-bounce) DMA path —
-    /// NVMe data buffers must be dword-aligned.
-    pub const DMA_ALIGN: usize = 4;
-
-    /// Register an I/O buffer for the duration of one call, returning
-    /// the RAII handle whose [`IoRegistration::addr`] PRP/SG descriptors
-    /// carry. `None` means the buffer is not directly DMA-able (empty,
-    /// not dword-aligned, or the registration table is full) — the
-    /// caller then takes the bounce path.
-    pub fn register_io<'a>(&self, buf: &'a [u8]) -> Option<IoRegistration<'a>> {
-        if buf.is_empty() || !(buf.as_ptr() as usize).is_multiple_of(Self::DMA_ALIGN) {
-            return None;
-        }
-        let mut inner = self.registry.inner.lock();
-        if inner.entries.len() >= REGISTRY_CAP {
-            return None;
-        }
-        let base = inner.next_base;
-        inner.next_base = base + (buf.len() as u64).next_multiple_of(4096) + 4096;
-        inner.entries.insert(
-            base,
-            RegEntry {
-                len: buf.len(),
-                backing: RegBacking::Slice {
-                    ptr: buf.as_ptr() as usize,
-                },
-            },
-        );
-        Some(IoRegistration {
-            engine: self.clone(),
-            base,
-            len: buf.len(),
-            _buf: PhantomData,
-        })
-    }
-
-    /// Permanently register a long-lived [`HostRegion`] (a queue pair's
-    /// data pool) and return its base DMA address. Bounced transfers
-    /// resolve through these entries exactly like direct ones, so the
-    /// DPU side never distinguishes the two.
-    pub fn register_region(&self, region: &HostRegion) -> u64 {
-        let mut inner = self.registry.inner.lock();
-        let base = inner.next_base;
-        inner.next_base = base + (region.len() as u64).next_multiple_of(4096) + 4096;
-        inner.entries.insert(
-            base,
-            RegEntry {
-                len: region.len(),
-                backing: RegBacking::Region {
-                    region: region.clone(),
-                },
-            },
-        );
-        base
-    }
-
-    /// Scatter-gather DMA: pull each registered segment into `dst`, one
-    /// DMA operation per segment (the engine walks PRP/SG descriptors
-    /// exactly like hardware — per-entry transactions, no coalescing).
-    /// Ops and bytes land in the global counters *and* the class cells.
-    /// Returns bytes transferred; a segment outside every registration
-    /// stops the transfer with [`SgError`].
-    pub fn transfer_sg(
-        &self,
-        segs: &[SgSeg],
-        dst: &mut [u8],
-        class: DmaClass,
-    ) -> Result<usize, SgError> {
-        let mut copied = 0usize;
-        let inner = self.registry.inner.lock();
-        for seg in segs {
-            let len = seg.len as usize;
-            let out = &mut dst[copied..copied + len];
-            let err = SgError {
-                addr: seg.addr,
-                len,
-            };
-            let (&base, entry) = inner.entries.range(..=seg.addr).next_back().ok_or(err)?;
-            let off = (seg.addr - base) as usize;
-            if off + len > entry.len {
-                return Err(err);
-            }
-            match &entry.backing {
-                RegBacking::Slice { ptr } => {
-                    // SAFETY: the registration is live (we hold the
-                    // registry lock; `IoRegistration::drop` removes the
-                    // entry under the same lock) and its borrow pins the
-                    // buffer for the registration's lifetime.
-                    let src =
-                        unsafe { std::slice::from_raw_parts((*ptr as *const u8).add(off), len) };
-                    out.copy_from_slice(src);
-                }
-                RegBacking::Region { region } => region.read_local(off, out),
-            }
-            self.counters.record_dma(len as u64);
-            let cells = &self.attr.classes[class as usize];
-            cells.dma_ops.fetch_add(1, Ordering::Relaxed);
-            cells.dma_bytes.fetch_add(len as u64, Ordering::Relaxed);
-            copied += len;
-        }
-        Ok(copied)
-    }
-
-    /// Resolve every segment against the registry without moving a byte
-    /// (and without counting anything). Direct-placement callers run
-    /// this *before* touching a live cache page, so a bogus descriptor
-    /// is rejected while the page is still intact — the only remaining
-    /// window is a revocation between validate and transfer, which the
-    /// protocol excludes (an [`IoRegistration`] pins its buffer until
-    /// the completion is consumed).
-    pub fn validate_sg(&self, segs: &[SgSeg]) -> Result<(), SgError> {
-        let inner = self.registry.inner.lock();
-        for seg in segs {
-            let len = seg.len as usize;
-            let err = SgError {
-                addr: seg.addr,
-                len,
-            };
-            let (&base, entry) = inner.entries.range(..=seg.addr).next_back().ok_or(err)?;
-            let off = (seg.addr - base) as usize;
-            if off + len > entry.len {
-                return Err(err);
-            }
-        }
-        Ok(())
-    }
-
     /// Account one class-attributed DMA operation whose bytes moved
     /// through memory the engine does not manage (e.g. a read-miss fill
     /// landing a backend extent directly in the host page pool).
@@ -683,13 +440,6 @@ impl DmaEngine {
         cells.dma_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Account a host-CPU staging copy (bounce) of `bytes` for `class`.
-    pub fn record_bounce(&self, class: DmaClass, bytes: u64) {
-        let cells = &self.attr.classes[class as usize];
-        cells.staged_bytes.fetch_add(bytes, Ordering::Relaxed);
-        cells.dma_bounces.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Per-class zero-copy attribution snapshot.
     pub fn attribution(&self) -> DmaAttribution {
         let mut out = DmaAttribution::default();
@@ -697,8 +447,7 @@ impl DmaEngine {
             out.classes[i] = DmaClassSnapshot {
                 dma_ops: c.dma_ops.load(Ordering::Relaxed),
                 dma_bytes: c.dma_bytes.load(Ordering::Relaxed),
-                staged_bytes: c.staged_bytes.load(Ordering::Relaxed),
-                dma_bounces: c.dma_bounces.load(Ordering::Relaxed),
+                ..DmaClassSnapshot::default()
             };
         }
         out
@@ -821,119 +570,15 @@ mod tests {
     }
 
     #[test]
-    fn register_io_and_transfer_sg_round_trip() {
+    fn class_cells_account_beside_the_global_counters() {
         let dma = DmaEngine::new();
-        let buf: Vec<u8> = (0..8192u32).map(|i| i as u8).collect();
-        let reg = dma.register_io(&buf).expect("aligned buffer registers");
-        let before = dma.snapshot();
-        let mut dst = vec![0u8; 8192];
-        let segs = [
-            SgSeg {
-                addr: reg.addr(),
-                len: 4096,
-            },
-            SgSeg {
-                addr: reg.addr() + 4096,
-                len: 4096,
-            },
-        ];
-        let n = dma
-            .transfer_sg(&segs, &mut dst, DmaClass::WriteAbsorb)
-            .unwrap();
-        assert_eq!(n, 8192);
-        assert_eq!(dst, buf);
-        // One DMA op per segment, globally and per class.
-        let d = dma.snapshot().since(&before);
-        assert_eq!((d.dma_ops, d.dma_bytes), (2, 8192));
-        let a = dma.attribution();
-        let c = a.class(DmaClass::WriteAbsorb);
-        assert_eq!((c.dma_ops, c.dma_bytes), (2, 8192));
-        assert_eq!((c.staged_bytes, c.dma_bounces), (0, 0));
-        assert!(a.class(DmaClass::ReadFill).is_zero());
-    }
-
-    #[test]
-    fn revoked_registration_fails_cleanly() {
-        let dma = DmaEngine::new();
-        let buf = vec![7u8; 64];
-        let addr = {
-            let reg = dma.register_io(&buf).unwrap();
-            reg.addr()
-        }; // dropped: revoked
-        let mut dst = [0u8; 64];
-        let err = dma
-            .transfer_sg(&[SgSeg { addr, len: 64 }], &mut dst, DmaClass::Writev)
-            .unwrap_err();
-        assert_eq!(err.addr, addr);
-        // Address zero never resolves either.
-        assert!(dma
-            .transfer_sg(&[SgSeg { addr: 0, len: 1 }], &mut dst, DmaClass::Writev)
-            .is_err());
-    }
-
-    #[test]
-    fn misaligned_or_empty_buffers_refuse_registration() {
-        let dma = DmaEngine::new();
-        let buf = [1u8; 64];
-        assert!(dma.register_io(&[]).is_none(), "empty");
-        // A sub-slice at an odd offset breaks dword alignment.
-        let odd = &buf[1..9];
-        if !(odd.as_ptr() as usize).is_multiple_of(DmaEngine::DMA_ALIGN) {
-            assert!(dma.register_io(odd).is_none());
-        }
-    }
-
-    #[test]
-    fn out_of_range_segment_is_rejected() {
-        let dma = DmaEngine::new();
-        let buf = vec![3u8; 100];
-        let reg = dma.register_io(&buf).unwrap();
-        let mut dst = [0u8; 128];
-        // Segment runs past the registered length.
-        assert!(dma
-            .transfer_sg(
-                &[SgSeg {
-                    addr: reg.addr() + 96,
-                    len: 8,
-                }],
-                &mut dst,
-                DmaClass::WriteAbsorb,
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn region_registration_resolves_like_buffers() {
-        let dma = DmaEngine::new();
-        let region = HostRegion::new(4096);
-        region.write_local(128, &[0xAB; 16]);
-        let base = dma.register_region(&region);
-        let mut dst = [0u8; 16];
-        dma.transfer_sg(
-            &[SgSeg {
-                addr: base + 128,
-                len: 16,
-            }],
-            &mut dst,
-            DmaClass::ReadFill,
-        )
-        .unwrap();
-        assert_eq!(dst, [0xAB; 16]);
-    }
-
-    #[test]
-    fn bounce_and_class_cells_account_separately() {
-        let dma = DmaEngine::new();
-        dma.record_bounce(DmaClass::WriteAbsorb, 4096);
         dma.record_class_dma(DmaClass::ReadFill, 2, 8192);
         let a = dma.attribution();
-        let w = a.class(DmaClass::WriteAbsorb);
-        assert_eq!((w.staged_bytes, w.dma_bounces), (4096, 1));
-        assert_eq!((w.dma_ops, w.dma_bytes), (0, 0));
         let r = a.class(DmaClass::ReadFill);
         assert_eq!((r.dma_ops, r.dma_bytes), (2, 8192));
-        // record_class_dma counts globally too (the bytes crossed the
-        // link); record_bounce does not (host-CPU copy).
+        assert_eq!((r.staged_bytes, r.dma_bounces), (0, 0));
+        // A class-attributed op counts globally too: the bytes crossed
+        // the link.
         let s = dma.snapshot();
         assert_eq!((s.dma_ops, s.dma_bytes), (2, 8192));
         assert!(!a.is_zero());

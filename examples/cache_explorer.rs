@@ -59,9 +59,13 @@ fn main() {
     println!("\n== DPU control plane: flush pass ==");
     let before = dma.snapshot();
     let mut flushed_to_backend = 0;
-    let n = dpu.flush_pass(&mut |_ino: u64, _lpn: u64, _page: &[u8]| {
-        flushed_to_backend += 1;
-    });
+    let n = dpu.flush_extents(
+        &mut |_ino: u64, _lpn: u64, _page: &[u8]| {
+            flushed_to_backend += 1;
+        },
+        None,
+        false,
+    );
     let delta = dma.snapshot().since(&before);
     println!(
         "  flushed {n} dirty pages ({} backend writes): {} PCIe atomics (read locks), {} DMA pulls",
@@ -112,7 +116,7 @@ fn main() {
     };
     println!("  after {filled} more writes, bucket {full_bucket} is full -> NeedEviction");
     println!("  host notifies the DPU: flush + evict ...");
-    dpu.flush_pass(&mut |_: u64, _: u64, _: &[u8]| {});
+    dpu.flush_extents(&mut |_: u64, _: u64, _: &[u8]| {}, None, false);
     assert!(dpu.evict_one(full_bucket));
     let mut g = cache.begin_write(3, lpn).unwrap();
     g.write(0, &[3; 8]);

@@ -3,6 +3,7 @@
 //! with real threads playing the DPU.
 
 use dpc::core::{Dpc, DpcConfig, IoMode};
+use dpc::sim::{FaultPlan, FaultSpec};
 
 #[test]
 fn standalone_file_lifecycle() {
@@ -450,4 +451,105 @@ fn read_filled_tail_pages_never_inflate_file_size() {
     assert_eq!(buf[8_999], 5);
     assert_eq!(&buf[9_000..9_020], &[6u8; 20]);
     assert_eq!(buf[9_020], 5);
+}
+
+#[test]
+fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
+    // Regression: `writev` pre-flushes the dirty pages its gather overlaps
+    // and afterwards invalidates them. A page the backend refused is not
+    // flushed but parked in the quarantine, and the invalidation dropped
+    // the parked copy too — the acknowledged bytes of that page around
+    // the gather were gone.
+    let plan = FaultPlan::new(1);
+    let dpc = Dpc::new(DpcConfig {
+        faults: Some(plan.clone()),
+        ..DpcConfig::default()
+    });
+    let fs = dpc.fs();
+    let fd = fs.create("/parked.bin").unwrap();
+    let old = vec![0xA5u8; 4096];
+    assert_eq!(fs.write(fd, 0, &old).unwrap(), 4096);
+
+    let refusing = plan.arm("cache.flush", FaultSpec::always());
+    assert_eq!(
+        fs.writev(fd, 1000, &[&[0xB6u8; 100]]).unwrap_err().errno(),
+        16, /* EBUSY */
+    );
+    refusing.disarm();
+
+    assert_eq!(fs.writev(fd, 1000, &[&[0xB6u8; 100]]).unwrap(), 100);
+    let mut back = vec![0u8; 4096];
+    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 4096);
+    assert_eq!(back[..1000], old[..1000]);
+    assert_eq!(back[1000..1100], [0xB6u8; 100]);
+    assert_eq!(back[1100..], old[1100..], "bytes past the gather were lost");
+}
+
+/// ROADMAP item 5 argues about DMAs per crossing; this pins them. One
+/// row per data path, each run with `zero_copy` off and on: only the
+/// cold read may differ (DESIGN.md §15 has the arithmetic).
+#[test]
+fn link_dma_budget_of_each_data_path() {
+    const BLOCK: usize = 8192;
+    type Path = fn(&Dpc) -> u64;
+    /// DMA operations `op` put on the link.
+    fn dmas(dpc: &Dpc, op: impl FnOnce()) -> u64 {
+        let before = dpc.pcie_snapshot();
+        op();
+        dpc.pcie_snapshot().since(&before).dma_ops
+    }
+    let buffered_write: Path = |dpc| {
+        let fs = dpc.fs();
+        let fd = fs.create("/w").unwrap();
+        dmas(dpc, || {
+            assert_eq!(fs.write(fd, 0, &[7u8; BLOCK]).unwrap(), BLOCK);
+        })
+    };
+    let cold_read: Path = |dpc| {
+        let ino = dpc.kvfs_inner().create("/r", 0o644).unwrap();
+        dpc.kvfs_inner().write(ino, 0, &[5u8; BLOCK]).unwrap();
+        let fs = dpc.fs();
+        let fd = fs.open("/r").unwrap();
+        let mut back = [0u8; BLOCK];
+        let n = dmas(dpc, || {
+            assert_eq!(fs.read(fd, 0, &mut back).unwrap(), BLOCK);
+        });
+        assert_eq!(back, [5u8; BLOCK]);
+        n
+    };
+    let gather: Path = |dpc| {
+        let fs = dpc.fs();
+        let fd = fs.create("/v").unwrap();
+        dmas(dpc, || {
+            assert_eq!(
+                fs.writev(fd, 0, &[&[1u8; 4096], &[2u8; 4096]]).unwrap(),
+                BLOCK
+            );
+        })
+    };
+    // (path, I/O mode, DMAs with `zero_copy` off, with it on)
+    let table: [(&str, Path, IoMode, u64, u64); 4] = [
+        // Absorbed in host memory: nothing crosses.
+        ("buffered write", buffered_write, IoMode::Buffered, 0, 0),
+        // Staged: SQE + request header, reply header + 2 payload pages +
+        // CQE. Direct fill: SQE + one extent DMA + CQE.
+        ("cold buffered read", cold_read, IoMode::Buffered, 6, 3),
+        // SQE + 3 page-granular DMAs of [header ‖ payload], reply header
+        // + CQE.
+        ("direct write", buffered_write, IoMode::Direct, 6, 6),
+        // SQE + descriptor list + header and 2 segments, reply header +
+        // CQE.
+        ("writev", gather, IoMode::Buffered, 7, 7),
+    ];
+    for (name, path, io_mode, off, on) in table {
+        for (zero_copy, want) in [(false, off), (true, on)] {
+            let dpc = Dpc::new(DpcConfig {
+                prefetch: false,
+                io_mode,
+                zero_copy,
+                ..DpcConfig::default()
+            });
+            assert_eq!(path(&dpc), want, "{name}, zero_copy {zero_copy}");
+        }
+    }
 }

@@ -356,12 +356,20 @@ proptest! {
                 Op::FlushPass => {
                     let mut sink_a: Vec<(u64, u64, u8)> = Vec::new();
                     let mut sink_b: Vec<(u64, u64, u8)> = Vec::new();
-                    let fa = cpa.flush_pass(&mut |ino: u64, lpn: u64, page: &[u8]| {
-                        sink_a.push((ino, lpn, page[0]));
-                    });
-                    let fb = cpb.flush_pass(&mut |ino: u64, lpn: u64, page: &[u8]| {
-                        sink_b.push((ino, lpn, page[0]));
-                    });
+                    let fa = cpa.flush_extents(
+                        &mut |ino: u64, lpn: u64, page: &[u8]| {
+                            sink_a.push((ino, lpn, page[0]));
+                        },
+                        None,
+                        false,
+                    );
+                    let fb = cpb.flush_extents(
+                        &mut |ino: u64, lpn: u64, page: &[u8]| {
+                            sink_b.push((ino, lpn, page[0]));
+                        },
+                        None,
+                        false,
+                    );
                     prop_assert_eq!(fa, fb, "flush counts diverged");
                     sink_a.sort_unstable();
                     sink_b.sort_unstable();

@@ -1,29 +1,26 @@
-//! PR 10: the true zero-copy data path (DESIGN.md §15).
+//! The direct read-miss fill (DESIGN.md §15).
 //!
-//! `DpcConfig::zero_copy` swaps the staged queue-region data path for
-//! PRP scatter-gather direct placement: buffered writes DMA straight
-//! from the registered user buffer into the cache page pool, read-miss
-//! fills land backend extents directly in pool pages, and the SQE round
-//! trip carries only headers. These tests pin the three contracts:
+//! `DpcConfig::zero_copy` makes a buffered read miss ask the DPU, with a
+//! header-only SQE, to land the backend extent straight in the cache page
+//! pool; the bytes then reach the caller through the ordinary hit path.
+//! It gates nothing else. These tests pin:
 //!
-//! 1. **Equivalence** — on vs off is byte-exact over mixed
+//! 1. **Equivalence** — fill on vs fill off is byte-exact over mixed
 //!    write/writev/read/truncate schedules, with and without seeded
 //!    chaos at `nvmefs.defer` + `cache.flush` (seeds 1/7/42, or
-//!    `DPC_CHAOS_SEED=<u64>` to pin one).
-//! 2. **The paper's DMA budget** — an aligned 8 KiB buffered write
-//!    crosses the link in exactly 4 DMA ops (SQE + two 4 KiB data pages
-//!    + CQE) with zero staged bytes; unaligned/unregistered buffers
-//!      bounce (counted) but stay exact; gathers past the two inline
-//!      PRPs ride a descriptor list.
-//! 3. **WAL interplay** — a direct-placement write still appends its
-//!    intent record before the ack (DPU-side now), and the crash sweep
-//!    from `tests/wal_crash.rs` holds byte-exact with `zero_copy` on.
+//!    `DPC_CHAOS_SEED=<u64>` to pin one), with and without the intent
+//!    log; and, fault-free, every op but `read` sends exactly the
+//!    requests it sends with the knob off.
+//! 2. **The fill itself** — a cold read lands whole extents through the
+//!    `ReadFill` class and a warm re-read moves nothing.
+//! 3. **Dormancy** — with the knob off, every `dma_*` class counter
+//!    stays zero through a real workload.
 //!
-//! Plus the dormancy proof: with the knob off, every `dma_*` class
-//! counter stays zero through a real workload.
+//! (PR 10's write half — the DPU-side absorb this knob used to route
+//! every cached write through — was deleted at PR 17; append-before-ack
+//! and the crash sweep are the host path's, in `tests/wal_crash.rs`.)
 
 use dpc::core::{Dpc, DpcConfig, DpcFs, Fd};
-use dpc::nvmefs::{RetryPolicy, CQE_SIZE, SQE_SIZE};
 use dpc::pcie::DmaClass;
 use dpc::sim::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -56,18 +53,6 @@ fn pattern(seed: u64, tag: u64, len: usize) -> Vec<u8> {
     }
     out.truncate(len);
     out
-}
-
-/// An 8-byte-aligned buffer (Vec<u8> guarantees nothing; `register_io`
-/// requires at least 4-byte alignment for the direct path).
-fn aligned(len: usize, seed: u64) -> Vec<u64> {
-    let mut s = seed;
-    (0..len.div_ceil(8)).map(|_| splitmix(&mut s)).collect()
-}
-
-fn as_bytes(v: &[u64]) -> &[u8] {
-    // SAFETY: u64 slices are valid byte slices of 8× the length.
-    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, v.len() * 8) }
 }
 
 fn zc_cfg(zero_copy: bool) -> DpcConfig {
@@ -125,8 +110,7 @@ fn gen_op(seed: u64, rng: &mut u64, tag: u64) -> Op {
             }
         }
         5..=6 => {
-            // Gathers of 1–4 parts, sized to cross the inline-PRP
-            // boundary in both directions (sub-page and 4 KiB-multiple).
+            // Gathers of 1–4 parts, sub-page and 4 KiB-multiple.
             let offset = splitmix(rng) % (MAX_BYTES - 32 * 1024);
             let nparts = 1 + (splitmix(rng) % 4) as usize;
             let parts = (0..nparts)
@@ -195,9 +179,11 @@ fn apply_op(fs: &DpcFs, fds: &[Fd], op: &Op, out: &mut Vec<u8>) -> usize {
     }
 }
 
-/// Run one seeded schedule against a zero-copy-on and a zero-copy-off
-/// instance in lockstep, comparing every read against both the sibling
-/// and an in-memory model, then the final durable contents.
+/// Run one seeded schedule against a fill-on and a fill-off instance in
+/// lockstep, comparing every read against both the sibling and an
+/// in-memory model, then the final durable contents. Fault-free, the
+/// two must also submit the same number of commands for every op that
+/// is not a `read`: the knob changes the miss path and nothing else.
 fn equivalence_run(seed: u64, chaos: bool, wal: bool) {
     let mk = |zero_copy: bool| {
         let mut cfg = zc_cfg(zero_copy);
@@ -247,12 +233,20 @@ fn equivalence_run(seed: u64, chaos: bool, wal: bool) {
                 other => eprintln!("{tag}: {other:?}"),
             }
         }
+        let (sent_on, sent_off) = (on.pool_stats().submitted, off.pool_stats().submitted);
         let n_on = apply_op(&fs_on, &fds_on, &op, &mut buf_on);
         let n_off = apply_op(&fs_off, &fds_off, &op, &mut buf_off);
         assert_eq!(
             n_on, n_off,
             "seed {seed} tag {tag}: result count diverged on {op:?}"
         );
+        if !chaos && !matches!(op, Op::Read { .. }) {
+            assert_eq!(
+                on.pool_stats().submitted - sent_on,
+                off.pool_stats().submitted - sent_off,
+                "seed {seed} tag {tag}: the knob changed what {op:?} sends"
+            );
+        }
         match &op {
             Op::Write { file, offset, data } => model_write(&mut model[*file], *offset, data),
             Op::Writev {
@@ -323,15 +317,15 @@ fn equivalence_run(seed: u64, chaos: bool, wal: bool) {
         }
     }
 
-    // The on-instance must actually have exercised the zero-copy path —
+    // The on-instance must actually have exercised the direct fill —
     // otherwise this whole sweep silently proves nothing.
     assert!(
         !on.metrics().dma.is_zero(),
-        "seed {seed}: zero-copy instance never took the zero-copy path"
+        "seed {seed}: fill-on instance never took the direct fill"
     );
     assert!(
         off.metrics().dma.is_zero(),
-        "seed {seed}: staged instance touched zero-copy counters"
+        "seed {seed}: fill-off instance touched the fill counters"
     );
 }
 
@@ -368,139 +362,7 @@ proptest! {
     }
 }
 
-// ---- the paper's DMA budget -------------------------------------------
-
-#[test]
-fn aligned_8k_buffered_write_is_four_dmas_no_staging() {
-    let dpc = Dpc::new(zc_cfg(true));
-    let fs = dpc.fs();
-    let fd = fs.create("/budget").unwrap();
-    let buf = aligned(8192, 3);
-
-    let pcie0 = dpc.pcie_snapshot();
-    let dma0 = dpc.metrics().dma;
-    assert_eq!(fs.write(fd, 0, as_bytes(&buf)).unwrap(), 8192);
-    let pcie = dpc.pcie_snapshot().since(&pcie0);
-    let dma = dpc.metrics().dma.since(&dma0);
-
-    // The paper's Figure-4 budget: SQE fetch + two 4 KiB data pages +
-    // CQE = 4 DMA operations, nothing else on the link.
-    assert_eq!(pcie.dma_ops, 4, "aligned 8 KiB write must cost 4 DMA ops");
-    assert_eq!(
-        pcie.dma_bytes as usize,
-        8192 + SQE_SIZE + CQE_SIZE,
-        "only the SQE, the payload pages and the CQE may cross"
-    );
-    let w = dma.class(DmaClass::WriteAbsorb);
-    assert_eq!((w.dma_ops, w.dma_bytes), (2, 8192), "two data-page DMAs");
-    assert_eq!(w.staged_bytes, 0, "the aligned hot path must not stage");
-    assert_eq!(w.dma_bounces, 0);
-    assert!(
-        dma.class(DmaClass::ReadFill).is_zero(),
-        "no RMW on aligned pages"
-    );
-
-    // And the bytes are really there.
-    let mut back = vec![0u8; 8192];
-    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 8192);
-    assert_eq!(&back, as_bytes(&buf));
-    fs.close(fd).unwrap();
-}
-
-#[test]
-fn unaligned_buffer_bounces_but_stays_exact() {
-    let dpc = Dpc::new(zc_cfg(true));
-    let fs = dpc.fs();
-    let fd = fs.create("/bounce").unwrap();
-    // Slice at +1 from an aligned base: ptr % 4 != 0, so `register_io`
-    // refuses and the write takes the counted bounce path.
-    let backing = aligned(8200, 5);
-    let data = &as_bytes(&backing)[1..8193];
-
-    assert_eq!(fs.write(fd, 0, data).unwrap(), 8192);
-    let w = *dpc.metrics().dma.class(DmaClass::WriteAbsorb);
-    assert_eq!(w.dma_bounces, 1, "misaligned buffer must bounce once");
-    assert_eq!(w.staged_bytes, 8192, "the bounce stages the full payload");
-    assert_eq!(
-        (w.dma_ops, w.dma_bytes),
-        (2, 8192),
-        "wire cost is unchanged"
-    );
-
-    let mut back = vec![0u8; 8192];
-    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 8192);
-    assert_eq!(&back, data);
-    fs.close(fd).unwrap();
-}
-
-#[test]
-fn sub_page_write_takes_one_dma_plus_rmw_fill() {
-    // 100 bytes at an unaligned file offset into a fresh page: one
-    // data DMA for the payload, one ReadFill DMA for the
-    // read-modify-write of the underlying page.
-    let dpc = Dpc::new(zc_cfg(true));
-    let fs = dpc.fs();
-    let fd = fs.create("/sub").unwrap();
-    let base = aligned(8192, 7);
-    assert_eq!(fs.write(fd, 0, as_bytes(&base)).unwrap(), 8192);
-    fs.fsync(fd).unwrap();
-
-    let dma0 = dpc.metrics().dma;
-    let patch = aligned(104, 9);
-    assert_eq!(fs.write(fd, 1000, &as_bytes(&patch)[..100]).unwrap(), 100);
-    let dma = dpc.metrics().dma.since(&dma0);
-    let w = dma.class(DmaClass::WriteAbsorb);
-    assert_eq!((w.dma_ops, w.dma_bytes), (1, 100), "one payload DMA");
-    assert_eq!(w.staged_bytes, 0);
-    // The page was flushed (clean) or evicted; either way a fresh claim
-    // needs the RMW fill, charged to the ReadFill class.
-    let r = dma.class(DmaClass::ReadFill);
-    assert!(r.dma_ops <= 1, "at most one RMW fill");
-
-    let mut back = vec![0u8; 8192];
-    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 8192);
-    assert_eq!(&back[..1000], &as_bytes(&base)[..1000]);
-    assert_eq!(&back[1000..1100], &as_bytes(&patch)[..100]);
-    assert_eq!(&back[1100..], &as_bytes(&base)[1100..]);
-    fs.close(fd).unwrap();
-}
-
-#[test]
-fn gather_past_inline_prps_rides_a_descriptor_list() {
-    let dpc = Dpc::new(zc_cfg(true));
-    let fs = dpc.fs();
-    let fd = fs.create("/gather").unwrap();
-    // Three 4 KiB segments: more than the two inline PRPs carry, so the
-    // SQE points at a 16-byte-per-entry descriptor list the DPU fetches
-    // with one extra (global-only) DMA; the data still moves one DMA
-    // per segment with zero staging.
-    let parts: Vec<Vec<u64>> = (0..3).map(|i| aligned(4096, 20 + i)).collect();
-    let refs: Vec<&[u8]> = parts.iter().map(|p| as_bytes(p)).collect();
-
-    let pcie0 = dpc.pcie_snapshot();
-    assert_eq!(fs.writev(fd, 0, &refs).unwrap(), 3 * 4096);
-    let pcie = dpc.pcie_snapshot().since(&pcie0);
-    let v = *dpc.metrics().dma.class(DmaClass::Writev);
-    assert_eq!(
-        (v.dma_ops, v.dma_bytes),
-        (3, 3 * 4096),
-        "one DMA per segment"
-    );
-    assert_eq!(v.staged_bytes, 0, "registered gather must not stage");
-    assert_eq!(v.dma_bounces, 0);
-    // SQE + list fetch + three data pages + CQE.
-    assert_eq!(
-        pcie.dma_ops, 6,
-        "descriptor list costs exactly one extra op"
-    );
-
-    let mut back = vec![0u8; 3 * 4096];
-    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), back.len());
-    for (i, p) in parts.iter().enumerate() {
-        assert_eq!(&back[i * 4096..(i + 1) * 4096], as_bytes(p), "segment {i}");
-    }
-    fs.close(fd).unwrap();
-}
+// ---- the fill itself --------------------------------------------------
 
 #[test]
 fn read_miss_fill_lands_in_pool_and_serves_the_hit_path() {
@@ -511,8 +373,8 @@ fn read_miss_fill_lands_in_pool_and_serves_the_hit_path() {
     let writer = Dpc::new(zc_cfg(true));
     let wfs = writer.fs();
     let fd = wfs.create("/cold").unwrap();
-    let data = aligned(6 * 4096, 11);
-    assert_eq!(wfs.write(fd, 0, as_bytes(&data)).unwrap(), data.len() * 8);
+    let data = pattern(11, 0, 6 * 4096);
+    assert_eq!(wfs.write(fd, 0, &data).unwrap(), data.len());
     wfs.close(fd).unwrap();
 
     let reader = Dpc::with_shared_storage(zc_cfg(true), Some(writer.kv_store()), None);
@@ -520,7 +382,7 @@ fn read_miss_fill_lands_in_pool_and_serves_the_hit_path() {
     let fd = rfs.open("/cold").unwrap();
     let mut back = vec![0u8; 6 * 4096];
     assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), back.len());
-    assert_eq!(&back, as_bytes(&data));
+    assert_eq!(back, data);
 
     let m = reader.metrics();
     let r = m.dma.class(DmaClass::ReadFill);
@@ -529,7 +391,6 @@ fn read_miss_fill_lands_in_pool_and_serves_the_hit_path() {
         r.dma_bytes >= back.len() as u64,
         "the whole extent lands via the fill class"
     );
-    assert_eq!(r.staged_bytes, 0);
     // A re-read is now pure hit traffic: no new fill DMAs.
     let before = m.dma;
     let mut again = vec![0u8; 6 * 4096];
@@ -542,184 +403,19 @@ fn read_miss_fill_lands_in_pool_and_serves_the_hit_path() {
     rfs.close(fd).unwrap();
 }
 
-// ---- WAL interplay -----------------------------------------------------
-
-fn crash_cfg_zc() -> DpcConfig {
-    DpcConfig {
-        wal: true,
-        wal_bytes: 256 * 1024,
-        retry: RetryPolicy {
-            attempts: 2,
-            deadline_yields: 10_000,
-            backoff_base_us: 20,
-            backoff_cap_us: 200,
-        },
-        ..zc_cfg(true)
-    }
-}
-
-#[test]
-fn direct_placement_write_still_appends_intent_before_ack() {
-    let dpc = Dpc::new(crash_cfg_zc());
-    let fs = dpc.fs();
-    let fd = fs.create("/intent").unwrap();
-    let data = aligned(8192, 13);
-    assert_eq!(fs.write(fd, 0, as_bytes(&data)).unwrap(), 8192);
-
-    let c = dpc.metrics().cache;
-    assert!(c.wal_appends >= 1, "zero-copy write must append an intent");
-    assert!(
-        !dpc.wal().unwrap().is_drained(),
-        "the record must be live until the pages flush"
-    );
-    // The direct path stays direct: the payload pages crossed as
-    // WriteAbsorb DMAs, the WAL pull is attributed, nothing staged in
-    // the queue region.
-    let w = *dpc.metrics().dma.class(DmaClass::WriteAbsorb);
-    assert_eq!((w.dma_ops, w.dma_bytes, w.staged_bytes), (2, 8192, 0));
-
-    fs.fsync(fd).unwrap();
-    assert!(dpc.wal().unwrap().is_drained(), "flush retires the record");
-    fs.close(fd).unwrap();
-}
-
-/// The `tests/wal_crash.rs` sweep, re-armed with `zero_copy` on: kill
-/// the DPU at the k-th crash draw mid-schedule, recover from the
-/// surviving ring, and require byte-exact contents (the op in flight at
-/// the crash is ambiguous — accepted with or without).
-fn zc_crash_run(seed: u64, k: u64) -> u64 {
-    let plan = FaultPlan::new(seed);
-    plan.arm("dpu.crash", FaultSpec::nth(k));
-    let dpc = Dpc::new(DpcConfig {
-        faults: Some(plan),
-        ..crash_cfg_zc()
-    });
-    let fs = dpc.fs();
-    let mut fds = Vec::new();
-    for f in 0..FILES {
-        fds.push(fs.create(&format!("/zc{f}")).unwrap());
-    }
-
-    let mut model: Vec<Vec<u8>> = vec![Vec::new(); FILES];
-    let mut ambiguous: Option<Op> = None;
-    let mut rng = seed ^ (k << 32);
-    let mut scratch = Vec::new();
-    for tag in 0..24 {
-        let op = gen_op(seed, &mut rng, tag);
-        if matches!(op, Op::Read { .. }) {
-            continue; // reads don't mutate; keep the sweep write-heavy
-        }
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            apply_op(&fs, &fds, &op, &mut scratch)
-        }));
-        match res {
-            Ok(_) => match &op {
-                Op::Write { file, offset, data } => model_write(&mut model[*file], *offset, data),
-                Op::Writev {
-                    file,
-                    offset,
-                    parts,
-                } => {
-                    let mut pos = *offset;
-                    for p in parts {
-                        model_write(&mut model[*file], pos, p);
-                        pos += p.len() as u64;
-                    }
-                }
-                Op::Truncate { file, size } => model[*file].resize(*size as usize, 0),
-                _ => {}
-            },
-            Err(_) => {
-                assert!(
-                    dpc.crashed(),
-                    "seed {seed} k {k}: op {op:?} failed without a crash"
-                );
-                ambiguous = Some(op);
-                break;
-            }
-        }
-    }
-    if !dpc.crashed() {
-        dpc.trip_crash();
-    }
-
-    let store = dpc.kv_store();
-    let region = dpc.wal_region().expect("wal is on");
-    drop(fs);
-    drop(dpc);
-
-    let rdpc = Dpc::recover(crash_cfg_zc(), store, None, region);
-    let rfs = rdpc.fs();
-    for (f, committed) in model.iter().enumerate() {
-        let path = format!("/zc{f}");
-        let alt = ambiguous.as_ref().and_then(|op| {
-            let touches = matches!(op,
-                Op::Write { file, .. } | Op::Writev { file, .. } | Op::Truncate { file, .. }
-                    if *file == f);
-            touches.then(|| {
-                let mut m = committed.clone();
-                match op {
-                    Op::Write { offset, data, .. } => model_write(&mut m, *offset, data),
-                    Op::Writev { offset, parts, .. } => {
-                        let mut pos = *offset;
-                        for p in parts {
-                            model_write(&mut m, pos, p);
-                            pos += p.len() as u64;
-                        }
-                    }
-                    Op::Truncate { size, .. } => m.resize(*size as usize, 0),
-                    _ => {}
-                }
-                m
-            })
-        });
-        let size = rfs.stat(&path).unwrap().size;
-        let fd = rfs.open(&path).unwrap();
-        let mut buf = vec![0u8; size as usize];
-        assert_eq!(rfs.read(fd, 0, &mut buf).unwrap(), buf.len());
-        let exact = buf == *committed;
-        let ambig_ok = alt.as_ref().is_some_and(|a| buf == *a);
-        assert!(
-            exact || ambig_ok,
-            "seed {seed} k {k}: {path} diverged after recovery \
-             (got {} B, committed {} B, ambiguous {:?})",
-            buf.len(),
-            committed.len(),
-            ambiguous
-        );
-        rfs.close(fd).unwrap();
-    }
-    rdpc.metrics().cache.wal_replayed_records
-}
-
-#[test]
-fn zero_copy_crash_sweep_stays_byte_exact() {
-    let mut replayed = 0u64;
-    for seed in seeds() {
-        for k in [1, 3, 5, 8, 13] {
-            replayed += zc_crash_run(seed, k);
-        }
-    }
-    assert!(
-        replayed > 0,
-        "no crash point left records — the sweep is vacuous"
-    );
-}
-
 // ---- dormancy ----------------------------------------------------------
 
 #[test]
 fn knob_off_keeps_every_dma_class_counter_at_zero() {
     // Default config: zero_copy off. A real mixed workload must leave
-    // every per-class cell — ops, bytes, staged, bounces — pinned at
-    // zero: the counters only move on the zero-copy path, so dormancy
-    // is structural, not filtered.
+    // every per-class cell pinned at zero: the counters only move on
+    // the direct-fill path, so dormancy is structural, not filtered.
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/dormant").unwrap();
-    let data = aligned(40_000, 17);
-    fs.write(fd, 0, &as_bytes(&data)[..40_000]).unwrap();
-    let refs: Vec<&[u8]> = vec![&as_bytes(&data)[..4096], &as_bytes(&data)[4096..6000]];
+    let data = pattern(17, 0, 40_000);
+    fs.write(fd, 0, &data).unwrap();
+    let refs: Vec<&[u8]> = vec![&data[..4096], &data[4096..6000]];
     fs.writev(fd, 48 * 1024, &refs).unwrap();
     fs.fsync(fd).unwrap();
     fs.truncate(fd, 20_000).unwrap();
