@@ -85,9 +85,12 @@ pub trait ReadBackend {
 
     /// Vectored fill: read `out.len() / PAGE_SIZE` consecutive pages
     /// starting at `start` into `out`, returning total *valid* bytes
-    /// (short at EOF; bytes past it are zeroed padding). The default
-    /// decomposes into per-page reads; backends with a cheaper
-    /// multi-page path (one KVFS `read_extent`) override it.
+    /// (short at EOF; the rest of the page EOF falls in is zeroed
+    /// padding). `out` arrives holding whatever the last fill left in it
+    /// and pages wholly past EOF need not be touched — the caller never
+    /// looks at them. The default decomposes into per-page reads;
+    /// backends with a cheaper multi-page path (one contiguous KVFS
+    /// `read`) override it.
     fn read_pages(&mut self, ino: u64, start: u64, out: &mut [u8]) -> usize {
         let mut total = 0;
         for (k, page) in out.chunks_mut(PAGE_SIZE).enumerate() {
@@ -132,7 +135,9 @@ pub struct ControlPlane {
     dma: DmaEngine,
     /// Cap on pages coalesced into one backend extent write.
     pub max_extent_pages: usize,
-    /// Reusable extent assembly buffer (pages pulled to DPU DRAM).
+    /// Reusable extent assembly buffer (pages pulled to DPU DRAM). The
+    /// fills never clear it: they size it up when a window outgrows it
+    /// and let the backend overwrite the part they use.
     extent_buf: Vec<u8>,
     /// Reusable list of read-locked entry indices for the current extent.
     extent_locks: Vec<usize>,
@@ -656,6 +661,24 @@ impl ControlPlane {
         }
     }
 
+    /// Free pages a window fill may take right now without pushing the
+    /// cache below the `throttle_free` floor. `None` — counted as one
+    /// throttled window — when there are none and the fill would be
+    /// dropped outright. [`fill_window`](Self::fill_window) asks on entry;
+    /// whoever plans windows asks first, so that a window with no chance
+    /// is never queued and the prefetcher never woken for it.
+    pub fn window_headroom(&self, throttle_free: u64) -> Option<u64> {
+        let free = self.cache.header.free();
+        if free <= throttle_free {
+            self.cache
+                .stats
+                .ra_throttled
+                .fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(free - throttle_free)
+    }
+
     /// Fill one planned readahead window from the backend — the body of
     /// the background prefetcher thread. Returns pages inserted.
     ///
@@ -683,16 +706,14 @@ impl ControlPlane {
         throttle_free: u64,
     ) -> usize {
         let win = &job.window;
-        let stats = &self.cache.stats;
-        let free = self.cache.header.free();
-        if free <= throttle_free {
-            stats.ra_throttled.fetch_add(1, Ordering::Relaxed);
+        let Some(headroom) = self.window_headroom(throttle_free) else {
             return 0;
-        }
+        };
+        let stats = &self.cache.stats;
         let mut pages = win.pages as u64;
-        if pages > free - throttle_free {
+        if pages > headroom {
             // Shrink to what fits above the watermark.
-            pages = free - throttle_free;
+            pages = headroom;
             stats.ra_throttled.fetch_add(1, Ordering::Relaxed);
         }
         let epoch = self.cache.ino_epoch(job.ino);
@@ -700,9 +721,10 @@ impl ControlPlane {
         if win.stride == 1 {
             let want = pages as usize * PAGE_SIZE;
             let mut buf = std::mem::take(&mut self.extent_buf);
-            buf.clear();
-            buf.resize(want, 0);
-            let valid_total = backend.read_pages(job.ino, win.start, &mut buf);
+            if buf.len() < want {
+                buf.resize(want, 0);
+            }
+            let valid_total = backend.read_pages(job.ino, win.start, &mut buf[..want]);
             // One DMA pushes the whole window into the host data area.
             self.dma.record_external_dma(valid_total as u64);
             for k in 0..pages {
@@ -785,9 +807,10 @@ impl ControlPlane {
 
         let epoch = self.cache.ino_epoch(ino);
         let mut buf = std::mem::take(&mut self.extent_buf);
-        buf.clear();
-        buf.resize(pages * PAGE_SIZE, 0);
-        let valid_total = backend.read_pages(ino, first, &mut buf);
+        if buf.len() < pages * PAGE_SIZE {
+            buf.resize(pages * PAGE_SIZE, 0);
+        }
+        let valid_total = backend.read_pages(ino, first, &mut buf[..pages * PAGE_SIZE]);
         if valid_total > 0 {
             // One DMA lands the whole extent in the host page pool.
             self.dma

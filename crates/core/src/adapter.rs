@@ -224,7 +224,7 @@ impl FdTable {
 }
 
 /// Cap on pages fetched by one spanning miss read (256 KiB — well under
-/// the default 1 MiB nvme-fs slot capacity, and matching the flush
+/// the default 1 MiB nvme-fs buffer capacity, and matching the flush
 /// extent cap).
 const MAX_MISS_RUN_PAGES: usize = 64;
 
@@ -1171,8 +1171,9 @@ impl DpcFs {
                     in_page: usize,
                     take: usize,
                 }
-                // Page scratch for the settled-copy and miss paths only:
-                // an all-hit read never sizes (allocates) it.
+                // Page scratch for the settled-copy path and a miss run's
+                // short tail page only: neither an all-hit read nor a miss
+                // of whole pages ever sizes (allocates) it.
                 let mut page: Vec<u8> = Vec::new();
                 let mut pos = 0usize;
                 let mut off = offset;
@@ -1293,7 +1294,6 @@ impl DpcFs {
                 // (doorbell-coalesced through the pool). A lone miss
                 // degenerates to the old per-page fetch.
                 if !misses.is_empty() {
-                    page.resize(PAGE_SIZE, 0);
                     struct Run {
                         /// Index of the run's first page in `misses`.
                         first: usize,
@@ -1340,12 +1340,21 @@ impl DpcFs {
                         for k in 0..r.pages {
                             let m = &misses[r.first + k];
                             let valid = got.saturating_sub(k * PAGE_SIZE).min(PAGE_SIZE);
-                            page.fill(0);
-                            if valid > 0 {
-                                page[..valid].copy_from_slice(
-                                    &c.payload[k * PAGE_SIZE..k * PAGE_SIZE + valid],
-                                );
-                            }
+                            // A whole page is served straight from the
+                            // reply; only a short tail page (or one past
+                            // what the backend had) goes through the
+                            // zero-padded scratch page.
+                            let at = k * PAGE_SIZE;
+                            let src: &[u8] = if valid == PAGE_SIZE {
+                                &c.payload[at..at + PAGE_SIZE]
+                            } else {
+                                page.resize(PAGE_SIZE, 0);
+                                if valid > 0 {
+                                    page[..valid].copy_from_slice(&c.payload[at..at + valid]);
+                                }
+                                page[valid..].fill(0);
+                                &page
+                            };
                             // Fill the cache clean (front-end read
                             // protocol). Only a freshly claimed entry may
                             // be written: a page that appeared since pass
@@ -1358,14 +1367,14 @@ impl DpcFs {
                             if valid > 0 {
                                 if let Ok(mut g) = self.cache.begin_write(ino, m.lpn) {
                                     if g.claimed_free() {
-                                        g.write(0, &page);
+                                        g.write(0, src);
                                         g.set_valid(valid);
                                         g.commit_clean();
                                     }
                                 }
                             }
                             dst[m.pos..m.pos + m.take]
-                                .copy_from_slice(&page[m.in_page..m.in_page + m.take]);
+                                .copy_from_slice(&src[m.in_page..m.in_page + m.take]);
                         }
                     }
                 }

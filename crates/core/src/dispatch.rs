@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use dpc_cache::{
-    ControlPlane, FlushBackend, PrefetchJob, PrefetchQueue, ReadBackend, ReadaheadTable,
+    ControlPlane, FlushBackend, PrefetchJob, PrefetchQueue, RaWindow, ReadBackend, ReadaheadTable,
 };
 use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
 use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
@@ -149,8 +149,9 @@ impl FlushBackend for KvfsFlush<'_> {
 }
 
 /// The prefetcher's page source: background window fills read from KVFS.
-/// Sequential windows go through the vectored [`Kvfs::read_extent`] so
-/// consecutive pages sharing an 8 KiB block cost one KV read, not two.
+/// A sequential window is one contiguous [`Kvfs::read`] — one attribute
+/// fetch, then one KV sub-read per 8 KiB block straight into its place in
+/// the window, so consecutive pages sharing a block cost one KV read.
 pub(crate) struct KvfsRead<'a> {
     pub kvfs: &'a Arc<Kvfs>,
 }
@@ -167,10 +168,12 @@ impl ReadBackend for KvfsRead<'_> {
     }
 
     fn read_pages(&mut self, ino: u64, start: u64, out: &mut [u8]) -> usize {
-        let mut segments: Vec<&mut [u8]> = out.chunks_mut(dpc_cache::PAGE_SIZE).collect();
-        self.kvfs
-            .read_extent(ino, start * dpc_cache::PAGE_SIZE as u64, &mut segments)
-            .unwrap_or(0)
+        let page = dpc_cache::PAGE_SIZE;
+        let n = self.kvfs.read(ino, start * page as u64, out).unwrap_or(0);
+        // `read` wrote `out[..n]` and nothing else: pad out the tail page.
+        let pad_end = n.next_multiple_of(page).min(out.len());
+        out[n..pad_end].fill(0);
+        n
     }
 }
 
@@ -185,6 +188,10 @@ pub struct Dispatcher {
     /// prefetcher. `None` = readahead off; demand reads are then pure
     /// KVFS reads with no state tracking at all.
     ra: Option<(Arc<ReadaheadTable>, Arc<PrefetchQueue>)>,
+    /// Free-page floor of the cache below which a planned window is not
+    /// even queued: the prefetcher would drop it (the same floor is its
+    /// `throttle_free`), so waking it would buy nothing.
+    pub ra_throttle_free: u64,
     /// Coalesce adjacent dirty pages into extent writes on the `Fsync`
     /// flush path; off caps every extent at one page.
     pub coalesce: bool,
@@ -203,6 +210,7 @@ impl Dispatcher {
             control,
             dfs,
             ra: None,
+            ra_throttle_free: 0,
             coalesce: true,
             flush_fault: None,
             payload_scratch: Vec::new(),
@@ -219,18 +227,36 @@ impl Dispatcher {
     /// only ever sees *misses* (hits are absorbed by the host data
     /// plane), so a planned window is queued for the background
     /// prefetcher rather than filled here — the request path never does
-    /// window I/O. A full queue drops the job (readahead is best-effort).
+    /// window I/O.
     fn note_read(&self, ino: u64, offset: u64, len: u32) {
-        let Some((table, queue)) = &self.ra else {
+        let Some((table, _)) = &self.ra else {
             return;
         };
         let page = dpc_cache::PAGE_SIZE as u64;
         let lpn = offset / page;
         let span = ((offset % page + len as u64).div_ceil(page)).max(1) as u32;
         if let Some(window) = table.on_read(ino, lpn, span) {
-            if !queue.push(PrefetchJob { ino, window }) {
-                self.control.cache().note_ra_dropped();
-            }
+            self.queue_window(ino, window);
+        }
+    }
+
+    /// Hand a planned window to the background prefetcher — unless the
+    /// cache is at its free-page floor, where the prefetcher would only
+    /// wake up to drop it (counted as throttled here instead). A full
+    /// queue drops the job (readahead is best-effort).
+    fn queue_window(&self, ino: u64, window: RaWindow) {
+        let Some((_, queue)) = &self.ra else {
+            return;
+        };
+        if self
+            .control
+            .window_headroom(self.ra_throttle_free)
+            .is_none()
+        {
+            return;
+        }
+        if !queue.push(PrefetchJob { ino, window }) {
+            self.control.cache().note_ra_dropped();
         }
     }
 
@@ -241,12 +267,11 @@ impl Dispatcher {
         (resp, payload)
     }
 
-    /// Serve one request, filling `payload_out` with the read payload (if
-    /// any) instead of allocating. The buffer is cleared first; on the
-    /// steady-state read path it is only ever `resize`d within its
-    /// retained capacity, so a warm serve loop does no heap allocation.
+    /// Serve one request, leaving in `payload_out` exactly the read payload
+    /// (if any), whatever the buffer held before — it is the caller's
+    /// scratch, reused across requests, so a warm serve loop does no heap
+    /// allocation.
     pub fn handle_into(&mut self, inc: &FileIncoming, payload_out: &mut Vec<u8>) -> FileResponse {
-        payload_out.clear();
         match inc.dispatch {
             DispatchType::Standalone => self.handle_kvfs(inc, payload_out),
             DispatchType::Distributed => self.handle_dfs(inc, payload_out),
@@ -318,6 +343,13 @@ impl Dispatcher {
     }
 
     fn handle_kvfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
+        // Every arm appends to an empty buffer, except `Read`, which
+        // overwrites the old contents in place and cuts the buffer to its
+        // reply: clearing first would make it zero-fill the whole length
+        // again, only to overwrite it.
+        if !matches!(inc.request, FileRequest::Read { .. }) {
+            out.clear();
+        }
         let mut trail = std::mem::take(&mut self.trail_scratch);
         trail.clear();
         let resp = self.serve_kvfs(inc, out, &mut trail);
@@ -378,23 +410,21 @@ impl Dispatcher {
                     .map(FileResponse::Ino),
             ),
             FileRequest::Read { ino, offset, len } => {
-                out.resize(*len as usize, 0);
-                let page = dpc_cache::PAGE_SIZE;
-                let res = if out.len() > page && *offset % page as u64 == 0 {
-                    // A page-aligned spanning read — the adapter's batched
-                    // miss path fetching a whole run of missing pages.
-                    // One vectored KVFS read shares the underlying block
-                    // fetches across the run's pages.
-                    let mut segments: Vec<&mut [u8]> = out.chunks_mut(page).collect();
-                    kvfs.read_extent(*ino, *offset, &mut segments)
-                } else {
-                    kvfs.read(*ino, *offset, out)
-                };
-                match res {
+                // `out` still holds the last reply. It only ever grows
+                // (zero-filling the growth, nothing else): `Kvfs::read`
+                // writes every byte of the `n` it reports — one KV
+                // sub-read per 8 KiB block, straight into place, for a
+                // lone page and a whole miss run alike — and the buffer is
+                // cut to `n`, so no stale byte is ever part of a reply.
+                let len = *len as usize;
+                if out.len() < len {
+                    out.resize(len, 0);
+                }
+                match kvfs.read(*ino, *offset, &mut out[..len]) {
                     Ok(n) => {
                         out.truncate(n);
-                        self.note_read(*ino, *offset, *len);
-                        FileResponse::Bytes(out.len() as u32)
+                        self.note_read(*ino, *offset, len as u32);
+                        FileResponse::Bytes(n as u32)
                     }
                     Err(e) => {
                         out.clear();
@@ -407,11 +437,9 @@ impl Dispatcher {
                 // next window while the stream still has this one to
                 // chew on. Fire-and-forget (always Ok) — a reset or
                 // never-tracked stream simply ignores the hint.
-                if let Some((table, queue)) = &self.ra {
+                if let Some((table, _)) = &self.ra {
                     if let Some(window) = table.on_marker(*ino, *lpn) {
-                        if !queue.push(PrefetchJob { ino: *ino, window }) {
-                            self.control.cache().note_ra_dropped();
-                        }
+                        self.queue_window(*ino, window);
                     }
                 }
                 FileResponse::Ok
@@ -550,6 +578,7 @@ impl Dispatcher {
     }
 
     fn handle_dfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
+        out.clear();
         let Some(dfs) = self.dfs.as_mut() else {
             return FileResponse::Err(95 /* EOPNOTSUPP */);
         };

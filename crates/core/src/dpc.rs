@@ -35,7 +35,7 @@ pub struct DpcConfig {
     /// (adapters are unlimited; this sets the concurrency knee).
     pub queues: usize,
     pub queue_depth: u16,
-    /// Per-direction slot capacity (max single I/O size over nvme-fs).
+    /// Per-direction transport-buffer capacity (max single I/O size over nvme-fs).
     pub max_io_bytes: usize,
     /// Hybrid-cache pages (4 KiB each).
     pub cache_pages: usize,
@@ -358,6 +358,8 @@ impl Dpc {
         } else {
             None
         };
+        // Below this many free pages a window fill is dropped, not queued.
+        let ra_throttle_free = (cfg.cache_pages as f64 * cfg.ra_throttle_free) as u64;
         let targets_with_dispatch: Vec<_> = targets
             .into_iter()
             .map(|mut t| {
@@ -377,6 +379,7 @@ impl Dpc {
                 if let Some((table, queue)) = &ra {
                     dispatcher.set_readahead(table.clone(), queue.clone());
                 }
+                dispatcher.ra_throttle_free = ra_throttle_free;
                 dispatcher.coalesce = cfg.coalesce_flush;
                 dispatcher.flush_fault = flush_fault.clone();
                 (t, dispatcher)
@@ -408,7 +411,7 @@ impl Dpc {
                 control,
                 kvfs: kvfs.clone(),
                 queue: queue.clone(),
-                throttle_free: (cfg.cache_pages as f64 * cfg.ra_throttle_free) as u64,
+                throttle_free: ra_throttle_free,
             }
         });
 
@@ -586,6 +589,7 @@ impl Dpc {
                 link_timeouts: pool.timeouts,
                 transport_errors: pool.transport_errors,
                 stale_completions: pool.stale_completions,
+                rejected_sqes: pool.rejected_sqes,
                 ds_retries: dfs.ds_retries,
                 mds_retries: dfs.mds_retries,
                 reconstructions: dfs.reconstructions,

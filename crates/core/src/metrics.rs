@@ -24,6 +24,10 @@ pub struct RecoverySnapshot {
     pub transport_errors: u64,
     /// Late completions that arrived after their waiter gave up.
     pub stale_completions: u64,
+    /// nvme-fs commands a target refused (`InvalidCommand`, EINVAL at the
+    /// caller) because their SQE named a buffer range outside the data
+    /// pool.
+    pub rejected_sqes: u64,
     /// DFS client: data-server shard RPCs reissued.
     pub ds_retries: u64,
     /// DFS client: MDS RPCs reissued after a transient fault.
@@ -248,13 +252,14 @@ impl core::fmt::Display for MetricsSnapshot {
         let r = &self.recovery;
         write!(
             f,
-            "recovery: link {} retries / {} timeouts / {} transport errs, \
-             dfs {} ds + {} mds retries, {} reconstructions, {} repairs, \
+            "recovery: link {} retries / {} timeouts / {} transport errs / \
+             {} rejected sqes, dfs {} ds + {} mds retries, {} reconstructions, {} repairs, \
              {} crc rejects, kv {} retries, flush {} retries / {} failures, \
              {} quarantined",
             r.link_retries,
             r.link_timeouts,
             r.transport_errors,
+            r.rejected_sqes,
             r.ds_retries,
             r.mds_retries,
             r.reconstructions,

@@ -9,8 +9,8 @@ use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{
-    decode_dirents, decode_dirents_into, DispatchType, FileIncoming, FileRequest, FileResponse,
-    WireStep,
+    create_fabric, decode_dirents, decode_dirents_into, DispatchType, FileChannel, FileIncoming,
+    FileIncomingBatch, FileRequest, FileResponse, FileTarget, QueuePairConfig, WireStep,
 };
 use dpc_pcie::DmaEngine;
 
@@ -198,6 +198,137 @@ fn standalone_data_requests() {
         panic!()
     };
     assert_eq!((a.ino, a.size), (ino, 10));
+}
+
+/// One request through a real queue pair: submit, serve with
+/// `handle_batch` (the service loop's call, with its recycled reply
+/// buffer), reap.
+fn round_trip(
+    chan: &mut FileChannel,
+    tgt: &mut FileTarget,
+    d: &mut Dispatcher,
+    request: FileRequest,
+    write: &[u8],
+    read_len: u32,
+) -> (FileResponse, Vec<u8>) {
+    chan.submit(DispatchType::Standalone, &request, write, read_len)
+        .unwrap();
+    let mut batch = FileIncomingBatch::new();
+    assert_eq!(tgt.poll_many(&mut batch), 1);
+    assert_eq!(d.handle_batch(&batch, tgt), 1);
+    let done = chan.poll().expect("reply posted").expect("reply decodes");
+    (done.response, done.payload)
+}
+
+#[test]
+fn a_reused_reply_buffer_never_leaks_stale_bytes() {
+    // The dispatcher's reply scratch and the transport buffer are reused
+    // uncleared — sized up, never zeroed again. After a 128 KiB reply has
+    // been through both, every smaller reply must still be exactly its own
+    // bytes at exactly its own length: none of the 0xAB that came before.
+    let (mut d, kvfs) = dispatcher(false);
+    let (mut chans, mut tgts) = create_fabric(
+        1,
+        QueuePairConfig {
+            depth: 2, // one command in flight at a time: one transport buffer
+            max_io_bytes: 256 * 1024,
+        },
+        &DmaEngine::new(),
+    );
+    let (mut chan, mut tgt) = (chans.pop().unwrap(), tgts.pop().unwrap());
+
+    const K128: usize = 128 * 1024;
+    let big = kvfs.create("/big", 0o644).unwrap();
+    kvfs.write(big, 0, &vec![0xAB; K128]).unwrap();
+    // … a 1000-byte tail, and past it one byte at 400 000: a hole between.
+    let tail: Vec<u8> = (0..1000u32).map(|i| (i % 199) as u8 + 1).collect();
+    kvfs.write(big, K128 as u64, &tail).unwrap();
+    kvfs.write(big, 400_000, b"!").unwrap();
+    let small = kvfs.create("/small", 0o644).unwrap();
+    kvfs.write(small, 0, b"tiny file").unwrap();
+    let dir = kvfs.mkdir("/dir", 0o755).unwrap();
+
+    let mut read = |ino: u64, offset: u64, len: u32| {
+        let req = FileRequest::Read { ino, offset, len };
+        let served = round_trip(&mut chan, &mut tgt, &mut d, req, b"", len);
+        // `handle_into` on the same dispatcher, handed a dirty buffer of
+        // the caller's own, must agree byte for byte.
+        let mut scratch = vec![0xCD; K128];
+        let inc = incoming(
+            DispatchType::Standalone,
+            FileRequest::Read { ino, offset, len },
+            vec![],
+        );
+        assert_eq!((d.handle_into(&inc, &mut scratch), scratch), served);
+        served
+    };
+    let soak = |read: &mut dyn FnMut(u64, u64, u32) -> (FileResponse, Vec<u8>)| {
+        let (resp, payload) = read(big, 0, K128 as u32);
+        assert_eq!(resp, FileResponse::Bytes(K128 as u32));
+        assert!(payload.len() == K128 && payload.iter().all(|&b| b == 0xAB));
+    };
+
+    soak(&mut read);
+    // A short tail: asked for 128 KiB more, there are 1000 bytes and then
+    // the hole's zeros up to the reply's end.
+    let (resp, payload) = read(big, K128 as u64, 8192);
+    assert_eq!(resp, FileResponse::Bytes(8192));
+    assert_eq!(&payload[..1000], &tail[..]);
+    assert!(
+        payload[1000..].iter().all(|&b| b == 0),
+        "hole reads as zeros"
+    );
+
+    soak(&mut read);
+    // A hole proper: blocks nobody wrote.
+    let (resp, payload) = read(big, 200_000, 20_000);
+    assert_eq!(resp, FileResponse::Bytes(20_000));
+    assert!(payload.len() == 20_000 && payload.iter().all(|&b| b == 0));
+
+    soak(&mut read);
+    // The file's last byte, and a read that starts past it.
+    let (resp, payload) = read(big, 399_990, 4096);
+    assert_eq!(resp, FileResponse::Bytes(11));
+    assert_eq!(payload, b"\0\0\0\0\0\0\0\0\0\0!");
+    soak(&mut read);
+    let (resp, payload) = read(big, 400_001, 4096);
+    assert_eq!((resp, payload), (FileResponse::Bytes(0), vec![]));
+
+    soak(&mut read);
+    // A `Small`-format file: one value, shorter than the read.
+    let (resp, payload) = read(small, 0, 4096);
+    assert_eq!(
+        (resp, payload),
+        (FileResponse::Bytes(9), b"tiny file".to_vec())
+    );
+    soak(&mut read);
+    let (resp, payload) = read(small, 5, 2);
+    assert_eq!((resp, payload), (FileResponse::Bytes(2), b"fi".to_vec()));
+
+    soak(&mut read);
+    // Failing reads: an errno and not one byte of payload.
+    let (resp, payload) = read(dir, 0, 4096);
+    assert_eq!(
+        (resp, payload),
+        (FileResponse::Err(21 /* EISDIR */), vec![])
+    );
+    soak(&mut read);
+    let (resp, payload) = read(987_654, 0, 4096);
+    assert_eq!((resp, payload), (FileResponse::Err(2 /* ENOENT */), vec![]));
+
+    // A reply of another kind right behind a read starts from an empty
+    // buffer, not from the read's leftovers.
+    soak(&mut read);
+    let (resp, payload) = round_trip(
+        &mut chan,
+        &mut tgt,
+        &mut d,
+        FileRequest::Readdir { ino: dir },
+        b"",
+        4096,
+    );
+    assert_eq!((resp, payload), (FileResponse::Entries(0), vec![]));
+    assert_eq!(chan.rejected_sqes(), 0);
 }
 
 #[test]

@@ -155,6 +155,12 @@ impl FileChannel {
         self.ini.outstanding()
     }
 
+    /// Commands this queue's target refused as malformed at the transport
+    /// layer (see [`Initiator::rejected_sqes`]).
+    pub fn rejected_sqes(&self) -> u64 {
+        self.ini.rejected_sqes()
+    }
+
     /// Ring depth of the underlying queue pair (at most `depth - 1`
     /// commands can be in flight).
     pub fn depth(&self) -> u16 {

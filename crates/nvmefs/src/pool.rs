@@ -108,7 +108,7 @@ impl Default for RetryPolicy {
 /// anyone can poll its completion.
 struct QueueInner {
     chan: FileChannel,
-    /// Slot-indexed (CID == slot) one-shot waiters for in-flight commands.
+    /// CID-indexed one-shot waiters for in-flight commands.
     waiters: Vec<Option<Arc<Waiter>>>,
 }
 
@@ -135,6 +135,9 @@ pub struct PoolStats {
     pub transport_errors: u64,
     /// Late completions that arrived after their waiter was abandoned.
     pub stale_completions: u64,
+    /// Commands a target refused with `InvalidCommand` because their SQE
+    /// named a buffer range outside the data pool (the caller saw EINVAL).
+    pub rejected_sqes: u64,
 }
 
 #[derive(Default)]
@@ -219,6 +222,11 @@ impl ChannelPool {
             retries: self.stats.retries.load(Ordering::Relaxed),
             transport_errors: self.stats.transport_errors.load(Ordering::Relaxed),
             stale_completions: self.stats.stale_completions.load(Ordering::Relaxed),
+            rejected_sqes: self
+                .queues
+                .iter()
+                .map(|q| q.inner.lock().chan.rejected_sqes())
+                .sum(),
         }
     }
 

@@ -13,13 +13,22 @@
 //! ```text
 //! sq_mem:    depth × 64 B SQEs          (host writes locally, DPU DMA-reads)
 //! cq_mem:    depth × 16 B CQEs          (DPU DMA-writes, host reads locally)
-//! data_pool: depth × 2 × max_io_bytes   (slot i: [write buf][read buf])
+//! data_pool: depth × 2 × max_io_bytes   (buffer b: [write buf][read buf])
 //! ```
+//!
+//! Transport buffers belong to the initiator, not to ring slots: it keeps
+//! the `depth` buffers on a LIFO free list, hands the most recently freed
+//! one to the next command (so a lone outstanding command keeps reusing
+//! one cache-hot buffer), names it in the SQE's PRP fields, and takes it
+//! back once the completion's payload has been copied out. A command's
+//! CID is its buffer's index. The target trusts none of this: it bounds
+//! every PRP range the SQE names against the pool before touching it and
+//! answers [`CqeStatus::InvalidCommand`] otherwise.
 //!
 //! Doorbells are device registers (host-side MMIO writes, counted as
 //! doorbells, read locally by the DPU — a register read crosses no DMA).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_pcie::{DmaEngine, HostRegion};
@@ -31,7 +40,7 @@ use crate::sqe::{Cqe, CqeStatus, DispatchType, Sqe, ZcOp, CQE_SIZE, SQE_SIZE};
 /// this offset.
 pub const READ_HEADER_CAP: usize = 64;
 
-/// Space reserved for the SGL descriptor list at the head of a slot's
+/// Space reserved for the SGL descriptor list at the head of a command's
 /// write buffer (16 bytes per descriptor).
 pub const SGL_LIST_CAP: usize = 256;
 /// Maximum data segments per SGL command (plus one header descriptor).
@@ -44,7 +53,7 @@ pub struct QueuePairConfig {
     /// distinguish full from empty, so at most `depth - 1` commands can be
     /// outstanding.
     pub depth: u16,
-    /// Per-direction buffer capacity of one command slot.
+    /// Per-direction capacity of one transport buffer.
     pub max_io_bytes: usize,
 }
 
@@ -68,6 +77,10 @@ pub(crate) struct QpShared {
     pub(crate) sq_tail_db: AtomicU32,
     /// CQ head doorbell: host-written register (consumed CQE count).
     pub(crate) cq_head_db: AtomicU32,
+    /// Commands the target refused with `InvalidCommand` because a range
+    /// their SQE named fell outside the pool, or their reply outgrew the
+    /// read buffer it described.
+    pub(crate) rejected_sqes: AtomicU64,
 }
 
 /// One nvme-fs queue pair. Split into an initiator half and a target half
@@ -89,6 +102,7 @@ impl QueuePair {
                 data_pool: HostRegion::new(depth * 2 * cfg.max_io_bytes),
                 sq_tail_db: AtomicU32::new(0),
                 cq_head_db: AtomicU32::new(0),
+                rejected_sqes: AtomicU64::new(0),
             }),
         }
     }
@@ -104,8 +118,9 @@ impl QueuePair {
                 sq_head_seen: 0,
                 cq_head: 0,
                 cq_phase: true,
-                slot_busy: vec![false; depth as usize],
-                slot_zc: vec![false; depth as usize],
+                // Reversed so the first commands take buffers 0, 1, 2, …
+                free_bufs: (0..depth).rev().collect(),
+                cmds: vec![Cmd::Idle; depth as usize],
             },
             Target {
                 shared: self.shared,
@@ -113,6 +128,7 @@ impl QueuePair {
                 sq_head: 0,
                 cq_tail: 0,
                 cq_phase: true,
+                reply_bufs: vec![ReplyBuf::default(); depth as usize],
                 scratch: Vec::new(),
                 sgl_scratch: Vec::new(),
             },
@@ -120,13 +136,15 @@ impl QueuePair {
     }
 }
 
-/// Offsets of slot `i`'s write and read buffers inside the data pool.
-fn slot_offsets(cfg: &QueuePairConfig, slot: u16) -> (usize, usize) {
-    let base = slot as usize * 2 * cfg.max_io_bytes;
+/// Offsets of transport buffer `buf`'s write and read halves inside the
+/// data pool.
+fn buffer_offsets(cfg: &QueuePairConfig, buf: u16) -> (usize, usize) {
+    let base = buf as usize * 2 * cfg.max_io_bytes;
     (base, base + cfg.max_io_bytes)
 }
 
-/// Error returned when the submission ring (or every slot) is full.
+/// Error returned when the submission ring (or every transport buffer)
+/// is taken.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct QueueFull;
 
@@ -232,6 +250,18 @@ pub struct SubmitOp<'a> {
     pub read_len: u32,
 }
 
+/// What the initiator knows about a CID.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Cmd {
+    /// Not in flight: its buffer is on the free list.
+    Idle,
+    /// In flight with its reply expected in the buffer's read half.
+    Staged,
+    /// In flight, zero-copy: the completion is CQE-only (`result` is a
+    /// count, not a payload length) and the buffer was never touched.
+    ZeroCopy,
+}
+
 /// Host-side NVME-INI driver for one queue pair.
 pub struct Initiator {
     shared: Arc<QpShared>,
@@ -241,10 +271,10 @@ pub struct Initiator {
     sq_head_seen: u16,
     cq_head: u16,
     cq_phase: bool,
-    slot_busy: Vec<bool>,
-    /// Slots whose in-flight command is zero-copy: their completions are
-    /// CQE-only (`result` is a count, not a payload length).
-    slot_zc: Vec<bool>,
+    /// Transport buffers no command holds, most recently freed last.
+    free_bufs: Vec<u16>,
+    /// Per-CID (== buffer index) command state.
+    cmds: Vec<Cmd>,
 }
 
 impl Initiator {
@@ -256,25 +286,19 @@ impl Initiator {
         self.shared.cfg.depth
     }
 
-    fn ring_free(&self) -> bool {
-        (self.sq_tail + 1) % self.shared.cfg.depth != self.sq_head_seen
+    /// Commands the target refused because their SQE named a range
+    /// outside the data pool (or their reply outgrew the read buffer).
+    pub fn rejected_sqes(&self) -> u64 {
+        self.shared.rejected_sqes.load(Ordering::Relaxed)
     }
 
     /// Number of commands that can be staged right now without draining
-    /// completions: bounded by the ring's free span and by busy slots whose
-    /// completions have not been consumed yet.
+    /// completions: bounded by the ring's free span and by the transport
+    /// buffers whose completions have not been consumed yet.
     pub fn free_slots(&self) -> usize {
         let depth = self.shared.cfg.depth;
         let ring_free = (self.sq_head_seen + depth - self.sq_tail - 1) % depth;
-        let mut n = 0usize;
-        while n < ring_free as usize {
-            let slot = (self.sq_tail as usize + n) % depth as usize;
-            if self.slot_busy[slot] {
-                break;
-            }
-            n += 1;
-        }
-        n
+        (ring_free as usize).min(self.free_bufs.len())
     }
 
     /// Publish the staged SQ tail and ring the doorbell — exactly one MMIO
@@ -285,6 +309,28 @@ impl Initiator {
             .sq_tail_db
             .store(self.sq_tail as u32, Ordering::Release);
         self.dma.ring_doorbell();
+    }
+
+    /// The buffer the next command gets — the one freed last, so it is
+    /// the one most likely still in cache — when the ring has room too.
+    fn next_buffer(&self) -> Result<u16, QueueFull> {
+        if self.free_slots() == 0 {
+            return Err(QueueFull);
+        }
+        self.free_bufs.last().copied().ok_or(QueueFull)
+    }
+
+    /// Write `sqe` at the SQ tail (without publishing it) and take its
+    /// buffer — the one [`next_buffer`](Self::next_buffer) named — off
+    /// the free list until the completion has been consumed.
+    fn enqueue(&mut self, sqe: &Sqe, state: Cmd) {
+        self.shared
+            .sq_mem
+            .write_local(self.sq_tail as usize * SQE_SIZE, &sqe.to_bytes());
+        let buf = self.free_bufs.pop();
+        debug_assert_eq!(buf, Some(sqe.cid()));
+        self.cmds[sqe.cid() as usize] = state;
+        self.sq_tail = (self.sq_tail + 1) % self.shared.cfg.depth;
     }
 
     /// Stage one command into the ring without publishing the tail.
@@ -298,23 +344,17 @@ impl Initiator {
         let cfg = &self.shared.cfg;
         assert!(
             header.len() + write_payload.len() <= cfg.max_io_bytes,
-            "write side exceeds slot capacity"
+            "write side exceeds buffer capacity"
         );
         assert!(
             READ_HEADER_CAP + read_len as usize <= cfg.max_io_bytes,
-            "read side exceeds slot capacity"
+            "read side exceeds buffer capacity"
         );
         assert!(header.len() <= u16::MAX as usize, "header too large");
-        if !self.ring_free() {
-            return Err(QueueFull);
-        }
-        let slot = self.sq_tail;
-        if self.slot_busy[slot as usize] {
-            return Err(QueueFull);
-        }
+        let buf = self.next_buffer()?;
 
-        // Host CPU fills the slot's write buffer (local stores, no DMA).
-        let (woff, roff) = slot_offsets(cfg, slot);
+        // Host CPU fills the write buffer (local stores, no DMA).
+        let (woff, roff) = buffer_offsets(cfg, buf);
         if !header.is_empty() {
             self.shared.data_pool.write_local(woff, header);
         }
@@ -324,9 +364,10 @@ impl Initiator {
                 .write_local(woff + header.len(), write_payload);
         }
 
-        // Build the SQE with the paper's bidirectional layout.
+        // Build the SQE with the paper's bidirectional layout; the PRP
+        // fields are how the target learns which buffer this is.
         let mut sqe = Sqe::new();
-        sqe.set_cid(slot)
+        sqe.set_cid(buf)
             .set_dispatch(dispatch)
             .set_prp_write(woff as u64, 0)
             .set_prp_read(roff as u64, 0)
@@ -334,19 +375,14 @@ impl Initiator {
             .set_read_len(read_len)
             .set_wh_len(header.len() as u16)
             .set_rh_len(READ_HEADER_CAP as u16);
-        self.shared
-            .sq_mem
-            .write_local(slot as usize * SQE_SIZE, &sqe.to_bytes());
-
-        self.slot_busy[slot as usize] = true;
-        self.slot_zc[slot as usize] = false;
-        self.sq_tail = (self.sq_tail + 1) % cfg.depth;
-        Ok(slot)
+        self.enqueue(&sqe, Cmd::Staged);
+        Ok(buf)
     }
 
     /// Submit a bidirectional command: `header ‖ write_payload` goes into
-    /// the slot's write buffer; up to `read_len` payload bytes are expected
-    /// back. Returns the CID (equal to the slot index).
+    /// a transport buffer's write half; up to `read_len` payload bytes are
+    /// expected back in its read half. Returns the CID (the buffer's
+    /// index).
     pub fn submit(
         &mut self,
         dispatch: DispatchType,
@@ -354,9 +390,9 @@ impl Initiator {
         write_payload: &[u8],
         read_len: u32,
     ) -> Result<u16, QueueFull> {
-        let slot = self.stage(dispatch, header, write_payload, read_len)?;
+        let cid = self.stage(dispatch, header, write_payload, read_len)?;
         self.publish_tail();
-        Ok(slot)
+        Ok(cid)
     }
 
     /// Stage one SGL command into the ring without publishing the tail.
@@ -373,25 +409,19 @@ impl Initiator {
         let payload_len: usize = segments.iter().map(|s| s.len()).sum();
         assert!(
             SGL_LIST_CAP + header.len() + payload_len <= cfg.max_io_bytes,
-            "write side exceeds slot capacity"
+            "write side exceeds buffer capacity"
         );
         assert!(
             READ_HEADER_CAP + read_len as usize <= cfg.max_io_bytes,
-            "read side exceeds slot capacity"
+            "read side exceeds buffer capacity"
         );
-        if !self.ring_free() {
-            return Err(QueueFull);
-        }
-        let slot = self.sq_tail;
-        if self.slot_busy[slot as usize] {
-            return Err(QueueFull);
-        }
+        let buf = self.next_buffer()?;
 
-        // Slot layout in SGL mode: [descriptor list][header][segments...].
-        // Host-local stores throughout (the app's buffers are already in
-        // DMA-able memory; we re-stage them here to give each segment a
-        // distinct device-visible address).
-        let (woff, roff) = slot_offsets(cfg, slot);
+        // Write-buffer layout in SGL mode: [descriptor list][header]
+        // [segments...]. Host-local stores throughout (the app's buffers
+        // are already in DMA-able memory; we re-stage them here to give
+        // each segment a distinct device-visible address).
+        let (woff, roff) = buffer_offsets(cfg, buf);
         let mut desc_block = Vec::with_capacity(16 * (segments.len() + 1));
         let mut cursor = woff + SGL_LIST_CAP;
         if !header.is_empty() {
@@ -412,7 +442,7 @@ impl Initiator {
         self.shared.data_pool.write_local(woff, &desc_block);
 
         let mut sqe = Sqe::new();
-        sqe.set_cid(slot)
+        sqe.set_cid(buf)
             .set_dispatch(dispatch)
             .set_psdt(crate::sqe::Psdt::SglWrite)
             .set_prp_write(woff as u64, 0) // points at the SGL list
@@ -422,14 +452,8 @@ impl Initiator {
             .set_sgl_count(segments.len() as u32 + 1)
             .set_wh_len(header.len() as u16)
             .set_rh_len(READ_HEADER_CAP as u16);
-        self.shared
-            .sq_mem
-            .write_local(slot as usize * SQE_SIZE, &sqe.to_bytes());
-
-        self.slot_busy[slot as usize] = true;
-        self.slot_zc[slot as usize] = false;
-        self.sq_tail = (self.sq_tail + 1) % cfg.depth;
-        Ok(slot)
+        self.enqueue(&sqe, Cmd::Staged);
+        Ok(buf)
     }
 
     /// Submit a bidirectional command whose write side is described by a
@@ -447,26 +471,21 @@ impl Initiator {
         segments: &[&[u8]],
         read_len: u32,
     ) -> Result<u16, QueueFull> {
-        let slot = self.stage_sgl(dispatch, header, segments, read_len)?;
+        let cid = self.stage_sgl(dispatch, header, segments, read_len)?;
         self.publish_tail();
-        Ok(slot)
+        Ok(cid)
     }
 
     /// Submit a zero-copy read-miss fill of `[offset, offset + len)`: the
     /// request rides entirely in the SQE (no header bytes, no staging
-    /// copy, the slot's buffers are not touched), the DPU lands the
-    /// backend extent straight in the cache page pool, and the reply is a
-    /// bare CQE — SQE fetch + CQE are the only DMAs on the command path.
+    /// copy; the command holds a buffer for its CID but never touches
+    /// it), the DPU lands the backend extent straight in the cache page
+    /// pool, and the reply is a bare CQE — SQE fetch + CQE are the only
+    /// DMAs on the command path.
     pub fn submit_zc(&mut self, ino: u64, offset: u64, len: u32) -> Result<u16, QueueFull> {
-        if !self.ring_free() {
-            return Err(QueueFull);
-        }
-        let slot = self.sq_tail;
-        if self.slot_busy[slot as usize] {
-            return Err(QueueFull);
-        }
+        let buf = self.next_buffer()?;
         let mut sqe = Sqe::new();
-        sqe.set_cid(slot)
+        sqe.set_cid(buf)
             .set_dispatch(DispatchType::Standalone)
             .set_zc(ZcOp::ReadFill)
             .set_zc_ino(ino)
@@ -474,15 +493,9 @@ impl Initiator {
             .set_write_len(len)
             .set_wh_len(0)
             .set_rh_len(0);
-        self.shared
-            .sq_mem
-            .write_local(slot as usize * SQE_SIZE, &sqe.to_bytes());
-
-        self.slot_busy[slot as usize] = true;
-        self.slot_zc[slot as usize] = true;
-        self.sq_tail = (self.sq_tail + 1) % self.shared.cfg.depth;
+        self.enqueue(&sqe, Cmd::ZeroCopy);
         self.publish_tail();
-        Ok(slot)
+        Ok(buf)
     }
 
     /// Open a deferred-doorbell batch: every command staged through the
@@ -497,8 +510,7 @@ impl Initiator {
 
     /// Submit a batch of commands under a single doorbell. All-or-nothing:
     /// fails with [`QueueFull`] (staging nothing) when fewer than
-    /// `ops.len()` slots are free. Returns the CID of the first op; the
-    /// rest occupy consecutive slots modulo the ring depth.
+    /// `ops.len()` slots are free. Returns the CID of the first op.
     pub fn submit_many(&mut self, ops: &[SubmitOp<'_>]) -> Result<u16, QueueFull> {
         assert!(!ops.is_empty(), "submit_many needs at least one op");
         if self.free_slots() < ops.len() {
@@ -520,23 +532,31 @@ impl Initiator {
 
     /// Consume the CQE at the head, if fresh. Advances head/phase and flow
     /// control but does **not** publish the head doorbell — callers batch
-    /// that into one store per poll pass.
+    /// that into one store per poll pass. A CQE naming a CID that is not
+    /// in flight has nobody to go to (and no buffer to give back): it is
+    /// consumed and skipped.
     fn pop_cqe(&mut self) -> Option<Cqe> {
-        let mut raw = [0u8; CQE_SIZE];
-        self.shared
-            .cq_mem
-            .read_local(self.cq_head as usize * CQE_SIZE, &mut raw);
-        let cqe = Cqe::from_bytes(&raw);
-        if cqe.phase != self.cq_phase {
-            return None; // no fresh entry at the head
+        loop {
+            let mut raw = [0u8; CQE_SIZE];
+            self.shared
+                .cq_mem
+                .read_local(self.cq_head as usize * CQE_SIZE, &mut raw);
+            let cqe = Cqe::from_bytes(&raw);
+            if cqe.phase != self.cq_phase {
+                return None; // no fresh entry at the head
+            }
+            self.cq_head = (self.cq_head + 1) % self.shared.cfg.depth;
+            if self.cq_head == 0 {
+                self.cq_phase = !self.cq_phase;
+            }
+            self.sq_head_seen = cqe.sq_head;
+            if matches!(
+                self.cmds.get(cqe.cid as usize),
+                Some(Cmd::Staged | Cmd::ZeroCopy)
+            ) {
+                return Some(cqe);
+            }
         }
-        self.cq_head = (self.cq_head + 1) % self.shared.cfg.depth;
-        if self.cq_head == 0 {
-            self.cq_phase = !self.cq_phase;
-        }
-        self.sq_head_seen = cqe.sq_head;
-        self.slot_busy[cqe.cid as usize] = false;
-        Some(cqe)
     }
 
     /// Publish the consumed CQ head back to the device (one register store).
@@ -546,31 +566,31 @@ impl Initiator {
             .store(self.cq_head as u32, Ordering::Release);
     }
 
-    /// Copy a consumed CQE's response header and payload into `out`,
-    /// reusing its buffers. Host-local reads; no DMA.
+    /// Copy a consumed CQE's response header and payload out of its
+    /// command's buffer into `out` (reusing `out`'s own buffers; each byte
+    /// is appended once, nothing is zero-filled first), then put the
+    /// transport buffer back on the free list. Host-local reads; no DMA.
     fn fill_completion(&mut self, cqe: &Cqe, out: &mut Completion) {
-        let (_, roff) = slot_offsets(&self.shared.cfg, cqe.cid);
+        let (_, roff) = buffer_offsets(&self.shared.cfg, cqe.cid);
         out.cid = cqe.cid;
         out.status = cqe.status;
         out.result = cqe.result;
         out.header.clear();
         out.payload.clear();
         // A zero-copy completion is CQE-only: `result` is the filled
-        // byte count, not the length of a payload in the slot.
-        out.zc = std::mem::replace(&mut self.slot_zc[cqe.cid as usize], false);
-        if out.zc {
-            return;
+        // byte count, not the length of a payload in the buffer.
+        let state = std::mem::replace(&mut self.cmds[cqe.cid as usize], Cmd::Idle);
+        out.zc = state == Cmd::ZeroCopy;
+        if !out.zc {
+            let pool = &self.shared.data_pool;
+            pool.read_local_extend(roff, cqe.hdr_len as usize, &mut out.header);
+            pool.read_local_extend(
+                roff + READ_HEADER_CAP,
+                cqe.result as usize,
+                &mut out.payload,
+            );
         }
-        if cqe.hdr_len > 0 {
-            out.header.resize(cqe.hdr_len as usize, 0);
-            self.shared.data_pool.read_local(roff, &mut out.header);
-        }
-        if cqe.result > 0 {
-            out.payload.resize(cqe.result as usize, 0);
-            self.shared
-                .data_pool
-                .read_local(roff + READ_HEADER_CAP, &mut out.payload);
-        }
+        self.free_bufs.push(cqe.cid);
     }
 
     /// Poll the completion queue; returns at most one completion.
@@ -610,7 +630,7 @@ impl Initiator {
 
     /// Commands currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.slot_busy.iter().filter(|&&b| b).count()
+        self.cmds.len() - self.free_bufs.len()
     }
 }
 
@@ -684,7 +704,7 @@ pub struct ZcCmd {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Incoming {
     pub sqe: Sqe,
-    /// Slot index (== CID) to pass back to [`Target::complete`].
+    /// The command's CID, to pass back to [`Target::complete`].
     pub slot: u16,
     /// The request header (`WH_len` bytes).
     pub header: Vec<u8>,
@@ -737,6 +757,11 @@ impl IncomingBatch {
         self.len += 1;
         &mut self.items[self.len - 1]
     }
+
+    /// Un-claim the most recently claimed slot (rejected command).
+    fn pop_slot(&mut self) {
+        self.len -= 1;
+    }
 }
 
 impl<'a> IntoIterator for &'a IncomingBatch {
@@ -748,6 +773,16 @@ impl<'a> IntoIterator for &'a IncomingBatch {
     }
 }
 
+/// Where a fetched command's reply goes: the read range its SQE named,
+/// bounds-checked against the pool when the SQE was fetched. All-zero for
+/// a zero-copy command, whose reply is a bare CQE.
+#[derive(Copy, Clone, Default)]
+struct ReplyBuf {
+    offset: usize,
+    header_cap: usize,
+    payload_cap: usize,
+}
+
 /// DPU-side NVME-TGT driver for one queue pair.
 pub struct Target {
     shared: Arc<QpShared>,
@@ -755,6 +790,8 @@ pub struct Target {
     sq_head: u16,
     cq_tail: u16,
     cq_phase: bool,
+    /// Per-CID reply buffer of every fetched, not yet completed command.
+    reply_bufs: Vec<ReplyBuf>,
     /// Reusable staging buffer for one command's contiguous
     /// `[header ‖ payload]` write side — DMA granularity (and therefore
     /// accounting) is over this contiguous view, the header/payload split
@@ -769,120 +806,195 @@ impl Target {
         self.shared.id
     }
 
+    /// `[addr, addr + len)` as a range of the data pool, if it is one no
+    /// longer than a transport buffer. Every address and length an SQE
+    /// (or an SGL descriptor) carries is host-written: nothing is read
+    /// from or written to the pool before passing through here.
+    fn pool_range(&self, addr: u64, len: usize) -> Option<usize> {
+        let cfg = &self.shared.cfg;
+        let start = usize::try_from(addr).ok()?;
+        let end = start.checked_add(len)?;
+        (len <= cfg.max_io_bytes && end <= cfg.depth as usize * 2 * cfg.max_io_bytes)
+            .then_some(start)
+    }
+
+    /// Refuse command `cid`: a bare `InvalidCommand` CQE, and a count.
+    fn reject(&mut self, cid: u16) {
+        self.shared.rejected_sqes.fetch_add(1, Ordering::Relaxed);
+        self.post_cqe(cid, CqeStatus::InvalidCommand, 0, 0);
+    }
+
     /// Fetch the SQE at the current head and gather its write side into
     /// `out`, reusing `out`'s buffers and the target's scratch space.
     /// Advances the SQ head. The caller has already checked availability.
+    /// Returns `false` when the command was refused instead (an
+    /// out-of-range CID, PRP range or SGL descriptor): it has been
+    /// completed with `InvalidCommand` and `out` holds nothing to serve.
     ///
     /// DMA accounting: 1 op for the SQE fetch plus
     /// `ceil((WH_len + Write_len) / 4096)` ops for the write buffer
     /// (page-granularity PRP transfers), or list + per-segment ops in SGL
     /// mode.
-    fn fill_incoming(&mut self, out: &mut Incoming) {
-        let slot = self.sq_head;
+    fn fill_incoming(&mut self, out: &mut Incoming) -> bool {
         // ① fetch the SQE.
         let mut raw = [0u8; SQE_SIZE];
-        self.dma
-            .dma_read(&self.shared.sq_mem, slot as usize * SQE_SIZE, &mut raw);
+        self.dma.dma_read(
+            &self.shared.sq_mem,
+            self.sq_head as usize * SQE_SIZE,
+            &mut raw,
+        );
+        self.sq_head = (self.sq_head + 1) % self.shared.cfg.depth;
         let sqe = Sqe::from_bytes(&raw);
+        let cid = sqe.cid();
+        out.header.clear();
+        out.payload.clear();
+        out.zc = None;
+        out.slot = cid;
+        if cid >= self.shared.cfg.depth {
+            self.reject(cid);
+            return false;
+        }
 
         // Zero-copy command: there is no write side to gather — the SQE
         // fetch above is the only request-path DMA.
         if sqe.zc_op().is_some() {
-            out.header.clear();
-            out.payload.clear();
             out.zc = Some(ZcCmd {
                 ino: sqe.zc_ino(),
                 offset: sqe.zc_offset(),
                 len: sqe.write_len(),
             });
             out.sqe = sqe;
-            out.slot = slot;
-            self.sq_head = (self.sq_head + 1) % self.shared.cfg.depth;
-            return;
+            self.reply_bufs[cid as usize] = ReplyBuf::default();
+            return true;
         }
-        out.zc = None;
 
-        // ② locate the write buffer and ③ read the request header +
-        // payload. PRP mode: page-granular DMAs over the contiguous
-        // buffer. SGL mode: fetch the descriptor list, then one DMA per
-        // scattered segment.
-        let woff = sqe.prp_write().0 as usize;
-        let total = sqe.wh_len() as usize + sqe.write_len() as usize;
+        // ② locate the buffers the SQE names and ③ read the request
+        // header + payload. PRP mode: page-granular DMAs over the
+        // contiguous buffer. SGL mode: fetch the descriptor list, then one
+        // DMA per scattered segment.
+        let wh = sqe.wh_len() as usize;
+        let total = wh + sqe.write_len() as usize;
+        let (header_cap, payload_cap) = (sqe.rh_len() as usize, sqe.read_len() as usize);
+        let Some(offset) = self.pool_range(sqe.prp_read().0, header_cap + payload_cap) else {
+            self.reject(cid);
+            return false;
+        };
         let sgl_write = matches!(
             sqe.psdt(),
             crate::sqe::Psdt::SglWrite | crate::sqe::Psdt::SglBoth
         );
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
-        if sgl_write {
-            let count = sqe.sgl_count() as usize;
-            let mut list = std::mem::take(&mut self.sgl_scratch);
-            list.clear();
-            list.resize(count * 16, 0);
-            self.dma.dma_read(&self.shared.data_pool, woff, &mut list);
-            for d in 0..count {
-                let addr =
-                    u64::from_le_bytes(list[d * 16..d * 16 + 8].try_into().unwrap()) as usize;
-                let len =
-                    u32::from_le_bytes(list[d * 16 + 8..d * 16 + 12].try_into().unwrap()) as usize;
-                if len == 0 {
-                    continue;
-                }
-                let start = buf.len();
-                buf.resize(start + len, 0);
-                self.dma
-                    .dma_read(&self.shared.data_pool, addr, &mut buf[start..]);
-            }
-            debug_assert_eq!(buf.len(), total, "SGL descriptors cover the payload");
-            self.sgl_scratch = list;
+        let gathered = if sgl_write {
+            self.gather_sgl(&sqe, total, &mut buf)
         } else {
-            buf.resize(total, 0);
-            let mut pos = 0;
-            while pos < total {
-                let n = (total - pos).min(4096);
-                self.dma
-                    .dma_read(&self.shared.data_pool, woff + pos, &mut buf[pos..pos + n]);
-                pos += n;
-            }
+            self.gather_prp(&sqe, total, &mut buf)
+        };
+        if gathered {
+            out.header.extend_from_slice(&buf[..wh]);
+            out.payload.extend_from_slice(&buf[wh..]);
+            out.sqe = sqe;
+            self.reply_bufs[cid as usize] = ReplyBuf {
+                offset,
+                header_cap,
+                payload_cap,
+            };
+        } else {
+            self.reject(cid);
         }
-        let wh = sqe.wh_len() as usize;
-        out.header.clear();
-        out.header.extend_from_slice(&buf[..wh]);
-        out.payload.clear();
-        out.payload.extend_from_slice(&buf[wh..]);
-        out.sqe = sqe;
-        out.slot = slot;
         self.scratch = buf;
-
-        self.sq_head = (self.sq_head + 1) % self.shared.cfg.depth;
+        gathered
     }
 
-    /// Poll the SQ doorbell; fetch and decode one SQE if available.
+    /// Gather a contiguous write side of `total` bytes into `buf`, one
+    /// DMA per 4 KiB page. `false` when the range is not inside the pool.
+    fn gather_prp(&mut self, sqe: &Sqe, total: usize, buf: &mut Vec<u8>) -> bool {
+        let Some(woff) = self.pool_range(sqe.prp_write().0, total) else {
+            return false;
+        };
+        buf.resize(total, 0);
+        let mut pos = 0;
+        while pos < total {
+            let n = (total - pos).min(4096);
+            self.dma
+                .dma_read(&self.shared.data_pool, woff + pos, &mut buf[pos..pos + n]);
+            pos += n;
+        }
+        true
+    }
+
+    /// Gather a scattered write side into `buf`: the descriptor list (one
+    /// DMA), then one DMA per non-empty segment. `false` when the list or
+    /// a segment is not inside the pool, or the segments do not add up to
+    /// the `total` the SQE declared.
+    fn gather_sgl(&mut self, sqe: &Sqe, total: usize, buf: &mut Vec<u8>) -> bool {
+        let count = sqe.sgl_count() as usize;
+        if count > SGL_LIST_CAP / 16 {
+            return false;
+        }
+        let Some(list_off) = self.pool_range(sqe.prp_write().0, count * 16) else {
+            return false;
+        };
+        let mut list = std::mem::take(&mut self.sgl_scratch);
+        list.clear();
+        list.resize(count * 16, 0);
+        self.dma
+            .dma_read(&self.shared.data_pool, list_off, &mut list);
+        let mut ok = true;
+        for desc in list.chunks_exact(16) {
+            let addr = u64::from_le_bytes(desc[..8].try_into().expect("8-byte address"));
+            let len = u32::from_le_bytes(desc[8..12].try_into().expect("4-byte length")) as usize;
+            if len == 0 {
+                continue;
+            }
+            let start = buf.len();
+            let Some(addr) = self.pool_range(addr, len) else {
+                ok = false;
+                break;
+            };
+            if start + len > total {
+                ok = false;
+                break;
+            }
+            buf.resize(start + len, 0);
+            self.dma
+                .dma_read(&self.shared.data_pool, addr, &mut buf[start..]);
+        }
+        self.sgl_scratch = list;
+        ok && buf.len() == total
+    }
+
+    /// Poll the SQ doorbell; fetch and decode one SQE if available. A
+    /// refused command yields `None` for this round.
     pub fn poll(&mut self) -> Option<Incoming> {
         let tail = self.shared.sq_tail_db.load(Ordering::Acquire) as u16;
         if tail == self.sq_head {
             return None;
         }
         let mut out = Incoming::default();
-        self.fill_incoming(&mut out);
-        Some(out)
+        self.fill_incoming(&mut out).then_some(out)
     }
 
     /// Drain every SQE published by the last doorbell into `out`,
     /// recycling its buffers: one doorbell-register read per pass, however
-    /// many commands arrived. Returns the number of commands fetched.
+    /// many commands arrived. Refused commands are completed inline and
+    /// do not appear in the batch. Returns the number of commands fetched.
     pub fn poll_many(&mut self, out: &mut IncomingBatch) -> usize {
         out.clear();
         let tail = self.shared.sq_tail_db.load(Ordering::Acquire) as u16;
         while self.sq_head != tail {
             let slot = out.next_slot();
-            self.fill_incoming(slot);
+            if !self.fill_incoming(slot) {
+                out.pop_slot();
+            }
         }
         out.len()
     }
 
     /// Complete a command: DMA the response header and read payload into
-    /// the slot's read buffer, then ④ post the CQE.
+    /// the read buffer its SQE named, then ④ post the CQE. A reply that
+    /// does not fit the buffer the host described is not written anywhere:
+    /// the command completes with `InvalidCommand` instead.
     ///
     /// DMA accounting: 1 op for the header when one is present,
     /// `ceil(payload / 4096)` ops for payload, plus 1 for the CQE. A
@@ -890,17 +1002,21 @@ impl Target {
     /// write) therefore costs exactly one CQE DMA — which is what keeps
     /// the raw 8 KiB write at the paper's 4 DMA operations.
     pub fn complete(&mut self, slot: u16, status: CqeStatus, header: &[u8], payload: &[u8]) {
-        let cfg = &self.shared.cfg;
         assert!(header.len() <= READ_HEADER_CAP, "response header too big");
-        assert!(
-            READ_HEADER_CAP + payload.len() <= cfg.max_io_bytes,
-            "read payload exceeds slot capacity"
-        );
-        let (_, roff) = slot_offsets(cfg, slot);
+        let reply = self
+            .reply_bufs
+            .get(slot as usize)
+            .copied()
+            .unwrap_or_default();
+        if header.len() > reply.header_cap || payload.len() > reply.payload_cap {
+            self.reject(slot);
+            return;
+        }
 
         // Response header (single DMA: it fits one page).
         if !header.is_empty() {
-            self.dma.dma_write(&self.shared.data_pool, roff, header);
+            self.dma
+                .dma_write(&self.shared.data_pool, reply.offset, header);
         }
 
         // Payload, page by page.
@@ -909,41 +1025,29 @@ impl Target {
             let n = (payload.len() - pos).min(4096);
             self.dma.dma_write(
                 &self.shared.data_pool,
-                roff + READ_HEADER_CAP + pos,
+                reply.offset + reply.header_cap + pos,
                 &payload[pos..pos + n],
             );
             pos += n;
         }
 
-        // ④ post the CQE.
-        let cqe = Cqe {
-            result: payload.len() as u32,
-            hdr_len: header.len() as u16,
-            sq_head: self.sq_head,
-            status,
-            cid: slot,
-            phase: self.cq_phase,
-        };
-        self.dma.dma_write(
-            &self.shared.cq_mem,
-            self.cq_tail as usize * CQE_SIZE,
-            &cqe.to_bytes(),
-        );
-        self.cq_tail = (self.cq_tail + 1) % cfg.depth;
-        if self.cq_tail == 0 {
-            self.cq_phase = !self.cq_phase;
-        }
+        self.post_cqe(slot, status, payload.len() as u32, header.len() as u16);
     }
 
     /// Complete a zero-copy command: the reply is a bare CQE whose
     /// `result` carries the filled byte count. Exactly one DMA.
     pub fn complete_zc(&mut self, slot: u16, status: CqeStatus, result: u32) {
+        self.post_cqe(slot, status, result, 0);
+    }
+
+    /// ④ post one CQE at the CQ tail (one DMA).
+    fn post_cqe(&mut self, cid: u16, status: CqeStatus, result: u32, hdr_len: u16) {
         let cqe = Cqe {
             result,
-            hdr_len: 0,
+            hdr_len,
             sq_head: self.sq_head,
             status,
-            cid: slot,
+            cid,
             phase: self.cq_phase,
         };
         self.dma.dma_write(
@@ -1143,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds slot capacity")]
+    #[should_panic(expected = "exceeds buffer capacity")]
     fn oversized_payload_rejected() {
         let (mut ini, _tgt, _) = pair(4, 4096);
         ini.submit(DispatchType::Standalone, b"", &[0; 8192], 0)
@@ -1235,6 +1339,337 @@ mod tests {
         ini.wait();
         // The queue layer moves no class-attributed data by itself.
         assert!(dma.attribution().is_zero());
+    }
+
+    /// Complete `inc` by echoing `fill` back, `read_len` bytes long.
+    fn reply_filled(tgt: &mut Target, inc: &Incoming, fill: u8) {
+        let reply = vec![fill; inc.sqe.read_len() as usize];
+        tgt.complete(inc.slot, CqeStatus::Success, b"", &reply);
+    }
+
+    /// The pool ranges `[write buf, read buf]` a fetched command's SQE names.
+    fn named_ranges(inc: &Incoming) -> [(u64, u64); 2] {
+        let sqe = &inc.sqe;
+        let wlen = sqe.wh_len() as u64 + sqe.write_len() as u64;
+        let rlen = sqe.rh_len() as u64 + sqe.read_len() as u64;
+        [
+            (sqe.prp_write().0, sqe.prp_write().0 + wlen),
+            (sqe.prp_read().0, sqe.prp_read().0 + rlen),
+        ]
+    }
+
+    #[test]
+    fn outstanding_commands_never_share_a_buffer() {
+        let (mut ini, mut tgt, _) = pair(8, 4096);
+        let mut cids = Vec::new();
+        for i in 0..7u8 {
+            cids.push(
+                ini.submit(DispatchType::Standalone, b"H", &[i; 1000], 2000)
+                    .unwrap(),
+            );
+        }
+        let mut sorted = cids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), 7, "seven commands, seven buffers: {cids:?}");
+
+        let mut batch = IncomingBatch::new();
+        assert_eq!(tgt.poll_many(&mut batch), 7);
+        let mut ranges: Vec<(u64, u64)> = batch.iter().flat_map(named_ranges).collect();
+        ranges.sort_unstable();
+        for w in ranges.windows(2) {
+            assert!(w[0].1 <= w[1].0, "buffers overlap: {w:?}");
+        }
+        // Each command's bytes arrived intact and its own reply comes back
+        // to it, whatever order the target completes in.
+        for (i, inc) in batch.iter().enumerate().rev() {
+            assert_eq!(inc.payload, vec![i as u8; 1000]);
+            reply_filled(&mut tgt, inc, 0x80 | i as u8);
+        }
+        for _ in 0..7 {
+            let c = ini.wait();
+            let i = cids.iter().position(|&cid| cid == c.cid).unwrap();
+            assert_eq!(c.payload, vec![0x80 | i as u8; 2000]);
+        }
+        assert_eq!(ini.outstanding(), 0);
+    }
+
+    #[test]
+    fn the_buffer_just_freed_is_the_next_one_handed_out() {
+        let (mut ini, mut tgt, _) = pair(8, 4096);
+        let a = ini.submit(DispatchType::Standalone, b"", b"a", 1).unwrap();
+        let b = ini.submit(DispatchType::Standalone, b"", b"b", 1).unwrap();
+        assert_ne!(a, b);
+        let inc_a = tgt.poll().unwrap();
+        let inc_b = tgt.poll().unwrap();
+        // B completes first: the next command reuses B's buffer, not a
+        // fresh (cold) one and not A's.
+        reply_filled(&mut tgt, &inc_b, 2);
+        assert_eq!(ini.wait().cid, b);
+        let c = ini.submit(DispatchType::Standalone, b"", b"c", 1).unwrap();
+        assert_eq!(c, b);
+        let inc_c = tgt.poll().unwrap();
+        assert_eq!(named_ranges(&inc_c), named_ranges(&inc_b));
+        reply_filled(&mut tgt, &inc_a, 1);
+        assert_eq!(ini.wait().cid, a);
+        assert_eq!(
+            ini.submit(DispatchType::Standalone, b"", b"d", 1).unwrap(),
+            a
+        );
+        // A lone command in flight keeps reusing one buffer.
+        let (mut ini, mut tgt, _) = pair(8, 4096);
+        for _ in 0..20 {
+            assert_eq!(
+                ini.submit(DispatchType::Standalone, b"", b"x", 1).unwrap(),
+                0
+            );
+            echo_one(&mut tgt);
+            ini.wait();
+        }
+    }
+
+    #[test]
+    fn depth_minus_one_outstanding_never_exhausts_the_buffers() {
+        let (mut ini, mut tgt, _) = pair(4, 4096);
+        for i in 0..3u8 {
+            ini.submit(DispatchType::Standalone, b"", &[i], 1).unwrap();
+        }
+        // The ring is what is full; a buffer is still free.
+        assert_eq!(ini.free_slots(), 0);
+        assert_eq!(ini.free_bufs.len(), 1);
+        assert_eq!(
+            ini.submit(DispatchType::Standalone, b"", b"x", 1),
+            Err(QueueFull)
+        );
+        // The target fetches all three but answers only the first: the ring
+        // drains, and what then bounds the host is its buffers — two are
+        // free, a third command has none to take.
+        let first = tgt.poll().unwrap();
+        let held = [tgt.poll().unwrap(), tgt.poll().unwrap()];
+        reply_filled(&mut tgt, &first, 9);
+        ini.wait();
+        assert_eq!(ini.free_slots(), 2);
+        ini.submit(DispatchType::Standalone, b"", b"y", 1).unwrap();
+        ini.submit(DispatchType::Standalone, b"", b"z", 1).unwrap();
+        assert_eq!(ini.outstanding(), 4);
+        assert_eq!(
+            ini.submit(DispatchType::Standalone, b"", b"!", 1),
+            Err(QueueFull)
+        );
+        // Everything still completes, each reply to its own command.
+        for inc in &held {
+            reply_filled(&mut tgt, inc, inc.payload[0]);
+        }
+        echo_one(&mut tgt);
+        echo_one(&mut tgt);
+        let mut got: Vec<u8> = (0..4).map(|_| ini.wait().payload[0]).collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2, b'y', b'z']);
+        assert_eq!(ini.outstanding(), 0);
+    }
+
+    #[test]
+    fn ring_wraps_and_phase_flips_with_buffer_unequal_to_slot() {
+        // One command stays in flight (holding buffer 0) while 30 others
+        // go several times round the 4-deep rings, all through buffer 1:
+        // every ring position carries it, three of the four under a CID
+        // that is not the position's index.
+        let (mut ini, mut tgt, _) = pair(4, 4096);
+        let mut slots = std::collections::BTreeSet::new();
+        let pinned = ini
+            .submit(DispatchType::Standalone, b"", b"pinned", 6)
+            .unwrap();
+        let pinned_inc = tgt.poll().unwrap();
+        for round in 0..30u32 {
+            slots.insert(ini.sq_tail);
+            let data = round.to_le_bytes();
+            let cid = ini.submit(DispatchType::Standalone, b"", &data, 4).unwrap();
+            assert_eq!(cid, 1);
+            echo_one(&mut tgt);
+            let c = ini.wait();
+            assert_eq!((c.cid, c.payload.as_slice()), (cid, &data[..]));
+        }
+        assert_eq!(slots.len(), 4);
+        tgt.complete(pinned_inc.slot, CqeStatus::Success, b"", b"pinned");
+        let c = ini.wait();
+        assert_eq!((c.cid, c.payload.as_slice()), (pinned, &b"pinned"[..]));
+    }
+
+    #[test]
+    fn classic_sgl_and_zero_copy_commands_interleave_over_the_pool() {
+        let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
+        let mut batch = IncomingBatch::new();
+        for round in 0..6u8 {
+            let seg = vec![round; 700];
+            let classic = ini
+                .submit(DispatchType::Standalone, b"C", &[round; 300], 50)
+                .unwrap();
+            let zc = ini.submit_zc(7, round as u64 * 4096, 4096).unwrap();
+            let sgl = ini
+                .submit_sgl(DispatchType::Standalone, b"S", &[&seg, &seg], 60)
+                .unwrap();
+            assert_eq!(tgt.poll_many(&mut batch), 3);
+            let [c, z, s] = [0, 1, 2].map(|i| &batch.as_slice()[i]);
+            assert_eq!((c.slot, z.slot, s.slot), (classic, zc, sgl));
+            assert_eq!((c.header.as_slice(), c.payload.len()), (&b"C"[..], 300));
+            assert_eq!(z.zc.map(|z| z.offset), Some(round as u64 * 4096));
+            assert_eq!((s.header.as_slice(), s.payload.len()), (&b"S"[..], 1400));
+            // Out of order, the zero-copy one in the middle.
+            tgt.complete(s.slot, CqeStatus::Success, b"", &[round; 60]);
+            tgt.complete_zc(z.slot, CqeStatus::Success, 4096);
+            tgt.complete(c.slot, CqeStatus::Success, b"", &[round; 50]);
+            for _ in 0..3 {
+                let done = ini.wait();
+                match done.cid {
+                    cid if cid == classic => assert_eq!(done.payload, vec![round; 50]),
+                    cid if cid == sgl => assert_eq!(done.payload, vec![round; 60]),
+                    cid => {
+                        assert_eq!(cid, zc);
+                        assert!(done.zc && done.payload.is_empty());
+                        assert_eq!(done.result, 4096);
+                    }
+                }
+            }
+            assert_eq!(ini.outstanding(), 0);
+        }
+    }
+
+    #[test]
+    fn an_abandoned_commands_buffer_returns_only_when_its_late_cqe_drains() {
+        // The caller of `lost` gives up waiting (a timeout, one layer up).
+        // Its buffer must not go to anyone else while the target may still
+        // write the late reply into it.
+        let (mut ini, mut tgt, _) = pair(4, 4096);
+        let lost = ini
+            .submit(DispatchType::Standalone, b"", b"lost", 4096 - 64)
+            .unwrap();
+        let lost_inc = tgt.poll().unwrap();
+        for round in 0..10u8 {
+            let cid = ini
+                .submit(DispatchType::Standalone, b"", &[round; 8], 8)
+                .unwrap();
+            assert_ne!(cid, lost);
+            echo_one(&mut tgt);
+            assert_eq!(ini.wait().payload, vec![round; 8]);
+            assert_eq!(ini.outstanding(), 1);
+        }
+        // The late reply lands — a whole buffer of it — and hurts nobody.
+        let live = ini
+            .submit(DispatchType::Standalone, b"", b"live", 4)
+            .unwrap();
+        reply_filled(&mut tgt, &lost_inc, 0xEE);
+        echo_one(&mut tgt);
+        let late = ini.wait();
+        assert_eq!((late.cid, late.payload.len()), (lost, 4096 - 64));
+        let done = ini.wait();
+        assert_eq!((done.cid, done.payload.as_slice()), (live, &b"live"[..]));
+        // Only now is the buffer back, and first in line.
+        assert_eq!(ini.outstanding(), 0);
+        ini.submit(DispatchType::Standalone, b"", b"a", 0).unwrap();
+        assert_eq!(
+            ini.submit(DispatchType::Standalone, b"", b"b", 0).unwrap(),
+            lost
+        );
+    }
+
+    /// Stage a classic command, let `corrupt` rewrite its SQE in host
+    /// memory, then ring the doorbell. Returns the CID.
+    fn submit_corrupted(ini: &mut Initiator, corrupt: impl FnOnce(&mut Sqe)) -> u16 {
+        let at = ini.sq_tail as usize * SQE_SIZE;
+        let cid = ini
+            .stage(DispatchType::Standalone, b"HDR", &[7u8; 100], 64)
+            .unwrap();
+        let mut raw = [0u8; SQE_SIZE];
+        ini.shared.sq_mem.read_local(at, &mut raw);
+        let mut sqe = Sqe::from_bytes(&raw);
+        corrupt(&mut sqe);
+        ini.shared.sq_mem.write_local(at, &sqe.to_bytes());
+        ini.publish_tail();
+        cid
+    }
+
+    #[test]
+    fn corrupt_sqe_ranges_are_refused_not_followed() {
+        // Regression: the target fed the SQE's PRP offsets and lengths to
+        // `dma_read` / `dma_write` unchecked, so a corrupt SQE panicked
+        // inside `HostRegion` and took the service thread with it.
+        let (mut ini, mut tgt, _) = pair(4, 4096);
+        let pool_len = 4 * 2 * 4096u64;
+        type Corrupt = fn(&mut Sqe);
+        let corruptions: [(&str, Corrupt); 8] = [
+            ("write buffer past the pool", |s| {
+                s.set_prp_write(4 * 2 * 4096 - 50, 0);
+            }),
+            ("write buffer address wraps", |s| {
+                s.set_prp_write(u64::MAX - 10, 0);
+            }),
+            ("write length larger than a buffer", |s| {
+                s.set_write_len(4097);
+            }),
+            ("write length larger than the pool", |s| {
+                s.set_write_len(u32::MAX);
+            }),
+            ("read buffer past the pool", |s| {
+                s.set_prp_read(4 * 2 * 4096 - 100, 0);
+            }),
+            ("read buffer address wraps", |s| {
+                s.set_prp_read(u64::MAX, 0);
+            }),
+            ("read length larger than a buffer", |s| {
+                s.set_read_len(4096);
+            }),
+            ("no such command id", |s| {
+                s.set_cid(4);
+            }),
+        ];
+        for (i, (what, corrupt)) in corruptions.into_iter().enumerate() {
+            let cid = submit_corrupted(&mut ini, corrupt);
+            assert!(tgt.poll().is_none(), "{what}: nothing to serve");
+            assert_eq!(ini.rejected_sqes(), i as u64 + 1, "{what}");
+            if what == "no such command id" {
+                // Nobody to answer: the host's command stays in flight
+                // (its caller times out), the queue keeps working.
+                assert!(ini.poll().is_none(), "{what}");
+                assert_eq!(ini.outstanding(), 1, "{what}");
+            } else {
+                let done = ini.poll().expect(what);
+                assert_eq!((done.cid, done.status), (cid, CqeStatus::InvalidCommand));
+                assert!(done.header.is_empty() && done.payload.is_empty(), "{what}");
+                assert_eq!(ini.outstanding(), 0, "{what}");
+            }
+        }
+        // An SGL descriptor is host-written too.
+        let (mut ini, mut tgt, _) = pair(4, 4096);
+        let seg = [5u8; 64];
+        ini.submit_sgl(DispatchType::Standalone, b"H", &[&seg], 0)
+            .unwrap();
+        ini.shared
+            .data_pool
+            .write_local(16, &(pool_len - 8).to_le_bytes()); // 2nd descriptor's address
+        assert!(tgt.poll().is_none());
+        assert_eq!(ini.wait().status, CqeStatus::InvalidCommand);
+        ini.submit_sgl(DispatchType::Standalone, b"H", &[&seg], 0)
+            .unwrap();
+        ini.shared.data_pool.write_local(24, &65u32.to_le_bytes()); // … and its length
+        assert!(tgt.poll().is_none());
+        assert_eq!(ini.wait().status, CqeStatus::InvalidCommand);
+        assert_eq!(ini.rejected_sqes(), 2);
+
+        // A reply that outgrows the read buffer the SQE described is not
+        // written anywhere either.
+        ini.submit(DispatchType::Standalone, b"", b"", 16).unwrap();
+        let inc = tgt.poll().unwrap();
+        tgt.complete(inc.slot, CqeStatus::Success, b"", &[1u8; 17]);
+        let done = ini.wait();
+        assert_eq!(done.status, CqeStatus::InvalidCommand);
+        assert!(done.payload.is_empty());
+        assert_eq!(ini.rejected_sqes(), 3);
+
+        // And the pair still serves well-formed commands.
+        ini.submit(DispatchType::Standalone, b"", b"fine", 4)
+            .unwrap();
+        echo_one(&mut tgt);
+        assert_eq!(ini.wait().payload, b"fine");
     }
 
     #[test]

@@ -333,6 +333,21 @@ impl HostRegion {
         Ok(())
     }
 
+    /// Host-CPU load of `len` bytes appended to `out`: each byte is
+    /// written once, where [`read_local`](Self::read_local) into a `Vec`
+    /// needs it sized — zero-filled — first. Reuses `out`'s capacity.
+    ///
+    /// # Panics
+    ///
+    /// Like [`read_local`](Self::read_local), when the range is not inside
+    /// the region.
+    pub fn read_local_extend(&self, offset: usize, len: usize, out: &mut Vec<u8>) {
+        let guard = self.inner.read();
+        let src = Self::checked_range(guard.len(), offset, len)
+            .unwrap_or_else(|e| panic!("HostRegion::read_local_extend: {e}"));
+        out.extend_from_slice(&guard[src]);
+    }
+
     fn checked_range(
         region_len: usize,
         offset: usize,
@@ -483,6 +498,22 @@ mod tests {
         assert_eq!(r.read_local_vec(8, 4), vec![1, 2, 3, 4]);
         assert_eq!(r.read_local_vec(0, 2), vec![0, 0]);
         assert_eq!(r.len(), 64);
+    }
+
+    #[test]
+    fn read_local_extend_appends_without_disturbing_what_is_there() {
+        let r = HostRegion::new(64);
+        r.write_local(8, &[1, 2, 3, 4]);
+        let mut out = vec![9];
+        r.read_local_extend(8, 4, &mut out);
+        r.read_local_extend(64, 0, &mut out);
+        assert_eq!(out, vec![9, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "HostRegion::read_local_extend")]
+    fn read_local_extend_panics_out_of_range() {
+        HostRegion::new(8).read_local_extend(6, 4, &mut Vec::new());
     }
 
     #[test]

@@ -454,6 +454,90 @@ fn read_filled_tail_pages_never_inflate_file_size() {
 }
 
 #[test]
+fn reused_transport_and_reply_buffers_never_leak_stale_bytes() {
+    // One queue, one service thread, one command in flight at a time: every
+    // read below goes through the same un-cleared reply scratch on the DPU
+    // and the same transport buffer. A 128 KiB reply of 0xAB soaks both
+    // before each smaller one, which must come back as its own bytes only.
+    const K128: usize = 128 * 1024;
+    for io_mode in [IoMode::Buffered, IoMode::Direct] {
+        let dpc = Dpc::new(DpcConfig {
+            io_mode,
+            queues: 1,
+            prefetch: false,
+            ..DpcConfig::default()
+        });
+        let fs = dpc.fs();
+        let kvfs = dpc.kvfs_inner();
+        // The data goes in behind the cache's back, so every read misses.
+        let big = kvfs.create("/big.bin", 0o644).unwrap();
+        kvfs.write(big, 0, &vec![0xAB; K128]).unwrap();
+        let tail: Vec<u8> = (0..1000u32).map(|i| (i % 199) as u8 + 1).collect();
+        kvfs.write(big, K128 as u64, &tail).unwrap();
+        kvfs.write(big, 400_000, b"!").unwrap(); // a hole up to here
+        let small = kvfs.create("/small.txt", 0o644).unwrap();
+        kvfs.write(small, 0, b"tiny file").unwrap();
+        let gone = kvfs.create("/gone.bin", 0o644).unwrap();
+        kvfs.write(gone, 0, &[9u8; 5000]).unwrap();
+
+        let (big_fd, small_fd) = (fs.open("/big.bin").unwrap(), fs.open("/small.txt").unwrap());
+        let gone_fd = fs.open("/gone.bin").unwrap();
+        kvfs.unlink("/gone.bin").unwrap();
+
+        let soak = || {
+            let soak_fd = fs.open("/big.bin").unwrap();
+            if io_mode == IoMode::Buffered {
+                // Drop what the last round cached so the soak crosses too.
+                fs.cache().invalidate_ino(big);
+            }
+            let mut buf = vec![0u8; K128];
+            assert_eq!(fs.read(soak_fd, 0, &mut buf).unwrap(), K128);
+            assert!(buf.iter().all(|&b| b == 0xAB));
+            fs.close(soak_fd).unwrap();
+        };
+        // `dst` starts as 0x5C: a byte the read did not write shows.
+        let read = |fd, offset: u64, len: usize| {
+            soak();
+            let mut buf = vec![0x5Cu8; len];
+            let n = fs.read(fd, offset, &mut buf)?;
+            buf.truncate(n);
+            Ok::<_, dpc::core::DpcError>(buf)
+        };
+
+        // A short tail, then the hole's zeros to the end of the request.
+        let got = read(big_fd, K128 as u64, 8192).unwrap();
+        assert_eq!(got.len(), 8192, "{io_mode:?}");
+        assert_eq!(&got[..1000], &tail[..], "{io_mode:?}");
+        assert!(got[1000..].iter().all(|&b| b == 0), "{io_mode:?}");
+        // A hole proper, unaligned at both ends.
+        let got = read(big_fd, 200_100, 20_000).unwrap();
+        assert!(
+            got.len() == 20_000 && got.iter().all(|&b| b == 0),
+            "{io_mode:?}"
+        );
+        // The last byte, and a read from past it.
+        let got = read(big_fd, 399_990, 4096).unwrap();
+        assert_eq!(got, b"\0\0\0\0\0\0\0\0\0\0!", "{io_mode:?}");
+        assert_eq!(read(big_fd, 400_001, 4096).unwrap(), b"", "{io_mode:?}");
+        // A `Small`-format file, shorter than a page.
+        assert_eq!(
+            read(small_fd, 0, 4096).unwrap(),
+            b"tiny file",
+            "{io_mode:?}"
+        );
+        assert_eq!(read(small_fd, 5, 2).unwrap(), b"fi", "{io_mode:?}");
+        // A failing read is an errno — and the next read is still clean.
+        assert_eq!(
+            read(gone_fd, 0, 4096).unwrap_err().errno(),
+            2,
+            "{io_mode:?}"
+        );
+        assert_eq!(read(small_fd, 0, 4).unwrap(), b"tiny", "{io_mode:?}");
+        assert_eq!(dpc.metrics().recovery.rejected_sqes, 0);
+    }
+}
+
+#[test]
 fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
     // Regression: `writev` pre-flushes the dirty pages its gather overlaps
     // and afterwards invalidates them. A page the backend refused is not

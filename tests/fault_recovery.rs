@@ -201,6 +201,7 @@ fn fault_free_run_keeps_every_recovery_counter_at_zero() {
     assert_eq!(r.link_timeouts, 0);
     assert_eq!(r.transport_errors, 0);
     assert_eq!(r.stale_completions, 0);
+    assert_eq!(r.rejected_sqes, 0);
     assert_eq!(r.ds_retries, 0);
     assert_eq!(r.mds_retries, 0);
     assert_eq!(r.reconstructions, 0);
