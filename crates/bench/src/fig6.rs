@@ -14,7 +14,7 @@
 //! bandwidth 15.1/14.3 GB/s (nvme-fs) vs 6.3/5.1 GB/s (virtio-fs).
 
 use dpc_core::Testbed;
-use dpc_nvmefs::{DispatchType, QueuePair, QueuePairConfig};
+use dpc_nvmefs::{create_fabric, DispatchType, FileRequest, FileResponse, QueuePairConfig};
 use dpc_pcie::DmaEngine;
 use dpc_sim::{Nanos, Plan, RunReport, Simulation, StationCfg, StationId};
 use dpc_virtiofs::{create_device, VirtioFsConfig};
@@ -177,24 +177,31 @@ fn run_point(
 }
 
 /// Drive the *functional* transports once and report their DMA-op counts
-/// for an 8 KiB write — the Figure 2 vs Figure 4 comparison.
+/// for an 8 KiB write — the Figure 2 vs Figure 4 comparison. The nvme-fs
+/// side is the command the product sends: a `FileRequest::Write` naming
+/// its file, acknowledged with `FileResponse::Bytes`.
 pub fn measure_dma_counts() -> (u64, u64) {
     // nvme-fs.
     let dma = DmaEngine::new();
-    let (mut ini, mut tgt) = QueuePair::new(
-        0,
-        QueuePairConfig {
-            depth: 8,
-            max_io_bytes: 16 * 1024,
-        },
-    )
-    .split(dma.clone());
+    let cfg = QueuePairConfig {
+        depth: 8,
+        max_io_bytes: 16 * 1024,
+    };
+    let (mut chans, mut tgts) = create_fabric(1, cfg, &dma);
+    let (chan, tgt) = (&mut chans[0], &mut tgts[0]);
+    let req = FileRequest::Write {
+        ino: 1,
+        offset: 0,
+        len: 8192,
+    };
     let before = dma.snapshot();
-    ini.submit(DispatchType::Standalone, b"", &[7u8; 8192], 0)
+    chan.submit(DispatchType::Standalone, &req, &[7u8; 8192], 0)
         .unwrap();
     let inc = tgt.poll().unwrap();
-    tgt.complete(inc.slot, dpc_nvmefs::CqeStatus::Success, b"", b"");
-    ini.wait();
+    assert_eq!((&inc.request, inc.payload.len()), (&req, 8192));
+    tgt.reply(inc.slot, &FileResponse::Bytes(8192), b"");
+    let done = chan.poll().expect("reply posted").expect("reply decodes");
+    assert_eq!(done.response, FileResponse::Bytes(8192));
     let nvme_dmas = dma.snapshot().since(&before).dma_ops;
 
     // virtio-fs.

@@ -813,13 +813,14 @@ impl DpcFs {
     // ---- direct miss fill (DESIGN.md §15) --------------------------------
 
     /// Zero-copy read-miss fill: ask the DPU to land the backend extent
-    /// directly in pool pages (`ControlPlane::fill_direct`). The SQE
-    /// round trip carries only headers — the final hop to the caller's
+    /// directly in pool pages (`ControlPlane::fill_direct`). The request
+    /// rides the SQE and the reply the CQE — the final hop to the caller's
     /// buffer is then served by the existing `ReadRef` zero-copy hit
     /// path. Returns the contiguous servable byte count from `offset`
     /// (0 = nothing landed; the caller falls back to the classic fetch).
     fn zc_fill(&self, ino: u64, offset: u64, len: u32) -> usize {
-        match self.pool.call_zc(ino, offset, len) {
+        let req = FileRequest::ReadFill { ino, offset, len };
+        match self.pool.call(DispatchType::Standalone, &req, b"", 0) {
             Ok(c) => match c.response {
                 FileResponse::Bytes(n) => n as usize,
                 _ => 0,

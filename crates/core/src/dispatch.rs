@@ -17,7 +17,7 @@ use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
 use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
 use dpc_nvmefs::{
     encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
-    FileTarget, WireAttr, WireStep, ZcCmd,
+    FileTarget, WireAttr, WireStep,
 };
 use dpc_sim::FaultSite;
 
@@ -284,43 +284,12 @@ impl Dispatcher {
         let mut payload = std::mem::take(&mut self.payload_scratch);
         let mut served = 0usize;
         for inc in batch {
-            if let Some(zc) = &inc.zc {
-                // Zero-copy command: the data plane already crossed (or
-                // will cross) the link by direct placement; the reply is
-                // a header-only CQE.
-                self.handle_zc(inc, zc, target);
-                served += 1;
-                continue;
-            }
             let resp = self.handle_into(inc, &mut payload);
             target.reply(inc.slot, &resp, &payload);
             served += 1;
         }
         self.payload_scratch = payload;
         served
-    }
-
-    /// Serve one zero-copy read fill and post its header-only completion.
-    /// Landing nothing is always safe: the host fetches whatever the fill
-    /// left missing through the classic staged read.
-    fn handle_zc(&mut self, inc: &FileIncoming, zc: &ZcCmd, target: &mut FileTarget) {
-        if inc.dispatch != DispatchType::Standalone {
-            // Distributed files have no page cache to fill.
-            target.reply_zc_err(inc.slot, 95 /* EOPNOTSUPP */);
-            return;
-        }
-        let n = self.control.fill_direct(
-            zc.ino,
-            zc.offset,
-            zc.len,
-            &mut KvfsRead { kvfs: &self.kvfs },
-        );
-        if n > 0 {
-            // Miss-stream feeding works exactly as on the classic read
-            // path — fills train the readahead table too.
-            self.note_read(zc.ino, zc.offset, zc.len);
-        }
-        target.reply_zc(inc.slot, n as u32);
     }
 
     /// One foreground flush of the hybrid cache's dirty pages into KVFS,
@@ -431,6 +400,21 @@ impl Dispatcher {
                         fs_err(e)
                     }
                 }
+            }
+            FileRequest::ReadFill { ino, offset, len } => {
+                // The bytes cross the link by direct placement in the page
+                // pool, not in the reply. Landing nothing is always safe:
+                // the host fetches whatever the fill left missing through
+                // the staged `Read`.
+                let n = self
+                    .control
+                    .fill_direct(*ino, *offset, *len, &mut KvfsRead { kvfs });
+                if n > 0 {
+                    // Fills train the readahead table exactly as staged
+                    // reads do.
+                    self.note_read(*ino, *offset, *len);
+                }
+                FileResponse::Bytes(n as u32)
             }
             FileRequest::ReadaheadHint { ino, lpn } => {
                 // The host's demand read consumed a marker page: plan the

@@ -21,7 +21,6 @@ fn incoming(dispatch: DispatchType, request: FileRequest, payload: Vec<u8>) -> F
         request,
         payload,
         read_len: 1 << 20,
-        zc: None,
     }
 }
 
@@ -811,4 +810,448 @@ fn distributed_requests_served_by_client_core() {
         vec![],
     ));
     assert_eq!(resp, FileResponse::Err(95));
+}
+
+/// Every `FileRequest` variant, by an exhaustive match: a new variant
+/// fails to compile here until `every_reply_fits_what_its_request_declared`
+/// serves it.
+fn variant_index(req: &FileRequest) -> usize {
+    match req {
+        FileRequest::Lookup { .. } => 0,
+        FileRequest::StatAt { .. } => 1,
+        FileRequest::ReaddirAt { .. } => 2,
+        FileRequest::Create { .. } => 3,
+        FileRequest::Mkdir { .. } => 4,
+        FileRequest::Read { .. } => 5,
+        FileRequest::Write { .. } => 6,
+        FileRequest::Truncate { .. } => 7,
+        FileRequest::Unlink { .. } => 8,
+        FileRequest::Rmdir { .. } => 9,
+        FileRequest::Readdir { .. } => 10,
+        FileRequest::GetAttr { .. } => 11,
+        FileRequest::Rename { .. } => 12,
+        FileRequest::Fsync { .. } => 13,
+        FileRequest::CacheEvictBatch { .. } => 14,
+        FileRequest::Link { .. } => 15,
+        FileRequest::Symlink { .. } => 16,
+        FileRequest::Readlink { .. } => 17,
+        FileRequest::ReadaheadHint { .. } => 18,
+        FileRequest::ReadFill { .. } => 19,
+    }
+}
+const VARIANTS: usize = 20;
+
+#[test]
+fn every_reply_fits_what_its_request_declared() {
+    // A request sent with no read payload expected, whose replies all
+    // ride the CQE (`FileRequest::reply_rides_cqe`), declares no read
+    // side at all. Were the dispatcher ever to answer one with `Ino` or
+    // `Attr`, the transport would have nowhere to put it and a correct
+    // reply would turn into `InvalidCommand`. So: every variant, success
+    // and errno, standalone and distributed, through a real queue pair —
+    // none refused, and each reply of the class its request promised.
+    let (mut d, _) = dispatcher(true);
+    let (mut chans, mut tgts) = create_fabric(
+        1,
+        QueuePairConfig {
+            depth: 4,
+            max_io_bytes: 64 * 1024,
+        },
+        &DmaEngine::new(),
+    );
+    let (chan, tgt) = (&mut chans[0], &mut tgts[0]);
+    let mut seen = [[false; 2]; VARIANTS]; // [variant][replied an errno?]
+    let mut batch = FileIncomingBatch::new();
+    let mut serve = |d: &mut Dispatcher,
+                     dispatch: DispatchType,
+                     request: FileRequest,
+                     write: &[u8],
+                     read_len: u32| {
+        chan.submit(dispatch, &request, write, read_len).unwrap();
+        assert_eq!(tgt.poll_many(&mut batch), 1);
+        assert_eq!(d.handle_batch(&batch, tgt), 1);
+        let done = chan.poll().expect("reply posted").expect("reply decodes");
+        assert_eq!(
+            chan.rejected_sqes(),
+            0,
+            "{request:?} -> {:?}",
+            done.response
+        );
+        let mut header = Vec::new();
+        done.response.encode(&mut header);
+        if read_len == 0 && request.reply_rides_cqe() {
+            assert!(
+                header.len() <= dpc_nvmefs::CQE_INLINE_CAP && done.payload.is_empty(),
+                "{request:?} promised a CQE-sized reply, got {:?}",
+                done.response
+            );
+        }
+        let failed = matches!(done.response, FileResponse::Err(_));
+        seen[variant_index(&request)][failed as usize] = true;
+        done.response
+    };
+    let sa = DispatchType::Standalone;
+    let name = |s: &str| s.to_string();
+
+    // Twice over: with no room for a trail, and with room.
+    for (pass, room) in [0u32, 4096].into_iter().enumerate() {
+        let dir = format!("dir{pass}");
+        let at = |leaf: &str| format!("{dir}/{leaf}");
+        let mkdir = |name| FileRequest::Mkdir {
+            parent: 0,
+            name,
+            mode: 0o755,
+        };
+        let create = |name| FileRequest::Create {
+            parent: 0,
+            name,
+            mode: 0o644,
+        };
+        assert!(matches!(
+            serve(&mut d, sa, mkdir(dir.clone()), b"", room),
+            FileResponse::Ino(_)
+        ));
+        assert_eq!(
+            serve(&mut d, sa, mkdir(dir.clone()), b"", room),
+            FileResponse::Err(17)
+        );
+        let f = ino_of(serve(&mut d, sa, create(at("f")), b"", room));
+        assert_eq!(
+            serve(&mut d, sa, create(at("f")), b"", room),
+            FileResponse::Err(17)
+        );
+        let lookup = |name| FileRequest::Lookup { parent: 0, name };
+        serve(&mut d, sa, lookup(dir.clone()), b"", room);
+        assert_eq!(
+            serve(&mut d, sa, lookup(name("nope")), b"", room),
+            FileResponse::Err(2)
+        );
+        let stat = |path| FileRequest::StatAt { start: 0, path };
+        assert_eq!(ino_of(serve(&mut d, sa, stat(at("f")), b"", room)), f);
+        assert_eq!(
+            serve(&mut d, sa, stat(at("nope")), b"", room),
+            FileResponse::Err(2)
+        );
+
+        let rw = |ino| (ino, 0u64, 100u32);
+        let (ino, offset, len) = rw(f);
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::Write { ino, offset, len },
+                &[7; 100],
+                room
+            ),
+            FileResponse::Bytes(100)
+        );
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::Read { ino, offset, len },
+                b"",
+                100 + room
+            ),
+            FileResponse::Bytes(100)
+        );
+        serve(
+            &mut d,
+            sa,
+            FileRequest::ReadFill { ino, offset, len },
+            b"",
+            room,
+        );
+        let (ino, offset, len) = rw(9999);
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::Write { ino, offset, len },
+                &[7; 100],
+                room
+            ),
+            FileResponse::Err(2)
+        );
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::Read { ino, offset, len },
+                b"",
+                100 + room
+            ),
+            FileResponse::Err(2)
+        );
+        // A fill that lands nothing says so; it has no errno of its own.
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::ReadFill { ino, offset, len },
+                b"",
+                room
+            ),
+            FileResponse::Bytes(0)
+        );
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::ReadaheadHint { ino: f, lpn: 0 },
+                b"",
+                room
+            ),
+            FileResponse::Ok
+        );
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::Truncate { ino: f, size: 10 },
+                b"",
+                room
+            ),
+            FileResponse::Ok
+        );
+        assert_eq!(
+            serve(
+                &mut d,
+                sa,
+                FileRequest::Truncate { ino: 9999, size: 0 },
+                b"",
+                room
+            ),
+            FileResponse::Err(2)
+        );
+        for (ino, errno) in [(f, None), (dpc_core::FSYNC_ALL, None), (9999, Some(2))] {
+            let resp = serve(&mut d, sa, FileRequest::Fsync { ino }, b"", room);
+            assert_eq!(matches!(resp, FileResponse::Err(_)), errno.is_some());
+        }
+        assert_eq!(
+            ino_of(serve(
+                &mut d,
+                sa,
+                FileRequest::GetAttr { ino: f },
+                b"",
+                room
+            )),
+            f
+        );
+        assert_eq!(
+            serve(&mut d, sa, FileRequest::GetAttr { ino: 9999 }, b"", room),
+            FileResponse::Err(2)
+        );
+
+        let sym = |target: &str| FileRequest::Symlink {
+            parent: 0,
+            name: at("s"),
+            target: name(target),
+        };
+        serve(&mut d, sa, sym("f"), b"", room);
+        assert_eq!(
+            serve(&mut d, sa, sym("f"), b"", room),
+            FileResponse::Err(17)
+        );
+        let readlink = |leaf| FileRequest::Readlink {
+            parent: 0,
+            name: at(leaf),
+        };
+        assert_eq!(
+            serve(&mut d, sa, readlink("s"), b"", 64 + room),
+            FileResponse::Bytes(1)
+        );
+        assert!(matches!(
+            serve(&mut d, sa, readlink("f"), b"", 64 + room),
+            FileResponse::Err(_)
+        ));
+        let dir_ino = ino_of(serve(&mut d, sa, stat(dir.clone()), b"", room));
+        for (req, errno) in [
+            (FileRequest::Readdir { ino: dir_ino }, None),
+            (FileRequest::Readdir { ino: 9999 }, Some(2)),
+            (
+                FileRequest::ReaddirAt {
+                    start: 0,
+                    path: dir.clone(),
+                },
+                None,
+            ),
+            (
+                FileRequest::ReaddirAt {
+                    start: 0,
+                    path: at("nope"),
+                },
+                Some(2),
+            ),
+        ] {
+            let resp = serve(&mut d, sa, req, b"", 4096 + room);
+            match errno {
+                None => assert_eq!(resp, FileResponse::Entries(2)),
+                Some(e) => assert_eq!(resp, FileResponse::Err(e)),
+            }
+        }
+        // A listing the host left no room for is an errno, not a payload.
+        assert_eq!(
+            serve(&mut d, sa, FileRequest::Readdir { ino: dir_ino }, b"", 0),
+            FileResponse::Err(34)
+        );
+
+        let link = |from: &str, to: &str| FileRequest::Link {
+            parent: 0,
+            name: at(from),
+            new_parent: 0,
+            new_name: at(to),
+        };
+        assert_eq!(ino_of(serve(&mut d, sa, link("f", "l"), b"", room)), f);
+        assert_eq!(
+            serve(&mut d, sa, link("nope", "l2"), b"", room),
+            FileResponse::Err(2)
+        );
+        let rename = |from: &str, to: &str| FileRequest::Rename {
+            parent: 0,
+            name: at(from),
+            new_parent: 0,
+            new_name: at(to),
+        };
+        assert_eq!(
+            serve(&mut d, sa, rename("l", "m"), b"", room),
+            FileResponse::Ok
+        );
+        let g = ino_of(serve(&mut d, sa, create(at("g")), b"", room));
+        // Renaming over a name replies what it replaced.
+        assert_eq!(ino_of(serve(&mut d, sa, rename("m", "g"), b"", room)), g);
+        assert_eq!(
+            serve(&mut d, sa, rename("nope", "x"), b"", room),
+            FileResponse::Err(2)
+        );
+        let unlink = |leaf| FileRequest::Unlink {
+            parent: 0,
+            name: at(leaf),
+        };
+        assert_eq!(ino_of(serve(&mut d, sa, unlink("g"), b"", room)), f);
+        assert_eq!(
+            serve(&mut d, sa, unlink("g"), b"", room),
+            FileResponse::Err(2)
+        );
+        let rmdir = |name| FileRequest::Rmdir { parent: 0, name };
+        assert_eq!(
+            serve(&mut d, sa, rmdir(dir.clone()), b"", room),
+            FileResponse::Err(39)
+        );
+        serve(&mut d, sa, mkdir(at("e")), b"", room);
+        assert_eq!(
+            serve(&mut d, sa, rmdir(at("e")), b"", room),
+            FileResponse::Ok
+        );
+
+        // A list short enough for the SQE, and one that takes the buffer.
+        for n in [1, 6] {
+            let buckets = vec![0; n];
+            assert_eq!(
+                serve(
+                    &mut d,
+                    sa,
+                    FileRequest::CacheEvictBatch { buckets },
+                    b"",
+                    room
+                ),
+                FileResponse::Bytes(0)
+            );
+        }
+    }
+
+    // The distributed dispatcher: what it serves, and an EOPNOTSUPP for
+    // everything it does not.
+    let dist = DispatchType::Distributed;
+    let block = vec![5u8; 8192];
+    let dfs_file = ino_of(serve(
+        &mut d,
+        dist,
+        FileRequest::Create {
+            parent: 0,
+            name: name("blk"),
+            mode: 0,
+        },
+        b"",
+        0,
+    ));
+    for (offset, errno) in [(0u64, None), (100, Some(22))] {
+        let want = |ok| match errno {
+            Some(e) => FileResponse::Err(e),
+            None => ok,
+        };
+        let (ino, len) = (dfs_file, 8192u32);
+        assert_eq!(
+            serve(
+                &mut d,
+                dist,
+                FileRequest::Write { ino, offset, len },
+                &block,
+                0
+            ),
+            want(FileResponse::Bytes(8192))
+        );
+        assert_eq!(
+            serve(
+                &mut d,
+                dist,
+                FileRequest::Read { ino, offset, len },
+                b"",
+                8192
+            ),
+            want(FileResponse::Bytes(8192))
+        );
+    }
+    assert_eq!(
+        ino_of(serve(
+            &mut d,
+            dist,
+            FileRequest::GetAttr { ino: dfs_file },
+            b"",
+            0
+        )),
+        dfs_file
+    );
+    assert_eq!(
+        serve(&mut d, dist, FileRequest::GetAttr { ino: 9999 }, b"", 0),
+        FileResponse::Err(2)
+    );
+    assert_eq!(
+        serve(&mut d, dist, FileRequest::Fsync { ino: 0 }, b"", 0),
+        FileResponse::Ok
+    );
+    assert_eq!(
+        serve(&mut d, dist, FileRequest::Readdir { ino: 0 }, b"", 4096),
+        FileResponse::Entries(1)
+    );
+    for req in [
+        FileRequest::Truncate {
+            ino: dfs_file,
+            size: 0,
+        },
+        FileRequest::ReadaheadHint {
+            ino: dfs_file,
+            lpn: 0,
+        },
+        FileRequest::ReadFill {
+            ino: dfs_file,
+            offset: 0,
+            len: 8192,
+        },
+        FileRequest::CacheEvictBatch { buckets: vec![0] },
+        FileRequest::Mkdir {
+            parent: 0,
+            name: name("d"),
+            mode: 0,
+        },
+    ] {
+        assert_eq!(serve(&mut d, dist, req, b"", 0), FileResponse::Err(95));
+    }
+
+    for (variant, [ok, err]) in seen.into_iter().enumerate() {
+        assert!(ok, "variant {variant} never served successfully");
+        // `ReadaheadHint` and `ReadFill` have no errno of their own on
+        // KVFS; the distributed dispatcher's EOPNOTSUPP covers them.
+        assert!(err, "variant {variant} never replied an errno");
+    }
 }

@@ -16,7 +16,7 @@ use dpc_sim::fault::{FaultPlan, FaultSite};
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
 use crate::queue::{
     Completion, CompletionBatch, Incoming, IncomingBatch, Initiator, QueueFull, QueuePair,
-    QueuePairConfig, Target, ZcCmd,
+    QueuePairConfig, ReadSide, Target,
 };
 use crate::sqe::{CqeStatus, DispatchType};
 
@@ -28,6 +28,7 @@ pub(crate) fn is_idempotent(req: &FileRequest) -> bool {
     matches!(
         req,
         FileRequest::Read { .. }
+            | FileRequest::ReadFill { .. }
             | FileRequest::Write { .. }
             | FileRequest::GetAttr { .. }
             | FileRequest::Lookup { .. }
@@ -38,6 +39,27 @@ pub(crate) fn is_idempotent(req: &FileRequest) -> bool {
             | FileRequest::Truncate { .. }
             | FileRequest::Fsync { .. }
     )
+}
+
+/// The read side `req` needs when the caller expects `read_len` payload
+/// bytes back: none at all when it expects none and every reply header
+/// rides the CQE — which leaves the SQE's PRP-Read Dwords to the request
+/// header.
+fn read_side(req: &FileRequest, read_len: u32) -> ReadSide {
+    if read_len == 0 && req.reply_rides_cqe() {
+        ReadSide::None
+    } else {
+        ReadSide::Buffer(read_len)
+    }
+}
+
+/// What a drained completion says at the file layer.
+fn decode_completion(done: &Completion) -> Result<FileResponse, RecvError> {
+    match done.status {
+        CqeStatus::InvalidCommand => Ok(FileResponse::Err(22 /* EINVAL */)),
+        CqeStatus::TransportError => Err(RecvError::Transport),
+        _ => FileResponse::decode(&done.header).map_err(RecvError::Decode),
+    }
 }
 
 /// Host-side file channel: one nvme-fs queue pair speaking file semantics.
@@ -179,10 +201,12 @@ impl FileChannel {
     ) -> Result<u16, QueueFull> {
         self.hdr_buf.clear();
         req.encode(&mut self.hdr_buf);
-        let hdr = std::mem::take(&mut self.hdr_buf);
-        let r = self.ini.submit(dispatch, &hdr, write_payload, read_len);
-        self.hdr_buf = hdr;
-        r
+        self.ini.submit(
+            dispatch,
+            &self.hdr_buf,
+            write_payload,
+            read_side(req, read_len),
+        )
     }
 
     /// Poll for one completion and decode its response header.
@@ -194,29 +218,15 @@ impl FileChannel {
     /// transport failure — multiplexers need it to route the error to the
     /// waiter that owns the command.
     pub fn poll_cid(&mut self) -> Option<(u16, Result<FileCompletion, RecvError>)> {
-        let Completion {
-            cid,
-            status,
-            result,
-            header,
-            payload,
-            zc,
-        } = self.ini.poll()?;
-        let response = match status {
-            CqeStatus::InvalidCommand => Ok(FileResponse::Err(22 /* EINVAL */)),
-            CqeStatus::TransportError => Err(RecvError::Transport),
-            // Zero-copy replies are CQE-only: the count (or errno) rides
-            // in `result` — no header bytes to decode.
-            CqeStatus::FsError if zc => Ok(FileResponse::Err(result as i32)),
-            _ if zc => Ok(FileResponse::Bytes(result)),
-            _ => FileResponse::decode(&header).map_err(RecvError::Decode),
-        };
+        let done = self.ini.poll()?;
+        let cid = done.cid;
+        let response = decode_completion(&done);
         Some((
             cid,
             response.map(|response| FileCompletion {
                 cid,
                 response,
-                payload,
+                payload: done.payload,
             }),
         ))
     }
@@ -234,10 +244,8 @@ impl FileChannel {
     ) -> Result<u16, QueueFull> {
         self.hdr_buf.clear();
         req.encode(&mut self.hdr_buf);
-        let hdr = std::mem::take(&mut self.hdr_buf);
-        let r = self.ini.submit_sgl(dispatch, &hdr, segments, read_len);
-        self.hdr_buf = hdr;
-        r
+        self.ini
+            .submit_sgl(dispatch, &self.hdr_buf, segments, read_side(req, read_len))
     }
 
     /// Stage as many of `requests` as fit in the ring right now under a
@@ -257,7 +265,7 @@ impl FileChannel {
         for req in requests {
             self.hdr_buf.clear();
             req.encode(&mut self.hdr_buf);
-            match batch.submit(dispatch, &self.hdr_buf, b"", read_len) {
+            match batch.submit(dispatch, &self.hdr_buf, b"", read_side(req, read_len)) {
                 Ok(cid) => {
                     cids.push(cid);
                     staged += 1;
@@ -267,12 +275,6 @@ impl FileChannel {
         }
         batch.commit();
         staged
-    }
-
-    /// Submit a zero-copy read-miss fill: request entirely in the SQE,
-    /// reply a bare CQE.
-    pub fn submit_zc(&mut self, ino: u64, offset: u64, len: u32) -> Result<u16, QueueFull> {
-        self.ini.submit_zc(ino, offset, len)
     }
 
     /// Synchronous convenience: submit and spin for the matching reply.
@@ -342,9 +344,10 @@ impl FileChannel {
                 // Stage everything that fits under one doorbell.
                 let mut batch = self.ini.batch();
                 while next < requests.len() {
+                    let req = &requests[next];
                     self.hdr_buf.clear();
-                    requests[next].encode(&mut self.hdr_buf);
-                    match batch.submit(dispatch, &self.hdr_buf, b"", read_len) {
+                    req.encode(&mut self.hdr_buf);
+                    match batch.submit(dispatch, &self.hdr_buf, b"", read_side(req, read_len)) {
                         Ok(_) => next += 1,
                         Err(QueueFull) => break,
                     }
@@ -356,14 +359,7 @@ impl FileChannel {
                 continue;
             }
             for done in self.comp_batch.iter() {
-                let response = match done.status {
-                    CqeStatus::InvalidCommand => Ok(FileResponse::Err(22 /* EINVAL */)),
-                    CqeStatus::TransportError => Err(RecvError::Transport),
-                    CqeStatus::FsError if done.zc => Ok(FileResponse::Err(done.result as i32)),
-                    _ if done.zc => Ok(FileResponse::Bytes(done.result)),
-                    _ => FileResponse::decode(&done.header).map_err(RecvError::Decode),
-                };
-                match response {
+                match decode_completion(done) {
                     Ok(response) => out.push(FileCompletion {
                         cid: done.cid,
                         response,
@@ -400,10 +396,6 @@ pub struct FileIncoming {
     pub payload: Vec<u8>,
     /// Read-payload capacity the host reserved.
     pub read_len: u32,
-    /// Decoded zero-copy read fill, when the SQE carried one. `request`
-    /// then holds the equivalent classic `Read` (so idempotency checks
-    /// and fault injection treat both paths alike).
-    pub zc: Option<ZcCmd>,
 }
 
 impl Default for FileIncoming {
@@ -414,18 +406,7 @@ impl Default for FileIncoming {
             request: FileRequest::GetAttr { ino: 0 },
             payload: Vec::new(),
             read_len: 0,
-            zc: None,
         }
-    }
-}
-
-/// The classic [`FileRequest`] a zero-copy fill mirrors — drives
-/// idempotency checks and fault injection uniformly across both paths.
-fn zc_equivalent_request(zc: &ZcCmd) -> FileRequest {
-    FileRequest::Read {
-        ino: zc.ino,
-        offset: zc.offset,
-        len: zc.len,
     }
 }
 
@@ -573,19 +554,7 @@ impl FileTarget {
             slot,
             header,
             payload,
-            zc,
         } = self.tgt.poll()?;
-        if let Some(zc) = zc {
-            let inc = FileIncoming {
-                slot,
-                dispatch: sqe.dispatch(),
-                request: zc_equivalent_request(&zc),
-                payload,
-                read_len: 0,
-                zc: Some(zc),
-            };
-            return if self.inject(&inc) { None } else { Some(inc) };
-        }
         match FileRequest::decode(&header) {
             Ok(request) => {
                 let inc = FileIncoming {
@@ -594,7 +563,6 @@ impl FileTarget {
                     request,
                     payload,
                     read_len: sqe.read_len(),
-                    zc: None,
                 };
                 if self.inject(&inc) {
                     None
@@ -603,7 +571,7 @@ impl FileTarget {
                 }
             }
             Err(_) => {
-                self.tgt.complete(slot, CqeStatus::InvalidCommand, b"", b"");
+                self.tgt.reject(slot);
                 None
             }
         }
@@ -634,30 +602,19 @@ impl FileTarget {
         self.tgt.poll_many(&mut raw);
         for inc in raw.iter() {
             let slot = out.next_slot();
-            if let Some(zc) = &inc.zc {
-                slot.request = zc_equivalent_request(zc);
-                slot.slot = inc.slot;
-                slot.dispatch = inc.sqe.dispatch();
-                slot.read_len = 0;
-                slot.payload.clear();
-                slot.zc = Some(*zc);
-            } else {
-                match FileRequest::decode(&inc.header) {
-                    Ok(request) => {
-                        slot.request = request;
-                        slot.slot = inc.slot;
-                        slot.dispatch = inc.sqe.dispatch();
-                        slot.read_len = inc.sqe.read_len();
-                        slot.payload.clear();
-                        slot.payload.extend_from_slice(&inc.payload);
-                        slot.zc = None;
-                    }
-                    Err(_) => {
-                        out.pop_slot();
-                        self.tgt
-                            .complete(inc.slot, CqeStatus::InvalidCommand, b"", b"");
-                        continue;
-                    }
+            match FileRequest::decode(&inc.header) {
+                Ok(request) => {
+                    slot.request = request;
+                    slot.slot = inc.slot;
+                    slot.dispatch = inc.sqe.dispatch();
+                    slot.read_len = inc.sqe.read_len();
+                    slot.payload.clear();
+                    slot.payload.extend_from_slice(&inc.payload);
+                }
+                Err(_) => {
+                    out.pop_slot();
+                    self.tgt.reject(inc.slot);
+                    continue;
                 }
             }
             if self.faults.is_some() {
@@ -671,17 +628,6 @@ impl FileTarget {
         out.len()
     }
 
-    /// Acknowledge a zero-copy command: a bare CQE carrying the byte
-    /// count — one DMA, no response header.
-    pub fn reply_zc(&mut self, slot: u16, result: u32) {
-        self.tgt.complete_zc(slot, CqeStatus::Success, result);
-    }
-
-    /// Fail a zero-copy command with an errno (CQE-only).
-    pub fn reply_zc_err(&mut self, slot: u16, errno: i32) {
-        self.tgt.complete_zc(slot, CqeStatus::FsError, errno as u32);
-    }
-
     /// Reply to a previously polled request.
     pub fn reply(&mut self, slot: u16, response: &FileResponse, payload: &[u8]) {
         self.hdr_buf.clear();
@@ -690,9 +636,7 @@ impl FileTarget {
             FileResponse::Err(_) => CqeStatus::FsError,
             _ => CqeStatus::Success,
         };
-        let hdr = std::mem::take(&mut self.hdr_buf);
-        self.tgt.complete(slot, status, &hdr, payload);
-        self.hdr_buf = hdr;
+        self.tgt.complete(slot, status, &self.hdr_buf, payload);
     }
 }
 
@@ -899,6 +843,88 @@ mod tests {
         assert_eq!(done.response, FileResponse::Ino(1));
         // And the channel is usable synchronously again.
         assert_eq!(chan.outstanding(), 0);
+    }
+
+    #[test]
+    fn short_replies_ride_the_cqe_byte_exact() {
+        // `Ok` (1 byte) and `Bytes`/`Entries`/`Err` (5) fit the CQE beside
+        // `result`, `sq_head`, `cid` and the phase bit; `Ino` (9) and
+        // `Attr` (62) keep their header DMA. Four times round a 4-deep
+        // ring, so every CQ position and both phases carry each.
+        let dma = DmaEngine::new();
+        let cfg = QueuePairConfig {
+            depth: 4,
+            max_io_bytes: 8192,
+        };
+        let (mut chans, mut tgts) = create_fabric(1, cfg, &dma);
+        let (chan, tgt) = (&mut chans[0], &mut tgts[0]);
+        let attr = WireAttr {
+            ino: u64::MAX,
+            size: 1 << 40,
+            mtime_ns: u64::MAX,
+            kind: 1,
+            ..Default::default()
+        };
+        let replies = [
+            (FileResponse::Ok, 0),
+            (FileResponse::Bytes(0), 0),
+            (FileResponse::Bytes(u32::MAX), 0),
+            (FileResponse::Entries(0x0102_0304), 0),
+            (FileResponse::Err(i32::MIN), 0),
+            (FileResponse::Err(-1), 0),
+            (FileResponse::Ino(u64::MAX), 1),
+            (FileResponse::Attr(attr), 1),
+        ];
+        for round in 0..16u8 {
+            for (resp, header_dmas) in &replies {
+                let before = dma.snapshot();
+                let req = FileRequest::GetAttr { ino: round as u64 };
+                let cid = chan
+                    .submit(DispatchType::Standalone, &req, b"", 100)
+                    .unwrap();
+                let inc = tgt.poll().unwrap();
+                assert_eq!(inc.request, req);
+                let payload = vec![round; 1 + round as usize];
+                tgt.reply(inc.slot, resp, &payload);
+                let done = chan.poll().unwrap().unwrap();
+                assert_eq!((done.cid, &done.response), (cid, resp));
+                assert_eq!(done.payload, payload);
+                // SQE (request inside), header if too long, payload, CQE.
+                let ops = dma.snapshot().since(&before).dma_ops;
+                assert_eq!(ops, 1 + header_dmas + 1 + 1, "{resp:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_inline_header_that_does_not_decode_is_refused_and_counted() {
+        let dma = DmaEngine::new();
+        let (mut ini, tgt) = QueuePair::new(0, QueuePairConfig::default()).split(dma);
+        let mut tgt = FileTarget::new(tgt);
+        let mut batch = FileIncomingBatch::new();
+        let mut good = Vec::new();
+        FileRequest::Fsync { ino: 7 }.encode(&mut good);
+        // An unknown tag, a truncated request, trailing bytes — through
+        // `poll` and through `poll_many`, in the SQE and in the buffer.
+        let mut long = good.clone();
+        long.resize(60, 0);
+        let bad: [&[u8]; 4] = [b"\xEE", &good[..good.len() - 1], b"", &long];
+        for (i, header) in bad.into_iter().enumerate() {
+            let cid = ini
+                .submit(DispatchType::Standalone, header, b"", 0)
+                .unwrap();
+            if i % 2 == 0 {
+                assert!(tgt.poll().is_none());
+            } else {
+                assert_eq!(tgt.poll_many(&mut batch), 0);
+            }
+            let done = ini.wait();
+            assert_eq!((done.cid, done.status), (cid, CqeStatus::InvalidCommand));
+            assert!(done.header.is_empty());
+            assert_eq!(ini.rejected_sqes(), i as u64 + 1);
+        }
+        ini.submit(DispatchType::Standalone, &good, b"", 0).unwrap();
+        assert_eq!(tgt.poll().unwrap().request, FileRequest::Fsync { ino: 7 });
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! host↔DPU transport built directly on NVMe queue pairs. Its three wins,
 //! all implemented and testable here:
 //!
-//! 1. **Few DMA operations** — an 8 KiB raw write crosses the link in
+//! 1. **Few DMA operations** — an 8 KiB file write crosses the link in
 //!    exactly 4 DMA ops (SQE fetch, two 4 KiB data pages, CQE) versus 11
-//!    for virtio-fs; asserted in this crate's tests against the counting
-//!    [`dpc_pcie::DmaEngine`].
+//!    for virtio-fs: the request header rides the SQE and the reply the
+//!    CQE whenever they fit. Asserted in this crate's tests against the
+//!    counting [`dpc_pcie::DmaEngine`].
 //! 2. **Bidirectional vendor command** — one SQE (opcode `0xA3`) carries a
 //!    write buffer (request header + data) *and* a read buffer (response
 //!    header + data), with the paper's exact Dword layout ([`Sqe`]).
@@ -40,7 +41,9 @@ pub use filemsg::{
 pub use pool::{ChannelPool, PoolStats, RetryPolicy};
 pub use queue::{
     Completion, CompletionBatch, DoorbellGuard, Incoming, IncomingBatch, Initiator, QueueFull,
-    QueuePair, QueuePairConfig, SubmitOp, Target, ZcCmd, READ_HEADER_CAP, SGL_LIST_CAP,
+    QueuePair, QueuePairConfig, ReadSide, SubmitOp, Target, READ_HEADER_CAP, SGL_LIST_CAP,
     SGL_MAX_SEGMENTS,
 };
-pub use sqe::{Cqe, CqeStatus, DispatchType, Psdt, Sqe, ZcOp, CQE_SIZE, OPCODE_NVMEFS, SQE_SIZE};
+pub use sqe::{
+    Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, OPCODE_NVMEFS, SQE_SIZE,
+};

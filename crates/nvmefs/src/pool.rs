@@ -135,8 +135,10 @@ pub struct PoolStats {
     pub transport_errors: u64,
     /// Late completions that arrived after their waiter was abandoned.
     pub stale_completions: u64,
-    /// Commands a target refused with `InvalidCommand` because their SQE
-    /// named a buffer range outside the data pool (the caller saw EINVAL).
+    /// Commands a target refused with `InvalidCommand`: their SQE named a
+    /// buffer range outside the data pool or more inline header bytes than
+    /// it has room for, their header did not decode, or their reply
+    /// outgrew the read side they declared (the caller saw EINVAL).
     pub rejected_sqes: u64,
 }
 
@@ -426,28 +428,6 @@ impl ChannelPool {
                         && is_idempotent(req)
                         && attempt < self.retry.attempts =>
                 {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Synchronous zero-copy read-fill round-trip: the request rides
-    /// entirely in the SQE and the reply is a bare CQE. A fill is
-    /// positional, hence idempotent, so it shares the classic
-    /// timeout/reissue recovery.
-    pub fn call_zc(&self, ino: u64, offset: u64, len: u32) -> Result<FileCompletion, CallError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let (qid, w) = self.submit_slot(self.preferred_queue(), |chan| {
-                chan.submit_zc(ino, offset, len)
-            });
-            match self.wait(qid, &w) {
-                Ok(c) => return Ok(c),
-                Err(e) if Self::retryable(&e) && attempt < self.retry.attempts => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
                     self.backoff(attempt);
                 }
@@ -801,6 +781,73 @@ mod tests {
         stop.store(true, Ordering::Release);
         server0.join().unwrap();
         server1.join().unwrap();
+    }
+
+    #[test]
+    fn a_reissued_command_restages_its_inline_header_on_the_fresh_cid() {
+        // The first attempt's reply is held past the caller's deadline:
+        // the caller abandons it and reissues. The abandoned command keeps
+        // its CID (and buffer) until its late CQE drains, so the reissue
+        // rides a different SQE — which must carry the request again.
+        let dma = DmaEngine::new();
+        let cfg = QueuePairConfig {
+            depth: 8,
+            max_io_bytes: 16 * 1024,
+        };
+        let (chans, mut tgts) = create_fabric(1, cfg, &dma);
+        let mut pool = ChannelPool::new(chans);
+        pool.set_retry(RetryPolicy {
+            deadline_yields: 2_000,
+            backoff_base_us: 0,
+            ..RetryPolicy::default()
+        });
+        let mut tgt = tgts.pop().unwrap();
+        let req = FileRequest::ReadFill {
+            ino: 0x0102_0304_0506_0708,
+            offset: 0x1112_1314_1516_1718,
+            len: 0x2122_2324,
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (want, stop) = (req.clone(), stop.clone());
+            std::thread::spawn(move || {
+                // Sit on the first command; answer every later one.
+                let mut held: Option<crate::FileIncoming> = None;
+                while !stop.load(Ordering::Acquire) {
+                    let Some(inc) = tgt.poll() else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    assert_eq!(inc.request, want);
+                    match &held {
+                        None => held = Some(inc),
+                        Some(first) => {
+                            assert_ne!(first.slot, inc.slot);
+                            tgt.reply(inc.slot, &FileResponse::Bytes(2), b"");
+                        }
+                    }
+                }
+                let first = held.expect("the first attempt arrived");
+                tgt.reply(first.slot, &FileResponse::Bytes(1), b"");
+            })
+        };
+        let before = dma.snapshot();
+        let done = pool.call(DispatchType::Standalone, &req, b"", 0).unwrap();
+        assert_eq!(done.response, FileResponse::Bytes(2));
+        stop.store(true, Ordering::Release);
+        server.join().unwrap();
+        // The late reply drains as stale; every attempt was SQE + CQE.
+        while pool.outstanding(0) > 0 {
+            pool.deliver(&mut pool.queues[0].inner.lock());
+        }
+        let stats = pool.stats();
+        assert!(stats.retries >= 1, "{stats:?}");
+        assert_eq!(stats.timeouts, stats.retries);
+        assert_eq!(stats.stale_completions, stats.timeouts);
+        assert_eq!(
+            dma.snapshot().since(&before).dma_ops,
+            2 * (1 + stats.retries)
+        );
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! data_pool: depth × 2 × max_io_bytes   (buffer b: [write buf][read buf])
 //! ```
 //!
+//! Headers travel in the descriptors whenever they fit (the inline form,
+//! `sqe.rs` module docs): a request header in the SQE's idle Dwords,
+//! a reply header of up to [`CQE_INLINE_CAP`] bytes in the CQE. Neither
+//! then costs a DMA of its own, and the write payload starts page-aligned
+//! in its buffer. A header that does not fit takes the buffer: the
+//! request header ahead of the payload, the reply header in the first
+//! [`READ_HEADER_CAP`] bytes of the read half.
+//!
 //! Transport buffers belong to the initiator, not to ring slots: it keeps
 //! the `depth` buffers on a LIFO free list, hands the most recently freed
 //! one to the next command (so a lone outstanding command keeps reusing
@@ -33,12 +41,39 @@ use std::sync::Arc;
 
 use dpc_pcie::{DmaEngine, HostRegion};
 
-use crate::sqe::{Cqe, CqeStatus, DispatchType, Sqe, ZcOp, CQE_SIZE, SQE_SIZE};
+use crate::sqe::{Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, SQE_SIZE};
 
-/// Reserved space at the start of every read buffer for the response
-/// header: `[u16 actual-header-len][header bytes ...]`, payload follows at
-/// this offset.
+/// Reserved space at the start of every read buffer for a response
+/// header too long for the CQE; payload follows at this offset.
 pub const READ_HEADER_CAP: usize = 64;
+
+/// What a command expects back through its transport buffer.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ReadSide {
+    /// Nothing: every reply is a header the CQE holds
+    /// ([`CQE_INLINE_CAP`] bytes) and no payload. The SQE's PRP-Read
+    /// Dwords are then free for request-header bytes.
+    None,
+    /// Room for a [`READ_HEADER_CAP`]-byte response header and up to this
+    /// many payload bytes. What a plain `read_len` means.
+    Buffer(u32),
+}
+
+impl From<u32> for ReadSide {
+    fn from(read_len: u32) -> ReadSide {
+        ReadSide::Buffer(read_len)
+    }
+}
+
+impl ReadSide {
+    /// `(RH_len, Read_len)` as the SQE declares them.
+    fn lens(self) -> (u16, u32) {
+        match self {
+            ReadSide::None => (0, 0),
+            ReadSide::Buffer(read_len) => (READ_HEADER_CAP as u16, read_len),
+        }
+    }
+}
 
 /// Space reserved for the SGL descriptor list at the head of a command's
 /// write buffer (16 bytes per descriptor).
@@ -120,7 +155,7 @@ impl QueuePair {
                 cq_phase: true,
                 // Reversed so the first commands take buffers 0, 1, 2, …
                 free_bufs: (0..depth).rev().collect(),
-                cmds: vec![Cmd::Idle; depth as usize],
+                in_flight: vec![false; depth as usize],
             },
             Target {
                 shared: self.shared,
@@ -167,9 +202,6 @@ pub struct Completion {
     pub header: Vec<u8>,
     /// Read payload produced by the target.
     pub payload: Vec<u8>,
-    /// The command was zero-copy: `result` is a byte count, not a
-    /// payload length, and `header`/`payload` are empty by design.
-    pub zc: bool,
 }
 
 impl Default for Completion {
@@ -180,7 +212,6 @@ impl Default for Completion {
             result: 0,
             header: Vec::new(),
             payload: Vec::new(),
-            zc: false,
         }
     }
 }
@@ -250,18 +281,6 @@ pub struct SubmitOp<'a> {
     pub read_len: u32,
 }
 
-/// What the initiator knows about a CID.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum Cmd {
-    /// Not in flight: its buffer is on the free list.
-    Idle,
-    /// In flight with its reply expected in the buffer's read half.
-    Staged,
-    /// In flight, zero-copy: the completion is CQE-only (`result` is a
-    /// count, not a payload length) and the buffer was never touched.
-    ZeroCopy,
-}
-
 /// Host-side NVME-INI driver for one queue pair.
 pub struct Initiator {
     shared: Arc<QpShared>,
@@ -273,8 +292,8 @@ pub struct Initiator {
     cq_phase: bool,
     /// Transport buffers no command holds, most recently freed last.
     free_bufs: Vec<u16>,
-    /// Per-CID (== buffer index) command state.
-    cmds: Vec<Cmd>,
+    /// Per-CID (== buffer index): is a command holding it in flight?
+    in_flight: Vec<bool>,
 }
 
 impl Initiator {
@@ -323,14 +342,49 @@ impl Initiator {
     /// Write `sqe` at the SQ tail (without publishing it) and take its
     /// buffer — the one [`next_buffer`](Self::next_buffer) named — off
     /// the free list until the completion has been consumed.
-    fn enqueue(&mut self, sqe: &Sqe, state: Cmd) {
+    fn enqueue(&mut self, sqe: &Sqe) {
         self.shared
             .sq_mem
             .write_local(self.sq_tail as usize * SQE_SIZE, &sqe.to_bytes());
         let buf = self.free_bufs.pop();
         debug_assert_eq!(buf, Some(sqe.cid()));
-        self.cmds[sqe.cid() as usize] = state;
+        self.in_flight[sqe.cid() as usize] = true;
         self.sq_tail = (self.sq_tail + 1) % self.shared.cfg.depth;
+    }
+
+    /// A fresh SQE for the command transport buffer `buf` will carry,
+    /// every field set but the request header.
+    fn sqe_for(&self, buf: u16, dispatch: DispatchType, write_len: usize, read: ReadSide) -> Sqe {
+        let cfg = &self.shared.cfg;
+        let (rh_len, read_len) = read.lens();
+        assert!(
+            rh_len as usize + read_len as usize <= cfg.max_io_bytes,
+            "read side exceeds buffer capacity"
+        );
+        // The PRP fields are how the target learns which buffer this is.
+        let (woff, roff) = buffer_offsets(cfg, buf);
+        let mut sqe = Sqe::new();
+        sqe.set_cid(buf)
+            .set_dispatch(dispatch)
+            .set_prp_write(woff as u64, 0)
+            .set_prp_read(roff as u64, 0)
+            .set_write_len(write_len as u32)
+            .set_read_len(read_len)
+            .set_rh_len(rh_len);
+        sqe
+    }
+
+    /// Put `header` where it travels cheapest: in `sqe` itself when it
+    /// fits (no DMA of its own), else at `at` in the data pool. Returns
+    /// the bytes it took there. Host-local stores either way.
+    fn place_header(&self, sqe: &mut Sqe, header: &[u8], at: usize) -> usize {
+        if sqe.set_inline_header(header) {
+            return 0;
+        }
+        assert!(header.len() <= u16::MAX as usize, "header too large");
+        self.shared.data_pool.write_local(at, header);
+        sqe.set_wh_len(header.len() as u16);
+        header.len()
     }
 
     /// Stage one command into the ring without publishing the tail.
@@ -339,58 +393,40 @@ impl Initiator {
         dispatch: DispatchType,
         header: &[u8],
         write_payload: &[u8],
-        read_len: u32,
+        read: ReadSide,
     ) -> Result<u16, QueueFull> {
-        let cfg = &self.shared.cfg;
+        let buf = self.next_buffer()?;
+        let (woff, _) = buffer_offsets(&self.shared.cfg, buf);
+        let mut sqe = self.sqe_for(buf, dispatch, write_payload.len(), read);
+        // Host CPU fills the write buffer (local stores, no DMA): the
+        // payload page-aligned at its start when the header rode the SQE.
+        let in_buffer = self.place_header(&mut sqe, header, woff);
         assert!(
-            header.len() + write_payload.len() <= cfg.max_io_bytes,
+            in_buffer + write_payload.len() <= self.shared.cfg.max_io_bytes,
             "write side exceeds buffer capacity"
         );
-        assert!(
-            READ_HEADER_CAP + read_len as usize <= cfg.max_io_bytes,
-            "read side exceeds buffer capacity"
-        );
-        assert!(header.len() <= u16::MAX as usize, "header too large");
-        let buf = self.next_buffer()?;
-
-        // Host CPU fills the write buffer (local stores, no DMA).
-        let (woff, roff) = buffer_offsets(cfg, buf);
-        if !header.is_empty() {
-            self.shared.data_pool.write_local(woff, header);
-        }
         if !write_payload.is_empty() {
             self.shared
                 .data_pool
-                .write_local(woff + header.len(), write_payload);
+                .write_local(woff + in_buffer, write_payload);
         }
-
-        // Build the SQE with the paper's bidirectional layout; the PRP
-        // fields are how the target learns which buffer this is.
-        let mut sqe = Sqe::new();
-        sqe.set_cid(buf)
-            .set_dispatch(dispatch)
-            .set_prp_write(woff as u64, 0)
-            .set_prp_read(roff as u64, 0)
-            .set_write_len(write_payload.len() as u32)
-            .set_read_len(read_len)
-            .set_wh_len(header.len() as u16)
-            .set_rh_len(READ_HEADER_CAP as u16);
-        self.enqueue(&sqe, Cmd::Staged);
+        self.enqueue(&sqe);
         Ok(buf)
     }
 
-    /// Submit a bidirectional command: `header ‖ write_payload` goes into
-    /// a transport buffer's write half; up to `read_len` payload bytes are
-    /// expected back in its read half. Returns the CID (the buffer's
-    /// index).
+    /// Submit a bidirectional command: `write_payload` (behind `header`,
+    /// when that does not fit the SQE) goes into a transport buffer's
+    /// write half; `read` says what is expected back in its read half — a
+    /// plain `read_len` is [`ReadSide::Buffer`]. Returns the CID (the
+    /// buffer's index).
     pub fn submit(
         &mut self,
         dispatch: DispatchType,
         header: &[u8],
         write_payload: &[u8],
-        read_len: u32,
+        read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        let cid = self.stage(dispatch, header, write_payload, read_len)?;
+        let cid = self.stage(dispatch, header, write_payload, read.into())?;
         self.publish_tail();
         Ok(cid)
     }
@@ -401,37 +437,35 @@ impl Initiator {
         dispatch: DispatchType,
         header: &[u8],
         segments: &[&[u8]],
-        read_len: u32,
+        read: ReadSide,
     ) -> Result<u16, QueueFull> {
-        let cfg = &self.shared.cfg;
         assert!(!segments.is_empty(), "an SGL needs at least one segment");
         assert!(segments.len() <= SGL_MAX_SEGMENTS, "too many SGL segments");
         let payload_len: usize = segments.iter().map(|s| s.len()).sum();
-        assert!(
-            SGL_LIST_CAP + header.len() + payload_len <= cfg.max_io_bytes,
-            "write side exceeds buffer capacity"
-        );
-        assert!(
-            READ_HEADER_CAP + read_len as usize <= cfg.max_io_bytes,
-            "read side exceeds buffer capacity"
-        );
         let buf = self.next_buffer()?;
+        let (woff, _) = buffer_offsets(&self.shared.cfg, buf);
+        let mut sqe = self.sqe_for(buf, dispatch, payload_len, read);
+        // PRP-Write points at the SGL list.
+        sqe.set_psdt(Psdt::SglWrite)
+            .set_sgl_count(segments.len() as u32 + 1);
 
         // Write-buffer layout in SGL mode: [descriptor list][header]
         // [segments...]. Host-local stores throughout (the app's buffers
         // are already in DMA-able memory; we re-stage them here to give
         // each segment a distinct device-visible address).
-        let (woff, roff) = buffer_offsets(cfg, buf);
         let mut desc_block = Vec::with_capacity(16 * (segments.len() + 1));
         let mut cursor = woff + SGL_LIST_CAP;
-        if !header.is_empty() {
-            self.shared.data_pool.write_local(cursor, header);
-        }
-        // First descriptor covers the header (zero-length allowed).
+        let in_buffer = self.place_header(&mut sqe, header, cursor);
+        assert!(
+            SGL_LIST_CAP + in_buffer + payload_len <= self.shared.cfg.max_io_bytes,
+            "write side exceeds buffer capacity"
+        );
+        // First descriptor covers the header (zero-length when there is
+        // none, or it rode the SQE).
         desc_block.extend_from_slice(&(cursor as u64).to_le_bytes());
-        desc_block.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        desc_block.extend_from_slice(&(in_buffer as u32).to_le_bytes());
         desc_block.extend_from_slice(&0u32.to_le_bytes());
-        cursor += header.len();
+        cursor += in_buffer;
         for seg in segments {
             self.shared.data_pool.write_local(cursor, seg);
             desc_block.extend_from_slice(&(cursor as u64).to_le_bytes());
@@ -440,19 +474,7 @@ impl Initiator {
             cursor += seg.len();
         }
         self.shared.data_pool.write_local(woff, &desc_block);
-
-        let mut sqe = Sqe::new();
-        sqe.set_cid(buf)
-            .set_dispatch(dispatch)
-            .set_psdt(crate::sqe::Psdt::SglWrite)
-            .set_prp_write(woff as u64, 0) // points at the SGL list
-            .set_prp_read(roff as u64, 0)
-            .set_write_len(payload_len as u32)
-            .set_read_len(read_len)
-            .set_sgl_count(segments.len() as u32 + 1)
-            .set_wh_len(header.len() as u16)
-            .set_rh_len(READ_HEADER_CAP as u16);
-        self.enqueue(&sqe, Cmd::Staged);
+        self.enqueue(&sqe);
         Ok(buf)
     }
 
@@ -469,33 +491,11 @@ impl Initiator {
         dispatch: DispatchType,
         header: &[u8],
         segments: &[&[u8]],
-        read_len: u32,
+        read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        let cid = self.stage_sgl(dispatch, header, segments, read_len)?;
+        let cid = self.stage_sgl(dispatch, header, segments, read.into())?;
         self.publish_tail();
         Ok(cid)
-    }
-
-    /// Submit a zero-copy read-miss fill of `[offset, offset + len)`: the
-    /// request rides entirely in the SQE (no header bytes, no staging
-    /// copy; the command holds a buffer for its CID but never touches
-    /// it), the DPU lands the backend extent straight in the cache page
-    /// pool, and the reply is a bare CQE — SQE fetch + CQE are the only
-    /// DMAs on the command path.
-    pub fn submit_zc(&mut self, ino: u64, offset: u64, len: u32) -> Result<u16, QueueFull> {
-        let buf = self.next_buffer()?;
-        let mut sqe = Sqe::new();
-        sqe.set_cid(buf)
-            .set_dispatch(DispatchType::Standalone)
-            .set_zc(ZcOp::ReadFill)
-            .set_zc_ino(ino)
-            .set_zc_offset(offset)
-            .set_write_len(len)
-            .set_wh_len(0)
-            .set_rh_len(0);
-        self.enqueue(&sqe, Cmd::ZeroCopy);
-        self.publish_tail();
-        Ok(buf)
     }
 
     /// Open a deferred-doorbell batch: every command staged through the
@@ -534,7 +534,7 @@ impl Initiator {
     /// control but does **not** publish the head doorbell — callers batch
     /// that into one store per poll pass. A CQE naming a CID that is not
     /// in flight has nobody to go to (and no buffer to give back): it is
-    /// consumed and skipped.
+    /// consumed and skipped, inline header bytes and all.
     fn pop_cqe(&mut self) -> Option<Cqe> {
         loop {
             let mut raw = [0u8; CQE_SIZE];
@@ -550,10 +550,7 @@ impl Initiator {
                 self.cq_phase = !self.cq_phase;
             }
             self.sq_head_seen = cqe.sq_head;
-            if matches!(
-                self.cmds.get(cqe.cid as usize),
-                Some(Cmd::Staged | Cmd::ZeroCopy)
-            ) {
+            if self.in_flight.get(cqe.cid as usize) == Some(&true) {
                 return Some(cqe);
             }
         }
@@ -566,9 +563,10 @@ impl Initiator {
             .store(self.cq_head as u32, Ordering::Release);
     }
 
-    /// Copy a consumed CQE's response header and payload out of its
-    /// command's buffer into `out` (reusing `out`'s own buffers; each byte
-    /// is appended once, nothing is zero-filled first), then put the
+    /// Rebuild a consumed CQE's response header — from the CQE itself when
+    /// it rode there, else from the command's buffer — and copy the
+    /// payload out into `out` (reusing `out`'s own buffers; each byte is
+    /// appended once, nothing is zero-filled first), then put the
     /// transport buffer back on the free list. Host-local reads; no DMA.
     fn fill_completion(&mut self, cqe: &Cqe, out: &mut Completion) {
         let (_, roff) = buffer_offsets(&self.shared.cfg, cqe.cid);
@@ -577,19 +575,17 @@ impl Initiator {
         out.result = cqe.result;
         out.header.clear();
         out.payload.clear();
-        // A zero-copy completion is CQE-only: `result` is the filled
-        // byte count, not the length of a payload in the buffer.
-        let state = std::mem::replace(&mut self.cmds[cqe.cid as usize], Cmd::Idle);
-        out.zc = state == Cmd::ZeroCopy;
-        if !out.zc {
-            let pool = &self.shared.data_pool;
-            pool.read_local_extend(roff, cqe.hdr_len as usize, &mut out.header);
-            pool.read_local_extend(
-                roff + READ_HEADER_CAP,
-                cqe.result as usize,
-                &mut out.payload,
-            );
+        let pool = &self.shared.data_pool;
+        match cqe.inline_header() {
+            Some(header) => out.header.extend_from_slice(header),
+            None => pool.read_local_extend(roff, cqe.hdr_len as usize, &mut out.header),
         }
+        pool.read_local_extend(
+            roff + READ_HEADER_CAP,
+            cqe.result as usize,
+            &mut out.payload,
+        );
+        self.in_flight[cqe.cid as usize] = false;
         self.free_bufs.push(cqe.cid);
     }
 
@@ -630,7 +626,7 @@ impl Initiator {
 
     /// Commands currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.cmds.len() - self.free_bufs.len()
+        self.in_flight.len() - self.free_bufs.len()
     }
 }
 
@@ -651,9 +647,11 @@ impl DoorbellGuard<'_> {
         dispatch: DispatchType,
         header: &[u8],
         write_payload: &[u8],
-        read_len: u32,
+        read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        let slot = self.ini.stage(dispatch, header, write_payload, read_len)?;
+        let slot = self
+            .ini
+            .stage(dispatch, header, write_payload, read.into())?;
         self.staged += 1;
         Ok(slot)
     }
@@ -664,9 +662,11 @@ impl DoorbellGuard<'_> {
         dispatch: DispatchType,
         header: &[u8],
         segments: &[&[u8]],
-        read_len: u32,
+        read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        let slot = self.ini.stage_sgl(dispatch, header, segments, read_len)?;
+        let slot = self
+            .ini
+            .stage_sgl(dispatch, header, segments, read.into())?;
         self.staged += 1;
         Ok(slot)
     }
@@ -689,30 +689,16 @@ impl Drop for DoorbellGuard<'_> {
     }
 }
 
-/// A decoded zero-copy read-fill command (DESIGN.md §15): the SQE
-/// carried the whole request; the dispatcher lands backend bytes for
-/// `[offset, offset + len)` directly in pool pages.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct ZcCmd {
-    pub ino: u64,
-    pub offset: u64,
-    /// Requested fill length in bytes.
-    pub len: u32,
-}
-
 /// A command as seen by the DPU target.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Incoming {
     pub sqe: Sqe,
     /// The command's CID, to pass back to [`Target::complete`].
     pub slot: u16,
-    /// The request header (`WH_len` bytes).
+    /// The request header (`WH_len` bytes), wherever it travelled.
     pub header: Vec<u8>,
     /// The write payload.
     pub payload: Vec<u8>,
-    /// Decoded zero-copy command, when the SQE carries one; `header`
-    /// and `payload` stay empty (nothing was gathered).
-    pub zc: Option<ZcCmd>,
 }
 
 /// Reusable batch of [`Incoming`]s filled by [`Target::poll_many`];
@@ -775,7 +761,8 @@ impl<'a> IntoIterator for &'a IncomingBatch {
 
 /// Where a fetched command's reply goes: the read range its SQE named,
 /// bounds-checked against the pool when the SQE was fetched. All-zero for
-/// a zero-copy command, whose reply is a bare CQE.
+/// a command that declared no read side: its reply has the CQE and nothing
+/// else to ride.
 #[derive(Copy, Clone, Default)]
 struct ReplyBuf {
     offset: usize,
@@ -819,22 +806,24 @@ impl Target {
     }
 
     /// Refuse command `cid`: a bare `InvalidCommand` CQE, and a count.
-    fn reject(&mut self, cid: u16) {
+    /// Also how the layer above refuses a header that does not decode.
+    pub fn reject(&mut self, cid: u16) {
         self.shared.rejected_sqes.fetch_add(1, Ordering::Relaxed);
-        self.post_cqe(cid, CqeStatus::InvalidCommand, 0, 0);
+        self.post_cqe(cid, CqeStatus::InvalidCommand, 0, b"");
     }
 
     /// Fetch the SQE at the current head and gather its write side into
     /// `out`, reusing `out`'s buffers and the target's scratch space.
     /// Advances the SQ head. The caller has already checked availability.
     /// Returns `false` when the command was refused instead (an
-    /// out-of-range CID, PRP range or SGL descriptor): it has been
-    /// completed with `InvalidCommand` and `out` holds nothing to serve.
+    /// out-of-range CID, PRP range or SGL descriptor, an inline header
+    /// longer than the SQE has room for): it has been completed with
+    /// `InvalidCommand` and `out` holds nothing to serve.
     ///
-    /// DMA accounting: 1 op for the SQE fetch plus
-    /// `ceil((WH_len + Write_len) / 4096)` ops for the write buffer
-    /// (page-granularity PRP transfers), or list + per-segment ops in SGL
-    /// mode.
+    /// DMA accounting: 1 op for the SQE fetch — which brings an inline
+    /// request header with it — plus `ceil((buffered header + Write_len) /
+    /// 4096)` ops for the write buffer (page-granularity PRP transfers),
+    /// or list + per-segment ops in SGL mode.
     fn fill_incoming(&mut self, out: &mut Incoming) -> bool {
         // ① fetch the SQE.
         let mut raw = [0u8; SQE_SIZE];
@@ -848,57 +837,57 @@ impl Target {
         let cid = sqe.cid();
         out.header.clear();
         out.payload.clear();
-        out.zc = None;
         out.slot = cid;
         if cid >= self.shared.cfg.depth {
             self.reject(cid);
             return false;
         }
 
-        // Zero-copy command: there is no write side to gather — the SQE
-        // fetch above is the only request-path DMA.
-        if sqe.zc_op().is_some() {
-            out.zc = Some(ZcCmd {
-                ino: sqe.zc_ino(),
-                offset: sqe.zc_offset(),
-                len: sqe.write_len(),
-            });
-            out.sqe = sqe;
-            self.reply_bufs[cid as usize] = ReplyBuf::default();
-            return true;
-        }
-
-        // ② locate the buffers the SQE names and ③ read the request
-        // header + payload. PRP mode: page-granular DMAs over the
-        // contiguous buffer. SGL mode: fetch the descriptor list, then one
-        // DMA per scattered segment.
-        let wh = sqe.wh_len() as usize;
+        // ② the request header, if the SQE brought it along, and the
+        // buffers the SQE names. A direction that moves no bytes names no
+        // buffer: its PRP Dwords may be header bytes and are never read
+        // as an address.
+        let wh = if sqe.is_inline() {
+            if !sqe.inline_header(&mut out.header) {
+                self.reject(cid);
+                return false;
+            }
+            0
+        } else {
+            sqe.wh_len() as usize
+        };
         let total = wh + sqe.write_len() as usize;
         let (header_cap, payload_cap) = (sqe.rh_len() as usize, sqe.read_len() as usize);
-        let Some(offset) = self.pool_range(sqe.prp_read().0, header_cap + payload_cap) else {
+        let reply = if header_cap + payload_cap == 0 {
+            ReplyBuf::default()
+        } else if let Some(offset) = self.pool_range(sqe.prp_read().0, header_cap + payload_cap) {
+            ReplyBuf {
+                offset,
+                header_cap,
+                payload_cap,
+            }
+        } else {
             self.reject(cid);
             return false;
         };
-        let sgl_write = matches!(
-            sqe.psdt(),
-            crate::sqe::Psdt::SglWrite | crate::sqe::Psdt::SglBoth
-        );
+
+        // ③ read what the write buffer holds: a header that did not fit
+        // the SQE, then the payload. PRP mode: page-granular DMAs over the
+        // contiguous buffer. SGL mode: fetch the descriptor list, then one
+        // DMA per scattered segment.
+        let sgl_write = matches!(sqe.psdt(), Psdt::SglWrite | Psdt::SglBoth);
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         let gathered = if sgl_write {
             self.gather_sgl(&sqe, total, &mut buf)
         } else {
-            self.gather_prp(&sqe, total, &mut buf)
+            total == 0 || self.gather_prp(&sqe, total, &mut buf)
         };
         if gathered {
             out.header.extend_from_slice(&buf[..wh]);
             out.payload.extend_from_slice(&buf[wh..]);
             out.sqe = sqe;
-            self.reply_bufs[cid as usize] = ReplyBuf {
-                offset,
-                header_cap,
-                payload_cap,
-            };
+            self.reply_bufs[cid as usize] = reply;
         } else {
             self.reject(cid);
         }
@@ -991,16 +980,18 @@ impl Target {
         out.len()
     }
 
-    /// Complete a command: DMA the response header and read payload into
-    /// the read buffer its SQE named, then ④ post the CQE. A reply that
-    /// does not fit the buffer the host described is not written anywhere:
-    /// the command completes with `InvalidCommand` instead.
+    /// Complete a command: the response header rides the CQE when it
+    /// fits there, else it is DMA-written to the read buffer the SQE
+    /// named, as the read payload is; then ④ post the CQE. A reply that
+    /// fits neither the CQE nor the buffer the host described is not
+    /// written anywhere: the command completes with `InvalidCommand`
+    /// instead.
     ///
-    /// DMA accounting: 1 op for the header when one is present,
-    /// `ceil(payload / 4096)` ops for payload, plus 1 for the CQE. A
-    /// header-less, payload-less completion (e.g. acknowledging a raw
-    /// write) therefore costs exactly one CQE DMA — which is what keeps
-    /// the raw 8 KiB write at the paper's 4 DMA operations.
+    /// DMA accounting: 1 op for a header longer than [`CQE_INLINE_CAP`],
+    /// `ceil(payload / 4096)` ops for payload, plus 1 for the CQE. An
+    /// acknowledgement — no payload, a short header or none — therefore
+    /// costs exactly one CQE DMA, which is what keeps an 8 KiB write at
+    /// the paper's 4 DMA operations.
     pub fn complete(&mut self, slot: u16, status: CqeStatus, header: &[u8], payload: &[u8]) {
         assert!(header.len() <= READ_HEADER_CAP, "response header too big");
         let reply = self
@@ -1008,13 +999,14 @@ impl Target {
             .get(slot as usize)
             .copied()
             .unwrap_or_default();
-        if header.len() > reply.header_cap || payload.len() > reply.payload_cap {
+        let buffered = header.len() > CQE_INLINE_CAP;
+        if (buffered && header.len() > reply.header_cap) || payload.len() > reply.payload_cap {
             self.reject(slot);
             return;
         }
 
         // Response header (single DMA: it fits one page).
-        if !header.is_empty() {
+        if buffered {
             self.dma
                 .dma_write(&self.shared.data_pool, reply.offset, header);
         }
@@ -1031,20 +1023,20 @@ impl Target {
             pos += n;
         }
 
-        self.post_cqe(slot, status, payload.len() as u32, header.len() as u16);
+        self.post_cqe(slot, status, payload.len() as u32, header);
     }
 
-    /// Complete a zero-copy command: the reply is a bare CQE whose
-    /// `result` carries the filled byte count. Exactly one DMA.
-    pub fn complete_zc(&mut self, slot: u16, status: CqeStatus, result: u32) {
-        self.post_cqe(slot, status, result, 0);
-    }
-
-    /// ④ post one CQE at the CQ tail (one DMA).
-    fn post_cqe(&mut self, cid: u16, status: CqeStatus, result: u32, hdr_len: u16) {
+    /// ④ post one CQE at the CQ tail (one DMA), `header` inside it when
+    /// it fits.
+    fn post_cqe(&mut self, cid: u16, status: CqeStatus, result: u32, header: &[u8]) {
+        let mut inline = [0u8; CQE_INLINE_CAP];
+        if let Some(room) = inline.get_mut(..header.len()) {
+            room.copy_from_slice(header);
+        }
         let cqe = Cqe {
             result,
-            hdr_len,
+            hdr_len: header.len() as u8,
+            inline,
             sq_head: self.sq_head,
             status,
             cid,
@@ -1281,64 +1273,154 @@ mod tests {
 
     #[test]
     fn sgl_dma_count_is_list_plus_segments() {
-        // SQE (1) + SGL list (1) + header desc + 3 segments (4) + CQE (1).
+        // SQE (1) + SGL list (1) + 3 segments (3) + CQE (1); a header the
+        // SQE has no room for (12 bytes under SGL, beside a read side) is
+        // one more descriptor, and one more DMA.
         let (mut ini, mut tgt, dma) = pair(8, 64 * 1024);
         let seg = vec![9u8; 2048];
-        let before = dma.snapshot();
-        ini.submit_sgl(DispatchType::Standalone, b"H", &[&seg, &seg, &seg], 0)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
-        tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
-        ini.wait();
-        let delta = dma.snapshot().since(&before);
-        assert_eq!(delta.dma_ops, 1 + 1 + 4 + 1);
+        for (header, header_dmas) in [(&b"H"[..], 0), (&[0x48; 13][..], 1)] {
+            let before = dma.snapshot();
+            ini.submit_sgl(DispatchType::Standalone, header, &[&seg, &seg, &seg], 0)
+                .unwrap();
+            let inc = tgt.poll().unwrap();
+            assert_eq!(inc.header, header);
+            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            ini.wait();
+            let delta = dma.snapshot().since(&before);
+            assert_eq!(delta.dma_ops, 1 + 1 + header_dmas + 3 + 1);
+        }
+    }
+
+    /// The wire form of a read-miss fill: 21 bytes, the inline form's
+    /// first user.
+    fn fill_header(ino: u64, offset: u64, len: u32) -> Vec<u8> {
+        let mut hdr = Vec::new();
+        crate::FileRequest::ReadFill { ino, offset, len }.encode(&mut hdr);
+        hdr
     }
 
     #[test]
     fn zc_read_fill_round_trip_is_2_dmas() {
-        // A fill request moves no bytes over the SQE path: SQE + CQE.
+        // A fill request moves no bytes over the SQE path: its header
+        // rides the SQE and its reply the CQE. SQE + CQE.
         let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
         let before = dma.snapshot();
-        ini.submit_zc(42, 8192, 4096).unwrap();
+        let hdr = fill_header(42, 8192, 4096);
+        ini.submit(DispatchType::Standalone, &hdr, b"", ReadSide::None)
+            .unwrap();
         let inc = tgt.poll().unwrap();
-        let zc = inc.zc.unwrap();
-        assert_eq!((zc.ino, zc.offset, zc.len), (42, 8192, 4096));
-        assert!(inc.header.is_empty() && inc.payload.is_empty());
-        tgt.complete_zc(inc.slot, CqeStatus::Success, 4096);
+        assert!(inc.sqe.is_inline());
+        assert_eq!(inc.header, hdr);
+        assert!(inc.payload.is_empty());
+        tgt.complete(inc.slot, CqeStatus::Success, b"\x03\x00\x10\x00\x00", b"");
         let c = ini.wait();
-        assert_eq!(c.result, 4096);
-        assert_eq!(dma.snapshot().since(&before).dma_ops, 2);
+        assert_eq!(c.header, b"\x03\x00\x10\x00\x00");
+        assert!(c.payload.is_empty());
+        let delta = dma.snapshot().since(&before);
+        assert_eq!(delta.dma_ops, 2);
+        assert_eq!(delta.dma_bytes, 64 + 16);
     }
 
     #[test]
     fn zc_and_classic_commands_interleave_with_buffer_recycling() {
-        // A recycled Incoming must not leak a stale `zc` into a classic
-        // command, and vice versa; attribution stays dormant for classic
-        // traffic.
+        // A recycled Incoming must not leak an SQE-borne header into a
+        // command whose header sits in its buffer, and vice versa;
+        // attribution stays dormant either way.
         let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
         let mut batch = IncomingBatch::new();
-        ini.submit_zc(1, 0, 4096).unwrap();
-        ini.submit(DispatchType::Standalone, b"HDR", b"classic", 0)
+        let fill = fill_header(1, 0, 4096);
+        let long = [0x4C; 40]; // too long for the SQE beside a payload
+        ini.submit(DispatchType::Standalone, &fill, b"", ReadSide::None)
+            .unwrap();
+        ini.submit(DispatchType::Standalone, &long, b"classic", 0)
             .unwrap();
         assert_eq!(tgt.poll_many(&mut batch), 2);
-        assert!(batch.as_slice()[0].zc.is_some());
-        assert!(batch.as_slice()[1].zc.is_none());
-        assert_eq!(batch.as_slice()[1].header, b"HDR");
-        assert_eq!(batch.as_slice()[1].payload, b"classic");
-        let (s0, s1) = (batch.as_slice()[0].slot, batch.as_slice()[1].slot);
-        tgt.complete_zc(s0, CqeStatus::Success, 0);
+        let [z, c] = [0, 1].map(|i| &batch.as_slice()[i]);
+        assert!(z.sqe.is_inline() && !c.sqe.is_inline());
+        assert_eq!((z.header.as_slice(), z.payload.len()), (&fill[..], 0));
+        assert_eq!(c.header, long);
+        assert_eq!(c.payload, b"classic");
+        let (s0, s1) = (z.slot, c.slot);
+        tgt.complete(s0, CqeStatus::Success, b"", b"");
         tgt.complete(s1, CqeStatus::Success, b"", b"");
         ini.wait();
         ini.wait();
         // Round 2: recycle the batch the other way around.
-        ini.submit(DispatchType::Standalone, b"", b"plain", 0)
+        ini.submit(DispatchType::Standalone, &long, b"plain", 0)
             .unwrap();
-        assert_eq!(tgt.poll_many(&mut batch), 1);
-        assert!(batch.as_slice()[0].zc.is_none(), "recycled zc cleared");
-        tgt.complete(batch.as_slice()[0].slot, CqeStatus::Success, b"", b"");
+        ini.submit(DispatchType::Standalone, &fill, b"", ReadSide::None)
+            .unwrap();
+        assert_eq!(tgt.poll_many(&mut batch), 2);
+        let [c, z] = [0, 1].map(|i| &batch.as_slice()[i]);
+        assert_eq!(
+            (c.header.as_slice(), c.payload.as_slice()),
+            (&long[..], &b"plain"[..])
+        );
+        assert_eq!((z.header.as_slice(), z.payload.len()), (&fill[..], 0));
+        let (s0, s1) = (c.slot, z.slot);
+        tgt.complete(s0, CqeStatus::Success, b"", b"");
+        tgt.complete(s1, CqeStatus::Success, b"", b"");
+        ini.wait();
         ini.wait();
         // The queue layer moves no class-attributed data by itself.
         assert!(dma.attribution().is_zero());
+    }
+
+    #[test]
+    fn a_header_takes_a_dma_only_when_it_does_not_fit() {
+        // Both sides of every capacity boundary, each direction, with and
+        // without payload, several times round a 4-deep ring.
+        let (mut ini, mut tgt, dma) = pair(4, 16 * 1024);
+        let bytes: Vec<u8> = (0..64).map(|i| 0xA0 ^ i).collect();
+        // (payload, read side, header bytes the SQE has room for)
+        let shapes: [(usize, ReadSide, usize); 4] = [
+            (8192, ReadSide::Buffer(0), 16),
+            (0, ReadSide::Buffer(8192), 32),
+            (8192, ReadSide::None, 32),
+            (0, ReadSide::None, 48),
+        ];
+        for (wlen, read, room) in shapes {
+            for hdr_len in [0, 1, room - 1, room, room + 1, 64] {
+                for reply_len in [0, 1, CQE_INLINE_CAP, CQE_INLINE_CAP + 1] {
+                    let buffered_reply = reply_len > CQE_INLINE_CAP;
+                    if buffered_reply && read == ReadSide::None {
+                        continue; // refused: see the corrupt-SQE test
+                    }
+                    let payload = vec![0x5A; wlen];
+                    let rlen = match read {
+                        ReadSide::Buffer(n) => n as usize,
+                        ReadSide::None => 0,
+                    };
+                    let before = dma.snapshot();
+                    ini.submit(DispatchType::Standalone, &bytes[..hdr_len], &payload, read)
+                        .unwrap();
+                    let inc = tgt.poll().unwrap();
+                    assert_eq!(inc.sqe.is_inline(), hdr_len <= room);
+                    assert_eq!(inc.header, bytes[..hdr_len]);
+                    assert_eq!(inc.payload, payload);
+                    tgt.complete(
+                        inc.slot,
+                        CqeStatus::Success,
+                        &bytes[32..32 + reply_len],
+                        &vec![0xC3; rlen],
+                    );
+                    let done = ini.wait();
+                    assert_eq!(done.header, bytes[32..32 + reply_len]);
+                    assert_eq!(done.payload, vec![0xC3; rlen]);
+                    let buffered = if hdr_len > room { hdr_len } else { 0 };
+                    let want = 1
+                        + (buffered + wlen).div_ceil(4096)
+                        + usize::from(buffered_reply)
+                        + rlen.div_ceil(4096)
+                        + 1;
+                    assert_eq!(
+                        dma.snapshot().since(&before).dma_ops as usize,
+                        want,
+                        "payload {wlen}, {read:?}, header {hdr_len}, reply {reply_len}"
+                    );
+                }
+            }
+        }
     }
 
     /// Complete `inc` by echoing `fill` back, `read_len` bytes long.
@@ -1501,10 +1583,13 @@ mod tests {
         let mut batch = IncomingBatch::new();
         for round in 0..6u8 {
             let seg = vec![round; 700];
+            let fill = fill_header(7, round as u64 * 4096, 4096);
             let classic = ini
                 .submit(DispatchType::Standalone, b"C", &[round; 300], 50)
                 .unwrap();
-            let zc = ini.submit_zc(7, round as u64 * 4096, 4096).unwrap();
+            let zc = ini
+                .submit(DispatchType::Standalone, &fill, b"", ReadSide::None)
+                .unwrap();
             let sgl = ini
                 .submit_sgl(DispatchType::Standalone, b"S", &[&seg, &seg], 60)
                 .unwrap();
@@ -1512,11 +1597,11 @@ mod tests {
             let [c, z, s] = [0, 1, 2].map(|i| &batch.as_slice()[i]);
             assert_eq!((c.slot, z.slot, s.slot), (classic, zc, sgl));
             assert_eq!((c.header.as_slice(), c.payload.len()), (&b"C"[..], 300));
-            assert_eq!(z.zc.map(|z| z.offset), Some(round as u64 * 4096));
+            assert_eq!((z.header.as_slice(), z.payload.len()), (&fill[..], 0));
             assert_eq!((s.header.as_slice(), s.payload.len()), (&b"S"[..], 1400));
             // Out of order, the zero-copy one in the middle.
             tgt.complete(s.slot, CqeStatus::Success, b"", &[round; 60]);
-            tgt.complete_zc(z.slot, CqeStatus::Success, 4096);
+            tgt.complete(z.slot, CqeStatus::Success, &[3, round, 0, 0, 0], b"");
             tgt.complete(c.slot, CqeStatus::Success, b"", &[round; 50]);
             for _ in 0..3 {
                 let done = ini.wait();
@@ -1525,8 +1610,8 @@ mod tests {
                     cid if cid == sgl => assert_eq!(done.payload, vec![round; 60]),
                     cid => {
                         assert_eq!(cid, zc);
-                        assert!(done.zc && done.payload.is_empty());
-                        assert_eq!(done.result, 4096);
+                        assert!(done.payload.is_empty());
+                        assert_eq!(done.header, [3, round, 0, 0, 0]);
                     }
                 }
             }
@@ -1572,12 +1657,18 @@ mod tests {
         );
     }
 
-    /// Stage a classic command, let `corrupt` rewrite its SQE in host
-    /// memory, then ring the doorbell. Returns the CID.
-    fn submit_corrupted(ini: &mut Initiator, corrupt: impl FnOnce(&mut Sqe)) -> u16 {
+    /// Stage a command with `header` and a 100-byte payload, let `corrupt`
+    /// rewrite its SQE in host memory, then ring the doorbell. Returns the
+    /// CID.
+    fn submit_corrupted(
+        ini: &mut Initiator,
+        header: &[u8],
+        read: ReadSide,
+        corrupt: impl FnOnce(&mut Sqe),
+    ) -> u16 {
         let at = ini.sq_tail as usize * SQE_SIZE;
         let cid = ini
-            .stage(DispatchType::Standalone, b"HDR", &[7u8; 100], 64)
+            .stage(DispatchType::Standalone, header, &[7u8; 100], read)
             .unwrap();
         let mut raw = [0u8; SQE_SIZE];
         ini.shared.sq_mem.read_local(at, &mut raw);
@@ -1596,7 +1687,7 @@ mod tests {
         let (mut ini, mut tgt, _) = pair(4, 4096);
         let pool_len = 4 * 2 * 4096u64;
         type Corrupt = fn(&mut Sqe);
-        let corruptions: [(&str, Corrupt); 8] = [
+        let classic: [(&str, Corrupt); 7] = [
             ("write buffer past the pool", |s| {
                 s.set_prp_write(4 * 2 * 4096 - 50, 0);
             }),
@@ -1618,12 +1709,61 @@ mod tests {
             ("read length larger than a buffer", |s| {
                 s.set_read_len(4096);
             }),
-            ("no such command id", |s| {
+        ];
+        // The inline form's bytes are host-written like the rest. A
+        // 3-byte header beside a payload and a read side has 16 bytes of
+        // room (12 under an SGL PSDT: Dword 12 is not among them), a
+        // 30-byte one needs the PRP-Read Dwords a read side would take.
+        let with_read = ReadSide::Buffer(64);
+        let inline: [(&str, &[u8], ReadSide, Corrupt); 6] = [
+            (
+                "inline header one byte past the room",
+                b"HDR",
+                with_read,
+                |s| {
+                    s.set_wh_len(17);
+                },
+            ),
+            ("inline header of 65535 bytes", b"HDR", with_read, |s| {
+                s.set_wh_len(u16::MAX);
+            }),
+            (
+                "inline header claiming Dword 12 under SGL",
+                b"HDR",
+                with_read,
+                |s| {
+                    s.set_psdt(Psdt::SglWrite).set_wh_len(16);
+                },
+            ),
+            // Bit 11 of Dword 0, which only `set_inline_header` ever sets.
+            (
+                "inline flag forged onto a buffered header",
+                &[0x48; 40],
+                with_read,
+                |s| {
+                    let mut raw = s.to_bytes();
+                    raw[1] |= 1 << 3;
+                    *s = Sqe::from_bytes(&raw);
+                },
+            ),
+            (
+                "inline header outgrowing a forged read side",
+                &[0x48; 30],
+                ReadSide::None,
+                |s| {
+                    s.set_rh_len(64).set_prp_read(u64::MAX, 0);
+                },
+            ),
+            ("no such command id", b"HDR", with_read, |s| {
                 s.set_cid(4);
             }),
         ];
-        for (i, (what, corrupt)) in corruptions.into_iter().enumerate() {
-            let cid = submit_corrupted(&mut ini, corrupt);
+        let corruptions = classic
+            .into_iter()
+            .map(|(what, corrupt)| (what, &b"HDR"[..], with_read, corrupt))
+            .chain(inline);
+        for (i, (what, header, read, corrupt)) in corruptions.enumerate() {
+            let cid = submit_corrupted(&mut ini, header, read, corrupt);
             assert!(tgt.poll().is_none(), "{what}: nothing to serve");
             assert_eq!(ini.rejected_sqes(), i as u64 + 1, "{what}");
             if what == "no such command id" {
@@ -1664,6 +1804,53 @@ mod tests {
         assert_eq!(done.status, CqeStatus::InvalidCommand);
         assert!(done.payload.is_empty());
         assert_eq!(ini.rejected_sqes(), 3);
+
+        // No read side declared, and a reply that needs one — a header
+        // the CQE cannot hold, or any payload — is refused the same way;
+        // a reply the CQE holds is all such a command can get.
+        for (header, payload) in [(&b"6bytes"[..], &b""[..]), (b"", b"p"), (b"5byte", b"")] {
+            let cid = ini
+                .submit(DispatchType::Standalone, b"HDR", b"", ReadSide::None)
+                .unwrap();
+            let inc = tgt.poll().unwrap();
+            let before = ini.rejected_sqes();
+            tgt.complete(inc.slot, CqeStatus::Success, header, payload);
+            let done = ini.wait();
+            if header.len() <= CQE_INLINE_CAP && payload.is_empty() {
+                assert_eq!((done.cid, done.status), (cid, CqeStatus::Success));
+                assert_eq!(done.header, header);
+                assert_eq!(ini.rejected_sqes(), before);
+            } else {
+                assert_eq!((done.cid, done.status), (cid, CqeStatus::InvalidCommand));
+                assert!(done.header.is_empty() && done.payload.is_empty());
+                assert_eq!(ini.rejected_sqes(), before + 1);
+            }
+        }
+
+        // Header bytes in the PRP Dwords are never followed as addresses:
+        // all-ones would be far outside the pool.
+        let before = ini.rejected_sqes();
+        for (len, read) in [(48, ReadSide::None), (32, ReadSide::Buffer(16))] {
+            ini.submit(DispatchType::Standalone, &[0xFF; 48][..len], b"", read)
+                .unwrap();
+            let inc = tgt.poll().expect("served, not refused");
+            assert_eq!(inc.header, [0xFF; 48][..len]);
+            tgt.complete(inc.slot, CqeStatus::Success, b"ok", b"");
+            assert_eq!(ini.wait().header, b"ok");
+        }
+        assert_eq!(ini.rejected_sqes(), before);
+
+        // A CQE for a CID that is not in flight is skipped whole, inline
+        // header bytes included; the one behind it is delivered.
+        let cid = ini
+            .submit(DispatchType::Standalone, b"", b"", ReadSide::None)
+            .unwrap();
+        let inc = tgt.poll().unwrap();
+        tgt.post_cqe((cid + 1) % 4, CqeStatus::Success, 0, b"stale");
+        tgt.complete(inc.slot, CqeStatus::Success, b"mine", b"");
+        let done = ini.wait();
+        assert_eq!((done.cid, done.header.as_slice()), (cid, &b"mine"[..]));
+        assert_eq!(ini.outstanding(), 0);
 
         // And the pair still serves well-formed commands.
         ini.submit(DispatchType::Standalone, b"", b"fine", 4)

@@ -18,6 +18,38 @@
 //! - **PRP Write** in Dwords 2–5 and **PRP Read** in Dwords 6–9.
 //! - **Write_len** in Dword 10, **Read_len** in Dword 11.
 //! - **WH_len / RH_len** (write/read header lengths) in Dword 13.
+//!
+//! # The inline form
+//!
+//! A DMA's cost is its transaction, not its bytes, so control words travel
+//! in the descriptors and only data takes a data transfer. There is one
+//! inline form, opaque to what the header means, chosen by a length test
+//! on bytes the sender already holds — a header that fits never touches
+//! the transport buffer, one that does not takes the buffer as before.
+//!
+//! **SQE.** Dword0 bit 11 (reserved in NVMe, unused by the paper) says the
+//! `WH_len` request-header bytes are in this entry, little-endian, filling
+//! in order the Dwords the entry's own fields leave idle:
+//!
+//! | Dwords     | bytes | free when                                        |
+//! |------------|-------|--------------------------------------------------|
+//! | 1, 14, 15  | 12    | always                                           |
+//! | 12         | 4     | PSDT = PRP (it is `sgl_count` under SGL)         |
+//! | 2–5        | 16    | PSDT = PRP and `Write_len == 0` (no PRP-Write)   |
+//! | 6–9        | 16    | `Read_len == 0 && RH_len == 0` (no PRP-Read)     |
+//!
+//! That is 16 B for any PRP command, 32 B for one with no write payload
+//! (`Read`: 21 B) or no read side (`Write`: 21 B ahead of a page-aligned
+//! payload), 48 B with neither. The paper-named fields stay where the
+//! paper puts them whenever the direction they describe moves bytes. The
+//! target computes the same capacity from the same fields; an entry whose
+//! `WH_len` exceeds it is refused, never followed.
+//!
+//! **CQE.** A reply header of at most [`CQE_INLINE_CAP`] bytes rides the
+//! completion: its length in byte 4, its bytes in 5–7 and 10–11 (reserved
+//! in NVMe). `result`, `sq_head`, `cid`, status and phase do not move. A
+//! longer header is written to the read buffer as before, `hdr_len` says
+//! which by its value alone.
 
 /// The vendor-specific bidirectional nvme-fs opcode.
 pub const OPCODE_NVMEFS: u8 = 0xA3;
@@ -49,21 +81,15 @@ pub enum Psdt {
     SglBoth,
 }
 
-/// Zero-copy command selector (Dword 1 — DESIGN.md §15).
-///
-/// A non-zero low byte of Dword 1 marks the SQE as a *zero-copy* command:
-/// the request rides entirely in the SQE (`wh_len == 0` — no header
-/// bytes, no header DMA) and Dwords 6–9 are repurposed as inode/offset (a
-/// zero-copy command returns no read payload, so the PRP-read fields are
-/// free). Tag 1 was PR 10's write absorb, removed at PR 17; it now reads
-/// as "not a zero-copy command".
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum ZcOp {
-    /// Read-miss fill: land the backend extent directly in pool pages;
-    /// the host serves the final hop from the `ReadRef` hit path.
-    ReadFill = 2,
-}
+/// Dword0 bit 11: the request header rides in the SQE (module docs).
+const INLINE_BIT: u32 = 1 << 11;
+
+/// Every Dword that can carry inline header bytes, in fill order; which
+/// of them a given entry may use depends on its own fields.
+const INLINE_DWORDS: [usize; 12] = [1, 12, 14, 15, 2, 3, 4, 5, 6, 7, 8, 9];
+
+/// Reply-header bytes a CQE carries inline.
+pub const CQE_INLINE_CAP: usize = 5;
 
 /// A 64-byte nvme-fs submission queue entry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -233,40 +259,62 @@ impl Sqe {
         (self.dwords[13] >> 16) as u16
     }
 
-    /// Mark this SQE as a zero-copy command (Dword 1 low byte).
-    pub fn set_zc(&mut self, op: ZcOp) -> &mut Self {
-        self.dwords[1] = (self.dwords[1] & !0xFF) | op as u32;
-        self
+    /// The Dwords this entry's own fields leave free for inline header
+    /// bytes, in fill order (module docs have the table).
+    fn inline_dwords(&self) -> impl Iterator<Item = usize> + 'static {
+        let prp = self.psdt() == Psdt::Prp;
+        let no_write = prp && self.write_len() == 0;
+        let no_read = self.read_len() == 0 && self.rh_len() == 0;
+        INLINE_DWORDS.into_iter().filter(move |dw| match dw {
+            12 => prp,
+            2..=5 => no_write,
+            6..=9 => no_read,
+            _ => true,
+        })
     }
 
-    /// The zero-copy command, if Dword 1 selects one.
-    pub fn zc_op(&self) -> Option<ZcOp> {
-        match self.dwords[1] & 0xFF {
-            2 => Some(ZcOp::ReadFill),
-            _ => None,
+    /// Request-header bytes this entry has room for, given its PSDT,
+    /// `Write_len`, `Read_len` and `RH_len`.
+    pub fn inline_capacity(&self) -> usize {
+        self.inline_dwords().count() * 4
+    }
+
+    /// Carry `header` in the entry itself. Call once every other field is
+    /// set: the room depends on them. `false` (entry untouched) when the
+    /// header does not fit.
+    pub fn set_inline_header(&mut self, header: &[u8]) -> bool {
+        if header.len() > self.inline_capacity() {
+            return false;
         }
+        for (dw, chunk) in self.inline_dwords().zip(header.chunks(4)) {
+            let mut word = [0u8; 4];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.dwords[dw] = u32::from_le_bytes(word);
+        }
+        self.dwords[0] |= INLINE_BIT;
+        self.set_wh_len(header.len() as u16);
+        true
     }
 
-    /// Target inode of a zero-copy command (Dwords 6–7).
-    pub fn set_zc_ino(&mut self, ino: u64) -> &mut Self {
-        self.dwords[6] = ino as u32;
-        self.dwords[7] = (ino >> 32) as u32;
-        self
+    /// Whether the request header rides in this entry.
+    pub fn is_inline(&self) -> bool {
+        self.dwords[0] & INLINE_BIT != 0
     }
 
-    pub fn zc_ino(&self) -> u64 {
-        self.dwords[6] as u64 | ((self.dwords[7] as u64) << 32)
-    }
-
-    /// File offset of a zero-copy command (Dwords 8–9).
-    pub fn set_zc_offset(&mut self, offset: u64) -> &mut Self {
-        self.dwords[8] = offset as u32;
-        self.dwords[9] = (offset >> 32) as u32;
-        self
-    }
-
-    pub fn zc_offset(&self) -> u64 {
-        self.dwords[8] as u64 | ((self.dwords[9] as u64) << 32)
+    /// Append the inline request header to `out`. `false` (nothing
+    /// appended) when the entry is not inline, or claims more header
+    /// bytes than its own fields leave room for.
+    pub fn inline_header(&self, out: &mut Vec<u8>) -> bool {
+        let len = self.wh_len() as usize;
+        if !self.is_inline() || len > self.inline_capacity() {
+            return false;
+        }
+        let start = out.len();
+        for dw in self.inline_dwords().take(len.div_ceil(4)) {
+            out.extend_from_slice(&self.dwords[dw].to_le_bytes());
+        }
+        out.truncate(start + len);
+        true
     }
 
     pub fn to_bytes(&self) -> [u8; SQE_SIZE] {
@@ -317,10 +365,12 @@ impl CqeStatus {
 pub struct Cqe {
     /// Command-specific result: bytes of response payload actually produced.
     pub result: u32,
-    /// Bytes of response header written at the start of the read buffer
-    /// (0 when the completion carries no header — then no header DMA was
-    /// spent, which is what keeps the raw 8 KiB write at 4 DMA ops).
-    pub hdr_len: u16,
+    /// Bytes of response header. Up to [`CQE_INLINE_CAP`] they are
+    /// `inline[..hdr_len]` and no header DMA was spent; more, and the
+    /// header sits at the start of the read buffer.
+    pub hdr_len: u8,
+    /// The response header itself, when it is short enough (zero-padded).
+    pub inline: [u8; CQE_INLINE_CAP],
     /// SQ head pointer at completion time (flow control back to the host).
     pub sq_head: u16,
     pub status: CqeStatus,
@@ -331,11 +381,18 @@ pub struct Cqe {
 }
 
 impl Cqe {
+    /// The inline response header, if this completion carries it.
+    pub fn inline_header(&self) -> Option<&[u8]> {
+        self.inline.get(..self.hdr_len as usize)
+    }
+
     pub fn to_bytes(&self) -> [u8; CQE_SIZE] {
         let mut out = [0u8; CQE_SIZE];
         out[0..4].copy_from_slice(&self.result.to_le_bytes());
-        out[4..6].copy_from_slice(&self.hdr_len.to_le_bytes());
+        out[4] = self.hdr_len;
+        out[5..8].copy_from_slice(&self.inline[..3]);
         out[8..10].copy_from_slice(&self.sq_head.to_le_bytes());
+        out[10..12].copy_from_slice(&self.inline[3..]);
         out[12..14].copy_from_slice(&self.cid.to_le_bytes());
         let status_phase = ((self.status as u16) << 1) | self.phase as u16;
         out[14..16].copy_from_slice(&status_phase.to_le_bytes());
@@ -344,9 +401,13 @@ impl Cqe {
 
     pub fn from_bytes(bytes: &[u8; CQE_SIZE]) -> Cqe {
         let status_phase = u16::from_le_bytes(bytes[14..16].try_into().unwrap());
+        let mut inline = [0u8; CQE_INLINE_CAP];
+        inline[..3].copy_from_slice(&bytes[5..8]);
+        inline[3..].copy_from_slice(&bytes[10..12]);
         Cqe {
             result: u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
-            hdr_len: u16::from_le_bytes(bytes[4..6].try_into().unwrap()),
+            hdr_len: bytes[4],
+            inline,
             sq_head: u16::from_le_bytes(bytes[8..10].try_into().unwrap()),
             cid: u16::from_le_bytes(bytes[12..14].try_into().unwrap()),
             status: CqeStatus::from_bits((status_phase >> 1) as u8 & 0x7F),
@@ -430,25 +491,72 @@ mod tests {
     }
 
     #[test]
-    fn zc_fields_round_trip_and_stay_dormant() {
-        // A classic SQE never reads as zero-copy.
+    fn inline_header_round_trips_and_stays_dormant() {
+        // An entry nobody inlined into never reads as inline.
         let mut s = Sqe::new();
-        assert_eq!(s.zc_op(), None);
+        assert!(!s.is_inline());
         s.set_cid(7).set_write_len(8192).set_wh_len(21);
-        assert_eq!(Sqe::from_bytes(&s.to_bytes()).zc_op(), None);
+        let back = Sqe::from_bytes(&s.to_bytes());
+        assert!(!back.is_inline() && !back.inline_header(&mut Vec::new()));
 
-        let mut z = Sqe::new();
-        z.set_cid(3)
-            .set_zc(ZcOp::ReadFill)
-            .set_zc_ino(0x0102_0304_0506_0708)
-            .set_zc_offset(0x1122_3344_5566_7788)
-            .set_write_len(8192);
-        let back = Sqe::from_bytes(&z.to_bytes());
-        assert_eq!(back.zc_op(), Some(ZcOp::ReadFill));
-        assert_eq!(back.zc_ino(), 0x0102_0304_0506_0708);
-        assert_eq!(back.zc_offset(), 0x1122_3344_5566_7788);
-        assert_eq!(back.write_len(), 8192);
-        assert_eq!(back.opcode(), 0xA3, "still the nvme-fs opcode");
+        // (PSDT, Write_len, Read_len, RH_len) → room.
+        let shapes = [
+            (Psdt::Prp, 8192, 4096, 64, 16),
+            (Psdt::Prp, 0, 8192, 64, 32),
+            (Psdt::Prp, 8192, 0, 0, 32),
+            (Psdt::Prp, 0, 0, 0, 48),
+            (Psdt::Prp, 0, 0, 64, 32), // a reply header alone is a read side
+            (Psdt::SglWrite, 8192, 0, 64, 12),
+            (Psdt::SglWrite, 8192, 0, 0, 28),
+            (Psdt::SglWrite, 0, 0, 0, 28), // Dwords 2–5 name the list
+        ];
+        let header: Vec<u8> = (1..=49).collect();
+        for (psdt, wlen, rlen, rh, room) in shapes {
+            let mut base = Sqe::new();
+            base.set_cid(0xBEEF)
+                .set_dispatch(DispatchType::Distributed)
+                .set_psdt(psdt)
+                .set_prp_write(0x1122_3344_5566_7788, 0)
+                .set_prp_read(0x99AA_BBCC_DDEE_FF00, 0)
+                .set_write_len(wlen)
+                .set_read_len(rlen)
+                .set_sgl_count(3)
+                .set_rh_len(rh);
+            assert_eq!(base.inline_capacity(), room, "{psdt:?} {wlen} {rlen} {rh}");
+            for len in 0..=room {
+                let mut s = base;
+                assert!(s.set_inline_header(&header[..len]));
+                let back = Sqe::from_bytes(&s.to_bytes());
+                let mut got = vec![0xEE];
+                assert!(back.is_inline() && back.inline_header(&mut got));
+                assert_eq!(got[1..], header[..len], "appended, {len} of {room}");
+                // The fields of a direction that moves bytes are intact.
+                assert_eq!(back.opcode(), 0xA3);
+                assert_eq!(back.cid(), 0xBEEF);
+                assert_eq!(back.dispatch(), DispatchType::Distributed);
+                assert_eq!(back.psdt(), psdt);
+                assert_eq!((back.write_len(), back.read_len()), (wlen, rlen));
+                assert_eq!((back.wh_len(), back.rh_len()), (len as u16, rh));
+                if wlen > 0 || psdt != Psdt::Prp {
+                    assert_eq!(back.prp_write(), (0x1122_3344_5566_7788, 0));
+                }
+                if rlen > 0 || rh > 0 {
+                    assert_eq!(back.prp_read(), (0x99AA_BBCC_DDEE_FF00, 0));
+                }
+                if psdt != Psdt::Prp {
+                    assert_eq!(back.sgl_count(), 3);
+                }
+            }
+            // One byte more does not fit, and leaves the entry alone.
+            let mut s = base;
+            assert!(!s.set_inline_header(&header[..room + 1]));
+            assert_eq!(s, base);
+            // A claimed length past the room is refused on the way out.
+            let mut s = base;
+            assert!(s.set_inline_header(&header[..room]));
+            s.set_wh_len(room as u16 + 1);
+            assert!(!s.inline_header(&mut Vec::new()));
+        }
     }
 
     #[test]
@@ -456,6 +564,7 @@ mod tests {
         let c = Cqe {
             result: 8192,
             hdr_len: 21,
+            inline: [0; CQE_INLINE_CAP],
             sq_head: 17,
             status: CqeStatus::FsError,
             cid: 0xABCD,
@@ -463,12 +572,39 @@ mod tests {
         };
         let back = Cqe::from_bytes(&c.to_bytes());
         assert_eq!(back, c);
+        assert_eq!(back.inline_header(), None, "21 bytes sit in the buffer");
         let c2 = Cqe {
             phase: false,
             status: CqeStatus::Success,
             ..c
         };
         assert_eq!(Cqe::from_bytes(&c2.to_bytes()), c2);
+    }
+
+    #[test]
+    fn cqe_inline_header_sits_in_reserved_bytes_only() {
+        for len in 0..=CQE_INLINE_CAP {
+            let mut inline = [0u8; CQE_INLINE_CAP];
+            inline[..len].fill(0xFF);
+            let c = Cqe {
+                result: u32::MAX,
+                hdr_len: len as u8,
+                inline,
+                sq_head: 0x1234,
+                status: CqeStatus::TransportError,
+                cid: 0x5678,
+                phase: len % 2 == 0,
+            };
+            let raw = c.to_bytes();
+            let back = Cqe::from_bytes(&raw);
+            assert_eq!(back, c);
+            assert_eq!(back.inline_header(), Some(&inline[..len]));
+            // result, sq_head, cid, status and phase are where they were.
+            assert_eq!(raw[0..4], [0xFF; 4]);
+            assert_eq!(raw[8..10], 0x1234u16.to_le_bytes());
+            assert_eq!(raw[12..14], 0x5678u16.to_le_bytes());
+            assert_eq!(raw[14], (3 << 1) | (len % 2 == 0) as u8);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for nvme-fs SGL transfers: arbitrary segment lists
 //! reassemble exactly, and DMA accounting always equals
-//! `SQE + list + populated segments (+ header descriptor) + CQE`.
+//! `SQE + list + populated segments (+ header descriptor, iff the header
+//! does not fit the SQE) + CQE`.
 
-use dpc_nvmefs::{CqeStatus, DispatchType, QueuePair, QueuePairConfig};
+use dpc_nvmefs::{CqeStatus, DispatchType, QueuePair, QueuePairConfig, ReadSide};
 use dpc_pcie::DmaEngine;
 use proptest::prelude::*;
 
@@ -16,7 +17,20 @@ proptest! {
             1..10
         ),
         header in proptest::collection::vec(any::<u8>(), 0..48),
+        // Both sides of the SQE's room under SGL: 12 bytes beside a read
+        // side, 28 without one.
+        edge in 0usize..8,
+        read_side in any::<bool>(),
     ) {
+        let header = match [0, 11, 12, 13, 27, 28, 29].get(edge) {
+            Some(&len) => vec![0x48 ^ len as u8; len],
+            None => header,
+        };
+        let (read, room) = if read_side {
+            (ReadSide::Buffer(0), 12)
+        } else {
+            (ReadSide::None, 28)
+        };
         let dma = DmaEngine::new();
         let (mut ini, mut tgt) = QueuePair::new(
             0,
@@ -31,8 +45,9 @@ proptest! {
         let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
 
         let before = dma.snapshot();
-        ini.submit_sgl(DispatchType::Standalone, &header, &refs, 0).unwrap();
+        ini.submit_sgl(DispatchType::Standalone, &header, &refs, read).unwrap();
         let inc = tgt.poll().unwrap();
+        prop_assert_eq!(inc.sqe.is_inline(), header.len() <= room);
         prop_assert_eq!(&inc.header, &header);
         prop_assert_eq!(&inc.payload, &bufs.concat());
         prop_assert_eq!(inc.sqe.sgl_count() as usize, segments.len() + 1);
@@ -40,10 +55,10 @@ proptest! {
         let done = ini.wait();
         prop_assert_eq!(done.status, CqeStatus::Success);
 
-        // DMA ops: SQE (1) + SGL list (1) + header descriptor (1 if the
-        // header is non-empty; zero-length descriptors cost nothing)
-        // + one per data segment + CQE (1).
-        let expect = 1 + 1 + usize::from(!header.is_empty()) + segments.len() + 1;
+        // DMA ops: SQE (1) + SGL list (1) + header descriptor (1 iff the
+        // header did not fit the SQE; zero-length descriptors cost
+        // nothing) + one per data segment + CQE (1).
+        let expect = 1 + 1 + usize::from(header.len() > room) + segments.len() + 1;
         let delta = dma.snapshot().since(&before);
         prop_assert_eq!(delta.dma_ops as usize, expect);
     }

@@ -3,6 +3,7 @@
 //! with real threads playing the DPU.
 
 use dpc::core::{Dpc, DpcConfig, IoMode};
+use dpc::dfs::DfsConfig;
 use dpc::sim::{FaultPlan, FaultSpec};
 
 #[test]
@@ -570,8 +571,10 @@ fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
 }
 
 /// ROADMAP item 5 argues about DMAs per crossing; this pins them. One
-/// row per data path, each run with `zero_copy` off and on: only the
-/// cold read may differ (DESIGN.md §15 has the arithmetic).
+/// row per path, each run with `zero_copy` off and on: only the cold read
+/// may differ (DESIGN.md §15 has the arithmetic). A header costs a DMA of
+/// its own only when it does not fit its descriptor — none of these
+/// requests', and of the replies only `Attr`.
 #[test]
 fn link_dma_budget_of_each_data_path() {
     const BLOCK: usize = 8192;
@@ -611,19 +614,59 @@ fn link_dma_budget_of_each_data_path() {
             );
         })
     };
+    let clean_fsync: Path = |dpc| {
+        let fs = dpc.fs();
+        let fd = fs.create("/s").unwrap();
+        fs.write(fd, 0, &[3u8; BLOCK]).unwrap();
+        fs.fsync(fd).unwrap();
+        dmas(dpc, || fs.fsync(fd).unwrap())
+    };
+    /// A DFS file holding one block.
+    fn dfs_file(dpc: &Dpc) -> u64 {
+        let ino = dpc.fs().dfs_create(0, "blk").unwrap();
+        dpc.fs().dfs_write_block(ino, 0, &[9u8; BLOCK]).unwrap();
+        ino
+    }
+    let dfs_getattr: Path = |dpc| {
+        let ino = dfs_file(dpc);
+        dmas(dpc, || {
+            assert_eq!(dpc.fs().dfs_getattr(ino).unwrap().size, BLOCK as u64);
+        })
+    };
+    let dfs_read: Path = |dpc| {
+        let ino = dfs_file(dpc);
+        dmas(dpc, || {
+            assert_eq!(dpc.fs().dfs_read_block(ino, 0).unwrap(), [9u8; BLOCK]);
+        })
+    };
+    let dfs_write: Path = |dpc| {
+        let ino = dfs_file(dpc);
+        dmas(dpc, || {
+            assert_eq!(
+                dpc.fs().dfs_write_block(ino, 1, &[8u8; BLOCK]).unwrap(),
+                BLOCK
+            );
+        })
+    };
     // (path, I/O mode, DMAs with `zero_copy` off, with it on)
-    let table: [(&str, Path, IoMode, u64, u64); 4] = [
+    let table: [(&str, Path, IoMode, u64, u64); 9] = [
         // Absorbed in host memory: nothing crosses.
         ("buffered write", buffered_write, IoMode::Buffered, 0, 0),
-        // Staged: SQE + request header, reply header + 2 payload pages +
-        // CQE. Direct fill: SQE + one extent DMA + CQE.
-        ("cold buffered read", cold_read, IoMode::Buffered, 6, 3),
-        // SQE + 3 page-granular DMAs of [header ‖ payload], reply header
-        // + CQE.
-        ("direct write", buffered_write, IoMode::Direct, 6, 6),
-        // SQE + descriptor list + header and 2 segments, reply header +
-        // CQE.
-        ("writev", gather, IoMode::Buffered, 7, 7),
+        // Staged: SQE (request inside), 2 payload pages, CQE (reply
+        // inside). Direct fill: SQE + one extent DMA + CQE.
+        ("cold buffered read", cold_read, IoMode::Buffered, 4, 3),
+        // SQE + the payload's 2 pages, page-aligned, + CQE: the paper's 4.
+        ("direct write", buffered_write, IoMode::Direct, 4, 4),
+        // SQE + descriptor list + 2 segments + CQE.
+        ("writev", gather, IoMode::Buffered, 5, 5),
+        // SQE + CQE, and the one reply too long for a CQE between them:
+        // the post-flush `Attr` the size reconcile reads.
+        ("fsync, clean file", clean_fsync, IoMode::Buffered, 3, 3),
+        ("DFS getattr", dfs_getattr, IoMode::Buffered, 3, 3),
+        // The distributed paths are the staged read and the direct write.
+        ("DFS 8 KiB read", dfs_read, IoMode::Buffered, 4, 4),
+        ("DFS 8 KiB write", dfs_write, IoMode::Buffered, 4, 4),
+        ("DFS 8 KiB write, direct", dfs_write, IoMode::Direct, 4, 4),
     ];
     for (name, path, io_mode, off, on) in table {
         for (zero_copy, want) in [(false, off), (true, on)] {
@@ -631,6 +674,7 @@ fn link_dma_budget_of_each_data_path() {
                 prefetch: false,
                 io_mode,
                 zero_copy,
+                dfs: Some(DfsConfig::default()),
                 ..DpcConfig::default()
             });
             assert_eq!(path(&dpc), want, "{name}, zero_copy {zero_copy}");
