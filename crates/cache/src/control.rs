@@ -24,10 +24,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dpc_pcie::{DmaClass, DmaEngine};
+use dpc_pcie::DmaEngine;
 use dpc_sim::CrashSwitch;
 
-use crate::host::{HybridCache, WriteError};
+use crate::host::HybridCache;
 use crate::layout::{EntryStatus, FLAG_MARKER, FLAG_PREFETCHED, PAGE_SIZE};
 use crate::readahead::PrefetchJob;
 
@@ -777,91 +777,6 @@ impl ControlPlane {
         stats.ra_async_fills.fetch_add(1, Ordering::Relaxed);
         inserted
     }
-
-    /// Direct read-miss fill: land the backend extent covering
-    /// `[offset, offset + len)` straight in the pool pages (one vectored
-    /// backend read, one `ReadFill`-class DMA), so the host's final hop
-    /// is served by the existing zero-copy hit path — the SQE round trip
-    /// carried only headers. Returns how many bytes starting at `offset`
-    /// are now servable from the cache (`0` = fall back to the classic
-    /// read path). Already-present pages serve from their own bytes
-    /// (no-clobber); a full bucket evicts a clean page once, then stops
-    /// the run.
-    pub fn fill_direct(
-        &mut self,
-        ino: u64,
-        offset: u64,
-        len: u32,
-        backend: &mut dyn ReadBackend,
-    ) -> usize {
-        if self.crash_tripped() || len == 0 {
-            return 0;
-        }
-        let Some(end) = offset.checked_add(len as u64) else {
-            return 0;
-        };
-        let first = offset / PAGE_SIZE as u64;
-        let last = (end - 1) / PAGE_SIZE as u64;
-        let pages = (last - first + 1) as usize;
-        let in_first = (offset - first * PAGE_SIZE as u64) as usize;
-
-        let epoch = self.cache.ino_epoch(ino);
-        let mut buf = std::mem::take(&mut self.extent_buf);
-        if buf.len() < pages * PAGE_SIZE {
-            buf.resize(pages * PAGE_SIZE, 0);
-        }
-        let valid_total = backend.read_pages(ino, first, &mut buf[..pages * PAGE_SIZE]);
-        if valid_total > 0 {
-            // One DMA lands the whole extent in the host page pool.
-            self.dma
-                .record_class_dma(DmaClass::ReadFill, 1, valid_total as u64);
-        }
-
-        // Contiguous valid bytes from the start of the first page.
-        let mut run_valid = 0usize;
-        for k in 0..pages {
-            let off = k * PAGE_SIZE;
-            let lpn = first + k as u64;
-            let pv = valid_total.saturating_sub(off).min(PAGE_SIZE);
-            if self.cache.ino_epoch(ino) != epoch {
-                // A concurrent write/truncate moved the inode: the bytes
-                // read before the change must not be inserted.
-                self.cache.note_ra_dropped();
-                break;
-            }
-            let mut evicted_once = false;
-            let have = loop {
-                match self.cache.begin_write(ino, lpn) {
-                    Ok(mut g) => {
-                        if !g.claimed_free() {
-                            // Present (possibly dirty): its copy is at
-                            // least as new as the backend's.
-                            break self.cache.entries[g.page_index()].valid() as usize;
-                        }
-                        if pv == 0 {
-                            break 0; // past EOF; the claim rolls back
-                        }
-                        g.write(0, &buf[off..off + PAGE_SIZE]);
-                        g.set_valid(pv);
-                        g.commit_clean();
-                        break pv;
-                    }
-                    Err(WriteError::NeedEviction { bucket }) => {
-                        if evicted_once || !self.evict_one(bucket) {
-                            break 0;
-                        }
-                        evicted_once = true;
-                    }
-                }
-            };
-            run_valid += have;
-            if have < PAGE_SIZE {
-                break;
-            }
-        }
-        self.extent_buf = buf;
-        run_valid.saturating_sub(in_first).min(len as usize)
-    }
 }
 
 #[cfg(test)]
@@ -1485,55 +1400,6 @@ mod tests {
             !sink.extents.is_empty(),
             "a flush ran to make pages evictable"
         );
-    }
-
-    #[test]
-    fn fill_direct_lands_extent_then_serves_zero_copy_hits() {
-        let (cache, mut cp, dma) = setup(64, 8);
-        let mut backend = PageSource(|ino: u64, lpn: u64, out: &mut [u8]| {
-            out.fill((ino * 10 + lpn) as u8);
-            Some(out.len())
-        });
-        let n = cp.fill_direct(2, 0, 2 * PAGE_SIZE as u32, &mut backend);
-        assert_eq!(n, 2 * PAGE_SIZE);
-        // One vectored ReadFill DMA for the whole extent.
-        let a = dma.attribution();
-        let c = a.class(DmaClass::ReadFill);
-        assert_eq!((c.dma_ops, c.dma_bytes), (1, 2 * PAGE_SIZE as u64));
-        // The final hop is the existing zero-copy hit path.
-        for lpn in 0..2u64 {
-            let r = cache.lookup_read_ref(2, lpn).expect("hit");
-            let mut b = [0u8; 1];
-            r.read(0, &mut b);
-            assert!(r.finish().is_some());
-            assert_eq!(b[0], (20 + lpn) as u8);
-        }
-    }
-
-    #[test]
-    fn fill_direct_short_tail_and_no_clobber() {
-        let (cache, mut cp, _) = setup(64, 8);
-        // A dirty page 1 must survive the fill untouched.
-        let mut g = cache.begin_write(4, 1).unwrap();
-        g.write(0, &[0xDD; PAGE_SIZE]);
-        g.commit_dirty();
-        let mut backend = PageSource(|_: u64, lpn: u64, out: &mut [u8]| match lpn {
-            0 | 1 => {
-                out.fill(0x22);
-                Some(out.len())
-            }
-            2 => {
-                out[..100].fill(0x22);
-                Some(100)
-            }
-            _ => None,
-        });
-        let n = cp.fill_direct(4, 0, 4 * PAGE_SIZE as u32, &mut backend);
-        assert_eq!(n, 2 * PAGE_SIZE + 100, "run stops at the file tail");
-        let mut out = vec![0u8; PAGE_SIZE];
-        assert!(cache.lookup_read(4, 1, &mut out));
-        assert_eq!(out[0], 0xDD, "dirty page not clobbered");
-        assert_eq!(cache.dirty_pages(), 1);
     }
 
     #[test]

@@ -739,7 +739,6 @@ impl HybridCache {
                 let matches = e.ino() == ino
                     && e.lpn() == lpn
                     && matches!(e.status(), EntryStatus::Clean | EntryStatus::Dirty);
-                let valid = e.valid();
                 if !e.version_validate(v) {
                     // Identity fields were mutating under us; resnapshot.
                     self.stats.meta_retries.fetch_add(1, Ordering::Relaxed);
@@ -757,7 +756,6 @@ impl HybridCache {
                     idx,
                     seq: v,
                     locked: false,
-                    valid,
                 });
             }
         }
@@ -819,7 +817,6 @@ impl HybridCache {
                 idx,
                 seq: 0,
                 locked: true,
-                valid: e.valid(),
             });
         }
         None
@@ -884,22 +881,6 @@ impl HybridCache {
         }
 
         Err(WriteError::NeedEviction { bucket })
-    }
-
-    /// Host-side read-miss fill: insert a page fetched from the DPU as
-    /// *clean* (the front-end read protocol's final step). Returns `false`
-    /// when the bucket is full — the caller may ask the DPU to evict, or
-    /// simply skip caching.
-    pub fn insert_clean(&self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-        assert!(data.len() <= PAGE_SIZE);
-        match self.begin_write(ino, lpn) {
-            Ok(mut g) => {
-                g.write(0, data);
-                g.commit_clean();
-                true
-            }
-            Err(WriteError::NeedEviction { .. }) => false,
-        }
     }
 
     /// Drop a page from the cache (truncate/unlink): write-lock the entry
@@ -1016,8 +997,6 @@ pub struct ReadRef<'a> {
     seq: u32,
     /// Guard holds a legacy read lock (lock-based mode or fallback).
     locked: bool,
-    /// Meaningful bytes of the page, as of the snapshot.
-    valid: u32,
 }
 
 impl core::fmt::Debug for ReadRef<'_> {
@@ -1034,11 +1013,6 @@ impl ReadRef<'_> {
     /// The entry/page index this guard refers to.
     pub fn page_index(&self) -> usize {
         self.idx
-    }
-
-    /// Meaningful bytes of the page (snapshot; validated by `finish`).
-    pub fn valid_len(&self) -> usize {
-        self.valid as usize
     }
 
     /// True when this guard pins the entry with a legacy read lock
@@ -1377,7 +1351,7 @@ mod tests {
 
         let r = c.lookup_read_ref(4, 2).expect("resident");
         assert!(!r.is_locked());
-        assert_eq!(r.valid_len(), PAGE_SIZE);
+        assert_eq!(c.entries[r.page_index()].valid() as usize, PAGE_SIZE);
         let mut mid = [0u8; 100];
         r.read(37, &mut mid);
         assert!(r.finish().is_some());

@@ -46,17 +46,6 @@ impl EntryStatus {
     }
 }
 
-/// Lock states as the paper names them (`0` none, `1` write, `2` read,
-/// `3` invalid). Internally the read state carries a reader count.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum LockState {
-    Unlocked,
-    WriteLocked,
-    /// Read-locked by `n` readers.
-    ReadLocked(u32),
-    Invalid,
-}
-
 /// Internal lock encoding: 0 = unlocked, `u32::MAX` = write lock,
 /// `u32::MAX - 1` = invalid, anything else = reader count.
 pub(crate) const LOCK_WRITE: u32 = u32::MAX;
@@ -118,15 +107,6 @@ impl CacheEntry {
 
     pub fn status(&self) -> EntryStatus {
         EntryStatus::from_u32(self.status.load(Ordering::Acquire))
-    }
-
-    pub fn lock_state(&self) -> LockState {
-        match self.lock.load(Ordering::Acquire) {
-            0 => LockState::Unlocked,
-            LOCK_WRITE => LockState::WriteLocked,
-            LOCK_INVALID => LockState::Invalid,
-            n => LockState::ReadLocked(n),
-        }
     }
 
     pub fn ino(&self) -> u64 {
@@ -304,11 +284,11 @@ mod tests {
     fn write_lock_excludes_everyone() {
         let e = CacheEntry::new(u32::MAX);
         assert!(e.try_write_lock());
-        assert_eq!(e.lock_state(), LockState::WriteLocked);
+        assert_eq!(e.lock.load(Ordering::Acquire), LOCK_WRITE);
         assert!(!e.try_write_lock());
         assert!(!e.try_read_lock());
         e.write_unlock();
-        assert_eq!(e.lock_state(), LockState::Unlocked);
+        assert_eq!(e.lock.load(Ordering::Acquire), 0);
     }
 
     #[test]
@@ -316,7 +296,7 @@ mod tests {
         let e = CacheEntry::new(u32::MAX);
         assert!(e.try_read_lock());
         assert!(e.try_read_lock());
-        assert_eq!(e.lock_state(), LockState::ReadLocked(2));
+        assert_eq!(e.lock.load(Ordering::Acquire), 2);
         assert!(!e.try_write_lock());
         e.read_unlock();
         e.read_unlock();

@@ -282,10 +282,6 @@ pub struct DpcFs {
     /// adapter of one `Dpc`. `None` (the default) keeps the metadata
     /// path untouched — no probes, no counters.
     meta: Option<Arc<MetaCache>>,
-    /// Direct read-miss fill (DESIGN.md §15, `DpcConfig::zero_copy`):
-    /// buffered read misses first ask the DPU to land the extent in the
-    /// page pool. Off keeps every `dma_*` class counter provably zero.
-    zc: bool,
 }
 
 /// One path a namespace request asks the DPU to walk: the inode the host's
@@ -394,7 +390,6 @@ impl DpcFs {
         mode: IoMode,
         fsync_mode: FsyncMode,
         meta: Option<Arc<MetaCache>>,
-        zc: bool,
     ) -> DpcFs {
         DpcFs {
             cache,
@@ -404,7 +399,6 @@ impl DpcFs {
             mode,
             fsync_mode,
             meta,
-            zc,
         }
     }
 
@@ -808,25 +802,6 @@ impl DpcFs {
         // meta cache the unasked-for trail is still behind the target.)
         target.truncate(n as usize);
         String::from_utf8(target).map_err(|_| DpcError::IO)
-    }
-
-    // ---- direct miss fill (DESIGN.md §15) --------------------------------
-
-    /// Zero-copy read-miss fill: ask the DPU to land the backend extent
-    /// directly in pool pages (`ControlPlane::fill_direct`). The request
-    /// rides the SQE and the reply the CQE — the final hop to the caller's
-    /// buffer is then served by the existing `ReadRef` zero-copy hit
-    /// path. Returns the contiguous servable byte count from `offset`
-    /// (0 = nothing landed; the caller falls back to the classic fetch).
-    fn zc_fill(&self, ino: u64, offset: u64, len: u32) -> usize {
-        let req = FileRequest::ReadFill { ino, offset, len };
-        match self.pool.call(DispatchType::Standalone, &req, b"", 0) {
-            Ok(c) => match c.response {
-                FileResponse::Bytes(n) => n as usize,
-                _ => 0,
-            },
-            Err(_) => 0,
-        }
     }
 
     // ---- data API --------------------------------------------------------
@@ -1234,60 +1209,6 @@ impl DpcFs {
                     pos += take;
                     off += take as u64;
                 }
-                // Direct fills (DESIGN.md §15): one header-only SQE
-                // per contiguous miss run asks the DPU to land the
-                // backend extent *directly* in pool pages
-                // (`ControlPlane::fill_direct`); the final hop into
-                // `dst` is then the ordinary `ReadRef` zero-copy hit.
-                // Pages the fill could not land (pool pressure, epoch
-                // races, short extents) stay on the miss list for the
-                // classic staged fetch below.
-                if !misses.is_empty() && self.zc {
-                    let mut runs: Vec<(u64, usize)> = Vec::new();
-                    for m in &misses {
-                        match runs.last_mut() {
-                            Some((first, pages))
-                                if *pages < MAX_MISS_RUN_PAGES
-                                    && *first + *pages as u64 == m.lpn =>
-                            {
-                                *pages += 1;
-                            }
-                            _ => runs.push((m.lpn, 1)),
-                        }
-                    }
-                    for (first, pages) in runs {
-                        self.zc_fill(ino, first * PAGE_SIZE as u64, (pages * PAGE_SIZE) as u32);
-                    }
-                    let mut residual: Vec<Miss> = Vec::new();
-                    for m in misses {
-                        let served = match self.cache.lookup_read_ref(ino, m.lpn) {
-                            Some(r) => {
-                                r.read(m.in_page, &mut dst[m.pos..m.pos + m.take]);
-                                match r.finish() {
-                                    Some(_) => true,
-                                    // Torn validation: the locked copy
-                                    // path settles it, like a hit would.
-                                    None => {
-                                        page.resize(PAGE_SIZE, 0);
-                                        self.cache
-                                            .lookup_read_hint(ino, m.lpn, &mut page)
-                                            .inspect(|_| {
-                                                dst[m.pos..m.pos + m.take].copy_from_slice(
-                                                    &page[m.in_page..m.in_page + m.take],
-                                                );
-                                            })
-                                            .is_some()
-                                    }
-                                }
-                            }
-                            None => false,
-                        };
-                        if !served {
-                            residual.push(m);
-                        }
-                    }
-                    misses = residual;
-                }
                 // Pass 2: group the missing pages into contiguous runs
                 // and fetch each run with ONE spanning read (the DPU
                 // serves it as one vectored KVFS extent read); the runs
@@ -1392,8 +1313,8 @@ impl DpcFs {
 
     /// Vectored write (writev): the segments cross nvme-fs as an SGL —
     /// one DMA per segment, no host-side coalescing copy. Always a durable
-    /// direct write, whatever the I/O mode or `zero_copy` say (gathering
-    /// through the page cache would defeat the point).
+    /// direct write, whatever the I/O mode says (gathering through the
+    /// page cache would defeat the point).
     pub fn writev(&self, fd: Fd, offset: u64, segments: &[&[u8]]) -> Result<usize, DpcError> {
         let total: usize = segments.iter().map(|s| s.len()).sum();
         if total == 0 {

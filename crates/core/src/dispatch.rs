@@ -401,21 +401,6 @@ impl Dispatcher {
                     }
                 }
             }
-            FileRequest::ReadFill { ino, offset, len } => {
-                // The bytes cross the link by direct placement in the page
-                // pool, not in the reply. Landing nothing is always safe:
-                // the host fetches whatever the fill left missing through
-                // the staged `Read`.
-                let n = self
-                    .control
-                    .fill_direct(*ino, *offset, *len, &mut KvfsRead { kvfs });
-                if n > 0 {
-                    // Fills train the readahead table exactly as staged
-                    // reads do.
-                    self.note_read(*ino, *offset, *len);
-                }
-                FileResponse::Bytes(n as u32)
-            }
             FileRequest::ReadaheadHint { ino, lpn } => {
                 // The host's demand read consumed a marker page: plan the
                 // next window while the stream still has this one to

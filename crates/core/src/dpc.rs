@@ -84,8 +84,8 @@ pub struct DpcConfig {
     /// Small rings exercise the reclaim/back-pressure machinery; the
     /// default comfortably covers a dirty set the size of the cache.
     pub wal_bytes: usize,
-    /// What `fsync` waits for (only meaningful with `wal` on — without a
-    /// log it silently degrades to [`FsyncMode::Data`]).
+    /// What `fsync` waits for. [`FsyncMode::Log`] needs `wal` on:
+    /// without a log it is a [`ConfigError`], not a quiet `Data`.
     pub fsync_mode: FsyncMode,
     /// Host-side metadata cache (DESIGN.md §14): sharded attr / dentry /
     /// negative / readdir layers in front of the metadata RPCs,
@@ -105,14 +105,6 @@ pub struct DpcConfig {
     /// transport, DFS/KV servers, cache flush). None = no faults; all
     /// recovery machinery stays dormant and its counters read zero.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Direct read-miss fill (DESIGN.md §15): a buffered read miss first
-    /// sends a header-only SQE asking the DPU to land the backend extent
-    /// straight in the cache page pool, then serves the bytes from the
-    /// hit path; pages the fill could not land take the staged fetch.
-    /// Gates nothing else — `write` and `writev` send the same requests
-    /// either way. Off = every miss is a staged fetch and every `dma_*`
-    /// class counter stays provably zero.
-    pub zero_copy: bool,
 }
 
 impl Default for DpcConfig {
@@ -142,7 +134,6 @@ impl Default for DpcConfig {
             dfs: None,
             retry: RetryPolicy::default(),
             faults: None,
-            zero_copy: false,
         }
     }
 }
@@ -184,6 +175,27 @@ impl DpcConfig {
         }
         if !(0.0..=1.0).contains(&self.ra_throttle_free) {
             return err("ra_throttle_free", "must be a fraction in 0.0..=1.0");
+        }
+        if self.max_io_bytes < dpc_nvmefs::READ_HEADER_CAP + 4096 {
+            return err(
+                "max_io_bytes",
+                "must be at least READ_HEADER_CAP + 4096 (a reply header and one page)",
+            );
+        }
+        if self.ra_initial_window == 0 {
+            return err("ra_initial_window", "must be at least 1");
+        }
+        if self.ra_max_window < self.ra_initial_window {
+            return err("ra_max_window", "must be at least ra_initial_window");
+        }
+        if self.flush_extent_pages == 0 {
+            return err("flush_extent_pages", "must be at least 1");
+        }
+        if self.wal_bytes < 4096 {
+            return err("wal_bytes", "must be at least 4096");
+        }
+        if self.fsync_mode == FsyncMode::Log && !self.wal {
+            return err("fsync_mode", "FsyncMode::Log needs wal on");
         }
         Ok(())
     }
@@ -326,8 +338,8 @@ impl Dpc {
         // The intent log: fresh ring, or a crashed instance's region
         // re-adopted under the next epoch (see `Dpc::recover`).
         let wal = cfg.wal.then(|| {
-            let (region, epoch) = wal_region
-                .unwrap_or_else(|| (HostRegion::new(WAL_HEADER + cfg.wal_bytes.max(4096)), 1));
+            let (region, epoch) =
+                wal_region.unwrap_or_else(|| (HostRegion::new(WAL_HEADER + cfg.wal_bytes), 1));
             let log = IntentLog::create(region, dma.clone(), Some(crash.clone()), epoch);
             cache.attach_wal(log.clone());
             log
@@ -337,7 +349,7 @@ impl Dpc {
             cfg.queues,
             QueuePairConfig {
                 depth: cfg.queue_depth,
-                max_io_bytes: cfg.max_io_bytes.max(dpc_nvmefs::READ_HEADER_CAP + 4096),
+                max_io_bytes: cfg.max_io_bytes,
             },
             &dma,
         );
@@ -347,10 +359,9 @@ impl Dpc {
         // (a stream's reads may land on any queue; the state must follow
         // the inode, not the queue).
         let ra = if cfg.prefetch {
-            let initial = cfg.ra_initial_window.max(1);
             let table = Arc::new(ReadaheadTable::new(RaConfig {
-                initial_window: initial,
-                max_window: cfg.ra_max_window.max(initial),
+                initial_window: cfg.ra_initial_window,
+                max_window: cfg.ra_max_window,
                 trigger: 2,
             }));
             let queue = Arc::new(PrefetchQueue::new(PREFETCH_QUEUE_CAP));
@@ -367,7 +378,7 @@ impl Dpc {
                     t.set_fault_plan(plan);
                 }
                 let mut control = ControlPlane::new(cache.clone(), dma.clone());
-                control.max_extent_pages = cfg.flush_extent_pages.max(1);
+                control.max_extent_pages = cfg.flush_extent_pages;
                 control.set_crash_switch(Some(crash.clone()));
                 let mut dispatcher = Dispatcher::new(
                     kvfs.clone(),
@@ -389,7 +400,7 @@ impl Dpc {
         let flusher = if cfg.background_flush {
             let mut control = ControlPlane::new(cache.clone(), dma.clone());
             control.max_extent_pages = if cfg.coalesce_flush {
-                cfg.flush_extent_pages.max(1)
+                cfg.flush_extent_pages
             } else {
                 1
             };
@@ -405,7 +416,7 @@ impl Dpc {
 
         let prefetcher = ra.as_ref().map(|(_, queue)| {
             let mut control = ControlPlane::new(cache.clone(), dma.clone());
-            control.max_extent_pages = cfg.flush_extent_pages.max(1);
+            control.max_extent_pages = cfg.flush_extent_pages;
             control.set_crash_switch(Some(crash.clone()));
             PrefetcherConfig {
                 control,
@@ -465,21 +476,13 @@ impl Dpc {
     /// as you like — every adapter, and every thread within an adapter,
     /// multiplexes over the same `cfg.queues` nvme-fs queue pairs.
     pub fn fs(&self) -> DpcFs {
-        // Log-durable fsync is only honest when there *is* a log; without
-        // one it degrades to data-durable rather than silently to no-op.
-        let fsync_mode = if self.cfg.wal {
-            self.cfg.fsync_mode
-        } else {
-            FsyncMode::Data
-        };
         DpcFs::new(
             self.cache.clone(),
             self.pool.clone(),
             self.sizes.clone(),
             self.cfg.io_mode,
-            fsync_mode,
+            self.cfg.fsync_mode,
             self.meta.clone(),
-            self.cfg.zero_copy,
         )
     }
 
@@ -577,7 +580,7 @@ impl Dpc {
             .unwrap_or_default();
         crate::metrics::MetricsSnapshot {
             pcie: self.dma.snapshot(),
-            dma: self.dma.attribution(),
+            dma: Default::default(),
             cache,
             kvfs_lookups: self.kvfs.lookup_stats(),
             kv,
@@ -612,7 +615,7 @@ mod tests {
     #[test]
     fn bad_configs_are_named_before_anything_is_built() {
         type Case = (fn(&mut DpcConfig), &'static str);
-        let cases: [Case; 8] = [
+        let cases: [Case; 14] = [
             (|c| c.cache_pages = 0, "cache_pages"),
             (|c| c.cache_pages = 3, "cache_pages"),
             (|c| c.cache_bucket_entries = 0, "cache_bucket_entries"),
@@ -621,6 +624,15 @@ mod tests {
             (|c| c.queue_depth = 1, "queue_depth"),
             (|c| c.ra_throttle_free = f64::NAN, "ra_throttle_free"),
             (|c| c.ra_throttle_free = 2.0, "ra_throttle_free"),
+            (|c| c.max_io_bytes = 4096, "max_io_bytes"),
+            (|c| c.ra_initial_window = 0, "ra_initial_window"),
+            (
+                |c| c.ra_max_window = c.ra_initial_window - 1,
+                "ra_max_window",
+            ),
+            (|c| c.flush_extent_pages = 0, "flush_extent_pages"),
+            (|c| c.wal_bytes = 4095, "wal_bytes"),
+            (|c| c.fsync_mode = FsyncMode::Log, "fsync_mode"),
         ];
         for (mutate, field) in cases {
             let mut cfg = DpcConfig::default();

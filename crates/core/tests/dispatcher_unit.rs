@@ -836,10 +836,9 @@ fn variant_index(req: &FileRequest) -> usize {
         FileRequest::Symlink { .. } => 16,
         FileRequest::Readlink { .. } => 17,
         FileRequest::ReadaheadHint { .. } => 18,
-        FileRequest::ReadFill { .. } => 19,
     }
 }
-const VARIANTS: usize = 20;
+const VARIANTS: usize = 19;
 
 #[test]
 fn every_reply_fits_what_its_request_declared() {
@@ -955,13 +954,6 @@ fn every_reply_fits_what_its_request_declared() {
             ),
             FileResponse::Bytes(100)
         );
-        serve(
-            &mut d,
-            sa,
-            FileRequest::ReadFill { ino, offset, len },
-            b"",
-            room,
-        );
         let (ino, offset, len) = rw(9999);
         assert_eq!(
             serve(
@@ -982,17 +974,6 @@ fn every_reply_fits_what_its_request_declared() {
                 100 + room
             ),
             FileResponse::Err(2)
-        );
-        // A fill that lands nothing says so; it has no errno of its own.
-        assert_eq!(
-            serve(
-                &mut d,
-                sa,
-                FileRequest::ReadFill { ino, offset, len },
-                b"",
-                room
-            ),
-            FileResponse::Bytes(0)
         );
         assert_eq!(
             serve(
@@ -1233,11 +1214,6 @@ fn every_reply_fits_what_its_request_declared() {
             ino: dfs_file,
             lpn: 0,
         },
-        FileRequest::ReadFill {
-            ino: dfs_file,
-            offset: 0,
-            len: 8192,
-        },
         FileRequest::CacheEvictBatch { buckets: vec![0] },
         FileRequest::Mkdir {
             parent: 0,
@@ -1250,8 +1226,8 @@ fn every_reply_fits_what_its_request_declared() {
 
     for (variant, [ok, err]) in seen.into_iter().enumerate() {
         assert!(ok, "variant {variant} never served successfully");
-        // `ReadaheadHint` and `ReadFill` have no errno of their own on
-        // KVFS; the distributed dispatcher's EOPNOTSUPP covers them.
+        // `ReadaheadHint` has no errno of its own on KVFS; the
+        // distributed dispatcher's EOPNOTSUPP covers it.
         assert!(err, "variant {variant} never replied an errno");
     }
 }

@@ -15,8 +15,8 @@ use dpc_sim::fault::{FaultPlan, FaultSite};
 
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
 use crate::queue::{
-    Completion, CompletionBatch, Incoming, IncomingBatch, Initiator, QueueFull, QueuePair,
-    QueuePairConfig, ReadSide, Target,
+    Completion, Incoming, IncomingBatch, Initiator, QueueFull, QueuePair, QueuePairConfig,
+    ReadSide, Target,
 };
 use crate::sqe::{CqeStatus, DispatchType};
 
@@ -28,7 +28,6 @@ pub(crate) fn is_idempotent(req: &FileRequest) -> bool {
     matches!(
         req,
         FileRequest::Read { .. }
-            | FileRequest::ReadFill { .. }
             | FileRequest::Write { .. }
             | FileRequest::GetAttr { .. }
             | FileRequest::Lookup { .. }
@@ -66,20 +65,12 @@ fn decode_completion(done: &Completion) -> Result<FileResponse, RecvError> {
 pub struct FileChannel {
     ini: Initiator,
     hdr_buf: Vec<u8>,
-    comp_batch: CompletionBatch,
 }
 
-/// Error surfaced by the synchronous [`FileChannel::call`] family.
-///
-/// The `call*` helpers are single-owner conveniences: they require an idle
-/// channel because they spin for *the* reply and would otherwise steal
-/// another command's completion. Misuse used to panic; it is now a typed
-/// error so a host thread can back off (or route through
-/// [`ChannelPool`](crate::ChannelPool), which has no such restriction).
+/// Error surfaced by the blocking calls of
+/// [`ChannelPool`](crate::ChannelPool) — the one way to make one.
 #[derive(Debug)]
 pub enum CallError {
-    /// Commands are already outstanding on this channel (EBUSY).
-    Busy,
     /// The submission ring has no free slot (EAGAIN).
     Full,
     /// The response header failed to decode.
@@ -96,7 +87,6 @@ impl CallError {
     /// The errno a POSIX surface would report for this error.
     pub fn errno(&self) -> i32 {
         match self {
-            CallError::Busy => 16,      // EBUSY
             CallError::Full => 11,      // EAGAIN
             CallError::Decode(_) => 5,  // EIO
             CallError::Transport => 5,  // EIO
@@ -108,7 +98,6 @@ impl CallError {
 impl core::fmt::Display for CallError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CallError::Busy => write!(f, "channel busy: synchronous call needs an idle channel"),
             CallError::Full => write!(f, "nvme-fs submission queue full"),
             CallError::Decode(e) => write!(f, "response decode failed: {e}"),
             CallError::Transport => write!(f, "nvme-fs transport error (retries exhausted)"),
@@ -165,7 +154,6 @@ impl FileChannel {
         FileChannel {
             ini,
             hdr_buf: Vec::with_capacity(64),
-            comp_batch: CompletionBatch::new(),
         }
     }
 
@@ -275,115 +263,6 @@ impl FileChannel {
         }
         batch.commit();
         staged
-    }
-
-    /// Synchronous convenience: submit and spin for the matching reply.
-    /// Only valid when no other commands are outstanding on this channel;
-    /// a busy channel reports [`CallError::Busy`] (EBUSY) instead of
-    /// interleaving with (and possibly stealing) another command's reply.
-    pub fn call(
-        &mut self,
-        dispatch: DispatchType,
-        req: &FileRequest,
-        write_payload: &[u8],
-        read_len: u32,
-    ) -> Result<FileCompletion, CallError> {
-        if self.outstanding() != 0 {
-            return Err(CallError::Busy);
-        }
-        self.submit(dispatch, req, write_payload, read_len)?;
-        loop {
-            if let Some(done) = self.poll() {
-                return done.map_err(CallError::from);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Synchronous scattered call (writev-style), via SGL.
-    pub fn call_sgl(
-        &mut self,
-        dispatch: DispatchType,
-        req: &FileRequest,
-        segments: &[&[u8]],
-        read_len: u32,
-    ) -> Result<FileCompletion, CallError> {
-        if self.outstanding() != 0 {
-            return Err(CallError::Busy);
-        }
-        self.submit_sgl(dispatch, req, segments, read_len)?;
-        loop {
-            if let Some(done) = self.poll() {
-                return done.map_err(CallError::from);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Synchronous batched call: submit all `requests` (payload-less, each
-    /// expecting up to `read_len` bytes back) under as few doorbells as
-    /// possible — one when the whole batch fits in the ring — then spin
-    /// until every reply arrives. Completions are appended to `out` in
-    /// submission order. Like [`call`](FileChannel::call), requires an
-    /// idle channel.
-    pub fn call_many(
-        &mut self,
-        dispatch: DispatchType,
-        requests: &[FileRequest],
-        read_len: u32,
-        out: &mut Vec<FileCompletion>,
-    ) -> Result<(), CallError> {
-        if self.outstanding() != 0 {
-            return Err(CallError::Busy);
-        }
-        out.clear();
-        let mut first_err = None;
-        let mut next = 0usize;
-        while out.len() < requests.len() {
-            if next < requests.len() {
-                // Stage everything that fits under one doorbell.
-                let mut batch = self.ini.batch();
-                while next < requests.len() {
-                    let req = &requests[next];
-                    self.hdr_buf.clear();
-                    req.encode(&mut self.hdr_buf);
-                    match batch.submit(dispatch, &self.hdr_buf, b"", read_side(req, read_len)) {
-                        Ok(_) => next += 1,
-                        Err(QueueFull) => break,
-                    }
-                }
-                batch.commit();
-            }
-            if self.ini.poll_many(&mut self.comp_batch) == 0 {
-                std::hint::spin_loop();
-                continue;
-            }
-            for done in self.comp_batch.iter() {
-                match decode_completion(done) {
-                    Ok(response) => out.push(FileCompletion {
-                        cid: done.cid,
-                        response,
-                        payload: done.payload.clone(),
-                    }),
-                    Err(e) => {
-                        // Remember the first failure but keep draining so
-                        // the channel ends the call idle.
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        out.push(FileCompletion {
-                            cid: done.cid,
-                            response: FileResponse::Err(5 /* EIO */),
-                            payload: Vec::new(),
-                        });
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(CallError::from(e)),
-            None => Ok(()),
-        }
     }
 }
 
@@ -770,79 +649,8 @@ mod tests {
     }
 
     #[test]
-    fn call_helper_round_trips_synchronously() {
-        let (mut chan, mut tgt, _) = one_pair();
-        let server = std::thread::spawn(move || loop {
-            if let Some(inc) = tgt.poll() {
-                tgt.reply(inc.slot, &FileResponse::Ino(77), b"");
-                break;
-            }
-            std::hint::spin_loop();
-        });
-        let done = chan
-            .call(
-                DispatchType::Standalone,
-                &FileRequest::Lookup {
-                    parent: 0,
-                    name: "etc".into(),
-                },
-                b"",
-                0,
-            )
-            .unwrap();
-        assert_eq!(done.response, FileResponse::Ino(77));
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn busy_channel_reports_typed_error_instead_of_panicking() {
-        // Regression: the call* helpers used to assert an idle channel and
-        // kill the host thread on misuse; now they return CallError::Busy
-        // (EBUSY) and leave the in-flight command untouched.
-        let (mut chan, mut tgt, _) = one_pair();
-        chan.submit(
-            DispatchType::Standalone,
-            &FileRequest::GetAttr { ino: 1 },
-            b"",
-            0,
-        )
-        .unwrap();
-        assert_eq!(chan.outstanding(), 1);
-
-        let req = FileRequest::GetAttr { ino: 2 };
-        match chan.call(DispatchType::Standalone, &req, b"", 0) {
-            Err(CallError::Busy) => {}
-            other => panic!("expected Busy, got {other:?}"),
-        }
-        match chan.call_sgl(DispatchType::Standalone, &req, &[b"x"], 0) {
-            Err(CallError::Busy) => {}
-            other => panic!("expected Busy, got {other:?}"),
-        }
-        let mut out = Vec::new();
-        match chan.call_many(
-            DispatchType::Standalone,
-            std::slice::from_ref(&req),
-            0,
-            &mut out,
-        ) {
-            Err(CallError::Busy) => {}
-            other => panic!("expected Busy, got {other:?}"),
-        }
-        assert_eq!(CallError::Busy.errno(), 16);
-        assert_eq!(CallError::Full.errno(), 11);
-
-        // The original command is still serviceable.
-        let inc = tgt.poll().unwrap();
-        assert_eq!(inc.request, FileRequest::GetAttr { ino: 1 });
-        tgt.reply(inc.slot, &FileResponse::Ino(1), b"");
-        let done = loop {
-            if let Some(d) = chan.poll() {
-                break d.unwrap();
-            }
-        };
-        assert_eq!(done.response, FileResponse::Ino(1));
-        // And the channel is usable synchronously again.
-        assert_eq!(chan.outstanding(), 0);
+    fn a_full_ring_is_eagain() {
+        assert_eq!(CallError::from(QueueFull).errno(), 11);
     }
 
     #[test]

@@ -161,15 +161,6 @@ pub enum FileRequest {
         /// Logical page number of the marker page that was consumed.
         lpn: u64,
     },
-    /// Direct read-miss fill (DESIGN.md §15): land the backend bytes of
-    /// `[offset, offset + len)` in the hybrid cache's page pool, where the
-    /// host's hit path then finds them. No payload either way; replies
-    /// [`FileResponse::Bytes`] of the contiguous length landed.
-    ReadFill {
-        ino: u64,
-        offset: u64,
-        len: u32,
-    },
 }
 
 /// A response header from the DPU.
@@ -307,7 +298,6 @@ const T_CACHE_EVICT_BATCH: u8 = 17;
 const T_READAHEAD_HINT: u8 = 18;
 const T_STAT_AT: u8 = 19;
 const T_READDIR_AT: u8 = 20;
-const T_READ_FILL: u8 = 21;
 
 impl FileRequest {
     /// Append the wire form to `out`; returns the encoded length.
@@ -432,12 +422,6 @@ impl FileRequest {
                 w.u64(*ino);
                 w.u64(*lpn);
             }
-            FileRequest::ReadFill { ino, offset, len } => {
-                w.u8(T_READ_FILL);
-                w.u64(*ino);
-                w.u64(*offset);
-                w.u32(*len);
-            }
         }
         out.len() - start
     }
@@ -454,7 +438,6 @@ impl FileRequest {
                 | FileRequest::Truncate { .. }
                 | FileRequest::ReadaheadHint { .. }
                 | FileRequest::CacheEvictBatch { .. }
-                | FileRequest::ReadFill { .. }
         )
     }
 
@@ -559,11 +542,6 @@ impl FileRequest {
             T_READAHEAD_HINT => FileRequest::ReadaheadHint {
                 ino: r.u64()?,
                 lpn: r.u64()?,
-            },
-            T_READ_FILL => FileRequest::ReadFill {
-                ino: r.u64()?,
-                offset: r.u64()?,
-                len: r.u32()?,
             },
             _ => return Err(DecodeError("unknown request tag")),
         };
@@ -880,11 +858,6 @@ mod tests {
         round_trip_req(FileRequest::ReadaheadHint {
             ino: 42,
             lpn: u64::MAX,
-        });
-        round_trip_req(FileRequest::ReadFill {
-            ino: u64::MAX,
-            offset: 1 << 40,
-            len: 64 * 4096,
         });
     }
 

@@ -796,16 +796,19 @@ mod tests {
         };
         let (chans, mut tgts) = create_fabric(1, cfg, &dma);
         let mut pool = ChannelPool::new(chans);
+        // Only the held first attempt may time out: the deadline and the
+        // attempt budget (one per CID the ring has) are sized so a server
+        // thread starved on a loaded box costs reissues, not the call.
         pool.set_retry(RetryPolicy {
-            deadline_yields: 2_000,
+            attempts: 7,
+            deadline_yields: 20_000,
             backoff_base_us: 0,
             ..RetryPolicy::default()
         });
         let mut tgt = tgts.pop().unwrap();
-        let req = FileRequest::ReadFill {
+        let req = FileRequest::Truncate {
             ino: 0x0102_0304_0506_0708,
-            offset: 0x1112_1314_1516_1718,
-            len: 0x2122_2324,
+            size: 0x1112_1314_1516_1718,
         };
         let stop = Arc::new(AtomicBool::new(false));
         let server = {

@@ -1291,21 +1291,23 @@ mod tests {
         }
     }
 
-    /// The wire form of a read-miss fill: 21 bytes, the inline form's
-    /// first user.
-    fn fill_header(ino: u64, offset: u64, len: u32) -> Vec<u8> {
+    /// The wire form of a command with neither payload: a 17-byte
+    /// `Truncate`, well inside the SQE's 48 inline bytes. (The two `zc_`
+    /// tests below keep the names they had when the header was the
+    /// direct miss fill's; what they pin is the header-only command.)
+    fn header_only(ino: u64, size: u64) -> Vec<u8> {
         let mut hdr = Vec::new();
-        crate::FileRequest::ReadFill { ino, offset, len }.encode(&mut hdr);
+        crate::FileRequest::Truncate { ino, size }.encode(&mut hdr);
         hdr
     }
 
     #[test]
     fn zc_read_fill_round_trip_is_2_dmas() {
-        // A fill request moves no bytes over the SQE path: its header
-        // rides the SQE and its reply the CQE. SQE + CQE.
+        // A command with neither payload moves no bytes beside its
+        // descriptors: its header rides the SQE and its reply the CQE.
         let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
         let before = dma.snapshot();
-        let hdr = fill_header(42, 8192, 4096);
+        let hdr = header_only(42, 8192);
         ini.submit(DispatchType::Standalone, &hdr, b"", ReadSide::None)
             .unwrap();
         let inc = tgt.poll().unwrap();
@@ -1324,20 +1326,19 @@ mod tests {
     #[test]
     fn zc_and_classic_commands_interleave_with_buffer_recycling() {
         // A recycled Incoming must not leak an SQE-borne header into a
-        // command whose header sits in its buffer, and vice versa;
-        // attribution stays dormant either way.
-        let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
+        // command whose header sits in its buffer, and vice versa.
+        let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
         let mut batch = IncomingBatch::new();
-        let fill = fill_header(1, 0, 4096);
+        let bare = header_only(1, 4096);
         let long = [0x4C; 40]; // too long for the SQE beside a payload
-        ini.submit(DispatchType::Standalone, &fill, b"", ReadSide::None)
+        ini.submit(DispatchType::Standalone, &bare, b"", ReadSide::None)
             .unwrap();
         ini.submit(DispatchType::Standalone, &long, b"classic", 0)
             .unwrap();
         assert_eq!(tgt.poll_many(&mut batch), 2);
         let [z, c] = [0, 1].map(|i| &batch.as_slice()[i]);
         assert!(z.sqe.is_inline() && !c.sqe.is_inline());
-        assert_eq!((z.header.as_slice(), z.payload.len()), (&fill[..], 0));
+        assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
         assert_eq!(c.header, long);
         assert_eq!(c.payload, b"classic");
         let (s0, s1) = (z.slot, c.slot);
@@ -1348,7 +1349,7 @@ mod tests {
         // Round 2: recycle the batch the other way around.
         ini.submit(DispatchType::Standalone, &long, b"plain", 0)
             .unwrap();
-        ini.submit(DispatchType::Standalone, &fill, b"", ReadSide::None)
+        ini.submit(DispatchType::Standalone, &bare, b"", ReadSide::None)
             .unwrap();
         assert_eq!(tgt.poll_many(&mut batch), 2);
         let [c, z] = [0, 1].map(|i| &batch.as_slice()[i]);
@@ -1356,14 +1357,12 @@ mod tests {
             (c.header.as_slice(), c.payload.as_slice()),
             (&long[..], &b"plain"[..])
         );
-        assert_eq!((z.header.as_slice(), z.payload.len()), (&fill[..], 0));
+        assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
         let (s0, s1) = (c.slot, z.slot);
         tgt.complete(s0, CqeStatus::Success, b"", b"");
         tgt.complete(s1, CqeStatus::Success, b"", b"");
         ini.wait();
         ini.wait();
-        // The queue layer moves no class-attributed data by itself.
-        assert!(dma.attribution().is_zero());
     }
 
     #[test]
@@ -1578,28 +1577,28 @@ mod tests {
     }
 
     #[test]
-    fn classic_sgl_and_zero_copy_commands_interleave_over_the_pool() {
+    fn classic_sgl_and_header_only_commands_interleave_over_the_pool() {
         let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
         let mut batch = IncomingBatch::new();
         for round in 0..6u8 {
             let seg = vec![round; 700];
-            let fill = fill_header(7, round as u64 * 4096, 4096);
+            let bare = header_only(7, round as u64 * 4096);
             let classic = ini
                 .submit(DispatchType::Standalone, b"C", &[round; 300], 50)
                 .unwrap();
-            let zc = ini
-                .submit(DispatchType::Standalone, &fill, b"", ReadSide::None)
+            let bare_cid = ini
+                .submit(DispatchType::Standalone, &bare, b"", ReadSide::None)
                 .unwrap();
             let sgl = ini
                 .submit_sgl(DispatchType::Standalone, b"S", &[&seg, &seg], 60)
                 .unwrap();
             assert_eq!(tgt.poll_many(&mut batch), 3);
             let [c, z, s] = [0, 1, 2].map(|i| &batch.as_slice()[i]);
-            assert_eq!((c.slot, z.slot, s.slot), (classic, zc, sgl));
+            assert_eq!((c.slot, z.slot, s.slot), (classic, bare_cid, sgl));
             assert_eq!((c.header.as_slice(), c.payload.len()), (&b"C"[..], 300));
-            assert_eq!((z.header.as_slice(), z.payload.len()), (&fill[..], 0));
+            assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
             assert_eq!((s.header.as_slice(), s.payload.len()), (&b"S"[..], 1400));
-            // Out of order, the zero-copy one in the middle.
+            // Out of order, the header-only one in the middle.
             tgt.complete(s.slot, CqeStatus::Success, b"", &[round; 60]);
             tgt.complete(z.slot, CqeStatus::Success, &[3, round, 0, 0, 0], b"");
             tgt.complete(c.slot, CqeStatus::Success, b"", &[round; 50]);
@@ -1609,7 +1608,7 @@ mod tests {
                     cid if cid == classic => assert_eq!(done.payload, vec![round; 50]),
                     cid if cid == sgl => assert_eq!(done.payload, vec![round; 60]),
                     cid => {
-                        assert_eq!(cid, zc);
+                        assert_eq!(cid, bare_cid);
                         assert!(done.payload.is_empty());
                         assert_eq!(done.header, [3, round, 0, 0, 0]);
                     }

@@ -58,8 +58,7 @@ fn arb_request() -> impl Strategy<Value = FileRequest> {
             }
         ),
         any::<u64>().prop_map(|ino| FileRequest::Fsync { ino }),
-        (any::<u64>(), any::<u64>(), any::<u32>())
-            .prop_map(|(ino, offset, len)| FileRequest::ReadFill { ino, offset, len }),
+        (any::<u64>(), any::<u64>()).prop_map(|(ino, lpn)| FileRequest::ReadaheadHint { ino, lpn }),
     ]
 }
 

@@ -144,95 +144,6 @@ impl PcieCounters {
     }
 }
 
-/// Attribution class of a zero-copy DMA transfer (DESIGN.md §15). A
-/// class-attributed op is charged both to the global [`PcieCounters`] (it
-/// really crossed the link) and to its class cell, so the direct fill's
-/// DMA budget is a counter assertion.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[repr(usize)]
-pub enum DmaClass {
-    /// Read-miss fill: backend extent → cache page pool.
-    ReadFill = 0,
-}
-
-/// Number of [`DmaClass`] variants.
-pub const DMA_CLASSES: usize = 1;
-
-impl DmaClass {
-    pub const ALL: [DmaClass; DMA_CLASSES] = [DmaClass::ReadFill];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            DmaClass::ReadFill => "read-fill",
-        }
-    }
-}
-
-#[derive(Default, Debug)]
-struct ClassCells {
-    dma_ops: AtomicU64,
-    dma_bytes: AtomicU64,
-}
-
-/// Point-in-time view of one class's attribution cells.
-#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
-pub struct DmaClassSnapshot {
-    /// DMA operations charged to this class.
-    pub dma_ops: u64,
-    /// Bytes those operations moved.
-    pub dma_bytes: u64,
-    /// Bytes that took a host-CPU staging copy (bounce) instead of the
-    /// direct path. Structurally zero: the only bounce path was the
-    /// zero-copy write absorb's, removed at PR 17 — nothing records into
-    /// it. Kept because `dpc-e2e` sums the field.
-    pub staged_bytes: u64,
-    /// Transfers that fell back to a bounce buffer. Structurally zero,
-    /// like [`staged_bytes`](Self::staged_bytes).
-    pub dma_bounces: u64,
-}
-
-impl DmaClassSnapshot {
-    pub fn since(&self, earlier: &DmaClassSnapshot) -> DmaClassSnapshot {
-        DmaClassSnapshot {
-            dma_ops: self.dma_ops - earlier.dma_ops,
-            dma_bytes: self.dma_bytes - earlier.dma_bytes,
-            staged_bytes: self.staged_bytes - earlier.staged_bytes,
-            dma_bounces: self.dma_bounces - earlier.dma_bounces,
-        }
-    }
-
-    pub fn is_zero(&self) -> bool {
-        self.dma_ops == 0 && self.dma_bytes == 0 && self.staged_bytes == 0 && self.dma_bounces == 0
-    }
-}
-
-/// Per-class zero-copy DMA attribution: one [`DmaClassSnapshot`] per
-/// [`DmaClass`]. All-zero with `DpcConfig::zero_copy` off — the cells
-/// are only touched by the zero-copy paths, so dormancy is structural.
-#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
-pub struct DmaAttribution {
-    pub classes: [DmaClassSnapshot; DMA_CLASSES],
-}
-
-impl DmaAttribution {
-    pub fn class(&self, c: DmaClass) -> &DmaClassSnapshot {
-        &self.classes[c as usize]
-    }
-
-    pub fn since(&self, earlier: &DmaAttribution) -> DmaAttribution {
-        let mut out = DmaAttribution::default();
-        for i in 0..DMA_CLASSES {
-            out.classes[i] = self.classes[i].since(&earlier.classes[i]);
-        }
-        out
-    }
-
-    /// True when every cell of every class is zero (the knobs-off proof).
-    pub fn is_zero(&self) -> bool {
-        self.classes.iter().all(|c| c.is_zero())
-    }
-}
-
 /// An access to a [`HostRegion`] that would fall outside its bounds
 /// (including `offset + len` overflowing `usize`). Carried as data so a
 /// recovery scan over a corrupt log tail can stop cleanly instead of
@@ -381,12 +292,6 @@ impl HostRegion {
 #[derive(Clone, Default)]
 pub struct DmaEngine {
     counters: Arc<PcieCounters>,
-    attr: Arc<AttributionCells>,
-}
-
-#[derive(Default)]
-struct AttributionCells {
-    classes: [ClassCells; DMA_CLASSES],
 }
 
 impl DmaEngine {
@@ -442,30 +347,6 @@ impl DmaEngine {
     /// Doorbell ring (host notifying the DPU, or vice versa).
     pub fn ring_doorbell(&self) {
         self.counters.record_doorbell();
-    }
-
-    /// Account one class-attributed DMA operation whose bytes moved
-    /// through memory the engine does not manage (e.g. a read-miss fill
-    /// landing a backend extent directly in the host page pool).
-    pub fn record_class_dma(&self, class: DmaClass, ops: u64, bytes: u64) {
-        self.counters.dma_ops.fetch_add(ops, Ordering::Relaxed);
-        self.counters.dma_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let cells = &self.attr.classes[class as usize];
-        cells.dma_ops.fetch_add(ops, Ordering::Relaxed);
-        cells.dma_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Per-class zero-copy attribution snapshot.
-    pub fn attribution(&self) -> DmaAttribution {
-        let mut out = DmaAttribution::default();
-        for (i, c) in self.attr.classes.iter().enumerate() {
-            out.classes[i] = DmaClassSnapshot {
-                dma_ops: c.dma_ops.load(Ordering::Relaxed),
-                dma_bytes: c.dma_bytes.load(Ordering::Relaxed),
-                ..DmaClassSnapshot::default()
-            };
-        }
-        out
     }
 }
 
@@ -598,32 +479,6 @@ mod tests {
         let r2 = r.clone();
         r.write_local(0, &[42]);
         assert_eq!(r2.read_local_vec(0, 1), vec![42]);
-    }
-
-    #[test]
-    fn class_cells_account_beside_the_global_counters() {
-        let dma = DmaEngine::new();
-        dma.record_class_dma(DmaClass::ReadFill, 2, 8192);
-        let a = dma.attribution();
-        let r = a.class(DmaClass::ReadFill);
-        assert_eq!((r.dma_ops, r.dma_bytes), (2, 8192));
-        assert_eq!((r.staged_bytes, r.dma_bounces), (0, 0));
-        // A class-attributed op counts globally too: the bytes crossed
-        // the link.
-        let s = dma.snapshot();
-        assert_eq!((s.dma_ops, s.dma_bytes), (2, 8192));
-        assert!(!a.is_zero());
-        assert!(DmaAttribution::default().is_zero());
-    }
-
-    #[test]
-    fn fresh_engine_attribution_is_dormant() {
-        let dma = DmaEngine::new();
-        let r = HostRegion::new(64);
-        dma.dma_write(&r, 0, &[1; 8]);
-        dma.record_external_dma(512);
-        // Classic (non-ZC) traffic never touches the class cells.
-        assert!(dma.attribution().is_zero());
     }
 
     #[test]

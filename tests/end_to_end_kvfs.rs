@@ -570,10 +570,9 @@ fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
     assert_eq!(back[1100..], old[1100..], "bytes past the gather were lost");
 }
 
-/// ROADMAP item 5 argues about DMAs per crossing; this pins them. One
-/// row per path, each run with `zero_copy` off and on: only the cold read
-/// may differ (DESIGN.md §15 has the arithmetic). A header costs a DMA of
-/// its own only when it does not fit its descriptor — none of these
+/// ROADMAP item 5 argues about DMAs per crossing; this pins them, one
+/// row per path (DESIGN.md §15 has the arithmetic). A header costs a DMA
+/// of its own only when it does not fit its descriptor — none of these
 /// requests', and of the replies only `Attr`.
 #[test]
 fn link_dma_budget_of_each_data_path() {
@@ -648,36 +647,32 @@ fn link_dma_budget_of_each_data_path() {
             );
         })
     };
-    // (path, I/O mode, DMAs with `zero_copy` off, with it on)
-    let table: [(&str, Path, IoMode, u64, u64); 9] = [
+    // (path, I/O mode, DMAs)
+    let table: [(&str, Path, IoMode, u64); 9] = [
         // Absorbed in host memory: nothing crosses.
-        ("buffered write", buffered_write, IoMode::Buffered, 0, 0),
-        // Staged: SQE (request inside), 2 payload pages, CQE (reply
-        // inside). Direct fill: SQE + one extent DMA + CQE.
-        ("cold buffered read", cold_read, IoMode::Buffered, 4, 3),
+        ("buffered write", buffered_write, IoMode::Buffered, 0),
+        // SQE (request inside), 2 payload pages, CQE (reply inside).
+        ("cold buffered read", cold_read, IoMode::Buffered, 4),
         // SQE + the payload's 2 pages, page-aligned, + CQE: the paper's 4.
-        ("direct write", buffered_write, IoMode::Direct, 4, 4),
+        ("direct write", buffered_write, IoMode::Direct, 4),
         // SQE + descriptor list + 2 segments + CQE.
-        ("writev", gather, IoMode::Buffered, 5, 5),
+        ("writev", gather, IoMode::Buffered, 5),
         // SQE + CQE, and the one reply too long for a CQE between them:
         // the post-flush `Attr` the size reconcile reads.
-        ("fsync, clean file", clean_fsync, IoMode::Buffered, 3, 3),
-        ("DFS getattr", dfs_getattr, IoMode::Buffered, 3, 3),
+        ("fsync, clean file", clean_fsync, IoMode::Buffered, 3),
+        ("DFS getattr", dfs_getattr, IoMode::Buffered, 3),
         // The distributed paths are the staged read and the direct write.
-        ("DFS 8 KiB read", dfs_read, IoMode::Buffered, 4, 4),
-        ("DFS 8 KiB write", dfs_write, IoMode::Buffered, 4, 4),
-        ("DFS 8 KiB write, direct", dfs_write, IoMode::Direct, 4, 4),
+        ("DFS 8 KiB read", dfs_read, IoMode::Buffered, 4),
+        ("DFS 8 KiB write", dfs_write, IoMode::Buffered, 4),
+        ("DFS 8 KiB write, direct", dfs_write, IoMode::Direct, 4),
     ];
-    for (name, path, io_mode, off, on) in table {
-        for (zero_copy, want) in [(false, off), (true, on)] {
-            let dpc = Dpc::new(DpcConfig {
-                prefetch: false,
-                io_mode,
-                zero_copy,
-                dfs: Some(DfsConfig::default()),
-                ..DpcConfig::default()
-            });
-            assert_eq!(path(&dpc), want, "{name}, zero_copy {zero_copy}");
-        }
+    for (name, path, io_mode, want) in table {
+        let dpc = Dpc::new(DpcConfig {
+            prefetch: false,
+            io_mode,
+            dfs: Some(DfsConfig::default()),
+            ..DpcConfig::default()
+        });
+        assert_eq!(path(&dpc), want, "{name}");
     }
 }

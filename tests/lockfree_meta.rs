@@ -127,7 +127,7 @@ fn write_storm_readers_never_see_torn_pages() {
 /// the adapter's zero-copy hit path. Reads must always observe uniform
 /// pages (writes are page-atomic under the entry write lock).
 #[test]
-fn threads_over_queues_zero_copy_reads_stay_consistent() {
+fn threads_over_queues_read_ref_hits_stay_consistent() {
     const PAGES: u64 = 16;
     const WRITERS: u64 = 3;
     const READERS: u64 = 5; // 8 threads on 2 queues
