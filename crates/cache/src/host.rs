@@ -17,6 +17,7 @@ use std::cell::UnsafeCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dpc_pcie::Sleeper;
 use parking_lot::Mutex;
 
 use crate::layout::{
@@ -42,6 +43,24 @@ type DirtyShard = HashMap<u64, BTreeSet<u64>>;
 /// the duration of a page memcpy plus a handful of meta stores, so a
 /// small budget covers everything short of a writer parked on the entry.
 const SEQ_SPIN_CAP: usize = 64;
+
+/// Take an entry lock another thread holds: a short burst of spins for a
+/// holder mid-memcpy on another core, then yields. Holders (readers,
+/// writers, the flusher) release quickly and never wait on the caller, so
+/// this cannot deadlock — but a holder that was preempted, or that shares
+/// this core, cannot release until it runs: past the burst, give it the
+/// slice instead of burning it.
+fn lock_entry(mut try_lock: impl FnMut() -> bool) {
+    let mut spins = 0usize;
+    while !try_lock() {
+        spins += 1;
+        if spins > SEQ_SPIN_CAP / 4 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
 
 /// Consecutive torn [`ReadRef::finish`] failures the copy wrapper accepts
 /// before serving the read under a read lock instead. Each retry re-runs
@@ -327,6 +346,9 @@ pub struct HybridCache {
     pub(crate) dirty_index: Box<[Mutex<DirtyShard>]>,
     /// Pages currently marked dirty (mirror of the index's total size).
     pub(crate) dirty_total: AtomicU64,
+    /// The background flusher, asleep on `dirty_total` while the cache is
+    /// clean; woken by the commit that dirties the first page.
+    flusher: Sleeper,
     /// Per-ino-shard content epochs. Bumped whenever an inode's cached
     /// content moves relative to the backend (a page dirtied, flushed
     /// clean, or invalidated). The background prefetcher snapshots the
@@ -372,6 +394,7 @@ impl HybridCache {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             dirty_total: AtomicU64::new(0),
+            flusher: Sleeper::new(),
             ino_epochs: (0..DIRTY_SHARDS).map(|_| AtomicU64::new(0)).collect(),
             wal: parking_lot::RwLock::new(None),
             cfg,
@@ -410,8 +433,20 @@ impl HybridCache {
         self.bump_ino_epoch(ino);
         let mut shard = self.dirty_shard(ino).lock();
         if shard.entry(ino).or_default().insert(lpn) {
-            self.dirty_total.fetch_add(1, Ordering::Relaxed);
+            // `SeqCst`: the store a sleeping flusher is woken by
+            // ([`wait_dirty`](Self::wait_dirty)).
+            self.dirty_total.fetch_add(1, Ordering::SeqCst);
         }
+    }
+
+    /// Flusher side: sleep until a page turns dirty, somebody unparks the
+    /// calling thread, or `timeout` passes. `false` — without sleeping —
+    /// when there is write-back to do already: a dirty page, or a
+    /// quarantined one to retry.
+    pub fn wait_dirty(&self, timeout: std::time::Duration) -> bool {
+        self.flusher.sleep_unless(timeout, || {
+            self.dirty_total.load(Ordering::SeqCst) > 0 || !self.quarantine_is_empty()
+        })
     }
 
     /// Drop `<ino, lpn>` from the range index (flushed clean, quarantined,
@@ -780,20 +815,7 @@ impl HybridCache {
                 continue;
             }
             if spin_for_lock {
-                // Holders (writers, the flusher) release quickly and
-                // never wait on readers, so this cannot deadlock. Yield
-                // past a short burst: the holder may be preempted, and
-                // on an oversubscribed host it needs our slice to
-                // release.
-                let mut spins = 0usize;
-                while !e.try_read_lock() {
-                    spins += 1;
-                    if spins > SEQ_SPIN_CAP / 4 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
+                lock_entry(|| e.try_read_lock());
             } else if !e.try_read_lock() {
                 // Writer active (or MAX_READERS saturation); the baseline
                 // protocol treats this resident page as a miss.
@@ -841,11 +863,9 @@ impl HybridCache {
         for idx in self.chain(bucket) {
             let e = &self.entries[idx];
             if e.ino() == ino && e.lpn() == lpn && e.status() != EntryStatus::Free {
-                // Spin for the write lock; holders (readers, the flusher)
-                // release quickly and never take the bucket claim lock.
-                while !e.try_write_lock() {
-                    std::hint::spin_loop();
-                }
+                // Holders (readers, the flusher) never take the bucket
+                // claim lock.
+                lock_entry(|| e.try_write_lock());
                 // The claim lock guarantees nobody evicted it meanwhile.
                 debug_assert_eq!(e.ino(), ino);
                 debug_assert_eq!(e.lpn(), lpn);
@@ -906,9 +926,7 @@ impl HybridCache {
         for idx in self.chain(bucket) {
             let e = &self.entries[idx];
             if e.ino() == ino && e.lpn() == lpn && e.status() != EntryStatus::Free {
-                while !e.try_write_lock() {
-                    std::hint::spin_loop();
-                }
+                lock_entry(|| e.try_write_lock());
                 if e.status() == EntryStatus::Dirty {
                     self.note_clean(ino, lpn);
                 }
@@ -948,9 +966,7 @@ impl HybridCache {
             if e.ino() != ino || e.status() == EntryStatus::Free {
                 continue;
             }
-            while !e.try_write_lock() {
-                std::hint::spin_loop();
-            }
+            lock_entry(|| e.try_write_lock());
             if e.ino() == ino && e.status() != EntryStatus::Free {
                 if e.status() == EntryStatus::Dirty {
                     self.note_clean(ino, e.lpn());
@@ -1216,6 +1232,10 @@ impl WriteGuard<'_> {
         self.cache.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.committed = true;
         e.write_unlock();
+        if !was_dirty {
+            // After the unlock, so a flusher woken by this page can take it.
+            self.cache.flusher.wake();
+        }
     }
 
     /// Commit as clean (prefetch inserts and host-side read fills).
@@ -1610,5 +1630,84 @@ mod tests {
                 }
             });
         });
+    }
+    /// Pin the calling thread — and every thread it spawns from here on —
+    /// to one CPU of those it may run on. `false` when the kernel refuses.
+    #[cfg(target_os = "linux")]
+    fn pin_to_one_core() -> bool {
+        extern "C" {
+            fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+        }
+        let mut mask = [0u64; 16];
+        let bytes = std::mem::size_of_val(&mask);
+        // SAFETY: glibc's wrappers; `mask` is `bytes` long and outlives
+        // both calls; pid 0 is the calling thread.
+        unsafe {
+            if sched_getaffinity(0, bytes, mask.as_mut_ptr()) != 0 {
+                return false;
+            }
+            let Some(word) = mask.iter().position(|w| *w != 0) else {
+                return false;
+            };
+            let bit = mask[word] & mask[word].wrapping_neg();
+            mask = [0u64; 16];
+            mask[word] = bit;
+            sched_setaffinity(0, bytes, mask.as_ptr()) == 0
+        }
+    }
+
+    /// Nanoseconds the calling thread has spent on a CPU.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_ns() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        stat.split_whitespace().next()?.parse().ok()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_writer_waiting_on_a_held_entry_gives_its_core_to_the_holder() {
+        // One core, a reader holding an entry's lock, a writer that wants
+        // it. The holder needs 200 turns of the scheduler before it lets
+        // go; a writer that spins hands each of them over only when its
+        // whole timeslice has burnt (200 × ≥ 0.75 ms of CPU), a writer
+        // that yields hands them over at once (≈ a microsecond each).
+        if !pin_to_one_core() || thread_cpu_ns().is_none() {
+            eprintln!("skipped: cannot pin to one core or read schedstat");
+            return;
+        }
+        type Op = fn(&HybridCache) -> bool;
+        let ops: [(&str, Op); 3] = [
+            ("begin_write", |c| c.begin_write(7, 0).is_ok()),
+            ("invalidate", |c| c.invalidate(7, 0)),
+            ("invalidate_ino", |c| c.invalidate_ino(7) == 1),
+        ];
+        for (name, op) in ops {
+            let c = small_cache_locked();
+            c.begin_write(7, 0).unwrap().commit_dirty();
+            let held = c.lookup_read_ref(7, 0).expect("resident");
+            assert!(held.is_locked());
+            let waiting = std::sync::atomic::AtomicBool::new(false);
+            let burnt = std::thread::scope(|s| {
+                let writer = s.spawn(|| {
+                    let before = thread_cpu_ns().expect("schedstat");
+                    waiting.store(true, Ordering::Release);
+                    assert!(op(&c), "{name} after the holder let go");
+                    thread_cpu_ns().expect("schedstat") - before
+                });
+                while !waiting.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                for _ in 0..200 {
+                    std::thread::yield_now();
+                }
+                drop(held);
+                writer.join().expect("writer thread")
+            });
+            assert!(
+                burnt < 20_000_000,
+                "{name} burnt {burnt} ns of CPU waiting for the entry lock"
+            );
+        }
     }
 }

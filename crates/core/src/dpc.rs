@@ -556,6 +556,9 @@ impl Dpc {
     /// rather than a seeded one).
     pub fn trip_crash(&self) {
         self.crash.trip();
+        // A thread asleep on its doorbell must die too, not serve the
+        // next command before it notices.
+        self.runtime.wake_all();
     }
 
     /// Requests the DPU runtime has served.
@@ -587,6 +590,9 @@ impl Dpc {
             meta: self.meta.as_ref().map(|m| m.stats()).unwrap_or_default(),
             requests_served: self.runtime.requests_served(),
             pages_flushed: self.runtime.pages_flushed(),
+            svc_parks: self.runtime.svc_parks(),
+            doorbell_wakes: pool.doorbell_wakes,
+            flusher_parks: self.runtime.flusher_parks(),
             recovery: crate::metrics::RecoverySnapshot {
                 link_retries: pool.retries,
                 link_timeouts: pool.timeouts,

@@ -85,6 +85,16 @@ pub struct MetricsSnapshot {
     pub requests_served: u64,
     /// Pages persisted by the background flusher (0 when disabled).
     pub pages_flushed: u64,
+    /// Times a DPU service thread went to sleep on its queue's SQ doorbell
+    /// (each sleep lasts until a doorbell, or 10 ms). Does not move while
+    /// a closed-loop stream of calls is live.
+    pub svc_parks: u64,
+    /// Doorbell rings that found the queue's service thread asleep and
+    /// woke it — the calls that paid a wake-up.
+    pub doorbell_wakes: u64,
+    /// Times the background flusher went to sleep on a clean cache (0
+    /// when disabled).
+    pub flusher_parks: u64,
     /// Fault-recovery actions across every layer.
     pub recovery: RecoverySnapshot,
 }
@@ -249,8 +259,13 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "dpu runtime: {} requests served, {} pages flushed",
-            self.requests_served, self.pages_flushed
+            "dpu runtime: {} requests served, {} pages flushed, \
+             {} svc parks / {} doorbell wakes, {} flusher parks",
+            self.requests_served,
+            self.pages_flushed,
+            self.svc_parks,
+            self.doorbell_wakes,
+            self.flusher_parks
         )?;
         let r = &self.recovery;
         write!(

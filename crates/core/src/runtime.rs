@@ -51,71 +51,54 @@ pub struct PrefetcherConfig {
     pub throttle_free: u64,
 }
 
-/// Longest the idle prefetcher stays parked between looks at the
-/// shutdown flag and the crash switch.
-const PREFETCH_PARK: std::time::Duration = std::time::Duration::from_millis(10);
+/// Longest an idle DPU thread sleeps on its event between looks at the
+/// shutdown flag and the crash switch. Both wake it themselves (`Drop`,
+/// [`DpuRuntime::wake_all`]); the bound only covers a crash tripped from
+/// inside another DPU thread, and keeps an idle instance at one wake-up
+/// per thread per this long.
+const IDLE_PARK: std::time::Duration = std::time::Duration::from_millis(10);
 
-/// Adaptive idle backoff for the DPU polling loops (service threads,
-/// and the prefetcher up to the point where it parks instead): spin
-/// briefly (lowest wakeup latency), then yield the core, then nap with
-/// exponentially growing, bounded sleeps.
+/// The live-stream tier of the DPU loops (service threads, prefetcher):
+/// an empty poll yields the core and polls again, [`Self::YIELD_ROUNDS`]
+/// times over, and only then does the loop sleep on its own event — the
+/// queue's SQ doorbell, the prefetch queue's `push`.
 ///
-/// The previous policy was a cliff — 4096 busy spins, then a fixed 20 µs
-/// sleep — which burned a full timeslice of CPU before ever yielding and
-/// then charged every request after a brief lull the whole 20 µs. Here a
-/// queue that has been idle only a moment pays at most a 1 µs nap on its
-/// next request; only a long-dead queue ramps to the 50 µs ceiling, and
-/// one productive poll resets it to the spin tier.
+/// There is no spin tier: a loop that shares the caller's core gets no
+/// work until the caller runs, and on a core of its own a yield with
+/// nobody else runnable returns in well under a microsecond. There is no
+/// nap tier: a sleeping loop is woken by the event, not by a timer. The
+/// yield tier is what keeps a closed-loop stream of calls from ever
+/// sleeping between two of them — a futex wake per command costs more
+/// than every yield it saves — and it is counted in yields, like the
+/// pool's deadlines: on a shared core a round only passes when the
+/// scheduler has gone round, however long the caller computes in between.
 #[derive(Debug, Default)]
 pub(crate) struct IdleBackoff {
     rounds: u32,
 }
 
 impl IdleBackoff {
-    /// Busy-spin rounds before yielding (latency tier).
-    const SPIN_ROUNDS: u32 = 64;
-    /// Spin + yield rounds before the first nap (sharing tier).
+    /// Consecutive empty polls before the loop sleeps on its event.
     const YIELD_ROUNDS: u32 = 256;
-    /// First nap length; doubles every [`Self::NAPS_PER_STEP`] naps.
-    const NAP_FLOOR_US: u64 = 1;
-    /// Nap ceiling — the worst-case extra wakeup latency after a long
-    /// idle spell (the old cliff charged 20 µs after *any* spell).
-    const NAP_CEIL_US: u64 = 50;
-    /// Naps taken at each length before the length doubles.
-    const NAPS_PER_STEP: u32 = 8;
 
     pub(crate) fn new() -> IdleBackoff {
         IdleBackoff::default()
     }
 
-    /// A productive poll: the next idle spell starts back in the spin tier.
+    /// A productive poll: the stream is live again.
     pub(crate) fn reset(&mut self) {
         self.rounds = 0;
     }
 
-    /// The nap an idle round at the current depth takes, in µs
-    /// (0 = still spinning or yielding). Pure, for the unit tests.
-    fn nap_us(&self) -> u64 {
-        if self.rounds < Self::YIELD_ROUNDS {
-            return 0;
+    /// One empty poll. `true`: yielded the core — poll again. `false`:
+    /// the stream has gone quiet — sleep on your event.
+    pub(crate) fn idle(&mut self) -> bool {
+        if self.rounds >= Self::YIELD_ROUNDS {
+            return false;
         }
-        let step = (self.rounds - Self::YIELD_ROUNDS) / Self::NAPS_PER_STEP;
-        (Self::NAP_FLOOR_US << step.min(16)).min(Self::NAP_CEIL_US)
-    }
-
-    /// Still in the spin/yield tiers (the next idle round will not nap)?
-    pub(crate) fn polling(&self) -> bool {
-        self.nap_us() == 0
-    }
-
-    /// One empty poll: block according to the current tier and deepen.
-    pub(crate) fn idle(&mut self) {
-        match self.nap_us() {
-            0 if self.rounds < Self::SPIN_ROUNDS => std::hint::spin_loop(),
-            0 => std::thread::yield_now(),
-            us => std::thread::sleep(std::time::Duration::from_micros(us)),
-        }
-        self.rounds = self.rounds.saturating_add(1);
+        self.rounds += 1;
+        std::thread::yield_now();
+        true
     }
 }
 
@@ -128,6 +111,11 @@ pub struct RuntimeShared {
     pub pages_flushed: AtomicU64,
     /// Pages inserted by the background prefetcher.
     pub pages_prefetched: AtomicU64,
+    /// Times a service thread went to sleep on its queue's SQ doorbell.
+    /// Each sleep ends with a doorbell or the [`IDLE_PARK`] re-check.
+    pub svc_parks: AtomicU64,
+    /// Times the flusher went to sleep on a clean cache (same bound).
+    pub flusher_parks: AtomicU64,
 }
 
 /// Handle owning the DPU threads; joins them on drop.
@@ -150,6 +138,8 @@ impl DpuRuntime {
             requests_served: AtomicU64::new(0),
             pages_flushed: AtomicU64::new(0),
             pages_prefetched: AtomicU64::new(0),
+            svc_parks: AtomicU64::new(0),
+            flusher_parks: AtomicU64::new(0),
         });
         let mut threads = Vec::new();
 
@@ -177,14 +167,16 @@ impl DpuRuntime {
                                 shared
                                     .requests_served
                                     .fetch_add(served as u64, Ordering::Relaxed);
+                            } else if backoff.idle() {
+                                // Yielded: the next command of a live
+                                // stream is one hand-off away.
+                            } else if target.park(IDLE_PARK) {
+                                shared.svc_parks.fetch_add(1, Ordering::Relaxed);
                             } else {
-                                // Adaptive backoff: spin (latency), yield
-                                // (share the core with sibling queues),
-                                // then growing bounded naps — a long-idle
-                                // queue must not burn the timeslices of
-                                // the queues doing work, but a briefly
-                                // idle one keeps its wakeup latency.
-                                backoff.idle();
+                                // No sleep: the doorbell moved since the
+                                // poll, or deferred fault-injected requests
+                                // are counting poll ticks. Keep ticking.
+                                std::thread::yield_now();
                             }
                         }
                     })
@@ -225,11 +217,13 @@ impl DpuRuntime {
                             shared
                                 .pages_flushed
                                 .fetch_add(flushed as u64, Ordering::Relaxed);
-                            if flushed == 0 {
-                                // Nothing flushable (clean, or every dirty
-                                // page pinned by a writer): back off.
-                                std::thread::sleep(std::time::Duration::from_micros(200));
-                            } else if !urgent {
+                            if flushed == 0 && cache.wait_dirty(IDLE_PARK) {
+                                // The cache was clean: slept until a
+                                // write dirtied a page.
+                                shared.flusher_parks.fetch_add(1, Ordering::Relaxed);
+                            } else if flushed == 0 || !urgent {
+                                // Trickling, or every dirty page is
+                                // pinned by a writer: back off.
                                 std::thread::sleep(std::time::Duration::from_micros(200));
                             }
                         }
@@ -268,34 +262,26 @@ impl DpuRuntime {
                         // cache-pressure throttle, the no-clobber rule and
                         // the ino-epoch abort internally, so this loop is
                         // pure plumbing. Between the jobs of a live stream
-                        // it polls (spin, then yield) like the service
-                        // loops; once the queue has stayed empty through
-                        // both tiers it parks instead of napping — a hint
-                        // has no wake-up latency to protect, and a workload
-                        // that never reads sequentially must not pay for a
-                        // poller. `push` unparks it, `Drop` unparks it for
-                        // shutdown, and the timeout bounds how long a
-                        // tripped crash switch goes unnoticed.
+                        // it yields like the service loops; once the queue
+                        // has stayed empty through that tier it parks on
+                        // the queue — a workload that never reads
+                        // sequentially must not pay for a poller. `push`
+                        // unparks it.
                         let mut backoff = IdleBackoff::new();
                         while !shared.shutdown.load(Ordering::Acquire) && !crash.is_tripped() {
-                            let job = if backoff.polling() {
-                                p.queue.pop()
-                            } else {
-                                p.queue.pop_or_park(PREFETCH_PARK)
+                            let job = match p.queue.pop() {
+                                None if !backoff.idle() => p.queue.pop_or_park(IDLE_PARK),
+                                job => job,
                             };
-                            match job {
-                                Some(job) => {
-                                    backoff.reset();
-                                    let mut backend = KvfsRead { kvfs: &p.kvfs };
-                                    let inserted =
-                                        p.control.fill_window(&job, &mut backend, p.throttle_free);
-                                    shared
-                                        .pages_prefetched
-                                        .fetch_add(inserted as u64, Ordering::Relaxed);
-                                    p.queue.done();
-                                }
-                                None if backoff.polling() => backoff.idle(),
-                                None => {} // parked, woke to an empty queue
+                            if let Some(job) = job {
+                                backoff.reset();
+                                let mut backend = KvfsRead { kvfs: &p.kvfs };
+                                let inserted =
+                                    p.control.fill_window(&job, &mut backend, p.throttle_free);
+                                shared
+                                    .pages_prefetched
+                                    .fetch_add(inserted as u64, Ordering::Relaxed);
+                                p.queue.done();
                             }
                         }
                         // Unqueued jobs die with the instance: prefetch is
@@ -468,14 +454,30 @@ impl DpuRuntime {
     pub fn pages_prefetched(&self) -> u64 {
         self.shared.pages_prefetched.load(Ordering::Relaxed)
     }
+
+    pub fn svc_parks(&self) -> u64 {
+        self.shared.svc_parks.load(Ordering::Relaxed)
+    }
+
+    pub fn flusher_parks(&self) -> u64 {
+        self.shared.flusher_parks.load(Ordering::Relaxed)
+    }
+
+    /// Bring every DPU thread asleep on its event back to its loop head,
+    /// where it re-reads the shutdown flag and the crash switch. Call
+    /// after setting either.
+    pub fn wake_all(&self) {
+        for t in &self.threads {
+            t.thread().unpark();
+        }
+    }
 }
 
 impl Drop for DpuRuntime {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        self.wake_all();
         for t in self.threads.drain(..) {
-            // The prefetcher may be parked on its empty queue.
-            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -484,104 +486,28 @@ impl Drop for DpuRuntime {
 #[cfg(test)]
 mod tests {
     use super::IdleBackoff;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     #[test]
-    fn backoff_tiers_progress_and_stay_bounded() {
+    fn backoff_yields_a_bounded_tier_then_says_sleep() {
         let mut b = IdleBackoff::new();
-        // The spin and yield tiers never sleep.
-        for _ in 0..IdleBackoff::YIELD_ROUNDS {
-            assert_eq!(b.nap_us(), 0);
-            b.rounds += 1;
+        for round in 0..IdleBackoff::YIELD_ROUNDS {
+            assert!(b.idle(), "round {round} is still in the yield tier");
         }
-        // Naps grow monotonically from the floor to the ceiling and cap
-        // there — no overflow, no cliff past the cap.
-        let mut last = 0u64;
-        for _ in 0..100_000 {
-            let us = b.nap_us();
-            assert!(us >= last, "naps must not shrink while idle");
-            assert!(us <= IdleBackoff::NAP_CEIL_US, "nap exceeds ceiling");
-            last = us;
-            b.rounds = b.rounds.saturating_add(1);
+        // Past the tier it neither yields nor deepens: the caller sleeps
+        // on its own event, however long the spell lasts.
+        for _ in 0..10 {
+            assert!(!b.idle());
         }
-        assert_eq!(last, IdleBackoff::NAP_CEIL_US);
-        // First nap after the yield tier is the 1 µs floor — the old
-        // policy charged 20 µs after any idle spell.
-        let fresh = IdleBackoff {
+        assert_eq!(b.rounds, IdleBackoff::YIELD_ROUNDS);
+    }
+
+    #[test]
+    fn backoff_resets_to_the_yield_tier_after_work() {
+        let mut b = IdleBackoff {
             rounds: IdleBackoff::YIELD_ROUNDS,
         };
-        assert_eq!(fresh.nap_us(), IdleBackoff::NAP_FLOOR_US);
-    }
-
-    #[test]
-    fn backoff_resets_to_spin_tier_after_work() {
-        let mut b = IdleBackoff::new();
-        b.rounds = 1_000_000;
-        assert_eq!(b.nap_us(), IdleBackoff::NAP_CEIL_US);
+        assert!(!b.idle());
         b.reset();
-        assert_eq!(b.nap_us(), 0, "a productive poll must re-arm spinning");
-    }
-
-    #[test]
-    fn wakeup_latency_after_short_idle_spell_is_low() {
-        // A poller that has idled briefly (past the spin tier, into
-        // yields) must notice new work quickly: the adaptive policy is
-        // still nap-free there, so the wakeup is scheduler-bounded. The
-        // assert is deliberately generous (CI schedulers jitter) — the
-        // regression it guards against is a fixed multi-ms sleep cliff.
-        let flag = Arc::new(AtomicBool::new(false));
-        let poller = {
-            let flag = flag.clone();
-            std::thread::spawn(move || {
-                let mut b = IdleBackoff::new();
-                // Pre-idle past the spin tier but short of the nap tier.
-                for _ in 0..IdleBackoff::SPIN_ROUNDS + 32 {
-                    b.idle();
-                }
-                while !flag.load(Ordering::Acquire) {
-                    b.idle();
-                }
-                std::time::Instant::now()
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let set_at = std::time::Instant::now();
-        flag.store(true, Ordering::Release);
-        let woke_at = poller.join().expect("poller thread");
-        let latency = woke_at.duration_since(set_at);
-        assert!(
-            latency < std::time::Duration::from_millis(50),
-            "wakeup took {latency:?}"
-        );
-    }
-
-    #[test]
-    fn wakeup_latency_after_long_idle_spell_is_nap_bounded() {
-        // Even a deeply idle poller wakes within a few nap ceilings.
-        let flag = Arc::new(AtomicBool::new(false));
-        let poller = {
-            let flag = flag.clone();
-            std::thread::spawn(move || {
-                let mut b = IdleBackoff {
-                    rounds: 1_000_000, // parked at the nap ceiling
-                };
-                while !flag.load(Ordering::Acquire) {
-                    b.idle();
-                }
-                std::time::Instant::now()
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let set_at = std::time::Instant::now();
-        flag.store(true, Ordering::Release);
-        let woke_at = poller.join().expect("poller thread");
-        let latency = woke_at.duration_since(set_at);
-        // Ceiling is 50 µs; 50 ms allows for three orders of scheduler
-        // noise while still catching any return to unbounded sleeps.
-        assert!(
-            latency < std::time::Duration::from_millis(50),
-            "wakeup took {latency:?}"
-        );
+        assert!(b.idle(), "a productive poll must re-arm the live tier");
     }
 }

@@ -9,6 +9,7 @@
 //! builds any number of independent queue pairs sharing one DMA engine.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dpc_pcie::DmaEngine;
 use dpc_sim::fault::{FaultPlan, FaultSite};
@@ -169,6 +170,12 @@ impl FileChannel {
     /// layer (see [`Initiator::rejected_sqes`]).
     pub fn rejected_sqes(&self) -> u64 {
         self.ini.rejected_sqes()
+    }
+
+    /// Doorbell rings that found this queue's target asleep and woke it
+    /// (see [`Initiator::doorbell_wakes`]).
+    pub fn doorbell_wakes(&self) -> u64 {
+        self.ini.doorbell_wakes()
     }
 
     /// Ring depth of the underlying queue pair (at most `depth - 1`
@@ -454,6 +461,14 @@ impl FileTarget {
                 None
             }
         }
+    }
+
+    /// Sleep on this queue's SQ doorbell (see [`Target::park`]); `false`
+    /// means it did not sleep. Refused while fault-injected requests sit
+    /// on the deferral list: they are released by poll *ticks*, which only
+    /// a caller that keeps polling produces.
+    pub fn park(&mut self, timeout: Duration) -> bool {
+        self.deferred.is_empty() && self.tgt.park(timeout)
     }
 
     /// Pop one deferred request whose release tick has passed.
@@ -758,5 +773,31 @@ mod tests {
             let done = chan.poll().unwrap().unwrap();
             assert_eq!(done.response, FileResponse::Ino(q as u64));
         }
+    }
+    #[test]
+    fn a_target_holding_deferred_requests_refuses_to_park() {
+        // Deferred requests are released by poll ticks: a target asleep
+        // on its doorbell would hold them until the next unrelated ring.
+        use dpc_sim::fault::FaultSpec;
+        let (mut chan, mut tgt, _) = one_pair();
+        let plan = FaultPlan::new(3);
+        plan.arm("nvmefs.defer", FaultSpec::nth(1).with_delay(5));
+        tgt.set_fault_plan(&plan);
+        let hour = Duration::from_secs(3600);
+        let req = FileRequest::GetAttr { ino: 1 };
+        chan.submit(DispatchType::Standalone, &req, b"", 0).unwrap();
+        assert!(tgt.poll().is_none(), "the request is withheld");
+        let mut ticks = 0;
+        let inc = loop {
+            assert!(!tgt.park(hour), "parked on a deferred request");
+            ticks += 1;
+            if let Some(inc) = tgt.poll() {
+                break inc;
+            }
+        };
+        assert_eq!((inc.request, ticks), (req, 5));
+        // Nothing withheld any more, nothing posted: now it may sleep.
+        assert!(tgt.park(Duration::from_millis(1)));
+        assert_eq!(chan.doorbell_wakes(), 0);
     }
 }

@@ -17,9 +17,15 @@
 //! - A submitting thread registers a one-shot waiter slot under the queue
 //!   lock (so a completion can never arrive unrouteable), releases the
 //!   lock, and then waits: check the slot, opportunistically `try_lock`
-//!   the queue to poll-and-deliver, spin briefly, yield. Whichever thread
-//!   happens to hold the queue while a CQE lands delivers it to the
-//!   owning waiter — there is no dedicated poller thread to bottleneck on.
+//!   the queue to poll-and-deliver, yield. There is no spin tier: the
+//!   reply is produced by another thread, and whenever that thread shares
+//!   this one's core (one core, or more runnable threads than cores) it
+//!   cannot run until the waiter gives the core up — while on a core of
+//!   its own a yield with nobody else runnable returns in well under a
+//!   microsecond, so polling again at once costs nothing either.
+//!   Whichever thread happens to hold the queue while a CQE lands delivers
+//!   it to the owning waiter — there is no dedicated poller thread to
+//!   bottleneck on.
 //! - Per-thread queue affinity (thread-id hash → preferred qid) keeps the
 //!   fast path on an uncontended queue; when the preferred queue's ring is
 //!   full the submitter steals the next queue instead of blocking.
@@ -74,10 +80,12 @@ impl Waiter {
     }
 }
 
-/// Recovery knobs for the pool's synchronous calls. Deadlines are measured
-/// in *yields* (scheduler round-trips), not wall time, so an oversubscribed
-/// single-core host does not see spurious timeouts just because the DPU
-/// service thread was descheduled.
+/// Recovery knobs for the pool's synchronous calls. A waiter checks its
+/// mailbox, polls its queue and yields — once per round, from the first
+/// round — and deadlines are measured in those *yields* (scheduler
+/// round-trips), not wall time, so an oversubscribed single-core host does
+/// not see spurious timeouts just because the DPU service thread was
+/// descheduled.
 #[derive(Copy, Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per idempotent call (first try included).
@@ -140,6 +148,9 @@ pub struct PoolStats {
     /// it has room for, their header did not decode, or their reply
     /// outgrew the read side they declared (the caller saw EINVAL).
     pub rejected_sqes: u64,
+    /// Doorbell rings that found their queue's target asleep and woke it.
+    /// Zero against targets that poll; zero across a closed-loop stream.
+    pub doorbell_wakes: u64,
 }
 
 #[derive(Default)]
@@ -163,12 +174,6 @@ pub struct ChannelPool {
     stats: StatCells,
     retry: RetryPolicy,
 }
-
-/// How long a waiter spins before yielding the CPU. Short on purpose: on
-/// an oversubscribed host (more runnable threads than cores) the reply
-/// cannot arrive until the DPU service thread is scheduled, so parking
-/// early is what lets N threads pipeline over one core.
-const WAIT_SPINS: u32 = 64;
 
 impl ChannelPool {
     /// Wrap the fabric's host halves into one shared multiplexer.
@@ -215,6 +220,12 @@ impl ChannelPool {
 
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
+        let (mut rejected_sqes, mut doorbell_wakes) = (0, 0);
+        for q in &self.queues {
+            let g = q.inner.lock();
+            rejected_sqes += g.chan.rejected_sqes();
+            doorbell_wakes += g.chan.doorbell_wakes();
+        }
         PoolStats {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
             completed: self.stats.completed.load(Ordering::Relaxed),
@@ -224,11 +235,8 @@ impl ChannelPool {
             retries: self.stats.retries.load(Ordering::Relaxed),
             transport_errors: self.stats.transport_errors.load(Ordering::Relaxed),
             stale_completions: self.stats.stale_completions.load(Ordering::Relaxed),
-            rejected_sqes: self
-                .queues
-                .iter()
-                .map(|q| q.inner.lock().chan.rejected_sqes())
-                .sum(),
+            rejected_sqes,
+            doorbell_wakes,
         }
     }
 
@@ -333,7 +341,6 @@ impl ChannelPool {
     /// abandoned (so the late completion is dropped as stale, never
     /// misrouted) and the caller sees [`CallError::TimedOut`].
     fn wait(&self, qid: usize, w: &Waiter) -> Result<FileCompletion, CallError> {
-        let mut spins = 0u32;
         let mut yields = 0u64;
         loop {
             if let Some(done) = w.try_take() {
@@ -343,11 +350,6 @@ impl ChannelPool {
                 if self.deliver(&mut g) > 0 {
                     continue;
                 }
-            }
-            spins += 1;
-            if spins <= WAIT_SPINS {
-                std::hint::spin_loop();
-                continue;
             }
             yields += 1;
             if yields >= self.retry.deadline_yields {

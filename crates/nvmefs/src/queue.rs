@@ -35,11 +35,16 @@
 //!
 //! Doorbells are device registers (host-side MMIO writes, counted as
 //! doorbells, read locally by the DPU — a register read crosses no DMA).
+//! A target with nothing posted may sleep on its SQ doorbell
+//! ([`Target::park`]); the doorbell write itself wakes it
+//! ([`dpc_pcie::Sleeper`] has the handshake that loses no ring). A wake is
+//! not a DMA and not a second doorbell: no count moves.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use dpc_pcie::{DmaEngine, HostRegion};
+use dpc_pcie::{DmaEngine, HostRegion, Sleeper};
 
 use crate::sqe::{Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, SQE_SIZE};
 
@@ -110,6 +115,8 @@ pub(crate) struct QpShared {
     pub(crate) data_pool: HostRegion,
     /// SQ tail doorbell: host-written register polled by the DPU.
     pub(crate) sq_tail_db: AtomicU32,
+    /// The target asleep on `sq_tail_db`, woken by the store to it.
+    pub(crate) sq_sleeper: Sleeper,
     /// CQ head doorbell: host-written register (consumed CQE count).
     pub(crate) cq_head_db: AtomicU32,
     /// Commands the target refused with `InvalidCommand` because a range
@@ -136,6 +143,7 @@ impl QueuePair {
                 cq_mem: HostRegion::new(depth * CQE_SIZE),
                 data_pool: HostRegion::new(depth * 2 * cfg.max_io_bytes),
                 sq_tail_db: AtomicU32::new(0),
+                sq_sleeper: Sleeper::new(),
                 cq_head_db: AtomicU32::new(0),
                 rejected_sqes: AtomicU64::new(0),
             }),
@@ -320,14 +328,22 @@ impl Initiator {
         (ring_free as usize).min(self.free_bufs.len())
     }
 
+    /// Wake-ups this queue's doorbell has delivered: rings that found the
+    /// target asleep on it.
+    pub fn doorbell_wakes(&self) -> u64 {
+        self.shared.sq_sleeper.wakes()
+    }
+
     /// Publish the staged SQ tail and ring the doorbell — exactly one MMIO
     /// doorbell regardless of how many SQEs were staged since the last
-    /// publish.
+    /// publish. The one place a doorbell is rung, so the one place a
+    /// target asleep on it is woken (`SeqCst`: the sleeper's contract).
     fn publish_tail(&mut self) {
         self.shared
             .sq_tail_db
-            .store(self.sq_tail as u32, Ordering::Release);
+            .store(self.sq_tail as u32, Ordering::SeqCst);
         self.dma.ring_doorbell();
+        self.shared.sq_sleeper.wake();
     }
 
     /// The buffer the next command gets — the one freed last, so it is
@@ -614,13 +630,14 @@ impl Initiator {
         out.len()
     }
 
-    /// Spin until a completion arrives (test/demo helper).
+    /// Poll until a completion arrives, yielding between polls
+    /// (test/demo helper).
     pub fn wait(&mut self) -> Completion {
         loop {
             if let Some(c) = self.poll() {
                 return c;
             }
-            std::hint::spin_loop();
+            std::thread::yield_now();
         }
     }
 
@@ -962,6 +979,18 @@ impl Target {
         }
         let mut out = Incoming::default();
         self.fill_incoming(&mut out).then_some(out)
+    }
+
+    /// Sleep until the host rings this queue's SQ doorbell, somebody
+    /// unparks the calling thread, or `timeout` passes. Returns at once
+    /// (`false`) when the doorbell already stands past the last SQE
+    /// fetched. A target that never calls this is never woken: polling
+    /// servers work as before.
+    pub fn park(&mut self, timeout: Duration) -> bool {
+        let (shared, sq_head) = (&self.shared, self.sq_head);
+        shared.sq_sleeper.sleep_unless(timeout, || {
+            shared.sq_tail_db.load(Ordering::SeqCst) as u16 != sq_head
+        })
     }
 
     /// Drain every SQE published by the last doorbell into `out`,
@@ -1871,5 +1900,81 @@ mod tests {
             let c = ini.wait();
             assert_eq!(c.payload, vec![round; 100]);
         }
+    }
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    #[test]
+    fn a_doorbell_rung_between_the_targets_check_and_its_park_is_not_lost() {
+        // The target has published itself asleep and re-read the doorbell
+        // (nothing there); the host rings before it parks. The ring's
+        // unpark makes that park return at once — not after the hour.
+        let (mut ini, mut tgt, dma) = pair(8, 4096);
+        let before = dma.snapshot();
+        let shared = tgt.shared.clone();
+        let slept = shared.sq_sleeper.sleep_unless(HOUR, || {
+            ini.submit(DispatchType::Standalone, b"", b"ping", 4)
+                .unwrap();
+            false
+        });
+        assert!(slept);
+        assert_eq!(ini.doorbell_wakes(), 1);
+        // A wake is not a doorbell of its own, and not a DMA.
+        let rung = dma.snapshot().since(&before);
+        assert_eq!((rung.doorbells, rung.dma_ops), (1, 0));
+        // With the doorbell standing past its head the target does not
+        // sleep at all.
+        assert!(!tgt.park(HOUR));
+        echo_one(&mut tgt);
+        assert_eq!(ini.wait().payload, b"ping");
+    }
+
+    #[test]
+    fn a_target_that_never_parks_is_never_woken() {
+        let (mut ini, mut tgt, _) = pair(4, 4096);
+        for round in 0..23u8 {
+            ini.submit(DispatchType::Standalone, b"", &[round], 1)
+                .unwrap();
+            echo_one(&mut tgt);
+            assert_eq!(ini.wait().payload, [round]);
+        }
+        let mut batch = ini.batch();
+        batch
+            .submit(DispatchType::Standalone, b"", b"a", 1)
+            .unwrap();
+        batch
+            .submit(DispatchType::Standalone, b"", b"b", 1)
+            .unwrap();
+        batch.commit();
+        assert_eq!(ini.doorbell_wakes(), 0);
+    }
+
+    #[test]
+    fn every_ring_reaches_a_target_that_parks_on_each_empty_poll() {
+        // No yield tier in front of the park and no timeout to fall back
+        // on: each of these round trips races the host's ring against the
+        // target's check-then-park, and a single lost wake-up hangs it.
+        let (mut ini, mut tgt, _) = pair(8, 4096);
+        const N: u32 = 2_000;
+        let dpu = std::thread::spawn(move || {
+            let mut served = 0;
+            while served < N {
+                match tgt.poll() {
+                    Some(inc) => {
+                        tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload);
+                        served += 1;
+                    }
+                    None => {
+                        tgt.park(HOUR);
+                    }
+                }
+            }
+        });
+        for i in 0..N {
+            ini.submit(DispatchType::Standalone, b"", &i.to_le_bytes(), 4)
+                .unwrap();
+            assert_eq!(ini.wait().payload, i.to_le_bytes());
+        }
+        dpu.join().unwrap();
+        assert!(ini.doorbell_wakes() <= N as u64);
     }
 }

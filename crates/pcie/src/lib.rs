@@ -11,13 +11,19 @@
 //!   [`PcieCounters`], so protocol implementations can assert their DMA
 //!   budgets and the benchmarks can charge per-op latency,
 //! - [`PcieModel`]: converts operations into virtual-time costs
-//!   (setup latency + bytes / link bandwidth).
+//!   (setup latency + bytes / link bandwidth),
+//! - [`Sleeper`]: how a DPU-side thread sleeps on a host-written word and
+//!   is woken by the write itself — the event a real device raises on a
+//!   doorbell, instead of a core polling an idle register.
 //!
 //! No timing happens here at copy time — the functional copy and the
 //! virtual-time charge are separated so tests can exercise the data path
 //! with real threads while benchmarks replay costs in `dpc-sim`.
 
 pub mod alloc;
+mod sleeper;
+
+pub use sleeper::Sleeper;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

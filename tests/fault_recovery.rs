@@ -288,6 +288,28 @@ fn deferred_completion_times_out_and_reissues() {
 }
 
 #[test]
+fn a_deferred_request_on_an_idle_queue_still_completes() {
+    // Deferral is counted in the target's poll ticks. The stall here
+    // outlasts the service thread's yield tier, on a queue nothing else
+    // rings: a thread that went to sleep on its doorbell with the request
+    // still withheld would tick once per 10 ms park, and the caller would
+    // time out and reissue long before tick 2000.
+    let plan = FaultPlan::new(13);
+    plan.arm("nvmefs.defer", FaultSpec::nth(1).with_delay(2_000));
+    let dpc = Dpc::new(DpcConfig {
+        queues: 1,
+        faults: Some(plan),
+        ..DpcConfig::default()
+    });
+    let fs = dpc.fs();
+    fs.stat("/").unwrap();
+    let m = dpc.metrics();
+    assert_eq!(m.recovery.link_timeouts, 0, "{:?}", m.recovery);
+    assert_eq!(m.recovery.link_retries, 0, "{:?}", m.recovery);
+    assert_eq!(m.requests_served, 1);
+}
+
+#[test]
 fn transport_error_cqe_is_retried_transparently() {
     // The third idempotent command is shed with a transport-error CQE;
     // the pool retries it and the caller sees nothing.
