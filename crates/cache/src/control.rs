@@ -551,6 +551,7 @@ impl ControlPlane {
         }
         let ok = e.status() == EntryStatus::Clean;
         if ok {
+            self.cache.note_resident(e.ino(), e.lpn(), false);
             e.set_status(EntryStatus::Free);
             e.ino.store(0, Ordering::Release);
             e.lpn.store(0, Ordering::Release);

@@ -35,7 +35,8 @@ pub(crate) const DIRTY_SHARDS: usize = 16;
 /// the host surfaces as back-pressure (EBUSY) instead of wedging.
 pub(crate) const QUARANTINE_CAP: usize = 256;
 
-/// One shard of the dirty-range index: `ino -> sorted dirty LPNs`.
+/// One shard of the dirty-range index: `ino -> sorted dirty LPNs` — and
+/// of the resident index, same shape, for every page that holds an entry.
 type DirtyShard = HashMap<u64, BTreeSet<u64>>;
 
 /// Odd-version spins an optimistic lookup tolerates per entry before
@@ -240,6 +241,9 @@ pub struct CacheStats {
     /// the control plane's flush/quarantine read locks are not counted —
     /// those never block readers under the seqlock scheme.
     pub read_locks: u64,
+    /// Entries [`HybridCache::invalidate_ino`] visited: the pages its
+    /// inodes had resident, never the whole meta area.
+    pub invalidate_visits: u64,
     /// Intent-log records appended (writes, truncates, checkpoints).
     /// All six `wal_*` counters are zero when no log is attached.
     pub wal_appends: u64,
@@ -281,6 +285,7 @@ pub(crate) struct StatsCells {
     pub(crate) meta_retries: AtomicU64,
     pub(crate) lock_fallbacks: AtomicU64,
     pub(crate) read_locks: AtomicU64,
+    pub(crate) invalidate_visits: AtomicU64,
 }
 
 impl StatsCells {
@@ -344,6 +349,11 @@ pub struct HybridCache {
     /// scanning the whole meta area, and the adapter answer range-overlap
     /// queries (O_DIRECT coherence) without a full scan.
     pub(crate) dirty_index: Box<[Mutex<DirtyShard>]>,
+    /// Per-ino resident index, sharded like the dirty one: every `<ino,
+    /// lpn>` that holds an entry, from the claim of a free entry to its
+    /// release. What dropping an inode costs is what it has here, not a
+    /// scan of the meta area.
+    resident: Box<[Mutex<DirtyShard>]>,
     /// Pages currently marked dirty (mirror of the index's total size).
     pub(crate) dirty_total: AtomicU64,
     /// The background flusher, asleep on `dirty_total` while the cache is
@@ -393,6 +403,9 @@ impl HybridCache {
             dirty_index: (0..DIRTY_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
+            resident: (0..DIRTY_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             dirty_total: AtomicU64::new(0),
             flusher: Sleeper::new(),
             ino_epochs: (0..DIRTY_SHARDS).map(|_| AtomicU64::new(0)).collect(),
@@ -424,6 +437,21 @@ impl HybridCache {
 
     fn dirty_shard(&self, ino: u64) -> &Mutex<DirtyShard> {
         &self.dirty_index[(ino as usize) % DIRTY_SHARDS]
+    }
+
+    /// `<ino, lpn>` took a free entry (`held`) or gave its entry back.
+    /// Called with the entry's write lock held, like the claim and the
+    /// release themselves.
+    pub(crate) fn note_resident(&self, ino: u64, lpn: u64, held: bool) {
+        let mut shard = self.resident[(ino as usize) % DIRTY_SHARDS].lock();
+        if held {
+            shard.entry(ino).or_default().insert(lpn);
+        } else if let Some(set) = shard.get_mut(&ino) {
+            set.remove(&lpn);
+            if set.is_empty() {
+                shard.remove(&ino);
+            }
+        }
     }
 
     /// Record `<ino, lpn>` as dirty in the range index. Called with the
@@ -583,6 +611,7 @@ impl HybridCache {
             meta_retries: self.stats.meta_retries.load(Ordering::Relaxed),
             lock_fallbacks: self.stats.lock_fallbacks.load(Ordering::Relaxed),
             read_locks: self.stats.read_locks.load(Ordering::Relaxed),
+            invalidate_visits: self.stats.invalidate_visits.load(Ordering::Relaxed),
         }
     }
 
@@ -891,6 +920,7 @@ impl HybridCache {
                 e.valid.store(0, Ordering::Release);
                 e.flags.store(0, Ordering::Release);
                 self.header.free.fetch_sub(1, Ordering::Relaxed);
+                self.note_resident(ino, lpn, true);
                 return Ok(WriteGuard {
                     cache: self,
                     idx,
@@ -921,6 +951,11 @@ impl HybridCache {
             q.remove(&(ino, lpn));
             self.quarantine_note_len(&q);
         }
+        self.release(ino, lpn)
+    }
+
+    /// Free the entry of `<ino, lpn>`, whatever state it is in.
+    fn release(&self, ino: u64, lpn: u64) -> bool {
         let bucket = self.bucket_of(ino, lpn);
         let _claim = self.bucket_claim[bucket].lock();
         for idx in self.chain(bucket) {
@@ -935,6 +970,7 @@ impl HybridCache {
                 e.lpn.store(0, Ordering::Release);
                 e.flags.store(0, Ordering::Release);
                 self.header.free.fetch_add(1, Ordering::Relaxed);
+                self.note_resident(ino, lpn, false);
                 e.write_unlock();
                 return true;
             }
@@ -943,7 +979,8 @@ impl HybridCache {
     }
 
     /// Drop every cached page of one inode (unlink). Returns the number of
-    /// pages invalidated.
+    /// pages invalidated. Costs what the inode has resident: an inode
+    /// nobody read or wrote visits no entry at all.
     pub fn invalidate_ino(&self, ino: u64) -> usize {
         self.bump_ino_epoch(ino);
         // Whole-file drop (unlink): void every obligation of the ino.
@@ -955,32 +992,17 @@ impl HybridCache {
             q.retain(|&(i, _), _| i != ino);
             self.quarantine_note_len(&q);
         }
-        let mut dropped = 0;
-        for idx in 0..self.cfg.pages {
-            let e = &self.entries[idx];
-            if e.ino() != ino || e.status() == EntryStatus::Free {
-                continue;
-            }
-            let bucket = idx / self.cfg.bucket_entries;
-            let _claim = self.bucket_claim[bucket].lock();
-            if e.ino() != ino || e.status() == EntryStatus::Free {
-                continue;
-            }
-            lock_entry(|| e.try_write_lock());
-            if e.ino() == ino && e.status() != EntryStatus::Free {
-                if e.status() == EntryStatus::Dirty {
-                    self.note_clean(ino, e.lpn());
-                }
-                e.set_status(EntryStatus::Free);
-                e.ino.store(0, Ordering::Release);
-                e.lpn.store(0, Ordering::Release);
-                e.flags.store(0, Ordering::Release);
-                self.header.free.fetch_add(1, Ordering::Relaxed);
-                dropped += 1;
-            }
-            e.write_unlock();
-        }
-        dropped
+        let shard = self.resident[(ino as usize) % DIRTY_SHARDS].lock();
+        let pages: Vec<u64> = shard.get(&ino).into_iter().flatten().copied().collect();
+        drop(shard);
+        let visits = pages.len() as u64;
+        self.stats
+            .invalidate_visits
+            .fetch_add(visits, Ordering::Relaxed);
+        pages
+            .into_iter()
+            .filter(|&lpn| self.release(ino, lpn))
+            .count()
     }
 
     /// Count of entries currently dirty (scan; diagnostic).
@@ -1259,6 +1281,7 @@ impl Drop for WriteGuard<'_> {
         let e = &self.cache.entries[self.idx];
         if self.claimed_free {
             // Roll the claim back.
+            self.cache.note_resident(e.ino(), e.lpn(), false);
             e.ino.store(0, Ordering::Release);
             e.lpn.store(0, Ordering::Release);
             e.set_status(EntryStatus::Free);
@@ -1565,6 +1588,32 @@ mod tests {
         assert_eq!(c.invalidate_ino(7), 3);
         assert_eq!(c.dirty_count(), 0);
         assert_eq!(c.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn dropping_an_inode_visits_what_it_has_resident_and_no_more() {
+        let c = small_cache(); // 64 entries
+        for lpn in 0..5u64 {
+            let mut g = c.begin_write(7, lpn).unwrap();
+            g.write(0, &[1; 64]);
+            if lpn % 2 == 0 {
+                g.commit_dirty();
+            } else {
+                g.commit_clean();
+            }
+        }
+        // A claim rolled back and a page invalidated are not resident.
+        drop(c.begin_write(7, 50).unwrap());
+        assert!(c.invalidate(7, 4));
+        // An inode nobody read or wrote: no entry is looked at.
+        assert_eq!(c.invalidate_ino(8), 0);
+        assert_eq!(c.stats().invalidate_visits, 0);
+        // One with four pages in: four, of 64.
+        assert_eq!(c.invalidate_ino(7), 4);
+        assert_eq!(c.stats().invalidate_visits, 4);
+        assert_eq!((c.header().free(), c.dirty_count()), (64, 0));
+        assert_eq!(c.invalidate_ino(7), 0);
+        assert_eq!(c.stats().invalidate_visits, 4);
     }
 
     #[test]

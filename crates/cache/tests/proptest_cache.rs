@@ -147,5 +147,17 @@ proptest! {
         for (k, v) in dirty {
             prop_assert_eq!(backend.get(&k), Some(&v));
         }
+
+        // The resident index followed every claim, eviction and drop:
+        // dropping each inode visits exactly the pages the model holds.
+        let mut inos: Vec<u64> = content.keys().map(|&(ino, _)| ino).collect();
+        inos.sort_unstable();
+        inos.dedup();
+        for ino in inos {
+            let held = content.keys().filter(|k| k.0 == ino).count();
+            prop_assert_eq!(cache.invalidate_ino(ino), held, "ino {}", ino);
+        }
+        prop_assert_eq!(cache.stats().invalidate_visits as usize, content.len());
+        prop_assert_eq!(cache.header().free(), 64);
     }
 }

@@ -28,8 +28,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_cache::{
-    HybridCache, IntentLog, MetaAttr, MetaCache, MetaDirent, NameLookup, WalError, WalKind,
-    WriteError, PAGE_SIZE,
+    HybridCache, IntentLog, MetaAttr, MetaCache, NameLookup, WalError, WalKind, WriteError,
+    KIND_DIR, KIND_FILE, PAGE_SIZE,
 };
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
@@ -78,6 +78,23 @@ struct FdEntry {
     sizes: Arc<InodeSizes>,
 }
 
+/// The `ino` of a retired [`FdEntry`]: it holds no inode.
+const NO_INO: u64 = u64::MAX;
+/// Retired descriptors and size cells each shard keeps for reuse, so an
+/// `open` + `close` cycle allocates nothing once warm.
+const SPARES: usize = 8;
+
+/// `fresh` in a retired allocation if `spare` has one, a new one if not.
+fn recycled<T>(spare: &mut Vec<Arc<T>>, fresh: T) -> Arc<T> {
+    match spare.pop() {
+        Some(mut old) => {
+            *Arc::get_mut(&mut old).expect("a spare is unshared") = fresh;
+            old
+        }
+        None => Arc::new(fresh),
+    }
+}
+
 impl FdEntry {
     fn open(sizes: &Arc<InodeSizes>, ino: u64, backend_size: u64) -> FdEntry {
         FdEntry {
@@ -86,11 +103,20 @@ impl FdEntry {
             sizes: sizes.clone(),
         }
     }
+
+    /// Give the hold back now and become a spare: an allocation for the
+    /// next `open`, bound to no inode.
+    fn retire(&mut self) {
+        self.cell = self.sizes.idle.clone();
+        self.sizes.release(std::mem::replace(&mut self.ino, NO_INO));
+    }
 }
 
 impl Drop for FdEntry {
     fn drop(&mut self) {
-        self.sizes.release(self.ino);
+        if self.ino != NO_INO {
+            self.sizes.release(self.ino);
+        }
     }
 }
 
@@ -101,7 +127,15 @@ impl Drop for FdEntry {
 /// backend to a stale private size and cut another descriptor's fsynced
 /// data.) Each map entry counts its holders; the last one out removes it.
 pub(crate) struct InodeSizes {
-    shards: [Mutex<HashMap<u64, SizeCell>>; FD_SHARDS],
+    shards: [Mutex<SizeShard>; FD_SHARDS],
+    /// What a retired descriptor points at.
+    idle: Arc<InodeCell>,
+}
+
+#[derive(Default)]
+struct SizeShard {
+    open: HashMap<u64, SizeCell>,
+    spare: Vec<Arc<InodeCell>>,
 }
 
 struct SizeCell {
@@ -121,6 +155,14 @@ struct InodeCell {
 }
 
 impl InodeCell {
+    fn new(size: u64) -> InodeCell {
+        InodeCell {
+            size: AtomicU64::new(size),
+            mutations: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
+        }
+    }
+
     fn note_mutation(&self) {
         self.mutations.fetch_add(1, Ordering::AcqRel);
     }
@@ -140,11 +182,12 @@ impl InodeCell {
 impl InodeSizes {
     pub(crate) fn new() -> InodeSizes {
         InodeSizes {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::default()),
+            idle: Arc::new(InodeCell::new(0)),
         }
     }
 
-    fn shard(&self, ino: u64) -> &Mutex<HashMap<u64, SizeCell>> {
+    fn shard(&self, ino: u64) -> &Mutex<SizeShard> {
         &self.shards[(ino % FD_SHARDS as u64) as usize]
     }
 
@@ -153,13 +196,10 @@ impl InodeSizes {
     /// writes); otherwise the cell starts at `backend_size`.
     fn open(&self, ino: u64, backend_size: u64) -> Arc<InodeCell> {
         let mut shard = self.shard(ino).lock();
-        let cell = shard.entry(ino).or_insert_with(|| SizeCell {
+        let SizeShard { open, spare } = &mut *shard;
+        let cell = open.entry(ino).or_insert_with(|| SizeCell {
             holders: 0,
-            cell: Arc::new(InodeCell {
-                size: AtomicU64::new(backend_size),
-                mutations: AtomicU64::new(0),
-                synced: AtomicU64::new(0),
-            }),
+            cell: recycled(spare, InodeCell::new(backend_size)),
         });
         cell.holders += 1;
         cell.cell.clone()
@@ -168,17 +208,21 @@ impl InodeSizes {
     /// Give one hold back; the last holder of `ino` removes its cell.
     fn release(&self, ino: u64) {
         let mut shard = self.shard(ino).lock();
-        if let Some(cell) = shard.get_mut(&ino) {
-            cell.holders -= 1;
-            if cell.holders == 0 {
-                shard.remove(&ino);
+        let Some(cell) = shard.open.get_mut(&ino) else {
+            return;
+        };
+        cell.holders -= 1;
+        if cell.holders == 0 {
+            let gone = shard.open.remove(&ino).expect("just seen").cell;
+            if Arc::strong_count(&gone) == 1 && shard.spare.len() < SPARES {
+                shard.spare.push(gone);
             }
         }
     }
 
     #[cfg(test)]
     fn open_inodes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().open.len()).sum()
     }
 }
 
@@ -188,38 +232,57 @@ impl InodeSizes {
 const FD_SHARDS: usize = 16;
 
 struct FdTable {
-    shards: [Mutex<HashMap<u64, Arc<FdEntry>>>; FD_SHARDS],
+    shards: [Mutex<FdShard>; FD_SHARDS],
     next_fd: AtomicU64,
+}
+
+#[derive(Default)]
+struct FdShard {
+    open: HashMap<u64, Arc<FdEntry>>,
+    spare: Vec<Arc<FdEntry>>,
 }
 
 impl FdTable {
     fn new() -> FdTable {
         FdTable {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::default()),
             next_fd: AtomicU64::new(3),
         }
     }
 
-    fn shard(&self, fd: u64) -> &Mutex<HashMap<u64, Arc<FdEntry>>> {
+    fn shard(&self, fd: u64) -> &Mutex<FdShard> {
         &self.shards[(fd % FD_SHARDS as u64) as usize]
     }
 
     fn insert(&self, entry: FdEntry) -> Fd {
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.shard(fd).lock().insert(fd, Arc::new(entry));
+        let mut shard = self.shard(fd).lock();
+        let entry = recycled(&mut shard.spare, entry);
+        shard.open.insert(fd, entry);
         Fd(fd)
     }
 
     fn get(&self, fd: Fd) -> Result<Arc<FdEntry>, DpcError> {
         self.shard(fd.0)
             .lock()
+            .open
             .get(&fd.0)
             .cloned()
             .ok_or(DpcError(9 /* EBADF */))
     }
 
-    fn remove(&self, fd: Fd) -> Option<Arc<FdEntry>> {
-        self.shard(fd.0).lock().remove(&fd.0)
+    /// Forget `fd`. With nobody else borrowing the entry it is retired
+    /// here and its allocation kept; an op still in flight drops it — and
+    /// the hold — when it returns.
+    fn remove(&self, fd: Fd) {
+        let mut shard = self.shard(fd.0).lock();
+        let Some(mut entry) = shard.open.remove(&fd.0) else {
+            return;
+        };
+        if let (Some(e), true) = (Arc::get_mut(&mut entry), shard.spare.len() < SPARES) {
+            e.retire();
+            shard.spare.push(entry);
+        }
     }
 }
 
@@ -279,9 +342,8 @@ pub struct DpcFs {
     /// Durability tier `fsync` provides (see [`FsyncMode`]).
     pub fsync_mode: FsyncMode,
     /// Host-side metadata cache (DESIGN.md §14), shared across every
-    /// adapter of one `Dpc`. `None` (the default) keeps the metadata
-    /// path untouched — no probes, no counters.
-    meta: Option<Arc<MetaCache>>,
+    /// adapter of one `Dpc`.
+    meta: Arc<MetaCache>,
 }
 
 /// One path a namespace request asks the DPU to walk: the inode the host's
@@ -312,31 +374,6 @@ impl<'p> Leg<'p> {
         let n = self.components().count().saturating_sub(leaf);
         self.components().take(n)
     }
-}
-
-/// Refill `out` from cached meta entries, reusing its slots and their
-/// name buffers (the hit-path twin of `decode_dirents_into`).
-fn copy_dirents_reusing<'a>(
-    out: &mut Vec<WireDirent>,
-    entries: impl Iterator<Item = &'a MetaDirent>,
-) {
-    let mut n = 0usize;
-    for e in entries {
-        if n == out.len() {
-            out.push(WireDirent {
-                ino: 0,
-                kind: 0,
-                name: String::new(),
-            });
-        }
-        let slot = &mut out[n];
-        slot.ino = e.ino;
-        slot.kind = e.kind;
-        slot.name.clear();
-        slot.name.push_str(&e.name);
-        n += 1;
-    }
-    out.truncate(n);
 }
 
 /// One page of the paper's front-end write protocol, shared by the host
@@ -389,7 +426,7 @@ impl DpcFs {
         sizes: Arc<InodeSizes>,
         mode: IoMode,
         fsync_mode: FsyncMode,
-        meta: Option<Arc<MetaCache>>,
+        meta: Arc<MetaCache>,
     ) -> DpcFs {
         DpcFs {
             cache,
@@ -459,38 +496,30 @@ impl DpcFs {
         }
     }
 
-    /// Drop `ino`'s cached attr after a size/nlink/mtime-changing op.
-    fn meta_invalidate(&self, ino: u64) {
-        if let Some(meta) = &self.meta {
-            meta.invalidate_ino(ino);
-        }
-    }
-
     // ---- namespace API (DESIGN.md §14) -----------------------------------
     //
     // Every call below is ONE crossing whatever the path's depth: the
     // request carries `(start ino, rest of the path)` and the DPU walks it
-    // (`Kvfs::walk`), symlinks included. With the meta cache on, the host
-    // first consumes the prefix its dentry layer can answer and learns the
-    // rest from the walk trail the reply carries.
+    // (`Kvfs::walk`), symlinks included. The host first consumes the prefix
+    // its name tables can answer — all of it, for a warm path: no crossing —
+    // and learns the rest from the walk trail the reply carries.
 
     /// Bound `path` (ENAMETOOLONG before anything is encoded) and walk the
-    /// prefix the dentry layer knows — nothing, with the meta cache off. A
-    /// dentry is never a symlink's (`prime` skips those), so a hit is safe
-    /// to walk through. With `to_parent` the final component is left for
-    /// the request to name.
+    /// prefix the name tables know. A hit is never a symlink's, so it is
+    /// safe to walk through. With `to_parent` the final component is left
+    /// for the request to name.
     fn enter<'p>(&self, path: &'p str, to_parent: bool) -> Result<Leg<'p>, DpcError> {
         if path.len() > MAX_PATH_LEN || path.split('/').any(|c| c.len() > MAX_NAME_LEN) {
             return Err(DpcError::NAME_TOO_LONG);
         }
         let (mut start, mut rest) = (0 /* root */, path.trim_start_matches('/'));
-        while let (Some(meta), false) = (&self.meta, rest.is_empty()) {
+        while !rest.is_empty() {
             let (comp, tail) = rest.split_once('/').unwrap_or((rest, ""));
             let tail = tail.trim_start_matches('/');
             if to_parent && tail.is_empty() {
                 break;
             }
-            match meta.lookup_name(start, comp) {
+            match self.meta.lookup_name(start, comp) {
                 NameLookup::Hit(ino) => (start, rest) = (ino, tail),
                 // A known-absent name answers a read outright. A mutation
                 // crosses anyway, and the DPU's verdict keeps a two-path
@@ -509,60 +538,53 @@ impl DpcFs {
     /// One namespace crossing: `legs` are the paths `req` has the DPU walk,
     /// in wire order; `own_len` bounds the read payload the op itself
     /// returns (a listing, a link target). The walk trail rides behind it,
-    /// with error replies too — asked for only when there is a meta cache
-    /// to prime. Returns the reply, the op's own payload and the inode
-    /// each leg's walk ended on (the parent a mutation is noted under).
+    /// with error replies too. Returns the reply, the op's own payload and
+    /// the inode each leg's walk ended on (the parent a mutation is noted
+    /// under).
     fn ns_call(
         &self,
         req: &FileRequest,
         legs: &[Leg],
         own_len: u32,
     ) -> Result<(FileResponse, Vec<u8>, [u64; 2]), DpcError> {
-        let room = match self.meta {
-            Some(_) => legs
-                .iter()
-                .map(|l| l.walked().count() * WireStep::SIZE)
-                .sum(),
-            None => 0usize,
-        };
+        let walked = legs.iter().map(|l| l.walked().count()).sum::<usize>();
+        let room = walked * WireStep::SIZE;
+        let seen = self.meta.epoch();
         let mut done = self
             .pool
             .call(DispatchType::Standalone, req, b"", own_len + room as u32)
             .map_err(|e| DpcError(e.errno()))?;
         if let FileResponse::Err(e) = done.response {
-            let _ = self.prime(legs, &done.payload);
+            let _ = self.prime(legs, &done.payload, seen);
             return Err(DpcError(e));
         }
         // A success walked every component: its trail is the last `room`
         // bytes, exactly.
         let own = done.payload.len().checked_sub(room).ok_or(DpcError::IO)?;
-        let ends = self.prime(legs, &done.payload[own..])?;
+        let ends = self.prime(legs, &done.payload[own..], seen)?;
         done.payload.truncate(own);
         Ok((done.response, done.payload, ends))
     }
 
-    /// Teach the meta cache what the DPU's walk found: a dentry per plain
-    /// component, none for one reached through a symlink (those cross
-    /// every time), a negative entry where the walk fell off. Returns the
-    /// inode each leg ended on, an error if the trail stops short of it;
-    /// zeros with the cache off.
-    fn prime(&self, legs: &[Leg], trail: &[u8]) -> Result<[u64; 2], DpcError> {
+    /// Teach the meta cache what the DPU's walk, asked for at epoch `seen`,
+    /// found: a name per plain component, none for one reached through a
+    /// symlink (those cross every time), an absence where the walk fell
+    /// off. Returns the inode each leg ended on, an error if the trail
+    /// stops short of it.
+    fn prime(&self, legs: &[Leg], trail: &[u8], seen: u64) -> Result<[u64; 2], DpcError> {
         let mut ends = [0u64; 2];
-        let Some(meta) = &self.meta else {
-            return Ok(ends);
-        };
         let mut steps = WireStep::decode_all(trail);
         for (leg, end) in legs.iter().zip(&mut ends) {
             *end = leg.start;
             for comp in leg.walked() {
                 match steps.next() {
                     Some(WireStep::Entry(ino)) => {
-                        meta.insert_dentry(*end, comp, ino);
+                        self.meta.learn(*end, comp, Some(ino), seen);
                         *end = ino;
                     }
                     Some(WireStep::Followed(ino)) => *end = ino,
                     Some(WireStep::Absent) => {
-                        meta.insert_negative(*end, comp);
+                        self.meta.learn(*end, comp, None, seen);
                         return Err(DpcError::NOT_FOUND);
                     }
                     None => return Err(DpcError::IO),
@@ -572,26 +594,16 @@ impl DpcFs {
         Ok(ends)
     }
 
-    /// Note a directory change in the meta cache: `Some(ino)` for a new
-    /// name worth a dentry, `None` for a name gone — or a symlink's, which
-    /// the host cannot follow and so never caches.
-    fn note(&self, parent: u64, leaf: &str, created: Option<u64>) {
-        match (&self.meta, created) {
-            (Some(meta), Some(ino)) => meta.note_create(parent, leaf, ino),
-            (Some(meta), None) => meta.note_remove(parent, leaf),
-            (None, _) => {}
-        }
-    }
-
     /// Resolve `path`, symlinks followed, to its attributes: no crossing
-    /// when the dentry and attr layers cover it, one otherwise.
+    /// when the name tables and the attr table cover it, one otherwise.
     pub fn stat(&self, path: &str) -> Result<WireAttr, DpcError> {
         let leg = self.enter(path, false)?;
-        if let (Some(meta), true) = (&self.meta, leg.rest.is_empty()) {
-            if let Some(a) = meta.get_attr(leg.start) {
+        if leg.rest.is_empty() {
+            if let Some(a) = self.meta.get_attr(leg.start) {
                 return Ok(Self::meta_to_wire(a));
             }
         }
+        let seen = self.meta.epoch();
         let req = FileRequest::StatAt {
             start: leg.start,
             path: leg.rest.to_string(),
@@ -599,9 +611,7 @@ impl DpcFs {
         let (FileResponse::Attr(attr), ..) = self.ns_call(&req, &[leg], 0)? else {
             return Err(DpcError::IO);
         };
-        if let Some(meta) = &self.meta {
-            meta.insert_attr(Self::wire_to_meta(&attr));
-        }
+        self.meta.insert_attr_seen(Self::wire_to_meta(&attr), seen);
         Ok(attr)
     }
 
@@ -626,7 +636,7 @@ impl DpcFs {
         if attr.nlink == 0 {
             self.cache.invalidate_ino(attr.ino);
         }
-        self.meta_invalidate(attr.ino);
+        self.meta.invalidate_ino(attr.ino);
     }
 
     pub fn create(&self, path: &str) -> Result<Fd, DpcError> {
@@ -638,7 +648,7 @@ impl DpcFs {
         let (FileResponse::Ino(ino), parent, leaf) = self.mutate(path, create)? else {
             return Err(DpcError::IO);
         };
-        self.note(parent, leaf, Some(ino));
+        self.meta.note_create(parent, leaf, ino, KIND_FILE);
         Ok(self.fds.insert(FdEntry::open(&self.sizes, ino, 0)))
     }
 
@@ -667,9 +677,9 @@ impl DpcFs {
         let (FileResponse::Ino(ino), parent, leaf) = self.mutate(path, mkdir)? else {
             return Err(DpcError::IO);
         };
-        self.note(parent, leaf, Some(ino));
+        self.meta.note_create(parent, leaf, ino, KIND_DIR);
         // The new directory's `..` is a link to the parent.
-        self.meta_invalidate(parent);
+        self.meta.invalidate_ino(parent);
         Ok(())
     }
 
@@ -685,12 +695,25 @@ impl DpcFs {
     /// per-entry allocations once the buffer is warm.
     pub fn readdir_into(&self, path: &str, out: &mut Vec<WireDirent>) -> Result<(), DpcError> {
         let leg = self.enter(path, false)?;
-        if let (Some(meta), true) = (&self.meta, leg.rest.is_empty()) {
-            if let Some(entries) = meta.get_dir(leg.start) {
-                copy_dirents_reusing(out, entries.iter());
-                return Ok(());
+        let mut n = 0;
+        let reuse = |ino, kind, name: &str| {
+            if n == out.len() {
+                out.push(WireDirent {
+                    ino,
+                    kind,
+                    name: String::new(),
+                });
             }
+            (out[n].ino, out[n].kind) = (ino, kind);
+            out[n].name.clear();
+            out[n].name.push_str(name);
+            n += 1;
+        };
+        if leg.rest.is_empty() && self.meta.readdir_with(leg.start, reuse) {
+            out.truncate(n);
+            return Ok(());
         }
+        let seen = self.meta.epoch();
         let req = FileRequest::ReaddirAt {
             start: leg.start,
             path: leg.rest.to_string(),
@@ -702,16 +725,8 @@ impl DpcFs {
             return Err(DpcError::IO);
         };
         decode_dirents_into(&listing, n as usize, out).map_err(|_| DpcError::IO)?;
-        if let Some(meta) = &self.meta {
-            // Cache fill, not steady state: once inserted, the hit path
-            // above serves every repeat listing allocation-free.
-            let entries = out.iter().map(|e| MetaDirent {
-                ino: e.ino,
-                kind: e.kind,
-                name: e.name.clone(),
-            });
-            meta.insert_dir(dir, entries.collect());
-        }
+        let entries = out.iter().map(|e| (e.ino, e.kind, e.name.as_str()));
+        self.meta.insert_dir(dir, seen, entries);
         Ok(())
     }
 
@@ -721,7 +736,7 @@ impl DpcFs {
             return Err(DpcError::IO);
         };
         self.name_removed(&victim);
-        self.note(parent, leaf, None);
+        self.meta.note_remove(parent, leaf);
         Ok(())
     }
 
@@ -738,19 +753,22 @@ impl DpcFs {
         if let FileResponse::Attr(replaced) = resp {
             self.name_removed(&replaced);
         }
-        // Both directories mutated: bump both generations (killing their
-        // listings and negative entries — a rename *into* a cached-absent
-        // name must start resolving again).
-        self.note(parent, legs[0].leaf(), None);
-        self.note(new_parent, legs[1].leaf(), None);
+        // The reply names neither the inode that moved nor its kind: both
+        // tables forget the name (a rename *into* a cached-absent name must
+        // start resolving again) and stop being whole listings.
+        self.meta.note_changed(parent, legs[0].leaf());
+        self.meta.note_changed(new_parent, legs[1].leaf());
         Ok(())
     }
 
     pub fn rmdir(&self, path: &str) -> Result<(), DpcError> {
         let rmdir = |parent, name| FileRequest::Rmdir { parent, name };
         let (_, parent, leaf) = self.mutate(path, rmdir)?;
-        self.note(parent, leaf, None);
-        self.meta_invalidate(parent);
+        if let Some(dir) = self.meta.note_remove(parent, leaf) {
+            self.meta.forget_dir(dir);
+        }
+        // The removed directory's `..` was a link to the parent.
+        self.meta.invalidate_ino(parent);
         Ok(())
     }
 
@@ -765,9 +783,9 @@ impl DpcFs {
             new_name: legs[1].rest.to_string(),
         };
         let (.., [ino, new_parent]) = self.ns_call(&req, &legs, 0)?;
-        self.note(new_parent, legs[1].leaf(), Some(ino));
+        self.meta.note_changed(new_parent, legs[1].leaf());
         // nlink changed.
-        self.meta_invalidate(ino);
+        self.meta.invalidate_ino(ino);
         Ok(())
     }
 
@@ -783,7 +801,7 @@ impl DpcFs {
             target,
         };
         let (_, parent, leaf) = self.mutate(path, symlink)?;
-        self.note(parent, leaf, None);
+        self.meta.note_changed(parent, leaf);
         Ok(())
     }
 
@@ -798,8 +816,7 @@ impl DpcFs {
         let (FileResponse::Bytes(n), mut target, _) = self.ns_call(&req, &[leg], 4096)? else {
             return Err(DpcError::IO);
         };
-        // Consume the reply buffer in place — no `to_vec` copy. (With no
-        // meta cache the unasked-for trail is still behind the target.)
+        // Consume the reply buffer in place — no `to_vec` copy.
         target.truncate(n as usize);
         String::from_utf8(target).map_err(|_| DpcError::IO)
     }
@@ -879,7 +896,7 @@ impl DpcFs {
         let ino = entry.ino;
         entry.cell.note_mutation();
         // Size/mtime change: the cached attr is stale either way.
-        self.meta_invalidate(ino);
+        self.meta.invalidate_ino(ino);
 
         match self.mode {
             IoMode::Direct => {
@@ -1323,7 +1340,7 @@ impl DpcFs {
         let entry = self.fds.get(fd)?;
         let ino = entry.ino;
         entry.cell.note_mutation();
-        self.meta_invalidate(ino);
+        self.meta.invalidate_ino(ino);
         // O_DIRECT coherence: dirty cached pages overlapping the write
         // must reach the backend before the direct write lands (flush,
         // never discard). The dirty-range index answers the overlap
@@ -1424,7 +1441,7 @@ impl DpcFs {
         }
         let ino = entry.ino;
         // The flush rewrites the backend size/mtime.
-        self.meta_invalidate(ino);
+        self.meta.invalidate_ino(ino);
         // Sampled before the request leaves: whatever this fsync covers
         // was written before now (see `InodeCell::is_clean`).
         let covers = entry.cell.mutations.load(Ordering::Acquire);
@@ -1455,7 +1472,7 @@ impl DpcFs {
         let entry = self.fds.get(fd)?;
         let (ino, old) = (entry.ino, entry.cell.size.load(Ordering::Acquire));
         entry.cell.note_mutation();
-        self.meta_invalidate(ino);
+        self.meta.invalidate_ino(ino);
         // Write-ahead: the truncate record orders against live buffered
         // records (positional replay), so a post-crash redo of an older
         // write can never resurrect the clipped bytes. Durable at ack —

@@ -87,19 +87,16 @@ pub struct DpcConfig {
     /// What `fsync` waits for. [`FsyncMode::Log`] needs `wal` on:
     /// without a log it is a [`ConfigError`], not a quiet `Data`.
     pub fsync_mode: FsyncMode,
-    /// Host-side metadata cache (DESIGN.md §14): sharded attr / dentry /
-    /// negative / readdir layers in front of the metadata RPCs,
-    /// generation-invalidated by local mutations. Off = the cache is
-    /// never constructed and every `meta_*` counter is provably zero.
-    pub meta_cache: bool,
-    /// Lock stripes of the metadata cache.
+    /// Lock stripes of the host metadata cache (DESIGN.md §14). The cache
+    /// itself is not optional and has no size of its own: it may hold one
+    /// byte per eight of the data cache ([`DpcConfig::meta_cache_bytes`]).
     pub meta_cache_shards: usize,
-    /// Attr-cache TTL in logical ticks (one tick per cache mutation);
-    /// `0` = entries never expire by age. Bounds attr staleness against
-    /// writers this host cannot observe.
+    /// Metadata-cache TTL in logical ticks (one tick per local mutation);
+    /// `0` = nothing expires by age. The only bound on staleness against
+    /// writers this host cannot observe ([`Dpc::with_shared_storage`]).
     pub meta_cache_ttl: u64,
-    /// Cache observed-ENOENT names (the negative-entry layer). Only
-    /// meaningful with `meta_cache` on.
+    /// Answer ENOENT from a cached absence (an observed one, or a name
+    /// missing from a whole cached listing).
     pub meta_neg_cache: bool,
     /// Seeded fault-injection plan threaded through every layer (nvme-fs
     /// transport, DFS/KV servers, cache flush). None = no faults; all
@@ -126,7 +123,6 @@ impl Default for DpcConfig {
             flush_extent_pages: dpc_cache::DEFAULT_EXTENT_PAGES,
             wal: false,
             wal_bytes: 4 << 20,
-            meta_cache: false,
             meta_cache_shards: 16,
             meta_cache_ttl: 0,
             meta_neg_cache: true,
@@ -154,6 +150,16 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl DpcConfig {
+    /// What the host metadata cache may hold: an eighth of the data
+    /// cache's bytes. Derived, not a field: the memory a host gives this
+    /// client is one number, `cache_pages`, and at ≈ 85 B per cached file
+    /// an eighth covers six files per data page — a tree of more, smaller
+    /// files than that does not fit the data cache either. [`MetaCache::set_budget`] moves
+    /// it on a live instance.
+    pub fn meta_cache_bytes(&self) -> usize {
+        self.cache_pages * dpc_cache::PAGE_SIZE / 8
+    }
+
     /// Reject sizing the substrate crates would otherwise panic on (or
     /// silently misbehave with) long after construction.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -227,9 +233,8 @@ pub struct Dpc {
     /// The intent log (None with `wal` off). The cache holds the same
     /// handle; this one serves diagnostics and region hand-off.
     wal: Option<Arc<IntentLog>>,
-    /// Host-side metadata cache shared by every handed-out adapter
-    /// (None with `meta_cache` off — provable dormancy).
-    meta: Option<Arc<MetaCache>>,
+    /// Host-side metadata cache shared by every handed-out adapter.
+    meta: Arc<MetaCache>,
     /// Per-inode logical sizes shared by every handed-out adapter.
     sizes: Arc<InodeSizes>,
 }
@@ -253,6 +258,21 @@ impl Dpc {
     /// existing DFS backend cluster. `kv_store = None` creates a fresh
     /// store; a supplied store must already hold a KVFS root (use a prior
     /// `Dpc` or `Kvfs::new` to format it).
+    ///
+    /// **What sharing does not give you.** Nothing keeps two live
+    /// instances coherent. This instance's host metadata cache (names,
+    /// listings, attributes — DESIGN.md §14) is coherent with *its own*
+    /// mutations only: it patches or invalidates as they return. What
+    /// another client creates, removes, renames or grows is seen when the
+    /// cached answer expires — `meta_cache_ttl` logical ticks (local
+    /// mutations) after it was fetched — and by nothing else; at the
+    /// default `meta_cache_ttl = 0` that is never. (And an expired
+    /// attribute is only *asked for* again: this instance's DPU-side KVFS
+    /// keeps an inode cache with no expiry.) The same goes for the host
+    /// page cache and the per-inode logical sizes. Sequential
+    /// hand-off (populate through one instance, drop it, reopen) is the
+    /// use this is correct for; concurrent writers need a TTL they can
+    /// live with, until leases exist (ROADMAP item 8).
     pub fn with_shared_storage(
         cfg: DpcConfig,
         kv_store: Option<Arc<KvStore>>,
@@ -431,13 +451,12 @@ impl Dpc {
         let mut pool = ChannelPool::new(channels);
         pool.set_retry(cfg.retry);
 
-        let meta = cfg.meta_cache.then(|| {
-            Arc::new(MetaCache::new(MetaConfig {
-                shards: cfg.meta_cache_shards,
-                attr_ttl: cfg.meta_cache_ttl,
-                negative: cfg.meta_neg_cache,
-            }))
-        });
+        let meta = MetaConfig {
+            shards: cfg.meta_cache_shards,
+            attr_ttl: cfg.meta_cache_ttl,
+            negative: cfg.meta_neg_cache,
+        };
+        let meta = Arc::new(MetaCache::with_budget(meta, cfg.meta_cache_bytes()));
 
         Ok(Dpc {
             cfg,
@@ -486,10 +505,10 @@ impl Dpc {
         )
     }
 
-    /// The shared host metadata cache, when `cfg.meta_cache` is on
-    /// (diagnostics/tests).
-    pub fn meta_cache(&self) -> Option<&Arc<MetaCache>> {
-        self.meta.as_ref()
+    /// The shared host metadata cache (diagnostics, tests, and
+    /// [`MetaCache::set_budget`] to resize it on a live instance).
+    pub fn meta_cache(&self) -> &Arc<MetaCache> {
+        &self.meta
     }
 
     /// Convenience alias emphasising the standalone (KVFS) service.
@@ -587,7 +606,7 @@ impl Dpc {
             cache,
             kvfs_lookups: self.kvfs.lookup_stats(),
             kv,
-            meta: self.meta.as_ref().map(|m| m.stats()).unwrap_or_default(),
+            meta: self.meta.stats(),
             requests_served: self.runtime.requests_served(),
             pages_flushed: self.runtime.pages_flushed(),
             svc_parks: self.runtime.svc_parks(),

@@ -78,8 +78,8 @@ pub struct MetricsSnapshot {
     pub cache: CacheStats,
     pub kvfs_lookups: LookupStats,
     pub kv: KvStats,
-    /// Host-side metadata cache layers (all-zero with `meta_cache` off —
-    /// the cache is never constructed, per the dormancy pattern).
+    /// Host-side metadata cache: what it answered, what it dropped to
+    /// stay inside its byte budget, and the bytes it holds now.
     pub meta: MetaStats,
     /// Requests served by the DPU runtime's service threads.
     pub requests_served: u64,
@@ -231,7 +231,7 @@ impl core::fmt::Display for MetricsSnapshot {
             f,
             "meta cache: attr {} hits / {} misses ({:.0}% hit), dentry {} \
              hits / {} misses, {} negative hits, readdir {} hits / {} \
-             misses, {} invalidations",
+             misses, {} invalidations, {} evictions, {} bytes held",
             mc.attr_hits,
             mc.attr_misses,
             self.meta_attr_hit_rate() * 100.0,
@@ -240,7 +240,9 @@ impl core::fmt::Display for MetricsSnapshot {
             mc.neg_hits,
             mc.readdir_hits,
             mc.readdir_misses,
-            mc.invalidations
+            mc.invalidations,
+            mc.evictions,
+            mc.bytes
         )?;
         writeln!(
             f,
@@ -332,6 +334,7 @@ mod tests {
             "readahead:",
             "wal:",
             "meta cache:",
+            "evictions,",
             "kvfs:",
             "kv store:",
             "dpu runtime:",

@@ -2,7 +2,7 @@
 //! nvme-fs → DPU runtime → IO-dispatch → KVFS → disaggregated KV store,
 //! with real threads playing the DPU.
 
-use dpc::core::{Dpc, DpcConfig, IoMode};
+use dpc::core::{Dpc, DpcConfig, DpcFs, IoMode};
 use dpc::dfs::DfsConfig;
 use dpc::sim::{FaultPlan, FaultSpec};
 
@@ -620,6 +620,31 @@ fn link_dma_budget_of_each_data_path() {
         fs.fsync(fd).unwrap();
         dmas(dpc, || fs.fsync(fd).unwrap())
     };
+    /// `/m/f`, created and never looked at: the host knows the names.
+    fn meta_file(dpc: &Dpc) -> DpcFs {
+        let fs = dpc.fs();
+        fs.mkdir("/m").unwrap();
+        let fd = fs.create("/m/f").unwrap();
+        fs.close(fd).unwrap();
+        fs
+    }
+    let cold_stat: Path = |dpc| {
+        let fs = meta_file(dpc);
+        dmas(dpc, || assert_eq!(fs.stat("/m/f").unwrap().kind, 0))
+    };
+    let warm_meta: Path = |dpc| {
+        let fs = meta_file(dpc);
+        let mut listing = Vec::new();
+        fs.stat("/m/f").unwrap();
+        fs.readdir_into("/m", &mut listing).unwrap();
+        dmas(dpc, || {
+            assert_eq!(fs.stat("/m/f").unwrap().kind, 0);
+            let fd = fs.open("/m/f").unwrap();
+            fs.close(fd).unwrap();
+            fs.readdir_into("/m", &mut listing).unwrap();
+            assert_eq!(fs.stat("/m/ghost").unwrap_err().errno(), 2);
+        })
+    };
     /// A DFS file holding one block.
     fn dfs_file(dpc: &Dpc) -> u64 {
         let ino = dpc.fs().dfs_create(0, "blk").unwrap();
@@ -648,7 +673,7 @@ fn link_dma_budget_of_each_data_path() {
         })
     };
     // (path, I/O mode, DMAs)
-    let table: [(&str, Path, IoMode, u64); 9] = [
+    let table: [(&str, Path, IoMode, u64); 11] = [
         // Absorbed in host memory: nothing crosses.
         ("buffered write", buffered_write, IoMode::Buffered, 0),
         // SQE (request inside), 2 payload pages, CQE (reply inside).
@@ -660,6 +685,12 @@ fn link_dma_budget_of_each_data_path() {
         // SQE + CQE, and the one reply too long for a CQE between them:
         // the post-flush `Attr` the size reconcile reads.
         ("fsync, clean file", clean_fsync, IoMode::Buffered, 3),
+        // The same three for a path the host has names for but no
+        // attribute: SQE (path inside), the `Attr` reply, CQE.
+        ("cold stat", cold_stat, IoMode::Buffered, 3),
+        // What the host meta cache holds — attribute, listing, absence —
+        // it answers itself: stat, open + close, readdir, ENOENT.
+        ("warm stat, open, readdir", warm_meta, IoMode::Buffered, 0),
         ("DFS getattr", dfs_getattr, IoMode::Buffered, 3),
         // The distributed paths are the staged read and the direct write.
         ("DFS 8 KiB read", dfs_read, IoMode::Buffered, 4),

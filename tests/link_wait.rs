@@ -37,12 +37,13 @@ fn a_closed_loop_stream_never_parks_the_service_thread() {
         ..DpcConfig::default()
     });
     let fs = dpc.fs();
-    fs.mkdir("/d").unwrap();
+    // `readlink` crosses every time: the host caches no link target.
+    fs.symlink("/l", "/d").unwrap();
     // The first call of the stream may find the thread asleep; none after.
-    fs.stat("/d").unwrap();
+    fs.readlink("/l").unwrap();
     let before = dpc.metrics();
     for _ in 0..CALLS {
-        fs.stat("/d").unwrap();
+        fs.readlink("/l").unwrap();
     }
     let after = dpc.metrics();
     assert_eq!(after.requests_served - before.requests_served, CALLS);

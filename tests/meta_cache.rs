@@ -1,19 +1,23 @@
-//! PR 9 metadata-plane harness: host meta-cache coherence + sharded MDS
-//! namespace equivalence.
-//!
-//! Three obligations, mirroring the established per-PR pattern:
+//! Metadata-plane harness: host meta-cache coherence (DESIGN.md §14) +
+//! sharded MDS namespace equivalence.
 //!
 //! 1. **Negative-entry coherence** — a cached ENOENT must die the moment
 //!    anything creates or renames into that name, both on a live instance
 //!    and across [`Dpc::recover`] (the recovered instance builds a fresh
 //!    cache — no stale negatives can survive a crash).
-//! 2. **Equivalence** — cache-on and cache-off runs of the same seeded
-//!    create/stat/readdir/unlink/rename schedule must produce identical
+//! 2. **Equivalence** — the default instance and one whose cache holds
+//!    nothing (budget 0: same code path, every call crosses) run the same
+//!    seeded create/stat/readdir/unlink/rename schedule to identical
 //!    outcome traces (success/errno, ino, size, kind, nlink, listings),
 //!    with `mds.rpc` chaos armed so transparent MDS retries interleave
 //!    with the metadata stream. The cache may never change *what* an op
-//!    returns — only how many RPCs it costs.
-//! 3. **Shard equivalence** — the sharded MDS namespace (`ns_shards=16`)
+//!    returns — only how many crossings it costs.
+//! 3. **Differential coherence** — after *every* op of a seeded schedule
+//!    over the whole mutation surface, what the warm instance answers
+//!    (listings in order, every attribute field) is what a cold second
+//!    instance over the same store answers; the same under a tree four
+//!    times the cache's byte budget, which the cache never exceeds.
+//! 4. **Shard equivalence** — the sharded MDS namespace (`ns_shards=16`)
 //!    and the single-stripe layout (`ns_shards=1`) must serve identical
 //!    namespaces under the same chaos schedule: same listings, same
 //!    lookup results, pagination cursors walking to the same end.
@@ -21,7 +25,7 @@
 //! Seeds: `[1, 7, 42]` by default; set `DPC_CHAOS_SEED=<u64>` to pin one
 //! (the CI chaos job fans out over the fixed seeds).
 
-use dpc::core::{Dpc, DpcConfig};
+use dpc::core::{Dpc, DpcConfig, DpcFs};
 use dpc::dfs::{DfsBackend, DfsConfig, DfsError};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
@@ -47,11 +51,10 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A deterministic, thread-light configuration with the metadata cache
-/// toggled; the data path stays out of the way.
-fn meta_cfg(cache: bool) -> DpcConfig {
+/// A deterministic, thread-light configuration; the data path stays out
+/// of the way.
+fn meta_cfg() -> DpcConfig {
     DpcConfig {
-        meta_cache: cache,
         background_flush: false,
         prefetch: false,
         ..DpcConfig::default()
@@ -62,7 +65,7 @@ fn meta_cfg(cache: bool) -> DpcConfig {
 
 #[test]
 fn repeated_enoent_is_served_from_the_negative_cache() {
-    let dpc = Dpc::new(meta_cfg(true));
+    let dpc = Dpc::new(meta_cfg());
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
 
@@ -79,7 +82,7 @@ fn repeated_enoent_is_served_from_the_negative_cache() {
 
 #[test]
 fn cached_enoent_dies_on_create_into_the_name() {
-    let dpc = Dpc::new(meta_cfg(true));
+    let dpc = Dpc::new(meta_cfg());
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
 
@@ -99,7 +102,7 @@ fn cached_enoent_dies_on_create_into_the_name() {
 
 #[test]
 fn cached_enoent_dies_on_rename_into_the_name() {
-    let dpc = Dpc::new(meta_cfg(true));
+    let dpc = Dpc::new(meta_cfg());
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
     let fd = fs.create("/d/src").unwrap();
@@ -135,7 +138,7 @@ fn negative_entries_do_not_survive_recovery() {
             backoff_base_us: 20,
             backoff_cap_us: 200,
         },
-        ..meta_cfg(true)
+        ..meta_cfg()
     };
     let dpc = Dpc::new(cfg.clone());
     let fs = dpc.fs();
@@ -158,13 +161,15 @@ fn negative_entries_do_not_survive_recovery() {
     let rdpc = Dpc::recover(cfg, store, None, region);
     // The recovered instance starts with a *fresh* cache: every counter
     // zero, nothing carried over from the dead host's memory.
-    let fresh = rdpc
-        .meta_cache()
-        .expect("meta knob carries through")
-        .stats();
+    let fresh = rdpc.meta_cache().stats();
     assert_eq!(
-        (fresh.neg_hits, fresh.dentry_hits, fresh.attr_hits),
-        (0, 0, 0),
+        (
+            fresh.neg_hits,
+            fresh.dentry_hits,
+            fresh.attr_hits,
+            fresh.bytes
+        ),
+        (0, 0, 0, 0),
         "recovery must not resurrect pre-crash cache state"
     );
 
@@ -178,12 +183,12 @@ fn negative_entries_do_not_survive_recovery() {
     assert_eq!(rfs.stat("/d/ghost").unwrap().size, 4);
 }
 
-// ---- dormancy -------------------------------------------------------
+// ---- the baseline: a cache that holds nothing -------------------------
 
 #[test]
-fn meta_counters_stay_zero_knobs_off() {
-    let dpc = Dpc::new(meta_cfg(false));
-    assert!(dpc.meta_cache().is_none(), "off = never constructed");
+fn a_zero_budget_holds_nothing_and_answers_nothing() {
+    let dpc = Dpc::new(meta_cfg());
+    dpc.meta_cache().set_budget(0);
     let fs = dpc.fs();
     fs.mkdir("/q").unwrap();
     let fd = fs.create("/q/a").unwrap();
@@ -197,23 +202,23 @@ fn meta_counters_stay_zero_knobs_off() {
     fs.rename("/q/a", "/q/b").unwrap();
     fs.unlink("/q/b").unwrap();
 
+    // Every probe was made — the one code path — and every one missed.
     let m = dpc.metrics().meta;
-    assert_eq!(m.attr_hits, 0);
-    assert_eq!(m.attr_misses, 0);
-    assert_eq!(m.dentry_hits, 0);
-    assert_eq!(m.dentry_misses, 0);
-    assert_eq!(m.neg_hits, 0);
-    assert_eq!(m.readdir_hits, 0);
-    assert_eq!(m.readdir_misses, 0);
-    assert_eq!(m.invalidations, 0);
+    assert_eq!(
+        (m.attr_hits, m.dentry_hits, m.neg_hits, m.readdir_hits),
+        (0, 0, 0, 0)
+    );
+    assert!(m.dentry_misses >= 9, "{m:?}");
+    assert_eq!(m.bytes, 0);
 }
 
-// ---- cache-on == cache-off equivalence under chaos ------------------
+// ---- cached == uncached equivalence under chaos ----------------------
 //
-// A seeded schedule of namespace ops runs twice — meta cache on and off
-// — against instances with the same `mds.rpc` fault schedule, and every
-// op's observable outcome is serialised into a trace line. The traces
-// must be identical: the cache changes RPC counts, never results.
+// A seeded schedule of namespace ops runs twice — the default meta cache,
+// and one that holds nothing — against instances with the same `mds.rpc`
+// fault schedule, and every op's observable outcome is serialised into a
+// trace line. The traces must be identical: the cache changes crossing
+// counts, never results.
 
 const EQ_DIRS: usize = 2;
 const EQ_NAMES: usize = 6;
@@ -282,14 +287,17 @@ fn eq_path(dir: usize, name: usize) -> String {
 }
 
 /// Run one schedule against a fresh instance and serialise every outcome.
-fn run_trace(cache: bool, chaos_seed: u64, schedule: &[NsOp]) -> (Vec<String>, u64) {
+fn run_trace(cached: bool, chaos_seed: u64, schedule: &[NsOp]) -> (Vec<String>, u64) {
     let plan = FaultPlan::new(chaos_seed);
     plan.arm("mds.rpc", FaultSpec::probability(0.2));
     let dpc = Dpc::new(DpcConfig {
         dfs: Some(DfsConfig::default()),
         faults: Some(plan.clone()),
-        ..meta_cfg(cache)
+        ..meta_cfg()
     });
+    if !cached {
+        dpc.meta_cache().set_budget(0);
+    }
     let fs = dpc.fs();
     fs.mkdir("/eq").unwrap();
     for d in 0..EQ_DIRS {
@@ -398,6 +406,254 @@ proptest! {
         // The chaos was real: some MDS RPC somewhere was refused.
         prop_assert!(injected > 0, "no mds.rpc fault ever fired");
     }
+}
+
+// ---- warm == cold, after every op ------------------------------------
+//
+// The warm instance's cache is patched, degraded and invalidated by its
+// own mutations; a cold second instance over the same store has nothing
+// cached and asks the backend. Whatever either is asked, they must agree:
+// listings entry for entry *in order* (a patched listing stays in KV key
+// order), attributes field for field.
+
+/// A fresh, small instance over `dpc`'s store: the cold truth.
+fn cold_over(dpc: &Dpc) -> Dpc {
+    let cfg = DpcConfig {
+        queues: 1,
+        cache_pages: 64,
+        ..meta_cfg()
+    };
+    Dpc::with_shared_storage(cfg, Some(dpc.kv_store()), None)
+}
+
+/// Everything `fs` says about `dirs` and the `names` under each. Names
+/// first: a fresh listing would replace a table the op left wrong before
+/// any lookup had gone through it.
+fn observe(fs: &DpcFs, dirs: &[String], names: &[&str]) -> Vec<String> {
+    let mut out = Vec::new();
+    for dir in dirs {
+        for path in std::iter::once(dir.clone()).chain(names.iter().map(|n| format!("{dir}/{n}"))) {
+            out.push(match fs.stat(&path) {
+                Ok(a) => format!("stat {path} {a:?}"),
+                Err(e) => format!("stat {path} errno={}", e.errno()),
+            });
+        }
+        out.push(match fs.readdir(dir) {
+            Ok(l) => format!("ls {dir} {l:?}"),
+            Err(e) => format!("ls {dir} errno={}", e.errno()),
+        });
+    }
+    out
+}
+
+/// Ask the warm instance twice (the second round is answered by whatever
+/// the first one cached) and a cold one once; all three must agree.
+fn assert_warm_is_cold(warm: &Dpc, dirs: &[String], names: &[&str], ctx: &str) {
+    let fs = warm.fs();
+    let want = observe(&cold_over(warm).fs(), dirs, names);
+    for round in ["first", "cached"] {
+        let got = observe(&fs, dirs, names);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g, w, "{ctx}: warm ({round}) != cold");
+        }
+        assert_eq!(got.len(), want.len());
+    }
+}
+
+#[test]
+fn warm_answers_equal_a_cold_instance_after_every_op() {
+    const NAMES: [&str; 6] = ["a", "b", "c", "d", "sub", "z"];
+    let dirs: Vec<String> = ["/t", "/t/sub", "/t/sub/sub", "/u"]
+        .map(String::from)
+        .to_vec();
+    for seed in seeds() {
+        let plan = FaultPlan::new(seed);
+        plan.arm("mds.rpc", FaultSpec::probability(0.2));
+        let dpc = Dpc::new(DpcConfig {
+            dfs: Some(DfsConfig::default()),
+            faults: Some(plan.clone()),
+            ..meta_cfg()
+        });
+        let fs = dpc.fs();
+        let mut rng = seed ^ 0xD1FF;
+        let mut step = 0usize;
+        // One op, then the whole picture, warm against cold.
+        let mut run = |what: String, op: &dyn Fn() -> Result<(), i32>| {
+            let res = op();
+            step += 1;
+            assert_warm_is_cold(
+                &dpc,
+                &dirs,
+                &NAMES,
+                &format!("seed {seed} step {step}: {what} -> {res:?}"),
+            );
+            res
+        };
+        let put = |path: &str, len: usize| -> Result<(), i32> {
+            let fd = fs
+                .create(path)
+                .or_else(|_| fs.open(path))
+                .map_err(|e| e.errno())?;
+            fs.write(fd, 0, &vec![7u8; len]).map_err(|e| e.errno())?;
+            fs.close(fd).map_err(|e| e.errno())
+        };
+        let e = |r: Result<(), dpc::core::DpcError>| r.map_err(|e| e.errno());
+
+        // The cases the issue names, in a fixed prologue...
+        for d in ["/t", "/t/sub", "/u"] {
+            run(format!("mkdir {d}"), &|| e(fs.mkdir(d))).unwrap();
+        }
+        run("create".into(), &|| put("/t/b", 10)).unwrap();
+        run("create before".into(), &|| put("/t/a", 5000)).unwrap();
+        run("create after".into(), &|| put("/t/z", 0)).unwrap();
+        // Rename over an existing file, then into a cached-absent name.
+        run("rename over".into(), &|| e(fs.rename("/t/a", "/t/b"))).unwrap();
+        assert_eq!(fs.stat("/t/c").unwrap_err().errno(), 2);
+        run(
+            "rename into absent".into(),
+            &|| e(fs.rename("/t/z", "/t/c")),
+        )
+        .unwrap();
+        run("rename across".into(), &|| e(fs.rename("/t/c", "/u/c"))).unwrap();
+        // A hard link's nlink, before and after one name goes.
+        run("link".into(), &|| e(fs.link("/t/b", "/u/d"))).unwrap();
+        assert_eq!(fs.stat("/t/b").unwrap().nlink, 2);
+        run("unlink one name".into(), &|| e(fs.unlink("/t/b"))).unwrap();
+        assert_eq!(fs.stat("/u/d").unwrap().nlink, 1);
+        run("symlink".into(), &|| e(fs.symlink("/t/a", "/u/d"))).unwrap();
+        run("write then stat".into(), &|| put("/t/a", 9000)).unwrap();
+        run("rmdir".into(), &|| e(fs.rmdir("/t/sub"))).unwrap();
+        run("mkdir again".into(), &|| e(fs.mkdir("/t/sub"))).unwrap();
+
+        // ...then at random, errors and all.
+        for _ in 0..40 {
+            let pick = |rng: &mut u64| {
+                let dir = &dirs[(splitmix(rng) % dirs.len() as u64) as usize];
+                format!(
+                    "{dir}/{}",
+                    NAMES[(splitmix(rng) % NAMES.len() as u64) as usize]
+                )
+            };
+            let (p, q) = (pick(&mut rng), pick(&mut rng));
+            let (len, tag) = ((splitmix(&mut rng) % 9000) as usize, splitmix(&mut rng));
+            let _ = match splitmix(&mut rng) % 16 {
+                0..=3 => run(format!("put {p} {len}"), &|| put(&p, len)),
+                4..=5 => run(format!("mkdir {p}"), &|| e(fs.mkdir(&p))),
+                6..=8 => run(format!("unlink {p}"), &|| e(fs.unlink(&p))),
+                9 => run(format!("rmdir {p}"), &|| e(fs.rmdir(&p))),
+                10..=12 => run(format!("rename {p} {q}"), &|| e(fs.rename(&p, &q))),
+                13 => run(format!("link {p} {q}"), &|| e(fs.link(&p, &q))),
+                14 => run(format!("symlink {p} {q}"), &|| e(fs.symlink(&p, &q))),
+                _ => run("dfs touch".into(), &|| {
+                    // Crosses the MDS fabric, so the armed site draws.
+                    let ino = fs
+                        .dfs_create(0, &format!("t{tag}"))
+                        .map_err(|e| e.errno())?;
+                    fs.dfs_getattr(ino).map(drop).map_err(|e| e.errno())
+                }),
+            };
+        }
+        let m = dpc.metrics().meta;
+        assert!(
+            m.readdir_hits > 0 && m.attr_hits > 0 && m.neg_hits > 0,
+            "{m:?}"
+        );
+    }
+}
+
+/// A tree four times the cache's budget: the cache never holds more than
+/// the budget, says so in `meta.evictions`, and still answers as the
+/// backend would.
+#[test]
+fn a_tree_four_times_the_budget_stays_inside_it_and_stays_right() {
+    const DIRS: usize = 12;
+    const FILES: usize = 100;
+    let dpc = Dpc::new(DpcConfig {
+        cache_pages: 64,
+        ..meta_cfg()
+    });
+    let budget = dpc.config().meta_cache_bytes() as u64;
+    assert_eq!(budget, 32 * 1024);
+    let fs = dpc.fs();
+    let dirs: Vec<String> = (0..DIRS).map(|d| format!("/d{d:02}")).collect();
+    let names: Vec<String> = (0..FILES).map(|f| format!("f{f:03}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let inside = |what: &str| {
+        let m = dpc.metrics().meta;
+        assert!(
+            m.bytes <= budget,
+            "{what}: {} B cached, budget {budget}",
+            m.bytes
+        );
+    };
+    for dir in &dirs {
+        fs.mkdir(dir).unwrap();
+        for name in &names {
+            let fd = fs.create(&format!("{dir}/{name}")).unwrap();
+            fs.close(fd).unwrap();
+            inside("create");
+        }
+    }
+    // ≈ 1 200 files at ≈ 100 B each against 32 KiB.
+    for dir in &dirs {
+        assert_eq!(fs.readdir(dir).unwrap().len(), FILES);
+        inside("readdir");
+        for name in &names {
+            fs.stat(&format!("{dir}/{name}")).unwrap();
+            inside("stat");
+        }
+    }
+    let m = dpc.metrics().meta;
+    assert!(m.evictions > 0 && m.bytes > budget / 2, "{m:?}");
+    // Thin the tree through the (partly evicted) cache, then compare all of it.
+    for dir in &dirs {
+        for name in names.iter().step_by(7) {
+            fs.unlink(&format!("{dir}/{name}")).unwrap();
+            inside("unlink");
+        }
+    }
+    assert_warm_is_cold(&dpc, &dirs, &names, "over budget");
+    inside("compare");
+}
+
+/// What one cached file costs, pinned so a later field cannot quietly
+/// spend the benchmark's RSS bound: `meta_mix`'s shape in small — whole
+/// listings of 256 names and every attribute — is under 96 B a file
+/// (≈ 22 B of name table, 64 B of attribute slot, the slack of both).
+#[test]
+fn a_cached_file_costs_under_96_bytes() {
+    let dpc = Dpc::new(meta_cfg());
+    let fs = dpc.fs();
+    for d in 0..16 {
+        fs.mkdir(&format!("/d{d:02}")).unwrap();
+        for f in 0..256 {
+            let fd = fs.create(&format!("/d{d:02}/f{f:03}")).unwrap();
+            fs.close(fd).unwrap();
+        }
+    }
+    let cold = Dpc::with_shared_storage(meta_cfg(), Some(dpc.kv_store()), None);
+    let fs = cold.fs();
+    for d in 0..16 {
+        assert_eq!(fs.readdir(&format!("/d{d:02}")).unwrap().len(), 256);
+        for f in 0..256 {
+            fs.stat(&format!("/d{d:02}/f{f:03}")).unwrap();
+        }
+    }
+    let m = cold.metrics().meta;
+    let files = 16 * 256;
+    assert_eq!((m.evictions, m.attr_misses), (0, files), "{m:?}");
+    assert!(
+        m.bytes / files < 96,
+        "{} B per cached file",
+        m.bytes / files
+    );
+    // All of it is now answered without a crossing.
+    let calls = cold.pool_stats().submitted;
+    for d in 0..16 {
+        assert_eq!(fs.readdir(&format!("/d{d:02}")).unwrap().len(), 256);
+        fs.stat(&format!("/d{d:02}/f255")).unwrap();
+    }
+    assert_eq!(cold.pool_stats().submitted, calls);
 }
 
 // ---- sharded vs single-stripe MDS namespace equivalence -------------

@@ -186,3 +186,81 @@ fn kvfs_namespaces_are_shared_between_live_servers() {
     let n = fs_b.read(fd_b, 0, &mut buf).unwrap();
     assert_eq!(&buf[..n], b"from server A");
 }
+
+#[test]
+fn a_second_live_client_sees_remote_changes_only_when_its_ttl_expires() {
+    // The sharing contract (`Dpc::with_shared_storage`, DESIGN.md §14): a
+    // client's cached metadata is coherent with its *own* mutations; what
+    // another live client does is seen when the cached answer is
+    // `meta_cache_ttl` local mutations old, and not before.
+    let store = Arc::new(KvStore::new());
+    dpc::kvfs::Kvfs::new(store.clone());
+    let a = Dpc::with_shared_storage(DpcConfig::default(), Some(store.clone()), None);
+    let fs_a = a.fs();
+    let put = |path: &str, at: u64, data: &[u8]| {
+        let fd = fs_a.create(path).or_else(|_| fs_a.open(path)).unwrap();
+        fs_a.write(fd, at, data).unwrap();
+        fs_a.close(fd).unwrap();
+    };
+    fs_a.mkdir("/s").unwrap();
+    put("/s/f", 0, b"12345");
+    put("/s/scratch", 0, b"-");
+    put("/b", 0, b"B's own");
+
+    let cfg = DpcConfig {
+        meta_cache_ttl: 4,
+        ..DpcConfig::default()
+    };
+    let b = Dpc::with_shared_storage(cfg, Some(store), None);
+    let fs_b = b.fs();
+    let names = || -> Vec<String> {
+        let listing = fs_b.readdir("/s").unwrap();
+        listing.into_iter().map(|e| e.name).collect()
+    };
+    // B learns the directory: two names, no `new`.
+    assert_eq!(names(), ["f", "scratch"]);
+    assert_eq!(fs_b.stat("/s/new").unwrap_err().errno(), 2);
+    assert_eq!(fs_b.stat("/s/f").unwrap().size, 5);
+
+    // A changes all three under it.
+    put("/s/new", 0, b"hello");
+    put("/s/f", 5, b"678901");
+    fs_a.unlink("/s/scratch").unwrap();
+    put("/s/scratch", 0, b"again");
+
+    // Before the TTL: B answers from what it holds, without a crossing.
+    let calls = b.pool_stats().submitted;
+    assert_eq!(names(), ["f", "scratch"]);
+    assert_eq!(fs_b.stat("/s/new").unwrap_err().errno(), 2);
+    assert_eq!(fs_b.stat("/s/f").unwrap().size, 5);
+    assert_eq!(b.pool_stats().submitted, calls, "stale, and local");
+
+    // Five local mutations later (B allocates no inode: two live KVFS
+    // instances hand out the same numbers — ROADMAP item 8) everything B
+    // fetched is past its TTL and is asked for again.
+    let fd = fs_b.open("/b").unwrap();
+    for _ in 0..5 {
+        fs_b.truncate(fd, 3).unwrap();
+    }
+    let asked = b.metrics().meta.attr_misses;
+    assert_eq!(names(), ["f", "new", "scratch"]);
+    assert_eq!(fs_b.stat("/s/new").unwrap().size, 5);
+    // `f`'s attribute is asked for again too — and B's *DPU* answers 5
+    // from KVFS's inode cache, which has no expiry at all (ROADMAP item 2:
+    // KVFS's own caches onto one invalidation scheme). The host TTL
+    // bounds the host cache, nothing behind it.
+    assert_eq!(fs_b.stat("/s/f").unwrap().size, 5);
+    assert!(b.metrics().meta.attr_misses > asked, "the host asked again");
+
+    // At the default TTL of 0 nothing ever expires: a third client stays
+    // where it first looked, however much it does itself.
+    let c = Dpc::with_shared_storage(DpcConfig::default(), Some(a.kv_store()), None);
+    let fs_c = c.fs();
+    assert_eq!(fs_c.stat("/s/gone").unwrap_err().errno(), 2);
+    put("/s/gone", 0, b"is here");
+    let fd = fs_c.open("/b").unwrap();
+    for _ in 0..50 {
+        fs_c.truncate(fd, 3).unwrap();
+    }
+    assert_eq!(fs_c.stat("/s/gone").unwrap_err().errno(), 2, "unbounded");
+}

@@ -1,15 +1,17 @@
 //! The namespace path's crossing budget and semantics (DESIGN.md §14).
 //!
-//! - every path-taking `DpcFs` call is **one** nvme-fs crossing whatever
-//!   the path's depth, symlinked directories included; a clean `close` is
-//!   none; with the host meta cache on, a repeat call is none either;
+//! - every path-taking `DpcFs` call is **one** nvme-fs crossing cold,
+//!   whatever the path's depth, symlinked directories included; a
+//!   mutation is always one; a clean `close` is none, and so is the warm
+//!   repeat of a read the host meta cache can answer;
 //! - the errnos are typed and the same ones `Kvfs` gives: `ENAMETOOLONG`
 //!   before anything is encoded, `ENOTDIR` under a file, `ELOOP` past 8
 //!   symlink hops;
 //! - unlinking one hard link, or renaming over a file, drops exactly the
 //!   host state of an inode that *died*;
-//! - `DpcFs` (cache off and on) and a bare `Kvfs` driven through the same
-//!   random schedule agree on every result, errno and the final tree.
+//! - `DpcFs` (meta cache at its default budget, and at budget 0 where it
+//!   holds nothing) and a bare `Kvfs` driven through the same random
+//!   schedule agree on every result, errno and the final tree.
 
 use std::sync::Arc;
 
@@ -18,13 +20,18 @@ use dpc::kvfs::{FileKind, FsError, Kvfs, ROOT_INO};
 use dpc::kvstore::KvStore;
 use proptest::prelude::*;
 
-fn quiet(meta_cache: bool) -> DpcConfig {
-    DpcConfig {
-        meta_cache,
+/// A thread-light instance; with `cached` off its meta cache holds
+/// nothing (budget 0 — same code path, every call crosses).
+fn quiet(cached: bool) -> Dpc {
+    let dpc = Dpc::new(DpcConfig {
         background_flush: false,
         prefetch: false,
         ..DpcConfig::default()
+    });
+    if !cached {
+        dpc.meta_cache().set_budget(0);
     }
+    dpc
 }
 
 /// Pool calls `f` submits.
@@ -37,27 +44,29 @@ fn crossings<T>(dpc: &Dpc, f: impl FnOnce() -> T) -> (u64, T) {
 // ---- the budget -----------------------------------------------------
 
 /// Every path-taking call once, under `dir` (a directory path without a
-/// trailing slash, `""` for the root): one crossing each — or, with
-/// `cached`, at most one (the meta cache may answer a call outright).
-fn one_of_each(dpc: &Dpc, fs: &DpcFs, dir: &str, cached: bool) {
+/// trailing slash, `""` for the root): exactly one crossing for a
+/// mutation and for a read asked cold, exactly `warm` for the repeat of a
+/// read — 0 where the meta cache holds the whole path, 1 where it holds
+/// nothing or `dir` passes a symlink.
+fn one_of_each(dpc: &Dpc, fs: &DpcFs, dir: &str, warm: u64) {
     let p = |name: &str| format!("{dir}/{name}");
-    let check = |what: &str, n: u64| {
-        assert!(n == 1 || (cached && n == 0), "{what} under {dir:?}: {n}");
-    };
+    let check = |what: &str, n: u64| assert_eq!(n, 1, "{what} under {dir:?}");
+    let again = |what: &str, n: u64| assert_eq!(n, warm, "warm {what} under {dir:?}");
 
     check("mkdir", crossings(dpc, || fs.mkdir(&p("sub")).unwrap()).0);
     let (n, fd) = crossings(dpc, || fs.create(&p("file")).unwrap());
     check("create", n);
     // A created-and-untouched descriptor is clean.
     assert_eq!(crossings(dpc, || fs.close(fd).unwrap()).0, 0, "clean close");
+    // The create taught the host the name, not the attributes.
     check("stat", crossings(dpc, || fs.stat(&p("file")).unwrap()).0);
+    again("stat", crossings(dpc, || fs.stat(&p("file")).unwrap()).0);
     let (n, fd) = crossings(dpc, || fs.open(&p("file")).unwrap());
-    check("open", n);
+    again("open", n);
     assert_eq!(crossings(dpc, || fs.close(fd).unwrap()).0, 0, "clean close");
-    check(
-        "readdir",
-        crossings(dpc, || assert_eq!(fs.readdir(dir).unwrap().len(), 2)).0,
-    );
+    let list = || assert_eq!(fs.readdir(dir).unwrap().len(), 2);
+    check("readdir", crossings(dpc, list).0);
+    again("readdir", crossings(dpc, list).0);
     check(
         "link",
         crossings(dpc, || fs.link(&p("file"), &p("hard")).unwrap()).0,
@@ -77,8 +86,9 @@ fn one_of_each(dpc: &Dpc, fs: &DpcFs, dir: &str, cached: bool) {
         check("unlink", crossings(dpc, || fs.unlink(&p(name)).unwrap()).0);
     }
     check("rmdir", crossings(dpc, || fs.rmdir(&p("sub")).unwrap()).0);
-    // Failing calls cost the same one crossing.
+    // Failing calls cost the same one crossing, and the absence is cached.
     check("stat ENOENT", crossings(dpc, || fs.stat(&p("ghost"))).0);
+    again("stat ENOENT", crossings(dpc, || fs.stat(&p("ghost"))).0);
 }
 
 #[test]
@@ -86,16 +96,27 @@ fn every_path_call_is_one_crossing_at_any_depth() {
     // The default configuration: this is the product's path, not a knob's.
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
-    one_of_each(&dpc, &fs, "", false);
+    one_of_each(&dpc, &fs, "", 0);
     for d in ["/a", "/a/b", "/a/b/c"] {
         assert_eq!(crossings(&dpc, || fs.mkdir(d).unwrap()).0, 1);
     }
-    one_of_each(&dpc, &fs, "/a/b/c", false);
-    // A symlinked directory mid-path is followed on the DPU: still one.
+    one_of_each(&dpc, &fs, "/a/b/c", 0);
+    // A symlinked directory mid-path is followed on the DPU: still one,
+    // and one every time — the host never walks through a symlink.
     fs.symlink("/a/via", "/a/b").unwrap();
-    one_of_each(&dpc, &fs, "/a/via/c", false);
+    one_of_each(&dpc, &fs, "/a/via/c", 1);
     fs.symlink("/hop", "/a/via").unwrap();
-    one_of_each(&dpc, &fs, "/hop/c", false);
+    one_of_each(&dpc, &fs, "/hop/c", 1);
+
+    // A cache that holds nothing: one crossing per call, warm or cold.
+    let dpc = quiet(false);
+    let fs = dpc.fs();
+    one_of_each(&dpc, &fs, "", 1);
+    for d in ["/a", "/a/b", "/a/b/c"] {
+        assert_eq!(crossings(&dpc, || fs.mkdir(d).unwrap()).0, 1);
+    }
+    one_of_each(&dpc, &fs, "/a/b/c", 1);
+    assert_eq!(dpc.metrics().meta.bytes, 0);
 }
 
 #[test]
@@ -134,20 +155,19 @@ fn close_crosses_exactly_when_something_was_written() {
 
 #[test]
 fn with_the_meta_cache_on_a_repeat_call_does_not_cross() {
-    let dpc = Dpc::new(quiet(true));
+    let dpc = quiet(true);
     let fs = dpc.fs();
     for d in ["/a", "/a/b", "/a/b/c"] {
         fs.mkdir(d).unwrap();
     }
     let fd = fs.create("/a/b/c/f").unwrap();
     fs.close(fd).unwrap();
-    // Same budget with the cache riding the same request…
     fs.mkdir("/a/b/e").unwrap();
-    one_of_each(&dpc, &fs, "/a/b/e", true);
+    one_of_each(&dpc, &fs, "/a/b/e", 0);
 
     // …and a second identical call is answered from what the first one's
     // reply primed: the trail's dentries, the target's attr, the listing.
-    let fresh = Dpc::with_shared_storage(quiet(true), Some(dpc.kv_store()), None);
+    let fresh = Dpc::with_shared_storage(DpcConfig::default(), Some(dpc.kv_store()), None);
     let fs = fresh.fs();
     assert_eq!(crossings(&fresh, || fs.stat("/a/b/c/f").unwrap()).0, 1);
     let hits = fresh.metrics().meta.dentry_hits;
@@ -189,7 +209,7 @@ fn with_the_meta_cache_on_a_repeat_call_does_not_cross() {
 #[test]
 fn oversized_names_are_enametoolong_not_a_panic() {
     for cache in [false, true] {
-        let dpc = Dpc::new(quiet(cache));
+        let dpc = quiet(cache);
         let fs = dpc.fs();
         fs.mkdir("/d").unwrap();
         let long_name = format!("/d/{}", "x".repeat(2000));
@@ -233,7 +253,7 @@ fn oversized_names_are_enametoolong_not_a_panic() {
 #[test]
 fn errnos_match_the_dpu_side_walk() {
     for cache in [false, true] {
-        let dpc = Dpc::new(quiet(cache));
+        let dpc = quiet(cache);
         let fs = dpc.fs();
         fs.mkdir("/d").unwrap();
         let fd = fs.create("/file").unwrap();
@@ -292,7 +312,7 @@ fn cold_read(dpc: &Dpc, path: &str) -> Vec<u8> {
 #[test]
 fn unlinking_one_hard_link_keeps_the_other_names_unsynced_bytes() {
     for cache in [false, true] {
-        let dpc = Dpc::new(quiet(cache));
+        let dpc = quiet(cache);
         let fs = dpc.fs();
         let data = pattern(8192, 0x3C);
         let fd = fs.create("/a").unwrap();
@@ -323,7 +343,7 @@ fn unlinking_one_hard_link_keeps_the_other_names_unsynced_bytes() {
 #[test]
 fn rename_over_a_file_drops_the_replaced_inodes_pages() {
     for cache in [false, true] {
-        let dpc = Dpc::new(quiet(cache));
+        let dpc = quiet(cache);
         let fs = dpc.fs();
         let (old, new) = (pattern(20_000, 1), pattern(9_000, 2));
         let victim = fs.create("/dst").unwrap();
@@ -495,8 +515,8 @@ proptest! {
 
     #[test]
     fn dpcfs_and_kvfs_agree_on_every_result(seed in any::<u64>()) {
-        let plain = Dpc::new(quiet(false));
-        let cached = Dpc::new(quiet(true));
+        let plain = quiet(false);
+        let cached = quiet(true);
         let (plain_fs, cached_fs) = (plain.fs(), cached.fs());
         let model = Kvfs::new(Arc::new(KvStore::new()));
         let mut rng = seed;
@@ -514,11 +534,11 @@ proptest! {
             let want = via_kvfs(&model, op, &p, &q);
             prop_assert_eq!(
                 &via_dpc(&plain_fs, op, &p, &q), &want,
-                "seed {} step {}: op {} {} {} (cache off)", seed, step, op, p, q
+                "seed {} step {}: op {} {} {} (budget 0)", seed, step, op, p, q
             );
             prop_assert_eq!(
                 &via_dpc(&cached_fs, op, &p, &q), &want,
-                "seed {} step {}: op {} {} {} (cache on)", seed, step, op, p, q
+                "seed {} step {}: op {} {} {} (cached)", seed, step, op, p, q
             );
             if let Some(n) = want.strip_prefix("errno ") {
                 errnos.insert(n.to_string());

@@ -6,8 +6,8 @@
 //!
 //! - two descriptors of one file never reconcile the backend to a stale
 //!   private size (acknowledged, fsynced data used to be cut by `close`);
-//! - a clean `open`+`close` (one crossing, zero for the close) or a
-//!   no-op `fsync` (always one) leaves the backend alone;
+//! - a clean `open`+`close` (one crossing cold, none warm, zero for the
+//!   close) or a no-op `fsync` (always one) leaves the backend alone;
 //! - a non-page-aligned tail still lands byte-exact, in one crossing.
 
 use dpc::core::{Dpc, DpcConfig};
@@ -87,17 +87,20 @@ fn clean_close_and_noop_fsync_leave_the_backend_alone() {
         fs.write(fd, 0, &pattern(len, 1)).unwrap();
         fs.close(fd).unwrap();
 
-        let kvfs = dpc.kvfs_inner();
-        let before = (dpc.metrics().kv, fs.stat(path).unwrap(), kvfs.kv_pairs());
+        // The close flushed, so the size the host had cached is void: a
+        // cold open is one crossing, and what it learns serves the next.
         let calls = dpc.pool_stats().submitted;
-
         let fd = fs.open(path).unwrap();
         let opened = dpc.pool_stats().submitted;
-        assert_eq!(opened - calls, 1, "{path}: open is one crossing");
+        assert_eq!(opened - calls, 1, "{path}: a cold open is one crossing");
         // Nothing was written through it: the close sends nothing at all.
         fs.close(fd).unwrap();
         assert_eq!(dpc.pool_stats().submitted, opened, "{path}: clean close");
+
+        let kvfs = dpc.kvfs_inner();
+        let before = (dpc.metrics().kv, fs.stat(path).unwrap(), kvfs.kv_pairs());
         let fd = fs.open(path).unwrap();
+        assert_eq!(dpc.pool_stats().submitted, opened, "{path}: warm");
         fs.fsync(fd).unwrap();
         let synced = dpc.pool_stats().submitted;
         fs.fsync(fd).unwrap();
