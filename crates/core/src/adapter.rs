@@ -758,6 +758,11 @@ impl DpcFs {
         // start resolving again) and stop being whole listings.
         self.meta.note_changed(parent, legs[0].leaf());
         self.meta.note_changed(new_parent, legs[1].leaf());
+        if parent != new_parent {
+            // If it was a directory, its `..` link moved with it.
+            self.meta.invalidate_ino(parent);
+            self.meta.invalidate_ino(new_parent);
+        }
         Ok(())
     }
 

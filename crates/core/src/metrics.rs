@@ -246,13 +246,10 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "kvfs: dentry {:.0}% hit, inode {} hits / {} misses, \
-             resolved-path {} hits / {} misses",
+            "kvfs: dentry {:.0}% hit, inode {} hits / {} misses",
             self.dentry_hit_rate() * 100.0,
             self.kvfs_lookups.inode_hits,
-            self.kvfs_lookups.inode_misses,
-            self.kvfs_lookups.path_hits,
-            self.kvfs_lookups.path_misses
+            self.kvfs_lookups.inode_misses
         )?;
         writeln!(
             f,

@@ -10,17 +10,17 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_kvstore::KvStore;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
+use crate::cache::{Cache, Entry, LookupStats};
 use crate::fileobj::FileObject;
 use crate::keys::{
     attr_key, big_key, dentry_value, inode_key, inode_prefix, name_from_inode_key, parse_dentry,
-    small_key, validate_name,
+    small_key, validate_name, with_inode_key,
 };
 #[cfg(test)]
 use crate::types::BIG_BLOCK;
@@ -29,51 +29,18 @@ use crate::types::{
     SMALL_FILE_MAX,
 };
 
-/// Cache hit/miss counters for the dentry and inode caches.
-#[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
-pub struct LookupStats {
-    pub dentry_hits: u64,
-    pub dentry_misses: u64,
-    pub inode_hits: u64,
-    pub inode_misses: u64,
-    pub path_hits: u64,
-    pub path_misses: u64,
-}
-
 const INO_LOCKS: usize = 64;
-
-/// When the resolved-path cache reaches this many entries it is dropped
-/// wholesale rather than evicted piecemeal — a stat stampede over a
-/// bounded hot set refills it in one pass, and the map never grows
-/// beyond the cap between namespace mutations.
-const PATH_CACHE_CAP: usize = 65_536;
 
 /// The KV-backed file system.
 pub struct Kvfs {
     store: Arc<KvStore>,
     next_ino: AtomicU64,
-    /// `(p_ino, name) → (ino, kind)`, the dentry cache.
-    dentry_cache: RwLock<HashMap<(u64, String), (u64, FileKind)>>,
-    /// `ino → attr`, the inode cache.
-    inode_cache: RwLock<HashMap<u64, FileAttr>>,
-    /// `path → (ino, gen)`, the resolved-path cache. Entries are valid
-    /// only while their generation stamp matches [`Kvfs::ns_gen`]; any
-    /// namespace mutation bumps the generation, lazily invalidating the
-    /// whole map without walking it.
-    path_cache: RwLock<HashMap<String, (u64, u64)>>,
-    /// Namespace generation: bumped by create/mkdir/symlink/link/unlink/
-    /// rmdir/rename so stale resolved paths never validate.
-    ns_gen: AtomicU64,
+    /// The dentry and inode caches, and the rule they are kept by.
+    cache: Cache,
     /// Per-inode write serialisation (sharded by ino).
     ino_locks: Box<[Mutex<()>]>,
     /// Logical clock for timestamps (deterministic under simulation).
     clock: AtomicU64,
-    dentry_hits: AtomicU64,
-    dentry_misses: AtomicU64,
-    inode_hits: AtomicU64,
-    inode_misses: AtomicU64,
-    path_hits: AtomicU64,
-    path_misses: AtomicU64,
 }
 
 impl Kvfs {
@@ -96,18 +63,15 @@ impl Kvfs {
         let raw = store.get(&attr_key(ROOT_INO)).ok_or(FsError::NotFound)?;
         FileAttr::decode(&raw).ok_or(FsError::NotFound)?;
         // Recover the allocator: attribute keys are `0x02 ‖ ino(BE)`, so a
-        // prefix scan over the tag enumerates every live inode.
-        let max_ino = store
-            .scan_prefix(&[0x02])
-            .into_iter()
-            .filter_map(|(k, _)| {
-                // A malformed (short) attribute key must not panic the
-                // remount; it simply doesn't inform the allocator.
-                let bytes: [u8; 8] = k.get(1..9)?.try_into().ok()?;
-                Some(u64::from_be_bytes(bytes))
-            })
-            .max()
-            .unwrap_or(ROOT_INO);
+        // prefix scan over the tag visits every live inode's key in place.
+        let mut max_ino = ROOT_INO;
+        store.scan_prefix_with(&[0x02], |key, _| {
+            // A malformed (short) attribute key must not panic the
+            // remount; it simply doesn't inform the allocator.
+            if let Some(ino) = key.get(1..9).and_then(|b| b.try_into().ok()) {
+                max_ino = max_ino.max(u64::from_be_bytes(ino));
+            }
+        });
         Ok(Self::construct(store, max_ino + 1))
     }
 
@@ -115,18 +79,9 @@ impl Kvfs {
         Kvfs {
             store,
             next_ino: AtomicU64::new(next_ino),
-            dentry_cache: RwLock::new(HashMap::new()),
-            inode_cache: RwLock::new(HashMap::new()),
-            path_cache: RwLock::new(HashMap::new()),
-            ns_gen: AtomicU64::new(0),
+            cache: Cache::default(),
             ino_locks: (0..INO_LOCKS).map(|_| Mutex::new(())).collect(),
             clock: AtomicU64::new(1),
-            dentry_hits: AtomicU64::new(0),
-            dentry_misses: AtomicU64::new(0),
-            inode_hits: AtomicU64::new(0),
-            inode_misses: AtomicU64::new(0),
-            path_hits: AtomicU64::new(0),
-            path_misses: AtomicU64::new(0),
         }
     }
 
@@ -135,21 +90,7 @@ impl Kvfs {
     }
 
     pub fn lookup_stats(&self) -> LookupStats {
-        LookupStats {
-            dentry_hits: self.dentry_hits.load(Ordering::Relaxed),
-            dentry_misses: self.dentry_misses.load(Ordering::Relaxed),
-            inode_hits: self.inode_hits.load(Ordering::Relaxed),
-            inode_misses: self.inode_misses.load(Ordering::Relaxed),
-            path_hits: self.path_hits.load(Ordering::Relaxed),
-            path_misses: self.path_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Invalidate every cached resolved path: bump the namespace
-    /// generation so stale entries stop validating. O(1) — the map is
-    /// cleaned lazily as entries are re-resolved or the cap clears it.
-    fn bump_ns_gen(&self) {
-        self.ns_gen.fetch_add(1, Ordering::Release);
+        self.cache.stats()
     }
 
     fn now(&self) -> u64 {
@@ -168,25 +109,27 @@ impl Kvfs {
 
     /// Fetch an attribute (through the inode cache).
     pub fn get_attr(&self, ino: u64) -> Result<FileAttr, FsError> {
-        if let Some(a) = self.inode_cache.read().get(&ino) {
-            self.inode_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*a);
-        }
-        self.inode_misses.fetch_add(1, Ordering::Relaxed);
-        let raw = self.store.get(&attr_key(ino)).ok_or(FsError::NotFound)?;
-        let attr = FileAttr::decode(&raw).ok_or(FsError::NotFound)?;
-        self.inode_cache.write().insert(ino, attr);
-        Ok(attr)
+        let fetch = || FileAttr::decode(&self.store.get(&attr_key(ino))?);
+        self.cache.attr(ino, fetch).ok_or(FsError::NotFound)
     }
 
     fn put_attr(&self, attr: &FileAttr) {
         self.store.put(&attr_key(attr.ino), &attr.encode());
-        self.inode_cache.write().insert(attr.ino, *attr);
+        self.cache.put_attr(*attr);
     }
 
     fn drop_attr(&self, ino: u64) {
         self.store.delete(&attr_key(ino));
-        self.inode_cache.write().remove(&ino);
+        self.cache.drop_attr(ino);
+    }
+
+    /// Add `by` to a directory's link count: a child's `..` came or went.
+    /// The caller holds the directory's [`Kvfs::ino_lock`].
+    fn add_links(&self, dir: u64, by: i32) {
+        if let Ok(mut attr) = self.get_attr(dir) {
+            attr.nlink = attr.nlink.saturating_add_signed(by);
+            self.put_attr(&attr);
+        }
     }
 
     // ---- lookup / resolution ------------------------------------------
@@ -199,50 +142,18 @@ impl Kvfs {
     /// [`Kvfs::lookup`] with the entry's kind, which the inode KV records:
     /// a walk learns "directory", "symlink" or "file" from the dentry it
     /// just read instead of fetching the child's attribute.
-    fn lookup_entry(&self, parent: u64, name: &str) -> Result<(u64, FileKind), FsError> {
+    fn lookup_entry(&self, parent: u64, name: &str) -> Result<Entry, FsError> {
         validate_name(name)?;
-        let key = (parent, name.to_string());
-        if let Some(&entry) = self.dentry_cache.read().get(&key) {
-            self.dentry_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry);
-        }
-        self.dentry_misses.fetch_add(1, Ordering::Relaxed);
-        let raw = self
-            .store
-            .get(&inode_key(parent, name))
-            .ok_or(FsError::NotFound)?;
-        let entry = parse_dentry(&raw).ok_or(FsError::NotFound)?;
-        self.dentry_cache.write().insert(key, entry);
-        Ok(entry)
+        let fetch = || parse_dentry(&with_inode_key(parent, name, |key| self.store.get(key))?);
+        let found = self.cache.name(parent, name, fetch);
+        found.ok_or(FsError::NotFound)
     }
 
     /// Resolve an absolute path to an inode by recursively fetching inode
     /// KVs from the root (the paper's path-resolution procedure).
     /// Symbolic links are followed, with a depth limit of 8.
-    ///
-    /// Repeat resolutions of the same path (stat stampedes, open-after-
-    /// stat) are answered from the resolved-path cache: one map probe
-    /// instead of a per-component lookup walk. Entries carry the
-    /// namespace generation they were resolved under and stop validating
-    /// the moment any mutation bumps it.
     pub fn resolve(&self, path: &str) -> Result<u64, FsError> {
-        let gen = self.ns_gen.load(Ordering::Acquire);
-        if let Some(&(ino, stamp)) = self.path_cache.read().get(path) {
-            if stamp == gen {
-                self.path_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(ino);
-            }
-        }
-        self.path_misses.fetch_add(1, Ordering::Relaxed);
-        // Generation read *before* the walk: if a rename lands mid-walk
-        // the entry is stamped stale and never validates.
-        let ino = self.walk(ROOT_INO, path, &mut |_| {})?;
-        let mut pc = self.path_cache.write();
-        if pc.len() >= PATH_CACHE_CAP {
-            pc.clear();
-        }
-        pc.insert(path.to_string(), (ino, gen));
-        Ok(ino)
+        self.walk(ROOT_INO, path, &mut |_| {})
     }
 
     /// Resolve without following a final symlink (lstat-style).
@@ -343,21 +254,23 @@ impl Kvfs {
         self.walk_parent(ROOT_INO, path, &mut |_| {})
     }
 
-    /// Claim `name` under `parent` for `ino` in the store.
-    fn claim_name(&self, parent: u64, name: &str, ino: u64, kind: FileKind) -> Result<(), FsError> {
-        let claimed = self
-            .store
-            .put_if_absent(&inode_key(parent, name), &dentry_value(ino, kind));
-        claimed.then_some(()).ok_or(FsError::AlreadyExists)
+    /// Claim `name` under `parent` for `entry`, if it is free: the inode
+    /// KV, then the dentry cache.
+    fn publish_name(&self, parent: u64, name: &str, entry: Entry) -> Result<(), FsError> {
+        let value = dentry_value(entry.0, entry.1);
+        if !self.store.put_if_absent(&inode_key(parent, name), &value) {
+            return Err(FsError::AlreadyExists);
+        }
+        self.cache.put_name(parent, name, entry);
+        Ok(())
     }
 
-    /// Make a claimed name (and the inode behind it, by now complete)
-    /// visible to lookups: the dentry cache, the namespace generation.
-    fn publish_name(&self, parent: u64, name: &str, ino: u64, kind: FileKind) {
-        self.dentry_cache
-            .write()
-            .insert((parent, name.to_string()), (ino, kind));
-        self.bump_ns_gen();
+    /// Take `name` out of `parent` — the inode KV, then the dentry cache —
+    /// and say whether it was there to take.
+    fn retract_name(&self, parent: u64, name: &str) -> bool {
+        let was = self.store.delete(&inode_key(parent, name));
+        self.cache.drop_name(parent, name);
+        was
     }
 
     /// Create a symbolic link at `path` pointing to the absolute `target`.
@@ -373,14 +286,13 @@ impl Kvfs {
             return Err(FsError::NameTooLong);
         }
         let ino = self.alloc_ino();
-        self.claim_name(parent, name, ino, FileKind::Symlink)?;
+        self.publish_name(parent, name, (ino, FileKind::Symlink))?;
         let mut attr = FileAttr::new_file(ino, 0o777, self.now());
         attr.kind = FileKind::Symlink;
         attr.size = target.len() as u64;
         self.put_attr(&attr);
         // The target string lives in the small-file KV.
         self.store.put(&small_key(ino), target.as_bytes());
-        self.publish_name(parent, name, ino, FileKind::Symlink);
         Ok(ino)
     }
 
@@ -411,11 +323,10 @@ impl Kvfs {
             return Err(FsError::InvalidOperation);
         }
         validate_name(name)?;
-        self.claim_name(parent, name, ino, FileKind::File)?;
+        self.publish_name(parent, name, (ino, FileKind::File))?;
         attr.nlink += 1;
         attr.ctime = self.now();
         self.put_attr(&attr);
-        self.publish_name(parent, name, ino, FileKind::File);
         Ok(attr)
     }
 
@@ -431,12 +342,11 @@ impl Kvfs {
     pub fn create_in(&self, parent: u64, name: &str, mode: u32) -> Result<u64, FsError> {
         validate_name(name)?;
         let ino = self.alloc_ino();
-        self.claim_name(parent, name, ino, FileKind::File)?;
+        self.publish_name(parent, name, (ino, FileKind::File))?;
         let attr = FileAttr::new_file(ino, mode, self.now());
         self.put_attr(&attr);
         // Small-file KV starts empty.
         self.store.put(&small_key(ino), b"");
-        self.publish_name(parent, name, ino, FileKind::File);
         Ok(ino)
     }
 
@@ -451,15 +361,11 @@ impl Kvfs {
         validate_name(name)?;
         let _guard = self.ino_lock(parent).lock();
         let ino = self.alloc_ino();
-        self.claim_name(parent, name, ino, FileKind::Dir)?;
+        self.publish_name(parent, name, (ino, FileKind::Dir))?;
         let attr = FileAttr::new_dir(ino, mode, self.now());
         self.put_attr(&attr);
         // Parent gains a link ("..").
-        if let Ok(mut pattr) = self.get_attr(parent) {
-            pattr.nlink += 1;
-            self.put_attr(&pattr);
-        }
-        self.publish_name(parent, name, ino, FileKind::Dir);
+        self.add_links(parent, 1);
         Ok(ino)
     }
 
@@ -536,17 +442,17 @@ impl Kvfs {
     /// left it: `nlink == 0` says the inode itself is gone, anything else
     /// that it lives on under its other names.
     pub fn unlink_entry(&self, parent: u64, name: &str) -> Result<FileAttr, FsError> {
-        let ino = self.lookup(parent, name)?;
-        let mut attr = self.get_attr(ino)?;
-        if attr.is_dir() {
+        let (ino, kind) = self.lookup_entry(parent, name)?;
+        if kind == FileKind::Dir {
             return Err(FsError::IsADirectory);
         }
+        // The link count is read under the lock: two names of one inode
+        // unlinked at once must not both count down from the same value.
         let _guard = self.ino_lock(ino).lock();
-        self.store.delete(&inode_key(parent, name));
-        self.dentry_cache
-            .write()
-            .remove(&(parent, name.to_string()));
-        self.bump_ns_gen();
+        let mut attr = self.get_attr(ino)?;
+        if !self.retract_name(parent, name) {
+            return Err(FsError::NotFound); // another unlink of this name won
+        }
         attr.nlink = attr.nlink.saturating_sub(1);
         if attr.nlink > 0 {
             attr.ctime = self.now();
@@ -571,25 +477,17 @@ impl Kvfs {
 
     /// Remove an empty directory under a known parent inode.
     pub fn rmdir_in(&self, parent: u64, name: &str) -> Result<(), FsError> {
-        let ino = self.lookup(parent, name)?;
-        let attr = self.get_attr(ino)?;
-        if !attr.is_dir() {
+        let (ino, kind) = self.lookup_entry(parent, name)?;
+        if kind != FileKind::Dir {
             return Err(FsError::NotADirectory);
         }
         if self.store.count_prefix(&inode_prefix(ino)) != 0 {
             return Err(FsError::DirectoryNotEmpty);
         }
         let _guard = self.ino_lock(parent).lock();
-        self.store.delete(&inode_key(parent, name));
-        self.dentry_cache
-            .write()
-            .remove(&(parent, name.to_string()));
-        self.bump_ns_gen();
+        self.retract_name(parent, name);
         self.drop_attr(ino);
-        if let Ok(mut pattr) = self.get_attr(parent) {
-            pattr.nlink = pattr.nlink.saturating_sub(1);
-            self.put_attr(&pattr);
-        }
+        self.add_links(parent, -1);
         Ok(())
     }
 
@@ -617,27 +515,25 @@ impl Kvfs {
         if fp == tp && fname == tname {
             return Ok(None); // rename to self is a no-op
         }
-        let value = dentry_value(ino, kind);
         let mut replaced = None;
-        if !self.store.put_if_absent(&inode_key(tp, tname), &value) {
+        if self.publish_name(tp, tname, (ino, kind)).is_err() {
             // Destination exists: replace a file, refuse a directory.
             replaced = Some(self.unlink_entry(tp, tname)?);
-            if !self.store.put_if_absent(&inode_key(tp, tname), &value) {
-                return Err(FsError::AlreadyExists); // lost a race
+            self.publish_name(tp, tname, (ino, kind))?; // `Err`: lost a race
+        }
+        self.retract_name(fp, fname);
+        if kind == FileKind::Dir && fp != tp {
+            // The directory's `..` moves with it: one parent's lock at a
+            // time, never nested, each held as mkdir and rmdir hold it.
+            for (dir, by) in [(fp, -1), (tp, 1)] {
+                let _guard = self.ino_lock(dir).lock();
+                self.add_links(dir, by);
             }
         }
-        self.store.delete(&inode_key(fp, fname));
-        let mut dc = self.dentry_cache.write();
-        dc.remove(&(fp, fname.to_string()));
-        dc.insert((tp, tname.to_string()), (ino, kind));
-        drop(dc);
-        self.bump_ns_gen();
         Ok(replaced)
     }
 
-    /// `stat` by path. Routed through the shared resolver: a repeated
-    /// stat of the same path is one resolved-path probe plus one inode-
-    /// cache probe, not a per-component KV walk.
+    /// `stat` by path: the walk, then one inode-cache probe.
     pub fn stat(&self, path: &str) -> Result<FileAttr, FsError> {
         let ino = self.resolve(path)?;
         self.get_attr(ino)
@@ -655,57 +551,19 @@ impl Kvfs {
     // ---- data operations ----------------------------------------------
 
     /// Write `data` at `offset`; extends the file. Returns bytes written.
-    ///
-    /// Implements the small→big promotion: files under 8 KiB rewrite
-    /// their whole small-file KV; when the size reaches 8 KiB the small KV
-    /// is deleted and a big-file KV (block space) is created.
     pub fn write(&self, ino: u64, offset: u64, data: &[u8]) -> Result<usize, FsError> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let _guard = self.ino_lock(ino).lock();
-        let mut attr = self.get_attr(ino)?;
-        if attr.is_dir() {
-            return Err(FsError::IsADirectory);
-        }
-        // A hostile offset near u64::MAX must surface as an error, not an
-        // arithmetic overflow panic.
-        let end = offset
-            .checked_add(data.len() as u64)
-            .ok_or(FsError::InvalidOperation)?;
+        self.write_extent(ino, offset, &[data])
+    }
 
-        match attr.format {
-            DataFormat::Small if end < SMALL_FILE_MAX => {
-                // Rewrite the entire small KV (the paper's update rule).
-                let mut v = self.store.get(&small_key(ino)).unwrap_or_default();
-                if (v.len() as u64) < end {
-                    v.resize(end as usize, 0);
-                }
-                v[offset as usize..end as usize].copy_from_slice(data);
-                self.store.put(&small_key(ino), &v);
-            }
-            DataFormat::Small => {
-                // Promotion: move existing bytes into the block space.
-                let old = self.store.get(&small_key(ino)).unwrap_or_default();
-                let fo = FileObject::new(&self.store, ino);
-                if !old.is_empty() {
-                    fo.write_at(0, &old);
-                }
-                self.store.delete(&small_key(ino));
-                fo.write_at(offset, data);
-                attr.format = DataFormat::Big;
-            }
-            DataFormat::Big => {
-                FileObject::new(&self.store, ino).write_at(offset, data);
-            }
+    /// Small → big: the small-file KV's bytes move into the block space
+    /// and the KV is deleted.
+    fn promote(&self, attr: &mut FileAttr) {
+        let old = self.store.get(&small_key(attr.ino)).unwrap_or_default();
+        if !old.is_empty() {
+            FileObject::new(&self.store, attr.ino).write_at(0, &old);
         }
-
-        if end > attr.size {
-            attr.size = end;
-        }
-        attr.mtime = self.now();
-        self.put_attr(&attr);
-        Ok(data.len())
+        self.store.delete(&small_key(attr.ino));
+        attr.format = DataFormat::Big;
     }
 
     /// Vectored write: lay `segments` down contiguously starting at
@@ -714,6 +572,9 @@ impl Kvfs {
     /// flushing — N dirty pages cost one `write_extent` instead of N
     /// `write` calls, each of which would re-lock the inode and re-cycle
     /// its attribute KV. Returns total bytes written.
+    ///
+    /// A file under 8 KiB rewrites its whole small-file KV (the paper's
+    /// update rule); a write that ends at or past 8 KiB promotes it first.
     pub fn write_extent(
         &self,
         ino: u64,
@@ -729,6 +590,8 @@ impl Kvfs {
         if attr.is_dir() {
             return Err(FsError::IsADirectory);
         }
+        // A hostile offset near u64::MAX must surface as an error, not an
+        // arithmetic overflow panic.
         let end = offset
             .checked_add(total as u64)
             .ok_or(FsError::InvalidOperation)?;
@@ -747,14 +610,7 @@ impl Kvfs {
             self.store.put(&small_key(ino), &v);
         } else {
             if attr.format == DataFormat::Small {
-                // Promotion: move existing bytes into the block space.
-                let old = self.store.get(&small_key(ino)).unwrap_or_default();
-                let fo = FileObject::new(&self.store, ino);
-                if !old.is_empty() {
-                    fo.write_at(0, &old);
-                }
-                self.store.delete(&small_key(ino));
-                attr.format = DataFormat::Big;
+                self.promote(&mut attr);
             }
             let fo = FileObject::new(&self.store, ino);
             let mut pos = offset;
@@ -878,13 +734,7 @@ impl Kvfs {
                     self.store.truncate_value(&small_key(ino), size as usize);
                 } else {
                     // Growing past the boundary promotes.
-                    let old = self.store.get(&small_key(ino)).unwrap_or_default();
-                    let fo = FileObject::new(&self.store, ino);
-                    if !old.is_empty() {
-                        fo.write_at(0, &old);
-                    }
-                    self.store.delete(&small_key(ino));
-                    attr.format = DataFormat::Big;
+                    self.promote(&mut attr);
                 }
             }
             DataFormat::Big => {
@@ -1328,51 +1178,53 @@ mod tests {
         let fs = fs();
         fs.mkdir("/etc", 0o755).unwrap();
         fs.create("/etc/conf", 0o644).unwrap();
-        let s0 = fs.lookup_stats();
+        let (s0, kv0) = (fs.lookup_stats(), fs.store().stats());
         fs.resolve("/etc/conf").unwrap();
         fs.resolve("/etc/conf").unwrap();
         fs.resolve("/etc/conf").unwrap();
         let s1 = fs.lookup_stats();
         // After the entries are cached (they are: create/mkdir prime the
-        // dentry cache), resolves hit. The first walk hits the dentry
-        // cache per component; the repeats are whole-path hits that skip
-        // the walk entirely.
+        // dentry cache), resolves hit: every walk, the first included, is
+        // one dentry hit per component and no KV get.
         assert_eq!(s1.dentry_misses - s0.dentry_misses, 0);
-        assert!(s1.dentry_hits - s0.dentry_hits >= 2);
-        assert_eq!(s1.path_misses - s0.path_misses, 1);
-        assert_eq!(s1.path_hits - s0.path_hits, 2);
+        assert_eq!(s1.dentry_hits - s0.dentry_hits, 3 * 2);
+        assert_eq!(fs.store().stats().gets, kv0.gets);
+        assert_eq!((s1.path_hits, s1.path_misses), (0, 0), "retired, read 0");
     }
 
     #[test]
-    fn repeated_stats_hit_the_resolved_path_cache() {
+    fn repeated_stats_of_a_warm_path_cost_depth_dentry_hits_and_no_kv_get() {
         let fs = fs();
         fs.mkdir("/deep", 0o755).unwrap();
         fs.mkdir("/deep/nested", 0o755).unwrap();
         fs.create("/deep/nested/leaf", 0o644).unwrap();
         let first = fs.stat("/deep/nested/leaf").unwrap();
-        let s0 = fs.lookup_stats();
+        let (s0, kv0) = (fs.lookup_stats(), fs.store().stats());
         for _ in 0..5 {
             assert_eq!(fs.stat("/deep/nested/leaf").unwrap().ino, first.ino);
         }
         let s1 = fs.lookup_stats();
-        assert_eq!(s1.path_hits - s0.path_hits, 5, "full-path probes");
-        assert_eq!(s1.path_misses - s0.path_misses, 0);
-        // The cached path skips the component walk entirely.
-        assert_eq!(s1.dentry_hits - s0.dentry_hits, 0);
+        // A stat is the walk — one dentry hit per component — and two
+        // attribute hits (the root's kind, the leaf's attribute).
+        assert_eq!(s1.dentry_hits - s0.dentry_hits, 5 * 3);
         assert_eq!(s1.dentry_misses - s0.dentry_misses, 0);
+        assert_eq!(s1.inode_hits - s0.inode_hits, 5 * 2);
+        assert_eq!(s1.inode_misses - s0.inode_misses, 0);
+        assert_eq!(fs.store().stats(), kv0, "a warm stat touches no KV");
     }
 
     #[test]
-    fn path_cache_invalidated_by_every_namespace_mutation() {
+    fn resolve_and_stat_tell_the_truth_after_every_namespace_mutation() {
         let fs = fs();
         fs.mkdir("/d", 0o755).unwrap();
-        fs.create("/d/f", 0o644).unwrap();
+        let f = fs.create("/d/f", 0o644).unwrap();
         fs.stat("/d/f").unwrap(); // populate
 
-        // Rename away: the stale resolved path must stop validating.
+        // Rename away: the old path must stop resolving.
         fs.rename("/d/f", "/d/g").unwrap();
         assert_eq!(fs.stat("/d/f"), Err(FsError::NotFound));
         let g = fs.stat("/d/g").unwrap();
+        assert_eq!((g.ino, fs.resolve("/d/g")), (f, Ok(f)));
 
         // Rename something *else* into the old name: the pre-rename
         // NotFound result must not have poisoned anything, and the old
@@ -1387,6 +1239,91 @@ mod tests {
         assert_eq!(fs.stat("/d/f"), Err(FsError::NotFound));
         let ino3 = fs.create("/d/f", 0o644).unwrap();
         assert_eq!(fs.stat("/d/f").unwrap().ino, ino3);
+
+        // An ancestor directory renamed: every path through it moves.
+        fs.rename("/d", "/e").unwrap();
+        assert_eq!(fs.resolve("/d/f"), Err(FsError::NotFound));
+        assert_eq!(fs.stat("/e/f").unwrap().ino, ino3);
+        assert_eq!(fs.resolve("/e/g"), Ok(f));
+        // mkdir, symlink, link and rmdir are namespace mutations too.
+        let sub = fs.mkdir("/e/sub", 0o755).unwrap();
+        fs.symlink("/ln", "/e/sub").unwrap();
+        fs.link("/e/f", "/e/sub/h").unwrap();
+        assert_eq!(fs.stat("/ln").unwrap().ino, sub);
+        assert_eq!(fs.stat("/ln/h").unwrap().nlink, 2);
+        fs.unlink("/e/sub/h").unwrap();
+        fs.rmdir("/e/sub").unwrap();
+        assert_eq!(fs.stat("/e/sub"), Err(FsError::NotFound));
+        assert_eq!(fs.resolve("/ln"), Err(FsError::NotFound), "dangles now");
+        assert_eq!(fs.stat("/e/f").unwrap().nlink, 1);
+    }
+
+    /// The fill fence, end to end: a reader that missed and went to the
+    /// store must not cache what it read once the churner has moved on —
+    /// unfenced, the cache ends up naming a dead inode and the churner's
+    /// next `unlink_in` of the name it just created fails `NotFound`.
+    #[test]
+    fn a_lookup_racing_create_and_unlink_never_strands_the_name() {
+        use std::sync::atomic::AtomicBool;
+        let runs = if cfg!(debug_assertions) { 20 } else { 200 };
+        for run in 0..runs {
+            let fs = fs();
+            let stop = AtomicBool::new(false);
+            let mut stranded = None;
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        while !stop.load(Ordering::Relaxed) {
+                            let _ = fs.lookup(ROOT_INO, "x");
+                        }
+                    });
+                }
+                // Odd runs end on the create, even ones on the unlink.
+                for cycle in 0..2_000 + run % 2 {
+                    let done = match cycle % 2 {
+                        0 => fs.create_in(ROOT_INO, "x", 0o644).map(drop),
+                        _ => fs.unlink_in(ROOT_INO, "x"),
+                    };
+                    if done.is_err() {
+                        stranded = Some((cycle, done));
+                        break;
+                    }
+                }
+                // Before any assert: a panic here would leave the readers
+                // spinning and the scope joining them forever.
+                stop.store(true, Ordering::Relaxed);
+            });
+            assert_eq!(stranded, None, "run {run}: the churner's (cycle, result)");
+            assert_eq!(
+                fs.lookup(ROOT_INO, "x").is_ok(),
+                fs.entry_exists(ROOT_INO, "x"),
+                "run {run}: the cache and the store disagree after quiesce"
+            );
+            assert_eq!(fs.entry_exists(ROOT_INO, "x"), run % 2 == 1);
+        }
+    }
+
+    #[test]
+    fn a_directory_renamed_to_another_parent_takes_its_dotdot_along() {
+        let fs = fs();
+        let a = fs.mkdir("/a", 0o755).unwrap();
+        let b = fs.mkdir("/b", 0o755).unwrap();
+        let x = fs.mkdir("/a/x", 0o755).unwrap();
+        let nlinks = || [a, b].map(|dir| fs.get_attr(dir).unwrap().nlink);
+        assert_eq!(nlinks(), [3, 2]);
+        fs.rename("/a/x", "/b/x").unwrap();
+        assert_eq!(nlinks(), [2, 3]);
+        assert_eq!(fs.resolve("/b/x"), Ok(x));
+        // Within one parent, and for a file, no link moves.
+        fs.rename("/b/x", "/b/y").unwrap();
+        fs.create("/a/f", 0o644).unwrap();
+        fs.rename("/a/f", "/b/f").unwrap();
+        assert_eq!(nlinks(), [2, 3]);
+        // A remount reads the same counts from the store.
+        let again = Kvfs::open(fs.store().clone()).unwrap();
+        assert_eq!([a, b].map(|d| again.get_attr(d).unwrap().nlink), [2, 3]);
+        fs.rmdir("/b/y").unwrap();
+        assert_eq!(nlinks(), [2, 2]);
     }
 
     #[test]
@@ -1704,11 +1641,11 @@ mod walk_tests {
         // One attribute probe per walk: the start's. Every later hop
         // learnt its kind from the dentry.
         assert_eq!(s1.inode_hits - s0.inode_hits, 10);
-        assert_eq!(
-            (s1.path_hits, s1.path_misses),
-            (s0.path_hits, s0.path_misses)
-        );
-        assert!(t.fs.path_cache.read().is_empty(), "walk is not resolve");
+        // `resolve` is this walk from the root and nothing more.
+        assert_eq!(t.fs.resolve("/a/b/f"), Ok(t.f));
+        let s2 = t.fs.lookup_stats();
+        assert_eq!(s2.dentry_hits - s1.dentry_hits, 3);
+        assert_eq!(t.fs.store().stats(), kv0);
     }
 
     #[test]
@@ -1789,6 +1726,50 @@ mod link_tests {
         fs.unlink("/alias").unwrap();
         assert!(fs.kv_pairs() < kvs_before);
         assert_eq!(fs.get_attr(ino), Err(FsError::NotFound));
+    }
+
+    /// `unlink_entry` reads the link count under the inode's lock: read
+    /// before it, two names of one inode unlinked at once both see 2,
+    /// both write 1, and the attribute and data KVs outlive every name.
+    #[test]
+    fn two_names_of_one_inode_unlinked_at_once_free_it_exactly_once() {
+        let fs = fs();
+        let baseline = fs.kv_pairs();
+        for round in 0..2_000 {
+            let ino = fs.create("/f", 0o644).unwrap();
+            fs.link("/f", "/g").unwrap();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for path in ["/f", "/g"] {
+                    let (fs, start) = (&fs, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        fs.unlink(path).unwrap();
+                    });
+                }
+            });
+            assert_eq!(fs.kv_pairs(), baseline, "round {round}: leaked KVs");
+            assert_eq!(fs.get_attr(ino), Err(FsError::NotFound));
+        }
+        // And one name unlinked twice at once is taken once: the loser
+        // must not count the other name's link down.
+        for round in 0..500 {
+            let ino = fs.create("/f", 0o644).unwrap();
+            fs.link("/f", "/g").unwrap();
+            let start = std::sync::Barrier::new(2);
+            let wins = std::thread::scope(|s| {
+                let racer = || {
+                    start.wait();
+                    fs.unlink("/f").is_ok() as u32
+                };
+                let (a, b) = (s.spawn(racer), s.spawn(racer));
+                a.join().unwrap() + b.join().unwrap()
+            });
+            assert_eq!(wins, 1, "round {round}");
+            assert_eq!(fs.get_attr(ino).unwrap().nlink, 1, "round {round}");
+            fs.unlink("/g").unwrap();
+            assert_eq!(fs.kv_pairs(), baseline);
+        }
     }
 
     #[test]

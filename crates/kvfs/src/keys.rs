@@ -45,6 +45,15 @@ pub fn inode_key(p_ino: u64, name: &str) -> Vec<u8> {
     k
 }
 
+/// Run `f` on [`inode_key`]`(p_ino, name)` built on the stack: a cache miss
+/// probes the store without allocating. `name` has passed [`validate_name`].
+pub(crate) fn with_inode_key<R>(p_ino: u64, name: &str, f: impl FnOnce(&[u8]) -> R) -> R {
+    let mut key = [TAG_INODE; 9 + MAX_NAME_LEN];
+    key[1..9].copy_from_slice(&p_ino.to_be_bytes());
+    key[9..][..name.len()].copy_from_slice(name.as_bytes());
+    f(&key[..9 + name.len()])
+}
+
 /// The prefix of every inode KV key under `p_ino` (directory scan).
 pub fn inode_prefix(p_ino: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);

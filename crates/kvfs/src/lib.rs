@@ -29,13 +29,15 @@
 //! assert_eq!(fs.stat("/etc/app.conf").unwrap().size, 9);
 //! ```
 
+mod cache;
 mod fileobj;
 mod fs;
 mod keys;
 mod types;
 
+pub use cache::LookupStats;
 pub use fileobj::FileObject;
-pub use fs::{Kvfs, LookupStats};
+pub use fs::Kvfs;
 pub use keys::{attr_key, big_key, inode_key, inode_prefix, small_key, validate_name};
 pub use types::{
     DataFormat, Dirent, FileAttr, FileKind, FsError, WalkStep, BIG_BLOCK, MAX_NAME_LEN, ROOT_INO,

@@ -19,6 +19,20 @@ cargo test --release -q --test meta_cache -- \
     a_cached_file_costs_under_96_bytes
 cargo test --release -q -p dpc-core --test zero_alloc_meta
 cargo test --release -q -p dpc-cache --lib dropping_an_inode_visits
+# KVFS's caches (DESIGN.md §14 "The KVFS side"), in release and by name.
+# The fill fence under two readers racing a create/unlink churner runs ten
+# times in a row: a verdict that needs the scheduler (the unfenced fill
+# stranded the name in 6-8 of 200 runs) must fail here, not pass nine
+# times in ten. Then two hard links unlinked at once, and the warm walk
+# that allocates nothing.
+cargo test --release -q -p dpc-kvfs --lib --no-run
+for run in $(seq 1 10); do
+    cargo test --release -q -p dpc-kvfs --lib \
+        a_lookup_racing_create_and_unlink_never_strands_the_name
+done
+cargo test --release -q -p dpc-kvfs --lib \
+    two_names_of_one_inode_unlinked_at_once_free_it_exactly_once
+cargo test --release -q -p dpc-kvfs --test zero_alloc_walk
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review.
 cargo build --release --manifest-path dpc-e2e/Cargo.toml

@@ -524,6 +524,20 @@ fn warm_answers_equal_a_cold_instance_after_every_op() {
         run("write then stat".into(), &|| put("/t/a", 9000)).unwrap();
         run("rmdir".into(), &|| e(fs.rmdir("/t/sub"))).unwrap();
         run("mkdir again".into(), &|| e(fs.mkdir("/t/sub"))).unwrap();
+        // A directory moved to another parent takes its `..` link along:
+        // both parents' cached link counts are stale at once.
+        let nlinks = || ["/t", "/u"].map(|dir| fs.stat(dir).unwrap().nlink);
+        assert_eq!(nlinks(), [3, 2]);
+        run("rename dir across".into(), &|| {
+            e(fs.rename("/t/sub", "/u/sub"))
+        })
+        .unwrap();
+        assert_eq!(nlinks(), [2, 3]);
+        run("rename dir back".into(), &|| {
+            e(fs.rename("/u/sub", "/t/sub"))
+        })
+        .unwrap();
+        assert_eq!(nlinks(), [3, 2]);
 
         // ...then at random, errors and all.
         for _ in 0..40 {
