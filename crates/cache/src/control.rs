@@ -33,46 +33,25 @@ use crate::readahead::PrefetchJob;
 
 /// Back-end sink for flushed dirty pages (the disaggregated store).
 pub trait FlushBackend {
-    fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]);
+    /// Write one coalesced extent: `data` holds the pages of `lpn..` back
+    /// to back (every page full-size except possibly the last, which may
+    /// be a file-tail valid prefix). `false` means the backend refused the
+    /// extent whole; its pages stay dirty and a later pass retries them.
+    fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool;
+}
 
-    /// Fallible flush: `false` means the backend transiently refused the
-    /// page. The control plane retries in-pass and, failing that, parks
-    /// the page in the quarantine rather than wedging the flusher.
-    /// Infallible backends get this default and never fail.
-    fn try_flush(&mut self, ino: u64, lpn: u64, page: &[u8]) -> bool {
-        self.flush(ino, lpn, page);
-        true
-    }
-
-    /// Vectored flush of one coalesced extent: `data` holds the pages of
-    /// `lpn..` back to back (every page full-size except possibly the
-    /// last, which may be a file-tail valid prefix). The default decomposes
-    /// into per-page `try_flush` calls — all-or-nothing is approximated by
-    /// stopping at the first refusal. Backends with a cheaper multi-page
-    /// path (a single KVFS big-file write) override this.
+/// An infallible per-page sink: the closure sees the extent page by page.
+impl<F: FnMut(u64, u64, &[u8])> FlushBackend for F {
     fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-        let mut off = 0usize;
-        let mut p = lpn;
-        while off < data.len() {
-            let end = (off + PAGE_SIZE).min(data.len());
-            if !self.try_flush(ino, p, &data[off..end]) {
-                return false;
-            }
-            off = end;
-            p += 1;
+        for (k, page) in data.chunks(PAGE_SIZE).enumerate() {
+            self(ino, lpn + k as u64, page);
         }
         true
     }
 }
 
-impl<F: FnMut(u64, u64, &[u8])> FlushBackend for F {
-    fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]) {
-        self(ino, lpn, page)
-    }
-}
-
-/// In-pass reissues of a failed `try_flush` before the page is given up
-/// on (quarantined or left dirty) for this pass.
+/// In-pass reissues of a refused extent before its pages are left dirty
+/// for the next pass.
 const FLUSH_RETRIES: u32 = 3;
 
 /// Back-end source for prefetched pages.
@@ -145,6 +124,9 @@ pub struct ControlPlane {
     /// draw it; once tripped every flush entry point returns 0 without
     /// touching the cache — the "DPU is dead" state recovery tests rely on.
     crash: Option<Arc<CrashSwitch>>,
+    /// Pages the last [`flush_extents`](Self::flush_extents) pass left
+    /// dirty because the backend refused their extent.
+    refused: usize,
 }
 
 impl ControlPlane {
@@ -156,6 +138,7 @@ impl ControlPlane {
             extent_buf: Vec::new(),
             extent_locks: Vec::new(),
             crash: None,
+            refused: 0,
         }
     }
 
@@ -173,116 +156,6 @@ impl ControlPlane {
         self.crash.as_ref().is_some_and(|c| c.is_tripped())
     }
 
-    /// Flush quarantined pages to the backend (optionally only one ino's).
-    /// Their cache entries may be long gone, so this is their only route
-    /// to durability. Pages the backend still refuses are re-parked. No
-    /// DMA/atomics recorded — the data already lives in DPU-side memory.
-    ///
-    /// A parked copy is stale the moment the page is re-dirtied, and two
-    /// control planes (background flusher, fsync on a service thread)
-    /// share one quarantine: between this drain's pop and its backend
-    /// write, the other plane may flush newer data — its supersede-remove
-    /// finds the map already empty, and blindly writing the popped copy
-    /// would regress the backend. So each popped page is revalidated
-    /// against its live cache entry: a `Dirty` entry supersedes the copy
-    /// (drop it — the newer data is indexed and will flush), a `Clean`
-    /// entry is flushed from its *current* bytes under the read lock
-    /// (lock-ordered against any later re-dirty), and only a page with no
-    /// entry left falls back to the parked copy itself.
-    pub(crate) fn drain_quarantine(
-        &mut self,
-        backend: &mut dyn FlushBackend,
-        ino_filter: Option<u64>,
-    ) -> usize {
-        if self.crash_tripped() || self.cache.quarantine_is_empty() {
-            return 0; // dead DPU, or nothing parked (the common case)
-        }
-        let parked: Vec<((u64, u64), Vec<u8>)> = {
-            let mut q = self.cache.quarantine.lock();
-            let popped = match ino_filter {
-                None => q.drain().collect(),
-                Some(ino) => {
-                    let keys: Vec<(u64, u64)> = q.keys().filter(|k| k.0 == ino).copied().collect();
-                    keys.into_iter()
-                        .filter_map(|k| q.remove(&k).map(|v| (k, v)))
-                        .collect()
-                }
-            };
-            self.cache.quarantine_note_len(&q);
-            popped
-        };
-        let mut flushed = 0;
-        let mut live = [0u8; PAGE_SIZE];
-        for ((ino, lpn), page) in parked {
-            // `None` = no usable entry, flush the parked copy itself;
-            // `Some(ok)` = the live entry was handled under its lock.
-            let mut live_outcome: Option<bool> = None;
-            let mut superseded = false;
-            if let Some(idx) = self.find_entry(ino, lpn) {
-                let e = &self.cache.entries[idx];
-                if e.try_read_lock() {
-                    if e.ino() == ino && e.lpn() == lpn {
-                        match e.status() {
-                            EntryStatus::Dirty => superseded = true,
-                            EntryStatus::Clean => {
-                                let valid = (e.valid() as usize).min(PAGE_SIZE);
-                                // SAFETY: read lock held on entry `idx`.
-                                unsafe { self.cache.pages.read(idx, 0, &mut live) };
-                                let ok = backend.try_flush(ino, lpn, &live[..valid]);
-                                if !ok {
-                                    // Refused again: re-park the *live*
-                                    // bytes — never the popped copy, which
-                                    // may be older than the entry.
-                                    let mut q = self.cache.quarantine.lock();
-                                    q.insert((ino, lpn), live[..valid].to_vec());
-                                    self.cache.quarantine_note_len(&q);
-                                }
-                                live_outcome = Some(ok);
-                            }
-                            _ => {}
-                        }
-                    }
-                    e.read_unlock();
-                } else {
-                    // A host writer holds the lock and will commit the
-                    // page dirty — its data supersedes the parked copy.
-                    superseded = true;
-                }
-            }
-            if superseded {
-                continue;
-            }
-            let ok = match live_outcome {
-                Some(ok) => ok,
-                None => {
-                    let ok = backend.try_flush(ino, lpn, &page);
-                    if !ok {
-                        let mut q = self.cache.quarantine.lock();
-                        q.insert((ino, lpn), page);
-                        self.cache.quarantine_note_len(&q);
-                    }
-                    ok
-                }
-            };
-            if ok {
-                if let Some(log) = self.cache.wal() {
-                    // Durable either from the live entry's current bytes
-                    // (a superset of every committed intent — quarantined
-                    // entries are never evicted, see `evict_one`) or from
-                    // the parked copy of a page with no entry left.
-                    log.note_durable(ino, lpn);
-                }
-                self.cache
-                    .stats
-                    .quarantine_drains
-                    .fetch_add(1, Ordering::Relaxed);
-                self.cache.stats.flushes.fetch_add(1, Ordering::Relaxed);
-                flushed += 1;
-            }
-        }
-        flushed
-    }
-
     /// Extent-coalescing flush pass: walk the per-ino dirty-range index
     /// (no meta-area scan), read-lock runs of adjacent dirty LPNs, pull
     /// them to DPU DRAM as one contiguous buffer and hand each run to the
@@ -295,11 +168,10 @@ impl ControlPlane {
     /// A partial (file-tail) page terminates its extent: only valid
     /// prefixes are ever sent, so a coalesced write can never push padding
     /// past a file's logical end. A refused extent is retried
-    /// [`FLUSH_RETRIES`] times in-pass, then quarantined *whole* — every
-    /// page of it is parked (its entry turns clean and reclaimable) or,
-    /// when the quarantine fills, left dirty so the bucket surfaces
-    /// back-pressure instead of the flusher wedging on it forever; no page
-    /// is ever dropped.
+    /// [`FLUSH_RETRIES`] times in-pass, then left dirty *whole*: the dirty
+    /// index stays the one record of unflushed bytes, the pages cannot be
+    /// evicted, the next pass retries them, and
+    /// [`refused`](Self::refused) says how many this pass gave up on.
     ///
     /// Flushing keeps taking per-entry *read locks* even when the
     /// front-end hit path runs lock-free (DESIGN.md §11): an optimistic
@@ -318,13 +190,14 @@ impl ControlPlane {
         ino_filter: Option<u64>,
         background: bool,
     ) -> usize {
+        self.refused = 0;
         if self.crash_tripped() {
             return 0;
         }
         let wal = self.cache.wal();
         let crash = self.crash.clone();
         let check_crash = move || crash.as_ref().is_some_and(|c| c.check_crash());
-        let mut flushed = self.drain_quarantine(backend, ino_filter);
+        let mut flushed = 0;
         let max_pages = self.max_extent_pages.max(1);
         let snapshot = self.cache.dirty_snapshot(ino_filter);
         let mut buf = std::mem::take(&mut self.extent_buf);
@@ -403,19 +276,10 @@ impl ControlPlane {
                     return flushed;
                 }
                 if ok {
-                    // Clean the whole run with batched bookkeeping: one
-                    // quarantine probe (lock only if something is parked)
-                    // and one dirty-shard acquisition for the run, instead
-                    // of two mutex round-trips per page. The read locks
-                    // stay held until every status is Clean and the index
-                    // entries are gone, so no writer can interleave.
-                    if !self.cache.quarantine_is_empty() {
-                        let mut q = self.cache.quarantine.lock();
-                        for k in 0..run {
-                            q.remove(&(ino, start_lpn + k as u64));
-                        }
-                        self.cache.quarantine_note_len(&q);
-                    }
+                    // Clean the whole run with one dirty-shard acquisition,
+                    // not one per page. The read locks stay held until
+                    // every status is Clean and the index entries are gone,
+                    // so no writer can interleave.
                     for &idx in locked.iter() {
                         self.cache.entries[idx].set_status(EntryStatus::Clean);
                     }
@@ -430,11 +294,6 @@ impl ControlPlane {
                         .flushes
                         .fetch_add(run as u64, Ordering::Relaxed);
                     flushed += run;
-                    for &idx in locked.iter() {
-                        // PCIe atomic: release the read lock.
-                        self.dma.record_atomic();
-                        self.cache.entries[idx].read_unlock();
-                    }
                     self.cache.stats.record_extent(run);
                     let cell = if background {
                         &self.cache.stats.bg_flush_pages
@@ -443,31 +302,18 @@ impl ControlPlane {
                     };
                     cell.fetch_add(run as u64, Ordering::Relaxed);
                 } else {
-                    for (k, &idx) in locked.iter().enumerate() {
-                        let e = &self.cache.entries[idx];
-                        let lpn = start_lpn + k as u64;
-                        let page_off = k * PAGE_SIZE;
-                        let page_end = buf.len().min(page_off + PAGE_SIZE);
-                        // Quarantine the whole extent, page by page: the
-                        // entry is reclaimed but the data stays pending.
-                        self.cache
-                            .stats
-                            .flush_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                        let mut q = self.cache.quarantine.lock();
-                        if q.len() < crate::host::QUARANTINE_CAP {
-                            q.insert((ino, lpn), buf[page_off..page_end].to_vec());
-                            self.cache.quarantine_note_len(&q);
-                            drop(q);
-                            e.set_status(EntryStatus::Clean);
-                            self.cache.note_clean(ino, lpn);
-                        }
-                        // Quarantine full: the page stays dirty (EBUSY
-                        // back-pressure), never lost.
-                        // PCIe atomic: release the read lock.
-                        self.dma.record_atomic();
-                        e.read_unlock();
-                    }
+                    // Refused whole: every page stays dirty — indexed,
+                    // unevictable — and the next pass retries it.
+                    self.cache
+                        .stats
+                        .flush_failures
+                        .fetch_add(run as u64, Ordering::Relaxed);
+                    self.refused += run;
+                }
+                for &idx in locked.iter() {
+                    // PCIe atomic: release the read lock.
+                    self.dma.record_atomic();
+                    self.cache.entries[idx].read_unlock();
                 }
                 i += run;
             }
@@ -476,6 +322,12 @@ impl ControlPlane {
         self.extent_buf = buf;
         self.extent_locks = locked;
         flushed
+    }
+
+    /// Pages the last [`flush_extents`](Self::flush_extents) pass left
+    /// dirty because the backend refused their extent through every retry.
+    pub fn refused(&self) -> usize {
+        self.refused
     }
 
     /// Locate the cache entry currently holding `<ino, lpn>`, if any.
@@ -529,12 +381,6 @@ impl ControlPlane {
         for idx in self.cache.chain(bucket) {
             let e = &self.cache.entries[idx];
             if e.status() == EntryStatus::Clean {
-                // A quarantined page's cached copy is the only one a read
-                // can still see (the backend never accepted it) — evicting
-                // it would serve stale data from the backend.
-                if self.cache.is_quarantined(e.ino(), e.lpn()) {
-                    continue;
-                }
                 let t = self.cache.touch[idx].load(Ordering::Relaxed);
                 if victim.is_none_or(|(_, vt)| t < vt) {
                     victim = Some((idx, t));
@@ -1062,139 +908,11 @@ mod tests {
         }
     }
 
-    /// A flush sink that refuses the next `fail_next` try_flush calls.
-    struct FlakySink {
-        fail_next: usize,
-        flushed: Vec<(u64, u64, Vec<u8>)>,
-    }
-
-    impl FlushBackend for FlakySink {
-        fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]) {
-            self.flushed.push((ino, lpn, page.to_vec()));
-        }
-        fn try_flush(&mut self, ino: u64, lpn: u64, page: &[u8]) -> bool {
-            if self.fail_next > 0 {
-                self.fail_next -= 1;
-                return false;
-            }
-            self.flush(ino, lpn, page);
-            true
-        }
-    }
-
-    #[test]
-    fn transient_flush_failure_recovers_in_pass() {
-        let (cache, mut cp, _) = setup(64, 8);
-        let mut g = cache.begin_write(1, 1).unwrap();
-        g.write(0, &[5; PAGE_SIZE]);
-        g.commit_dirty();
-        let mut sink = FlakySink {
-            fail_next: 2,
-            flushed: Vec::new(),
-        };
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
-        let s = cache.stats();
-        assert_eq!(s.flush_retries, 2);
-        assert_eq!(s.flush_failures, 0);
-        assert_eq!(sink.flushed.len(), 1);
-        assert_eq!(cache.dirty_pages(), 0);
-        assert_eq!(cache.quarantined_pages(), 0);
-    }
-
-    #[test]
-    fn persistent_flush_failure_quarantines_then_drains() {
-        let (cache, mut cp, _) = setup(64, 8);
-        let mut g = cache.begin_write(2, 7).unwrap();
-        g.write(0, &[9; PAGE_SIZE]);
-        g.commit_dirty();
-        let mut sink = FlakySink {
-            fail_next: usize::MAX,
-            flushed: Vec::new(),
-        };
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
-        let s = cache.stats();
-        assert_eq!(s.flush_failures, 1);
-        assert_eq!(s.flushes, 0);
-        // The entry was reclaimed (clean), the data parked.
-        assert_eq!(cache.dirty_pages(), 0);
-        assert_eq!(cache.quarantined_pages(), 1);
-        // Backend recovers: the next pass drains the quarantine.
-        sink.fail_next = 0;
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
-        assert_eq!(cache.quarantined_pages(), 0);
-        assert_eq!(cache.stats().quarantine_drains, 1);
-        assert_eq!(sink.flushed, vec![(2, 7, vec![9; PAGE_SIZE])]);
-    }
-
-    #[test]
-    fn quarantined_page_is_not_evictable() {
-        let (cache, mut cp, _) = setup(8, 8); // single bucket
-        let mut g = cache.begin_write(3, 0).unwrap();
-        g.write(0, &[1; PAGE_SIZE]);
-        g.commit_dirty();
-        let mut sink = FlakySink {
-            fail_next: usize::MAX,
-            flushed: Vec::new(),
-        };
-        cp.flush_extents(&mut sink, None, false);
-        assert_eq!(cache.quarantined_pages(), 1);
-        // Clean but quarantined: the cached copy is the only readable one.
-        assert!(!cp.evict_one(0));
-        let mut buf = vec![0u8; PAGE_SIZE];
-        assert!(cache.lookup_read(3, 0, &mut buf));
-        // Once drained it becomes an ordinary clean page again.
-        sink.fail_next = 0;
-        cp.flush_extents(&mut sink, None, false);
-        assert!(cp.evict_one(0));
-    }
-
-    #[test]
-    fn invalidate_drops_quarantined_copy() {
-        let (cache, mut cp, _) = setup(64, 8);
-        let mut g = cache.begin_write(4, 2).unwrap();
-        g.write(0, &[8; PAGE_SIZE]);
-        g.commit_dirty();
-        let mut sink = FlakySink {
-            fail_next: usize::MAX,
-            flushed: Vec::new(),
-        };
-        cp.flush_extents(&mut sink, None, false);
-        assert_eq!(cache.quarantined_pages(), 1);
-        // Truncate/unlink must kill the parked copy too, or a later pass
-        // would resurrect deleted data.
-        cache.invalidate(4, 2);
-        assert_eq!(cache.quarantined_pages(), 0);
-        sink.fail_next = 0;
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
-        assert!(sink.flushed.is_empty());
-    }
-
-    #[test]
-    fn full_quarantine_leaves_page_dirty() {
-        let (cache, mut cp, _) = setup(2048, 8);
-        // QUARANTINE_CAP pages + one extra, all destined to fail.
-        let n = crate::host::QUARANTINE_CAP as u64 + 1;
-        for lpn in 0..n {
-            let mut g = cache.begin_write(1, lpn).unwrap();
-            g.write(0, &[1; 8]);
-            g.commit_dirty();
-        }
-        let mut sink = FlakySink {
-            fail_next: usize::MAX,
-            flushed: Vec::new(),
-        };
-        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
-        assert_eq!(cache.quarantined_pages(), crate::host::QUARANTINE_CAP);
-        // The overflow page stayed dirty: back-pressure, not data loss.
-        assert_eq!(cache.dirty_pages(), 1);
-    }
-
-    /// An extent-aware sink recording whole extents; refuses the next
-    /// `fail_next` extent attempts.
+    /// A flush sink recording whole extents; refuses the next `fail_next`
+    /// extent attempts.
     struct ExtentSink {
         fail_next: usize,
         extents: Vec<(u64, u64, Vec<u8>)>,
-        pages: Vec<(u64, u64, Vec<u8>)>,
     }
 
     impl ExtentSink {
@@ -1202,23 +920,18 @@ mod tests {
             ExtentSink {
                 fail_next: 0,
                 extents: Vec::new(),
-                pages: Vec::new(),
+            }
+        }
+
+        fn refusing() -> ExtentSink {
+            ExtentSink {
+                fail_next: usize::MAX,
+                ..ExtentSink::new()
             }
         }
     }
 
     impl FlushBackend for ExtentSink {
-        fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]) {
-            self.pages.push((ino, lpn, page.to_vec()));
-        }
-        fn try_flush(&mut self, ino: u64, lpn: u64, page: &[u8]) -> bool {
-            if self.fail_next > 0 {
-                self.fail_next -= 1;
-                return false;
-            }
-            self.flush(ino, lpn, page);
-            true
-        }
         fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
             if self.fail_next > 0 {
                 self.fail_next -= 1;
@@ -1234,6 +947,77 @@ mod tests {
         g.write(0, &vec![fill; valid]);
         g.set_valid(valid);
         g.commit_dirty();
+    }
+
+    #[test]
+    fn transient_flush_failure_recovers_in_pass() {
+        let (cache, mut cp, _) = setup(64, 8);
+        dirty_page(&cache, 1, 1, 5, PAGE_SIZE);
+        let mut sink = ExtentSink::new();
+        sink.fail_next = 2;
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
+        let s = cache.stats();
+        assert_eq!(s.flush_retries, 2);
+        assert_eq!(s.flush_failures, 0);
+        assert_eq!(sink.extents.len(), 1);
+        assert_eq!(cache.dirty_pages(), 0);
+        assert_eq!(cp.refused(), 0);
+    }
+
+    #[test]
+    fn refused_page_stays_dirty_then_flushes_once_the_backend_recovers() {
+        let (cache, mut cp, _) = setup(64, 8);
+        dirty_page(&cache, 3, 0, 9, PAGE_SIZE);
+        let mut sink = ExtentSink::refusing();
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
+        assert_eq!(cp.refused(), 1);
+        let s = cache.stats();
+        assert_eq!((s.flush_failures, s.flushes), (1, 0));
+        // Still dirty, in the meta area and in the index.
+        assert_eq!(cache.dirty_pages(), 1);
+        assert_eq!(cache.dirty_count(), 1);
+        assert!(cache.has_dirty_in_range(3, 0, 0));
+        // The backend recovers: the next pass flushes it byte-exact.
+        sink.fail_next = 0;
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
+        assert_eq!(cp.refused(), 0);
+        assert_eq!(cache.dirty_pages(), 0);
+        assert_eq!(cache.dirty_count(), 0);
+        assert_eq!(sink.extents, vec![(3, 0, vec![9; PAGE_SIZE])]);
+    }
+
+    #[test]
+    fn refused_page_is_not_evictable() {
+        let (cache, mut cp, _) = setup(8, 8); // single bucket
+        dirty_page(&cache, 3, 0, 9, PAGE_SIZE);
+        let mut sink = ExtentSink::refusing();
+        cp.flush_extents(&mut sink, None, false);
+        assert_eq!(cache.dirty_count(), 1);
+        // Dirty, so never evicted: the cached copy is the only one.
+        assert!(!cp.evict_one(0));
+        let mut buf = vec![0u8; PAGE_SIZE];
+        assert!(cache.lookup_read(3, 0, &mut buf));
+        assert_eq!(buf[0], 9);
+        // Once flushed it is an ordinary clean page again.
+        sink.fail_next = 0;
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 1);
+        assert!(cp.evict_one(0));
+    }
+
+    #[test]
+    fn invalidating_a_refused_page_leaves_nothing_to_flush() {
+        let (cache, mut cp, _) = setup(64, 8);
+        dirty_page(&cache, 4, 2, 8, PAGE_SIZE);
+        let mut sink = ExtentSink::refusing();
+        cp.flush_extents(&mut sink, None, false);
+        assert_eq!(cache.dirty_count(), 1);
+        // Truncate/unlink drops it like any dirty page: a later pass must
+        // not resurrect the data.
+        assert!(cache.invalidate(4, 2));
+        assert_eq!(cache.dirty_count(), 0);
+        sink.fail_next = 0;
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
+        assert!(sink.extents.is_empty());
     }
 
     #[test]
@@ -1345,29 +1129,24 @@ mod tests {
     }
 
     #[test]
-    fn refused_extent_quarantines_every_page() {
+    fn refused_extent_flushes_byte_exact_once_the_backend_recovers() {
         let (cache, mut cp, _) = setup(256, 8);
         for lpn in 0..4u64 {
             dirty_page(&cache, 7, lpn, lpn as u8 + 1, PAGE_SIZE);
         }
-        let mut sink = ExtentSink::new();
-        sink.fail_next = usize::MAX;
+        let mut sink = ExtentSink::refusing();
         assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
-        // The whole extent parked: entries reclaimed, no page lost.
-        assert_eq!(cache.dirty_pages(), 0);
-        assert_eq!(cache.quarantined_pages(), 4);
+        // The whole extent stays dirty; no page is dropped.
+        assert_eq!(cp.refused(), 4);
+        assert_eq!(cache.dirty_count(), 4);
         assert_eq!(cache.stats().flush_failures, 4);
         assert_eq!(cache.stats().extents_flushed, 0);
-        // Backend recovers: the next pass drains all four, byte-exact.
+        // Backend recovers: the next pass writes all four as one extent.
         sink.fail_next = 0;
         assert_eq!(cp.flush_extents(&mut sink, None, false), 4);
-        assert_eq!(cache.quarantined_pages(), 0);
-        sink.pages.sort();
-        assert_eq!(sink.pages.len(), 4);
-        for (k, (ino, lpn, page)) in sink.pages.iter().enumerate() {
-            assert_eq!((*ino, *lpn), (7, k as u64));
-            assert_eq!(page[0], k as u8 + 1);
-        }
+        assert_eq!(cache.dirty_count(), 0);
+        let expect: Vec<u8> = (1..=4u8).flat_map(|b| [b; PAGE_SIZE]).collect();
+        assert_eq!(sink.extents, vec![(7, 0, expect)]);
     }
 
     #[test]

@@ -29,12 +29,6 @@ use crate::layout::{
 /// write burst contends on one shard while the flusher walks another).
 pub(crate) const DIRTY_SHARDS: usize = 16;
 
-/// Upper bound on dirty pages parked in the flush quarantine. Beyond it,
-/// persistently unflushable pages stay `Dirty` in their bucket — the
-/// bucket eventually reports `NeedEviction` with nothing evictable, which
-/// the host surfaces as back-pressure (EBUSY) instead of wedging.
-pub(crate) const QUARANTINE_CAP: usize = 256;
-
 /// One shard of the dirty-range index: `ino -> sorted dirty LPNs` — and
 /// of the resident index, same shape, for every page that holds an entry.
 type DirtyShard = HashMap<u64, BTreeSet<u64>>;
@@ -193,11 +187,9 @@ pub struct CacheStats {
     pub prefetch_inserts: u64,
     /// In-pass reissues of a failed backend flush.
     pub flush_retries: u64,
-    /// Pages whose flush kept failing and were quarantined (or left
-    /// dirty when the quarantine was full).
+    /// Pages a flush pass left dirty because the backend refused their
+    /// extent through every retry (each later pass retries them).
     pub flush_failures: u64,
-    /// Quarantined pages later flushed successfully.
-    pub quarantine_drains: u64,
     /// Coalesced extents written to the backend (each covers ≥ 1 page).
     pub extents_flushed: u64,
     /// Extent-size histogram: pages-per-extent in 1 / 2–3 / 4–7 / 8–15 /
@@ -238,7 +230,7 @@ pub struct CacheStats {
     pub lock_fallbacks: u64,
     /// Read-lock acquisitions on the front-end read-hit path. Zero when
     /// the seqlock plane serves every hit (the acceptance counter-proof);
-    /// the control plane's flush/quarantine read locks are not counted —
+    /// the control plane's flush read locks are not counted —
     /// those never block readers under the seqlock scheme.
     pub read_locks: u64,
     /// Entries [`HybridCache::invalidate_ino`] visited: the pages its
@@ -269,7 +261,6 @@ pub(crate) struct StatsCells {
     pub(crate) prefetch_inserts: AtomicU64,
     pub(crate) flush_retries: AtomicU64,
     pub(crate) flush_failures: AtomicU64,
-    pub(crate) quarantine_drains: AtomicU64,
     pub(crate) extents_flushed: AtomicU64,
     pub(crate) extent_pages_hist: [AtomicU64; 5],
     pub(crate) bg_flush_pages: AtomicU64,
@@ -335,15 +326,6 @@ pub struct HybridCache {
     /// Per-entry last-access stamps (meta the control plane reads).
     pub(crate) touch: Box<[AtomicU64]>,
     pub(crate) stats: StatsCells,
-    /// Dirty pages whose backend flush failed persistently, parked here
-    /// (keyed by `(ino, lpn)`, value = the valid prefix of the page) so
-    /// their cache entries can be reclaimed. Bounded by [`QUARANTINE_CAP`].
-    pub(crate) quarantine: Mutex<HashMap<(u64, u64), Vec<u8>>>,
-    /// Lock-free mirror of the quarantine's length, updated under the
-    /// quarantine mutex. Lets the flush hot paths skip the per-page mutex
-    /// acquisition entirely in the (overwhelmingly common) faults-free
-    /// case — see [`quarantine_is_empty`](Self::quarantine_is_empty).
-    pub(crate) quarantine_len: AtomicU64,
     /// Per-ino dirty-range index: `shard(ino) → ino → sorted dirty LPNs`.
     /// Lets the control plane walk dirty pages as extents instead of
     /// scanning the whole meta area, and the adapter answer range-overlap
@@ -398,8 +380,6 @@ impl HybridCache {
             clock: AtomicU64::new(0),
             touch: (0..cfg.pages).map(|_| AtomicU64::new(0)).collect(),
             stats: StatsCells::default(),
-            quarantine: Mutex::new(HashMap::new()),
-            quarantine_len: AtomicU64::new(0),
             dirty_index: (0..DIRTY_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
@@ -469,16 +449,14 @@ impl HybridCache {
 
     /// Flusher side: sleep until a page turns dirty, somebody unparks the
     /// calling thread, or `timeout` passes. `false` — without sleeping —
-    /// when there is write-back to do already: a dirty page, or a
-    /// quarantined one to retry.
+    /// when a page is dirty already.
     pub fn wait_dirty(&self, timeout: std::time::Duration) -> bool {
-        self.flusher.sleep_unless(timeout, || {
-            self.dirty_total.load(Ordering::SeqCst) > 0 || !self.quarantine_is_empty()
-        })
+        self.flusher
+            .sleep_unless(timeout, || self.dirty_total.load(Ordering::SeqCst) > 0)
     }
 
-    /// Drop `<ino, lpn>` from the range index (flushed clean, quarantined,
-    /// or invalidated). Idempotent: concurrent flush passes may race to
+    /// Drop `<ino, lpn>` from the range index (flushed clean or
+    /// invalidated). Idempotent: concurrent flush passes may race to
     /// clean the same page.
     pub(crate) fn note_clean(&self, ino: u64, lpn: u64) {
         self.bump_ino_epoch(ino);
@@ -593,7 +571,6 @@ impl HybridCache {
             prefetch_inserts: self.stats.prefetch_inserts.load(Ordering::Relaxed),
             flush_retries: self.stats.flush_retries.load(Ordering::Relaxed),
             flush_failures: self.stats.flush_failures.load(Ordering::Relaxed),
-            quarantine_drains: self.stats.quarantine_drains.load(Ordering::Relaxed),
             extents_flushed: self.stats.extents_flushed.load(Ordering::Relaxed),
             extent_pages_hist: std::array::from_fn(|i| {
                 self.stats.extent_pages_hist[i].load(Ordering::Relaxed)
@@ -637,48 +614,6 @@ impl HybridCache {
     /// Buffered write fell back to write-through (adapter-side account).
     pub fn note_write_through(&self) {
         self.stats.write_throughs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of pages currently parked in the flush quarantine.
-    pub fn quarantined_pages(&self) -> usize {
-        self.quarantine.lock().len()
-    }
-
-    /// Fast emptiness probe: true when nothing is parked. A flush path
-    /// may use this to skip the per-page supersede-removal lock; the
-    /// probe is ordered by the entry locks (a copy is always parked under
-    /// the entry's read lock, and its length store precedes the unlock),
-    /// so any copy parked before the current lock-holder acquired its
-    /// lock is visible. A copy parked by a *concurrently overlapping*
-    /// read-locker holds the same page generation (writers are excluded
-    /// throughout both holds), so skipping its removal is harmless — the
-    /// revalidating [`ControlPlane::drain_quarantine`] drops or refreshes
-    /// it on the next pass.
-    ///
-    /// [`ControlPlane::drain_quarantine`]: crate::ControlPlane
-    pub(crate) fn quarantine_is_empty(&self) -> bool {
-        self.quarantine_len.load(Ordering::Acquire) == 0
-    }
-
-    /// Refresh the lock-free length mirror; must be called with the
-    /// quarantine mutex held, after any mutation of the map.
-    pub(crate) fn quarantine_note_len(&self, q: &HashMap<(u64, u64), Vec<u8>>) {
-        self.quarantine_len.store(q.len() as u64, Ordering::Release);
-    }
-
-    /// Is any page of `ino` within `first_lpn..=last_lpn` parked in the
-    /// flush quarantine (refused by the backend, cached copy clean)?
-    pub fn has_quarantined_in_range(&self, ino: u64, first_lpn: u64, last_lpn: u64) -> bool {
-        !self.quarantine_is_empty()
-            && self
-                .quarantine
-                .lock()
-                .keys()
-                .any(|&(i, lpn)| i == ino && (first_lpn..=last_lpn).contains(&lpn))
-    }
-
-    pub(crate) fn is_quarantined(&self, ino: u64, lpn: u64) -> bool {
-        self.quarantine.lock().contains_key(&(ino, lpn))
     }
 
     /// Iterate the entry indices of one bucket's chain.
@@ -944,13 +879,6 @@ impl HybridCache {
         if let Some(log) = self.wal() {
             log.note_durable(ino, lpn);
         }
-        // A quarantined copy must die with the page, or a later flush pass
-        // would resurrect data the application just truncated away.
-        if !self.quarantine_is_empty() {
-            let mut q = self.quarantine.lock();
-            q.remove(&(ino, lpn));
-            self.quarantine_note_len(&q);
-        }
         self.release(ino, lpn)
     }
 
@@ -986,11 +914,6 @@ impl HybridCache {
         // Whole-file drop (unlink): void every obligation of the ino.
         if let Some(log) = self.wal() {
             log.drop_ino(ino);
-        }
-        if !self.quarantine_is_empty() {
-            let mut q = self.quarantine.lock();
-            q.retain(|&(i, _), _| i != ino);
-            self.quarantine_note_len(&q);
         }
         let shard = self.resident[(ino as usize) % DIRTY_SHARDS].lock();
         let pages: Vec<u64> = shard.get(&ino).into_iter().flatten().copied().collect();

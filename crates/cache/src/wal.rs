@@ -18,8 +18,8 @@
 //! — buffered writes, write-through and direct-mode writes, vectored
 //! writes, truncates — and recovery replays the ring *positionally*, from
 //! the tail word to the head word, in sequence order. Records are retired
-//! out of order as their bytes become durable (extent flushes, quarantine
-//! drains, deliberate invalidations), but the tail only advances past a
+//! out of order as their bytes become durable (extent flushes,
+//! deliberate invalidations), but the tail only advances past a
 //! fully-retired *prefix*; anything between tail and head — retired or
 //! not — is replayed. Re-applying an already-durable record is idempotent
 //! redo; skipping that rule (replaying only "live" records) would let an
@@ -394,10 +394,9 @@ impl IntentLog {
         }
     }
 
-    /// Page `(ino, lpn)` durably landed (extent flush, quarantine drain)
-    /// or was deliberately dropped (invalidate): every record it carried
-    /// sheds one obligation. Called under the entry read lock on flush
-    /// paths, so no writer can be mid-commit on the page.
+    /// Page `(ino, lpn)` was deliberately dropped (invalidate): every
+    /// record it carried sheds one obligation. A flushed run sheds them
+    /// through [`note_durable_run`](Self::note_durable_run).
     pub fn note_durable(&self, ino: u64, lpn: u64) {
         let mut inner = self.inner.lock();
         if let Some(seqs) = inner.owers.remove(&(ino, lpn)) {

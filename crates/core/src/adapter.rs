@@ -24,6 +24,7 @@
 //! `Truncate` only when it differs (DESIGN.md §9.1).
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -33,8 +34,9 @@ use dpc_cache::{
 };
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
-    decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileRequest, FileResponse,
-    WireAttr, WireDirent, WireStep, MAX_NAME_LEN, MAX_PATH_LEN,
+    decode_dirents, decode_dirents_into, CallError, ChannelPool, DispatchType, FileCompletion,
+    FileRequest, FileResponse, WireAttr, WireDirent, WireStep, MAX_NAME_LEN, MAX_PATH_LEN,
+    READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 use parking_lot::Mutex;
 
@@ -291,6 +293,19 @@ impl FdTable {
 /// extent cap).
 const MAX_MISS_RUN_PAGES: usize = 64;
 
+/// Rounds of scoped `Fsync` an uncached op spends flushing the dirty
+/// pages it overlaps before it gives up with EBUSY.
+const PREFLUSH_ROUNDS: u32 = 4;
+
+/// A completion's reply, or its errno.
+fn reply(done: Result<FileCompletion, CallError>) -> Result<(FileResponse, Vec<u8>), DpcError> {
+    let done = done.map_err(|e| DpcError(e.errno()))?;
+    match done.response {
+        FileResponse::Err(e) => Err(DpcError(e)),
+        resp => Ok((resp, done.payload)),
+    }
+}
+
 /// I/O mode for the data path.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum IoMode {
@@ -344,6 +359,9 @@ pub struct DpcFs {
     /// Host-side metadata cache (DESIGN.md §14), shared across every
     /// adapter of one `Dpc`.
     meta: Arc<MetaCache>,
+    /// Per-direction capacity of one transport buffer: what an uncached
+    /// op may move in one command.
+    max_io: usize,
 }
 
 /// One path a namespace request asks the DPU to walk: the inode the host's
@@ -427,6 +445,7 @@ impl DpcFs {
         mode: IoMode,
         fsync_mode: FsyncMode,
         meta: Arc<MetaCache>,
+        max_io: usize,
     ) -> DpcFs {
         DpcFs {
             cache,
@@ -436,6 +455,7 @@ impl DpcFs {
             mode,
             fsync_mode,
             meta,
+            max_io,
         }
     }
 
@@ -454,14 +474,10 @@ impl DpcFs {
         payload: &[u8],
         read_len: u32,
     ) -> Result<(FileResponse, Vec<u8>), DpcError> {
-        let done = self
-            .pool
-            .call(DispatchType::Standalone, req, payload, read_len)
-            .map_err(|e| DpcError(e.errno()))?;
-        match done.response {
-            FileResponse::Err(e) => Err(DpcError(e)),
-            resp => Ok((resp, done.payload)),
-        }
+        reply(
+            self.pool
+                .call(DispatchType::Standalone, req, payload, read_len),
+        )
     }
 
     // ---- metadata fast path (DESIGN.md §14) ----------------------------
@@ -661,10 +677,9 @@ impl DpcFs {
     /// Make buffered data durable, then drop the descriptor. A descriptor
     /// whose inode nobody modified since its last successful `fsync`
     /// (opened, stat-ed, read) has nothing to flush or reconcile and sends
-    /// nothing — unless a refused flush left pages in quarantine, which sit
-    /// outside any inode's bookkeeping and get another try at every close.
+    /// nothing.
     pub fn close(&self, fd: Fd) -> Result<(), DpcError> {
-        if !self.fds.get(fd)?.cell.is_clean() || self.cache.quarantined_pages() > 0 {
+        if !self.fds.get(fd)?.cell.is_clean() {
             self.fsync(fd)?;
         }
         self.fds.remove(fd);
@@ -898,77 +913,39 @@ impl DpcFs {
             .checked_add(data.len() as u64)
             .ok_or(DpcError::INVALID)?;
         let entry = self.fds.get(fd)?;
+        if self.mode == IoMode::Direct {
+            return self.write_direct(&entry, offset, &[data]);
+        }
         let ino = entry.ino;
         entry.cell.note_mutation();
         // Size/mtime change: the cached attr is stale either way.
         self.meta.invalidate_ino(ino);
-
-        match self.mode {
-            IoMode::Direct => {
-                // Direct writes are durable at ack, but must still be
-                // *ordered* in the log relative to any live buffered
-                // records: positional replay redoes every surviving
-                // record in sequence, so the direct bytes can never be
-                // resurrected-over by an older buffered write.
-                let admit = self.wal_admit(WalKind::Write, ino, offset, data, 1)?;
-                let res = self.call(
-                    &FileRequest::Write {
-                        ino,
-                        offset,
-                        len: data.len() as u32,
-                    },
-                    data,
-                    0,
-                );
-                if let WalAdmit::Logged(log, seq) = &admit {
-                    // Durable at ack; voided on a non-crash error. After a
-                    // crash the op is ambiguous — the record must stay
-                    // live so positional replay resolves it one way.
-                    if res.is_ok() || !log.crashed() {
-                        log.retire_all(*seq);
-                    }
+        // Write-ahead: the intent record must be on the ring before the
+        // cache absorbs the first page — an acked buffered write is then
+        // always recoverable.
+        let first_lpn = offset / PAGE_SIZE as u64;
+        let last_lpn = (end - 1) / PAGE_SIZE as u64;
+        let pages = (last_lpn - first_lpn + 1) as u32;
+        let wal = match self.wal_admit(WalKind::Write, ino, offset, data, pages)? {
+            WalAdmit::None => None,
+            WalAdmit::Logged(log, seq) => Some((log, seq)),
+            WalAdmit::Bypass => return self.write_direct(&entry, offset, &[data]),
+        };
+        let res = self.write_buffered(&entry, ino, offset, end, data, wal.as_ref());
+        if res.is_err() {
+            if let Some((log, seq)) = &wal {
+                // A non-crash error mid-write: pages that did commit
+                // retire on flush; the rest must not pin the ring. After a
+                // crash the record stays so replay redoes the whole
+                // (ambiguous) op — some pages may already be committed or
+                // durable, and only a full redo leaves a consistent
+                // outcome.
+                if !log.crashed() {
+                    log.retire_all(*seq);
                 }
-                let (resp, _) = res?;
-                let FileResponse::Bytes(n) = resp else {
-                    return Err(DpcError::IO);
-                };
-                entry
-                    .cell
-                    .size
-                    .fetch_max(offset + n as u64, Ordering::AcqRel);
-                Ok(n as usize)
-            }
-            IoMode::Buffered => {
-                // Write-ahead: the intent record must be on the ring
-                // before the cache absorbs the first page — an acked
-                // buffered write is then always recoverable.
-                let first_lpn = offset / PAGE_SIZE as u64;
-                let last_lpn = (end - 1) / PAGE_SIZE as u64;
-                let pages = (last_lpn - first_lpn + 1) as u32;
-                let wal = match self.wal_admit(WalKind::Write, ino, offset, data, pages)? {
-                    WalAdmit::None => None,
-                    WalAdmit::Logged(log, seq) => Some((log, seq)),
-                    WalAdmit::Bypass => {
-                        return self.write_bypass(&entry, ino, offset, end, data);
-                    }
-                };
-                let res = self.write_buffered(&entry, ino, offset, end, data, wal.as_ref());
-                if res.is_err() {
-                    if let Some((log, seq)) = &wal {
-                        // A non-crash error mid-write: pages that did
-                        // commit retire on flush; the rest must not pin
-                        // the ring. After a crash the record stays so
-                        // replay redoes the whole (ambiguous) op — some
-                        // pages may already be committed or durable, and
-                        // only a full redo leaves a consistent outcome.
-                        if !log.crashed() {
-                            log.retire_all(*seq);
-                        }
-                    }
-                }
-                res
             }
         }
+        res
     }
 
     /// The buffered two-pass absorb (the paper's front-end write),
@@ -1059,7 +1036,8 @@ impl DpcFs {
                     continue;
                 }
                 self.cache.note_write_through();
-                self.write_through_page(ino, s.lpn, s.in_page, chunk)?;
+                let at = s.lpn * PAGE_SIZE as u64 + s.in_page as u64;
+                self.cross_write(ino, at, &[chunk])?;
                 if let Some((log, seq)) = wal {
                     // Written through durably: that page's
                     // obligation is already met.
@@ -1071,67 +1049,139 @@ impl DpcFs {
         Ok(data.len())
     }
 
-    /// Durable write-through of a whole buffer that can never fit the
-    /// intent log ([`WalAdmit::Bypass`]): chunked direct writes (inside
-    /// the nvme-fs slot cap), then cached-page invalidation so later
-    /// reads see the new bytes. Nothing buffered ⇒ nothing to recover.
-    fn write_bypass(
+    /// The one uncached write: `IoMode::Direct`, `writev`, and a buffered
+    /// write the intent log can never hold ([`WalAdmit::Bypass`]). The
+    /// O_DIRECT rule, in order: the dirty cached pages it overlaps reach
+    /// the backend first; the intent record orders it against live
+    /// buffered records under positional replay; the segments cross; the
+    /// touched pages leave the cache, so no read serves the bytes they
+    /// replaced; the logical size grows.
+    fn write_direct(
         &self,
         entry: &FdEntry,
-        ino: u64,
         offset: u64,
-        end: u64,
-        data: &[u8],
+        segments: &[&[u8]],
     ) -> Result<usize, DpcError> {
-        const BYPASS_CHUNK: usize = 64 * PAGE_SIZE;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let n = BYPASS_CHUNK.min(data.len() - pos);
-            let (resp, _) = self.call(
-                &FileRequest::Write {
-                    ino,
-                    offset: offset + pos as u64,
-                    len: n as u32,
-                },
-                &data[pos..pos + n],
-                0,
-            )?;
-            let FileResponse::Bytes(_) = resp else {
-                return Err(DpcError::IO);
-            };
-            pos += n;
+        let total: usize = segments.iter().map(|s| s.len()).sum();
+        if total == 0 {
+            return Ok(0);
         }
-        let first = offset / PAGE_SIZE as u64;
-        let last = (end - 1) / PAGE_SIZE as u64;
-        for lpn in first..=last {
+        let end = offset.checked_add(total as u64).ok_or(DpcError::INVALID)?;
+        let ino = entry.ino;
+        entry.cell.note_mutation();
+        self.meta.invalidate_ino(ino);
+        // Inclusive last touched page, NOT div_ceil: one page too far would
+        // drop a dirty page past the write that the pre-flush never covered.
+        let pages = offset / PAGE_SIZE as u64..=(end - 1) / PAGE_SIZE as u64;
+        self.flush_range(ino, pages.clone())?;
+        // Replay needs the bytes contiguous: a gather is flattened for the
+        // log only; the wire path still crosses as an SGL.
+        let admit = match segments {
+            _ if self.cache.wal().is_none() => WalAdmit::None,
+            [one] => self.wal_admit(WalKind::Write, ino, offset, one, 1)?,
+            _ => self.wal_admit(WalKind::Write, ino, offset, &segments.concat(), 1)?,
+        };
+        let res = self.cross_write(ino, offset, segments);
+        if let WalAdmit::Logged(log, seq) = &admit {
+            // Durable at ack; voided on a non-crash error. After a crash
+            // the op is ambiguous — the record must stay live so positional
+            // replay resolves it one way.
+            if res.is_ok() || !log.crashed() {
+                log.retire_all(*seq);
+            }
+        }
+        // Whatever part landed, no cached copy of it may stay readable.
+        for lpn in pages {
             self.cache.invalidate(ino, lpn);
         }
-        entry.cell.size.fetch_max(end, Ordering::AcqRel);
-        Ok(data.len())
+        let n = res?;
+        entry
+            .cell
+            .size
+            .fetch_max(offset + n as u64, Ordering::AcqRel);
+        Ok(n)
     }
 
-    /// Bypass the cache for one page-sized chunk (no slot could be
-    /// freed for it).
-    fn write_through_page(
-        &self,
-        ino: u64,
-        lpn: u64,
-        in_page: usize,
-        chunk: &[u8],
-    ) -> Result<(), DpcError> {
-        let (resp, _) = self.call(
-            &FileRequest::Write {
-                ino,
-                offset: lpn * PAGE_SIZE as u64 + in_page as u64,
-                len: chunk.len() as u32,
-            },
-            chunk,
-            0,
-        )?;
-        let FileResponse::Bytes(_) = resp else {
-            return Err(DpcError::IO);
-        };
+    /// O_DIRECT coherence: the dirty cached pages of `ino` in `pages`
+    /// reach the backend before an uncached op goes to it — flushed, never
+    /// discarded. The dirty-range index answers the overlap query, so
+    /// other files' dirty pages force nothing. EBUSY when they stay dirty:
+    /// the backend keeps refusing them (the `Fsync` answers EIO), or
+    /// writers keep re-dirtying them.
+    fn flush_range(&self, ino: u64, pages: RangeInclusive<u64>) -> Result<(), DpcError> {
+        let mut rounds = 0;
+        while self
+            .cache
+            .has_dirty_in_range(ino, *pages.start(), *pages.end())
+        {
+            if rounds == PREFLUSH_ROUNDS {
+                return Err(DpcError(16 /* EBUSY */));
+            }
+            rounds += 1;
+            match self.call(&FileRequest::Fsync { ino }, b"", 0) {
+                // Some page of the inode was refused; the loop's test says
+                // whether it was one of ours.
+                Err(DpcError::IO) => rounds = PREFLUSH_ROUNDS,
+                res => {
+                    res?;
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// Cross `segments`, back to back from `offset`, in `Write` commands
+    /// that fit a transport buffer (its write half also holds an SGL's
+    /// descriptor list and, when it does not ride the SQE, the header): one
+    /// piece goes as a plain payload, more as an SGL. Returns the bytes the
+    /// backend took.
+    fn cross_write(&self, ino: u64, offset: u64, segments: &[&[u8]]) -> Result<usize, DpcError> {
+        // Page-aligned when the buffer holds a page, so no crossing but
+        // the last splits one.
+        let room = self.max_io - SGL_LIST_CAP - READ_HEADER_CAP;
+        let room = match room / PAGE_SIZE {
+            0 => room,
+            pages => pages * PAGE_SIZE,
+        };
+        let (mut written, mut rest) = (0usize, segments.iter().copied());
+        let mut cur: &[u8] = &[];
+        let mut pieces: [&[u8]; SGL_MAX_SEGMENTS] = [&[]; SGL_MAX_SEGMENTS];
+        loop {
+            let (mut count, mut len) = (0, 0);
+            while count < SGL_MAX_SEGMENTS && len < room {
+                if cur.is_empty() {
+                    match rest.next() {
+                        Some(seg) => cur = seg,
+                        None => break,
+                    }
+                    continue;
+                }
+                let take = cur.len().min(room - len);
+                (pieces[count], cur) = cur.split_at(take);
+                count += 1;
+                len += take;
+            }
+            let req = FileRequest::Write {
+                ino,
+                offset: offset + written as u64,
+                len: len as u32,
+            };
+            let (resp, _) = match pieces[..count] {
+                [] => return Ok(written),
+                [one] => self.call(&req, one, 0)?,
+                ref gather => reply(
+                    self.pool
+                        .call_sgl(DispatchType::Standalone, &req, gather, 0),
+                )?,
+            };
+            let FileResponse::Bytes(n) = resp else {
+                return Err(DpcError::IO);
+            };
+            written += n as usize;
+            if (n as usize) < len {
+                return Ok(written);
+            }
+        }
     }
 
     /// Read at `offset`. Buffered mode checks the hybrid cache page by
@@ -1146,20 +1196,33 @@ impl DpcFs {
 
         match self.mode {
             IoMode::Direct => {
-                let (resp, payload) = self.call(
-                    &FileRequest::Read {
-                        ino,
-                        offset,
-                        len: n as u32,
-                    },
-                    b"",
-                    n as u32,
-                )?;
-                let FileResponse::Bytes(got) = resp else {
-                    return Err(DpcError::IO);
-                };
-                let got = got as usize;
-                dst[..got].copy_from_slice(&payload[..got]);
+                // The backend must hold what this host wrote (O_DIRECT
+                // coherence), then the reads go in buffer-sized pieces.
+                let last = offset + n as u64 - 1;
+                self.flush_range(ino, offset / PAGE_SIZE as u64..=last / PAGE_SIZE as u64)?;
+                let room = self.max_io - READ_HEADER_CAP;
+                let mut got = 0;
+                while got < n {
+                    let len = (n - got).min(room);
+                    let (resp, payload) = self.call(
+                        &FileRequest::Read {
+                            ino,
+                            offset: offset + got as u64,
+                            len: len as u32,
+                        },
+                        b"",
+                        len as u32,
+                    )?;
+                    let FileResponse::Bytes(k) = resp else {
+                        return Err(DpcError::IO);
+                    };
+                    let k = k as usize;
+                    dst[got..got + k].copy_from_slice(&payload[..k]);
+                    got += k;
+                    if k < len {
+                        break;
+                    }
+                }
                 Ok(got)
             }
             IoMode::Buffered => {
@@ -1338,96 +1401,7 @@ impl DpcFs {
     /// direct write, whatever the I/O mode says (gathering through the
     /// page cache would defeat the point).
     pub fn writev(&self, fd: Fd, offset: u64, segments: &[&[u8]]) -> Result<usize, DpcError> {
-        let total: usize = segments.iter().map(|s| s.len()).sum();
-        if total == 0 {
-            return Ok(0);
-        }
-        let entry = self.fds.get(fd)?;
-        let ino = entry.ino;
-        entry.cell.note_mutation();
-        self.meta.invalidate_ino(ino);
-        // O_DIRECT coherence: dirty cached pages overlapping the write
-        // must reach the backend before the direct write lands (flush,
-        // never discard). The dirty-range index answers the overlap
-        // query exactly — unrelated files' dirty pages (or this file's
-        // outside the range) no longer force a full flush. A page the
-        // backend refused sits in the flush quarantine instead, outside
-        // the index, and an fsync does not promise to drain it: the range
-        // is re-checked after every flush, because the invalidation
-        // below would otherwise discard the only copy of such a page's
-        // bytes around the gather.
-        let end = offset.checked_add(total as u64).ok_or(DpcError::INVALID)?;
-        let first_lpn = offset / PAGE_SIZE as u64;
-        let last_lpn = (end - 1) / PAGE_SIZE as u64;
-        const PREFLUSH_ROUNDS: u32 = 4;
-        let mut rounds = 0;
-        while self.cache.has_dirty_in_range(ino, first_lpn, last_lpn)
-            || self
-                .cache
-                .has_quarantined_in_range(ino, first_lpn, last_lpn)
-        {
-            if rounds == PREFLUSH_ROUNDS {
-                return Err(DpcError(16 /* EBUSY */));
-            }
-            rounds += 1;
-            self.call(&FileRequest::Fsync { ino }, b"", 0)?;
-        }
-        // Intent-log the gathered payload (flattened — replay needs the
-        // bytes contiguous; the wire path still crosses as an SGL).
-        // Durable at ack, so the record retires as soon as the call
-        // returns; it exists to order the op against live buffered
-        // records under positional replay.
-        let mut admit = WalAdmit::None;
-        if self.cache.wal().is_some() {
-            let mut flat = Vec::with_capacity(total);
-            for s in segments {
-                flat.extend_from_slice(s);
-            }
-            admit = self.wal_admit(WalKind::Write, ino, offset, &flat, 1)?;
-        }
-        let res = self
-            .pool
-            .call_sgl(
-                DispatchType::Standalone,
-                &FileRequest::Write {
-                    ino,
-                    offset,
-                    len: total as u32,
-                },
-                segments,
-                0,
-            )
-            .map_err(|e| DpcError(e.errno()));
-        if let WalAdmit::Logged(log, seq) = &admit {
-            // Voided on return — except after a crash, where the record
-            // must survive for positional replay (the op is ambiguous).
-            if res.is_ok() || !log.crashed() {
-                log.retire_all(*seq);
-            }
-        }
-        let done = res?;
-        match done.response {
-            FileResponse::Bytes(n) => {
-                entry
-                    .cell
-                    .size
-                    .fetch_max(offset + n as u64, Ordering::AcqRel);
-                // Keep any cached pages coherent with the direct write.
-                // Inclusive last touched page, NOT div_ceil: one page too
-                // far would drop a dirty page past the gather that the
-                // pre-flush above never covered — silent data loss.
-                if n > 0 {
-                    let first = offset / PAGE_SIZE as u64;
-                    let last = (offset + n as u64 - 1) / PAGE_SIZE as u64;
-                    for lpn in first..=last {
-                        self.cache.invalidate(ino, lpn);
-                    }
-                }
-                Ok(n as usize)
-            }
-            FileResponse::Err(e) => Err(DpcError(e)),
-            _ => Err(DpcError::IO),
-        }
+        self.write_direct(&*self.fds.get(fd)?, offset, segments)
     }
 
     /// Flush buffered data and, if the backend then disagrees with the
@@ -1457,9 +1431,11 @@ impl DpcFs {
         // Size reconcile (kernel i_size): the flusher writes each page's
         // valid prefix, so the backend normally lands on the logical size
         // and this is the only crossing. It differs when the flush was
-        // not the whole story — pages of a write that failed part-way,
-        // pages held back in the flush quarantine — and only then is the
-        // backend truncated to the size this host acknowledged. Known
+        // not the whole story — pages of a write that failed part-way —
+        // and only then is the backend truncated to the size this host
+        // acknowledged. A flush the backend refused never gets here: the
+        // reply is EIO, the size stays unreconciled and `synced` stays
+        // where it was, so `close` tries again. Known
         // limitation (ROADMAP item 5): the host's size is trusted even
         // over another `Dpc` on the same store, so a descriptor here can
         // cut growth that client fsynced; nothing keeps two clients
@@ -1537,14 +1513,10 @@ impl DpcFs {
         payload: &[u8],
         read_len: u32,
     ) -> Result<(FileResponse, Vec<u8>), DpcError> {
-        let done = self
-            .pool
-            .call(DispatchType::Distributed, req, payload, read_len)
-            .map_err(|e| DpcError(e.errno()))?;
-        match done.response {
-            FileResponse::Err(e) => Err(DpcError(e)),
-            resp => Ok((resp, done.payload)),
-        }
+        reply(
+            self.pool
+                .call(DispatchType::Distributed, req, payload, read_len),
+        )
     }
 
     /// Create a DFS file; returns its inode.

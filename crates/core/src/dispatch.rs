@@ -27,6 +27,11 @@ use dpc_sim::FaultSite;
 /// meaningless for a whole-cache sweep).
 pub const FSYNC_ALL: u64 = u64::MAX;
 
+/// Flush passes a scoped `Fsync` runs while its inode's pages are being
+/// refused, before it answers EIO: with the control plane's in-pass
+/// retries, sixteen attempts at each refused extent.
+const FSYNC_PASSES: u32 = 4;
+
 /// Map a KVFS attribute to the wire form.
 fn wire_attr(a: &dpc_kvfs::FileAttr) -> WireAttr {
     WireAttr {
@@ -98,51 +103,27 @@ fn dfs_err(e: DfsError) -> FileResponse {
 
 /// The dispatcher's flush sink: dirty hybrid-cache pages persist into
 /// KVFS. Reports failure (instead of panicking or silently dropping) so
-/// the control plane can retry and quarantine — a fault-site hit models a
-/// transiently unreachable store.
+/// the control plane can retry and leave the pages dirty — a fault-site
+/// hit models a transiently unreachable store.
 pub(crate) struct KvfsFlush<'a> {
     pub kvfs: &'a Arc<Kvfs>,
     pub fault: Option<&'a Arc<FaultSite>>,
 }
 
 impl FlushBackend for KvfsFlush<'_> {
-    fn flush(&mut self, ino: u64, lpn: u64, page: &[u8]) {
-        let _ = self.try_flush(ino, lpn, page);
-    }
-
-    fn try_flush(&mut self, ino: u64, lpn: u64, page: &[u8]) -> bool {
-        if let Some(site) = self.fault {
-            if site.fires() {
-                return false;
-            }
-        }
-        match self
-            .kvfs
-            .write(ino, lpn * dpc_cache::PAGE_SIZE as u64, page)
-        {
-            Ok(_) => true,
-            // The file vanished (unlinked with dirty pages still cached):
-            // the page is garbage, dropping it is the correct outcome.
-            Err(FsError::NotFound) => true,
-            Err(_) => false,
-        }
-    }
-
     fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
         // One fault-site draw per *extent* attempt, mirroring the real
-        // failure unit: a refused multi-page write fails whole, and the
-        // control plane quarantines every page of it.
-        if let Some(site) = self.fault {
-            if site.fires() {
-                return false;
-            }
+        // failure unit: a refused multi-page write fails whole.
+        if self.fault.is_some_and(|site| site.fires()) {
+            return false;
         }
         match self
             .kvfs
             .write_extent(ino, lpn * dpc_cache::PAGE_SIZE as u64, &[data])
         {
-            Ok(_) => true,
-            Err(FsError::NotFound) => true,
+            // The file vanished (unlinked with dirty pages still cached):
+            // the pages are garbage, dropping them is the correct outcome.
+            Ok(_) | Err(FsError::NotFound) => true,
             Err(_) => false,
         }
     }
@@ -294,8 +275,9 @@ impl Dispatcher {
 
     /// One foreground flush of the hybrid cache's dirty pages into KVFS,
     /// scoped to `ino_filter` when given. With `coalesce` off the extent
-    /// cap is one page: every dirty page is its own backend write.
-    fn flush(&mut self, ino_filter: Option<u64>) {
+    /// cap is one page: every dirty page is its own backend write. Returns
+    /// the pages the backend refused, which stay dirty.
+    fn flush(&mut self, ino_filter: Option<u64>) -> usize {
         let cap = self.control.max_extent_pages;
         if !self.coalesce {
             self.control.max_extent_pages = 1;
@@ -309,6 +291,7 @@ impl Dispatcher {
             false,
         );
         self.control.max_extent_pages = cap;
+        self.control.refused()
     }
 
     fn handle_kvfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
@@ -474,7 +457,15 @@ impl Dispatcher {
                     self.flush(None);
                     return FileResponse::Ok;
                 }
-                self.flush(Some(*ino));
+                // A sync answers for what it made durable: pages the
+                // backend keeps refusing stay dirty, and the reply says EIO.
+                let mut passes = 1;
+                while self.flush(Some(*ino)) > 0 {
+                    if passes == FSYNC_PASSES {
+                        return FileResponse::Err(5 /* EIO */);
+                    }
+                    passes += 1;
+                }
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
                 // false durability promise. The reply carries the

@@ -502,6 +502,7 @@ impl Dpc {
             self.cfg.io_mode,
             self.cfg.fsync_mode,
             self.meta.clone(),
+            self.cfg.max_io_bytes,
         )
     }
 
@@ -627,7 +628,6 @@ impl Dpc {
                 kv_retries: kv.retries,
                 flush_retries: cache.flush_retries,
                 flush_failures: cache.flush_failures,
-                quarantined: self.cache.quarantined_pages() as u64,
             },
         }
     }

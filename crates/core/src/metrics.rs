@@ -45,10 +45,9 @@ pub struct RecoverySnapshot {
     pub kv_retries: u64,
     /// Cache flush pipeline: in-pass flush reissues.
     pub flush_retries: u64,
-    /// Cache flush pipeline: pages whose flush failed persistently.
+    /// Cache flush pipeline: pages a pass left dirty because the backend
+    /// refused their extent through every retry.
     pub flush_failures: u64,
-    /// Pages currently parked in the flush quarantine.
-    pub quarantined: u64,
 }
 
 /// Structurally empty: no DMA is attributed to a class any more (the
@@ -271,8 +270,7 @@ impl core::fmt::Display for MetricsSnapshot {
             f,
             "recovery: link {} retries / {} timeouts / {} transport errs / \
              {} rejected sqes, dfs {} ds + {} mds retries, {} reconstructions, {} repairs, \
-             {} crc rejects, kv {} retries, flush {} retries / {} failures, \
-             {} quarantined",
+             {} crc rejects, kv {} retries, flush {} retries / {} failures",
             r.link_retries,
             r.link_timeouts,
             r.transport_errors,
@@ -284,8 +282,7 @@ impl core::fmt::Display for MetricsSnapshot {
             r.crc_rejects,
             r.kv_retries,
             r.flush_retries,
-            r.flush_failures,
-            r.quarantined
+            r.flush_failures
         )
     }
 }

@@ -228,8 +228,8 @@ impl DpuRuntime {
                             }
                         }
                         // Final drain so nothing dirty is lost at shutdown.
-                        // Faults stay out of the way here: pages must not
-                        // be abandoned in the quarantine at tear-down.
+                        // Faults stay out of the way here: a refused page
+                        // must not be left dirty at tear-down.
                         // A tripped crash switch suppresses the drain — a
                         // dead DPU cannot helpfully persist its dirty set
                         // on the way out, and doing so would make every

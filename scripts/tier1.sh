@@ -33,6 +33,19 @@ done
 cargo test --release -q -p dpc-kvfs --lib \
     two_names_of_one_inode_unlinked_at_once_free_it_exactly_once
 cargo test --release -q -p dpc-kvfs --test zero_alloc_walk
+# Refused flushes and uncached I/O, in release and by name: a scoped
+# fsync whose page the backend refuses says EIO; direct reads, direct
+# writes and writev keep the cache coherent; oversize direct I/O and a
+# writev of more segments than an SGL holds cross in pieces, never panic.
+cargo test --release -q --test writeback fsync_reports_a_flush_the_backend_refused
+cargo test --release -q --test direct_io -- \
+    a_buffered_read_after_a_direct_write_sees_the_new_bytes \
+    a_direct_write_survives_the_next_buffered_fsync \
+    a_direct_read_sees_a_dirty_page \
+    an_oversize_direct_write_crosses_in_pieces \
+    an_oversize_writev_crosses_in_pieces \
+    an_oversize_direct_read_reads_in_pieces \
+    a_writev_of_more_segments_than_an_sgl_holds_crosses_in_pieces
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review.
 cargo build --release --manifest-path dpc-e2e/Cargo.toml

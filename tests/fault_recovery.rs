@@ -211,7 +211,6 @@ fn fault_free_run_keeps_every_recovery_counter_at_zero() {
     assert_eq!(r.kv_retries, 0);
     assert_eq!(r.flush_retries, 0);
     assert_eq!(r.flush_failures, 0);
-    assert_eq!(r.quarantined, 0);
 }
 
 #[test]

@@ -56,7 +56,10 @@ fn pattern(seed: u64, tag: u64, len: usize) -> Vec<u8> {
 /// The crash-sweep base configuration: WAL on, deterministic data path
 /// (no background flusher or prefetcher drawing crash-site faults off
 /// the op being executed), fast link deadlines so calls into a dead DPU
-/// error in milliseconds instead of minutes.
+/// error in milliseconds instead of minutes — but not so fast that a live
+/// instance's first call, made while its just-spawned service threads
+/// wait for a core beside the suite's other tests, times out: at 10 000
+/// yields that failed 4–13 of 20 release runs of this suite on two vCPUs.
 fn crash_cfg() -> DpcConfig {
     DpcConfig {
         wal: true,
@@ -66,7 +69,7 @@ fn crash_cfg() -> DpcConfig {
         prefetch: false,
         retry: RetryPolicy {
             attempts: 2,
-            deadline_yields: 10_000,
+            deadline_yields: 200_000,
             backoff_base_us: 20,
             backoff_cap_us: 200,
         },

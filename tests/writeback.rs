@@ -1,13 +1,15 @@
-//! PR 4 write-back verification: background flush + extent coalescing
-//! must be invisible to readers — byte-exact against an in-memory model,
-//! with and without seeded flush chaos — and the new write-back
-//! machinery must stay completely off the fast path when idle.
+//! Write-back verification: background flush + extent coalescing must be
+//! invisible to readers — byte-exact against an in-memory model, with and
+//! without seeded flush chaos — and the write-back machinery must stay
+//! completely off the fast path when idle.
 //!
-//! Reuses the PR 3 chaos plumbing: seeds `[1, 7, 42]` by default
-//! (`DPC_CHAOS_SEED=<u64>` pins one), faults drawn from per-site
-//! deterministic streams. A refused extent write fails *whole*: the
-//! control plane must quarantine every page of it and replay them later
-//! — no page may ever be lost, even across an instance restart.
+//! Chaos runs use seeds `[1, 7, 42]` by default (`DPC_CHAOS_SEED=<u64>`
+//! pins one), faults drawn from per-site deterministic streams. A refused
+//! extent write fails *whole*: every page of it stays dirty — in the
+//! dirty-range index, unevictable — and a later pass retries it, so no
+//! page is ever lost, even across an instance restart. A sync answers for
+//! what it made durable: a scoped `fsync` whose pages the backend keeps
+//! refusing returns EIO.
 
 use std::collections::HashMap;
 
@@ -48,8 +50,8 @@ fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
 /// One seeded run: dirty-heavy mixed writes racing the watermark-driven
 /// background flusher, with every extent flush at risk of refusal. The
 /// files must read back byte-exact live, and — after the instance shuts
-/// down (which drains the quarantine fault-free) — from a second
-/// instance reopening the same KV store cold.
+/// down (which flushes every page still dirty, fault-free) — from a
+/// second instance reopening the same KV store cold.
 fn writeback_chaos_run(seed: u64) {
     let plan = FaultPlan::new(seed);
     plan.arm("cache.flush", FaultSpec::probability(0.25));
@@ -101,8 +103,8 @@ fn writeback_chaos_run(seed: u64) {
             m.recovery
         );
         dpc.kvfs_inner().store().clone()
-        // Drop: the shutdown drain persists every residual dirty or
-        // quarantined page with faults disarmed.
+        // Drop: the shutdown drain persists every residual dirty page
+        // with faults disarmed.
     };
 
     // Diskless restart: a fresh instance over the same store, no cache,
@@ -188,8 +190,8 @@ fn overcommitted_write_burst_uses_batched_eviction() {
 
 /// Fault-free, pressure-free write-back keeps every recovery counter and
 /// every foreground-degradation counter at exactly zero: no evict
-/// stalls, no write-throughs, nothing quarantined — the new machinery
-/// costs the fast path nothing.
+/// stalls, no write-throughs, no refused flush — the machinery costs the
+/// fast path nothing.
 #[test]
 fn fault_free_writeback_keeps_stall_counters_at_zero() {
     let dpc = Dpc::new(DpcConfig {
@@ -215,13 +217,55 @@ fn fault_free_writeback_keeps_stall_counters_at_zero() {
     let r = m.recovery;
     assert_eq!(r.flush_retries, 0);
     assert_eq!(r.flush_failures, 0);
-    assert_eq!(r.quarantined, 0);
     assert_eq!(r.link_retries, 0);
     assert_eq!(r.kv_retries, 0);
     // The dirty pages did go through the coalesced path.
     assert!(m.cache.extents_flushed > 0);
     let hist_total: u64 = m.cache.extent_pages_hist.iter().sum();
     assert_eq!(hist_total, m.cache.extents_flushed);
+}
+
+/// A sync answers for what it made durable. A page the backend refuses
+/// stays dirty and `fsync` says EIO — without reconciling the backend's
+/// size to bytes it does not have; once the backend takes the page, the
+/// next `fsync` is `Ok` and a cold instance reads every byte.
+#[test]
+fn fsync_reports_a_flush_the_backend_refused() {
+    let plan = FaultPlan::new(1);
+    let data = pattern(25, 0, 4096);
+    let store = {
+        let dpc = Dpc::new(DpcConfig {
+            faults: Some(plan.clone()),
+            ..DpcConfig::default()
+        });
+        let fs = dpc.fs();
+        let fd = fs.create("/refused").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+
+        let refusing = plan.arm("cache.flush", FaultSpec::always());
+        assert_eq!(fs.fsync(fd).unwrap_err().errno(), 5 /* EIO */);
+        assert_eq!(fs.cache().dirty_count(), 1, "the refused page stays dirty");
+        let ino = dpc.kvfs_inner().resolve("/refused").unwrap();
+        assert_eq!(dpc.kvfs_inner().get_attr(ino).unwrap().size, 0);
+        let r = dpc.metrics().recovery;
+        // Four passes, each one extent tried 1 + 3 times.
+        assert_eq!((r.flush_failures, r.flush_retries), (4, 12));
+        // `close` syncs a modified descriptor, and says so too.
+        assert_eq!(fs.close(fd).unwrap_err().errno(), 5);
+        refusing.disarm();
+
+        fs.fsync(fd).unwrap();
+        assert_eq!(fs.cache().dirty_count(), 0);
+        fs.close(fd).unwrap();
+        dpc.kvfs_inner().store().clone()
+    };
+
+    let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
+    let fs = dpc.fs();
+    let fd = fs.open("/refused").unwrap();
+    let mut back = vec![0u8; 4096];
+    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 4096);
+    assert_eq!(back, data, "the bytes never reached the store");
 }
 
 proptest! {
