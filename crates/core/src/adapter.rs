@@ -35,8 +35,8 @@ use dpc_cache::{
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
     decode_dirents, decode_dirents_into, CallError, ChannelPool, DispatchType, FileCompletion,
-    FileRequest, FileResponse, WireAttr, WireDirent, WireStep, MAX_NAME_LEN, MAX_PATH_LEN,
-    READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
+    FileRequest, FileResponse, Payload, Sides, Ticket, WireAttr, WireDirent, WireStep,
+    MAX_NAME_LEN, MAX_PATH_LEN, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 use parking_lot::Mutex;
 
@@ -292,6 +292,26 @@ impl FdTable {
 /// the default 1 MiB nvme-fs buffer capacity, and matching the flush
 /// extent cap).
 const MAX_MISS_RUN_PAGES: usize = 64;
+
+/// Miss runs of one read staged before the first is waited; a read whose
+/// misses break into more fetches these first.
+const MAX_RUNS: usize = 16;
+
+/// Contiguous missing pages of one read, fetched by one spanning `Read`.
+#[derive(Copy, Clone, Default)]
+struct Run {
+    lpn: u64,
+    pages: usize,
+}
+
+/// Where page `lpn` meets the `n` bytes read at `offset`: its position in
+/// the caller's buffer, its offset in the page, and how many bytes.
+fn page_span(offset: u64, n: usize, lpn: u64) -> (usize, usize, usize) {
+    let start = (lpn * PAGE_SIZE as u64).max(offset);
+    let end = ((lpn + 1) * PAGE_SIZE as u64).min(offset + n as u64);
+    let in_page = (start % PAGE_SIZE as u64) as usize;
+    ((start - offset) as usize, in_page, (end - start) as usize)
+}
 
 /// Rounds of scoped `Fsync` an uncached op spends flushing the dirty
 /// pages it overlaps before it gives up with EBUSY.
@@ -1226,34 +1246,27 @@ impl DpcFs {
                 Ok(got)
             }
             IoMode::Buffered => {
-                struct Miss {
-                    lpn: u64,
-                    pos: usize,
-                    in_page: usize,
-                    take: usize,
-                }
+                let dst = &mut dst[..n];
                 // Page scratch for the settled-copy path and a miss run's
                 // short tail page only: neither an all-hit read nor a miss
                 // of whole pages ever sizes (allocates) it.
                 let mut page: Vec<u8> = Vec::new();
-                let mut pos = 0usize;
-                let mut off = offset;
-                // Pass 1: serve cache hits zero-copy, remember the
-                // misses. A hit borrows the shared pool page through an
-                // epoch-validated `ReadRef` and lands the bytes straight
-                // in the caller's buffer — exactly one copy, at the user
-                // boundary, for whole-page and partial reads alike. A
-                // torn validation (writer moved the page mid-read) falls
-                // back to the bounded-retry locked copy path. A hit that
-                // consumed a readahead marker page is remembered so the
-                // DPU can be told (once per call) to plan the next window
-                // while this one is still being consumed.
-                let mut misses: Vec<Miss> = Vec::new();
-                let mut marker_hint: Option<u64> = None;
-                while pos < n {
-                    let lpn = off / PAGE_SIZE as u64;
-                    let in_page = (off % PAGE_SIZE as u64) as usize;
-                    let take = (PAGE_SIZE - in_page).min(n - pos);
+                // Pass 1: serve cache hits zero-copy, gather the misses
+                // into contiguous runs. A hit borrows the shared pool page
+                // through an epoch-validated `ReadRef` and lands the bytes
+                // straight in the caller's buffer — exactly one copy, at
+                // the user boundary, for whole-page and partial reads
+                // alike. A torn validation (writer moved the page
+                // mid-read) falls back to the bounded-retry locked copy
+                // path. A hit that consumed a readahead marker page is
+                // remembered so the DPU can be told (once per call) to
+                // plan the next window while this one is still being
+                // consumed.
+                let mut runs = [Run::default(); MAX_RUNS];
+                let (mut k, mut marker_hint) = (0, None);
+                let last = (offset + n as u64 - 1) / PAGE_SIZE as u64;
+                for lpn in offset / PAGE_SIZE as u64..=last {
+                    let (pos, in_page, take) = page_span(offset, n, lpn);
                     let hint = match self.cache.lookup_read_ref(ino, lpn) {
                         Some(r) => {
                             r.read(in_page, &mut dst[pos..pos + take]);
@@ -1284,107 +1297,29 @@ impl DpcFs {
                                 marker_hint = Some(lpn);
                             }
                         }
-                        None => misses.push(Miss {
-                            lpn,
-                            pos,
-                            in_page,
-                            take,
-                        }),
-                    }
-                    pos += take;
-                    off += take as u64;
-                }
-                // Pass 2: group the missing pages into contiguous runs
-                // and fetch each run with ONE spanning read (the DPU
-                // serves it as one vectored KVFS extent read); the runs
-                // themselves go out under batched submission
-                // (doorbell-coalesced through the pool). A lone miss
-                // degenerates to the old per-page fetch.
-                if !misses.is_empty() {
-                    struct Run {
-                        /// Index of the run's first page in `misses`.
-                        first: usize,
-                        pages: usize,
-                    }
-                    let mut runs: Vec<Run> = Vec::new();
-                    for (i, m) in misses.iter().enumerate() {
-                        match runs.last_mut() {
+                        None => match runs[..k].last_mut() {
                             Some(r)
                                 if r.pages < MAX_MISS_RUN_PAGES
-                                    && misses[r.first].lpn + r.pages as u64 == m.lpn =>
+                                    && r.lpn + r.pages as u64 == lpn =>
                             {
                                 r.pages += 1;
                             }
-                            _ => runs.push(Run { first: i, pages: 1 }),
-                        }
-                    }
-                    let mut max_len = 0u32;
-                    let requests: Vec<FileRequest> = runs
-                        .iter()
-                        .map(|r| {
-                            let len = (r.pages * PAGE_SIZE) as u32;
-                            max_len = max_len.max(len);
-                            FileRequest::Read {
-                                ino,
-                                offset: misses[r.first].lpn * PAGE_SIZE as u64,
-                                len,
-                            }
-                        })
-                        .collect();
-                    let done = self
-                        .pool
-                        .call_many(DispatchType::Standalone, &requests, max_len)
-                        .map_err(|e| DpcError(e.errno()))?;
-                    for (r, c) in runs.iter().zip(&done) {
-                        let got = match c.response {
-                            FileResponse::Bytes(g) => g as usize,
-                            FileResponse::Err(e) => return Err(DpcError(e)),
-                            _ => return Err(DpcError::IO),
-                        };
-                        if r.pages > 1 {
-                            self.cache.note_vector_fill();
-                        }
-                        for k in 0..r.pages {
-                            let m = &misses[r.first + k];
-                            let valid = got.saturating_sub(k * PAGE_SIZE).min(PAGE_SIZE);
-                            // A whole page is served straight from the
-                            // reply; only a short tail page (or one past
-                            // what the backend had) goes through the
-                            // zero-padded scratch page.
-                            let at = k * PAGE_SIZE;
-                            let src: &[u8] = if valid == PAGE_SIZE {
-                                &c.payload[at..at + PAGE_SIZE]
-                            } else {
-                                page.resize(PAGE_SIZE, 0);
-                                if valid > 0 {
-                                    page[..valid].copy_from_slice(&c.payload[at..at + valid]);
+                            _ => {
+                                if k == MAX_RUNS {
+                                    self.fetch_runs(ino, offset, &runs, dst, &mut page)?;
+                                    k = 0;
                                 }
-                                page[valid..].fill(0);
-                                &page
-                            };
-                            // Fill the cache clean (front-end read
-                            // protocol). Only a freshly claimed entry may
-                            // be written: a page that appeared since pass
-                            // 1 belongs to a concurrent writer (possibly
-                            // dirty) and must not be clobbered with the
-                            // older backend bytes. Only the fetched
-                            // prefix is marked valid — the zero padding
-                            // of a tail page must never be flushed (size
-                            // inflation).
-                            if valid > 0 {
-                                if let Ok(mut g) = self.cache.begin_write(ino, m.lpn) {
-                                    if g.claimed_free() {
-                                        g.write(0, src);
-                                        g.set_valid(valid);
-                                        g.commit_clean();
-                                    }
-                                }
+                                runs[k] = Run { lpn, pages: 1 };
+                                k += 1;
                             }
-                            dst[m.pos..m.pos + m.take]
-                                .copy_from_slice(&src[m.in_page..m.in_page + m.take]);
-                        }
+                        },
                     }
                 }
+                // Pass 2: fetch each run with ONE spanning read (the DPU
+                // serves it as one vectored KVFS extent read); the runs
+                // themselves go out together, under one doorbell while
+                // they fit a ring. A lone miss is one command.
+                self.fetch_runs(ino, offset, &runs[..k], dst, &mut page)?;
                 if let Some(lpn) = marker_hint {
                     // Async trigger: one fire-and-forget hint per read
                     // call; the DPU plans (and background-fills) the next
@@ -1394,6 +1329,98 @@ impl DpcFs {
                 Ok(n)
             }
         }
+    }
+
+    /// Fetch the miss `runs` of the read of `dst.len()` bytes at `offset`
+    /// and land each reply: every page the cache still lacks filled clean,
+    /// and `dst`. All runs are staged before the first is waited — one
+    /// doorbell while they fit a ring, never a round trip after a round
+    /// trip — and each is read out of its mailbox in place. Every ticket
+    /// is waited whatever an earlier one said; the first error wins.
+    fn fetch_runs(
+        &self,
+        ino: u64,
+        offset: u64,
+        runs: &[Run],
+        dst: &mut [u8],
+        page: &mut Vec<u8>,
+    ) -> Result<(), DpcError> {
+        if runs.is_empty() {
+            return Ok(());
+        }
+        let reqs: [FileRequest; MAX_RUNS] = std::array::from_fn(|i| {
+            let r = runs.get(i).copied().unwrap_or_default();
+            let (offset, len) = (r.lpn * PAGE_SIZE as u64, (r.pages * PAGE_SIZE) as u32);
+            FileRequest::Read { ino, offset, len }
+        });
+        let sides = Sides {
+            dispatch: DispatchType::Standalone,
+            write: Payload::Flat(b""),
+            read_len: runs.iter().map(|r| r.pages * PAGE_SIZE).max().unwrap_or(0) as u32,
+        };
+        let mut tickets = [Ticket::default(); MAX_RUNS];
+        let (mut landed, mut next) = (Ok(()), 0);
+        while next < runs.len() {
+            let q = self.pool.preferred_queue();
+            let staged = self
+                .pool
+                .stage(q, &sides, &reqs[next..runs.len()], &mut tickets[next..]);
+            let batch = runs[next..].iter().zip(&reqs[next..]);
+            for ((run, req), &ticket) in batch.zip(&tickets[next..next + staged]) {
+                let done = self.pool.wait(ticket, &sides, req, |resp, done| {
+                    let got = match resp {
+                        FileResponse::Bytes(got) => got as usize,
+                        FileResponse::Err(e) => return Err(DpcError(e)),
+                        _ => return Err(DpcError::IO),
+                    };
+                    if run.pages > 1 {
+                        self.cache.note_vector_fill();
+                    }
+                    for k in 0..run.pages {
+                        let lpn = run.lpn + k as u64;
+                        let valid = got.saturating_sub(k * PAGE_SIZE).min(PAGE_SIZE);
+                        // A whole page is served straight from the reply;
+                        // only a short tail page (or one past what the
+                        // backend had) goes through the zero-padded
+                        // scratch page.
+                        let at = k * PAGE_SIZE;
+                        let src: &[u8] = if valid == PAGE_SIZE {
+                            &done.payload[at..at + PAGE_SIZE]
+                        } else {
+                            page.resize(PAGE_SIZE, 0);
+                            if valid > 0 {
+                                page[..valid].copy_from_slice(&done.payload[at..at + valid]);
+                            }
+                            page[valid..].fill(0);
+                            page
+                        };
+                        // Fill the cache clean (front-end read protocol).
+                        // Only a freshly claimed entry may be written: a
+                        // page that appeared since pass 1 belongs to a
+                        // concurrent writer (possibly dirty) and must not
+                        // be clobbered with the older backend bytes. Only
+                        // the fetched prefix is marked valid — the zero
+                        // padding of a tail page must never be flushed
+                        // (size inflation).
+                        if valid > 0 {
+                            if let Ok(mut g) = self.cache.begin_write(ino, lpn) {
+                                if g.claimed_free() {
+                                    g.write(0, src);
+                                    g.set_valid(valid);
+                                    g.commit_clean();
+                                }
+                            }
+                        }
+                        let (pos, in_page, take) = page_span(offset, dst.len(), lpn);
+                        dst[pos..pos + take].copy_from_slice(&src[in_page..in_page + take]);
+                    }
+                    Ok(())
+                });
+                landed = landed.and(done.map_err(|e| DpcError(e.errno())).and_then(|r| r));
+            }
+            next += staged;
+        }
+        landed
     }
 
     /// Vectored write (writev): the segments cross nvme-fs as an SGL —

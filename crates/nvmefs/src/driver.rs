@@ -54,7 +54,7 @@ fn read_side(req: &FileRequest, read_len: u32) -> ReadSide {
 }
 
 /// What a drained completion says at the file layer.
-fn decode_completion(done: &Completion) -> Result<FileResponse, RecvError> {
+pub(crate) fn decode_completion(done: &Completion) -> Result<FileResponse, RecvError> {
     match done.status {
         CqeStatus::InvalidCommand => Ok(FileResponse::Err(22 /* EINVAL */)),
         CqeStatus::TransportError => Err(RecvError::Transport),
@@ -62,9 +62,32 @@ fn decode_completion(done: &Completion) -> Result<FileResponse, RecvError> {
     }
 }
 
+/// What a command carries besides its request: its dispatch class, its
+/// write side and the payload room it expects back. Commands staged
+/// together share one.
+#[derive(Copy, Clone, Debug)]
+pub struct Sides<'a> {
+    pub dispatch: DispatchType,
+    pub write: Payload<'a>,
+    /// Payload capacity expected back (file data for reads, dirent bytes
+    /// for readdir).
+    pub read_len: u32,
+}
+
+/// A command's write payload: file data for writes, empty for the rest.
+#[derive(Copy, Clone, Debug)]
+pub enum Payload<'a> {
+    /// One contiguous buffer, described by a PRP range.
+    Flat(&'a [u8]),
+    /// Scattered buffers (writev), described by an SGL (PSDT =
+    /// `SglWrite`): each segment crosses the link as its own DMA, with no
+    /// host-side coalescing copy.
+    Gather(&'a [&'a [u8]]),
+}
+
 /// Host-side file channel: one nvme-fs queue pair speaking file semantics.
 pub struct FileChannel {
-    ini: Initiator,
+    pub(crate) ini: Initiator,
     hdr_buf: Vec<u8>,
 }
 
@@ -72,8 +95,6 @@ pub struct FileChannel {
 /// [`ChannelPool`](crate::ChannelPool) — the one way to make one.
 #[derive(Debug)]
 pub enum CallError {
-    /// The submission ring has no free slot (EAGAIN).
-    Full,
     /// The response header failed to decode.
     Decode(DecodeError),
     /// The DPU posted a transport-level error completion and the retry
@@ -88,7 +109,6 @@ impl CallError {
     /// The errno a POSIX surface would report for this error.
     pub fn errno(&self) -> i32 {
         match self {
-            CallError::Full => 11,      // EAGAIN
             CallError::Decode(_) => 5,  // EIO
             CallError::Transport => 5,  // EIO
             CallError::TimedOut => 110, // ETIMEDOUT
@@ -99,7 +119,6 @@ impl CallError {
 impl core::fmt::Display for CallError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            CallError::Full => write!(f, "nvme-fs submission queue full"),
             CallError::Decode(e) => write!(f, "response decode failed: {e}"),
             CallError::Transport => write!(f, "nvme-fs transport error (retries exhausted)"),
             CallError::TimedOut => write!(f, "nvme-fs call deadline expired (retries exhausted)"),
@@ -112,12 +131,6 @@ impl std::error::Error for CallError {}
 impl From<DecodeError> for CallError {
     fn from(e: DecodeError) -> CallError {
         CallError::Decode(e)
-    }
-}
-
-impl From<QueueFull> for CallError {
-    fn from(_: QueueFull) -> CallError {
-        CallError::Full
     }
 }
 
@@ -184,9 +197,7 @@ impl FileChannel {
         self.ini.depth()
     }
 
-    /// Submit a file request. `write_payload` carries file data for writes;
-    /// `read_len` is the payload capacity expected back (file data for
-    /// reads, dirent bytes for readdir).
+    /// Submit one file request (under its own doorbell). Returns its CID.
     pub fn submit(
         &mut self,
         dispatch: DispatchType,
@@ -194,82 +205,51 @@ impl FileChannel {
         write_payload: &[u8],
         read_len: u32,
     ) -> Result<u16, QueueFull> {
-        self.hdr_buf.clear();
-        req.encode(&mut self.hdr_buf);
-        self.ini.submit(
+        let sides = Sides {
             dispatch,
-            &self.hdr_buf,
-            write_payload,
-            read_side(req, read_len),
-        )
+            write: Payload::Flat(write_payload),
+            read_len,
+        };
+        let mut cid = Err(QueueFull);
+        self.stage(&sides, std::slice::from_ref(req), |_, c| cid = Ok(c));
+        cid
     }
 
     /// Poll for one completion and decode its response header.
     pub fn poll(&mut self) -> Option<Result<FileCompletion, RecvError>> {
-        self.poll_cid().map(|(_, r)| r)
-    }
-
-    /// Like [`poll`](FileChannel::poll), but the CID survives a decode or
-    /// transport failure — multiplexers need it to route the error to the
-    /// waiter that owns the command.
-    pub fn poll_cid(&mut self) -> Option<(u16, Result<FileCompletion, RecvError>)> {
         let done = self.ini.poll()?;
-        let cid = done.cid;
-        let response = decode_completion(&done);
-        Some((
-            cid,
-            response.map(|response| FileCompletion {
-                cid,
-                response,
-                payload: done.payload,
-            }),
-        ))
+        Some(decode_completion(&done).map(|response| FileCompletion {
+            cid: done.cid,
+            response,
+            payload: done.payload,
+        }))
     }
 
-    /// Submit a file request whose payload is scattered across several
-    /// buffers (writev): uses the SGL transfer mode (PSDT = SglWrite), so
-    /// each segment crosses the link as its own DMA without a host-side
-    /// coalescing copy.
-    pub fn submit_sgl(
+    /// Stage `reqs`, each with `sides`, under one doorbell: as many as the
+    /// ring takes right now. Hands each staged command's index and CID to
+    /// `staged`, in order, and returns how many went — none when the ring
+    /// is full, and then nothing was published.
+    pub(crate) fn stage(
         &mut self,
-        dispatch: DispatchType,
-        req: &FileRequest,
-        segments: &[&[u8]],
-        read_len: u32,
-    ) -> Result<u16, QueueFull> {
-        self.hdr_buf.clear();
-        req.encode(&mut self.hdr_buf);
-        self.ini
-            .submit_sgl(dispatch, &self.hdr_buf, segments, read_side(req, read_len))
-    }
-
-    /// Stage as many of `requests` as fit in the ring right now under a
-    /// single doorbell (payload-less commands, each expecting up to
-    /// `read_len` bytes back). Appends the CID of every staged command to
-    /// `cids` in submission order and returns how many were staged — zero
-    /// when the ring is full, in which case nothing was published.
-    pub fn submit_batch(
-        &mut self,
-        dispatch: DispatchType,
-        requests: &[FileRequest],
-        read_len: u32,
-        cids: &mut Vec<u16>,
+        sides: &Sides<'_>,
+        reqs: &[FileRequest],
+        mut staged: impl FnMut(usize, u16),
     ) -> usize {
-        let mut staged = 0usize;
         let mut batch = self.ini.batch();
-        for req in requests {
+        for (i, req) in reqs.iter().enumerate() {
             self.hdr_buf.clear();
             req.encode(&mut self.hdr_buf);
-            match batch.submit(dispatch, &self.hdr_buf, b"", read_side(req, read_len)) {
-                Ok(cid) => {
-                    cids.push(cid);
-                    staged += 1;
-                }
+            let (hdr, read) = (&self.hdr_buf, read_side(req, sides.read_len));
+            let cid = match sides.write {
+                Payload::Flat(data) => batch.submit(sides.dispatch, hdr, data, read),
+                Payload::Gather(segments) => batch.submit_sgl(sides.dispatch, hdr, segments, read),
+            };
+            match cid {
+                Ok(cid) => staged(i, cid),
                 Err(QueueFull) => break,
             }
         }
-        batch.commit();
-        staged
+        batch.staged()
     }
 }
 
@@ -661,11 +641,6 @@ mod tests {
             }
         };
         assert_eq!(done.response, FileResponse::Err(2));
-    }
-
-    #[test]
-    fn a_full_ring_is_eagain() {
-        assert_eq!(CallError::from(QueueFull).errno(), 11);
     }
 
     #[test]

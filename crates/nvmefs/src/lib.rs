@@ -20,8 +20,8 @@
 //! [`Initiator`] / [`Target`] (rings over DMA-able host memory) →
 //! [`FileChannel`] / [`FileTarget`] (typed [`FileRequest`] /
 //! [`FileResponse`] framing) → [`ChannelPool`] (shared multi-threaded
-//! multiplexer over all queues, CID-matched completions, per-thread
-//! queue affinity).
+//! multiplexer over all queues: stage commands, wait on tickets, replies
+//! matched by CID into a mailbox per CID, per-thread queue affinity).
 
 mod driver;
 mod filemsg;
@@ -31,18 +31,17 @@ mod sqe;
 
 pub use driver::{
     create_fabric, CallError, FileChannel, FileCompletion, FileIncoming, FileIncomingBatch,
-    FileTarget, RecvError,
+    FileTarget, Payload, RecvError, Sides,
 };
 pub use filemsg::{
     decode_dirents, decode_dirents_into, dirent_iter, encode_dirent, encode_dirents, DecodeError,
     DirentIter, FileRequest, FileResponse, WireAttr, WireDirent, WireDirentRef, WireStep,
     MAX_NAME_LEN, MAX_PATH_LEN,
 };
-pub use pool::{ChannelPool, PoolStats, RetryPolicy};
+pub use pool::{ChannelPool, PoolStats, RetryPolicy, Ticket};
 pub use queue::{
     Completion, CompletionBatch, DoorbellGuard, Incoming, IncomingBatch, Initiator, QueueFull,
-    QueuePair, QueuePairConfig, ReadSide, SubmitOp, Target, READ_HEADER_CAP, SGL_LIST_CAP,
-    SGL_MAX_SEGMENTS,
+    QueuePair, QueuePairConfig, ReadSide, Target, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 pub use sqe::{
     Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, OPCODE_NVMEFS, SQE_SIZE,

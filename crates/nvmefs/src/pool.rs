@@ -1,91 +1,100 @@
 //! The host-side channel multiplexer.
 //!
 //! [`ChannelPool`] turns the fabric's queue pairs into one shared,
-//! thread-safe transport: any number of host threads issue synchronous
-//! calls concurrently, each queue carries many commands in flight, and
+//! thread-safe transport: any number of host threads issue commands
+//! concurrently, each queue carries many commands in flight, and
 //! completions are matched back to their callers by CID. This is what the
 //! paper's host scaling story (Fig 6/7) requires — and what the previous
 //! big-lock-around-a-blocking-RPC host adapter (the DPFS/virtio-fs
 //! pattern) made impossible.
 //!
+//! A round trip is two steps, and each is one function:
+//!
+//! - [`stage`](ChannelPool::stage) puts k ≥ 1 commands on the first queue
+//!   with room, under one doorbell, and hands back one [`Ticket`] each;
+//! - [`wait`](ChannelPool::wait) waits on one ticket and hands its reply
+//!   to the caller — reissuing the command first, when it failed and a
+//!   second execution is safe.
+//!
+//! [`call`](ChannelPool::call) is one of each. A read miss of several runs
+//! stages them all, then waits each in order.
+//!
 //! Locking discipline, the whole point of this module:
 //!
-//! - Each queue has one small mutex covering its [`FileChannel`] *and* its
-//!   CID→waiter table. The mutex is held only to stage/submit a command
-//!   and register its waiter, or to drain completions and hand them to
-//!   their waiters. **It is never held across a link round-trip.**
-//! - A submitting thread registers a one-shot waiter slot under the queue
-//!   lock (so a completion can never arrive unrouteable), releases the
-//!   lock, and then waits: check the slot, opportunistically `try_lock`
-//!   the queue to poll-and-deliver, yield. There is no spin tier: the
-//!   reply is produced by another thread, and whenever that thread shares
-//!   this one's core (one core, or more runnable threads than cores) it
-//!   cannot run until the waiter gives the core up — while on a core of
-//!   its own a yield with nobody else runnable returns in well under a
-//!   microsecond, so polling again at once costs nothing either.
-//!   Whichever thread happens to hold the queue while a CQE lands delivers
-//!   it to the owning waiter — there is no dedicated poller thread to
-//!   bottleneck on.
+//! - Each queue has one small mutex over its [`FileChannel`]. It is held
+//!   only to stage commands, or to drain completions into their
+//!   mailboxes. **It is never held across a link round-trip.**
+//! - Each queue has one mailbox per CID, allocated with the queue. A CID
+//!   is its command's transport-buffer index, and it stays taken from
+//!   staging until the waiter has read the reply out of the mailbox — or,
+//!   for a command whose waiter gave up, until its late CQE drains. So a
+//!   mailbox has one owner at a time, a late reply never lands in a newer
+//!   command's mailbox, and no call allocates one. A waiter hands its CID
+//!   back by setting a bit; the next thread to stage on that queue returns
+//!   it to the channel.
+//! - A waiter checks its mailbox, opportunistically `try_lock`s the queue
+//!   to poll-and-deliver, and yields. There is no spin tier: the reply is
+//!   produced by another thread, and whenever that thread shares this
+//!   one's core (one core, or more runnable threads than cores) it cannot
+//!   run until the waiter gives the core up — while on a core of its own a
+//!   yield with nobody else runnable returns in well under a microsecond,
+//!   so polling again at once costs nothing either. Whichever thread
+//!   happens to hold the queue while a CQE lands delivers it to its
+//!   mailbox — there is no dedicated poller thread to bottleneck on.
 //! - Per-thread queue affinity (thread-id hash → preferred qid) keeps the
 //!   fast path on an uncontended queue; when the preferred queue's ring is
 //!   full the submitter steals the next queue instead of blocking.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::driver::{is_idempotent, CallError, FileChannel, FileCompletion, RecvError};
-use crate::filemsg::FileRequest;
-use crate::queue::QueueFull;
+use crate::driver::{
+    decode_completion, is_idempotent, CallError, FileChannel, FileCompletion, Payload, RecvError,
+    Sides,
+};
+use crate::filemsg::{FileRequest, FileResponse};
+use crate::queue::Completion;
 use crate::sqe::DispatchType;
 
-/// One-shot completion mailbox: filled exactly once by whichever thread
-/// drains the matching CQE, consumed exactly once by the submitting
-/// thread. A waiter whose caller gave up (deadline expiry) is flagged
-/// `abandoned` so the late completion can be counted and dropped instead
-/// of wedging the routing table.
-struct Waiter {
-    ready: AtomicBool,
-    abandoned: AtomicBool,
-    done: Mutex<Option<Result<FileCompletion, RecvError>>>,
+/// Mailbox states. A mailbox is `FREE` until a command is staged on its
+/// CID, `WAITING` until the CQE is delivered, `READY` until the waiter has
+/// read the reply; `ABANDONED` when the waiter gave up first.
+const FREE: u8 = 0;
+const WAITING: u8 = 1;
+const READY: u8 = 2;
+const ABANDONED: u8 = 3;
+
+/// One CID's mailbox: filled by whichever thread drains the CQE, read by
+/// the waiter. Its header and payload buffers are recycled from command to
+/// command.
+#[derive(Default)]
+struct Mailbox {
+    /// Changed under the channel lock, but for the waiter's `READY` →
+    /// `FREE`: `READY` is stored `Release` after the reply is written and
+    /// loaded `Acquire` before it is read; `FREE` reaches the next stager
+    /// through the `taken` bit's `Release` / `Acquire`.
+    state: AtomicU8,
+    /// Never contended — the state says whose turn it is — but the reply
+    /// crosses threads.
+    reply: Mutex<Completion>,
 }
 
-impl Waiter {
-    fn new() -> Arc<Waiter> {
-        Arc::new(Waiter {
-            ready: AtomicBool::new(false),
-            abandoned: AtomicBool::new(false),
-            done: Mutex::new(None),
-        })
-    }
-
-    fn fill(&self, result: Result<FileCompletion, RecvError>) {
-        *self.done.lock() = Some(result);
-        self.ready.store(true, Ordering::Release);
-    }
-
-    fn try_take(&self) -> Option<Result<FileCompletion, RecvError>> {
-        if !self.ready.load(Ordering::Acquire) {
-            return None;
-        }
-        Some(
-            self.done
-                .lock()
-                .take()
-                .expect("ready waiter holds a completion"),
-        )
-    }
+/// A staged command's claim on its reply: the queue and the CID it went
+/// out under. Redeem it with [`ChannelPool::wait`], exactly once.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Ticket {
+    qid: u16,
+    cid: u16,
 }
 
-/// Recovery knobs for the pool's synchronous calls. A waiter checks its
-/// mailbox, polls its queue and yields — once per round, from the first
-/// round — and deadlines are measured in those *yields* (scheduler
-/// round-trips), not wall time, so an oversubscribed single-core host does
-/// not see spurious timeouts just because the DPU service thread was
-/// descheduled.
+/// Recovery knobs for the pool's waits. A waiter checks its mailbox, polls
+/// its queue and yields — once per round, from the first round — and
+/// deadlines are measured in those *yields* (scheduler round-trips), not
+/// wall time, so an oversubscribed single-core host does not see spurious
+/// timeouts just because the DPU service thread was descheduled.
 #[derive(Copy, Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per idempotent call (first try included).
@@ -111,17 +120,42 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Per-queue state: the channel and the CID→waiter routing table, guarded
-/// together so a published command always has its waiter registered before
-/// anyone can poll its completion.
-struct QueueInner {
-    chan: FileChannel,
-    /// CID-indexed one-shot waiters for in-flight commands.
-    waiters: Vec<Option<Arc<Waiter>>>,
+/// Per-queue state: the channel under its lock, and beside it — readable
+/// without the lock — one mailbox per CID.
+struct PoolQueue {
+    chan: Mutex<FileChannel>,
+    boxes: Box<[Mailbox]>,
+    /// CIDs whose replies their waiters have read, one bit each: the next
+    /// stager on this queue gives them back to the channel.
+    taken: Box<[AtomicU64]>,
 }
 
-struct PoolQueue {
-    inner: Mutex<QueueInner>,
+impl PoolQueue {
+    /// Lock the channel, first giving back every CID its waiter is done
+    /// with (so the buffer freed last is the next one handed out).
+    fn lock(&self) -> MutexGuard<'_, FileChannel> {
+        let mut chan = self.chan.lock();
+        for (word, bits) in self.taken.iter().enumerate() {
+            if bits.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = bits.swap(0, Ordering::Acquire);
+            while bits != 0 {
+                chan.ini
+                    .release((word * 64) as u16 + bits.trailing_zeros() as u16);
+                bits &= bits - 1;
+            }
+        }
+        chan
+    }
+
+    /// The waiter on `cid` is done with its mailbox.
+    fn give_back(&self, cid: u16) {
+        self.boxes[cid as usize]
+            .state
+            .store(FREE, Ordering::Relaxed);
+        self.taken[cid as usize / 64].fetch_or(1 << (cid % 64), Ordering::Release);
+    }
 }
 
 /// Counters for observing the multiplexer (all monotonic).
@@ -167,8 +201,8 @@ struct StatCells {
 
 /// Shared, thread-safe multiplexer over all of the fabric's queue pairs.
 ///
-/// Cheap to share (`Arc`); every [`DpcFs`-style] adapter holds a clone.
-/// See the module docs for the locking discipline.
+/// Cheap to share (`Arc`); every host adapter (`dpc_core::DpcFs`) holds a
+/// clone. See the module docs for the locking discipline.
 pub struct ChannelPool {
     queues: Vec<PoolQueue>,
     stats: StatCells,
@@ -184,10 +218,9 @@ impl ChannelPool {
             .map(|chan| {
                 let depth = chan.depth() as usize;
                 PoolQueue {
-                    inner: Mutex::new(QueueInner {
-                        chan,
-                        waiters: (0..depth).map(|_| None).collect(),
-                    }),
+                    chan: Mutex::new(chan),
+                    boxes: (0..depth).map(|_| Mailbox::default()).collect(),
+                    taken: (0..depth.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
                 }
             })
             .collect();
@@ -213,18 +246,19 @@ impl ChannelPool {
         self.queues.len()
     }
 
-    /// Commands currently in flight on queue `qid`.
+    /// Commands on queue `qid` whose CID is taken: in flight, or replied
+    /// to and not yet read.
     pub fn outstanding(&self, qid: usize) -> usize {
-        self.queues[qid].inner.lock().chan.outstanding()
+        self.queues[qid].lock().outstanding()
     }
 
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         let (mut rejected_sqes, mut doorbell_wakes) = (0, 0);
         for q in &self.queues {
-            let g = q.inner.lock();
-            rejected_sqes += g.chan.rejected_sqes();
-            doorbell_wakes += g.chan.doorbell_wakes();
+            let chan = q.chan.lock();
+            rejected_sqes += chan.rejected_sqes();
+            doorbell_wakes += chan.doorbell_wakes();
         }
         PoolStats {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
@@ -255,68 +289,76 @@ impl ChannelPool {
         (TID_HASH.with(|h| *h) as usize) % self.queues.len()
     }
 
-    /// Drain every available completion on `g`'s channel and hand each to
-    /// its registered waiter. Caller holds the queue lock.
-    fn deliver(&self, g: &mut QueueInner) -> usize {
-        let mut n = 0usize;
-        let mut delivered = 0u64;
-        let mut stale = 0u64;
-        while let Some((cid, result)) = g.chan.poll_cid() {
-            match g.waiters[cid as usize].take() {
-                Some(w) if !w.abandoned.load(Ordering::Acquire) => {
-                    w.fill(result);
-                    delivered += 1;
-                }
-                // The caller gave up on this command (deadline expiry and
-                // reissue); its CID only becomes reusable now that the
-                // late completion has drained, so count it and move on.
-                Some(_) => stale += 1,
-                // No waiter at all: a completion outlived even the
-                // abandoned mailbox. Must not wedge delivery of the rest.
-                None => stale += 1,
+    /// Drain every available CQE on `queue`'s channel into its mailbox. A
+    /// reply whose waiter gave up is dropped, and only now that its late
+    /// CQE has drained is its CID free again. Caller holds the lock.
+    fn deliver(&self, queue: &PoolQueue, chan: &mut FileChannel) -> usize {
+        let (mut delivered, mut stale) = (0u64, 0u64);
+        while let Some(cqe) = chan.ini.reap() {
+            let mailbox = &queue.boxes[cqe.cid as usize];
+            if mailbox.state.load(Ordering::Relaxed) == ABANDONED {
+                mailbox.state.store(FREE, Ordering::Relaxed);
+                chan.ini.release(cqe.cid);
+                stale += 1;
+            } else {
+                chan.ini.read_reply(&cqe, &mut mailbox.reply.lock());
+                mailbox.state.store(READY, Ordering::Release);
+                delivered += 1;
             }
-            n += 1;
         }
-        if delivered > 0 {
+        if delivered + stale > 0 {
+            chan.ini.publish_cq_head();
             self.stats.completed.fetch_add(delivered, Ordering::Relaxed);
-        }
-        if stale > 0 {
             self.stats
                 .stale_completions
                 .fetch_add(stale, Ordering::Relaxed);
         }
-        n
+        (delivered + stale) as usize
     }
 
-    /// Submit one command on the first queue with a free slot, starting at
-    /// `start`, and register its waiter. Returns the queue it landed on.
-    fn submit_slot<F>(&self, start: usize, mut stage: F) -> (usize, Arc<Waiter>)
-    where
-        F: FnMut(&mut FileChannel) -> Result<u16, QueueFull>,
-    {
+    /// Stage `reqs`, each with `sides`, on the first queue with room from
+    /// `qid` on, under one doorbell: as many as that queue takes — at
+    /// least one; while every ring is full, yield and sweep again. Each
+    /// command's ticket goes to `tickets` (at least `reqs.len()` long), in
+    /// order; returns how many were staged. Wait for those before staging
+    /// the rest: a thread holding tickets must not sit here waiting for
+    /// room they take up.
+    pub fn stage(
+        &self,
+        qid: usize,
+        sides: &Sides<'_>,
+        reqs: &[FileRequest],
+        tickets: &mut [Ticket],
+    ) -> usize {
         let n = self.queues.len();
         loop {
             for attempt in 0..n {
-                let qid = (start + attempt) % n;
-                let mut g = self.queues[qid].inner.lock();
-                let cid = match stage(&mut g.chan) {
-                    Ok(cid) => Some(cid),
-                    Err(QueueFull) => {
-                        // Free slots whose completions already landed,
-                        // then retry once before stealing the next queue.
-                        self.deliver(&mut g);
-                        stage(&mut g.chan).ok()
-                    }
+                let q = (qid + attempt) % n;
+                let queue = &self.queues[q];
+                let mut chan = queue.lock();
+                let mut register = |i: usize, cid: u16| {
+                    let was = queue.boxes[cid as usize]
+                        .state
+                        .swap(WAITING, Ordering::Relaxed);
+                    debug_assert_eq!(was, FREE, "CID {cid} staged while taken");
+                    tickets[i] = Ticket { qid: q as u16, cid };
                 };
-                if let Some(cid) = cid {
-                    let w = Waiter::new();
-                    debug_assert!(g.waiters[cid as usize].is_none());
-                    g.waiters[cid as usize] = Some(w.clone());
-                    self.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                let mut staged = chan.stage(sides, reqs, &mut register);
+                if staged == 0 {
+                    // Consume the CQEs that already landed (ring slots,
+                    // abandoned CIDs), then retry once before stealing
+                    // the next queue.
+                    self.deliver(queue, &mut chan);
+                    staged = chan.stage(sides, reqs, &mut register);
+                }
+                if staged > 0 {
+                    self.stats
+                        .submitted
+                        .fetch_add(staged as u64, Ordering::Relaxed);
                     if attempt > 0 {
                         self.stats.steals.fetch_add(1, Ordering::Relaxed);
                     }
-                    return (qid, w);
+                    return staged;
                 }
             }
             // Every ring is full: other threads' replies are in flight.
@@ -326,47 +368,83 @@ impl ChannelPool {
         }
     }
 
-    /// Translate a drained result into the caller-facing outcome,
-    /// counting transport errors as they surface.
-    fn finish(&self, done: Result<FileCompletion, RecvError>) -> Result<FileCompletion, CallError> {
-        if matches!(done, Err(RecvError::Transport)) {
-            self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        done.map_err(CallError::from)
-    }
-
-    /// Wait for `w` to be filled, opportunistically polling `qid` so that
-    /// *somebody* always drains the queue. No lock is held while waiting.
-    /// Gives up after the policy's yield budget: the waiter is flagged
-    /// abandoned (so the late completion is dropped as stale, never
-    /// misrouted) and the caller sees [`CallError::TimedOut`].
-    fn wait(&self, qid: usize, w: &Waiter) -> Result<FileCompletion, CallError> {
-        let mut yields = 0u64;
+    /// Wait for `ticket`'s reply and hand it to `take`: the decoded
+    /// response, and the completion itself, whose buffers are the
+    /// mailbox's — read the payload in place, or take it. No lock is held
+    /// while waiting: check the mailbox, `try_lock` the queue to deliver
+    /// what has landed, yield. After the policy's deadline the command is
+    /// abandoned (its late CQE is dropped as stale, never misrouted).
+    ///
+    /// The reissue rule: a transport error or a missed deadline on an
+    /// idempotent `req` restages it (with `sides`, from the calling
+    /// thread's preferred queue) after an exponential backoff, until the
+    /// policy's attempts run out; the caller sees what ended the last one.
+    pub fn wait<R>(
+        &self,
+        mut ticket: Ticket,
+        sides: &Sides<'_>,
+        req: &FileRequest,
+        take: impl FnOnce(FileResponse, &mut Completion) -> R,
+    ) -> Result<R, CallError> {
+        let (mut attempt, mut yields) = (1u32, 0u64);
         loop {
-            if let Some(done) = w.try_take() {
-                return self.finish(done);
-            }
-            if let Some(mut g) = self.queues[qid].inner.try_lock() {
-                if self.deliver(&mut g) > 0 {
+            let queue = &self.queues[ticket.qid as usize];
+            let mailbox = &queue.boxes[ticket.cid as usize];
+            let err = if mailbox.state.load(Ordering::Acquire) == READY {
+                let mut reply = mailbox.reply.lock();
+                let err = match decode_completion(&reply) {
+                    Ok(response) => {
+                        let out = take(response, &mut reply);
+                        drop(reply);
+                        queue.give_back(ticket.cid);
+                        return Ok(out);
+                    }
+                    Err(err) => err,
+                };
+                drop(reply);
+                queue.give_back(ticket.cid);
+                if err == RecvError::Transport {
+                    self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
+                }
+                CallError::from(err)
+            } else {
+                if let Some(mut chan) = queue.chan.try_lock() {
+                    if self.deliver(queue, &mut chan) > 0 {
+                        continue;
+                    }
+                }
+                yields += 1;
+                if yields < self.retry.deadline_yields {
+                    std::thread::yield_now();
                     continue;
                 }
-            }
-            yields += 1;
-            if yields >= self.retry.deadline_yields {
                 // Final sweep under a blocking lock before giving up, and
                 // abandon under that same lock so delivery can never race
                 // the abandonment.
-                let mut g = self.queues[qid].inner.lock();
-                self.deliver(&mut g);
-                if let Some(done) = w.try_take() {
-                    return self.finish(done);
+                let mut chan = queue.chan.lock();
+                self.deliver(queue, &mut chan);
+                if mailbox.state.load(Ordering::Acquire) == READY {
+                    continue;
                 }
-                w.abandoned.store(true, Ordering::Release);
-                drop(g);
+                mailbox.state.store(ABANDONED, Ordering::Relaxed);
+                drop(chan);
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(CallError::TimedOut);
+                CallError::TimedOut
+            };
+            let retryable = matches!(err, CallError::Transport | CallError::TimedOut);
+            if !retryable || !is_idempotent(req) || attempt >= self.retry.attempts {
+                return Err(err);
             }
-            std::thread::yield_now();
+            self.stats.retries.fetch_add(1, Ordering::Relaxed);
+            self.backoff(attempt);
+            (attempt, yields) = (attempt + 1, 0);
+            let again = std::slice::from_mut(&mut ticket);
+            self.stage(
+                self.preferred_queue(),
+                sides,
+                std::slice::from_ref(req),
+                again,
+            );
         }
     }
 
@@ -383,14 +461,9 @@ impl ChannelPool {
         }
     }
 
-    /// Is `err` an outcome a reissue can fix?
-    fn retryable(err: &CallError) -> bool {
-        matches!(err, CallError::Transport | CallError::TimedOut)
-    }
-
-    /// Synchronous round-trip on the calling thread's preferred queue
-    /// (stealing a neighbour on `QueueFull`). Safe from any number of
-    /// threads concurrently; no lock is held across the round-trip.
+    /// Synchronous round-trip from the calling thread's preferred queue
+    /// (stealing a neighbour when its ring is full). Safe from any number
+    /// of threads concurrently; no lock is held across the round-trip.
     pub fn call(
         &self,
         dispatch: DispatchType,
@@ -398,44 +471,15 @@ impl ChannelPool {
         write_payload: &[u8],
         read_len: u32,
     ) -> Result<FileCompletion, CallError> {
-        self.call_on(
-            self.preferred_queue(),
-            dispatch,
+        let write = Payload::Flat(write_payload);
+        self.round_trip(
             req,
-            write_payload,
-            read_len,
+            &Sides {
+                dispatch,
+                write,
+                read_len,
+            },
         )
-    }
-
-    /// [`call`](ChannelPool::call) with an explicit preferred queue
-    /// (tests, or callers with their own placement policy).
-    pub fn call_on(
-        &self,
-        preferred: usize,
-        dispatch: DispatchType,
-        req: &FileRequest,
-        write_payload: &[u8],
-        read_len: u32,
-    ) -> Result<FileCompletion, CallError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let (qid, w) = self.submit_slot(preferred, |chan| {
-                chan.submit(dispatch, req, write_payload, read_len)
-            });
-            match self.wait(qid, &w) {
-                Ok(c) => return Ok(c),
-                Err(e)
-                    if Self::retryable(&e)
-                        && is_idempotent(req)
-                        && attempt < self.retry.attempts =>
-                {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Synchronous scattered (writev-style) round-trip via SGL.
@@ -446,146 +490,41 @@ impl ChannelPool {
         segments: &[&[u8]],
         read_len: u32,
     ) -> Result<FileCompletion, CallError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let (qid, w) = self.submit_slot(self.preferred_queue(), |chan| {
-                chan.submit_sgl(dispatch, req, segments, read_len)
-            });
-            match self.wait(qid, &w) {
-                Ok(c) => return Ok(c),
-                Err(e)
-                    if Self::retryable(&e)
-                        && is_idempotent(req)
-                        && attempt < self.retry.attempts =>
-                {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let write = Payload::Gather(segments);
+        self.round_trip(
+            req,
+            &Sides {
+                dispatch,
+                write,
+                read_len,
+            },
+        )
     }
 
-    /// Batched synchronous fan-out: submit all `requests` (payload-less,
-    /// each expecting up to `read_len` bytes back), coalescing as many as
-    /// fit per doorbell, and return their completions in request order.
-    /// Chunks may land on different queues when rings fill; ordering is
-    /// restored by CID→index bookkeeping, not by arrival order.
-    pub fn call_many(
+    /// Stage one command and wait for it. The reply is owned: it takes
+    /// the mailbox's payload buffer, when there is a payload.
+    fn round_trip(
         &self,
-        dispatch: DispatchType,
-        requests: &[FileRequest],
-        read_len: u32,
-    ) -> Result<Vec<FileCompletion>, CallError> {
-        let mut results: Vec<Option<FileCompletion>> = Vec::new();
-        results.resize_with(requests.len(), || None);
-        let mut first_err: Option<CallError> = None;
-        let n = self.queues.len();
-        let mut next = 0usize;
-        let mut cids: Vec<u16> = Vec::new();
-        while next < requests.len() {
-            // Stage one chunk under one doorbell on the first queue with
-            // room, registering a waiter per command before unlocking.
-            let start = self.preferred_queue();
-            let mut staged: Vec<(usize, Arc<Waiter>)> = Vec::new();
-            let mut chunk_qid = 0usize;
-            for attempt in 0..n {
-                let qid = (start + attempt) % n;
-                let mut g = self.queues[qid].inner.lock();
-                cids.clear();
-                let gi = &mut *g;
-                if gi
-                    .chan
-                    .submit_batch(dispatch, &requests[next..], read_len, &mut cids)
-                    == 0
-                {
-                    self.deliver(gi);
-                    gi.chan
-                        .submit_batch(dispatch, &requests[next..], read_len, &mut cids);
-                }
-                if !cids.is_empty() {
-                    for &cid in cids.iter() {
-                        let w = Waiter::new();
-                        debug_assert!(gi.waiters[cid as usize].is_none());
-                        gi.waiters[cid as usize] = Some(w.clone());
-                        staged.push((next, w));
-                        next += 1;
-                    }
-                    self.stats
-                        .submitted
-                        .fetch_add(cids.len() as u64, Ordering::Relaxed);
-                    if attempt > 0 {
-                        self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    chunk_qid = qid;
-                    break;
-                }
-            }
-            if staged.is_empty() {
-                self.stats.full_stalls.fetch_add(1, Ordering::Relaxed);
-                std::thread::yield_now();
-                continue;
-            }
-            // Collect the whole chunk before staging the next one, so at
-            // most one ring's worth of this call is in flight at a time.
-            for (idx, w) in staged {
-                match self.wait(chunk_qid, &w) {
-                    Ok(c) => results[idx] = Some(c),
-                    Err(e) if Self::retryable(&e) && is_idempotent(&requests[idx]) => {
-                        // Reissue just this member as a single call; the
-                        // rest of the chunk is unaffected.
-                        match self.reissue(dispatch, &requests[idx], read_len) {
-                            Ok(c) => results[idx] = Some(c),
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(results
-            .into_iter()
-            .map(|c| c.expect("every request completed"))
-            .collect())
-    }
-
-    /// Reissue one payload-less idempotent request after its batched
-    /// submission failed (batch attempt counts as attempt 1).
-    fn reissue(
-        &self,
-        dispatch: DispatchType,
         req: &FileRequest,
-        read_len: u32,
+        sides: &Sides<'_>,
     ) -> Result<FileCompletion, CallError> {
-        let mut attempt = 1u32;
-        loop {
-            if attempt >= self.retry.attempts {
-                return Err(CallError::TimedOut);
-            }
-            self.stats.retries.fetch_add(1, Ordering::Relaxed);
-            self.backoff(attempt);
-            attempt += 1;
-            let (qid, w) = self.submit_slot(self.preferred_queue(), |chan| {
-                chan.submit(dispatch, req, b"", read_len)
-            });
-            match self.wait(qid, &w) {
-                Ok(c) => return Ok(c),
-                Err(e) if Self::retryable(&e) => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        let mut ticket = Ticket::default();
+        let one = std::slice::from_mut(&mut ticket);
+        self.stage(
+            self.preferred_queue(),
+            sides,
+            std::slice::from_ref(req),
+            one,
+        );
+        self.wait(ticket, sides, req, |response, done| FileCompletion {
+            cid: done.cid,
+            response,
+            payload: if done.payload.is_empty() {
+                Vec::new()
+            } else {
+                std::mem::take(&mut done.payload)
+            },
+        })
     }
 }
 
@@ -593,9 +532,16 @@ impl ChannelPool {
 mod tests {
     use super::*;
     use crate::driver::{create_fabric, FileTarget};
-    use crate::filemsg::FileResponse;
     use crate::queue::QueuePairConfig;
     use dpc_pcie::DmaEngine;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    const HEADER_ONLY: Sides<'static> = Sides {
+        dispatch: DispatchType::Standalone,
+        write: Payload::Flat(b""),
+        read_len: 0,
+    };
 
     fn pool_with_targets(queues: usize, depth: u16) -> (Arc<ChannelPool>, Vec<FileTarget>) {
         let dma = DmaEngine::new();
@@ -608,6 +554,23 @@ mod tests {
             &dma,
         );
         (Arc::new(ChannelPool::new(chans)), tgts)
+    }
+
+    /// Stage one header-only `req` from queue `qid` on; its ticket.
+    fn stage_one(pool: &ChannelPool, qid: usize, req: &FileRequest) -> Ticket {
+        let mut ticket = Ticket::default();
+        let one = std::slice::from_mut(&mut ticket);
+        assert_eq!(
+            pool.stage(qid, &HEADER_ONLY, std::slice::from_ref(req), one),
+            1
+        );
+        ticket
+    }
+
+    /// Wait for a header-only `req`'s reply.
+    fn response(pool: &ChannelPool, ticket: Ticket, req: &FileRequest) -> FileResponse {
+        pool.wait(ticket, &HEADER_ONLY, req, |resp, _| resp)
+            .unwrap()
     }
 
     /// Serve every queue until `stop` flips: echo `GetAttr { ino }` back
@@ -743,43 +706,20 @@ mod tests {
         });
         let server1 = spawn_echo_server(vec![tgt1], stop.clone());
 
-        std::thread::scope(|s| {
-            // Occupant of queue 0's only slot.
-            let p = pool.clone();
-            let blocker = s.spawn(move || {
-                let done = p
-                    .call_on(
-                        0,
-                        DispatchType::Standalone,
-                        &FileRequest::GetAttr { ino: 1 },
-                        b"",
-                        0,
-                    )
-                    .unwrap();
-                assert_eq!(done.response, FileResponse::Ino(1));
-            });
-            // Wait until the slot is actually taken.
-            while pool.outstanding(0) == 0 {
-                std::thread::yield_now();
-            }
-            // Prefers queue 0, finds it full, must steal queue 1 — and
-            // completes while queue 0's reply is still being held back.
-            let done = pool
-                .call_on(
-                    0,
-                    DispatchType::Standalone,
-                    &FileRequest::GetAttr { ino: 2 },
-                    b"",
-                    0,
-                )
-                .unwrap();
-            assert_eq!(done.response, FileResponse::Ino(2));
-            assert_eq!(pool.outstanding(0), 1, "queue 0's command still in flight");
-            assert!(pool.stats().steals >= 1);
+        // Occupant of queue 0's only slot.
+        let first = FileRequest::GetAttr { ino: 1 };
+        let held = stage_one(&pool, 0, &first);
+        assert_eq!(pool.outstanding(0), 1);
+        // Prefers queue 0, finds it full, must steal queue 1 — and
+        // completes while queue 0's reply is still being held back.
+        let second = FileRequest::GetAttr { ino: 2 };
+        let stolen = stage_one(&pool, 0, &second);
+        assert_eq!(response(&pool, stolen, &second), FileResponse::Ino(2));
+        assert_eq!(pool.outstanding(0), 1, "queue 0's command still in flight");
+        assert!(pool.stats().steals >= 1);
 
-            release.store(true, Ordering::Release);
-            blocker.join().unwrap();
-        });
+        release.store(true, Ordering::Release);
+        assert_eq!(response(&pool, held, &first), FileResponse::Ino(1));
         stop.store(true, Ordering::Release);
         server0.join().unwrap();
         server1.join().unwrap();
@@ -842,8 +782,9 @@ mod tests {
         stop.store(true, Ordering::Release);
         server.join().unwrap();
         // The late reply drains as stale; every attempt was SQE + CQE.
+        let queue = &pool.queues[0];
         while pool.outstanding(0) > 0 {
-            pool.deliver(&mut pool.queues[0].inner.lock());
+            pool.deliver(queue, &mut queue.chan.lock());
         }
         let stats = pool.stats();
         assert!(stats.retries >= 1, "{stats:?}");
@@ -856,22 +797,88 @@ mod tests {
     }
 
     #[test]
-    fn call_many_restores_request_order() {
-        let (pool, tgts) = pool_with_targets(2, 8);
-        let stop = Arc::new(AtomicBool::new(false));
-        let server = spawn_echo_server(tgts, stop.clone());
+    fn a_cid_freed_by_a_late_cqe_carries_the_next_call_its_own_reply() {
+        // One queue of depth 2: one command in flight at a time. The first
+        // is abandoned at its deadline; its reply lands later, while a
+        // second command waits for the only ring slot. The late CQE frees
+        // the CID, the second command reuses it — and gets its own reply.
+        let dma = DmaEngine::new();
+        let cfg = QueuePairConfig {
+            depth: 2,
+            max_io_bytes: 4096,
+        };
+        let (chans, mut tgts) = create_fabric(1, cfg, &dma);
+        let mut pool = ChannelPool::new(chans);
+        pool.set_retry(RetryPolicy {
+            attempts: 1,
+            deadline_yields: 100,
+            ..RetryPolicy::default()
+        });
+        let tgt = &mut tgts[0];
+        let (old, new) = (
+            FileRequest::GetAttr { ino: 1 },
+            FileRequest::GetAttr { ino: 2 },
+        );
 
-        // More requests than one ring holds → multiple chunks.
-        let requests: Vec<FileRequest> =
-            (0..40u64).map(|ino| FileRequest::GetAttr { ino }).collect();
-        let done = pool
-            .call_many(DispatchType::Standalone, &requests, 0)
-            .unwrap();
-        assert_eq!(done.len(), 40);
-        for (i, c) in done.iter().enumerate() {
-            assert_eq!(c.response, FileResponse::Ino(i as u64), "slot {i}");
+        let abandoned = stage_one(&pool, 0, &old);
+        let err = pool
+            .wait(abandoned, &HEADER_ONLY, &old, |_, _| ())
+            .unwrap_err();
+        assert!(matches!(err, CallError::TimedOut), "{err:?}");
+        let late = tgt.poll().unwrap();
+        tgt.reply(late.slot, &FileResponse::Ino(1), b"");
+
+        let reused = stage_one(&pool, 0, &new);
+        assert_eq!(reused.cid, abandoned.cid, "the late CQE freed the CID");
+        let inc = tgt.poll().unwrap();
+        assert_eq!((inc.slot, &inc.request), (reused.cid, &new));
+        tgt.reply(inc.slot, &FileResponse::Ino(2), b"");
+        assert_eq!(response(&pool, reused, &new), FileResponse::Ino(2));
+
+        let stats = pool.stats();
+        assert_eq!((stats.timeouts, stats.stale_completions), (1, 1));
+        assert_eq!((stats.submitted, stats.completed), (2, 1));
+        assert_eq!(pool.outstanding(0), 0);
+    }
+
+    #[test]
+    fn stage_n_wait_n_restores_request_order() {
+        // Seven commands staged on each of two queues under one doorbell
+        // apiece, then answered newest first, queue 1 before queue 0:
+        // each ticket, waited in request order, redeems its own reply.
+        let (pool, mut tgts) = pool_with_targets(2, 8);
+        let reqs: Vec<FileRequest> = (0..14u64).map(|ino| FileRequest::GetAttr { ino }).collect();
+        let mut tickets = [Ticket::default(); 14];
+        for round in 0..3 {
+            assert_eq!(
+                pool.stage(0, &HEADER_ONLY, &reqs[..7], &mut tickets[..7]),
+                7
+            );
+            assert_eq!(
+                pool.stage(1, &HEADER_ONLY, &reqs[7..], &mut tickets[7..]),
+                7
+            );
+            assert!(tickets[..7].iter().all(|t| t.qid == 0), "round {round}");
+            assert!(tickets[7..].iter().all(|t| t.qid == 1), "round {round}");
+            for tgt in tgts.iter_mut().rev() {
+                let mut pending = Vec::new();
+                while let Some(inc) = tgt.poll() {
+                    pending.push(inc);
+                }
+                assert_eq!(pending.len(), 7);
+                for inc in pending.into_iter().rev() {
+                    let FileRequest::GetAttr { ino } = inc.request else {
+                        panic!("unexpected request");
+                    };
+                    tgt.reply(inc.slot, &FileResponse::Ino(ino), b"");
+                }
+            }
+            for (i, (&ticket, req)) in tickets.iter().zip(&reqs).enumerate() {
+                assert_eq!(response(&pool, ticket, req), FileResponse::Ino(i as u64));
+            }
         }
-        stop.store(true, Ordering::Release);
-        server.join().unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.submitted, stats.completed), (42, 42));
+        assert_eq!((stats.steals, stats.full_stalls), (0, 0));
     }
 }

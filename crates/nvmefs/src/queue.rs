@@ -28,10 +28,11 @@
 //! the `depth` buffers on a LIFO free list, hands the most recently freed
 //! one to the next command (so a lone outstanding command keeps reusing
 //! one cache-hot buffer), names it in the SQE's PRP fields, and takes it
-//! back once the completion's payload has been copied out. A command's
-//! CID is its buffer's index. The target trusts none of this: it bounds
-//! every PRP range the SQE names against the pool before touching it and
-//! answers [`CqeStatus::InvalidCommand`] otherwise.
+//! back once the reply has been read out of it — at once in
+//! [`Initiator::poll`]; when a multiplexer says so, after a reap. A
+//! command's CID is its buffer's index. The target trusts none of this:
+//! it bounds every PRP range the SQE names against the pool before
+//! touching it and answers [`CqeStatus::InvalidCommand`] otherwise.
 //!
 //! Doorbells are device registers (host-side MMIO writes, counted as
 //! doorbells, read locally by the DPU — a register read crosses no DMA).
@@ -280,15 +281,6 @@ impl<'a> IntoIterator for &'a CompletionBatch {
     }
 }
 
-/// One operation for [`Initiator::submit_many`].
-#[derive(Copy, Clone, Debug)]
-pub struct SubmitOp<'a> {
-    pub dispatch: DispatchType,
-    pub header: &'a [u8],
-    pub write_payload: &'a [u8],
-    pub read_len: u32,
-}
-
 /// Host-side NVME-INI driver for one queue pair.
 pub struct Initiator {
     shared: Arc<QpShared>,
@@ -468,8 +460,14 @@ impl Initiator {
         // Write-buffer layout in SGL mode: [descriptor list][header]
         // [segments...]. Host-local stores throughout (the app's buffers
         // are already in DMA-able memory; we re-stage them here to give
-        // each segment a distinct device-visible address).
-        let mut desc_block = Vec::with_capacity(16 * (segments.len() + 1));
+        // each segment a distinct device-visible address). The list is
+        // built on the stack: 16 bytes per descriptor, address, length
+        // and four reserved zero bytes.
+        let mut list = [0u8; SGL_LIST_CAP];
+        let mut describe = |i: usize, addr: usize, len: usize| {
+            list[16 * i..16 * i + 8].copy_from_slice(&(addr as u64).to_le_bytes());
+            list[16 * i + 8..16 * i + 12].copy_from_slice(&(len as u32).to_le_bytes());
+        };
         let mut cursor = woff + SGL_LIST_CAP;
         let in_buffer = self.place_header(&mut sqe, header, cursor);
         assert!(
@@ -478,18 +476,16 @@ impl Initiator {
         );
         // First descriptor covers the header (zero-length when there is
         // none, or it rode the SQE).
-        desc_block.extend_from_slice(&(cursor as u64).to_le_bytes());
-        desc_block.extend_from_slice(&(in_buffer as u32).to_le_bytes());
-        desc_block.extend_from_slice(&0u32.to_le_bytes());
+        describe(0, cursor, in_buffer);
         cursor += in_buffer;
-        for seg in segments {
+        for (i, seg) in segments.iter().enumerate() {
             self.shared.data_pool.write_local(cursor, seg);
-            desc_block.extend_from_slice(&(cursor as u64).to_le_bytes());
-            desc_block.extend_from_slice(&(seg.len() as u32).to_le_bytes());
-            desc_block.extend_from_slice(&0u32.to_le_bytes());
+            describe(i + 1, cursor, seg.len());
             cursor += seg.len();
         }
-        self.shared.data_pool.write_local(woff, &desc_block);
+        self.shared
+            .data_pool
+            .write_local(woff, &list[..16 * (segments.len() + 1)]);
         self.enqueue(&sqe);
         Ok(buf)
     }
@@ -524,34 +520,15 @@ impl Initiator {
         }
     }
 
-    /// Submit a batch of commands under a single doorbell. All-or-nothing:
-    /// fails with [`QueueFull`] (staging nothing) when fewer than
-    /// `ops.len()` slots are free. Returns the CID of the first op.
-    pub fn submit_many(&mut self, ops: &[SubmitOp<'_>]) -> Result<u16, QueueFull> {
-        assert!(!ops.is_empty(), "submit_many needs at least one op");
-        if self.free_slots() < ops.len() {
-            return Err(QueueFull);
-        }
-        let mut batch = self.batch();
-        let mut first = 0;
-        for (i, op) in ops.iter().enumerate() {
-            let cid = batch
-                .submit(op.dispatch, op.header, op.write_payload, op.read_len)
-                .expect("capacity checked up front");
-            if i == 0 {
-                first = cid;
-            }
-        }
-        batch.commit();
-        Ok(first)
-    }
-
-    /// Consume the CQE at the head, if fresh. Advances head/phase and flow
-    /// control but does **not** publish the head doorbell — callers batch
-    /// that into one store per poll pass. A CQE naming a CID that is not
-    /// in flight has nobody to go to (and no buffer to give back): it is
-    /// consumed and skipped, inline header bytes and all.
-    fn pop_cqe(&mut self) -> Option<Cqe> {
+    /// Consume the CQE at the head, if fresh, and take its command out of
+    /// flight. Advances head/phase and flow control but does **not**
+    /// publish the head doorbell — callers batch that into one store per
+    /// poll pass — and does not give the transport buffer back: the reply
+    /// is still in it for [`read_reply`](Self::read_reply), and its CID
+    /// stays taken until [`release`](Self::release). A CQE naming a CID
+    /// that is not in flight has nobody to go to (and no buffer to give
+    /// back): it is consumed and skipped, inline header bytes and all.
+    pub(crate) fn reap(&mut self) -> Option<Cqe> {
         loop {
             let mut raw = [0u8; CQE_SIZE];
             self.shared
@@ -566,25 +543,26 @@ impl Initiator {
                 self.cq_phase = !self.cq_phase;
             }
             self.sq_head_seen = cqe.sq_head;
-            if self.in_flight.get(cqe.cid as usize) == Some(&true) {
+            if let Some(live @ true) = self.in_flight.get_mut(cqe.cid as usize) {
+                *live = false;
                 return Some(cqe);
             }
         }
     }
 
     /// Publish the consumed CQ head back to the device (one register store).
-    fn publish_cq_head(&mut self) {
+    pub(crate) fn publish_cq_head(&mut self) {
         self.shared
             .cq_head_db
             .store(self.cq_head as u32, Ordering::Release);
     }
 
-    /// Rebuild a consumed CQE's response header — from the CQE itself when
+    /// Rebuild a reaped CQE's response header — from the CQE itself when
     /// it rode there, else from the command's buffer — and copy the
     /// payload out into `out` (reusing `out`'s own buffers; each byte is
-    /// appended once, nothing is zero-filled first), then put the
-    /// transport buffer back on the free list. Host-local reads; no DMA.
-    fn fill_completion(&mut self, cqe: &Cqe, out: &mut Completion) {
+    /// appended once, nothing is zero-filled first). Host-local reads; no
+    /// DMA.
+    pub(crate) fn read_reply(&self, cqe: &Cqe, out: &mut Completion) {
         let (_, roff) = buffer_offsets(&self.shared.cfg, cqe.cid);
         out.cid = cqe.cid;
         out.status = cqe.status;
@@ -601,16 +579,22 @@ impl Initiator {
             cqe.result as usize,
             &mut out.payload,
         );
-        self.in_flight[cqe.cid as usize] = false;
-        self.free_bufs.push(cqe.cid);
+    }
+
+    /// Put a reaped command's transport buffer back on the free list: its
+    /// CID may carry the next command.
+    pub(crate) fn release(&mut self, cid: u16) {
+        debug_assert!(!self.in_flight[cid as usize] && !self.free_bufs.contains(&cid));
+        self.free_bufs.push(cid);
     }
 
     /// Poll the completion queue; returns at most one completion.
     pub fn poll(&mut self) -> Option<Completion> {
-        let cqe = self.pop_cqe()?;
+        let cqe = self.reap()?;
         self.publish_cq_head();
         let mut out = Completion::default();
-        self.fill_completion(&cqe, &mut out);
+        self.read_reply(&cqe, &mut out);
+        self.release(cqe.cid);
         Some(out)
     }
 
@@ -619,10 +603,9 @@ impl Initiator {
     /// Returns the number of completions drained.
     pub fn poll_many(&mut self, out: &mut CompletionBatch) -> usize {
         out.clear();
-        while let Some(cqe) = self.pop_cqe() {
-            // Split borrows: take the slot first, then fill it.
-            let slot = out.next_slot();
-            self.fill_completion(&cqe, slot);
+        while let Some(cqe) = self.reap() {
+            self.read_reply(&cqe, out.next_slot());
+            self.release(cqe.cid);
         }
         if !out.is_empty() {
             self.publish_cq_head();

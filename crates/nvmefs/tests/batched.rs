@@ -3,8 +3,8 @@
 //! wrap under load.
 
 use dpc_nvmefs::{
-    CompletionBatch, CqeStatus, DispatchType, IncomingBatch, Initiator, QueuePair, QueuePairConfig,
-    SubmitOp, Target,
+    CompletionBatch, CqeStatus, DispatchType, IncomingBatch, Initiator, QueueFull, QueuePair,
+    QueuePairConfig, Target,
 };
 use dpc_pcie::DmaEngine;
 
@@ -22,20 +22,23 @@ fn pair(depth: u16, max_io: usize) -> (Initiator, Target, DmaEngine) {
 }
 
 #[test]
-fn submit_many_rings_exactly_one_doorbell() {
+fn a_batch_rings_exactly_one_doorbell() {
     let (mut ini, mut tgt, dma) = pair(16, 8192);
     let payload = vec![0x11u8; 4096];
-    let ops: Vec<SubmitOp> = (0..8)
-        .map(|_| SubmitOp {
-            dispatch: DispatchType::Standalone,
-            header: b"",
-            write_payload: &payload,
-            read_len: 0,
-        })
-        .collect();
 
     let before = dma.snapshot();
-    ini.submit_many(&ops).unwrap();
+    let mut batch = ini.batch();
+    for _ in 0..8 {
+        batch
+            .submit(DispatchType::Standalone, b"", &payload, 0)
+            .unwrap();
+    }
+    assert_eq!(
+        dma.snapshot().since(&before).doorbells,
+        0,
+        "nothing rung yet"
+    );
+    batch.commit();
     let delta = dma.snapshot().since(&before);
     assert_eq!(delta.doorbells, 1, "8 staged SQEs, one tail doorbell");
 
@@ -53,23 +56,33 @@ fn submit_many_rings_exactly_one_doorbell() {
 }
 
 #[test]
-fn submit_many_is_all_or_nothing() {
+fn a_batch_stages_only_what_the_ring_holds() {
     let (mut ini, _tgt, dma) = pair(4, 4096);
-    // depth-1 = 3 usable slots; 4 ops cannot fit.
-    let ops: Vec<SubmitOp> = (0..4)
-        .map(|_| SubmitOp {
-            dispatch: DispatchType::Standalone,
-            header: b"",
-            write_payload: b"x",
-            read_len: 0,
-        })
-        .collect();
+    // depth-1 = 3 usable slots: the fourth op is refused, the three that
+    // fit go out under one doorbell.
     let before = dma.snapshot();
-    assert!(ini.submit_many(&ops).is_err());
-    assert_eq!(ini.outstanding(), 0, "nothing staged on failure");
-    assert_eq!(dma.snapshot().since(&before).doorbells, 0);
-    ini.submit_many(&ops[..3]).unwrap();
+    let mut batch = ini.batch();
+    for _ in 0..3 {
+        batch
+            .submit(DispatchType::Standalone, b"", b"x", 0)
+            .unwrap();
+    }
+    assert_eq!(
+        batch.submit(DispatchType::Standalone, b"", b"x", 0),
+        Err(QueueFull)
+    );
+    assert_eq!(batch.staged(), 3);
+    batch.commit();
     assert_eq!(ini.outstanding(), 3);
+    assert_eq!(dma.snapshot().since(&before).doorbells, 1);
+    // A batch on a full ring stages nothing and rings nothing.
+    let mut batch = ini.batch();
+    assert!(batch
+        .submit(DispatchType::Standalone, b"", b"x", 0)
+        .is_err());
+    batch.commit();
+    assert_eq!(ini.outstanding(), 3);
+    assert_eq!(dma.snapshot().since(&before).doorbells, 1);
 }
 
 #[test]
@@ -198,15 +211,13 @@ mod wire_equivalence {
                     .unwrap();
             }
             // Pair B: one doorbell for the whole batch.
-            let ops: Vec<SubmitOp> = (0..n_ops)
-                .map(|i| SubmitOp {
-                    dispatch: DispatchType::Standalone,
-                    header: &headers[i],
-                    write_payload: &payloads[i],
-                    read_len: read_lens[i],
-                })
-                .collect();
-            ini_b.submit_many(&ops).unwrap();
+            let mut batch = ini_b.batch();
+            for i in 0..n_ops {
+                batch
+                    .submit(DispatchType::Standalone, &headers[i], &payloads[i], read_lens[i])
+                    .unwrap();
+            }
+            batch.commit();
 
             let mut inb = IncomingBatch::new();
             prop_assert_eq!(tgt_b.poll_many(&mut inb), n_ops);

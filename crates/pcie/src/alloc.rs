@@ -13,10 +13,25 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The calling thread's share of `ALLOCS`. Const-initialised with no
+    /// destructor, so touching it never allocates (no recursion).
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation, globally and for the calling thread (skipped for
+/// a thread whose locals are already torn down).
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// Pass-through wrapper over the system allocator that counts every
 /// allocation and reallocation (frees are not counted — the invariant
@@ -25,8 +40,7 @@ pub struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -35,8 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,6 +58,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// allocator is installed in this binary).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocations the calling thread has made: [`alloc_count`] without the
+/// other threads' noise (the test harness, a server thread).
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Bytes requested since process start.

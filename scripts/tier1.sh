@@ -46,6 +46,29 @@ cargo test --release -q --test direct_io -- \
     an_oversize_writev_crosses_in_pieces \
     an_oversize_direct_read_reads_in_pieces \
     a_writev_of_more_segments_than_an_sgl_holds_crosses_in_pieces
+# The pool's one staging and one waiting function (DESIGN.md §7), in
+# release and by name: its unit tests (out-of-order routing, stealing a
+# full queue, the reissue, a late CQE's CID carrying the next call its own
+# reply, stage-N / wait-N order across two queues), the warm transport and
+# pool allocating nothing, a warm 8 KiB read miss allocating nothing on
+# the calling thread, and a read the link keeps shedding saying EIO
+# buffered or direct. Then the suites with more threads than cores, ten
+# times in a row on one core.
+cargo test --release -q -p dpc-nvmefs --lib -- \
+    pool::tests::concurrent_callers_share_one_queue \
+    pool::tests::out_of_order_completions_route_by_cid \
+    pool::tests::full_preferred_queue_steals_a_neighbour \
+    pool::tests::a_reissued_command_restages_its_inline_header_on_the_fresh_cid \
+    pool::tests::a_cid_freed_by_a_late_cqe_carries_the_next_call_its_own_reply \
+    pool::tests::stage_n_wait_n_restores_request_order
+cargo test --release -q -p dpc-nvmefs --test zero_alloc
+cargo test --release -q -p dpc-core --test zero_alloc_miss
+cargo test --release -q --test fault_recovery \
+    a_read_the_link_keeps_shedding_is_eio_buffered_or_direct
+cargo test --release -q --no-run --test concurrent_adapters --test link_wait
+for run in $(seq 1 10); do
+    taskset -c 0 cargo test --release -q --test concurrent_adapters --test link_wait
+done
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review.
 cargo build --release --manifest-path dpc-e2e/Cargo.toml

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use dpc::core::{Dpc, DpcConfig};
+use dpc::core::{Dpc, DpcConfig, IoMode};
 use dpc::dfs::{DfsBackend, DfsConfig, DfsError, DpcClient, FsClient, DFS_BLOCK};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
@@ -331,6 +331,55 @@ fn transport_error_cqe_is_retried_transparently() {
     let r = dpc.metrics().recovery;
     assert!(r.transport_errors >= 1, "error CQE must be counted: {r:?}");
     assert!(r.link_retries >= 1, "errored call must reissue: {r:?}");
+}
+
+#[test]
+fn a_read_the_link_keeps_shedding_is_eio_buffered_or_direct() {
+    // Every attempt at the Read gets a transport-error CQE. A cold
+    // buffered read (a miss run, staged and waited) and a direct read (one
+    // call) wait under one rule: reissue until the attempts run out, then
+    // report what the last attempt said — EIO, not a deadline nobody
+    // missed — with attempts − 1 reissues counted and no timeout.
+    let data = file_pattern(17, 0, 8192);
+    let store = {
+        let dpc = Dpc::new(DpcConfig::default());
+        let fs = dpc.fs();
+        let fd = fs.create("/shed").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.close(fd).unwrap();
+        dpc.kv_store()
+    };
+    let plan = FaultPlan::new(17);
+    let cfg = DpcConfig {
+        faults: Some(plan.clone()),
+        ..DpcConfig::default()
+    };
+    let dpc = Dpc::with_shared_storage(cfg, Some(store), None);
+    let buffered = dpc.fs();
+    let mut direct = dpc.fs();
+    direct.mode = IoMode::Direct;
+    let fds = [
+        buffered.open("/shed").unwrap(),
+        direct.open("/shed").unwrap(),
+    ];
+    let shed = plan.arm("nvmefs.sqe_error", FaultSpec::always());
+
+    let attempts = dpc.config().retry.attempts as u64;
+    for (fs, fd) in [&buffered, &direct].into_iter().zip(fds) {
+        let before = dpc.metrics().recovery;
+        let mut buf = vec![0u8; data.len()];
+        let err = fs.read(fd, 0, &mut buf).unwrap_err();
+        let r = dpc.metrics().recovery;
+        assert_eq!(err.errno(), 5, "{:?} read: {r:?}", fs.mode);
+        assert_eq!(r.link_retries - before.link_retries, attempts - 1, "{r:?}");
+        assert_eq!(r.transport_errors - before.transport_errors, attempts);
+        assert_eq!(r.link_timeouts, 0, "{r:?}");
+    }
+    shed.disarm();
+    let mut buf = vec![0u8; data.len()];
+    assert_eq!(buffered.read(fds[0], 0, &mut buf).unwrap(), data.len());
+    assert_eq!(buf, data);
 }
 
 // ---- property: degraded reads equal normal reads --------------------
