@@ -35,7 +35,7 @@ use dpc_cache::{
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
     decode_dirents, decode_dirents_into, CallError, ChannelPool, DispatchType, FileCompletion,
-    FileRequest, FileResponse, Payload, Sides, Ticket, WireAttr, WireDirent, WireStep,
+    FileRequest, FileResponse, Payload, Reply, Sides, Ticket, WireAttr, WireDirent, WireStep,
     MAX_NAME_LEN, MAX_PATH_LEN, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 use parking_lot::Mutex;
@@ -488,16 +488,12 @@ impl DpcFs {
         &self.pool
     }
 
-    fn call(
-        &self,
-        req: &FileRequest,
-        payload: &[u8],
-        read_len: u32,
-    ) -> Result<(FileResponse, Vec<u8>), DpcError> {
-        reply(
-            self.pool
-                .call(DispatchType::Standalone, req, payload, read_len),
-        )
+    /// One command whose reply is a header and nothing else: what the
+    /// data path sends besides its reads (those are `read_into` and
+    /// `fetch_runs`).
+    fn call(&self, req: &FileRequest, payload: &[u8]) -> Result<FileResponse, DpcError> {
+        let done = self.pool.call(DispatchType::Standalone, req, payload, 0);
+        reply(done).map(|(resp, _)| resp)
     }
 
     // ---- metadata fast path (DESIGN.md §14) ----------------------------
@@ -901,7 +897,7 @@ impl DpcFs {
                     // targeted); escalate to a global flush if the ring
                     // is pinned by other files' records.
                     let scope = if rounds <= 2 { ino } else { FSYNC_ALL };
-                    self.call(&FileRequest::Fsync { ino: scope }, b"", 0)?;
+                    self.call(&FileRequest::Fsync { ino: scope }, b"")?;
                 }
                 Err(WalError::TooLarge) => {
                     let mut drain_rounds = 0u32;
@@ -913,7 +909,7 @@ impl DpcFs {
                         if log.crashed() {
                             return Err(DpcError::IO);
                         }
-                        self.call(&FileRequest::Fsync { ino: FSYNC_ALL }, b"", 0)?;
+                        self.call(&FileRequest::Fsync { ino: FSYNC_ALL }, b"")?;
                     }
                     return Ok(WalAdmit::Bypass);
                 }
@@ -994,18 +990,7 @@ impl DpcFs {
         // the DPU first (read-modify-write).
         let absorb = |lpn: u64, in_page: usize, chunk: &[u8]| {
             cache_write_page(&self.cache, ino, lpn, in_page, chunk, wal, |old| {
-                let (_, payload) = self.call(
-                    &FileRequest::Read {
-                        ino,
-                        offset: lpn * PAGE_SIZE as u64,
-                        len: PAGE_SIZE as u32,
-                    },
-                    b"",
-                    PAGE_SIZE as u32,
-                )?;
-                let n = payload.len().min(old.len());
-                old[..n].copy_from_slice(&payload[..n]);
-                Ok::<_, DpcError>(n)
+                self.read_into(ino, lpn * PAGE_SIZE as u64, old)
             })
         };
         let mut stalled: Vec<Stalled> = Vec::new();
@@ -1044,7 +1029,6 @@ impl DpcFs {
                     buckets: std::mem::take(&mut buckets),
                 },
                 b"",
-                0,
             ) {
                 Ok(_) => true,
                 Err(DpcError(16 /* EBUSY */)) => false,
@@ -1138,7 +1122,7 @@ impl DpcFs {
                 return Err(DpcError(16 /* EBUSY */));
             }
             rounds += 1;
-            match self.call(&FileRequest::Fsync { ino }, b"", 0) {
+            match self.call(&FileRequest::Fsync { ino }, b"") {
                 // Some page of the inode was refused; the loop's test says
                 // whether it was one of ours.
                 Err(DpcError::IO) => rounds = PREFLUSH_ROUNDS,
@@ -1186,13 +1170,15 @@ impl DpcFs {
                 offset: offset + written as u64,
                 len: len as u32,
             };
-            let (resp, _) = match pieces[..count] {
+            let resp = match pieces[..count] {
                 [] => return Ok(written),
-                [one] => self.call(&req, one, 0)?,
-                ref gather => reply(
-                    self.pool
-                        .call_sgl(DispatchType::Standalone, &req, gather, 0),
-                )?,
+                [one] => self.call(&req, one)?,
+                ref gather => {
+                    let done = self
+                        .pool
+                        .call_sgl(DispatchType::Standalone, &req, gather, 0);
+                    reply(done)?.0
+                }
             };
             let FileResponse::Bytes(n) = resp else {
                 return Err(DpcError::IO);
@@ -1224,20 +1210,7 @@ impl DpcFs {
                 let mut got = 0;
                 while got < n {
                     let len = (n - got).min(room);
-                    let (resp, payload) = self.call(
-                        &FileRequest::Read {
-                            ino,
-                            offset: offset + got as u64,
-                            len: len as u32,
-                        },
-                        b"",
-                        len as u32,
-                    )?;
-                    let FileResponse::Bytes(k) = resp else {
-                        return Err(DpcError::IO);
-                    };
-                    let k = k as usize;
-                    dst[got..got + k].copy_from_slice(&payload[..k]);
+                    let k = self.read_into(ino, offset + got as u64, &mut dst[got..got + len])?;
                     got += k;
                     if k < len {
                         break;
@@ -1324,7 +1297,7 @@ impl DpcFs {
                     // Async trigger: one fire-and-forget hint per read
                     // call; the DPU plans (and background-fills) the next
                     // window. Errors just mean no readahead this round.
-                    let _ = self.call(&FileRequest::ReadaheadHint { ino, lpn }, b"", 0);
+                    let _ = self.call(&FileRequest::ReadaheadHint { ino, lpn }, b"");
                 }
                 Ok(n)
             }
@@ -1332,11 +1305,11 @@ impl DpcFs {
     }
 
     /// Fetch the miss `runs` of the read of `dst.len()` bytes at `offset`
-    /// and land each reply: every page the cache still lacks filled clean,
-    /// and `dst`. All runs are staged before the first is waited — one
+    /// and land each reply: `dst`, and every page the cache still lacks
+    /// filled clean. All runs are staged before the first is waited — one
     /// doorbell while they fit a ring, never a round trip after a round
-    /// trip — and each is read out of its mailbox in place. Every ticket
-    /// is waited whatever an earlier one said; the first error wins.
+    /// trip. Every ticket is waited whatever an earlier one said; the
+    /// first error wins.
     fn fetch_runs(
         &self,
         ino: u64,
@@ -1367,53 +1340,13 @@ impl DpcFs {
                 .stage(q, &sides, &reqs[next..runs.len()], &mut tickets[next..]);
             let batch = runs[next..].iter().zip(&reqs[next..]);
             for ((run, req), &ticket) in batch.zip(&tickets[next..next + staged]) {
-                let done = self.pool.wait(ticket, &sides, req, |resp, done| {
-                    let got = match resp {
-                        FileResponse::Bytes(got) => got as usize,
+                let done = self.pool.wait(ticket, &sides, req, |resp, payload| {
+                    match resp {
+                        FileResponse::Bytes(_) => {}
                         FileResponse::Err(e) => return Err(DpcError(e)),
                         _ => return Err(DpcError::IO),
-                    };
-                    if run.pages > 1 {
-                        self.cache.note_vector_fill();
                     }
-                    for k in 0..run.pages {
-                        let lpn = run.lpn + k as u64;
-                        let valid = got.saturating_sub(k * PAGE_SIZE).min(PAGE_SIZE);
-                        // A whole page is served straight from the reply;
-                        // only a short tail page (or one past what the
-                        // backend had) goes through the zero-padded
-                        // scratch page.
-                        let at = k * PAGE_SIZE;
-                        let src: &[u8] = if valid == PAGE_SIZE {
-                            &done.payload[at..at + PAGE_SIZE]
-                        } else {
-                            page.resize(PAGE_SIZE, 0);
-                            if valid > 0 {
-                                page[..valid].copy_from_slice(&done.payload[at..at + valid]);
-                            }
-                            page[valid..].fill(0);
-                            page
-                        };
-                        // Fill the cache clean (front-end read protocol).
-                        // Only a freshly claimed entry may be written: a
-                        // page that appeared since pass 1 belongs to a
-                        // concurrent writer (possibly dirty) and must not
-                        // be clobbered with the older backend bytes. Only
-                        // the fetched prefix is marked valid — the zero
-                        // padding of a tail page must never be flushed
-                        // (size inflation).
-                        if valid > 0 {
-                            if let Ok(mut g) = self.cache.begin_write(ino, lpn) {
-                                if g.claimed_free() {
-                                    g.write(0, src);
-                                    g.set_valid(valid);
-                                    g.commit_clean();
-                                }
-                            }
-                        }
-                        let (pos, in_page, take) = page_span(offset, dst.len(), lpn);
-                        dst[pos..pos + take].copy_from_slice(&src[in_page..in_page + take]);
-                    }
+                    self.land_run(ino, offset, *run, payload, dst, page);
                     Ok(())
                 });
                 landed = landed.and(done.map_err(|e| DpcError(e.errno())).and_then(|r| r));
@@ -1421,6 +1354,92 @@ impl DpcFs {
             next += staged;
         }
         landed
+    }
+
+    /// Land one run's reply. The run's overlap with the read goes from the
+    /// transport buffer into `dst` in one copy, zeros past what the backend
+    /// had; then each page the cache lacks is filled clean from `dst` —
+    /// through the zero-padded scratch `page` only when `dst` holds part of
+    /// it (the first or last page of an unaligned or short read).
+    fn land_run(
+        &self,
+        ino: u64,
+        offset: u64,
+        run: Run,
+        payload: Reply<'_>,
+        dst: &mut [u8],
+        page: &mut Vec<u8>,
+    ) {
+        let got = payload.len();
+        let base = run.lpn * PAGE_SIZE as u64;
+        let start = base.max(offset);
+        let end = (base + (run.pages * PAGE_SIZE) as u64).min(offset + dst.len() as u64);
+        let have = (base + got as u64).clamp(start, end);
+        let [from, split, to] = [start, have, end].map(|at| (at - offset) as usize);
+        if split > from {
+            payload.copy_to((start - base) as usize, &mut dst[from..split]);
+        }
+        dst[split..to].fill(0);
+        if run.pages > 1 {
+            self.cache.note_vector_fill();
+        }
+        for k in 0..run.pages {
+            let lpn = run.lpn + k as u64;
+            let valid = got.saturating_sub(k * PAGE_SIZE).min(PAGE_SIZE);
+            if valid == 0 {
+                continue;
+            }
+            let (pos, _, take) = page_span(offset, dst.len(), lpn);
+            let src: &[u8] = if take == PAGE_SIZE {
+                &dst[pos..pos + PAGE_SIZE]
+            } else {
+                page.resize(PAGE_SIZE, 0);
+                payload.copy_to(k * PAGE_SIZE, &mut page[..valid]);
+                page[valid..].fill(0);
+                page
+            };
+            // Fill the cache clean (front-end read protocol). Only a
+            // freshly claimed entry may be written: a page that appeared
+            // since pass 1 belongs to a concurrent writer (possibly dirty)
+            // and must not be clobbered with the older backend bytes. Only
+            // the fetched prefix is marked valid — the zero padding of a
+            // tail page must never be flushed (size inflation).
+            if let Ok(mut g) = self.cache.begin_write(ino, lpn) {
+                if g.claimed_free() {
+                    g.write(0, src);
+                    g.set_valid(valid);
+                    g.commit_clean();
+                }
+            }
+        }
+    }
+
+    /// One uncached `Read` of `dst.len()` bytes at `offset`, landed from
+    /// the transport buffer straight into `dst`. Returns the bytes the
+    /// backend had: fewer than asked at end of file.
+    fn read_into(&self, ino: u64, offset: u64, dst: &mut [u8]) -> Result<usize, DpcError> {
+        let len = dst.len() as u32;
+        let req = FileRequest::Read { ino, offset, len };
+        let sides = Sides {
+            dispatch: DispatchType::Standalone,
+            write: Payload::Flat(b""),
+            read_len: len,
+        };
+        let mut ticket = Ticket::default();
+        let one = std::slice::from_mut(&mut ticket);
+        let q = self.pool.preferred_queue();
+        self.pool.stage(q, &sides, std::slice::from_ref(&req), one);
+        let land = |resp, payload: Reply<'_>| match resp {
+            // The transport refuses a reply longer than `len`.
+            FileResponse::Bytes(_) => {
+                payload.copy_to(0, &mut dst[..payload.len()]);
+                Ok(payload.len())
+            }
+            FileResponse::Err(e) => Err(DpcError(e)),
+            _ => Err(DpcError::IO),
+        };
+        let done = self.pool.wait(ticket, &sides, &req, land);
+        done.map_err(|e| DpcError(e.errno()))?
     }
 
     /// Vectored write (writev): the segments cross nvme-fs as an SGL —
@@ -1451,7 +1470,7 @@ impl DpcFs {
         // Sampled before the request leaves: whatever this fsync covers
         // was written before now (see `InodeCell::is_clean`).
         let covers = entry.cell.mutations.load(Ordering::Acquire);
-        let (resp, _) = self.call(&FileRequest::Fsync { ino }, b"", 0)?;
+        let resp = self.call(&FileRequest::Fsync { ino }, b"")?;
         let FileResponse::Attr(backend) = resp else {
             return Err(DpcError::IO);
         };
@@ -1470,7 +1489,7 @@ impl DpcFs {
         // file's size itself, from the records it redoes.
         let size = entry.cell.size.load(Ordering::Acquire);
         if backend.size != size {
-            self.call(&FileRequest::Truncate { ino, size }, b"", 0)?;
+            self.call(&FileRequest::Truncate { ino, size }, b"")?;
         }
         entry.cell.synced.fetch_max(covers, Ordering::AcqRel);
         Ok(())
@@ -1487,7 +1506,7 @@ impl DpcFs {
         // retired (voided) when the call returns, unless a crash made
         // the op ambiguous (then replay applies the surviving record).
         let admit = self.wal_admit(WalKind::Truncate, ino, size, b"", 1)?;
-        let res = self.call(&FileRequest::Truncate { ino, size }, b"", 0);
+        let res = self.call(&FileRequest::Truncate { ino, size }, b"");
         if let WalAdmit::Logged(log, seq) = &admit {
             if res.is_ok() || !log.crashed() {
                 log.retire_all(*seq);

@@ -16,8 +16,7 @@ use dpc_sim::fault::{FaultPlan, FaultSite};
 
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
 use crate::queue::{
-    Completion, Incoming, IncomingBatch, Initiator, QueueFull, QueuePair, QueuePairConfig,
-    ReadSide, Target,
+    Incoming, IncomingBatch, Initiator, QueueFull, QueuePair, QueuePairConfig, ReadSide, Target,
 };
 use crate::sqe::{CqeStatus, DispatchType};
 
@@ -53,12 +52,13 @@ fn read_side(req: &FileRequest, read_len: u32) -> ReadSide {
     }
 }
 
-/// What a drained completion says at the file layer.
-pub(crate) fn decode_completion(done: &Completion) -> Result<FileResponse, RecvError> {
-    match done.status {
+/// What a completion with `status` and response `header` says at the
+/// file layer.
+pub(crate) fn decode_reply(status: CqeStatus, header: &[u8]) -> Result<FileResponse, RecvError> {
+    match status {
         CqeStatus::InvalidCommand => Ok(FileResponse::Err(22 /* EINVAL */)),
         CqeStatus::TransportError => Err(RecvError::Transport),
-        _ => FileResponse::decode(&done.header).map_err(RecvError::Decode),
+        _ => FileResponse::decode(header).map_err(RecvError::Decode),
     }
 }
 
@@ -218,11 +218,13 @@ impl FileChannel {
     /// Poll for one completion and decode its response header.
     pub fn poll(&mut self) -> Option<Result<FileCompletion, RecvError>> {
         let done = self.ini.poll()?;
-        Some(decode_completion(&done).map(|response| FileCompletion {
-            cid: done.cid,
-            response,
-            payload: done.payload,
-        }))
+        Some(
+            decode_reply(done.status, &done.header).map(|response| FileCompletion {
+                cid: done.cid,
+                response,
+                payload: done.payload,
+            }),
+        )
     }
 
     /// Stage `reqs`, each with `sides`, under one doorbell: as many as the

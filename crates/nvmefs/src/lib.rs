@@ -20,8 +20,9 @@
 //! [`Initiator`] / [`Target`] (rings over DMA-able host memory) →
 //! [`FileChannel`] / [`FileTarget`] (typed [`FileRequest`] /
 //! [`FileResponse`] framing) → [`ChannelPool`] (shared multi-threaded
-//! multiplexer over all queues: stage commands, wait on tickets, replies
-//! matched by CID into a mailbox per CID, per-thread queue affinity).
+//! multiplexer over all queues: stage commands, wait on tickets, CQEs
+//! matched by CID into a mailbox per CID, each reply read where the DMA
+//! left it, per-thread queue affinity).
 
 mod driver;
 mod filemsg;
@@ -41,7 +42,8 @@ pub use filemsg::{
 pub use pool::{ChannelPool, PoolStats, RetryPolicy, Ticket};
 pub use queue::{
     Completion, CompletionBatch, DoorbellGuard, Incoming, IncomingBatch, Initiator, QueueFull,
-    QueuePair, QueuePairConfig, ReadSide, Target, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
+    QueuePair, QueuePairConfig, ReadSide, Reply, Target, READ_HEADER_CAP, SGL_LIST_CAP,
+    SGL_MAX_SEGMENTS,
 };
 pub use sqe::{
     Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, OPCODE_NVMEFS, SQE_SIZE,

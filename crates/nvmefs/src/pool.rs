@@ -22,16 +22,18 @@
 //! Locking discipline, the whole point of this module:
 //!
 //! - Each queue has one small mutex over its [`FileChannel`]. It is held
-//!   only to stage commands, or to drain completions into their
-//!   mailboxes. **It is never held across a link round-trip.**
-//! - Each queue has one mailbox per CID, allocated with the queue. A CID
-//!   is its command's transport-buffer index, and it stays taken from
-//!   staging until the waiter has read the reply out of the mailbox — or,
-//!   for a command whose waiter gave up, until its late CQE drains. So a
-//!   mailbox has one owner at a time, a late reply never lands in a newer
-//!   command's mailbox, and no call allocates one. A waiter hands its CID
-//!   back by setting a bit; the next thread to stage on that queue returns
-//!   it to the channel.
+//!   only to stage commands, or to drain CQEs into their mailboxes. **It
+//!   is never held across a link round-trip.**
+//! - Each queue has one mailbox per CID, allocated with the queue: it
+//!   holds the CQE, and nothing else. A CID is its command's
+//!   transport-buffer index, and it stays taken from staging until the
+//!   waiter has read the reply — out of the transport buffer, where the
+//!   DMA left it — or, for a command whose waiter gave up, until its late
+//!   CQE drains. So a mailbox and a buffer have one owner at a time, a
+//!   late reply never lands in a newer command's mailbox or buffer, and
+//!   no call allocates either. A waiter hands its CID back by setting a
+//!   bit; the next thread to stage on that queue returns it to the
+//!   channel.
 //! - A waiter checks its mailbox, opportunistically `try_lock`s the queue
 //!   to poll-and-deliver, and yields. There is no spin tier: the reply is
 //!   produced by another thread, and whenever that thread shares this
@@ -52,12 +54,11 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::driver::{
-    decode_completion, is_idempotent, CallError, FileChannel, FileCompletion, Payload, RecvError,
-    Sides,
+    decode_reply, is_idempotent, CallError, FileChannel, FileCompletion, Payload, RecvError, Sides,
 };
 use crate::filemsg::{FileRequest, FileResponse};
-use crate::queue::Completion;
-use crate::sqe::DispatchType;
+use crate::queue::{Replies, Reply, READ_HEADER_CAP};
+use crate::sqe::{Cqe, DispatchType, CQE_SIZE};
 
 /// Mailbox states. A mailbox is `FREE` until a command is staged on its
 /// CID, `WAITING` until the CQE is delivered, `READY` until the waiter has
@@ -67,19 +68,37 @@ const WAITING: u8 = 1;
 const READY: u8 = 2;
 const ABANDONED: u8 = 3;
 
-/// One CID's mailbox: filled by whichever thread drains the CQE, read by
-/// the waiter. Its header and payload buffers are recycled from command to
-/// command.
+/// One CID's mailbox: the CQE, put there by whichever thread drains it,
+/// taken by the waiter. The reply it describes stays in the transport
+/// buffer.
 #[derive(Default)]
 struct Mailbox {
     /// Changed under the channel lock, but for the waiter's `READY` →
-    /// `FREE`: `READY` is stored `Release` after the reply is written and
+    /// `FREE`: `READY` is stored `Release` after the CQE is written and
     /// loaded `Acquire` before it is read; `FREE` reaches the next stager
     /// through the `taken` bit's `Release` / `Acquire`.
     state: AtomicU8,
-    /// Never contended — the state says whose turn it is — but the reply
-    /// crosses threads.
-    reply: Mutex<Completion>,
+    /// The CQE's 16 bytes. Never contended — the state says whose turn it
+    /// is — so plain `Relaxed` words, ordered by `state`.
+    cqe: [AtomicU64; 2],
+}
+
+impl Mailbox {
+    fn put(&self, cqe: &Cqe) {
+        let raw = cqe.to_bytes();
+        for (word, bytes) in self.cqe.iter().zip(raw.chunks_exact(8)) {
+            let bytes = bytes.try_into().expect("8-byte chunk");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+    }
+
+    fn cqe(&self) -> Cqe {
+        let mut raw = [0u8; CQE_SIZE];
+        for (bytes, word) in raw.chunks_exact_mut(8).zip(&self.cqe) {
+            bytes.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        }
+        Cqe::from_bytes(&raw)
+    }
 }
 
 /// A staged command's claim on its reply: the queue and the CID it went
@@ -121,10 +140,12 @@ impl Default for RetryPolicy {
 }
 
 /// Per-queue state: the channel under its lock, and beside it — readable
-/// without the lock — one mailbox per CID.
+/// without the lock — one mailbox per CID and the transport buffers the
+/// replies sit in.
 struct PoolQueue {
     chan: Mutex<FileChannel>,
     boxes: Box<[Mailbox]>,
+    replies: Replies,
     /// CIDs whose replies their waiters have read, one bit each: the next
     /// stager on this queue gives them back to the channel.
     taken: Box<[AtomicU64]>,
@@ -149,7 +170,7 @@ impl PoolQueue {
         chan
     }
 
-    /// The waiter on `cid` is done with its mailbox.
+    /// The waiter on `cid` is done with its mailbox and its buffer.
     fn give_back(&self, cid: u16) {
         self.boxes[cid as usize]
             .state
@@ -218,6 +239,7 @@ impl ChannelPool {
             .map(|chan| {
                 let depth = chan.depth() as usize;
                 PoolQueue {
+                    replies: chan.ini.replies().clone(),
                     chan: Mutex::new(chan),
                     boxes: (0..depth).map(|_| Mailbox::default()).collect(),
                     taken: (0..depth.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
@@ -289,9 +311,10 @@ impl ChannelPool {
         (TID_HASH.with(|h| *h) as usize) % self.queues.len()
     }
 
-    /// Drain every available CQE on `queue`'s channel into its mailbox. A
-    /// reply whose waiter gave up is dropped, and only now that its late
-    /// CQE has drained is its CID free again. Caller holds the lock.
+    /// Drain every available CQE on `queue`'s channel into its mailbox —
+    /// the CQE only: the reply stays in the buffer for the waiter. A reply
+    /// whose waiter gave up is dropped, and only now that its late CQE has
+    /// drained is its CID free again. Caller holds the lock.
     fn deliver(&self, queue: &PoolQueue, chan: &mut FileChannel) -> usize {
         let (mut delivered, mut stale) = (0u64, 0u64);
         while let Some(cqe) = chan.ini.reap() {
@@ -301,7 +324,7 @@ impl ChannelPool {
                 chan.ini.release(cqe.cid);
                 stale += 1;
             } else {
-                chan.ini.read_reply(&cqe, &mut mailbox.reply.lock());
+                mailbox.put(&cqe);
                 mailbox.state.store(READY, Ordering::Release);
                 delivered += 1;
             }
@@ -369,11 +392,12 @@ impl ChannelPool {
     }
 
     /// Wait for `ticket`'s reply and hand it to `take`: the decoded
-    /// response, and the completion itself, whose buffers are the
-    /// mailbox's — read the payload in place, or take it. No lock is held
-    /// while waiting: check the mailbox, `try_lock` the queue to deliver
-    /// what has landed, yield. After the policy's deadline the command is
-    /// abandoned (its late CQE is dropped as stale, never misrouted).
+    /// response, and the payload where the DMA left it — copy it out where
+    /// it is going. The CID, and so the buffer, stays taken until `take`
+    /// returns. No lock is held while waiting: check the mailbox,
+    /// `try_lock` the queue to deliver what has landed, yield. After the
+    /// policy's deadline the command is abandoned (its late CQE is dropped
+    /// as stale, never misrouted).
     ///
     /// The reissue rule: a transport error or a missed deadline on an
     /// idempotent `req` restages it (with `sides`, from the calling
@@ -384,24 +408,24 @@ impl ChannelPool {
         mut ticket: Ticket,
         sides: &Sides<'_>,
         req: &FileRequest,
-        take: impl FnOnce(FileResponse, &mut Completion) -> R,
+        take: impl FnOnce(FileResponse, Reply<'_>) -> R,
     ) -> Result<R, CallError> {
         let (mut attempt, mut yields) = (1u32, 0u64);
         loop {
             let queue = &self.queues[ticket.qid as usize];
             let mailbox = &queue.boxes[ticket.cid as usize];
             let err = if mailbox.state.load(Ordering::Acquire) == READY {
-                let mut reply = mailbox.reply.lock();
-                let err = match decode_completion(&reply) {
+                let cqe = mailbox.cqe();
+                let mut hdr = [0; READ_HEADER_CAP];
+                let (header, payload) = queue.replies.open(&cqe, &mut hdr);
+                let err = match decode_reply(cqe.status, header) {
                     Ok(response) => {
-                        let out = take(response, &mut reply);
-                        drop(reply);
+                        let out = take(response, payload);
                         queue.give_back(ticket.cid);
                         return Ok(out);
                     }
                     Err(err) => err,
                 };
-                drop(reply);
                 queue.give_back(ticket.cid);
                 if err == RecvError::Transport {
                     self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
@@ -501,8 +525,9 @@ impl ChannelPool {
         )
     }
 
-    /// Stage one command and wait for it. The reply is owned: it takes
-    /// the mailbox's payload buffer, when there is a payload.
+    /// Stage one command and wait for it. The reply is owned: its payload
+    /// is copied out of the transport buffer, allocating only when there
+    /// is one.
     fn round_trip(
         &self,
         req: &FileRequest,
@@ -516,14 +541,10 @@ impl ChannelPool {
             std::slice::from_ref(req),
             one,
         );
-        self.wait(ticket, sides, req, |response, done| FileCompletion {
-            cid: done.cid,
+        self.wait(ticket, sides, req, |response, payload| FileCompletion {
+            cid: payload.cid(),
             response,
-            payload: if done.payload.is_empty() {
-                Vec::new()
-            } else {
-                std::mem::take(&mut done.payload)
-            },
+            payload: payload.to_vec(),
         })
     }
 }
@@ -532,7 +553,8 @@ impl ChannelPool {
 mod tests {
     use super::*;
     use crate::driver::{create_fabric, FileTarget};
-    use crate::queue::QueuePairConfig;
+    use crate::queue::{QueuePair, QueuePairConfig};
+    use crate::sqe::CqeStatus;
     use dpc_pcie::DmaEngine;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -844,20 +866,20 @@ mod tests {
     #[test]
     fn stage_n_wait_n_restores_request_order() {
         // Seven commands staged on each of two queues under one doorbell
-        // apiece, then answered newest first, queue 1 before queue 0:
-        // each ticket, waited in request order, redeems its own reply.
+        // apiece, then answered newest first, queue 1 before queue 0,
+        // each with a payload of its own: each ticket, waited in request
+        // order, redeems its own reply and reads its own bytes.
         let (pool, mut tgts) = pool_with_targets(2, 8);
         let reqs: Vec<FileRequest> = (0..14u64).map(|ino| FileRequest::GetAttr { ino }).collect();
+        let sides = Sides {
+            read_len: 32,
+            ..HEADER_ONLY
+        };
+        let payload = |round: u8, ino: u64| [round << 4 | ino as u8; 32];
         let mut tickets = [Ticket::default(); 14];
         for round in 0..3 {
-            assert_eq!(
-                pool.stage(0, &HEADER_ONLY, &reqs[..7], &mut tickets[..7]),
-                7
-            );
-            assert_eq!(
-                pool.stage(1, &HEADER_ONLY, &reqs[7..], &mut tickets[7..]),
-                7
-            );
+            assert_eq!(pool.stage(0, &sides, &reqs[..7], &mut tickets[..7]), 7);
+            assert_eq!(pool.stage(1, &sides, &reqs[7..], &mut tickets[7..]), 7);
             assert!(tickets[..7].iter().all(|t| t.qid == 0), "round {round}");
             assert!(tickets[7..].iter().all(|t| t.qid == 1), "round {round}");
             for tgt in tgts.iter_mut().rev() {
@@ -870,15 +892,138 @@ mod tests {
                     let FileRequest::GetAttr { ino } = inc.request else {
                         panic!("unexpected request");
                     };
-                    tgt.reply(inc.slot, &FileResponse::Ino(ino), b"");
+                    tgt.reply(inc.slot, &FileResponse::Ino(ino), &payload(round, ino));
                 }
             }
             for (i, (&ticket, req)) in tickets.iter().zip(&reqs).enumerate() {
-                assert_eq!(response(&pool, ticket, req), FileResponse::Ino(i as u64));
+                let (resp, got) = pool
+                    .wait(ticket, &sides, req, |resp, reply| (resp, reply.to_vec()))
+                    .unwrap();
+                assert_eq!(resp, FileResponse::Ino(i as u64));
+                assert_eq!(got, payload(round, i as u64), "round {round}, request {i}");
             }
         }
         let stats = pool.stats();
         assert_eq!((stats.submitted, stats.completed), (42, 42));
         assert_eq!((stats.steals, stats.full_stalls), (0, 0));
+    }
+
+    #[test]
+    fn a_cid_stays_taken_while_its_reply_is_read() {
+        // The waiter reads its reply in the transport buffer. While it
+        // does, its CID — so its buffer — is nobody else's: a command
+        // staged and answered meanwhile lands in another buffer, and the
+        // bytes being read stay the first reply's.
+        let (pool, mut tgts) = pool_with_targets(1, 4);
+        let tgt = &mut tgts[0];
+        let sides = Sides {
+            read_len: 64,
+            ..HEADER_ONLY
+        };
+        let stage = |req: &FileRequest| {
+            let mut ticket = Ticket::default();
+            let one = std::slice::from_mut(&mut ticket);
+            assert_eq!(pool.stage(0, &sides, std::slice::from_ref(req), one), 1);
+            ticket
+        };
+        let (first, second) = (
+            FileRequest::GetAttr { ino: 1 },
+            FileRequest::GetAttr { ino: 2 },
+        );
+        let mine = stage(&first);
+        let inc = tgt.poll().unwrap();
+        tgt.reply(inc.slot, &FileResponse::Ino(1), &[0xAA; 64]);
+        let (got, other) = pool
+            .wait(mine, &sides, &first, |resp, reply| {
+                assert_eq!(resp, FileResponse::Ino(1));
+                assert_eq!(pool.outstanding(0), 1, "the CID is the reader's");
+                let other = stage(&second);
+                assert_ne!(other.cid, mine.cid);
+                let inc = tgt.poll().unwrap();
+                tgt.reply(inc.slot, &FileResponse::Ino(2), &[0xBB; 64]);
+                (reply.to_vec(), other)
+            })
+            .unwrap();
+        assert_eq!(got, [0xAA; 64]);
+        assert_eq!(pool.outstanding(0), 1, "given back once read");
+        let got = pool
+            .wait(other, &sides, &second, |_, reply| reply.to_vec())
+            .unwrap();
+        assert_eq!(got, [0xBB; 64]);
+        assert_eq!(pool.outstanding(0), 0);
+    }
+
+    #[test]
+    fn a_cqe_claiming_more_reply_than_its_command_declared_is_a_transport_error() {
+        // The lengths in a CQE are the DPU's to write. A payload past the
+        // command's read length would hand the caller the next buffer's
+        // bytes (past the pool's end, panic the reader); a header past
+        // the header area would be read out of the payload. Either is a
+        // transport error: counted, reissued when the request is
+        // idempotent, EIO when it is not.
+        let dma = DmaEngine::new();
+        let cfg = QueuePairConfig {
+            depth: 4,
+            max_io_bytes: 4096,
+        };
+        let (ini, mut tgt) = QueuePair::new(0, cfg).split(dma);
+        let mut pool = ChannelPool::new(vec![FileChannel::new(ini)]);
+        pool.set_retry(RetryPolicy {
+            attempts: 2,
+            backoff_base_us: 0,
+            ..RetryPolicy::default()
+        });
+        let mut bytes = Vec::new();
+        FileResponse::Bytes(64).encode(&mut bytes);
+        // Per command, in arrival order: forge `(result, header length)`
+        // into a raw CQE, or answer truthfully.
+        let script = [Some((4096, 5)), None, Some((0, 200)), None, Some((1, 5))];
+        let server = std::thread::spawn(move || {
+            for forged in script {
+                let inc = loop {
+                    match tgt.poll() {
+                        Some(inc) => break inc,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                match forged {
+                    Some((result, hdr_len)) => {
+                        let mut header = [0u8; 200];
+                        header[..bytes.len()].copy_from_slice(&bytes);
+                        let header = &header[..hdr_len];
+                        tgt.post_cqe(inc.slot, CqeStatus::Success, result, header);
+                    }
+                    None => tgt.complete(inc.slot, CqeStatus::Success, &bytes, &[0x11; 64]),
+                }
+            }
+        });
+        let read = FileRequest::Read {
+            ino: 7,
+            offset: 0,
+            len: 64,
+        };
+        for forgery in ["a payload past the read length", "a header past its area"] {
+            let before = pool.stats();
+            let done = pool.call(DispatchType::Standalone, &read, b"", 64);
+            let done = done.expect(forgery);
+            assert_eq!(done.response, FileResponse::Bytes(64), "{forgery}");
+            assert_eq!(done.payload, [0x11; 64], "{forgery}");
+            let after = pool.stats();
+            assert_eq!(after.transport_errors - before.transport_errors, 1);
+            assert_eq!(after.retries - before.retries, 1, "{forgery}");
+        }
+        let unlink = FileRequest::Unlink {
+            parent: 1,
+            name: "x".into(),
+        };
+        let err = pool
+            .call(DispatchType::Standalone, &unlink, b"", 0)
+            .unwrap_err();
+        assert!(matches!(err, CallError::Transport), "{err:?}");
+        assert_eq!(err.errno(), 5);
+        server.join().unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.transport_errors, stats.retries), (3, 2));
+        assert_eq!(pool.outstanding(0), 0);
     }
 }

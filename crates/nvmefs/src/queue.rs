@@ -29,10 +29,13 @@
 //! one to the next command (so a lone outstanding command keeps reusing
 //! one cache-hot buffer), names it in the SQE's PRP fields, and takes it
 //! back once the reply has been read out of it — at once in
-//! [`Initiator::poll`]; when a multiplexer says so, after a reap. A
-//! command's CID is its buffer's index. The target trusts none of this:
-//! it bounds every PRP range the SQE names against the pool before
-//! touching it and answers [`CqeStatus::InvalidCommand`] otherwise.
+//! [`Initiator::poll`]; when a multiplexer says so, after a reap (its
+//! waiter reads the reply where the DMA left it, through a [`Reply`]). A
+//! command's CID is its buffer's index. Neither side trusts the other's
+//! lengths: the target bounds every PRP range the SQE names against the
+//! pool before touching it and answers [`CqeStatus::InvalidCommand`]
+//! otherwise; the initiator turns a CQE that claims more reply than its
+//! command declared room for into a [`CqeStatus::TransportError`].
 //!
 //! Doorbells are device registers (host-side MMIO writes, counted as
 //! doorbells, read locally by the DPU — a register read crosses no DMA).
@@ -164,7 +167,11 @@ impl QueuePair {
                 cq_phase: true,
                 // Reversed so the first commands take buffers 0, 1, 2, …
                 free_bufs: (0..depth).rev().collect(),
-                in_flight: vec![false; depth as usize],
+                in_flight: vec![None; depth as usize],
+                replies: Replies {
+                    pool: self.shared.data_pool.clone(),
+                    cfg: self.shared.cfg,
+                },
             },
             Target {
                 shared: self.shared,
@@ -185,6 +192,122 @@ impl QueuePair {
 fn buffer_offsets(cfg: &QueuePairConfig, buf: u16) -> (usize, usize) {
     let base = buf as usize * 2 * cfg.max_io_bytes;
     (base, base + cfg.max_io_bytes)
+}
+
+/// The read halves of a queue pair's transport buffers, as the host reads
+/// replies out of them: the thread that owns a reaped command reads its
+/// reply without the initiator or its queue's lock.
+#[derive(Clone)]
+pub(crate) struct Replies {
+    pool: HostRegion,
+    cfg: QueuePairConfig,
+}
+
+impl Replies {
+    /// The reply a reaped `cqe` left: its header — the CQE's own bytes, or
+    /// copied out of the buffer's header area into `hdr` — and its payload
+    /// where the DMA put it. Valid until the CID is released: the next
+    /// command on it overwrites both.
+    pub(crate) fn open<'a>(
+        &'a self,
+        cqe: &'a Cqe,
+        hdr: &'a mut [u8; READ_HEADER_CAP],
+    ) -> (&'a [u8], Reply<'a>) {
+        let (_, roff) = buffer_offsets(&self.cfg, cqe.cid);
+        let header = match cqe.inline_header() {
+            Some(header) => header,
+            None => {
+                // `reap` bounded `hdr_len` by the command's header area.
+                let header = &mut hdr[..cqe.hdr_len as usize];
+                self.pool.read_local(roff, header);
+                header
+            }
+        };
+        let payload = Reply {
+            pool: &self.pool,
+            cid: cqe.cid,
+            at: roff + READ_HEADER_CAP,
+            len: cqe.result as usize,
+        };
+        (header, payload)
+    }
+}
+
+/// A reply's payload where the DMA left it: in the read half of its
+/// command's transport buffer, leased to the reader until its CID is
+/// released. Each read is one copy out under the pool's lock, which the
+/// target's DMA writes wait on — so a reader copies and takes no other
+/// lock while it does.
+#[derive(Copy, Clone)]
+pub struct Reply<'a> {
+    pool: &'a HostRegion,
+    cid: u16,
+    at: usize,
+    len: usize,
+}
+
+impl Reply<'_> {
+    /// The command the reply answers (its transport buffer's index).
+    pub fn cid(&self) -> u16 {
+        self.cid
+    }
+
+    /// Payload bytes the target produced.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Copy payload bytes `[from, from + dst.len())` into `dst`.
+    ///
+    /// # Panics
+    ///
+    /// When that range is not inside the payload.
+    pub fn copy_to(&self, from: usize, dst: &mut [u8]) {
+        assert!(
+            from.checked_add(dst.len())
+                .is_some_and(|end| end <= self.len),
+            "reply range {from}+{} outside a {}-byte payload",
+            dst.len(),
+            self.len
+        );
+        self.pool.read_local(self.at + from, dst);
+    }
+
+    /// Append the whole payload to `out`: each byte written once, no
+    /// zero-fill first.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        self.pool.read_local_extend(self.at, self.len, out);
+    }
+
+    /// The payload, owned: one allocation, none for an empty payload.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.append_to(&mut out);
+        out
+    }
+}
+
+/// `cqe`, when the reply it claims fits the room its command declared,
+/// `(RH_len, Read_len)`: at most `Read_len` payload bytes, and a header
+/// the CQE holds or one of at most `RH_len`. Otherwise a bare transport
+/// error: the lengths in a CQE are written by the other side of the link,
+/// and believing them would read another command's buffer, or past the
+/// pool.
+fn within(cqe: Cqe, (rh_len, read_len): (u16, u32)) -> Cqe {
+    let header = cqe.hdr_len as usize;
+    if cqe.result <= read_len && (header <= CQE_INLINE_CAP || header <= rh_len as usize) {
+        return cqe;
+    }
+    Cqe {
+        result: 0,
+        hdr_len: 0,
+        status: CqeStatus::TransportError,
+        ..cqe
+    }
 }
 
 /// Error returned when the submission ring (or every transport buffer)
@@ -292,8 +415,11 @@ pub struct Initiator {
     cq_phase: bool,
     /// Transport buffers no command holds, most recently freed last.
     free_bufs: Vec<u16>,
-    /// Per-CID (== buffer index): is a command holding it in flight?
-    in_flight: Vec<bool>,
+    /// Per-CID (== buffer index): the `(RH_len, Read_len)` the SQE of the
+    /// command holding it in flight declared — the most reply its CQE may
+    /// claim — or `None`.
+    in_flight: Vec<Option<(u16, u32)>>,
+    replies: Replies,
 }
 
 impl Initiator {
@@ -356,7 +482,7 @@ impl Initiator {
             .write_local(self.sq_tail as usize * SQE_SIZE, &sqe.to_bytes());
         let buf = self.free_bufs.pop();
         debug_assert_eq!(buf, Some(sqe.cid()));
-        self.in_flight[sqe.cid() as usize] = true;
+        self.in_flight[sqe.cid() as usize] = Some((sqe.rh_len(), sqe.read_len()));
         self.sq_tail = (self.sq_tail + 1) % self.shared.cfg.depth;
     }
 
@@ -524,10 +650,12 @@ impl Initiator {
     /// flight. Advances head/phase and flow control but does **not**
     /// publish the head doorbell — callers batch that into one store per
     /// poll pass — and does not give the transport buffer back: the reply
-    /// is still in it for [`read_reply`](Self::read_reply), and its CID
-    /// stays taken until [`release`](Self::release). A CQE naming a CID
-    /// that is not in flight has nobody to go to (and no buffer to give
-    /// back): it is consumed and skipped, inline header bytes and all.
+    /// is still in it, and its CID stays taken until
+    /// [`release`](Self::release). A CQE naming a CID that is not in
+    /// flight has nobody to go to (and no buffer to give back): it is
+    /// consumed and skipped, inline header bytes and all. One that claims
+    /// more reply than its command declared room for comes back as a bare
+    /// [`CqeStatus::TransportError`] ([`within`]).
     pub(crate) fn reap(&mut self) -> Option<Cqe> {
         loop {
             let mut raw = [0u8; CQE_SIZE];
@@ -543,9 +671,9 @@ impl Initiator {
                 self.cq_phase = !self.cq_phase;
             }
             self.sq_head_seen = cqe.sq_head;
-            if let Some(live @ true) = self.in_flight.get_mut(cqe.cid as usize) {
-                *live = false;
-                return Some(cqe);
+            let command = self.in_flight.get_mut(cqe.cid as usize);
+            if let Some(declared) = command.and_then(Option::take) {
+                return Some(within(cqe, declared));
             }
         }
     }
@@ -557,34 +685,30 @@ impl Initiator {
             .store(self.cq_head as u32, Ordering::Release);
     }
 
-    /// Rebuild a reaped CQE's response header — from the CQE itself when
-    /// it rode there, else from the command's buffer — and copy the
-    /// payload out into `out` (reusing `out`'s own buffers; each byte is
-    /// appended once, nothing is zero-filled first). Host-local reads; no
-    /// DMA.
-    pub(crate) fn read_reply(&self, cqe: &Cqe, out: &mut Completion) {
-        let (_, roff) = buffer_offsets(&self.shared.cfg, cqe.cid);
+    /// Where a reaped command's reply is read: its transport buffer, while
+    /// its CID stays taken.
+    pub(crate) fn replies(&self) -> &Replies {
+        &self.replies
+    }
+
+    /// Copy a reaped CQE's reply out into `out`, reusing `out`'s own
+    /// buffers. Host-local reads; no DMA.
+    fn read_reply(&self, cqe: &Cqe, out: &mut Completion) {
+        let mut hdr = [0; READ_HEADER_CAP];
+        let (header, payload) = self.replies.open(cqe, &mut hdr);
         out.cid = cqe.cid;
         out.status = cqe.status;
         out.result = cqe.result;
         out.header.clear();
+        out.header.extend_from_slice(header);
         out.payload.clear();
-        let pool = &self.shared.data_pool;
-        match cqe.inline_header() {
-            Some(header) => out.header.extend_from_slice(header),
-            None => pool.read_local_extend(roff, cqe.hdr_len as usize, &mut out.header),
-        }
-        pool.read_local_extend(
-            roff + READ_HEADER_CAP,
-            cqe.result as usize,
-            &mut out.payload,
-        );
+        payload.append_to(&mut out.payload);
     }
 
     /// Put a reaped command's transport buffer back on the free list: its
     /// CID may carry the next command.
     pub(crate) fn release(&mut self, cid: u16) {
-        debug_assert!(!self.in_flight[cid as usize] && !self.free_bufs.contains(&cid));
+        debug_assert!(self.in_flight[cid as usize].is_none() && !self.free_bufs.contains(&cid));
         self.free_bufs.push(cid);
     }
 
@@ -1040,7 +1164,7 @@ impl Target {
 
     /// ④ post one CQE at the CQ tail (one DMA), `header` inside it when
     /// it fits.
-    fn post_cqe(&mut self, cid: u16, status: CqeStatus, result: u32, header: &[u8]) {
+    pub(crate) fn post_cqe(&mut self, cid: u16, status: CqeStatus, result: u32, header: &[u8]) {
         let mut inline = [0u8; CQE_INLINE_CAP];
         if let Some(room) = inline.get_mut(..header.len()) {
             room.copy_from_slice(header);

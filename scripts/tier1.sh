@@ -49,20 +49,28 @@ cargo test --release -q --test direct_io -- \
 # The pool's one staging and one waiting function (DESIGN.md §7), in
 # release and by name: its unit tests (out-of-order routing, stealing a
 # full queue, the reissue, a late CQE's CID carrying the next call its own
-# reply, stage-N / wait-N order across two queues), the warm transport and
-# pool allocating nothing, a warm 8 KiB read miss allocating nothing on
-# the calling thread, and a read the link keeps shedding saying EIO
-# buffered or direct. Then the suites with more threads than cores, ten
-# times in a row on one core.
+# reply, stage-N / wait-N order across two queues with a payload per
+# request, a CID staying taken while its reply is read in the transport
+# buffer, a CQE claiming more reply than its command declared being a
+# transport error), the warm transport and pool allocating nothing, warm
+# 8 KiB buffered read misses and direct reads allocating nothing on the
+# calling thread, and a read the link keeps shedding saying EIO buffered
+# or direct. Then the suites with more threads than cores — where a
+# reader holding the transport buffer's lock too long would deadlock —
+# ten times in a row on one core.
 cargo test --release -q -p dpc-nvmefs --lib -- \
     pool::tests::concurrent_callers_share_one_queue \
     pool::tests::out_of_order_completions_route_by_cid \
     pool::tests::full_preferred_queue_steals_a_neighbour \
     pool::tests::a_reissued_command_restages_its_inline_header_on_the_fresh_cid \
     pool::tests::a_cid_freed_by_a_late_cqe_carries_the_next_call_its_own_reply \
-    pool::tests::stage_n_wait_n_restores_request_order
+    pool::tests::stage_n_wait_n_restores_request_order \
+    pool::tests::a_cid_stays_taken_while_its_reply_is_read \
+    pool::tests::a_cqe_claiming_more_reply_than_its_command_declared_is_a_transport_error
 cargo test --release -q -p dpc-nvmefs --test zero_alloc
-cargo test --release -q -p dpc-core --test zero_alloc_miss
+cargo test --release -q -p dpc-core --test zero_alloc_miss -- \
+    a_warm_8k_read_miss_allocates_nothing_on_the_host_thread \
+    a_warm_8k_direct_read_allocates_nothing_on_the_host_thread
 cargo test --release -q --test fault_recovery \
     a_read_the_link_keeps_shedding_is_eio_buffered_or_direct
 cargo test --release -q --no-run --test concurrent_adapters --test link_wait
