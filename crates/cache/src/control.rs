@@ -114,9 +114,9 @@ pub struct ControlPlane {
     dma: DmaEngine,
     /// Cap on pages coalesced into one backend extent write.
     pub max_extent_pages: usize,
-    /// Reusable extent assembly buffer (pages pulled to DPU DRAM). The
-    /// fills never clear it: they size it up when a window outgrows it
-    /// and let the backend overwrite the part they use.
+    /// Reusable extent assembly buffer (pages pulled to DPU DRAM). Neither
+    /// the flushes nor the fills clear it: they size it up when a run
+    /// outgrows it and overwrite the part they use.
     extent_buf: Vec<u8>,
     /// Reusable list of read-locked entry indices for the current extent.
     extent_locks: Vec<usize>,
@@ -150,6 +150,13 @@ impl ControlPlane {
     /// their interior injection point (mid-flush) and go inert once it trips.
     pub fn set_crash_switch(&mut self, crash: Option<Arc<CrashSwitch>>) {
         self.crash = crash;
+    }
+
+    /// The crash switch this control plane's flush paths draw, if any: a
+    /// sink that writes on its own after the pass (KVFS's owed mtime)
+    /// must go as dead as the pass does.
+    pub fn crash_switch(&self) -> Option<&Arc<CrashSwitch>> {
+        self.crash.as_ref()
     }
 
     fn crash_tripped(&self) -> bool {
@@ -207,7 +214,9 @@ impl ControlPlane {
             let mut i = 0usize;
             while i < lpns.len() {
                 let start_lpn = lpns[i];
-                buf.clear();
+                // `buf` keeps its high-water length: the run is assembled
+                // into `buf[..len]` and only growth is ever zero-filled.
+                let mut len = 0usize;
                 locked.clear();
                 let mut tail_valid = PAGE_SIZE;
 
@@ -235,10 +244,12 @@ impl ControlPlane {
                         break;
                     }
                     let valid = (e.valid() as usize).min(PAGE_SIZE);
-                    let off = buf.len();
-                    buf.resize(off + valid, 0);
+                    if buf.len() < len + valid {
+                        buf.resize(len + valid, 0);
+                    }
                     // SAFETY: read lock held on entry `idx`.
-                    unsafe { self.cache.pages.read(idx, 0, &mut buf[off..off + valid]) };
+                    unsafe { self.cache.pages.read(idx, 0, &mut buf[len..len + valid]) };
+                    len += valid;
                     self.dma.record_external_dma(valid as u64);
                     locked.push(idx);
                     tail_valid = valid; // < PAGE_SIZE terminates the run
@@ -252,7 +263,7 @@ impl ControlPlane {
 
                 let run = locked.len();
                 let mut tries = 0;
-                let mut ok = backend.try_flush_extent(ino, start_lpn, &buf);
+                let mut ok = backend.try_flush_extent(ino, start_lpn, &buf[..len]);
                 while !ok && tries < FLUSH_RETRIES {
                     tries += 1;
                     self.cache
@@ -260,7 +271,7 @@ impl ControlPlane {
                         .flush_retries
                         .fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_micros(50 << tries));
-                    ok = backend.try_flush_extent(ino, start_lpn, &buf);
+                    ok = backend.try_flush_extent(ino, start_lpn, &buf[..len]);
                 }
 
                 if ok && check_crash() {

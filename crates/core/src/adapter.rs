@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dpc_cache::{
@@ -130,6 +130,9 @@ impl Drop for FdEntry {
 /// data.) Each map entry counts its holders; the last one out removes it.
 pub(crate) struct InodeSizes {
     shards: [Mutex<SizeShard>; FD_SHARDS],
+    /// Inodes with a cell, across every shard: with none open, `stat` asks
+    /// no shard.
+    open: AtomicUsize,
     /// What a retired descriptor points at.
     idle: Arc<InodeCell>,
 }
@@ -185,6 +188,7 @@ impl InodeSizes {
     pub(crate) fn new() -> InodeSizes {
         InodeSizes {
             shards: std::array::from_fn(|_| Mutex::default()),
+            open: AtomicUsize::new(0),
             idle: Arc::new(InodeCell::new(0)),
         }
     }
@@ -199,12 +203,37 @@ impl InodeSizes {
     fn open(&self, ino: u64, backend_size: u64) -> Arc<InodeCell> {
         let mut shard = self.shard(ino).lock();
         let SizeShard { open, spare } = &mut *shard;
-        let cell = open.entry(ino).or_insert_with(|| SizeCell {
-            holders: 0,
-            cell: recycled(spare, InodeCell::new(backend_size)),
+        let cell = open.entry(ino).or_insert_with(|| {
+            self.open.fetch_add(1, Ordering::AcqRel);
+            SizeCell {
+                holders: 0,
+                cell: recycled(spare, InodeCell::new(backend_size)),
+            }
         });
         cell.holders += 1;
         cell.cell.clone()
+    }
+
+    /// `attr` as `stat` reports it: while some descriptor holds its inode
+    /// open, with the logical size, which unflushed growth may have moved
+    /// past the backend's. With no inode open anywhere, one atomic load.
+    #[inline]
+    fn sized(&self, mut attr: WireAttr) -> WireAttr {
+        if self.open.load(Ordering::Acquire) != 0 {
+            if let Some(size) = self.open_size(attr.ino) {
+                attr.size = size;
+            }
+        }
+        attr
+    }
+
+    /// The logical size of `ino`, if some descriptor holds it open. Kept
+    /// out of line: `stat`'s hit path with nothing open never calls it.
+    #[inline(never)]
+    fn open_size(&self, ino: u64) -> Option<u64> {
+        let shard = self.shard(ino).lock();
+        let cell = shard.open.get(&ino)?;
+        Some(cell.cell.size.load(Ordering::Acquire))
     }
 
     /// Give one hold back; the last holder of `ino` removes its cell.
@@ -216,15 +245,11 @@ impl InodeSizes {
         cell.holders -= 1;
         if cell.holders == 0 {
             let gone = shard.open.remove(&ino).expect("just seen").cell;
+            self.open.fetch_sub(1, Ordering::AcqRel);
             if Arc::strong_count(&gone) == 1 && shard.spare.len() < SPARES {
                 shard.spare.push(gone);
             }
         }
-    }
-
-    #[cfg(test)]
-    fn open_inodes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().open.len()).sum()
     }
 }
 
@@ -628,11 +653,13 @@ impl DpcFs {
 
     /// Resolve `path`, symlinks followed, to its attributes: no crossing
     /// when the name tables and the attr table cover it, one otherwise.
+    /// While the inode is open the size is this host's logical one, which
+    /// unflushed writes may have grown past the backend's (DESIGN.md §9.1).
     pub fn stat(&self, path: &str) -> Result<WireAttr, DpcError> {
         let leg = self.enter(path, false)?;
         if leg.rest.is_empty() {
             if let Some(a) = self.meta.get_attr(leg.start) {
-                return Ok(Self::meta_to_wire(a));
+                return Ok(self.sizes.sized(Self::meta_to_wire(a)));
             }
         }
         let seen = self.meta.epoch();
@@ -644,7 +671,7 @@ impl DpcFs {
             return Err(DpcError::IO);
         };
         self.meta.insert_attr_seen(Self::wire_to_meta(&attr), seen);
-        Ok(attr)
+        Ok(self.sizes.sized(attr))
     }
 
     /// Send one request that acts on `path`'s final component; returns
@@ -1680,10 +1707,12 @@ mod tests {
         let in_flight = a.clone();
         drop((a, b));
         // An op that still borrows a closed descriptor keeps the cell…
-        assert_eq!(sizes.open_inodes(), 1);
+        assert_eq!(sizes.open.load(Ordering::Acquire), 1);
+        assert_eq!(sizes.open_size(7), Some(100));
         // …and takes it along when it returns: nothing is left behind.
         drop(in_flight);
-        assert_eq!(sizes.open_inodes(), 0);
+        assert_eq!(sizes.open.load(Ordering::Acquire), 0);
+        assert_eq!(sizes.open_size(7), None);
         assert_eq!(
             FdEntry::open(&sizes, 7, 5)
                 .cell

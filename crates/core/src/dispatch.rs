@@ -19,7 +19,7 @@ use dpc_nvmefs::{
     encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
     FileTarget, WireAttr, WireStep,
 };
-use dpc_sim::FaultSite;
+use dpc_sim::{CrashSwitch, FaultSite};
 
 /// Sentinel inode for `FileRequest::Fsync` meaning "flush every inode's
 /// dirty pages" — the WAL back-pressure path frees ring space without
@@ -101,17 +101,72 @@ fn dfs_err(e: DfsError) -> FileResponse {
     })
 }
 
-/// The dispatcher's flush sink: dirty hybrid-cache pages persist into
-/// KVFS. Reports failure (instead of panicking or silently dropping) so
-/// the control plane can retry and leave the pages dirty — a fault-site
-/// hit models a transiently unreachable store.
-pub(crate) struct KvfsFlush<'a> {
-    pub kvfs: &'a Arc<Kvfs>,
-    pub fault: Option<&'a Arc<FaultSite>>,
+/// Run one flush into KVFS: `pass` drives `control` against a fresh
+/// [`KvfsFlush`], and the mtime the sink still owes is settled before this
+/// returns — so an `Fsync` that replies next already carries it. Every
+/// flush site goes through here (the scoped `Fsync`, `CacheEvictBatch`,
+/// the background flusher's pass and its shutdown drain, recovery), so
+/// none can forget the settle.
+pub(crate) fn flush_pass<R>(
+    control: &mut ControlPlane,
+    kvfs: &Kvfs,
+    fault: Option<&Arc<FaultSite>>,
+    pass: impl FnOnce(&mut ControlPlane, &mut dyn FlushBackend) -> R,
+) -> R {
+    let mut sink = KvfsFlush {
+        kvfs,
+        fault,
+        crash: control.crash_switch().cloned(),
+        owed: None,
+    };
+    let out = pass(control, &mut sink);
+    sink.settle();
+    out
+}
+
+/// The flush sink: dirty hybrid-cache pages persist into KVFS. Reports
+/// failure (instead of panicking or silently dropping) so the control
+/// plane can retry and leave the pages dirty — a fault-site hit models a
+/// transiently unreachable store.
+///
+/// An extent that grows its file is written with its attribute
+/// ([`Kvfs::write_blocks`]); one that only moves the mtime leaves the sink
+/// *owing* that inode an mtime, settled once — when the pass reaches
+/// another inode, or by [`flush_pass`] when it ends (DESIGN.md §9.2).
+struct KvfsFlush<'a> {
+    kvfs: &'a Kvfs,
+    fault: Option<&'a Arc<FaultSite>>,
+    /// The control plane's crash switch: once it trips, the sink writes
+    /// nothing more, the mtime it owes included.
+    crash: Option<Arc<CrashSwitch>>,
+    /// The inode whose mtime this pass moved and has not put yet.
+    owed: Option<u64>,
+}
+
+impl KvfsFlush<'_> {
+    fn dead(&self) -> bool {
+        self.crash.as_ref().is_some_and(|c| c.is_tripped())
+    }
+
+    fn settle(&mut self) {
+        if let Some(ino) = self.owed.take() {
+            if !self.dead() {
+                self.kvfs.touch_mtime(ino);
+            }
+        }
+    }
 }
 
 impl FlushBackend for KvfsFlush<'_> {
     fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
+        if self.owed.is_some_and(|owed| owed != ino) {
+            self.settle();
+        }
+        if self.dead() {
+            // Taken, not written: the control plane reads the same switch
+            // as soon as this returns and leaves the run dirty.
+            return true;
+        }
         // One fault-site draw per *extent* attempt, mirroring the real
         // failure unit: a refused multi-page write fails whole.
         if self.fault.is_some_and(|site| site.fires()) {
@@ -119,11 +174,17 @@ impl FlushBackend for KvfsFlush<'_> {
         }
         match self
             .kvfs
-            .write_extent(ino, lpn * dpc_cache::PAGE_SIZE as u64, &[data])
+            .write_blocks(ino, lpn * dpc_cache::PAGE_SIZE as u64, &[data])
         {
+            Ok((_, mtime_owed)) => {
+                if mtime_owed {
+                    self.owed = Some(ino);
+                }
+                true
+            }
             // The file vanished (unlinked with dirty pages still cached):
             // the pages are garbage, dropping them is the correct outcome.
-            Ok(_) | Err(FsError::NotFound) => true,
+            Err(FsError::NotFound) => true,
             Err(_) => false,
         }
     }
@@ -282,14 +343,10 @@ impl Dispatcher {
         if !self.coalesce {
             self.control.max_extent_pages = 1;
         }
-        self.control.flush_extents(
-            &mut KvfsFlush {
-                kvfs: &self.kvfs,
-                fault: self.flush_fault.as_ref(),
-            },
-            ino_filter,
-            false,
-        );
+        let fault = self.flush_fault.as_ref();
+        flush_pass(&mut self.control, &self.kvfs, fault, |control, sink| {
+            control.flush_extents(sink, ino_filter, false)
+        });
         self.control.max_extent_pages = cap;
         self.control.refused()
     }
@@ -469,7 +526,8 @@ impl Dispatcher {
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
                 // false durability promise. The reply carries the
-                // post-flush attribute: the host compares its logical
+                // post-flush attribute, each pass's mtime settled by
+                // `flush_pass` before it: the host compares its logical
                 // size with it and sends a reconciling `Truncate` only on
                 // disagreement (DESIGN.md §9.1).
                 match self.kvfs.fsync(*ino) {
@@ -517,13 +575,10 @@ impl Dispatcher {
                 // able to panic a service thread.
                 let nb = self.control.cache().bucket_count();
                 let wanted: Vec<usize> = buckets.iter().map(|b| (*b as usize) % nb).collect();
-                let freed = self.control.evict_batch(
-                    &wanted,
-                    &mut KvfsFlush {
-                        kvfs,
-                        fault: self.flush_fault.as_ref(),
-                    },
-                );
+                let fault = self.flush_fault.as_ref();
+                let freed = flush_pass(&mut self.control, kvfs, fault, |control, sink| {
+                    control.evict_batch(&wanted, sink)
+                });
                 if freed == 0 && wanted.iter().any(|&b| self.control.bucket_occupied(b)) {
                     // Even after a flush pass nothing in a populated
                     // bucket could be evicted: tell the host so it falls
@@ -611,5 +666,119 @@ impl Dispatcher {
             },
             _ => FileResponse::Err(95 /* EOPNOTSUPP */),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpc_cache::{CacheConfig, HybridCache, PAGE_SIZE};
+    use dpc_kvfs::{DataFormat, BIG_BLOCK};
+    use dpc_kvstore::KvStore;
+    use dpc_pcie::DmaEngine;
+
+    fn control() -> ControlPlane {
+        let cache = HybridCache::new(CacheConfig {
+            pages: 64,
+            bucket_entries: 8,
+            mode: 1,
+            meta_lockfree: true,
+        });
+        ControlPlane::new(Arc::new(cache), DmaEngine::new())
+    }
+
+    /// `ino`'s attribute as the store holds it: a fresh mount reads it
+    /// past KVFS's inode cache (a get and a scan; no put, no sub-write).
+    fn stored(kvfs: &Kvfs, ino: u64) -> FileAttr {
+        let cold = Kvfs::open(kvfs.store().clone()).unwrap();
+        cold.get_attr(ino).unwrap()
+    }
+
+    /// Two big files of 32 blocks each.
+    fn two_files() -> (Kvfs, u64, u64) {
+        let kvfs = Kvfs::new(Arc::new(KvStore::new()));
+        let a = kvfs.create("/a", 0o644).unwrap();
+        let b = kvfs.create("/b", 0o644).unwrap();
+        for ino in [a, b] {
+            kvfs.write(ino, 0, &vec![1u8; 32 * BIG_BLOCK]).unwrap();
+        }
+        (kvfs, a, b)
+    }
+
+    /// The LPN of every other 8 KiB block: no two extents adjacent.
+    fn lpn(k: u64) -> u64 {
+        k * 2 * (BIG_BLOCK / PAGE_SIZE) as u64
+    }
+
+    #[test]
+    fn a_pass_writes_each_block_once_and_each_inode_attribute_once() {
+        let (kvfs, a, b) = two_files();
+        let (attr_a, attr_b) = (stored(&kvfs, a), stored(&kvfs, b));
+        let before = kvfs.store().stats();
+        let block = [2u8; BIG_BLOCK];
+        flush_pass(&mut control(), &kvfs, None, |_, sink| {
+            for k in 0..8 {
+                assert!(sink.try_flush_extent(a, lpn(k), &block));
+            }
+            let mid = kvfs.store().stats();
+            assert_eq!(mid.sub_writes - before.sub_writes, 8);
+            assert_eq!(mid.puts, before.puts, "a's mtime is owed, not put");
+            // Reaching `b` settles `a`, once.
+            assert!(sink.try_flush_extent(b, lpn(0), &block));
+            assert_eq!(kvfs.store().stats().puts - before.puts, 1);
+            assert!(stored(&kvfs, a).mtime > attr_a.mtime);
+            for k in 1..8 {
+                assert!(sink.try_flush_extent(b, lpn(k), &block));
+            }
+            assert_eq!(stored(&kvfs, b), attr_b, "b's mtime is still owed");
+        });
+        // The end of the pass settles `b`.
+        let after = kvfs.store().stats();
+        assert_eq!(after.sub_writes - before.sub_writes, 16);
+        assert_eq!(after.puts - before.puts, 2);
+        let (now_a, now_b) = (stored(&kvfs, a), stored(&kvfs, b));
+        assert!(now_b.mtime > now_a.mtime && now_a.mtime > attr_a.mtime);
+        assert_eq!((now_a.size, now_b.size), (attr_a.size, attr_b.size));
+    }
+
+    #[test]
+    fn growth_and_promotion_reach_the_store_before_the_sink_returns() {
+        let (kvfs, big, _) = two_files();
+        let small = kvfs.create("/small", 0o644).unwrap();
+        kvfs.write(small, 0, &[5u8; 100]).unwrap();
+        flush_pass(&mut control(), &kvfs, None, |_, sink| {
+            // One block past EOF: a read bounded by the stored size must
+            // see it the moment the page can be marked clean.
+            assert!(sink.try_flush_extent(big, lpn(16), &[3u8; BIG_BLOCK]));
+            assert_eq!(stored(&kvfs, big).size, 33 * BIG_BLOCK as u64);
+            // Small → big, same rule.
+            assert!(sink.try_flush_extent(small, 0, &[4u8; BIG_BLOCK]));
+            let attr = stored(&kvfs, small);
+            assert_eq!(
+                (attr.format, attr.size),
+                (DataFormat::Big, BIG_BLOCK as u64)
+            );
+        });
+    }
+
+    #[test]
+    fn a_tripped_switch_stops_the_sink_the_owed_mtime_included() {
+        let (kvfs, a, b) = two_files();
+        let attr_a = stored(&kvfs, a);
+        let crash = Arc::new(CrashSwitch::inert());
+        let mut control = control();
+        control.set_crash_switch(Some(crash.clone()));
+        let before = kvfs.store().stats();
+        flush_pass(&mut control, &kvfs, None, |_, sink| {
+            assert!(sink.try_flush_extent(a, lpn(0), &[6u8; BIG_BLOCK]));
+            crash.trip();
+            // Taken (the control plane sees the trip and keeps the run
+            // dirty), not written; and `a`'s debt is not paid.
+            assert!(sink.try_flush_extent(b, lpn(0), &[6u8; BIG_BLOCK]));
+        });
+        let after = kvfs.store().stats();
+        assert_eq!(after.sub_writes - before.sub_writes, 1);
+        assert_eq!(after.puts, before.puts);
+        assert_eq!(stored(&kvfs, a), attr_a, "the pre-flush mtime stands");
     }
 }

@@ -21,7 +21,7 @@ use dpc_pcie::DmaEngine;
 use dpc_sim::{CrashSwitch, FaultSite};
 
 use crate::adapter::cache_write_page;
-use crate::dispatch::{Dispatcher, KvfsFlush, KvfsRead};
+use crate::dispatch::{flush_pass, Dispatcher, KvfsRead};
 
 /// Everything the background flusher thread needs: its own control-plane
 /// slice (whose `max_extent_pages` is the coalescing policy) and the
@@ -209,11 +209,10 @@ impl DpuRuntime {
                             if ratio <= FLUSH_LOW_WATERMARK {
                                 urgent = false;
                             }
-                            let mut backend = KvfsFlush {
-                                kvfs: &f.kvfs,
-                                fault: f.fault.as_ref(),
-                            };
-                            let flushed = f.control.flush_extents(&mut backend, None, true);
+                            let fault = f.fault.as_ref();
+                            let flushed = flush_pass(&mut f.control, &f.kvfs, fault, |c, sink| {
+                                c.flush_extents(sink, None, true)
+                            });
                             shared
                                 .pages_flushed
                                 .fetch_add(flushed as u64, Ordering::Relaxed);
@@ -235,11 +234,9 @@ impl DpuRuntime {
                         // on the way out, and doing so would make every
                         // crash-recovery test vacuous.
                         if !crash.is_tripped() {
-                            let mut backend = KvfsFlush {
-                                kvfs: &f.kvfs,
-                                fault: None,
-                            };
-                            let flushed = f.control.flush_extents(&mut backend, None, true);
+                            let flushed = flush_pass(&mut f.control, &f.kvfs, None, |c, sink| {
+                                c.flush_extents(sink, None, true)
+                            });
                             shared
                                 .pages_flushed
                                 .fetch_add(flushed as u64, Ordering::Relaxed);
@@ -428,13 +425,16 @@ impl DpuRuntime {
         }
         log.add_replayed(replayed);
 
-        // Drain what replay re-dirtied: flush every touched ino, then
-        // reconcile its logical size (whole-page flushes round up). The
+        // Drain what replay re-dirtied: flush every touched ino (each pass
+        // settles its mtimes before it returns), then reconcile its
+        // logical size (whole-page flushes round up). The
         // per-page durable hook retires the fresh records as they land,
         // so a fully replayed + flushed log reads as drained.
         let mut control = ControlPlane::new(cache.clone(), dma);
-        let mut backend = KvfsFlush { kvfs, fault: None };
-        while control.flush_extents(&mut backend, None, false) > 0 {}
+        while flush_pass(&mut control, kvfs, None, |c, sink| {
+            c.flush_extents(sink, None, false)
+        }) > 0
+        {}
         let mut inos: Vec<(u64, u64)> = sizes.into_iter().collect();
         inos.sort_unstable();
         for (ino, size) in inos {
@@ -485,7 +485,92 @@ impl Drop for DpuRuntime {
 
 #[cfg(test)]
 mod tests {
-    use super::IdleBackoff;
+    use super::*;
+    use dpc_cache::CacheConfig;
+    use dpc_kvstore::KvStore;
+    use dpc_sim::{FaultPlan, FaultSpec};
+
+    /// A KVFS with two 32-page files, and a cache holding four dirty,
+    /// non-adjacent overwrites of each: eight one-page extents, two inodes.
+    fn dirty_overwrites() -> (Arc<HybridCache>, Arc<Kvfs>, [u64; 2]) {
+        let kvfs = Arc::new(Kvfs::new(Arc::new(KvStore::new())));
+        let cache = Arc::new(HybridCache::new(CacheConfig {
+            pages: 64,
+            bucket_entries: 8,
+            mode: 1,
+            meta_lockfree: true,
+        }));
+        let inos = ["/a", "/b"].map(|p| kvfs.create(p, 0o644).unwrap());
+        for ino in inos {
+            kvfs.write(ino, 0, &vec![1u8; 32 * PAGE_SIZE]).unwrap();
+            for lpn in [0, 4, 8, 12] {
+                let page = [2u8; PAGE_SIZE];
+                let fresh = |_: &mut [u8]| Ok::<_, Infallible>(0);
+                let absorbed = cache_write_page(&cache, ino, lpn, 0, &page, None, fresh);
+                assert!(matches!(absorbed, Ok(Ok(()))));
+            }
+        }
+        (cache, kvfs, inos)
+    }
+
+    fn flusher(
+        cache: &Arc<HybridCache>,
+        kvfs: &Arc<Kvfs>,
+        fault: Option<Arc<FaultSite>>,
+    ) -> DpuRuntime {
+        let config = FlusherConfig {
+            control: ControlPlane::new(cache.clone(), DmaEngine::new()),
+            kvfs: kvfs.clone(),
+            fault,
+        };
+        DpuRuntime::spawn(vec![], Some(config), None, Arc::new(CrashSwitch::inert()))
+    }
+
+    /// Each file's attribute as a fresh mount of the store reads it.
+    fn stored(kvfs: &Kvfs, inos: [u64; 2]) -> [dpc_kvfs::FileAttr; 2] {
+        let cold = Kvfs::open(kvfs.store().clone()).unwrap();
+        inos.map(|ino| cold.get_attr(ino).unwrap())
+    }
+
+    #[test]
+    fn the_background_pass_puts_each_inode_attribute_once() {
+        let (cache, kvfs, inos) = dirty_overwrites();
+        let (attrs, before) = (stored(&kvfs, inos), kvfs.store().stats());
+        // The flusher's first pass finds all eight extents; `pages_flushed`
+        // moves only once the pass, and its settle, have returned.
+        let runtime = flusher(&cache, &kvfs, None);
+        while runtime.pages_flushed() < 8 {
+            std::thread::yield_now();
+        }
+        let after = kvfs.store().stats();
+        assert_eq!(after.sub_writes - before.sub_writes, 8);
+        assert_eq!(after.puts - before.puts, 2, "one mtime per inode per pass");
+        for (now, then) in stored(&kvfs, inos).iter().zip(&attrs) {
+            assert!(now.mtime > then.mtime);
+            assert_eq!(now.size, then.size);
+        }
+    }
+
+    #[test]
+    fn the_shutdown_drain_puts_each_inode_attribute_once() {
+        let (cache, kvfs, inos) = dirty_overwrites();
+        let (attrs, before) = (stored(&kvfs, inos), kvfs.store().stats());
+        // Every extent the live loop offers is refused, so what reaches the
+        // store is the fault-free drain's one pass.
+        let refuse = FaultPlan::new(1).arm("cache.flush", FaultSpec::always());
+        let runtime = flusher(&cache, &kvfs, Some(refuse));
+        while cache.stats().flush_failures == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(kvfs.store().stats(), before, "refused: nothing written");
+        drop(runtime);
+        let after = kvfs.store().stats();
+        assert_eq!(after.sub_writes - before.sub_writes, 8);
+        assert_eq!(after.puts - before.puts, 2, "one mtime per inode");
+        for (now, then) in stored(&kvfs, inos).iter().zip(&attrs) {
+            assert!(now.mtime > then.mtime);
+        }
+    }
 
     #[test]
     fn backoff_yields_a_bounded_tier_then_says_sleep() {

@@ -47,7 +47,7 @@ impl Kvfs {
     /// Create a fresh KVFS on `store`, initialising the root directory
     /// (ino 0).
     pub fn new(store: Arc<KvStore>) -> Kvfs {
-        let fs = Self::construct(store, 1);
+        let fs = Self::construct(store, 1, 1);
         let root = FileAttr::new_dir(ROOT_INO, 0o755, 0);
         fs.store.put(&attr_key(ROOT_INO), &root.encode());
         fs
@@ -57,31 +57,35 @@ impl Kvfs {
     /// diskless-server reboot: the application server restarts with no
     /// local state and recovers the namespace entirely from the KV store.
     /// The inode allocator resumes past the highest inode found in the
-    /// attribute-KV keyspace.
+    /// attribute-KV keyspace, and the clock past the latest timestamp, so
+    /// a remount never stamps an mtime older than one the store holds.
     pub fn open(store: Arc<KvStore>) -> Result<Kvfs, FsError> {
         // The root attribute must exist, or this store holds no KVFS.
         let raw = store.get(&attr_key(ROOT_INO)).ok_or(FsError::NotFound)?;
         FileAttr::decode(&raw).ok_or(FsError::NotFound)?;
         // Recover the allocator: attribute keys are `0x02 ‖ ino(BE)`, so a
         // prefix scan over the tag visits every live inode's key in place.
-        let mut max_ino = ROOT_INO;
-        store.scan_prefix_with(&[0x02], |key, _| {
+        let (mut max_ino, mut latest) = (ROOT_INO, 0);
+        store.scan_prefix_with(&[0x02], |key, value| {
             // A malformed (short) attribute key must not panic the
             // remount; it simply doesn't inform the allocator.
             if let Some(ino) = key.get(1..9).and_then(|b| b.try_into().ok()) {
                 max_ino = max_ino.max(u64::from_be_bytes(ino));
             }
+            if let Some(a) = FileAttr::decode(value) {
+                latest = latest.max(a.atime).max(a.mtime).max(a.ctime);
+            }
         });
-        Ok(Self::construct(store, max_ino + 1))
+        Ok(Self::construct(store, max_ino + 1, latest + 1))
     }
 
-    fn construct(store: Arc<KvStore>, next_ino: u64) -> Kvfs {
+    fn construct(store: Arc<KvStore>, next_ino: u64, clock: u64) -> Kvfs {
         Kvfs {
             store,
             next_ino: AtomicU64::new(next_ino),
             cache: Cache::default(),
             ino_locks: (0..INO_LOCKS).map(|_| Mutex::new(())).collect(),
-            clock: AtomicU64::new(1),
+            clock: AtomicU64::new(clock),
         }
     }
 
@@ -567,23 +571,43 @@ impl Kvfs {
     }
 
     /// Vectored write: lay `segments` down contiguously starting at
-    /// `offset`, under **one** inode lock and **one** attribute
-    /// read-modify-write. This is the back-end half of extent-coalesced
-    /// flushing — N dirty pages cost one `write_extent` instead of N
-    /// `write` calls, each of which would re-lock the inode and re-cycle
-    /// its attribute KV. Returns total bytes written.
-    ///
-    /// A file under 8 KiB rewrites its whole small-file KV (the paper's
-    /// update rule); a write that ends at or past 8 KiB promotes it first.
+    /// `offset` and move the mtime — write, then settle:
+    /// [`Kvfs::write_blocks`], then the [`Kvfs::touch_mtime`] it leaves
+    /// owing. This is the back-end half of extent-coalesced flushing — N
+    /// dirty pages cost one `write_extent` instead of N `write` calls.
+    /// Returns total bytes written.
     pub fn write_extent(
         &self,
         ino: u64,
         offset: u64,
         segments: &[&[u8]],
     ) -> Result<usize, FsError> {
+        let (total, mtime_owed) = self.write_blocks(ino, offset, segments)?;
+        if mtime_owed {
+            self.touch_mtime(ino);
+        }
+        Ok(total)
+    }
+
+    /// The data half of [`Kvfs::write_extent`], under the inode lock. A
+    /// write that changes what bounds a read — the size, or the format
+    /// (small → big) — puts the attribute, with a new mtime, before it
+    /// returns. One that changes neither leaves the attribute alone and
+    /// returns `true` beside the byte count: the caller owes the inode one
+    /// [`Kvfs::touch_mtime`], and may settle writes to the same inode with
+    /// one (DESIGN.md §9.2).
+    ///
+    /// A file under 8 KiB rewrites its whole small-file KV (the paper's
+    /// update rule); a write that ends at or past 8 KiB promotes it first.
+    pub fn write_blocks(
+        &self,
+        ino: u64,
+        offset: u64,
+        segments: &[&[u8]],
+    ) -> Result<(usize, bool), FsError> {
         let total: usize = segments.iter().map(|s| s.len()).sum();
         if total == 0 {
-            return Ok(0);
+            return Ok((0, false));
         }
         let _guard = self.ino_lock(ino).lock();
         let mut attr = self.get_attr(ino)?;
@@ -596,6 +620,7 @@ impl Kvfs {
             .checked_add(total as u64)
             .ok_or(FsError::InvalidOperation)?;
 
+        let format = attr.format;
         if attr.format == DataFormat::Small && end < SMALL_FILE_MAX {
             // Whole extent fits the small KV: one rewrite.
             let mut v = self.store.get(&small_key(ino)).unwrap_or_default();
@@ -620,12 +645,24 @@ impl Kvfs {
             }
         }
 
-        if end > attr.size {
-            attr.size = end;
+        if end <= attr.size && attr.format == format {
+            return Ok((total, true));
         }
+        attr.size = attr.size.max(end);
         attr.mtime = self.now();
         self.put_attr(&attr);
-        Ok(total)
+        Ok((total, false))
+    }
+
+    /// The attribute half of [`Kvfs::write_extent`]: move `ino`'s mtime
+    /// to now — one attribute read-modify-write under the inode lock. An
+    /// inode unlinked since its write owes nothing.
+    pub fn touch_mtime(&self, ino: u64) {
+        let _guard = self.ino_lock(ino).lock();
+        if let Ok(mut attr) = self.get_attr(ino) {
+            attr.mtime = self.now();
+            self.put_attr(&attr);
+        }
     }
 
     /// Read up to `dst.len()` bytes at `offset`; returns bytes read
@@ -1022,6 +1059,67 @@ mod tests {
     }
 
     #[test]
+    fn n_overwrites_settled_once_cost_n_sub_writes_and_one_put() {
+        let fs = fs();
+        let ino = fs.create("/settle", 0o644).unwrap();
+        fs.write(ino, 0, &vec![1u8; 16 * BIG_BLOCK]).unwrap();
+        let attr = fs.get_attr(ino).unwrap();
+        let before = fs.store().stats();
+        for k in 0..8u64 {
+            let at = 2 * k * BIG_BLOCK as u64;
+            assert_eq!(
+                fs.write_blocks(ino, at, &[&[2u8; BIG_BLOCK]]).unwrap(),
+                (BIG_BLOCK, true),
+                "an overwrite owes its mtime"
+            );
+        }
+        let written = fs.store().stats();
+        assert_eq!(written.sub_writes - before.sub_writes, 8);
+        assert_eq!(written.puts, before.puts, "no attribute put yet");
+        assert_eq!(fs.get_attr(ino).unwrap(), attr);
+        fs.touch_mtime(ino);
+        let settled = fs.store().stats();
+        assert_eq!((settled.puts - before.puts, settled.gets), (1, before.gets));
+        let now = fs.get_attr(ino).unwrap();
+        assert!(now.mtime > attr.mtime);
+        assert_eq!(now.size, attr.size);
+    }
+
+    #[test]
+    fn growth_and_promotion_put_the_attribute_before_returning() {
+        let fs = fs();
+        let ino = fs.create("/grow-settle", 0o644).unwrap();
+        // Small, growing: the size is in the store when the call returns.
+        assert_eq!(
+            fs.write_blocks(ino, 0, &[&[3u8; 100]]).unwrap(),
+            (100, false)
+        );
+        let cold = Kvfs::open(fs.store().clone()).unwrap();
+        assert_eq!(cold.get_attr(ino).unwrap().size, 100);
+        // Small → big at the same call.
+        let puts = fs.store().stats().puts;
+        let (_, owed) = fs.write_blocks(ino, 0, &[&[4u8; BIG_BLOCK]]).unwrap();
+        assert!(!owed);
+        let cold = Kvfs::open(fs.store().clone())
+            .unwrap()
+            .get_attr(ino)
+            .unwrap();
+        assert_eq!(
+            (cold.format, cold.size),
+            (DataFormat::Big, BIG_BLOCK as u64)
+        );
+        // Promotion puts the attribute once, beside the block and the
+        // deleted small KV.
+        assert_eq!(fs.store().stats().puts - puts, 1);
+        // A vanished inode owes nothing: touching it writes nothing.
+        fs.unlink("/grow-settle").unwrap();
+        let puts = fs.store().stats().puts;
+        fs.touch_mtime(ino);
+        assert_eq!(fs.store().stats().puts, puts);
+        assert_eq!(fs.get_attr(ino), Err(FsError::NotFound));
+    }
+
+    #[test]
     fn big_file_random_8k_updates() {
         let fs = fs();
         let ino = fs.create("/big", 0o644).unwrap();
@@ -1406,6 +1504,10 @@ mod tests {
         let c = fs2.create("/persisted/c", 0o644).unwrap();
         assert!(!inos.contains(&c), "ino reuse after remount");
         assert!(c > *inos.iter().max().unwrap());
+        // Nor does the clock run backwards: a later write is a later mtime.
+        let before = fs2.get_attr(inos[1]).unwrap().mtime;
+        fs2.write(inos[0], 0, b"x").unwrap();
+        assert!(fs2.get_attr(inos[0]).unwrap().mtime > before);
     }
 
     #[test]

@@ -46,6 +46,29 @@ cargo test --release -q --test direct_io -- \
     an_oversize_writev_crosses_in_pieces \
     an_oversize_direct_read_reads_in_pieces \
     a_writev_of_more_segments_than_an_sgl_holds_crosses_in_pieces
+# The attribute rule (DESIGN.md §9.2), in release and by name: N
+# overwrites of one inode cost N block writes and one attribute put; growth
+# and promotion put it before the sink returns; a tripped crash switch
+# stops the sink, owed mtime included; each of the five flush sites moves
+# the mtime once per inode per pass, read through a second instance; a
+# crash between the blocks and the settle keeps the pre-flush mtime. And
+# `stat` of an open file reports the host's size.
+cargo test --release -q -p dpc-kvfs --lib -- \
+    fs::tests::n_overwrites_settled_once_cost_n_sub_writes_and_one_put \
+    fs::tests::growth_and_promotion_put_the_attribute_before_returning
+cargo test --release -q -p dpc-core --lib -- \
+    dispatch::tests::a_pass_writes_each_block_once_and_each_inode_attribute_once \
+    dispatch::tests::growth_and_promotion_reach_the_store_before_the_sink_returns \
+    dispatch::tests::a_tripped_switch_stops_the_sink_the_owed_mtime_included \
+    runtime::tests::the_background_pass_puts_each_inode_attribute_once \
+    runtime::tests::the_shutdown_drain_puts_each_inode_attribute_once
+cargo test --release -q --test attr_settle -- \
+    a_scoped_fsync_puts_its_inode_attribute_once \
+    an_eviction_flush_puts_each_inode_attribute_once \
+    the_shutdown_drain_puts_each_inode_attribute_once \
+    recovery_puts_each_inode_attribute_once \
+    a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime
+cargo test --release -q --test size_reconcile stat_of_an_open_file_reports_its_unflushed_growth
 # The pool's one staging and one waiting function (DESIGN.md §7), in
 # release and by name: its unit tests (out-of-order routing, stealing a
 # full queue, the reissue, a late CQE's CID carrying the next call its own

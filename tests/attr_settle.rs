@@ -1,0 +1,200 @@
+//! The attribute rule (DESIGN.md §9.2): a flush writes each dirty block once
+//! and each inode's attribute once per pass. An extent that grows its file
+//! puts the attribute at once; one that only moves the mtime leaves it
+//! owed, and the pass settles it when it reaches another inode or ends.
+//!
+//! Every flush site is checked the same way. The files are big and every
+//! extent overwrites a page inside them, so the store's counters split
+//! cleanly: a block write is a `sub_write`, an attribute is the only
+//! `put`. The mtime is read through a second instance on the same store.
+
+use std::sync::Arc;
+
+use dpc::core::{Dpc, DpcConfig, DpcFs, Fd};
+use dpc::kvstore::KvStore;
+use dpc::sim::{FaultPlan, FaultSpec};
+
+const PAGE: usize = 4096;
+const FILES: [&str; 2] = ["/a", "/b"];
+/// Pages per file: one past the 64 an eviction scenario dirties, so the
+/// write that triggers it overwrites too.
+const PAGES: usize = 66;
+
+/// A store holding both files, written and closed by an instance that is
+/// gone.
+fn populated() -> Arc<KvStore> {
+    let dpc = Dpc::new(DpcConfig::default());
+    let fs = dpc.fs();
+    for path in FILES {
+        let fd = fs.create(path).unwrap();
+        fs.write(fd, 0, &vec![1u8; PAGES * PAGE]).unwrap();
+        fs.close(fd).unwrap();
+    }
+    dpc.kv_store()
+}
+
+/// Each file's mtime as a second instance over `store` reads it.
+fn mtimes(store: &Arc<KvStore>) -> [u64; 2] {
+    let cold = Dpc::with_shared_storage(DpcConfig::default(), Some(store.clone()), None);
+    let fs = cold.fs();
+    FILES.map(|path| fs.stat(path).unwrap().mtime_ns)
+}
+
+fn assert_moved(before: [u64; 2], after: [u64; 2]) {
+    for (path, (b, a)) in FILES.iter().zip(before.iter().zip(&after)) {
+        assert!(a > b, "{path}: mtime {b} -> {a}");
+    }
+}
+
+/// Overwrite pages 0, 2, …, 2(n-1) of `fd`: n one-page extents, no two
+/// adjacent, none growing the file.
+fn overwrite(fs: &DpcFs, fd: Fd, n: usize) {
+    for k in 0..n {
+        fs.write(fd, (2 * k * PAGE) as u64, &[2u8; PAGE]).unwrap();
+    }
+}
+
+/// What `f` cost the store: (block writes, puts).
+fn cost(store: &KvStore, f: impl FnOnce()) -> (u64, u64) {
+    let before = store.stats();
+    f();
+    let after = store.stats();
+    (
+        after.sub_writes - before.sub_writes,
+        after.puts - before.puts,
+    )
+}
+
+/// Open both files on a fresh instance over `store` and dirty `n`
+/// extents in each.
+fn dirty(cfg: DpcConfig, store: &Arc<KvStore>, n: usize) -> (Dpc, DpcFs, [Fd; 2]) {
+    let dpc = Dpc::with_shared_storage(cfg, Some(store.clone()), None);
+    let fs = dpc.fs();
+    let fds = FILES.map(|path| fs.open(path).unwrap());
+    for fd in fds {
+        overwrite(&fs, fd, n);
+    }
+    (dpc, fs, fds)
+}
+
+fn quiet() -> DpcConfig {
+    DpcConfig {
+        prefetch: false,
+        ..DpcConfig::default()
+    }
+}
+
+#[test]
+fn a_scoped_fsync_puts_its_inode_attribute_once() {
+    let store = populated();
+    let (_dpc, fs, [a, b]) = dirty(quiet(), &store, 16);
+    let before = mtimes(&store);
+    assert_eq!(cost(&store, || fs.fsync(a).unwrap()), (16, 1));
+    let synced_a = mtimes(&store);
+    assert!(synced_a[0] > before[0]);
+    assert_eq!(synced_a[1], before[1], "/b is not /a's fsync's business");
+    assert_eq!(cost(&store, || fs.fsync(b).unwrap()), (16, 1));
+    let synced = mtimes(&store);
+    assert_eq!(synced[0], synced_a[0]);
+    assert!(synced[1] > synced_a[1]);
+}
+
+#[test]
+fn an_eviction_flush_puts_each_inode_attribute_once() {
+    let store = populated();
+    // One bucket of 64 entries: the 32 + 32 dirty overwrites fill it.
+    let cfg = DpcConfig {
+        cache_pages: 64,
+        cache_bucket_entries: 64,
+        ..quiet()
+    };
+    let (dpc, fs, [a, _]) = dirty(cfg, &store, PAGES / 2 - 1);
+    let before = mtimes(&store);
+    let batches = dpc.metrics().cache.batched_evictions;
+    // One more page finds the bucket full of dirty pages: one
+    // `CacheEvictBatch`, whose one flush pass lands all 64 extents.
+    let evict = || {
+        fs.write(a, (64 * PAGE) as u64, &[3u8; PAGE]).unwrap();
+    };
+    assert_eq!(cost(&store, evict), (64, 2));
+    assert_eq!(dpc.metrics().cache.batched_evictions - batches, 1);
+    assert_moved(before, mtimes(&store));
+}
+
+#[test]
+fn the_shutdown_drain_puts_each_inode_attribute_once() {
+    let store = populated();
+    // The live flusher's every extent is refused; the drain runs
+    // fault-free, so what reaches the store is its one pass.
+    let plan = FaultPlan::new(29);
+    plan.arm("cache.flush", FaultSpec::always());
+    let cfg = DpcConfig {
+        background_flush: true,
+        faults: Some(plan),
+        ..quiet()
+    };
+    let (dpc, fs, _) = dirty(cfg, &store, 8);
+    let before = mtimes(&store);
+    assert_eq!(cost(&store, move || drop((fs, dpc))), (16, 2));
+    assert_moved(before, mtimes(&store));
+}
+
+#[test]
+fn recovery_puts_each_inode_attribute_once() {
+    let store = populated();
+    let cfg = DpcConfig {
+        wal: true,
+        ..quiet()
+    };
+    let (dpc, fs, _) = dirty(cfg.clone(), &store, 8);
+    dpc.trip_crash();
+    let region = dpc.wal_region().unwrap();
+    drop((fs, dpc));
+    let before = mtimes(&store);
+    let recover = || drop(Dpc::recover(cfg, store.clone(), None, region));
+    assert_eq!(cost(&store, recover), (16, 2));
+    assert_moved(before, mtimes(&store));
+}
+
+#[test]
+fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
+    let store = populated();
+    let plan = FaultPlan::new(29);
+    let cfg = DpcConfig {
+        wal: true,
+        faults: Some(plan.clone()),
+        ..quiet()
+    };
+    let (dpc, fs, [a, _]) = dirty(cfg, &store, 8);
+    let before = mtimes(&store);
+    // The control plane draws `dpu.crash` once per extent it lands: the
+    // eighth draw follows /a's last extent, after its blocks are in the
+    // store and before the pass settles the mtime.
+    plan.arm("dpu.crash", FaultSpec::nth(8));
+    let region = dpc.wal_region().unwrap();
+    let crash = || {
+        let _ = fs.fsync(a); // answered or timed out: the DPU is dead
+        assert!(dpc.crashed());
+        drop((fs, dpc));
+    };
+    // Every block, and nothing after the trip: no mtime.
+    assert_eq!(cost(&store, crash), (8, 0));
+    assert_eq!(mtimes(&store), before, "the pre-flush mtime stands");
+
+    // Recovery gives the oracle's bytes and size.
+    let cfg = DpcConfig {
+        wal: true,
+        ..quiet()
+    };
+    let rdpc = Dpc::recover(cfg, store, None, region);
+    let rfs = rdpc.fs();
+    let mut oracle = vec![1u8; PAGES * PAGE];
+    for k in 0..8 {
+        oracle[2 * k * PAGE..(2 * k + 1) * PAGE].fill(2);
+    }
+    assert_eq!(rfs.stat("/a").unwrap().size, oracle.len() as u64);
+    let fd = rfs.open("/a").unwrap();
+    let mut back = vec![0u8; oracle.len()];
+    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), oracle.len());
+    assert!(back == oracle, "recovered bytes diverge from the oracle");
+}

@@ -180,7 +180,10 @@ fn threads_over_queues_read_ref_hits_stay_consistent() {
                 let fd = fs.open("/storm/shared.bin").unwrap();
                 let mut rng = SmallRng::seed_from_u64(0xBEEF + r);
                 let mut buf = vec![0u8; PAGE_SIZE];
-                while !stop.load(Ordering::Acquire) {
+                // At least one read each, however soon the writers finish:
+                // every page is resident, so `hits > 0` cannot hang on the
+                // scheduler.
+                loop {
                     let lpn = rng.gen_range(0..PAGES);
                     let n = fs.read(fd, lpn * PAGE_SIZE as u64, &mut buf).unwrap();
                     assert_eq!(n, PAGE_SIZE, "whole page resident in the file");
@@ -192,6 +195,9 @@ fn threads_over_queues_read_ref_hits_stay_consistent() {
                         first,
                         buf.iter().find(|&&b| b != first).unwrap()
                     );
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
             });
         }

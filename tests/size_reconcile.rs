@@ -8,7 +8,8 @@
 //!   private size (acknowledged, fsynced data used to be cut by `close`);
 //! - a clean `open`+`close` (one crossing cold, none warm, zero for the
 //!   close) or a no-op `fsync` (always one) leaves the backend alone;
-//! - a non-page-aligned tail still lands byte-exact, in one crossing.
+//! - a non-page-aligned tail still lands byte-exact, in one crossing;
+//! - `stat` of an open file reports the host's size, not the backend's.
 
 use dpc::core::{Dpc, DpcConfig};
 
@@ -122,6 +123,31 @@ fn clean_close_and_noop_fsync_leave_the_backend_alone() {
         );
         assert_eq!(kvfs.kv_pairs(), before.2, "{path}");
     }
+}
+
+#[test]
+fn stat_of_an_open_file_reports_its_unflushed_growth() {
+    let dpc = Dpc::new(DpcConfig::default());
+    let (fs, other) = (dpc.fs(), dpc.fs()); // two adapters of one Dpc
+    let fd = fs.create("/f").unwrap();
+    fs.write(fd, 0, &pattern(8192, 1)).unwrap();
+    // Nothing is flushed: the backend still says 0, the host says 8 KiB.
+    assert_eq!(fs.size(fd).unwrap(), 8192);
+    assert_eq!(fs.stat("/f").unwrap().size, 8192);
+    fs.write(fd, 8192, &pattern(100, 2)).unwrap();
+    for adapter in [&fs, &other] {
+        assert_eq!(adapter.stat("/f").unwrap().size, 8292);
+    }
+    fs.fsync(fd).unwrap();
+    assert_eq!(fs.stat("/f").unwrap().size, 8292);
+    // A truncate through the descriptor is what `stat` sees, too.
+    fs.truncate(fd, 100).unwrap();
+    assert_eq!(other.stat("/f").unwrap().size, 100);
+    fs.write(fd, 100, &pattern(4000, 3)).unwrap();
+    fs.close(fd).unwrap();
+    // Closed: the backend's size, which the close reconciled.
+    assert_eq!(fs.stat("/f").unwrap().size, 4100);
+    assert_eq!(cold_read(&dpc, "/f").len(), 4100);
 }
 
 #[test]
