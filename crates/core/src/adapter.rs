@@ -1387,7 +1387,8 @@ impl DpcFs {
     /// transport buffer into `dst` in one copy, zeros past what the backend
     /// had; then each page the cache lacks is filled clean from `dst` —
     /// through the zero-padded scratch `page` only when `dst` holds part of
-    /// it (the first or last page of an unaligned or short read).
+    /// it (the first or last page of an unaligned or short read) — while
+    /// the cache has a free slot. A full cache is not tried.
     fn land_run(
         &self,
         ino: u64,
@@ -1413,7 +1414,10 @@ impl DpcFs {
         for k in 0..run.pages {
             let lpn = run.lpn + k as u64;
             let valid = got.saturating_sub(k * PAGE_SIZE).min(PAGE_SIZE);
-            if valid == 0 {
+            // The fill only ever takes a free slot: on a full cache, one
+            // relaxed load instead of a bucket claim and two chain walks
+            // that end in `NeedEviction`.
+            if valid == 0 || self.cache.header().free() == 0 {
                 continue;
             }
             let (pos, _, take) = page_span(offset, dst.len(), lpn);

@@ -192,8 +192,9 @@ impl FlushBackend for KvfsFlush<'_> {
 
 /// The prefetcher's page source: background window fills read from KVFS.
 /// A sequential window is one contiguous [`Kvfs::read`] — one attribute
-/// fetch, then one KV sub-read per 8 KiB block straight into its place in
-/// the window, so consecutive pages sharing a block cost one KV read.
+/// fetch, then one multi-key KV sub-read for all the window's 8 KiB blocks,
+/// each landing straight in its place in the window: a window is one
+/// backend request.
 pub(crate) struct KvfsRead<'a> {
     pub kvfs: &'a Arc<Kvfs>,
 }

@@ -252,8 +252,15 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "kv store: {} gets, {} puts, {} deletes, {} scans, {} sub-writes",
-            self.kv.gets, self.kv.puts, self.kv.deletes, self.kv.scans, self.kv.sub_writes
+            "kv store: {} gets, {} puts, {} deletes, {} scans, {} / {} sub-reads \
+             (requests / keys), {} sub-writes",
+            self.kv.gets,
+            self.kv.puts,
+            self.kv.deletes,
+            self.kv.scans,
+            self.kv.sub_reads,
+            self.kv.sub_read_keys,
+            self.kv.sub_writes
         )?;
         writeln!(
             f,
@@ -336,6 +343,16 @@ mod tests {
         ] {
             assert!(s.contains(key), "missing {key} in:\n{s}");
         }
+        // Sub-reads show as requests / keys.
+        let m = MetricsSnapshot {
+            kv: KvStats {
+                sub_reads: 3,
+                sub_read_keys: 48,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert!(m.to_string().contains("3 / 48 sub-reads"));
     }
 
     #[test]

@@ -349,8 +349,8 @@ impl Kvfs {
         self.publish_name(parent, name, (ino, FileKind::File))?;
         let attr = FileAttr::new_file(ino, mode, self.now());
         self.put_attr(&attr);
-        // Small-file KV starts empty.
-        self.store.put(&small_key(ino), b"");
+        // A 0-byte file has no small-file KV: every reader takes an absent
+        // value for zeros, and the first write puts it.
         Ok(ino)
     }
 
@@ -421,11 +421,20 @@ impl Kvfs {
         if !attr.is_dir() {
             return Err(FsError::NotADirectory);
         }
-        Ok(self.store.count_prefix(&inode_prefix(dir)) as u64)
+        Ok(self.entries_under(dir))
     }
 
-    /// Does `name` exist under `parent`? An exact dentry-KV probe — no
-    /// directory scan, no `Vec<Dirent>`.
+    /// The inode KVs under `dir`, counted by one key-order scan: a request
+    /// the store counts, where `count_prefix` is a free diagnostic.
+    fn entries_under(&self, dir: u64) -> u64 {
+        let mut entries = 0;
+        self.store
+            .scan_prefix_with(&inode_prefix(dir), |_, _| entries += 1);
+        entries
+    }
+
+    /// Does `name` exist under `parent`? An exact dentry-KV probe — one
+    /// get, no directory scan, no `Vec<Dirent>`.
     pub fn entry_exists(&self, parent: u64, name: &str) -> bool {
         self.store.contains(&inode_key(parent, name))
     }
@@ -464,9 +473,12 @@ impl Kvfs {
             return Ok(attr);
         }
         match attr.format {
-            DataFormat::Small => {
+            // A 0-byte file has no small-file KV; a symlink always has
+            // its target.
+            DataFormat::Small if attr.size > 0 || attr.kind == FileKind::Symlink => {
                 self.store.delete(&small_key(ino));
             }
+            DataFormat::Small => {}
             DataFormat::Big => FileObject::new(&self.store, ino).delete_all(),
         }
         self.drop_attr(ino);
@@ -485,7 +497,7 @@ impl Kvfs {
         if kind != FileKind::Dir {
             return Err(FsError::NotADirectory);
         }
-        if self.store.count_prefix(&inode_prefix(ino)) != 0 {
+        if self.entries_under(ino) != 0 {
             return Err(FsError::DirectoryNotEmpty);
         }
         let _guard = self.ino_lock(parent).lock();
@@ -666,7 +678,9 @@ impl Kvfs {
     }
 
     /// Read up to `dst.len()` bytes at `offset`; returns bytes read
-    /// (0 at or past EOF).
+    /// (0 at or past EOF). A small file is one sub-read of its value; a big
+    /// file's range is one multi-key sub-read of the blocks it spans,
+    /// whatever their number ([`FileObject::read_at`]).
     pub fn read(&self, ino: u64, offset: u64, dst: &mut [u8]) -> Result<usize, FsError> {
         let attr = self.get_attr(ino)?;
         if attr.is_dir() {
@@ -767,7 +781,10 @@ impl Kvfs {
         }
         match attr.format {
             DataFormat::Small => {
-                if size < SMALL_FILE_MAX {
+                if size == 0 {
+                    // A 0-byte file has no small-file KV.
+                    self.store.delete(&small_key(ino));
+                } else if size < SMALL_FILE_MAX {
                     self.store.truncate_value(&small_key(ino), size as usize);
                 } else {
                     // Growing past the boundary promotes.
@@ -1117,6 +1134,214 @@ mod tests {
         fs.touch_mtime(ino);
         assert_eq!(fs.store().stats().puts, puts);
         assert_eq!(fs.get_attr(ino), Err(FsError::NotFound));
+    }
+
+    /// A big-file read as it was when every block was its own request:
+    /// one `read_sub` per block, a miss zero-filled. The multi-key read
+    /// must return these bytes exactly.
+    fn read_block_by_block(fs: &Kvfs, ino: u64, offset: u64, dst: &mut [u8]) -> usize {
+        let attr = fs.get_attr(ino).unwrap();
+        if offset >= attr.size {
+            return 0;
+        }
+        let n = ((attr.size - offset) as usize).min(dst.len());
+        if attr.format == DataFormat::Small {
+            if !fs
+                .store()
+                .read_sub(&small_key(ino), offset as usize, &mut dst[..n])
+            {
+                dst[..n].fill(0);
+            }
+            return n;
+        }
+        let mut pos = 0;
+        while pos < n {
+            let at = offset + pos as u64;
+            let in_block = (at % BIG_BLOCK as u64) as usize;
+            let piece = &mut dst[pos..pos + (BIG_BLOCK - in_block).min(n - pos)];
+            let key = big_key(ino, at / BIG_BLOCK as u64);
+            if !fs.store().read_sub(&key, in_block, piece) {
+                piece.fill(0);
+            }
+            pos += piece.len();
+        }
+        n
+    }
+
+    #[test]
+    fn a_big_read_is_one_sub_read_whatever_blocks_it_spans() {
+        let fs = fs();
+        let ino = fs.create("/span", 0o644).unwrap();
+        fs.write(ino, 0, &vec![1u8; 32 * BIG_BLOCK]).unwrap();
+        let mut buf = vec![0u8; 32 * BIG_BLOCK];
+        let b = BIG_BLOCK as u64;
+        // (offset, length, blocks spanned): 1, 2 and 16 aligned blocks, an
+        // unaligned span whose first and last blocks are partial, and a
+        // short read inside one block.
+        for (offset, len, blocks) in [
+            (0, BIG_BLOCK, 1),
+            (0, 2 * BIG_BLOCK, 2),
+            (3 * b, 16 * BIG_BLOCK, 16),
+            (b - 100, BIG_BLOCK + 200, 3),
+            (5 * b + 7, 100, 1),
+        ] {
+            let before = fs.store().stats();
+            assert_eq!(fs.read(ino, offset, &mut buf[..len]).unwrap(), len);
+            let after = fs.store().stats();
+            assert_eq!(
+                (
+                    after.sub_reads - before.sub_reads,
+                    after.sub_read_keys - before.sub_read_keys
+                ),
+                (1, blocks),
+                "{len} bytes at {offset}"
+            );
+            assert_eq!(after.gets, before.gets, "the attribute is cached");
+            assert!(buf[..len].iter().all(|&x| x == 1));
+        }
+    }
+
+    #[test]
+    fn a_multi_key_read_returns_exactly_the_block_by_block_bytes() {
+        let fs = fs();
+        let b = BIG_BLOCK as u64;
+        let pattern = |len: usize, salt: u32| -> Vec<u8> {
+            (0..len as u32)
+                .map(|i| (i.wrapping_mul(31) ^ salt) as u8)
+                .collect()
+        };
+        let big = fs.create("/big", 0o644).unwrap();
+        // Blocks 0–3 written; 4–9 a hole; 10–11 written; then a truncate
+        // to an unaligned size leaves block 11's value short, and a grow
+        // reads past it into zeros.
+        fs.write(big, 0, &pattern(4 * BIG_BLOCK, 7)).unwrap();
+        fs.write(big, 10 * b, &pattern(2 * BIG_BLOCK, 9)).unwrap();
+        fs.truncate(big, 11 * b + 1000).unwrap();
+        fs.truncate(big, 13 * b + 500).unwrap();
+        let small = fs.create("/small", 0o644).unwrap();
+        fs.write(small, 0, &pattern(3000, 3)).unwrap();
+        let size = fs.get_attr(big).unwrap().size;
+        let cases = [
+            (0, 4 * BIG_BLOCK),           // aligned, written
+            (b + 13, 5 * BIG_BLOCK),      // partial first block, into the hole
+            (3 * b, 8 * BIG_BLOCK + 17),  // across the hole, partial last
+            (5 * b, 100),                 // inside the hole
+            (11 * b - 50, 2 * BIG_BLOCK), // across the short value
+            (size - 300, 4096),           // crossing EOF
+            (size, 10),                   // at EOF
+        ];
+        for (offset, len) in cases {
+            let (mut got, mut want) = (vec![0xEE; len], vec![0xEE; len]);
+            let n = fs.read(big, offset, &mut got).unwrap();
+            assert_eq!(n, read_block_by_block(&fs, big, offset, &mut want));
+            assert_eq!(got[..n], want[..n], "{len} bytes at {offset}");
+        }
+        for (offset, len) in [(0, 3000), (100, 5000), (2999, 1)] {
+            let (mut got, mut want) = (vec![0xEE; len], vec![0xEE; len]);
+            let n = fs.read(small, offset, &mut got).unwrap();
+            assert_eq!(n, read_block_by_block(&fs, small, offset, &mut want));
+            assert_eq!(got[..n], want[..n], "small: {len} bytes at {offset}");
+        }
+    }
+
+    /// Each block of a multi-key read is read under its own shard guard,
+    /// so a block rewritten whole while the read runs comes back wholly
+    /// old or wholly new — never torn — though two blocks of one read may
+    /// come from different rewrites.
+    #[test]
+    fn a_ranged_read_never_tears_a_block() {
+        use std::sync::atomic::AtomicBool;
+        let fs = fs();
+        let ino = fs.create("/torn", 0o644).unwrap();
+        const BLOCKS: u64 = 16;
+        fs.write(ino, 0, &vec![0u8; BLOCKS as usize * BIG_BLOCK])
+            .unwrap();
+        let (start, stop) = (std::sync::Barrier::new(2), AtomicBool::new(false));
+        let rounds = if cfg!(debug_assertions) { 50 } else { 400 };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for round in 1..=rounds {
+                    for lbn in 0..BLOCKS {
+                        let block = [round as u8; BIG_BLOCK];
+                        fs.write(ino, lbn * BIG_BLOCK as u64, &block).unwrap();
+                    }
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+            let mut buf = vec![0u8; 5 * BIG_BLOCK];
+            let mut at = 0u64;
+            start.wait();
+            loop {
+                // Offsets step by 4 KiB + 1: every read's first and last
+                // blocks are partial, at a different place each time.
+                at = (at + 4097) % ((BLOCKS - 5) * BIG_BLOCK as u64);
+                fs.read(ino, at, &mut buf).unwrap();
+                let first = BIG_BLOCK - (at % BIG_BLOCK as u64) as usize;
+                let (head, rest) = buf.split_at(first);
+                for piece in std::iter::once(head).chain(rest.chunks(BIG_BLOCK)) {
+                    assert!(
+                        piece.iter().all(|&x| x == piece[0]),
+                        "a torn block in the read at {at}"
+                    );
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_zero_byte_file_has_no_small_file_kv() {
+        let fs = fs();
+        let baseline = fs.kv_pairs();
+        let ops = |f: &dyn Fn()| {
+            let before = fs.store().stats();
+            f();
+            let after = fs.store().stats();
+            (after.puts - before.puts, after.deletes - before.deletes)
+        };
+        // Create is the dentry and the attribute.
+        let create = || {
+            fs.create("/never", 0o644).unwrap();
+        };
+        assert_eq!(ops(&create), (2, 0));
+        assert_eq!(fs.kv_pairs(), baseline + 2);
+        // A remount reads the empty file as 0 bytes.
+        let ino = fs.resolve("/never").unwrap();
+        let cold = Kvfs::open(fs.store().clone()).unwrap();
+        let mut buf = [9u8; 64];
+        assert_eq!(cold.get_attr(ino).unwrap().size, 0);
+        assert_eq!(cold.read(ino, 0, &mut buf).unwrap(), 0);
+        // Unlink of a never-written file is the dentry and the attribute.
+        assert_eq!(ops(&|| fs.unlink("/never").unwrap()), (0, 2));
+        assert_eq!(fs.kv_pairs(), baseline);
+        // Write, truncate to 0, unlink: back at the baseline.
+        let ino = fs.create("/brief", 0o644).unwrap();
+        fs.write(ino, 0, b"some bytes").unwrap();
+        assert_eq!(fs.kv_pairs(), baseline + 3);
+        fs.truncate(ino, 0).unwrap();
+        assert_eq!(fs.kv_pairs(), baseline + 2);
+        assert_eq!(fs.read(ino, 0, &mut buf).unwrap(), 0);
+        // Grown from nothing, it reads zeros.
+        fs.truncate(ino, 40).unwrap();
+        assert_eq!(fs.read(ino, 0, &mut buf).unwrap(), 40);
+        assert!(buf[..40].iter().all(|&x| x == 0));
+        fs.truncate(ino, 0).unwrap();
+        fs.unlink("/brief").unwrap();
+        assert_eq!(fs.kv_pairs(), baseline);
+        // A symlink keeps its target value: 3 KVs in, 3 out.
+        let symlink = || {
+            fs.symlink("/ln", "/x").unwrap();
+        };
+        assert_eq!(ops(&symlink), (3, 0));
+        assert_eq!(
+            fs.readlink(fs.resolve_nofollow("/ln").unwrap()).unwrap(),
+            "/x"
+        );
+        assert_eq!(ops(&|| fs.unlink("/ln").unwrap()), (0, 3));
+        assert_eq!(fs.kv_pairs(), baseline);
     }
 
     #[test]

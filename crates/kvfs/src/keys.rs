@@ -101,12 +101,12 @@ pub fn small_key(ino: u64) -> Vec<u8> {
     k
 }
 
-/// Big-file block key for logical block `lbn`.
-pub fn big_key(ino: u64, lbn: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(17);
-    k.push(TAG_BIG);
-    k.extend_from_slice(&ino.to_be_bytes());
-    k.extend_from_slice(&lbn.to_be_bytes());
+/// Big-file block key for logical block `lbn`, built on the stack: a block
+/// read or write allocates no key.
+pub fn big_key(ino: u64, lbn: u64) -> [u8; 17] {
+    let mut k = [TAG_BIG; 17];
+    k[1..9].copy_from_slice(&ino.to_be_bytes());
+    k[9..].copy_from_slice(&lbn.to_be_bytes());
     k
 }
 
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn big_keys_sort_by_lbn() {
-        let blocks: Vec<Vec<u8>> = (0..300u64).map(|l| big_key(5, l)).collect();
+        let blocks: Vec<[u8; 17]> = (0..300u64).map(|l| big_key(5, l)).collect();
         assert!(blocks.windows(2).all(|w| w[0] < w[1]));
         assert!(blocks.iter().all(|k| k.starts_with(&big_prefix(5))));
         assert!(!blocks[0].starts_with(&big_prefix(6)));

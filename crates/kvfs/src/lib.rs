@@ -9,9 +9,10 @@
 //!   is a `p_ino` prefix scan,
 //! - **attribute KV** `ino → 256-byte attr`,
 //! - **small-file KV** `ino → data` for files under 8 KiB (whole-value
-//!   rewrite on update),
+//!   rewrite on update; a 0-byte file has none),
 //! - **big-file KV** for larger files — 8 KiB blocks updated in place
-//!   through the file object (see [`FileObject`]'s module docs).
+//!   through the file object (see [`FileObject`]'s module docs), read
+//!   with one multi-key request per read.
 //!
 //! Path resolution recursively fetches inode KVs from the root (ino 0);
 //! built-in dentry and inode caches play the role the VFS caches play for

@@ -10,7 +10,8 @@
 //! - ordered prefix scans (`scan_prefix`) for directory listings keyed by
 //!   the parent-inode prefix,
 //! - in-place sub-value reads/writes (`read_sub`/`write_sub`) used by the
-//!   big-file KV's 8 KiB in-place updates,
+//!   big-file KV's 8 KiB in-place updates, and the multi-get
+//!   (`read_subs`) that reads a big-file read's blocks in one request,
 //!
 //! plus [`KvTimingModel`], the backend/network timing used by the
 //! benchmarks (the paper notes KVFS's bandwidth ceiling *is* the KV

@@ -15,7 +15,9 @@
 //!   no value is ever copied: truncate and unlink of a big file cost what
 //!   they drop, not what the file holds),
 //! - `read_sub` / `write_sub` — in-place sub-value access at byte
-//!   granularity (the big-file KV's 8 KiB in-place updates).
+//!   granularity (the big-file KV's 8 KiB in-place updates),
+//! - `read_subs` — the multi-get: one request that reads a sub-value
+//!   range from each of many keys (a big-file read's blocks).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -75,7 +77,18 @@ fn merge_head<'a>(
     Reverse((u64::from_be_bytes(first), key, run, value))
 }
 
-/// Operation counters.
+/// Operation counters. Each of `gets` … `sub_writes` counts **requests
+/// served** — what a disaggregated store would see as round trips — not the
+/// keys a request touched: a 256-entry listing is one scan, a 16-block
+/// [`KvStore::read_subs`] one sub-read. `sub_read_keys` is the per-key
+/// count beside it.
+///
+/// What counts as what: `get`, `contains` and `value_len` are gets; `put`
+/// and `put_if_absent` puts; `delete` a delete, and `delete_range` one
+/// scan plus a delete per key dropped; `scan_prefix*` a scan; `read_sub`
+/// and `read_subs` a sub-read; `write_sub` and `truncate_value` a
+/// sub-write. The diagnostics — `len`, `is_empty`, `count_prefix` — are
+/// uncounted.
 #[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
 pub struct KvStats {
     pub gets: u64,
@@ -84,6 +97,9 @@ pub struct KvStats {
     pub scans: u64,
     pub sub_reads: u64,
     pub sub_writes: u64,
+    /// Keys visited by sub-read requests: one per `read_sub`, one per key
+    /// of a `read_subs`.
+    pub sub_read_keys: u64,
     /// Operations that had to wait out a transient fault ("kv.op" site):
     /// each stalled re-check counts one retry.
     pub retries: u64,
@@ -104,6 +120,7 @@ pub struct KvStore {
     scans: AtomicU64,
     sub_reads: AtomicU64,
     sub_writes: AtomicU64,
+    sub_read_keys: AtomicU64,
     retries: AtomicU64,
 }
 
@@ -124,6 +141,7 @@ impl KvStore {
             scans: AtomicU64::new(0),
             sub_reads: AtomicU64::new(0),
             sub_writes: AtomicU64::new(0),
+            sub_read_keys: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
     }
@@ -188,6 +206,7 @@ impl KvStore {
             scans: self.scans.load(Ordering::Relaxed),
             sub_reads: self.sub_reads.load(Ordering::Relaxed),
             sub_writes: self.sub_writes.load(Ordering::Relaxed),
+            sub_read_keys: self.sub_read_keys.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
         }
     }
@@ -198,12 +217,16 @@ impl KvStore {
         self.shard(key).read().get(key).cloned()
     }
 
+    /// Whether `key` holds a value; counted as a get.
     pub fn contains(&self, key: &[u8]) -> bool {
+        self.gets.fetch_add(1, Ordering::Relaxed);
         self.shard(key).read().contains_key(key)
     }
 
-    /// Length of the value under `key`, without copying it.
+    /// Length of the value under `key`, without copying it; counted as a
+    /// get.
     pub fn value_len(&self, key: &[u8]) -> Option<usize> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
         self.shard(key).read().get(key).map(|v| v.len())
     }
 
@@ -215,6 +238,7 @@ impl KvStore {
 
     /// Insert only if absent; returns whether the insert happened.
     pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
+        self.fault_pause();
         self.puts.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).write();
         if shard.contains_key(key) {
@@ -289,6 +313,7 @@ impl KvStore {
     }
 
     /// Number of keys with the given prefix (scan without copying values).
+    /// A diagnostic: uncounted, and no fault stalls it.
     pub fn count_prefix(&self, prefix: &[u8]) -> usize {
         self.shards
             .iter()
@@ -302,6 +327,44 @@ impl KvStore {
     pub fn read_sub(&self, key: &[u8], offset: usize, dst: &mut [u8]) -> bool {
         self.fault_pause();
         self.sub_reads.fetch_add(1, Ordering::Relaxed);
+        self.sub_read_keys.fetch_add(1, Ordering::Relaxed);
+        self.copy_sub(key, offset, dst)
+    }
+
+    /// The multi-get: one request that reads, for each `(key, offset,
+    /// dst)`, the `dst.len()` bytes at `offset` inside `key`'s value —
+    /// zeros past the value's end, and all zeros for an absent key. One
+    /// fault pause and one `sub_reads` count for the lot; `sub_read_keys`
+    /// counts each key. Each key is read under its own shard's read guard,
+    /// taken and dropped before the next key's: one key's range is exactly
+    /// as atomic as a [`KvStore::read_sub`] of it, the set is not a
+    /// snapshot, and no writer ever waits behind a guard held for another
+    /// key. Returns the number of keys read; an empty set is no request.
+    pub fn read_subs<'d, K: AsRef<[u8]>>(
+        &self,
+        reads: impl IntoIterator<Item = (K, usize, &'d mut [u8])>,
+    ) -> usize {
+        let mut reads = reads.into_iter().peekable();
+        if reads.peek().is_none() {
+            return 0;
+        }
+        self.fault_pause();
+        self.sub_reads.fetch_add(1, Ordering::Relaxed);
+        let mut keys = 0;
+        for (key, offset, dst) in reads {
+            if !self.copy_sub(key.as_ref(), offset, dst) {
+                dst.fill(0);
+            }
+            keys += 1;
+        }
+        self.sub_read_keys.fetch_add(keys as u64, Ordering::Relaxed);
+        keys
+    }
+
+    /// Copy the range at `offset` of `key`'s value into `dst` under the
+    /// key's shard read guard, zero-filling past the value's end; `false`,
+    /// `dst` untouched, when the key is absent.
+    fn copy_sub(&self, key: &[u8], offset: usize, dst: &mut [u8]) -> bool {
         let shard = self.shard(key).read();
         let Some(v) = shard.get(key) else {
             return false;
@@ -331,8 +394,11 @@ impl KvStore {
     }
 
     /// Shrink or grow the value under `key` to exactly `len` bytes
-    /// (zero-filling on growth). Creates the key when absent.
+    /// (zero-filling on growth). Creates the key when absent. Counted as a
+    /// sub-write.
     pub fn truncate_value(&self, key: &[u8], len: usize) {
+        self.fault_pause();
+        self.sub_writes.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).write();
         let v = shard.entry(key.to_vec()).or_default();
         v.resize(len, 0);
@@ -489,6 +555,67 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_get_is_one_request_and_reads_what_read_sub_reads() {
+        let kv = KvStore::new();
+        kv.write_sub(b"full", 0, &[1u8; 64]);
+        kv.write_sub(b"short", 0, &[2u8; 10]);
+        let (mut a, mut b, mut c) = ([9u8; 32], [9u8; 32], [9u8; 32]);
+        let before = kv.stats();
+        let reads = [
+            (&b"full"[..], 16, &mut a[..]),
+            (b"short", 4, &mut b[..]),
+            (b"absent", 0, &mut c[..]),
+        ];
+        assert_eq!(kv.read_subs(reads), 3);
+        let after = kv.stats();
+        assert_eq!(after.sub_reads - before.sub_reads, 1);
+        assert_eq!(after.sub_read_keys - before.sub_read_keys, 3);
+        assert_eq!(a, [1u8; 32]);
+        // A value shorter than the range, and an absent key, read zeros.
+        assert_eq!(&b[..6], &[2u8; 6]);
+        assert!(b[6..].iter().all(|&x| x == 0));
+        assert_eq!(c, [0u8; 32]);
+        // Nothing to read is no request.
+        let none: [(&[u8], usize, &mut [u8]); 0] = [];
+        assert_eq!(kv.read_subs(none), 0);
+        assert_eq!(kv.stats(), after);
+    }
+
+    #[test]
+    fn every_request_counts_what_it_is() {
+        let kv = KvStore::new();
+        kv.put(b"v", b"hello");
+        let before = kv.stats();
+        assert!(kv.contains(b"v"));
+        assert_eq!(kv.value_len(b"v"), Some(5));
+        kv.truncate_value(b"v", 2);
+        let after = kv.stats();
+        assert_eq!(
+            (
+                after.gets - before.gets,
+                after.sub_writes - before.sub_writes
+            ),
+            (2, 1)
+        );
+        // The diagnostics are free.
+        let _ = (kv.len(), kv.is_empty(), kv.count_prefix(b""));
+        assert_eq!(kv.stats(), after);
+    }
+
+    #[test]
+    fn put_if_absent_waits_out_a_fault_like_every_mutation() {
+        use dpc_sim::fault::{FaultPlan, FaultSpec};
+        let kv = KvStore::new();
+        let plan = FaultPlan::new(1);
+        kv.set_fault_site(Some(plan.arm("kv.op", FaultSpec::first_n(1))));
+        assert!(kv.put_if_absent(b"k", b"v"));
+        assert_eq!(kv.stats().retries, 1, "the create stalled once");
+        plan.arm("kv.op", FaultSpec::first_n(1));
+        kv.truncate_value(b"k", 0);
+        assert_eq!(kv.stats().retries, 2);
+    }
+
+    #[test]
     fn truncate_value_grows_and_shrinks() {
         let kv = KvStore::new();
         kv.put(b"f", b"hello world");
@@ -517,9 +644,10 @@ mod tests {
                 s.scans,
                 s.deletes,
                 s.sub_writes,
-                s.sub_reads
+                s.sub_reads,
+                s.sub_read_keys
             ),
-            (1, 2, 1, 1, 1, 1)
+            (1, 2, 1, 1, 1, 1, 1)
         );
     }
 

@@ -15,6 +15,7 @@ enum Op {
     Scan(Vec<u8>),
     WriteSub(Vec<u8>, usize, Vec<u8>),
     ReadSub(Vec<u8>, usize, usize),
+    ReadSubs(Vec<(Vec<u8>, usize, usize)>),
 }
 
 fn arb_key() -> impl Strategy<Value = Vec<u8>> {
@@ -35,6 +36,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         )
             .prop_map(|(k, o, d)| Op::WriteSub(k, o, d)),
         (arb_key(), 0usize..80, 1usize..32).prop_map(|(k, o, l)| Op::ReadSub(k, o, l)),
+        proptest::collection::vec((arb_key(), 0usize..80, 1usize..32), 0..6).prop_map(Op::ReadSubs),
     ]
 }
 
@@ -86,6 +88,22 @@ proptest! {
                                 .collect();
                             prop_assert_eq!(got, want);
                         }
+                    }
+                }
+                Op::ReadSubs(ranges) => {
+                    // Each key reads what `read_sub` reads, absent keys as
+                    // zeros; the whole set is one request.
+                    let mut bufs: Vec<Vec<u8>> = ranges.iter().map(|r| vec![0xAA; r.2]).collect();
+                    let before = kv.stats();
+                    let reads = ranges.iter().zip(bufs.iter_mut()).map(|((k, off, _), b)| (k, *off, b.as_mut_slice()));
+                    prop_assert_eq!(kv.read_subs(reads), ranges.len());
+                    let after = kv.stats();
+                    prop_assert_eq!(after.sub_reads - before.sub_reads, u64::from(!ranges.is_empty()));
+                    prop_assert_eq!(after.sub_read_keys - before.sub_read_keys, ranges.len() as u64);
+                    for ((k, off, len), got) in ranges.iter().zip(&bufs) {
+                        let v = model.get(k).map(Vec::as_slice).unwrap_or_default();
+                        let want: Vec<u8> = (0..*len).map(|i| v.get(off + i).copied().unwrap_or(0)).collect();
+                        prop_assert_eq!(got, &want);
                     }
                 }
             }

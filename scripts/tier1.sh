@@ -69,6 +69,31 @@ cargo test --release -q --test attr_settle -- \
     recovery_puts_each_inode_attribute_once \
     a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime
 cargo test --release -q --test size_reconcile stat_of_an_open_file_reports_its_unflushed_growth
+# One KV request per big-file read (DESIGN.md §17), in release and by name:
+# a read spanning n blocks is 1 sub-read and n keys; it returns exactly the
+# block-by-block bytes (holes, short values, partial blocks, EOF, a small
+# file); a block rewritten whole during ranged reads is never torn; a warm
+# 16-block read allocates nothing; the store's multi-get and its counting
+# rule. A 0-byte file has no small-file KV (DESIGN.md §14). A miss on a
+# full cache tries no fill. Then the readahead suite ten times in a row:
+# its chaos run must see a fault on every seed.
+cargo test --release -q -p dpc-kvfs --lib -- \
+    fs::tests::a_big_read_is_one_sub_read_whatever_blocks_it_spans \
+    fs::tests::a_multi_key_read_returns_exactly_the_block_by_block_bytes \
+    fs::tests::a_ranged_read_never_tears_a_block \
+    fs::tests::a_zero_byte_file_has_no_small_file_kv \
+    fileobj::tests::block_aligned_round_trip
+cargo test --release -q -p dpc-kvfs --test zero_alloc_read
+cargo test --release -q -p dpc-kvstore --lib -- \
+    store::tests::a_multi_get_is_one_request_and_reads_what_read_sub_reads \
+    store::tests::every_request_counts_what_it_is \
+    store::tests::put_if_absent_waits_out_a_fault_like_every_mutation
+cargo test --release -q --test end_to_end_kvfs \
+    a_miss_run_fills_free_slots_clean_and_leaves_a_full_cache_alone
+cargo test --release -q --test readahead --no-run
+for run in $(seq 1 10); do
+    cargo test --release -q --test readahead
+done
 # The pool's one staging and one waiting function (DESIGN.md §7), in
 # release and by name: its unit tests (out-of-order routing, stealing a
 # full queue, the reissue, a late CQE's CID carrying the next call its own

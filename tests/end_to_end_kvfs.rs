@@ -454,6 +454,76 @@ fn read_filled_tail_pages_never_inflate_file_size() {
     assert_eq!(buf[9_020], 5);
 }
 
+/// A demand miss fills free cache slots clean, and only free ones: on a
+/// full cache its runs are not even tried, so every resident page and
+/// every cache count but the read's own hit / miss accounting stay as
+/// they were.
+#[test]
+fn a_miss_run_fills_free_slots_clean_and_leaves_a_full_cache_alone() {
+    const PAGE: usize = 4096;
+    const PAGES: usize = 1024; // four times the cache
+    let dpc = Dpc::new(DpcConfig {
+        cache_pages: 256,
+        prefetch: false,
+        ..DpcConfig::default()
+    });
+    let data: Vec<u8> = (0..PAGES * PAGE).map(|i| (i / 7 % 251) as u8).collect();
+    let ino = dpc.kvfs_inner().create("/full", 0o644).unwrap();
+    dpc.kvfs_inner().write(ino, 0, &data).unwrap();
+    let (fs, cache) = (dpc.fs(), dpc.cache().clone());
+    let fd = fs.open("/full").unwrap();
+    let read = |lpn: usize, pages: usize| {
+        let mut buf = vec![0u8; pages * PAGE];
+        assert_eq!(
+            fs.read(fd, (lpn * PAGE) as u64, &mut buf).unwrap(),
+            buf.len()
+        );
+        assert!(
+            buf == data[lpn * PAGE..(lpn + pages) * PAGE],
+            "bytes at page {lpn}"
+        );
+    };
+
+    // Free slots: an 8-page miss lands every page, clean.
+    read(0, 8);
+    assert_eq!((cache.header().free(), cache.dirty_count()), (248, 0));
+    let calls = dpc.pool_stats().submitted;
+    read(0, 8);
+    assert_eq!(dpc.pool_stats().submitted, calls, "the re-read is all hits");
+
+    // Stream the file: every bucket fills.
+    for lpn in (8..PAGES).step_by(8) {
+        read(lpn, 8);
+    }
+    assert_eq!(cache.header().free(), 0, "the stream filled the cache");
+    let mut page = vec![0u8; PAGE];
+    let resident = |page: &mut [u8]| -> Vec<bool> {
+        (0..PAGES as u64)
+            .map(|lpn| cache.lookup_read(ino, lpn, page))
+            .collect()
+    };
+    let held = resident(&mut page);
+    let stats = cache.stats();
+
+    // A 16-page read over pages the cache lacks: served, filled nowhere.
+    let first_miss = held.iter().position(|&r| !r).unwrap();
+    let calls = dpc.pool_stats().submitted;
+    read(first_miss.min(PAGES - 16), 16);
+    assert!(dpc.pool_stats().submitted > calls, "the read crossed");
+    let after = cache.stats();
+    assert_eq!(
+        dpc::cache::CacheStats {
+            hits: stats.hits,
+            misses: stats.misses,
+            demand_vector_fills: stats.demand_vector_fills,
+            ..after
+        },
+        stats
+    );
+    assert_eq!((cache.header().free(), cache.dirty_count()), (0, 0));
+    assert_eq!(resident(&mut page), held, "a resident page moved");
+}
+
 #[test]
 fn reused_transport_and_reply_buffers_never_leak_stale_bytes() {
     // One queue, one service thread, one command in flight at a time: every

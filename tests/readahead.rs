@@ -403,12 +403,19 @@ fn adaptive_window_doubles_to_cap_and_resets() {
 
 /// Seeded chaos on the KV path and the flush path while a cold stream
 /// races the prefetcher: still byte-exact, live and after a restart.
+///
+/// The chaos must bite on every seed, by construction. A read draws
+/// `kv.op` once per request, not once per 8 KiB block, so the stream is
+/// 256 pages long and `kv.op` fires at p = 0.2: a run makes ≈ 60–150
+/// draws, pinned to one core or not, and the default seeds' first fire
+/// is their 6th, 20th and 1st draw (seeds 1, 7, 42). A seed whose first
+/// 58 draws all pass has probability 0.8^58 ≈ 2·10⁻⁶.
 fn readahead_chaos_run(seed: u64) {
     let plan = FaultPlan::new(seed);
-    plan.arm("kv.op", FaultSpec::probability(0.05).with_delay(2));
+    plan.arm("kv.op", FaultSpec::probability(0.2).with_delay(2));
     plan.arm("cache.flush", FaultSpec::probability(0.2));
 
-    let data = pattern(seed, 1, 128 * PAGE_SIZE + 321);
+    let data = pattern(seed, 1, 256 * PAGE_SIZE + 321);
     let store = store_with_file("/chaos", &data);
 
     let (store, model) = {
