@@ -11,7 +11,10 @@ use dpc_codec::crc32c;
 use dpc_ec::{gf256, ReedSolomon};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
-use dpc_nvmefs::{DispatchType, QueuePair, QueuePairConfig, Sqe};
+use dpc_nvmefs::{
+    create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
+    Payload, QueuePairConfig, Sides, Sqe, Ticket,
+};
 use dpc_pcie::DmaEngine;
 use dpc_virtiofs::{create_device, VirtioFsConfig};
 
@@ -73,24 +76,34 @@ fn bench_protocol(c: &mut Criterion) {
         })
     });
 
-    let dma = DmaEngine::new();
-    let (mut ini, mut tgt) = QueuePair::new(
-        0,
-        QueuePairConfig {
-            depth: 16,
-            max_io_bytes: 16 * 1024,
-        },
-    )
-    .split(dma.clone());
+    // One 8 KiB `Write` staged on the pool, served by the file target,
+    // its reply waited — both ends on this thread.
+    let cfg = QueuePairConfig {
+        depth: 16,
+        max_io_bytes: 16 * 1024,
+    };
+    let (chans, mut tgts) = create_fabric(1, cfg, &DmaEngine::new());
+    let (pool, mut tgt) = (ChannelPool::new(chans), tgts.pop().unwrap());
     let payload = vec![0x42u8; 8192];
+    let req = FileRequest::Write {
+        ino: 1,
+        offset: 0,
+        len: 8192,
+    };
+    let sides = Sides {
+        dispatch: DispatchType::Standalone,
+        write: Payload::Flat(&payload),
+        read_len: 0,
+    };
+    let mut inb = FileIncomingBatch::new();
     g.throughput(Throughput::Bytes(8192));
     g.bench_function("nvmefs_8k_write_roundtrip", |b| {
         b.iter(|| {
-            ini.submit(DispatchType::Standalone, b"", &payload, 0)
-                .unwrap();
-            let inc = tgt.poll().unwrap();
-            tgt.complete(inc.slot, dpc_nvmefs::CqeStatus::Success, b"", b"");
-            ini.wait()
+            let mut ticket = [Ticket::default()];
+            pool.stage(0, &sides, std::slice::from_ref(&req), &mut ticket);
+            tgt.poll_many(&mut inb);
+            tgt.reply(inb.as_slice()[0].slot, &FileResponse::Bytes(8192), b"");
+            pool.wait(ticket[0], &sides, &req, |resp, _| resp).unwrap()
         })
     });
 

@@ -14,7 +14,8 @@ use dpc_core::Testbed;
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{
-    CompletionBatch, CqeStatus, DispatchType, IncomingBatch, QueuePair, QueuePairConfig,
+    create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
+    Payload, QueuePairConfig, Sides, Ticket,
 };
 use dpc_pcie::DmaEngine;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg};
@@ -114,43 +115,51 @@ pub fn write_amplification(threshold_label: &str, file_size: u64) -> f64 {
 }
 
 /// Drive `ops` 4 KiB write echoes through one loopback queue pair with
-/// submissions staged `batch` deep, and report (doorbells/op, allocs/op)
-/// measured on the real DMA counters and the process allocator. A warm
-/// round runs first so every recycled buffer reaches steady-state
-/// capacity; allocs/op is only meaningful when the calling binary
-/// installs [`dpc_pcie::alloc::CountingAllocator`].
+/// submissions staged `batch` deep (at most 63: the ring's room) through
+/// the pool, served by the file target, each reply waited, and report
+/// (doorbells/op, allocs/op) measured on the real DMA counters and the
+/// process allocator. A warm round runs first so every recycled buffer
+/// reaches steady-state capacity; allocs/op is only meaningful when the
+/// calling binary installs [`dpc_pcie::alloc::CountingAllocator`].
 pub fn batch_submit_stats(batch: usize, ops: usize) -> (f64, f64) {
+    const DEPTH: usize = 64;
     let dma = DmaEngine::new();
-    let (mut ini, mut tgt) = QueuePair::new(
-        0,
-        QueuePairConfig {
-            depth: 64,
-            max_io_bytes: 16 * 1024,
-        },
-    )
-    .split(dma.clone());
+    let cfg = QueuePairConfig {
+        depth: DEPTH as u16,
+        max_io_bytes: 16 * 1024,
+    };
+    let (chans, mut tgts) = create_fabric(1, cfg, &dma);
+    let (pool, tgt) = (ChannelPool::new(chans), &mut tgts[0]);
     let payload = vec![0x5Au8; 4096];
-    let mut comp = CompletionBatch::new();
-    let mut inb = IncomingBatch::new();
+    let sides = Sides {
+        dispatch: DispatchType::Standalone,
+        write: Payload::Flat(&payload),
+        read_len: 0,
+    };
+    let reqs: [FileRequest; DEPTH - 1] = std::array::from_fn(|i| FileRequest::Write {
+        ino: 1,
+        offset: i as u64 * 4096,
+        len: 4096,
+    });
+    let mut tickets = [Ticket::default(); DEPTH - 1];
+    let mut inb = FileIncomingBatch::new();
 
     let mut round = |n: usize| {
-        {
-            let mut guard = ini.batch();
-            for _ in 0..n {
-                guard
-                    .submit(DispatchType::Standalone, b"", &payload, 0)
-                    .unwrap();
-            }
-        }
+        let staged = pool.stage(0, &sides, &reqs[..n], &mut tickets[..n]);
+        assert_eq!(staged, n, "a batch the ring holds goes out whole");
         tgt.poll_many(&mut inb);
         for inc in &inb {
-            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            tgt.reply(inc.slot, &FileResponse::Bytes(4096), b"");
         }
-        ini.poll_many(&mut comp);
+        for (&ticket, req) in tickets[..n].iter().zip(&reqs) {
+            let resp = pool.wait(ticket, &sides, req, |resp, _| resp);
+            assert_eq!(resp.ok(), Some(FileResponse::Bytes(4096)));
+        }
     };
 
-    // Warm every recycled buffer (batch structs, per-slot scratch).
-    round(batch.min(64));
+    let batch = batch.min(DEPTH - 1);
+    // Warm every recycled buffer (batch slots and their payload buffers).
+    round(batch);
 
     let pcie_before = dma.snapshot();
     let allocs_before = dpc_pcie::alloc::alloc_count();

@@ -14,7 +14,10 @@
 //! bandwidth 15.1/14.3 GB/s (nvme-fs) vs 6.3/5.1 GB/s (virtio-fs).
 
 use dpc_core::Testbed;
-use dpc_nvmefs::{create_fabric, DispatchType, FileRequest, FileResponse, QueuePairConfig};
+use dpc_nvmefs::{
+    create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
+    Payload, QueuePairConfig, Sides, Ticket,
+};
 use dpc_pcie::DmaEngine;
 use dpc_sim::{Nanos, Plan, RunReport, Simulation, StationCfg, StationId};
 use dpc_virtiofs::{create_device, VirtioFsConfig};
@@ -187,21 +190,31 @@ pub fn measure_dma_counts() -> (u64, u64) {
         depth: 8,
         max_io_bytes: 16 * 1024,
     };
-    let (mut chans, mut tgts) = create_fabric(1, cfg, &dma);
-    let (chan, tgt) = (&mut chans[0], &mut tgts[0]);
+    let (chans, mut tgts) = create_fabric(1, cfg, &dma);
+    let (pool, tgt) = (ChannelPool::new(chans), &mut tgts[0]);
     let req = FileRequest::Write {
         ino: 1,
         offset: 0,
         len: 8192,
     };
+    let sides = Sides {
+        dispatch: DispatchType::Standalone,
+        write: Payload::Flat(&[7u8; 8192]),
+        read_len: 0,
+    };
     let before = dma.snapshot();
-    chan.submit(DispatchType::Standalone, &req, &[7u8; 8192], 0)
-        .unwrap();
-    let inc = tgt.poll().unwrap();
+    let mut ticket = [Ticket::default()];
+    assert_eq!(
+        pool.stage(0, &sides, std::slice::from_ref(&req), &mut ticket),
+        1
+    );
+    let mut inb = FileIncomingBatch::new();
+    assert_eq!(tgt.poll_many(&mut inb), 1);
+    let inc = &inb.as_slice()[0];
     assert_eq!((&inc.request, inc.payload.len()), (&req, 8192));
     tgt.reply(inc.slot, &FileResponse::Bytes(8192), b"");
-    let done = chan.poll().expect("reply posted").expect("reply decodes");
-    assert_eq!(done.response, FileResponse::Bytes(8192));
+    let resp = pool.wait(ticket[0], &sides, &req, |resp, _| resp);
+    assert_eq!(resp.expect("reply decodes"), FileResponse::Bytes(8192));
     let nvme_dmas = dma.snapshot().since(&before).dma_ops;
 
     // virtio-fs.

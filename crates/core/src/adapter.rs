@@ -421,6 +421,11 @@ struct Leg<'p> {
     to_parent: bool,
 }
 
+/// Reply bytes the walk trail of `legs` takes: a step per component walked.
+fn trail_room(legs: &[Leg]) -> usize {
+    legs.iter().map(|l| l.walked().count()).sum::<usize>() * WireStep::SIZE
+}
+
 impl<'p> Leg<'p> {
     fn components(&self) -> impl Iterator<Item = &'p str> {
         self.rest.split('/').filter(|c| !c.is_empty())
@@ -604,8 +609,7 @@ impl DpcFs {
         legs: &[Leg],
         own_len: u32,
     ) -> Result<(FileResponse, Vec<u8>, [u64; 2]), DpcError> {
-        let walked = legs.iter().map(|l| l.walked().count()).sum::<usize>();
-        let room = walked * WireStep::SIZE;
+        let room = trail_room(legs);
         let seen = self.meta.epoch();
         let mut done = self
             .pool
@@ -776,9 +780,11 @@ impl DpcFs {
             start: leg.start,
             path: leg.rest.to_string(),
         };
-        // Listing capacity: half a megabyte of dirents (the slot reserves
-        // READ_HEADER_CAP on top, so stay under max_io).
-        let (resp, listing, [dir, _]) = self.ns_call(&req, &[leg], 512 * 1024)?;
+        // Listing capacity: what the read half holds beside the reply
+        // header and the walk trail. A longer listing is the DPU's ERANGE.
+        let room = self.max_io - READ_HEADER_CAP;
+        let own = room.saturating_sub(trail_room(&[leg]));
+        let (resp, listing, [dir, _]) = self.ns_call(&req, &[leg], own as u32)?;
         let FileResponse::Entries(n) = resp else {
             return Err(DpcError::IO);
         };

@@ -406,7 +406,12 @@ impl Dispatcher {
                     .map(|a| FileResponse::Attr(wire_attr(&a))),
             ),
             FileRequest::ReaddirAt { start, path } => match kvfs.walk(*start, path, &mut steps) {
-                Ok(dir) => list_dir(kvfs, dir, inc.read_len, out),
+                Ok(dir) => {
+                    // The trail rides behind the listing: both must fit.
+                    drop(steps);
+                    let cap = inc.read_len.saturating_sub(trail.len() as u32);
+                    list_dir(kvfs, dir, cap, out)
+                }
                 Err(e) => fs_err(e),
             },
             FileRequest::Create { parent, name, mode } => reply(

@@ -9,8 +9,9 @@ use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{
-    create_fabric, decode_dirents, decode_dirents_into, DispatchType, FileChannel, FileIncoming,
-    FileIncomingBatch, FileRequest, FileResponse, FileTarget, QueuePairConfig, WireStep,
+    create_fabric, decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileIncoming,
+    FileIncomingBatch, FileRequest, FileResponse, FileTarget, Payload, QueuePairConfig, Sides,
+    Ticket, WireStep,
 };
 use dpc_pcie::DmaEngine;
 
@@ -199,24 +200,33 @@ fn standalone_data_requests() {
     assert_eq!((a.ino, a.size), (ino, 10));
 }
 
-/// One request through a real queue pair: submit, serve with
-/// `handle_batch` (the service loop's call, with its recycled reply
-/// buffer), reap.
+/// One request through a real queue pair: stage it on the pool, serve
+/// it with `handle_batch` (the service loop's call, with its recycled
+/// reply buffer), wait for the reply.
 fn round_trip(
-    chan: &mut FileChannel,
+    pool: &ChannelPool,
     tgt: &mut FileTarget,
     d: &mut Dispatcher,
+    dispatch: DispatchType,
     request: FileRequest,
     write: &[u8],
     read_len: u32,
 ) -> (FileResponse, Vec<u8>) {
-    chan.submit(DispatchType::Standalone, &request, write, read_len)
-        .unwrap();
+    let sides = Sides {
+        dispatch,
+        write: Payload::Flat(write),
+        read_len,
+    };
+    let mut ticket = [Ticket::default()];
+    let one = std::slice::from_ref(&request);
+    assert_eq!(pool.stage(0, &sides, one, &mut ticket), 1);
     let mut batch = FileIncomingBatch::new();
     assert_eq!(tgt.poll_many(&mut batch), 1);
     assert_eq!(d.handle_batch(&batch, tgt), 1);
-    let done = chan.poll().expect("reply posted").expect("reply decodes");
-    (done.response, done.payload)
+    pool.wait(ticket[0], &sides, &request, |resp, reply| {
+        (resp, reply.to_vec())
+    })
+    .expect("reply decodes")
 }
 
 #[test]
@@ -226,7 +236,7 @@ fn a_reused_reply_buffer_never_leaks_stale_bytes() {
     // been through both, every smaller reply must still be exactly its own
     // bytes at exactly its own length: none of the 0xAB that came before.
     let (mut d, kvfs) = dispatcher(false);
-    let (mut chans, mut tgts) = create_fabric(
+    let (chans, mut tgts) = create_fabric(
         1,
         QueuePairConfig {
             depth: 2, // one command in flight at a time: one transport buffer
@@ -234,7 +244,7 @@ fn a_reused_reply_buffer_never_leaks_stale_bytes() {
         },
         &DmaEngine::new(),
     );
-    let (mut chan, mut tgt) = (chans.pop().unwrap(), tgts.pop().unwrap());
+    let (pool, mut tgt) = (ChannelPool::new(chans), tgts.pop().unwrap());
 
     const K128: usize = 128 * 1024;
     let big = kvfs.create("/big", 0o644).unwrap();
@@ -249,7 +259,8 @@ fn a_reused_reply_buffer_never_leaks_stale_bytes() {
 
     let mut read = |ino: u64, offset: u64, len: u32| {
         let req = FileRequest::Read { ino, offset, len };
-        let served = round_trip(&mut chan, &mut tgt, &mut d, req, b"", len);
+        let sa = DispatchType::Standalone;
+        let served = round_trip(&pool, &mut tgt, &mut d, sa, req, b"", len);
         // `handle_into` on the same dispatcher, handed a dirty buffer of
         // the caller's own, must agree byte for byte.
         let mut scratch = vec![0xCD; K128];
@@ -319,15 +330,16 @@ fn a_reused_reply_buffer_never_leaks_stale_bytes() {
     // buffer, not from the read's leftovers.
     soak(&mut read);
     let (resp, payload) = round_trip(
-        &mut chan,
+        &pool,
         &mut tgt,
         &mut d,
+        DispatchType::Standalone,
         FileRequest::Readdir { ino: dir },
         b"",
         4096,
     );
     assert_eq!((resp, payload), (FileResponse::Entries(0), vec![]));
-    assert_eq!(chan.rejected_sqes(), 0);
+    assert_eq!(pool.stats().rejected_sqes, 0);
 }
 
 #[test]
@@ -410,6 +422,37 @@ fn ino_of(resp: FileResponse) -> u64 {
         FileResponse::Attr(a) => a.ino,
         other => panic!("{other:?}"),
     }
+}
+
+#[test]
+fn a_listing_whose_trail_would_not_fit_beside_it_is_erange() {
+    // The walk trail rides behind a listing, and the host reads it off the
+    // payload's end. A read side that holds the listing but not its trail
+    // too is ERANGE — not the listing with its trail cut, whose last bytes
+    // the host would read as walk steps.
+    let (mut d, kvfs) = dispatcher(false);
+    let dir = kvfs.mkdir("/d", 0o755).unwrap();
+    kvfs.create("/d/f", 0o644).unwrap();
+    let listing = 8 + 1 + 4 + 1; // ino, kind, name length, "f"
+    let mut list = |read_len: usize| {
+        let request = FileRequest::ReaddirAt {
+            start: 0,
+            path: "d".into(),
+        };
+        let inc = FileIncoming {
+            read_len: read_len as u32,
+            ..incoming(DispatchType::Standalone, request, vec![])
+        };
+        d.handle(&inc)
+    };
+    let (resp, payload) = list(listing + WireStep::SIZE);
+    assert_eq!(resp, FileResponse::Entries(1));
+    let trail: Vec<WireStep> = WireStep::decode_all(&payload[listing..]).collect();
+    assert_eq!(trail, [WireStep::Entry(dir)]);
+    let (resp, payload) = list(listing + WireStep::SIZE - 1);
+    assert_eq!(resp, FileResponse::Err(34 /* ERANGE */));
+    let trail: Vec<WireStep> = WireStep::decode_all(&payload).collect();
+    assert_eq!(trail, [WireStep::Entry(dir)], "an error keeps its trail");
 }
 
 #[test]
@@ -850,7 +893,7 @@ fn every_reply_fits_what_its_request_declared() {
     // and errno, standalone and distributed, through a real queue pair —
     // none refused, and each reply of the class its request promised.
     let (mut d, _) = dispatcher(true);
-    let (mut chans, mut tgts) = create_fabric(
+    let (chans, mut tgts) = create_fabric(
         1,
         QueuePairConfig {
             depth: 4,
@@ -858,36 +901,27 @@ fn every_reply_fits_what_its_request_declared() {
         },
         &DmaEngine::new(),
     );
-    let (chan, tgt) = (&mut chans[0], &mut tgts[0]);
+    let (pool, tgt) = (ChannelPool::new(chans), &mut tgts[0]);
     let mut seen = [[false; 2]; VARIANTS]; // [variant][replied an errno?]
-    let mut batch = FileIncomingBatch::new();
     let mut serve = |d: &mut Dispatcher,
                      dispatch: DispatchType,
                      request: FileRequest,
                      write: &[u8],
                      read_len: u32| {
-        chan.submit(dispatch, &request, write, read_len).unwrap();
-        assert_eq!(tgt.poll_many(&mut batch), 1);
-        assert_eq!(d.handle_batch(&batch, tgt), 1);
-        let done = chan.poll().expect("reply posted").expect("reply decodes");
-        assert_eq!(
-            chan.rejected_sqes(),
-            0,
-            "{request:?} -> {:?}",
-            done.response
-        );
+        let sent = request.clone();
+        let (response, payload) = round_trip(&pool, tgt, d, dispatch, sent, write, read_len);
+        assert_eq!(pool.stats().rejected_sqes, 0, "{request:?} -> {response:?}");
         let mut header = Vec::new();
-        done.response.encode(&mut header);
+        response.encode(&mut header);
         if read_len == 0 && request.reply_rides_cqe() {
             assert!(
-                header.len() <= dpc_nvmefs::CQE_INLINE_CAP && done.payload.is_empty(),
-                "{request:?} promised a CQE-sized reply, got {:?}",
-                done.response
+                header.len() <= dpc_nvmefs::CQE_INLINE_CAP && payload.is_empty(),
+                "{request:?} promised a CQE-sized reply, got {response:?}"
             );
         }
-        let failed = matches!(done.response, FileResponse::Err(_));
+        let failed = matches!(response, FileResponse::Err(_));
         seen[variant_index(&request)][failed as usize] = true;
-        done.response
+        response
     };
     let sa = DispatchType::Standalone;
     let name = |s: &str| s.to_string();

@@ -1,12 +1,16 @@
 //! File-semantic drivers over the nvme-fs queue pair.
 //!
-//! [`FileChannel`] is the host half used by the fs-adapter: it frames
-//! [`FileRequest`]s into the bidirectional command's write header and
-//! decodes [`FileResponse`]s from the read header. [`FileTarget`] is the
-//! DPU half consumed by the IO-dispatch: it yields decoded requests and
-//! accepts typed replies. nvme-fs is multi-queue by design (the paper
-//! contrasts this with virtio-fs's single queue), so [`create_fabric`]
-//! builds any number of independent queue pairs sharing one DMA engine.
+//! [`FileChannel`] is the host half, driven by the
+//! [`ChannelPool`](crate::ChannelPool): it frames [`FileRequest`]s into the
+//! bidirectional command's write header, and the pool decodes each
+//! [`FileResponse`] from its reply header where the DMA left it.
+//! [`FileTarget`] is the DPU half consumed by the IO-dispatch:
+//! [`FileTarget::poll_many`] fetches every posted command into a
+//! [`FileIncomingBatch`] — its payload DMA'd straight into the slot it is
+//! served from — and [`FileTarget::reply`] takes typed replies. nvme-fs is
+//! multi-queue by design (the paper contrasts this with virtio-fs's single
+//! queue), so [`create_fabric`] builds any number of independent queue
+//! pairs sharing one DMA engine.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,9 +19,7 @@ use dpc_pcie::DmaEngine;
 use dpc_sim::fault::{FaultPlan, FaultSite};
 
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
-use crate::queue::{
-    Incoming, IncomingBatch, Initiator, QueueFull, QueuePair, QueuePairConfig, ReadSide, Target,
-};
+use crate::queue::{Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, ReadSide, Target};
 use crate::sqe::{CqeStatus, DispatchType};
 
 /// Whether reissuing `req` after a lost/failed completion is safe: the
@@ -74,17 +76,6 @@ pub struct Sides<'a> {
     pub read_len: u32,
 }
 
-/// A command's write payload: file data for writes, empty for the rest.
-#[derive(Copy, Clone, Debug)]
-pub enum Payload<'a> {
-    /// One contiguous buffer, described by a PRP range.
-    Flat(&'a [u8]),
-    /// Scattered buffers (writev), described by an SGL (PSDT =
-    /// `SglWrite`): each segment crosses the link as its own DMA, with no
-    /// host-side coalescing copy.
-    Gather(&'a [&'a [u8]]),
-}
-
 /// Host-side file channel: one nvme-fs queue pair speaking file semantics.
 pub struct FileChannel {
     pub(crate) ini: Initiator,
@@ -134,7 +125,8 @@ impl From<DecodeError> for CallError {
     }
 }
 
-/// A decoded completion delivered by [`FileChannel::poll`].
+/// A reply, owned: what [`ChannelPool::call`](crate::ChannelPool::call)
+/// returns.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FileCompletion {
     pub cid: u16,
@@ -142,9 +134,9 @@ pub struct FileCompletion {
     pub payload: Vec<u8>,
 }
 
-/// Why a polled completion carries no usable [`FileCompletion`]. The CID
-/// is still valid — multiplexers route the failure to the owning waiter,
-/// which decides whether the command can be reissued.
+/// Why a completion carries no usable reply. The CID is still valid — the
+/// pool routes the failure to the owning waiter, which decides whether the
+/// command can be reissued.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RecvError {
     /// The response header failed to decode.
@@ -197,36 +189,6 @@ impl FileChannel {
         self.ini.depth()
     }
 
-    /// Submit one file request (under its own doorbell). Returns its CID.
-    pub fn submit(
-        &mut self,
-        dispatch: DispatchType,
-        req: &FileRequest,
-        write_payload: &[u8],
-        read_len: u32,
-    ) -> Result<u16, QueueFull> {
-        let sides = Sides {
-            dispatch,
-            write: Payload::Flat(write_payload),
-            read_len,
-        };
-        let mut cid = Err(QueueFull);
-        self.stage(&sides, std::slice::from_ref(req), |_, c| cid = Ok(c));
-        cid
-    }
-
-    /// Poll for one completion and decode its response header.
-    pub fn poll(&mut self) -> Option<Result<FileCompletion, RecvError>> {
-        let done = self.ini.poll()?;
-        Some(
-            decode_reply(done.status, &done.header).map(|response| FileCompletion {
-                cid: done.cid,
-                response,
-                payload: done.payload,
-            }),
-        )
-    }
-
     /// Stage `reqs`, each with `sides`, under one doorbell: as many as the
     /// ring takes right now. Hands each staged command's index and CID to
     /// `staged`, in order, and returns how many went — none when the ring
@@ -241,12 +203,8 @@ impl FileChannel {
         for (i, req) in reqs.iter().enumerate() {
             self.hdr_buf.clear();
             req.encode(&mut self.hdr_buf);
-            let (hdr, read) = (&self.hdr_buf, read_side(req, sides.read_len));
-            let cid = match sides.write {
-                Payload::Flat(data) => batch.submit(sides.dispatch, hdr, data, read),
-                Payload::Gather(segments) => batch.submit_sgl(sides.dispatch, hdr, segments, read),
-            };
-            match cid {
+            let read = read_side(req, sides.read_len);
+            match batch.stage(sides.dispatch, &self.hdr_buf, sides.write, read) {
                 Ok(cid) => staged(i, cid),
                 Err(QueueFull) => break,
             }
@@ -255,7 +213,8 @@ impl FileChannel {
     }
 }
 
-/// A decoded request pending on the DPU side.
+/// A decoded request pending on the DPU side, in the batch slot it is
+/// served from.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FileIncoming {
     pub slot: u16,
@@ -279,8 +238,9 @@ impl Default for FileIncoming {
 }
 
 /// Reusable batch of decoded requests filled by [`FileTarget::poll_many`].
-/// Payload buffers are recycled across [`clear`](FileIncomingBatch::clear)
-/// calls, like the queue-layer batches.
+/// Each slot's payload buffer is where the DMA gathers the next command's
+/// payload, recycled across [`clear`](FileIncomingBatch::clear) calls: a
+/// warm batch neither allocates nor zero-fills.
 #[derive(Default)]
 pub struct FileIncomingBatch {
     items: Vec<FileIncoming>,
@@ -354,8 +314,8 @@ struct TargetFaults {
 /// DPU-side file target: one nvme-fs queue pair's server half.
 pub struct FileTarget {
     tgt: Target,
+    /// Reply header scratch, reused.
     hdr_buf: Vec<u8>,
-    inc_batch: IncomingBatch,
     faults: Option<TargetFaults>,
     /// Requests withheld by the defer site: (release tick, request).
     deferred: Vec<(u64, FileIncoming)>,
@@ -367,7 +327,6 @@ impl FileTarget {
         FileTarget {
             tgt,
             hdr_buf: Vec::with_capacity(64),
-            inc_batch: IncomingBatch::new(),
             faults: None,
             deferred: Vec::new(),
             tick: 0,
@@ -387,62 +346,29 @@ impl FileTarget {
         self.tgt.queue_id()
     }
 
-    /// Consult the fault sites for a freshly decoded request. Returns
-    /// `true` when the request was consumed by an injected fault (shed
-    /// with a transport-error CQE, or parked on the deferral list).
-    fn inject(&mut self, inc: &FileIncoming) -> bool {
+    /// Consult the fault sites for the request just decoded into `out`'s
+    /// last slot. An injected fault consumes it: it is shed with a
+    /// transport-error CQE, or moved — not copied — onto the deferral list.
+    /// Either way it leaves the batch.
+    fn inject(&mut self, out: &mut FileIncomingBatch) {
         let Some(faults) = &self.faults else {
-            return false;
+            return;
         };
+        let last = out.len - 1;
+        let inc = &out.items[last];
         if !is_idempotent(&inc.request) {
-            return false;
+            return;
         }
         if faults.error.fires() {
             self.tgt
                 .complete(inc.slot, CqeStatus::TransportError, b"", b"");
-            return true;
+        } else if let Some(delay) = faults.defer.check() {
+            let inc = std::mem::take(&mut out.items[last]);
+            self.deferred.push((self.tick + delay.max(1), inc));
+        } else {
+            return;
         }
-        if let Some(delay) = faults.defer.check() {
-            self.deferred.push((self.tick + delay.max(1), inc.clone()));
-            return true;
-        }
-        false
-    }
-
-    /// Poll for one incoming request. Malformed headers are completed with
-    /// an `InvalidCommand` CQE internally and skipped (returns `None` for
-    /// this poll round), as are requests consumed by an armed fault site.
-    pub fn poll(&mut self) -> Option<FileIncoming> {
-        self.tick += 1;
-        if let Some(ready) = self.take_deferred() {
-            return Some(ready);
-        }
-        let Incoming {
-            sqe,
-            slot,
-            header,
-            payload,
-        } = self.tgt.poll()?;
-        match FileRequest::decode(&header) {
-            Ok(request) => {
-                let inc = FileIncoming {
-                    slot,
-                    dispatch: sqe.dispatch(),
-                    request,
-                    payload,
-                    read_len: sqe.read_len(),
-                };
-                if self.inject(&inc) {
-                    None
-                } else {
-                    Some(inc)
-                }
-            }
-            Err(_) => {
-                self.tgt.reject(slot);
-                None
-            }
-        }
+        out.pop_slot();
     }
 
     /// Sleep on this queue's SQ doorbell (see [`Target::park`]); `false`
@@ -460,11 +386,13 @@ impl FileTarget {
         Some(self.deferred.swap_remove(idx).1)
     }
 
-    /// Drain every request published by the last doorbell into `out`,
-    /// recycling its buffers: one doorbell-register read per pass.
-    /// Malformed headers are completed with `InvalidCommand` inline and do
-    /// not appear in the batch; armed fault sites may shed or defer
-    /// requests the same way. Returns the number of decoded requests.
+    /// Drain every request published by the last doorbell into `out`:
+    /// one doorbell-register read per pass. Each command's payload is
+    /// DMA'd straight into the slot it is served from, and its header
+    /// decoded out of the target's one header buffer. Malformed headers are
+    /// completed with `InvalidCommand` inline and do not appear in the
+    /// batch; armed fault sites may shed or defer requests the same way.
+    /// Returns the number of decoded requests.
     pub fn poll_many(&mut self, out: &mut FileIncomingBatch) -> usize {
         out.clear();
         self.tick += 1;
@@ -472,39 +400,27 @@ impl FileTarget {
         while let Some(ready) = self.take_deferred() {
             *out.next_slot() = ready;
         }
-        // Split borrow: poll into the queue-layer batch, then decode each
-        // command into the caller's file-layer batch.
-        let mut raw = std::mem::take(&mut self.inc_batch);
-        self.tgt.poll_many(&mut raw);
-        for inc in raw.iter() {
+        for _ in 0..self.tgt.posted() {
             let slot = out.next_slot();
-            match FileRequest::decode(&inc.header) {
-                Ok(request) => {
-                    slot.request = request;
-                    slot.slot = inc.slot;
-                    slot.dispatch = inc.sqe.dispatch();
-                    slot.read_len = inc.sqe.read_len();
-                    slot.payload.clear();
-                    slot.payload.extend_from_slice(&inc.payload);
-                }
-                Err(_) => {
-                    out.pop_slot();
-                    self.tgt.reject(inc.slot);
-                    continue;
-                }
-            }
-            if self.faults.is_some() {
-                let decoded = out.items[out.len - 1].clone();
-                if self.inject(&decoded) {
-                    out.pop_slot();
-                }
-            }
+            let Some((sqe, header)) = self.tgt.fetch(&mut slot.payload) else {
+                out.pop_slot();
+                continue;
+            };
+            let Ok(request) = FileRequest::decode(header) else {
+                out.pop_slot();
+                self.tgt.reject(sqe.cid());
+                continue;
+            };
+            slot.request = request;
+            slot.slot = sqe.cid();
+            slot.dispatch = sqe.dispatch();
+            slot.read_len = sqe.read_len();
+            self.inject(out);
         }
-        self.inc_batch = raw;
         out.len()
     }
 
-    /// Reply to a previously polled request.
+    /// Reply to a request [`poll_many`](Self::poll_many) handed out.
     pub fn reply(&mut self, slot: u16, response: &FileResponse, payload: &[u8]) {
         self.hdr_buf.clear();
         response.encode(&mut self.hdr_buf);
@@ -536,70 +452,110 @@ pub fn create_fabric(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::filemsg::WireAttr;
+    use crate::pool::{ChannelPool, Ticket};
 
-    fn one_pair() -> (FileChannel, FileTarget, DmaEngine) {
+    /// One queue pair behind a pool, and its target.
+    fn one_pair() -> (ChannelPool, FileTarget, DmaEngine) {
         let dma = DmaEngine::new();
-        let (mut chans, mut tgts) = create_fabric(1, QueuePairConfig::default(), &dma);
-        (chans.pop().unwrap(), tgts.pop().unwrap(), dma)
+        let (chans, mut tgts) = create_fabric(1, QueuePairConfig::default(), &dma);
+        (ChannelPool::new(chans), tgts.pop().unwrap(), dma)
+    }
+
+    fn sides(dispatch: DispatchType, write: &[u8], read_len: u32) -> Sides<'_> {
+        Sides {
+            dispatch,
+            write: Payload::Flat(write),
+            read_len,
+        }
+    }
+
+    /// Stage `req` on queue `qid` under a doorbell of its own.
+    pub(crate) fn submit(
+        pool: &ChannelPool,
+        qid: usize,
+        sides: &Sides,
+        req: &FileRequest,
+    ) -> Ticket {
+        let mut ticket = Ticket::default();
+        let one = std::slice::from_mut(&mut ticket);
+        assert_eq!(pool.stage(qid, sides, std::slice::from_ref(req), one), 1);
+        ticket
+    }
+
+    /// `ticket`'s reply, owned.
+    fn reaped(
+        pool: &ChannelPool,
+        ticket: Ticket,
+        sides: &Sides,
+        req: &FileRequest,
+    ) -> FileCompletion {
+        let owned = |response, payload: crate::Reply<'_>| FileCompletion {
+            cid: payload.cid(),
+            response,
+            payload: payload.to_vec(),
+        };
+        pool.wait(ticket, sides, req, owned).expect("reply decodes")
+    }
+
+    /// The one request the last doorbell posted, as the target serves it;
+    /// `None` when nothing is there to serve.
+    pub(crate) fn serve_one(tgt: &mut FileTarget) -> Option<FileIncoming> {
+        let mut batch = FileIncomingBatch::new();
+        match tgt.poll_many(&mut batch) {
+            0 => None,
+            1 => batch.iter().next().cloned(),
+            n => panic!("{n} requests served, one expected"),
+        }
     }
 
     #[test]
     fn file_write_round_trip() {
-        let (mut chan, mut tgt, _) = one_pair();
+        let (pool, mut tgt, _) = one_pair();
         let req = FileRequest::Write {
             ino: 9,
             offset: 4096,
             len: 8192,
         };
         let data = vec![0xEE; 8192];
-        let cid = chan
-            .submit(DispatchType::Standalone, &req, &data, 0)
-            .unwrap();
+        let sides = sides(DispatchType::Standalone, &data, 0);
+        let ticket = submit(&pool, 0, &sides, &req);
 
-        let inc = tgt.poll().unwrap();
+        let inc = serve_one(&mut tgt).unwrap();
         assert_eq!(inc.request, req);
         assert_eq!(inc.payload, data);
         assert_eq!(inc.dispatch, DispatchType::Standalone);
         tgt.reply(inc.slot, &FileResponse::Bytes(8192), b"");
 
-        let done = loop {
-            if let Some(d) = chan.poll() {
-                break d.unwrap();
-            }
-        };
-        assert_eq!(done.cid, cid);
+        let done = reaped(&pool, ticket, &sides, &req);
+        assert_eq!(done.cid, ticket.cid);
         assert_eq!(done.response, FileResponse::Bytes(8192));
     }
 
     #[test]
     fn file_read_round_trip() {
-        let (mut chan, mut tgt, _) = one_pair();
+        let (pool, mut tgt, _) = one_pair();
         let req = FileRequest::Read {
             ino: 9,
             offset: 0,
             len: 4096,
         };
-        chan.submit(DispatchType::Distributed, &req, b"", 4096)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
+        let sides = sides(DispatchType::Distributed, b"", 4096);
+        let ticket = submit(&pool, 0, &sides, &req);
+        let inc = serve_one(&mut tgt).unwrap();
         assert_eq!(inc.dispatch, DispatchType::Distributed);
         assert_eq!(inc.read_len, 4096);
         tgt.reply(inc.slot, &FileResponse::Bytes(4096), &[0xAB; 4096]);
-        let done = loop {
-            if let Some(d) = chan.poll() {
-                break d.unwrap();
-            }
-        };
+        let done = reaped(&pool, ticket, &sides, &req);
         assert_eq!(done.response, FileResponse::Bytes(4096));
         assert_eq!(done.payload, vec![0xAB; 4096]);
     }
 
     #[test]
     fn attr_response_round_trip() {
-        let (mut chan, mut tgt, _) = one_pair();
+        let (pool, mut tgt, _) = one_pair();
         let attr = WireAttr {
             ino: 3,
             size: 12345,
@@ -608,40 +564,28 @@ mod tests {
             kind: 0,
             ..Default::default()
         };
-        chan.submit(
-            DispatchType::Standalone,
-            &FileRequest::GetAttr { ino: 3 },
-            b"",
-            0,
-        )
-        .unwrap();
-        let inc = tgt.poll().unwrap();
+        let (req, sides) = (
+            FileRequest::GetAttr { ino: 3 },
+            sides(DispatchType::Standalone, b"", 0),
+        );
+        let ticket = submit(&pool, 0, &sides, &req);
+        let inc = serve_one(&mut tgt).unwrap();
         tgt.reply(inc.slot, &FileResponse::Attr(attr), b"");
-        let done = loop {
-            if let Some(d) = chan.poll() {
-                break d.unwrap();
-            }
-        };
+        let done = reaped(&pool, ticket, &sides, &req);
         assert_eq!(done.response, FileResponse::Attr(attr));
     }
 
     #[test]
     fn error_response_sets_fs_error_status() {
-        let (mut chan, mut tgt, _) = one_pair();
-        chan.submit(
-            DispatchType::Standalone,
-            &FileRequest::GetAttr { ino: 404 },
-            b"",
-            0,
-        )
-        .unwrap();
-        let inc = tgt.poll().unwrap();
+        let (pool, mut tgt, _) = one_pair();
+        let (req, sides) = (
+            FileRequest::GetAttr { ino: 404 },
+            sides(DispatchType::Standalone, b"", 0),
+        );
+        let ticket = submit(&pool, 0, &sides, &req);
+        let inc = serve_one(&mut tgt).unwrap();
         tgt.reply(inc.slot, &FileResponse::Err(2 /* ENOENT */), b"");
-        let done = loop {
-            if let Some(d) = chan.poll() {
-                break d.unwrap();
-            }
-        };
+        let done = reaped(&pool, ticket, &sides, &req);
         assert_eq!(done.response, FileResponse::Err(2));
     }
 
@@ -656,8 +600,8 @@ mod tests {
             depth: 4,
             max_io_bytes: 8192,
         };
-        let (mut chans, mut tgts) = create_fabric(1, cfg, &dma);
-        let (chan, tgt) = (&mut chans[0], &mut tgts[0]);
+        let (chans, mut tgts) = create_fabric(1, cfg, &dma);
+        let (pool, tgt) = (ChannelPool::new(chans), &mut tgts[0]);
         let attr = WireAttr {
             ino: u64::MAX,
             size: 1 << 40,
@@ -675,19 +619,18 @@ mod tests {
             (FileResponse::Ino(u64::MAX), 1),
             (FileResponse::Attr(attr), 1),
         ];
+        let sides = sides(DispatchType::Standalone, b"", 100);
         for round in 0..16u8 {
             for (resp, header_dmas) in &replies {
                 let before = dma.snapshot();
                 let req = FileRequest::GetAttr { ino: round as u64 };
-                let cid = chan
-                    .submit(DispatchType::Standalone, &req, b"", 100)
-                    .unwrap();
-                let inc = tgt.poll().unwrap();
+                let ticket = submit(&pool, 0, &sides, &req);
+                let inc = serve_one(tgt).unwrap();
                 assert_eq!(inc.request, req);
                 let payload = vec![round; 1 + round as usize];
                 tgt.reply(inc.slot, resp, &payload);
-                let done = chan.poll().unwrap().unwrap();
-                assert_eq!((done.cid, &done.response), (cid, resp));
+                let done = reaped(&pool, ticket, &sides, &req);
+                assert_eq!((done.cid, &done.response), (ticket.cid, resp));
                 assert_eq!(done.payload, payload);
                 // SQE (request inside), header if too long, payload, CQE.
                 let ops = dma.snapshot().since(&before).dma_ops;
@@ -701,80 +644,79 @@ mod tests {
         let dma = DmaEngine::new();
         let (mut ini, tgt) = QueuePair::new(0, QueuePairConfig::default()).split(dma);
         let mut tgt = FileTarget::new(tgt);
-        let mut batch = FileIncomingBatch::new();
         let mut good = Vec::new();
         FileRequest::Fsync { ino: 7 }.encode(&mut good);
-        // An unknown tag, a truncated request, trailing bytes — through
-        // `poll` and through `poll_many`, in the SQE and in the buffer.
+        // An unknown tag, a truncated request, nothing, trailing bytes —
+        // in the SQE and in the buffer.
         let mut long = good.clone();
         long.resize(60, 0);
         let bad: [&[u8]; 4] = [b"\xEE", &good[..good.len() - 1], b"", &long];
         for (i, header) in bad.into_iter().enumerate() {
             let cid = ini
+                .batch()
                 .submit(DispatchType::Standalone, header, b"", 0)
                 .unwrap();
-            if i % 2 == 0 {
-                assert!(tgt.poll().is_none());
-            } else {
-                assert_eq!(tgt.poll_many(&mut batch), 0);
-            }
-            let done = ini.wait();
+            assert!(serve_one(&mut tgt).is_none());
+            let done = ini.reap().expect("refusal posted");
+            ini.release(done.cid);
             assert_eq!((done.cid, done.status), (cid, CqeStatus::InvalidCommand));
-            assert!(done.header.is_empty());
+            assert_eq!(done.hdr_len, 0);
             assert_eq!(ini.rejected_sqes(), i as u64 + 1);
         }
-        ini.submit(DispatchType::Standalone, &good, b"", 0).unwrap();
-        assert_eq!(tgt.poll().unwrap().request, FileRequest::Fsync { ino: 7 });
+        ini.batch()
+            .submit(DispatchType::Standalone, &good, b"", 0)
+            .unwrap();
+        assert_eq!(
+            serve_one(&mut tgt).unwrap().request,
+            FileRequest::Fsync { ino: 7 }
+        );
     }
 
     #[test]
     fn multi_queue_fabric_is_independent() {
         let dma = DmaEngine::new();
-        let (mut chans, mut tgts) = create_fabric(4, QueuePairConfig::default(), &dma);
+        let (chans, mut tgts) = create_fabric(4, QueuePairConfig::default(), &dma);
+        let pool = ChannelPool::new(chans);
+        let sides = sides(DispatchType::Standalone, b"", 0);
+        let reqs: Vec<FileRequest> = (0..4).map(|ino| FileRequest::GetAttr { ino }).collect();
         // Submit one request on each queue; serve them out of order.
-        for (q, chan) in chans.iter_mut().enumerate() {
-            chan.submit(
-                DispatchType::Standalone,
-                &FileRequest::GetAttr { ino: q as u64 },
-                b"",
-                0,
-            )
-            .unwrap();
-        }
+        let tickets: Vec<Ticket> = (0..4).map(|q| submit(&pool, q, &sides, &reqs[q])).collect();
         for q in (0..4).rev() {
-            let inc = tgts[q].poll().unwrap();
-            assert_eq!(inc.request, FileRequest::GetAttr { ino: q as u64 });
+            let inc = serve_one(&mut tgts[q]).unwrap();
+            assert_eq!(inc.request, reqs[q]);
             tgts[q].reply(inc.slot, &FileResponse::Ino(q as u64), b"");
         }
-        for (q, chan) in chans.iter_mut().enumerate() {
-            let done = chan.poll().unwrap().unwrap();
+        for (q, (&ticket, req)) in tickets.iter().zip(&reqs).enumerate() {
+            assert_eq!(ticket.qid as usize, q);
+            let done = reaped(&pool, ticket, &sides, req);
             assert_eq!(done.response, FileResponse::Ino(q as u64));
         }
     }
+
     #[test]
     fn a_target_holding_deferred_requests_refuses_to_park() {
         // Deferred requests are released by poll ticks: a target asleep
         // on its doorbell would hold them until the next unrelated ring.
         use dpc_sim::fault::FaultSpec;
-        let (mut chan, mut tgt, _) = one_pair();
+        let (pool, mut tgt, _) = one_pair();
         let plan = FaultPlan::new(3);
         plan.arm("nvmefs.defer", FaultSpec::nth(1).with_delay(5));
         tgt.set_fault_plan(&plan);
         let hour = Duration::from_secs(3600);
         let req = FileRequest::GetAttr { ino: 1 };
-        chan.submit(DispatchType::Standalone, &req, b"", 0).unwrap();
-        assert!(tgt.poll().is_none(), "the request is withheld");
+        submit(&pool, 0, &sides(DispatchType::Standalone, b"", 0), &req);
+        assert!(serve_one(&mut tgt).is_none(), "the request is withheld");
         let mut ticks = 0;
         let inc = loop {
             assert!(!tgt.park(hour), "parked on a deferred request");
             ticks += 1;
-            if let Some(inc) = tgt.poll() {
+            if let Some(inc) = serve_one(&mut tgt) {
                 break inc;
             }
         };
         assert_eq!((inc.request, ticks), (req, 5));
         // Nothing withheld any more, nothing posted: now it may sleep.
         assert!(tgt.park(Duration::from_millis(1)));
-        assert_eq!(chan.doorbell_wakes(), 0);
+        assert_eq!(pool.stats().doorbell_wakes, 0);
     }
 }

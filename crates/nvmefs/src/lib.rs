@@ -19,10 +19,14 @@
 //! Layers: [`Sqe`]/[`Cqe`] (bit-exact entries) → [`QueuePair`] /
 //! [`Initiator`] / [`Target`] (rings over DMA-able host memory) →
 //! [`FileChannel`] / [`FileTarget`] (typed [`FileRequest`] /
-//! [`FileResponse`] framing) → [`ChannelPool`] (shared multi-threaded
-//! multiplexer over all queues: stage commands, wait on tickets, CQEs
-//! matched by CID into a mailbox per CID, each reply read where the DMA
-//! left it, per-thread queue affinity).
+//! [`FileResponse`] framing; the target DMAs each command's payload
+//! straight into the [`FileIncomingBatch`] slot it is served from) →
+//! [`ChannelPool`] (shared multi-threaded multiplexer over all queues:
+//! stage commands, wait on tickets, CQEs matched by CID into a mailbox per
+//! CID, each reply read where the DMA left it, per-thread queue affinity).
+//! Each end has one way across: the host stages through the pool and reads
+//! every reply through its lease; the target fetches through
+//! [`FileTarget::poll_many`].
 
 mod driver;
 mod filemsg;
@@ -32,7 +36,7 @@ mod sqe;
 
 pub use driver::{
     create_fabric, CallError, FileChannel, FileCompletion, FileIncoming, FileIncomingBatch,
-    FileTarget, Payload, RecvError, Sides,
+    FileTarget, RecvError, Sides,
 };
 pub use filemsg::{
     decode_dirents, decode_dirents_into, dirent_iter, encode_dirent, encode_dirents, DecodeError,
@@ -41,9 +45,8 @@ pub use filemsg::{
 };
 pub use pool::{ChannelPool, PoolStats, RetryPolicy, Ticket};
 pub use queue::{
-    Completion, CompletionBatch, DoorbellGuard, Incoming, IncomingBatch, Initiator, QueueFull,
-    QueuePair, QueuePairConfig, ReadSide, Reply, Target, READ_HEADER_CAP, SGL_LIST_CAP,
-    SGL_MAX_SEGMENTS,
+    DoorbellGuard, Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, ReadSide, Reply,
+    Target, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 pub use sqe::{
     Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, OPCODE_NVMEFS, SQE_SIZE,

@@ -54,10 +54,10 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::driver::{
-    decode_reply, is_idempotent, CallError, FileChannel, FileCompletion, Payload, RecvError, Sides,
+    decode_reply, is_idempotent, CallError, FileChannel, FileCompletion, RecvError, Sides,
 };
 use crate::filemsg::{FileRequest, FileResponse};
-use crate::queue::{Replies, Reply, READ_HEADER_CAP};
+use crate::queue::{Payload, Replies, Reply, READ_HEADER_CAP};
 use crate::sqe::{Cqe, DispatchType, CQE_SIZE};
 
 /// Mailbox states. A mailbox is `FREE` until a command is staged on its
@@ -105,8 +105,8 @@ impl Mailbox {
 /// out under. Redeem it with [`ChannelPool::wait`], exactly once.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct Ticket {
-    qid: u16,
-    cid: u16,
+    pub(crate) qid: u16,
+    pub(crate) cid: u16,
 }
 
 /// Recovery knobs for the pool's waits. A waiter checks its mailbox, polls
@@ -552,7 +552,8 @@ impl ChannelPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{create_fabric, FileTarget};
+    use crate::driver::tests::serve_one;
+    use crate::driver::{create_fabric, FileIncomingBatch, FileTarget};
     use crate::queue::{QueuePair, QueuePairConfig};
     use crate::sqe::CqeStatus;
     use dpc_pcie::DmaEngine;
@@ -602,11 +603,12 @@ mod tests {
         stop: Arc<AtomicBool>,
     ) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
+            let mut batch = FileIncomingBatch::new();
             while !stop.load(Ordering::Acquire) {
                 let mut any = false;
                 for tgt in tgts.iter_mut() {
-                    while let Some(inc) = tgt.poll() {
-                        any = true;
+                    any |= tgt.poll_many(&mut batch) > 0;
+                    for inc in &batch {
                         let FileRequest::GetAttr { ino } = inc.request else {
                             panic!("echo server only speaks GetAttr");
                         };
@@ -661,10 +663,10 @@ mod tests {
 
         let server = std::thread::spawn(move || {
             // Gather both requests before replying to either.
-            let mut pending = Vec::new();
+            let (mut pending, mut batch) = (Vec::new(), FileIncomingBatch::new());
             while pending.len() < 2 {
-                if let Some(inc) = tgt.poll() {
-                    pending.push(inc);
+                if tgt.poll_many(&mut batch) > 0 {
+                    pending.extend(batch.iter().cloned());
                 } else {
                     std::thread::yield_now();
                 }
@@ -713,7 +715,7 @@ mod tests {
         let r = release.clone();
         let server0 = std::thread::spawn(move || {
             let inc = loop {
-                if let Some(inc) = tgt0.poll() {
+                if let Some(inc) = serve_one(&mut tgt0) {
                     break inc;
                 }
                 std::thread::yield_now();
@@ -779,23 +781,25 @@ mod tests {
             let (want, stop) = (req.clone(), stop.clone());
             std::thread::spawn(move || {
                 // Sit on the first command; answer every later one.
-                let mut held: Option<crate::FileIncoming> = None;
+                let (mut held, mut batch) = (None, FileIncomingBatch::new());
                 while !stop.load(Ordering::Acquire) {
-                    let Some(inc) = tgt.poll() else {
+                    if tgt.poll_many(&mut batch) == 0 {
                         std::thread::yield_now();
                         continue;
-                    };
-                    assert_eq!(inc.request, want);
-                    match &held {
-                        None => held = Some(inc),
-                        Some(first) => {
-                            assert_ne!(first.slot, inc.slot);
-                            tgt.reply(inc.slot, &FileResponse::Bytes(2), b"");
+                    }
+                    for inc in &batch {
+                        assert_eq!(inc.request, want);
+                        match held {
+                            None => held = Some(inc.slot),
+                            Some(first) => {
+                                assert_ne!(first, inc.slot);
+                                tgt.reply(inc.slot, &FileResponse::Bytes(2), b"");
+                            }
                         }
                     }
                 }
                 let first = held.expect("the first attempt arrived");
-                tgt.reply(first.slot, &FileResponse::Bytes(1), b"");
+                tgt.reply(first, &FileResponse::Bytes(1), b"");
             })
         };
         let before = dma.snapshot();
@@ -847,12 +851,12 @@ mod tests {
             .wait(abandoned, &HEADER_ONLY, &old, |_, _| ())
             .unwrap_err();
         assert!(matches!(err, CallError::TimedOut), "{err:?}");
-        let late = tgt.poll().unwrap();
+        let late = serve_one(tgt).unwrap();
         tgt.reply(late.slot, &FileResponse::Ino(1), b"");
 
         let reused = stage_one(&pool, 0, &new);
         assert_eq!(reused.cid, abandoned.cid, "the late CQE freed the CID");
-        let inc = tgt.poll().unwrap();
+        let inc = serve_one(tgt).unwrap();
         assert_eq!((inc.slot, &inc.request), (reused.cid, &new));
         tgt.reply(inc.slot, &FileResponse::Ino(2), b"");
         assert_eq!(response(&pool, reused, &new), FileResponse::Ino(2));
@@ -882,12 +886,10 @@ mod tests {
             assert_eq!(pool.stage(1, &sides, &reqs[7..], &mut tickets[7..]), 7);
             assert!(tickets[..7].iter().all(|t| t.qid == 0), "round {round}");
             assert!(tickets[7..].iter().all(|t| t.qid == 1), "round {round}");
+            let mut batch = FileIncomingBatch::new();
             for tgt in tgts.iter_mut().rev() {
-                let mut pending = Vec::new();
-                while let Some(inc) = tgt.poll() {
-                    pending.push(inc);
-                }
-                assert_eq!(pending.len(), 7);
+                assert_eq!(tgt.poll_many(&mut batch), 7);
+                let pending: Vec<_> = batch.iter().cloned().collect();
                 for inc in pending.into_iter().rev() {
                     let FileRequest::GetAttr { ino } = inc.request else {
                         panic!("unexpected request");
@@ -931,7 +933,7 @@ mod tests {
             FileRequest::GetAttr { ino: 2 },
         );
         let mine = stage(&first);
-        let inc = tgt.poll().unwrap();
+        let inc = serve_one(tgt).unwrap();
         tgt.reply(inc.slot, &FileResponse::Ino(1), &[0xAA; 64]);
         let (got, other) = pool
             .wait(mine, &sides, &first, |resp, reply| {
@@ -939,7 +941,7 @@ mod tests {
                 assert_eq!(pool.outstanding(0), 1, "the CID is the reader's");
                 let other = stage(&second);
                 assert_ne!(other.cid, mine.cid);
-                let inc = tgt.poll().unwrap();
+                let inc = serve_one(tgt).unwrap();
                 tgt.reply(inc.slot, &FileResponse::Ino(2), &[0xBB; 64]);
                 (reply.to_vec(), other)
             })
@@ -979,21 +981,20 @@ mod tests {
         // into a raw CQE, or answer truthfully.
         let script = [Some((4096, 5)), None, Some((0, 200)), None, Some((1, 5))];
         let server = std::thread::spawn(move || {
+            let mut payload = Vec::new();
             for forged in script {
-                let inc = loop {
-                    match tgt.poll() {
-                        Some(inc) => break inc,
-                        None => std::thread::yield_now(),
-                    }
-                };
+                while tgt.posted() == 0 {
+                    std::thread::yield_now();
+                }
+                let (sqe, _) = tgt.fetch(&mut payload).expect("a well-formed command");
                 match forged {
                     Some((result, hdr_len)) => {
                         let mut header = [0u8; 200];
                         header[..bytes.len()].copy_from_slice(&bytes);
                         let header = &header[..hdr_len];
-                        tgt.post_cqe(inc.slot, CqeStatus::Success, result, header);
+                        tgt.post_cqe(sqe.cid(), CqeStatus::Success, result, header);
                     }
-                    None => tgt.complete(inc.slot, CqeStatus::Success, &bytes, &[0x11; 64]),
+                    None => tgt.complete(sqe.cid(), CqeStatus::Success, &bytes, &[0x11; 64]),
                 }
             }
         });

@@ -24,18 +24,26 @@
 //! request header ahead of the payload, the reply header in the first
 //! [`READ_HEADER_CAP`] bytes of the read half.
 //!
+//! Each end of the pair has one way across. The host stages commands
+//! through [`Initiator::batch`] — one doorbell per batch — and reads each
+//! reply where the DMA left it: `reap` takes a command out of flight, its
+//! owner reads the reply through a [`Reply`], and `release` frees the
+//! buffer. The target fetches a command and gathers its write side by DMA
+//! straight into the buffer the command is served from: the payload is
+//! written once on the DPU side, by the DMA.
+//!
 //! Transport buffers belong to the initiator, not to ring slots: it keeps
 //! the `depth` buffers on a LIFO free list, hands the most recently freed
 //! one to the next command (so a lone outstanding command keeps reusing
 //! one cache-hot buffer), names it in the SQE's PRP fields, and takes it
-//! back once the reply has been read out of it — at once in
-//! [`Initiator::poll`]; when a multiplexer says so, after a reap (its
-//! waiter reads the reply where the DMA left it, through a [`Reply`]). A
-//! command's CID is its buffer's index. Neither side trusts the other's
-//! lengths: the target bounds every PRP range the SQE names against the
-//! pool before touching it and answers [`CqeStatus::InvalidCommand`]
-//! otherwise; the initiator turns a CQE that claims more reply than its
-//! command declared room for into a [`CqeStatus::TransportError`].
+//! back only once the reply has been read out of it. A command's CID is
+//! its buffer's index. Neither side trusts the other's lengths: the
+//! target bounds every PRP range the SQE names against the pool before
+//! touching it and answers [`CqeStatus::InvalidCommand`] otherwise; the
+//! initiator turns a CQE that claims more reply than its command declared
+//! room for into a [`CqeStatus::TransportError`]. A command too large for
+//! its own buffer never leaves the host: the initiator answers it with
+//! the same `InvalidCommand` the target would.
 //!
 //! Doorbells are device registers (host-side MMIO writes, counted as
 //! doorbells, read locally by the DPU — a register read crosses no DMA).
@@ -84,11 +92,25 @@ impl ReadSide {
     }
 }
 
+/// A command's write payload: file data for writes, empty for the rest.
+#[derive(Copy, Clone, Debug)]
+pub enum Payload<'a> {
+    /// One contiguous buffer, described by a PRP range.
+    Flat(&'a [u8]),
+    /// Scattered buffers (writev), described by an SGL (PSDT =
+    /// `SglWrite`): each segment crosses the link as its own DMA, with no
+    /// host-side coalescing copy.
+    Gather(&'a [&'a [u8]]),
+}
+
 /// Space reserved for the SGL descriptor list at the head of a command's
 /// write buffer (16 bytes per descriptor).
 pub const SGL_LIST_CAP: usize = 256;
 /// Maximum data segments per SGL command (plus one header descriptor).
 pub const SGL_MAX_SEGMENTS: usize = SGL_LIST_CAP / 16 - 1;
+
+/// DMA granularity of a PRP range.
+const PAGE: usize = 4096;
 
 /// Queue pair configuration.
 #[derive(Copy, Clone, Debug)]
@@ -123,9 +145,10 @@ pub(crate) struct QpShared {
     pub(crate) sq_sleeper: Sleeper,
     /// CQ head doorbell: host-written register (consumed CQE count).
     pub(crate) cq_head_db: AtomicU32,
-    /// Commands the target refused with `InvalidCommand` because a range
-    /// their SQE named fell outside the pool, or their reply outgrew the
-    /// read buffer it described.
+    /// Commands refused with `InvalidCommand`: by the target, because a
+    /// range their SQE named fell outside the pool or their reply outgrew
+    /// the read buffer it described; by the initiator, because they did
+    /// not fit their transport buffer.
     pub(crate) rejected_sqes: AtomicU64,
 }
 
@@ -168,6 +191,7 @@ impl QueuePair {
                 // Reversed so the first commands take buffers 0, 1, 2, …
                 free_bufs: (0..depth).rev().collect(),
                 in_flight: vec![None; depth as usize],
+                refused: Vec::with_capacity(depth as usize),
                 replies: Replies {
                     pool: self.shared.data_pool.clone(),
                     cfg: self.shared.cfg,
@@ -180,8 +204,7 @@ impl QueuePair {
                 cq_tail: 0,
                 cq_phase: true,
                 reply_bufs: vec![ReplyBuf::default(); depth as usize],
-                scratch: Vec::new(),
-                sgl_scratch: Vec::new(),
+                header: Vec::new(),
             },
         )
     }
@@ -302,11 +325,20 @@ fn within(cqe: Cqe, (rh_len, read_len): (u16, u32)) -> Cqe {
     if cqe.result <= read_len && (header <= CQE_INLINE_CAP || header <= rh_len as usize) {
         return cqe;
     }
+    bare(cqe.cid, CqeStatus::TransportError)
+}
+
+/// A completion for `cid` with `status` and no reply, as `reap` hands it
+/// up (its ring fields, `sq_head` and `phase`, are spent by then).
+fn bare(cid: u16, status: CqeStatus) -> Cqe {
     Cqe {
         result: 0,
         hdr_len: 0,
-        status: CqeStatus::TransportError,
-        ..cqe
+        inline: [0; CQE_INLINE_CAP],
+        sq_head: 0,
+        status,
+        cid,
+        phase: false,
     }
 }
 
@@ -323,87 +355,6 @@ impl core::fmt::Display for QueueFull {
 
 impl std::error::Error for QueueFull {}
 
-/// A completed command as seen by the host.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Completion {
-    pub cid: u16,
-    pub status: CqeStatus,
-    /// Command-specific result (bytes of read payload produced).
-    pub result: u32,
-    /// Raw response header bytes (empty when the target wrote none).
-    pub header: Vec<u8>,
-    /// Read payload produced by the target.
-    pub payload: Vec<u8>,
-}
-
-impl Default for Completion {
-    fn default() -> Self {
-        Completion {
-            cid: 0,
-            status: CqeStatus::Success,
-            result: 0,
-            header: Vec::new(),
-            payload: Vec::new(),
-        }
-    }
-}
-
-/// Reusable batch of [`Completion`]s filled by [`Initiator::poll_many`].
-///
-/// Keeps its `Completion`s (and their header/payload buffers) across
-/// [`clear`](CompletionBatch::clear) calls, so a steady-state poll loop
-/// stops allocating once the batch has warmed up.
-#[derive(Default)]
-pub struct CompletionBatch {
-    items: Vec<Completion>,
-    len: usize,
-}
-
-impl CompletionBatch {
-    pub fn new() -> CompletionBatch {
-        CompletionBatch::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop the contents but keep every buffer for reuse.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    pub fn as_slice(&self) -> &[Completion] {
-        &self.items[..self.len]
-    }
-
-    pub fn iter(&self) -> core::slice::Iter<'_, Completion> {
-        self.as_slice().iter()
-    }
-
-    /// Hand out the next recycled slot, growing only on first use.
-    fn next_slot(&mut self) -> &mut Completion {
-        if self.len == self.items.len() {
-            self.items.push(Completion::default());
-        }
-        self.len += 1;
-        &mut self.items[self.len - 1]
-    }
-}
-
-impl<'a> IntoIterator for &'a CompletionBatch {
-    type Item = &'a Completion;
-    type IntoIter = core::slice::Iter<'a, Completion>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 /// Host-side NVME-INI driver for one queue pair.
 pub struct Initiator {
     shared: Arc<QpShared>,
@@ -419,6 +370,9 @@ pub struct Initiator {
     /// command holding it in flight declared — the most reply its CQE may
     /// claim — or `None`.
     in_flight: Vec<Option<(u16, u32)>>,
+    /// CIDs of commands refused before they were sent, for `reap` to
+    /// answer (room for every CID: refusing never allocates).
+    refused: Vec<u16>,
     replies: Replies,
 }
 
@@ -431,8 +385,10 @@ impl Initiator {
         self.shared.cfg.depth
     }
 
-    /// Commands the target refused because their SQE named a range
-    /// outside the data pool (or their reply outgrew the read buffer).
+    /// Commands refused with `InvalidCommand`: by the target, because
+    /// their SQE named a range outside the data pool (or their reply
+    /// outgrew the read buffer); here, because they did not fit their
+    /// transport buffer.
     pub fn rejected_sqes(&self) -> u64 {
         self.shared.rejected_sqes.load(Ordering::Relaxed)
     }
@@ -464,199 +420,134 @@ impl Initiator {
         self.shared.sq_sleeper.wake();
     }
 
-    /// The buffer the next command gets — the one freed last, so it is
-    /// the one most likely still in cache — when the ring has room too.
-    fn next_buffer(&self) -> Result<u16, QueueFull> {
+    /// Stage one command into the ring without publishing the tail, on the
+    /// buffer freed last — the one most likely still in cache — and
+    /// return its CID (the buffer's index). The host CPU fills the write
+    /// half (local stores, no DMA): for a flat payload `[header ‖
+    /// payload]`, the payload page-aligned at its start when the header
+    /// rode the SQE; for an SGL `[descriptor list][header][segments…]`,
+    /// each segment at an address of its own (the app's buffers are
+    /// already in DMA-able memory; re-staging gives each a distinct
+    /// device-visible address). `read` says what is expected back in the
+    /// read half.
+    ///
+    /// A command whose sides do not fit the buffer — or an SGL of no
+    /// segments or more than [`SGL_MAX_SEGMENTS`] — is refused instead:
+    /// nothing is written, its CID is taken as if it went out, and `reap`
+    /// answers it with a bare `InvalidCommand`, counted in
+    /// `rejected_sqes`.
+    fn stage(
+        &mut self,
+        dispatch: DispatchType,
+        header: &[u8],
+        write: Payload<'_>,
+        read: ReadSide,
+    ) -> Result<u16, QueueFull> {
         if self.free_slots() == 0 {
             return Err(QueueFull);
         }
-        self.free_bufs.last().copied().ok_or(QueueFull)
-    }
-
-    /// Write `sqe` at the SQ tail (without publishing it) and take its
-    /// buffer — the one [`next_buffer`](Self::next_buffer) named — off
-    /// the free list until the completion has been consumed.
-    fn enqueue(&mut self, sqe: &Sqe) {
-        self.shared
-            .sq_mem
-            .write_local(self.sq_tail as usize * SQE_SIZE, &sqe.to_bytes());
-        let buf = self.free_bufs.pop();
-        debug_assert_eq!(buf, Some(sqe.cid()));
-        self.in_flight[sqe.cid() as usize] = Some((sqe.rh_len(), sqe.read_len()));
-        self.sq_tail = (self.sq_tail + 1) % self.shared.cfg.depth;
-    }
-
-    /// A fresh SQE for the command transport buffer `buf` will carry,
-    /// every field set but the request header.
-    fn sqe_for(&self, buf: u16, dispatch: DispatchType, write_len: usize, read: ReadSide) -> Sqe {
-        let cfg = &self.shared.cfg;
+        let buf = self.free_bufs.pop().ok_or(QueueFull)?;
+        let cfg = self.shared.cfg;
+        let flat;
+        let (list_cap, segments): (usize, &[&[u8]]) = match write {
+            Payload::Flat(data) => {
+                flat = [data];
+                (0, &flat)
+            }
+            Payload::Gather(segments) => (SGL_LIST_CAP, segments),
+        };
+        let payload_len: usize = segments.iter().map(|s| s.len()).sum();
         let (rh_len, read_len) = read.lens();
-        assert!(
-            rh_len as usize + read_len as usize <= cfg.max_io_bytes,
-            "read side exceeds buffer capacity"
-        );
         // The PRP fields are how the target learns which buffer this is.
-        let (woff, roff) = buffer_offsets(cfg, buf);
+        let (woff, roff) = buffer_offsets(&cfg, buf);
         let mut sqe = Sqe::new();
         sqe.set_cid(buf)
             .set_dispatch(dispatch)
             .set_prp_write(woff as u64, 0)
             .set_prp_read(roff as u64, 0)
-            .set_write_len(write_len as u32)
+            .set_write_len(payload_len as u32)
             .set_read_len(read_len)
             .set_rh_len(rh_len);
-        sqe
-    }
-
-    /// Put `header` where it travels cheapest: in `sqe` itself when it
-    /// fits (no DMA of its own), else at `at` in the data pool. Returns
-    /// the bytes it took there. Host-local stores either way.
-    fn place_header(&self, sqe: &mut Sqe, header: &[u8], at: usize) -> usize {
-        if sqe.set_inline_header(header) {
-            return 0;
+        if list_cap > 0 {
+            // PRP-Write points at the SGL list.
+            sqe.set_psdt(Psdt::SglWrite)
+                .set_sgl_count(segments.len() as u32 + 1);
         }
-        assert!(header.len() <= u16::MAX as usize, "header too large");
-        self.shared.data_pool.write_local(at, header);
-        sqe.set_wh_len(header.len() as u16);
-        header.len()
-    }
-
-    /// Stage one command into the ring without publishing the tail.
-    fn stage(
-        &mut self,
-        dispatch: DispatchType,
-        header: &[u8],
-        write_payload: &[u8],
-        read: ReadSide,
-    ) -> Result<u16, QueueFull> {
-        let buf = self.next_buffer()?;
-        let (woff, _) = buffer_offsets(&self.shared.cfg, buf);
-        let mut sqe = self.sqe_for(buf, dispatch, write_payload.len(), read);
-        // Host CPU fills the write buffer (local stores, no DMA): the
-        // payload page-aligned at its start when the header rode the SQE.
-        let in_buffer = self.place_header(&mut sqe, header, woff);
-        assert!(
-            in_buffer + write_payload.len() <= self.shared.cfg.max_io_bytes,
-            "write side exceeds buffer capacity"
-        );
-        if !write_payload.is_empty() {
-            self.shared
-                .data_pool
-                .write_local(woff + in_buffer, write_payload);
+        // The header travels cheapest in the SQE itself (no DMA of its
+        // own); else in the buffer.
+        let in_buffer = if sqe.set_inline_header(header) {
+            0
+        } else {
+            header.len()
+        };
+        let fits = rh_len as usize + read_len as usize <= cfg.max_io_bytes
+            && list_cap + in_buffer + payload_len <= cfg.max_io_bytes
+            && in_buffer <= u16::MAX as usize
+            && (list_cap == 0 || (1..=SGL_MAX_SEGMENTS).contains(&segments.len()));
+        if !fits {
+            self.refused.push(buf);
+            self.shared.rejected_sqes.fetch_add(1, Ordering::Relaxed);
+            return Ok(buf);
         }
-        self.enqueue(&sqe);
-        Ok(buf)
-    }
-
-    /// Submit a bidirectional command: `write_payload` (behind `header`,
-    /// when that does not fit the SQE) goes into a transport buffer's
-    /// write half; `read` says what is expected back in its read half — a
-    /// plain `read_len` is [`ReadSide::Buffer`]. Returns the CID (the
-    /// buffer's index).
-    pub fn submit(
-        &mut self,
-        dispatch: DispatchType,
-        header: &[u8],
-        write_payload: &[u8],
-        read: impl Into<ReadSide>,
-    ) -> Result<u16, QueueFull> {
-        let cid = self.stage(dispatch, header, write_payload, read.into())?;
-        self.publish_tail();
-        Ok(cid)
-    }
-
-    /// Stage one SGL command into the ring without publishing the tail.
-    fn stage_sgl(
-        &mut self,
-        dispatch: DispatchType,
-        header: &[u8],
-        segments: &[&[u8]],
-        read: ReadSide,
-    ) -> Result<u16, QueueFull> {
-        assert!(!segments.is_empty(), "an SGL needs at least one segment");
-        assert!(segments.len() <= SGL_MAX_SEGMENTS, "too many SGL segments");
-        let payload_len: usize = segments.iter().map(|s| s.len()).sum();
-        let buf = self.next_buffer()?;
-        let (woff, _) = buffer_offsets(&self.shared.cfg, buf);
-        let mut sqe = self.sqe_for(buf, dispatch, payload_len, read);
-        // PRP-Write points at the SGL list.
-        sqe.set_psdt(Psdt::SglWrite)
-            .set_sgl_count(segments.len() as u32 + 1);
-
-        // Write-buffer layout in SGL mode: [descriptor list][header]
-        // [segments...]. Host-local stores throughout (the app's buffers
-        // are already in DMA-able memory; we re-stage them here to give
-        // each segment a distinct device-visible address). The list is
-        // built on the stack: 16 bytes per descriptor, address, length
-        // and four reserved zero bytes.
+        let pool = &self.shared.data_pool;
+        // The descriptor list, built on the stack: 16 bytes per
+        // descriptor, address, length and four reserved zero bytes. The
+        // first covers the header (zero-length when it rode the SQE).
         let mut list = [0u8; SGL_LIST_CAP];
         let mut describe = |i: usize, addr: usize, len: usize| {
             list[16 * i..16 * i + 8].copy_from_slice(&(addr as u64).to_le_bytes());
             list[16 * i + 8..16 * i + 12].copy_from_slice(&(len as u32).to_le_bytes());
         };
-        let mut cursor = woff + SGL_LIST_CAP;
-        let in_buffer = self.place_header(&mut sqe, header, cursor);
-        assert!(
-            SGL_LIST_CAP + in_buffer + payload_len <= self.shared.cfg.max_io_bytes,
-            "write side exceeds buffer capacity"
-        );
-        // First descriptor covers the header (zero-length when there is
-        // none, or it rode the SQE).
+        let mut cursor = woff + list_cap;
+        if in_buffer > 0 {
+            pool.write_local(cursor, header);
+            sqe.set_wh_len(in_buffer as u16);
+        }
         describe(0, cursor, in_buffer);
         cursor += in_buffer;
         for (i, seg) in segments.iter().enumerate() {
-            self.shared.data_pool.write_local(cursor, seg);
+            pool.write_local(cursor, seg);
             describe(i + 1, cursor, seg.len());
             cursor += seg.len();
         }
+        if list_cap > 0 {
+            pool.write_local(woff, &list[..16 * (segments.len() + 1)]);
+        }
         self.shared
-            .data_pool
-            .write_local(woff, &list[..16 * (segments.len() + 1)]);
-        self.enqueue(&sqe);
+            .sq_mem
+            .write_local(self.sq_tail as usize * SQE_SIZE, &sqe.to_bytes());
+        self.in_flight[buf as usize] = Some((rh_len, read_len));
+        self.sq_tail = (self.sq_tail + 1) % cfg.depth;
         Ok(buf)
     }
 
-    /// Submit a bidirectional command whose write side is described by a
-    /// scatter-gather list instead of a contiguous PRP range (PSDT =
-    /// `SglWrite`). Each segment is an independently-addressed buffer; the
-    /// target fetches the descriptor list (one DMA) and then each segment
-    /// (one DMA per segment), as a real SGL engine would.
-    ///
-    /// The logical payload is the concatenation of `header` and all
-    /// segments, exactly as in [`submit`](Initiator::submit).
-    pub fn submit_sgl(
-        &mut self,
-        dispatch: DispatchType,
-        header: &[u8],
-        segments: &[&[u8]],
-        read: impl Into<ReadSide>,
-    ) -> Result<u16, QueueFull> {
-        let cid = self.stage_sgl(dispatch, header, segments, read.into())?;
-        self.publish_tail();
-        Ok(cid)
-    }
-
-    /// Open a deferred-doorbell batch: every command staged through the
-    /// guard is written into the ring immediately, but the tail doorbell is
-    /// published (and rung) only once, when the guard commits or drops.
+    /// Open a deferred-doorbell batch — the one way to stage commands:
+    /// every command staged through the guard is written into the ring
+    /// immediately, but the tail doorbell is published (and rung) only
+    /// once, when the guard commits or drops.
     pub fn batch(&mut self) -> DoorbellGuard<'_> {
         DoorbellGuard {
+            opened_at: self.sq_tail,
             ini: self,
             staged: 0,
         }
     }
 
-    /// Consume the CQE at the head, if fresh, and take its command out of
-    /// flight. Advances head/phase and flow control but does **not**
-    /// publish the head doorbell — callers batch that into one store per
-    /// poll pass — and does not give the transport buffer back: the reply
-    /// is still in it, and its CID stays taken until
+    /// Consume the next completion, if there is one, and take its command
+    /// out of flight: a command refused before it was sent first, then
+    /// the CQE at the head, if fresh. Advances head/phase and flow control
+    /// but does **not** publish the head doorbell — callers batch that
+    /// into one store per poll pass — and does not give the transport
+    /// buffer back: the reply is still in it, and its CID stays taken until
     /// [`release`](Self::release). A CQE naming a CID that is not in
     /// flight has nobody to go to (and no buffer to give back): it is
     /// consumed and skipped, inline header bytes and all. One that claims
     /// more reply than its command declared room for comes back as a bare
     /// [`CqeStatus::TransportError`] ([`within`]).
     pub(crate) fn reap(&mut self) -> Option<Cqe> {
+        if let Some(cid) = self.refused.pop() {
+            return Some(bare(cid, CqeStatus::InvalidCommand));
+        }
         loop {
             let mut raw = [0u8; CQE_SIZE];
             self.shared
@@ -691,20 +582,6 @@ impl Initiator {
         &self.replies
     }
 
-    /// Copy a reaped CQE's reply out into `out`, reusing `out`'s own
-    /// buffers. Host-local reads; no DMA.
-    fn read_reply(&self, cqe: &Cqe, out: &mut Completion) {
-        let mut hdr = [0; READ_HEADER_CAP];
-        let (header, payload) = self.replies.open(cqe, &mut hdr);
-        out.cid = cqe.cid;
-        out.status = cqe.status;
-        out.result = cqe.result;
-        out.header.clear();
-        out.header.extend_from_slice(header);
-        out.payload.clear();
-        payload.append_to(&mut out.payload);
-    }
-
     /// Put a reaped command's transport buffer back on the free list: its
     /// CID may carry the next command.
     pub(crate) fn release(&mut self, cid: u16) {
@@ -712,43 +589,8 @@ impl Initiator {
         self.free_bufs.push(cid);
     }
 
-    /// Poll the completion queue; returns at most one completion.
-    pub fn poll(&mut self) -> Option<Completion> {
-        let cqe = self.reap()?;
-        self.publish_cq_head();
-        let mut out = Completion::default();
-        self.read_reply(&cqe, &mut out);
-        self.release(cqe.cid);
-        Some(out)
-    }
-
-    /// Drain every available completion into `out` (recycling its buffers)
-    /// with a single CQ-head doorbell store at the end of the pass.
-    /// Returns the number of completions drained.
-    pub fn poll_many(&mut self, out: &mut CompletionBatch) -> usize {
-        out.clear();
-        while let Some(cqe) = self.reap() {
-            self.read_reply(&cqe, out.next_slot());
-            self.release(cqe.cid);
-        }
-        if !out.is_empty() {
-            self.publish_cq_head();
-        }
-        out.len()
-    }
-
-    /// Poll until a completion arrives, yielding between polls
-    /// (test/demo helper).
-    pub fn wait(&mut self) -> Completion {
-        loop {
-            if let Some(c) = self.poll() {
-                return c;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Commands currently in flight.
+    /// Commands whose CID is taken: in flight, or reaped and not yet
+    /// released.
     pub fn outstanding(&self) -> usize {
         self.in_flight.len() - self.free_bufs.len()
     }
@@ -758,14 +600,22 @@ impl Initiator {
 ///
 /// Commands staged through the guard land in the ring immediately; the SQ
 /// tail doorbell is published exactly once when the guard commits (or is
-/// dropped), so a batch of N commands costs one MMIO doorbell instead of N.
+/// dropped), so a batch of N commands costs one MMIO doorbell instead of N
+/// — and a batch that wrote no SQE rings none.
 pub struct DoorbellGuard<'a> {
     ini: &'a mut Initiator,
     staged: usize,
+    /// The SQ tail when the guard opened.
+    opened_at: u16,
 }
 
 impl DoorbellGuard<'_> {
-    /// Stage one command; see [`Initiator::submit`].
+    /// Stage one bidirectional command: `write_payload` (behind `header`,
+    /// when that does not fit the SQE) goes into a transport buffer's
+    /// write half; `read` says what is expected back in its read half — a
+    /// plain `read_len` is [`ReadSide::Buffer`]. Returns the CID (the
+    /// buffer's index). A command that does not fit its buffer is
+    /// refused, not sent: its CID comes back as `InvalidCommand`.
     pub fn submit(
         &mut self,
         dispatch: DispatchType,
@@ -773,14 +623,16 @@ impl DoorbellGuard<'_> {
         write_payload: &[u8],
         read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        let slot = self
-            .ini
-            .stage(dispatch, header, write_payload, read.into())?;
-        self.staged += 1;
-        Ok(slot)
+        self.stage(dispatch, header, Payload::Flat(write_payload), read.into())
     }
 
-    /// Stage one SGL command; see [`Initiator::submit_sgl`].
+    /// Stage one command whose write side is described by a scatter-gather
+    /// list instead of a contiguous PRP range (PSDT = `SglWrite`). Each
+    /// segment is an independently-addressed buffer; the target fetches
+    /// the descriptor list (one DMA) and then each segment (one DMA per
+    /// segment), as a real SGL engine would. The logical payload is the
+    /// concatenation of all segments, exactly as in
+    /// [`submit`](Self::submit).
     pub fn submit_sgl(
         &mut self,
         dispatch: DispatchType,
@@ -788,11 +640,20 @@ impl DoorbellGuard<'_> {
         segments: &[&[u8]],
         read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        let slot = self
-            .ini
-            .stage_sgl(dispatch, header, segments, read.into())?;
+        self.stage(dispatch, header, Payload::Gather(segments), read.into())
+    }
+
+    /// Stage one command with either kind of write side.
+    pub(crate) fn stage(
+        &mut self,
+        dispatch: DispatchType,
+        header: &[u8],
+        write: Payload<'_>,
+        read: ReadSide,
+    ) -> Result<u16, QueueFull> {
+        let cid = self.ini.stage(dispatch, header, write, read)?;
         self.staged += 1;
-        Ok(slot)
+        Ok(cid)
     }
 
     /// Commands staged so far in this batch.
@@ -807,79 +668,9 @@ impl DoorbellGuard<'_> {
 
 impl Drop for DoorbellGuard<'_> {
     fn drop(&mut self) {
-        if self.staged > 0 {
+        if self.ini.sq_tail != self.opened_at {
             self.ini.publish_tail();
         }
-    }
-}
-
-/// A command as seen by the DPU target.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct Incoming {
-    pub sqe: Sqe,
-    /// The command's CID, to pass back to [`Target::complete`].
-    pub slot: u16,
-    /// The request header (`WH_len` bytes), wherever it travelled.
-    pub header: Vec<u8>,
-    /// The write payload.
-    pub payload: Vec<u8>,
-}
-
-/// Reusable batch of [`Incoming`]s filled by [`Target::poll_many`];
-/// recycles per-command header/payload buffers the same way
-/// [`CompletionBatch`] does.
-#[derive(Default)]
-pub struct IncomingBatch {
-    items: Vec<Incoming>,
-    len: usize,
-}
-
-impl IncomingBatch {
-    pub fn new() -> IncomingBatch {
-        IncomingBatch::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop the contents but keep every buffer for reuse.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    pub fn as_slice(&self) -> &[Incoming] {
-        &self.items[..self.len]
-    }
-
-    pub fn iter(&self) -> core::slice::Iter<'_, Incoming> {
-        self.as_slice().iter()
-    }
-
-    fn next_slot(&mut self) -> &mut Incoming {
-        if self.len == self.items.len() {
-            self.items.push(Incoming::default());
-        }
-        self.len += 1;
-        &mut self.items[self.len - 1]
-    }
-
-    /// Un-claim the most recently claimed slot (rejected command).
-    fn pop_slot(&mut self) {
-        self.len -= 1;
-    }
-}
-
-impl<'a> IntoIterator for &'a IncomingBatch {
-    type Item = &'a Incoming;
-    type IntoIter = core::slice::Iter<'a, Incoming>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -903,13 +694,9 @@ pub struct Target {
     cq_phase: bool,
     /// Per-CID reply buffer of every fetched, not yet completed command.
     reply_bufs: Vec<ReplyBuf>,
-    /// Reusable staging buffer for one command's contiguous
-    /// `[header ‖ payload]` write side — DMA granularity (and therefore
-    /// accounting) is over this contiguous view, the header/payload split
-    /// happens locally afterwards.
-    scratch: Vec<u8>,
-    /// Reusable staging buffer for SGL descriptor lists.
-    sgl_scratch: Vec<u8>,
+    /// The request header of the command fetched last, wherever it
+    /// travelled: reused for every command.
+    header: Vec<u8>,
 }
 
 impl Target {
@@ -931,24 +718,36 @@ impl Target {
 
     /// Refuse command `cid`: a bare `InvalidCommand` CQE, and a count.
     /// Also how the layer above refuses a header that does not decode.
-    pub fn reject(&mut self, cid: u16) {
+    pub(crate) fn reject(&mut self, cid: u16) {
         self.shared.rejected_sqes.fetch_add(1, Ordering::Relaxed);
         self.post_cqe(cid, CqeStatus::InvalidCommand, 0, b"");
     }
 
-    /// Fetch the SQE at the current head and gather its write side into
-    /// `out`, reusing `out`'s buffers and the target's scratch space.
-    /// Advances the SQ head. The caller has already checked availability.
-    /// Returns `false` when the command was refused instead (an
+    /// SQEs the host has published past the last one fetched: one read of
+    /// the SQ tail doorbell register, however many there are.
+    pub(crate) fn posted(&self) -> usize {
+        let depth = self.shared.cfg.depth as usize;
+        let tail = self.shared.sq_tail_db.load(Ordering::Acquire) as usize;
+        (tail + depth - self.sq_head as usize) % depth
+    }
+
+    /// Fetch the SQE at the head (the caller has checked
+    /// [`posted`](Self::posted)) and gather its write side: the request
+    /// header into the target's one header buffer, the payload by DMA
+    /// straight into `payload` — the buffer the command is served from.
+    /// `payload` is resized, not cleared: a warm buffer is not zero-filled
+    /// first. Advances the SQ head. Returns the SQE and the request
+    /// header, or `None` when the command was refused instead (an
     /// out-of-range CID, PRP range or SGL descriptor, an inline header
     /// longer than the SQE has room for): it has been completed with
-    /// `InvalidCommand` and `out` holds nothing to serve.
+    /// `InvalidCommand` and `payload` holds nothing to serve.
     ///
     /// DMA accounting: 1 op for the SQE fetch — which brings an inline
     /// request header with it — plus `ceil((buffered header + Write_len) /
-    /// 4096)` ops for the write buffer (page-granularity PRP transfers),
-    /// or list + per-segment ops in SGL mode.
-    fn fill_incoming(&mut self, out: &mut Incoming) -> bool {
+    /// 4096)` ops for the write buffer (page-granularity PRP transfers
+    /// over the contiguous `[header ‖ payload]`), or list + per-segment
+    /// ops in SGL mode.
+    pub(crate) fn fetch(&mut self, payload: &mut Vec<u8>) -> Option<(Sqe, &[u8])> {
         // ① fetch the SQE.
         let mut raw = [0u8; SQE_SIZE];
         self.dma.dma_read(
@@ -959,28 +758,32 @@ impl Target {
         self.sq_head = (self.sq_head + 1) % self.shared.cfg.depth;
         let sqe = Sqe::from_bytes(&raw);
         let cid = sqe.cid();
-        out.header.clear();
-        out.payload.clear();
-        out.slot = cid;
-        if cid >= self.shared.cfg.depth {
+        let mut header = std::mem::take(&mut self.header);
+        header.clear();
+        let gathered = cid < self.shared.cfg.depth && self.gather(&sqe, &mut header, payload);
+        self.header = header;
+        if !gathered {
             self.reject(cid);
-            return false;
+            return None;
         }
+        Some((sqe, &self.header))
+    }
 
-        // ② the request header, if the SQE brought it along, and the
-        // buffers the SQE names. A direction that moves no bytes names no
-        // buffer: its PRP Dwords may be header bytes and are never read
-        // as an address.
+    /// ② The request header, if the SQE brought it along, and the buffers
+    /// the SQE names — a direction that moves no bytes names no buffer:
+    /// its PRP Dwords may be header bytes and are never read as an
+    /// address — then ③ what the write buffer holds: a header that did
+    /// not fit the SQE, then the payload. `false` when anything named is
+    /// out of bounds.
+    fn gather(&mut self, sqe: &Sqe, header: &mut Vec<u8>, payload: &mut Vec<u8>) -> bool {
         let wh = if sqe.is_inline() {
-            if !sqe.inline_header(&mut out.header) {
-                self.reject(cid);
+            if !sqe.inline_header(header) {
                 return false;
             }
             0
         } else {
             sqe.wh_len() as usize
         };
-        let total = wh + sqe.write_len() as usize;
         let (header_cap, payload_cap) = (sqe.rh_len() as usize, sqe.read_len() as usize);
         let reply = if header_cap + payload_cap == 0 {
             ReplyBuf::default()
@@ -991,56 +794,74 @@ impl Target {
                 payload_cap,
             }
         } else {
-            self.reject(cid);
             return false;
         };
-
-        // ③ read what the write buffer holds: a header that did not fit
-        // the SQE, then the payload. PRP mode: page-granular DMAs over the
-        // contiguous buffer. SGL mode: fetch the descriptor list, then one
-        // DMA per scattered segment.
-        let sgl_write = matches!(sqe.psdt(), Psdt::SglWrite | Psdt::SglBoth);
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        let gathered = if sgl_write {
-            self.gather_sgl(&sqe, total, &mut buf)
-        } else {
-            total == 0 || self.gather_prp(&sqe, total, &mut buf)
+        // Bounded before `payload` is sized by it.
+        if wh + sqe.write_len() as usize > self.shared.cfg.max_io_bytes {
+            return false;
+        }
+        payload.resize(sqe.write_len() as usize, 0);
+        let gathered = match sqe.psdt() {
+            Psdt::SglWrite | Psdt::SglBoth => self.gather_sgl(sqe, wh, header, payload),
+            _ => self.gather_prp(sqe, wh, header, payload),
         };
         if gathered {
-            out.header.extend_from_slice(&buf[..wh]);
-            out.payload.extend_from_slice(&buf[wh..]);
-            out.sqe = sqe;
-            self.reply_bufs[cid as usize] = reply;
-        } else {
-            self.reject(cid);
+            self.reply_bufs[sqe.cid() as usize] = reply;
         }
-        self.scratch = buf;
         gathered
     }
 
-    /// Gather a contiguous write side of `total` bytes into `buf`, one
-    /// DMA per 4 KiB page. `false` when the range is not inside the pool.
-    fn gather_prp(&mut self, sqe: &Sqe, total: usize, buf: &mut Vec<u8>) -> bool {
+    /// One DMA: pool bytes `[addr, addr + len)` become bytes `[at, at +
+    /// len)` of the write side `[header ‖ payload]`, whose header is `wh`
+    /// bytes. Transfers arrive in order. One that starts inside the header
+    /// lands in `header` whole, and the payload bytes it carried — those
+    /// sharing a page with the header's end — are copied on from there.
+    fn land(
+        &self,
+        addr: usize,
+        at: usize,
+        len: usize,
+        wh: usize,
+        header: &mut Vec<u8>,
+        payload: &mut [u8],
+    ) {
+        let pool = &self.shared.data_pool;
+        if at >= wh {
+            self.dma
+                .dma_read(pool, addr, &mut payload[at - wh..at - wh + len]);
+            return;
+        }
+        header.resize(at + len, 0);
+        self.dma.dma_read(pool, addr, &mut header[at..]);
+        if at + len > wh {
+            payload[..at + len - wh].copy_from_slice(&header[wh..]);
+            header.truncate(wh);
+        }
+    }
+
+    /// Gather a contiguous write side, one DMA per 4 KiB page. `false`
+    /// when the range is not inside the pool; a write side of no bytes
+    /// names no range.
+    fn gather_prp(&self, sqe: &Sqe, wh: usize, header: &mut Vec<u8>, payload: &mut [u8]) -> bool {
+        let total = wh + payload.len();
+        if total == 0 {
+            return true;
+        }
         let Some(woff) = self.pool_range(sqe.prp_write().0, total) else {
             return false;
         };
-        buf.resize(total, 0);
-        let mut pos = 0;
-        while pos < total {
-            let n = (total - pos).min(4096);
-            self.dma
-                .dma_read(&self.shared.data_pool, woff + pos, &mut buf[pos..pos + n]);
-            pos += n;
+        for at in (0..total).step_by(PAGE) {
+            self.land(woff + at, at, PAGE.min(total - at), wh, header, payload);
         }
         true
     }
 
-    /// Gather a scattered write side into `buf`: the descriptor list (one
-    /// DMA), then one DMA per non-empty segment. `false` when the list or
-    /// a segment is not inside the pool, or the segments do not add up to
-    /// the `total` the SQE declared.
-    fn gather_sgl(&mut self, sqe: &Sqe, total: usize, buf: &mut Vec<u8>) -> bool {
+    /// Gather a scattered write side: the descriptor list (one DMA), then
+    /// one DMA per non-empty segment. `false` when the list or a segment
+    /// is not inside the pool, or the segments do not add up to the
+    /// header and payload the SQE declared.
+    fn gather_sgl(&self, sqe: &Sqe, wh: usize, header: &mut Vec<u8>, payload: &mut [u8]) -> bool {
+        let total = wh + payload.len();
         let count = sqe.sgl_count() as usize;
         if count > SGL_LIST_CAP / 16 {
             return false;
@@ -1048,44 +869,26 @@ impl Target {
         let Some(list_off) = self.pool_range(sqe.prp_write().0, count * 16) else {
             return false;
         };
-        let mut list = std::mem::take(&mut self.sgl_scratch);
-        list.clear();
-        list.resize(count * 16, 0);
-        self.dma
-            .dma_read(&self.shared.data_pool, list_off, &mut list);
-        let mut ok = true;
+        let mut list = [0u8; SGL_LIST_CAP];
+        let list = &mut list[..count * 16];
+        self.dma.dma_read(&self.shared.data_pool, list_off, list);
+        let mut at = 0;
         for desc in list.chunks_exact(16) {
             let addr = u64::from_le_bytes(desc[..8].try_into().expect("8-byte address"));
             let len = u32::from_le_bytes(desc[8..12].try_into().expect("4-byte length")) as usize;
             if len == 0 {
                 continue;
             }
-            let start = buf.len();
             let Some(addr) = self.pool_range(addr, len) else {
-                ok = false;
-                break;
+                return false;
             };
-            if start + len > total {
-                ok = false;
-                break;
+            if at + len > total {
+                return false;
             }
-            buf.resize(start + len, 0);
-            self.dma
-                .dma_read(&self.shared.data_pool, addr, &mut buf[start..]);
+            self.land(addr, at, len, wh, header, payload);
+            at += len;
         }
-        self.sgl_scratch = list;
-        ok && buf.len() == total
-    }
-
-    /// Poll the SQ doorbell; fetch and decode one SQE if available. A
-    /// refused command yields `None` for this round.
-    pub fn poll(&mut self) -> Option<Incoming> {
-        let tail = self.shared.sq_tail_db.load(Ordering::Acquire) as u16;
-        if tail == self.sq_head {
-            return None;
-        }
-        let mut out = Incoming::default();
-        self.fill_incoming(&mut out).then_some(out)
+        at == total
     }
 
     /// Sleep until the host rings this queue's SQ doorbell, somebody
@@ -1100,22 +903,6 @@ impl Target {
         })
     }
 
-    /// Drain every SQE published by the last doorbell into `out`,
-    /// recycling its buffers: one doorbell-register read per pass, however
-    /// many commands arrived. Refused commands are completed inline and
-    /// do not appear in the batch. Returns the number of commands fetched.
-    pub fn poll_many(&mut self, out: &mut IncomingBatch) -> usize {
-        out.clear();
-        let tail = self.shared.sq_tail_db.load(Ordering::Acquire) as u16;
-        while self.sq_head != tail {
-            let slot = out.next_slot();
-            if !self.fill_incoming(slot) {
-                out.pop_slot();
-            }
-        }
-        out.len()
-    }
-
     /// Complete a command: the response header rides the CQE when it
     /// fits there, else it is DMA-written to the read buffer the SQE
     /// named, as the read payload is; then ④ post the CQE. A reply that
@@ -1128,7 +915,7 @@ impl Target {
     /// acknowledgement — no payload, a short header or none — therefore
     /// costs exactly one CQE DMA, which is what keeps an 8 KiB write at
     /// the paper's 4 DMA operations.
-    pub fn complete(&mut self, slot: u16, status: CqeStatus, header: &[u8], payload: &[u8]) {
+    pub(crate) fn complete(&mut self, slot: u16, status: CqeStatus, header: &[u8], payload: &[u8]) {
         assert!(header.len() <= READ_HEADER_CAP, "response header too big");
         let reply = self
             .reply_bufs
@@ -1148,15 +935,9 @@ impl Target {
         }
 
         // Payload, page by page.
-        let mut pos = 0;
-        while pos < payload.len() {
-            let n = (payload.len() - pos).min(4096);
-            self.dma.dma_write(
-                &self.shared.data_pool,
-                reply.offset + reply.header_cap + pos,
-                &payload[pos..pos + n],
-            );
-            pos += n;
+        for (i, page) in payload.chunks(PAGE).enumerate() {
+            let at = reply.offset + reply.header_cap + i * PAGE;
+            self.dma.dma_write(&self.shared.data_pool, at, page);
         }
 
         self.post_cqe(slot, status, payload.len() as u32, header);
@@ -1193,6 +974,7 @@ impl Target {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pair(depth: u16, max_io: usize) -> (Initiator, Target, DmaEngine) {
         let dma = DmaEngine::new();
@@ -1207,29 +989,110 @@ mod tests {
         (ini, tgt, dma)
     }
 
-    /// Echo target: completes each command by returning the write payload.
-    fn echo_one(tgt: &mut Target) {
-        let inc = tgt.poll().expect("request pending");
-        let reply = inc.payload.clone();
-        let want = inc.sqe.read_len() as usize;
-        let reply = if reply.len() >= want {
-            reply[..want].to_vec()
-        } else {
-            reply
+    /// Stage one command under a doorbell of its own.
+    fn submit(
+        ini: &mut Initiator,
+        dispatch: DispatchType,
+        header: &[u8],
+        payload: &[u8],
+        read: impl Into<ReadSide>,
+    ) -> Result<u16, QueueFull> {
+        ini.batch().submit(dispatch, header, payload, read)
+    }
+
+    /// Stage one SGL command under a doorbell of its own.
+    fn submit_sgl(
+        ini: &mut Initiator,
+        dispatch: DispatchType,
+        header: &[u8],
+        segments: &[&[u8]],
+        read: impl Into<ReadSide>,
+    ) -> Result<u16, QueueFull> {
+        ini.batch().submit_sgl(dispatch, header, segments, read)
+    }
+
+    /// A command as the target fetched it.
+    struct Fetched {
+        sqe: Sqe,
+        slot: u16,
+        header: Vec<u8>,
+        payload: Vec<u8>,
+    }
+
+    /// Fetch the next posted command into `payload` (the buffer it is
+    /// served from); `None` when nothing is posted or it was refused.
+    fn fetch_into(tgt: &mut Target, mut payload: Vec<u8>) -> Option<Fetched> {
+        if tgt.posted() == 0 {
+            return None;
+        }
+        let (sqe, header) = tgt.fetch(&mut payload)?;
+        let header = header.to_vec();
+        Some(Fetched {
+            sqe,
+            slot: sqe.cid(),
+            header,
+            payload,
+        })
+    }
+
+    fn fetch(tgt: &mut Target) -> Option<Fetched> {
+        fetch_into(tgt, Vec::new())
+    }
+
+    /// Every command the last doorbell published, refused ones left out.
+    fn fetch_all(tgt: &mut Target) -> Vec<Fetched> {
+        (0..tgt.posted()).filter_map(|_| fetch(tgt)).collect()
+    }
+
+    /// A reply as the host reads it.
+    struct Done {
+        cid: u16,
+        status: CqeStatus,
+        header: Vec<u8>,
+        payload: Vec<u8>,
+    }
+
+    /// The host's one way to read a reply: reap, open, release.
+    fn reap(ini: &mut Initiator) -> Option<Done> {
+        let cqe = ini.reap()?;
+        ini.publish_cq_head();
+        let mut hdr = [0; READ_HEADER_CAP];
+        let (header, payload) = ini.replies().open(&cqe, &mut hdr);
+        let done = Done {
+            cid: cqe.cid,
+            status: cqe.status,
+            header: header.to_vec(),
+            payload: payload.to_vec(),
         };
-        tgt.complete(inc.slot, CqeStatus::Success, b"", &reply);
+        ini.release(cqe.cid);
+        Some(done)
+    }
+
+    fn wait(ini: &mut Initiator) -> Done {
+        loop {
+            if let Some(done) = reap(ini) {
+                return done;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Echo target: completes the next command by returning the write
+    /// payload, cut to the read length.
+    fn echo_one(tgt: &mut Target) {
+        let inc = fetch(tgt).expect("request pending");
+        let want = (inc.sqe.read_len() as usize).min(inc.payload.len());
+        tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload[..want]);
     }
 
     #[test]
     fn single_command_round_trip() {
         let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
         let data = vec![0x5A; 8192];
-        let cid = ini
-            .submit(DispatchType::Standalone, b"", &data, 8192)
-            .unwrap();
+        let cid = submit(&mut ini, DispatchType::Standalone, b"", &data, 8192).unwrap();
         assert_eq!(ini.outstanding(), 1);
         echo_one(&mut tgt);
-        let c = ini.wait();
+        let c = wait(&mut ini);
         assert_eq!(c.cid, cid);
         assert_eq!(c.status, CqeStatus::Success);
         assert_eq!(c.payload, data);
@@ -1242,11 +1105,11 @@ mod tests {
         // 4 DMA operations (SQE fetch, two 4 KiB data pages, CQE).
         let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
         let before = dma.snapshot();
-        ini.submit(DispatchType::Standalone, b"", &[7u8; 8192], 0)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", &[7u8; 8192], 0).unwrap();
+        let inc = fetch(&mut tgt).unwrap();
+        assert_eq!(inc.payload, [7u8; 8192]);
         tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
-        ini.wait();
+        wait(&mut ini);
         let delta = dma.snapshot().since(&before);
         // SQE fetch (1) + two 4 KiB data pages (2) + CQE (1) = 4.
         assert_eq!(delta.dma_ops, 4);
@@ -1260,11 +1123,10 @@ mod tests {
         // pages (2) = 4 DMA operations.
         let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
         let before = dma.snapshot();
-        ini.submit(DispatchType::Standalone, b"", b"", 8192)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", b"", 8192).unwrap();
+        let inc = fetch(&mut tgt).unwrap();
         tgt.complete(inc.slot, CqeStatus::Success, b"", &[3u8; 8192]);
-        let c = ini.wait();
+        let c = wait(&mut ini);
         assert_eq!(c.payload, vec![3u8; 8192]);
         let delta = dma.snapshot().since(&before);
         assert_eq!(delta.dma_ops, 4);
@@ -1273,16 +1135,15 @@ mod tests {
     #[test]
     fn header_and_payload_delivered_separately() {
         let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
-        ini.submit(DispatchType::Distributed, b"HDR!", b"payload", 16)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
+        submit(&mut ini, DispatchType::Distributed, b"HDR!", b"payload", 16).unwrap();
+        let inc = fetch(&mut tgt).unwrap();
         assert_eq!(inc.header, b"HDR!");
         assert_eq!(inc.payload, b"payload");
         assert_eq!(inc.sqe.dispatch(), DispatchType::Distributed);
         assert_eq!(inc.sqe.wh_len(), 4);
         assert_eq!(inc.sqe.write_len(), 7);
         tgt.complete(inc.slot, CqeStatus::Success, b"RESP", b"ok");
-        let c = ini.wait();
+        let c = wait(&mut ini);
         assert_eq!(c.header, b"RESP");
         assert_eq!(c.payload, b"ok");
     }
@@ -1293,9 +1154,9 @@ mod tests {
         // Drive several times around the 4-deep ring.
         for round in 0..23u32 {
             let data = round.to_le_bytes();
-            ini.submit(DispatchType::Standalone, b"", &data, 4).unwrap();
+            submit(&mut ini, DispatchType::Standalone, b"", &data, 4).unwrap();
             echo_one(&mut tgt);
-            let c = ini.wait();
+            let c = wait(&mut ini);
             assert_eq!(c.payload, data);
         }
     }
@@ -1305,16 +1166,16 @@ mod tests {
         let (mut ini, mut tgt, _) = pair(4, 4096);
         // depth-1 = 3 slots usable.
         for _ in 0..3 {
-            ini.submit(DispatchType::Standalone, b"", b"x", 0).unwrap();
+            submit(&mut ini, DispatchType::Standalone, b"", b"x", 0).unwrap();
         }
         assert_eq!(
-            ini.submit(DispatchType::Standalone, b"", b"x", 0),
+            submit(&mut ini, DispatchType::Standalone, b"", b"x", 0),
             Err(QueueFull)
         );
         // Drain one; a slot frees up.
         echo_one(&mut tgt);
-        ini.wait();
-        ini.submit(DispatchType::Standalone, b"", b"y", 0).unwrap();
+        wait(&mut ini);
+        submit(&mut ini, DispatchType::Standalone, b"", b"y", 0).unwrap();
     }
 
     #[test]
@@ -1322,13 +1183,13 @@ mod tests {
         let (mut ini, mut tgt, _) = pair(16, 4096);
         let mut cids = Vec::new();
         for i in 0..10u8 {
-            cids.push(ini.submit(DispatchType::Standalone, b"", &[i], 1).unwrap());
+            cids.push(submit(&mut ini, DispatchType::Standalone, b"", &[i], 1).unwrap());
         }
         for _ in 0..10 {
             echo_one(&mut tgt);
         }
         for (i, want_cid) in cids.into_iter().enumerate() {
-            let c = ini.wait();
+            let c = wait(&mut ini);
             assert_eq!(c.cid, want_cid);
             assert_eq!(c.payload, vec![i as u8]);
         }
@@ -1342,11 +1203,10 @@ mod tests {
         let dpu = std::thread::spawn(move || {
             let mut done = 0;
             while done < N {
-                if let Some(inc) = tgt.poll() {
+                if let Some(mut inc) = fetch(&mut tgt) {
                     // Reverse the payload as a nontrivial transform.
-                    let mut rev = inc.payload.clone();
-                    rev.reverse();
-                    tgt.complete(inc.slot, CqeStatus::Success, b"", &rev);
+                    inc.payload.reverse();
+                    tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload);
                     done += 1;
                 } else {
                     std::hint::spin_loop();
@@ -1358,15 +1218,14 @@ mod tests {
         while completed < N {
             while next < N as u32 {
                 let msg = next.to_le_bytes();
-                match ini.submit(DispatchType::Standalone, b"", &msg, 4) {
+                match submit(&mut ini, DispatchType::Standalone, b"", &msg, 4) {
                     Ok(_) => next += 1,
                     Err(QueueFull) => break,
                 }
             }
-            if let Some(c) = ini.poll() {
-                let mut rev = c.payload.clone();
-                rev.reverse();
-                let v = u32::from_le_bytes(rev.try_into().unwrap());
+            if let Some(mut c) = reap(&mut ini) {
+                c.payload.reverse();
+                let v = u32::from_le_bytes(c.payload.try_into().unwrap());
                 assert!(v < N as u32);
                 completed += 1;
             }
@@ -1375,11 +1234,84 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds buffer capacity")]
     fn oversized_payload_rejected() {
-        let (mut ini, _tgt, _) = pair(4, 4096);
-        ini.submit(DispatchType::Standalone, b"", &[0; 8192], 0)
-            .ok();
+        // A command whose sides do not fit its transport buffer never
+        // leaves the host: no SQE, no doorbell, no DMA, nothing written to
+        // the pool. Its CID comes back as a bare `InvalidCommand`, counted
+        // in `rejected_sqes`, and the ring keeps working. Each shape one
+        // byte past the edge, then the edge itself goes through.
+        let (mut ini, mut tgt, dma) = pair(4, 4096);
+        let page = [0x5Au8; 4096];
+        let seg = [0x5Au8; 64];
+        let many = [&seg[..]; SGL_MAX_SEGMENTS + 1];
+        // (what, header, write side, read side): a 40-byte header has no
+        // room in an SQE beside a payload and a read side.
+        let oversized: [(&str, &[u8], Payload, ReadSide); 7] = [
+            ("payload", b"", Payload::Flat(&[0; 4097]), ReadSide::None),
+            (
+                "buffered header + payload",
+                &[0x48; 40],
+                Payload::Flat(&page[..4096 - 39]),
+                ReadSide::Buffer(0),
+            ),
+            (
+                "read side",
+                b"",
+                Payload::Flat(b""),
+                ReadSide::Buffer(4096 - 63),
+            ),
+            ("header", &[0x48; 4097], Payload::Flat(b""), ReadSide::None),
+            (
+                "SGL list + segments",
+                b"",
+                Payload::Gather(&[&page[..4096 - SGL_LIST_CAP + 1]]),
+                ReadSide::None,
+            ),
+            (
+                "SGL of no segments",
+                b"",
+                Payload::Gather(&[]),
+                ReadSide::None,
+            ),
+            (
+                "SGL of too many segments",
+                b"",
+                Payload::Gather(&many),
+                ReadSide::None,
+            ),
+        ];
+        for (i, (what, header, write, read)) in oversized.into_iter().enumerate() {
+            let before = dma.snapshot();
+            let cid = ini
+                .batch()
+                .stage(DispatchType::Standalone, header, write, read)
+                .expect(what);
+            assert_eq!(ini.outstanding(), 1, "{what}: the CID is taken");
+            let done = reap(&mut ini).expect(what);
+            assert_eq!((done.cid, done.status), (cid, CqeStatus::InvalidCommand));
+            assert!(done.header.is_empty() && done.payload.is_empty(), "{what}");
+            assert_eq!(ini.rejected_sqes(), i as u64 + 1, "{what}");
+            assert_eq!(ini.outstanding(), 0, "{what}");
+            let moved = dma.snapshot().since(&before);
+            assert_eq!((moved.doorbells, moved.dma_ops), (0, 0), "{what}");
+            assert_eq!(tgt.posted(), 0, "{what}");
+        }
+        // At the edge: a full page beside an SQE-borne header, a read side
+        // of the whole read half, 15 segments filling the write half.
+        let (full, fill) = (ReadSide::Buffer(4096 - 64), (4096 - SGL_LIST_CAP) / 15);
+        submit(&mut ini, DispatchType::Standalone, b"HDR", &page, full).unwrap();
+        let inc = fetch(&mut tgt).unwrap();
+        assert_eq!(
+            (inc.header.as_slice(), &inc.payload[..]),
+            (&b"HDR"[..], &page[..])
+        );
+        tgt.complete(inc.slot, CqeStatus::Success, b"", &page[..4096 - 64]);
+        assert_eq!(wait(&mut ini).payload, page[..4096 - 64]);
+        let fifteen = [&page[..fill]; SGL_MAX_SEGMENTS];
+        submit_sgl(&mut ini, DispatchType::Standalone, b"", &fifteen, 0).unwrap();
+        echo_one(&mut tgt);
+        assert_eq!(wait(&mut ini).status, CqeStatus::Success);
+        assert_eq!(ini.rejected_sqes(), 7);
     }
 
     #[test]
@@ -1388,14 +1320,15 @@ mod tests {
         let seg_a = vec![1u8; 1000];
         let seg_b = vec![2u8; 3000];
         let seg_c = vec![3u8; 50];
-        ini.submit_sgl(
+        submit_sgl(
+            &mut ini,
             DispatchType::Standalone,
             b"HDR",
             &[&seg_a, &seg_b, &seg_c],
             0,
         )
         .unwrap();
-        let inc = tgt.poll().unwrap();
+        let inc = fetch(&mut tgt).unwrap();
         assert_eq!(inc.header, b"HDR");
         assert_eq!(inc.payload.len(), 4050);
         assert_eq!(&inc.payload[..1000], &seg_a[..]);
@@ -1403,7 +1336,7 @@ mod tests {
         assert_eq!(&inc.payload[4000..], &seg_c[..]);
         assert_eq!(inc.sqe.psdt(), crate::sqe::Psdt::SglWrite);
         tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
-        let c = ini.wait();
+        let c = wait(&mut ini);
         assert_eq!(c.status, CqeStatus::Success);
     }
 
@@ -1416,12 +1349,18 @@ mod tests {
         let seg = vec![9u8; 2048];
         for (header, header_dmas) in [(&b"H"[..], 0), (&[0x48; 13][..], 1)] {
             let before = dma.snapshot();
-            ini.submit_sgl(DispatchType::Standalone, header, &[&seg, &seg, &seg], 0)
-                .unwrap();
-            let inc = tgt.poll().unwrap();
+            submit_sgl(
+                &mut ini,
+                DispatchType::Standalone,
+                header,
+                &[&seg, &seg, &seg],
+                0,
+            )
+            .unwrap();
+            let inc = fetch(&mut tgt).unwrap();
             assert_eq!(inc.header, header);
             tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
-            ini.wait();
+            wait(&mut ini);
             let delta = dma.snapshot().since(&before);
             assert_eq!(delta.dma_ops, 1 + 1 + header_dmas + 3 + 1);
         }
@@ -1444,14 +1383,20 @@ mod tests {
         let (mut ini, mut tgt, dma) = pair(8, 16 * 1024);
         let before = dma.snapshot();
         let hdr = header_only(42, 8192);
-        ini.submit(DispatchType::Standalone, &hdr, b"", ReadSide::None)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
+        submit(
+            &mut ini,
+            DispatchType::Standalone,
+            &hdr,
+            b"",
+            ReadSide::None,
+        )
+        .unwrap();
+        let inc = fetch(&mut tgt).unwrap();
         assert!(inc.sqe.is_inline());
         assert_eq!(inc.header, hdr);
         assert!(inc.payload.is_empty());
         tgt.complete(inc.slot, CqeStatus::Success, b"\x03\x00\x10\x00\x00", b"");
-        let c = ini.wait();
+        let c = wait(&mut ini);
         assert_eq!(c.header, b"\x03\x00\x10\x00\x00");
         assert!(c.payload.is_empty());
         let delta = dma.snapshot().since(&before);
@@ -1461,44 +1406,60 @@ mod tests {
 
     #[test]
     fn zc_and_classic_commands_interleave_with_buffer_recycling() {
-        // A recycled Incoming must not leak an SQE-borne header into a
-        // command whose header sits in its buffer, and vice versa.
+        // The target's one header buffer and a recycled payload buffer
+        // must not leak an SQE-borne header into a command whose header
+        // sits in its transport buffer, a longer payload into a shorter
+        // one, or vice versa.
         let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
-        let mut batch = IncomingBatch::new();
+        let mut slots = [Vec::new(), Vec::new()];
+        let serve = |tgt: &mut Target, slots: &mut [Vec<u8>; 2]| -> [Fetched; 2] {
+            assert_eq!(tgt.posted(), 2);
+            let fetched = slots
+                .each_mut()
+                .map(|slot| fetch_into(tgt, std::mem::take(slot)).unwrap());
+            for f in &fetched {
+                tgt.complete(f.slot, CqeStatus::Success, b"", b"");
+            }
+            fetched
+        };
         let bare = header_only(1, 4096);
         let long = [0x4C; 40]; // too long for the SQE beside a payload
-        ini.submit(DispatchType::Standalone, &bare, b"", ReadSide::None)
-            .unwrap();
-        ini.submit(DispatchType::Standalone, &long, b"classic", 0)
-            .unwrap();
-        assert_eq!(tgt.poll_many(&mut batch), 2);
-        let [z, c] = [0, 1].map(|i| &batch.as_slice()[i]);
+        submit(
+            &mut ini,
+            DispatchType::Standalone,
+            &bare,
+            b"",
+            ReadSide::None,
+        )
+        .unwrap();
+        submit(&mut ini, DispatchType::Standalone, &long, b"classic", 0).unwrap();
+        let [z, c] = serve(&mut tgt, &mut slots);
         assert!(z.sqe.is_inline() && !c.sqe.is_inline());
         assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
         assert_eq!(c.header, long);
         assert_eq!(c.payload, b"classic");
-        let (s0, s1) = (z.slot, c.slot);
-        tgt.complete(s0, CqeStatus::Success, b"", b"");
-        tgt.complete(s1, CqeStatus::Success, b"", b"");
-        ini.wait();
-        ini.wait();
-        // Round 2: recycle the batch the other way around.
-        ini.submit(DispatchType::Standalone, &long, b"plain", 0)
-            .unwrap();
-        ini.submit(DispatchType::Standalone, &bare, b"", ReadSide::None)
-            .unwrap();
-        assert_eq!(tgt.poll_many(&mut batch), 2);
-        let [c, z] = [0, 1].map(|i| &batch.as_slice()[i]);
+        wait(&mut ini);
+        wait(&mut ini);
+        // Round 2: recycle the buffers the other way around, the longer
+        // payload's buffer first.
+        slots = [c.payload, z.payload];
+        submit(&mut ini, DispatchType::Standalone, &long, b"plain", 0).unwrap();
+        submit(
+            &mut ini,
+            DispatchType::Standalone,
+            &bare,
+            b"",
+            ReadSide::None,
+        )
+        .unwrap();
+        let [c, z] = serve(&mut tgt, &mut slots);
         assert_eq!(
             (c.header.as_slice(), c.payload.as_slice()),
             (&long[..], &b"plain"[..])
         );
         assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
-        let (s0, s1) = (c.slot, z.slot);
-        tgt.complete(s0, CqeStatus::Success, b"", b"");
-        tgt.complete(s1, CqeStatus::Success, b"", b"");
-        ini.wait();
-        ini.wait();
+        wait(&mut ini);
+        wait(&mut ini);
     }
 
     #[test]
@@ -1527,9 +1488,15 @@ mod tests {
                         ReadSide::None => 0,
                     };
                     let before = dma.snapshot();
-                    ini.submit(DispatchType::Standalone, &bytes[..hdr_len], &payload, read)
-                        .unwrap();
-                    let inc = tgt.poll().unwrap();
+                    submit(
+                        &mut ini,
+                        DispatchType::Standalone,
+                        &bytes[..hdr_len],
+                        &payload,
+                        read,
+                    )
+                    .unwrap();
+                    let inc = fetch(&mut tgt).unwrap();
                     assert_eq!(inc.sqe.is_inline(), hdr_len <= room);
                     assert_eq!(inc.header, bytes[..hdr_len]);
                     assert_eq!(inc.payload, payload);
@@ -1539,7 +1506,7 @@ mod tests {
                         &bytes[32..32 + reply_len],
                         &vec![0xC3; rlen],
                     );
-                    let done = ini.wait();
+                    let done = wait(&mut ini);
                     assert_eq!(done.header, bytes[32..32 + reply_len]);
                     assert_eq!(done.payload, vec![0xC3; rlen]);
                     let buffered = if hdr_len > room { hdr_len } else { 0 };
@@ -1559,13 +1526,13 @@ mod tests {
     }
 
     /// Complete `inc` by echoing `fill` back, `read_len` bytes long.
-    fn reply_filled(tgt: &mut Target, inc: &Incoming, fill: u8) {
+    fn reply_filled(tgt: &mut Target, inc: &Fetched, fill: u8) {
         let reply = vec![fill; inc.sqe.read_len() as usize];
         tgt.complete(inc.slot, CqeStatus::Success, b"", &reply);
     }
 
     /// The pool ranges `[write buf, read buf]` a fetched command's SQE names.
-    fn named_ranges(inc: &Incoming) -> [(u64, u64); 2] {
+    fn named_ranges(inc: &Fetched) -> [(u64, u64); 2] {
         let sqe = &inc.sqe;
         let wlen = sqe.wh_len() as u64 + sqe.write_len() as u64;
         let rlen = sqe.rh_len() as u64 + sqe.read_len() as u64;
@@ -1580,18 +1547,15 @@ mod tests {
         let (mut ini, mut tgt, _) = pair(8, 4096);
         let mut cids = Vec::new();
         for i in 0..7u8 {
-            cids.push(
-                ini.submit(DispatchType::Standalone, b"H", &[i; 1000], 2000)
-                    .unwrap(),
-            );
+            cids.push(submit(&mut ini, DispatchType::Standalone, b"H", &[i; 1000], 2000).unwrap());
         }
         let mut sorted = cids.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 7, "seven commands, seven buffers: {cids:?}");
 
-        let mut batch = IncomingBatch::new();
-        assert_eq!(tgt.poll_many(&mut batch), 7);
+        let batch = fetch_all(&mut tgt);
+        assert_eq!(batch.len(), 7);
         let mut ranges: Vec<(u64, u64)> = batch.iter().flat_map(named_ranges).collect();
         ranges.sort_unstable();
         for w in ranges.windows(2) {
@@ -1604,7 +1568,7 @@ mod tests {
             reply_filled(&mut tgt, inc, 0x80 | i as u8);
         }
         for _ in 0..7 {
-            let c = ini.wait();
+            let c = wait(&mut ini);
             let i = cids.iter().position(|&cid| cid == c.cid).unwrap();
             assert_eq!(c.payload, vec![0x80 | i as u8; 2000]);
         }
@@ -1614,34 +1578,34 @@ mod tests {
     #[test]
     fn the_buffer_just_freed_is_the_next_one_handed_out() {
         let (mut ini, mut tgt, _) = pair(8, 4096);
-        let a = ini.submit(DispatchType::Standalone, b"", b"a", 1).unwrap();
-        let b = ini.submit(DispatchType::Standalone, b"", b"b", 1).unwrap();
+        let a = submit(&mut ini, DispatchType::Standalone, b"", b"a", 1).unwrap();
+        let b = submit(&mut ini, DispatchType::Standalone, b"", b"b", 1).unwrap();
         assert_ne!(a, b);
-        let inc_a = tgt.poll().unwrap();
-        let inc_b = tgt.poll().unwrap();
+        let inc_a = fetch(&mut tgt).unwrap();
+        let inc_b = fetch(&mut tgt).unwrap();
         // B completes first: the next command reuses B's buffer, not a
         // fresh (cold) one and not A's.
         reply_filled(&mut tgt, &inc_b, 2);
-        assert_eq!(ini.wait().cid, b);
-        let c = ini.submit(DispatchType::Standalone, b"", b"c", 1).unwrap();
+        assert_eq!(wait(&mut ini).cid, b);
+        let c = submit(&mut ini, DispatchType::Standalone, b"", b"c", 1).unwrap();
         assert_eq!(c, b);
-        let inc_c = tgt.poll().unwrap();
+        let inc_c = fetch(&mut tgt).unwrap();
         assert_eq!(named_ranges(&inc_c), named_ranges(&inc_b));
         reply_filled(&mut tgt, &inc_a, 1);
-        assert_eq!(ini.wait().cid, a);
+        assert_eq!(wait(&mut ini).cid, a);
         assert_eq!(
-            ini.submit(DispatchType::Standalone, b"", b"d", 1).unwrap(),
+            submit(&mut ini, DispatchType::Standalone, b"", b"d", 1).unwrap(),
             a
         );
         // A lone command in flight keeps reusing one buffer.
         let (mut ini, mut tgt, _) = pair(8, 4096);
         for _ in 0..20 {
             assert_eq!(
-                ini.submit(DispatchType::Standalone, b"", b"x", 1).unwrap(),
+                submit(&mut ini, DispatchType::Standalone, b"", b"x", 1).unwrap(),
                 0
             );
             echo_one(&mut tgt);
-            ini.wait();
+            wait(&mut ini);
         }
     }
 
@@ -1649,28 +1613,28 @@ mod tests {
     fn depth_minus_one_outstanding_never_exhausts_the_buffers() {
         let (mut ini, mut tgt, _) = pair(4, 4096);
         for i in 0..3u8 {
-            ini.submit(DispatchType::Standalone, b"", &[i], 1).unwrap();
+            submit(&mut ini, DispatchType::Standalone, b"", &[i], 1).unwrap();
         }
         // The ring is what is full; a buffer is still free.
         assert_eq!(ini.free_slots(), 0);
         assert_eq!(ini.free_bufs.len(), 1);
         assert_eq!(
-            ini.submit(DispatchType::Standalone, b"", b"x", 1),
+            submit(&mut ini, DispatchType::Standalone, b"", b"x", 1),
             Err(QueueFull)
         );
         // The target fetches all three but answers only the first: the ring
         // drains, and what then bounds the host is its buffers — two are
         // free, a third command has none to take.
-        let first = tgt.poll().unwrap();
-        let held = [tgt.poll().unwrap(), tgt.poll().unwrap()];
+        let first = fetch(&mut tgt).unwrap();
+        let held = [fetch(&mut tgt).unwrap(), fetch(&mut tgt).unwrap()];
         reply_filled(&mut tgt, &first, 9);
-        ini.wait();
+        wait(&mut ini);
         assert_eq!(ini.free_slots(), 2);
-        ini.submit(DispatchType::Standalone, b"", b"y", 1).unwrap();
-        ini.submit(DispatchType::Standalone, b"", b"z", 1).unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", b"y", 1).unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", b"z", 1).unwrap();
         assert_eq!(ini.outstanding(), 4);
         assert_eq!(
-            ini.submit(DispatchType::Standalone, b"", b"!", 1),
+            submit(&mut ini, DispatchType::Standalone, b"", b"!", 1),
             Err(QueueFull)
         );
         // Everything still completes, each reply to its own command.
@@ -1679,7 +1643,7 @@ mod tests {
         }
         echo_one(&mut tgt);
         echo_one(&mut tgt);
-        let mut got: Vec<u8> = (0..4).map(|_| ini.wait().payload[0]).collect();
+        let mut got: Vec<u8> = (0..4).map(|_| wait(&mut ini).payload[0]).collect();
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, b'y', b'z']);
         assert_eq!(ini.outstanding(), 0);
@@ -1693,43 +1657,44 @@ mod tests {
         // that is not the position's index.
         let (mut ini, mut tgt, _) = pair(4, 4096);
         let mut slots = std::collections::BTreeSet::new();
-        let pinned = ini
-            .submit(DispatchType::Standalone, b"", b"pinned", 6)
-            .unwrap();
-        let pinned_inc = tgt.poll().unwrap();
+        let pinned = submit(&mut ini, DispatchType::Standalone, b"", b"pinned", 6).unwrap();
+        let pinned_inc = fetch(&mut tgt).unwrap();
         for round in 0..30u32 {
             slots.insert(ini.sq_tail);
             let data = round.to_le_bytes();
-            let cid = ini.submit(DispatchType::Standalone, b"", &data, 4).unwrap();
+            let cid = submit(&mut ini, DispatchType::Standalone, b"", &data, 4).unwrap();
             assert_eq!(cid, 1);
             echo_one(&mut tgt);
-            let c = ini.wait();
+            let c = wait(&mut ini);
             assert_eq!((c.cid, c.payload.as_slice()), (cid, &data[..]));
         }
         assert_eq!(slots.len(), 4);
         tgt.complete(pinned_inc.slot, CqeStatus::Success, b"", b"pinned");
-        let c = ini.wait();
+        let c = wait(&mut ini);
         assert_eq!((c.cid, c.payload.as_slice()), (pinned, &b"pinned"[..]));
     }
 
     #[test]
     fn classic_sgl_and_header_only_commands_interleave_over_the_pool() {
         let (mut ini, mut tgt, _) = pair(8, 16 * 1024);
-        let mut batch = IncomingBatch::new();
         for round in 0..6u8 {
             let seg = vec![round; 700];
             let bare = header_only(7, round as u64 * 4096);
-            let classic = ini
-                .submit(DispatchType::Standalone, b"C", &[round; 300], 50)
-                .unwrap();
-            let bare_cid = ini
-                .submit(DispatchType::Standalone, &bare, b"", ReadSide::None)
-                .unwrap();
-            let sgl = ini
-                .submit_sgl(DispatchType::Standalone, b"S", &[&seg, &seg], 60)
-                .unwrap();
-            assert_eq!(tgt.poll_many(&mut batch), 3);
-            let [c, z, s] = [0, 1, 2].map(|i| &batch.as_slice()[i]);
+            let classic =
+                submit(&mut ini, DispatchType::Standalone, b"C", &[round; 300], 50).unwrap();
+            let bare_cid = submit(
+                &mut ini,
+                DispatchType::Standalone,
+                &bare,
+                b"",
+                ReadSide::None,
+            )
+            .unwrap();
+            let sgl =
+                submit_sgl(&mut ini, DispatchType::Standalone, b"S", &[&seg, &seg], 60).unwrap();
+            let batch = fetch_all(&mut tgt);
+            let [c, z, s] = [0, 1, 2].map(|i| &batch[i]);
+            assert_eq!(batch.len(), 3);
             assert_eq!((c.slot, z.slot, s.slot), (classic, bare_cid, sgl));
             assert_eq!((c.header.as_slice(), c.payload.len()), (&b"C"[..], 300));
             assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
@@ -1739,7 +1704,7 @@ mod tests {
             tgt.complete(z.slot, CqeStatus::Success, &[3, round, 0, 0, 0], b"");
             tgt.complete(c.slot, CqeStatus::Success, b"", &[round; 50]);
             for _ in 0..3 {
-                let done = ini.wait();
+                let done = wait(&mut ini);
                 match done.cid {
                     cid if cid == classic => assert_eq!(done.payload, vec![round; 50]),
                     cid if cid == sgl => assert_eq!(done.payload, vec![round; 60]),
@@ -1760,34 +1725,28 @@ mod tests {
         // Its buffer must not go to anyone else while the target may still
         // write the late reply into it.
         let (mut ini, mut tgt, _) = pair(4, 4096);
-        let lost = ini
-            .submit(DispatchType::Standalone, b"", b"lost", 4096 - 64)
-            .unwrap();
-        let lost_inc = tgt.poll().unwrap();
+        let lost = submit(&mut ini, DispatchType::Standalone, b"", b"lost", 4096 - 64).unwrap();
+        let lost_inc = fetch(&mut tgt).unwrap();
         for round in 0..10u8 {
-            let cid = ini
-                .submit(DispatchType::Standalone, b"", &[round; 8], 8)
-                .unwrap();
+            let cid = submit(&mut ini, DispatchType::Standalone, b"", &[round; 8], 8).unwrap();
             assert_ne!(cid, lost);
             echo_one(&mut tgt);
-            assert_eq!(ini.wait().payload, vec![round; 8]);
+            assert_eq!(wait(&mut ini).payload, vec![round; 8]);
             assert_eq!(ini.outstanding(), 1);
         }
         // The late reply lands — a whole buffer of it — and hurts nobody.
-        let live = ini
-            .submit(DispatchType::Standalone, b"", b"live", 4)
-            .unwrap();
+        let live = submit(&mut ini, DispatchType::Standalone, b"", b"live", 4).unwrap();
         reply_filled(&mut tgt, &lost_inc, 0xEE);
         echo_one(&mut tgt);
-        let late = ini.wait();
+        let late = wait(&mut ini);
         assert_eq!((late.cid, late.payload.len()), (lost, 4096 - 64));
-        let done = ini.wait();
+        let done = wait(&mut ini);
         assert_eq!((done.cid, done.payload.as_slice()), (live, &b"live"[..]));
         // Only now is the buffer back, and first in line.
         assert_eq!(ini.outstanding(), 0);
-        ini.submit(DispatchType::Standalone, b"", b"a", 0).unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", b"a", 0).unwrap();
         assert_eq!(
-            ini.submit(DispatchType::Standalone, b"", b"b", 0).unwrap(),
+            submit(&mut ini, DispatchType::Standalone, b"", b"b", 0).unwrap(),
             lost
         );
     }
@@ -1802,8 +1761,9 @@ mod tests {
         corrupt: impl FnOnce(&mut Sqe),
     ) -> u16 {
         let at = ini.sq_tail as usize * SQE_SIZE;
+        let payload = Payload::Flat(&[7u8; 100]);
         let cid = ini
-            .stage(DispatchType::Standalone, header, &[7u8; 100], read)
+            .stage(DispatchType::Standalone, header, payload, read)
             .unwrap();
         let mut raw = [0u8; SQE_SIZE];
         ini.shared.sq_mem.read_local(at, &mut raw);
@@ -1899,15 +1859,16 @@ mod tests {
             .chain(inline);
         for (i, (what, header, read, corrupt)) in corruptions.enumerate() {
             let cid = submit_corrupted(&mut ini, header, read, corrupt);
-            assert!(tgt.poll().is_none(), "{what}: nothing to serve");
+            assert_eq!(tgt.posted(), 1, "{what}");
+            assert!(fetch(&mut tgt).is_none(), "{what}: nothing to serve");
             assert_eq!(ini.rejected_sqes(), i as u64 + 1, "{what}");
             if what == "no such command id" {
                 // Nobody to answer: the host's command stays in flight
                 // (its caller times out), the queue keeps working.
-                assert!(ini.poll().is_none(), "{what}");
+                assert!(reap(&mut ini).is_none(), "{what}");
                 assert_eq!(ini.outstanding(), 1, "{what}");
             } else {
-                let done = ini.poll().expect(what);
+                let done = reap(&mut ini).expect(what);
                 assert_eq!((done.cid, done.status), (cid, CqeStatus::InvalidCommand));
                 assert!(done.header.is_empty() && done.payload.is_empty(), "{what}");
                 assert_eq!(ini.outstanding(), 0, "{what}");
@@ -1916,26 +1877,24 @@ mod tests {
         // An SGL descriptor is host-written too.
         let (mut ini, mut tgt, _) = pair(4, 4096);
         let seg = [5u8; 64];
-        ini.submit_sgl(DispatchType::Standalone, b"H", &[&seg], 0)
-            .unwrap();
+        submit_sgl(&mut ini, DispatchType::Standalone, b"H", &[&seg], 0).unwrap();
         ini.shared
             .data_pool
             .write_local(16, &(pool_len - 8).to_le_bytes()); // 2nd descriptor's address
-        assert!(tgt.poll().is_none());
-        assert_eq!(ini.wait().status, CqeStatus::InvalidCommand);
-        ini.submit_sgl(DispatchType::Standalone, b"H", &[&seg], 0)
-            .unwrap();
+        assert!(fetch(&mut tgt).is_none());
+        assert_eq!(wait(&mut ini).status, CqeStatus::InvalidCommand);
+        submit_sgl(&mut ini, DispatchType::Standalone, b"H", &[&seg], 0).unwrap();
         ini.shared.data_pool.write_local(24, &65u32.to_le_bytes()); // … and its length
-        assert!(tgt.poll().is_none());
-        assert_eq!(ini.wait().status, CqeStatus::InvalidCommand);
+        assert!(fetch(&mut tgt).is_none());
+        assert_eq!(wait(&mut ini).status, CqeStatus::InvalidCommand);
         assert_eq!(ini.rejected_sqes(), 2);
 
         // A reply that outgrows the read buffer the SQE described is not
         // written anywhere either.
-        ini.submit(DispatchType::Standalone, b"", b"", 16).unwrap();
-        let inc = tgt.poll().unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", b"", 16).unwrap();
+        let inc = fetch(&mut tgt).unwrap();
         tgt.complete(inc.slot, CqeStatus::Success, b"", &[1u8; 17]);
-        let done = ini.wait();
+        let done = wait(&mut ini);
         assert_eq!(done.status, CqeStatus::InvalidCommand);
         assert!(done.payload.is_empty());
         assert_eq!(ini.rejected_sqes(), 3);
@@ -1944,13 +1903,18 @@ mod tests {
         // the CQE cannot hold, or any payload — is refused the same way;
         // a reply the CQE holds is all such a command can get.
         for (header, payload) in [(&b"6bytes"[..], &b""[..]), (b"", b"p"), (b"5byte", b"")] {
-            let cid = ini
-                .submit(DispatchType::Standalone, b"HDR", b"", ReadSide::None)
-                .unwrap();
-            let inc = tgt.poll().unwrap();
+            let cid = submit(
+                &mut ini,
+                DispatchType::Standalone,
+                b"HDR",
+                b"",
+                ReadSide::None,
+            )
+            .unwrap();
+            let inc = fetch(&mut tgt).unwrap();
             let before = ini.rejected_sqes();
             tgt.complete(inc.slot, CqeStatus::Success, header, payload);
-            let done = ini.wait();
+            let done = wait(&mut ini);
             if header.len() <= CQE_INLINE_CAP && payload.is_empty() {
                 assert_eq!((done.cid, done.status), (cid, CqeStatus::Success));
                 assert_eq!(done.header, header);
@@ -1966,32 +1930,35 @@ mod tests {
         // all-ones would be far outside the pool.
         let before = ini.rejected_sqes();
         for (len, read) in [(48, ReadSide::None), (32, ReadSide::Buffer(16))] {
-            ini.submit(DispatchType::Standalone, &[0xFF; 48][..len], b"", read)
-                .unwrap();
-            let inc = tgt.poll().expect("served, not refused");
+            submit(
+                &mut ini,
+                DispatchType::Standalone,
+                &[0xFF; 48][..len],
+                b"",
+                read,
+            )
+            .unwrap();
+            let inc = fetch(&mut tgt).expect("served, not refused");
             assert_eq!(inc.header, [0xFF; 48][..len]);
             tgt.complete(inc.slot, CqeStatus::Success, b"ok", b"");
-            assert_eq!(ini.wait().header, b"ok");
+            assert_eq!(wait(&mut ini).header, b"ok");
         }
         assert_eq!(ini.rejected_sqes(), before);
 
         // A CQE for a CID that is not in flight is skipped whole, inline
         // header bytes included; the one behind it is delivered.
-        let cid = ini
-            .submit(DispatchType::Standalone, b"", b"", ReadSide::None)
-            .unwrap();
-        let inc = tgt.poll().unwrap();
+        let cid = submit(&mut ini, DispatchType::Standalone, b"", b"", ReadSide::None).unwrap();
+        let inc = fetch(&mut tgt).unwrap();
         tgt.post_cqe((cid + 1) % 4, CqeStatus::Success, 0, b"stale");
         tgt.complete(inc.slot, CqeStatus::Success, b"mine", b"");
-        let done = ini.wait();
+        let done = wait(&mut ini);
         assert_eq!((done.cid, done.header.as_slice()), (cid, &b"mine"[..]));
         assert_eq!(ini.outstanding(), 0);
 
         // And the pair still serves well-formed commands.
-        ini.submit(DispatchType::Standalone, b"", b"fine", 4)
-            .unwrap();
+        submit(&mut ini, DispatchType::Standalone, b"", b"fine", 4).unwrap();
         echo_one(&mut tgt);
-        assert_eq!(ini.wait().payload, b"fine");
+        assert_eq!(wait(&mut ini).payload, b"fine");
     }
 
     #[test]
@@ -1999,15 +1966,52 @@ mod tests {
         let (mut ini, mut tgt, _) = pair(4, 16 * 1024);
         for round in 0..10u8 {
             let seg = vec![round; 500];
-            ini.submit_sgl(DispatchType::Standalone, b"", &[&seg, &seg], 100)
-                .unwrap();
-            let inc = tgt.poll().unwrap();
+            submit_sgl(&mut ini, DispatchType::Standalone, b"", &[&seg, &seg], 100).unwrap();
+            let inc = fetch(&mut tgt).unwrap();
             assert_eq!(inc.payload, [vec![round; 500], vec![round; 500]].concat());
             tgt.complete(inc.slot, CqeStatus::Success, b"", &[round; 100]);
-            let c = ini.wait();
+            let c = wait(&mut ini);
             assert_eq!(c.payload, vec![round; 100]);
         }
     }
+
+    #[test]
+    fn a_buffered_header_and_the_payload_sharing_its_page_land_apart() {
+        // Each fetched byte is written by the DMA where it is served from,
+        // except the payload bytes that share a page — one DMA — with a
+        // header too long for the SQE: those land behind the header and
+        // are copied on. Both sides of that page's end, PRP and SGL, with
+        // the DMA count the contiguous view `[header ‖ payload]` gives.
+        let (mut ini, mut tgt, dma) = pair(4, 16 * 1024);
+        let header: Vec<u8> = (0..40).map(|i| 0x40 ^ i).collect();
+        for wlen in [1usize, 4096 - 41, 4096 - 40, 4096 - 39, 8192, 12_000] {
+            let payload: Vec<u8> = (0..wlen).map(|i| (i % 251) as u8).collect();
+            let before = dma.snapshot();
+            submit(&mut ini, DispatchType::Standalone, &header, &payload, 0).unwrap();
+            let inc = fetch_into(&mut tgt, vec![0xEE; 16 * 1024]).unwrap();
+            assert!(!inc.sqe.is_inline());
+            assert_eq!(
+                (inc.header.as_slice(), &inc.payload[..]),
+                (&header[..], &payload[..])
+            );
+            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            wait(&mut ini);
+            let dmas = dma.snapshot().since(&before).dma_ops as usize;
+            assert_eq!(dmas, 1 + (40 + wlen).div_ceil(4096) + 1, "payload {wlen}");
+            // The same bytes as two segments, the header a descriptor of
+            // its own.
+            let (a, b) = payload.split_at(wlen / 2);
+            submit_sgl(&mut ini, DispatchType::Standalone, &header, &[a, b], 0).unwrap();
+            let inc = fetch_into(&mut tgt, vec![0xEE; 3]).unwrap();
+            assert_eq!(
+                (inc.header.as_slice(), &inc.payload[..]),
+                (&header[..], &payload[..])
+            );
+            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            wait(&mut ini);
+        }
+    }
+
     const HOUR: Duration = Duration::from_secs(3600);
 
     #[test]
@@ -2019,8 +2023,7 @@ mod tests {
         let before = dma.snapshot();
         let shared = tgt.shared.clone();
         let slept = shared.sq_sleeper.sleep_unless(HOUR, || {
-            ini.submit(DispatchType::Standalone, b"", b"ping", 4)
-                .unwrap();
+            submit(&mut ini, DispatchType::Standalone, b"", b"ping", 4).unwrap();
             false
         });
         assert!(slept);
@@ -2032,17 +2035,16 @@ mod tests {
         // sleep at all.
         assert!(!tgt.park(HOUR));
         echo_one(&mut tgt);
-        assert_eq!(ini.wait().payload, b"ping");
+        assert_eq!(wait(&mut ini).payload, b"ping");
     }
 
     #[test]
     fn a_target_that_never_parks_is_never_woken() {
         let (mut ini, mut tgt, _) = pair(4, 4096);
         for round in 0..23u8 {
-            ini.submit(DispatchType::Standalone, b"", &[round], 1)
-                .unwrap();
+            submit(&mut ini, DispatchType::Standalone, b"", &[round], 1).unwrap();
             echo_one(&mut tgt);
-            assert_eq!(ini.wait().payload, [round]);
+            assert_eq!(wait(&mut ini).payload, [round]);
         }
         let mut batch = ini.batch();
         batch
@@ -2065,7 +2067,7 @@ mod tests {
         let dpu = std::thread::spawn(move || {
             let mut served = 0;
             while served < N {
-                match tgt.poll() {
+                match fetch(&mut tgt) {
                     Some(inc) => {
                         tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload);
                         served += 1;
@@ -2077,11 +2079,233 @@ mod tests {
             }
         });
         for i in 0..N {
-            ini.submit(DispatchType::Standalone, b"", &i.to_le_bytes(), 4)
-                .unwrap();
-            assert_eq!(ini.wait().payload, i.to_le_bytes());
+            submit(&mut ini, DispatchType::Standalone, b"", &i.to_le_bytes(), 4).unwrap();
+            assert_eq!(wait(&mut ini).payload, i.to_le_bytes());
         }
         dpu.join().unwrap();
         assert!(ini.doorbell_wakes() <= N as u64);
+    }
+
+    /// One raw command: request-header length, write-payload length, read
+    /// side, reply-header length.
+    #[derive(Clone, Copy, Debug)]
+    struct RawOp {
+        hdr_len: usize,
+        wlen: usize,
+        read: ReadSide,
+        reply_len: usize,
+    }
+
+    impl RawOp {
+        /// Request-header bytes the SQE has room for (`sqe.rs` module docs).
+        fn room(&self) -> usize {
+            16 + 16 * usize::from(self.wlen == 0) + 16 * usize::from(self.read == ReadSide::None)
+        }
+
+        fn rlen(&self) -> usize {
+            match self.read {
+                ReadSide::Buffer(n) => n as usize,
+                ReadSide::None => 0,
+            }
+        }
+
+        /// SQE + the write buffer's pages (a header that did not fit the
+        /// SQE, then the payload) + a reply header that did not fit the CQE
+        /// + the read payload's pages + CQE.
+        fn dmas(&self) -> usize {
+            let buffered = if self.hdr_len > self.room() {
+                self.hdr_len
+            } else {
+                0
+            };
+            1 + (buffered + self.wlen).div_ceil(4096)
+                + usize::from(self.reply_len > CQE_INLINE_CAP)
+                + self.rlen().div_ceil(4096)
+                + 1
+        }
+    }
+
+    /// Header lengths on both sides of every capacity boundary, and anywhere.
+    fn arb_hdr_len() -> impl Strategy<Value = usize> {
+        const EDGES: [usize; 11] = [0, 1, 15, 16, 17, 31, 32, 33, 47, 48, 49];
+        prop_oneof![
+            3 => (0..EDGES.len()).prop_map(|i| EDGES[i]),
+            1 => 0usize..=64,
+        ]
+    }
+
+    fn arb_raw_op() -> impl Strategy<Value = RawOp> {
+        const REPLIES: [usize; 7] = [0, 1, 4, 5, 6, 9, 62];
+        (
+            arb_hdr_len(),
+            prop_oneof![Just(0usize), 1usize..12_000],
+            prop_oneof![
+                Just(ReadSide::None),
+                Just(ReadSide::Buffer(0)),
+                (1u32..12_000).prop_map(ReadSide::Buffer),
+            ],
+            (0..REPLIES.len()).prop_map(|i| REPLIES[i]),
+        )
+            .prop_map(|(hdr_len, wlen, read, reply_len)| RawOp {
+                hdr_len,
+                wlen,
+                read,
+                // With no read side the CQE is all a reply can ride.
+                reply_len: if read == ReadSide::None {
+                    reply_len.min(CQE_INLINE_CAP)
+                } else {
+                    reply_len
+                },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Batched submission is wire-identical to one command per
+        /// doorbell: the target observes the same SQE bytes, header, and
+        /// payload for every op whichever way the host staged them.
+        #[test]
+        fn batched_and_single_submission_produce_identical_wire_bytes(
+            n_ops in 1usize..=7,
+            headers in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..16), 7),
+            payloads in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..256), 7),
+            read_lens in proptest::collection::vec(0u32..512, 7),
+        ) {
+            let (mut ini_a, mut tgt_a, _) = pair(8, 4096);
+            let (mut ini_b, mut tgt_b, _) = pair(8, 4096);
+
+            // Pair A: one doorbell per op.
+            for i in 0..n_ops {
+                submit(&mut ini_a, DispatchType::Standalone, &headers[i], &payloads[i], read_lens[i])
+                    .unwrap();
+            }
+            // Pair B: one doorbell for the whole batch.
+            let mut batch = ini_b.batch();
+            for i in 0..n_ops {
+                batch
+                    .submit(DispatchType::Standalone, &headers[i], &payloads[i], read_lens[i])
+                    .unwrap();
+            }
+            batch.commit();
+
+            let inb = fetch_all(&mut tgt_b);
+            prop_assert_eq!(inb.len(), n_ops);
+            for (i, inc_b) in inb.iter().enumerate() {
+                let inc_a = fetch(&mut tgt_a).expect("op pending on single-submit pair");
+                prop_assert_eq!(inc_a.sqe.to_bytes(), inc_b.sqe.to_bytes(), "SQE {}", i);
+                prop_assert_eq!(&inc_a.header, &inc_b.header, "header {}", i);
+                prop_assert_eq!(&inc_a.payload, &inc_b.payload, "payload {}", i);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn a_header_costs_a_dma_iff_it_does_not_fit(
+            ops in proptest::collection::vec(arb_raw_op(), 1..24),
+            seed in any::<u8>(),
+        ) {
+            // Pairs of commands in flight on a 4-deep ring (so the sequence
+            // wraps it and flips the phase several times), completed in
+            // reverse: SQE-borne and buffer-resident headers side by side.
+            let (mut ini, mut tgt, dma) = pair(4, 16 * 1024);
+            let bytes = |n: usize, salt: u8| -> Vec<u8> {
+                (0..n).map(|i| (i as u8).wrapping_mul(7) ^ salt ^ seed).collect()
+            };
+            for pair in ops.chunks(2) {
+                let before = dma.snapshot();
+                let mut cids = Vec::new();
+                for (i, op) in pair.iter().enumerate() {
+                    let cid = submit(
+                        &mut ini,
+                        DispatchType::Standalone,
+                        &bytes(op.hdr_len, i as u8),
+                        &bytes(op.wlen, 0x10 | i as u8),
+                        op.read,
+                    )
+                    .unwrap();
+                    cids.push(cid);
+                }
+                let incs: Vec<_> = pair.iter().map(|_| fetch(&mut tgt).unwrap()).collect();
+                for (i, (op, inc)) in pair.iter().zip(&incs).enumerate().rev() {
+                    prop_assert_eq!(inc.slot, cids[i]);
+                    prop_assert_eq!(inc.sqe.is_inline(), op.hdr_len <= op.room());
+                    prop_assert_eq!(&inc.header, &bytes(op.hdr_len, i as u8));
+                    prop_assert_eq!(&inc.payload, &bytes(op.wlen, 0x10 | i as u8));
+                    tgt.complete(
+                        inc.slot,
+                        CqeStatus::Success,
+                        &bytes(op.reply_len, 0x20 | i as u8),
+                        &bytes(op.rlen(), 0x30 | i as u8),
+                    );
+                }
+                for (i, op) in pair.iter().enumerate().rev() {
+                    let done = wait(&mut ini);
+                    prop_assert_eq!(done.cid, cids[i]);
+                    prop_assert_eq!(done.status, CqeStatus::Success);
+                    prop_assert_eq!(&done.header, &bytes(op.reply_len, 0x20 | i as u8));
+                    prop_assert_eq!(&done.payload, &bytes(op.rlen(), 0x30 | i as u8));
+                }
+                let want: usize = pair.iter().map(RawOp::dmas).sum();
+                prop_assert_eq!(dma.snapshot().since(&before).dma_ops as usize, want);
+            }
+            prop_assert_eq!(ini.rejected_sqes(), 0);
+        }
+
+        /// Arbitrary segment lists reassemble exactly, and DMA accounting
+        /// always equals `SQE + list + populated segments (+ header
+        /// descriptor, iff the header does not fit the SQE) + CQE`.
+        #[test]
+        fn sgl_reassembles_and_counts_dmas(
+            segments in proptest::collection::vec(
+                (1usize..3000, any::<u8>()),
+                1..10
+            ),
+            header in proptest::collection::vec(any::<u8>(), 0..48),
+            // Both sides of the SQE's room under SGL: 12 bytes beside a read
+            // side, 28 without one.
+            edge in 0usize..8,
+            read_side in any::<bool>(),
+        ) {
+            let header = match [0, 11, 12, 13, 27, 28, 29].get(edge) {
+                Some(&len) => vec![0x48 ^ len as u8; len],
+                None => header,
+            };
+            let (read, room) = if read_side {
+                (ReadSide::Buffer(0), 12)
+            } else {
+                (ReadSide::None, 28)
+            };
+            let (mut ini, mut tgt, dma) = pair(8, 64 * 1024);
+
+            let bufs: Vec<Vec<u8>> = segments
+                .iter()
+                .map(|&(len, fill)| vec![fill; len])
+                .collect();
+            let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
+
+            let before = dma.snapshot();
+            submit_sgl(&mut ini, DispatchType::Standalone, &header, &refs, read).unwrap();
+            let inc = fetch(&mut tgt).unwrap();
+            prop_assert_eq!(inc.sqe.is_inline(), header.len() <= room);
+            prop_assert_eq!(&inc.header, &header);
+            prop_assert_eq!(&inc.payload, &bufs.concat());
+            prop_assert_eq!(inc.sqe.sgl_count() as usize, segments.len() + 1);
+            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            let done = wait(&mut ini);
+            prop_assert_eq!(done.status, CqeStatus::Success);
+
+            // DMA ops: SQE (1) + SGL list (1) + header descriptor (1 iff the
+            // header did not fit the SQE; zero-length descriptors cost
+            // nothing) + one per data segment + CQE (1).
+            let expect = 1 + 1 + usize::from(header.len() > room) + segments.len() + 1;
+            let delta = dma.snapshot().since(&before);
+            prop_assert_eq!(delta.dma_ops as usize, expect);
+        }
     }
 }

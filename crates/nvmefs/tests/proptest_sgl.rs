@@ -1,9 +1,14 @@
-//! Property tests for nvme-fs SGL transfers: arbitrary segment lists
-//! reassemble exactly, and DMA accounting always equals
+//! Property tests for nvme-fs SGL transfers: PRP and SGL commands of any
+//! length, interleaved on one ring, reassemble exactly at the file target.
+//! (Arbitrary segment lists and headers, with the per-segment DMA count
 //! `SQE + list + populated segments (+ header descriptor, iff the header
-//! does not fit the SQE) + CQE`.
+//! does not fit the SQE) + CQE`, are `queue.rs`'s
+//! `sgl_reassembles_and_counts_dmas`, where raw headers reach the target.)
 
-use dpc_nvmefs::{CqeStatus, DispatchType, QueuePair, QueuePairConfig, ReadSide};
+use dpc_nvmefs::{
+    create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
+    Payload, QueuePairConfig, Sides, Ticket,
+};
 use dpc_pcie::DmaEngine;
 use proptest::prelude::*;
 
@@ -11,86 +16,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn sgl_reassembles_and_counts_dmas(
-        segments in proptest::collection::vec(
-            (1usize..3000, any::<u8>()),
-            1..10
-        ),
-        header in proptest::collection::vec(any::<u8>(), 0..48),
-        // Both sides of the SQE's room under SGL: 12 bytes beside a read
-        // side, 28 without one.
-        edge in 0usize..8,
-        read_side in any::<bool>(),
-    ) {
-        let header = match [0, 11, 12, 13, 27, 28, 29].get(edge) {
-            Some(&len) => vec![0x48 ^ len as u8; len],
-            None => header,
-        };
-        let (read, room) = if read_side {
-            (ReadSide::Buffer(0), 12)
-        } else {
-            (ReadSide::None, 28)
-        };
-        let dma = DmaEngine::new();
-        let (mut ini, mut tgt) = QueuePair::new(
-            0,
-            QueuePairConfig { depth: 8, max_io_bytes: 64 * 1024 },
-        )
-        .split(dma.clone());
-
-        let bufs: Vec<Vec<u8>> = segments
-            .iter()
-            .map(|&(len, fill)| vec![fill; len])
-            .collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
-
-        let before = dma.snapshot();
-        ini.submit_sgl(DispatchType::Standalone, &header, &refs, read).unwrap();
-        let inc = tgt.poll().unwrap();
-        prop_assert_eq!(inc.sqe.is_inline(), header.len() <= room);
-        prop_assert_eq!(&inc.header, &header);
-        prop_assert_eq!(&inc.payload, &bufs.concat());
-        prop_assert_eq!(inc.sqe.sgl_count() as usize, segments.len() + 1);
-        tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
-        let done = ini.wait();
-        prop_assert_eq!(done.status, CqeStatus::Success);
-
-        // DMA ops: SQE (1) + SGL list (1) + header descriptor (1 iff the
-        // header did not fit the SQE; zero-length descriptors cost
-        // nothing) + one per data segment + CQE (1).
-        let expect = 1 + 1 + usize::from(header.len() > room) + segments.len() + 1;
-        let delta = dma.snapshot().since(&before);
-        prop_assert_eq!(delta.dma_ops as usize, expect);
-    }
-
-    #[test]
     fn mixed_prp_and_sgl_on_one_ring(
         ops in proptest::collection::vec((any::<bool>(), 1usize..4000, any::<u8>()), 1..16),
     ) {
-        let dma = DmaEngine::new();
-        let (mut ini, mut tgt) = QueuePair::new(
-            0,
+        let (chans, mut tgts) = create_fabric(
+            1,
             QueuePairConfig { depth: 4, max_io_bytes: 32 * 1024 },
-        )
-        .split(dma);
+            &DmaEngine::new(),
+        );
+        let pool = ChannelPool::new(chans);
+        let tgt = &mut tgts[0];
+        let mut inb = FileIncomingBatch::new();
         for (use_sgl, len, fill) in ops {
             let data = vec![fill; len];
-            if use_sgl {
-                // Split into two segments where possible.
-                let mid = (len / 2).max(1).min(len);
-                let (a, b) = data.split_at(mid.min(len - 1).max(1).min(len));
-                if b.is_empty() {
-                    ini.submit_sgl(DispatchType::Standalone, b"", &[a], 0).unwrap();
-                } else {
-                    ini.submit_sgl(DispatchType::Standalone, b"", &[a, b], 0).unwrap();
-                }
+            // Split into two segments where possible.
+            let (a, b) = data.split_at((len / 2).max(1).min(len - 1).max(1).min(len));
+            let segments: Vec<&[u8]> = if b.is_empty() { vec![a] } else { vec![a, b] };
+            let write = if use_sgl {
+                Payload::Gather(&segments)
             } else {
-                ini.submit(DispatchType::Standalone, b"", &data, 0).unwrap();
-            }
-            let inc = tgt.poll().unwrap();
+                Payload::Flat(&data)
+            };
+            let sides = Sides { dispatch: DispatchType::Standalone, write, read_len: 0 };
+            let req = FileRequest::Write { ino: 1, offset: 0, len: len as u32 };
+            let mut ticket = [Ticket::default()];
+            prop_assert_eq!(pool.stage(0, &sides, std::slice::from_ref(&req), &mut ticket), 1);
+            prop_assert_eq!(tgt.poll_many(&mut inb), 1);
+            let inc = inb.iter().next().unwrap();
             prop_assert_eq!(&inc.payload, &data);
-            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
-            ini.wait();
+            tgt.reply(inc.slot, &FileResponse::Bytes(len as u32), b"");
+            let resp = pool.wait(ticket[0], &sides, &req, |resp, _| resp).unwrap();
+            prop_assert_eq!(resp, FileResponse::Bytes(len as u32));
         }
     }
 }

@@ -1,13 +1,15 @@
 //! Steady-state allocation accounting for the batched fast path.
 //!
 //! Claim under test: once its recycled buffers are warm, the batched
-//! nvme-fs machinery — SQE staging (PRP and SGL) under a deferred
-//! doorbell, target-side drain and request decoding, reply framing, and
-//! host-side completion drain — performs **zero** heap allocations per
-//! read/write op; and so does the channel pool on top of it, for a
-//! header-only `call` and for eight reads staged together and waited in
-//! order. (The filesystem behind the dispatcher owns its own allocation
-//! story; this test pins down the transport.)
+//! nvme-fs machinery — SQE staging (PRP and SGL) through the pool, the
+//! target's drain with each payload DMA'd into its batch slot and each
+//! request decoded, reply framing, and the pool's waits reading each reply
+//! where the DMA left it — performs **zero** heap allocations per
+//! read/write op, with or without a fault plan attached to the target;
+//! and so does the channel pool on its own, for a header-only `call` and
+//! for eight reads staged together and waited in order. (The filesystem
+//! behind the dispatcher owns its own allocation story; this test pins
+//! down the transport.)
 //!
 //! The counting allocator hook is per-binary, which is why this lives in
 //! its own integration-test file.
@@ -16,83 +18,78 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dpc_nvmefs::{
-    create_fabric, decode_dirents_into, dirent_iter, encode_dirents, ChannelPool, CompletionBatch,
-    DispatchType, FileIncomingBatch, FileRequest, FileResponse, FileTarget, Initiator, Payload,
-    QueuePair, QueuePairConfig, Sides, Ticket, WireDirent,
+    create_fabric, decode_dirents_into, dirent_iter, encode_dirents, ChannelPool, DispatchType,
+    FileIncomingBatch, FileRequest, FileResponse, FileTarget, Payload, QueuePairConfig, Sides,
+    Ticket, WireDirent,
 };
 use dpc_pcie::alloc::{counting_enabled, thread_alloc_count, CountingAllocator};
 use dpc_pcie::DmaEngine;
+use dpc_sim::fault::FaultPlan;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Both ends of one queue pair, driven from one thread.
 struct Loop {
-    ini: Initiator,
+    pool: ChannelPool,
     tgt: FileTarget,
-    wr_hdr: Vec<u8>,
-    rd_hdr: Vec<u8>,
+    writes: [FileRequest; 8],
+    reads: [FileRequest; 8],
     page: Vec<u8>,
     inb: FileIncomingBatch,
-    comp: CompletionBatch,
 }
 
 impl Loop {
     fn new() -> Loop {
-        let dma = DmaEngine::new();
-        let (ini, tgt) = QueuePair::new(
-            0,
+        let (chans, mut tgts) = create_fabric(
+            1,
             QueuePairConfig {
                 depth: 32,
                 max_io_bytes: 8192,
             },
-        )
-        .split(dma.clone());
-        let mut wr_hdr = Vec::new();
-        FileRequest::Write {
-            ino: 1,
-            offset: 0,
-            len: 4096,
-        }
-        .encode(&mut wr_hdr);
-        let mut rd_hdr = Vec::new();
-        FileRequest::Read {
-            ino: 1,
-            offset: 0,
-            len: 4096,
-        }
-        .encode(&mut rd_hdr);
+            &DmaEngine::new(),
+        );
+        let at = |i: usize| i as u64 * 4096;
         Loop {
-            ini,
-            tgt: FileTarget::new(tgt),
-            wr_hdr,
-            rd_hdr,
+            pool: ChannelPool::new(chans),
+            tgt: tgts.pop().unwrap(),
+            writes: std::array::from_fn(|i| FileRequest::Write {
+                ino: 1,
+                offset: at(i),
+                len: 4096,
+            }),
+            reads: std::array::from_fn(|i| FileRequest::Read {
+                ino: 1,
+                offset: at(i),
+                len: 4096,
+            }),
             page: vec![0xABu8; 4096],
             inb: FileIncomingBatch::new(),
-            comp: CompletionBatch::new(),
         }
     }
 
     /// One batched round: 8 writes, 8 reads and a write gathered from two
-    /// segments (SGL) staged under one doorbell, served by the batched
-    /// target loop, completions drained in one pass.
+    /// segments (SGL) staged before the target looks, served by the
+    /// batched target loop in one drain, each reply waited in turn.
     fn round(&mut self) {
-        {
-            let mut guard = self.ini.batch();
-            for _ in 0..8 {
-                guard
-                    .submit(DispatchType::Standalone, &self.wr_hdr, &self.page, 0)
-                    .unwrap();
-            }
-            for _ in 0..8 {
-                guard
-                    .submit(DispatchType::Standalone, &self.rd_hdr, b"", 4096)
-                    .unwrap();
-            }
-            let (a, b) = self.page.split_at(1000);
-            guard
-                .submit_sgl(DispatchType::Standalone, &self.wr_hdr, &[a, b], 0)
-                .unwrap();
-        }
+        let (a, b) = self.page.split_at(1000);
+        let segments = [a, b];
+        let side = |write, read_len| Sides {
+            dispatch: DispatchType::Standalone,
+            write,
+            read_len,
+        };
+        let writes = side(Payload::Flat(&self.page), 0);
+        let reads = side(Payload::Flat(b""), 4096);
+        let gathered = side(Payload::Gather(&segments), 0);
+        let mut tickets = [Ticket::default(); 17];
+        let (w, rest) = tickets.split_at_mut(8);
+        let (r, g) = rest.split_at_mut(8);
+        assert_eq!(self.pool.stage(0, &writes, &self.writes, w), 8);
+        assert_eq!(self.pool.stage(0, &reads, &self.reads, r), 8);
+        let sgl = std::slice::from_ref(&self.writes[0]);
+        assert_eq!(self.pool.stage(0, &gathered, sgl, g), 1);
+
         assert_eq!(self.tgt.poll_many(&mut self.inb), 17);
         for inc in self.inb.iter() {
             match &inc.request {
@@ -107,39 +104,58 @@ impl Loop {
                 other => panic!("unexpected request {other:?}"),
             }
         }
-        assert_eq!(self.ini.poll_many(&mut self.comp), 17);
-        for c in self.comp.iter() {
-            assert!(matches!(
-                FileResponse::decode(&c.header),
-                Ok(FileResponse::Bytes(4096))
-            ));
+
+        let staged = [
+            (&writes, &self.writes[..]),
+            (&reads, &self.reads[..]),
+            (&gathered, sgl),
+        ];
+        let waits = staged
+            .into_iter()
+            .flat_map(|(sides, reqs)| reqs.iter().map(move |req| (sides, req)));
+        for (&ticket, (sides, req)) in tickets.iter().zip(waits) {
+            let resp = self.pool.wait(ticket, sides, req, |resp, _| resp).unwrap();
+            assert!(matches!(resp, FileResponse::Bytes(4096)));
         }
     }
 }
 
-#[test]
-fn warm_batched_serve_loop_allocates_nothing_per_op() {
+/// Four warm rounds, then 64 counted on this thread: both ends run on it,
+/// so its own count is the loop's — the other tests of this binary,
+/// running beside it, cannot dirty it.
+fn allocations_per_warm_round(mut l: Loop) -> u64 {
     assert!(
         counting_enabled(),
         "counting allocator must be installed in this binary"
     );
-    let mut l = Loop::new();
-
-    // Warm-up: grow every recycled buffer (batch slots, per-slot scratch,
-    // reply header buffer) to steady-state capacity.
+    // Warm-up: grow every recycled buffer (batch slots and their payload
+    // buffers, the target's header buffer) to steady-state capacity.
     for _ in 0..4 {
         l.round();
     }
-
-    // Both ends run on this thread, so its own count is the loop's: the
-    // other tests of this binary, running beside it, cannot dirty it.
     const ROUNDS: u64 = 64; // 1088 ops
     let before = thread_alloc_count();
     for _ in 0..ROUNDS {
         l.round();
     }
-    let allocs = thread_alloc_count() - before;
-    assert_eq!(allocs, 0, "warm batched serve loop, {} ops", ROUNDS * 17);
+    thread_alloc_count() - before
+}
+
+#[test]
+fn warm_batched_serve_loop_allocates_nothing_per_op() {
+    let allocs = allocations_per_warm_round(Loop::new());
+    assert_eq!(allocs, 0, "warm batched serve loop, {} ops", 64 * 17);
+}
+
+#[test]
+fn warm_serve_loop_with_a_fault_plan_attached_allocates_nothing() {
+    // Every site of the plan is off: offering a request to the fault
+    // sites must not copy it (a clone of each decoded request to offer it
+    // is one allocation per write).
+    let mut l = Loop::new();
+    l.tgt.set_fault_plan(&FaultPlan::new(7));
+    let allocs = allocations_per_warm_round(l);
+    assert_eq!(allocs, 0, "plan attached, every site off, {} ops", 64 * 17);
 }
 
 #[test]

@@ -100,7 +100,8 @@ done
 # reply, stage-N / wait-N order across two queues with a payload per
 # request, a CID staying taken while its reply is read in the transport
 # buffer, a CQE claiming more reply than its command declared being a
-# transport error), the warm transport and pool allocating nothing, warm
+# transport error), the warm transport and pool allocating nothing (with
+# and without a fault plan on the target), warm
 # 8 KiB buffered read misses and direct reads allocating nothing on the
 # calling thread, and a read the link keeps shedding saying EIO buffered
 # or direct. Then the suites with more threads than cores — where a
@@ -115,7 +116,10 @@ cargo test --release -q -p dpc-nvmefs --lib -- \
     pool::tests::stage_n_wait_n_restores_request_order \
     pool::tests::a_cid_stays_taken_while_its_reply_is_read \
     pool::tests::a_cqe_claiming_more_reply_than_its_command_declared_is_a_transport_error
-cargo test --release -q -p dpc-nvmefs --test zero_alloc
+cargo test --release -q -p dpc-nvmefs --test zero_alloc -- \
+    warm_batched_serve_loop_allocates_nothing_per_op \
+    warm_serve_loop_with_a_fault_plan_attached_allocates_nothing \
+    warm_pool_call_and_eight_staged_reads_allocate_nothing_on_the_host_thread
 cargo test --release -q -p dpc-core --test zero_alloc_miss -- \
     a_warm_8k_read_miss_allocates_nothing_on_the_host_thread \
     a_warm_8k_direct_read_allocates_nothing_on_the_host_thread
@@ -125,6 +129,33 @@ cargo test --release -q --no-run --test concurrent_adapters --test link_wait
 for run in $(seq 1 10); do
     taskset -c 0 cargo test --release -q --test concurrent_adapters --test link_wait
 done
+# One way across each end of a queue pair (DESIGN.md §17), in release and
+# by name: the raw-header cases in `queue.rs` (the 8 KiB write's 4 DMAs,
+# corrupt SQEs refused, a command too large for its buffer refused before
+# it is sent, the header-DMA and SGL proptests, batched == one-per-doorbell
+# wire bytes, a buffered header's page landing apart), the suites ported
+# onto the pool and the file target, the dispatcher's replies, an uncached
+# readdir sized to the buffer, an oversize command as EINVAL, fig6's 4 vs
+# 11 DMAs and the ablation's doorbells per op.
+cargo test --release -q -p dpc-nvmefs --lib -- \
+    queue::tests::raw_8k_write_costs_exactly_4_dmas \
+    queue::tests::corrupt_sqe_ranges_are_refused_not_followed \
+    queue::tests::oversized_payload_rejected \
+    queue::tests::a_header_costs_a_dma_iff_it_does_not_fit \
+    queue::tests::sgl_reassembles_and_counts_dmas \
+    queue::tests::batched_and_single_submission_produce_identical_wire_bytes \
+    queue::tests::a_buffered_header_and_the_payload_sharing_its_page_land_apart
+cargo test --release -q -p dpc-nvmefs --test batched --test proptest_protocol --test proptest_sgl
+cargo test --release -q -p dpc-core --test dispatcher_unit -- \
+    every_reply_fits_what_its_request_declared \
+    a_reused_reply_buffer_never_leaks_stale_bytes \
+    a_listing_whose_trail_would_not_fit_beside_it_is_erange
+cargo test --release -q --test direct_io -- \
+    an_uncached_readdir_asks_for_what_the_transport_buffer_holds \
+    a_command_larger_than_its_transport_buffer_is_einval_not_a_panic
+cargo test --release -q -p dpc-bench --lib -- \
+    fig6::tests::functional_dma_counts_match_figures_2_and_4 \
+    ablate::tests::batching_amortizes_doorbells_exactly
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review.
 cargo build --release --manifest-path dpc-e2e/Cargo.toml
