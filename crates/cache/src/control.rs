@@ -201,7 +201,6 @@ impl ControlPlane {
         if self.crash_tripped() {
             return 0;
         }
-        let wal = self.cache.wal();
         let crash = self.crash.clone();
         let check_crash = move || crash.as_ref().is_some_and(|c| c.check_crash());
         let mut flushed = 0;
@@ -276,8 +275,8 @@ impl ControlPlane {
 
                 if ok && check_crash() {
                     // Mid-flush crash: the backend accepted the extent but
-                    // the run is never marked clean and the intents stay
-                    // live — replay redoes the writes (idempotent).
+                    // the run is never marked clean — recovery adopts the
+                    // dirty pages and flushes them again (idempotent).
                     for &idx in locked.iter() {
                         self.dma.record_atomic();
                         self.cache.entries[idx].read_unlock();
@@ -295,11 +294,6 @@ impl ControlPlane {
                         self.cache.entries[idx].set_status(EntryStatus::Clean);
                     }
                     self.cache.note_clean_run(ino, start_lpn, run);
-                    if let Some(log) = wal.as_ref() {
-                        // The whole run is durable: retire its intents and
-                        // let the WAL reclaim their log space.
-                        log.note_durable_run(ino, start_lpn, run);
-                    }
                     self.cache
                         .stats
                         .flushes

@@ -18,7 +18,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dpc_pcie::Sleeper;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::layout::{
     bucket_of, CacheConfig, CacheEntry, CacheHeader, EntryStatus, FLAG_MARKER, FLAG_PREFETCHED,
@@ -236,12 +236,13 @@ pub struct CacheStats {
     /// Entries [`HybridCache::invalidate_ino`] visited: the pages its
     /// inodes had resident, never the whole meta area.
     pub invalidate_visits: u64,
-    /// Intent-log records appended (writes, truncates, checkpoints).
-    /// All six `wal_*` counters are zero when no log is attached.
+    /// Intent-log records appended (uncached writes and truncates). The
+    /// cache keeps no log: the six `wal_*` counters are the instance's
+    /// log's, filled in by `Dpc::metrics` and zero here.
     pub wal_appends: u64,
     /// Bytes appended to the intent log (headers + payloads).
     pub wal_bytes: u64,
-    /// Log-space reclaims: committed-tail advances past retired records.
+    /// Log-space reclaims: tail advances past retired records.
     pub wal_checkpoints: u64,
     /// Records re-applied by crash recovery.
     pub wal_replayed_records: u64,
@@ -348,9 +349,6 @@ pub struct HybridCache {
     /// a change means the bytes it holds may predate newer writes, so the
     /// fill is abandoned rather than risk resurrecting stale data.
     pub(crate) ino_epochs: Box<[AtomicU64]>,
-    /// The attached write-ahead intent log (None = WAL off; all `wal_*`
-    /// stats stay zero and no path pays for logging).
-    pub(crate) wal: parking_lot::RwLock<Option<std::sync::Arc<crate::wal::IntentLog>>>,
 }
 
 impl HybridCache {
@@ -389,21 +387,8 @@ impl HybridCache {
             dirty_total: AtomicU64::new(0),
             flusher: Sleeper::new(),
             ino_epochs: (0..DIRTY_SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            wal: parking_lot::RwLock::new(None),
             cfg,
         }
-    }
-
-    /// Attach the write-ahead intent log. From here on, the adapter logs
-    /// every mutation before ack and the control plane retires records as
-    /// their pages durably land.
-    pub fn attach_wal(&self, log: std::sync::Arc<crate::wal::IntentLog>) {
-        *self.wal.write() = Some(log);
-    }
-
-    /// The attached intent log, if any.
-    pub fn wal(&self) -> Option<std::sync::Arc<crate::wal::IntentLog>> {
-        self.wal.read().clone()
     }
 
     /// Current content epoch of `ino`'s shard (see `ino_epochs`).
@@ -550,19 +535,7 @@ impl HybridCache {
     }
 
     pub fn stats(&self) -> CacheStats {
-        let wal = self
-            .wal
-            .read()
-            .as_ref()
-            .map(|log| log.stats())
-            .unwrap_or_default();
         CacheStats {
-            wal_appends: wal.appends,
-            wal_bytes: wal.bytes,
-            wal_checkpoints: wal.checkpoints,
-            wal_replayed_records: wal.replayed,
-            wal_torn_tail_drops: wal.torn_drops,
-            wal_stalls: wal.stalls,
             hits: self.stats.hits.load(Ordering::Relaxed),
             misses: self.stats.misses.load(Ordering::Relaxed),
             writes: self.stats.writes.load(Ordering::Relaxed),
@@ -589,6 +562,7 @@ impl HybridCache {
             lock_fallbacks: self.stats.lock_fallbacks.load(Ordering::Relaxed),
             read_locks: self.stats.read_locks.load(Ordering::Relaxed),
             invalidate_visits: self.stats.invalidate_visits.load(Ordering::Relaxed),
+            ..CacheStats::default()
         }
     }
 
@@ -821,25 +795,15 @@ impl HybridCache {
     /// finish with [`WriteGuard::commit_dirty`].
     pub fn begin_write(&self, ino: u64, lpn: u64) -> Result<WriteGuard<'_>, WriteError> {
         let bucket = self.bucket_of(ino, lpn);
-        let _claim = self.bucket_claim[bucket].lock();
-
         // Existing entry for this page? Overwrite in place.
-        for idx in self.chain(bucket) {
-            let e = &self.entries[idx];
-            if e.ino() == ino && e.lpn() == lpn && e.status() != EntryStatus::Free {
-                // Holders (readers, the flusher) never take the bucket
-                // claim lock.
-                lock_entry(|| e.try_write_lock());
-                // The claim lock guarantees nobody evicted it meanwhile.
-                debug_assert_eq!(e.ino(), ino);
-                debug_assert_eq!(e.lpn(), lpn);
-                return Ok(WriteGuard {
-                    cache: self,
-                    idx,
-                    claimed_free: false,
-                    committed: false,
-                });
-            }
+        let (_claim, resident) = self.lock_resident(bucket, ino, lpn);
+        if let Some(idx) = resident {
+            return Ok(WriteGuard {
+                cache: self,
+                idx,
+                claimed_free: false,
+                committed: false,
+            });
         }
 
         // Claim a free entry.
@@ -872,38 +836,63 @@ impl HybridCache {
     /// and mark it free. Returns whether the page was present.
     pub fn invalidate(&self, ino: u64, lpn: u64) -> bool {
         self.bump_ino_epoch(ino);
-        // A deliberate drop voids the page's intent-log obligations: the
-        // data is *meant* to be gone (truncate clipped it, or a durable
-        // O_DIRECT write superseded it), so the records it carried must
-        // not pin the log tail.
-        if let Some(log) = self.wal() {
-            log.note_durable(ino, lpn);
-        }
         self.release(ino, lpn)
+    }
+
+    /// Take `bucket`'s claim lock and write-lock the entry holding `<ino,
+    /// lpn>` in it, if there is one. A fresh claim in progress counts: it
+    /// is still `Free`, but carries its page under its write lock, and a
+    /// second claim of the page must wait for it, not take another entry.
+    /// A held entry is waited for with the claim lock released: its holder
+    /// may be a writer that claims further pages of its own (in ascending
+    /// order) before it lets this one go.
+    fn lock_resident(
+        &self,
+        bucket: usize,
+        ino: u64,
+        lpn: u64,
+    ) -> (MutexGuard<'_, ()>, Option<usize>) {
+        let mut claim = self.bucket_claim[bucket].lock();
+        let held = |idx: &usize| {
+            let e = &self.entries[*idx];
+            let taken = e.status() != EntryStatus::Free || e.lock.load(Ordering::Acquire) != 0;
+            e.ino() == ino && e.lpn() == lpn && taken
+        };
+        while let Some(idx) = self.chain(bucket).find(held) {
+            let e = &self.entries[idx];
+            if !e.try_write_lock() {
+                drop(claim);
+                lock_entry(|| e.lock.load(Ordering::Acquire) == 0);
+                claim = self.bucket_claim[bucket].lock();
+            } else if e.status() == EntryStatus::Free {
+                // The claim in progress rolled back.
+                e.write_unlock();
+            } else {
+                // The claim lock keeps anyone from evicting it now.
+                return (claim, Some(idx));
+            }
+        }
+        (claim, None)
     }
 
     /// Free the entry of `<ino, lpn>`, whatever state it is in.
     fn release(&self, ino: u64, lpn: u64) -> bool {
         let bucket = self.bucket_of(ino, lpn);
-        let _claim = self.bucket_claim[bucket].lock();
-        for idx in self.chain(bucket) {
-            let e = &self.entries[idx];
-            if e.ino() == ino && e.lpn() == lpn && e.status() != EntryStatus::Free {
-                lock_entry(|| e.try_write_lock());
-                if e.status() == EntryStatus::Dirty {
-                    self.note_clean(ino, lpn);
-                }
-                e.set_status(EntryStatus::Free);
-                e.ino.store(0, Ordering::Release);
-                e.lpn.store(0, Ordering::Release);
-                e.flags.store(0, Ordering::Release);
-                self.header.free.fetch_add(1, Ordering::Relaxed);
-                self.note_resident(ino, lpn, false);
-                e.write_unlock();
-                return true;
-            }
+        let (_claim, Some(idx)) = self.lock_resident(bucket, ino, lpn) else {
+            return false;
+        };
+        let e = &self.entries[idx];
+        if e.status() == EntryStatus::Dirty {
+            self.note_clean(ino, lpn);
         }
-        false
+        e.set_status(EntryStatus::Free);
+        e.ino.store(0, Ordering::Release);
+        e.lpn.store(0, Ordering::Release);
+        e.flags.store(0, Ordering::Release);
+        self.header.free.fetch_add(1, Ordering::Relaxed);
+        self.note_resident(ino, lpn, false);
+        e.write_unlock();
+        true
     }
 
     /// Drop every cached page of one inode (unlink). Returns the number of
@@ -911,10 +900,6 @@ impl HybridCache {
     /// nobody read or wrote visits no entry at all.
     pub fn invalidate_ino(&self, ino: u64) -> usize {
         self.bump_ino_epoch(ino);
-        // Whole-file drop (unlink): void every obligation of the ino.
-        if let Some(log) = self.wal() {
-            log.drop_ino(ino);
-        }
         let shard = self.resident[(ino as usize) % DIRTY_SHARDS].lock();
         let pages: Vec<u64> = shard.get(&ino).into_iter().flatten().copied().collect();
         drop(shard);
@@ -1234,6 +1219,28 @@ mod tests {
             mode: 1,
             meta_lockfree: false,
         })
+    }
+
+    #[test]
+    fn a_page_being_claimed_is_waited_for_not_claimed_twice() {
+        let c = std::sync::Arc::new(small_cache());
+        let mut first = c.begin_write(1, 5).unwrap();
+        assert!(first.claimed_free());
+        let c2 = c.clone();
+        let second = std::thread::spawn(move || {
+            let g = c2.begin_write(1, 5).unwrap();
+            let fresh = g.claimed_free();
+            g.commit_dirty();
+            fresh
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        first.write(0, &[9; PAGE_SIZE]);
+        first.commit_dirty();
+        assert!(
+            !second.join().unwrap(),
+            "the second claim took another entry"
+        );
+        assert_eq!(c.header().free(), 63, "one entry holds the page");
     }
 
     #[test]

@@ -1,43 +1,32 @@
-//! The host-DMA write-ahead intent log (DESIGN.md §13).
+//! The host-DMA intent log (DESIGN.md §13): the ops the page pool cannot
+//! express.
 //!
-//! PR 4's write-back cache acknowledges buffered writes the moment they
-//! land in host cache pages — if the DPU then dies, every
-//! acknowledged-but-unflushed page dies with it. Following NVLog's
-//! transparent WAL placement, the fix is a small ring-structured intent
-//! log living in a [`HostRegion`]: host memory by construction survives a
-//! DPU restart, and the DPU appends to it through its [`DmaEngine`] (so
-//! the PCIe cost of logging is accounted like every other crossing).
+//! The hybrid cache's data plane is host memory, and host memory survives
+//! the DPU reset this log exists for. A buffered write is therefore its
+//! dirty pages: recovery adopts the surviving cache and flushes them
+//! (`Dpc::recover`), and the write logs nothing. What the pool cannot hold
+//! is an op that goes around it — an uncached write (direct, `writev`, a
+//! buffered write too long to claim in one window) and a truncate. Each of
+//! those appends a record to a ring in a [`HostRegion`] *before* it touches
+//! the store, and retires it whole at ack. The [`DmaEngine`] a log is
+//! created with counts its writes; `Dpc` gives it one of its own, because
+//! the adapter writes the ring in host memory before its command leaves,
+//! so no record crosses the link.
 //!
-//! **Ordering rule (write-ahead):** the record for a mutation is appended
-//! *before* the mutation touches the cache or the store. An acknowledged
-//! op therefore always has a complete record; an op whose append died
-//! mid-record was never acknowledged, and dropping its torn record on
-//! recovery is exactly correct.
-//!
-//! **Pure redo:** *every* data-plane mutation is logged with its payload
-//! — buffered writes, write-through and direct-mode writes, vectored
-//! writes, truncates — and recovery replays the ring *positionally*, from
-//! the tail word to the head word, in sequence order. Records are retired
-//! out of order as their bytes become durable (extent flushes,
-//! deliberate invalidations), but the tail only advances past a
-//! fully-retired *prefix*; anything between tail and head — retired or
-//! not — is replayed. Re-applying an already-durable record is idempotent
-//! redo; skipping that rule (replaying only "live" records) would let an
-//! earlier live write clobber a later, already-reclaimed overlapping
-//! write. Positional replay makes that impossible: a later record is
-//! physically behind the tail bound set by any earlier live one.
+//! **Retirement is written into the ring.** Retiring rewrites the record's
+//! kind word, and its CRC, to [`WalKind::Retired`] in place. A record still
+//! live in a surviving region is an op whose outcome the host never
+//! learned; [`IntentLog::scan`] returns exactly those, in sequence order,
+//! and recovery re-applies them. The tail word advances past a retired
+//! prefix, and the ring reuses the space behind it.
 //!
 //! **Torn-tail rule:** each record carries a CRC32C over its header and
-//! payload. The recovery scan stops at the first record that fails CRC,
-//! sequence-monotonicity, epoch or bounds validation — by the write-ahead
-//! rule that record's op was never acknowledged, so the drop loses
-//! nothing the host was promised.
-//!
-//! Appends are host-visible through six counters surfaced in
-//! [`CacheStats`](crate::CacheStats); all six are zero when no log is
-//! attached (the WAL-off dormancy proof).
+//! payload. The scan stops at the first record that fails CRC,
+//! sequence-monotonicity, epoch or bounds validation. By the append-first
+//! rule that record's op never ran, so dropping it loses nothing the host
+//! was promised.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,8 +40,11 @@ pub const WAL_HEADER: usize = 64;
 /// Fixed record header: seq u64, ino u64, offset u64, len u32, epoch u32,
 /// kind u32, crc u32.
 pub const REC_HEADER: usize = 40;
+/// Where the kind word sits in a record header; the CRC follows it, so
+/// retirement rewrites the two in one 8-byte write.
+const REC_KIND: usize = 32;
 
-const MAGIC: u64 = 0x4450_4357_414c_3038; // "DPCWAL08"
+const MAGIC: u64 = 0x4450_4357_414c_3039; // "DPCWAL09"
 const OFF_MAGIC: usize = 0;
 const OFF_CAP: usize = 8;
 const OFF_EPOCH: usize = 16;
@@ -62,13 +54,12 @@ const OFF_TAIL: usize = 32;
 /// What a record describes.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum WalKind {
-    /// A data write of `len` payload bytes at `(ino, offset)`.
+    /// An uncached write of `len` payload bytes at `(ino, offset)`.
     Write = 0,
     /// A truncate of `ino` to size `offset` (no payload).
     Truncate = 1,
-    /// A reclaim checkpoint: the tail word advanced to `offset`. Skipped
-    /// on replay; exists so the on-ring history records every reclaim.
-    Checkpoint = 2,
+    /// A record whose op was acknowledged: validated, never replayed.
+    Retired = 2,
 }
 
 impl WalKind {
@@ -76,7 +67,7 @@ impl WalKind {
         match v {
             0 => Some(WalKind::Write),
             1 => Some(WalKind::Truncate),
-            2 => Some(WalKind::Checkpoint),
+            2 => Some(WalKind::Retired),
             _ => None,
         }
     }
@@ -85,8 +76,7 @@ impl WalKind {
 /// Why an append did not happen.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum WalError {
-    /// The ring has no room until flushed records retire — the caller
-    /// should force a flush (back-pressure, not data loss) and retry.
+    /// The ring has no room until in-flight ops retire their records.
     WouldBlock,
     /// The record can never fit this ring (payload too large).
     TooLarge,
@@ -106,7 +96,7 @@ pub struct WalRecord {
 
 /// Result of scanning a surviving log region.
 pub struct WalScan {
-    /// Valid, replayable records (checkpoints excluded) in seq order.
+    /// Live records (retired ones excluded) in seq order.
     pub records: Vec<WalRecord>,
     /// The epoch the surviving log was written under.
     pub epoch: u32,
@@ -114,45 +104,38 @@ pub struct WalScan {
     pub torn: u64,
 }
 
-/// Point-in-time WAL counters, merged into [`CacheStats`].
+/// Point-in-time log counters, merged into `CacheStats` by `Dpc::metrics`.
 #[derive(Copy, Clone, Default, Debug)]
 pub struct WalStats {
     pub appends: u64,
     pub bytes: u64,
+    /// Tail advances: reclaims of a retired prefix.
     pub checkpoints: u64,
     pub replayed: u64,
     pub torn_drops: u64,
     pub stalls: u64,
 }
 
-/// One live (not fully retired) record's bookkeeping.
+/// A live record: where it starts, and its header as appended (the CRC of
+/// its payload is recovered from it at retirement).
 struct LiveRec {
-    /// Monotonic ring position of the record's first byte.
     pos: u64,
-    /// Durability obligations left: pages not yet flushed/acked. The
-    /// record is retired (eligible for prefix reclaim) at zero.
-    remaining: u32,
+    header: [u8; REC_HEADER],
 }
 
 struct WalInner {
     /// Monotonic append frontier (byte position; ring offset = pos % cap).
     head: u64,
-    /// Monotonic reclaim frontier: first byte recovery must replay from.
+    /// Monotonic reclaim frontier: everything before it is retired.
     tail: u64,
     next_seq: u64,
-    /// Live records ordered by seq — which, with a single appender, is
-    /// also ring-position order, so the first entry bounds the tail.
+    /// Live records by seq — with appends serialised by this lock, also
+    /// ring-position order, so the first entry bounds the tail.
     live: BTreeMap<u64, LiveRec>,
-    /// Which live records' bytes each dirty page carries: populated at
-    /// `commit_dirty` time (under the entry write lock), consumed when
-    /// the page durably lands (under the entry read lock) — the entry
-    /// lock protocol orders the two, this map just records them.
-    owers: HashMap<(u64, u64), Vec<u64>>,
 }
 
-/// The ring-structured intent log. One per `Dpc` instance, shared between
-/// the host adapter (appends before ack, commit bookkeeping) and the DPU
-/// control plane (durability retirement, checkpointing).
+/// The ring-structured intent log. One per `Dpc` instance: the adapter
+/// appends before an uncached op or a truncate and retires at ack.
 pub struct IntentLog {
     region: HostRegion,
     dma: DmaEngine,
@@ -172,8 +155,8 @@ pub struct IntentLog {
 impl IntentLog {
     /// Initialise `region` as a fresh (empty) log under `epoch` and
     /// return the handle. Overwrites whatever the region held — recovery
-    /// must [`scan`](Self::scan) *first*, then `create` with the bumped
-    /// epoch.
+    /// must [`scan`](Self::scan) and replay *first*, then `create` with
+    /// the bumped epoch.
     pub fn create(
         region: HostRegion,
         dma: DmaEngine,
@@ -202,7 +185,6 @@ impl IntentLog {
                 tail: 0,
                 next_seq: 1,
                 live: BTreeMap::new(),
-                owers: HashMap::new(),
             }),
             appends: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -217,22 +199,14 @@ impl IntentLog {
         &self.region
     }
 
-    pub fn capacity(&self) -> u64 {
-        self.cap
-    }
-
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Bytes between tail and head (what recovery would replay).
+    /// Bytes between tail and head: live records, and retired ones a live
+    /// record still holds the tail behind.
     pub fn ring_used(&self) -> u64 {
         let inner = self.inner.lock();
         inner.head - inner.tail
     }
 
-    /// Whether every record has been retired *and* reclaimed — the only
-    /// state in which an unlogged durable write is safe (nothing replays).
+    /// Whether every record has been retired *and* reclaimed.
     pub fn is_drained(&self) -> bool {
         let inner = self.inner.lock();
         inner.live.is_empty() && inner.head == inner.tail
@@ -262,25 +236,25 @@ impl IntentLog {
 
     // ---- append path ---------------------------------------------------
 
-    /// Append one intent record *before* its mutation is applied.
+    /// Append one intent record *before* its op touches the store. Returns
+    /// the record's sequence number; the record stays live until
+    /// [`retire_all`](Self::retire_all). `_pages` is unused: an op is
+    /// retired whole, not page by page.
     ///
-    /// `obligations` is how many durability events must retire the record
-    /// (pages spanned for a buffered write; 1 for ops durable at ack).
-    /// Returns the record's sequence number.
-    ///
-    /// The append protocol makes every crash point recoverable:
-    /// the head word is DMA'd first (reserving the space), then the
-    /// header, then the payload — a crash between any two steps leaves a
-    /// reserved-but-torn record that recovery's CRC check drops, which is
-    /// correct because this function never returned and the op was never
-    /// acknowledged.
+    /// The append protocol makes every crash point recoverable: the head
+    /// word is DMA'd first (reserving the space), then the header, then the
+    /// payload. A crash between any two steps leaves a reserved-but-torn
+    /// record that the scan's CRC check drops — correct, because the op
+    /// never ran. A crash after the payload leaves a whole live record for
+    /// an op that never ran: replay runs it, and the host, which got an
+    /// error, may see either outcome.
     pub fn try_append(
         &self,
         kind: WalKind,
         ino: u64,
         offset: u64,
         payload: &[u8],
-        obligations: u32,
+        _pages: u32,
     ) -> Result<u64, WalError> {
         let rec_len = (REC_HEADER + payload.len()) as u64;
         if rec_len > self.cap {
@@ -320,20 +294,13 @@ impl IntentLog {
         if !payload.is_empty() {
             self.write_ring(pos + REC_HEADER as u64, payload);
         }
-        if obligations > 0 {
-            inner.live.insert(
-                seq,
-                LiveRec {
-                    pos,
-                    remaining: obligations,
-                },
-            );
-        } else {
-            // A zero-obligation record (checkpoint) retires instantly;
-            // the tail may sweep it whenever it reaches it.
-        }
+        inner.live.insert(seq, LiveRec { pos, header });
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(rec_len, Ordering::Relaxed);
+        // Injection point: the record is whole and the op has not run.
+        if self.check_crash() {
+            return Err(WalError::Crashed);
+        }
         Ok(seq)
     }
 
@@ -351,13 +318,13 @@ impl IntentLog {
         h[16..24].copy_from_slice(&offset.to_le_bytes());
         h[24..28].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         h[28..32].copy_from_slice(&self.epoch.to_le_bytes());
-        h[32..36].copy_from_slice(&(kind as u32).to_le_bytes());
-        // CRC over the header with the crc field zeroed, then the payload.
-        let mut crc = crc32c(&h[..36]);
-        if !payload.is_empty() {
-            crc ^= crc32c(payload);
-        }
-        h[36..40].copy_from_slice(&crc.to_le_bytes());
+        h[REC_KIND..REC_KIND + 4].copy_from_slice(&(kind as u32).to_le_bytes());
+        let payload_crc = if payload.is_empty() {
+            0
+        } else {
+            crc32c(payload)
+        };
+        seal(&mut h, payload_crc);
         h
     }
 
@@ -385,135 +352,35 @@ impl IntentLog {
 
     // ---- retirement / reclaim ------------------------------------------
 
-    /// Record that page `(ino, lpn)` now carries record `seq`'s bytes
-    /// (called just before `commit_dirty`, under the entry write lock).
-    pub fn note_committed(&self, ino: u64, lpn: u64, seq: u64) {
-        let mut inner = self.inner.lock();
-        if inner.live.contains_key(&seq) {
-            inner.owers.entry((ino, lpn)).or_default().push(seq);
-        }
-    }
-
-    /// Page `(ino, lpn)` was deliberately dropped (invalidate): every
-    /// record it carried sheds one obligation. A flushed run sheds them
-    /// through [`note_durable_run`](Self::note_durable_run).
-    pub fn note_durable(&self, ino: u64, lpn: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(seqs) = inner.owers.remove(&(ino, lpn)) {
-            for seq in seqs {
-                Self::dec_obligation(&mut inner, seq);
-            }
-            self.advance_tail(&mut inner);
-        }
-    }
-
-    /// [`note_durable`](Self::note_durable) over a run of `n` adjacent
-    /// pages (the coalesced-extent flush success path).
-    pub fn note_durable_run(&self, ino: u64, start_lpn: u64, n: usize) {
-        let mut inner = self.inner.lock();
-        let mut any = false;
-        for k in 0..n as u64 {
-            if let Some(seqs) = inner.owers.remove(&(ino, start_lpn + k)) {
-                for seq in seqs {
-                    Self::dec_obligation(&mut inner, seq);
-                }
-                any = true;
-            }
-        }
-        if any {
-            self.advance_tail(&mut inner);
-        }
-    }
-
-    /// One page of record `seq` became durable without a cache commit
-    /// (the write-through fallback, or a replay bypass straight to the
-    /// store).
-    pub fn retire_page(&self, seq: u64) {
-        let mut inner = self.inner.lock();
-        Self::dec_obligation(&mut inner, seq);
-        self.advance_tail(&mut inner);
-    }
-
-    /// Record `seq`'s op was durably acknowledged whole (direct-mode and
-    /// vectored writes, truncates — all applied straight at the store).
+    /// Record `seq`'s op was acknowledged — or failed by something other
+    /// than a crash, which leaves it just as settled. Its kind word becomes
+    /// [`WalKind::Retired`] in the ring, and the tail advances past the
+    /// retired prefix.
     pub fn retire_all(&self, seq: u64) {
         let mut inner = self.inner.lock();
-        if let Some(rec) = inner.live.get_mut(&seq) {
-            rec.remaining = 0;
-            inner.live.remove(&seq);
-            self.advance_tail(&mut inner);
-        }
-    }
-
-    /// Every remaining obligation of `ino` is void (the file was
-    /// unlinked / its cache residency invalidated wholesale).
-    pub fn drop_ino(&self, ino: u64) {
-        let mut inner = self.inner.lock();
-        let keys: Vec<(u64, u64)> = inner.owers.keys().filter(|k| k.0 == ino).copied().collect();
-        if keys.is_empty() {
+        let Some(rec) = inner.live.remove(&seq) else {
             return;
-        }
-        for key in keys {
-            if let Some(seqs) = inner.owers.remove(&key) {
-                for seq in seqs {
-                    Self::dec_obligation(&mut inner, seq);
-                }
-            }
-        }
+        };
+        let mut h = rec.header;
+        let payload_crc = u32::from_le_bytes([h[36], h[37], h[38], h[39]]) ^ crc32c(&h[..36]);
+        h[REC_KIND..REC_KIND + 4].copy_from_slice(&(WalKind::Retired as u32).to_le_bytes());
+        seal(&mut h, payload_crc);
+        self.write_ring(rec.pos + REC_KIND as u64, &h[REC_KIND..]);
         self.advance_tail(&mut inner);
-    }
-
-    fn dec_obligation(inner: &mut WalInner, seq: u64) {
-        if let Some(rec) = inner.live.get_mut(&seq) {
-            rec.remaining = rec.remaining.saturating_sub(1);
-            if rec.remaining == 0 {
-                inner.live.remove(&seq);
-            }
-        }
     }
 
     /// Advance the tail past the retired prefix: the new tail is the
-    /// oldest live record's position (or the head when nothing is live).
-    /// Each advance persists the tail word and emits a checkpoint record
-    /// documenting the reclaim.
+    /// oldest live record's position (or the head when nothing is live),
+    /// persisted in the tail word.
     fn advance_tail(&self, inner: &mut WalInner) {
-        let new_tail = inner
-            .live
-            .values()
-            .next()
-            .map(|rec| rec.pos)
-            .unwrap_or(inner.head);
+        let new_tail = inner.live.values().next().map_or(inner.head, |rec| rec.pos);
         if new_tail == inner.tail {
             return;
         }
         inner.tail = new_tail;
-        // Persist the reclaim *first* — the freed space must be visible
-        // before anything (including the checkpoint below) reuses it.
         self.dma
             .dma_write(&self.region, OFF_TAIL, &inner.tail.to_le_bytes());
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        // Emit the checkpoint record when it fits; it carries no
-        // obligations, so the next advance sweeps it.
-        let rec_len = REC_HEADER as u64;
-        if inner.head + rec_len - inner.tail <= self.cap && !self.crashed() {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let pos = inner.head;
-            inner.head += rec_len;
-            self.dma
-                .dma_write(&self.region, OFF_HEAD, &inner.head.to_le_bytes());
-            let header = self.encode_header(seq, 0, inner.tail, &[], WalKind::Checkpoint);
-            self.write_ring(pos, &header);
-            self.bytes.fetch_add(rec_len, Ordering::Relaxed);
-            if inner.live.is_empty() {
-                // Nothing live: the checkpoint itself (zero obligations)
-                // is the whole ring — sweep the tail past it so a fully
-                // retired log reads as drained and replays nothing.
-                inner.tail = inner.head;
-                self.dma
-                    .dma_write(&self.region, OFF_TAIL, &inner.tail.to_le_bytes());
-            }
-        }
     }
 
     // ---- recovery ------------------------------------------------------
@@ -522,8 +389,8 @@ impl IntentLog {
     /// word to the head word, validating every record (bounds, epoch,
     /// sequence monotonicity, CRC32C) with *fallible* region reads — a
     /// corrupt length can point anywhere, and must stop the scan, not
-    /// panic it. Returns the replayable records in order; the first
-    /// invalid record ends the scan as a torn tail.
+    /// panic it. Returns the live records in order; the first invalid
+    /// record ends the scan as a torn tail.
     pub fn scan(region: &HostRegion) -> WalScan {
         let mut failed = WalScan {
             records: Vec::new(),
@@ -541,7 +408,8 @@ impl IntentLog {
             return failed;
         }
         let cap = u64::from_le_bytes(word8);
-        if cap == 0 || cap != (region.len() - WAL_HEADER) as u64 {
+        let ring = region.len().checked_sub(WAL_HEADER);
+        if cap == 0 || ring != Some(cap as usize) {
             return failed;
         }
         if region.try_read_local(OFF_EPOCH, &mut word4).is_err() {
@@ -616,30 +484,27 @@ impl IntentLog {
                 torn = 1;
                 break;
             }
-            let mut expect = {
-                let mut hz = h;
-                hz[36..40].fill(0);
-                crc32c(&hz[..36])
+            let payload_crc = if payload.is_empty() {
+                0
+            } else {
+                crc32c(&payload)
             };
-            if !payload.is_empty() {
-                expect ^= crc32c(&payload);
-            }
-            if expect != crc {
+            let mut expect = h;
+            seal(&mut expect, payload_crc);
+            if expect[36..40] != crc.to_le_bytes() {
                 torn = 1;
                 break;
             }
             last_seq = seq;
             pos = end;
-            if let Some(kind) = kind {
-                if kind != WalKind::Checkpoint {
-                    records.push(WalRecord {
-                        seq,
-                        ino,
-                        offset,
-                        kind,
-                        payload,
-                    });
-                }
+            if let Some(kind @ (WalKind::Write | WalKind::Truncate)) = kind {
+                records.push(WalRecord {
+                    seq,
+                    ino,
+                    offset,
+                    kind,
+                    payload,
+                });
             }
         }
         WalScan {
@@ -648,6 +513,14 @@ impl IntentLog {
             torn,
         }
     }
+}
+
+/// Write a record header's CRC: CRC32C over the header with the CRC field
+/// zeroed, XOR the payload's CRC32C (0 for no payload).
+fn seal(h: &mut [u8; REC_HEADER], payload_crc: u32) {
+    h[36..40].fill(0);
+    let crc = crc32c(&h[..36]) ^ payload_crc;
+    h[36..40].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -680,7 +553,7 @@ mod tests {
         assert_eq!(scan.records[1].offset, 3);
         let st = log.stats();
         assert_eq!(st.appends, 2);
-        assert!(st.bytes >= (2 * REC_HEADER + 5) as u64);
+        assert_eq!(st.bytes, (2 * REC_HEADER + 5) as u64);
     }
 
     #[test]
@@ -689,9 +562,8 @@ mod tests {
         let seq = log
             .try_append(WalKind::Write, 1, 0, &[0xAA; 100], 1)
             .unwrap();
-        log.note_committed(1, 0, seq);
         assert!(!log.is_drained());
-        log.note_durable(1, 0);
+        log.retire_all(seq);
         assert!(log.is_drained(), "retired prefix reclaims to head");
         assert_eq!(log.stats().checkpoints, 1);
         // Nothing left between tail and head: scan replays nothing.
@@ -707,16 +579,32 @@ mod tests {
         let s2 = log
             .try_append(WalKind::Write, 1, 1 << 13, &[2; 64], 1)
             .unwrap();
-        log.note_committed(1, 0, s1);
-        log.note_committed(1, 1, s2);
         // Retire the LATER record first: tail must not move past s1.
-        log.note_durable(1, 1);
-        let used_before = log.ring_used();
-        assert!(used_before > 0, "s1 still pins the tail");
-        // Both records (even the retired s2) still replay — positional.
-        assert_eq!(IntentLog::scan(log.region()).records.len(), 2);
-        log.note_durable(1, 0);
+        log.retire_all(s2);
+        assert!(log.ring_used() > 0, "s1 still pins the tail");
+        // The retired s2 stays in the ring, validated but not replayed.
+        let scan = IntentLog::scan(log.region());
+        assert_eq!((scan.records.len(), scan.torn), (1, 0));
+        assert_eq!(scan.records[0].seq, s1);
+        log.retire_all(s1);
         assert!(log.is_drained());
+    }
+
+    #[test]
+    fn a_retired_record_between_live_ones_is_skipped_not_torn() {
+        let log = fresh(4096);
+        let seqs: Vec<u64> = (0..3u8)
+            .map(|k| {
+                log.try_append(WalKind::Write, 1, k as u64, &[k; 32], 1)
+                    .unwrap()
+            })
+            .collect();
+        log.retire_all(seqs[1]);
+        let scan = IntentLog::scan(log.region());
+        assert_eq!(scan.torn, 0, "a retired record still passes its CRC");
+        let live: Vec<u64> = scan.records.iter().map(|r| r.seq).collect();
+        assert_eq!(live, [seqs[0], seqs[2]]);
+        assert_eq!(scan.records[1].payload, [2; 32]);
     }
 
     #[test]
@@ -727,29 +615,26 @@ mod tests {
         let mut seqs = Vec::new();
         loop {
             match log.try_append(WalKind::Write, 9, 0, &payload, 1) {
-                Ok(seq) => {
-                    log.note_committed(9, seqs.len() as u64, seq);
-                    seqs.push(seq);
-                }
+                Ok(seq) => seqs.push(seq),
                 Err(WalError::WouldBlock) => break,
                 Err(e) => panic!("unexpected {e:?}"),
             }
         }
         assert!(log.stats().stalls >= 1);
         assert!(seqs.len() >= 3);
-        // Drain everything, then the ring must accept (wrapped) appends.
-        for (lpn, _) in seqs.iter().enumerate() {
-            log.note_durable(9, lpn as u64);
+        // Retire everything, then the ring must accept (wrapped) appends.
+        for seq in seqs {
+            log.retire_all(seq);
         }
         assert!(log.is_drained());
         for k in 0..8 {
-            log.try_append(WalKind::Write, 9, k, &payload, 1)
-                .map(|seq| log.note_committed(9, 100 + k, seq))
-                .unwrap();
-            log.note_durable(9, 100 + k);
+            let seq = log.try_append(WalKind::Write, 9, k, &payload, 1).unwrap();
+            let scan = IntentLog::scan(log.region());
+            assert_eq!(scan.records.len(), 1, "a wrapped record reads back");
+            assert_eq!(scan.records[0].payload, payload);
+            log.retire_all(seq);
         }
-        let st = log.stats();
-        assert!(st.checkpoints >= 1);
+        assert!(log.stats().checkpoints >= 1);
     }
 
     #[test]
@@ -779,13 +664,23 @@ mod tests {
     }
 
     #[test]
+    fn a_region_shorter_than_its_header_scans_torn() {
+        // The magic word and a capacity, and nothing else: the scan must
+        // call it torn, not underflow computing the ring's length.
+        let region = HostRegion::new(16);
+        region.write_local(OFF_MAGIC, &MAGIC.to_le_bytes());
+        region.write_local(OFF_CAP, &8u64.to_le_bytes());
+        let scan = IntentLog::scan(&region);
+        assert_eq!((scan.records.len(), scan.torn), (0, 1));
+    }
+
+    #[test]
     fn crash_mid_append_leaves_a_torn_tail() {
         let plan = FaultPlan::new(1);
-        // Third crash-check fires: first append survives (checks 1–2 pass
-        // for entry+reserve... each append draws up to 3 checks), so pick
-        // the draw that lands mid-record for the second append.
+        // Each append draws up to four crash checks (entry, reserved,
+        // header, whole); the sixth draw is the second append's reserve.
         let crash = Arc::new(dpc_sim::CrashSwitch::armed_by(
-            plan.arm("dpu.crash", FaultSpec::nth(5)),
+            plan.arm("dpu.crash", FaultSpec::nth(6)),
         ));
         let log = IntentLog::create(
             HostRegion::new(WAL_HEADER + 4096),
@@ -793,9 +688,9 @@ mod tests {
             Some(crash.clone()),
             1,
         );
-        // Append 1: draws checks 1,2,3 — none fire.
+        // Append 1: draws checks 1–4 — none fire.
         log.try_append(WalKind::Write, 1, 0, &[1; 64], 1).unwrap();
-        // Append 2: draws 4 (entry), 5 (post-reserve) — fires mid-append.
+        // Append 2: draws 5 (entry), 6 (post-reserve) — fires mid-append.
         let err = log.try_append(WalKind::Write, 1, 8192, &[2; 64], 1);
         assert_eq!(err, Err(WalError::Crashed));
         assert!(crash.is_tripped());
@@ -805,8 +700,27 @@ mod tests {
             Err(WalError::Crashed)
         );
         let scan = IntentLog::scan(log.region());
-        assert_eq!(scan.records.len(), 1, "only the acked append replays");
+        assert_eq!(scan.records.len(), 1, "only the whole record replays");
         assert_eq!(scan.torn, 1, "reserved-but-unwritten space is torn");
+    }
+
+    #[test]
+    fn a_crash_after_the_payload_leaves_a_whole_live_record() {
+        let plan = FaultPlan::new(1);
+        let crash = Arc::new(dpc_sim::CrashSwitch::armed_by(
+            plan.arm("dpu.crash", FaultSpec::nth(4)),
+        ));
+        let log = IntentLog::create(
+            HostRegion::new(WAL_HEADER + 4096),
+            DmaEngine::new(),
+            Some(crash),
+            1,
+        );
+        let err = log.try_append(WalKind::Truncate, 5, 100, &[], 1);
+        assert_eq!(err, Err(WalError::Crashed));
+        let scan = IntentLog::scan(log.region());
+        assert_eq!((scan.records.len(), scan.torn), (1, 0));
+        assert_eq!(scan.records[0].kind, WalKind::Truncate);
     }
 
     #[test]

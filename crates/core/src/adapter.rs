@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use dpc_cache::{
     HybridCache, IntentLog, MetaAttr, MetaCache, NameLookup, WalError, WalKind, WriteError,
-    KIND_DIR, KIND_FILE, PAGE_SIZE,
+    WriteGuard, KIND_DIR, KIND_FILE, PAGE_SIZE,
 };
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
@@ -40,7 +40,7 @@ use dpc_nvmefs::{
 };
 use parking_lot::Mutex;
 
-use crate::dispatch::FSYNC_ALL;
+use crate::DpcConfig;
 
 /// Errors surfaced by the adapter (errno-carrying).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -342,6 +342,14 @@ fn page_span(offset: u64, n: usize, lpn: u64) -> (usize, usize, usize) {
 /// pages it overlaps before it gives up with EBUSY.
 const PREFLUSH_ROUNDS: u32 = 4;
 
+/// Pages one buffered write claims before it lands a byte (DESIGN.md §13).
+/// A longer write goes window by window, under an intent record.
+const CLAIM_WINDOW: usize = 64;
+
+/// Yields an append waits on a full intent log, for in-flight ops to
+/// retire their records, before the op gives up with EBUSY.
+const LOG_WAIT_YIELDS: u32 = 1 << 20;
+
 /// A completion's reply, or its errno.
 fn reply(done: Result<FileCompletion, CallError>) -> Result<(FileResponse, Vec<u8>), DpcError> {
     let done = done.map_err(|e| DpcError(e.errno()))?;
@@ -360,32 +368,17 @@ pub enum IoMode {
     Direct,
 }
 
-/// What `fsync` waits for (DESIGN.md §13) — only meaningful when the
-/// intent log is on; without one the adapter always behaves as `Data`.
+/// What `fsync` waits for (DESIGN.md §13).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FsyncMode {
     /// Flush dirty pages to the backing store and reconcile the size —
-    /// data-durable, the classic (and default) tier.
+    /// durable on the store, the default tier.
     Data,
-    /// Return once every acknowledged write is in the intent log.
-    /// Because the DPU appends the record *before* acking any buffered
-    /// write, that is already true by the time `fsync` is called — the
-    /// call is a no-op, and crash recovery replays the log to
-    /// reconstruct the data. The cheap tier for intent-logged deployments.
+    /// Return at once. An acknowledged buffered write is its dirty pages
+    /// in host memory, which a DPU crash does not take: `Dpc::recover`
+    /// adopts and flushes them. What bypasses the pool was logged before
+    /// it ran. Durable against a DPU reset, not against losing the host.
     Log,
-}
-
-/// Admission verdict from the intent log for one data-plane op.
-enum WalAdmit {
-    /// No log attached — proceed exactly as before PR 8.
-    None,
-    /// Intent record appended (write-ahead of the mutation); the op must
-    /// retire the carried seq as its pages/ack become durable.
-    Logged(Arc<IntentLog>, u64),
-    /// The payload can never fit the ring. The log was forcibly drained,
-    /// so the op may proceed unlogged — but only *durably* (a buffered
-    /// absorb would reopen the lost-ack window the log exists to close).
-    Bypass,
 }
 
 /// The host-side file interface: the shared nvme-fs channel pool + the
@@ -407,6 +400,8 @@ pub struct DpcFs {
     /// Per-direction capacity of one transport buffer: what an uncached
     /// op may move in one command.
     max_io: usize,
+    /// The instance's intent log: uncached writes and truncates.
+    log: Arc<IntentLog>,
 }
 
 /// One path a namespace request asks the DPU to walk: the inode the host's
@@ -444,68 +439,25 @@ impl<'p> Leg<'p> {
     }
 }
 
-/// One page of the paper's front-end write protocol, shared by the host
-/// absorb and by crash replay: claim the entry, read-modify-fill a fresh
-/// partial page from `fetch_old` (which fills its buffer with the page's
-/// durable bytes — over the link on the host, from KVFS in replay — and
-/// returns how many are valid), write the chunk, register the intent
-/// obligation under the entry lock, commit dirty. `Ok(Ok(()))` means the
-/// cache absorbed the page; `Ok(Err(bucket))` reports a full bucket for
-/// the caller to batch into one eviction command.
-pub(crate) fn cache_write_page<E>(
-    cache: &HybridCache,
-    ino: u64,
-    lpn: u64,
-    in_page: usize,
-    chunk: &[u8],
-    wal: Option<(&Arc<IntentLog>, u64)>,
-    fetch_old: impl FnOnce(&mut [u8]) -> Result<usize, E>,
-) -> Result<Result<(), usize>, E> {
-    match cache.begin_write(ino, lpn) {
-        Ok(mut guard) => {
-            if guard.claimed_free() && chunk.len() < PAGE_SIZE {
-                // Scrub recycled pool bytes and lay down the old content
-                // in one page write. Only the fetched bytes are *valid* —
-                // the zero padding past them must never be flushed (it
-                // would inflate the file's logical size).
-                let mut old = [0u8; PAGE_SIZE];
-                let valid = fetch_old(&mut old)?;
-                guard.write(0, &old);
-                guard.set_valid(valid);
-            }
-            guard.write(in_page, chunk);
-            if let Some((log, seq)) = wal {
-                // Register the obligation while still holding the
-                // entry write lock: the moment `commit_dirty` lands,
-                // a flusher may drain (and try to retire) this page.
-                log.note_committed(ino, lpn, seq);
-            }
-            guard.commit_dirty();
-            Ok(Ok(()))
-        }
-        Err(WriteError::NeedEviction { bucket }) => Ok(Err(bucket)),
-    }
-}
-
 impl DpcFs {
     pub(crate) fn new(
         cache: Arc<HybridCache>,
         pool: Arc<ChannelPool>,
         sizes: Arc<InodeSizes>,
-        mode: IoMode,
-        fsync_mode: FsyncMode,
         meta: Arc<MetaCache>,
-        max_io: usize,
+        log: Arc<IntentLog>,
+        cfg: &DpcConfig,
     ) -> DpcFs {
         DpcFs {
             cache,
             pool,
             fds: FdTable::new(),
             sizes,
-            mode,
-            fsync_mode,
+            mode: cfg.io_mode,
+            fsync_mode: cfg.fsync_mode,
             meta,
-            max_io,
+            max_io: cfg.max_io_bytes,
+            log,
         }
     }
 
@@ -692,7 +644,7 @@ impl DpcFs {
     }
 
     /// A name of the inode `attr` describes is gone (unlink, or a rename
-    /// over it). Its host pages, WAL ownership and dirty data go only with
+    /// over it). Its host pages and dirty data go only with
     /// the *last* name — the other names still open and read this inode —
     /// its cached attr always (nlink moved).
     fn name_removed(&self, attr: &WireAttr) {
@@ -892,60 +844,37 @@ impl DpcFs {
 
     // ---- data API --------------------------------------------------------
 
-    /// Append the intent record for one data-plane op (write-ahead: the
-    /// record must be in the ring before the mutation is acknowledged —
-    /// for a buffered write, before the cache absorbs a single page).
-    ///
-    /// A full ring is back-pressure, not an error: records retire as
-    /// their pages become durable, so forcing flushes reclaims space.
-    /// Each stall round escalates from a scoped fsync to a global one;
-    /// a ring that stays full after a bounded number of rounds surfaces
-    /// as EBUSY (`wal_stalls` counts every full-ring encounter). A
-    /// payload larger than the whole ring drains the log and proceeds
-    /// unlogged-but-durable ([`WalAdmit::Bypass`]); a tripped crash
-    /// switch is EIO (the DPU is dead — nothing can be acknowledged).
-    fn wal_admit(
+    /// Append the intent record of an op the page pool cannot express —
+    /// an uncached write, a truncate — before it touches the store. A full
+    /// ring waits for in-flight ops to retire theirs (`wal_stalls` counts
+    /// each refusal), and is EBUSY past a bounded wait. A payload larger
+    /// than the whole ring is not logged (`None`): that write is not
+    /// atomic across a DPU crash. A dead DPU is EIO.
+    fn log_op(
         &self,
         kind: WalKind,
         ino: u64,
         offset: u64,
         payload: &[u8],
-        obligations: u32,
-    ) -> Result<WalAdmit, DpcError> {
-        let Some(log) = self.cache.wal() else {
-            return Ok(WalAdmit::None);
-        };
-        const STALL_ROUNDS: u32 = 32;
-        let mut rounds = 0u32;
-        loop {
-            match log.try_append(kind, ino, offset, payload, obligations) {
-                Ok(seq) => return Ok(WalAdmit::Logged(log, seq)),
+    ) -> Result<Option<u64>, DpcError> {
+        for _ in 0..LOG_WAIT_YIELDS {
+            match self.log.try_append(kind, ino, offset, payload, 1) {
+                Ok(seq) => return Ok(Some(seq)),
+                Err(WalError::TooLarge) => return Ok(None),
                 Err(WalError::Crashed) => return Err(DpcError::IO),
-                Err(WalError::WouldBlock) => {
-                    rounds += 1;
-                    if rounds > STALL_ROUNDS {
-                        return Err(DpcError(16 /* EBUSY */));
-                    }
-                    // Make this file's pages durable first (cheap,
-                    // targeted); escalate to a global flush if the ring
-                    // is pinned by other files' records.
-                    let scope = if rounds <= 2 { ino } else { FSYNC_ALL };
-                    self.call(&FileRequest::Fsync { ino: scope }, b"")?;
-                }
-                Err(WalError::TooLarge) => {
-                    let mut drain_rounds = 0u32;
-                    while !log.is_drained() {
-                        drain_rounds += 1;
-                        if drain_rounds > STALL_ROUNDS {
-                            return Err(DpcError(16 /* EBUSY */));
-                        }
-                        if log.crashed() {
-                            return Err(DpcError::IO);
-                        }
-                        self.call(&FileRequest::Fsync { ino: FSYNC_ALL }, b"")?;
-                    }
-                    return Ok(WalAdmit::Bypass);
-                }
+                Err(WalError::WouldBlock) => std::thread::yield_now(),
+            }
+        }
+        Err(DpcError(16 /* EBUSY */))
+    }
+
+    /// Retire a logged op's record once the op has answered — unless the
+    /// crash is what answered. Then the op is ambiguous, and its live
+    /// record has recovery run it whole.
+    fn retire(&self, seq: Option<u64>, ok: bool) {
+        if let Some(seq) = seq {
+            if ok || !self.log.crashed() {
+                self.log.retire_all(seq);
             }
         }
     }
@@ -969,130 +898,113 @@ impl DpcFs {
         entry.cell.note_mutation();
         // Size/mtime change: the cached attr is stale either way.
         self.meta.invalidate_ino(ino);
-        // Write-ahead: the intent record must be on the ring before the
-        // cache absorbs the first page — an acked buffered write is then
-        // always recoverable.
-        let first_lpn = offset / PAGE_SIZE as u64;
-        let last_lpn = (end - 1) / PAGE_SIZE as u64;
-        let pages = (last_lpn - first_lpn + 1) as u32;
-        let wal = match self.wal_admit(WalKind::Write, ino, offset, data, pages)? {
-            WalAdmit::None => None,
-            WalAdmit::Logged(log, seq) => Some((log, seq)),
-            WalAdmit::Bypass => return self.write_direct(&entry, offset, &[data]),
-        };
-        let res = self.write_buffered(&entry, ino, offset, end, data, wal.as_ref());
-        if res.is_err() {
-            if let Some((log, seq)) = &wal {
-                // A non-crash error mid-write: pages that did commit
-                // retire on flush; the rest must not pin the ring. After a
-                // crash the record stays so replay redoes the whole
-                // (ambiguous) op — some pages may already be committed or
-                // durable, and only a full redo leaves a consistent
-                // outcome.
-                if !log.crashed() {
-                    log.retire_all(*seq);
-                }
+        let pages = (end - 1) / PAGE_SIZE as u64 - offset / PAGE_SIZE as u64 + 1;
+        if pages <= CLAIM_WINDOW as u64 {
+            // The dirty pages are the record: nothing is logged.
+            if !self.absorb(ino, offset, data)? {
+                return self.write_direct(&entry, offset, &[data]);
             }
-        }
-        res
-    }
-
-    /// The buffered two-pass absorb (the paper's front-end write),
-    /// factored out so the caller can void the intent record on error.
-    fn write_buffered(
-        &self,
-        entry: &FdEntry,
-        ino: u64,
-        offset: u64,
-        end: u64,
-        data: &[u8],
-        wal: Option<&(Arc<IntentLog>, u64)>,
-    ) -> Result<usize, DpcError> {
-        // Pass 1: absorb whatever the cache will take, remember
-        // the pages whose bucket was full instead of evicting
-        // inline — a dirty-heavy burst used to ping-pong one
-        // CacheEvict round-trip per stalled page.
-        struct Stalled {
-            lpn: u64,
-            in_page: usize,
-            pos: usize,
-            len: usize,
-        }
-        let wal = wal.map(|(log, seq)| (log, *seq));
-        // A partial write into a fresh page fetches the old content from
-        // the DPU first (read-modify-write).
-        let absorb = |lpn: u64, in_page: usize, chunk: &[u8]| {
-            cache_write_page(&self.cache, ino, lpn, in_page, chunk, wal, |old| {
-                self.read_into(ino, lpn * PAGE_SIZE as u64, old)
-            })
-        };
-        let mut stalled: Vec<Stalled> = Vec::new();
-        let mut buckets: Vec<u64> = Vec::new();
-        let mut pos = 0usize;
-        let mut off = offset;
-        while pos < data.len() {
-            let lpn = off / PAGE_SIZE as u64;
-            let in_page = (off % PAGE_SIZE as u64) as usize;
-            let n = (PAGE_SIZE - in_page).min(data.len() - pos);
-            match absorb(lpn, in_page, &data[pos..pos + n])? {
-                Ok(()) => {}
-                Err(bucket) => {
-                    self.cache.note_evict_stall();
-                    stalled.push(Stalled {
-                        lpn,
-                        in_page,
-                        pos,
-                        len: n,
-                    });
-                    // One occurrence per needed slot — duplicates
-                    // are deliberate.
-                    buckets.push(bucket as u64);
-                }
-            }
-            pos += n;
-            off += n as u64;
-        }
-        // Pass 2: one batched eviction round-trip frees a slot
-        // per stalled page, then each page retries once. EBUSY
-        // means the DPU could not free anything even after a
-        // flush pass — retrying is pointless, write through.
-        if !stalled.is_empty() {
-            let evicted = match self.call(
-                &FileRequest::CacheEvictBatch {
-                    buckets: std::mem::take(&mut buckets),
-                },
-                b"",
-            ) {
-                Ok(_) => true,
-                Err(DpcError(16 /* EBUSY */)) => false,
-                Err(e) => return Err(e),
-            };
-            for s in &stalled {
-                let chunk = &data[s.pos..s.pos + s.len];
-                if evicted && absorb(s.lpn, s.in_page, chunk)?.is_ok() {
-                    continue;
-                }
-                self.cache.note_write_through();
-                let at = s.lpn * PAGE_SIZE as u64 + s.in_page as u64;
-                self.cross_write(ino, at, &[chunk])?;
-                if let Some((log, seq)) = wal {
-                    // Written through durably: that page's
-                    // obligation is already met.
-                    log.retire_page(seq);
-                }
-            }
+        } else {
+            // Too long to claim at once: a crash between two windows would
+            // leave part of the write, so a record covers it until the ack.
+            let seq = self.log_op(WalKind::Write, ino, offset, data)?;
+            let res = self.absorb_windows(ino, offset, data);
+            self.retire(seq, res.is_ok());
+            res?;
         }
         entry.cell.size.fetch_max(end, Ordering::AcqRel);
         Ok(data.len())
     }
 
+    /// The buffered write of `data` at `offset`, at most [`CLAIM_WINDOW`]
+    /// pages (DESIGN.md §13.2, "A buffered write is its dirty pages"). It
+    /// claims every page in ascending order, then makes each crossing it
+    /// needs: one `CacheEvictBatch` for the buckets it found full (its
+    /// claims dropped across it, then taken again from the first page),
+    /// and the old bytes of a fresh first or last page it covers in part.
+    /// Only then does it land bytes and commit, so a crash at a crossing
+    /// leaves none of the write. `Ok(false)`: a page still had no slot
+    /// after the eviction, nothing landed, and the caller writes around
+    /// the cache.
+    fn absorb(&self, ino: u64, offset: u64, data: &[u8]) -> Result<bool, DpcError> {
+        let first = offset / PAGE_SIZE as u64;
+        let n = ((offset + data.len() as u64 - 1) / PAGE_SIZE as u64 - first + 1) as usize;
+        let mut claims: [Option<WriteGuard<'_>>; CLAIM_WINDOW] = [const { None }; CLAIM_WINDOW];
+        let claims = &mut claims[..n];
+        let mut evicted = false;
+        loop {
+            // One occurrence per page without a slot: duplicates are
+            // deliberate, each asks for a slot.
+            let mut full: Vec<u64> = Vec::new();
+            for (claim, lpn) in claims.iter_mut().zip(first..) {
+                match self.cache.begin_write(ino, lpn) {
+                    Ok(guard) => *claim = Some(guard),
+                    Err(WriteError::NeedEviction { bucket }) => full.push(bucket as u64),
+                }
+            }
+            if full.is_empty() {
+                break;
+            }
+            claims.fill_with(|| None);
+            if evicted {
+                self.cache.note_write_through();
+                return Ok(false);
+            }
+            for _ in &full {
+                self.cache.note_evict_stall();
+            }
+            // EBUSY: the DPU freed nothing, even after a flush pass.
+            match self.call(&FileRequest::CacheEvictBatch { buckets: full }, b"") {
+                Ok(_) => evicted = true,
+                Err(DpcError(16)) => {
+                    self.cache.note_write_through();
+                    return Ok(false);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        for (claim, lpn) in claims.iter_mut().zip(first..) {
+            let Some(guard) = claim else { continue };
+            if guard.claimed_free() && page_span(offset, data.len(), lpn).2 < PAGE_SIZE {
+                // Scrub recycled pool bytes and lay down the old content in
+                // one page write. Only the fetched bytes are *valid*: the
+                // zero padding past them must never be flushed.
+                let mut old = [0u8; PAGE_SIZE];
+                let valid = self.read_into(ino, lpn * PAGE_SIZE as u64, &mut old)?;
+                guard.write(0, &old);
+                guard.set_valid(valid);
+            }
+        }
+        for (claim, lpn) in claims.iter_mut().zip(first..) {
+            let (pos, in_page, take) = page_span(offset, data.len(), lpn);
+            if let Some(mut guard) = claim.take() {
+                guard.write(in_page, &data[pos..pos + take]);
+                guard.commit_dirty();
+            }
+        }
+        Ok(true)
+    }
+
+    /// A buffered write longer than [`CLAIM_WINDOW`], one window at a
+    /// time; a window the cache cannot take crosses uncached.
+    fn absorb_windows(&self, ino: u64, offset: u64, data: &[u8]) -> Result<(), DpcError> {
+        let mut pos = 0;
+        while pos < data.len() {
+            let at = offset + pos as u64;
+            let window_end = (at / PAGE_SIZE as u64 + CLAIM_WINDOW as u64) * PAGE_SIZE as u64;
+            let chunk = &data[pos..pos + ((window_end - at) as usize).min(data.len() - pos)];
+            if !self.absorb(ino, at, chunk)? {
+                self.write_around(ino, at, &[chunk])?;
+            }
+            pos += chunk.len();
+        }
+        Ok(())
+    }
+
     /// The one uncached write: `IoMode::Direct`, `writev`, and a buffered
-    /// write the intent log can never hold ([`WalAdmit::Bypass`]). The
-    /// O_DIRECT rule, in order: the dirty cached pages it overlaps reach
-    /// the backend first; the intent record orders it against live
-    /// buffered records under positional replay; the segments cross; the
-    /// touched pages leave the cache, so no read serves the bytes they
-    /// replaced; the logical size grows.
+    /// write the cache could not take. Its intent record is appended
+    /// before anything moves and retired at ack; then
+    /// [`write_around`](Self::write_around); then the logical size grows.
     fn write_direct(
         &self,
         entry: &FdEntry,
@@ -1103,40 +1015,42 @@ impl DpcFs {
         if total == 0 {
             return Ok(0);
         }
-        let end = offset.checked_add(total as u64).ok_or(DpcError::INVALID)?;
+        offset.checked_add(total as u64).ok_or(DpcError::INVALID)?;
         let ino = entry.ino;
         entry.cell.note_mutation();
         self.meta.invalidate_ino(ino);
-        // Inclusive last touched page, NOT div_ceil: one page too far would
-        // drop a dirty page past the write that the pre-flush never covered.
-        let pages = offset / PAGE_SIZE as u64..=(end - 1) / PAGE_SIZE as u64;
-        self.flush_range(ino, pages.clone())?;
         // Replay needs the bytes contiguous: a gather is flattened for the
         // log only; the wire path still crosses as an SGL.
-        let admit = match segments {
-            _ if self.cache.wal().is_none() => WalAdmit::None,
-            [one] => self.wal_admit(WalKind::Write, ino, offset, one, 1)?,
-            _ => self.wal_admit(WalKind::Write, ino, offset, &segments.concat(), 1)?,
+        let seq = match segments {
+            [one] => self.log_op(WalKind::Write, ino, offset, one)?,
+            _ => self.log_op(WalKind::Write, ino, offset, &segments.concat())?,
         };
-        let res = self.cross_write(ino, offset, segments);
-        if let WalAdmit::Logged(log, seq) = &admit {
-            // Durable at ack; voided on a non-crash error. After a crash
-            // the op is ambiguous — the record must stay live so positional
-            // replay resolves it one way.
-            if res.is_ok() || !log.crashed() {
-                log.retire_all(*seq);
-            }
-        }
-        // Whatever part landed, no cached copy of it may stay readable.
-        for lpn in pages {
-            self.cache.invalidate(ino, lpn);
-        }
+        let res = self.write_around(ino, offset, segments);
+        self.retire(seq, res.is_ok());
         let n = res?;
         entry
             .cell
             .size
             .fetch_max(offset + n as u64, Ordering::AcqRel);
         Ok(n)
+    }
+
+    /// The O_DIRECT rule, in order: the dirty cached pages the write
+    /// overlaps reach the backend first; the segments cross; the touched
+    /// pages leave the cache, so no read serves the bytes they replaced.
+    /// Returns the bytes the backend took.
+    fn write_around(&self, ino: u64, offset: u64, segments: &[&[u8]]) -> Result<usize, DpcError> {
+        let end = offset + segments.iter().map(|s| s.len() as u64).sum::<u64>();
+        // Inclusive last touched page, NOT div_ceil: one page too far would
+        // drop a dirty page past the write that the pre-flush never covered.
+        let pages = offset / PAGE_SIZE as u64..=(end - 1) / PAGE_SIZE as u64;
+        self.flush_range(ino, pages.clone())?;
+        let res = self.cross_write(ino, offset, segments);
+        // Whatever part landed, no cached copy of it may stay readable.
+        for lpn in pages {
+            self.cache.invalidate(ino, lpn);
+        }
+        res
     }
 
     /// O_DIRECT coherence: the dirty cached pages of `ino` in `pages`
@@ -1491,14 +1405,12 @@ impl DpcFs {
     /// logical size, reconcile it.
     ///
     /// Two durability tiers (DESIGN.md §13): [`FsyncMode::Data`] flushes
-    /// dirty pages and reconciles the size; [`FsyncMode::Log`] returns
-    /// immediately when the intent log is attached — every acknowledged
-    /// write already has its record on the ring (write-ahead of the
-    /// ack), so log-durability holds by construction and recovery
-    /// replays the rest.
+    /// dirty pages and reconciles the size; [`FsyncMode::Log`] returns at
+    /// once — the acknowledged writes already survive a DPU reset, as dirty
+    /// pages or as the records of the ops that bypassed the pool.
     pub fn fsync(&self, fd: Fd) -> Result<(), DpcError> {
         let entry = self.fds.get(fd)?;
-        if self.fsync_mode == FsyncMode::Log && self.cache.wal().is_some() {
+        if self.fsync_mode == FsyncMode::Log {
             return Ok(());
         }
         let ino = entry.ino;
@@ -1518,12 +1430,11 @@ impl DpcFs {
         // and only then is the backend truncated to the size this host
         // acknowledged. A flush the backend refused never gets here: the
         // reply is EIO, the size stays unreconciled and `synced` stays
-        // where it was, so `close` tries again. Known
-        // limitation (ROADMAP item 5): the host's size is trusted even
-        // over another `Dpc` on the same store, so a descriptor here can
-        // cut growth that client fsynced; nothing keeps two clients
-        // coherent yet. No intent record: replay reconciles every touched
-        // file's size itself, from the records it redoes.
+        // where it was, so `close` tries again. Known limitation: the
+        // host's size is trusted even over another `Dpc` on the same
+        // store, so a descriptor here can cut growth that client fsynced;
+        // nothing keeps two clients coherent yet. No intent record: after a
+        // crash, the adopted pages' valid prefixes put the size back.
         let size = entry.cell.size.load(Ordering::Acquire);
         if backend.size != size {
             self.call(&FileRequest::Truncate { ino, size }, b"")?;
@@ -1537,18 +1448,12 @@ impl DpcFs {
         let (ino, old) = (entry.ino, entry.cell.size.load(Ordering::Acquire));
         entry.cell.note_mutation();
         self.meta.invalidate_ino(ino);
-        // Write-ahead: the truncate record orders against live buffered
-        // records (positional replay), so a post-crash redo of an older
-        // write can never resurrect the clipped bytes. Durable at ack —
-        // retired (voided) when the call returns, unless a crash made
-        // the op ambiguous (then replay applies the surviving record).
-        let admit = self.wal_admit(WalKind::Truncate, ino, size, b"", 1)?;
+        // The pool cannot express a truncate: its record is appended before
+        // the call and retired at ack. Live at a crash, it has recovery
+        // truncate the store and drop the inode's adopted pages.
+        let seq = self.log_op(WalKind::Truncate, ino, size, b"")?;
         let res = self.call(&FileRequest::Truncate { ino, size }, b"");
-        if let WalAdmit::Logged(log, seq) = &admit {
-            if res.is_ok() || !log.crashed() {
-                log.retire_all(*seq);
-            }
-        }
+        self.retire(seq, res.is_ok());
         res?;
         entry.cell.size.store(size, Ordering::Release);
         // Invalidate cached pages past the new end, and clip the valid

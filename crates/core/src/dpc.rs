@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dpc_cache::{
     CacheConfig, ControlPlane, HybridCache, IntentLog, MetaCache, MetaConfig, PrefetchQueue,
-    RaConfig, ReadaheadTable, PREFETCH_QUEUE_CAP, WAL_HEADER,
+    RaConfig, ReadaheadTable, WalKind, PREFETCH_QUEUE_CAP, WAL_HEADER,
 };
 use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
 use dpc_kvfs::Kvfs;
@@ -25,7 +25,7 @@ use dpc_pcie::{DmaEngine, HostRegion, PcieSnapshot};
 use dpc_sim::{CrashSwitch, FaultPlan};
 
 use crate::adapter::{DpcFs, FsyncMode, InodeSizes, IoMode};
-use crate::dispatch::Dispatcher;
+use crate::dispatch::{flush_pass, Dispatcher};
 use crate::runtime::{DpuRuntime, FlusherConfig, PrefetcherConfig};
 
 /// DPC deployment configuration.
@@ -73,19 +73,13 @@ pub struct DpcConfig {
     /// Link-level retry budget: per-call completion deadlines, CID
     /// reissue and bounded exponential backoff in the channel pool.
     pub retry: RetryPolicy,
-    /// Keep a write-ahead intent log in a DMA-able host region: the DPU
-    /// appends an intent record *before* acknowledging any buffered
-    /// write, so a DPU crash loses nothing that was acked — recovery
-    /// scans the ring, drops the torn tail by CRC, and replays the
-    /// survivors (DESIGN.md §13). Off = the pre-PR-8 behaviour; every
-    /// `wal_*` counter stays provably zero.
-    pub wal: bool,
-    /// Ring capacity of the intent log in bytes (payload + headers).
-    /// Small rings exercise the reclaim/back-pressure machinery; the
-    /// default comfortably covers a dirty set the size of the cache.
+    /// Ring capacity of the intent log in bytes (payload + headers). The
+    /// log holds what the page pool cannot (DESIGN.md §13): the uncached
+    /// writes and truncates in flight at once, each retired at its ack. A
+    /// payload larger than the whole ring is not logged.
     pub wal_bytes: usize,
-    /// What `fsync` waits for. [`FsyncMode::Log`] needs `wal` on:
-    /// without a log it is a [`ConfigError`], not a quiet `Data`.
+    /// What `fsync` waits for: the store ([`FsyncMode::Data`]), or nothing
+    /// a DPU reset can take ([`FsyncMode::Log`]).
     pub fsync_mode: FsyncMode,
     /// Lock stripes of the host metadata cache (DESIGN.md §14). The cache
     /// itself is not optional and has no size of its own: it may hold one
@@ -121,7 +115,6 @@ impl Default for DpcConfig {
             background_flush: false,
             coalesce_flush: true,
             flush_extent_pages: dpc_cache::DEFAULT_EXTENT_PAGES,
-            wal: false,
             wal_bytes: 4 << 20,
             meta_cache_shards: 16,
             meta_cache_ttl: 0,
@@ -200,12 +193,39 @@ impl DpcConfig {
         if self.wal_bytes < 4096 {
             return err("wal_bytes", "must be at least 4096");
         }
-        if self.fsync_mode == FsyncMode::Log && !self.wal {
-            return err("fsync_mode", "FsyncMode::Log needs wal on");
-        }
         Ok(())
     }
 }
+
+/// [`Dpc::recover`] handed the crashed instance back: something outside it
+/// — an adapter from [`Dpc::fs`] — still holds its cache, and could write
+/// to pages recovery is about to flush. Drop the holders and call again.
+/// The instance's DPU is stopped already.
+pub struct RecoverError {
+    pub crashed: Box<Dpc>,
+    /// Handles on the cache held outside the instance.
+    pub holders: usize,
+}
+
+impl std::fmt::Debug for RecoverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecoverError")
+            .field("holders", &self.holders)
+            .finish_non_exhaustive()
+    }
+}
+
+impl std::fmt::Display for RecoverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "recovery refused: {} handle(s) on the crashed instance's cache are still alive",
+            self.holders
+        )
+    }
+}
+
+impl std::error::Error for RecoverError {}
 
 /// Globally unique DFS client identity: delegations are per-client at
 /// the MDS, so two DPC instances (or two queues) must never share an id.
@@ -230,9 +250,9 @@ pub struct Dpc {
     /// fault plan is present, inert otherwise. Shared by every DPU-side
     /// loop and injection point; latches on first fire.
     crash: Arc<CrashSwitch>,
-    /// The intent log (None with `wal` off). The cache holds the same
-    /// handle; this one serves diagnostics and region hand-off.
-    wal: Option<Arc<IntentLog>>,
+    /// The intent log: the ops the page pool cannot express. Every
+    /// adapter holds the same handle.
+    log: Arc<IntentLog>,
     /// Host-side metadata cache shared by every handed-out adapter.
     meta: Arc<MetaCache>,
     /// Per-inode logical sizes shared by every handed-out adapter.
@@ -243,13 +263,13 @@ impl Dpc {
     /// Bring up an instance; panics with the [`ConfigError`] message on a
     /// config [`DpcConfig::validate`] rejects (see [`Dpc::try_new`]).
     pub fn new(cfg: DpcConfig) -> Dpc {
-        Self::build(cfg, None, None)
+        Self::fresh(cfg, None, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Dpc::new`] that hands an invalid config back as an error, before
     /// any thread is spawned.
     pub fn try_new(cfg: DpcConfig) -> Result<Dpc, ConfigError> {
-        Self::build_with_wal(cfg, None, None, None)
+        Self::fresh(cfg, None, None)
     }
 
     /// Bring up a DPC instance against *shared* disaggregated storage: an
@@ -272,60 +292,90 @@ impl Dpc {
     /// page cache and the per-inode logical sizes. Sequential
     /// hand-off (populate through one instance, drop it, reopen) is the
     /// use this is correct for; concurrent writers need a TTL they can
-    /// live with, until leases exist (ROADMAP item 8).
+    /// live with, until something (leases) keeps two instances coherent.
     pub fn with_shared_storage(
         cfg: DpcConfig,
         kv_store: Option<Arc<KvStore>>,
         dfs_backend: Option<Arc<DfsBackend>>,
     ) -> Dpc {
-        Self::build(cfg, kv_store, dfs_backend)
+        Self::fresh(cfg, kv_store, dfs_backend).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Rebuild a DPC instance after a simulated DPU crash, replaying the
-    /// intent log left behind in `region` (the crashed instance's
-    /// [`Dpc::wal_region`]) against the surviving KV store.
+    /// Bring `crashed` back after its DPU died (DESIGN.md §13): a DPU
+    /// reset, with host memory and the stores intact. Its DPU threads are
+    /// stopped and joined first, so nothing dead touches what survives.
+    /// Recovery then adopts the crashed instance's hybrid cache, log
+    /// region, KV store and DFS backend; flushes the adopted dirty pages —
+    /// each an acknowledged buffered write — until they are clean; and
+    /// runs, in order, each op the log still holds live (an uncached
+    /// write or a truncate that never answered). The returned instance is
+    /// clean, its log empty under the next epoch. It runs the crashed
+    /// one's config without the fault plan: a plan scripts the failures of
+    /// the incarnation it was given to.
     ///
-    /// The new instance reuses the region under the next log epoch;
-    /// acknowledged-but-unflushed writes come back as dirty cache pages,
-    /// are flushed, and every touched file's size is reconciled — the
-    /// returned client is clean and the log drained. `cfg.wal` is forced
-    /// on (recovering without a log would re-open the window).
-    pub fn recover(
-        mut cfg: DpcConfig,
-        kv_store: Arc<KvStore>,
-        dfs_backend: Option<Arc<DfsBackend>>,
-        region: HostRegion,
-    ) -> Dpc {
-        let scan = IntentLog::scan(&region);
-        cfg.wal = true;
-        let dpc = Self::build_with_wal(
+    /// While an adapter of `crashed` is alive — it could still write to
+    /// the pages being flushed — nothing is adopted: the instance comes
+    /// back in the [`RecoverError`].
+    pub fn recover(mut crashed: Dpc) -> Result<Dpc, RecoverError> {
+        crashed.trip_crash();
+        crashed.runtime.stop();
+        let holders = Arc::strong_count(&crashed.cache) - 1;
+        if holders > 0 {
+            let crashed = Box::new(crashed);
+            return Err(RecoverError { crashed, holders });
+        }
+        let Dpc {
             cfg,
-            Some(kv_store),
+            cache,
+            kvfs,
             dfs_backend,
-            Some((region, scan.epoch.wrapping_add(1).max(1))),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let log = dpc.wal.clone().expect("recover builds with wal on");
-        DpuRuntime::recover(&dpc.cache, &dpc.kvfs, dpc.dma.clone(), &log, scan);
-        dpc
+            log,
+            ..
+        } = crashed;
+        // The DPU's own state (KVFS's caches) died with it.
+        let store = kvfs.store().clone();
+        let kvfs = Arc::new(Kvfs::open(store).expect("a store a KVFS ran on holds its root"));
+        let scan = IntentLog::scan(log.region());
+        let mut control = ControlPlane::new(cache.clone(), DmaEngine::new());
+        control.max_extent_pages = cfg.flush_extent_pages;
+        // Every adopted dirty page holds an acknowledged write, and a live
+        // record an op that never answered: the op may be ordered after
+        // all of them, so the pages go first.
+        let pass = |c: &mut ControlPlane, sink: &mut dyn dpc_cache::FlushBackend| {
+            c.flush_extents(sink, None, false)
+        };
+        while flush_pass(&mut control, &kvfs, None, pass) > 0 {}
+        // Each op runs whole, and its inode's pages — clean now, and
+        // perhaps older than what the op wrote — leave the cache.
+        let mut replayed = 0;
+        for rec in &scan.records {
+            let done = match rec.kind {
+                WalKind::Write => kvfs.write(rec.ino, rec.offset, &rec.payload).map(drop),
+                WalKind::Truncate => kvfs.truncate(rec.ino, rec.offset),
+                WalKind::Retired => continue,
+            };
+            cache.invalidate_ino(rec.ino);
+            replayed += done.is_ok() as u64;
+        }
+        let cfg = DpcConfig {
+            faults: None,
+            ..cfg
+        };
+        let epoch = scan.epoch.wrapping_add(1).max(1);
+        let dpc = Self::build(cfg, cache, kvfs, dfs_backend, log.region().clone(), epoch);
+        dpc.log.add_torn(scan.torn);
+        dpc.log.add_replayed(replayed);
+        Ok(dpc)
     }
 
-    fn build(
+    /// A new instance: a fresh cache and log, over `kv_store` and
+    /// `shared_dfs` when given.
+    fn fresh(
         cfg: DpcConfig,
         kv_store: Option<Arc<KvStore>>,
         shared_dfs: Option<Arc<DfsBackend>>,
-    ) -> Dpc {
-        Self::build_with_wal(cfg, kv_store, shared_dfs, None).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    fn build_with_wal(
-        cfg: DpcConfig,
-        kv_store: Option<Arc<KvStore>>,
-        shared_dfs: Option<Arc<DfsBackend>>,
-        wal_region: Option<(HostRegion, u32)>,
     ) -> Result<Dpc, ConfigError> {
         cfg.validate()?;
-        let dma = DmaEngine::new();
         let cache = Arc::new(HybridCache::new(CacheConfig {
             pages: cfg.cache_pages,
             bucket_entries: cfg.cache_bucket_entries,
@@ -337,7 +387,21 @@ impl Dpc {
             None => Kvfs::new(Arc::new(KvStore::new())),
         });
         let dfs_backend = shared_dfs.or_else(|| cfg.dfs.map(DfsBackend::new));
+        let region = HostRegion::new(WAL_HEADER + cfg.wal_bytes);
+        Ok(Self::build(cfg, cache, kvfs, dfs_backend, region, 1))
+    }
 
+    /// Start the DPU side over the host side it is handed: the cache, the
+    /// stores, and the region the intent log is created in under `epoch`.
+    fn build(
+        cfg: DpcConfig,
+        cache: Arc<HybridCache>,
+        kvfs: Arc<Kvfs>,
+        dfs_backend: Option<Arc<DfsBackend>>,
+        log_region: HostRegion,
+        epoch: u32,
+    ) -> Dpc {
+        let dma = DmaEngine::new();
         if let Some(plan) = &cfg.faults {
             // Server-side faults + client-side recovery for the DFS and
             // KV layers (the transport and flush sites attach below).
@@ -355,15 +419,10 @@ impl Dpc {
             None => CrashSwitch::inert(),
         });
 
-        // The intent log: fresh ring, or a crashed instance's region
-        // re-adopted under the next epoch (see `Dpc::recover`).
-        let wal = cfg.wal.then(|| {
-            let (region, epoch) =
-                wal_region.unwrap_or_else(|| (HostRegion::new(WAL_HEADER + cfg.wal_bytes), 1));
-            let log = IntentLog::create(region, dma.clone(), Some(crash.clone()), epoch);
-            cache.attach_wal(log.clone());
-            log
-        });
+        // The adapter writes its records in host memory before the command
+        // leaves: they never cross the link, so the log counts its own
+        // bytes (`wal_bytes`) on an engine of its own.
+        let log = IntentLog::create(log_region, DmaEngine::new(), Some(crash.clone()), epoch);
 
         let (channels, targets) = create_fabric(
             cfg.queues,
@@ -458,7 +517,7 @@ impl Dpc {
         };
         let meta = Arc::new(MetaCache::with_budget(meta, cfg.meta_cache_bytes()));
 
-        Ok(Dpc {
+        Dpc {
             cfg,
             dma,
             cache,
@@ -468,10 +527,10 @@ impl Dpc {
             runtime,
             ra_queue: ra.map(|(_, q)| q),
             crash,
-            wal,
+            log,
             meta,
             sizes: Arc::new(InodeSizes::new()),
-        })
+        }
     }
 
     /// Wait until the background prefetcher has drained every queued
@@ -499,10 +558,9 @@ impl Dpc {
             self.cache.clone(),
             self.pool.clone(),
             self.sizes.clone(),
-            self.cfg.io_mode,
-            self.cfg.fsync_mode,
             self.meta.clone(),
-            self.cfg.max_io_bytes,
+            self.log.clone(),
+            &self.cfg,
         )
     }
 
@@ -551,18 +609,12 @@ impl Dpc {
         &self.cfg
     }
 
-    /// The intent log, when `cfg.wal` is on (diagnostics/tests).
-    pub fn wal(&self) -> Option<&Arc<IntentLog>> {
-        self.wal.as_ref()
+    /// The intent log (diagnostics/tests).
+    pub fn intent_log(&self) -> &Arc<IntentLog> {
+        &self.log
     }
 
-    /// The log's host region — what survives a DPU crash. Hand it to
-    /// [`Dpc::recover`] along with the shared KV store to rebuild.
-    pub fn wal_region(&self) -> Option<HostRegion> {
-        self.wal.as_ref().map(|log| log.region().clone())
-    }
-
-    /// The surviving KV store (for [`Dpc::recover`] after a crash).
+    /// The KV store under this instance's KVFS.
     pub fn kv_store(&self) -> Arc<KvStore> {
         self.kvfs.store().clone()
     }
@@ -594,7 +646,16 @@ impl Dpc {
     /// One snapshot of every layer's counters.
     pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
         let pool = self.pool.stats();
-        let cache = self.cache.stats();
+        let log = self.log.stats();
+        let cache = dpc_cache::CacheStats {
+            wal_appends: log.appends,
+            wal_bytes: log.bytes,
+            wal_checkpoints: log.checkpoints,
+            wal_replayed_records: log.replayed,
+            wal_torn_tail_drops: log.torn_drops,
+            wal_stalls: log.stalls,
+            ..self.cache.stats()
+        };
         let kv = self.kvfs.store().stats();
         let dfs = self
             .dfs_backend
@@ -640,7 +701,7 @@ mod tests {
     #[test]
     fn bad_configs_are_named_before_anything_is_built() {
         type Case = (fn(&mut DpcConfig), &'static str);
-        let cases: [Case; 14] = [
+        let cases: [Case; 13] = [
             (|c| c.cache_pages = 0, "cache_pages"),
             (|c| c.cache_pages = 3, "cache_pages"),
             (|c| c.cache_bucket_entries = 0, "cache_bucket_entries"),
@@ -657,7 +718,6 @@ mod tests {
             ),
             (|c| c.flush_extent_pages = 0, "flush_extent_pages"),
             (|c| c.wal_bytes = 4095, "wal_bytes"),
-            (|c| c.fsync_mode = FsyncMode::Log, "fsync_mode"),
         ];
         for (mutate, field) in cases {
             let mut cfg = DpcConfig::default();
@@ -672,6 +732,11 @@ mod tests {
     #[test]
     fn shipped_configs_validate() {
         assert_eq!(DpcConfig::default().validate(), Ok(()));
+        let log_tier = DpcConfig {
+            fsync_mode: FsyncMode::Log,
+            ..DpcConfig::default()
+        };
+        assert_eq!(log_tier.validate(), Ok(()));
         // What `dpc-e2e` runs every workload at.
         let e2e = DpcConfig {
             queues: 1,

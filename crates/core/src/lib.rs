@@ -32,6 +32,6 @@ mod runtime;
 pub use adapter::{DpcError, DpcFs, Fd, FsyncMode, IoMode};
 pub use config::{DpuSpec, HostCpu, SoftwareCosts, Testbed};
 pub use dispatch::{Dispatcher, FSYNC_ALL};
-pub use dpc::{ConfigError, Dpc, DpcConfig};
+pub use dpc::{ConfigError, Dpc, DpcConfig, RecoverError};
 pub use metrics::{MetricsSnapshot, RecoverySnapshot};
 pub use runtime::{DpuRuntime, RuntimeShared};

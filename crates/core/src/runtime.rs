@@ -9,18 +9,15 @@
 //! prefetcher thread drains the readahead queue, filling planned windows
 //! into the host cache (the paper's back-end read path).
 
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dpc_cache::{ControlPlane, HybridCache, IntentLog, PrefetchQueue, WalKind, WalScan, PAGE_SIZE};
+use dpc_cache::{ControlPlane, PrefetchQueue};
 use dpc_kvfs::Kvfs;
 use dpc_nvmefs::{FileIncomingBatch, FileTarget};
-use dpc_pcie::DmaEngine;
 use dpc_sim::{CrashSwitch, FaultSite};
 
-use crate::adapter::cache_write_page;
 use crate::dispatch::{flush_pass, Dispatcher, KvfsRead};
 
 /// Everything the background flusher thread needs: its own control-plane
@@ -291,158 +288,6 @@ impl DpuRuntime {
         DpuRuntime { shared, threads }
     }
 
-    /// Replay a scanned intent log into a freshly built cache + KVFS pair.
-    ///
-    /// Called by [`crate::Dpc::recover`] after a simulated DPU crash: the
-    /// old log region was scanned (CRC-validated, torn tail dropped) and
-    /// the surviving records arrive here in sequence order. Replay is
-    /// *positional redo*: every valid record is re-applied — writes
-    /// re-enter the cache as dirty pages protected by the fresh log
-    /// (`log`, running under the next epoch on the same region), truncates
-    /// are applied durably on the spot. Redo is idempotent, so records
-    /// whose effects already reached KVFS before the crash simply
-    /// overwrite with identical bytes; replaying everything in order is
-    /// what makes mixed write/truncate histories come out byte-exact.
-    ///
-    /// After the record sweep, each touched ino is flushed and its size
-    /// reconciled, so recovery hands back a *clean* client: the dirty set
-    /// is durable, the fresh log is drained, and a second crash loses
-    /// nothing that was acknowledged.
-    ///
-    /// Returns the number of records replayed.
-    pub fn recover(
-        cache: &Arc<HybridCache>,
-        kvfs: &Arc<Kvfs>,
-        dma: DmaEngine,
-        log: &Arc<IntentLog>,
-        scan: WalScan,
-    ) -> u64 {
-        log.add_torn(scan.torn);
-        // Per-ino logical size, threaded through the replay: writes grow
-        // it, truncates reset it, and the final per-ino truncate below
-        // reconciles KVFS (whole-page flushes round sizes up).
-        let mut sizes: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        let mut replayed = 0u64;
-        for rec in &scan.records {
-            // The record's ino may have been unlinked between append and
-            // crash (the old log's in-memory retirement died with it).
-            // A missing attr means the file is gone: nothing to redo.
-            let size = match sizes.entry(rec.ino) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(v) => match kvfs.get_attr(rec.ino) {
-                    Ok(attr) => *v.insert(attr.size),
-                    Err(_) => continue,
-                },
-            };
-            match rec.kind {
-                WalKind::Write => {
-                    let end = rec.offset + rec.payload.len() as u64;
-                    let pages = if rec.payload.is_empty() {
-                        0
-                    } else {
-                        ((end - 1) / PAGE_SIZE as u64 - rec.offset / PAGE_SIZE as u64 + 1) as u32
-                    };
-                    match log.try_append(WalKind::Write, rec.ino, rec.offset, &rec.payload, pages) {
-                        Ok(seq) => {
-                            // Re-insert as dirty pages under the fresh
-                            // log's protection, page chunk by page chunk —
-                            // the front-end protocol the adapter runs, the
-                            // old bytes read from KVFS instead of over the
-                            // link.
-                            let mut pos = 0usize;
-                            while pos < rec.payload.len() {
-                                let abs = rec.offset + pos as u64;
-                                let lpn = abs / PAGE_SIZE as u64;
-                                let in_page = (abs % PAGE_SIZE as u64) as usize;
-                                let take = (PAGE_SIZE - in_page).min(rec.payload.len() - pos);
-                                let chunk = &rec.payload[pos..pos + take];
-                                let absorbed = cache_write_page(
-                                    cache,
-                                    rec.ino,
-                                    lpn,
-                                    in_page,
-                                    chunk,
-                                    Some((log, seq)),
-                                    |old| {
-                                        let base = lpn * PAGE_SIZE as u64;
-                                        Ok::<_, Infallible>(
-                                            kvfs.read(rec.ino, base, old).unwrap_or(0),
-                                        )
-                                    },
-                                );
-                                if let Ok(Err(_full_bucket)) = absorbed {
-                                    // No slot free: write through durably
-                                    // — that obligation is already met.
-                                    let _ = kvfs.write(rec.ino, abs, chunk);
-                                    log.retire_page(seq);
-                                }
-                                pos += take;
-                            }
-                        }
-                        Err(_) => {
-                            // Fresh ring can't hold the record (tiny ring
-                            // or oversized payload): replay durably,
-                            // bypassing the cache — durable data needs no
-                            // log protection.
-                            let _ = kvfs.write(rec.ino, rec.offset, &rec.payload);
-                        }
-                    }
-                    sizes.insert(rec.ino, size.max(end));
-                }
-                WalKind::Truncate => {
-                    // Durable at apply: no fresh record needed (recovery
-                    // itself is atomic in the simulation).
-                    let _ = kvfs.truncate(rec.ino, rec.offset);
-                    if rec.offset < size {
-                        // Drop replayed cache pages past the new end and
-                        // clip the boundary page, exactly as the adapter's
-                        // truncate does — a later flush must not
-                        // resurrect clipped bytes.
-                        let first = rec.offset.div_ceil(PAGE_SIZE as u64);
-                        let last = size.div_ceil(PAGE_SIZE as u64);
-                        for lpn in first..=last {
-                            cache.invalidate(rec.ino, lpn);
-                        }
-                        let tail = (rec.offset % PAGE_SIZE as u64) as usize;
-                        if tail != 0 {
-                            if let Ok(mut g) =
-                                cache.begin_write(rec.ino, rec.offset / PAGE_SIZE as u64)
-                            {
-                                if g.claimed_free() {
-                                    drop(g);
-                                } else {
-                                    g.set_valid(tail);
-                                    g.commit_dirty();
-                                }
-                            }
-                        }
-                    }
-                    sizes.insert(rec.ino, rec.offset);
-                }
-                WalKind::Checkpoint => continue,
-            }
-            replayed += 1;
-        }
-        log.add_replayed(replayed);
-
-        // Drain what replay re-dirtied: flush every touched ino (each pass
-        // settles its mtimes before it returns), then reconcile its
-        // logical size (whole-page flushes round up). The
-        // per-page durable hook retires the fresh records as they land,
-        // so a fully replayed + flushed log reads as drained.
-        let mut control = ControlPlane::new(cache.clone(), dma);
-        while flush_pass(&mut control, kvfs, None, |c, sink| {
-            c.flush_extents(sink, None, false)
-        }) > 0
-        {}
-        let mut inos: Vec<(u64, u64)> = sizes.into_iter().collect();
-        inos.sort_unstable();
-        for (ino, size) in inos {
-            let _ = kvfs.truncate(ino, size);
-        }
-        replayed
-    }
-
     pub fn requests_served(&self) -> u64 {
         self.shared.requests_served.load(Ordering::Relaxed)
     }
@@ -471,10 +316,11 @@ impl DpuRuntime {
             t.thread().unpark();
         }
     }
-}
 
-impl Drop for DpuRuntime {
-    fn drop(&mut self) {
+    /// Stop every DPU thread and join it. What the threads held — their
+    /// dispatchers, control planes and the cache handles in them — is
+    /// dropped by the time this returns.
+    pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.wake_all();
         for t in self.threads.drain(..) {
@@ -483,11 +329,18 @@ impl Drop for DpuRuntime {
     }
 }
 
+impl Drop for DpuRuntime {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpc_cache::CacheConfig;
+    use dpc_cache::{CacheConfig, HybridCache, PAGE_SIZE};
     use dpc_kvstore::KvStore;
+    use dpc_pcie::DmaEngine;
     use dpc_sim::{FaultPlan, FaultSpec};
 
     /// A KVFS with two 32-page files, and a cache holding four dirty,
@@ -504,10 +357,9 @@ mod tests {
         for ino in inos {
             kvfs.write(ino, 0, &vec![1u8; 32 * PAGE_SIZE]).unwrap();
             for lpn in [0, 4, 8, 12] {
-                let page = [2u8; PAGE_SIZE];
-                let fresh = |_: &mut [u8]| Ok::<_, Infallible>(0);
-                let absorbed = cache_write_page(&cache, ino, lpn, 0, &page, None, fresh);
-                assert!(matches!(absorbed, Ok(Ok(()))));
+                let mut page = cache.begin_write(ino, lpn).unwrap();
+                page.write(0, &[2u8; PAGE_SIZE]);
+                page.commit_dirty();
             }
         }
         (cache, kvfs, inos)

@@ -63,28 +63,33 @@ fn requests_served_counts_all_queues() {
 }
 
 #[test]
-fn recover_replays_live_intents_and_hands_back_a_drained_log() {
-    // Nothing flushes before the crash (no fsync, no background flusher):
-    // the whole dirty set comes back from the log alone, and `recover`
-    // returns a clean client — log drained, ready to admit and reclaim.
+fn recover_adopts_the_dirty_pages_and_hands_back_a_drained_log() {
+    // Nothing flushes before the crash (no fsync, no background flusher)
+    // and a buffered write logs nothing: the whole dirty set comes back
+    // from the adopted cache, and `recover` returns a clean client.
     let cfg = DpcConfig {
-        wal: true,
         prefetch: false,
         ..DpcConfig::default()
     };
-    let dpc = Dpc::new(cfg.clone());
+    let dpc = Dpc::new(cfg);
     let fs = dpc.fs();
     let fd = fs.create("/dirty").unwrap();
     let data: Vec<u8> = (0..200_000u32).map(|i| (i * 7 % 251) as u8).collect();
     assert_eq!(fs.write(fd, 0, &data).unwrap(), data.len());
+    assert_eq!(dpc.metrics().cache.wal_appends, 0);
     dpc.trip_crash();
-    let (store, region) = (dpc.kv_store(), dpc.wal_region().unwrap());
     drop(fs);
-    drop(dpc);
 
-    let rdpc = Dpc::recover(cfg, store, None, region);
-    assert!(rdpc.metrics().cache.wal_replayed_records > 0);
-    assert!(rdpc.wal().unwrap().is_drained(), "recovery drains the log");
+    let rdpc = Dpc::recover(dpc).unwrap();
+    let c = rdpc.metrics().cache;
+    assert_eq!(c.flushes, 49, "every page of the write, flushed once");
+    assert_eq!(c.wal_replayed_records, 0);
+    assert_eq!(
+        rdpc.cache().dirty_count(),
+        0,
+        "recovery hands back a clean cache"
+    );
+    assert!(rdpc.intent_log().is_drained());
     let rfs = rdpc.fs();
     assert_eq!(rfs.stat("/dirty").unwrap().size, data.len() as u64);
     let fd = rfs.open("/dirty").unwrap();
@@ -96,5 +101,29 @@ fn recover_replays_live_intents_and_hands_back_a_drained_log() {
     );
     rfs.write(fd, data.len() as u64, b"post").unwrap();
     rfs.fsync(fd).unwrap();
-    assert!(rdpc.wal().unwrap().is_drained(), "the new epoch reclaims");
+    assert!(rdpc.intent_log().is_drained());
+}
+
+#[test]
+fn recovery_refuses_while_an_adapter_of_the_crashed_instance_is_alive() {
+    let dpc = Dpc::new(DpcConfig::default());
+    let fs = dpc.fs();
+    let fd = fs.create("/held").unwrap();
+    fs.write(fd, 0, &[1u8; 8192]).unwrap();
+    let Err(refused) = Dpc::recover(dpc) else {
+        panic!("recovered under a live adapter");
+    };
+    assert_eq!(refused.holders, 1);
+    assert!(refused.to_string().contains("1 handle"), "{refused}");
+    // The DPU is gone, the host is not: a write the cache absorbs without
+    // a crossing still lands, and recovery keeps it.
+    fs.write(fd, 4096, &[2u8; 4096]).unwrap();
+    drop(fs);
+    let rdpc = Dpc::recover(*refused.crashed).unwrap();
+    let rfs = rdpc.fs();
+    let fd = rfs.open("/held").unwrap();
+    let mut back = vec![0u8; 8192];
+    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), 8192);
+    assert!(back[..4096].iter().all(|&b| b == 1));
+    assert!(back[4096..].iter().all(|&b| b == 2));
 }

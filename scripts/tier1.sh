@@ -69,6 +69,28 @@ cargo test --release -q --test attr_settle -- \
     recovery_puts_each_inode_attribute_once \
     a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime
 cargo test --release -q --test size_reconcile stat_of_an_open_file_reports_its_unflushed_growth
+# Crash consistency (DESIGN.md §13), in release and by name: buffered
+# writes and fsyncs log nothing; an uncached write logs its payload and
+# retires at its ack; FsyncMode::Log on the default config recovers every
+# acknowledged byte; a buffered write dead at its read-modify-write
+# crossing leaves none of its bytes; an uncached write and a truncate in
+# flight at the crash replay; recovery adopts the dirty pages, and refuses
+# while an adapter of the crashed instance is alive; a warm 8 KiB
+# overwrite allocates nothing; a region shorter than the log's header
+# scans torn; a page being claimed is never claimed twice.
+cargo test --release -q --test wal_crash -- \
+    buffered_writes_and_fsyncs_log_nothing \
+    an_uncached_write_logs_its_payload_and_retires_at_ack \
+    log_durable_fsync_is_a_noop_that_still_recovers \
+    a_buffered_write_dead_at_its_rmw_crossing_leaves_none_of_its_bytes \
+    an_uncached_write_and_a_truncate_in_flight_at_the_crash_replay
+cargo test --release -q -p dpc-core --test runtime_lifecycle -- \
+    recover_adopts_the_dirty_pages_and_hands_back_a_drained_log \
+    recovery_refuses_while_an_adapter_of_the_crashed_instance_is_alive
+cargo test --release -q -p dpc-core --test zero_alloc_write
+cargo test --release -q -p dpc-cache --lib -- \
+    wal::tests::a_region_shorter_than_its_header_scans_torn \
+    host::tests::a_page_being_claimed_is_waited_for_not_claimed_twice
 # One KV request per big-file read (DESIGN.md §17), in release and by name:
 # a read spanning n blocks is 1 sub-read and n keys; it returns exactly the
 # block-by-block bytes (holes, short values, partial blocks, EOF, a small

@@ -142,16 +142,12 @@ fn the_shutdown_drain_puts_each_inode_attribute_once() {
 #[test]
 fn recovery_puts_each_inode_attribute_once() {
     let store = populated();
-    let cfg = DpcConfig {
-        wal: true,
-        ..quiet()
-    };
-    let (dpc, fs, _) = dirty(cfg.clone(), &store, 8);
+    let (dpc, fs, _) = dirty(quiet(), &store, 8);
     dpc.trip_crash();
-    let region = dpc.wal_region().unwrap();
-    drop((fs, dpc));
+    drop(fs);
     let before = mtimes(&store);
-    let recover = || drop(Dpc::recover(cfg, store.clone(), None, region));
+    // Recovery adopts the 16 dirty pages and flushes them in one pass.
+    let recover = move || drop(Dpc::recover(dpc).unwrap());
     assert_eq!(cost(&store, recover), (16, 2));
     assert_moved(before, mtimes(&store));
 }
@@ -161,7 +157,6 @@ fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
     let store = populated();
     let plan = FaultPlan::new(29);
     let cfg = DpcConfig {
-        wal: true,
         faults: Some(plan.clone()),
         ..quiet()
     };
@@ -171,22 +166,19 @@ fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
     // eighth draw follows /a's last extent, after its blocks are in the
     // store and before the pass settles the mtime.
     plan.arm("dpu.crash", FaultSpec::nth(8));
-    let region = dpc.wal_region().unwrap();
+    let mut crashed = None;
     let crash = || {
         let _ = fs.fsync(a); // answered or timed out: the DPU is dead
         assert!(dpc.crashed());
-        drop((fs, dpc));
+        drop(fs);
+        crashed = Some(dpc);
     };
     // Every block, and nothing after the trip: no mtime.
     assert_eq!(cost(&store, crash), (8, 0));
     assert_eq!(mtimes(&store), before, "the pre-flush mtime stands");
 
     // Recovery gives the oracle's bytes and size.
-    let cfg = DpcConfig {
-        wal: true,
-        ..quiet()
-    };
-    let rdpc = Dpc::recover(cfg, store, None, region);
+    let rdpc = Dpc::recover(crashed.unwrap()).unwrap();
     let rfs = rdpc.fs();
     let mut oracle = vec![1u8; PAGES * PAGE];
     for k in 0..8 {

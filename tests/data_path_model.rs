@@ -5,9 +5,9 @@
 //! in-memory model, and after a final `fsync` so are each file's size
 //! and durable bytes. Run plain, under seeded chaos at `nvmefs.defer` +
 //! `cache.flush` (seeds 1/7/42, or `DPC_CHAOS_SEED=<u64>` to pin one),
-//! with the intent log on under the same chaos, and over random seeds.
-//! No other suite drives `writev` and `truncate` through those two fault
-//! sites, or does so with the log on.
+//! with a small intent-log ring under the same chaos, and over random
+//! seeds. No other suite drives `writev` and `truncate` — the ops the log
+//! records — through those two fault sites.
 
 use dpc::core::{Dpc, DpcConfig, Fd};
 use dpc::sim::{FaultPlan, FaultSpec};
@@ -135,7 +135,7 @@ fn model_run(seed: u64, chaos: bool, wal: bool) {
         ..DpcConfig::default()
     };
     if wal {
-        cfg.wal = true;
+        // A small ring: the `writev`s and truncates each log a record.
         cfg.wal_bytes = 256 * 1024;
     }
     if chaos {

@@ -640,8 +640,9 @@ fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
     assert_eq!(back[1100..], old[1100..], "bytes past the gather were lost");
 }
 
-/// ROADMAP item 5 argues about DMAs per crossing; this pins them, one
-/// row per path (DESIGN.md §15 has the arithmetic). A header costs a DMA
+/// What each data path costs in DMAs per crossing, pinned one row per
+/// path, so a change that moves a crossing's price shows here (DESIGN.md
+/// §15 has the arithmetic). A header costs a DMA
 /// of its own only when it does not fit its descriptor — none of these
 /// requests', and of the replies only `Attr`.
 #[test]

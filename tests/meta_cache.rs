@@ -126,11 +126,9 @@ fn cached_enoent_dies_on_rename_into_the_name() {
 
 #[test]
 fn negative_entries_do_not_survive_recovery() {
-    // Crash-shaped config (PR 8): WAL on, deterministic data path, fast
-    // link deadlines — plus the metadata cache under test.
+    // Crash-shaped config: deterministic data path, fast link deadlines —
+    // plus the metadata cache under test.
     let cfg = DpcConfig {
-        wal: true,
-        wal_bytes: 256 * 1024,
         cache_pages: 512,
         retry: RetryPolicy {
             attempts: 2,
@@ -140,7 +138,7 @@ fn negative_entries_do_not_survive_recovery() {
         },
         ..meta_cfg()
     };
-    let dpc = Dpc::new(cfg.clone());
+    let dpc = Dpc::new(cfg);
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
     let fd = fs.create("/d/keep").unwrap();
@@ -152,15 +150,12 @@ fn negative_entries_do_not_survive_recovery() {
     assert_eq!(fs.stat("/d/ghost").unwrap_err().errno(), 2);
     assert!(dpc.metrics().meta.neg_hits >= 1);
     dpc.trip_crash();
-
-    let store = dpc.kv_store();
-    let region = dpc.wal_region().expect("wal is on");
     drop(fs);
-    drop(dpc);
 
-    let rdpc = Dpc::recover(cfg, store, None, region);
-    // The recovered instance starts with a *fresh* cache: every counter
-    // zero, nothing carried over from the dead host's memory.
+    let rdpc = Dpc::recover(dpc).unwrap();
+    // The recovered instance starts with a *fresh* metadata cache: every
+    // counter zero. Its answers came from the dead DPU's walks, and the
+    // adopted data cache holds no names.
     let fresh = rdpc.meta_cache().stats();
     assert_eq!(
         (

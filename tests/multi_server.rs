@@ -236,8 +236,9 @@ fn a_second_live_client_sees_remote_changes_only_when_its_ttl_expires() {
     assert_eq!(b.pool_stats().submitted, calls, "stale, and local");
 
     // Five local mutations later (B allocates no inode: two live KVFS
-    // instances hand out the same numbers — ROADMAP item 8) everything B
-    // fetched is past its TTL and is asked for again.
+    // instances hand out the same inode numbers, and nothing arbitrates
+    // between them) everything B fetched is past its TTL and is asked for
+    // again.
     let fd = fs_b.open("/b").unwrap();
     for _ in 0..5 {
         fs_b.truncate(fd, 3).unwrap();
@@ -246,9 +247,9 @@ fn a_second_live_client_sees_remote_changes_only_when_its_ttl_expires() {
     assert_eq!(names(), ["f", "new", "scratch"]);
     assert_eq!(fs_b.stat("/s/new").unwrap().size, 5);
     // `f`'s attribute is asked for again too — and B's *DPU* answers 5
-    // from KVFS's inode cache, which has no expiry at all (ROADMAP item 2:
-    // KVFS's own caches onto one invalidation scheme). The host TTL
-    // bounds the host cache, nothing behind it.
+    // from KVFS's inode cache, which has no expiry at all: it is coherent
+    // with its own instance's mutations only. The host TTL bounds the host
+    // cache, nothing behind it.
     assert_eq!(fs_b.stat("/s/f").unwrap().size, 5);
     assert!(b.metrics().meta.attr_misses > asked, "the host asked again");
 

@@ -153,10 +153,9 @@ fn stat_of_an_open_file_reports_its_unflushed_growth() {
 #[test]
 fn unaligned_tail_lands_byte_exact_in_one_crossing() {
     let data = pattern(10_000, 0x77);
-    for knobs in 0..4u32 {
+    for background_flush in [false, true] {
         let cfg = DpcConfig {
-            background_flush: knobs & 1 != 0,
-            wal: knobs & 2 != 0,
+            background_flush,
             ..DpcConfig::default()
         };
         let dpc = Dpc::new(cfg);
@@ -168,8 +167,16 @@ fn unaligned_tail_lands_byte_exact_in_one_crossing() {
         // lands on 10 000 by itself: one call, no reconcile.
         let calls = dpc.pool_stats().submitted;
         fs.fsync(fd).unwrap();
-        assert_eq!(dpc.pool_stats().submitted - calls, 1, "knobs {knobs:02b}");
-        assert_eq!(cold_read(&dpc, "/tail"), data, "knobs {knobs:02b}");
+        assert_eq!(
+            dpc.pool_stats().submitted - calls,
+            1,
+            "background_flush {background_flush}"
+        );
+        assert_eq!(
+            cold_read(&dpc, "/tail"),
+            data,
+            "background_flush {background_flush}"
+        );
 
         // Move the backend size behind the host's back: now the sizes
         // disagree, and the fsync pays the second call to put it right.
@@ -177,8 +184,16 @@ fn unaligned_tail_lands_byte_exact_in_one_crossing() {
         dpc.kvfs_inner().truncate(ino, 20_000).unwrap();
         let calls = dpc.pool_stats().submitted;
         fs.fsync(fd).unwrap();
-        assert_eq!(dpc.pool_stats().submitted - calls, 2, "knobs {knobs:02b}");
-        assert_eq!(cold_read(&dpc, "/tail"), data, "knobs {knobs:02b}");
+        assert_eq!(
+            dpc.pool_stats().submitted - calls,
+            2,
+            "background_flush {background_flush}"
+        );
+        assert_eq!(
+            cold_read(&dpc, "/tail"),
+            data,
+            "background_flush {background_flush}"
+        );
         fs.close(fd).unwrap();
     }
 }

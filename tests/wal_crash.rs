@@ -1,13 +1,13 @@
-//! PR 8 crash-consistency harness: the write-ahead intent log vs a
-//! simulated DPU crash.
+//! Crash consistency (DESIGN.md §13): the adopted cache plus the intent
+//! log vs a simulated DPU crash.
 //!
 //! The `dpu.crash` fault site drives a latching [`CrashSwitch`]: service
 //! loops exit, the flusher dies where it stands (mid-flush, mid-append,
 //! between EC encode and shard fanout), and nothing drains at teardown.
-//! Because every buffered write appends its intent record *before* the
-//! ack, recovery — scan the surviving ring, drop the torn tail by CRC,
-//! replay the rest positionally — must reproduce every acknowledged
-//! mutation byte-exactly.
+//! Host memory survives: an acknowledged buffered write is its dirty
+//! pages, which `Dpc::recover` adopts and flushes, and an uncached write
+//! or a truncate still live in the log is run again. Recovery must
+//! reproduce every acknowledged mutation byte-exactly.
 //!
 //! The sweep runs a seeded mixed write/truncate/fsync schedule against
 //! an in-memory model, killing the DPU at the k-th crash-site draw for a
@@ -18,7 +18,7 @@
 //! Seeds: `[1, 7, 42]` by default; set `DPC_CHAOS_SEED=<u64>` to pin one
 //! (the CI chaos job fans out over the fixed seeds).
 
-use dpc::core::{Dpc, DpcConfig, FsyncMode};
+use dpc::core::{Dpc, DpcConfig, DpcError, FsyncMode};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -53,7 +53,7 @@ fn pattern(seed: u64, tag: u64, len: usize) -> Vec<u8> {
     out
 }
 
-/// The crash-sweep base configuration: WAL on, deterministic data path
+/// The crash-sweep base configuration: a small log ring, deterministic data path
 /// (no background flusher or prefetcher drawing crash-site faults off
 /// the op being executed), fast link deadlines so calls into a dead DPU
 /// error in milliseconds instead of minutes — but not so fast that a live
@@ -62,7 +62,6 @@ fn pattern(seed: u64, tag: u64, len: usize) -> Vec<u8> {
 /// yields that failed 4–13 of 20 release runs of this suite on two vCPUs.
 fn crash_cfg() -> DpcConfig {
     DpcConfig {
-        wal: true,
         wal_bytes: 256 * 1024,
         cache_pages: 512,
         background_flush: false,
@@ -136,8 +135,8 @@ fn apply_model(model: &mut [Vec<u8>], op: &Op) {
 }
 
 /// One seeded run killed at the `k`-th `dpu.crash` draw, then recovered
-/// and verified. Returns the recovered instance's replayed-record count
-/// (the sweep asserts the total is nonzero — replay provably ran).
+/// and verified. Returns what recovery did — pages it flushed plus records
+/// it replayed (the sweep asserts the total is nonzero).
 fn crash_run(seed: u64, k: u64) -> u64 {
     let plan = FaultPlan::new(seed);
     plan.arm("dpu.crash", FaultSpec::nth(k));
@@ -184,12 +183,11 @@ fn crash_run(seed: u64, k: u64) -> u64 {
         dpc.trip_crash();
     }
 
-    let store = dpc.kv_store();
-    let region = dpc.wal_region().expect("wal is on");
     drop(fs);
-    drop(dpc); // dead DPU: threads exit, the shutdown drain is suppressed
-
-    let rdpc = Dpc::recover(crash_cfg(), store, None, region);
+    let flushed = dpc.metrics().cache.flushes;
+    let rdpc = Dpc::recover(dpc).unwrap();
+    let m = rdpc.metrics().cache;
+    let recovered = m.flushes - flushed + m.wal_replayed_records;
     let rfs = rdpc.fs();
     for f in 0..FILES as usize {
         let path = format!("/wal/f{f}");
@@ -252,7 +250,7 @@ fn crash_run(seed: u64, k: u64) -> u64 {
     }
 
     // The recovered instance must be fully functional: new writes land,
-    // flush, and read back (the log is live again under a fresh epoch).
+    // flush, and read back (the log is empty under a fresh epoch).
     let fd = rfs.create("/wal/post").unwrap();
     let post = pattern(seed, 777, 9000);
     rfs.write(fd, 0, &post).unwrap();
@@ -262,7 +260,7 @@ fn crash_run(seed: u64, k: u64) -> u64 {
     assert_eq!(buf, post, "seed {seed} k {k}: post-recovery write diverged");
     rfs.close(fd).unwrap();
 
-    rdpc.metrics().cache.wal_replayed_records
+    recovered
 }
 
 #[test]
@@ -278,7 +276,7 @@ fn crash_sweep_stays_byte_exact_and_replays() {
     }
     assert!(
         replayed_total > 0,
-        "no crash point ever left records to replay — the sweep is vacuous"
+        "no crash point ever left recovery anything to do — the sweep is vacuous"
     );
 }
 
@@ -294,83 +292,51 @@ proptest! {
 }
 
 #[test]
-fn wal_disabled_keeps_every_wal_counter_at_zero() {
-    // Default config: no log. The whole subsystem must stay provably
-    // dormant — all six counters pinned at zero through a real workload.
+fn buffered_writes_and_fsyncs_log_nothing() {
+    // The dirty pages are the record: partial, whole and multi-page
+    // buffered writes, fsyncs and a close append nothing to the log.
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/plain").unwrap();
     let data = pattern(3, 0, 40_000);
     fs.write(fd, 0, &data).unwrap();
+    fs.write(fd, 5, &data[5..900]).unwrap();
     fs.fsync(fd).unwrap();
-    fs.truncate(fd, 10_000).unwrap();
-    let mut buf = vec![0u8; 10_000];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), 10_000);
-    assert_eq!(&buf, &data[..10_000]);
+    fs.write(fd, 8192, &data[8192..16_384]).unwrap();
+    fs.fsync(fd).unwrap();
+    let mut buf = vec![0u8; data.len()];
+    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
+    assert_eq!(buf, data);
     fs.close(fd).unwrap();
 
     let c = dpc.metrics().cache;
-    assert_eq!(c.wal_appends, 0);
-    assert_eq!(c.wal_bytes, 0);
-    assert_eq!(c.wal_checkpoints, 0);
-    assert_eq!(c.wal_replayed_records, 0);
-    assert_eq!(c.wal_torn_tail_drops, 0);
-    assert_eq!(c.wal_stalls, 0);
+    assert_eq!((c.wal_appends, c.wal_bytes), (0, 0));
+    assert_eq!((c.wal_checkpoints, c.wal_stalls), (0, 0));
 }
 
 #[test]
-fn wal_enabled_logs_appends_and_reclaims_on_flush() {
+fn an_uncached_write_logs_its_payload_and_retires_at_ack() {
     let dpc = Dpc::new(crash_cfg());
     let fs = dpc.fs();
     let fd = fs.create("/logged").unwrap();
-    let data = pattern(5, 1, 30_000);
-    fs.write(fd, 0, &data).unwrap();
+    let (a, b) = (pattern(5, 1, 3000), pattern(5, 2, 5000));
+    assert_eq!(fs.writev(fd, 0, &[&a, &b]).unwrap(), 8000);
     let c = dpc.metrics().cache;
-    assert!(c.wal_appends >= 1, "buffered write must append an intent");
-    assert!(c.wal_bytes as usize > data.len(), "payload + header logged");
-
-    // Data-durable fsync retires the write's obligations page by page;
-    // the tail reclaims and checkpoints record it.
-    fs.fsync(fd).unwrap();
+    assert_eq!(c.wal_appends, 1, "a writev is one record");
+    assert_eq!(c.wal_bytes, 40 + 8000, "its header and the whole payload");
+    assert!(dpc.intent_log().is_drained(), "retired at its ack");
+    fs.truncate(fd, 100).unwrap();
     let c = dpc.metrics().cache;
-    assert!(c.wal_checkpoints >= 1, "flush must reclaim log space");
-    assert!(
-        dpc.wal().unwrap().is_drained(),
-        "a fully flushed instance leaves a drained log"
-    );
-    fs.close(fd).unwrap();
-}
-
-#[test]
-fn tiny_ring_backpressure_stalls_then_recovers() {
-    // A ring much smaller than the dirty set: appends hit WouldBlock,
-    // the adapter forces flushes to reclaim, and every write still
-    // succeeds. `wal_stalls` proves back-pressure engaged; the drained
-    // end state proves reclaim kept up (no ring deadlock).
-    let dpc = Dpc::new(DpcConfig {
-        wal_bytes: 8 * 1024,
-        ..crash_cfg()
-    });
-    let fs = dpc.fs();
-    let fd = fs.create("/pressure").unwrap();
-    for i in 0..24u64 {
-        let data = pattern(9, i, 3000);
-        fs.write(fd, i * 3000, &data).unwrap();
-    }
-    let c = dpc.metrics().cache;
-    assert!(c.wal_stalls > 0, "an 8 KiB ring must have back-pressured");
-    fs.fsync(fd).unwrap();
-    assert!(dpc.wal().unwrap().is_drained());
-    let mut buf = vec![0u8; 3000];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), 3000);
-    assert_eq!(buf, pattern(9, 0, 3000));
+    assert_eq!((c.wal_appends, c.wal_bytes), (2, 40 + 8000 + 40));
+    assert_eq!(c.wal_checkpoints, 2, "each ack reclaims its record");
+    assert!(dpc.intent_log().is_drained());
     fs.close(fd).unwrap();
 }
 
 #[test]
 fn oversized_write_bypasses_the_log_durably() {
-    // A single write bigger than the whole ring can never be logged:
-    // the adapter drains the log and writes through durably instead.
+    // An uncached write bigger than the whole ring can never be logged:
+    // it crosses unlogged, and is durable at its ack.
     let dpc = Dpc::new(DpcConfig {
         wal_bytes: 16 * 1024,
         ..crash_cfg()
@@ -378,14 +344,10 @@ fn oversized_write_bypasses_the_log_durably() {
     let fs = dpc.fs();
     let fd = fs.create("/big").unwrap();
     let data = pattern(11, 0, 48 * 1024);
-    assert_eq!(fs.write(fd, 0, &data).unwrap(), data.len());
-    // Durable without an fsync: kill the DPU, recover, bytes survive.
-    dpc.trip_crash();
-    let store = dpc.kv_store();
-    let region = dpc.wal_region().unwrap();
+    assert_eq!(fs.writev(fd, 0, &[&data]).unwrap(), data.len());
+    assert_eq!(dpc.metrics().cache.wal_appends, 0);
     drop(fs);
-    drop(dpc);
-    let rdpc = Dpc::recover(crash_cfg(), store, None, region);
+    let rdpc = Dpc::recover(dpc).unwrap();
     let rfs = rdpc.fs();
     let fd = rfs.open("/big").unwrap();
     let mut buf = vec![0u8; data.len()];
@@ -395,17 +357,18 @@ fn oversized_write_bypasses_the_log_durably() {
 
 #[test]
 fn log_durable_fsync_is_a_noop_that_still_recovers() {
-    // FsyncMode::Log: fsync returns without flushing (the intent records
-    // already make the data recoverable), and a crash right after the
-    // fsync must still bring every byte back.
+    // FsyncMode::Log on the default config: fsync returns without
+    // flushing (the dirty pages survive a DPU crash), and a crash right
+    // after it must still bring every acknowledged byte back.
     let dpc = Dpc::new(DpcConfig {
         fsync_mode: FsyncMode::Log,
-        ..crash_cfg()
+        ..DpcConfig::default()
     });
     let fs = dpc.fs();
     let fd = fs.create("/lazy").unwrap();
     let data = pattern(13, 2, 20_000);
     fs.write(fd, 0, &data).unwrap();
+    fs.write(fd, 7, &data[7..100]).unwrap();
     fs.fsync(fd).unwrap();
     // Nothing flushed: log-durable fsync leaves the pages dirty.
     assert_eq!(
@@ -414,18 +377,93 @@ fn log_durable_fsync_is_a_noop_that_still_recovers() {
         "Log-tier fsync must not flush"
     );
 
-    dpc.trip_crash();
-    let store = dpc.kv_store();
-    let region = dpc.wal_region().unwrap();
     drop(fs);
-    drop(dpc);
-    let rdpc = Dpc::recover(crash_cfg(), store, None, region);
-    assert!(rdpc.metrics().cache.wal_replayed_records > 0);
+    let rdpc = Dpc::recover(dpc).unwrap();
+    assert_eq!(
+        rdpc.metrics().cache.flushes,
+        5,
+        "recovery flushed the pages"
+    );
     let rfs = rdpc.fs();
     let fd = rfs.open("/lazy").unwrap();
     let mut buf = vec![0u8; data.len()];
     assert_eq!(rfs.read(fd, 0, &mut buf).unwrap(), data.len());
     assert_eq!(buf, data);
+}
+
+#[test]
+fn a_buffered_write_dead_at_its_rmw_crossing_leaves_none_of_its_bytes() {
+    // Two pages on the store, and an instance that caches the first only.
+    let store = {
+        let dpc = Dpc::new(crash_cfg());
+        let fs = dpc.fs();
+        let fd = fs.create("/rmw").unwrap();
+        fs.write(fd, 0, &[1u8; 8192]).unwrap();
+        fs.close(fd).unwrap();
+        dpc.kv_store()
+    };
+    let dpc = Dpc::with_shared_storage(crash_cfg(), Some(store), None);
+    let fs = dpc.fs();
+    let fd = fs.open("/rmw").unwrap();
+    let mut page = [0u8; 4096];
+    assert_eq!(fs.read(fd, 0, &mut page).unwrap(), 4096);
+    // The write covers the cached page and part of a fresh one, whose old
+    // bytes are its one crossing — and the DPU is dead.
+    dpc.trip_crash();
+    assert!(fs.write(fd, 2048, &[2u8; 4096]).is_err());
+    drop(fs);
+    let flushed = dpc.metrics().cache.flushes;
+    let rdpc = Dpc::recover(dpc).unwrap();
+    assert_eq!(rdpc.metrics().cache.flushes, flushed, "no page was dirtied");
+    let rfs = rdpc.fs();
+    let fd = rfs.open("/rmw").unwrap();
+    let mut back = vec![0u8; 8192];
+    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), 8192);
+    assert!(
+        back.iter().all(|&b| b == 1),
+        "a byte of the dead write landed"
+    );
+}
+
+#[test]
+fn an_uncached_write_and_a_truncate_in_flight_at_the_crash_replay() {
+    let base = pattern(17, 0, 10_000);
+    let (a, b) = (pattern(17, 1, 3000), pattern(17, 2, 5000));
+    for truncate in [false, true] {
+        let plan = FaultPlan::new(3);
+        let dpc = Dpc::new(DpcConfig {
+            faults: Some(plan.clone()),
+            ..crash_cfg()
+        });
+        let fs = dpc.fs();
+        let fd = fs.create("/inflight").unwrap();
+        fs.write(fd, 0, &base).unwrap();
+        // An append draws `dpu.crash` four times; the fourth follows the
+        // whole record: the DPU dies with the op logged and unanswered.
+        plan.arm("dpu.crash", FaultSpec::nth(4));
+        let res = match truncate {
+            true => fs.truncate(fd, 3000),
+            false => fs.writev(fd, 6000, &[&a, &b]).map(drop),
+        };
+        assert_eq!(res, Err(DpcError::IO));
+        drop(fs);
+        let rdpc = Dpc::recover(dpc).unwrap();
+        assert_eq!(rdpc.metrics().cache.wal_replayed_records, 1);
+        let mut want = base.clone();
+        if truncate {
+            want.truncate(3000);
+        } else {
+            want.resize(6000, 0);
+            want.extend_from_slice(&a);
+            want.extend_from_slice(&b);
+        }
+        let rfs = rdpc.fs();
+        assert_eq!(rfs.stat("/inflight").unwrap().size, want.len() as u64);
+        let fd = rfs.open("/inflight").unwrap();
+        let mut back = vec![0u8; want.len()];
+        assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), want.len());
+        assert!(back == want, "truncate {truncate}: the replay diverged");
+    }
 }
 
 #[test]
@@ -476,8 +514,8 @@ fn stalled_kv_barrier_is_waited_out_not_errored() {
 
 #[test]
 fn truncate_shrink_then_extend_reads_zeros() {
-    // Regression caught by the crash sweep but reachable with no crash
-    // and no WAL: truncating a file whose boundary page is cached used
+    // Regression caught by the crash sweep but reachable with no crash:
+    // truncating a file whose boundary page is cached used
     // to clip only the entry's valid length, leaving the clipped bytes
     // in the page buffer — a later extension re-exposed them to reads.
     let dpc = Dpc::new(DpcConfig::default());
