@@ -6,10 +6,11 @@
 //! and DMA transfers (all accounted through the [`DmaEngine`]).
 //!
 //! - **Flush** (paper's back-end write path): walk the dirty-range
-//!   index, read-lock runs of adjacent dirty pages, pull them to DPU DRAM
-//!   by DMA, hand each run to the [`FlushBackend`] to write to
-//!   disaggregated storage, then mark the entries clean and release the
-//!   locks ([`flush_extents`](ControlPlane::flush_extents)).
+//!   index, read-lock an inode's dirty pages, coalesced into runs of
+//!   adjacent pages, pull them to DPU DRAM by DMA, hand the batch of runs
+//!   to the [`FlushBackend`] to write to disaggregated storage as one
+//!   request, then mark the entries clean and release the locks
+//!   ([`flush_extents`](ControlPlane::flush_extents)).
 //! - **Replacement**: when the host fails to allocate in a bucket it
 //!   notifies the DPU, which evicts the least-recently-touched clean entry.
 //! - **Prefetch**: the dispatcher feeds the miss stream into the
@@ -33,24 +34,41 @@ use crate::readahead::PrefetchJob;
 
 /// Back-end sink for flushed dirty pages (the disaggregated store).
 pub trait FlushBackend {
-    /// Write one coalesced extent: `data` holds the pages of `lpn..` back
-    /// to back (every page full-size except possibly the last, which may
-    /// be a file-tail valid prefix). `false` means the backend refused the
-    /// extent whole; its pages stay dirty and a later pass retries them.
-    fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool;
+    /// Write one batch of `ino`'s dirty pages as one request. `runs` are
+    /// the batch's coalesced extents in LPN order, each `(lpn, len)`: the
+    /// `len` bytes of pages `lpn..`, every page full-size except possibly a
+    /// run's last, which may be a file-tail valid prefix. `data` holds the
+    /// runs back to back. `false` means the backend refused the batch
+    /// whole: every page of it stays dirty and a later pass retries it.
+    fn try_flush_batch(&mut self, ino: u64, runs: &[(u64, usize)], data: &[u8]) -> bool;
 }
 
-/// An infallible per-page sink: the closure sees the extent page by page.
+/// An infallible per-page sink: the closure sees the batch page by page.
 impl<F: FnMut(u64, u64, &[u8])> FlushBackend for F {
-    fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-        for (k, page) in data.chunks(PAGE_SIZE).enumerate() {
-            self(ino, lpn + k as u64, page);
+    fn try_flush_batch(&mut self, ino: u64, runs: &[(u64, usize)], data: &[u8]) -> bool {
+        let mut at = 0;
+        for &(lpn, len) in runs {
+            for (k, page) in data[at..at + len].chunks(PAGE_SIZE).enumerate() {
+                self(ino, lpn + k as u64, page);
+            }
+            at += len;
         }
         true
     }
 }
 
-/// In-pass reissues of a refused extent before its pages are left dirty
+/// Bytes one flush batch may hold: the runs of one inode a pass hands the
+/// backend as one request, all of them read-locked until it answers. A
+/// host writer that meets a page of the batch waits out the rest of it, so
+/// the budget is sized from that wait (DESIGN.md §9, measured in release
+/// on a 2-vCPU x86 box): a batch of 64 scattered 2-page runs into KVFS
+/// holds its locks for 85–160 µs at the median, and a writer that meets
+/// its first page waits 55–120 µs (p99 ≤ 0.21 ms) — against 2.4 µs for
+/// one 2-page run, the unit before batches. 128 pages are what one fsync
+/// of 64 scattered 8 KiB writes dirties, so such an fsync is one request.
+const FLUSH_BATCH_BYTES: usize = 128 * PAGE_SIZE;
+
+/// In-pass reissues of a refused batch before its pages are left dirty
 /// for the next pass.
 const FLUSH_RETRIES: u32 = 3;
 
@@ -96,6 +114,23 @@ impl<F: FnMut(u64, u64, &mut [u8]) -> Option<usize>> ReadBackend for F {
 /// Default cap on pages per coalesced extent (256 KiB of data).
 pub const DEFAULT_EXTENT_PAGES: usize = 64;
 
+/// The flush batch being assembled, reused across passes: every buffer
+/// keeps its high-water length.
+#[derive(Default)]
+struct Batch {
+    /// The runs' bytes back to back: the batch is `buf[..len]`. Window
+    /// fills share it. Neither clears it: they size it up when they
+    /// outgrow it and overwrite the part they use.
+    buf: Vec<u8>,
+    len: usize,
+    /// Read-locked entry indices, in LPN order.
+    locked: Vec<usize>,
+    /// `(first LPN, bytes)` of each run, as the backend is handed them.
+    runs: Vec<(u64, usize)>,
+    /// Pages of each run.
+    pages: Vec<usize>,
+}
+
 /// Outcome of a single prefetch-insert attempt.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum PrefetchInsert {
@@ -112,21 +147,20 @@ enum PrefetchInsert {
 pub struct ControlPlane {
     cache: Arc<HybridCache>,
     dma: DmaEngine,
-    /// Cap on pages coalesced into one backend extent write.
+    /// Cap on pages coalesced into one run of a flush batch.
     pub max_extent_pages: usize,
-    /// Reusable extent assembly buffer (pages pulled to DPU DRAM). Neither
-    /// the flushes nor the fills clear it: they size it up when a run
-    /// outgrows it and overwrite the part they use.
-    extent_buf: Vec<u8>,
-    /// Reusable list of read-locked entry indices for the current extent.
-    extent_locks: Vec<usize>,
+    /// The flush batch (pages pulled to DPU DRAM), and the window fills'
+    /// buffer.
+    batch: Batch,
     /// Simulated DPU crash switch (DESIGN.md §13). Interior flush points
     /// draw it; once tripped every flush entry point returns 0 without
     /// touching the cache — the "DPU is dead" state recovery tests rely on.
     crash: Option<Arc<CrashSwitch>>,
     /// Pages the last [`flush_extents`](Self::flush_extents) pass left
-    /// dirty because the backend refused their extent.
+    /// dirty because the backend refused their batch.
     refused: usize,
+    /// Pages the last pass skipped because a host writer held them.
+    busy: usize,
 }
 
 impl ControlPlane {
@@ -135,10 +169,10 @@ impl ControlPlane {
             cache,
             dma,
             max_extent_pages: DEFAULT_EXTENT_PAGES,
-            extent_buf: Vec::new(),
-            extent_locks: Vec::new(),
+            batch: Batch::default(),
             crash: None,
             refused: 0,
+            busy: 0,
         }
     }
 
@@ -163,22 +197,25 @@ impl ControlPlane {
         self.crash.as_ref().is_some_and(|c| c.is_tripped())
     }
 
-    /// Extent-coalescing flush pass: walk the per-ino dirty-range index
-    /// (no meta-area scan), read-lock runs of adjacent dirty LPNs, pull
-    /// them to DPU DRAM as one contiguous buffer and hand each run to the
-    /// backend as a single [`FlushBackend::try_flush_extent`] call.
+    /// Batched flush pass: walk the per-ino dirty-range index (no
+    /// meta-area scan), read-lock each inode's dirty pages, coalesced into
+    /// runs of adjacent LPNs, pull them to DPU DRAM as one buffer and hand
+    /// the batch — up to [`FLUSH_BATCH_BYTES`] of one inode's runs — to the
+    /// backend as a single [`FlushBackend::try_flush_batch`] call.
     ///
     /// With `ino_filter`, only that inode's pages flush (`Sync` waits only
     /// for its own file's residual). `background` attributes the flushed
     /// pages to the background or foreground counters.
     ///
-    /// A partial (file-tail) page terminates its extent: only valid
-    /// prefixes are ever sent, so a coalesced write can never push padding
-    /// past a file's logical end. A refused extent is retried
-    /// [`FLUSH_RETRIES`] times in-pass, then left dirty *whole*: the dirty
-    /// index stays the one record of unflushed bytes, the pages cannot be
-    /// evicted, the next pass retries them, and
-    /// [`refused`](Self::refused) says how many this pass gave up on.
+    /// A run ends at [`max_extent_pages`](Self::max_extent_pages), at a gap
+    /// and at a partial (file-tail) page: only valid prefixes are ever
+    /// sent, so a coalesced write can never push padding past a file's
+    /// logical end. A refused batch is retried [`FLUSH_RETRIES`] times
+    /// in-pass, then left dirty *whole*: the dirty index stays the one
+    /// record of unflushed bytes, the pages cannot be evicted, the next
+    /// pass retries them, and [`refused`](Self::refused) says how many
+    /// this pass gave up on. A page a host writer holds is skipped, never
+    /// waited for, and [`busy`](Self::busy) says how many were.
     ///
     /// Flushing keeps taking per-entry *read locks* even when the
     /// front-end hit path runs lock-free (DESIGN.md §11): an optimistic
@@ -198,141 +235,173 @@ impl ControlPlane {
         background: bool,
     ) -> usize {
         self.refused = 0;
+        self.busy = 0;
         if self.crash_tripped() {
             return 0;
         }
-        let crash = self.crash.clone();
-        let check_crash = move || crash.as_ref().is_some_and(|c| c.check_crash());
         let mut flushed = 0;
-        let max_pages = self.max_extent_pages.max(1);
         let snapshot = self.cache.dirty_snapshot(ino_filter);
-        let mut buf = std::mem::take(&mut self.extent_buf);
-        let mut locked = std::mem::take(&mut self.extent_locks);
-
-        for (ino, lpns) in snapshot {
-            let mut i = 0usize;
-            while i < lpns.len() {
-                let start_lpn = lpns[i];
-                // `buf` keeps its high-water length: the run is assembled
-                // into `buf[..len]` and only growth is ever zero-filled.
-                let mut len = 0usize;
-                locked.clear();
-                let mut tail_valid = PAGE_SIZE;
-
-                // Assemble a run of adjacent, lockable, still-dirty pages.
-                while locked.len() < max_pages && tail_valid == PAGE_SIZE {
-                    let run = locked.len();
-                    if i + run >= lpns.len() || lpns[i + run] != start_lpn + run as u64 {
-                        break;
-                    }
-                    let lpn = lpns[i + run];
-                    let Some(idx) = self.find_entry(ino, lpn) else {
-                        break;
-                    };
-                    let e = &self.cache.entries[idx];
-                    // PCIe atomic: add the read lock.
-                    self.dma.record_atomic();
-                    if !e.try_read_lock() {
-                        break; // host writer active; catch it next pass
-                    }
-                    // Re-validate under the lock — the snapshot is stale by
-                    // construction.
-                    if e.status() != EntryStatus::Dirty || e.ino() != ino || e.lpn() != lpn {
-                        self.dma.record_atomic();
-                        e.read_unlock();
-                        break;
-                    }
-                    let valid = (e.valid() as usize).min(PAGE_SIZE);
-                    if buf.len() < len + valid {
-                        buf.resize(len + valid, 0);
-                    }
-                    // SAFETY: read lock held on entry `idx`.
-                    unsafe { self.cache.pages.read(idx, 0, &mut buf[len..len + valid]) };
-                    len += valid;
-                    self.dma.record_external_dma(valid as u64);
-                    locked.push(idx);
-                    tail_valid = valid; // < PAGE_SIZE terminates the run
-                }
-
-                if locked.is_empty() {
-                    // Head page unlockable or no longer dirty: skip it.
-                    i += 1;
+        let mut batch = std::mem::take(&mut self.batch);
+        'inodes: for (ino, lpns) in snapshot {
+            let mut rest = &lpns[..];
+            while !rest.is_empty() {
+                rest = self.assemble(ino, rest, &mut batch);
+                if batch.locked.is_empty() {
                     continue;
                 }
-
-                let run = locked.len();
-                let mut tries = 0;
-                let mut ok = backend.try_flush_extent(ino, start_lpn, &buf[..len]);
-                while !ok && tries < FLUSH_RETRIES {
-                    tries += 1;
-                    self.cache
-                        .stats
-                        .flush_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(50 << tries));
-                    ok = backend.try_flush_extent(ino, start_lpn, &buf[..len]);
+                match self.land(backend, ino, &batch, background) {
+                    Some(pages) => flushed += pages,
+                    None => break 'inodes,
                 }
-
-                if ok && check_crash() {
-                    // Mid-flush crash: the backend accepted the extent but
-                    // the run is never marked clean — recovery adopts the
-                    // dirty pages and flushes them again (idempotent).
-                    for &idx in locked.iter() {
-                        self.dma.record_atomic();
-                        self.cache.entries[idx].read_unlock();
-                    }
-                    self.extent_buf = buf;
-                    self.extent_locks = locked;
-                    return flushed;
-                }
-                if ok {
-                    // Clean the whole run with one dirty-shard acquisition,
-                    // not one per page. The read locks stay held until
-                    // every status is Clean and the index entries are gone,
-                    // so no writer can interleave.
-                    for &idx in locked.iter() {
-                        self.cache.entries[idx].set_status(EntryStatus::Clean);
-                    }
-                    self.cache.note_clean_run(ino, start_lpn, run);
-                    self.cache
-                        .stats
-                        .flushes
-                        .fetch_add(run as u64, Ordering::Relaxed);
-                    flushed += run;
-                    self.cache.stats.record_extent(run);
-                    let cell = if background {
-                        &self.cache.stats.bg_flush_pages
-                    } else {
-                        &self.cache.stats.fg_flush_pages
-                    };
-                    cell.fetch_add(run as u64, Ordering::Relaxed);
-                } else {
-                    // Refused whole: every page stays dirty — indexed,
-                    // unevictable — and the next pass retries it.
-                    self.cache
-                        .stats
-                        .flush_failures
-                        .fetch_add(run as u64, Ordering::Relaxed);
-                    self.refused += run;
-                }
-                for &idx in locked.iter() {
-                    // PCIe atomic: release the read lock.
-                    self.dma.record_atomic();
-                    self.cache.entries[idx].read_unlock();
-                }
-                i += run;
             }
         }
-
-        self.extent_buf = buf;
-        self.extent_locks = locked;
+        self.batch = batch;
         flushed
     }
 
+    /// Read-lock `ino`'s still-dirty pages from the head of `lpns` into
+    /// `batch` until its budget is full, coalescing adjacent ones into
+    /// runs. Returns the LPNs left for the next batch.
+    fn assemble<'l>(&mut self, ino: u64, lpns: &'l [u64], batch: &mut Batch) -> &'l [u64] {
+        batch.len = 0;
+        batch.locked.clear();
+        batch.runs.clear();
+        batch.pages.clear();
+        let max_pages = self.max_extent_pages.max(1);
+        // The LPN that would extend the current run.
+        let mut extends = None;
+        for (n, &lpn) in lpns.iter().enumerate() {
+            if batch.len + PAGE_SIZE > FLUSH_BATCH_BYTES {
+                return &lpns[n..];
+            }
+            let Some(idx) = self.find_entry(ino, lpn) else {
+                extends = None;
+                continue;
+            };
+            let e = &self.cache.entries[idx];
+            // PCIe atomic: add the read lock.
+            self.dma.record_atomic();
+            if !e.try_read_lock() {
+                // A host writer holds it: never waited for here (the
+                // writer may be waiting on this very thread), reported.
+                self.busy += 1;
+                extends = None;
+                continue;
+            }
+            // Re-validate under the lock — the snapshot is stale by
+            // construction.
+            if e.status() != EntryStatus::Dirty || e.ino() != ino || e.lpn() != lpn {
+                self.dma.record_atomic();
+                e.read_unlock();
+                extends = None;
+                continue;
+            }
+            let valid = (e.valid() as usize).min(PAGE_SIZE);
+            let at = batch.len;
+            if batch.buf.len() < at + valid {
+                batch.buf.resize(at + valid, 0);
+            }
+            // SAFETY: read lock held on entry `idx`.
+            unsafe {
+                self.cache
+                    .pages
+                    .read(idx, 0, &mut batch.buf[at..at + valid])
+            };
+            batch.len += valid;
+            self.dma.record_external_dma(valid as u64);
+            batch.locked.push(idx);
+            match (batch.runs.last_mut(), batch.pages.last_mut()) {
+                (Some(run), Some(pages)) if extends == Some(lpn) && *pages < max_pages => {
+                    run.1 += valid;
+                    *pages += 1;
+                }
+                _ => {
+                    batch.runs.push((lpn, valid));
+                    batch.pages.push(1);
+                }
+            }
+            // A short page ends its run.
+            extends = (valid == PAGE_SIZE).then_some(lpn + 1);
+        }
+        &[]
+    }
+
+    /// Hand the assembled batch to `backend` as one request — reissued
+    /// in-pass, then left dirty whole if still refused — and release its
+    /// pages: the pages it landed, or `None` when the DPU died after the
+    /// backend took it.
+    fn land(
+        &mut self,
+        backend: &mut dyn FlushBackend,
+        ino: u64,
+        batch: &Batch,
+        background: bool,
+    ) -> Option<usize> {
+        let stats = &self.cache.stats;
+        let data = &batch.buf[..batch.len];
+        let mut tries = 0;
+        let mut ok = backend.try_flush_batch(ino, &batch.runs, data);
+        while !ok && tries < FLUSH_RETRIES {
+            tries += 1;
+            stats.flush_retries.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_micros(50 << tries));
+            ok = backend.try_flush_batch(ino, &batch.runs, data);
+        }
+        let pages = batch.locked.len();
+        let crashed = ok && self.crash.as_ref().is_some_and(|c| c.check_crash());
+        if crashed {
+            // Mid-flush crash: the backend took the batch, but no page of
+            // it is marked clean — recovery adopts the dirty pages and
+            // flushes them again (idempotent).
+        } else if ok {
+            // Clean each run with one dirty-shard acquisition, not one per
+            // page. The read locks stay held until every status is Clean
+            // and the index entries are gone, so no writer can interleave.
+            let mut locked = &batch.locked[..];
+            for (&(lpn, _), &n) in batch.runs.iter().zip(&batch.pages) {
+                let (run, next) = locked.split_at(n);
+                for &idx in run {
+                    self.cache.entries[idx].set_status(EntryStatus::Clean);
+                }
+                self.cache.note_clean_run(ino, lpn, n);
+                stats.record_extent(n);
+                locked = next;
+            }
+            stats.flushes.fetch_add(pages as u64, Ordering::Relaxed);
+            let cell = if background {
+                &stats.bg_flush_pages
+            } else {
+                &stats.fg_flush_pages
+            };
+            cell.fetch_add(pages as u64, Ordering::Relaxed);
+        } else {
+            // Refused whole: every page stays dirty — indexed, unevictable
+            // — and the next pass retries it.
+            stats
+                .flush_failures
+                .fetch_add(pages as u64, Ordering::Relaxed);
+            self.refused += pages;
+        }
+        for &idx in &batch.locked {
+            // PCIe atomic: release the read lock.
+            self.dma.record_atomic();
+            self.cache.entries[idx].read_unlock();
+        }
+        (!crashed).then_some(if ok { pages } else { 0 })
+    }
+
     /// Pages the last [`flush_extents`](Self::flush_extents) pass left
-    /// dirty because the backend refused their extent through every retry.
+    /// dirty because the backend refused their batch through every retry.
     pub fn refused(&self) -> usize {
         self.refused
+    }
+
+    /// Pages the last [`flush_extents`](Self::flush_extents) pass skipped
+    /// because a host writer held them: still dirty, neither refused nor
+    /// written. A scoped `Sync` that leaves one behind has not made its
+    /// inode durable.
+    pub fn busy(&self) -> usize {
+        self.busy
     }
 
     /// Locate the cache entry currently holding `<ino, lpn>`, if any.
@@ -572,7 +641,7 @@ impl ControlPlane {
         let mut inserted = 0usize;
         if win.stride == 1 {
             let want = pages as usize * PAGE_SIZE;
-            let mut buf = std::mem::take(&mut self.extent_buf);
+            let mut buf = std::mem::take(&mut self.batch.buf);
             if buf.len() < want {
                 buf.resize(want, 0);
             }
@@ -601,7 +670,7 @@ impl ControlPlane {
                     PrefetchInsert::NoSlot => break,
                 }
             }
-            self.extent_buf = buf;
+            self.batch.buf = buf;
         } else {
             let mut page = [0u8; PAGE_SIZE];
             for k in 0..pages {
@@ -913,10 +982,11 @@ mod tests {
         }
     }
 
-    /// A flush sink recording whole extents; refuses the next `fail_next`
-    /// extent attempts.
+    /// A flush sink recording each batch's runs as whole extents; refuses
+    /// the next `fail_next` batch attempts.
     struct ExtentSink {
         fail_next: usize,
+        batches: usize,
         extents: Vec<(u64, u64, Vec<u8>)>,
     }
 
@@ -924,6 +994,7 @@ mod tests {
         fn new() -> ExtentSink {
             ExtentSink {
                 fail_next: 0,
+                batches: 0,
                 extents: Vec::new(),
             }
         }
@@ -937,12 +1008,18 @@ mod tests {
     }
 
     impl FlushBackend for ExtentSink {
-        fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
+        fn try_flush_batch(&mut self, ino: u64, runs: &[(u64, usize)], data: &[u8]) -> bool {
             if self.fail_next > 0 {
                 self.fail_next -= 1;
                 return false;
             }
-            self.extents.push((ino, lpn, data.to_vec()));
+            self.batches += 1;
+            let mut at = 0;
+            for &(lpn, len) in runs {
+                self.extents.push((ino, lpn, data[at..at + len].to_vec()));
+                at += len;
+            }
+            assert_eq!(at, data.len(), "the runs cover the batch's bytes");
             true
         }
     }
@@ -1043,7 +1120,8 @@ mod tests {
         assert_eq!(cache.dirty_count(), 0);
 
         sink.extents.sort();
-        assert_eq!(sink.extents.len(), 3, "three runs, three backend calls");
+        assert_eq!(sink.extents.len(), 3, "three runs");
+        assert_eq!(sink.batches, 2, "one backend call per inode");
         assert_eq!(
             (
                 sink.extents[0].0,
@@ -1152,6 +1230,110 @@ mod tests {
         assert_eq!(cache.dirty_count(), 0);
         let expect: Vec<u8> = (1..=4u8).flat_map(|b| [b; PAGE_SIZE]).collect();
         assert_eq!(sink.extents, vec![(7, 0, expect)]);
+    }
+
+    #[test]
+    fn a_page_a_writer_holds_is_skipped_and_reported_busy() {
+        let (cache, mut cp, _) = setup(64, 8);
+        dirty_page(&cache, 1, 0, 4, PAGE_SIZE);
+        dirty_page(&cache, 1, 2, 5, PAGE_SIZE);
+        let held = cache.begin_write(1, 0).unwrap();
+        let mut sink = ExtentSink::new();
+        assert_eq!(cp.flush_extents(&mut sink, Some(1), false), 1);
+        // Not written, not refused, and not silent: still dirty, and busy.
+        assert_eq!((cp.refused(), cp.busy()), (0, 1));
+        assert_eq!(cache.dirty_count(), 1);
+        assert_eq!(sink.extents, vec![(1, 2, vec![5; PAGE_SIZE])]);
+        drop(held);
+        assert_eq!(cp.flush_extents(&mut sink, Some(1), false), 1);
+        assert_eq!((cp.refused(), cp.busy(), cache.dirty_count()), (0, 0, 0));
+        assert_eq!(sink.extents[1], (1, 0, vec![4; PAGE_SIZE]));
+    }
+
+    #[test]
+    fn an_inodes_runs_are_one_batch_up_to_the_budget() {
+        let (cache, mut cp, dma) = setup(1024, 8);
+        // 200 one-page runs of inode 1 (every other page), a 3-page run of
+        // inode 2.
+        for k in 0..200u64 {
+            dirty_page(&cache, 1, 2 * k, k as u8, PAGE_SIZE);
+        }
+        for lpn in 0..3u64 {
+            dirty_page(&cache, 2, lpn, 0xEE, PAGE_SIZE);
+        }
+        let mut sink = ExtentSink::new();
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 203);
+        // Inode 1 fills one budget and spills into a second batch; inode 2
+        // is a batch of its own.
+        let per_batch = FLUSH_BATCH_BYTES / PAGE_SIZE;
+        assert_eq!(per_batch, 128);
+        assert_eq!(sink.batches, 3);
+        assert_eq!(sink.extents.len(), 201, "a run per extent, as before");
+        for (k, (ino, lpn, data)) in sink.extents[..200].iter().enumerate() {
+            assert_eq!((*ino, *lpn, data.len()), (1, 2 * k as u64, PAGE_SIZE));
+            assert!(data.iter().all(|&b| b == k as u8));
+        }
+        assert_eq!(sink.extents[200], (2, 0, vec![0xEE; 3 * PAGE_SIZE]));
+        assert_eq!(cache.stats().extents_flushed, 201);
+        assert_eq!(cache.dirty_count(), 0);
+        // The link cost is per page, as before: a DMA each, lock + unlock.
+        let d = dma.snapshot();
+        assert_eq!((d.dma_ops, d.atomics), (203, 2 * 203));
+    }
+
+    #[test]
+    fn a_refused_batch_stays_dirty_whole_and_the_next_pass_retries_it() {
+        let (cache, mut cp, _) = setup(256, 8);
+        for lpn in [0u64, 1, 2, 5, 9, 10] {
+            dirty_page(&cache, 7, lpn, lpn as u8 + 1, PAGE_SIZE);
+        }
+        let mut sink = ExtentSink::refusing();
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
+        let s = cache.stats();
+        // One batch, refused four times: three runs, six pages, all dirty.
+        assert_eq!((s.flush_retries, s.flush_failures), (3, 6));
+        assert_eq!((cp.refused(), cache.dirty_count()), (6, 6));
+        assert!(sink.extents.is_empty());
+        sink.fail_next = 0;
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 6);
+        assert_eq!((sink.batches, cp.refused(), cache.dirty_count()), (1, 0, 0));
+        let run =
+            |lpns: &[u8]| -> Vec<u8> { lpns.iter().flat_map(|&l| [l + 1; PAGE_SIZE]).collect() };
+        assert_eq!(
+            sink.extents,
+            vec![
+                (7, 0, run(&[0, 1, 2])),
+                (7, 5, run(&[5])),
+                (7, 9, run(&[9, 10]))
+            ]
+        );
+    }
+
+    #[test]
+    fn a_crash_after_the_backend_took_a_batch_leaves_it_dirty() {
+        use dpc_sim::{FaultPlan, FaultSpec};
+        let (cache, mut cp, _) = setup(256, 8);
+        for lpn in [0u64, 4, 8] {
+            dirty_page(&cache, 3, lpn, 6, PAGE_SIZE);
+        }
+        dirty_page(&cache, 4, 0, 6, PAGE_SIZE);
+        let plan = FaultPlan::new(1);
+        let site = plan.arm("dpu.crash", FaultSpec::nth(1));
+        cp.set_crash_switch(Some(Arc::new(CrashSwitch::armed_by(site))));
+        let mut sink = ExtentSink::new();
+        // The first draw follows inode 3's batch: taken, never marked clean,
+        // and the pass stops there.
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
+        assert_eq!((sink.batches, sink.extents.len()), (1, 3));
+        assert_eq!(cache.dirty_count(), 4);
+        assert_eq!(cache.stats().flushes, 0);
+        // No read lock outlives the pass: a writer takes every page.
+        for lpn in [0u64, 4, 8] {
+            drop(cache.begin_write(3, lpn).unwrap());
+        }
+        // The dead DPU flushes nothing more.
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
+        assert_eq!(sink.batches, 1);
     }
 
     #[test]

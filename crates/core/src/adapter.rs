@@ -55,6 +55,7 @@ impl DpcError {
     pub const EXISTS: DpcError = DpcError(17);
     pub const INVALID: DpcError = DpcError(22);
     pub const IO: DpcError = DpcError(5);
+    pub const AGAIN: DpcError = DpcError(11);
     pub const NAME_TOO_LONG: DpcError = DpcError(36);
 }
 
@@ -1069,7 +1070,7 @@ impl DpcFs {
                 return Err(DpcError(16 /* EBUSY */));
             }
             rounds += 1;
-            match self.call(&FileRequest::Fsync { ino }, b"") {
+            match self.sync_ino(ino) {
                 // Some page of the inode was refused; the loop's test says
                 // whether it was one of ours.
                 Err(DpcError::IO) => rounds = PREFLUSH_ROUNDS,
@@ -1079,6 +1080,21 @@ impl DpcFs {
             }
         }
         Ok(())
+    }
+
+    /// One scoped `Fsync` of `ino`, sent again while the DPU answers
+    /// EAGAIN: a writer held a page of the inode through the flush pass,
+    /// so the reply could not promise it. The writer may be one of this
+    /// host's, holding its claims across a crossing queued behind the
+    /// `Fsync` — so the DPU never waits for it, and the host yields
+    /// before asking again.
+    fn sync_ino(&self, ino: u64) -> Result<FileResponse, DpcError> {
+        loop {
+            match self.call(&FileRequest::Fsync { ino }, b"") {
+                Err(DpcError::AGAIN) => std::thread::yield_now(),
+                res => return res,
+            }
+        }
     }
 
     /// Cross `segments`, back to back from `offset`, in `Write` commands
@@ -1419,7 +1435,7 @@ impl DpcFs {
         // Sampled before the request leaves: whatever this fsync covers
         // was written before now (see `InodeCell::is_clean`).
         let covers = entry.cell.mutations.load(Ordering::Acquire);
-        let resp = self.call(&FileRequest::Fsync { ino }, b"")?;
+        let resp = self.sync_ino(ino)?;
         let FileResponse::Attr(backend) = resp else {
             return Err(DpcError::IO);
         };

@@ -29,8 +29,13 @@ pub const FSYNC_ALL: u64 = u64::MAX;
 
 /// Flush passes a scoped `Fsync` runs while its inode's pages are being
 /// refused, before it answers EIO: with the control plane's in-pass
-/// retries, sixteen attempts at each refused extent.
+/// retries, sixteen attempts at each refused batch.
 const FSYNC_PASSES: u32 = 4;
+
+/// A scoped `Fsync` whose inode still has a page a host writer held
+/// through the pass: the host re-sends it (the writer may be waiting on
+/// this very service thread, so it is never waited for here).
+const EAGAIN: i32 = 11;
 
 /// Map a KVFS attribute to the wire form.
 fn wire_attr(a: &dpc_kvfs::FileAttr) -> WireAttr {
@@ -124,12 +129,12 @@ pub(crate) fn flush_pass<R>(
     out
 }
 
-/// The flush sink: dirty hybrid-cache pages persist into KVFS. Reports
-/// failure (instead of panicking or silently dropping) so the control
-/// plane can retry and leave the pages dirty — a fault-site hit models a
-/// transiently unreachable store.
+/// The flush sink: dirty hybrid-cache pages persist into KVFS, a batch per
+/// request. Reports failure (instead of panicking or silently dropping) so
+/// the control plane can retry and leave the pages dirty — a fault-site
+/// hit models a transiently unreachable store.
 ///
-/// An extent that grows its file is written with its attribute
+/// A batch that grows its file is written with its attribute
 /// ([`Kvfs::write_blocks`]); one that only moves the mtime leaves the sink
 /// *owing* that inode an mtime, settled once — when the pass reaches
 /// another inode, or by [`flush_pass`] when it ends (DESIGN.md §9.2).
@@ -158,24 +163,27 @@ impl KvfsFlush<'_> {
 }
 
 impl FlushBackend for KvfsFlush<'_> {
-    fn try_flush_extent(&mut self, ino: u64, lpn: u64, data: &[u8]) -> bool {
+    fn try_flush_batch(&mut self, ino: u64, runs: &[(u64, usize)], data: &[u8]) -> bool {
         if self.owed.is_some_and(|owed| owed != ino) {
             self.settle();
         }
         if self.dead() {
             // Taken, not written: the control plane reads the same switch
-            // as soon as this returns and leaves the run dirty.
+            // as soon as this returns and leaves the batch dirty.
             return true;
         }
-        // One fault-site draw per *extent* attempt, mirroring the real
-        // failure unit: a refused multi-page write fails whole.
+        // One fault-site draw per *batch* attempt, mirroring the real
+        // failure unit: a refused request fails whole.
         if self.fault.is_some_and(|site| site.fires()) {
             return false;
         }
-        match self
-            .kvfs
-            .write_blocks(ino, lpn * dpc_cache::PAGE_SIZE as u64, &[data])
-        {
+        let page = dpc_cache::PAGE_SIZE as u64;
+        let runs = runs.iter().scan(0, |at, &(lpn, len)| {
+            let run = (lpn * page, &data[*at..*at + len]);
+            *at += len;
+            Some(run)
+        });
+        match self.kvfs.write_blocks(ino, runs) {
             Ok((_, mtime_owed)) => {
                 if mtime_owed {
                     self.owed = Some(ino);
@@ -337,9 +345,10 @@ impl Dispatcher {
 
     /// One foreground flush of the hybrid cache's dirty pages into KVFS,
     /// scoped to `ino_filter` when given. With `coalesce` off the extent
-    /// cap is one page: every dirty page is its own backend write. Returns
-    /// the pages the backend refused, which stay dirty.
-    fn flush(&mut self, ino_filter: Option<u64>) -> usize {
+    /// cap is one page: every dirty page is a run of its own (a batch is
+    /// still one request). Returns the pages the backend refused and the
+    /// pages a host writer held; both stay dirty.
+    fn flush(&mut self, ino_filter: Option<u64>) -> (usize, usize) {
         let cap = self.control.max_extent_pages;
         if !self.coalesce {
             self.control.max_extent_pages = 1;
@@ -349,7 +358,7 @@ impl Dispatcher {
             control.flush_extents(sink, ino_filter, false)
         });
         self.control.max_extent_pages = cap;
-        self.control.refused()
+        (self.control.refused(), self.control.busy())
     }
 
     fn handle_kvfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
@@ -521,13 +530,19 @@ impl Dispatcher {
                     return FileResponse::Ok;
                 }
                 // A sync answers for what it made durable: pages the
-                // backend keeps refusing stay dirty, and the reply says EIO.
+                // backend keeps refusing stay dirty, and the reply says EIO;
+                // a page a writer held through the pass is still dirty, and
+                // the reply says "again".
                 let mut passes = 1;
-                while self.flush(Some(*ino)) > 0 {
-                    if passes == FSYNC_PASSES {
-                        return FileResponse::Err(5 /* EIO */);
+                let busy = loop {
+                    match self.flush(Some(*ino)) {
+                        (0, busy) => break busy,
+                        _ if passes == FSYNC_PASSES => return FileResponse::Err(5 /* EIO */),
+                        _ => passes += 1,
                     }
-                    passes += 1;
+                };
+                if busy > 0 {
+                    return FileResponse::Err(EAGAIN);
                 }
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
@@ -716,31 +731,36 @@ mod tests {
         k * 2 * (BIG_BLOCK / PAGE_SIZE) as u64
     }
 
+    /// One batch of `ino`'s eight non-adjacent blocks: eight runs.
+    fn eight_runs() -> (Vec<(u64, usize)>, Vec<u8>) {
+        let runs = (0..8).map(|k| (lpn(k), BIG_BLOCK)).collect();
+        (runs, vec![2u8; 8 * BIG_BLOCK])
+    }
+
     #[test]
     fn a_pass_writes_each_block_once_and_each_inode_attribute_once() {
         let (kvfs, a, b) = two_files();
         let (attr_a, attr_b) = (stored(&kvfs, a), stored(&kvfs, b));
         let before = kvfs.store().stats();
-        let block = [2u8; BIG_BLOCK];
+        let (runs, data) = eight_runs();
         flush_pass(&mut control(), &kvfs, None, |_, sink| {
-            for k in 0..8 {
-                assert!(sink.try_flush_extent(a, lpn(k), &block));
-            }
+            assert!(sink.try_flush_batch(a, &runs, &data));
             let mid = kvfs.store().stats();
-            assert_eq!(mid.sub_writes - before.sub_writes, 8);
+            // One request for a's eight blocks (eight before batches).
+            assert_eq!(mid.sub_writes - before.sub_writes, 1);
+            assert_eq!(mid.sub_write_keys - before.sub_write_keys, 8);
             assert_eq!(mid.puts, before.puts, "a's mtime is owed, not put");
             // Reaching `b` settles `a`, once.
-            assert!(sink.try_flush_extent(b, lpn(0), &block));
+            assert!(sink.try_flush_batch(b, &runs[..1], &data[..BIG_BLOCK]));
             assert_eq!(kvfs.store().stats().puts - before.puts, 1);
             assert!(stored(&kvfs, a).mtime > attr_a.mtime);
-            for k in 1..8 {
-                assert!(sink.try_flush_extent(b, lpn(k), &block));
-            }
+            assert!(sink.try_flush_batch(b, &runs[1..], &data[BIG_BLOCK..]));
             assert_eq!(stored(&kvfs, b), attr_b, "b's mtime is still owed");
         });
         // The end of the pass settles `b`.
         let after = kvfs.store().stats();
-        assert_eq!(after.sub_writes - before.sub_writes, 16);
+        assert_eq!(after.sub_writes - before.sub_writes, 3);
+        assert_eq!(after.sub_write_keys - before.sub_write_keys, 16);
         assert_eq!(after.puts - before.puts, 2);
         let (now_a, now_b) = (stored(&kvfs, a), stored(&kvfs, b));
         assert!(now_b.mtime > now_a.mtime && now_a.mtime > attr_a.mtime);
@@ -755,10 +775,11 @@ mod tests {
         flush_pass(&mut control(), &kvfs, None, |_, sink| {
             // One block past EOF: a read bounded by the stored size must
             // see it the moment the page can be marked clean.
-            assert!(sink.try_flush_extent(big, lpn(16), &[3u8; BIG_BLOCK]));
+            let grow = [(lpn(0), BIG_BLOCK), (lpn(16), BIG_BLOCK)];
+            assert!(sink.try_flush_batch(big, &grow, &[3u8; 2 * BIG_BLOCK]));
             assert_eq!(stored(&kvfs, big).size, 33 * BIG_BLOCK as u64);
             // Small → big, same rule.
-            assert!(sink.try_flush_extent(small, 0, &[4u8; BIG_BLOCK]));
+            assert!(sink.try_flush_batch(small, &[(0, BIG_BLOCK)], &[4u8; BIG_BLOCK]));
             let attr = stored(&kvfs, small);
             assert_eq!(
                 (attr.format, attr.size),
@@ -775,16 +796,93 @@ mod tests {
         let mut control = control();
         control.set_crash_switch(Some(crash.clone()));
         let before = kvfs.store().stats();
+        let (runs, data) = eight_runs();
         flush_pass(&mut control, &kvfs, None, |_, sink| {
-            assert!(sink.try_flush_extent(a, lpn(0), &[6u8; BIG_BLOCK]));
+            assert!(sink.try_flush_batch(a, &runs, &data));
             crash.trip();
-            // Taken (the control plane sees the trip and keeps the run
+            // Taken (the control plane sees the trip and keeps the batch
             // dirty), not written; and `a`'s debt is not paid.
-            assert!(sink.try_flush_extent(b, lpn(0), &[6u8; BIG_BLOCK]));
+            assert!(sink.try_flush_batch(b, &runs, &data));
         });
         let after = kvfs.store().stats();
         assert_eq!(after.sub_writes - before.sub_writes, 1);
+        assert_eq!(after.sub_write_keys - before.sub_write_keys, 8);
         assert_eq!(after.puts, before.puts);
         assert_eq!(stored(&kvfs, a), attr_a, "the pre-flush mtime stands");
+    }
+
+    #[test]
+    fn a_scoped_fsync_past_a_page_a_writer_holds_is_eagain_until_it_lands() {
+        let (kvfs, a, _) = two_files();
+        let kvfs = Arc::new(kvfs);
+        let control = control();
+        let cache = control.cache().clone();
+        let mut dispatcher = Dispatcher::new(kvfs.clone(), control, None);
+        for lpn in [0, 5] {
+            let mut page = cache.begin_write(a, lpn).unwrap();
+            page.write(0, &[7u8; PAGE_SIZE]);
+            page.commit_dirty();
+        }
+        let fsync = FileIncoming {
+            request: FileRequest::Fsync { ino: a },
+            ..FileIncoming::default()
+        };
+        let first_bytes = |kvfs: &Kvfs| {
+            let mut buf = [0u8; 6 * PAGE_SIZE];
+            kvfs.read(a, 0, &mut buf).unwrap();
+            (buf[0], buf[5 * PAGE_SIZE])
+        };
+        // A host writer holds page 0 across the request (its own crossing
+        // may be queued behind this very `Fsync`).
+        let held = cache.begin_write(a, 0).unwrap();
+        let (resp, _) = dispatcher.handle(&fsync);
+        assert!(matches!(resp, FileResponse::Err(EAGAIN)), "{resp:?}");
+        // Page 5 landed; page 0 did not, and is still dirty.
+        assert_eq!(first_bytes(&kvfs), (1, 7));
+        assert_eq!(cache.dirty_count(), 1);
+        drop(held);
+        let (resp, _) = dispatcher.handle(&fsync);
+        assert!(matches!(resp, FileResponse::Attr(_)), "{resp:?}");
+        assert_eq!((first_bytes(&kvfs), cache.dirty_count()), ((7, 7), 0));
+    }
+
+    #[test]
+    fn coalescing_off_caps_a_run_at_one_page_and_the_batch_is_still_one_request() {
+        for coalesce in [true, false] {
+            let (kvfs, a, _) = two_files();
+            let kvfs = Arc::new(kvfs);
+            let control = control();
+            let cache = control.cache().clone();
+            let mut dispatcher = Dispatcher::new(kvfs.clone(), control, None);
+            dispatcher.coalesce = coalesce;
+            // Four adjacent pages: two blocks.
+            for lpn in 0..4 {
+                let mut page = cache.begin_write(a, lpn).unwrap();
+                page.write(0, &[9u8; PAGE_SIZE]);
+                page.commit_dirty();
+            }
+            let before = kvfs.store().stats();
+            let fsync = FileIncoming {
+                request: FileRequest::Fsync { ino: a },
+                ..FileIncoming::default()
+            };
+            assert!(matches!(dispatcher.handle(&fsync).0, FileResponse::Attr(_)));
+            let after = kvfs.store().stats();
+            // Off: four one-page runs, each its own key write (one KV
+            // request per page before batches); on: one run of two blocks.
+            let (runs, keys) = if coalesce { (1, 2) } else { (4, 4) };
+            assert_eq!(cache.stats().extents_flushed, runs, "coalesce {coalesce}");
+            assert_eq!(
+                (
+                    after.sub_writes - before.sub_writes,
+                    after.sub_write_keys - before.sub_write_keys
+                ),
+                (1, keys),
+                "coalesce {coalesce}"
+            );
+            let mut back = [0u8; 4 * PAGE_SIZE];
+            kvfs.read(a, 0, &mut back).unwrap();
+            assert!(back.iter().all(|&b| b == 9));
+        }
     }
 }

@@ -61,11 +61,12 @@ pub struct DpcConfig {
     /// Off by default: dirty pages then persist on fsync/close/eviction,
     /// which keeps size reconciliation deterministic.
     pub background_flush: bool,
-    /// Coalesce adjacent dirty pages into multi-page extent writes on the
-    /// fsync and background-flusher paths. Off = an extent cap of one
-    /// page (one KV write per dirty page) on the same flush code.
+    /// Coalesce adjacent dirty pages into multi-page runs on the fsync and
+    /// background-flusher paths. Off = a run cap of one page on the same
+    /// flush code: every dirty page is a run of its own. Either way an
+    /// inode's runs go to the store batched, one KV request per batch.
     pub coalesce_flush: bool,
-    /// Largest coalesced extent, in pages.
+    /// Largest coalesced run, in pages.
     pub flush_extent_pages: usize,
     /// Also stand up a DFS backend and offload its client (Distributed
     /// dispatch). None = standalone-only DPC.

@@ -252,15 +252,16 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "kv store: {} gets, {} puts, {} deletes, {} scans, {} / {} sub-reads \
-             (requests / keys), {} sub-writes",
+            "kv store: {} gets, {} puts, {} deletes, {} scans, {} / {} sub-reads, \
+             {} / {} sub-writes (requests / keys)",
             self.kv.gets,
             self.kv.puts,
             self.kv.deletes,
             self.kv.scans,
             self.kv.sub_reads,
             self.kv.sub_read_keys,
-            self.kv.sub_writes
+            self.kv.sub_writes,
+            self.kv.sub_write_keys
         )?;
         writeln!(
             f,
@@ -343,16 +344,22 @@ mod tests {
         ] {
             assert!(s.contains(key), "missing {key} in:\n{s}");
         }
-        // Sub-reads show as requests / keys.
+        // Sub-reads and sub-writes show as requests / keys.
         let m = MetricsSnapshot {
             kv: KvStats {
                 sub_reads: 3,
                 sub_read_keys: 48,
+                sub_writes: 2,
+                sub_write_keys: 124,
                 ..Default::default()
             },
             ..Default::default()
         };
-        assert!(m.to_string().contains("3 / 48 sub-reads"));
+        let s = m.to_string();
+        assert!(
+            s.contains("3 / 48 sub-reads, 2 / 124 sub-writes (requests / keys)"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -344,7 +344,8 @@ mod tests {
     use dpc_sim::{FaultPlan, FaultSpec};
 
     /// A KVFS with two 32-page files, and a cache holding four dirty,
-    /// non-adjacent overwrites of each: eight one-page extents, two inodes.
+    /// non-adjacent overwrites of each: eight one-page extents, two inodes,
+    /// a batch each.
     fn dirty_overwrites() -> (Arc<HybridCache>, Arc<Kvfs>, [u64; 2]) {
         let kvfs = Arc::new(Kvfs::new(Arc::new(KvStore::new())));
         let cache = Arc::new(HybridCache::new(CacheConfig {
@@ -395,7 +396,9 @@ mod tests {
             std::thread::yield_now();
         }
         let after = kvfs.store().stats();
-        assert_eq!(after.sub_writes - before.sub_writes, 8);
+        // One request per inode's batch (one per extent before batches).
+        assert_eq!(after.sub_writes - before.sub_writes, 2);
+        assert_eq!(after.sub_write_keys - before.sub_write_keys, 8);
         assert_eq!(after.puts - before.puts, 2, "one mtime per inode per pass");
         for (now, then) in stored(&kvfs, inos).iter().zip(&attrs) {
             assert!(now.mtime > then.mtime);
@@ -417,7 +420,8 @@ mod tests {
         assert_eq!(kvfs.store().stats(), before, "refused: nothing written");
         drop(runtime);
         let after = kvfs.store().stats();
-        assert_eq!(after.sub_writes - before.sub_writes, 8);
+        assert_eq!(after.sub_writes - before.sub_writes, 2);
+        assert_eq!(after.sub_write_keys - before.sub_write_keys, 8);
         assert_eq!(after.puts - before.puts, 2, "one mtime per inode");
         for (now, then) in stored(&kvfs, inos).iter().zip(&attrs) {
             assert!(now.mtime > then.mtime);

@@ -4,8 +4,8 @@
 //! big files are associated with a file object whose index structure maps
 //! the file's contiguous logical space onto discrete 8 KiB storage blocks
 //! — here realised as one block KV per logical block number
-//! (`0x04 ‖ ino ‖ lbn`), updated in place, and read — however many blocks
-//! a read spans — in one multi-key request.
+//! (`0x04 ‖ ino ‖ lbn`), updated in place, and read or written — however
+//! many blocks a request spans — in one multi-key request.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -79,24 +79,35 @@ impl<'a> FileObject<'a> {
         ops
     }
 
-    /// Write `src` at `offset`, in-place at 8 KiB granularity. Partial
-    /// blocks are sub-value updates (the in-place capability the paper
-    /// adds for big-file KVs). Returns the number of KV operations.
+    /// Write `src` at `offset`, in place at 8 KiB granularity: **one**
+    /// multi-key sub-write ([`KvStore::write_subs`]) for every block the
+    /// range spans, the first and last possibly partial (the in-place
+    /// capability the paper adds for big-file KVs). Returns the number of
+    /// KV operations performed: 1, or 0 for an empty `src`.
     pub fn write_at(&self, offset: u64, src: &[u8]) -> usize {
-        let mut ops = 0;
-        let mut pos = 0usize;
-        let mut off = offset;
-        while pos < src.len() {
-            let lbn = off / BIG_BLOCK as u64;
-            let in_block = (off % BIG_BLOCK as u64) as usize;
-            let n = (BIG_BLOCK - in_block).min(src.len() - pos);
-            let key = big_key(self.ino, lbn);
-            self.store.write_sub(&key, in_block, &src[pos..pos + n]);
-            ops += 1;
-            pos += n;
-            off += n as u64;
-        }
-        ops
+        self.write_runs([(offset, src)])
+    }
+
+    /// Write each `(offset, src)` run in place, in the order given: **one**
+    /// multi-key sub-write for every block of every run, keys built on the
+    /// stack as [`read_at`](FileObject::read_at) builds them. Two runs may
+    /// share a block; each writes its own range of it. Returns the number
+    /// of KV operations performed: 1, or 0 when every run is empty.
+    pub fn write_runs<'s>(&self, runs: impl IntoIterator<Item = (u64, &'s [u8])>) -> usize {
+        let ino = self.ino;
+        let writes = runs
+            .into_iter()
+            .filter(|(_, src)| !src.is_empty())
+            .flat_map(move |(offset, src)| {
+                let in_block = (offset % BIG_BLOCK as u64) as usize;
+                let (head, rest) = src.split_at((BIG_BLOCK - in_block).min(src.len()));
+                let pieces = std::iter::once((in_block, head))
+                    .chain(rest.chunks(BIG_BLOCK).map(|piece| (0, piece)));
+                (offset / BIG_BLOCK as u64..)
+                    .zip(pieces)
+                    .map(move |(lbn, (at, piece))| (big_key(ino, lbn), at, piece))
+            });
+        usize::from(self.store.write_subs(writes) > 0)
     }
 
     /// Drop every block at or beyond `new_size`, and trim the boundary
@@ -136,13 +147,53 @@ mod tests {
         let kv = KvStore::new();
         let fo = FileObject::new(&kv, 9);
         let data = vec![0x5A; BIG_BLOCK * 2];
-        assert_eq!(fo.write_at(0, &data), 2);
+        // Two blocks written are one multi-key request, and so are the two
+        // read back (two each before writes and reads went one request
+        // per block).
+        assert_eq!(fo.write_at(0, &data), 1);
+        assert_eq!((kv.stats().sub_writes, kv.stats().sub_write_keys), (1, 2));
         let mut back = vec![0u8; BIG_BLOCK * 2];
-        // Two blocks written are two requests; read back, they are one
-        // multi-key request (two before reads went one request per block).
         assert_eq!(fo.read_at(0, &mut back), 1);
         assert_eq!(back, data);
         assert_eq!(fo.block_count(), 2);
+        assert_eq!(fo.write_at(0, &[]), 0, "nothing to write is no request");
+    }
+
+    #[test]
+    fn runs_write_what_write_at_per_run_writes_in_one_request() {
+        let (kv, per_run) = (KvStore::new(), KvStore::new());
+        let (fo, each) = (FileObject::new(&kv, 5), FileObject::new(&per_run, 5));
+        let pattern = |seed: u8, len: usize| -> Vec<u8> {
+            (0..len).map(|i| seed.wrapping_add(i as u8)).collect()
+        };
+        let (a, b, c, d) = (
+            pattern(1, 3 * BIG_BLOCK),
+            pattern(2, 4096),
+            pattern(3, 100),
+            pattern(4, BIG_BLOCK + 5),
+        );
+        // A run over three blocks, two runs sharing one block, an empty
+        // run, one past a hole, and a later run over an earlier one.
+        let runs: [(u64, &[u8]); 6] = [
+            (0, &a),
+            (4 * BIG_BLOCK as u64, &b),
+            (4 * BIG_BLOCK as u64 + 4096, &c),
+            (7 * BIG_BLOCK as u64, &[]),
+            (9 * BIG_BLOCK as u64 - 3, &d),
+            (BIG_BLOCK as u64 + 17, &c),
+        ];
+        assert_eq!(fo.write_runs(runs), 1);
+        let s = kv.stats();
+        assert_eq!((s.sub_writes, s.sub_write_keys), (1, 3 + 1 + 1 + 3 + 1));
+        for (offset, src) in runs {
+            each.write_at(offset, src);
+        }
+        let mut got = vec![0u8; 11 * BIG_BLOCK];
+        let mut want = got.clone();
+        fo.read_at(0, &mut got);
+        each.read_at(0, &mut want);
+        assert!(got == want, "the batch diverged from one write per run");
+        assert_eq!(fo.block_count(), each.block_count());
     }
 
     #[test]

@@ -585,76 +585,81 @@ impl Kvfs {
     /// Vectored write: lay `segments` down contiguously starting at
     /// `offset` and move the mtime — write, then settle:
     /// [`Kvfs::write_blocks`], then the [`Kvfs::touch_mtime`] it leaves
-    /// owing. This is the back-end half of extent-coalesced flushing — N
-    /// dirty pages cost one `write_extent` instead of N `write` calls.
-    /// Returns total bytes written.
+    /// owing. N segments cost one `write_extent` instead of N `write`
+    /// calls. Returns total bytes written.
     pub fn write_extent(
         &self,
         ino: u64,
         offset: u64,
         segments: &[&[u8]],
     ) -> Result<usize, FsError> {
-        let (total, mtime_owed) = self.write_blocks(ino, offset, segments)?;
+        let runs = segments.iter().scan(offset, |at, &seg| {
+            let run = (*at, seg);
+            *at = at.saturating_add(seg.len() as u64);
+            Some(run)
+        });
+        let (total, mtime_owed) = self.write_blocks(ino, runs)?;
         if mtime_owed {
             self.touch_mtime(ino);
         }
         Ok(total)
     }
 
-    /// The data half of [`Kvfs::write_extent`], under the inode lock. A
-    /// write that changes what bounds a read — the size, or the format
-    /// (small → big) — puts the attribute, with a new mtime, before it
-    /// returns. One that changes neither leaves the attribute alone and
-    /// returns `true` beside the byte count: the caller owes the inode one
-    /// [`Kvfs::touch_mtime`], and may settle writes to the same inode with
-    /// one (DESIGN.md §9.2).
+    /// The data half of [`Kvfs::write_extent`], and the whole of a flush
+    /// batch: lay each `(offset, bytes)` run down, in the order given,
+    /// under **one** inode lock. A big file's runs are one multi-key KV
+    /// sub-write ([`FileObject::write_runs`]), however many blocks and
+    /// runs there are. A write that changes what bounds a read — the size,
+    /// or the format (small → big) — puts the attribute, with a new mtime,
+    /// before it returns. One that changes neither leaves the attribute
+    /// alone and returns `true` beside the byte count: the caller owes the
+    /// inode one [`Kvfs::touch_mtime`], and may settle writes to the same
+    /// inode with one (DESIGN.md §9.2).
     ///
     /// A file under 8 KiB rewrites its whole small-file KV (the paper's
     /// update rule); a write that ends at or past 8 KiB promotes it first.
-    pub fn write_blocks(
-        &self,
-        ino: u64,
-        offset: u64,
-        segments: &[&[u8]],
-    ) -> Result<(usize, bool), FsError> {
-        let total: usize = segments.iter().map(|s| s.len()).sum();
+    pub fn write_blocks<'d, R>(&self, ino: u64, runs: R) -> Result<(usize, bool), FsError>
+    where
+        R: IntoIterator<Item = (u64, &'d [u8])>,
+        R::IntoIter: Clone,
+    {
+        // An empty run writes nothing, and bounds nothing.
+        let runs = runs.into_iter().filter(|(_, run)| !run.is_empty());
+        let total: usize = runs.clone().map(|(_, run)| run.len()).sum();
         if total == 0 {
             return Ok((0, false));
+        }
+        // A hostile offset near u64::MAX must surface as an error, not an
+        // arithmetic overflow panic.
+        let mut end = 0u64;
+        for (offset, run) in runs.clone() {
+            let run_end = offset
+                .checked_add(run.len() as u64)
+                .ok_or(FsError::InvalidOperation)?;
+            end = end.max(run_end);
         }
         let _guard = self.ino_lock(ino).lock();
         let mut attr = self.get_attr(ino)?;
         if attr.is_dir() {
             return Err(FsError::IsADirectory);
         }
-        // A hostile offset near u64::MAX must surface as an error, not an
-        // arithmetic overflow panic.
-        let end = offset
-            .checked_add(total as u64)
-            .ok_or(FsError::InvalidOperation)?;
 
         let format = attr.format;
         if attr.format == DataFormat::Small && end < SMALL_FILE_MAX {
-            // Whole extent fits the small KV: one rewrite.
+            // Every run fits the small KV: one rewrite.
             let mut v = self.store.get(&small_key(ino)).unwrap_or_default();
             if (v.len() as u64) < end {
                 v.resize(end as usize, 0);
             }
-            let mut pos = offset as usize;
-            for seg in segments {
-                v[pos..pos + seg.len()].copy_from_slice(seg);
-                pos += seg.len();
+            for (offset, run) in runs {
+                v[offset as usize..offset as usize + run.len()].copy_from_slice(run);
             }
             self.store.put(&small_key(ino), &v);
         } else {
             if attr.format == DataFormat::Small {
                 self.promote(&mut attr);
             }
-            let fo = FileObject::new(&self.store, ino);
-            let mut pos = offset;
-            for seg in segments {
-                fo.write_at(pos, seg);
-                pos += seg.len() as u64;
-            }
+            FileObject::new(&self.store, ino).write_runs(runs);
         }
 
         if end <= attr.size && attr.format == format {
@@ -1076,22 +1081,23 @@ mod tests {
     }
 
     #[test]
-    fn n_overwrites_settled_once_cost_n_sub_writes_and_one_put() {
+    fn n_overwrites_settled_once_cost_one_sub_write_and_one_put() {
         let fs = fs();
         let ino = fs.create("/settle", 0o644).unwrap();
         fs.write(ino, 0, &vec![1u8; 16 * BIG_BLOCK]).unwrap();
         let attr = fs.get_attr(ino).unwrap();
         let before = fs.store().stats();
-        for k in 0..8u64 {
-            let at = 2 * k * BIG_BLOCK as u64;
-            assert_eq!(
-                fs.write_blocks(ino, at, &[&[2u8; BIG_BLOCK]]).unwrap(),
-                (BIG_BLOCK, true),
-                "an overwrite owes its mtime"
-            );
-        }
+        let block = [2u8; BIG_BLOCK];
+        let runs = (0..8u64).map(|k| (2 * k * BIG_BLOCK as u64, &block[..]));
+        assert_eq!(
+            fs.write_blocks(ino, runs).unwrap(),
+            (8 * BIG_BLOCK, true),
+            "an overwrite owes its mtime"
+        );
         let written = fs.store().stats();
-        assert_eq!(written.sub_writes - before.sub_writes, 8);
+        // One request for the eight blocks (eight before the batch).
+        assert_eq!(written.sub_writes - before.sub_writes, 1);
+        assert_eq!(written.sub_write_keys - before.sub_write_keys, 8);
         assert_eq!(written.puts, before.puts, "no attribute put yet");
         assert_eq!(fs.get_attr(ino).unwrap(), attr);
         fs.touch_mtime(ino);
@@ -1100,6 +1106,58 @@ mod tests {
         let now = fs.get_attr(ino).unwrap();
         assert!(now.mtime > attr.mtime);
         assert_eq!(now.size, attr.size);
+        let mut back = vec![0u8; 16 * BIG_BLOCK];
+        fs.read(ino, 0, &mut back).unwrap();
+        for (k, block) in back.chunks(BIG_BLOCK).enumerate() {
+            assert!(
+                block.iter().all(|&b| b == 1 + (k % 2 == 0) as u8),
+                "block {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_with_growth_puts_the_attribute_once_and_writes_every_run() {
+        let fs = fs();
+        let ino = fs.create("/batch", 0o644).unwrap();
+        fs.write(ino, 0, &[1u8; 100]).unwrap();
+        // Small, promoted and grown by one batch: a run inside the small
+        // value, a run past 8 KiB, and an empty run past the end.
+        let before = fs.store().stats();
+        let runs: [(u64, &[u8]); 3] = [(10, &[2u8; 20]), (3 * 4096, &[3u8; 4096]), (1 << 40, &[])];
+        assert_eq!(fs.write_blocks(ino, runs).unwrap(), (4096 + 20, false));
+        let after = fs.store().stats();
+        assert_eq!(after.puts - before.puts, 1, "the attribute, once");
+        // The promotion's copy of the small value, then the batch.
+        assert_eq!(after.sub_writes - before.sub_writes, 2);
+        let attr = Kvfs::open(fs.store().clone())
+            .unwrap()
+            .get_attr(ino)
+            .unwrap();
+        assert_eq!((attr.format, attr.size), (DataFormat::Big, 4 * 4096));
+        let mut back = vec![0u8; 4 * 4096];
+        assert_eq!(fs.read(ino, 0, &mut back).unwrap(), 4 * 4096);
+        let mut want = vec![0u8; 4 * 4096];
+        want[..100].fill(1);
+        want[10..30].fill(2);
+        want[3 * 4096..].fill(3);
+        assert!(back == want);
+        // Every run of a batch that stays small rewrites the one value once.
+        let small = fs.create("/batch-small", 0o644).unwrap();
+        let puts = fs.store().stats().puts;
+        let runs: [(u64, &[u8]); 2] = [(0, &[4u8; 10]), (50, &[5u8; 10])];
+        assert_eq!(fs.write_blocks(small, runs).unwrap(), (20, false));
+        assert_eq!(
+            fs.store().stats().puts - puts,
+            2,
+            "the value, then the attribute"
+        );
+        let mut back = [9u8; 60];
+        assert_eq!(fs.read(small, 0, &mut back).unwrap(), 60);
+        assert_eq!(
+            (&back[..10], &back[10..50], &back[50..]),
+            (&[4u8; 10][..], &[0u8; 40][..], &[5u8; 10][..])
+        );
     }
 
     #[test]
@@ -1108,14 +1166,14 @@ mod tests {
         let ino = fs.create("/grow-settle", 0o644).unwrap();
         // Small, growing: the size is in the store when the call returns.
         assert_eq!(
-            fs.write_blocks(ino, 0, &[&[3u8; 100]]).unwrap(),
+            fs.write_blocks(ino, [(0, &[3u8; 100][..])]).unwrap(),
             (100, false)
         );
         let cold = Kvfs::open(fs.store().clone()).unwrap();
         assert_eq!(cold.get_attr(ino).unwrap().size, 100);
         // Small → big at the same call.
         let puts = fs.store().stats().puts;
-        let (_, owed) = fs.write_blocks(ino, 0, &[&[4u8; BIG_BLOCK]]).unwrap();
+        let (_, owed) = fs.write_blocks(ino, [(0, &[4u8; BIG_BLOCK][..])]).unwrap();
         assert!(!owed);
         let cold = Kvfs::open(fs.store().clone())
             .unwrap()

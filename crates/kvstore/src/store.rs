@@ -17,7 +17,9 @@
 //! - `read_sub` / `write_sub` — in-place sub-value access at byte
 //!   granularity (the big-file KV's 8 KiB in-place updates),
 //! - `read_subs` — the multi-get: one request that reads a sub-value
-//!   range from each of many keys (a big-file read's blocks).
+//!   range from each of many keys (a big-file read's blocks),
+//! - `write_subs` — its mirror, the multi-put: one request that writes a
+//!   sub-value range into each of many keys (a flush batch's blocks).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -80,15 +82,17 @@ fn merge_head<'a>(
 /// Operation counters. Each of `gets` … `sub_writes` counts **requests
 /// served** — what a disaggregated store would see as round trips — not the
 /// keys a request touched: a 256-entry listing is one scan, a 16-block
-/// [`KvStore::read_subs`] one sub-read. `sub_read_keys` is the per-key
-/// count beside it.
+/// [`KvStore::read_subs`] one sub-read, a 64-block [`KvStore::write_subs`]
+/// one sub-write. `sub_read_keys` and `sub_write_keys` are the per-key
+/// counts beside them.
 ///
 /// What counts as what: `get`, `contains` and `value_len` are gets; `put`
 /// and `put_if_absent` puts; `delete` a delete, and `delete_range` one
 /// scan plus a delete per key dropped; `scan_prefix*` a scan; `read_sub`
-/// and `read_subs` a sub-read; `write_sub` and `truncate_value` a
-/// sub-write. The diagnostics — `len`, `is_empty`, `count_prefix` — are
-/// uncounted.
+/// and `read_subs` a sub-read; `write_sub`, `write_subs` and
+/// `truncate_value` a sub-write. Every counted request first waits out a
+/// firing "kv.op" fault. The diagnostics — `len`, `is_empty`,
+/// `count_prefix` — are uncounted, and no fault stalls them.
 #[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
 pub struct KvStats {
     pub gets: u64,
@@ -100,6 +104,9 @@ pub struct KvStats {
     /// Keys visited by sub-read requests: one per `read_sub`, one per key
     /// of a `read_subs`.
     pub sub_read_keys: u64,
+    /// Keys written by sub-write requests: one per `write_sub` and
+    /// `truncate_value`, one per key of a `write_subs`.
+    pub sub_write_keys: u64,
     /// Operations that had to wait out a transient fault ("kv.op" site):
     /// each stalled re-check counts one retry.
     pub retries: u64,
@@ -121,6 +128,7 @@ pub struct KvStore {
     sub_reads: AtomicU64,
     sub_writes: AtomicU64,
     sub_read_keys: AtomicU64,
+    sub_write_keys: AtomicU64,
     retries: AtomicU64,
 }
 
@@ -142,6 +150,7 @@ impl KvStore {
             sub_reads: AtomicU64::new(0),
             sub_writes: AtomicU64::new(0),
             sub_read_keys: AtomicU64::new(0),
+            sub_write_keys: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
     }
@@ -207,6 +216,7 @@ impl KvStore {
             sub_reads: self.sub_reads.load(Ordering::Relaxed),
             sub_writes: self.sub_writes.load(Ordering::Relaxed),
             sub_read_keys: self.sub_read_keys.load(Ordering::Relaxed),
+            sub_write_keys: self.sub_write_keys.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
         }
     }
@@ -219,6 +229,7 @@ impl KvStore {
 
     /// Whether `key` holds a value; counted as a get.
     pub fn contains(&self, key: &[u8]) -> bool {
+        self.fault_pause();
         self.gets.fetch_add(1, Ordering::Relaxed);
         self.shard(key).read().contains_key(key)
     }
@@ -226,6 +237,7 @@ impl KvStore {
     /// Length of the value under `key`, without copying it; counted as a
     /// get.
     pub fn value_len(&self, key: &[u8]) -> Option<usize> {
+        self.fault_pause();
         self.gets.fetch_add(1, Ordering::Relaxed);
         self.shard(key).read().get(key).map(|v| v.len())
     }
@@ -377,10 +389,46 @@ impl KvStore {
     }
 
     /// Write `src` at `offset` inside the value under `key`, extending the
-    /// value with zeros as needed. Creates the key when absent.
+    /// value with zeros as needed. Creates the key when absent. A one-key
+    /// [`KvStore::write_subs`].
     pub fn write_sub(&self, key: &[u8], offset: usize, src: &[u8]) {
+        self.write_subs([(key, offset, src)]);
+    }
+
+    /// The multi-put: one request that writes, for each `(key, offset,
+    /// src)`, `src` at `offset` inside `key`'s value — extending it with
+    /// zeros as needed, creating the key when absent. One fault pause and
+    /// one `sub_writes` count for the lot; `sub_write_keys` counts each
+    /// key. Each key is written under its own shard's write guard, taken
+    /// and dropped before the next key's: one key's range is exactly as
+    /// atomic as a [`KvStore::write_sub`] of it, the set is not a
+    /// transaction, and no reader ever waits behind a guard held for
+    /// another key. Keys are written in the order given, so a key named
+    /// twice holds the later bytes where the two overlap. Returns the
+    /// number of keys written; an empty set is no request.
+    pub fn write_subs<'s, K: AsRef<[u8]>>(
+        &self,
+        writes: impl IntoIterator<Item = (K, usize, &'s [u8])>,
+    ) -> usize {
+        let mut writes = writes.into_iter().peekable();
+        if writes.peek().is_none() {
+            return 0;
+        }
         self.fault_pause();
         self.sub_writes.fetch_add(1, Ordering::Relaxed);
+        let mut keys = 0;
+        for (key, offset, src) in writes {
+            self.put_sub(key.as_ref(), offset, src);
+            keys += 1;
+        }
+        self.sub_write_keys
+            .fetch_add(keys as u64, Ordering::Relaxed);
+        keys
+    }
+
+    /// Write `src` at `offset` of `key`'s value under the key's shard
+    /// write guard.
+    fn put_sub(&self, key: &[u8], offset: usize, src: &[u8]) {
         let mut shard = self.shard(key).write();
         // The in-place update of an existing block must not allocate a key.
         let v = match shard.get_mut(key) {
@@ -399,6 +447,7 @@ impl KvStore {
     pub fn truncate_value(&self, key: &[u8], len: usize) {
         self.fault_pause();
         self.sub_writes.fetch_add(1, Ordering::Relaxed);
+        self.sub_write_keys.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(key).write();
         let v = shard.entry(key.to_vec()).or_default();
         v.resize(len, 0);
@@ -582,6 +631,47 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_put_is_one_request_and_writes_what_write_sub_writes() {
+        let (kv, per_key) = (KvStore::new(), KvStore::new());
+        for store in [&kv, &per_key] {
+            store.write_sub(b"full", 0, &[1u8; 64]);
+        }
+        let writes: [(&[u8], usize, &[u8]); 4] = [
+            (b"full", 16, &[2u8; 8]),
+            (b"absent", 4, &[3u8; 6]),
+            (b"full", 60, &[4u8; 10]),
+            (b"full", 20, &[5u8; 2]),
+        ];
+        let before = kv.stats();
+        assert_eq!(kv.write_subs(writes), 4);
+        let after = kv.stats();
+        assert_eq!(after.sub_writes - before.sub_writes, 1);
+        assert_eq!(after.sub_write_keys - before.sub_write_keys, 4);
+        for (key, offset, src) in writes {
+            per_key.write_sub(key, offset, src);
+        }
+        // Key by key, in order: in-place, created with a zero head,
+        // extended past the end, and a later write over an earlier one.
+        for key in [&b"full"[..], b"absent"] {
+            assert_eq!(kv.get(key), per_key.get(key));
+        }
+        let full = kv.get(b"full").unwrap();
+        assert_eq!(
+            (full.len(), &full[16..24], full[20]),
+            (70, &[2, 2, 2, 2, 5, 5, 2, 2][..], 5)
+        );
+        assert_eq!(kv.get(b"absent").unwrap(), [0, 0, 0, 0, 3, 3, 3, 3, 3, 3]);
+        // Nothing to write is no request.
+        let none: [(&[u8], usize, &[u8]); 0] = [];
+        assert_eq!(kv.write_subs(none), 0);
+        let now = kv.stats();
+        assert_eq!(
+            (now.sub_writes, now.sub_write_keys),
+            (after.sub_writes, after.sub_write_keys)
+        );
+    }
+
+    #[test]
     fn every_request_counts_what_it_is() {
         let kv = KvStore::new();
         kv.put(b"v", b"hello");
@@ -589,13 +679,15 @@ mod tests {
         assert!(kv.contains(b"v"));
         assert_eq!(kv.value_len(b"v"), Some(5));
         kv.truncate_value(b"v", 2);
+        kv.write_subs([(&b"v"[..], 0, &b"h"[..]), (b"w", 0, b"x")]);
         let after = kv.stats();
         assert_eq!(
             (
                 after.gets - before.gets,
-                after.sub_writes - before.sub_writes
+                after.sub_writes - before.sub_writes,
+                after.sub_write_keys - before.sub_write_keys
             ),
-            (2, 1)
+            (2, 2, 3)
         );
         // The diagnostics are free.
         let _ = (kv.len(), kv.is_empty(), kv.count_prefix(b""));
@@ -613,6 +705,35 @@ mod tests {
         plan.arm("kv.op", FaultSpec::first_n(1));
         kv.truncate_value(b"k", 0);
         assert_eq!(kv.stats().retries, 2);
+    }
+
+    #[test]
+    fn every_counted_request_waits_out_a_fault() {
+        use dpc_sim::fault::{FaultPlan, FaultSpec};
+        let kv = KvStore::new();
+        kv.put(b"k", b"value");
+        let plan = FaultPlan::new(1);
+        kv.set_fault_site(Some(plan.site("kv.op")));
+        let stalls = |op: &dyn Fn()| {
+            plan.arm("kv.op", FaultSpec::first_n(1));
+            let before = kv.stats().retries;
+            op();
+            kv.stats().retries - before
+        };
+        assert_eq!(stalls(&|| drop(kv.get(b"k"))), 1);
+        // Until these paused too, they were the two counted requests a
+        // firing fault never stalled.
+        assert_eq!(stalls(&|| assert!(kv.contains(b"k"))), 1);
+        assert_eq!(stalls(&|| assert_eq!(kv.value_len(b"k"), Some(5))), 1);
+        assert_eq!(
+            stalls(&|| assert_eq!(kv.write_subs([(&b"k"[..], 0, &b"V"[..])]), 1)),
+            1
+        );
+        // The diagnostics never stall.
+        assert_eq!(
+            stalls(&|| assert_eq!((kv.len(), kv.count_prefix(b"")), (1, 1))),
+            0
+        );
     }
 
     #[test]
@@ -644,10 +765,11 @@ mod tests {
                 s.scans,
                 s.deletes,
                 s.sub_writes,
+                s.sub_write_keys,
                 s.sub_reads,
                 s.sub_read_keys
             ),
-            (1, 2, 1, 1, 1, 1, 1)
+            (1, 2, 1, 1, 1, 1, 1, 1)
         );
     }
 

@@ -16,6 +16,7 @@ enum Op {
     WriteSub(Vec<u8>, usize, Vec<u8>),
     ReadSub(Vec<u8>, usize, usize),
     ReadSubs(Vec<(Vec<u8>, usize, usize)>),
+    WriteSubs(Vec<(Vec<u8>, usize, Vec<u8>)>),
 }
 
 fn arb_key() -> impl Strategy<Value = Vec<u8>> {
@@ -37,7 +38,25 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|(k, o, d)| Op::WriteSub(k, o, d)),
         (arb_key(), 0usize..80, 1usize..32).prop_map(|(k, o, l)| Op::ReadSub(k, o, l)),
         proptest::collection::vec((arb_key(), 0usize..80, 1usize..32), 0..6).prop_map(Op::ReadSubs),
+        proptest::collection::vec(
+            (
+                arb_key(),
+                0usize..64,
+                proptest::collection::vec(any::<u8>(), 1..32)
+            ),
+            0..6
+        )
+        .prop_map(Op::WriteSubs),
     ]
+}
+
+/// What one `write_sub` does to the model's value under `k`.
+fn write_model(model: &mut BTreeMap<Vec<u8>, Vec<u8>>, k: Vec<u8>, off: usize, data: &[u8]) {
+    let v = model.entry(k).or_default();
+    if v.len() < off + data.len() {
+        v.resize(off + data.len(), 0);
+    }
+    v[off..off + data.len()].copy_from_slice(data);
 }
 
 proptest! {
@@ -70,11 +89,23 @@ proptest! {
                 }
                 Op::WriteSub(k, off, data) => {
                     kv.write_sub(&k, off, &data);
-                    let v = model.entry(k).or_default();
-                    if v.len() < off + data.len() {
-                        v.resize(off + data.len(), 0);
+                    write_model(&mut model, k, off, &data);
+                }
+                Op::WriteSubs(writes) => {
+                    // Each key ends as per-key `write_sub`s in the same
+                    // order leave it; the whole set is one request.
+                    let before = kv.stats();
+                    let ranges = writes.iter().map(|(k, off, d)| (k, *off, d.as_slice()));
+                    prop_assert_eq!(kv.write_subs(ranges), writes.len());
+                    let after = kv.stats();
+                    prop_assert_eq!(after.sub_writes - before.sub_writes, u64::from(!writes.is_empty()));
+                    prop_assert_eq!(after.sub_write_keys - before.sub_write_keys, writes.len() as u64);
+                    for (k, off, data) in &writes {
+                        write_model(&mut model, k.clone(), *off, data);
                     }
-                    v[off..off + data.len()].copy_from_slice(&data);
+                    for (k, _, _) in &writes {
+                        prop_assert_eq!(kv.get(k), model.get(k).cloned());
+                    }
                 }
                 Op::ReadSub(k, off, len) => {
                     let mut got = vec![0xAA; len];

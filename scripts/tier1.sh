@@ -34,10 +34,25 @@ cargo test --release -q -p dpc-kvfs --lib \
     two_names_of_one_inode_unlinked_at_once_free_it_exactly_once
 cargo test --release -q -p dpc-kvfs --test zero_alloc_walk
 # Refused flushes and uncached I/O, in release and by name: a scoped
-# fsync whose page the backend refuses says EIO; direct reads, direct
-# writes and writev keep the cache coherent; oversize direct I/O and a
-# writev of more segments than an SGL holds cross in pieces, never panic.
-cargo test --release -q --test writeback fsync_reports_a_flush_the_backend_refused
+# fsync whose page the backend refuses says EIO; one whose page a writer
+# holds through the pass is not answered Ok until the page lands (the DPU
+# says EAGAIN, the host asks again); a flush pass hands the store one
+# batch per inode, refused whole or landed whole, and a crash after the
+# store took one leaves it dirty for recovery to write again; direct
+# reads, direct writes and writev keep the cache coherent; oversize direct
+# I/O and a writev of more segments than an SGL holds cross in pieces,
+# never panic.
+cargo test --release -q --test writeback -- \
+    fsync_reports_a_flush_the_backend_refused \
+    a_scoped_fsync_waits_out_a_writer_holding_its_page \
+    a_scoped_fsync_of_scattered_overwrites_is_one_write_request
+cargo test --release -q -p dpc-cache --lib -- \
+    control::tests::a_page_a_writer_holds_is_skipped_and_reported_busy \
+    control::tests::an_inodes_runs_are_one_batch_up_to_the_budget \
+    control::tests::a_refused_batch_stays_dirty_whole_and_the_next_pass_retries_it \
+    control::tests::a_crash_after_the_backend_took_a_batch_leaves_it_dirty
+cargo test --release -q --test wal_crash \
+    a_crash_after_the_store_took_a_batch_recovers_by_re_flushing_it
 cargo test --release -q --test direct_io -- \
     a_buffered_read_after_a_direct_write_sees_the_new_bytes \
     a_direct_write_survives_the_next_buffered_fsync \
@@ -47,17 +62,20 @@ cargo test --release -q --test direct_io -- \
     an_oversize_direct_read_reads_in_pieces \
     a_writev_of_more_segments_than_an_sgl_holds_crosses_in_pieces
 # The attribute rule (DESIGN.md §9.2), in release and by name: N
-# overwrites of one inode cost N block writes and one attribute put; growth
-# and promotion put it before the sink returns; a tripped crash switch
-# stops the sink, owed mtime included; each of the five flush sites moves
-# the mtime once per inode per pass, read through a second instance; a
-# crash between the blocks and the settle keeps the pre-flush mtime. And
-# `stat` of an open file reports the host's size.
+# overwrites of one inode cost one block-write request (N keys) and one
+# attribute put; growth and promotion put it before the sink returns, once
+# per batch; a tripped crash switch stops the sink, owed mtime included;
+# each of the five flush sites moves the mtime once per inode per pass,
+# read through a second instance; a crash between the blocks and the
+# settle keeps the pre-flush mtime. And `stat` of an open file reports the
+# host's size.
 cargo test --release -q -p dpc-kvfs --lib -- \
-    fs::tests::n_overwrites_settled_once_cost_n_sub_writes_and_one_put \
+    fs::tests::n_overwrites_settled_once_cost_one_sub_write_and_one_put \
+    fs::tests::a_batch_with_growth_puts_the_attribute_once_and_writes_every_run \
     fs::tests::growth_and_promotion_put_the_attribute_before_returning
 cargo test --release -q -p dpc-core --lib -- \
     dispatch::tests::a_pass_writes_each_block_once_and_each_inode_attribute_once \
+    dispatch::tests::a_scoped_fsync_past_a_page_a_writer_holds_is_eagain_until_it_lands \
     dispatch::tests::growth_and_promotion_reach_the_store_before_the_sink_returns \
     dispatch::tests::a_tripped_switch_stops_the_sink_the_owed_mtime_included \
     runtime::tests::the_background_pass_puts_each_inode_attribute_once \
@@ -91,25 +109,33 @@ cargo test --release -q -p dpc-core --test zero_alloc_write
 cargo test --release -q -p dpc-cache --lib -- \
     wal::tests::a_region_shorter_than_its_header_scans_torn \
     host::tests::a_page_being_claimed_is_waited_for_not_claimed_twice
-# One KV request per big-file read (DESIGN.md §17), in release and by name:
-# a read spanning n blocks is 1 sub-read and n keys; it returns exactly the
-# block-by-block bytes (holes, short values, partial blocks, EOF, a small
-# file); a block rewritten whole during ranged reads is never torn; a warm
-# 16-block read allocates nothing; the store's multi-get and its counting
-# rule. A 0-byte file has no small-file KV (DESIGN.md §14). A miss on a
-# full cache tries no fill. Then the readahead suite ten times in a row:
-# its chaos run must see a fault on every seed.
+# One KV request per big-file read, and per flush batch (DESIGN.md §17),
+# in release and by name: a read spanning n blocks is 1 sub-read and n
+# keys; it returns exactly the block-by-block bytes (holes, short values,
+# partial blocks, EOF, a small file); a block rewritten whole during
+# ranged reads is never torn; a warm 16-block read allocates nothing. Its
+# twin: a write of n blocks, or of many runs, is 1 sub-write and n keys,
+# leaving what one write per run leaves, and a warm in-place batch
+# allocates nothing. The store's multi-get and multi-put, its counting
+# rule, and every counted request waiting out a fault. A 0-byte file has
+# no small-file KV (DESIGN.md §14). A miss on a full cache tries no fill.
+# Then the readahead suite ten times in a row: its chaos run must see a
+# fault on every seed.
 cargo test --release -q -p dpc-kvfs --lib -- \
     fs::tests::a_big_read_is_one_sub_read_whatever_blocks_it_spans \
     fs::tests::a_multi_key_read_returns_exactly_the_block_by_block_bytes \
     fs::tests::a_ranged_read_never_tears_a_block \
     fs::tests::a_zero_byte_file_has_no_small_file_kv \
-    fileobj::tests::block_aligned_round_trip
-cargo test --release -q -p dpc-kvfs --test zero_alloc_read
+    fileobj::tests::block_aligned_round_trip \
+    fileobj::tests::runs_write_what_write_at_per_run_writes_in_one_request
+cargo test --release -q -p dpc-kvfs --test zero_alloc_read --test zero_alloc_write
 cargo test --release -q -p dpc-kvstore --lib -- \
     store::tests::a_multi_get_is_one_request_and_reads_what_read_sub_reads \
+    store::tests::a_multi_put_is_one_request_and_writes_what_write_sub_writes \
     store::tests::every_request_counts_what_it_is \
+    store::tests::every_counted_request_waits_out_a_fault \
     store::tests::put_if_absent_waits_out_a_fault_like_every_mutation
+cargo test --release -q -p dpc-kvstore --test proptest_store
 cargo test --release -q --test end_to_end_kvfs \
     a_miss_run_fills_free_slots_clean_and_leaves_a_full_cache_alone
 cargo test --release -q --test readahead --no-run

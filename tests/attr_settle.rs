@@ -5,7 +5,8 @@
 //!
 //! Every flush site is checked the same way. The files are big and every
 //! extent overwrites a page inside them, so the store's counters split
-//! cleanly: a block write is a `sub_write`, an attribute is the only
+//! cleanly: a block write is a key of a `sub_write` request (a flush batch
+//! writes all of its inode's blocks in one), an attribute is the only
 //! `put`. The mtime is read through a second instance on the same store.
 
 use std::sync::Arc;
@@ -60,7 +61,7 @@ fn cost(store: &KvStore, f: impl FnOnce()) -> (u64, u64) {
     f();
     let after = store.stats();
     (
-        after.sub_writes - before.sub_writes,
+        after.sub_write_keys - before.sub_write_keys,
         after.puts - before.puts,
     )
 }
@@ -162,10 +163,10 @@ fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
     };
     let (dpc, fs, [a, _]) = dirty(cfg, &store, 8);
     let before = mtimes(&store);
-    // The control plane draws `dpu.crash` once per extent it lands: the
-    // eighth draw follows /a's last extent, after its blocks are in the
-    // store and before the pass settles the mtime.
-    plan.arm("dpu.crash", FaultSpec::nth(8));
+    // The control plane draws `dpu.crash` once per batch it lands: the
+    // first draw follows /a's one batch of eight extents, after its blocks
+    // are in the store and before the pass settles the mtime.
+    plan.arm("dpu.crash", FaultSpec::nth(1));
     let mut crashed = None;
     let crash = || {
         let _ = fs.fsync(a); // answered or timed out: the DPU is dead

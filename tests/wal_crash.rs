@@ -292,6 +292,66 @@ proptest! {
 }
 
 #[test]
+fn a_crash_after_the_store_took_a_batch_recovers_by_re_flushing_it() {
+    let plan = FaultPlan::new(5);
+    let dpc = Dpc::new(DpcConfig {
+        faults: Some(plan.clone()),
+        ..crash_cfg()
+    });
+    let fs = dpc.fs();
+    let fd = fs.create("/batch").unwrap();
+    let mut want = pattern(23, 0, 64 * 4096);
+    fs.write(fd, 0, &want).unwrap();
+    fs.fsync(fd).unwrap();
+    // Eight scattered one-page overwrites: one fsync, one batch.
+    for k in 0..8u64 {
+        let (at, data) = (8 * k as usize * 4096, pattern(23, k + 1, 4096));
+        fs.write(fd, at as u64, &data).unwrap();
+        want[at..at + 4096].copy_from_slice(&data);
+    }
+    // The pass's first crash draw follows the batch the store took.
+    plan.arm("dpu.crash", FaultSpec::nth(1));
+    let store = dpc.kv_store();
+    let before = store.stats();
+    let _ = fs.fsync(fd); // answered or timed out: the DPU is dead
+    assert!(dpc.crashed());
+    let taken = store.stats();
+    assert_eq!(
+        (
+            taken.sub_writes - before.sub_writes,
+            taken.sub_write_keys - before.sub_write_keys
+        ),
+        (1, 8),
+        "the store took the whole batch"
+    );
+    assert_eq!(
+        dpc.cache().dirty_count(),
+        8,
+        "and no page of it was marked clean"
+    );
+    drop(fs);
+
+    let flushed = dpc.metrics().cache.flushes;
+    let rdpc = Dpc::recover(dpc).unwrap();
+    // Recovery adopts the eight pages and writes the batch again.
+    assert_eq!(rdpc.metrics().cache.flushes - flushed, 8);
+    let again = store.stats();
+    assert_eq!(
+        (
+            again.sub_writes - taken.sub_writes,
+            again.sub_write_keys - taken.sub_write_keys
+        ),
+        (1, 8)
+    );
+    assert_eq!(rdpc.cache().dirty_count(), 0);
+    let rfs = rdpc.fs();
+    let fd = rfs.open("/batch").unwrap();
+    let mut back = vec![0u8; want.len()];
+    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), want.len());
+    assert!(back == want, "the re-flushed batch diverged");
+}
+
+#[test]
 fn buffered_writes_and_fsyncs_log_nothing() {
     // The dirty pages are the record: partial, whole and multi-page
     // buffered writes, fsyncs and a close append nothing to the log.
