@@ -4,22 +4,94 @@
 //! backend shape (§2.1): metadata is hash-partitioned across MDSes, so a
 //! request sent to the wrong ("entry") MDS is *forwarded* to its home MDS
 //! — the hop the optimized client's metadata view avoids. File data is
-//! striped in 8 KiB blocks, each erasure-coded `k+m` and spread across
-//! data servers; EC runs on the MDS for standard clients and on the
-//! client (host or DPU) for optimized/DPC clients.
+//! erasure-coded `k+m` over stripes of `k` consecutive 8 KiB blocks: each
+//! block is stored whole on a data server of its own, and `m` parity
+//! cells on `m` more (DESIGN.md §18). EC runs on the MDS for standard
+//! clients and on the client (host or DPU) for optimized/DPC clients —
+//! through the same stripe read and stripe write.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_codec::crc32c;
-use dpc_ec::ReedSolomon;
+use dpc_ec::{gf256, ReedSolomon};
 use dpc_sim::fault::{FaultPlan, FaultSite};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+
+use crate::client::OpTrace;
 
 /// Data is striped and erasure-coded at this granularity.
 pub const DFS_BLOCK: usize = 8192;
+
+/// A coded cell: a block zero-padded to [`DFS_BLOCK`], then a 4-byte
+/// length tag (`len + 1`, little-endian; 0 = never written). Parity is
+/// computed over cells, so a parity cell carries its blocks' tags and a
+/// reconstructed block comes back with its length.
+pub const CELL: usize = DFS_BLOCK + 4;
+
+/// Bounded reissues of a data-server RPC refused by a down server.
+const DS_RETRIES: u32 = 3;
+/// Repair queue bound: beyond this, the oldest pending repair is shed
+/// (and counted) instead of letting the queue grow without limit.
+const REPAIR_CAP: usize = 1024;
+/// Repair entries attempted per drain pass (keeps a dead server from
+/// turning every write into a full queue sweep).
+const REPAIR_DRAIN: usize = 8;
+
+/// Exponential backoff between recovery attempts (microseconds, capped).
+pub(crate) fn backoff(attempt: u32) {
+    let us = (20u64 << attempt.min(8)).min(2_000);
+    std::thread::sleep(std::time::Duration::from_micros(us));
+}
+
+/// The byte offset just past `len` bytes written at block `block`, if the
+/// block fits the stripe unit and the offset fits a `u64`.
+pub(crate) fn block_end(block: u64, len: usize) -> Option<u64> {
+    (len <= DFS_BLOCK)
+        .then(|| block.checked_mul(DFS_BLOCK as u64))
+        .flatten()
+        .and_then(|start| start.checked_add(len as u64))
+}
+
+/// Turn a block's bytes into its coded cell in place.
+fn to_cell(buf: &mut Vec<u8>, written: bool) {
+    let tag = if written { buf.len() as u32 + 1 } else { 0 };
+    buf.resize(DFS_BLOCK, 0);
+    buf.extend_from_slice(&tag.to_le_bytes());
+}
+
+/// The block a coded cell holds (`None`: never written). A tag no block
+/// can carry means the cell was decoded from inconsistent survivors.
+fn block_of(cell: &[u8]) -> Result<Option<&[u8]>, DfsError> {
+    let tag = cell
+        .get(DFS_BLOCK..CELL)
+        .and_then(|t| <[u8; 4]>::try_from(t).ok())
+        .map(u32::from_le_bytes)
+        .ok_or(DfsError::Unrecoverable)?;
+    match tag as usize {
+        0 => Ok(None),
+        t if t - 1 <= DFS_BLOCK => Ok(Some(&cell[..t - 1])),
+        _ => Err(DfsError::Unrecoverable),
+    }
+}
+
+/// `cell(new) ⊕ cell(old)` into `delta`: what every parity cell of the
+/// stripe must absorb, scaled by its coefficient.
+fn fill_delta(delta: &mut Vec<u8>, new: &[u8], old: Option<&[u8]>) {
+    delta.clear();
+    delta.extend_from_slice(new);
+    delta.resize(DFS_BLOCK, 0);
+    let mut tag = new.len() as u32 + 1;
+    if let Some(old) = old {
+        for (d, o) in delta.iter_mut().zip(old) {
+            *d ^= o;
+        }
+        tag ^= old.len() as u32 + 1;
+    }
+    delta.extend_from_slice(&tag.to_le_bytes());
+}
 
 /// Minimal file attributes tracked by the MDS.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -34,7 +106,8 @@ pub struct DfsAttr {
 pub enum DfsError {
     NotFound,
     AlreadyExists,
-    /// Too many shards unavailable to reconstruct a block.
+    /// Too many cells of a stripe unavailable to reconstruct a block, or
+    /// a write that landed nowhere.
     Unrecoverable,
     /// Delegation conflict: another client holds it.
     Delegated,
@@ -142,49 +215,75 @@ impl MetadataServer {
     }
 }
 
-/// A shard at rest: payload plus the CRC32C it arrived with. The
-/// checksum is verified on every read so silent bit-rot surfaces as a
-/// *lost* shard and flows into the ordinary reconstruct + read-repair
-/// recovery path rather than returning corrupt bytes.
-struct StoredShard {
-    data: Vec<u8>,
-    crc: u32,
+/// What a data server stores: a block, or one parity cell of a stripe
+/// (the stripe of `k` blocks starting at block `stripe · k`).
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Cell {
+    Block { ino: u64, block: u64 },
+    Parity { ino: u64, stripe: u64, p: usize },
 }
 
-type ShardMap = HashMap<(u64, u64, usize), StoredShard>;
+/// Why a data server did not serve a cell.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Refusal {
+    /// The server is down, or a scheduled fault fired: worth a retry.
+    Down,
+    /// The server stored this cell, then crashed: its bytes are gone.
+    /// Lost is not unwritten — a lost cell never reads as zeros.
+    Lost,
+    /// The stored bytes no longer match the CRC32C stored with them.
+    Rotten,
+}
 
-/// Store `data` (with the checksum it arrived with) under `key`. An
-/// overwrite reuses the stored buffer, so rewriting a shard at its old
-/// length — every in-place block overwrite — allocates nothing.
-fn store(shards: &mut ShardMap, key: (u64, u64, usize), data: &[u8], crc: u32) {
-    match shards.entry(key) {
+/// A cell at rest: payload plus the CRC32C it was stored with. The
+/// checksum is verified before a byte leaves the server and before a
+/// swap or delta touches the bytes, so silent bit-rot surfaces as a
+/// refusal and flows into reconstruct + repair, never into a fresh CRC.
+struct StoredCell {
+    data: Vec<u8>,
+    crc: u32,
+    /// Set by [`DataServer::crash`]: the key survives, its bytes do not.
+    lost: bool,
+}
+
+type CellMap = HashMap<Cell, StoredCell>;
+
+/// Store `data` (with its checksum) under `cell`. An overwrite reuses the
+/// stored buffer, so rewriting a cell at its old length allocates
+/// nothing.
+fn store(cells: &mut CellMap, cell: Cell, data: &[u8], crc: u32) {
+    match cells.entry(cell) {
         Entry::Occupied(mut e) => {
             let stored = e.get_mut();
             stored.data.clear();
             stored.data.extend_from_slice(data);
             stored.crc = crc;
+            stored.lost = false;
         }
         Entry::Vacant(v) => {
-            v.insert(StoredShard {
+            v.insert(StoredCell {
                 data: data.to_vec(),
                 crc,
+                lost: false,
             });
         }
     }
 }
 
-/// One data server: shard storage keyed by `(ino, block, shard)`.
+/// One data server: whole blocks and parity cells, keyed by [`Cell`].
+/// Every RPC — get, swap, delta, put, repair — is counted in `rpcs` by
+/// the server that serves it, refused or not.
 pub struct DataServer {
     pub id: usize,
-    shards: RwLock<ShardMap>,
-    /// Failure injection: a failed server refuses reads and writes.
+    cells: RwLock<CellMap>,
+    /// Failure injection: a failed server refuses every RPC.
     failed: std::sync::atomic::AtomicBool,
     /// Optional scheduled fault site (flaky / slow behaviour): when it
     /// fires, the RPC is refused even though the server is otherwise up.
     fault: RwLock<Option<Arc<FaultSite>>>,
     pub rpcs: AtomicU64,
-    /// Shared with [`DfsRecoveryStats::crc_rejects`]: shards whose
-    /// stored checksum no longer matched on read.
+    /// Shared with [`DfsRecoveryStats::crc_rejects`]: cells whose stored
+    /// checksum no longer matched.
     recovery: Arc<DfsRecoveryStats>,
 }
 
@@ -192,7 +291,7 @@ impl DataServer {
     fn new(id: usize, recovery: Arc<DfsRecoveryStats>) -> DataServer {
         DataServer {
             id,
-            shards: RwLock::new(HashMap::new()),
+            cells: RwLock::new(HashMap::new()),
             failed: std::sync::atomic::AtomicBool::new(false),
             fault: RwLock::new(None),
             rpcs: AtomicU64::new(0),
@@ -200,65 +299,125 @@ impl DataServer {
         }
     }
 
-    /// Does this RPC fail right now (hard failure, or a scheduled fault)?
-    fn refuses(&self) -> bool {
-        if self.failed.load(Ordering::Relaxed) {
-            return true;
-        }
-        match &*self.fault.read() {
-            Some(site) => site.fires(),
-            None => false,
-        }
-    }
-
-    /// Store one shard (checksummed before the lock is taken; the insert
-    /// is the only place the payload is copied). Returns `false` when the
-    /// server refused the write (failed, or a scheduled fault fired) — the
-    /// shard is NOT stored.
-    pub fn put_shard(&self, ino: u64, block: u64, shard: usize, data: &[u8]) -> bool {
+    /// Count one RPC; refuse it if the server is down or its scheduled
+    /// fault fires.
+    fn serve(&self) -> Result<(), Refusal> {
         self.rpcs.fetch_add(1, Ordering::Relaxed);
-        if self.refuses() {
-            return false;
+        let down = self.failed.load(Ordering::Relaxed)
+            || self.fault.read().as_ref().is_some_and(|site| site.fires());
+        if down {
+            Err(Refusal::Down)
+        } else {
+            Ok(())
         }
-        let crc = crc32c(data);
-        store(&mut self.shards.write(), (ino, block, shard), data, crc);
-        true
     }
 
-    pub fn get_shard(&self, ino: u64, block: u64, shard: usize) -> Option<Vec<u8>> {
-        let mut data = Vec::new();
-        self.get_shard_into(ino, block, shard, &mut data)
-            .then_some(data)
-    }
-
-    /// Fetch one shard by appending it to `out` — the payload's one copy
-    /// on a healthy read, made under the read lock right after its
-    /// checksum verified. `false` (and `out` untouched) when the server
-    /// refused, holds no such shard, or the checksum failed.
-    pub fn get_shard_into(&self, ino: u64, block: u64, shard: usize, out: &mut Vec<u8>) -> bool {
-        self.rpcs.fetch_add(1, Ordering::Relaxed);
-        if self.refuses() {
-            return false;
+    /// Is a stored cell still what was stored? A checksum failure is
+    /// counted.
+    fn check(&self, stored: &StoredCell) -> Result<(), Refusal> {
+        if stored.lost {
+            return Err(Refusal::Lost);
         }
-        let shards = self.shards.read();
-        let Some(stored) = shards.get(&(ino, block, shard)) else {
-            return false;
-        };
         if crc32c(&stored.data) != stored.crc {
-            // Bit-rot: report the shard as lost so the caller's degraded
-            // path reconstructs it (and read-repair overwrites us).
             self.recovery.crc_rejects.fetch_add(1, Ordering::Relaxed);
-            return false;
+            return Err(Refusal::Rotten);
         }
-        out.extend_from_slice(&stored.data);
-        true
+        Ok(())
     }
 
-    /// Test hook: flip one payload bit in a stored shard *without*
+    /// Read a cell by appending it to `out` — the payload's one copy on a
+    /// healthy read, made under the read lock right after its checksum
+    /// verified. `Ok(false)` (and `out` untouched): never written.
+    pub fn get(&self, cell: Cell, out: &mut Vec<u8>) -> Result<bool, Refusal> {
+        self.serve()?;
+        let cells = self.cells.read();
+        let Some(stored) = cells.get(&cell) else {
+            return Ok(false);
+        };
+        self.check(stored)?;
+        out.extend_from_slice(&stored.data);
+        Ok(true)
+    }
+
+    /// Replace a block and hand back its predecessor: `buf` holds the new
+    /// bytes on entry and the old ones on return (`Ok(false)`: there were
+    /// none). The old bytes are verified first: a lost or rotten block is
+    /// refused and nothing is stored, so rot never feeds a delta.
+    pub(crate) fn swap(&self, cell: Cell, buf: &mut Vec<u8>) -> Result<bool, Refusal> {
+        self.serve()?;
+        let crc = crc32c(buf);
+        match self.cells.write().entry(cell) {
+            Entry::Occupied(mut e) => {
+                let stored = e.get_mut();
+                self.check(stored)?;
+                std::mem::swap(&mut stored.data, buf);
+                stored.crc = crc;
+                Ok(true)
+            }
+            Entry::Vacant(v) => {
+                v.insert(StoredCell {
+                    data: std::mem::take(buf),
+                    crc,
+                    lost: false,
+                });
+                Ok(false)
+            }
+        }
+    }
+
+    /// Apply `coeff · delta` to a parity cell and re-checksum it. A
+    /// never-written cell starts as zeros (so was every block of its
+    /// stripe); a lost or rotten one is refused untouched.
+    pub(crate) fn delta(&self, cell: Cell, coeff: u8, delta: &[u8]) -> Result<(), Refusal> {
+        self.serve()?;
+        let mut cells = self.cells.write();
+        let stored = cells.entry(cell).or_insert_with(|| {
+            let data = vec![0u8; delta.len()];
+            StoredCell {
+                crc: crc32c(&data),
+                data,
+                lost: false,
+            }
+        });
+        self.check(stored)?;
+        if stored.data.len() != delta.len() {
+            return Err(Refusal::Rotten);
+        }
+        gf256::mul_acc_slice(coeff, delta, &mut stored.data);
+        stored.crc = crc32c(&stored.data);
+        Ok(())
+    }
+
+    /// Store a cell whole over whatever the server holds: a restore or a
+    /// parity rebuild, computed from verified bytes.
+    pub(crate) fn put(&self, cell: Cell, data: &[u8]) -> Result<(), Refusal> {
+        self.serve()?;
+        let crc = crc32c(data);
+        store(&mut self.cells.write(), cell, data, crc);
+        Ok(())
+    }
+
+    /// Read repair: store `data` only over a cell this server answers as
+    /// lost or rotten, so a reconstruction never overwrites a write that
+    /// landed after it. `Ok(true)` when it was stored.
+    pub(crate) fn repair(&self, cell: Cell, data: &[u8]) -> Result<bool, Refusal> {
+        self.serve()?;
+        let crc = crc32c(data);
+        let mut cells = self.cells.write();
+        let broken = cells
+            .get(&cell)
+            .is_some_and(|s| s.lost || crc32c(&s.data) != s.crc);
+        if broken {
+            store(&mut cells, cell, data, crc);
+        }
+        Ok(broken)
+    }
+
+    /// Test hook: flip one payload bit in a stored cell *without*
     /// updating its checksum, simulating at-rest bit-rot.
-    pub fn corrupt_shard(&self, ino: u64, block: u64, shard: usize) -> bool {
-        let mut shards = self.shards.write();
-        match shards.get_mut(&(ino, block, shard)) {
+    pub fn corrupt(&self, cell: Cell) -> bool {
+        let mut cells = self.cells.write();
+        match cells.get_mut(&cell) {
             Some(stored) if !stored.data.is_empty() => {
                 let mid = stored.data.len() / 2;
                 stored.data[mid] ^= 0x01;
@@ -279,11 +438,15 @@ impl DataServer {
         *self.fault.write() = site;
     }
 
-    /// Crash: lose all stored shards and refuse RPCs until
-    /// [`restart`](DataServer::restart).
+    /// Crash: lose the bytes of every stored cell — each is answered as
+    /// [`Refusal::Lost`] from now on, until a put or repair replaces it —
+    /// and refuse RPCs until [`restart`](DataServer::restart).
     pub fn crash(&self) {
         self.failed.store(true, Ordering::Relaxed);
-        self.shards.write().clear();
+        for stored in self.cells.write().values_mut() {
+            stored.lost = true;
+            stored.data = Vec::new();
+        }
     }
 
     /// Bring a crashed server back up (empty — repair must repopulate it).
@@ -291,8 +454,97 @@ impl DataServer {
         self.failed.store(false, Ordering::Relaxed);
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.read().len()
+    /// Cells this server holds the bytes of (lost ones are not counted).
+    pub fn cell_count(&self) -> usize {
+        self.cells.read().values().filter(|s| !s.lost).count()
+    }
+}
+
+/// One repair a stripe client owes.
+enum Repair {
+    /// A block whose server refused its write: the bytes it should hold.
+    Restore { ino: u64, block: u64, data: Vec<u8> },
+    /// A parity cell that missed a delta: recompute it from the stripe.
+    Rebuild { ino: u64, stripe: u64, p: usize },
+}
+
+/// What a stripe client — a [`ClientCore`](crate::ClientCore), or the
+/// MDS's proxy path — carries between operations: recycled buffers and
+/// the repairs it owes.
+#[derive(Default)]
+pub(crate) struct StripeIo {
+    /// A write's new block on its way to the swap, its old one back.
+    swap: Vec<u8>,
+    /// The coded delta `cell(new) ⊕ cell(old)`.
+    delta: Vec<u8>,
+    /// Bounded by [`REPAIR_CAP`]; drained by
+    /// [`DfsBackend::drain_repairs`].
+    repairs: VecDeque<Repair>,
+}
+
+impl StripeIo {
+    pub(crate) fn pending(&self) -> usize {
+        self.repairs.len()
+    }
+
+    /// The bytes a queued restore of `block` holds: until it lands, the
+    /// block's server holds stale ones (or none).
+    fn restore_of(&self, ino: u64, block: u64) -> Option<&Vec<u8>> {
+        self.repairs.iter().find_map(|r| match r {
+            Repair::Restore {
+                ino: i,
+                block: b,
+                data,
+            } if (*i, *b) == (ino, block) => Some(data),
+            _ => None,
+        })
+    }
+
+    /// Does this client owe parity cell `p` of the stripe a rebuild (so
+    /// it may be missing deltas)?
+    fn owes_rebuild(&self, ino: u64, stripe: u64, p: usize) -> bool {
+        self.repairs.iter().any(|r| {
+            matches!(r, Repair::Rebuild { ino: i, stripe: s, p: q } if (*i, *s, *q) == (ino, stripe, p))
+        })
+    }
+
+    /// Queue `block`'s bytes for its server, replacing a restore already
+    /// queued for it.
+    fn owe_restore(&mut self, backend: &DfsBackend, ino: u64, block: u64, bytes: &[u8]) {
+        for r in &mut self.repairs {
+            if let Repair::Restore {
+                ino: i,
+                block: b,
+                data,
+            } = r
+            {
+                if (*i, *b) == (ino, block) {
+                    data.clear();
+                    data.extend_from_slice(bytes);
+                    return;
+                }
+            }
+        }
+        let data = bytes.to_vec();
+        self.queue(backend, Repair::Restore { ino, block, data });
+    }
+
+    fn owe_rebuild(&mut self, backend: &DfsBackend, ino: u64, stripe: u64, p: usize) {
+        if !self.owes_rebuild(ino, stripe, p) {
+            self.queue(backend, Repair::Rebuild { ino, stripe, p });
+        }
+    }
+
+    /// Queue a repair, shedding the oldest entry when the queue is full.
+    fn queue(&mut self, backend: &DfsBackend, repair: Repair) {
+        if self.repairs.len() >= REPAIR_CAP {
+            self.repairs.pop_front();
+            backend
+                .recovery
+                .repair_drops
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        self.repairs.push_back(repair);
     }
 }
 
@@ -301,9 +553,9 @@ impl DataServer {
 pub struct DfsConfig {
     pub mds_count: usize,
     pub data_server_count: usize,
-    /// EC data shards per block.
+    /// EC data cells per stripe: the stripe's blocks.
     pub ec_k: usize,
-    /// EC parity shards per block.
+    /// EC parity cells per stripe.
     pub ec_m: usize,
     /// Namespace stripes per MDS (dentry stripes keyed by parent ino,
     /// inode stripes by ino). `1` is the pre-shard single-lock server.
@@ -326,18 +578,20 @@ impl Default for DfsConfig {
 /// (all monotonic; every recovery action increments exactly one).
 #[derive(Default)]
 pub struct DfsRecoveryStats {
-    /// Data-server RPC reissues after a refused shard get/put.
+    /// Data-server RPC reissues after a down server refused one.
     pub ds_retries: AtomicU64,
     /// MDS RPC reissues after a transient fault.
     pub mds_retries: AtomicU64,
-    /// Blocks rebuilt from parity on the read path.
+    /// Blocks rebuilt from the rest of their stripe (by a degraded read,
+    /// or by a write whose swap was refused).
     pub reconstructions: AtomicU64,
-    /// Shards re-written to their home server by background repair.
+    /// Cells re-written to their home server: read repairs, queued
+    /// restores and parity rebuilds.
     pub repairs: AtomicU64,
     /// Repair work items shed because the repair queue was full.
     pub repair_drops: AtomicU64,
-    /// Shards whose stored CRC32C failed verification on read (bit-rot
-    /// detected and reported as a lost shard).
+    /// Cells whose stored CRC32C failed verification (bit-rot detected
+    /// and refused as rotten).
     pub crc_rejects: AtomicU64,
 }
 
@@ -385,6 +639,9 @@ pub struct DfsBackend {
     /// of any stripe are one contiguous slice of it: placements are
     /// borrowed from here instead of collected per call.
     ring: Vec<usize>,
+    /// The MDS proxy path's stripe client (standard clients' reads and
+    /// writes, one at a time).
+    mds_io: Mutex<StripeIo>,
 }
 
 impl DfsBackend {
@@ -410,6 +667,7 @@ impl DfsBackend {
             ring: (0..cfg.data_server_count + cfg.ec_k + cfg.ec_m)
                 .map(|i| i % cfg.data_server_count)
                 .collect(),
+            mds_io: Mutex::new(StripeIo::default()),
             cfg,
         })
     }
@@ -489,11 +747,32 @@ impl DfsBackend {
         (hash64(ino, 0) % self.mdses.len() as u64) as usize
     }
 
-    /// The data servers hosting block `block` of `ino`, one per EC shard
-    /// (rotated by block number for balance).
+    /// The data servers of the stripe holding block `block` of `ino`:
+    /// its `k` blocks' servers in block order, then its `m` parity
+    /// servers — one slice of the ring, rotated by stripe for balance.
+    /// Block `block` lives on `placement(ino, block)[block % k]`.
     pub fn placement(&self, ino: u64, block: u64) -> &[usize] {
-        let base = (hash64(ino, block) % self.data_servers.len() as u64) as usize;
+        let stripe = block / self.cfg.ec_k as u64;
+        let base = (hash64(ino, stripe) % self.data_servers.len() as u64) as usize;
         &self.ring[base..base + self.cfg.ec_k + self.cfg.ec_m]
+    }
+
+    /// Slot `s` of stripe `stripe` of `ino`: its `s`-th block for
+    /// `s < k`, parity cell `s - k` after.
+    fn cell(&self, ino: u64, stripe: u64, s: usize) -> Cell {
+        let k = self.cfg.ec_k;
+        if s < k {
+            Cell::Block {
+                ino,
+                block: stripe * k as u64 + s as u64,
+            }
+        } else {
+            Cell::Parity {
+                ino,
+                stripe,
+                p: s - k,
+            }
+        }
     }
 
     // ---- MDS-side operations (each counts an RPC at the serving MDS) ----
@@ -682,10 +961,305 @@ impl DfsBackend {
         }
     }
 
+    // ---- the stripe data path (one read, one write, for every client) ---
+
+    /// Serve `op` on data server `server`, reissuing a refusal by a down
+    /// server — bounded, with backoff — once faults are possible. Lost and
+    /// rotten are answers, not outages: never reissued.
+    fn ds_call<T>(
+        &self,
+        server: usize,
+        mut op: impl FnMut(&DataServer) -> Result<T, Refusal>,
+    ) -> Result<T, Refusal> {
+        let ds = &self.data_servers[server];
+        let mut res = op(ds);
+        if !self.faults_enabled() {
+            return res;
+        }
+        let mut attempt = 0;
+        while matches!(res, Err(Refusal::Down)) && attempt < DS_RETRIES {
+            attempt += 1;
+            self.recovery.ds_retries.fetch_add(1, Ordering::Relaxed);
+            backoff(attempt);
+            res = op(ds);
+        }
+        res
+    }
+
+    /// Read block `block` of `ino` into `out` (cleared first) — the one
+    /// stripe read of every client. Healthy, it is one RPC to the block's
+    /// server and one copy, from its store into `out`, allocating nothing
+    /// once `out` holds a block's capacity. A block `io` owes a restore is
+    /// served from the queued bytes: its server's are stale. A block its
+    /// server refuses, lost or found rotten is reconstructed from `k`
+    /// other cells of the stripe (at most `k + 1` RPCs in all), and a lost
+    /// or rotten one is read-repaired.
+    pub(crate) fn stripe_read(
+        &self,
+        ino: u64,
+        block: u64,
+        out: &mut Vec<u8>,
+        io: &mut StripeIo,
+    ) -> Result<OpTrace, DfsError> {
+        out.clear();
+        if let Some(owed) = io.restore_of(ino, block) {
+            out.extend_from_slice(owed);
+            return Ok(OpTrace {
+                bytes_in: out.len() as u64,
+                ..Default::default()
+            });
+        }
+        let k = self.cfg.ec_k as u64;
+        let server = self.placement(ino, block)[(block % k) as usize];
+        let cell = Cell::Block { ino, block };
+        let mut trace = OpTrace {
+            ds_rpcs: 1,
+            ..Default::default()
+        };
+        match self.ds_call(server, |ds| ds.get(cell, out)) {
+            Ok(true) => {}
+            Ok(false) => return Err(DfsError::NotFound),
+            Err(refusal) => {
+                let coded = self.reconstruct(ino, block, io, &mut trace.ds_rpcs)?;
+                let data = block_of(&coded)?.ok_or(DfsError::NotFound)?;
+                // A server that answered is up: heal it now. One that is
+                // down still holds its bytes.
+                if refusal != Refusal::Down
+                    && self.data_servers[server].repair(cell, data) == Ok(true)
+                {
+                    self.recovery.repairs.fetch_add(1, Ordering::Relaxed);
+                }
+                out.extend_from_slice(data);
+            }
+        }
+        trace.bytes_in = out.len() as u64;
+        Ok(trace)
+    }
+
+    /// Rebuild block `block`'s coded cell from the first `k` other cells
+    /// of its stripe that answer — blocks first (a never-written one is a
+    /// zero cell; one `io` owes a restore is its queued bytes), then the
+    /// parity cells `io` owes no rebuild. Adds its RPCs to `rpcs`.
+    fn reconstruct(
+        &self,
+        ino: u64,
+        block: u64,
+        io: &StripeIo,
+        rpcs: &mut u32,
+    ) -> Result<Vec<u8>, DfsError> {
+        let (k, n) = (self.cfg.ec_k, self.cfg.ec_k + self.cfg.ec_m);
+        let (stripe, slot) = (block / k as u64, (block % k as u64) as usize);
+        let placement = self.placement(ino, block);
+        let mut cells: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut found = 0;
+        for s in (0..n).filter(|&s| s != slot) {
+            if found == k {
+                break;
+            }
+            let coded = self.coded_cell(self.cell(ino, stripe, s), placement[s], io, rpcs);
+            found += coded.is_some() as usize;
+            cells[s] = coded;
+        }
+        self.ec
+            .reconstruct(&mut cells)
+            .map_err(|_| DfsError::Unrecoverable)?;
+        self.recovery
+            .reconstructions
+            .fetch_add(1, Ordering::Relaxed);
+        cells[slot].take().ok_or(DfsError::Unrecoverable)
+    }
+
+    /// `cell` as a coded cell — a block padded and tagged (the bytes of a
+    /// restore `io` owes it, if any), a parity cell as stored (zeros if
+    /// never written) — or `None` if `server` does not serve it, or `io`
+    /// owes the parity cell a rebuild. Adds its RPC to `rpcs`.
+    fn coded_cell(
+        &self,
+        cell: Cell,
+        server: usize,
+        io: &StripeIo,
+        rpcs: &mut u32,
+    ) -> Option<Vec<u8>> {
+        let mut buf = Vec::with_capacity(CELL);
+        let is_block = match cell {
+            Cell::Block { ino, block } => {
+                if let Some(owed) = io.restore_of(ino, block) {
+                    buf.extend_from_slice(owed);
+                    to_cell(&mut buf, true);
+                    return Some(buf);
+                }
+                true
+            }
+            Cell::Parity { ino, stripe, p } => {
+                if io.owes_rebuild(ino, stripe, p) {
+                    return None;
+                }
+                false
+            }
+        };
+        *rpcs += 1;
+        let written = self.ds_call(server, |ds| ds.get(cell, &mut buf)).ok()?;
+        if is_block || !written {
+            to_cell(&mut buf, written);
+        }
+        Some(buf)
+    }
+
+    /// Write block `block` of `ino` — the one stripe write of every
+    /// client: one swap RPC to the block's server (new bytes in, verified
+    /// old bytes back), then one delta RPC per parity cell applying
+    /// `c[p][slot] · (cell(old) ⊕ cell(new))`. XOR deltas commute and a
+    /// swap returns its exact predecessor, so concurrent writers of one
+    /// stripe — of one block, even — leave the parity right.
+    ///
+    /// A swap refused, or answered lost or rotten, takes the old block
+    /// from the stripe and queues the new one for restore; a refused
+    /// delta queues a rebuild of that parity cell (a delta is never
+    /// replayed). A write none of whose bytes landed anywhere is
+    /// `Unrecoverable` and changed nothing.
+    pub(crate) fn stripe_write(
+        &self,
+        ino: u64,
+        block: u64,
+        data: &[u8],
+        io: &mut StripeIo,
+    ) -> Result<OpTrace, DfsError> {
+        block_end(block, data.len()).ok_or(DfsError::InvalidArgument)?;
+        if self.faults_enabled() && io.pending() > 0 {
+            self.drain_repairs(io);
+        }
+        let (k, m) = (self.cfg.ec_k, self.cfg.ec_m);
+        let (stripe, slot) = (block / k as u64, (block % k as u64) as usize);
+        let placement = self.placement(ino, block);
+        let cell = Cell::Block { ino, block };
+        let mut trace = OpTrace::default();
+        // `old` ends up holding the block's predecessor as the parity
+        // knows it; `stored` says whether the new bytes reached its server.
+        let mut old = std::mem::take(&mut io.swap);
+        old.clear();
+        let (stored, old_written) = if let Some(owed) = io.restore_of(ino, block) {
+            old.extend_from_slice(owed);
+            (false, true)
+        } else {
+            old.extend_from_slice(data);
+            trace.ds_rpcs += 1;
+            trace.bytes_out += data.len() as u64;
+            match self.ds_call(placement[slot], |ds| ds.swap(cell, &mut old)) {
+                Ok(written) => {
+                    trace.bytes_in += old.len() as u64;
+                    (true, written)
+                }
+                Err(_) => {
+                    let coded = self.reconstruct(ino, block, io, &mut trace.ds_rpcs);
+                    old.clear();
+                    match coded.as_deref().map(block_of) {
+                        Ok(Ok(prev)) => {
+                            old.extend_from_slice(prev.unwrap_or_default());
+                            (false, prev.is_some())
+                        }
+                        _ => {
+                            io.swap = old;
+                            return Err(DfsError::Unrecoverable);
+                        }
+                    }
+                }
+            }
+        };
+        fill_delta(&mut io.delta, data, old_written.then_some(&old[..]));
+        io.swap = old;
+        let mut landed = 0;
+        let mut missed: Vec<usize> = Vec::new();
+        for p in 0..m {
+            let parity = Cell::Parity { ino, stripe, p };
+            let coeff = self.ec.coefficient(p, slot);
+            let delta = &io.delta;
+            trace.ds_rpcs += 1;
+            trace.bytes_out += CELL as u64;
+            match self.ds_call(placement[k + p], |ds| ds.delta(parity, coeff, delta)) {
+                Ok(()) => landed += 1,
+                Err(_) => missed.push(p),
+            }
+        }
+        if !stored && landed == 0 {
+            return Err(DfsError::Unrecoverable);
+        }
+        for p in missed {
+            io.owe_rebuild(self, ino, stripe, p);
+        }
+        if !stored {
+            io.owe_restore(self, ino, block, data);
+        }
+        Ok(trace)
+    }
+
+    /// One repair pass over `io`'s queue: up to [`REPAIR_DRAIN`] entries,
+    /// re-queueing the ones still refused. Every repair RPC is counted by
+    /// the server that serves it.
+    pub(crate) fn drain_repairs(&self, io: &mut StripeIo) {
+        let k = self.cfg.ec_k as u64;
+        for _ in 0..REPAIR_DRAIN.min(io.pending()) {
+            let Some(repair) = io.repairs.pop_front() else {
+                break;
+            };
+            let done = match &repair {
+                Repair::Restore { ino, block, data } => {
+                    let server = self.placement(*ino, *block)[(block % k) as usize];
+                    let cell = Cell::Block {
+                        ino: *ino,
+                        block: *block,
+                    };
+                    self.data_servers[server].put(cell, data).is_ok()
+                }
+                Repair::Rebuild { ino, stripe, p } => self.rebuild_parity(*ino, *stripe, *p, io),
+            };
+            if done {
+                self.recovery.repairs.fetch_add(1, Ordering::Relaxed);
+            } else {
+                io.repairs.push_back(repair);
+            }
+        }
+    }
+
+    /// Recompute parity cell `p` of a stripe from its `k` blocks (a
+    /// restore `io` owes stands in for its server's stale bytes) and store
+    /// it whole. Idempotent; `false` when a block could not be read.
+    fn rebuild_parity(&self, ino: u64, stripe: u64, p: usize, io: &StripeIo) -> bool {
+        let k = self.cfg.ec_k;
+        let placement = self.placement(ino, stripe * k as u64);
+        let mut parity = vec![0u8; CELL];
+        for (s, &server) in placement[..k].iter().enumerate() {
+            let cell = self.cell(ino, stripe, s);
+            let Some(coded) = self.coded_cell(cell, server, io, &mut 0) else {
+                return false;
+            };
+            gf256::mul_acc_slice(self.ec.coefficient(p, s), &coded, &mut parity);
+        }
+        let cell = Cell::Parity { ino, stripe, p };
+        self.data_servers[placement[k + p]]
+            .put(cell, &parity)
+            .is_ok()
+    }
+
+    /// Every coded cell of stripe `stripe` of `ino`, blocks then parity,
+    /// read straight from the servers (one RPC each) — what
+    /// `ReedSolomon::verify` checks a stripe with.
+    pub fn stripe_cells(&self, ino: u64, stripe: u64) -> Result<Vec<Vec<u8>>, DfsError> {
+        let placement = self.placement(ino, stripe * self.cfg.ec_k as u64);
+        let none_owed = StripeIo::default();
+        (0..placement.len())
+            .map(|s| {
+                let cell = self.cell(ino, stripe, s);
+                self.coded_cell(cell, placement[s], &none_owed, &mut 0)
+                    .ok_or(DfsError::Unrecoverable)
+            })
+            .collect()
+    }
+
     // ---- server-side data path (standard client: MDS proxies + EC) -----
 
-    /// Standard-client write: the MDS receives the whole block, computes
-    /// EC server-side and distributes shards to the data servers.
+    /// Standard-client write: the MDS receives the whole block and writes
+    /// it through the stripe write, EC computed server-side. A write that
+    /// landed nowhere is `Unrecoverable` and leaves the size alone.
     pub fn mds_write_block(
         &self,
         via: usize,
@@ -693,7 +1267,7 @@ impl DfsBackend {
         block: u64,
         data: &[u8],
     ) -> Result<(), DfsError> {
-        assert!(data.len() <= DFS_BLOCK);
+        let end = block_end(block, data.len()).ok_or(DfsError::InvalidArgument)?;
         self.mds_fault()?;
         let home = self.home_mds_of_ino(ino);
         self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
@@ -701,14 +1275,13 @@ impl DfsBackend {
             self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
             self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
         }
-        let shards = self
-            .ec
-            .encode_buffer(data)
-            .map_err(|_| DfsError::Unrecoverable)?;
-        for (s, &server) in self.placement(ino, block).iter().enumerate() {
-            self.data_servers[server].put_shard(ino, block, s, &shards[s]);
-        }
-        let end = block * DFS_BLOCK as u64 + data.len() as u64;
+        self.stripe_write(ino, block, data, &mut self.mds_io.lock())?;
+        self.grow(home, ino, end);
+        Ok(())
+    }
+
+    /// Raise `ino`'s size to `end` (never lower it) and stamp its mtime.
+    fn grow(&self, home: usize, ino: u64, end: u64) {
         let now = self.now();
         let mut inodes = self.mdses[home].inode_shard(ino).write();
         if let Some(attr) = inodes.get_mut(&ino) {
@@ -717,20 +1290,29 @@ impl DfsBackend {
             }
             attr.mtime = now;
         }
-        Ok(())
     }
 
     /// Small-I/O packing (§2.1 "Direct I/O"): the client packs several
     /// sub-block writes into a single message; the MDS consolidates them
     /// into whole-block updates (read-modify-write per touched block) and
-    /// writes each block's stripe once. Returns the number of consolidated
-    /// block writes — the client paid *one* RPC for all of it.
+    /// writes each block once. Returns the number of consolidated block
+    /// writes — the client paid *one* RPC for all of it. An I/O spanning
+    /// two blocks is `InvalidArgument`, refused before anything is
+    /// written; a block that cannot be read or written stops the message
+    /// there, and the size grows only past blocks that landed.
     pub fn mds_write_packed(
         &self,
         via: usize,
         ino: u64,
-        ios: &[(u64, Vec<u8>)], // (byte offset, data), each < DFS_BLOCK
+        ios: &[(u64, Vec<u8>)], // (byte offset, data), each within one block
     ) -> Result<usize, DfsError> {
+        let fits = |(offset, data): &(u64, Vec<u8>)| {
+            (offset % DFS_BLOCK as u64) as usize + data.len() <= DFS_BLOCK
+                && block_end(offset / DFS_BLOCK as u64, DFS_BLOCK).is_some()
+        };
+        if !ios.iter().all(fits) {
+            return Err(DfsError::InvalidArgument);
+        }
         self.mds_fault()?;
         let home = self.home_mds_of_ino(ino);
         self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
@@ -741,48 +1323,34 @@ impl DfsBackend {
         // Group the small I/Os by the block they touch.
         let mut blocks: std::collections::BTreeMap<u64, Vec<(usize, &[u8])>> =
             std::collections::BTreeMap::new();
-        let mut max_end = 0u64;
         for (offset, data) in ios {
-            assert!(
-                (*offset % DFS_BLOCK as u64) as usize + data.len() <= DFS_BLOCK,
-                "small I/O may not span blocks"
-            );
             let block = offset / DFS_BLOCK as u64;
             let in_block = (offset % DFS_BLOCK as u64) as usize;
             blocks.entry(block).or_default().push((in_block, data));
-            max_end = max_end.max(offset + data.len() as u64);
         }
         // Consolidate: one read-modify-write per touched block.
         let consolidated = blocks.len();
+        let mut io = self.mds_io.lock();
+        let mut buf = Vec::with_capacity(DFS_BLOCK);
         for (block, writes) in blocks {
-            let mut buf = self
-                .gather_block(ino, block)
-                .unwrap_or_else(|_| vec![0u8; DFS_BLOCK]);
+            match self.stripe_read(ino, block, &mut buf, &mut io) {
+                Ok(_) | Err(DfsError::NotFound) => {}
+                Err(e) => return Err(e),
+            }
             buf.resize(DFS_BLOCK, 0);
+            let mut end = 0;
             for (in_block, data) in writes {
                 buf[in_block..in_block + data.len()].copy_from_slice(data);
+                end = end.max(block * DFS_BLOCK as u64 + (in_block + data.len()) as u64);
             }
-            let shards = self
-                .ec
-                .encode_buffer(&buf)
-                .map_err(|_| DfsError::Unrecoverable)?;
-            for (sh, &server) in self.placement(ino, block).iter().enumerate() {
-                self.data_servers[server].put_shard(ino, block, sh, &shards[sh]);
-            }
-        }
-        let now = self.now();
-        let mut inodes = self.mdses[home].inode_shard(ino).write();
-        if let Some(attr) = inodes.get_mut(&ino) {
-            if max_end > attr.size {
-                attr.size = max_end;
-            }
-            attr.mtime = now;
+            self.stripe_write(ino, block, &buf, &mut io)?;
+            self.grow(home, ino, end);
         }
         Ok(consolidated)
     }
 
-    /// Standard-client read: the MDS gathers shards, reassembles the block
-    /// (reconstructing if shards are missing) and returns it.
+    /// Standard-client read: the MDS reads the block through the stripe
+    /// read (reconstructing it if need be) and returns it.
     pub fn mds_read_block(&self, via: usize, ino: u64, block: u64) -> Result<Vec<u8>, DfsError> {
         self.mds_fault()?;
         let home = self.home_mds_of_ino(ino);
@@ -794,34 +1362,11 @@ impl DfsBackend {
         self.gather_block(ino, block)
     }
 
-    /// Fetch k+m shards and reassemble/reconstruct one block. Shared by
-    /// the MDS proxy path and the client-direct path.
+    /// One block as the MDS proxy path reads it: the stripe read, with
+    /// the repairs the MDS owes.
     pub fn gather_block(&self, ino: u64, block: u64) -> Result<Vec<u8>, DfsError> {
-        let placement = self.placement(ino, block);
-        let k = self.cfg.ec_k;
-        let mut shards: Vec<Option<Vec<u8>>> = placement
-            .iter()
-            .enumerate()
-            .map(|(s, &server)| self.data_servers[server].get_shard(ino, block, s))
-            .collect();
-        if shards.iter().all(|s| s.is_none()) {
-            return Err(DfsError::NotFound);
-        }
-        if shards[..k].iter().any(|s| s.is_none()) {
-            // Degraded read: reconstruct from parity.
-            self.ec
-                .reconstruct(&mut shards)
-                .map_err(|_| DfsError::Unrecoverable)?;
-            self.recovery
-                .reconstructions
-                .fetch_add(1, Ordering::Relaxed);
-        }
         let mut out = Vec::with_capacity(DFS_BLOCK);
-        for s in shards.into_iter().take(k) {
-            let shard = s.ok_or(DfsError::Unrecoverable)?;
-            out.extend_from_slice(&shard);
-        }
-        out.truncate(DFS_BLOCK);
+        self.stripe_read(ino, block, &mut out, &mut self.mds_io.lock())?;
         Ok(out)
     }
 
@@ -892,15 +1437,15 @@ mod tests {
             b.mds_write_block(0, attr.ino, block, &vec![1u8; DFS_BLOCK])
                 .unwrap();
         }
-        // Every data server should hold some shards (12 blocks × 6 shards
-        // over 6 servers).
+        // Every data server should hold some cells: 12 blocks are 3
+        // stripes, each 4 blocks + 2 parity cells over 6 servers.
         for ds in 0..b.data_server_count() {
-            assert!(b.data_server(ds).shard_count() > 0, "server {ds} empty");
+            assert!(b.data_server(ds).cell_count() > 0, "server {ds} empty");
         }
         let total: usize = (0..b.data_server_count())
-            .map(|i| b.data_server(i).shard_count())
+            .map(|i| b.data_server(i).cell_count())
             .sum();
-        assert_eq!(total, 12 * 6);
+        assert_eq!(total, 12 + 3 * 2);
     }
 
     #[test]
@@ -951,12 +1496,16 @@ mod tests {
         let attr = b.mds_create(0, 0, "rotten").unwrap();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 13 % 241) as u8).collect();
         b.mds_write_block(0, attr.ino, 0, &block).unwrap();
-        // Flip a payload bit in data shard 0 without touching its CRC.
+        // Flip a payload bit in block 0 without touching its CRC.
         let server0 = b.placement(attr.ino, 0)[0];
-        assert!(b.data_server(server0).corrupt_shard(attr.ino, 0, 0));
+        let cell = Cell::Block {
+            ino: attr.ino,
+            block: 0,
+        };
+        assert!(b.data_server(server0).corrupt(cell));
         assert_eq!(b.recovery().snapshot().crc_rejects, 0);
-        // The read still returns correct bytes: the corrupt shard reads
-        // as lost and the block reconstructs from parity.
+        // The read still returns correct bytes: the corrupt block reads
+        // as rotten and reconstructs from the rest of its stripe.
         assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), block);
         let snap = b.recovery().snapshot();
         assert_eq!(snap.crc_rejects, 1);
@@ -1020,12 +1569,93 @@ mod tests {
     }
 
     #[test]
+    fn a_proxied_write_that_lands_nowhere_is_unrecoverable_and_keeps_the_size() {
+        let b = DfsBackend::new(DfsConfig::default());
+        let attr = b.mds_create(0, 0, "refused").unwrap();
+        let old: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 199) as u8).collect();
+        b.mds_write_block(0, attr.ino, 1, &old).unwrap();
+        // The block's own server and two more of its stripe are down: the
+        // swap is refused and the old block cannot be rebuilt from the 3
+        // cells left, so the write must not be acknowledged.
+        let placement = b.placement(attr.ino, 0).to_vec();
+        for s in [1, 2, 4] {
+            b.data_server(placement[s]).set_failed(true);
+        }
+        let new = vec![0x5A; DFS_BLOCK];
+        assert_eq!(
+            b.mds_write_block(0, attr.ino, 1, &new),
+            Err(DfsError::Unrecoverable)
+        );
+        assert_eq!(
+            b.mds_write_block(0, attr.ino, 2, &new),
+            Err(DfsError::Unrecoverable),
+            "a never-written block's old bytes are unknown too"
+        );
+        assert_eq!(
+            b.mds_getattr(0, attr.ino).unwrap().size,
+            2 * DFS_BLOCK as u64
+        );
+        for s in [1, 2, 4] {
+            b.data_server(placement[s]).set_failed(false);
+        }
+        assert_eq!(b.mds_read_block(0, attr.ino, 1).unwrap(), old);
+        assert_eq!(b.mds_read_block(0, attr.ino, 2), Err(DfsError::NotFound));
+        let cells = b.stripe_cells(attr.ino, 0).unwrap();
+        assert!(b.ec().verify(&cells).unwrap(), "the stripe still verifies");
+    }
+
+    #[test]
+    fn an_acknowledged_proxied_write_reads_back_once_the_servers_return() {
+        // Three of six servers down, the block's own server up: the swap
+        // lands, the deltas that miss queue parity rebuilds at the MDS.
+        let b = DfsBackend::new(DfsConfig::default());
+        let attr = b.mds_create(0, 0, "acked").unwrap();
+        let placement = b.placement(attr.ino, 0).to_vec();
+        for s in [1, 4, 5] {
+            b.data_server(placement[s]).set_failed(true);
+        }
+        let data: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 241) as u8).collect();
+        b.mds_write_block(0, attr.ino, 0, &data).unwrap();
+        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, DFS_BLOCK as u64);
+        for s in [1, 4, 5] {
+            b.data_server(placement[s]).set_failed(false);
+        }
+        assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), data);
+    }
+
+    #[test]
+    fn bad_proxied_input_is_invalid_argument_not_a_panic() {
+        let b = DfsBackend::new(DfsConfig::default());
+        let attr = b.mds_create(0, 0, "bad").unwrap();
+        let before = b.total_mds_rpcs();
+        assert_eq!(
+            b.mds_write_block(0, attr.ino, 0, &vec![0; DFS_BLOCK + 1]),
+            Err(DfsError::InvalidArgument)
+        );
+        assert_eq!(
+            b.mds_write_block(0, attr.ino, u64::MAX / 4096, &[0; 16]),
+            Err(DfsError::InvalidArgument)
+        );
+        let spanning = [(DFS_BLOCK as u64 - 4, vec![0u8; 16])];
+        assert_eq!(
+            b.mds_write_packed(0, attr.ino, &spanning),
+            Err(DfsError::InvalidArgument)
+        );
+        assert_eq!(b.total_mds_rpcs(), before, "refused before it was served");
+        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, 0);
+    }
+
+    #[test]
     fn partial_tail_block_round_trips() {
         let b = DfsBackend::new(DfsConfig::default());
         let attr = b.mds_create(0, 0, "tail").unwrap();
         let data = vec![0xEE; 5000];
         b.mds_write_block(0, attr.ino, 0, &data).unwrap();
         let back = b.mds_read_block(0, attr.ino, 0).unwrap();
-        assert_eq!(&back[..5000], &data[..]);
+        assert_eq!(back, data);
+        // Degraded, the same bytes and the same length: the parity cells
+        // carry the block's length tag.
+        b.data_server(b.placement(attr.ino, 0)[0]).set_failed(true);
+        assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), data);
     }
 }

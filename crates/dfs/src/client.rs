@@ -6,9 +6,10 @@
 //!   server-side. Minimal host CPU, minimal performance.
 //! - [`OptimizedClient`] — the host-side optimized client: a metadata
 //!   view routes requests straight to home MDSes, EC is computed on the
-//!   client, direct I/O sends shards straight to data servers, metadata
-//!   updates batch lazily, and delegations let attributes be cached
-//!   locally. 4–5× the IOPS — and the "datacenter tax" in host CPU.
+//!   client, direct I/O sends blocks and parity deltas straight to data
+//!   servers, metadata updates batch lazily, and delegations let
+//!   attributes be cached locally. 4–5× the IOPS — and the "datacenter
+//!   tax" in host CPU.
 //! - [`DpcClient`] — identical logic, executed on the DPU ([`ClientCore`]
 //!   shared with the optimized client). The functional behaviour is the
 //!   same; *where* the cycles land differs, which the benchmarks express
@@ -20,32 +21,14 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::backend::{DfsAttr, DfsBackend, DfsError, DFS_BLOCK};
+use crate::backend::{backoff, block_end, DfsAttr, DfsBackend, DfsError, StripeIo, DFS_BLOCK};
 
-/// Bounded reissues of a refused data-server RPC before giving up on that
-/// server (degraded read / repair queue take over).
-const DS_RETRIES: u32 = 3;
 /// Bounded reissues of an MDS RPC that failed with a transient fault.
 const MDS_RETRIES: u32 = 8;
-/// Write-path repair queue bound: beyond this, the oldest pending repair
-/// is shed (and counted) instead of letting the queue grow without limit.
-const REPAIR_CAP: usize = 1024;
-/// Repair entries attempted per drain pass (keeps a dead server from
-/// turning every write into a full queue sweep).
-const REPAIR_DRAIN: usize = 8;
-
-/// One shard write still owed to a server: (server, ino, block, shard, data).
-type Repair = (usize, u64, u64, usize, Vec<u8>);
-
-/// Exponential backoff between recovery attempts (microseconds, capped).
-fn backoff(attempt: u32) {
-    let us = (20u64 << attempt.min(8)).min(2_000);
-    std::thread::sleep(std::time::Duration::from_micros(us));
-}
 
 /// Run an MDS operation, reissuing on [`DfsError::Transient`] with bounded
 /// exponential backoff. Transient faults are raised before any server-side
@@ -232,13 +215,11 @@ pub struct ClientCore {
     /// Flush pending metadata after this many batched writes.
     pub meta_batch: usize,
     batched: usize,
-    /// Shards whose home server refused the write even after retries.
-    /// Drained opportunistically on later writes / metadata syncs;
-    /// bounded by [`REPAIR_CAP`].
-    pending_repair: VecDeque<Repair>,
-    /// Recycled `k + m` stripe buffers [`write_block`](Self::write_block)
-    /// encodes into.
-    shard_bufs: Vec<Vec<u8>>,
+    /// The stripe path's recycled buffers and the repairs this client
+    /// owes (restores of blocks whose server refused a write, rebuilds of
+    /// parity cells that missed a delta). Drained opportunistically on
+    /// later writes and metadata syncs.
+    io: StripeIo,
 }
 
 impl ClientCore {
@@ -250,8 +231,7 @@ impl ClientCore {
             pending_meta: HashMap::new(),
             meta_batch: 16,
             batched: 0,
-            pending_repair: VecDeque::new(),
-            shard_bufs: Vec::new(),
+            io: StripeIo::default(),
         }
     }
 
@@ -259,92 +239,9 @@ impl ClientCore {
         &self.backend
     }
 
-    /// Shard repairs still queued (shed or completed ones are not).
+    /// Repairs still queued (shed or completed ones are not).
     pub fn pending_repairs(&self) -> usize {
-        self.pending_repair.len()
-    }
-
-    /// Fetch one shard by appending it to `out`, reissuing a bounded
-    /// number of times when the server refuses and recovery is engaged.
-    /// Only the first attempt is an [`OpTrace`]-visible RPC; reissues land
-    /// in the recovery counters. `false` leaves `out` untouched.
-    fn get_shard_recovering_into(
-        &self,
-        server: usize,
-        ino: u64,
-        block: u64,
-        shard: usize,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        let ds = self.backend.data_server(server);
-        if ds.get_shard_into(ino, block, shard, out) {
-            return true;
-        }
-        if !self.backend.faults_enabled() {
-            return false;
-        }
-        for attempt in 1..=DS_RETRIES {
-            self.backend
-                .recovery()
-                .ds_retries
-                .fetch_add(1, Ordering::Relaxed);
-            backoff(attempt);
-            if ds.get_shard_into(ino, block, shard, out) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// [`get_shard_recovering_into`](Self::get_shard_recovering_into) a
-    /// buffer of the shard's own — the degraded paths' shape.
-    fn get_shard_recovering(
-        &self,
-        server: usize,
-        ino: u64,
-        block: u64,
-        shard: usize,
-    ) -> Option<Vec<u8>> {
-        let mut data = Vec::new();
-        self.get_shard_recovering_into(server, ino, block, shard, &mut data)
-            .then_some(data)
-    }
-
-    /// Queue a shard for background repair, shedding the oldest entry
-    /// when the queue is full. (Takes the two fields it touches, so a
-    /// caller may hold a placement borrowed from the backend.)
-    fn queue_repair(pending: &mut VecDeque<Repair>, backend: &DfsBackend, repair: Repair) {
-        if pending.len() >= REPAIR_CAP {
-            pending.pop_front();
-            backend
-                .recovery()
-                .repair_drops
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        pending.push_back(repair);
-    }
-
-    /// One repair pass: attempt up to [`REPAIR_DRAIN`] queued shard
-    /// writes, re-queueing the ones their server still refuses.
-    fn drain_repairs(&mut self) {
-        for _ in 0..REPAIR_DRAIN.min(self.pending_repair.len()) {
-            let Some((server, ino, block, shard, data)) = self.pending_repair.pop_front() else {
-                break;
-            };
-            if self
-                .backend
-                .data_server(server)
-                .put_shard(ino, block, shard, &data)
-            {
-                self.backend
-                    .recovery()
-                    .repairs
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.pending_repair
-                    .push_back((server, ino, block, shard, data));
-            }
-        }
+        self.io.pending()
     }
 
     pub fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
@@ -467,24 +364,14 @@ impl ClientCore {
         Ok((attr, trace))
     }
 
+    /// Client-side EC + direct I/O: one swap RPC to the block's data
+    /// server and one delta RPC per parity cell
+    /// (`DfsBackend::stripe_write`); the size update is batched lazily.
     pub fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError> {
         // A block that does not fit the stripe unit, or whose end offset
         // does not fit a u64, is the caller's error — never a panic here.
-        let end = (block.checked_mul(DFS_BLOCK as u64))
-            .and_then(|start| start.checked_add(data.len() as u64))
-            .filter(|_| data.len() <= DFS_BLOCK)
-            .ok_or(DfsError::InvalidArgument)?;
-        // Client-side EC: the real Reed–Solomon encode runs here, into
-        // stripe buffers that outlive the call.
-        let mut shards = std::mem::take(&mut self.shard_bufs);
-        let sent = self
-            .backend
-            .ec()
-            .encode_buffer_into(data, &mut shards)
-            .map_err(|_| DfsError::Unrecoverable)
-            .map(|()| self.send_stripe(ino, block, &shards));
-        self.shard_bufs = shards;
-        let mut trace = sent?;
+        let end = block_end(block, data.len()).ok_or(DfsError::InvalidArgument)?;
+        let mut trace = self.backend.stripe_write(ino, block, data, &mut self.io)?;
         trace.ec_bytes = data.len() as u64;
         // Lazy metadata: batch the size update.
         let e = self.pending_meta.entry(ino).or_insert(0);
@@ -499,133 +386,28 @@ impl ClientCore {
         Ok(trace)
     }
 
-    /// Direct I/O: one block's `k + m` shards straight to their data
-    /// servers. A refused put is retried with backoff; a persistently
-    /// refusing server gets the shard queued for background repair (the
-    /// block stays readable through parity meanwhile).
-    fn send_stripe(&mut self, ino: u64, block: u64, shards: &[Vec<u8>]) -> OpTrace {
-        // Opportunistic repair pass before new work.
-        let recovering = self.backend.faults_enabled();
-        if recovering && !self.pending_repair.is_empty() {
-            self.drain_repairs();
-        }
-        let backend = &self.backend;
-        for (s, &server) in backend.placement(ino, block).iter().enumerate() {
-            let ds = backend.data_server(server);
-            // The shard travels as a slice the whole way down; the only
-            // copy is the storage insert inside `put_shard` (or the
-            // repair-queue entry when the server keeps refusing).
-            let mut ok = ds.put_shard(ino, block, s, &shards[s]);
-            if ok || !recovering {
-                continue;
-            }
-            for attempt in 1..=DS_RETRIES {
-                backend
-                    .recovery()
-                    .ds_retries
-                    .fetch_add(1, Ordering::Relaxed);
-                backoff(attempt);
-                if ds.put_shard(ino, block, s, &shards[s]) {
-                    ok = true;
-                    break;
-                }
-            }
-            if !ok {
-                let repair = (server, ino, block, s, shards[s].clone());
-                Self::queue_repair(&mut self.pending_repair, backend, repair);
-            }
-        }
-        OpTrace {
-            ds_rpcs: shards.len() as u32,
-            bytes_out: shards.iter().map(|s| s.len() as u64).sum(),
-            ..Default::default()
-        }
-    }
-
     pub fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
         let mut out = Vec::with_capacity(DFS_BLOCK);
         let trace = self.read_block_into(ino, block, &mut out)?;
         Ok((out, trace))
     }
 
-    /// Read one block into `out` (cleared first): `k` data-server RPCs
-    /// when healthy, all `k + m` plus a local reconstruct (and
-    /// read-repair) when a data shard is lost. A healthy read copies each
-    /// shard once — from its data server's store into `out` — and
-    /// allocates nothing once `out` holds a block's capacity.
+    /// Read one block into `out` (cleared first): one data-server RPC
+    /// when healthy, copied once from the server's store into `out`
+    /// (`DfsBackend::stripe_read`); a block this client owes a restore
+    /// is served from the queued bytes.
     pub fn read_block_into(
         &mut self,
         ino: u64,
         block: u64,
         out: &mut Vec<u8>,
     ) -> Result<OpTrace, DfsError> {
-        out.clear();
-        let backend = &self.backend;
-        let placement = backend.placement(ino, block);
-        let k = backend.cfg.ec_k;
-        // Fetch the k data shards directly, each straight into `out`.
-        let lost = placement[..k]
-            .iter()
-            .enumerate()
-            .position(|(s, &server)| !self.get_shard_recovering_into(server, ino, block, s, out));
-        let mut ds_rpcs = k as u32;
-        if let Some(first_lost) = lost {
-            // Degraded read: every shard in a buffer of its own (the shape
-            // `reconstruct` takes), rebuilt locally from any k of the k+m.
-            // Those already in `out` are equal-length pieces of it — one
-            // stripe is always written at one shard length.
-            let fetch = |s: usize| self.get_shard_recovering(placement[s], ino, block, s);
-            let shard_len = out.len().checked_div(first_lost).unwrap_or(0);
-            let mut shards: Vec<Option<Vec<u8>>> = (0..first_lost)
-                .map(|s| Some(out[s * shard_len..(s + 1) * shard_len].to_vec()))
-                .collect();
-            shards.push(None);
-            shards.extend((first_lost + 1..k).map(fetch));
-            if shards.iter().all(|s| s.is_none()) {
-                return Err(DfsError::NotFound);
-            }
-            shards.extend((k..placement.len()).map(fetch));
-            ds_rpcs = placement.len() as u32;
-            let missing: Vec<usize> = (0..shards.len()).filter(|&s| shards[s].is_none()).collect();
-            backend
-                .ec()
-                .reconstruct(&mut shards)
-                .map_err(|_| DfsError::Unrecoverable)?;
-            backend
-                .recovery()
-                .reconstructions
-                .fetch_add(1, Ordering::Relaxed);
-            // Read repair: push the rebuilt shards back to their homes so
-            // the stripe heals (only counted when the put sticks; the
-            // server may still be down).
-            if backend.faults_enabled() {
-                for s in missing {
-                    if let Some(data) = shards[s].as_ref() {
-                        if backend
-                            .data_server(placement[s])
-                            .put_shard(ino, block, s, data)
-                        {
-                            backend.recovery().repairs.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            out.clear();
-            for shard in shards.into_iter().take(k) {
-                out.extend_from_slice(&shard.ok_or(DfsError::Unrecoverable)?);
-            }
-        }
-        out.truncate(DFS_BLOCK);
-        Ok(OpTrace {
-            ds_rpcs,
-            bytes_in: out.len() as u64,
-            ..Default::default()
-        })
+        self.backend.stripe_read(ino, block, out, &mut self.io)
     }
 
     pub fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {
-        if self.backend.faults_enabled() && !self.pending_repair.is_empty() {
-            self.drain_repairs();
+        if self.backend.faults_enabled() && self.io.pending() > 0 {
+            self.backend.drain_repairs(&mut self.io);
         }
         let mut trace = OpTrace::default();
         // `drain`, not `take`: the map keeps its capacity, so the write
@@ -767,7 +549,10 @@ mod tests {
         let mut opt = OptimizedClient::new(b.clone(), 1);
         let (attr, _) = opt.create(0, "f").unwrap();
         let t = opt.write_block(attr.ino, 0, &vec![1u8; DFS_BLOCK]).unwrap();
-        assert_eq!(t.ds_rpcs, 6, "k+m shards written directly");
+        assert_eq!(
+            t.ds_rpcs, 3,
+            "1 swap + m deltas, straight to the data servers"
+        );
         assert_eq!(t.ec_bytes, DFS_BLOCK as u64, "EC computed on client");
         assert_eq!(t.mds_rpcs, 0, "metadata batched lazily");
     }
@@ -831,12 +616,15 @@ mod tests {
         let (attr, _) = opt.create(0, "f").unwrap();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 199) as u8).collect();
         opt.write_block(attr.ino, 0, &block).unwrap();
-        // Fail the server holding data shard 0.
+        // Fail the server holding block 0.
         let placement = b.placement(attr.ino, 0);
         b.data_server(placement[0]).set_failed(true);
         let (back, t) = opt.read_block(attr.ino, 0).unwrap();
         assert_eq!(back, block);
-        assert_eq!(t.ds_rpcs, 6, "degraded read touched parity shards");
+        assert_eq!(
+            t.ds_rpcs, 5,
+            "the refused get + k survivors, parity among them"
+        );
     }
 
     #[test]
@@ -977,10 +765,10 @@ mod packing_tests {
                     .load(std::sync::atomic::Ordering::Relaxed)
             })
             .sum();
-        // 2 blocks x 6 shards written, plus the RMW gathers; without
-        // packing, 16 separate writes would have cost 16 x (6 + gather).
+        // 2 blocks x (1 RMW read + 1 swap + m deltas); without packing,
+        // 16 separate writes would have cost 16 x 4.
         assert!(
-            ds_rpcs_after - ds_rpcs_before <= 2 * 6 + 2 * 6,
+            ds_rpcs_after - ds_rpcs_before <= 2 * 4,
             "consolidation bounds stripe traffic: {}",
             ds_rpcs_after - ds_rpcs_before
         );
@@ -1011,11 +799,24 @@ mod packing_tests {
     }
 
     #[test]
-    #[should_panic(expected = "may not span blocks")]
-    fn spanning_small_io_rejected() {
+    fn spanning_small_io_is_invalid_argument() {
         let b = crate::backend::DfsBackend::new(DfsConfig::default());
         let mut c = StandardClient::new(b.clone(), 0);
         let (attr, _) = c.create(0, "bad").unwrap();
-        let _ = c.write_small_packed(attr.ino, &[(BLK as u64 - 4, vec![0; 16])]);
+        // One good I/O beside the spanning one: nothing of the message is
+        // written, and the MDS lives on.
+        let ios = [(0, vec![1; 16]), (BLK as u64 - 4, vec![0; 16])];
+        assert_eq!(
+            c.write_small_packed(attr.ino, &ios),
+            Err(DfsError::InvalidArgument)
+        );
+        assert_eq!(c.read_block(attr.ino, 0), Err(DfsError::NotFound));
+        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, 0);
+        let overflow = [(u64::MAX - 8, vec![0; 4])];
+        assert_eq!(
+            c.write_small_packed(attr.ino, &overflow),
+            Err(DfsError::InvalidArgument)
+        );
+        c.write_small_packed(attr.ino, &[(8, vec![2; 8])]).unwrap();
     }
 }

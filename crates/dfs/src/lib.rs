@@ -6,7 +6,9 @@
 //!
 //! - a **backend** of hash-partitioned metadata servers (with entry→home
 //!   request forwarding, delegations, and a server-side EC write path)
-//!   and data servers storing Reed–Solomon shards of 8 KiB blocks;
+//!   and data servers storing Reed–Solomon stripes whose cell is the
+//!   8 KiB block: `k` blocks, each whole on a server of its own, and `m`
+//!   parity cells;
 //! - a **standard client** (NFS-like, everything proxied via the entry
 //!   MDS), an **optimized client** (metadata view, client-side EC, direct
 //!   I/O, lazy metadata batching, delegation-backed attribute caching),
@@ -14,14 +16,14 @@
 //!
 //! Every operation returns an [`OpTrace`] so the benchmarks can turn the
 //! protocol structure into virtual time, and so tests can assert facts
-//! like "the optimized client's 8 KiB write issues `k+m` direct shard
-//! RPCs and zero MDS RPCs".
+//! like "the optimized client's 8 KiB write issues one swap and `m` delta
+//! RPCs to the data servers and zero MDS RPCs; a healthy read is one".
 
 mod backend;
 mod client;
 
 pub use backend::{
-    DataServer, DfsAttr, DfsBackend, DfsConfig, DfsError, DfsRecoverySnapshot, DfsRecoveryStats,
-    MetadataServer, DFS_BLOCK,
+    Cell, DataServer, DfsAttr, DfsBackend, DfsConfig, DfsError, DfsRecoverySnapshot,
+    DfsRecoveryStats, MetadataServer, Refusal, CELL, DFS_BLOCK,
 };
 pub use client::{ClientCore, DpcClient, FsClient, OpTrace, OptimizedClient, StandardClient};

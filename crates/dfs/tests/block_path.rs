@@ -1,13 +1,13 @@
 //! The DFS client's block data path, driven through `ClientCore` against
 //! a live backend: what a healthy read or write costs in data-server
-//! RPCs, that `read_block` and `read_block_into` are one function, and
-//! that every integrity check still stands between a rotten shard and
-//! the caller.
+//! RPCs (one block is one stripe cell on a server of its own), that
+//! `read_block` and `read_block_into` are one function, and that every
+//! integrity check still stands between a rotten cell and the caller.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, DFS_BLOCK};
+use dpc_dfs::{Cell, ClientCore, DfsBackend, DfsConfig, CELL, DFS_BLOCK};
 
 fn backend() -> Arc<DfsBackend> {
     DfsBackend::new(DfsConfig::default())
@@ -28,26 +28,29 @@ fn ds_rpcs(b: &DfsBackend) -> u64 {
 }
 
 #[test]
-fn healthy_block_io_costs_k_reads_and_k_plus_m_writes() {
+fn healthy_block_io_costs_one_read_and_one_plus_m_writes() {
     let b = backend();
-    let (k, m) = (b.cfg.ec_k as u64, b.cfg.ec_m as u64);
+    let m = b.cfg.ec_m as u64;
     let mut core = ClientCore::new(b.clone(), 1);
     let (attr, _) = core.create(0, "f").unwrap();
     let data = block_bytes(1, DFS_BLOCK);
     let mut out = Vec::new();
     for round in 0..3u64 {
-        // Round 0 inserts the shards, later rounds overwrite them in
-        // place: the same RPCs either way.
+        // Round 0 inserts the block and its parity, later rounds swap and
+        // delta them in place: the same RPCs either way.
         let before = ds_rpcs(&b);
         let t = core.write_block(attr.ino, 5, &data).unwrap();
-        assert_eq!(ds_rpcs(&b) - before, k + m, "round {round}");
-        assert_eq!(t.ds_rpcs as u64, k + m);
-        assert_eq!(t.bytes_out, (k + m) * (DFS_BLOCK as u64 / k));
+        assert_eq!(ds_rpcs(&b) - before, 1 + m, "round {round}");
+        assert_eq!(t.ds_rpcs as u64, 1 + m);
+        // The new block out, m deltas out, the old block back.
+        assert_eq!(t.bytes_out, (DFS_BLOCK + m as usize * CELL) as u64);
+        let old = if round == 0 { 0 } else { DFS_BLOCK as u64 };
+        assert_eq!(t.bytes_in, old, "round {round}");
 
         let before = ds_rpcs(&b);
         let t = core.read_block_into(attr.ino, 5, &mut out).unwrap();
-        assert_eq!(ds_rpcs(&b) - before, k, "round {round}");
-        assert_eq!(t.ds_rpcs as u64, k);
+        assert_eq!(ds_rpcs(&b) - before, 1, "round {round}");
+        assert_eq!((t.ds_rpcs, t.bytes_in), (1, DFS_BLOCK as u64));
         assert_eq!(out, data);
     }
     let snap = b.recovery().snapshot();
@@ -55,6 +58,29 @@ fn healthy_block_io_costs_k_reads_and_k_plus_m_writes() {
         (snap.crc_rejects, snap.reconstructions, snap.repairs),
         (0, 0, 0)
     );
+}
+
+#[test]
+fn a_degraded_read_is_at_most_k_plus_one_rpcs() {
+    let b = backend();
+    let k = b.cfg.ec_k as u64;
+    let mut core = ClientCore::new(b.clone(), 1);
+    let (attr, _) = core.create(0, "f").unwrap();
+    let blocks: Vec<Vec<u8>> = (0..k).map(|i| block_bytes(10 + i, DFS_BLOCK)).collect();
+    for (i, data) in blocks.iter().enumerate() {
+        core.write_block(attr.ino, i as u64, data).unwrap();
+    }
+    let placement = b.placement(attr.ino, 0).to_vec();
+    for (i, data) in blocks.iter().enumerate() {
+        b.data_server(placement[i]).set_failed(true);
+        let before = ds_rpcs(&b);
+        let (got, t) = core.read_block(attr.ino, i as u64).unwrap();
+        assert_eq!(&got, data, "block {i}");
+        // The refused get, then k survivors (a parity cell among them).
+        assert_eq!((t.ds_rpcs as u64, ds_rpcs(&b) - before), (k + 1, k + 1));
+        b.data_server(placement[i]).set_failed(false);
+    }
+    assert_eq!(b.recovery().snapshot().reconstructions, k);
 }
 
 #[test]
@@ -84,47 +110,45 @@ fn read_block_and_read_block_into_are_one_function() {
 
 #[test]
 fn rotten_shards_are_rejected_reconstructed_and_repaired() {
-    for rotten in [vec![1usize], vec![0, 3], vec![2, 4]] {
+    for rotten in [vec![1u64], vec![0, 3], vec![2, 1]] {
         let b = backend();
         b.enable_recovery();
-        let (k, m) = (b.cfg.ec_k as u64, b.cfg.ec_m as u64);
+        let k = b.cfg.ec_k as u64;
         let mut core = ClientCore::new(b.clone(), 1);
         let (attr, _) = core.create(0, "f").unwrap();
-        let data = block_bytes(6, DFS_BLOCK);
-        core.write_block(attr.ino, 0, &data).unwrap();
-        let placement = b.placement(attr.ino, 0).to_vec();
-        for &s in &rotten {
-            assert!(b.data_server(placement[s]).corrupt_shard(attr.ino, 0, s));
+        let blocks: Vec<Vec<u8>> = (0..k).map(|i| block_bytes(6 + i, DFS_BLOCK)).collect();
+        for (i, data) in blocks.iter().enumerate() {
+            core.write_block(attr.ino, i as u64, data).unwrap();
         }
-        // (A rotten parity shard is only ever looked at by the degraded
-        // read a lost data shard forces: every set has a data shard.)
+        let placement = b.placement(attr.ino, 0).to_vec();
+        for &block in &rotten {
+            let cell = Cell::Block {
+                ino: attr.ino,
+                block,
+            };
+            assert!(b.data_server(placement[block as usize]).corrupt(cell));
+        }
         let n_rotten = rotten.len() as u64;
         let mut out = Vec::new();
         let before = ds_rpcs(&b);
-        let t = core.read_block_into(attr.ino, 0, &mut out).unwrap();
-        assert_eq!(out, data, "rotten {rotten:?}");
-        assert_eq!(t.ds_rpcs as u64, k + m, "degraded read pulled parity");
+        let t = core.read_block_into(attr.ino, rotten[0], &mut out).unwrap();
+        assert_eq!(out, blocks[rotten[0] as usize], "rotten {rotten:?}");
+        // The rejected get and k survivors: a second rotten block is one
+        // more rejected survivor, replaced by the next cell of the stripe.
+        assert_eq!(t.ds_rpcs as u64, 1 + k + (n_rotten - 1));
         let snap = b.recovery().snapshot();
-        // With recovery engaged a refused get is reissued three times
-        // (`DS_RETRIES`), and each reissue meets the same bad checksum.
-        assert_eq!(snap.crc_rejects, 4 * n_rotten, "rotten {rotten:?}");
-        assert_eq!(snap.ds_retries, 3 * n_rotten);
+        // Rot is an answer, not an outage: never reissued.
+        assert_eq!(snap.crc_rejects, n_rotten, "rotten {rotten:?}");
+        assert_eq!(snap.ds_retries, 0);
         assert_eq!(snap.reconstructions, 1);
-        assert_eq!(
-            snap.repairs,
-            rotten.len() as u64,
-            "read-repair rewrote them"
-        );
-        assert_eq!(
-            ds_rpcs(&b) - before,
-            // the reads, DS_RETRIES reissues per rejected shard, the repairs
-            k + m + 3 * rotten.len() as u64 + rotten.len() as u64
-        );
-        // Healed: the next read is a healthy one.
+        assert_eq!(snap.repairs, 1, "read-repair rewrote the block read");
+        // The reads, and the repair.
+        assert_eq!(ds_rpcs(&b) - before, t.ds_rpcs as u64 + 1);
+        // Healed: the next read of it is a healthy one.
         let before = ds_rpcs(&b);
-        let (again, t) = core.read_block(attr.ino, 0).unwrap();
-        assert_eq!(again, data);
-        assert_eq!((t.ds_rpcs as u64, ds_rpcs(&b) - before), (k, k));
+        let (again, t) = core.read_block(attr.ino, rotten[0]).unwrap();
+        assert_eq!(again, blocks[rotten[0] as usize]);
+        assert_eq!((t.ds_rpcs as u64, ds_rpcs(&b) - before), (1, 1));
         assert_eq!(b.recovery().snapshot().crc_rejects, snap.crc_rejects);
     }
 }

@@ -1,10 +1,10 @@
 //! Steady-state allocation accounting for the DFS block data path.
 //!
-//! Claim under test: once the client's recycled stripe buffers, the
-//! caller's read buffer and the data servers' stored shards exist, a
+//! Claim under test: once the client's recycled swap and delta buffers,
+//! the caller's read buffer and the data servers' stored cells exist, a
 //! healthy `read_block_into` and an in-place overwrite `write_block` —
-//! lazy metadata flushes included — perform **zero** heap allocations,
-//! and the read is exactly `k` data-server RPCs.
+//! lazy metadata flushes included — perform **zero** heap allocations;
+//! the read is exactly one data-server RPC and the overwrite `1 + m`.
 //!
 //! The counting allocator hook is per-binary and its counter is
 //! process-wide, which is why this is one test in a file of its own.
@@ -34,7 +34,7 @@ fn warm_block_reads_and_overwrites_allocate_nothing() {
     let (attr, _) = core.create(0, "f").unwrap();
     let data: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 31 % 251) as u8).collect();
     let mut out = Vec::new();
-    // Warm-up: first writes insert the shards and size every buffer; two
+    // Warm-up: first writes insert the cells and size every buffer; two
     // passes so the lazy metadata batch has flushed at least once.
     for _ in 0..2 {
         for b in 0..BLOCKS {
@@ -50,15 +50,20 @@ fn warm_block_reads_and_overwrites_allocate_nothing() {
     assert_eq!(alloc_count() - before, 0, "healthy reads allocated");
     assert_eq!(
         ds_rpcs() - rpcs_before,
-        BLOCKS * backend.cfg.ec_k as u64,
-        "a healthy read is exactly k data-server RPCs"
+        BLOCKS,
+        "a healthy read is exactly one data-server RPC"
     );
     assert_eq!(out, data);
 
-    let before = alloc_count();
+    let (before, rpcs_before) = (alloc_count(), ds_rpcs());
     for b in 0..BLOCKS {
         // 32 writes at `meta_batch` 16: two metadata flushes included.
         core.write_block(attr.ino, b, &data).unwrap();
     }
     assert_eq!(alloc_count() - before, 0, "in-place overwrites allocated");
+    assert_eq!(
+        ds_rpcs() - rpcs_before,
+        BLOCKS * (1 + backend.cfg.ec_m as u64),
+        "an overwrite is one swap and m deltas"
+    );
 }

@@ -80,6 +80,13 @@ impl ReedSolomon {
         self.k + self.m
     }
 
+    /// The coefficient data shard `data` carries into parity shard
+    /// `parity`: parity `p` is `Σᵢ coefficient(p, i) · dataᵢ`, so a change
+    /// `δ` to data shard `i` is `coefficient(p, i) · δ` applied to `p`.
+    pub fn coefficient(&self, parity: usize, data: usize) -> u8 {
+        self.encode.get(self.k + parity, data)
+    }
+
     fn check_lengths(shards: &[impl AsRef<[u8]>]) -> Result<usize, EcError> {
         let len = shards[0].as_ref().len();
         if shards.iter().any(|s| s.as_ref().len() != len) {

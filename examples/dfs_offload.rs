@@ -99,8 +99,8 @@ fn main() {
     mds-rpcs, forwarding hops, zero client-side EC — and on real hardware,
     an MDS bottleneck;
   - the optimized client and DPC do the same work as each other (metadata
-    view -> no forwards, client-side EC, direct shard I/O, delegated
-    stats): identical rows. The difference Figure 9 measures is *where*
+    view -> no forwards, client-side EC, direct I/O: a read is 1 data-server
+    RPC, a write 1 swap + m parity deltas; delegated stats): identical rows. The difference Figure 9 measures is *where*
     those cycles run — host cores for the optimized client, DPU cores for
     DPC. Run `cargo bench -p dpc-bench` to see that in time and CPU."
     );

@@ -204,6 +204,24 @@ cargo test --release -q --test direct_io -- \
 cargo test --release -q -p dpc-bench --lib -- \
     fig6::tests::functional_dma_counts_match_figures_2_and_4 \
     ablate::tests::batching_amortizes_doorbells_exactly
+# The DFS stripe path (DESIGN.md §18), in release and by name: a block is
+# one stripe cell, so a healthy read is 1 data-server RPC, an overwrite
+# 1 + m and a degraded read at most k + 1, warm reads and overwrites
+# allocate nothing; interleaved and concurrent overwrites from two clients
+# keep every stripe's parity exact under every <= m loss pattern; a client
+# never reads back a block it owes a restore; a crashed server's cells are
+# lost, not zeros; rot is never blessed with a fresh CRC; the MDS proxy
+# path refuses what it cannot make recoverable, and bad input without a
+# panic; the three-lane CRC kernel; crash and restart heal by read repair.
+cargo test --release -q -p dpc-dfs --test stripe_protocol --test block_path --test zero_alloc_block
+cargo test --release -q -p dpc-dfs --lib -- \
+    backend::tests::a_proxied_write_that_lands_nowhere_is_unrecoverable_and_keeps_the_size \
+    backend::tests::an_acknowledged_proxied_write_reads_back_once_the_servers_return \
+    backend::tests::bad_proxied_input_is_invalid_argument_not_a_panic \
+    backend::tests::partial_tail_block_round_trips \
+    client::packing_tests::spanning_small_io_is_invalid_argument
+cargo test --release -q -p dpc-codec --lib -- crc::tests::
+cargo test --release -q --test multi_server data_server_crash_and_restart_heals_through_read_repair
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review.
 cargo build --release --manifest-path dpc-e2e/Cargo.toml

@@ -41,12 +41,14 @@ fn dfs_shards_land_on_data_servers_with_client_side_ec() {
     for block in 0..12u64 {
         fs.dfs_write_block(ino, block, &vec![7u8; 8192]).unwrap();
     }
-    // The DPC client writes k+m = 6 shards per block, directly to the
-    // data servers (no MDS proxying on the data path).
+    // The DPC client writes each block whole to its own data server and
+    // keeps m = 2 parity cells per stripe of k = 4 blocks, directly on
+    // the data servers (no MDS proxying on the data path): 12 blocks are
+    // 3 stripes.
     let total: usize = (0..backend.data_server_count())
-        .map(|i| backend.data_server(i).shard_count())
+        .map(|i| backend.data_server(i).cell_count())
         .sum();
-    assert_eq!(total, 12 * 6);
+    assert_eq!(total, 12 + 3 * 2);
 }
 
 #[test]

@@ -216,8 +216,9 @@ fn fault_free_run_keeps_every_recovery_counter_at_zero() {
 #[test]
 fn one_failed_data_server_stays_byte_exact_end_to_end() {
     // The PR's acceptance scenario: a data server is down for the whole
-    // workload. Writes queue its shards for repair, reads reconstruct
-    // from parity, nothing surfaces an error, and after the server
+    // workload. A write whose swap it refuses rebuilds the old block from
+    // the stripe and queues a restore; one whose delta it refuses queues
+    // a parity rebuild. Nothing surfaces an error, and after the server
     // returns the stripes heal.
     let dpc = Dpc::new(DpcConfig {
         dfs: Some(DfsConfig::default()),
@@ -239,16 +240,16 @@ fn one_failed_data_server_stays_byte_exact_end_to_end() {
     }
     let r = dpc.metrics().recovery;
     assert!(r.ds_retries > 0, "refused RPCs were reissued: {r:?}");
-    assert!(r.reconstructions > 0, "degraded reads reconstructed: {r:?}");
+    assert!(r.reconstructions > 0, "refused swaps reconstructed: {r:?}");
 
     // Server returns; queued repairs drain on metadata syncs and the
-    // shards land back on it.
+    // cells land back on it.
     backend.data_server(0).set_failed(false);
     for _ in 0..8 {
         fs.dfs_sync().unwrap();
     }
     assert!(dpc.metrics().recovery.repairs > 0);
-    assert!(backend.data_server(0).shard_count() > 0, "stripe healed");
+    assert!(backend.data_server(0).cell_count() > 0, "stripe healed");
     for (b, data) in blocks.iter().enumerate() {
         assert_eq!(&fs.dfs_read_block(ino, b as u64).unwrap(), data);
     }
@@ -434,13 +435,12 @@ proptest! {
                         block
                     );
                 }
-                // Reconstruction is required exactly when some block had a
-                // failed server in a *data* slot (parity-only losses read
-                // clean). Placement is hash-based, so compute it.
+                // Reconstruction is required exactly when some block's own
+                // server failed (parity-only losses read clean). Placement
+                // is hash-based, so compute it.
                 let hit_data_slot = (0..blocks.len() as u64).any(|t| {
-                    backend.placement(ino, t)[..cfg.ec_k]
-                        .iter()
-                        .any(|&s| s == a || s == b)
+                    let s = backend.placement(ino, t)[t as usize % cfg.ec_k];
+                    s == a || s == b
                 });
                 let recon = backend.recovery().snapshot().reconstructions;
                 prop_assert_eq!(

@@ -102,12 +102,12 @@ fn data_server_crash_and_restart_heals_through_read_repair() {
     }
     fs.dfs_sync().unwrap();
 
-    // Crash one data server that holds a data shard of block 0: every
-    // shard it stored is gone, and it refuses RPCs until restarted.
+    // Crash the data server holding block 1: every cell it stored is
+    // lost, and it refuses RPCs until restarted.
     let victim = backend.placement(ino, 0)[1];
-    assert!(backend.data_server(victim).shard_count() > 0);
+    assert!(backend.data_server(victim).cell_count() > 0);
     backend.data_server(victim).crash();
-    assert_eq!(backend.data_server(victim).shard_count(), 0);
+    assert_eq!(backend.data_server(victim).cell_count(), 0);
 
     // Every block still reads byte-exact through parity reconstruction.
     for (b, data) in blocks.iter().enumerate() {
@@ -115,15 +115,15 @@ fn data_server_crash_and_restart_heals_through_read_repair() {
     }
     assert!(backend.recovery().snapshot().reconstructions > 0);
 
-    // Restart (empty). Degraded reads now read-repair the stripe, so
-    // shards flow back onto the recovered server.
+    // Restart: it answers what it held as lost. Degraded reads now
+    // read-repair the stripe, so cells flow back onto the server.
     backend.data_server(victim).restart();
     for (b, data) in blocks.iter().enumerate() {
         assert_eq!(&fs.dfs_read_block(ino, b as u64).unwrap(), data);
     }
     assert!(backend.recovery().snapshot().repairs > 0);
     assert!(
-        backend.data_server(victim).shard_count() > 0,
+        backend.data_server(victim).cell_count() > 0,
         "stripe healed"
     );
 }
