@@ -8,8 +8,8 @@
 //! Each printed table carries the paper's reported values alongside the
 //! measured ones; EXPERIMENTS.md records the comparison.
 
+use dpc_bench::Testbed;
 use dpc_bench::{ablate, ablate_cache, fig1, fig6, fig7, fig8, fig9, table2};
-use dpc_core::Testbed;
 
 fn main() {
     let tb = Testbed::default();

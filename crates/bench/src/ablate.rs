@@ -10,7 +10,7 @@
 //! - **small→big promotion threshold** — KV write amplification as the
 //!   small-file rewrite boundary moves.
 
-use dpc_core::Testbed;
+use crate::Testbed;
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{

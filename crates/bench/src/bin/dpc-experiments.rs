@@ -6,8 +6,8 @@
 //! cargo run -p dpc-bench --release --bin dpc-experiments -- list
 //! ```
 
+use dpc_bench::Testbed;
 use dpc_bench::{ablate, ablate_cache, fig1, fig6, fig7, fig8, fig9, table2, Table};
-use dpc_core::Testbed;
 
 // Count allocations so the batch-size ablation can report a real
 // allocs/op column (the hook is per-binary; see dpc_pcie::alloc).

@@ -7,7 +7,7 @@
 //! fixed saturating concurrency (32 threads). Same client model as Fig 9;
 //! the mix interleaves read and write ops deterministically at 70:30.
 
-use dpc_core::Testbed;
+use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation};
 
 use crate::fig9::{Client, Work};

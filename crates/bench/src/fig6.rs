@@ -13,7 +13,7 @@
 //! 36.5/34 µs; both peak at 32 threads; nvme-fs 2–3× at high concurrency;
 //! bandwidth 15.1/14.3 GB/s (nvme-fs) vs 6.3/5.1 GB/s (virtio-fs).
 
-use dpc_core::Testbed;
+use crate::Testbed;
 use dpc_nvmefs::{
     create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
     Payload, QueuePairConfig, Sides, Ticket,

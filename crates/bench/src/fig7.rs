@@ -20,7 +20,7 @@
 //!   24-core DPU the binding resource around 700 K IOPS — matching the
 //!   paper's "CPU usage of DPU reaches 100% [at 128 threads]".
 
-use dpc_core::Testbed;
+use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
 use crate::table::{fmt_iops, fmt_pct, fmt_us, Table};

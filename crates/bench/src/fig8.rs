@@ -19,7 +19,7 @@
 //!   disaggregated cluster's streaming bandwidth (prefetch over-fetch and
 //!   per-page insert overhead cost ~28%).
 
-use dpc_core::Testbed;
+use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
 use crate::fig7::{self, System};

@@ -16,8 +16,8 @@
 //! direct I/O on the host, and DPC runs the identical logic on the DPU
 //! behind nvme-fs.
 
-use dpc_core::Testbed;
-use dpc_dfs::{DfsBackend, DfsConfig, FsClient, OptimizedClient, StandardClient, DFS_BLOCK};
+use crate::Testbed;
+use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, FsClient, StandardClient, DFS_BLOCK};
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
 use crate::table::{fmt_cores, fmt_gbps, fmt_iops, Table};
@@ -332,7 +332,7 @@ pub fn structure_notes() -> Vec<String> {
     let t_std = std_c
         .write_block(attr.ino, 0, &vec![1u8; DFS_BLOCK])
         .unwrap();
-    let mut opt = OptimizedClient::new(backend.clone(), 1);
+    let mut opt = ClientCore::new(backend.clone(), 1);
     let (attr2, _) = opt.create(0, "bigfile2").unwrap();
     let t_opt = opt
         .write_block(attr2.ino, 0, &vec![1u8; DFS_BLOCK])

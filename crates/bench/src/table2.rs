@@ -18,7 +18,7 @@
 //! says exactly this: "limited by the read/write performance of our
 //! disaggregated KV store").
 
-use dpc_core::Testbed;
+use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
 use crate::fig7::System;

@@ -34,9 +34,9 @@ use dpc_cache::{
 };
 use dpc_dfs::DFS_BLOCK;
 use dpc_nvmefs::{
-    decode_dirents, decode_dirents_into, CallError, ChannelPool, DispatchType, FileCompletion,
-    FileRequest, FileResponse, Payload, Reply, Sides, Ticket, WireAttr, WireDirent, WireStep,
-    MAX_NAME_LEN, MAX_PATH_LEN, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
+    decode_dirents_into, CallError, ChannelPool, DispatchType, FileCompletion, FileRequest,
+    FileResponse, Payload, Reply, Sides, Ticket, WireAttr, WireDirent, WireStep, MAX_NAME_LEN,
+    MAX_PATH_LEN, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 use parking_lot::Mutex;
 
@@ -1604,17 +1604,6 @@ impl DpcFs {
             FileResponse::Bytes(_) => Ok(payload),
             _ => Err(DpcError::IO),
         }
-    }
-
-    /// List a DFS directory through the offloaded client (the MDS serves
-    /// it as cursor-paginated per-shard snapshots; entries arrive in name
-    /// order).
-    pub fn dfs_readdir(&self, dir: u64) -> Result<Vec<WireDirent>, DpcError> {
-        let (resp, payload) = self.dfs_call(&FileRequest::Readdir { ino: dir }, b"", 512 * 1024)?;
-        let FileResponse::Entries(n) = resp else {
-            return Err(DpcError::IO);
-        };
-        decode_dirents(&payload, n as usize).map_err(|_| DpcError::IO)
     }
 
     /// Flush the offloaded client's lazily batched metadata.

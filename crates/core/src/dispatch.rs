@@ -2,11 +2,12 @@
 //!
 //! nvme-fs delivers each command with a dispatch bit (Dword0 bit 10):
 //! standalone file requests go to KVFS, distributed file requests go to
-//! the offloaded DFS client. The dispatcher also owns this service
-//! thread's slice of the hybrid-cache control plane, so flush/evict
-//! requests are served here; demand reads only *feed* the shared
-//! readahead table — planned windows go to the prefetch queue and the
-//! background prefetcher thread fills them, never the request path.
+//! the offloaded DFS client — one per `Dpc`, shared by every service
+//! thread. The dispatcher also owns this service thread's slice of the
+//! hybrid-cache control plane, so flush/evict requests are served here;
+//! demand reads only *feed* the shared readahead table — planned windows
+//! go to the prefetch queue and the background prefetcher thread fills
+//! them, never the request path.
 
 use std::sync::Arc;
 
@@ -20,6 +21,7 @@ use dpc_nvmefs::{
     FileTarget, WireAttr, WireStep,
 };
 use dpc_sim::{CrashSwitch, FaultSite};
+use parking_lot::Mutex;
 
 /// Sentinel inode for `FileRequest::Fsync` meaning "flush every inode's
 /// dirty pages" — the WAL back-pressure path frees ring space without
@@ -232,8 +234,11 @@ impl ReadBackend for KvfsRead<'_> {
 pub struct Dispatcher {
     kvfs: Arc<Kvfs>,
     control: ControlPlane,
-    /// The offloaded DFS client (None when DPC runs standalone-only).
-    dfs: Option<ClientCore>,
+    /// The offloaded DFS client (None when DPC runs standalone-only). A
+    /// `Dpc` hands every service thread the same one: the MDS sees one
+    /// client per DPU, with one set of delegations, lazy sizes and owed
+    /// repairs. Held for the whole of each DFS request.
+    pub(crate) dfs: Option<Arc<Mutex<ClientCore>>>,
     /// Readahead hooks shared across service threads: the per-ino
     /// adaptive-window table plus the queue feeding the background
     /// prefetcher. `None` = readahead off; demand reads are then pure
@@ -259,7 +264,7 @@ impl Dispatcher {
         Dispatcher {
             kvfs,
             control,
-            dfs,
+            dfs: dfs.map(|client| Arc::new(Mutex::new(client))),
             ra: None,
             ra_throttle_free: 0,
             coalesce: true,
@@ -615,9 +620,10 @@ impl Dispatcher {
 
     fn handle_dfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
         out.clear();
-        let Some(dfs) = self.dfs.as_mut() else {
+        let Some(dfs) = &self.dfs else {
             return FileResponse::Err(95 /* EOPNOTSUPP */);
         };
+        let mut dfs = dfs.lock();
         match &inc.request {
             FileRequest::Create { parent, name, .. } => match dfs.create(*parent, name) {
                 Ok((attr, _)) => FileResponse::Ino(attr.ino),
@@ -668,19 +674,6 @@ impl Dispatcher {
                     }
                 }
             }
-            FileRequest::Readdir { ino } => match dfs.readdir(*ino) {
-                Ok((entries, _)) => {
-                    for (name, ino) in &entries {
-                        encode_dirent(*ino, 0, name, out);
-                    }
-                    if out.len() > inc.read_len as usize {
-                        out.clear();
-                        return FileResponse::Err(34 /* ERANGE */);
-                    }
-                    FileResponse::Entries(entries.len() as u32)
-                }
-                Err(e) => dfs_err(e),
-            },
             FileRequest::Fsync { .. } => match dfs.sync_meta() {
                 Ok(_) => FileResponse::Ok,
                 Err(e) => dfs_err(e),

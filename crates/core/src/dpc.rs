@@ -23,6 +23,7 @@ use dpc_kvstore::KvStore;
 use dpc_nvmefs::{create_fabric, ChannelPool, PoolStats, QueuePairConfig, RetryPolicy};
 use dpc_pcie::{DmaEngine, HostRegion, PcieSnapshot};
 use dpc_sim::{CrashSwitch, FaultPlan};
+use parking_lot::Mutex;
 
 use crate::adapter::{DpcFs, FsyncMode, InodeSizes, IoMode};
 use crate::dispatch::{flush_pass, Dispatcher};
@@ -229,7 +230,7 @@ impl std::fmt::Display for RecoverError {
 impl std::error::Error for RecoverError {}
 
 /// Globally unique DFS client identity: delegations are per-client at
-/// the MDS, so two DPC instances (or two queues) must never share an id.
+/// the MDS, so two DPC instances must never share an id.
 fn next_dfs_client_id() -> u64 {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
@@ -451,6 +452,12 @@ impl Dpc {
         };
         // Below this many free pages a window fill is dropped, not queued.
         let ra_throttle_free = (cfg.cache_pages as f64 * cfg.ra_throttle_free) as u64;
+        // One DFS client for the whole DPU, whichever queue a request
+        // arrives on.
+        let dfs = dfs_backend.as_ref().map(|b| {
+            let client = ClientCore::new(b.clone(), next_dfs_client_id());
+            Arc::new(Mutex::new(client))
+        });
         let targets_with_dispatch: Vec<_> = targets
             .into_iter()
             .map(|mut t| {
@@ -460,13 +467,8 @@ impl Dpc {
                 let mut control = ControlPlane::new(cache.clone(), dma.clone());
                 control.max_extent_pages = cfg.flush_extent_pages;
                 control.set_crash_switch(Some(crash.clone()));
-                let mut dispatcher = Dispatcher::new(
-                    kvfs.clone(),
-                    control,
-                    dfs_backend
-                        .as_ref()
-                        .map(|b| ClientCore::new(b.clone(), next_dfs_client_id())),
-                );
+                let mut dispatcher = Dispatcher::new(kvfs.clone(), control, None);
+                dispatcher.dfs = dfs.clone();
                 if let Some((table, queue)) = &ra {
                     dispatcher.set_readahead(table.clone(), queue.clone());
                 }

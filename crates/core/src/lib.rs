@@ -5,9 +5,9 @@
 //! absorbs writes from the hybrid cache and converts the rest into
 //! nvme-fs messages; the DPU-side **IO-dispatch** ([`Dispatcher`]) that
 //! routes standalone requests to KVFS and distributed requests to the
-//! offloaded DFS client; the **DPU runtime** ([`DpuRuntime`]) of service
-//! and flusher threads; and the calibrated **testbed configuration**
-//! ([`Testbed`], Table 1) shared by every benchmark.
+//! offloaded DFS client; and the **DPU runtime** ([`DpuRuntime`]) of
+//! service and flusher threads. The calibrated testbed constants of the
+//! virtual-time model (Table 1) live in `dpc-bench`, their only user.
 //!
 //! ```
 //! use dpc_core::{Dpc, DpcConfig};
@@ -23,14 +23,12 @@
 //! ```
 
 mod adapter;
-mod config;
 mod dispatch;
 mod dpc;
 mod metrics;
 mod runtime;
 
 pub use adapter::{DpcError, DpcFs, Fd, FsyncMode, IoMode};
-pub use config::{DpuSpec, HostCpu, SoftwareCosts, Testbed};
 pub use dispatch::{Dispatcher, FSYNC_ALL};
 pub use dpc::{ConfigError, Dpc, DpcConfig, RecoverError};
 pub use metrics::{MetricsSnapshot, RecoverySnapshot};

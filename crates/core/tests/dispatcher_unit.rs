@@ -1235,11 +1235,9 @@ fn every_reply_fits_what_its_request_declared() {
         serve(&mut d, dist, FileRequest::Fsync { ino: 0 }, b"", 0),
         FileResponse::Ok
     );
-    assert_eq!(
-        serve(&mut d, dist, FileRequest::Readdir { ino: 0 }, b"", 4096),
-        FileResponse::Entries(1)
-    );
     for req in [
+        // The DFS namespace is not listed through the DPU.
+        FileRequest::Readdir { ino: 0 },
         FileRequest::Truncate {
             ino: dfs_file,
             size: 0,

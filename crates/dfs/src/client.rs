@@ -1,19 +1,18 @@
-//! The three fs-client flavours the evaluation compares (Fig 1, Fig 9):
+//! The two fs-client types the evaluation compares (Fig 1, Fig 9):
 //!
 //! - [`StandardClient`] — NFS-like: every operation is one RPC to the
 //!   client's *entry* MDS (forwarded server-side when the metadata lives
 //!   elsewhere); data is proxied through the MDS, which computes EC
 //!   server-side. Minimal host CPU, minimal performance.
-//! - [`OptimizedClient`] — the host-side optimized client: a metadata
-//!   view routes requests straight to home MDSes, EC is computed on the
-//!   client, direct I/O sends blocks and parity deltas straight to data
-//!   servers, metadata updates batch lazily, and delegations let
-//!   attributes be cached locally. 4–5× the IOPS — and the "datacenter
-//!   tax" in host CPU.
-//! - [`DpcClient`] — identical logic, executed on the DPU ([`ClientCore`]
-//!   shared with the optimized client). The functional behaviour is the
-//!   same; *where* the cycles land differs, which the benchmarks express
-//!   by charging DPU stations instead of host stations.
+//! - [`ClientCore`] — the optimized client: a metadata view routes
+//!   requests straight to home MDSes, EC is computed on the client,
+//!   direct I/O sends blocks and parity deltas straight to data servers,
+//!   metadata updates batch lazily, and delegations let attributes be
+//!   cached locally. 4–5× the IOPS. On the host it is the "datacenter
+//!   tax" in host CPU; a `Dpc` runs one on the DPU, where the same logic
+//!   costs the host nothing. The functional behaviour is the same
+//!   either way; *where* the cycles land differs, which the benchmarks
+//!   express by charging DPU stations instead of host stations.
 //!
 //! Every operation returns an [`OpTrace`] describing exactly what crossed
 //! the network and what was computed locally, so the benchmarks can
@@ -29,6 +28,10 @@ use crate::backend::{backoff, block_end, DfsAttr, DfsBackend, DfsError, StripeIo
 
 /// Bounded reissues of an MDS RPC that failed with a transient fault.
 const MDS_RETRIES: u32 = 8;
+
+/// Batched writes after which [`ClientCore`] flushes its lazy size
+/// updates.
+const META_BATCH: usize = 16;
 
 /// Run an MDS operation, reissuing on [`DfsError::Transient`] with bounded
 /// exponential backoff. Transient faults are raised before any server-side
@@ -82,7 +85,6 @@ impl OpTrace {
 /// The uniform client interface (block-granular data path, as the
 /// evaluation drives 8 KiB I/O).
 pub trait FsClient {
-    fn client_name(&self) -> &'static str;
     fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError>;
     fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError>;
     fn getattr(&mut self, ino: u64) -> Result<(DfsAttr, OpTrace), DfsError>;
@@ -129,10 +131,6 @@ impl StandardClient {
 }
 
 impl FsClient for StandardClient {
-    fn client_name(&self) -> &'static str {
-        "standard-nfs"
-    }
-
     fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
         let attr = self.backend.mds_create(self.entry_mds, parent, name)?;
         Ok((
@@ -200,7 +198,7 @@ impl FsClient for StandardClient {
 }
 
 // ---------------------------------------------------------------------
-// Optimized client core (shared by host-optimized and DPC clients)
+// Optimized client (on the host, or offloaded to the DPU)
 // ---------------------------------------------------------------------
 
 /// The optimized fs-client logic: metadata view, client-side EC + direct
@@ -212,8 +210,7 @@ pub struct ClientCore {
     attr_cache: HashMap<u64, DfsAttr>,
     /// Pending lazy size updates: ino → max end offset.
     pending_meta: HashMap<u64, u64>,
-    /// Flush pending metadata after this many batched writes.
-    pub meta_batch: usize,
+    /// Writes since the last metadata flush.
     batched: usize,
     /// The stripe path's recycled buffers and the repairs this client
     /// owes (restores of blocks whose server refused a write, rebuilds of
@@ -229,7 +226,6 @@ impl ClientCore {
             client_id,
             attr_cache: HashMap::new(),
             pending_meta: HashMap::new(),
-            meta_batch: 16,
             batched: 0,
             io: StripeIo::default(),
         }
@@ -280,35 +276,6 @@ impl ClientCore {
                 ..Default::default()
             },
         ))
-    }
-
-    /// List a directory, paging through the MDS cursor protocol (one
-    /// client RPC per page; the entry MDS fans each page out to the other
-    /// namespace partitions server-side). Entries come back in name
-    /// order.
-    pub fn readdir(&mut self, parent: u64) -> Result<(Vec<(String, u64)>, OpTrace), DfsError> {
-        const PAGE: usize = 256;
-        let home = self.backend.home_mds_of_name(parent, "");
-        let mut entries = Vec::new();
-        let mut cursor: Option<String> = None;
-        let mut trace = OpTrace::default();
-        loop {
-            let (page, next) = retry_mds(&self.backend, || {
-                self.backend
-                    .mds_readdir(home, parent, cursor.as_deref(), PAGE)
-            })?;
-            trace.mds_rpcs += 1;
-            trace.bytes_in += page
-                .iter()
-                .map(|(name, _)| name.len() as u64 + 8)
-                .sum::<u64>();
-            entries.extend(page);
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
-            }
-        }
-        Ok((entries, trace))
     }
 
     /// Lease check: if the MDS recalled our delegation of `ino`, drop the
@@ -380,7 +347,7 @@ impl ClientCore {
             attr.size = attr.size.max(end);
         }
         self.batched += 1;
-        if self.batched >= self.meta_batch {
+        if self.batched >= META_BATCH {
             trace.add(self.sync_meta()?);
         }
         Ok(trace)
@@ -423,74 +390,26 @@ impl ClientCore {
     }
 }
 
-/// The host-side optimized client.
-pub struct OptimizedClient(pub ClientCore);
-
-impl OptimizedClient {
-    pub fn new(backend: Arc<DfsBackend>, client_id: u64) -> OptimizedClient {
-        OptimizedClient(ClientCore::new(backend, client_id))
-    }
-}
-
-impl FsClient for OptimizedClient {
-    fn client_name(&self) -> &'static str {
-        "optimized-host"
-    }
+/// The trait view of the inherent methods, which callers that hold a
+/// `ClientCore` use without importing [`FsClient`].
+impl FsClient for ClientCore {
     fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
-        self.0.create(parent, name)
+        ClientCore::create(self, parent, name)
     }
     fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError> {
-        self.0.lookup(parent, name)
+        ClientCore::lookup(self, parent, name)
     }
     fn getattr(&mut self, ino: u64) -> Result<(DfsAttr, OpTrace), DfsError> {
-        self.0.getattr(ino)
+        ClientCore::getattr(self, ino)
     }
     fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError> {
-        self.0.write_block(ino, block, data)
+        ClientCore::write_block(self, ino, block, data)
     }
     fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        self.0.read_block(ino, block)
+        ClientCore::read_block(self, ino, block)
     }
     fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {
-        self.0.sync_meta()
-    }
-}
-
-/// The DPC client: the optimized client's logic running on the DPU.
-///
-/// Functionally identical to [`OptimizedClient`]; the benchmarks charge
-/// its CPU work to the DPU's cores and route requests through nvme-fs,
-/// which is the whole point of the paper (§4.3: optimized-client
-/// performance at standard-client host CPU cost).
-pub struct DpcClient(pub ClientCore);
-
-impl DpcClient {
-    pub fn new(backend: Arc<DfsBackend>, client_id: u64) -> DpcClient {
-        DpcClient(ClientCore::new(backend, client_id))
-    }
-}
-
-impl FsClient for DpcClient {
-    fn client_name(&self) -> &'static str {
-        "dpc"
-    }
-    fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
-        self.0.create(parent, name)
-    }
-    fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError> {
-        self.0.lookup(parent, name)
-    }
-    fn getattr(&mut self, ino: u64) -> Result<(DfsAttr, OpTrace), DfsError> {
-        self.0.getattr(ino)
-    }
-    fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError> {
-        self.0.write_block(ino, block, data)
-    }
-    fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        self.0.read_block(ino, block)
-    }
-    fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {
-        self.0.sync_meta()
+        ClientCore::sync_meta(self)
     }
 }
 
@@ -509,14 +428,13 @@ mod tests {
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 241) as u8).collect();
         let mut clients: Vec<Box<dyn FsClient>> = vec![
             Box::new(StandardClient::new(b.clone(), 0)),
-            Box::new(OptimizedClient::new(b.clone(), 1)),
-            Box::new(DpcClient::new(b.clone(), 2)),
+            Box::new(ClientCore::new(b.clone(), 1)),
         ];
         for (i, c) in clients.iter_mut().enumerate() {
             let (attr, _) = c.create(0, &format!("f{i}")).unwrap();
             c.write_block(attr.ino, 0, &block).unwrap();
             let (back, _) = c.read_block(attr.ino, 0).unwrap();
-            assert_eq!(back, block, "client {}", c.client_name());
+            assert_eq!(back, block, "client {i}");
             // Cross-client visibility: the standard client can read what
             // the optimized client wrote.
         }
@@ -536,7 +454,7 @@ mod tests {
         let fwd_std = b.total_forwards();
         assert!(fwd_std > 0, "entry-MDS routing must forward sometimes");
 
-        let mut opt = OptimizedClient::new(b.clone(), 1);
+        let mut opt = ClientCore::new(b.clone(), 1);
         for i in 0..40 {
             opt.create(0, &format!("opt{i}")).unwrap();
         }
@@ -546,7 +464,7 @@ mod tests {
     #[test]
     fn optimized_write_is_direct_io_with_client_ec() {
         let b = backend();
-        let mut opt = OptimizedClient::new(b.clone(), 1);
+        let mut opt = ClientCore::new(b.clone(), 1);
         let (attr, _) = opt.create(0, "f").unwrap();
         let t = opt.write_block(attr.ino, 0, &vec![1u8; DFS_BLOCK]).unwrap();
         assert_eq!(
@@ -573,7 +491,7 @@ mod tests {
     #[test]
     fn delegation_makes_getattr_local() {
         let b = backend();
-        let mut opt = OptimizedClient::new(b.clone(), 1);
+        let mut opt = ClientCore::new(b.clone(), 1);
         let (attr, _) = opt.create(0, "f").unwrap();
         let (_, t1) = opt.getattr(attr.ino).unwrap();
         assert!(t1.meta_cache_hit, "create already took the delegation");
@@ -588,10 +506,10 @@ mod tests {
     #[test]
     fn lazy_metadata_flush_updates_size() {
         let b = backend();
-        let mut opt = OptimizedClient::new(b.clone(), 1);
-        opt.0.meta_batch = 4;
+        let mut opt = ClientCore::new(b.clone(), 1);
         let (attr, _) = opt.create(0, "f").unwrap();
-        for blk in 0..3u64 {
+        let last = META_BATCH as u64 - 1;
+        for blk in 0..last {
             opt.write_block(attr.ino, blk, &vec![1u8; DFS_BLOCK])
                 .unwrap();
         }
@@ -600,19 +518,20 @@ mod tests {
         let home = b.home_mds_of_ino(attr.ino);
         assert_eq!(b.mds_getattr(home, attr.ino).unwrap().size, 0);
         let (local, _) = opt.getattr(attr.ino).unwrap();
-        assert_eq!(local.size, 3 * DFS_BLOCK as u64);
-        // Fourth write triggers the batch flush.
-        opt.write_block(attr.ino, 3, &vec![1u8; DFS_BLOCK]).unwrap();
+        assert_eq!(local.size, last * DFS_BLOCK as u64);
+        // The sixteenth write triggers the batch flush.
+        opt.write_block(attr.ino, last, &vec![1u8; DFS_BLOCK])
+            .unwrap();
         assert_eq!(
             b.mds_getattr(home, attr.ino).unwrap().size,
-            4 * DFS_BLOCK as u64
+            META_BATCH as u64 * DFS_BLOCK as u64
         );
     }
 
     #[test]
     fn optimized_degraded_read_reconstructs_client_side() {
         let b = backend();
-        let mut opt = OptimizedClient::new(b.clone(), 1);
+        let mut opt = ClientCore::new(b.clone(), 1);
         let (attr, _) = opt.create(0, "f").unwrap();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 199) as u8).collect();
         opt.write_block(attr.ino, 0, &block).unwrap();
@@ -626,25 +545,6 @@ mod tests {
             "the refused get + k survivors, parity among them"
         );
     }
-
-    #[test]
-    fn dpc_client_matches_optimized_structure() {
-        // The DPC client is the optimized client offloaded: identical
-        // OpTraces for identical operations.
-        let b1 = backend();
-        let b2 = backend();
-        let mut opt = OptimizedClient::new(b1, 1);
-        let mut dpc = DpcClient::new(b2, 1);
-        let (a1, t1c) = opt.create(0, "f").unwrap();
-        let (a2, t2c) = dpc.create(0, "f").unwrap();
-        assert_eq!(t1c, t2c);
-        let t1 = opt.write_block(a1.ino, 0, &vec![1u8; DFS_BLOCK]).unwrap();
-        let t2 = dpc.write_block(a2.ino, 0, &vec![1u8; DFS_BLOCK]).unwrap();
-        assert_eq!(t1, t2);
-        let (_, r1) = opt.read_block(a1.ino, 0).unwrap();
-        let (_, r2) = dpc.read_block(a2.ino, 0).unwrap();
-        assert_eq!(r1, r2);
-    }
 }
 
 #[cfg(test)]
@@ -655,12 +555,12 @@ mod recall_tests {
     #[test]
     fn recall_transfers_delegation_and_flushes_lazy_metadata() {
         let b = crate::backend::DfsBackend::new(DfsConfig::default());
-        let mut a = OptimizedClient::new(b.clone(), 1);
-        let mut c = OptimizedClient::new(b.clone(), 2);
+        let mut a = ClientCore::new(b.clone(), 1);
+        let mut c = ClientCore::new(b.clone(), 2);
 
         // A creates the file (taking the delegation) and batches writes.
         let (attr, _) = a.create(0, "shared").unwrap();
-        a.0.meta_batch = 100; // keep the size update lazy
+        // Fewer writes than a batch: the size update stays lazy.
         for blk in 0..3u64 {
             a.write_block(attr.ino, blk, &vec![1u8; BLK]).unwrap();
         }
@@ -676,7 +576,7 @@ mod recall_tests {
 
         // A's next op detects the recall, flushes pending size and drops
         // its cache.
-        assert!(a.0.check_lease(attr.ino).unwrap());
+        assert!(a.check_lease(attr.ino).unwrap());
         assert_eq!(
             b.mds_getattr(home, attr.ino).unwrap().size,
             3 * BLK as u64,
@@ -695,34 +595,34 @@ mod recall_tests {
     #[test]
     fn no_recall_without_contention() {
         let b = crate::backend::DfsBackend::new(DfsConfig::default());
-        let mut a = OptimizedClient::new(b.clone(), 1);
+        let mut a = ClientCore::new(b.clone(), 1);
         let (attr, _) = a.create(0, "solo").unwrap();
         for _ in 0..5 {
             a.getattr(attr.ino).unwrap();
         }
         assert_eq!(b.total_recalls(), 0);
-        assert!(!a.0.check_lease(attr.ino).unwrap());
+        assert!(!a.check_lease(attr.ino).unwrap());
     }
 
     #[test]
     fn recall_ping_pong_stays_consistent() {
         let b = crate::backend::DfsBackend::new(DfsConfig::default());
-        let mut a = OptimizedClient::new(b.clone(), 1);
-        let mut c = OptimizedClient::new(b.clone(), 2);
+        let mut a = ClientCore::new(b.clone(), 1);
+        let mut c = ClientCore::new(b.clone(), 2);
         let (attr, _) = a.create(0, "pingpong").unwrap();
         for round in 1..=4u64 {
             // Alternate writers; each write-then-stat pair must observe
             // the other side's flushed size after the recall dance.
-            let (w, r): (&mut OptimizedClient, &mut OptimizedClient) = if round % 2 == 1 {
+            let (w, r): (&mut ClientCore, &mut ClientCore) = if round % 2 == 1 {
                 (&mut a, &mut c)
             } else {
                 (&mut c, &mut a)
             };
-            w.0.check_lease(attr.ino).unwrap();
+            w.check_lease(attr.ino).unwrap();
             w.write_block(attr.ino, round - 1, &vec![round as u8; BLK])
                 .unwrap();
             w.sync_meta().unwrap();
-            r.0.check_lease(attr.ino).unwrap();
+            r.check_lease(attr.ino).unwrap();
             let (seen, _) = r.getattr(attr.ino).unwrap();
             assert!(
                 seen.size >= round * BLK as u64,

@@ -1,7 +1,7 @@
 //! Property tests for the DFS substrate:
 //!
 //! - arbitrary block write/read sequences through *any mix of clients*
-//!   (standard / optimized / DPC) against one backend agree with a
+//!   (one standard, two optimized) against one backend agree with a
 //!   reference model — the clients are interchangeable views of one
 //!   file system;
 //! - reads stay correct under any failure pattern of ≤ m data servers;
@@ -9,9 +9,7 @@
 
 use std::collections::HashMap;
 
-use dpc_dfs::{
-    DfsBackend, DfsConfig, DpcClient, FsClient, OptimizedClient, StandardClient, DFS_BLOCK,
-};
+use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, FsClient, StandardClient, DFS_BLOCK};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -38,8 +36,8 @@ proptest! {
         let backend = DfsBackend::new(DfsConfig::default());
         let mut clients: Vec<Box<dyn FsClient>> = vec![
             Box::new(StandardClient::new(backend.clone(), 0)),
-            Box::new(OptimizedClient::new(backend.clone(), 10)),
-            Box::new(DpcClient::new(backend.clone(), 11)),
+            Box::new(ClientCore::new(backend.clone(), 10)),
+            Box::new(ClientCore::new(backend.clone(), 11)),
         ];
         let (attr, _) = clients[0].create(0, "shared").unwrap();
         let ino = attr.ino;

@@ -57,7 +57,7 @@ fn warm_block_reads_and_overwrites_allocate_nothing() {
 
     let (before, rpcs_before) = (alloc_count(), ds_rpcs());
     for b in 0..BLOCKS {
-        // 32 writes at `meta_batch` 16: two metadata flushes included.
+        // 32 writes at a metadata batch of 16: two flushes included.
         core.write_block(attr.ino, b, &data).unwrap();
     }
     assert_eq!(alloc_count() - before, 0, "in-place overwrites allocated");

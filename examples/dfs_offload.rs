@@ -1,7 +1,8 @@
 //! The DFS client comparison (paper §4.3, Figure 9) — functional view.
 //!
 //! Runs the same workload through the three fs-client flavours against
-//! identical backends and prints what each one *did*: RPCs, forwarding
+//! identical backends (the optimized and the DPC flavour are the same
+//! `ClientCore`: DPC runs it on the DPU) and prints what each one *did*: RPCs, forwarding
 //! hops, bytes moved, and where the erasure coding ran. The timing view
 //! of the same comparison is `cargo bench -p dpc-bench` (fig9).
 //!
@@ -9,9 +10,7 @@
 //! cargo run --example dfs_offload
 //! ```
 
-use dpc::dfs::{
-    DfsBackend, DfsConfig, DpcClient, FsClient, OpTrace, OptimizedClient, StandardClient, DFS_BLOCK,
-};
+use dpc::dfs::{ClientCore, DfsBackend, DfsConfig, FsClient, OpTrace, StandardClient, DFS_BLOCK};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,13 +75,12 @@ fn main() {
         let backend = DfsBackend::new(DfsConfig::default());
         let mut client: Box<dyn FsClient> = match flavour {
             "standard" => Box::new(StandardClient::new(backend.clone(), 0)),
-            "optimized" => Box::new(OptimizedClient::new(backend.clone(), 1)),
-            _ => Box::new(DpcClient::new(backend.clone(), 2)),
+            _ => Box::new(ClientCore::new(backend.clone(), 1)),
         };
         let (t, stat_hits) = run_workload(client.as_mut(), OPS);
         println!(
             "{:<16} {:>9} {:>9} {:>9} {:>11} {:>11} {:>10} {:>9}",
-            client.client_name(),
+            flavour,
             t.mds_rpcs,
             t.ds_rpcs,
             backend.total_forwards(),

@@ -222,6 +222,14 @@ cargo test --release -q -p dpc-dfs --lib -- \
     client::packing_tests::spanning_small_io_is_invalid_argument
 cargo test --release -q -p dpc-codec --lib -- crc::tests::
 cargo test --release -q --test multi_server data_server_crash_and_restart_heals_through_read_repair
+# A DPU is one DFS client (DESIGN.md §18.1): two host threads on two
+# queues share its owed restores, lazy sizes, metadata sync and
+# delegations.
+cargo test --release -q --test end_to_end_dfs -- \
+    a_restore_owed_on_one_queue_is_read_on_the_other \
+    a_getattr_on_one_queue_sees_growth_written_on_the_other \
+    a_sync_on_one_queue_settles_sizes_written_on_the_other \
+    getattrs_from_two_queues_never_recall_the_dpus_own_delegation
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review.
 cargo build --release --manifest-path dpc-e2e/Cargo.toml

@@ -5,8 +5,9 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! - [`core`] — DPC itself: the host-side fs-adapter, the DPU runtime with
-//!   its IO-dispatch, and the calibrated testbed configuration (Table 1).
+//! - [`core`] — DPC itself: the host-side fs-adapter and the DPU runtime
+//!   with its IO-dispatch. (The calibrated Table 1 testbed constants of
+//!   the figures' virtual-time model live in the `dpc-bench` crate.)
 //! - [`nvmefs`] — the paper's nvme-fs protocol (bidirectional vendor SQE,
 //!   multi-queue, 4-DMA writes) and [`virtiofs`] — the DPFS/virtio-fs
 //!   baseline it replaces (11-DMA writes, single queue).
@@ -15,9 +16,10 @@
 //! - [`kvfs`] — the KV-backed standalone file system (inode / attribute /
 //!   small-file / big-file KVs) over [`kvstore`], the disaggregated KV
 //!   store substrate.
-//! - [`dfs`] — metadata + data servers and the three client flavours the
-//!   evaluation compares (standard, optimized, DPC-offloaded), with
-//!   [`ec`] providing Reed–Solomon erasure coding.
+//! - [`dfs`] — metadata + data servers and the two client types the
+//!   evaluation compares: the standard client and the optimized
+//!   `ClientCore`, which a DPC instance runs on the DPU (one per
+//!   instance), with [`ec`] providing Reed–Solomon erasure coding.
 //! - [`ext4sim`] — the local-file-system baseline on [`ssd`].
 //! - [`sim`], [`pcie`], [`net`] — the discrete-event engine and hardware
 //!   models standing in for the paper's testbed.

@@ -3,7 +3,9 @@
 //! offloaded DFS client (metadata view, client-side EC, direct I/O) →
 //! MDS cluster + EC-striped data servers.
 
-use dpc::core::{Dpc, DpcConfig};
+use std::sync::mpsc;
+
+use dpc::core::{Dpc, DpcConfig, DpcFs};
 use dpc::dfs::DfsConfig;
 
 fn dfs_dpc() -> Dpc {
@@ -147,4 +149,139 @@ fn dfs_oversize_and_overflowing_blocks_are_einval_not_a_dead_dpu() {
     let last = (1u64 << 51) - 2;
     assert_eq!(fs.dfs_write_block(ino, last, &block).unwrap(), 8192);
     assert_eq!(fs.dfs_read_block(ino, last).unwrap(), block);
+}
+
+// ---------------------------------------------------------------------
+// One DPU is one DFS client, whichever queue serves the request
+// ---------------------------------------------------------------------
+
+/// A job for a [`Lane`]'s thread: runs with that thread's adapter.
+type Job = Box<dyn FnOnce(&DpcFs) + Send>;
+
+/// A host thread whose calls all cross on one nvme-fs queue (the pool
+/// picks a thread's queue by its thread id), running the jobs it is sent.
+struct Lane {
+    queue: usize,
+    jobs: mpsc::Sender<Job>,
+}
+
+impl Lane {
+    /// Run `f` on this lane's thread and hand back what it returns.
+    fn run<R: Send + 'static>(&self, f: impl FnOnce(&DpcFs) -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        let job: Job = Box::new(move |fs| tx.send(f(fs)).unwrap());
+        self.jobs.send(job).unwrap();
+        rx.recv().unwrap()
+    }
+}
+
+/// Run `body` with two host threads of `dpc` whose calls cross on two
+/// different queues.
+fn on_two_queues(dpc: &Dpc, body: impl FnOnce(&Lane, &Lane)) {
+    std::thread::scope(|s| {
+        let mut lanes: Vec<Lane> = Vec::new();
+        while lanes.len() < 64 && !lanes.iter().any(|l| l.queue != lanes[0].queue) {
+            let (queue_tx, queue_rx) = mpsc::channel();
+            let (jobs, inbox) = mpsc::channel::<Job>();
+            s.spawn(move || {
+                queue_tx.send(dpc.channel_pool().preferred_queue()).unwrap();
+                let fs = dpc.fs();
+                for job in inbox {
+                    job(&fs);
+                }
+            });
+            let queue = queue_rx.recv().unwrap();
+            lanes.push(Lane { queue, jobs });
+        }
+        let b = lanes.pop().unwrap();
+        let a = lanes.swap_remove(0);
+        assert_ne!(a.queue, b.queue, "64 threads, one queue");
+        drop(lanes);
+        body(&a, &b);
+    });
+}
+
+/// A DFS instance on the default config's two queues.
+fn two_queue_dfs() -> Dpc {
+    let dpc = dfs_dpc();
+    assert_eq!(dpc.queue_count(), 2);
+    dpc
+}
+
+fn pattern(seed: u8) -> Vec<u8> {
+    (0..8192u32).map(|i| (i as u8).wrapping_mul(seed)).collect()
+}
+
+#[test]
+fn a_restore_owed_on_one_queue_is_read_on_the_other() {
+    let dpc = two_queue_dfs();
+    let backend = dpc.dfs_backend().unwrap().clone();
+    on_two_queues(&dpc, |a, b| {
+        let ino = a.run(|fs| {
+            let ino = fs.dfs_create(0, "restore").unwrap();
+            fs.dfs_write_block(ino, 0, &pattern(3)).unwrap();
+            ino
+        });
+        // Block 0's server refuses the overwrite: the client rebuilds the
+        // old block from the stripe, lands the parity deltas and owes the
+        // server a restore of the new bytes.
+        let server = backend.data_server(backend.placement(ino, 0)[0]);
+        server.set_failed(true);
+        a.run(move |fs| fs.dfs_write_block(ino, 0, &pattern(5)).unwrap());
+        // Back up, still holding the old block: only the owed restore
+        // knows the new one.
+        server.restart();
+        let back = b.run(move |fs| fs.dfs_read_block(ino, 0).unwrap());
+        assert!(back == pattern(5), "read the block the overwrite replaced");
+    });
+}
+
+#[test]
+fn a_getattr_on_one_queue_sees_growth_written_on_the_other() {
+    let dpc = two_queue_dfs();
+    on_two_queues(&dpc, |a, b| {
+        let ino = a.run(|fs| {
+            let ino = fs.dfs_create(0, "grow").unwrap();
+            for block in 0..3 {
+                fs.dfs_write_block(ino, block, &pattern(7)).unwrap();
+            }
+            ino
+        });
+        let size = b.run(move |fs| fs.dfs_getattr(ino).unwrap().size);
+        assert_eq!(size, 3 * 8192);
+    });
+}
+
+#[test]
+fn a_sync_on_one_queue_settles_sizes_written_on_the_other() {
+    let dpc = two_queue_dfs();
+    let backend = dpc.dfs_backend().unwrap().clone();
+    on_two_queues(&dpc, |a, b| {
+        let ino = b.run(|fs| {
+            let ino = fs.dfs_create(0, "settle").unwrap();
+            for block in 0..3 {
+                fs.dfs_write_block(ino, block, &pattern(9)).unwrap();
+            }
+            ino
+        });
+        let home = backend.home_mds_of_ino(ino);
+        assert_eq!(backend.mds_getattr(home, ino).unwrap().size, 0, "lazy");
+        a.run(|fs| fs.dfs_sync().unwrap());
+        assert_eq!(backend.mds_getattr(home, ino).unwrap().size, 3 * 8192);
+    });
+}
+
+#[test]
+fn getattrs_from_two_queues_never_recall_the_dpus_own_delegation() {
+    let dpc = two_queue_dfs();
+    let backend = dpc.dfs_backend().unwrap().clone();
+    on_two_queues(&dpc, |a, b| {
+        let ino = a.run(|fs| fs.dfs_create(0, "shared").unwrap());
+        for _ in 0..4 {
+            for lane in [a, b] {
+                assert_eq!(lane.run(move |fs| fs.dfs_getattr(ino).unwrap().ino), ino);
+            }
+        }
+        assert_eq!(backend.total_recalls(), 0);
+    });
 }

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig, IoMode};
-use dpc::dfs::{DfsBackend, DfsConfig, DfsError, DpcClient, FsClient, DFS_BLOCK};
+use dpc::dfs::{ClientCore, DfsBackend, DfsConfig, DfsError, DFS_BLOCK};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -402,7 +402,7 @@ proptest! {
             for b in a..n {
                 let backend = DfsBackend::new(cfg);
                 backend.enable_recovery();
-                let mut client = DpcClient::new(backend.clone(), 1);
+                let mut client = ClientCore::new(backend.clone(), 1);
                 let (attr, _) = client.create(0, "p.bin").map_err(|e| format!("{e:?}"))?;
                 let ino = attr.ino;
                 let mut blocks = Vec::new();
@@ -464,7 +464,7 @@ proptest! {
         let backend = DfsBackend::new(DfsConfig::default());
         backend.set_fault_plan(&plan);
         plan.arm("mds.rpc", FaultSpec::probability(0.3));
-        let mut client = DpcClient::new(backend.clone(), 7);
+        let mut client = ClientCore::new(backend.clone(), 7);
         for i in 0..16u32 {
             let name = format!("m{i}");
             let (attr, _) = client.create(0, &name).map_err(|e| format!("{e:?}"))?;
@@ -504,7 +504,7 @@ fn transient_errors_are_typed_not_panics() {
     // A permanently-down MDS fabric exhausts the bounded retries and
     // surfaces the typed transient error (never a panic, never a hang).
     plan.arm("mds.rpc", FaultSpec::always());
-    let mut client = DpcClient::new(backend, 3);
+    let mut client = ClientCore::new(backend, 3);
     let err = client.create(0, "never").unwrap_err();
     assert_eq!(err, DfsError::Transient);
 }
