@@ -38,6 +38,8 @@ const FSYNC_PASSES: u32 = 4;
 /// through the pass: the host re-sends it (the writer may be waiting on
 /// this very service thread, so it is never waited for here).
 const EAGAIN: i32 = 11;
+const EINVAL: i32 = 22;
+const EOPNOTSUPP: i32 = 95;
 
 /// Map a KVFS attribute to the wire form.
 fn wire_attr(a: &dpc_kvfs::FileAttr) -> WireAttr {
@@ -253,7 +255,8 @@ pub struct Dispatcher {
     pub coalesce: bool,
     /// Fault site fired on every flush-to-KVFS attempt ("cache.flush").
     pub(crate) flush_fault: Option<Arc<FaultSite>>,
-    /// Recycled read-payload buffer for [`Dispatcher::handle_batch`].
+    /// Recycled payload buffer for [`Dispatcher::handle_batch`]'s replies
+    /// other than a `Read`'s: listings, walk trails, link targets.
     payload_scratch: Vec<u8>,
     /// Recycled buffer for the walk trail of the request being served.
     trail_scratch: Vec<u8>,
@@ -326,26 +329,113 @@ impl Dispatcher {
     /// Serve one request, leaving in `payload_out` exactly the read payload
     /// (if any), whatever the buffer held before — it is the caller's
     /// scratch, reused across requests, so a warm serve loop does no heap
-    /// allocation.
+    /// allocation. A `Read` is served into it in place: it is sized to the
+    /// read, only ever growing (zero-filling the growth, nothing else),
+    /// then cut to the bytes read. One longer than its `read_len` is
+    /// EINVAL, refused before the buffer is sized.
     pub fn handle_into(&mut self, inc: &FileIncoming, payload_out: &mut Vec<u8>) -> FileResponse {
+        if let FileRequest::Read { ino, offset, len } = inc.request {
+            let len = len as usize;
+            if len > inc.read_len as usize {
+                payload_out.clear();
+                return FileResponse::Err(EINVAL);
+            }
+            if payload_out.len() < len {
+                payload_out.resize(len, 0);
+            }
+            let dst = &mut payload_out[..len];
+            let (resp, n) = self.serve_read(inc.dispatch, ino, offset, dst);
+            payload_out.truncate(n);
+            self.noted(inc, &resp);
+            return resp;
+        }
         match inc.dispatch {
             DispatchType::Standalone => self.handle_kvfs(inc, payload_out),
             DispatchType::Distributed => self.handle_dfs(inc, payload_out),
         }
     }
 
-    /// Serve every request in `batch` and reply on `target`, reusing one
-    /// payload buffer across the whole batch. Returns the number served.
+    /// Serve every request in `batch` and reply on `target`. A `Read` is
+    /// served straight into the read half of its command's transport
+    /// buffer, its bytes written once on the DPU; one longer than that
+    /// half is refused before the backend is touched. Every other reply's
+    /// payload — a listing, a walk trail, a link target — goes through one
+    /// recycled buffer. Returns the number served.
     pub fn handle_batch(&mut self, batch: &FileIncomingBatch, target: &mut FileTarget) -> usize {
         let mut payload = std::mem::take(&mut self.payload_scratch);
         let mut served = 0usize;
         for inc in batch {
-            let resp = self.handle_into(inc, &mut payload);
-            target.reply(inc.slot, &resp, &payload);
+            if let FileRequest::Read { ino, offset, len } = inc.request {
+                let mut answered = None;
+                target.reply_with(inc.slot, |dst| {
+                    let dst = dst.get_mut(..len as usize)?;
+                    let (resp, n) = self.serve_read(inc.dispatch, ino, offset, dst);
+                    answered = Some(resp.clone());
+                    Some((resp, n))
+                });
+                if let Some(resp) = answered {
+                    self.noted(inc, &resp);
+                }
+            } else {
+                let resp = self.handle_into(inc, &mut payload);
+                target.reply(inc.slot, &resp, &payload);
+            }
             served += 1;
         }
         self.payload_scratch = payload;
         served
+    }
+
+    /// Serve a `Read` of `dst.len()` bytes at `offset` into `dst`: the
+    /// reply, and the payload bytes written at the front of `dst`. Each
+    /// dispatch type's one `Read` arm. It may run under the data pool's
+    /// write guard, so it takes only the backend's own locks.
+    fn serve_read(
+        &self,
+        dispatch: DispatchType,
+        ino: u64,
+        offset: u64,
+        dst: &mut [u8],
+    ) -> (FileResponse, usize) {
+        let read = match dispatch {
+            // `Kvfs::read` writes every byte of the `n` it reports — one
+            // KV sub-read for every block of the range, each straight into
+            // place — and nothing past it.
+            DispatchType::Standalone => self.kvfs.read(ino, offset, dst).map_err(fs_err),
+            DispatchType::Distributed => self.read_dfs(ino, offset, dst),
+        };
+        match read {
+            Ok(n) => (FileResponse::Bytes(n as u32), n),
+            Err(resp) => (resp, 0),
+        }
+    }
+
+    /// The offloaded DFS client's read: one block, shards landing in
+    /// `dst` itself; a short `dst` clips it.
+    fn read_dfs(&self, ino: u64, offset: u64, dst: &mut [u8]) -> Result<usize, FileResponse> {
+        let Some(dfs) = &self.dfs else {
+            return Err(FileResponse::Err(EOPNOTSUPP));
+        };
+        if !offset.is_multiple_of(DFS_BLOCK as u64) {
+            return Err(FileResponse::Err(EINVAL));
+        }
+        let block = offset / DFS_BLOCK as u64;
+        match dfs.lock().read_block_to(ino, block, dst) {
+            Ok((n, _)) => Ok(n),
+            Err(e) => Err(dfs_err(e)),
+        }
+    }
+
+    /// A KVFS read that succeeded feeds the readahead state — after its
+    /// reply is out, outside the data pool's guard.
+    fn noted(&self, inc: &FileIncoming, resp: &FileResponse) {
+        if let (DispatchType::Standalone, FileRequest::Read { ino, offset, len }) =
+            (inc.dispatch, &inc.request)
+        {
+            if matches!(resp, FileResponse::Bytes(_)) {
+                self.note_read(*ino, *offset, *len);
+            }
+        }
     }
 
     /// One foreground flush of the hybrid cache's dirty pages into KVFS,
@@ -367,13 +457,8 @@ impl Dispatcher {
     }
 
     fn handle_kvfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
-        // Every arm appends to an empty buffer, except `Read`, which
-        // overwrites the old contents in place and cuts the buffer to its
-        // reply: clearing first would make it zero-fill the whole length
-        // again, only to overwrite it.
-        if !matches!(inc.request, FileRequest::Read { .. }) {
-            out.clear();
-        }
+        // Every arm appends to an empty buffer.
+        out.clear();
         let mut trail = std::mem::take(&mut self.trail_scratch);
         trail.clear();
         let resp = self.serve_kvfs(inc, out, &mut trail);
@@ -438,29 +523,7 @@ impl Dispatcher {
                     .and_then(|(dir, leaf)| kvfs.mkdir_in(dir, leaf, *mode))
                     .map(FileResponse::Ino),
             ),
-            FileRequest::Read { ino, offset, len } => {
-                // `out` still holds the last reply. It only ever grows
-                // (zero-filling the growth, nothing else): `Kvfs::read`
-                // writes every byte of the `n` it reports — one KV
-                // sub-read per 8 KiB block, straight into place, for a
-                // lone page and a whole miss run alike — and the buffer is
-                // cut to `n`, so no stale byte is ever part of a reply.
-                let len = *len as usize;
-                if out.len() < len {
-                    out.resize(len, 0);
-                }
-                match kvfs.read(*ino, *offset, &mut out[..len]) {
-                    Ok(n) => {
-                        out.truncate(n);
-                        self.note_read(*ino, *offset, len as u32);
-                        FileResponse::Bytes(n as u32)
-                    }
-                    Err(e) => {
-                        out.clear();
-                        fs_err(e)
-                    }
-                }
-            }
+            FileRequest::Read { .. } => unreachable!("a read is served by `serve_read`"),
             FileRequest::ReadaheadHint { ino, lpn } => {
                 // The host's demand read consumed a marker page: plan the
                 // next window while the stream still has this one to
@@ -621,7 +684,7 @@ impl Dispatcher {
     fn handle_dfs(&mut self, inc: &FileIncoming, out: &mut Vec<u8>) -> FileResponse {
         out.clear();
         let Some(dfs) = &self.dfs else {
-            return FileResponse::Err(95 /* EOPNOTSUPP */);
+            return FileResponse::Err(EOPNOTSUPP);
         };
         let mut dfs = dfs.lock();
         match &inc.request {
@@ -649,7 +712,7 @@ impl Dispatcher {
                     // The DFS data path is block-granular; an unaligned
                     // offset or an oversize payload is a caller error the
                     // host must not be able to turn into a DPU panic.
-                    return FileResponse::Err(22 /* EINVAL */);
+                    return FileResponse::Err(EINVAL);
                 }
                 let block = offset / DFS_BLOCK as u64;
                 match dfs.write_block(*ino, block, &inc.payload) {
@@ -657,28 +720,12 @@ impl Dispatcher {
                     Err(e) => dfs_err(e),
                 }
             }
-            FileRequest::Read { ino, offset, len } => {
-                if *offset % DFS_BLOCK as u64 != 0 {
-                    return FileResponse::Err(22 /* EINVAL */);
-                }
-                let block = offset / DFS_BLOCK as u64;
-                // Shards land in the reply buffer itself.
-                match dfs.read_block_into(*ino, block, out) {
-                    Ok(_) => {
-                        out.truncate(*len as usize);
-                        FileResponse::Bytes(out.len() as u32)
-                    }
-                    Err(e) => {
-                        out.clear();
-                        dfs_err(e)
-                    }
-                }
-            }
             FileRequest::Fsync { .. } => match dfs.sync_meta() {
                 Ok(_) => FileResponse::Ok,
                 Err(e) => dfs_err(e),
             },
-            _ => FileResponse::Err(95 /* EOPNOTSUPP */),
+            // A `Read` is served by `serve_read`.
+            _ => FileResponse::Err(EOPNOTSUPP),
         }
     }
 }

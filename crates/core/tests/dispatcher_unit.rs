@@ -1,6 +1,7 @@
 //! Direct unit tests of the DPU IO-dispatch (no runtime threads): every
 //! request type, both dispatch targets, and the error mapping.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use dpc_cache::{CacheConfig, ControlPlane, HybridCache};
@@ -11,9 +12,9 @@ use dpc_kvstore::KvStore;
 use dpc_nvmefs::{
     create_fabric, decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileIncoming,
     FileIncomingBatch, FileRequest, FileResponse, FileTarget, Payload, QueuePairConfig, Sides,
-    Ticket, WireStep,
+    Ticket, WireStep, CQE_SIZE, SQE_SIZE,
 };
-use dpc_pcie::DmaEngine;
+use dpc_pcie::{DmaEngine, DMA_PAGE};
 
 fn incoming(dispatch: DispatchType, request: FileRequest, payload: Vec<u8>) -> FileIncoming {
     FileIncoming {
@@ -26,6 +27,11 @@ fn incoming(dispatch: DispatchType, request: FileRequest, payload: Vec<u8>) -> F
 }
 
 fn dispatcher(dfs: bool) -> (Dispatcher, Arc<Kvfs>) {
+    dispatcher_over(dfs.then(|| DfsBackend::new(DfsConfig::default())))
+}
+
+/// A dispatcher whose DFS client, if any, talks to `dfs`.
+fn dispatcher_over(dfs: Option<Arc<DfsBackend>>) -> (Dispatcher, Arc<Kvfs>) {
     let kvfs = Arc::new(Kvfs::new(Arc::new(KvStore::new())));
     let cache = Arc::new(HybridCache::new(CacheConfig {
         pages: 64,
@@ -34,11 +40,7 @@ fn dispatcher(dfs: bool) -> (Dispatcher, Arc<Kvfs>) {
         meta_lockfree: true,
     }));
     let control = ControlPlane::new(cache, DmaEngine::new());
-    let dfs_core = if dfs {
-        Some(ClientCore::new(DfsBackend::new(DfsConfig::default()), 1))
-    } else {
-        None
-    };
+    let dfs_core = dfs.map(|backend| ClientCore::new(backend, 1));
     (Dispatcher::new(kvfs.clone(), control, dfs_core), kvfs)
 }
 
@@ -212,6 +214,29 @@ fn round_trip(
     write: &[u8],
     read_len: u32,
 ) -> (FileResponse, Vec<u8>) {
+    round_trip_by(
+        pool,
+        tgt,
+        dispatch,
+        request,
+        write,
+        read_len,
+        |batch, tgt| {
+            assert_eq!(d.handle_batch(batch, tgt), 1);
+        },
+    )
+}
+
+/// [`round_trip`], the polled batch served by `serve`.
+fn round_trip_by(
+    pool: &ChannelPool,
+    tgt: &mut FileTarget,
+    dispatch: DispatchType,
+    request: FileRequest,
+    write: &[u8],
+    read_len: u32,
+    serve: impl FnOnce(&FileIncomingBatch, &mut FileTarget),
+) -> (FileResponse, Vec<u8>) {
     let sides = Sides {
         dispatch,
         write: Payload::Flat(write),
@@ -222,7 +247,7 @@ fn round_trip(
     assert_eq!(pool.stage(0, &sides, one, &mut ticket), 1);
     let mut batch = FileIncomingBatch::new();
     assert_eq!(tgt.poll_many(&mut batch), 1);
-    assert_eq!(d.handle_batch(&batch, tgt), 1);
+    serve(&batch, tgt);
     pool.wait(ticket[0], &sides, &request, |resp, reply| {
         (resp, reply.to_vec())
     })
@@ -1261,5 +1286,238 @@ fn every_reply_fits_what_its_request_declared() {
         // `ReadaheadHint` has no errno of its own on KVFS; the
         // distributed dispatcher's EOPNOTSUPP covers it.
         assert!(err, "variant {variant} never replied an errno");
+    }
+}
+
+/// A 1-block DFS file whose block 1 is `block`; its ino.
+fn dfs_file(d: &mut Dispatcher, name: &str, block: &[u8]) -> u64 {
+    let dist = DispatchType::Distributed;
+    let create = FileRequest::Create {
+        parent: 0,
+        name: name.into(),
+        mode: 0o644,
+    };
+    let ino = ino_of(d.handle(&incoming(dist, create, vec![])).0);
+    let len = block.len() as u32;
+    let write = FileRequest::Write {
+        ino,
+        offset: 8192,
+        len,
+    };
+    let (resp, _) = d.handle(&incoming(dist, write, block.to_vec()));
+    assert_eq!(resp, FileResponse::Bytes(len));
+    ino
+}
+
+#[test]
+fn a_read_served_in_place_equals_the_scratch_serve() {
+    // `handle_batch` serves a `Read` straight into the command's transport
+    // buffer. Served instead the way every reply was before — into the
+    // dispatcher's own buffer by `handle_into`, then copied in by
+    // `FileTarget::reply` — each case must give the host the same reply,
+    // the same bytes, and cost the link the same DMAs: the SQE, one per
+    // 4 KiB page of payload, the CQE.
+    let (mut d, kvfs) = dispatcher(true);
+    let dma = DmaEngine::new();
+    let (chans, mut tgts) = create_fabric(
+        1,
+        QueuePairConfig {
+            depth: 2, // one transport buffer, reused by every command
+            max_io_bytes: 256 * 1024,
+        },
+        &dma,
+    );
+    let (pool, mut tgt) = (ChannelPool::new(chans), tgts.pop().unwrap());
+
+    const K128: usize = 128 * 1024;
+    let pattern = |len: usize| (0..len).map(|i| (i % 251) as u8 + 1).collect::<Vec<u8>>();
+    let big = kvfs.create("/big", 0o644).unwrap();
+    kvfs.write(big, 0, &pattern(K128)).unwrap();
+    kvfs.write(big, 400_000, b"!").unwrap(); // a hole between
+    let tail = kvfs.create("/tail", 0o644).unwrap();
+    kvfs.write(tail, 0, &pattern(8192 + 1000)).unwrap();
+    let small = kvfs.create("/small", 0o644).unwrap();
+    kvfs.write(small, 0, b"tiny file").unwrap();
+    let dir = kvfs.mkdir("/dir", 0o755).unwrap();
+    let block: Vec<u8> = (0..8192u32).map(|i| (i * 7 % 253) as u8).collect();
+    let blk = dfs_file(&mut d, "blk", &block);
+
+    let (sa, dist) = (DispatchType::Standalone, DispatchType::Distributed);
+    let cases = [
+        (
+            "a hole",
+            sa,
+            big,
+            200_000,
+            20_000,
+            FileResponse::Bytes(20_000),
+            vec![0; 20_000],
+        ),
+        (
+            "a short tail",
+            sa,
+            tail,
+            8192,
+            8192,
+            FileResponse::Bytes(1000),
+            pattern(9192)[8192..].to_vec(),
+        ),
+        (
+            "a read past EOF",
+            sa,
+            big,
+            400_001,
+            4096,
+            FileResponse::Bytes(0),
+            vec![],
+        ),
+        (
+            "a Small file",
+            sa,
+            small,
+            0,
+            4096,
+            FileResponse::Bytes(9),
+            b"tiny file".to_vec(),
+        ),
+        (
+            "a 128 KiB run",
+            sa,
+            big,
+            0,
+            K128,
+            FileResponse::Bytes(K128 as u32),
+            pattern(K128),
+        ),
+        (
+            "a DFS block",
+            dist,
+            blk,
+            8192,
+            8192,
+            FileResponse::Bytes(8192),
+            block.clone(),
+        ),
+        (
+            "a directory",
+            sa,
+            dir,
+            0,
+            4096,
+            FileResponse::Err(21 /* EISDIR */),
+            vec![],
+        ),
+    ];
+    // The dispatcher's buffer, reused dirty across cases.
+    let mut scratch = vec![0xCD; K128];
+    for (what, dispatch, ino, offset, len, resp, bytes) in cases {
+        let len = len as u32;
+        let read = FileRequest::Read { ino, offset, len };
+        let before = dma.snapshot();
+        let in_place = round_trip(&pool, &mut tgt, &mut d, dispatch, read.clone(), b"", len);
+        let in_place_dmas = dma.snapshot().since(&before);
+        let before = dma.snapshot();
+        let copied_in = round_trip_by(&pool, &mut tgt, dispatch, read, b"", len, |batch, tgt| {
+            for inc in batch {
+                let resp = d.handle_into(inc, &mut scratch);
+                tgt.reply(inc.slot, &resp, &scratch);
+            }
+        });
+        let copied_in_dmas = dma.snapshot().since(&before);
+        assert_eq!(in_place, (resp, bytes), "{what}");
+        assert_eq!(copied_in, in_place, "{what}");
+        assert_eq!(copied_in_dmas, in_place_dmas, "{what}");
+        let n = in_place.1.len();
+        assert_eq!(
+            (in_place_dmas.dma_ops, in_place_dmas.dma_bytes),
+            (
+                2 + n.div_ceil(DMA_PAGE) as u64,
+                (SQE_SIZE + n + CQE_SIZE) as u64
+            ),
+            "{what}"
+        );
+    }
+    assert_eq!(pool.stats().rejected_sqes, 0);
+}
+
+#[test]
+fn a_read_longer_than_its_read_side_is_refused_before_the_backend() {
+    // A `Read` asking for more than the `read_len` its command declared
+    // used to be sized first: its scratch buffer zero-filled to `len`
+    // bytes (and kept at that capacity), the backend read, and only then
+    // the reply cut to the file — `Bytes(8192)` for an 8 KiB file. Now it
+    // is refused first: `InvalidCommand` through the target, EINVAL
+    // through `handle_into`, no byte sized, the backend untouched.
+    let backend = DfsBackend::new(DfsConfig::default());
+    let (mut d, kvfs) = dispatcher_over(Some(backend.clone()));
+    let (chans, mut tgts) = create_fabric(
+        1,
+        QueuePairConfig {
+            depth: 2,
+            max_io_bytes: 64 * 1024,
+        },
+        &DmaEngine::new(),
+    );
+    let (pool, mut tgt) = (ChannelPool::new(chans), tgts.pop().unwrap());
+    const SIDE: u32 = 8192;
+    let file = kvfs.create("/f", 0o644).unwrap();
+    kvfs.write(file, 0, &[3u8; SIDE as usize]).unwrap();
+    let blk = dfs_file(&mut d, "blk", &[4u8; SIDE as usize]);
+    let ds_rpcs = || -> u64 {
+        (0..backend.data_server_count())
+            .map(|i| backend.data_server(i).rpcs.load(Ordering::Relaxed))
+            .sum()
+    };
+    let (sa, dist) = (DispatchType::Standalone, DispatchType::Distributed);
+    for (dispatch, ino, offset) in [(sa, file, 0), (dist, blk, 8192)] {
+        for len in [SIDE + 1, 1 << 26] {
+            let read = FileRequest::Read { ino, offset, len };
+            let (kv, ds) = (kvfs.store().stats(), ds_rpcs());
+            let rejected = pool.stats().rejected_sqes;
+            let (resp, payload) =
+                round_trip(&pool, &mut tgt, &mut d, dispatch, read.clone(), b"", SIDE);
+            assert_eq!((resp, payload.len()), (FileResponse::Err(22), 0), "{len}");
+            assert_eq!(pool.stats().rejected_sqes, rejected + 1, "{len}");
+            let inc = FileIncoming {
+                dispatch,
+                request: read,
+                read_len: SIDE,
+                ..FileIncoming::default()
+            };
+            let mut out = Vec::new();
+            assert_eq!(
+                d.handle_into(&inc, &mut out),
+                FileResponse::Err(22),
+                "{len}"
+            );
+            assert_eq!(
+                (out.len(), out.capacity()),
+                (0, 0),
+                "{len}: sized before refused"
+            );
+            let now = kvfs.store().stats();
+            assert_eq!(now.sub_reads, kv.sub_reads, "{len}: the store was read");
+            assert_eq!(now, kv, "{len}");
+            assert_eq!(ds_rpcs(), ds, "{len}: a data server was asked");
+        }
+        // One that fits its side is served, by both.
+        let read = FileRequest::Read {
+            ino,
+            offset,
+            len: SIDE,
+        };
+        let (resp, payload) =
+            round_trip(&pool, &mut tgt, &mut d, dispatch, read.clone(), b"", SIDE);
+        assert_eq!(
+            (resp, payload.len()),
+            (FileResponse::Bytes(SIDE), SIDE as usize)
+        );
+        let (resp, again) = d.handle(&FileIncoming {
+            dispatch,
+            request: read,
+            read_len: SIDE,
+            ..FileIncoming::default()
+        });
+        assert_eq!((resp, again), (FileResponse::Bytes(SIDE), payload));
     }
 }

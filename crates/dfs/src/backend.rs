@@ -325,18 +325,26 @@ impl DataServer {
         Ok(())
     }
 
-    /// Read a cell by appending it to `out` — the payload's one copy on a
-    /// healthy read, made under the read lock right after its checksum
-    /// verified. `Ok(false)` (and `out` untouched): never written.
+    /// Read a cell by appending it to `out`. `Ok(false)` (and `out`
+    /// untouched): never written.
     pub fn get(&self, cell: Cell, out: &mut Vec<u8>) -> Result<bool, Refusal> {
+        Ok(self
+            .get_with(cell, |data| out.extend_from_slice(data))?
+            .is_some())
+    }
+
+    /// Read a cell by handing its stored bytes to `copy` — the payload's
+    /// one copy on a healthy read, made under the read lock right after
+    /// its checksum verified. `Ok(None)` (and `copy` never called): never
+    /// written.
+    fn get_with<R>(&self, cell: Cell, copy: impl FnOnce(&[u8]) -> R) -> Result<Option<R>, Refusal> {
         self.serve()?;
         let cells = self.cells.read();
         let Some(stored) = cells.get(&cell) else {
-            return Ok(false);
+            return Ok(None);
         };
         self.check(stored)?;
-        out.extend_from_slice(&stored.data);
-        Ok(true)
+        Ok(Some(copy(&stored.data)))
     }
 
     /// Replace a block and hand back its predecessor: `buf` holds the new
@@ -986,28 +994,35 @@ impl DfsBackend {
         res
     }
 
-    /// Read block `block` of `ino` into `out` (cleared first) — the one
-    /// stripe read of every client. Healthy, it is one RPC to the block's
-    /// server and one copy, from its store into `out`, allocating nothing
-    /// once `out` holds a block's capacity. A block `io` owes a restore is
-    /// served from the queued bytes: its server's are stale. A block its
-    /// server refuses, lost or found rotten is reconstructed from `k`
-    /// other cells of the stripe (at most `k + 1` RPCs in all), and a lost
-    /// or rotten one is read-repaired.
+    /// Read block `block` of `ino` into the front of `out` — the one
+    /// stripe read of every client — and return how many bytes it wrote:
+    /// the block's length, or `out`'s if that is shorter. Healthy, it is
+    /// one RPC to the block's server and one copy, from its store into
+    /// `out`, allocating nothing. A block `io` owes a restore is served
+    /// from the queued bytes: its server's are stale. A block its server
+    /// refuses, lost or found rotten is reconstructed from `k` other cells
+    /// of the stripe (at most `k + 1` RPCs in all), copied into `out`, and
+    /// a lost or rotten one is read-repaired. On an error nothing is
+    /// written.
     pub(crate) fn stripe_read(
         &self,
         ino: u64,
         block: u64,
-        out: &mut Vec<u8>,
+        out: &mut [u8],
         io: &mut StripeIo,
-    ) -> Result<OpTrace, DfsError> {
-        out.clear();
+    ) -> Result<(usize, OpTrace), DfsError> {
+        let copy = |out: &mut [u8], data: &[u8]| {
+            let n = data.len().min(out.len());
+            out[..n].copy_from_slice(&data[..n]);
+            n
+        };
         if let Some(owed) = io.restore_of(ino, block) {
-            out.extend_from_slice(owed);
-            return Ok(OpTrace {
-                bytes_in: out.len() as u64,
+            let n = copy(out, owed);
+            let trace = OpTrace {
+                bytes_in: n as u64,
                 ..Default::default()
-            });
+            };
+            return Ok((n, trace));
         }
         let k = self.cfg.ec_k as u64;
         let server = self.placement(ino, block)[(block % k) as usize];
@@ -1016,9 +1031,9 @@ impl DfsBackend {
             ds_rpcs: 1,
             ..Default::default()
         };
-        match self.ds_call(server, |ds| ds.get(cell, out)) {
-            Ok(true) => {}
-            Ok(false) => return Err(DfsError::NotFound),
+        let n = match self.ds_call(server, |ds| ds.get_with(cell, |data| copy(out, data))) {
+            Ok(Some(n)) => n,
+            Ok(None) => return Err(DfsError::NotFound),
             Err(refusal) => {
                 let coded = self.reconstruct(ino, block, io, &mut trace.ds_rpcs)?;
                 let data = block_of(&coded)?.ok_or(DfsError::NotFound)?;
@@ -1029,11 +1044,11 @@ impl DfsBackend {
                 {
                     self.recovery.repairs.fetch_add(1, Ordering::Relaxed);
                 }
-                out.extend_from_slice(data);
+                copy(out, data)
             }
-        }
-        trace.bytes_in = out.len() as u64;
-        Ok(trace)
+        };
+        trace.bytes_in = n as u64;
+        Ok((n, trace))
     }
 
     /// Rebuild block `block`'s coded cell from the first `k` other cells
@@ -1331,13 +1346,14 @@ impl DfsBackend {
         // Consolidate: one read-modify-write per touched block.
         let consolidated = blocks.len();
         let mut io = self.mds_io.lock();
-        let mut buf = Vec::with_capacity(DFS_BLOCK);
+        let mut buf = vec![0; DFS_BLOCK];
         for (block, writes) in blocks {
+            // The old block, zero-padded to a whole one.
+            buf.fill(0);
             match self.stripe_read(ino, block, &mut buf, &mut io) {
                 Ok(_) | Err(DfsError::NotFound) => {}
                 Err(e) => return Err(e),
             }
-            buf.resize(DFS_BLOCK, 0);
             let mut end = 0;
             for (in_block, data) in writes {
                 buf[in_block..in_block + data.len()].copy_from_slice(data);
@@ -1365,8 +1381,9 @@ impl DfsBackend {
     /// One block as the MDS proxy path reads it: the stripe read, with
     /// the repairs the MDS owes.
     pub fn gather_block(&self, ino: u64, block: u64) -> Result<Vec<u8>, DfsError> {
-        let mut out = Vec::with_capacity(DFS_BLOCK);
-        self.stripe_read(ino, block, &mut out, &mut self.mds_io.lock())?;
+        let mut out = vec![0; DFS_BLOCK];
+        let (n, _) = self.stripe_read(ino, block, &mut out, &mut self.mds_io.lock())?;
+        out.truncate(n);
         Ok(out)
     }
 

@@ -354,22 +354,39 @@ impl ClientCore {
     }
 
     pub fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        let mut out = Vec::with_capacity(DFS_BLOCK);
+        let mut out = Vec::new();
         let trace = self.read_block_into(ino, block, &mut out)?;
         Ok((out, trace))
     }
 
-    /// Read one block into `out` (cleared first): one data-server RPC
-    /// when healthy, copied once from the server's store into `out`
-    /// (`DfsBackend::stripe_read`); a block this client owes a restore
-    /// is served from the queued bytes.
+    /// Read one block into `out`, which ends up holding exactly it (empty
+    /// on an error): [`read_block_to`](Self::read_block_to) into `out`
+    /// sized to a whole block, which reuses its capacity.
     pub fn read_block_into(
         &mut self,
         ino: u64,
         block: u64,
         out: &mut Vec<u8>,
     ) -> Result<OpTrace, DfsError> {
-        self.backend.stripe_read(ino, block, out, &mut self.io)
+        out.resize(DFS_BLOCK, 0);
+        let read = self.read_block_to(ino, block, out);
+        out.truncate(read.map_or(0, |(n, _)| n));
+        read.map(|(_, trace)| trace)
+    }
+
+    /// Read one block into the front of `dst` and return how many bytes
+    /// that is — the block's length, or `dst`'s if shorter: one
+    /// data-server RPC when healthy, copied once from the server's store
+    /// into `dst` (`DfsBackend::stripe_read`); a block this client owes a
+    /// restore is served from the queued bytes, a degraded one is
+    /// reconstructed and copied in.
+    pub fn read_block_to(
+        &mut self,
+        ino: u64,
+        block: u64,
+        dst: &mut [u8],
+    ) -> Result<(usize, OpTrace), DfsError> {
+        self.backend.stripe_read(ino, block, dst, &mut self.io)
     }
 
     pub fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {

@@ -314,8 +314,6 @@ struct TargetFaults {
 /// DPU-side file target: one nvme-fs queue pair's server half.
 pub struct FileTarget {
     tgt: Target,
-    /// Reply header scratch, reused.
-    hdr_buf: Vec<u8>,
     faults: Option<TargetFaults>,
     /// Requests withheld by the defer site: (release tick, request).
     deferred: Vec<(u64, FileIncoming)>,
@@ -326,7 +324,6 @@ impl FileTarget {
     pub fn new(tgt: Target) -> FileTarget {
         FileTarget {
             tgt,
-            hdr_buf: Vec::with_capacity(64),
             faults: None,
             deferred: Vec::new(),
             tick: 0,
@@ -361,7 +358,7 @@ impl FileTarget {
         }
         if faults.error.fires() {
             self.tgt
-                .complete(inc.slot, CqeStatus::TransportError, b"", b"");
+                .complete_copy(inc.slot, CqeStatus::TransportError, b"", b"");
         } else if let Some(delay) = faults.defer.check() {
             let inc = std::mem::take(&mut out.items[last]);
             self.deferred.push((self.tick + delay.max(1), inc));
@@ -420,15 +417,39 @@ impl FileTarget {
         out.len()
     }
 
-    /// Reply to a request [`poll_many`](Self::poll_many) handed out.
+    /// Reply to a request [`poll_many`](Self::poll_many) handed out, its
+    /// payload produced in place: `serve` is lent the read half of the
+    /// command's transport buffer — the `read_len` bytes the host declared
+    /// — and returns the response and how many payload bytes it wrote at
+    /// the front, or `None` to refuse the command (`InvalidCommand`, and a
+    /// `rejected_sqes`). It runs under the data pool's write guard, so it
+    /// must not wait on anything a host thread holds while it reads a
+    /// reply (DESIGN.md §17). The response header is encoded into the
+    /// target's reused header buffer.
+    pub fn reply_with(
+        &mut self,
+        slot: u16,
+        serve: impl FnOnce(&mut [u8]) -> Option<(FileResponse, usize)>,
+    ) {
+        self.tgt.complete(slot, |payload, header| {
+            let (response, n) = serve(payload)?;
+            response.encode(header);
+            let status = match response {
+                FileResponse::Err(_) => CqeStatus::FsError,
+                _ => CqeStatus::Success,
+            };
+            Some((status, n))
+        });
+    }
+
+    /// Reply to a request [`poll_many`](Self::poll_many) handed out, with
+    /// a payload produced beforehand: [`reply_with`](Self::reply_with),
+    /// copying `payload` in. Refused when it outgrows the read buffer.
     pub fn reply(&mut self, slot: u16, response: &FileResponse, payload: &[u8]) {
-        self.hdr_buf.clear();
-        response.encode(&mut self.hdr_buf);
-        let status = match response {
-            FileResponse::Err(_) => CqeStatus::FsError,
-            _ => CqeStatus::Success,
-        };
-        self.tgt.complete(slot, status, &self.hdr_buf, payload);
+        self.reply_with(slot, |dst| {
+            dst.get_mut(..payload.len())?.copy_from_slice(payload);
+            Some((response.clone(), payload.len()))
+        });
     }
 }
 

@@ -994,7 +994,7 @@ mod tests {
                         let header = &header[..hdr_len];
                         tgt.post_cqe(sqe.cid(), CqeStatus::Success, result, header);
                     }
-                    None => tgt.complete(sqe.cid(), CqeStatus::Success, &bytes, &[0x11; 64]),
+                    None => tgt.complete_copy(sqe.cid(), CqeStatus::Success, &bytes, &[0x11; 64]),
                 }
             }
         });

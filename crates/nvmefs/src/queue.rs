@@ -110,7 +110,7 @@ pub const SGL_LIST_CAP: usize = 256;
 pub const SGL_MAX_SEGMENTS: usize = SGL_LIST_CAP / 16 - 1;
 
 /// DMA granularity of a PRP range.
-const PAGE: usize = 4096;
+const PAGE: usize = dpc_pcie::DMA_PAGE;
 
 /// Queue pair configuration.
 #[derive(Copy, Clone, Debug)]
@@ -205,6 +205,7 @@ impl QueuePair {
                 cq_phase: true,
                 reply_bufs: vec![ReplyBuf::default(); depth as usize],
                 header: Vec::new(),
+                reply_header: Vec::with_capacity(READ_HEADER_CAP),
             },
         )
     }
@@ -697,6 +698,9 @@ pub struct Target {
     /// The request header of the command fetched last, wherever it
     /// travelled: reused for every command.
     header: Vec<u8>,
+    /// The response header of the command being completed: reused for
+    /// every command.
+    reply_header: Vec<u8>,
 }
 
 impl Target {
@@ -903,44 +907,82 @@ impl Target {
         })
     }
 
-    /// Complete a command: the response header rides the CQE when it
-    /// fits there, else it is DMA-written to the read buffer the SQE
-    /// named, as the read payload is; then ④ post the CQE. A reply that
-    /// fits neither the CQE nor the buffer the host described is not
-    /// written anywhere: the command completes with `InvalidCommand`
-    /// instead.
+    /// Complete a command, its reply produced in place: `fill` is lent the
+    /// payload area of the read buffer the SQE named — `Read_len` bytes,
+    /// none for a command that declared no read side — and the target's
+    /// one reply-header buffer, empty. It writes the payload at the front
+    /// of the one and the encoded response header into the other, and
+    /// returns the status and the payload's length, or `None` to refuse
+    /// the command. The payload is produced under the data pool's write
+    /// guard. The header then rides the CQE when it fits there, else it
+    /// is DMA-written to the header area of the read buffer; then ④ post
+    /// the CQE. A reply whose header fits neither the CQE nor the buffer
+    /// the host described is not delivered: the command completes with
+    /// `InvalidCommand` instead, as a refused one does.
     ///
-    /// DMA accounting: 1 op for a header longer than [`CQE_INLINE_CAP`],
-    /// `ceil(payload / 4096)` ops for payload, plus 1 for the CQE. An
-    /// acknowledgement — no payload, a short header or none — therefore
-    /// costs exactly one CQE DMA, which is what keeps an 8 KiB write at
-    /// the paper's 4 DMA operations.
-    pub(crate) fn complete(&mut self, slot: u16, status: CqeStatus, header: &[u8], payload: &[u8]) {
-        assert!(header.len() <= READ_HEADER_CAP, "response header too big");
+    /// DMA accounting: `ceil(payload / 4096)` ops for the payload, 1 for a
+    /// header longer than [`CQE_INLINE_CAP`], plus 1 for the CQE; a
+    /// refused reply, only the CQE. An acknowledgement — no payload, a
+    /// short header or none — therefore costs exactly one CQE DMA, which
+    /// is what keeps an 8 KiB write at the paper's 4 DMA operations.
+    pub(crate) fn complete(
+        &mut self,
+        slot: u16,
+        fill: impl FnOnce(&mut [u8], &mut Vec<u8>) -> Option<(CqeStatus, usize)>,
+    ) {
         let reply = self
             .reply_bufs
             .get(slot as usize)
             .copied()
             .unwrap_or_default();
-        let buffered = header.len() > CQE_INLINE_CAP;
-        if (buffered && header.len() > reply.header_cap) || payload.len() > reply.payload_cap {
-            self.reject(slot);
-            return;
+        let mut header = std::mem::take(&mut self.reply_header);
+        header.clear();
+        let mut done = None;
+        let n = self.dma.dma_write_in_place(
+            &self.shared.data_pool,
+            reply.offset + reply.header_cap,
+            reply.payload_cap,
+            |payload| {
+                let Some((status, n)) = fill(payload, &mut header) else {
+                    return 0;
+                };
+                assert!(header.len() <= READ_HEADER_CAP, "response header too big");
+                if header.len() > CQE_INLINE_CAP && header.len() > reply.header_cap {
+                    return 0;
+                }
+                done = Some(status);
+                n
+            },
+        );
+        match done {
+            Some(status) => {
+                // Response header (single DMA: it fits one page).
+                if header.len() > CQE_INLINE_CAP {
+                    self.dma
+                        .dma_write(&self.shared.data_pool, reply.offset, &header);
+                }
+                self.post_cqe(slot, status, n as u32, &header);
+            }
+            None => self.reject(slot),
         }
+        self.reply_header = header;
+    }
 
-        // Response header (single DMA: it fits one page).
-        if buffered {
-            self.dma
-                .dma_write(&self.shared.data_pool, reply.offset, header);
-        }
-
-        // Payload, page by page.
-        for (i, page) in payload.chunks(PAGE).enumerate() {
-            let at = reply.offset + reply.header_cap + i * PAGE;
-            self.dma.dma_write(&self.shared.data_pool, at, page);
-        }
-
-        self.post_cqe(slot, status, payload.len() as u32, header);
+    /// [`complete`](Self::complete) with a reply produced beforehand: its
+    /// header and payload copied in. Refused when the payload outgrows the
+    /// read buffer.
+    pub(crate) fn complete_copy(
+        &mut self,
+        slot: u16,
+        status: CqeStatus,
+        header: &[u8],
+        payload: &[u8],
+    ) {
+        self.complete(slot, |dst, hdr| {
+            dst.get_mut(..payload.len())?.copy_from_slice(payload);
+            hdr.extend_from_slice(header);
+            Some((status, payload.len()))
+        });
     }
 
     /// ④ post one CQE at the CQ tail (one DMA), `header` inside it when
@@ -1082,7 +1124,7 @@ mod tests {
     fn echo_one(tgt: &mut Target) {
         let inc = fetch(tgt).expect("request pending");
         let want = (inc.sqe.read_len() as usize).min(inc.payload.len());
-        tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload[..want]);
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &inc.payload[..want]);
     }
 
     #[test]
@@ -1108,7 +1150,7 @@ mod tests {
         submit(&mut ini, DispatchType::Standalone, b"", &[7u8; 8192], 0).unwrap();
         let inc = fetch(&mut tgt).unwrap();
         assert_eq!(inc.payload, [7u8; 8192]);
-        tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", b"");
         wait(&mut ini);
         let delta = dma.snapshot().since(&before);
         // SQE fetch (1) + two 4 KiB data pages (2) + CQE (1) = 4.
@@ -1125,7 +1167,7 @@ mod tests {
         let before = dma.snapshot();
         submit(&mut ini, DispatchType::Standalone, b"", b"", 8192).unwrap();
         let inc = fetch(&mut tgt).unwrap();
-        tgt.complete(inc.slot, CqeStatus::Success, b"", &[3u8; 8192]);
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &[3u8; 8192]);
         let c = wait(&mut ini);
         assert_eq!(c.payload, vec![3u8; 8192]);
         let delta = dma.snapshot().since(&before);
@@ -1142,7 +1184,7 @@ mod tests {
         assert_eq!(inc.sqe.dispatch(), DispatchType::Distributed);
         assert_eq!(inc.sqe.wh_len(), 4);
         assert_eq!(inc.sqe.write_len(), 7);
-        tgt.complete(inc.slot, CqeStatus::Success, b"RESP", b"ok");
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"RESP", b"ok");
         let c = wait(&mut ini);
         assert_eq!(c.header, b"RESP");
         assert_eq!(c.payload, b"ok");
@@ -1206,7 +1248,7 @@ mod tests {
                 if let Some(mut inc) = fetch(&mut tgt) {
                     // Reverse the payload as a nontrivial transform.
                     inc.payload.reverse();
-                    tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload);
+                    tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &inc.payload);
                     done += 1;
                 } else {
                     std::hint::spin_loop();
@@ -1305,7 +1347,7 @@ mod tests {
             (inc.header.as_slice(), &inc.payload[..]),
             (&b"HDR"[..], &page[..])
         );
-        tgt.complete(inc.slot, CqeStatus::Success, b"", &page[..4096 - 64]);
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &page[..4096 - 64]);
         assert_eq!(wait(&mut ini).payload, page[..4096 - 64]);
         let fifteen = [&page[..fill]; SGL_MAX_SEGMENTS];
         submit_sgl(&mut ini, DispatchType::Standalone, b"", &fifteen, 0).unwrap();
@@ -1335,7 +1377,7 @@ mod tests {
         assert_eq!(&inc.payload[1000..4000], &seg_b[..]);
         assert_eq!(&inc.payload[4000..], &seg_c[..]);
         assert_eq!(inc.sqe.psdt(), crate::sqe::Psdt::SglWrite);
-        tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", b"");
         let c = wait(&mut ini);
         assert_eq!(c.status, CqeStatus::Success);
     }
@@ -1359,7 +1401,7 @@ mod tests {
             .unwrap();
             let inc = fetch(&mut tgt).unwrap();
             assert_eq!(inc.header, header);
-            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            tgt.complete_copy(inc.slot, CqeStatus::Success, b"", b"");
             wait(&mut ini);
             let delta = dma.snapshot().since(&before);
             assert_eq!(delta.dma_ops, 1 + 1 + header_dmas + 3 + 1);
@@ -1395,7 +1437,7 @@ mod tests {
         assert!(inc.sqe.is_inline());
         assert_eq!(inc.header, hdr);
         assert!(inc.payload.is_empty());
-        tgt.complete(inc.slot, CqeStatus::Success, b"\x03\x00\x10\x00\x00", b"");
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"\x03\x00\x10\x00\x00", b"");
         let c = wait(&mut ini);
         assert_eq!(c.header, b"\x03\x00\x10\x00\x00");
         assert!(c.payload.is_empty());
@@ -1418,7 +1460,7 @@ mod tests {
                 .each_mut()
                 .map(|slot| fetch_into(tgt, std::mem::take(slot)).unwrap());
             for f in &fetched {
-                tgt.complete(f.slot, CqeStatus::Success, b"", b"");
+                tgt.complete_copy(f.slot, CqeStatus::Success, b"", b"");
             }
             fetched
         };
@@ -1500,7 +1542,7 @@ mod tests {
                     assert_eq!(inc.sqe.is_inline(), hdr_len <= room);
                     assert_eq!(inc.header, bytes[..hdr_len]);
                     assert_eq!(inc.payload, payload);
-                    tgt.complete(
+                    tgt.complete_copy(
                         inc.slot,
                         CqeStatus::Success,
                         &bytes[32..32 + reply_len],
@@ -1528,7 +1570,7 @@ mod tests {
     /// Complete `inc` by echoing `fill` back, `read_len` bytes long.
     fn reply_filled(tgt: &mut Target, inc: &Fetched, fill: u8) {
         let reply = vec![fill; inc.sqe.read_len() as usize];
-        tgt.complete(inc.slot, CqeStatus::Success, b"", &reply);
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &reply);
     }
 
     /// The pool ranges `[write buf, read buf]` a fetched command's SQE names.
@@ -1669,7 +1711,7 @@ mod tests {
             assert_eq!((c.cid, c.payload.as_slice()), (cid, &data[..]));
         }
         assert_eq!(slots.len(), 4);
-        tgt.complete(pinned_inc.slot, CqeStatus::Success, b"", b"pinned");
+        tgt.complete_copy(pinned_inc.slot, CqeStatus::Success, b"", b"pinned");
         let c = wait(&mut ini);
         assert_eq!((c.cid, c.payload.as_slice()), (pinned, &b"pinned"[..]));
     }
@@ -1700,9 +1742,9 @@ mod tests {
             assert_eq!((z.header.as_slice(), z.payload.len()), (&bare[..], 0));
             assert_eq!((s.header.as_slice(), s.payload.len()), (&b"S"[..], 1400));
             // Out of order, the header-only one in the middle.
-            tgt.complete(s.slot, CqeStatus::Success, b"", &[round; 60]);
-            tgt.complete(z.slot, CqeStatus::Success, &[3, round, 0, 0, 0], b"");
-            tgt.complete(c.slot, CqeStatus::Success, b"", &[round; 50]);
+            tgt.complete_copy(s.slot, CqeStatus::Success, b"", &[round; 60]);
+            tgt.complete_copy(z.slot, CqeStatus::Success, &[3, round, 0, 0, 0], b"");
+            tgt.complete_copy(c.slot, CqeStatus::Success, b"", &[round; 50]);
             for _ in 0..3 {
                 let done = wait(&mut ini);
                 match done.cid {
@@ -1893,7 +1935,7 @@ mod tests {
         // written anywhere either.
         submit(&mut ini, DispatchType::Standalone, b"", b"", 16).unwrap();
         let inc = fetch(&mut tgt).unwrap();
-        tgt.complete(inc.slot, CqeStatus::Success, b"", &[1u8; 17]);
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &[1u8; 17]);
         let done = wait(&mut ini);
         assert_eq!(done.status, CqeStatus::InvalidCommand);
         assert!(done.payload.is_empty());
@@ -1913,7 +1955,7 @@ mod tests {
             .unwrap();
             let inc = fetch(&mut tgt).unwrap();
             let before = ini.rejected_sqes();
-            tgt.complete(inc.slot, CqeStatus::Success, header, payload);
+            tgt.complete_copy(inc.slot, CqeStatus::Success, header, payload);
             let done = wait(&mut ini);
             if header.len() <= CQE_INLINE_CAP && payload.is_empty() {
                 assert_eq!((done.cid, done.status), (cid, CqeStatus::Success));
@@ -1940,7 +1982,7 @@ mod tests {
             .unwrap();
             let inc = fetch(&mut tgt).expect("served, not refused");
             assert_eq!(inc.header, [0xFF; 48][..len]);
-            tgt.complete(inc.slot, CqeStatus::Success, b"ok", b"");
+            tgt.complete_copy(inc.slot, CqeStatus::Success, b"ok", b"");
             assert_eq!(wait(&mut ini).header, b"ok");
         }
         assert_eq!(ini.rejected_sqes(), before);
@@ -1950,7 +1992,7 @@ mod tests {
         let cid = submit(&mut ini, DispatchType::Standalone, b"", b"", ReadSide::None).unwrap();
         let inc = fetch(&mut tgt).unwrap();
         tgt.post_cqe((cid + 1) % 4, CqeStatus::Success, 0, b"stale");
-        tgt.complete(inc.slot, CqeStatus::Success, b"mine", b"");
+        tgt.complete_copy(inc.slot, CqeStatus::Success, b"mine", b"");
         let done = wait(&mut ini);
         assert_eq!((done.cid, done.header.as_slice()), (cid, &b"mine"[..]));
         assert_eq!(ini.outstanding(), 0);
@@ -1969,7 +2011,7 @@ mod tests {
             submit_sgl(&mut ini, DispatchType::Standalone, b"", &[&seg, &seg], 100).unwrap();
             let inc = fetch(&mut tgt).unwrap();
             assert_eq!(inc.payload, [vec![round; 500], vec![round; 500]].concat());
-            tgt.complete(inc.slot, CqeStatus::Success, b"", &[round; 100]);
+            tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &[round; 100]);
             let c = wait(&mut ini);
             assert_eq!(c.payload, vec![round; 100]);
         }
@@ -1994,7 +2036,7 @@ mod tests {
                 (inc.header.as_slice(), &inc.payload[..]),
                 (&header[..], &payload[..])
             );
-            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            tgt.complete_copy(inc.slot, CqeStatus::Success, b"", b"");
             wait(&mut ini);
             let dmas = dma.snapshot().since(&before).dma_ops as usize;
             assert_eq!(dmas, 1 + (40 + wlen).div_ceil(4096) + 1, "payload {wlen}");
@@ -2007,7 +2049,7 @@ mod tests {
                 (inc.header.as_slice(), &inc.payload[..]),
                 (&header[..], &payload[..])
             );
-            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            tgt.complete_copy(inc.slot, CqeStatus::Success, b"", b"");
             wait(&mut ini);
         }
     }
@@ -2069,7 +2111,7 @@ mod tests {
             while served < N {
                 match fetch(&mut tgt) {
                     Some(inc) => {
-                        tgt.complete(inc.slot, CqeStatus::Success, b"", &inc.payload);
+                        tgt.complete_copy(inc.slot, CqeStatus::Success, b"", &inc.payload);
                         served += 1;
                     }
                     None => {
@@ -2237,7 +2279,7 @@ mod tests {
                     prop_assert_eq!(inc.sqe.is_inline(), op.hdr_len <= op.room());
                     prop_assert_eq!(&inc.header, &bytes(op.hdr_len, i as u8));
                     prop_assert_eq!(&inc.payload, &bytes(op.wlen, 0x10 | i as u8));
-                    tgt.complete(
+                    tgt.complete_copy(
                         inc.slot,
                         CqeStatus::Success,
                         &bytes(op.reply_len, 0x20 | i as u8),
@@ -2296,7 +2338,7 @@ mod tests {
             prop_assert_eq!(&inc.header, &header);
             prop_assert_eq!(&inc.payload, &bufs.concat());
             prop_assert_eq!(inc.sqe.sgl_count() as usize, segments.len() + 1);
-            tgt.complete(inc.slot, CqeStatus::Success, b"", b"");
+            tgt.complete_copy(inc.slot, CqeStatus::Success, b"", b"");
             let done = wait(&mut ini);
             prop_assert_eq!(done.status, CqeStatus::Success);
 

@@ -176,6 +176,11 @@ impl core::fmt::Display for RegionError {
 
 impl std::error::Error for RegionError {}
 
+/// Granularity of a PRP-described transfer: a DMA write of `n` bytes
+/// produced in place ([`DmaEngine::dma_write_in_place`]) is charged one
+/// operation per page.
+pub const DMA_PAGE: usize = 4096;
+
 /// A DMA-able region of host memory.
 ///
 /// Cheaply cloneable (shared). The "host side" accesses it directly with
@@ -185,17 +190,20 @@ impl std::error::Error for RegionError {}
 #[derive(Clone)]
 pub struct HostRegion {
     inner: Arc<RwLock<Vec<u8>>>,
+    /// Fixed at creation: the bytes are never resized.
+    len: usize,
 }
 
 impl HostRegion {
     pub fn new(len: usize) -> Self {
         HostRegion {
             inner: Arc::new(RwLock::new(vec![0; len])),
+            len,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -250,6 +258,35 @@ impl HostRegion {
         Ok(())
     }
 
+    /// Store bytes produced in place: `fill` is lent `[offset, offset +
+    /// cap)` under the region's write guard and returns how many bytes
+    /// `n` it wrote at the front of it — `fill`'s own writes are the one
+    /// copy. Returns `n`. An empty range is lent without the guard: there
+    /// is nothing to store, and nothing to wait for. Whoever holds the
+    /// guard's other side (a reader copying out) waits out `fill`, so
+    /// `fill` must never wait on a lock such a reader holds.
+    ///
+    /// # Panics
+    ///
+    /// Like [`write_local`](Self::write_local), when the range is not
+    /// inside the region; and when `fill` reports more than `cap` bytes.
+    fn write_local_in_place(
+        &self,
+        offset: usize,
+        cap: usize,
+        fill: impl FnOnce(&mut [u8]) -> usize,
+    ) -> usize {
+        let dst = Self::checked_range(self.len, offset, cap)
+            .unwrap_or_else(|e| panic!("HostRegion::write_local_in_place: {e}"));
+        let n = if cap == 0 {
+            fill(&mut [])
+        } else {
+            fill(&mut self.inner.write()[dst])
+        };
+        assert!(n <= cap, "filled {n} bytes of a {cap}-byte range");
+        n
+    }
+
     /// Host-CPU load of `len` bytes appended to `out`: each byte is
     /// written once, where [`read_local`](Self::read_local) into a `Vec`
     /// needs it sized — zero-filled — first. Reuses `out`'s capacity.
@@ -294,7 +331,8 @@ impl HostRegion {
 }
 
 /// The DPU's DMA engine: moves bytes between host regions and DPU-local
-/// buffers, counting one DMA operation per call.
+/// buffers, counting every DMA operation — one per call, or one per page
+/// of an in-place write.
 #[derive(Clone, Default)]
 pub struct DmaEngine {
     counters: Arc<PcieCounters>,
@@ -323,6 +361,28 @@ impl DmaEngine {
     pub fn dma_write(&self, region: &HostRegion, offset: usize, src: &[u8]) {
         region.write_local(offset, src);
         self.counters.record_dma(src.len() as u64);
+    }
+
+    /// DPU writes host memory with bytes produced in place, PRP-style:
+    /// `fill` is lent `[offset, offset + cap)` of `region` under its write
+    /// guard — an empty range without it — writes straight into it and
+    /// returns how many bytes `n` it produced at its front. Charged as the
+    /// page-by-page transfer of those bytes: `⌈n / DMA_PAGE⌉` operations
+    /// and `n` bytes — none for `n = 0`. Returns `n`.
+    pub fn dma_write_in_place(
+        &self,
+        region: &HostRegion,
+        offset: usize,
+        cap: usize,
+        fill: impl FnOnce(&mut [u8]) -> usize,
+    ) -> usize {
+        let n = region.write_local_in_place(offset, cap, fill);
+        let pages = n.div_ceil(DMA_PAGE) as u64;
+        self.counters.dma_ops.fetch_add(pages, Ordering::Relaxed);
+        self.counters
+            .dma_bytes
+            .fetch_add(n as u64, Ordering::Relaxed);
+        n
     }
 
     /// DPU reads a little-endian u16 from host memory. One DMA operation.
@@ -415,6 +475,46 @@ mod tests {
         let delta = dma.snapshot().since(&before);
         assert_eq!(delta.dma_ops, 2);
         assert_eq!(delta.dma_bytes, 1024);
+    }
+
+    #[test]
+    fn an_in_place_write_is_charged_per_page_of_what_it_produced() {
+        let r = HostRegion::new(5 * DMA_PAGE);
+        let dma = DmaEngine::new();
+        for (n, ops) in [
+            (0, 0),
+            (1, 1),
+            (DMA_PAGE, 1),
+            (DMA_PAGE + 1, 2),
+            (4 * DMA_PAGE, 4),
+        ] {
+            let before = dma.snapshot();
+            let wrote = dma.dma_write_in_place(&r, 64, 4 * DMA_PAGE, |dst| {
+                assert_eq!(dst.len(), 4 * DMA_PAGE);
+                dst[..n].fill(n as u8 | 1);
+                n
+            });
+            let delta = dma.snapshot().since(&before);
+            assert_eq!((wrote, delta.dma_ops, delta.dma_bytes), (n, ops, n as u64));
+            assert!(r.read_local_vec(64, n).iter().all(|&b| b == n as u8 | 1));
+        }
+        // Nothing to lend: the fill still runs, over no bytes.
+        assert_eq!(
+            dma.dma_write_in_place(&r, 5 * DMA_PAGE, 0, |dst| dst.len()),
+            0
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "HostRegion::write_local_in_place")]
+    fn an_in_place_write_outside_the_region_panics_before_the_fill() {
+        HostRegion::new(8).write_local_in_place(6, 4, |_| unreachable!());
+    }
+
+    #[test]
+    #[should_panic(expected = "filled 5 bytes of a 4-byte range")]
+    fn a_fill_claiming_more_than_it_was_lent_panics() {
+        HostRegion::new(8).write_local_in_place(0, 4, |_| 5);
     }
 
     #[test]

@@ -151,10 +151,12 @@ done
 # transport error), the warm transport and pool allocating nothing (with
 # and without a fault plan on the target), warm
 # 8 KiB buffered read misses and direct reads allocating nothing on the
-# calling thread, and a read the link keeps shedding saying EIO buffered
-# or direct. Then the suites with more threads than cores — where a
-# reader holding the transport buffer's lock too long would deadlock —
-# ten times in a row on one core.
+# calling thread, warm reads served into their transport buffers
+# allocating nothing on the DPU, and a read the link keeps shedding saying
+# EIO buffered or direct. Then the suites with more threads than cores —
+# where a reader holding the transport buffer's lock too long, or a DPU
+# read taking its locks in the wrong order under that lock's write side,
+# would deadlock — ten times in a row on one core.
 cargo test --release -q -p dpc-nvmefs --lib -- \
     pool::tests::concurrent_callers_share_one_queue \
     pool::tests::out_of_order_completions_route_by_cid \
@@ -170,19 +172,24 @@ cargo test --release -q -p dpc-nvmefs --test zero_alloc -- \
     warm_pool_call_and_eight_staged_reads_allocate_nothing_on_the_host_thread
 cargo test --release -q -p dpc-core --test zero_alloc_miss -- \
     a_warm_8k_read_miss_allocates_nothing_on_the_host_thread \
-    a_warm_8k_direct_read_allocates_nothing_on_the_host_thread
+    a_warm_8k_direct_read_allocates_nothing_on_the_host_thread \
+    a_warm_read_served_in_place_allocates_nothing_on_the_dpu
 cargo test --release -q --test fault_recovery \
     a_read_the_link_keeps_shedding_is_eio_buffered_or_direct
 cargo test --release -q --no-run --test concurrent_adapters --test link_wait
 for run in $(seq 1 10); do
     taskset -c 0 cargo test --release -q --test concurrent_adapters --test link_wait
+    taskset -c 0 cargo test --release -q --test concurrent_adapters \
+        reads_served_in_place_on_one_queue_stay_byte_exact
 done
 # One way across each end of a queue pair (DESIGN.md §17), in release and
 # by name: the raw-header cases in `queue.rs` (the 8 KiB write's 4 DMAs,
 # corrupt SQEs refused, a command too large for its buffer refused before
 # it is sent, the header-DMA and SGL proptests, batched == one-per-doorbell
 # wire bytes, a buffered header's page landing apart), the suites ported
-# onto the pool and the file target, the dispatcher's replies, an uncached
+# onto the pool and the file target, the dispatcher's replies, a read
+# served in place charged and answered exactly as one copied in, a read
+# longer than its read side refused before the backend, an uncached
 # readdir sized to the buffer, an oversize command as EINVAL, fig6's 4 vs
 # 11 DMAs and the ablation's doorbells per op.
 cargo test --release -q -p dpc-nvmefs --lib -- \
@@ -197,7 +204,11 @@ cargo test --release -q -p dpc-nvmefs --test batched --test proptest_protocol --
 cargo test --release -q -p dpc-core --test dispatcher_unit -- \
     every_reply_fits_what_its_request_declared \
     a_reused_reply_buffer_never_leaks_stale_bytes \
-    a_listing_whose_trail_would_not_fit_beside_it_is_erange
+    a_listing_whose_trail_would_not_fit_beside_it_is_erange \
+    a_read_served_in_place_equals_the_scratch_serve \
+    a_read_longer_than_its_read_side_is_refused_before_the_backend
+cargo test --release -q -p dpc-pcie --lib -- \
+    tests::an_in_place_write_is_charged_per_page_of_what_it_produced
 cargo test --release -q --test direct_io -- \
     an_uncached_readdir_asks_for_what_the_transport_buffer_holds \
     a_command_larger_than_its_transport_buffer_is_einval_not_a_panic

@@ -179,3 +179,79 @@ fn many_threads_single_queue_is_live() {
     assert_eq!(stats.submitted, stats.completed);
     assert_eq!(dpc.requests_served(), stats.completed);
 }
+
+#[test]
+fn reads_served_in_place_on_one_queue_stay_byte_exact() {
+    // A `Read` is served straight into its transport buffer, under the
+    // data pool's write guard: KV shard guards — or the DFS client's
+    // mutex, then the data servers' locks — are taken inside it, and the
+    // host copies replies out under its read side (DESIGN.md §17). Two
+    // host threads on ONE queue pair: one streams 128 KiB reads of a file
+    // four times the cache, direct and buffered by turns, the other mixes
+    // 8 KiB direct KVFS reads with DFS block reads. A lock taken in the wrong order hangs here; a
+    // reply landing in the wrong buffer fails a byte check.
+    use dpc::core::IoMode;
+    use dpc::dfs::DfsConfig;
+    const K128: usize = 128 * 1024;
+    const STREAM: usize = 4 << 20;
+    const MIX: usize = 1 << 20;
+    const BLOCKS: u64 = 16;
+    let byte = |file: u8, at: usize| (at / 4096) as u8 ^ (at % 251) as u8 ^ file;
+    let dpc = std::sync::Arc::new(Dpc::new(DpcConfig {
+        queues: 1,
+        cache_pages: 256,
+        dfs: Some(DfsConfig::default()),
+        ..DpcConfig::default()
+    }));
+    let setup = dpc.fs();
+    for (path, file, len) in [("/stream.bin", 1, STREAM), ("/mix.bin", 2, MIX)] {
+        let fd = setup.create(path).unwrap();
+        let data: Vec<u8> = (0..len).map(|at| byte(file, at)).collect();
+        assert_eq!(setup.write(fd, 0, &data).unwrap(), len);
+        setup.fsync(fd).unwrap();
+        setup.close(fd).unwrap();
+    }
+    let dfs_file = setup.dfs_create(0, "mix.dfs").unwrap();
+    for b in 0..BLOCKS {
+        let block = vec![b as u8 + 1; 8192];
+        assert_eq!(setup.dfs_write_block(dfs_file, b, &block).unwrap(), 8192);
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut fs = dpc.fs();
+            let fd = fs.open("/stream.bin").unwrap();
+            let mut got = vec![0u8; K128];
+            for pass in 0..4 {
+                // Direct: every read one 128 KiB crossing. Buffered: miss
+                // runs, with the prefetcher reading the store beside them.
+                fs.mode = [IoMode::Direct, IoMode::Buffered][pass % 2];
+                for at in (0..STREAM).step_by(K128) {
+                    assert_eq!(fs.read(fd, at as u64, &mut got).unwrap(), K128);
+                    let bad = (0..K128).find(|&i| got[i] != byte(1, at + i));
+                    assert_eq!(bad, None, "pass {pass}, read at {at}");
+                }
+            }
+        });
+        s.spawn(|| {
+            let mut fs = dpc.fs();
+            fs.mode = IoMode::Direct;
+            let fd = fs.open("/mix.bin").unwrap();
+            let mut got = vec![0u8; 8192];
+            for i in 0..600usize {
+                if i % 2 == 0 {
+                    let at = (i * 7919 * 8192) % MIX;
+                    assert_eq!(fs.read(fd, at as u64, &mut got).unwrap(), 8192);
+                    let bad = (0..8192).find(|&j| got[j] != byte(2, at + j));
+                    assert_eq!(bad, None, "direct read at {at}");
+                } else {
+                    let b = i as u64 % BLOCKS;
+                    let block = fs.dfs_read_block(dfs_file, b).unwrap();
+                    assert!(block.len() == 8192 && block.iter().all(|&x| x == b as u8 + 1));
+                }
+            }
+        });
+    });
+    let stats = dpc.pool_stats();
+    assert_eq!(stats.submitted, stats.completed);
+    assert_eq!(stats.rejected_sqes, 0);
+}
