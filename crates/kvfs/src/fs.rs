@@ -3,18 +3,19 @@
 //!
 //! Every file operation becomes KV operations: path resolution recursively
 //! fetches inode KVs from the root (ino 0) using `p_ino + name` keys;
-//! `readdir` is a prefix scan; data lives in small-file KVs (< 8 KiB,
-//! whole-value rewrite) or big-file KVs (8 KiB in-place block updates via
-//! the file object). Dentry and inode caches — the ones the VFS layer
-//! would provide — are built in and instrumented.
+//! `readdir` is a prefix scan; a namespace mutation is one conditional
+//! multi-key commit (DESIGN.md §14.2); data lives in small-file KVs
+//! (< 8 KiB, whole-value rewrite) or big-file KVs (8 KiB in-place block
+//! updates via the file object). Dentry and inode caches — the ones the
+//! VFS layer would provide — are built in and instrumented.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpc_kvstore::KvStore;
-use parking_lot::Mutex;
+use dpc_kvstore::{Check, KvStore, Write};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::cache::{Cache, Entry, LookupStats};
 use crate::fileobj::FileObject;
@@ -41,6 +42,35 @@ pub struct Kvfs {
     ino_locks: Box<[Mutex<()>]>,
     /// Logical clock for timestamps (deterministic under simulation).
     clock: AtomicU64,
+}
+
+/// An inode losing one name: its attribute with one link fewer, and the
+/// keys the commit that takes the name writes for it.
+struct Unlinked {
+    attr: FileAttr,
+    attr_key: [u8; 9],
+    encoded: [u8; 256],
+    data_key: [u8; 9],
+}
+
+impl Unlinked {
+    /// This inode's writes in the name's commit: the attribute with one
+    /// link fewer, or, for the last name of a small file or a symlink, its
+    /// attribute and its data. A big file's last name writes nothing here
+    /// ([`Kvfs::settle`] says why).
+    fn writes<'a>(&'a self, out: &mut Vec<Write<'a>>) {
+        let attr = &self.attr;
+        if attr.nlink > 0 {
+            out.push(Write::Put(&self.attr_key, &self.encoded));
+        } else if attr.format == DataFormat::Small {
+            out.push(Write::Delete(&self.attr_key));
+            // A 0-byte file has no small-file KV; a symlink always has its
+            // target.
+            if attr.size > 0 || attr.kind == FileKind::Symlink {
+                out.push(Write::Delete(&self.data_key));
+            }
+        }
+    }
 }
 
 impl Kvfs {
@@ -105,6 +135,19 @@ impl Kvfs {
         &self.ino_locks[(ino as usize) % INO_LOCKS]
     }
 
+    /// The [`Kvfs::ino_lock`]s of several inodes, each lock once, taken in
+    /// ascending lock order: a call that holds more than one inode's lock
+    /// takes them here, so no two calls wait on each other in a cycle.
+    fn lock_inos(&self, inos: &[u64]) -> Vec<MutexGuard<'_, ()>> {
+        let mut locks: Vec<usize> = inos.iter().map(|&ino| ino as usize % INO_LOCKS).collect();
+        locks.sort_unstable();
+        locks.dedup();
+        locks
+            .into_iter()
+            .map(|i| self.ino_locks[i].lock())
+            .collect()
+    }
+
     fn alloc_ino(&self) -> u64 {
         self.next_ino.fetch_add(1, Ordering::Relaxed)
     }
@@ -127,13 +170,13 @@ impl Kvfs {
         self.cache.drop_attr(ino);
     }
 
-    /// Add `by` to a directory's link count: a child's `..` came or went.
-    /// The caller holds the directory's [`Kvfs::ino_lock`].
-    fn add_links(&self, dir: u64, by: i32) {
-        if let Ok(mut attr) = self.get_attr(dir) {
-            attr.nlink = attr.nlink.saturating_add_signed(by);
-            self.put_attr(&attr);
-        }
+    /// A directory's attribute with `by` added to its link count: a
+    /// child's `..` came or went. The caller holds the directory's
+    /// [`Kvfs::ino_lock`] and writes the result.
+    fn relinked(&self, dir: u64, by: i32) -> Result<FileAttr, FsError> {
+        let mut attr = self.get_attr(dir)?;
+        attr.nlink = attr.nlink.saturating_add_signed(by);
+        Ok(attr)
     }
 
     // ---- lookup / resolution ------------------------------------------
@@ -258,23 +301,27 @@ impl Kvfs {
         self.walk_parent(ROOT_INO, path, &mut |_| {})
     }
 
-    /// Claim `name` under `parent` for `entry`, if it is free: the inode
-    /// KV, then the dentry cache.
-    fn publish_name(&self, parent: u64, name: &str, entry: Entry) -> Result<(), FsError> {
-        let value = dentry_value(entry.0, entry.1);
-        if !self.store.put_if_absent(&inode_key(parent, name), &value) {
+    /// Claim `name` under `parent` for `attr`'s inode, if it is free
+    /// (`AlreadyExists` otherwise), writing the attribute and `also` in the
+    /// same [`KvStore::commit`]; then the caches.
+    fn publish(
+        &self,
+        parent: u64,
+        name: &str,
+        attr: &FileAttr,
+        also: &[Write<'_>],
+    ) -> Result<(), FsError> {
+        let (key, value) = (inode_key(parent, name), dentry_value(attr.ino, attr.kind));
+        let (akey, avalue) = (attr_key(attr.ino), attr.encode());
+        let mut writes = Vec::with_capacity(2 + also.len());
+        writes.extend([Write::Put(&key, &value), Write::Put(&akey, &avalue)]);
+        writes.extend_from_slice(also);
+        if !self.store.commit(&[Check::Absent(&key)], &writes) {
             return Err(FsError::AlreadyExists);
         }
-        self.cache.put_name(parent, name, entry);
+        self.cache.put_name(parent, name, (attr.ino, attr.kind));
+        self.cache.put_attr(*attr);
         Ok(())
-    }
-
-    /// Take `name` out of `parent` — the inode KV, then the dentry cache —
-    /// and say whether it was there to take.
-    fn retract_name(&self, parent: u64, name: &str) -> bool {
-        let was = self.store.delete(&inode_key(parent, name));
-        self.cache.drop_name(parent, name);
-        was
     }
 
     /// Create a symbolic link at `path` pointing to the absolute `target`.
@@ -290,13 +337,13 @@ impl Kvfs {
             return Err(FsError::NameTooLong);
         }
         let ino = self.alloc_ino();
-        self.publish_name(parent, name, (ino, FileKind::Symlink))?;
         let mut attr = FileAttr::new_file(ino, 0o777, self.now());
         attr.kind = FileKind::Symlink;
         attr.size = target.len() as u64;
-        self.put_attr(&attr);
         // The target string lives in the small-file KV.
-        self.store.put(&small_key(ino), target.as_bytes());
+        let target_key = small_key(ino);
+        let target = Write::Put(&target_key, target.as_bytes());
+        self.publish(parent, name, &attr, &[target])?;
         Ok(ino)
     }
 
@@ -327,14 +374,20 @@ impl Kvfs {
             return Err(FsError::InvalidOperation);
         }
         validate_name(name)?;
-        self.publish_name(parent, name, (ino, FileKind::File))?;
         attr.nlink += 1;
         attr.ctime = self.now();
-        self.put_attr(&attr);
+        self.publish(parent, name, &attr, &[])?;
         Ok(attr)
     }
 
     // ---- namespace operations -----------------------------------------
+    //
+    // Each namespace mutation — create, mkdir, symlink, link, unlink,
+    // rmdir, rename — is one `KvStore::commit`: its checks are the names
+    // it expects (a dentry holding a given inode, or none), its writes
+    // every dentry and attribute it changes. Inode locks come first, then the
+    // store's shard guards inside the commit, then the cache: the store is
+    // written before the cache, and each cache write ticks its stripe.
 
     /// Create a regular file; returns its inode.
     pub fn create(&self, path: &str, mode: u32) -> Result<u64, FsError> {
@@ -345,13 +398,11 @@ impl Kvfs {
     /// Create a regular file under a known parent inode.
     pub fn create_in(&self, parent: u64, name: &str, mode: u32) -> Result<u64, FsError> {
         validate_name(name)?;
-        let ino = self.alloc_ino();
-        self.publish_name(parent, name, (ino, FileKind::File))?;
-        let attr = FileAttr::new_file(ino, mode, self.now());
-        self.put_attr(&attr);
+        let attr = FileAttr::new_file(self.alloc_ino(), mode, self.now());
         // A 0-byte file has no small-file KV: every reader takes an absent
         // value for zeros, and the first write puts it.
-        Ok(ino)
+        self.publish(parent, name, &attr, &[])?;
+        Ok(attr.ino)
     }
 
     /// Create a directory; returns its inode.
@@ -364,13 +415,13 @@ impl Kvfs {
     pub fn mkdir_in(&self, parent: u64, name: &str, mode: u32) -> Result<u64, FsError> {
         validate_name(name)?;
         let _guard = self.ino_lock(parent).lock();
-        let ino = self.alloc_ino();
-        self.publish_name(parent, name, (ino, FileKind::Dir))?;
-        let attr = FileAttr::new_dir(ino, mode, self.now());
-        self.put_attr(&attr);
-        // Parent gains a link ("..").
-        self.add_links(parent, 1);
-        Ok(ino)
+        // The parent gains a link: the new directory's "..".
+        let dir = self.relinked(parent, 1)?;
+        let attr = FileAttr::new_dir(self.alloc_ino(), mode, self.now());
+        let (dkey, dvalue) = (attr_key(parent), dir.encode());
+        self.publish(parent, name, &attr, &[Write::Put(&dkey, &dvalue)])?;
+        self.cache.put_attr(dir);
+        Ok(attr.ino)
     }
 
     /// List a directory: a prefix scan over `p_ino`-keyed inode KVs, in
@@ -462,27 +513,52 @@ impl Kvfs {
         // The link count is read under the lock: two names of one inode
         // unlinked at once must not both count down from the same value.
         let _guard = self.ino_lock(ino).lock();
-        let mut attr = self.get_attr(ino)?;
-        if !self.retract_name(parent, name) {
-            return Err(FsError::NotFound); // another unlink of this name won
+        let unlinked = self.one_link_fewer(self.get_attr(ino)?);
+        let (key, value) = (inode_key(parent, name), dentry_value(ino, kind));
+        let mut writes = Vec::with_capacity(3);
+        writes.push(Write::Delete(&key));
+        unlinked.writes(&mut writes);
+        // Refused: another unlink, or a rename, took the name first.
+        if !self.store.commit(&[Check::Holds(&key, &value)], &writes) {
+            return Err(FsError::NotFound);
         }
+        self.cache.drop_name(parent, name);
+        self.settle(&unlinked);
+        Ok(unlinked.attr)
+    }
+
+    /// `attr` with one name fewer. The caller holds its inode's lock.
+    fn one_link_fewer(&self, mut attr: FileAttr) -> Unlinked {
         attr.nlink = attr.nlink.saturating_sub(1);
         if attr.nlink > 0 {
             attr.ctime = self.now();
-            self.put_attr(&attr);
-            return Ok(attr);
         }
-        match attr.format {
-            // A 0-byte file has no small-file KV; a symlink always has
-            // its target.
-            DataFormat::Small if attr.size > 0 || attr.kind == FileKind::Symlink => {
-                self.store.delete(&small_key(ino));
-            }
-            DataFormat::Small => {}
-            DataFormat::Big => FileObject::new(&self.store, ino).delete_all(),
+        Unlinked {
+            attr,
+            attr_key: attr_key(attr.ino),
+            encoded: attr.encode(),
+            data_key: small_key(attr.ino),
         }
-        self.drop_attr(ino);
-        Ok(attr)
+    }
+
+    /// After the commit that took one of `unlinked`'s names: the inode
+    /// cache and, when that was a big file's last name, the blocks and
+    /// then the attribute.
+    fn settle(&self, unlinked: &Unlinked) {
+        let attr = unlinked.attr;
+        if attr.nlink > 0 {
+            self.cache.put_attr(attr);
+        } else if attr.format == DataFormat::Big {
+            // The one namespace call that is not one request. The blocks
+            // go before the attribute, never after: `Kvfs::open` restarts
+            // the inode allocator past the highest attribute that
+            // survives, so an attribute deleted first could let a remount
+            // hand this inode number out again over the stale blocks.
+            FileObject::new(&self.store, attr.ino).delete_all();
+            self.drop_attr(attr.ino);
+        } else {
+            self.cache.drop_attr(attr.ino);
+        }
     }
 
     /// Remove an empty directory.
@@ -497,13 +573,26 @@ impl Kvfs {
         if kind != FileKind::Dir {
             return Err(FsError::NotADirectory);
         }
+        // The directory's own lock keeps a mkdir out of it from here on.
+        let _guards = self.lock_inos(&[parent, ino]);
         if self.entries_under(ino) != 0 {
             return Err(FsError::DirectoryNotEmpty);
         }
-        let _guard = self.ino_lock(parent).lock();
-        self.retract_name(parent, name);
-        self.drop_attr(ino);
-        self.add_links(parent, -1);
+        let dir = self.relinked(parent, -1)?;
+        let (key, value) = (inode_key(parent, name), dentry_value(ino, kind));
+        let (akey, pkey, pvalue) = (attr_key(ino), attr_key(parent), dir.encode());
+        let writes = [
+            Write::Delete(&key),
+            Write::Delete(&akey),
+            Write::Put(&pkey, &pvalue),
+        ];
+        // Refused: a rename took the name first.
+        if !self.store.commit(&[Check::Holds(&key, &value)], &writes) {
+            return Err(FsError::NotFound);
+        }
+        self.cache.drop_name(parent, name);
+        self.cache.drop_attr(ino);
+        self.cache.put_attr(dir);
         Ok(())
     }
 
@@ -527,26 +616,104 @@ impl Kvfs {
         tname: &str,
     ) -> Result<Option<FileAttr>, FsError> {
         validate_name(tname)?;
-        let (ino, kind) = self.lookup_entry(fp, fname)?;
+        let entry = self.lookup_entry(fp, fname)?;
         if fp == tp && fname == tname {
             return Ok(None); // rename to self is a no-op
         }
-        let mut replaced = None;
-        if self.publish_name(tp, tname, (ino, kind)).is_err() {
-            // Destination exists: replace a file, refuse a directory.
-            replaced = Some(self.unlink_entry(tp, tname)?);
-            self.publish_name(tp, tname, (ino, kind))?; // `Err`: lost a race
+        // The destination as the dentry cache has it — a free name is not
+        // asked of the store, its commit checks it — and, when the commit
+        // finds that wrong, as the store has it.
+        let cached = self.cache.name(tp, tname, || None);
+        if let Some(done) = self.commit_rename(fp, fname, entry, tp, tname, cached)? {
+            return Ok(done);
         }
-        self.retract_name(fp, fname);
-        if kind == FileKind::Dir && fp != tp {
-            // The directory's `..` moves with it: one parent's lock at a
-            // time, never nested, each held as mkdir and rmdir hold it.
-            for (dir, by) in [(fp, -1), (tp, 1)] {
-                let _guard = self.ino_lock(dir).lock();
-                self.add_links(dir, by);
-            }
+        let stored = with_inode_key(tp, tname, |key| self.store.get(key));
+        let stored = stored.as_deref().and_then(parse_dentry);
+        if let Some(done) = self.commit_rename(fp, fname, entry, tp, tname, stored)? {
+            return Ok(done);
         }
-        Ok(replaced)
+        // Refused twice: another call took the source first, or keeps
+        // changing the destination.
+        let from = inode_key(fp, fname);
+        let source_stands =
+            self.store.get(&from).as_deref() == Some(&dentry_value(entry.0, entry.1));
+        Err(match source_stands {
+            true => FsError::AlreadyExists,
+            false => FsError::NotFound,
+        })
+    }
+
+    /// One try at [`Kvfs::rename_in`] of `entry`, believing the
+    /// destination holds `dest` (`None`: free): one commit whose checks
+    /// are both names as believed. `Ok(None)` when it was refused.
+    fn commit_rename(
+        &self,
+        fp: u64,
+        fname: &str,
+        (ino, kind): Entry,
+        tp: u64,
+        tname: &str,
+        dest: Option<Entry>,
+    ) -> Result<Option<Option<FileAttr>>, FsError> {
+        if let Some((_, FileKind::Dir)) = dest {
+            return Err(FsError::IsADirectory);
+        }
+        // A directory moving to another parent takes its `..` along. The
+        // locks: the replaced inode's (its link count, as `unlink_entry`
+        // reads it) and both parents' (as mkdir and rmdir hold them).
+        let moves_dir = kind == FileKind::Dir && fp != tp;
+        let mut inos = Vec::with_capacity(3);
+        inos.extend(dest.map(|(replaced, _)| replaced));
+        if moves_dir {
+            inos.extend([fp, tp]);
+        }
+        let _guards = self.lock_inos(&inos);
+        let unlinked = match dest.map(|(replaced, _)| self.get_attr(replaced)) {
+            Some(Ok(attr)) => Some(self.one_link_fewer(attr)),
+            // A name believed to hold an inode that is gone: believed
+            // wrongly, as a refused commit would say.
+            Some(Err(_)) => return Ok(None),
+            None => None,
+        };
+        let parents = match moves_dir {
+            true => Some((self.relinked(fp, -1)?, self.relinked(tp, 1)?)),
+            false => None,
+        };
+
+        let (from, to) = (inode_key(fp, fname), inode_key(tp, tname));
+        let value = dentry_value(ino, kind);
+        let was = dest.map(|(replaced, rkind)| dentry_value(replaced, rkind));
+        let checks = [
+            Check::Holds(&from, &value),
+            match &was {
+                Some(was) => Check::Holds(&to, was),
+                None => Check::Absent(&to),
+            },
+        ];
+        let mut writes = Vec::with_capacity(6);
+        writes.extend([Write::Put(&to, &value), Write::Delete(&from)]);
+        if let Some(unlinked) = &unlinked {
+            unlinked.writes(&mut writes);
+        }
+        let moved = parents.map(|(f, t)| (attr_key(fp), f.encode(), attr_key(tp), t.encode()));
+        if let Some((fkey, fvalue, tkey, tvalue)) = &moved {
+            writes.extend([Write::Put(fkey, fvalue), Write::Put(tkey, tvalue)]);
+        }
+        if !self.store.commit(&checks, &writes) {
+            return Ok(None);
+        }
+        // The destination is replaced in the cache, never dropped first: a
+        // reader finds the old inode there or the new one, never neither.
+        self.cache.put_name(tp, tname, (ino, kind));
+        self.cache.drop_name(fp, fname);
+        if let Some((f, t)) = parents {
+            self.cache.put_attr(f);
+            self.cache.put_attr(t);
+        }
+        Ok(Some(unlinked.map(|unlinked| {
+            self.settle(&unlinked);
+            unlinked.attr
+        })))
     }
 
     /// `stat` by path: the walk, then one inode-cache probe.
@@ -1360,11 +1527,11 @@ mod tests {
             let after = fs.store().stats();
             (after.puts - before.puts, after.deletes - before.deletes)
         };
-        // Create is the dentry and the attribute.
+        // Create is the dentry and the attribute, in one request.
         let create = || {
             fs.create("/never", 0o644).unwrap();
         };
-        assert_eq!(ops(&create), (2, 0));
+        assert_eq!(ops(&create), (1, 0));
         assert_eq!(fs.kv_pairs(), baseline + 2);
         // A remount reads the empty file as 0 bytes.
         let ino = fs.resolve("/never").unwrap();
@@ -1372,8 +1539,9 @@ mod tests {
         let mut buf = [9u8; 64];
         assert_eq!(cold.get_attr(ino).unwrap().size, 0);
         assert_eq!(cold.read(ino, 0, &mut buf).unwrap(), 0);
-        // Unlink of a never-written file is the dentry and the attribute.
-        assert_eq!(ops(&|| fs.unlink("/never").unwrap()), (0, 2));
+        // Unlink of a never-written file is the dentry and the attribute,
+        // in one request.
+        assert_eq!(ops(&|| fs.unlink("/never").unwrap()), (0, 1));
         assert_eq!(fs.kv_pairs(), baseline);
         // Write, truncate to 0, unlink: back at the baseline.
         let ino = fs.create("/brief", 0o644).unwrap();
@@ -1389,16 +1557,17 @@ mod tests {
         fs.truncate(ino, 0).unwrap();
         fs.unlink("/brief").unwrap();
         assert_eq!(fs.kv_pairs(), baseline);
-        // A symlink keeps its target value: 3 KVs in, 3 out.
+        // A symlink keeps its target value: 3 KVs in, 3 out, each three
+        // in one request.
         let symlink = || {
             fs.symlink("/ln", "/x").unwrap();
         };
-        assert_eq!(ops(&symlink), (3, 0));
+        assert_eq!(ops(&symlink), (1, 0));
         assert_eq!(
             fs.readlink(fs.resolve_nofollow("/ln").unwrap()).unwrap(),
             "/x"
         );
-        assert_eq!(ops(&|| fs.unlink("/ln").unwrap()), (0, 3));
+        assert_eq!(ops(&|| fs.unlink("/ln").unwrap()), (0, 1));
         assert_eq!(fs.kv_pairs(), baseline);
     }
 
@@ -1682,6 +1851,249 @@ mod tests {
             );
             assert_eq!(fs.entry_exists(ROOT_INO, "x"), run % 2 == 1);
         }
+    }
+
+    /// Each namespace mutation is one KV request — one commit, counted as
+    /// a put, or as a delete when it only deletes — on warm caches, where
+    /// no name or attribute is read from the store. An rmdir adds its
+    /// emptiness scan; a big file losing its last name adds its range
+    /// delete and then its attribute's delete (DESIGN.md §14.2).
+    #[test]
+    fn every_namespace_mutation_is_one_kv_request() {
+        let fs = fs();
+        fs.mkdir("/a", 0o755).unwrap();
+        fs.mkdir("/b", 0o755).unwrap();
+        let data = fs.create("/a/data", 0o644).unwrap();
+        fs.write(data, 0, b"small bytes").unwrap();
+        let big = fs.create("/a/big", 0o644).unwrap();
+        fs.write(big, 0, &vec![1u8; 4 * BIG_BLOCK]).unwrap();
+        fs.create("/a/victim", 0o644).unwrap();
+        let victim = fs.resolve("/a/victim").unwrap();
+        fs.write(victim, 0, b"replaced").unwrap();
+        // (puts, deletes, scans, gets) one call moves the store by.
+        let delta = |op: &dyn Fn()| {
+            let before = fs.store().stats();
+            op();
+            let after = fs.store().stats();
+            (
+                after.puts - before.puts,
+                after.deletes - before.deletes,
+                after.scans - before.scans,
+                after.gets - before.gets,
+            )
+        };
+        let ledger: [(&str, &dyn Fn(), _); 14] = [
+            (
+                "create",
+                &|| _ = fs.create("/a/f", 0o644).unwrap(),
+                (1, 0, 0, 0),
+            ),
+            ("link", &|| fs.link("/a/f", "/b/f2").unwrap(), (1, 0, 0, 0)),
+            (
+                "mkdir",
+                &|| _ = fs.mkdir("/a/d", 0o755).unwrap(),
+                (1, 0, 0, 0),
+            ),
+            (
+                "symlink",
+                &|| _ = fs.symlink("/a/ln", "/a/f").unwrap(),
+                (1, 0, 0, 0),
+            ),
+            (
+                "unlink, nlink > 1",
+                &|| fs.unlink("/b/f2").unwrap(),
+                (1, 0, 0, 0),
+            ),
+            (
+                "unlink, a symlink",
+                &|| fs.unlink("/a/ln").unwrap(),
+                (0, 1, 0, 0),
+            ),
+            (
+                "rename, free name",
+                &|| fs.rename("/a/f", "/a/g").unwrap(),
+                (1, 0, 0, 0),
+            ),
+            (
+                "rename, over a file",
+                &|| fs.rename("/a/data", "/a/victim").unwrap(),
+                (1, 0, 0, 0),
+            ),
+            (
+                "rename, dir across",
+                &|| fs.rename("/a/d", "/b/d").unwrap(),
+                (1, 0, 0, 0),
+            ),
+            ("rmdir", &|| fs.rmdir("/b/d").unwrap(), (1, 0, 1, 0)),
+            (
+                "unlink, 0 bytes",
+                &|| fs.unlink("/a/g").unwrap(),
+                (0, 1, 0, 0),
+            ),
+            (
+                "unlink, small",
+                &|| fs.unlink("/a/victim").unwrap(),
+                (0, 1, 0, 0),
+            ),
+            // The one exception: the name, the four blocks, the attribute.
+            (
+                "unlink, big",
+                &|| fs.unlink("/a/big").unwrap(),
+                (0, 1 + 4 + 1, 1, 0),
+            ),
+            ("rmdir, empty", &|| fs.rmdir("/a").unwrap(), (1, 0, 1, 0)),
+        ];
+        for (op, call, want) in ledger {
+            assert_eq!(delta(call), want, "{op}");
+        }
+        // What the calls left is what they should have: the tree is /b.
+        let cold = Kvfs::open(fs.store().clone()).unwrap();
+        assert_eq!(cold.readdir(ROOT_INO).unwrap().len(), 1);
+        assert_eq!(cold.readdir(cold.resolve("/b").unwrap()).unwrap().len(), 0);
+        assert_eq!(
+            [ROOT_INO, cold.resolve("/b").unwrap()].map(|d| cold.get_attr(d).unwrap().nlink),
+            [3, 2]
+        );
+        assert_eq!(
+            (cold.get_attr(data), cold.get_attr(victim)),
+            (Err(FsError::NotFound), Err(FsError::NotFound))
+        );
+        assert_eq!(cold.get_attr(big), Err(FsError::NotFound));
+        assert_eq!(
+            fs.kv_pairs(),
+            1 + 2,
+            "the root's attribute, /b's dentry and attribute"
+        );
+    }
+
+    /// POSIX: a rename over an existing name replaces it atomically. A
+    /// reader polling the name must find the old inode or the new one,
+    /// never neither — so the rename may not remove the destination before
+    /// it publishes it again, in the store or in the cache.
+    #[test]
+    fn a_rename_over_a_name_never_lets_the_destination_vanish() {
+        use std::sync::atomic::AtomicBool;
+        let fs = fs();
+        let dir = fs.mkdir("/d", 0o755).unwrap();
+        fs.create_in(dir, "dst", 0o644).unwrap();
+        let (stop, mut vanished, mut polls) = (AtomicBool::new(false), 0u64, 0u64);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut missing = (0u64, 0u64);
+                while !stop.load(Ordering::Relaxed) {
+                    missing.0 += (fs.lookup(dir, "dst") == Err(FsError::NotFound)) as u64;
+                    missing.1 += 1;
+                }
+                missing
+            });
+            for i in 0..10_000 {
+                let src = format!("src{i}");
+                let renamed = fs
+                    .create_in(dir, &src, 0o644)
+                    .and_then(|_| fs.rename_in(dir, &src, dir, "dst"));
+                if renamed.is_err() {
+                    stop.store(true, Ordering::Relaxed);
+                    panic!("rename {i}: {renamed:?}");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            (vanished, polls) = reader.join().unwrap();
+        });
+        assert_eq!(
+            vanished, 0,
+            "the destination was missing {vanished} times in {polls} polls"
+        );
+        // Each rename reclaimed the file it replaced.
+        assert_eq!(fs.dir_entry_count(dir).unwrap(), 1);
+        assert_eq!(
+            fs.kv_pairs(),
+            1 + 2 + 2,
+            "the root, /d and /d/dst: each an attribute"
+        );
+    }
+
+    /// A rename believes the dentry cache about its destination; when a
+    /// second instance over the same store has changed it, the commit is
+    /// refused and the rename asks the store once more — it never replaces
+    /// a name it did not check, and a source gone under it is `NotFound`.
+    #[test]
+    fn a_rename_whose_cache_is_wrong_about_the_destination_asks_the_store() {
+        let fs = fs();
+        let other = Kvfs::open(fs.store().clone()).unwrap();
+        let (a, b) = (
+            fs.create("/a", 0o644).unwrap(),
+            fs.create("/b", 0o644).unwrap(),
+        );
+        fs.write(b, 0, b"old b").unwrap();
+        // The other instance replaces /b behind this one's cache.
+        let c = other.create("/c", 0o644).unwrap();
+        assert_eq!(other.rename("/c", "/b"), Ok(()));
+        assert_eq!(fs.lookup(ROOT_INO, "b"), Ok(b), "this cache is stale");
+        let before = fs.store().stats();
+        assert_eq!(
+            fs.rename_in(ROOT_INO, "a", ROOT_INO, "b")
+                .map(|r| r.map(|r| r.ino)),
+            Ok(Some(c))
+        );
+        let after = fs.store().stats();
+        assert_eq!(after.puts - before.puts, 2, "refused once, then applied");
+        assert_eq!(
+            fs.store().get(&inode_key(ROOT_INO, "b")).as_deref(),
+            Some(&dentry_value(a, FileKind::File)[..])
+        );
+        assert_eq!(
+            Kvfs::open(fs.store().clone()).unwrap().get_attr(c),
+            Err(FsError::NotFound)
+        );
+        // A free name filled behind this instance: replaced as well.
+        fs.create("/d", 0o644).unwrap();
+        let e = other.create("/e", 0o644).unwrap();
+        assert_eq!(
+            fs.rename_in(ROOT_INO, "d", ROOT_INO, "e")
+                .map(|r| r.map(|r| r.ino)),
+            Ok(Some(e))
+        );
+        // A source the other instance unlinked: both commits refused.
+        let f = fs.create("/f", 0o644).unwrap();
+        other.unlink("/f").unwrap();
+        assert_eq!(fs.lookup(ROOT_INO, "f"), Ok(f), "this cache is stale");
+        assert_eq!(fs.rename("/f", "/g"), Err(FsError::NotFound));
+        assert!(!fs.entry_exists(ROOT_INO, "g"));
+    }
+
+    /// A create publishes its name and its attribute in one commit: a
+    /// reader that finds the name — in the cache or in the store — finds
+    /// the attribute too, never ENOENT.
+    #[test]
+    fn a_created_name_always_has_its_attribute() {
+        use std::sync::atomic::AtomicBool;
+        let fs = fs();
+        let (stop, next) = (AtomicBool::new(false), AtomicU64::new(0));
+        let mut orphans = (0u64, 0u64);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut orphans, mut found) = (0u64, 0u64);
+                while !stop.load(Ordering::Relaxed) {
+                    let name = format!("f{}", next.load(Ordering::Relaxed));
+                    if let Ok(ino) = fs.lookup(ROOT_INO, &name) {
+                        found += 1;
+                        orphans += (fs.get_attr(ino) == Err(FsError::NotFound)) as u64;
+                    }
+                }
+                (orphans, found)
+            });
+            for i in 0..20_000u64 {
+                next.store(i, Ordering::Relaxed);
+                fs.create_in(ROOT_INO, &format!("f{i}"), 0o644).unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            orphans = reader.join().unwrap();
+        });
+        assert_eq!(
+            orphans.0, 0,
+            "{} of {} names found had no attribute",
+            orphans.0, orphans.1
+        );
     }
 
     #[test]

@@ -87,17 +87,19 @@ pub fn parse_dentry(value: &[u8]) -> Option<(u64, FileKind)> {
     }
 }
 
-pub fn attr_key(ino: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(9);
-    k.push(TAG_ATTR);
-    k.extend_from_slice(&ino.to_be_bytes());
-    k
+/// Attribute KV key, built on the stack.
+pub fn attr_key(ino: u64) -> [u8; 9] {
+    tagged(TAG_ATTR, ino)
 }
 
-pub fn small_key(ino: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(9);
-    k.push(TAG_SMALL);
-    k.extend_from_slice(&ino.to_be_bytes());
+/// Small-file KV key, built on the stack.
+pub fn small_key(ino: u64) -> [u8; 9] {
+    tagged(TAG_SMALL, ino)
+}
+
+fn tagged(tag: u8, ino: u64) -> [u8; 9] {
+    let mut k = [tag; 9];
+    k[1..].copy_from_slice(&ino.to_be_bytes());
     k
 }
 

@@ -6,7 +6,9 @@
 //! a disaggregated KV store. Four KV types carry the whole file system:
 //!
 //! - **inode KV** `p_ino + name → ino` — the namespace; directory listing
-//!   is a `p_ino` prefix scan,
+//!   is a `p_ino` prefix scan, and each create, link, mkdir, symlink,
+//!   unlink, rmdir or rename writes its names and attributes in one
+//!   atomic, conditional `KvStore::commit`,
 //! - **attribute KV** `ino → 256-byte attr`,
 //! - **small-file KV** `ino → data` for files under 8 KiB (whole-value
 //!   rewrite on update; a 0-byte file has none),

@@ -6,8 +6,13 @@
 //! store's internals, so we provide a correct, concurrent, ordered map
 //! with the operations KVFS needs:
 //!
-//! - `get` / `put` / `delete` — whole-value ops (inode, attribute and
-//!   small-file KVs),
+//! - `get` / `put` / `put_if_absent` / `delete` — whole-value ops
+//!   (inode, attribute and small-file KVs),
+//! - `commit` — the conditional multi-key whole-value write: one request
+//!   that checks some keys and, only if every check holds, puts and
+//!   deletes others, atomically (a namespace mutation's dentries and
+//!   attributes); `put`, `put_if_absent` and `delete` are one-write
+//!   commits,
 //! - `scan_prefix` / `scan_prefix_with` — ordered prefix scan (directory
 //!   listing via the `p_ino` key prefix); the visitor form lends each
 //!   key/value under the shard read guards instead of cloning it,
@@ -29,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_sim::fault::FaultSite;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 const SHARDS: usize = 16;
 
@@ -47,6 +52,39 @@ fn range_entries<'a>(
     shard
         .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
         .take_while(move |(k, _)| k.starts_with(prefix))
+}
+
+/// The shard a key lives in: FNV-1a over the key, cheap and stable.
+fn shard_index(key: &[u8]) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in key {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    (h as usize) % SHARDS
+}
+
+/// The write guards a whole-value request holds: its one shard's, or, for
+/// a commit naming keys in several shards, each of theirs in a fixed array
+/// filled in ascending shard order. A one-shard request skips the array:
+/// setting it up and tearing it down made a single `put` 65–100 ns dearer
+/// (EXPERIMENTS.md "PR 41").
+enum Guards<'g, 'a> {
+    One(RwLockWriteGuard<'a, Shard>),
+    Many(&'g mut [Option<RwLockWriteGuard<'a, Shard>>; SHARDS]),
+}
+
+impl Guards<'_, '_> {
+    /// The locked shard `key` lives in.
+    fn shard(&mut self, key: &[u8]) -> &mut Shard {
+        match self {
+            Guards::One(shard) => shard,
+            Guards::Many(guards) => match &mut guards[shard_index(key)] {
+                Some(shard) => shard,
+                None => unreachable!("a commit locks the shard of every key it names"),
+            },
+        }
+    }
 }
 
 /// [`range_entries`], keys only.
@@ -79,6 +117,40 @@ fn merge_head<'a>(
     Reverse((u64::from_be_bytes(first), key, run, value))
 }
 
+/// One condition of a [`KvStore::commit`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Check<'a> {
+    /// The key holds exactly this value.
+    Holds(&'a [u8], &'a [u8]),
+    /// The key holds no value.
+    Absent(&'a [u8]),
+}
+
+/// One write of a [`KvStore::commit`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Write<'a> {
+    /// Set the key's whole value.
+    Put(&'a [u8], &'a [u8]),
+    /// Remove the key (a no-op when it is absent).
+    Delete(&'a [u8]),
+}
+
+impl Check<'_> {
+    fn key(&self) -> &[u8] {
+        match *self {
+            Check::Holds(key, _) | Check::Absent(key) => key,
+        }
+    }
+}
+
+impl Write<'_> {
+    fn key(&self) -> &[u8] {
+        match *self {
+            Write::Put(key, _) | Write::Delete(key) => key,
+        }
+    }
+}
+
 /// Operation counters. Each of `gets` … `sub_writes` counts **requests
 /// served** — what a disaggregated store would see as round trips — not the
 /// keys a request touched: a 256-entry listing is one scan, a 16-block
@@ -87,8 +159,10 @@ fn merge_head<'a>(
 /// counts beside them.
 ///
 /// What counts as what: `get`, `contains` and `value_len` are gets; `put`
-/// and `put_if_absent` puts; `delete` a delete, and `delete_range` one
-/// scan plus a delete per key dropped; `scan_prefix*` a scan; `read_sub`
+/// and `put_if_absent` puts; `delete` a delete; a `commit` a delete when
+/// every write it carries is a delete and a put otherwise — refused or
+/// applied, however many keys it names; `delete_range` one scan plus a
+/// delete per key dropped; `scan_prefix*` a scan; `read_sub`
 /// and `read_subs` a sub-read; `write_sub`, `write_subs` and
 /// `truncate_value` a sub-write. Every counted request first waits out a
 /// firing "kv.op" fault. The diagnostics — `len`, `is_empty`,
@@ -107,6 +181,10 @@ pub struct KvStats {
     /// Keys written by sub-write requests: one per `write_sub` and
     /// `truncate_value`, one per key of a `write_subs`.
     pub sub_write_keys: u64,
+    /// Keys written by whole-value requests: one per write of an applied
+    /// `commit`, so one per `put`, `delete` and applied `put_if_absent`;
+    /// a refused commit writes none.
+    pub commit_keys: u64,
     /// Operations that had to wait out a transient fault ("kv.op" site):
     /// each stalled re-check counts one retry.
     pub retries: u64,
@@ -129,6 +207,7 @@ pub struct KvStore {
     sub_writes: AtomicU64,
     sub_read_keys: AtomicU64,
     sub_write_keys: AtomicU64,
+    commit_keys: AtomicU64,
     retries: AtomicU64,
 }
 
@@ -151,6 +230,7 @@ impl KvStore {
             sub_writes: AtomicU64::new(0),
             sub_read_keys: AtomicU64::new(0),
             sub_write_keys: AtomicU64::new(0),
+            commit_keys: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
     }
@@ -198,13 +278,7 @@ impl KvStore {
     }
 
     fn shard(&self, key: &[u8]) -> &RwLock<Shard> {
-        // FNV-1a over the key; cheap and stable.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.shards[(h as usize) % SHARDS]
+        &self.shards[shard_index(key)]
     }
 
     pub fn stats(&self) -> KvStats {
@@ -217,6 +291,7 @@ impl KvStore {
             sub_writes: self.sub_writes.load(Ordering::Relaxed),
             sub_read_keys: self.sub_read_keys.load(Ordering::Relaxed),
             sub_write_keys: self.sub_write_keys.load(Ordering::Relaxed),
+            commit_keys: self.commit_keys.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
         }
     }
@@ -242,30 +317,83 @@ impl KvStore {
         self.shard(key).read().get(key).map(|v| v.len())
     }
 
+    /// A one-write [`KvStore::commit`].
     pub fn put(&self, key: &[u8], value: &[u8]) {
-        self.fault_pause();
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.shard(key).write().insert(key.to_vec(), value.to_vec());
+        self.write_whole(&[], &[Write::Put(key, value)]);
     }
 
-    /// Insert only if absent; returns whether the insert happened.
+    /// Insert only if absent; returns whether the insert happened. A
+    /// one-write [`KvStore::commit`] with one check.
     pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
-        self.fault_pause();
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).write();
-        if shard.contains_key(key) {
-            false
-        } else {
-            shard.insert(key.to_vec(), value.to_vec());
-            true
-        }
+        self.commit(&[Check::Absent(key)], &[Write::Put(key, value)])
     }
 
-    /// Returns whether the key existed.
+    /// Returns whether the key existed. A one-write [`KvStore::commit`].
     pub fn delete(&self, key: &[u8]) -> bool {
+        self.write_whole(&[], &[Write::Delete(key)]) == Some(1)
+    }
+
+    /// The conditional multi-key write: one request that evaluates every
+    /// check and, only if all of them hold, applies every write in the
+    /// order given — all of it or none of it, with no reader or writer of
+    /// any named key seeing a state in between. Returns whether the
+    /// writes were applied. One fault pause and one count, refused or
+    /// not: a delete when every write is a delete, a put otherwise;
+    /// `commit_keys` counts the writes applied.
+    pub fn commit(&self, checks: &[Check<'_>], writes: &[Write<'_>]) -> bool {
+        self.write_whole(checks, writes).is_some()
+    }
+
+    /// The one whole-value write path, under the write guards of every
+    /// shard a check or a write names, taken in ascending shard order —
+    /// the order `scan_prefix_with` takes its read guards in, so no two
+    /// requests ever wait on each other in a cycle. It allocates nothing
+    /// but the keys and values it inserts. `None` when a check
+    /// failed (nothing written); otherwise how many deletes removed a key.
+    fn write_whole(&self, checks: &[Check<'_>], writes: &[Write<'_>]) -> Option<usize> {
         self.fault_pause();
-        self.deletes.fetch_add(1, Ordering::Relaxed);
-        self.shard(key).write().remove(key).is_some()
+        let counter = if writes.iter().all(|w| matches!(w, Write::Delete(_))) {
+            &self.deletes
+        } else {
+            &self.puts
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let touched = checks
+            .iter()
+            .map(Check::key)
+            .chain(writes.iter().map(Write::key))
+            .fold(0u32, |set, key| set | 1 << shard_index(key));
+        let mut many: [Option<RwLockWriteGuard<'_, Shard>>; SHARDS];
+        let mut guards = match touched.count_ones() {
+            1 => Guards::One(self.shards[touched.trailing_zeros() as usize].write()),
+            _ => {
+                many = Default::default();
+                for (i, guard) in many.iter_mut().enumerate() {
+                    if touched & 1 << i != 0 {
+                        *guard = Some(self.shards[i].write());
+                    }
+                }
+                Guards::Many(&mut many)
+            }
+        };
+        let holds = checks.iter().all(|check| match *check {
+            Check::Holds(key, value) => guards.shard(key).get(key).is_some_and(|v| v == value),
+            Check::Absent(key) => !guards.shard(key).contains_key(key),
+        });
+        if !holds {
+            return None;
+        }
+        let mut removed = 0;
+        for write in writes {
+            let shard = guards.shard(write.key());
+            match *write {
+                Write::Put(key, value) => drop(shard.insert(key.to_vec(), value.to_vec())),
+                Write::Delete(key) => removed += shard.remove(key).is_some() as usize,
+            }
+        }
+        self.commit_keys
+            .fetch_add(writes.len() as u64, Ordering::Relaxed);
+        Some(removed)
     }
 
     /// All `(key, value)` pairs whose key starts with `prefix`, in global
@@ -734,6 +862,189 @@ mod tests {
             stalls(&|| assert_eq!((kv.len(), kv.count_prefix(b"")), (1, 1))),
             0
         );
+    }
+
+    #[test]
+    fn a_refused_commit_writes_nothing_and_still_counts_one_request() {
+        let kv = KvStore::new();
+        kv.put(b"dentry", b"7");
+        kv.put(b"attr", b"old");
+        let before = kv.stats();
+        // One check of two fails: neither write lands, the other key
+        // keeps its value, and the refusal is one put.
+        let refused = kv.commit(
+            &[Check::Holds(b"dentry", b"7"), Check::Absent(b"attr")],
+            &[Write::Delete(b"dentry"), Write::Put(b"attr", b"new")],
+        );
+        assert!(!refused);
+        assert_eq!(kv.get(b"dentry").as_deref(), Some(&b"7"[..]));
+        assert_eq!(kv.get(b"attr").as_deref(), Some(&b"old"[..]));
+        let after = kv.stats();
+        assert_eq!(
+            (after.puts - before.puts, after.deletes - before.deletes),
+            (1, 0)
+        );
+        assert_eq!(after.commit_keys, before.commit_keys, "nothing written");
+        // A value that differs in one byte, or is a prefix, does not hold.
+        assert!(!kv.commit(&[Check::Holds(b"attr", b"ol")], &[Write::Delete(b"attr")]));
+        assert!(!kv.commit(&[Check::Holds(b"nope", b"")], &[Write::Delete(b"attr")]));
+        assert_eq!(kv.len(), 2);
+        // Every check holding applies every write, in order.
+        assert!(kv.commit(
+            &[Check::Holds(b"dentry", b"7"), Check::Absent(b"new")],
+            &[
+                Write::Put(b"new", b"1"),
+                Write::Delete(b"dentry"),
+                Write::Put(b"new", b"2"),
+                Write::Put(b"attr", b"newer"),
+            ],
+        ));
+        assert_eq!(kv.get(b"new").as_deref(), Some(&b"2"[..]));
+        assert_eq!(kv.get(b"attr").as_deref(), Some(&b"newer"[..]));
+        assert!(!kv.contains(b"dentry"));
+        assert_eq!(kv.stats().commit_keys - after.commit_keys, 4);
+    }
+
+    #[test]
+    fn a_commit_is_a_delete_only_when_every_write_is_a_delete() {
+        let kv = KvStore::new();
+        let counts = |checks: &[Check], writes: &[Write]| {
+            let before = kv.stats();
+            kv.commit(checks, writes);
+            let after = kv.stats();
+            (
+                after.puts - before.puts,
+                after.deletes - before.deletes,
+                after.commit_keys - before.commit_keys,
+            )
+        };
+        assert_eq!(
+            counts(&[], &[Write::Put(b"a", b"1"), Write::Put(b"b", b"2")]),
+            (1, 0, 2)
+        );
+        assert_eq!(
+            counts(&[], &[Write::Delete(b"a"), Write::Put(b"c", b"3")]),
+            (1, 0, 2)
+        );
+        assert_eq!(
+            counts(
+                &[Check::Absent(b"a")],
+                &[Write::Delete(b"b"), Write::Delete(b"c")]
+            ),
+            (0, 1, 2)
+        );
+        // Refused, it counts what it would have been.
+        assert_eq!(
+            counts(&[Check::Holds(b"b", b"2")], &[Write::Put(b"x", b"1")]),
+            (1, 0, 0)
+        );
+        assert_eq!(
+            counts(&[Check::Holds(b"b", b"")], &[Write::Delete(b"x")]),
+            (0, 1, 0)
+        );
+        // The one-write forms are one-write commits, counted as before.
+        kv.put(b"k", b"v");
+        assert!(!kv.put_if_absent(b"k", b"w"));
+        assert!(kv.delete(b"k"));
+        assert!(!kv.delete(b"k"));
+        let s = kv.stats();
+        assert_eq!((s.puts, s.deletes, s.commit_keys), (5, 4, 9));
+        assert!(kv.is_empty());
+    }
+
+    #[test]
+    fn a_firing_fault_pauses_a_commit_once() {
+        use dpc_sim::fault::{FaultPlan, FaultSpec};
+        let kv = KvStore::new();
+        let plan = FaultPlan::new(1);
+        kv.set_fault_site(Some(plan.arm("kv.op", FaultSpec::first_n(1))));
+        let writes: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 3]).collect();
+        let puts: Vec<Write> = writes.iter().map(|k| Write::Put(k, k)).collect();
+        assert!(kv.commit(&[Check::Absent(b"x")], &puts));
+        assert_eq!(kv.stats().retries, 1, "sixteen keys, one pause");
+        assert_eq!(kv.len(), 16);
+        // A refused commit pauses too.
+        plan.arm("kv.op", FaultSpec::first_n(1));
+        assert!(!kv.commit(&[Check::Absent(&writes[0])], &[Write::Delete(b"x")]));
+        assert_eq!(kv.stats().retries, 2);
+    }
+
+    /// Two movers pass one token between eight keys in different shards
+    /// with multi-shard commits, a scanner counts the tokens, and a
+    /// fourth thread runs sub-value writes and range deletes over the same
+    /// shards. Every request takes its guards in ascending shard order, so
+    /// none waits on another in a cycle; and a commit is atomic to a scan,
+    /// which always sees exactly one token.
+    #[test]
+    fn commit_never_deadlocks_against_scans_and_sub_writes() {
+        use std::sync::mpsc;
+        let kv = Arc::new(KvStore::new());
+        let token = |i: u64| format!("tok/{i}").into_bytes();
+        kv.put(&token(0), b"T");
+        let rounds = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            100_000
+        };
+        let (done, finished) = mpsc::channel();
+        let mut threads = Vec::new();
+        for mover in 0..2u64 {
+            let (kv, done) = (kv.clone(), done.clone());
+            threads.push(std::thread::spawn(move || {
+                let mut seed = 0x9e37_79b9_7f4a_7c15u64 ^ mover;
+                let mut moved = 0;
+                for _ in 0..rounds {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let (from, to) = (seed >> 33 & 7, (seed >> 40) % 7);
+                    let to = if to >= from { to + 1 } else { to };
+                    let (from, to) = (token(from), token(to));
+                    moved += kv.commit(
+                        &[Check::Holds(&from, b"T"), Check::Absent(&to)],
+                        &[Write::Delete(&from), Write::Put(&to, b"T")],
+                    ) as u32;
+                }
+                done.send(moved).unwrap();
+            }));
+        }
+        {
+            let (kv, done) = (kv.clone(), done.clone());
+            threads.push(std::thread::spawn(move || {
+                for _ in 0..rounds / 4 {
+                    let mut tokens = 0;
+                    kv.scan_prefix_with(b"tok/", |_, _| tokens += 1);
+                    assert_eq!(tokens, 1, "a scan saw a commit half applied");
+                }
+                done.send(0).unwrap();
+            }));
+        }
+        {
+            let (kv, done) = (kv.clone(), done.clone());
+            threads.push(std::thread::spawn(move || {
+                let blocks: Vec<Vec<u8>> = (0..8u8).map(|i| vec![b'b', i]).collect();
+                for round in 0..rounds / 4 {
+                    kv.write_subs(blocks.iter().map(|k| (k, round % 64, &[1u8; 8][..])));
+                    if round % 8 == 7 {
+                        kv.delete_range(b"b", b"b");
+                    }
+                }
+                done.send(0).unwrap();
+            }));
+        }
+        drop(done);
+        let mut moved = 0;
+        for _ in 0..threads.len() {
+            match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(n) => moved += n,
+                // A thread panicked: its join below says why.
+                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("no progress in 60 s: a deadlock"),
+            }
+        }
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert!(moved > 0, "the token moved");
+        assert_eq!(kv.count_prefix(b"tok/"), 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests: the sharded KV store behaves like a BTreeMap reference
-//! model under arbitrary op sequences, including prefix scans and sub-value
-//! writes.
+//! model under arbitrary op sequences, including prefix scans, sub-value
+//! writes and conditional multi-key commits.
 
 use std::collections::BTreeMap;
 
-use dpc_kvstore::KvStore;
+use dpc_kvstore::{Check, KvStore, Write};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -17,11 +17,28 @@ enum Op {
     ReadSub(Vec<u8>, usize, usize),
     ReadSubs(Vec<(Vec<u8>, usize, usize)>),
     WriteSubs(Vec<(Vec<u8>, usize, Vec<u8>)>),
+    PutIfAbsent(Vec<u8>, Vec<u8>),
+    /// Checks `(key, Some(value))` = holds it, `(key, None)` = absent;
+    /// writes `(key, Some(value))` = put, `(key, None)` = delete.
+    Commit(
+        Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    ),
+}
+
+fn arb_value() -> impl Strategy<Value = Vec<u8>> {
+    // Short and from a small alphabet, so a value check holds often.
+    proptest::collection::vec(0u8..2, 0..3)
 }
 
 fn arb_key() -> impl Strategy<Value = Vec<u8>> {
     // Small alphabet so keys collide and prefixes overlap.
     proptest::collection::vec(0u8..4, 1..5)
+}
+
+/// A key with a value, or with `None`.
+fn arb_maybe_value() -> impl Strategy<Value = (Vec<u8>, Option<Vec<u8>>)> {
+    (arb_key(), any::<bool>(), arb_value()).prop_map(|(k, some, v)| (k, some.then_some(v)))
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -47,6 +64,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
             0..6
         )
         .prop_map(Op::WriteSubs),
+        (arb_key(), arb_value()).prop_map(|(k, v)| Op::PutIfAbsent(k, v)),
+        (
+            proptest::collection::vec(arb_maybe_value(), 0..3),
+            proptest::collection::vec(arb_maybe_value(), 0..5),
+        )
+            .prop_map(|(checks, writes)| Op::Commit(checks, writes)),
     ]
 }
 
@@ -105,6 +128,48 @@ proptest! {
                     }
                     for (k, _, _) in &writes {
                         prop_assert_eq!(kv.get(k), model.get(k).cloned());
+                    }
+                }
+                Op::PutIfAbsent(k, v) => {
+                    let free = !model.contains_key(&k);
+                    prop_assert_eq!(kv.put_if_absent(&k, &v), free);
+                    if free {
+                        model.insert(k, v);
+                    }
+                }
+                Op::Commit(checks, writes) => {
+                    // All the writes in order when every check holds on the
+                    // model, none otherwise; one request either way.
+                    let holds = checks.iter().all(|(k, v)| model.get(k) == v.as_ref());
+                    let checks: Vec<Check> = checks
+                        .iter()
+                        .map(|(k, v)| match v {
+                            Some(v) => Check::Holds(k, v),
+                            None => Check::Absent(k),
+                        })
+                        .collect();
+                    let kv_writes: Vec<Write> = writes
+                        .iter()
+                        .map(|(k, v)| match v {
+                            Some(v) => Write::Put(k, v),
+                            None => Write::Delete(k),
+                        })
+                        .collect();
+                    let before = kv.stats();
+                    prop_assert_eq!(kv.commit(&checks, &kv_writes), holds);
+                    let after = kv.stats();
+                    let deletes_only = writes.iter().all(|(_, v)| v.is_none());
+                    prop_assert_eq!(after.puts - before.puts, u64::from(!deletes_only));
+                    prop_assert_eq!(after.deletes - before.deletes, u64::from(deletes_only));
+                    let written = if holds { writes.len() as u64 } else { 0 };
+                    prop_assert_eq!(after.commit_keys - before.commit_keys, written);
+                    if holds {
+                        for (k, v) in writes {
+                            match v {
+                                Some(v) => model.insert(k, v),
+                                None => model.remove(&k),
+                            };
+                        }
                     }
                 }
                 Op::ReadSub(k, off, len) => {

@@ -33,6 +33,22 @@ done
 cargo test --release -q -p dpc-kvfs --lib \
     two_names_of_one_inode_unlinked_at_once_free_it_exactly_once
 cargo test --release -q -p dpc-kvfs --test zero_alloc_walk
+# One KV request per namespace call (DESIGN.md §14.2), in release and by
+# name: each create, link, mkdir, symlink, unlink, rmdir and rename is one
+# conditional multi-key commit (the big file's last name the one
+# exception); a rename over a name never lets it vanish, and a created
+# name always has its attribute (both failed 10 runs in 10 before). The
+# store's commit: a refused one writes nothing and counts one request,
+# puts vs deletes, one fault pause. The deadlock bound is in the one-core
+# loop below.
+cargo test --release -q -p dpc-kvfs --lib -- \
+    fs::tests::every_namespace_mutation_is_one_kv_request \
+    fs::tests::a_rename_over_a_name_never_lets_the_destination_vanish \
+    fs::tests::a_created_name_always_has_its_attribute
+cargo test --release -q -p dpc-kvstore --lib -- \
+    store::tests::a_refused_commit_writes_nothing_and_still_counts_one_request \
+    store::tests::a_commit_is_a_delete_only_when_every_write_is_a_delete \
+    store::tests::a_firing_fault_pauses_a_commit_once
 # Refused flushes and uncached I/O, in release and by name: a scoped
 # fsync whose page the backend refuses says EIO; one whose page a writer
 # holds through the pass is not answered Ok until the page lands (the DPU
@@ -177,10 +193,13 @@ cargo test --release -q -p dpc-core --test zero_alloc_miss -- \
 cargo test --release -q --test fault_recovery \
     a_read_the_link_keeps_shedding_is_eio_buffered_or_direct
 cargo test --release -q --no-run --test concurrent_adapters --test link_wait
+cargo test --release -q -p dpc-kvstore --lib --no-run
 for run in $(seq 1 10); do
     taskset -c 0 cargo test --release -q --test concurrent_adapters --test link_wait
     taskset -c 0 cargo test --release -q --test concurrent_adapters \
         reads_served_in_place_on_one_queue_stay_byte_exact
+    taskset -c 0 cargo test --release -q -p dpc-kvstore --lib \
+        commit_never_deadlocks_against_scans_and_sub_writes
 done
 # One way across each end of a queue pair (DESIGN.md §17), in release and
 # by name: the raw-header cases in `queue.rs` (the 8 KiB write's 4 DMAs,
