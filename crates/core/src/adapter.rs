@@ -644,15 +644,15 @@ impl DpcFs {
         Ok((resp, parent, leg.leaf()))
     }
 
-    /// A name of the inode `attr` describes is gone (unlink, or a rename
-    /// over it). Its host pages and dirty data go only with
-    /// the *last* name — the other names still open and read this inode —
-    /// its cached attr always (nlink moved).
-    fn name_removed(&self, attr: &WireAttr) {
-        if attr.nlink == 0 {
-            self.cache.invalidate_ino(attr.ino);
+    /// A name of inode `ino` is gone (unlink, or a rename over it). Its
+    /// host pages and dirty data go only with the `last` name — the other
+    /// names still open and read this inode — its cached attr always
+    /// (nlink moved).
+    fn name_removed(&self, ino: u64, last: bool) {
+        if last {
+            self.cache.invalidate_ino(ino);
         }
-        self.meta.invalidate_ino(attr.ino);
+        self.meta.invalidate_ino(ino);
     }
 
     pub fn create(&self, path: &str) -> Result<Fd, DpcError> {
@@ -749,10 +749,10 @@ impl DpcFs {
 
     pub fn unlink(&self, path: &str) -> Result<(), DpcError> {
         let unlink = |parent, name| FileRequest::Unlink { parent, name };
-        let (FileResponse::Attr(victim), parent, leaf) = self.mutate(path, unlink)? else {
+        let (FileResponse::Removed { ino, last }, parent, leaf) = self.mutate(path, unlink)? else {
             return Err(DpcError::IO);
         };
-        self.name_removed(&victim);
+        self.name_removed(ino, last);
         self.meta.note_remove(parent, leaf);
         Ok(())
     }
@@ -767,8 +767,8 @@ impl DpcFs {
             new_name: legs[1].rest.to_string(),
         };
         let (resp, _, [parent, new_parent]) = self.ns_call(&req, &legs, 0)?;
-        if let FileResponse::Attr(replaced) = resp {
-            self.name_removed(&replaced);
+        if let FileResponse::Removed { ino, last } = resp {
+            self.name_removed(ino, last);
         }
         // The reply names neither the inode that moved nor its kind: both
         // tables forget the name (a rename *into* a cached-absent name must
@@ -1435,8 +1435,7 @@ impl DpcFs {
         // Sampled before the request leaves: whatever this fsync covers
         // was written before now (see `InodeCell::is_clean`).
         let covers = entry.cell.mutations.load(Ordering::Acquire);
-        let resp = self.sync_ino(ino)?;
-        let FileResponse::Attr(backend) = resp else {
+        let FileResponse::Size(backend) = self.sync_ino(ino)? else {
             return Err(DpcError::IO);
         };
         // Size reconcile (kernel i_size): the flusher writes each page's
@@ -1452,7 +1451,7 @@ impl DpcFs {
         // nothing keeps two clients coherent yet. No intent record: after a
         // crash, the adopted pages' valid prefixes put the size back.
         let size = entry.cell.size.load(Ordering::Acquire);
-        if backend.size != size {
+        if backend != size {
             self.call(&FileRequest::Truncate { ino, size }, b"")?;
         }
         entry.cell.synced.fetch_max(covers, Ordering::AcqRel);

@@ -475,13 +475,17 @@ impl Dispatcher {
 
     /// A name of the inode `attr` describes went away (unlink, or a rename
     /// over it). Cached pages of a dead inode are the host's problem (it
-    /// invalidates by ino, from this reply); the readahead stream is ours,
-    /// and dies with the inode's last link, not before.
+    /// invalidates by ino, from this reply's `last`); the readahead stream
+    /// is ours, and dies with the inode's last link, not before.
     fn name_removed(&self, attr: &FileAttr) -> FileResponse {
-        if let (Some((table, _)), 0) = (&self.ra, attr.nlink) {
+        let last = attr.nlink == 0;
+        if let (Some((table, _)), true) = (&self.ra, last) {
             table.reset(attr.ino);
         }
-        FileResponse::Attr(wire_attr(attr))
+        FileResponse::Removed {
+            ino: attr.ino,
+            last,
+        }
     }
 
     /// Serve one standalone request. Every path a request carries is
@@ -615,12 +619,12 @@ impl Dispatcher {
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
                 // false durability promise. The reply carries the
-                // post-flush attribute, each pass's mtime settled by
+                // post-flush size, each pass's mtime settled by
                 // `flush_pass` before it: the host compares its logical
                 // size with it and sends a reconciling `Truncate` only on
                 // disagreement (DESIGN.md §9.1).
                 match self.kvfs.fsync(*ino) {
-                    Ok(attr) => FileResponse::Attr(wire_attr(&attr)),
+                    Ok(attr) => FileResponse::Size(attr.size),
                     Err(e) => fs_err(e),
                 }
             }
@@ -634,7 +638,7 @@ impl Dispatcher {
                     .walk(*parent, name, &mut steps)
                     .and_then(|ino| Ok((ino, kvfs.walk_parent(*new_parent, new_name, &mut steps)?)))
                     .and_then(|(ino, (dir, leaf))| kvfs.link_in(ino, dir, leaf));
-                reply(linked.map(|attr| FileResponse::Attr(wire_attr(&attr))))
+                reply(linked.map(|()| FileResponse::Ok))
             }
             FileRequest::Symlink {
                 parent,
@@ -882,7 +886,8 @@ mod tests {
         assert_eq!(cache.dirty_count(), 1);
         drop(held);
         let (resp, _) = dispatcher.handle(&fsync);
-        assert!(matches!(resp, FileResponse::Attr(_)), "{resp:?}");
+        let size = (32 * BIG_BLOCK) as u64;
+        assert_eq!(resp, FileResponse::Size(size));
         assert_eq!((first_bytes(&kvfs), cache.dirty_count()), ((7, 7), 0));
     }
 
@@ -906,7 +911,8 @@ mod tests {
                 request: FileRequest::Fsync { ino: a },
                 ..FileIncoming::default()
             };
-            assert!(matches!(dispatcher.handle(&fsync).0, FileResponse::Attr(_)));
+            let size = (32 * BIG_BLOCK) as u64;
+            assert_eq!(dispatcher.handle(&fsync).0, FileResponse::Size(size));
             let after = kvfs.store().stats();
             // Off: four one-page runs, each its own key write (one KV
             // request per page before batches); on: one run of two blocks.

@@ -118,11 +118,8 @@ fn standalone_namespace_requests() {
         },
         vec![],
     ));
-    // The reply is the victim as the unlink left it: its last name went.
-    let FileResponse::Attr(victim) = resp else {
-        panic!("{resp:?}")
-    };
-    assert_eq!((victim.ino, victim.nlink), (ino, 0));
+    // The reply names the victim, and says its last name went.
+    assert_eq!(resp, FileResponse::Removed { ino, last: true });
     let (resp, _) = d.handle(&incoming(
         DispatchType::Standalone,
         FileRequest::Rmdir {
@@ -195,11 +192,8 @@ fn standalone_data_requests() {
         FileRequest::Fsync { ino },
         vec![],
     ));
-    // The fsync reply carries the post-flush attribute (size reconcile).
-    let FileResponse::Attr(a) = resp else {
-        panic!()
-    };
-    assert_eq!((a.ino, a.size), (ino, 10));
+    // The fsync reply carries the post-flush size (size reconcile).
+    assert_eq!(resp, FileResponse::Size(10));
 }
 
 /// One request through a real queue pair: stage it on the pool, serve
@@ -443,7 +437,7 @@ fn ask(d: &mut Dispatcher, request: FileRequest) -> (FileResponse, Vec<u8>, Vec<
 
 fn ino_of(resp: FileResponse) -> u64 {
     match resp {
-        FileResponse::Ino(ino) => ino,
+        FileResponse::Ino(ino) | FileResponse::Removed { ino, .. } => ino,
         FileResponse::Attr(a) => a.ino,
         other => panic!("{other:?}"),
     }
@@ -585,7 +579,8 @@ fn path_requests_walk_on_the_dpu_and_report_the_trail() {
     );
     assert_eq!(resp, FileResponse::Err(20));
 
-    // Link / Unlink / Rename reply with the inode the op touched.
+    // Link replies `Ok`; Unlink and Rename name the inode that lost a
+    // name, and whether it was the last.
     let link = FileRequest::Link {
         parent: 0,
         name: "a/ln/f".into(),
@@ -593,10 +588,8 @@ fn path_requests_walk_on_the_dpu_and_report_the_trail() {
         new_name: "hard".into(),
     };
     let (resp, _, trail) = ask(&mut d, link);
-    let FileResponse::Attr(linked) = resp else {
-        panic!("{resp:?}")
-    };
-    assert_eq!((linked.ino, linked.nlink), (f, 2));
+    assert_eq!(resp, FileResponse::Ok);
+    assert_eq!(kvfs.get_attr(f).unwrap().nlink, 2);
     assert_eq!(
         trail.len(),
         3,
@@ -607,10 +600,11 @@ fn path_requests_walk_on_the_dpu_and_report_the_trail() {
         name: name.into(),
     };
     let (resp, _, _) = ask(&mut d, unlink("a/hard"));
-    let FileResponse::Attr(left) = resp else {
-        panic!("{resp:?}")
+    let lives_on = FileResponse::Removed {
+        ino: f,
+        last: false,
     };
-    assert_eq!((left.ino, left.nlink), (f, 1), "the other name lives on");
+    assert_eq!(resp, lives_on, "the other name lives on");
     let (resp, _, _) = ask(
         &mut d,
         FileRequest::Create {
@@ -627,10 +621,8 @@ fn path_requests_walk_on_the_dpu_and_report_the_trail() {
         new_name: to.into(),
     };
     let (resp, _, trail) = ask(&mut d, rename("a/g", "a/b/f"));
-    let FileResponse::Attr(replaced) = resp else {
-        panic!("{resp:?}")
-    };
-    assert_eq!((replaced.ino, replaced.nlink), (f, 0), "f died under g");
+    let died = FileResponse::Removed { ino: f, last: true };
+    assert_eq!(resp, died, "f died under g");
     assert_eq!(
         trail,
         [WireStep::Entry(a), WireStep::Entry(a), WireStep::Entry(b)]
@@ -912,9 +904,10 @@ const VARIANTS: usize = 19;
 fn every_reply_fits_what_its_request_declared() {
     // A request sent with no read payload expected, whose replies all
     // ride the CQE (`FileRequest::reply_rides_cqe`), declares no read
-    // side at all. Were the dispatcher ever to answer one with `Ino` or
-    // `Attr`, the transport would have nowhere to put it and a correct
-    // reply would turn into `InvalidCommand`. So: every variant, success
+    // side at all. Were the dispatcher ever to answer one with `Attr`, or
+    // anything else past the CQE's 9 bytes, the transport would have
+    // nowhere to put it and a correct reply would turn into
+    // `InvalidCommand`. So: every variant, success
     // and errno, standalone and distributed, through a real queue pair —
     // none refused, and each reply of the class its request promised.
     let (mut d, _) = dispatcher(true);
@@ -940,7 +933,7 @@ fn every_reply_fits_what_its_request_declared() {
         response.encode(&mut header);
         if read_len == 0 && request.reply_rides_cqe() {
             assert!(
-                header.len() <= dpc_nvmefs::CQE_INLINE_CAP && payload.is_empty(),
+                header.len() <= dpc_nvmefs::CQE_WIDE_CAP && payload.is_empty(),
                 "{request:?} promised a CQE-sized reply, got {response:?}"
             );
         }
@@ -1064,9 +1057,14 @@ fn every_reply_fits_what_its_request_declared() {
             ),
             FileResponse::Err(2)
         );
-        for (ino, errno) in [(f, None), (dpc_core::FSYNC_ALL, None), (9999, Some(2))] {
+        let fsyncs = [
+            (f, FileResponse::Size(10)),
+            (dpc_core::FSYNC_ALL, FileResponse::Ok),
+            (9999, FileResponse::Err(2)),
+        ];
+        for (ino, want) in fsyncs {
             let resp = serve(&mut d, sa, FileRequest::Fsync { ino }, b"", room);
-            assert_eq!(matches!(resp, FileResponse::Err(_)), errno.is_some());
+            assert_eq!(resp, want);
         }
         assert_eq!(
             ino_of(serve(
@@ -1142,7 +1140,10 @@ fn every_reply_fits_what_its_request_declared() {
             new_parent: 0,
             new_name: at(to),
         };
-        assert_eq!(ino_of(serve(&mut d, sa, link("f", "l"), b"", room)), f);
+        assert_eq!(
+            serve(&mut d, sa, link("f", "l"), b"", room),
+            FileResponse::Ok
+        );
         assert_eq!(
             serve(&mut d, sa, link("nope", "l2"), b"", room),
             FileResponse::Err(2)

@@ -302,8 +302,11 @@ impl Kvfs {
     }
 
     /// Claim `name` under `parent` for `attr`'s inode, if it is free
-    /// (`AlreadyExists` otherwise), writing the attribute and `also` in the
-    /// same [`KvStore::commit`]; then the caches.
+    /// (`AlreadyExists` otherwise) and `parent` still exists (`NotFound`
+    /// otherwise), writing the attribute and `also` in the same
+    /// [`KvStore::commit`]; then the caches. The caller holds `parent`'s
+    /// [`Kvfs::ino_lock`]: an `rmdir` of it, which holds the same lock from
+    /// its emptiness scan to its commit, is wholly before or after.
     fn publish(
         &self,
         parent: u64,
@@ -313,11 +316,20 @@ impl Kvfs {
     ) -> Result<(), FsError> {
         let (key, value) = (inode_key(parent, name), dentry_value(attr.ino, attr.kind));
         let (akey, avalue) = (attr_key(attr.ino), attr.encode());
+        let pkey = attr_key(parent);
         let mut writes = Vec::with_capacity(2 + also.len());
         writes.extend([Write::Put(&key, &value), Write::Put(&akey, &avalue)]);
         writes.extend_from_slice(also);
-        if !self.store.commit(&[Check::Absent(&key)], &writes) {
-            return Err(FsError::AlreadyExists);
+        if !self
+            .store
+            .commit(&[Check::Absent(&key), Check::Present(&pkey)], &writes)
+        {
+            // Refused: the name was taken, or an rmdir took the parent
+            // (under the lock this call holds, so the cache knows which).
+            return Err(match self.get_attr(parent) {
+                Ok(_) => FsError::AlreadyExists,
+                Err(_) => FsError::NotFound,
+            });
         }
         self.cache.put_name(parent, name, (attr.ino, attr.kind));
         self.cache.put_attr(*attr);
@@ -336,6 +348,7 @@ impl Kvfs {
         if target.len() > MAX_NAME_LEN {
             return Err(FsError::NameTooLong);
         }
+        let _guard = self.ino_lock(parent).lock();
         let ino = self.alloc_ino();
         let mut attr = FileAttr::new_file(ino, 0o777, self.now());
         attr.kind = FileKind::Symlink;
@@ -362,13 +375,12 @@ impl Kvfs {
     pub fn link(&self, existing: &str, new_path: &str) -> Result<(), FsError> {
         let ino = self.resolve(existing)?;
         let (parent, name) = self.parent_of(new_path)?;
-        self.link_in(ino, parent, name).map(drop)
+        self.link_in(ino, parent, name)
     }
 
-    /// Hard-link the file at `ino` under a known parent inode; returns
-    /// the file's attribute with the new link counted.
-    pub fn link_in(&self, ino: u64, parent: u64, name: &str) -> Result<FileAttr, FsError> {
-        let _guard = self.ino_lock(ino).lock();
+    /// Hard-link the file at `ino` under a known parent inode.
+    pub fn link_in(&self, ino: u64, parent: u64, name: &str) -> Result<(), FsError> {
+        let _guards = self.lock_inos(&[ino, parent]);
         let mut attr = self.get_attr(ino)?;
         if attr.kind != FileKind::File {
             return Err(FsError::InvalidOperation);
@@ -376,8 +388,7 @@ impl Kvfs {
         validate_name(name)?;
         attr.nlink += 1;
         attr.ctime = self.now();
-        self.publish(parent, name, &attr, &[])?;
-        Ok(attr)
+        self.publish(parent, name, &attr, &[])
     }
 
     // ---- namespace operations -----------------------------------------
@@ -387,7 +398,10 @@ impl Kvfs {
     // it expects (a dentry holding a given inode, or none), its writes
     // every dentry and attribute it changes. Inode locks come first, then the
     // store's shard guards inside the commit, then the cache: the store is
-    // written before the cache, and each cache write ticks its stripe.
+    // written before the cache, and each cache write ticks its stripe. A
+    // call that adds a name holds the directory's lock and checks that the
+    // directory's attribute is still there, so it cannot land in a
+    // directory an rmdir has found empty.
 
     /// Create a regular file; returns its inode.
     pub fn create(&self, path: &str, mode: u32) -> Result<u64, FsError> {
@@ -398,6 +412,7 @@ impl Kvfs {
     /// Create a regular file under a known parent inode.
     pub fn create_in(&self, parent: u64, name: &str, mode: u32) -> Result<u64, FsError> {
         validate_name(name)?;
+        let _guard = self.ino_lock(parent).lock();
         let attr = FileAttr::new_file(self.alloc_ino(), mode, self.now());
         // A 0-byte file has no small-file KV: every reader takes an absent
         // value for zeros, and the first write puts it.
@@ -632,12 +647,13 @@ impl Kvfs {
         if let Some(done) = self.commit_rename(fp, fname, entry, tp, tname, stored)? {
             return Ok(done);
         }
-        // Refused twice: another call took the source first, or keeps
-        // changing the destination.
+        // Refused twice: another call took the source first, an rmdir took
+        // the destination directory, or another call keeps changing the
+        // destination.
         let from = inode_key(fp, fname);
         let source_stands =
             self.store.get(&from).as_deref() == Some(&dentry_value(entry.0, entry.1));
-        Err(match source_stands {
+        Err(match source_stands && self.get_attr(tp).is_ok() {
             true => FsError::AlreadyExists,
             false => FsError::NotFound,
         })
@@ -660,12 +676,15 @@ impl Kvfs {
         }
         // A directory moving to another parent takes its `..` along. The
         // locks: the replaced inode's (its link count, as `unlink_entry`
-        // reads it) and both parents' (as mkdir and rmdir hold them).
+        // reads it), the destination directory's (as every call that adds
+        // a name holds it, against an rmdir), and the source directory's
+        // too when a directory moves (as mkdir and rmdir hold them).
         let moves_dir = kind == FileKind::Dir && fp != tp;
         let mut inos = Vec::with_capacity(3);
         inos.extend(dest.map(|(replaced, _)| replaced));
+        inos.push(tp);
         if moves_dir {
-            inos.extend([fp, tp]);
+            inos.push(fp);
         }
         let _guards = self.lock_inos(&inos);
         let unlinked = match dest.map(|(replaced, _)| self.get_attr(replaced)) {
@@ -683,19 +702,21 @@ impl Kvfs {
         let (from, to) = (inode_key(fp, fname), inode_key(tp, tname));
         let value = dentry_value(ino, kind);
         let was = dest.map(|(replaced, rkind)| dentry_value(replaced, rkind));
+        let tkey = attr_key(tp);
         let checks = [
             Check::Holds(&from, &value),
             match &was {
                 Some(was) => Check::Holds(&to, was),
                 None => Check::Absent(&to),
             },
+            Check::Present(&tkey),
         ];
         let mut writes = Vec::with_capacity(6);
         writes.extend([Write::Put(&to, &value), Write::Delete(&from)]);
         if let Some(unlinked) = &unlinked {
             unlinked.writes(&mut writes);
         }
-        let moved = parents.map(|(f, t)| (attr_key(fp), f.encode(), attr_key(tp), t.encode()));
+        let moved = parents.map(|(f, t)| (attr_key(fp), f.encode(), tkey, t.encode()));
         if let Some((fkey, fvalue, tkey, tvalue)) = &moved {
             writes.extend([Write::Put(fkey, fvalue), Write::Put(tkey, tvalue)]);
         }
@@ -2093,6 +2114,62 @@ mod tests {
             orphans.0, 0,
             "{} of {} names found had no attribute",
             orphans.0, orphans.1
+        );
+    }
+
+    /// An rmdir scans its directory empty, then commits. A name added in
+    /// between — by a create, a symlink, a link or a rename into the
+    /// victim — would outlive the directory, unreachable. Each call races
+    /// an rmdir of its target directory, both released by one barrier:
+    /// never do both succeed, and nothing is ever left under a directory
+    /// that is gone.
+    #[test]
+    fn rmdir_never_orphans_a_concurrent_create() {
+        use std::sync::Barrier;
+        const ROUNDS: usize = 2_000;
+        let fs = fs();
+        let file = fs.create("/file", 0o644).unwrap();
+        let kinds = ["create", "symlink", "link", "rename"];
+        let mut orphans = [0usize; 4];
+        for (k, kind) in kinds.into_iter().enumerate() {
+            for i in 0..ROUNDS {
+                let d = fs.mkdir_in(ROOT_INO, "d", 0o755).unwrap();
+                let (name, src) = (format!("x{i}"), format!("{kind}{i}"));
+                if kind == "rename" {
+                    fs.create_in(ROOT_INO, &src, 0o644).unwrap();
+                }
+                let barrier = Barrier::new(2);
+                let (added, removed) = std::thread::scope(|s| {
+                    let adder = s.spawn(|| {
+                        barrier.wait();
+                        match kind {
+                            "create" => fs.create_in(d, &name, 0o644).map(drop),
+                            "symlink" => fs.symlink_in(d, &name, "/file").map(drop),
+                            "link" => fs.link_in(file, d, &name),
+                            _ => fs.rename_in(ROOT_INO, &src, d, &name).map(drop),
+                        }
+                    });
+                    barrier.wait();
+                    let removed = fs.rmdir_in(ROOT_INO, "d").is_ok();
+                    (adder.join().unwrap(), removed)
+                });
+                let left = fs.store().count_prefix(&inode_prefix(d));
+                if removed && (added.is_ok() || left > 0) {
+                    orphans[k] += 1;
+                } else if removed {
+                    // The rmdir came first: the directory is not there.
+                    assert_eq!(added, Err(FsError::NotFound), "{kind} {i}");
+                } else {
+                    // The name landed first: the directory was not empty.
+                    assert_eq!(added, Ok(()), "{kind} {i}: neither call succeeded");
+                    fs.unlink_in(d, &name).unwrap();
+                    fs.rmdir_in(ROOT_INO, "d").unwrap();
+                }
+            }
+        }
+        assert_eq!(
+            orphans, [0; 4],
+            "rounds in {ROUNDS} that left a name under a removed directory, per {kinds:?}"
         );
     }
 

@@ -124,6 +124,8 @@ pub enum Check<'a> {
     Holds(&'a [u8], &'a [u8]),
     /// The key holds no value.
     Absent(&'a [u8]),
+    /// The key holds some value, whatever it is.
+    Present(&'a [u8]),
 }
 
 /// One write of a [`KvStore::commit`].
@@ -138,7 +140,7 @@ pub enum Write<'a> {
 impl Check<'_> {
     fn key(&self) -> &[u8] {
         match *self {
-            Check::Holds(key, _) | Check::Absent(key) => key,
+            Check::Holds(key, _) | Check::Absent(key) | Check::Present(key) => key,
         }
     }
 }
@@ -379,6 +381,7 @@ impl KvStore {
         let holds = checks.iter().all(|check| match *check {
             Check::Holds(key, value) => guards.shard(key).get(key).is_some_and(|v| v == value),
             Check::Absent(key) => !guards.shard(key).contains_key(key),
+            Check::Present(key) => guards.shard(key).contains_key(key),
         });
         if !holds {
             return None;
@@ -888,10 +891,16 @@ mod tests {
         // A value that differs in one byte, or is a prefix, does not hold.
         assert!(!kv.commit(&[Check::Holds(b"attr", b"ol")], &[Write::Delete(b"attr")]));
         assert!(!kv.commit(&[Check::Holds(b"nope", b"")], &[Write::Delete(b"attr")]));
+        // A key that must be there, and is not.
+        assert!(!kv.commit(&[Check::Present(b"nope")], &[Write::Delete(b"attr")]));
         assert_eq!(kv.len(), 2);
         // Every check holding applies every write, in order.
         assert!(kv.commit(
-            &[Check::Holds(b"dentry", b"7"), Check::Absent(b"new")],
+            &[
+                Check::Holds(b"dentry", b"7"),
+                Check::Absent(b"new"),
+                Check::Present(b"attr"),
+            ],
             &[
                 Write::Put(b"new", b"1"),
                 Write::Delete(b"dentry"),

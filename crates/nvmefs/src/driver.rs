@@ -613,9 +613,11 @@ pub(crate) mod tests {
     #[test]
     fn short_replies_ride_the_cqe_byte_exact() {
         // `Ok` (1 byte) and `Bytes`/`Entries`/`Err` (5) fit the CQE beside
-        // `result`, `sq_head`, `cid` and the phase bit; `Ino` (9) and
-        // `Attr` (62) keep their header DMA. Four times round a 4-deep
-        // ring, so every CQ position and both phases carry each.
+        // `result`, `sq_head`, `cid` and the phase bit; `Ino` (9) fits only
+        // the wide form, which a reply with a payload cannot use, and
+        // `Attr` (58) fits neither: both keep their header DMA here. Four
+        // times round a 4-deep ring, so every CQ position and both phases
+        // carry each.
         let dma = DmaEngine::new();
         let cfg = QueuePairConfig {
             depth: 4,

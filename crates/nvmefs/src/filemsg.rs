@@ -90,8 +90,9 @@ pub enum FileRequest {
         ino: u64,
         size: u64,
     },
-    /// Replies the victim's [`FileResponse::Attr`] as the removal left it:
-    /// `nlink == 0` means the inode died with its last name.
+    /// Replies [`FileResponse::Removed`]: the victim's inode, and whether
+    /// this was its last name — the inode then died with it. The host
+    /// reads nothing else, so the reply is 9 bytes and rides the CQE.
     Unlink {
         parent: u64,
         name: String,
@@ -107,15 +108,20 @@ pub enum FileRequest {
     GetAttr {
         ino: u64,
     },
-    /// Replies [`FileResponse::Attr`] of the inode the rename replaced
+    /// Replies [`FileResponse::Removed`] of the inode the rename replaced
     /// (as for [`FileRequest::Unlink`]), [`FileResponse::Ok`] when the
-    /// destination name was free.
+    /// destination name was free: either rides the CQE.
     Rename {
         parent: u64,
         name: String,
         new_parent: u64,
         new_name: String,
     },
+    /// Replies [`FileResponse::Size`], the backend's size of the file once
+    /// its dirty pages landed: the one attribute the host reads, to
+    /// reconcile its own size against (DESIGN.md §9.1). 9 bytes, so it
+    /// rides the CQE. The DFS client, which keeps sizes itself, replies
+    /// [`FileResponse::Ok`].
     Fsync {
         ino: u64,
     },
@@ -132,7 +138,8 @@ pub enum FileRequest {
     },
     /// Hard link: `new_parent`/`new_name` becomes another name for the
     /// file `name` resolves to from `parent` (symlinks followed). Replies
-    /// that file's [`FileResponse::Attr`] with the new link counted.
+    /// [`FileResponse::Ok`]: the host learns the file's inode from the
+    /// walk, and its new link count from its next `stat`.
     Link {
         parent: u64,
         name: String,
@@ -167,9 +174,17 @@ pub enum FileRequest {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum FileResponse {
     Ok,
-    /// Result of lookup/create/mkdir.
+    /// Result of lookup/create/mkdir/symlink.
     Ino(u64),
     Attr(WireAttr),
+    /// A name went away (unlink, a rename over it): the inode it named,
+    /// and whether that was its last name.
+    Removed {
+        ino: u64,
+        last: bool,
+    },
+    /// The backend's size of the file an fsync made durable.
+    Size(u64),
     /// Bytes of payload actually read or written.
     Bytes(u32),
     /// Number of directory entries in the read payload.
@@ -426,18 +441,30 @@ impl FileRequest {
         out.len() - start
     }
 
-    /// Whether every reply to this request — success and each errno — is
-    /// `Ok`, `Bytes`, `Entries` or `Err`: a header the CQE carries inline
-    /// ([`CQE_INLINE_CAP`](crate::CQE_INLINE_CAP) bytes). Sent with no
-    /// read payload expected, such a request needs no read side at all
-    /// ([`ReadSide::None`](crate::ReadSide::None)).
+    /// Whether every reply to this request — success and each errno, on
+    /// either backend — is a header a CQE carries with no payload beside
+    /// it ([`CQE_WIDE_CAP`](crate::CQE_WIDE_CAP) bytes): `Ok`, `Ino`,
+    /// `Removed`, `Size`, `Bytes` or `Err`. Sent with no read payload
+    /// expected, such a request needs no read side at all
+    /// ([`ReadSide::None`](crate::ReadSide::None)), and its own header
+    /// gets the SQE's PRP-Read Dwords. Only a reply with an `Attr`, or
+    /// with a payload, needs the read buffer.
     pub fn reply_rides_cqe(&self) -> bool {
         matches!(
             self,
-            FileRequest::Write { .. }
+            FileRequest::Lookup { .. }
+                | FileRequest::Create { .. }
+                | FileRequest::Mkdir { .. }
+                | FileRequest::Write { .. }
                 | FileRequest::Truncate { .. }
-                | FileRequest::ReadaheadHint { .. }
+                | FileRequest::Unlink { .. }
+                | FileRequest::Rmdir { .. }
+                | FileRequest::Rename { .. }
+                | FileRequest::Fsync { .. }
                 | FileRequest::CacheEvictBatch { .. }
+                | FileRequest::Link { .. }
+                | FileRequest::Symlink { .. }
+                | FileRequest::ReadaheadHint { .. }
         )
     }
 
@@ -557,6 +584,10 @@ const R_ATTR: u8 = 2;
 const R_BYTES: u8 = 3;
 const R_ENTRIES: u8 = 4;
 const R_ERR: u8 = 5;
+/// `Removed` carries `last` in its tag: it stays 9 bytes.
+const R_REMOVED: u8 = 6;
+const R_REMOVED_LAST: u8 = 7;
+const R_SIZE: u8 = 8;
 
 impl FileResponse {
     pub fn encode(&self, out: &mut Vec<u8>) -> usize {
@@ -580,6 +611,14 @@ impl FileResponse {
                 w.u64(a.mtime_ns);
                 w.u64(a.ctime_ns);
                 w.u8(a.kind);
+            }
+            FileResponse::Removed { ino, last } => {
+                w.u8(if *last { R_REMOVED_LAST } else { R_REMOVED });
+                w.u64(*ino);
+            }
+            FileResponse::Size(size) => {
+                w.u8(R_SIZE);
+                w.u64(*size);
             }
             FileResponse::Bytes(n) => {
                 w.u8(R_BYTES);
@@ -614,6 +653,11 @@ impl FileResponse {
                 ctime_ns: r.u64()?,
                 kind: r.u8()?,
             }),
+            tag @ (R_REMOVED | R_REMOVED_LAST) => FileResponse::Removed {
+                ino: r.u64()?,
+                last: tag == R_REMOVED_LAST,
+            },
+            R_SIZE => FileResponse::Size(r.u64()?),
             R_BYTES => FileResponse::Bytes(r.u32()?),
             R_ENTRIES => FileResponse::Entries(r.u32()?),
             R_ERR => FileResponse::Err(r.i32()?),
@@ -1024,28 +1068,50 @@ mod tests {
 
     #[test]
     fn response_round_trips() {
-        for resp in [
-            FileResponse::Ok,
-            FileResponse::Ino(123),
-            FileResponse::Bytes(8192),
-            FileResponse::Entries(17),
-            FileResponse::Err(-2),
-            FileResponse::Attr(WireAttr {
-                ino: 5,
-                size: 1 << 30,
-                mode: 0o755,
-                nlink: 2,
-                uid: 1000,
-                gid: 1000,
-                atime_ns: 1,
-                mtime_ns: 2,
-                ctime_ns: 3,
-                kind: 1,
-            }),
-        ] {
+        // Every response, with the bytes it takes: all but `Attr` fit a
+        // CQE with no payload beside it, the short ones beside one too.
+        let attr = WireAttr {
+            ino: 5,
+            size: 1 << 30,
+            mode: 0o755,
+            nlink: 2,
+            uid: 1000,
+            gid: 1000,
+            atime_ns: 1,
+            mtime_ns: 2,
+            ctime_ns: 3,
+            kind: 1,
+        };
+        let cases = [
+            (FileResponse::Ok, 1),
+            (FileResponse::Ino(123), 9),
+            (FileResponse::Attr(attr), 58),
+            (
+                FileResponse::Removed {
+                    ino: u64::MAX,
+                    last: false,
+                },
+                9,
+            ),
+            (FileResponse::Removed { ino: 7, last: true }, 9),
+            (FileResponse::Size(0), 9),
+            (FileResponse::Size(u64::MAX), 9),
+            (FileResponse::Bytes(8192), 5),
+            (FileResponse::Entries(17), 5),
+            (FileResponse::Err(-2), 5),
+        ];
+        for (resp, len) in cases {
             let mut buf = Vec::new();
-            resp.encode(&mut buf);
+            assert_eq!(resp.encode(&mut buf), len, "{resp:?}");
             assert_eq!(FileResponse::decode(&buf).unwrap(), resp);
+            // Every truncation, and a trailing byte, is refused.
+            for cut in 0..buf.len() {
+                assert!(FileResponse::decode(&buf[..cut]).is_err(), "{resp:?} {cut}");
+            }
+            buf.push(0);
+            assert!(FileResponse::decode(&buf).is_err(), "{resp:?}");
+            let rides = !matches!(resp, FileResponse::Attr(_));
+            assert_eq!(len <= crate::CQE_WIDE_CAP, rides, "{resp:?}");
         }
     }
 

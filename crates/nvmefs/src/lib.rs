@@ -49,5 +49,6 @@ pub use queue::{
     Target, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
 pub use sqe::{
-    Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, OPCODE_NVMEFS, SQE_SIZE,
+    Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, CQE_WIDE_CAP, OPCODE_NVMEFS,
+    SQE_SIZE,
 };

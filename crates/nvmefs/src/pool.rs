@@ -555,7 +555,7 @@ mod tests {
     use crate::driver::tests::serve_one;
     use crate::driver::{create_fabric, FileIncomingBatch, FileTarget};
     use crate::queue::{QueuePair, QueuePairConfig};
-    use crate::sqe::CqeStatus;
+    use crate::sqe::{Cqe, CqeStatus};
     use dpc_pcie::DmaEngine;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
@@ -1022,6 +1022,86 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CallError::Transport), "{err:?}");
         assert_eq!(err.errno(), 5);
+        server.join().unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.transport_errors, stats.retries), (3, 2));
+        assert_eq!(pool.outstanding(0), 0);
+    }
+
+    #[test]
+    fn a_wide_cqe_claiming_more_header_than_it_holds_is_a_transport_error() {
+        // A command with no read side has no header area: the 9 bytes of
+        // the wide form are all its reply may claim. A wide CQE claiming
+        // 10, or a narrow one claiming the 9 only the wide form holds,
+        // would have the host read a header out of a buffer nobody wrote:
+        // a transport error, counted, reissued when the request is
+        // idempotent and EIO when it is not.
+        let dma = DmaEngine::new();
+        let cfg = QueuePairConfig {
+            depth: 4,
+            max_io_bytes: 4096,
+        };
+        let (ini, mut tgt) = QueuePair::new(0, cfg).split(dma);
+        let mut pool = ChannelPool::new(vec![FileChannel::new(ini)]);
+        pool.set_retry(RetryPolicy {
+            attempts: 2,
+            backoff_base_us: 0,
+            ..RetryPolicy::default()
+        });
+        let mut size = Vec::new();
+        FileResponse::Size(0x0102_0304_0506_0708).encode(&mut size);
+        assert_eq!(size.len(), 9);
+        // Per command, in arrival order: forge `(wide, header length)`
+        // into a raw CQE, or answer truthfully.
+        let script = [
+            Some((true, 10)),
+            None,
+            Some((false, 9)),
+            None,
+            Some((true, 10)),
+        ];
+        let server = std::thread::spawn(move || {
+            let mut payload = Vec::new();
+            for forged in script {
+                while tgt.posted() == 0 {
+                    std::thread::yield_now();
+                }
+                let (sqe, _) = tgt.fetch(&mut payload).expect("a well-formed command");
+                assert_eq!((sqe.rh_len(), sqe.read_len()), (0, 0), "no read side");
+                let truthful = Cqe::reply(sqe.cid(), CqeStatus::Success, 0, &size);
+                assert!(truthful.wide);
+                match forged {
+                    Some((wide, hdr_len)) => tgt.post(Cqe {
+                        wide,
+                        hdr_len,
+                        ..truthful
+                    }),
+                    None => tgt.complete_copy(sqe.cid(), CqeStatus::Success, &size, b""),
+                }
+            }
+        });
+        let fsync = FileRequest::Fsync { ino: 7 };
+        for forgery in ["a wide CQE claiming 10 bytes", "a narrow CQE claiming 9"] {
+            let before = pool.stats();
+            let done = pool.call(DispatchType::Standalone, &fsync, b"", 0);
+            let done = done.expect(forgery);
+            assert_eq!(
+                done.response,
+                FileResponse::Size(0x0102_0304_0506_0708),
+                "{forgery}"
+            );
+            let after = pool.stats();
+            assert_eq!(after.transport_errors - before.transport_errors, 1);
+            assert_eq!(after.retries - before.retries, 1, "{forgery}");
+        }
+        let unlink = FileRequest::Unlink {
+            parent: 1,
+            name: "x".into(),
+        };
+        let err = pool
+            .call(DispatchType::Standalone, &unlink, b"", 0)
+            .unwrap_err();
+        assert!(matches!(err, CallError::Transport), "{err:?}");
         server.join().unwrap();
         let stats = pool.stats();
         assert_eq!((stats.transport_errors, stats.retries), (3, 2));

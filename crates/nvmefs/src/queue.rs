@@ -17,11 +17,15 @@
 //! ```
 //!
 //! Headers travel in the descriptors whenever they fit (the inline form,
-//! `sqe.rs` module docs): a request header in the SQE's idle Dwords,
-//! a reply header of up to [`CQE_INLINE_CAP`] bytes in the CQE. Neither
-//! then costs a DMA of its own, and the write payload starts page-aligned
-//! in its buffer. A header that does not fit takes the buffer: the
-//! request header ahead of the payload, the reply header in the first
+//! `sqe.rs` module docs): a request header in the SQE's idle Dwords, a
+//! reply header in the CQE — up to
+//! [`CQE_INLINE_CAP`](crate::CQE_INLINE_CAP) bytes beside a payload, up
+//! to [`CQE_WIDE_CAP`](crate::CQE_WIDE_CAP) when there is none and the
+//! CQE's Dword 0 is free. Neither then costs a DMA of its own, and the write
+//! payload starts page-aligned in its buffer: a command with neither
+//! payload whose headers fit crosses in exactly two DMAs, the SQE fetch
+//! and the CQE. A header that does not fit takes the buffer: the request
+//! header ahead of the payload, the reply header in the first
 //! [`READ_HEADER_CAP`] bytes of the read half.
 //!
 //! Each end of the pair has one way across. The host stages commands
@@ -58,7 +62,7 @@ use std::time::Duration;
 
 use dpc_pcie::{DmaEngine, HostRegion, Sleeper};
 
-use crate::sqe::{Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, SQE_SIZE};
+use crate::sqe::{Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_SIZE, SQE_SIZE};
 
 /// Reserved space at the start of every read buffer for a response
 /// header too long for the CQE; payload follows at this offset.
@@ -67,9 +71,9 @@ pub const READ_HEADER_CAP: usize = 64;
 /// What a command expects back through its transport buffer.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ReadSide {
-    /// Nothing: every reply is a header the CQE holds
-    /// ([`CQE_INLINE_CAP`] bytes) and no payload. The SQE's PRP-Read
-    /// Dwords are then free for request-header bytes.
+    /// Nothing: every reply is a header the CQE holds with no payload
+    /// beside it ([`CQE_WIDE_CAP`](crate::CQE_WIDE_CAP) bytes). The SQE's
+    /// PRP-Read Dwords are then free for request-header bytes.
     None,
     /// Room for a [`READ_HEADER_CAP`]-byte response header and up to this
     /// many payload bytes. What a plain `read_len` means.
@@ -317,13 +321,13 @@ impl Reply<'_> {
 
 /// `cqe`, when the reply it claims fits the room its command declared,
 /// `(RH_len, Read_len)`: at most `Read_len` payload bytes, and a header
-/// the CQE holds or one of at most `RH_len`. Otherwise a bare transport
-/// error: the lengths in a CQE are written by the other side of the link,
-/// and believing them would read another command's buffer, or past the
-/// pool.
+/// the CQE's form holds — narrow or wide — or one of at most `RH_len`.
+/// Otherwise a bare transport error: the lengths in a CQE are written by
+/// the other side of the link, and believing them would read another
+/// command's buffer, or past the pool.
 fn within(cqe: Cqe, (rh_len, read_len): (u16, u32)) -> Cqe {
     let header = cqe.hdr_len as usize;
-    if cqe.result <= read_len && (header <= CQE_INLINE_CAP || header <= rh_len as usize) {
+    if cqe.result <= read_len && (header <= cqe.inline_cap() || header <= rh_len as usize) {
         return cqe;
     }
     bare(cqe.cid, CqeStatus::TransportError)
@@ -332,15 +336,7 @@ fn within(cqe: Cqe, (rh_len, read_len): (u16, u32)) -> Cqe {
 /// A completion for `cid` with `status` and no reply, as `reap` hands it
 /// up (its ring fields, `sq_head` and `phase`, are spent by then).
 fn bare(cid: u16, status: CqeStatus) -> Cqe {
-    Cqe {
-        result: 0,
-        hdr_len: 0,
-        inline: [0; CQE_INLINE_CAP],
-        sq_head: 0,
-        status,
-        cid,
-        phase: false,
-    }
+    Cqe::reply(cid, status, 0, b"")
 }
 
 /// Error returned when the submission ring (or every transport buffer)
@@ -921,10 +917,12 @@ impl Target {
     /// `InvalidCommand` instead, as a refused one does.
     ///
     /// DMA accounting: `ceil(payload / 4096)` ops for the payload, 1 for a
-    /// header longer than [`CQE_INLINE_CAP`], plus 1 for the CQE; a
+    /// header longer than the CQE holds beside that payload ([`Cqe::room`]:
+    /// 5 bytes beside a payload, 9 with none), plus 1 for the CQE; a
     /// refused reply, only the CQE. An acknowledgement — no payload, a
-    /// short header or none — therefore costs exactly one CQE DMA, which
-    /// is what keeps an 8 KiB write at the paper's 4 DMA operations.
+    /// header of at most 9 bytes — therefore costs exactly one CQE DMA,
+    /// which is what keeps an 8 KiB write at the paper's 4 DMA operations
+    /// and a namespace mutation at 2.
     pub(crate) fn complete(
         &mut self,
         slot: u16,
@@ -947,17 +945,18 @@ impl Target {
                     return 0;
                 };
                 assert!(header.len() <= READ_HEADER_CAP, "response header too big");
-                if header.len() > CQE_INLINE_CAP && header.len() > reply.header_cap {
+                let rides = header.len() <= Cqe::room(n as u32);
+                if !rides && header.len() > reply.header_cap {
                     return 0;
                 }
-                done = Some(status);
+                done = Some((status, rides));
                 n
             },
         );
         match done {
-            Some(status) => {
+            Some((status, rides)) => {
                 // Response header (single DMA: it fits one page).
-                if header.len() > CQE_INLINE_CAP {
+                if !rides {
                     self.dma
                         .dma_write(&self.shared.data_pool, reply.offset, &header);
                 }
@@ -986,21 +985,16 @@ impl Target {
     }
 
     /// ④ post one CQE at the CQ tail (one DMA), `header` inside it when
-    /// it fits.
+    /// its form holds it ([`Cqe::reply`]).
     pub(crate) fn post_cqe(&mut self, cid: u16, status: CqeStatus, result: u32, header: &[u8]) {
-        let mut inline = [0u8; CQE_INLINE_CAP];
-        if let Some(room) = inline.get_mut(..header.len()) {
-            room.copy_from_slice(header);
-        }
-        let cqe = Cqe {
-            result,
-            hdr_len: header.len() as u8,
-            inline,
-            sq_head: self.sq_head,
-            status,
-            cid,
-            phase: self.cq_phase,
-        };
+        self.post(Cqe::reply(cid, status, result, header));
+    }
+
+    /// Post `cqe` at the CQ tail (one DMA), with this queue's SQ head and
+    /// phase: every completion goes through here, and a test forges raw
+    /// ones with it.
+    pub(crate) fn post(&mut self, mut cqe: Cqe) {
+        (cqe.sq_head, cqe.phase) = (self.sq_head, self.cq_phase);
         self.dma.dma_write(
             &self.shared.cq_mem,
             self.cq_tail as usize * CQE_SIZE,
@@ -1016,6 +1010,7 @@ impl Target {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sqe::{CQE_INLINE_CAP, CQE_WIDE_CAP};
     use proptest::prelude::*;
 
     fn pair(depth: u16, max_io: usize) -> (Initiator, Target, DmaEngine) {
@@ -1519,16 +1514,18 @@ mod tests {
         ];
         for (wlen, read, room) in shapes {
             for hdr_len in [0, 1, room - 1, room, room + 1, 64] {
-                for reply_len in [0, 1, CQE_INLINE_CAP, CQE_INLINE_CAP + 1] {
-                    let buffered_reply = reply_len > CQE_INLINE_CAP;
+                let rlen = match read {
+                    ReadSide::Buffer(n) => n as usize,
+                    ReadSide::None => 0,
+                };
+                let replies = [0, 1, CQE_INLINE_CAP, CQE_INLINE_CAP + 1, CQE_WIDE_CAP];
+                for reply_len in replies.into_iter().chain([CQE_WIDE_CAP + 1]) {
+                    // Beside a payload the narrow form, alone the wide one.
+                    let buffered_reply = reply_len > Cqe::room(rlen as u32);
                     if buffered_reply && read == ReadSide::None {
                         continue; // refused: see the corrupt-SQE test
                     }
                     let payload = vec![0x5A; wlen];
-                    let rlen = match read {
-                        ReadSide::Buffer(n) => n as usize,
-                        ReadSide::None => 0,
-                    };
                     let before = dma.snapshot();
                     submit(
                         &mut ini,
@@ -1942,9 +1939,16 @@ mod tests {
         assert_eq!(ini.rejected_sqes(), 3);
 
         // No read side declared, and a reply that needs one — a header
-        // the CQE cannot hold, or any payload — is refused the same way;
-        // a reply the CQE holds is all such a command can get.
-        for (header, payload) in [(&b"6bytes"[..], &b""[..]), (b"", b"p"), (b"5byte", b"")] {
+        // neither CQE form holds, or any payload — is refused the same
+        // way; a reply the CQE holds is all such a command can get.
+        let replies: [(&[u8], &[u8]); 5] = [
+            (b"10 bytes!!", b""),
+            (b"", b"p"),
+            (b"5byte", b""),
+            (b"6bytes", b""),
+            (b"9 bytes!!", b""),
+        ];
+        for (header, payload) in replies {
             let cid = submit(
                 &mut ini,
                 DispatchType::Standalone,
@@ -1957,7 +1961,7 @@ mod tests {
             let before = ini.rejected_sqes();
             tgt.complete_copy(inc.slot, CqeStatus::Success, header, payload);
             let done = wait(&mut ini);
-            if header.len() <= CQE_INLINE_CAP && payload.is_empty() {
+            if header.len() <= CQE_WIDE_CAP && payload.is_empty() {
                 assert_eq!((done.cid, done.status), (cid, CqeStatus::Success));
                 assert_eq!(done.header, header);
                 assert_eq!(ini.rejected_sqes(), before);
@@ -2153,7 +2157,8 @@ mod tests {
 
         /// SQE + the write buffer's pages (a header that did not fit the
         /// SQE, then the payload) + a reply header that did not fit the CQE
-        /// + the read payload's pages + CQE.
+        /// (the narrow form beside a payload, the wide one alone) + the
+        /// read payload's pages + CQE.
         fn dmas(&self) -> usize {
             let buffered = if self.hdr_len > self.room() {
                 self.hdr_len
@@ -2161,7 +2166,7 @@ mod tests {
                 0
             };
             1 + (buffered + self.wlen).div_ceil(4096)
-                + usize::from(self.reply_len > CQE_INLINE_CAP)
+                + usize::from(self.reply_len > Cqe::room(self.rlen() as u32))
                 + self.rlen().div_ceil(4096)
                 + 1
         }
@@ -2177,7 +2182,7 @@ mod tests {
     }
 
     fn arb_raw_op() -> impl Strategy<Value = RawOp> {
-        const REPLIES: [usize; 7] = [0, 1, 4, 5, 6, 9, 62];
+        const REPLIES: [usize; 8] = [0, 1, 4, 5, 6, 9, 10, 62];
         (
             arb_hdr_len(),
             prop_oneof![Just(0usize), 1usize..12_000],
@@ -2194,7 +2199,7 @@ mod tests {
                 read,
                 // With no read side the CQE is all a reply can ride.
                 reply_len: if read == ReadSide::None {
-                    reply_len.min(CQE_INLINE_CAP)
+                    reply_len.min(CQE_WIDE_CAP)
                 } else {
                     reply_len
                 },
@@ -2297,6 +2302,45 @@ mod tests {
                 prop_assert_eq!(dma.snapshot().since(&before).dma_ops as usize, want);
             }
             prop_assert_eq!(ini.rejected_sqes(), 0);
+        }
+
+        /// A reply of every header length up to the buffer's header area,
+        /// beside no payload, one byte or 8 KiB, with and without a read
+        /// side: SQE + the payload's pages + 1 iff neither CQE form holds
+        /// the header + CQE. A reply that needs a read side the command
+        /// did not declare is refused for SQE + CQE.
+        #[test]
+        fn a_reply_header_costs_a_dma_iff_neither_cqe_form_holds_it(
+            hdr_len in 0usize..=READ_HEADER_CAP,
+            rlen in prop_oneof![Just(0usize), Just(1), Just(8192)],
+            read_side in any::<bool>(),
+            salt in any::<u8>(),
+        ) {
+            let (mut ini, mut tgt, dma) = pair(4, 16 * 1024);
+            let header: Vec<u8> = (0..hdr_len).map(|i| i as u8 ^ salt).collect();
+            let payload = vec![salt; rlen];
+            let read = match read_side {
+                true => ReadSide::Buffer(rlen as u32),
+                false => ReadSide::None,
+            };
+            let before = dma.snapshot();
+            let cid = submit(&mut ini, DispatchType::Standalone, b"H", b"", read).unwrap();
+            let inc = fetch(&mut tgt).unwrap();
+            tgt.complete_copy(inc.slot, CqeStatus::Success, &header, &payload);
+            let done = wait(&mut ini);
+            let rides = hdr_len <= Cqe::room(rlen as u32);
+            let ops = dma.snapshot().since(&before).dma_ops as usize;
+            prop_assert_eq!(done.cid, cid);
+            if read_side || (rides && rlen == 0) {
+                prop_assert_eq!(done.status, CqeStatus::Success);
+                prop_assert_eq!(&done.header, &header);
+                prop_assert_eq!(&done.payload, &payload);
+                prop_assert_eq!(ops, 1 + rlen.div_ceil(4096) + usize::from(!rides) + 1);
+            } else {
+                prop_assert_eq!(done.status, CqeStatus::InvalidCommand);
+                prop_assert!(done.header.is_empty() && done.payload.is_empty());
+                prop_assert_eq!(ops, 2);
+            }
         }
 
         /// Arbitrary segment lists reassemble exactly, and DMA accounting

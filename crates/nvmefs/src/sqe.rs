@@ -45,11 +45,26 @@
 //! target computes the same capacity from the same fields; an entry whose
 //! `WH_len` exceeds it is refused, never followed.
 //!
-//! **CQE.** A reply header of at most [`CQE_INLINE_CAP`] bytes rides the
-//! completion: its length in byte 4, its bytes in 5–7 and 10–11 (reserved
-//! in NVMe). `result`, `sq_head`, `cid`, status and phase do not move. A
-//! longer header is written to the read buffer as before, `hdr_len` says
-//! which by its value alone.
+//! **CQE.** A reply header rides the completion whenever its form holds
+//! it, in one of two forms the header-length byte names:
+//!
+//! | bytes | narrow form (beside a payload) | wide form (no payload)   |
+//! |-------|--------------------------------|--------------------------|
+//! | 0–3   | `result`: payload length       | header bytes 5–8         |
+//! | 4     | bit 7 = 0; bits 0–6 `hdr_len`  | bit 7 = 1; bits 0–6 `hdr_len` |
+//! | 5–7   | header bytes 0–2               | header bytes 0–2         |
+//! | 8–9   | `sq_head`                      | `sq_head`                |
+//! | 10–11 | header bytes 3–4               | header bytes 3–4         |
+//! | 12–13 | `cid`                          | `cid`                    |
+//! | 14–15 | status, phase                  | status, phase            |
+//!
+//! The narrow form holds [`CQE_INLINE_CAP`] header bytes in bytes NVMe
+//! reserves. A reply with no payload has a `result` of 0, and NVMe makes
+//! Dword 0 command-specific: the wide form spends it on four more header
+//! bytes, [`CQE_WIDE_CAP`] in all, and `result` reads as 0. `sq_head`,
+//! `cid`, status and phase never move. A header longer than its form
+//! holds is written to the read buffer as before; `hdr_len` past the
+//! form's room says so.
 
 /// The vendor-specific bidirectional nvme-fs opcode.
 pub const OPCODE_NVMEFS: u8 = 0xA3;
@@ -88,8 +103,15 @@ const INLINE_BIT: u32 = 1 << 11;
 /// of them a given entry may use depends on its own fields.
 const INLINE_DWORDS: [usize; 12] = [1, 12, 14, 15, 2, 3, 4, 5, 6, 7, 8, 9];
 
-/// Reply-header bytes a CQE carries inline.
+/// Reply-header bytes a CQE carries beside a payload (the narrow form).
 pub const CQE_INLINE_CAP: usize = 5;
+
+/// Reply-header bytes a CQE carries when the reply has no payload (the
+/// wide form: Dword 0 holds four of them).
+pub const CQE_WIDE_CAP: usize = 9;
+
+/// Bit 7 of the header-length byte: this CQE uses the wide form.
+const WIDE_BIT: u8 = 0x80;
 
 /// A 64-byte nvme-fs submission queue entry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -363,14 +385,19 @@ impl CqeStatus {
 /// A 16-byte completion queue entry.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Cqe {
-    /// Command-specific result: bytes of response payload actually produced.
+    /// Command-specific result: bytes of response payload actually
+    /// produced. Always 0 in the wide form.
     pub result: u32,
-    /// Bytes of response header. Up to [`CQE_INLINE_CAP`] they are
-    /// `inline[..hdr_len]` and no header DMA was spent; more, and the
-    /// header sits at the start of the read buffer.
+    /// Bytes of response header (7 bits on the wire). Up to
+    /// [`inline_cap`](Self::inline_cap) they are `inline[..hdr_len]` and
+    /// no header DMA was spent; more, and the header sits at the start of
+    /// the read buffer.
     pub hdr_len: u8,
-    /// The response header itself, when it is short enough (zero-padded).
-    pub inline: [u8; CQE_INLINE_CAP],
+    /// The wide form: Dword 0 carries header bytes, not `result`.
+    pub wide: bool,
+    /// The response header itself, when its form holds it (zero-padded;
+    /// the narrow form uses the first [`CQE_INLINE_CAP`] bytes).
+    pub inline: [u8; CQE_WIDE_CAP],
     /// SQ head pointer at completion time (flow control back to the host).
     pub sq_head: u16,
     pub status: CqeStatus,
@@ -381,18 +408,65 @@ pub struct Cqe {
 }
 
 impl Cqe {
+    /// Reply-header bytes a completion holds beside a `result`-byte
+    /// payload: the wide form's room when there is none.
+    pub fn room(result: u32) -> usize {
+        if result == 0 {
+            CQE_WIDE_CAP
+        } else {
+            CQE_INLINE_CAP
+        }
+    }
+
+    /// The completion of command `cid` with a `result`-byte payload and
+    /// `header`: the header inside, in the narrow form when that holds it
+    /// and in the wide one when only that does, else only its length.
+    /// `sq_head` and `phase` are the poster's to fill.
+    pub fn reply(cid: u16, status: CqeStatus, result: u32, header: &[u8]) -> Cqe {
+        let mut inline = [0u8; CQE_WIDE_CAP];
+        let fits = header.len() <= Cqe::room(result);
+        if fits {
+            inline[..header.len()].copy_from_slice(header);
+        }
+        Cqe {
+            result,
+            hdr_len: header.len() as u8,
+            wide: fits && header.len() > CQE_INLINE_CAP,
+            inline,
+            sq_head: 0,
+            status,
+            cid,
+            phase: false,
+        }
+    }
+
+    /// Reply-header bytes this completion's form holds.
+    pub fn inline_cap(&self) -> usize {
+        if self.wide {
+            CQE_WIDE_CAP
+        } else {
+            CQE_INLINE_CAP
+        }
+    }
+
     /// The inline response header, if this completion carries it.
     pub fn inline_header(&self) -> Option<&[u8]> {
-        self.inline.get(..self.hdr_len as usize)
+        let len = self.hdr_len as usize;
+        (len <= self.inline_cap()).then(|| &self.inline[..len])
     }
 
     pub fn to_bytes(&self) -> [u8; CQE_SIZE] {
         let mut out = [0u8; CQE_SIZE];
-        out[0..4].copy_from_slice(&self.result.to_le_bytes());
-        out[4] = self.hdr_len;
+        if self.wide {
+            out[0..4].copy_from_slice(&self.inline[5..]);
+            out[4] = self.hdr_len | WIDE_BIT;
+        } else {
+            out[0..4].copy_from_slice(&self.result.to_le_bytes());
+            out[4] = self.hdr_len & !WIDE_BIT;
+        }
         out[5..8].copy_from_slice(&self.inline[..3]);
         out[8..10].copy_from_slice(&self.sq_head.to_le_bytes());
-        out[10..12].copy_from_slice(&self.inline[3..]);
+        out[10..12].copy_from_slice(&self.inline[3..5]);
         out[12..14].copy_from_slice(&self.cid.to_le_bytes());
         let status_phase = ((self.status as u16) << 1) | self.phase as u16;
         out[14..16].copy_from_slice(&status_phase.to_le_bytes());
@@ -401,12 +475,19 @@ impl Cqe {
 
     pub fn from_bytes(bytes: &[u8; CQE_SIZE]) -> Cqe {
         let status_phase = u16::from_le_bytes(bytes[14..16].try_into().unwrap());
-        let mut inline = [0u8; CQE_INLINE_CAP];
+        let wide = bytes[4] & WIDE_BIT != 0;
+        let mut inline = [0u8; CQE_WIDE_CAP];
         inline[..3].copy_from_slice(&bytes[5..8]);
-        inline[3..].copy_from_slice(&bytes[10..12]);
+        inline[3..5].copy_from_slice(&bytes[10..12]);
+        let mut result = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
+        if wide {
+            inline[5..].copy_from_slice(&bytes[0..4]);
+            result = 0;
+        }
         Cqe {
-            result: u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
-            hdr_len: bytes[4],
+            result,
+            hdr_len: bytes[4] & !WIDE_BIT,
+            wide,
             inline,
             sq_head: u16::from_le_bytes(bytes[8..10].try_into().unwrap()),
             cid: u16::from_le_bytes(bytes[12..14].try_into().unwrap()),
@@ -564,7 +645,8 @@ mod tests {
         let c = Cqe {
             result: 8192,
             hdr_len: 21,
-            inline: [0; CQE_INLINE_CAP],
+            wide: false,
+            inline: [0; CQE_WIDE_CAP],
             sq_head: 17,
             status: CqeStatus::FsError,
             cid: 0xABCD,
@@ -584,11 +666,12 @@ mod tests {
     #[test]
     fn cqe_inline_header_sits_in_reserved_bytes_only() {
         for len in 0..=CQE_INLINE_CAP {
-            let mut inline = [0u8; CQE_INLINE_CAP];
+            let mut inline = [0u8; CQE_WIDE_CAP];
             inline[..len].fill(0xFF);
             let c = Cqe {
                 result: u32::MAX,
                 hdr_len: len as u8,
+                wide: false,
                 inline,
                 sq_head: 0x1234,
                 status: CqeStatus::TransportError,
@@ -605,6 +688,50 @@ mod tests {
             assert_eq!(raw[12..14], 0x5678u16.to_le_bytes());
             assert_eq!(raw[14], (3 << 1) | (len % 2 == 0) as u8);
         }
+    }
+
+    #[test]
+    fn every_header_length_round_trips_in_both_forms() {
+        let header: Vec<u8> = (0xA0..0xAA).collect();
+        for result in [0, 1, 4096, u32::MAX] {
+            for len in 0..=CQE_WIDE_CAP + 1 {
+                let mut c = Cqe::reply(0x5678, CqeStatus::Success, result, &header[..len]);
+                (c.sq_head, c.phase) = (0x1234, true);
+                let raw = c.to_bytes();
+                let back = Cqe::from_bytes(&raw);
+                assert_eq!(back, c, "result {result}, header {len}");
+                // The form is the narrow one while it holds the header,
+                // the wide one only with no payload beside it.
+                let narrow = len <= CQE_INLINE_CAP;
+                let wide = !narrow && result == 0 && len <= CQE_WIDE_CAP;
+                assert_eq!(back.wide, wide, "result {result}, header {len}");
+                assert_eq!(raw[4] & WIDE_BIT != 0, wide);
+                assert_eq!(back.hdr_len as usize, len);
+                let inside = (narrow || wide).then_some(&header[..len]);
+                assert_eq!(
+                    back.inline_header(),
+                    inside,
+                    "result {result}, header {len}"
+                );
+                assert_eq!(back.result, result);
+                // Dword 0 is `result` unless the wide form took it.
+                if !wide {
+                    assert_eq!(raw[0..4], result.to_le_bytes());
+                }
+                assert_eq!(raw[8..10], 0x1234u16.to_le_bytes());
+                assert_eq!(raw[12..14], 0x5678u16.to_le_bytes());
+                assert_eq!(raw[14..16], [1, 0], "status Success, phase 1");
+            }
+        }
+        // A wide CQE reads its `result` as 0, whatever Dword 0 holds.
+        let mut raw = Cqe::reply(1, CqeStatus::Success, 0, &header[..9]).to_bytes();
+        assert_eq!(raw[0..4], header[5..9]);
+        assert_eq!(Cqe::from_bytes(&raw).result, 0);
+        // A claim past its form's room is a header in the buffer.
+        raw[4] = WIDE_BIT | 10;
+        let forged = Cqe::from_bytes(&raw);
+        assert!(forged.wide && forged.hdr_len == 10);
+        assert_eq!(forged.inline_header(), None);
     }
 
     #[test]

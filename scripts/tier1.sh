@@ -37,14 +37,16 @@ cargo test --release -q -p dpc-kvfs --test zero_alloc_walk
 # name: each create, link, mkdir, symlink, unlink, rmdir and rename is one
 # conditional multi-key commit (the big file's last name the one
 # exception); a rename over a name never lets it vanish, and a created
-# name always has its attribute (both failed 10 runs in 10 before). The
-# store's commit: a refused one writes nothing and counts one request,
-# puts vs deletes, one fault pause. The deadlock bound is in the one-core
-# loop below.
+# name always has its attribute (both failed 10 runs in 10 before); no
+# create, symlink, link or rename into a directory outlives its rmdir
+# (failed 6 runs in 6 before). The store's commit: a refused one writes
+# nothing and counts one request, puts vs deletes, one fault pause. The
+# deadlock bound and the rmdir race are in the one-core loop below too.
 cargo test --release -q -p dpc-kvfs --lib -- \
     fs::tests::every_namespace_mutation_is_one_kv_request \
     fs::tests::a_rename_over_a_name_never_lets_the_destination_vanish \
-    fs::tests::a_created_name_always_has_its_attribute
+    fs::tests::a_created_name_always_has_its_attribute \
+    fs::tests::rmdir_never_orphans_a_concurrent_create
 cargo test --release -q -p dpc-kvstore --lib -- \
     store::tests::a_refused_commit_writes_nothing_and_still_counts_one_request \
     store::tests::a_commit_is_a_delete_only_when_every_write_is_a_delete \
@@ -181,7 +183,8 @@ cargo test --release -q -p dpc-nvmefs --lib -- \
     pool::tests::a_cid_freed_by_a_late_cqe_carries_the_next_call_its_own_reply \
     pool::tests::stage_n_wait_n_restores_request_order \
     pool::tests::a_cid_stays_taken_while_its_reply_is_read \
-    pool::tests::a_cqe_claiming_more_reply_than_its_command_declared_is_a_transport_error
+    pool::tests::a_cqe_claiming_more_reply_than_its_command_declared_is_a_transport_error \
+    pool::tests::a_wide_cqe_claiming_more_header_than_it_holds_is_a_transport_error
 cargo test --release -q -p dpc-nvmefs --test zero_alloc -- \
     warm_batched_serve_loop_allocates_nothing_per_op \
     warm_serve_loop_with_a_fault_plan_attached_allocates_nothing \
@@ -200,12 +203,16 @@ for run in $(seq 1 10); do
         reads_served_in_place_on_one_queue_stay_byte_exact
     taskset -c 0 cargo test --release -q -p dpc-kvstore --lib \
         commit_never_deadlocks_against_scans_and_sub_writes
+    taskset -c 0 cargo test --release -q -p dpc-kvfs --lib \
+        rmdir_never_orphans_a_concurrent_create
 done
 # One way across each end of a queue pair (DESIGN.md §17), in release and
 # by name: the raw-header cases in `queue.rs` (the 8 KiB write's 4 DMAs,
 # corrupt SQEs refused, a command too large for its buffer refused before
 # it is sent, the header-DMA and SGL proptests, batched == one-per-doorbell
-# wire bytes, a buffered header's page landing apart), the suites ported
+# wire bytes, a buffered header's page landing apart, a reply header
+# taking a DMA only when neither CQE form holds it, both CQE forms at
+# every header length, every response round-tripping), the suites ported
 # onto the pool and the file target, the dispatcher's replies, a read
 # served in place charged and answered exactly as one copied in, a read
 # longer than its read side refused before the backend, an uncached
@@ -218,7 +225,10 @@ cargo test --release -q -p dpc-nvmefs --lib -- \
     queue::tests::a_header_costs_a_dma_iff_it_does_not_fit \
     queue::tests::sgl_reassembles_and_counts_dmas \
     queue::tests::batched_and_single_submission_produce_identical_wire_bytes \
-    queue::tests::a_buffered_header_and_the_payload_sharing_its_page_land_apart
+    queue::tests::a_buffered_header_and_the_payload_sharing_its_page_land_apart \
+    queue::tests::a_reply_header_costs_a_dma_iff_neither_cqe_form_holds_it \
+    sqe::tests::every_header_length_round_trips_in_both_forms \
+    filemsg::tests::response_round_trips
 cargo test --release -q -p dpc-nvmefs --test batched --test proptest_protocol --test proptest_sgl
 cargo test --release -q -p dpc-core --test dispatcher_unit -- \
     every_reply_fits_what_its_request_declared \

@@ -642,9 +642,11 @@ fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
 
 /// What each data path costs in DMAs per crossing, pinned one row per
 /// path, so a change that moves a crossing's price shows here (DESIGN.md
-/// §15 has the arithmetic). A header costs a DMA
-/// of its own only when it does not fit its descriptor — none of these
-/// requests', and of the replies only `Attr`.
+/// §15 has the arithmetic). A header costs a DMA of its own only when it
+/// does not fit its descriptor — none of these requests', and of the
+/// replies only `Attr`. So a namespace mutation in a directory the host
+/// knows, and an fsync with nothing to reconcile, cross in two: the SQE
+/// fetch and the CQE.
 #[test]
 fn link_dma_budget_of_each_data_path() {
     const BLOCK: usize = 8192;
@@ -699,6 +701,47 @@ fn link_dma_budget_of_each_data_path() {
         fs.close(fd).unwrap();
         fs
     }
+    /// DMAs of one namespace call on `/m`, whose names the host knows.
+    fn in_m(dpc: &Dpc, op: impl FnOnce(&DpcFs)) -> u64 {
+        let fs = meta_file(dpc);
+        dmas(dpc, || op(&fs))
+    }
+    let create_close: Path = |dpc| {
+        in_m(dpc, |fs| {
+            let fd = fs.create("/m/new").unwrap();
+            fs.close(fd).unwrap();
+        })
+    };
+    let mkdir: Path = |dpc| in_m(dpc, |fs| fs.mkdir("/m/d").unwrap());
+    let symlink: Path = |dpc| in_m(dpc, |fs| fs.symlink("/m/ln", "/m/f").unwrap());
+    let link: Path = |dpc| in_m(dpc, |fs| fs.link("/m/f", "/m/hard").unwrap());
+    let unlink: Path = |dpc| in_m(dpc, |fs| fs.unlink("/m/f").unwrap());
+    let rmdir: Path = |dpc| {
+        let fs = meta_file(dpc);
+        fs.mkdir("/m/d").unwrap();
+        dmas(dpc, || fs.rmdir("/m/d").unwrap())
+    };
+    let rename_free: Path = |dpc| in_m(dpc, |fs| fs.rename("/m/f", "/m/g").unwrap());
+    let rename_over: Path = |dpc| {
+        let fs = meta_file(dpc);
+        fs.close(fs.create("/m/g").unwrap()).unwrap();
+        dmas(dpc, || fs.rename("/m/f", "/m/g").unwrap())
+    };
+    let rename_long: Path = |dpc| {
+        // The request names both leaves under `/m`'s inode: 39 bytes, past
+        // the 32 an SQE with a read side holds, inside the 48 of one with
+        // none.
+        let mut header = Vec::new();
+        let req = dpc::nvmefs::FileRequest::Rename {
+            parent: 1,
+            name: "f".into(),
+            new_parent: 1,
+            new_name: "a_longer_name".into(),
+        };
+        assert!((33..=48).contains(&req.encode(&mut header)));
+        in_m(dpc, |fs| fs.rename("/m/f", "/m/a_longer_name").unwrap())
+    };
+    let dfs_create: Path = |dpc| dmas(dpc, || _ = dpc.fs().dfs_create(0, "new").unwrap());
     let cold_stat: Path = |dpc| {
         let fs = meta_file(dpc);
         dmas(dpc, || assert_eq!(fs.stat("/m/f").unwrap().kind, 0))
@@ -744,7 +787,7 @@ fn link_dma_budget_of_each_data_path() {
         })
     };
     // (path, I/O mode, DMAs)
-    let table: [(&str, Path, IoMode, u64); 11] = [
+    let table: [(&str, Path, IoMode, u64); 21] = [
         // Absorbed in host memory: nothing crosses.
         ("buffered write", buffered_write, IoMode::Buffered, 0),
         // SQE (request inside), 2 payload pages, CQE (reply inside).
@@ -753,9 +796,28 @@ fn link_dma_budget_of_each_data_path() {
         ("direct write", buffered_write, IoMode::Direct, 4),
         // SQE + descriptor list + 2 segments + CQE.
         ("writev", gather, IoMode::Buffered, 5),
-        // SQE + CQE, and the one reply too long for a CQE between them:
-        // the post-flush `Attr` the size reconcile reads.
-        ("fsync, clean file", clean_fsync, IoMode::Buffered, 3),
+        // SQE + CQE: the post-flush size the reconcile reads is 9 bytes,
+        // which the CQE holds when no payload comes back (3 while the
+        // reply was the whole `Attr`).
+        ("fsync, clean file", clean_fsync, IoMode::Buffered, 2),
+        // A mutation under a directory the host knows walks nothing, so it
+        // declares no read side: its request rides the SQE (48 bytes of
+        // room), its reply — `Ino`, `Removed`, `Ok` — the CQE.
+        ("create + close", create_close, IoMode::Buffered, 2),
+        ("mkdir", mkdir, IoMode::Buffered, 2),
+        ("symlink", symlink, IoMode::Buffered, 2),
+        ("link", link, IoMode::Buffered, 2),
+        ("unlink", unlink, IoMode::Buffered, 2),
+        ("rmdir", rmdir, IoMode::Buffered, 2),
+        ("rename to a free name", rename_free, IoMode::Buffered, 2),
+        ("rename over a file", rename_over, IoMode::Buffered, 2),
+        (
+            "rename, 33-48 byte request",
+            rename_long,
+            IoMode::Buffered,
+            2,
+        ),
+        ("DFS create", dfs_create, IoMode::Buffered, 2),
         // The same three for a path the host has names for but no
         // attribute: SQE (path inside), the `Attr` reply, CQE.
         ("cold stat", cold_stat, IoMode::Buffered, 3),
