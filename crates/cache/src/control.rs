@@ -186,13 +186,6 @@ impl ControlPlane {
         self.crash = crash;
     }
 
-    /// The crash switch this control plane's flush paths draw, if any: a
-    /// sink that writes on its own after the pass (KVFS's owed mtime)
-    /// must go as dead as the pass does.
-    pub fn crash_switch(&self) -> Option<&Arc<CrashSwitch>> {
-        self.crash.as_ref()
-    }
-
     fn crash_tripped(&self) -> bool {
         self.crash.as_ref().is_some_and(|c| c.is_tripped())
     }
@@ -328,8 +321,10 @@ impl ControlPlane {
 
     /// Hand the assembled batch to `backend` as one request — reissued
     /// in-pass, then left dirty whole if still refused — and release its
-    /// pages: the pages it landed, or `None` when the DPU died after the
-    /// backend took it.
+    /// pages: the pages it landed, or `None` when the DPU is dead. A DPU
+    /// that died since the last batch (a trip from another thread) offers
+    /// this one nothing; one that dies after the backend took it leaves
+    /// it dirty.
     fn land(
         &mut self,
         backend: &mut dyn FlushBackend,
@@ -339,20 +334,21 @@ impl ControlPlane {
     ) -> Option<usize> {
         let stats = &self.cache.stats;
         let data = &batch.buf[..batch.len];
+        let dead = self.crash_tripped();
         let mut tries = 0;
-        let mut ok = backend.try_flush_batch(ino, &batch.runs, data);
-        while !ok && tries < FLUSH_RETRIES {
+        let mut ok = !dead && backend.try_flush_batch(ino, &batch.runs, data);
+        while !dead && !ok && tries < FLUSH_RETRIES {
             tries += 1;
             stats.flush_retries.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(std::time::Duration::from_micros(50 << tries));
             ok = backend.try_flush_batch(ino, &batch.runs, data);
         }
         let pages = batch.locked.len();
-        let crashed = ok && self.crash.as_ref().is_some_and(|c| c.check_crash());
+        let crashed = dead || ok && self.crash.as_ref().is_some_and(|c| c.check_crash());
         if crashed {
-            // Mid-flush crash: the backend took the batch, but no page of
-            // it is marked clean — recovery adopts the dirty pages and
-            // flushes them again (idempotent).
+            // Dead before the batch, or after the backend took it: no page
+            // of it is marked clean — recovery adopts the dirty pages and
+            // flushes them (again: idempotent).
         } else if ok {
             // Clean each run with one dirty-shard acquisition, not one per
             // page. The read locks stay held until every status is Clean
@@ -1334,6 +1330,40 @@ mod tests {
         // The dead DPU flushes nothing more.
         assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
         assert_eq!(sink.batches, 1);
+    }
+
+    #[test]
+    fn a_switch_tripped_between_two_batches_leaves_the_second_unwritten() {
+        /// Refuses every batch, and trips the switch while it does: a
+        /// trip from another thread (`Dpc::trip_crash`) mid-pass.
+        struct Tripping {
+            crash: Arc<CrashSwitch>,
+            offered: Vec<u64>,
+        }
+        impl FlushBackend for Tripping {
+            fn try_flush_batch(&mut self, ino: u64, _: &[(u64, usize)], _: &[u8]) -> bool {
+                self.offered.push(ino);
+                self.crash.trip();
+                false
+            }
+        }
+        let (cache, mut cp, _) = setup(256, 8);
+        dirty_page(&cache, 3, 0, 6, PAGE_SIZE);
+        dirty_page(&cache, 4, 0, 7, PAGE_SIZE);
+        let crash = Arc::new(CrashSwitch::inert());
+        cp.set_crash_switch(Some(crash.clone()));
+        let mut sink = Tripping {
+            crash,
+            offered: Vec::new(),
+        };
+        assert_eq!(cp.flush_extents(&mut sink, None, false), 0);
+        // Inode 3's batch, through every retry; inode 4's is never offered.
+        assert_eq!(sink.offered, vec![3; 1 + FLUSH_RETRIES as usize]);
+        assert_eq!((cp.refused(), cache.dirty_count()), (1, 2));
+        // No read lock outlives the pass: a writer takes both pages.
+        for ino in [3, 4] {
+            drop(cache.begin_write(ino, 0).unwrap());
+        }
     }
 
     #[test]

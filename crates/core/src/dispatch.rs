@@ -20,7 +20,7 @@ use dpc_nvmefs::{
     encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
     FileTarget, WireAttr, WireStep,
 };
-use dpc_sim::{CrashSwitch, FaultSite};
+use dpc_sim::FaultSite;
 use parking_lot::Mutex;
 
 /// Sentinel inode for `FileRequest::Fsync` meaning "flush every inode's
@@ -110,72 +110,21 @@ fn dfs_err(e: DfsError) -> FileResponse {
     })
 }
 
-/// Run one flush into KVFS: `pass` drives `control` against a fresh
-/// [`KvfsFlush`], and the mtime the sink still owes is settled before this
-/// returns — so an `Fsync` that replies next already carries it. Every
-/// flush site goes through here (the scoped `Fsync`, `CacheEvictBatch`,
-/// the background flusher's pass and its shutdown drain, recovery), so
-/// none can forget the settle.
-pub(crate) fn flush_pass<R>(
-    control: &mut ControlPlane,
-    kvfs: &Kvfs,
-    fault: Option<&Arc<FaultSite>>,
-    pass: impl FnOnce(&mut ControlPlane, &mut dyn FlushBackend) -> R,
-) -> R {
-    let mut sink = KvfsFlush {
-        kvfs,
-        fault,
-        crash: control.crash_switch().cloned(),
-        owed: None,
-    };
-    let out = pass(control, &mut sink);
-    sink.settle();
-    out
-}
-
 /// The flush sink: dirty hybrid-cache pages persist into KVFS, a batch per
-/// request. Reports failure (instead of panicking or silently dropping) so
-/// the control plane can retry and leave the pages dirty — a fault-site
-/// hit models a transiently unreachable store.
-///
-/// A batch that grows its file is written with its attribute
-/// ([`Kvfs::write_blocks`]); one that only moves the mtime leaves the sink
-/// *owing* that inode an mtime, settled once — when the pass reaches
-/// another inode, or by [`flush_pass`] when it ends (DESIGN.md §9.2).
-struct KvfsFlush<'a> {
-    kvfs: &'a Kvfs,
-    fault: Option<&'a Arc<FaultSite>>,
-    /// The control plane's crash switch: once it trips, the sink writes
-    /// nothing more, the mtime it owes included.
-    crash: Option<Arc<CrashSwitch>>,
-    /// The inode whose mtime this pass moved and has not put yet.
-    owed: Option<u64>,
-}
-
-impl KvfsFlush<'_> {
-    fn dead(&self) -> bool {
-        self.crash.as_ref().is_some_and(|c| c.is_tripped())
-    }
-
-    fn settle(&mut self) {
-        if let Some(ino) = self.owed.take() {
-            if !self.dead() {
-                self.kvfs.touch_mtime(ino);
-            }
-        }
-    }
+/// request — its blocks and its inode's attribute in one
+/// ([`Kvfs::write_blocks`], DESIGN.md §9.2). Reports failure (instead of
+/// panicking or silently dropping) so the control plane can retry and
+/// leave the pages dirty — a fault-site hit models a transiently
+/// unreachable store. Every flush site builds one: the scoped `Fsync`,
+/// `CacheEvictBatch`, the background flusher's pass and its shutdown
+/// drain, recovery.
+pub(crate) struct KvfsFlush<'a> {
+    pub kvfs: &'a Kvfs,
+    pub fault: Option<&'a Arc<FaultSite>>,
 }
 
 impl FlushBackend for KvfsFlush<'_> {
     fn try_flush_batch(&mut self, ino: u64, runs: &[(u64, usize)], data: &[u8]) -> bool {
-        if self.owed.is_some_and(|owed| owed != ino) {
-            self.settle();
-        }
-        if self.dead() {
-            // Taken, not written: the control plane reads the same switch
-            // as soon as this returns and leaves the batch dirty.
-            return true;
-        }
         // One fault-site draw per *batch* attempt, mirroring the real
         // failure unit: a refused request fails whole.
         if self.fault.is_some_and(|site| site.fires()) {
@@ -188,15 +137,9 @@ impl FlushBackend for KvfsFlush<'_> {
             Some(run)
         });
         match self.kvfs.write_blocks(ino, runs) {
-            Ok((_, mtime_owed)) => {
-                if mtime_owed {
-                    self.owed = Some(ino);
-                }
-                true
-            }
             // The file vanished (unlinked with dirty pages still cached):
             // the pages are garbage, dropping them is the correct outcome.
-            Err(FsError::NotFound) => true,
+            Ok(_) | Err(FsError::NotFound) => true,
             Err(_) => false,
         }
     }
@@ -448,10 +391,11 @@ impl Dispatcher {
         if !self.coalesce {
             self.control.max_extent_pages = 1;
         }
-        let fault = self.flush_fault.as_ref();
-        flush_pass(&mut self.control, &self.kvfs, fault, |control, sink| {
-            control.flush_extents(sink, ino_filter, false)
-        });
+        let mut sink = KvfsFlush {
+            kvfs: &self.kvfs,
+            fault: self.flush_fault.as_ref(),
+        };
+        self.control.flush_extents(&mut sink, ino_filter, false);
         self.control.max_extent_pages = cap;
         (self.control.refused(), self.control.busy())
     }
@@ -619,10 +563,10 @@ impl Dispatcher {
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
                 // false durability promise. The reply carries the
-                // post-flush size, each pass's mtime settled by
-                // `flush_pass` before it: the host compares its logical
-                // size with it and sends a reconciling `Truncate` only on
-                // disagreement (DESIGN.md §9.1).
+                // post-flush size, each batch's attribute landed with its
+                // blocks: the host compares its logical size with it and
+                // sends a reconciling `Truncate` only on disagreement
+                // (DESIGN.md §9.1).
                 match self.kvfs.fsync(*ino) {
                     Ok(attr) => FileResponse::Size(attr.size),
                     Err(e) => fs_err(e),
@@ -668,10 +612,11 @@ impl Dispatcher {
                 // able to panic a service thread.
                 let nb = self.control.cache().bucket_count();
                 let wanted: Vec<usize> = buckets.iter().map(|b| (*b as usize) % nb).collect();
-                let fault = self.flush_fault.as_ref();
-                let freed = flush_pass(&mut self.control, kvfs, fault, |control, sink| {
-                    control.evict_batch(&wanted, sink)
-                });
+                let mut sink = KvfsFlush {
+                    kvfs,
+                    fault: self.flush_fault.as_ref(),
+                };
+                let freed = self.control.evict_batch(&wanted, &mut sink);
                 if freed == 0 && wanted.iter().any(|&b| self.control.bucket_occupied(b)) {
                     // Even after a flush pass nothing in a populated
                     // bucket could be evicted: tell the host so it falls
@@ -787,27 +732,34 @@ mod tests {
         let (attr_a, attr_b) = (stored(&kvfs, a), stored(&kvfs, b));
         let before = kvfs.store().stats();
         let (runs, data) = eight_runs();
-        flush_pass(&mut control(), &kvfs, None, |_, sink| {
-            assert!(sink.try_flush_batch(a, &runs, &data));
-            let mid = kvfs.store().stats();
-            // One request for a's eight blocks (eight before batches).
-            assert_eq!(mid.sub_writes - before.sub_writes, 1);
-            assert_eq!(mid.sub_write_keys - before.sub_write_keys, 8);
-            assert_eq!(mid.puts, before.puts, "a's mtime is owed, not put");
-            // Reaching `b` settles `a`, once.
-            assert!(sink.try_flush_batch(b, &runs[..1], &data[..BIG_BLOCK]));
-            assert_eq!(kvfs.store().stats().puts - before.puts, 1);
-            assert!(stored(&kvfs, a).mtime > attr_a.mtime);
-            assert!(sink.try_flush_batch(b, &runs[1..], &data[BIG_BLOCK..]));
-            assert_eq!(stored(&kvfs, b), attr_b, "b's mtime is still owed");
-        });
-        // The end of the pass settles `b`.
+        let mut sink = KvfsFlush {
+            kvfs: &kvfs,
+            fault: None,
+        };
+        assert!(sink.try_flush_batch(a, &runs, &data));
+        let mid = kvfs.store().stats();
+        // One request for a's eight blocks and, last, its attribute (eight
+        // before batches, and a put after the pass before the attribute
+        // rode the batch).
+        assert_eq!(mid.sub_writes - before.sub_writes, 1);
+        assert_eq!(mid.sub_write_keys - before.sub_write_keys, 9);
+        assert_eq!(
+            mid.puts, before.puts,
+            "no put: the attribute rode the batch"
+        );
+        let now_a = stored(&kvfs, a);
+        assert!(
+            now_a.mtime > attr_a.mtime,
+            "a's mtime landed with its blocks"
+        );
+        assert_eq!(stored(&kvfs, b), attr_b);
+        assert!(sink.try_flush_batch(b, &runs, &data));
         let after = kvfs.store().stats();
-        assert_eq!(after.sub_writes - before.sub_writes, 3);
-        assert_eq!(after.sub_write_keys - before.sub_write_keys, 16);
-        assert_eq!(after.puts - before.puts, 2);
-        let (now_a, now_b) = (stored(&kvfs, a), stored(&kvfs, b));
-        assert!(now_b.mtime > now_a.mtime && now_a.mtime > attr_a.mtime);
+        assert_eq!(after.sub_writes - before.sub_writes, 2);
+        assert_eq!(after.sub_write_keys - before.sub_write_keys, 18);
+        assert_eq!(after.puts, before.puts);
+        let now_b = stored(&kvfs, b);
+        assert!(now_b.mtime > now_a.mtime);
         assert_eq!((now_a.size, now_b.size), (attr_a.size, attr_b.size));
     }
 
@@ -816,43 +768,22 @@ mod tests {
         let (kvfs, big, _) = two_files();
         let small = kvfs.create("/small", 0o644).unwrap();
         kvfs.write(small, 0, &[5u8; 100]).unwrap();
-        flush_pass(&mut control(), &kvfs, None, |_, sink| {
-            // One block past EOF: a read bounded by the stored size must
-            // see it the moment the page can be marked clean.
-            let grow = [(lpn(0), BIG_BLOCK), (lpn(16), BIG_BLOCK)];
-            assert!(sink.try_flush_batch(big, &grow, &[3u8; 2 * BIG_BLOCK]));
-            assert_eq!(stored(&kvfs, big).size, 33 * BIG_BLOCK as u64);
-            // Small → big, same rule.
-            assert!(sink.try_flush_batch(small, &[(0, BIG_BLOCK)], &[4u8; BIG_BLOCK]));
-            let attr = stored(&kvfs, small);
-            assert_eq!(
-                (attr.format, attr.size),
-                (DataFormat::Big, BIG_BLOCK as u64)
-            );
-        });
-    }
-
-    #[test]
-    fn a_tripped_switch_stops_the_sink_the_owed_mtime_included() {
-        let (kvfs, a, b) = two_files();
-        let attr_a = stored(&kvfs, a);
-        let crash = Arc::new(CrashSwitch::inert());
-        let mut control = control();
-        control.set_crash_switch(Some(crash.clone()));
-        let before = kvfs.store().stats();
-        let (runs, data) = eight_runs();
-        flush_pass(&mut control, &kvfs, None, |_, sink| {
-            assert!(sink.try_flush_batch(a, &runs, &data));
-            crash.trip();
-            // Taken (the control plane sees the trip and keeps the batch
-            // dirty), not written; and `a`'s debt is not paid.
-            assert!(sink.try_flush_batch(b, &runs, &data));
-        });
-        let after = kvfs.store().stats();
-        assert_eq!(after.sub_writes - before.sub_writes, 1);
-        assert_eq!(after.sub_write_keys - before.sub_write_keys, 8);
-        assert_eq!(after.puts, before.puts);
-        assert_eq!(stored(&kvfs, a), attr_a, "the pre-flush mtime stands");
+        let mut sink = KvfsFlush {
+            kvfs: &kvfs,
+            fault: None,
+        };
+        // One block past EOF: a read bounded by the stored size must see it
+        // the moment the page can be marked clean.
+        let grow = [(lpn(0), BIG_BLOCK), (lpn(16), BIG_BLOCK)];
+        assert!(sink.try_flush_batch(big, &grow, &[3u8; 2 * BIG_BLOCK]));
+        assert_eq!(stored(&kvfs, big).size, 33 * BIG_BLOCK as u64);
+        // Small → big, same rule.
+        assert!(sink.try_flush_batch(small, &[(0, BIG_BLOCK)], &[4u8; BIG_BLOCK]));
+        let attr = stored(&kvfs, small);
+        assert_eq!(
+            (attr.format, attr.size),
+            (DataFormat::Big, BIG_BLOCK as u64)
+        );
     }
 
     #[test]
@@ -916,7 +847,8 @@ mod tests {
             let after = kvfs.store().stats();
             // Off: four one-page runs, each its own key write (one KV
             // request per page before batches); on: one run of two blocks.
-            let (runs, keys) = if coalesce { (1, 2) } else { (4, 4) };
+            // Either way the attribute is the batch's last key.
+            let (runs, keys) = if coalesce { (1, 3) } else { (4, 5) };
             assert_eq!(cache.stats().extents_flushed, runs, "coalesce {coalesce}");
             assert_eq!(
                 (

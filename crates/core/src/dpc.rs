@@ -26,7 +26,7 @@ use dpc_sim::{CrashSwitch, FaultPlan};
 use parking_lot::Mutex;
 
 use crate::adapter::{DpcFs, FsyncMode, InodeSizes, IoMode};
-use crate::dispatch::{flush_pass, Dispatcher};
+use crate::dispatch::{Dispatcher, KvfsFlush};
 use crate::runtime::{DpuRuntime, FlusherConfig, PrefetcherConfig};
 
 /// DPC deployment configuration.
@@ -343,10 +343,11 @@ impl Dpc {
         // Every adopted dirty page holds an acknowledged write, and a live
         // record an op that never answered: the op may be ordered after
         // all of them, so the pages go first.
-        let pass = |c: &mut ControlPlane, sink: &mut dyn dpc_cache::FlushBackend| {
-            c.flush_extents(sink, None, false)
+        let mut sink = KvfsFlush {
+            kvfs: &kvfs,
+            fault: None,
         };
-        while flush_pass(&mut control, &kvfs, None, pass) > 0 {}
+        while control.flush_extents(&mut sink, None, false) > 0 {}
         // Each op runs whole, and its inode's pages — clean now, and
         // perhaps older than what the op wrote — leave the cache.
         let mut replayed = 0;

@@ -11,8 +11,24 @@
 
 use dpc_kvstore::KvStore;
 
-use crate::keys::{big_key, big_prefix};
+use crate::keys::{attr_key, big_key, big_prefix};
 use crate::types::BIG_BLOCK;
+
+/// A key of a write batch, on the stack: a block's, or the attribute's
+/// that ends the batch.
+enum BatchKey {
+    Block([u8; 17]),
+    Attr([u8; 9]),
+}
+
+impl AsRef<[u8]> for BatchKey {
+    fn as_ref(&self) -> &[u8] {
+        match self {
+            BatchKey::Block(key) => key,
+            BatchKey::Attr(key) => key,
+        }
+    }
+}
 
 /// Byte-addressed access to one big file's block space.
 pub struct FileObject<'a> {
@@ -85,17 +101,30 @@ impl<'a> FileObject<'a> {
     /// capability the paper adds for big-file KVs). Returns the number of
     /// KV operations performed: 1, or 0 for an empty `src`.
     pub fn write_at(&self, offset: u64, src: &[u8]) -> usize {
-        self.write_runs([(offset, src)])
+        self.write_runs(&[], [(offset, src)], None)
     }
 
-    /// Write each `(offset, src)` run in place, in the order given: **one**
-    /// multi-key sub-write for every block of every run, keys built on the
-    /// stack as [`read_at`](FileObject::read_at) builds them. Two runs may
-    /// share a block; each writes its own range of it. Returns the number
-    /// of KV operations performed: 1, or 0 when every run is empty.
-    pub fn write_runs<'s>(&self, runs: impl IntoIterator<Item = (u64, &'s [u8])>) -> usize {
+    /// Write `promoted` at offset 0, then each `(offset, src)` run in
+    /// place, in the order given, then `attr` as the file's whole
+    /// attribute value: **one** multi-key sub-write for every block of
+    /// every run and the attribute, keys built on the stack as
+    /// [`read_at`](FileObject::read_at) builds them. `promoted` is a small
+    /// file's value moving into block 0 (empty: none). Two runs may share
+    /// a block; each writes its own range of it. The attribute is a
+    /// full-length range at offset 0 of a value that is always 256 bytes,
+    /// so it replaces the value as a `put` would, and it lands no earlier
+    /// than the blocks it describes. Returns the number of KV operations
+    /// performed: 1, or 0 when there is nothing to write.
+    pub fn write_runs<'s>(
+        &self,
+        promoted: &[u8],
+        runs: impl IntoIterator<Item = (u64, &'s [u8])>,
+        attr: Option<&[u8; 256]>,
+    ) -> usize {
         let ino = self.ino;
-        let writes = runs
+        let promoted =
+            (!promoted.is_empty()).then(|| (BatchKey::Block(big_key(ino, 0)), 0, promoted));
+        let blocks = runs
             .into_iter()
             .filter(|(_, src)| !src.is_empty())
             .flat_map(move |(offset, src)| {
@@ -105,8 +134,10 @@ impl<'a> FileObject<'a> {
                     .chain(rest.chunks(BIG_BLOCK).map(|piece| (0, piece)));
                 (offset / BIG_BLOCK as u64..)
                     .zip(pieces)
-                    .map(move |(lbn, (at, piece))| (big_key(ino, lbn), at, piece))
+                    .map(move |(lbn, (at, piece))| (BatchKey::Block(big_key(ino, lbn)), at, piece))
             });
+        let attr = attr.map(|value| (BatchKey::Attr(attr_key(ino)), 0, &value[..]));
+        let writes = promoted.into_iter().chain(blocks).chain(attr);
         usize::from(self.store.write_subs(writes) > 0)
     }
 
@@ -182,7 +213,7 @@ mod tests {
             (9 * BIG_BLOCK as u64 - 3, &d),
             (BIG_BLOCK as u64 + 17, &c),
         ];
-        assert_eq!(fo.write_runs(runs), 1);
+        assert_eq!(fo.write_runs(&[], runs, None), 1);
         let s = kv.stats();
         assert_eq!((s.sub_writes, s.sub_write_keys), (1, 3 + 1 + 1 + 3 + 1));
         for (offset, src) in runs {

@@ -759,22 +759,10 @@ impl Kvfs {
         self.write_extent(ino, offset, &[data])
     }
 
-    /// Small → big: the small-file KV's bytes move into the block space
-    /// and the KV is deleted.
-    fn promote(&self, attr: &mut FileAttr) {
-        let old = self.store.get(&small_key(attr.ino)).unwrap_or_default();
-        if !old.is_empty() {
-            FileObject::new(&self.store, attr.ino).write_at(0, &old);
-        }
-        self.store.delete(&small_key(attr.ino));
-        attr.format = DataFormat::Big;
-    }
-
     /// Vectored write: lay `segments` down contiguously starting at
-    /// `offset` and move the mtime — write, then settle:
-    /// [`Kvfs::write_blocks`], then the [`Kvfs::touch_mtime`] it leaves
-    /// owing. N segments cost one `write_extent` instead of N `write`
-    /// calls. Returns total bytes written.
+    /// `offset` ([`Kvfs::write_blocks`] of one run per segment). N
+    /// segments cost one `write_extent` instead of N `write` calls.
+    /// Returns total bytes written.
     pub fn write_extent(
         &self,
         ino: u64,
@@ -786,27 +774,19 @@ impl Kvfs {
             *at = at.saturating_add(seg.len() as u64);
             Some(run)
         });
-        let (total, mtime_owed) = self.write_blocks(ino, runs)?;
-        if mtime_owed {
-            self.touch_mtime(ino);
-        }
-        Ok(total)
+        self.write_blocks(ino, runs)
     }
 
-    /// The data half of [`Kvfs::write_extent`], and the whole of a flush
-    /// batch: lay each `(offset, bytes)` run down, in the order given,
-    /// under **one** inode lock. A big file's runs are one multi-key KV
-    /// sub-write ([`FileObject::write_runs`]), however many blocks and
-    /// runs there are. A write that changes what bounds a read — the size,
-    /// or the format (small → big) — puts the attribute, with a new mtime,
-    /// before it returns. One that changes neither leaves the attribute
-    /// alone and returns `true` beside the byte count: the caller owes the
-    /// inode one [`Kvfs::touch_mtime`], and may settle writes to the same
-    /// inode with one (DESIGN.md §9.2).
-    ///
-    /// A file under 8 KiB rewrites its whole small-file KV (the paper's
-    /// update rule); a write that ends at or past 8 KiB promotes it first.
-    pub fn write_blocks<'d, R>(&self, ino: u64, runs: R) -> Result<(usize, bool), FsError>
+    /// Lay each `(offset, bytes)` run down, in the order given, under
+    /// **one** inode lock, and move the attribute — size, format and
+    /// mtime — in the same KV write request (DESIGN.md §9.2); the whole
+    /// of a flush batch. A big file's runs and its attribute, last, are
+    /// one multi-key sub-write ([`FileObject::write_runs`]), however many
+    /// blocks and runs there are. A file under 8 KiB rewrites its whole
+    /// small-file KV (the paper's update rule) in one commit with the
+    /// attribute; a write that ends at or past 8 KiB promotes it
+    /// first, in the same request. Returns the bytes written.
+    pub fn write_blocks<'d, R>(&self, ino: u64, runs: R) -> Result<usize, FsError>
     where
         R: IntoIterator<Item = (u64, &'d [u8])>,
         R::IntoIter: Clone,
@@ -815,7 +795,7 @@ impl Kvfs {
         let runs = runs.into_iter().filter(|(_, run)| !run.is_empty());
         let total: usize = runs.clone().map(|(_, run)| run.len()).sum();
         if total == 0 {
-            return Ok((0, false));
+            return Ok(0);
         }
         // A hostile offset near u64::MAX must surface as an error, not an
         // arithmetic overflow panic.
@@ -831,10 +811,11 @@ impl Kvfs {
         if attr.is_dir() {
             return Err(FsError::IsADirectory);
         }
-
-        let format = attr.format;
+        attr.size = attr.size.max(end);
+        attr.mtime = self.now();
         if attr.format == DataFormat::Small && end < SMALL_FILE_MAX {
-            // Every run fits the small KV: one rewrite.
+            // Every run fits the small KV: one rewrite, beside the
+            // attribute.
             let mut v = self.store.get(&small_key(ino)).unwrap_or_default();
             if (v.len() as u64) < end {
                 v.resize(end as usize, 0);
@@ -842,31 +823,35 @@ impl Kvfs {
             for (offset, run) in runs {
                 v[offset as usize..offset as usize + run.len()].copy_from_slice(run);
             }
-            self.store.put(&small_key(ino), &v);
+            let (key, encoded) = (attr_key(ino), attr.encode());
+            let writes = [Write::Put(&small_key(ino), &v), Write::Put(&key, &encoded)];
+            self.store.commit(&[], &writes);
+            self.cache.put_attr(attr);
         } else {
-            if attr.format == DataFormat::Small {
-                self.promote(&mut attr);
-            }
-            FileObject::new(&self.store, ino).write_runs(runs);
+            self.write_big(&mut attr, runs);
         }
-
-        if end <= attr.size && attr.format == format {
-            return Ok((total, true));
-        }
-        attr.size = attr.size.max(end);
-        attr.mtime = self.now();
-        self.put_attr(&attr);
-        Ok((total, false))
+        Ok(total)
     }
 
-    /// The attribute half of [`Kvfs::write_extent`]: move `ino`'s mtime
-    /// to now — one attribute read-modify-write under the inode lock. An
-    /// inode unlinked since its write owes nothing.
-    pub fn touch_mtime(&self, ino: u64) {
-        let _guard = self.ino_lock(ino).lock();
-        if let Ok(mut attr) = self.get_attr(ino) {
-            attr.mtime = self.now();
-            self.put_attr(&attr);
+    /// Write `runs` into `attr.ino`'s blocks and `attr`, as a big file's,
+    /// in one sub-write request, then cache the attribute. A small file is
+    /// promoted on the way: its value's bytes go first in the same
+    /// request, and the value is deleted only after it, so at every
+    /// request boundary the attribute — stored or cached — names a value
+    /// that exists. Called under the inode lock.
+    fn write_big<'d>(&self, attr: &mut FileAttr, runs: impl IntoIterator<Item = (u64, &'d [u8])>) {
+        let ino = attr.ino;
+        let small = attr.format == DataFormat::Small;
+        let old = if small {
+            self.store.get(&small_key(ino)).unwrap_or_default()
+        } else {
+            Vec::new()
+        };
+        attr.format = DataFormat::Big;
+        FileObject::new(&self.store, ino).write_runs(&old, runs, Some(&attr.encode()));
+        self.cache.put_attr(*attr);
+        if small {
+            self.store.delete(&small_key(ino));
         }
     }
 
@@ -883,19 +868,24 @@ impl Kvfs {
             return Ok(0);
         }
         let n = ((attr.size - offset) as usize).min(dst.len());
+        let dst = &mut dst[..n];
+        let blocks = FileObject::new(&self.store, ino);
         match attr.format {
             DataFormat::Small => {
-                // Bytes the value does not cover (or all of them, when no
-                // KV exists yet) read as zeros.
-                if !self
-                    .store
-                    .read_sub(&small_key(ino), offset as usize, &mut dst[..n])
-                {
-                    dst[..n].fill(0);
+                // Bytes the value does not cover read as zeros. No value is
+                // a hole — unless a promotion moved the bytes into blocks
+                // since the attribute was read: it deletes the value last.
+                if !self.store.read_sub(&small_key(ino), offset as usize, dst) {
+                    match self.get_attr(ino) {
+                        Ok(now) if now.format == DataFormat::Big => {
+                            blocks.read_at(offset, dst);
+                        }
+                        _ => dst.fill(0),
+                    }
                 }
             }
             DataFormat::Big => {
-                FileObject::new(&self.store, ino).read_at(offset, &mut dst[..n]);
+                blocks.read_at(offset, dst);
             }
         }
         Ok(n)
@@ -972,17 +962,16 @@ impl Kvfs {
             // mtime stands (a size reconcile that finds agreement is free).
             return Ok(());
         }
+        let promote = attr.format == DataFormat::Small && size >= SMALL_FILE_MAX;
         match attr.format {
             DataFormat::Small => {
                 if size == 0 {
                     // A 0-byte file has no small-file KV.
                     self.store.delete(&small_key(ino));
-                } else if size < SMALL_FILE_MAX {
+                } else if !promote {
                     self.store.truncate_value(&small_key(ino), size as usize);
-                } else {
-                    // Growing past the boundary promotes.
-                    self.promote(&mut attr);
                 }
+                // Growing past the boundary promotes, with the attribute.
             }
             DataFormat::Big => {
                 FileObject::new(&self.store, ino).truncate(size);
@@ -990,7 +979,11 @@ impl Kvfs {
         }
         attr.size = size;
         attr.mtime = self.now();
-        self.put_attr(&attr);
+        if promote {
+            self.write_big(&mut attr, []);
+        } else {
+            self.put_attr(&attr);
+        }
         Ok(())
     }
 
@@ -1269,29 +1262,27 @@ mod tests {
     }
 
     #[test]
-    fn n_overwrites_settled_once_cost_one_sub_write_and_one_put() {
+    fn n_overwrites_and_their_attribute_are_one_sub_write() {
         let fs = fs();
-        let ino = fs.create("/settle", 0o644).unwrap();
+        let ino = fs.create("/overwrites", 0o644).unwrap();
         fs.write(ino, 0, &vec![1u8; 16 * BIG_BLOCK]).unwrap();
         let attr = fs.get_attr(ino).unwrap();
         let before = fs.store().stats();
         let block = [2u8; BIG_BLOCK];
         let runs = (0..8u64).map(|k| (2 * k * BIG_BLOCK as u64, &block[..]));
-        assert_eq!(
-            fs.write_blocks(ino, runs).unwrap(),
-            (8 * BIG_BLOCK, true),
-            "an overwrite owes its mtime"
-        );
+        assert_eq!(fs.write_blocks(ino, runs).unwrap(), 8 * BIG_BLOCK);
         let written = fs.store().stats();
-        // One request for the eight blocks (eight before the batch).
+        // One request for the eight blocks and, last, the attribute (eight
+        // before the batch, and a put for the mtime after it before the
+        // attribute rode the batch).
         assert_eq!(written.sub_writes - before.sub_writes, 1);
-        assert_eq!(written.sub_write_keys - before.sub_write_keys, 8);
-        assert_eq!(written.puts, before.puts, "no attribute put yet");
-        assert_eq!(fs.get_attr(ino).unwrap(), attr);
-        fs.touch_mtime(ino);
-        let settled = fs.store().stats();
-        assert_eq!((settled.puts - before.puts, settled.gets), (1, before.gets));
+        assert_eq!(written.sub_write_keys - before.sub_write_keys, 9);
+        assert_eq!((written.puts, written.gets), (before.puts, before.gets));
+        // The store holds what the cache holds: the mtime moved, the size
+        // did not.
         let now = fs.get_attr(ino).unwrap();
+        let cold = Kvfs::open(fs.store().clone()).unwrap();
+        assert_eq!(cold.get_attr(ino).unwrap(), now);
         assert!(now.mtime > attr.mtime);
         assert_eq!(now.size, attr.size);
         let mut back = vec![0u8; 16 * BIG_BLOCK];
@@ -1313,11 +1304,19 @@ mod tests {
         // value, a run past 8 KiB, and an empty run past the end.
         let before = fs.store().stats();
         let runs: [(u64, &[u8]); 3] = [(10, &[2u8; 20]), (3 * 4096, &[3u8; 4096]), (1 << 40, &[])];
-        assert_eq!(fs.write_blocks(ino, runs).unwrap(), (4096 + 20, false));
+        assert_eq!(fs.write_blocks(ino, runs).unwrap(), 4096 + 20);
         let after = fs.store().stats();
-        assert_eq!(after.puts - before.puts, 1, "the attribute, once");
-        // The promotion's copy of the small value, then the batch.
-        assert_eq!(after.sub_writes - before.sub_writes, 2);
+        // One request: the small value's bytes, the two runs and the
+        // attribute; then the value's delete.
+        assert_eq!(
+            (
+                after.sub_writes - before.sub_writes,
+                after.sub_write_keys - before.sub_write_keys,
+                after.puts - before.puts,
+                after.deletes - before.deletes
+            ),
+            (1, 4, 0, 1)
+        );
         let attr = Kvfs::open(fs.store().clone())
             .unwrap()
             .get_attr(ino)
@@ -1330,15 +1329,20 @@ mod tests {
         want[10..30].fill(2);
         want[3 * 4096..].fill(3);
         assert!(back == want);
-        // Every run of a batch that stays small rewrites the one value once.
+        // Every run of a batch that stays small rewrites the one value
+        // once, in one commit with the attribute.
         let small = fs.create("/batch-small", 0o644).unwrap();
-        let puts = fs.store().stats().puts;
+        let before = fs.store().stats();
         let runs: [(u64, &[u8]); 2] = [(0, &[4u8; 10]), (50, &[5u8; 10])];
-        assert_eq!(fs.write_blocks(small, runs).unwrap(), (20, false));
+        assert_eq!(fs.write_blocks(small, runs).unwrap(), 20);
+        let after = fs.store().stats();
         assert_eq!(
-            fs.store().stats().puts - puts,
-            2,
-            "the value, then the attribute"
+            (
+                after.puts - before.puts,
+                after.commit_keys - before.commit_keys
+            ),
+            (1, 2),
+            "the value and the attribute, one request"
         );
         let mut back = [9u8; 60];
         assert_eq!(fs.read(small, 0, &mut back).unwrap(), 60);
@@ -1351,18 +1355,17 @@ mod tests {
     #[test]
     fn growth_and_promotion_put_the_attribute_before_returning() {
         let fs = fs();
-        let ino = fs.create("/grow-settle", 0o644).unwrap();
+        let ino = fs.create("/grow", 0o644).unwrap();
         // Small, growing: the size is in the store when the call returns.
-        assert_eq!(
-            fs.write_blocks(ino, [(0, &[3u8; 100][..])]).unwrap(),
-            (100, false)
-        );
+        assert_eq!(fs.write_blocks(ino, [(0, &[3u8; 100][..])]).unwrap(), 100);
         let cold = Kvfs::open(fs.store().clone()).unwrap();
         assert_eq!(cold.get_attr(ino).unwrap().size, 100);
         // Small → big at the same call.
         let puts = fs.store().stats().puts;
-        let (_, owed) = fs.write_blocks(ino, [(0, &[4u8; BIG_BLOCK][..])]).unwrap();
-        assert!(!owed);
+        assert_eq!(
+            fs.write_blocks(ino, [(0, &[4u8; BIG_BLOCK][..])]).unwrap(),
+            BIG_BLOCK
+        );
         let cold = Kvfs::open(fs.store().clone())
             .unwrap()
             .get_attr(ino)
@@ -1371,15 +1374,85 @@ mod tests {
             (cold.format, cold.size),
             (DataFormat::Big, BIG_BLOCK as u64)
         );
-        // Promotion puts the attribute once, beside the block and the
-        // deleted small KV.
-        assert_eq!(fs.store().stats().puts - puts, 1);
-        // A vanished inode owes nothing: touching it writes nothing.
-        fs.unlink("/grow-settle").unwrap();
-        let puts = fs.store().stats().puts;
-        fs.touch_mtime(ino);
+        // The attribute rode the block's request: no put.
         assert_eq!(fs.store().stats().puts, puts);
-        assert_eq!(fs.get_attr(ino), Err(FsError::NotFound));
+        // A vanished inode's batch writes nothing.
+        fs.unlink("/grow").unwrap();
+        let before = fs.store().stats();
+        assert_eq!(
+            fs.write_blocks(ino, [(0, &[5u8; 10][..])]),
+            Err(FsError::NotFound)
+        );
+        let after = fs.store().stats();
+        assert_eq!(
+            (after.sub_writes, after.puts),
+            (before.sub_writes, before.puts)
+        );
+    }
+
+    #[test]
+    fn a_promotion_is_one_get_one_sub_write_then_one_delete() {
+        let fs = fs();
+        let ino = fs.create("/promote", 0o644).unwrap();
+        let old: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8 + 1).collect();
+        fs.write(ino, 0, &old).unwrap();
+        let before = fs.store().stats();
+        let runs: [(u64, &[u8]); 2] = [(4000, &[7u8; 100]), (20_000, &[8u8; 4096])];
+        assert_eq!(fs.write_blocks(ino, runs).unwrap(), 4196);
+        let after = fs.store().stats();
+        // The small value; one request of its bytes, the two runs and the
+        // attribute; the value's delete. Five requests before: the get, a
+        // sub-write of the bytes, the delete, a sub-write of the runs and
+        // an attribute put.
+        assert_eq!(
+            (
+                after.gets - before.gets,
+                after.sub_writes - before.sub_writes,
+                after.sub_write_keys - before.sub_write_keys,
+                after.deletes - before.deletes,
+                after.puts - before.puts
+            ),
+            (1, 1, 4, 1, 0)
+        );
+        assert!(!fs.store().contains(&small_key(ino)));
+        // A second KVFS over the store reads every byte back.
+        let cold = Kvfs::open(fs.store().clone()).unwrap();
+        let attr = cold.get_attr(ino).unwrap();
+        assert_eq!((attr.format, attr.size), (DataFormat::Big, 24_096));
+        let mut want = vec![0u8; 24_096];
+        want[..5000].copy_from_slice(&old);
+        want[4000..4100].fill(7);
+        want[20_000..].fill(8);
+        let mut back = vec![0u8; want.len()];
+        assert_eq!(cold.read(ino, 0, &mut back).unwrap(), want.len());
+        assert!(back == want, "the promoted file diverged");
+    }
+
+    #[test]
+    fn a_reader_racing_a_promotion_never_reads_zeros() {
+        use std::sync::atomic::AtomicBool;
+        let fs = fs();
+        let (current, done) = (AtomicU64::new(u64::MAX), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut buf = [0u8; 100];
+                while !done.load(Ordering::Acquire) {
+                    // A file not yet written reads nothing to check.
+                    let ino = current.load(Ordering::Acquire);
+                    if let Ok(100) = fs.read(ino, 0, &mut buf) {
+                        assert!(buf == [0xAB; 100], "inode {ino} read {:?}", &buf[..8]);
+                    }
+                }
+            });
+            for round in 0..2_000 {
+                let ino = fs.create(&format!("/p{round}"), 0o644).unwrap();
+                fs.write(ino, 0, &[0xAB; 100]).unwrap();
+                current.store(ino, Ordering::Release);
+                // Promoted: the 100 bytes move into block 0.
+                fs.write(ino, BIG_BLOCK as u64, &[0xCD; BIG_BLOCK]).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
     }
 
     /// A big-file read as it was when every block was its own request:

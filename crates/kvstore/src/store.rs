@@ -24,7 +24,8 @@
 //! - `read_subs` — the multi-get: one request that reads a sub-value
 //!   range from each of many keys (a big-file read's blocks),
 //! - `write_subs` — its mirror, the multi-put: one request that writes a
-//!   sub-value range into each of many keys (a flush batch's blocks).
+//!   sub-value range into each of many keys (a flush batch's blocks and,
+//!   last, its inode's attribute).
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -156,9 +157,10 @@ impl Write<'_> {
 /// Operation counters. Each of `gets` … `sub_writes` counts **requests
 /// served** — what a disaggregated store would see as round trips — not the
 /// keys a request touched: a 256-entry listing is one scan, a 16-block
-/// [`KvStore::read_subs`] one sub-read, a 64-block [`KvStore::write_subs`]
-/// one sub-write. `sub_read_keys` and `sub_write_keys` are the per-key
-/// counts beside them.
+/// [`KvStore::read_subs`] one sub-read, a flush batch's
+/// [`KvStore::write_subs`] of 64 blocks and its inode's attribute one
+/// sub-write of 65 keys. `sub_read_keys` and `sub_write_keys` are the
+/// per-key counts beside them.
 ///
 /// What counts as what: `get`, `contains` and `value_len` are gets; `put`
 /// and `put_if_absent` puts; `delete` a delete; a `commit` a delete when
@@ -800,6 +802,23 @@ mod tests {
             (now.sub_writes, now.sub_write_keys),
             (after.sub_writes, after.sub_write_keys)
         );
+    }
+
+    #[test]
+    fn a_full_length_sub_write_leaves_what_a_put_leaves() {
+        // A flush batch writes its inode's 256-byte attribute as the last
+        // range of its multi-put: over a value of the same length, the
+        // range at 0 must replace it exactly as a whole-value put does.
+        let (kv, put) = (KvStore::new(), KvStore::new());
+        let old: Vec<u8> = (0..=255u8).collect();
+        let new = [0xA5u8; 256];
+        for store in [&kv, &put] {
+            store.put(b"attr", &old);
+        }
+        put.put(b"attr", &new);
+        kv.write_subs([(&b"block"[..], 8, &[1u8; 8][..]), (b"attr", 0, &new)]);
+        assert_eq!(kv.get(b"attr"), put.get(b"attr"));
+        assert_eq!(kv.get(b"attr").unwrap(), new);
     }
 
     #[test]

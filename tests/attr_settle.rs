@@ -1,13 +1,13 @@
-//! The attribute rule (DESIGN.md §9.2): a flush writes each dirty block once
-//! and each inode's attribute once per pass. An extent that grows its file
-//! puts the attribute at once; one that only moves the mtime leaves it
-//! owed, and the pass settles it when it reaches another inode or ends.
+//! The attribute rule (DESIGN.md §9.2): a flush writes each dirty block
+//! once, and each batch's one KV request carries its inode's attribute —
+//! size, format and mtime — as its last key. No flush site writes an
+//! attribute on its own, and a batch the store took has its mtime.
 //!
 //! Every flush site is checked the same way. The files are big and every
 //! extent overwrites a page inside them, so the store's counters split
-//! cleanly: a block write is a key of a `sub_write` request (a flush batch
-//! writes all of its inode's blocks in one), an attribute is the only
-//! `put`. The mtime is read through a second instance on the same store.
+//! cleanly: a flush batch is one `sub_write` request whose keys are its
+//! blocks and its attribute, and nothing is `put`. The mtime is read
+//! through a second instance on the same store.
 
 use std::sync::Arc;
 
@@ -55,12 +55,13 @@ fn overwrite(fs: &DpcFs, fd: Fd, n: usize) {
     }
 }
 
-/// What `f` cost the store: (block writes, puts).
-fn cost(store: &KvStore, f: impl FnOnce()) -> (u64, u64) {
+/// What `f` cost the store: (write requests, keys they wrote, puts).
+fn cost(store: &KvStore, f: impl FnOnce()) -> (u64, u64, u64) {
     let before = store.stats();
     f();
     let after = store.stats();
     (
+        after.sub_writes - before.sub_writes,
         after.sub_write_keys - before.sub_write_keys,
         after.puts - before.puts,
     )
@@ -90,11 +91,12 @@ fn a_scoped_fsync_puts_its_inode_attribute_once() {
     let store = populated();
     let (_dpc, fs, [a, b]) = dirty(quiet(), &store, 16);
     let before = mtimes(&store);
-    assert_eq!(cost(&store, || fs.fsync(a).unwrap()), (16, 1));
+    // One batch: the 16 blocks and the attribute.
+    assert_eq!(cost(&store, || fs.fsync(a).unwrap()), (1, 17, 0));
     let synced_a = mtimes(&store);
     assert!(synced_a[0] > before[0]);
     assert_eq!(synced_a[1], before[1], "/b is not /a's fsync's business");
-    assert_eq!(cost(&store, || fs.fsync(b).unwrap()), (16, 1));
+    assert_eq!(cost(&store, || fs.fsync(b).unwrap()), (1, 17, 0));
     let synced = mtimes(&store);
     assert_eq!(synced[0], synced_a[0]);
     assert!(synced[1] > synced_a[1]);
@@ -113,11 +115,12 @@ fn an_eviction_flush_puts_each_inode_attribute_once() {
     let before = mtimes(&store);
     let batches = dpc.metrics().cache.batched_evictions;
     // One more page finds the bucket full of dirty pages: one
-    // `CacheEvictBatch`, whose one flush pass lands all 64 extents.
+    // `CacheEvictBatch`, whose one flush pass lands all 64 extents, a
+    // batch per inode.
     let evict = || {
         fs.write(a, (64 * PAGE) as u64, &[3u8; PAGE]).unwrap();
     };
-    assert_eq!(cost(&store, evict), (64, 2));
+    assert_eq!(cost(&store, evict), (2, 66, 0));
     assert_eq!(dpc.metrics().cache.batched_evictions - batches, 1);
     assert_moved(before, mtimes(&store));
 }
@@ -136,7 +139,7 @@ fn the_shutdown_drain_puts_each_inode_attribute_once() {
     };
     let (dpc, fs, _) = dirty(cfg, &store, 8);
     let before = mtimes(&store);
-    assert_eq!(cost(&store, move || drop((fs, dpc))), (16, 2));
+    assert_eq!(cost(&store, move || drop((fs, dpc))), (2, 18, 0));
     assert_moved(before, mtimes(&store));
 }
 
@@ -149,12 +152,12 @@ fn recovery_puts_each_inode_attribute_once() {
     let before = mtimes(&store);
     // Recovery adopts the 16 dirty pages and flushes them in one pass.
     let recover = move || drop(Dpc::recover(dpc).unwrap());
-    assert_eq!(cost(&store, recover), (16, 2));
+    assert_eq!(cost(&store, recover), (2, 18, 0));
     assert_moved(before, mtimes(&store));
 }
 
 #[test]
-fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
+fn a_crash_after_a_batch_lands_leaves_its_blocks_and_its_mtime_together() {
     let store = populated();
     let plan = FaultPlan::new(29);
     let cfg = DpcConfig {
@@ -164,8 +167,8 @@ fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
     let (dpc, fs, [a, _]) = dirty(cfg, &store, 8);
     let before = mtimes(&store);
     // The control plane draws `dpu.crash` once per batch it lands: the
-    // first draw follows /a's one batch of eight extents, after its blocks
-    // are in the store and before the pass settles the mtime.
+    // first draw follows /a's one batch of eight extents, after the store
+    // took its blocks and its attribute.
     plan.arm("dpu.crash", FaultSpec::nth(1));
     let mut crashed = None;
     let crash = || {
@@ -174,9 +177,11 @@ fn a_crash_between_the_blocks_and_the_settle_keeps_the_pre_flush_mtime() {
         drop(fs);
         crashed = Some(dpc);
     };
-    // Every block, and nothing after the trip: no mtime.
-    assert_eq!(cost(&store, crash), (8, 0));
-    assert_eq!(mtimes(&store), before, "the pre-flush mtime stands");
+    // /a's one batch, and nothing after the trip.
+    assert_eq!(cost(&store, crash), (1, 9, 0));
+    let after = mtimes(&store);
+    assert!(after[0] > before[0], "/a's mtime landed with its blocks");
+    assert_eq!(after[1], before[1], "/b was never offered");
 
     // Recovery gives the oracle's bytes and size.
     let rdpc = Dpc::recover(crashed.unwrap()).unwrap();

@@ -321,8 +321,8 @@ fn a_crash_after_the_store_took_a_batch_recovers_by_re_flushing_it() {
             taken.sub_writes - before.sub_writes,
             taken.sub_write_keys - before.sub_write_keys
         ),
-        (1, 8),
-        "the store took the whole batch"
+        (1, 9),
+        "the store took the whole batch, its attribute included"
     );
     assert_eq!(
         dpc.cache().dirty_count(),
@@ -341,7 +341,7 @@ fn a_crash_after_the_store_took_a_batch_recovers_by_re_flushing_it() {
             again.sub_writes - taken.sub_writes,
             again.sub_write_keys - taken.sub_write_keys
         ),
-        (1, 8)
+        (1, 9)
     );
     assert_eq!(rdpc.cache().dirty_count(), 0);
     let rfs = rdpc.fs();
