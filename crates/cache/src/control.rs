@@ -60,7 +60,7 @@ impl<F: FnMut(u64, u64, &[u8])> FlushBackend for F {
 /// Bytes one flush batch may hold: the runs of one inode a pass hands the
 /// backend as one request, all of them read-locked until it answers. A
 /// host writer that meets a page of the batch waits out the rest of it, so
-/// the budget is sized from that wait (DESIGN.md §9, measured in release
+/// the budget is sized from that wait (DESIGN.md §8.1, measured in release
 /// on a 2-vCPU x86 box): a batch of 64 scattered 2-page runs into KVFS
 /// holds its locks for 85–160 µs at the median, and a writer that meets
 /// its first page waits 55–120 µs (p99 ≤ 0.21 ms) — against 2.4 µs for
@@ -152,7 +152,7 @@ pub struct ControlPlane {
     /// The flush batch (pages pulled to DPU DRAM), and the window fills'
     /// buffer.
     batch: Batch,
-    /// Simulated DPU crash switch (DESIGN.md §13). Interior flush points
+    /// Simulated DPU crash switch (DESIGN.md §13.3). Interior flush points
     /// draw it; once tripped every flush entry point returns 0 without
     /// touching the cache — the "DPU is dead" state recovery tests rely on.
     crash: Option<Arc<CrashSwitch>>,
@@ -211,7 +211,7 @@ impl ControlPlane {
     /// waited for, and [`busy`](Self::busy) says how many were.
     ///
     /// Flushing keeps taking per-entry *read locks* even when the
-    /// front-end hit path runs lock-free (DESIGN.md §11): an optimistic
+    /// front-end hit path runs lock-free (DESIGN.md §4.2): an optimistic
     /// flusher that snapshotted a page, wrote it to the backend and then
     /// failed seqlock revalidation would already have published
     /// potentially stale bytes — two concurrent flushers could then race

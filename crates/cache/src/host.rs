@@ -80,7 +80,7 @@ struct PageBuf([u8; PAGE_SIZE]);
 /// take **no** lock: they may race a writer at the byte level, so they
 /// use volatile word-sized loads and their caller must validate the
 /// entry's seqlock version afterwards, discarding the snapshot on a
-/// mismatch (DESIGN.md §11). With those protocols observed, no thread
+/// mismatch (DESIGN.md §4.2). With those protocols observed, no thread
 /// ever *acts on* bytes that raced a writer, which is what justifies the
 /// `Sync` impl.
 pub(crate) struct PagePool {
@@ -923,7 +923,7 @@ impl HybridCache {
 }
 
 /// A borrowed, epoch-validated view of one resident cache page
-/// (DESIGN.md §11).
+/// (DESIGN.md §4.2).
 ///
 /// Obtained from [`HybridCache::lookup_read_ref`]. In the lock-free mode
 /// the guard holds **no** lock — it carries the seqlock version snapshot

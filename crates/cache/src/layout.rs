@@ -81,7 +81,7 @@ pub struct CacheEntry {
     /// first demand reader under a read lock — the atomic swap makes the
     /// consumption exactly-once even among racing readers.
     pub(crate) flags: AtomicU32,
-    /// Seqlock version word (DESIGN.md §11). Even = stable, odd = a
+    /// Seqlock version word (DESIGN.md §4.2). Even = stable, odd = a
     /// writer is mutating meta + page. Bumped to odd by
     /// [`CacheEntry::try_write_lock`] and back to even by
     /// [`CacheEntry::write_unlock`], so every writer path — overwrite,
@@ -230,7 +230,7 @@ pub struct CacheConfig {
     /// 0 = read cache, 1 = write cache (header field; informational).
     pub mode: u32,
     /// Serve read hits through the lock-free seqlock meta plane
-    /// (DESIGN.md §11). When false, readers fall back to the paper's
+    /// (DESIGN.md §4.2). When false, readers fall back to the paper's
     /// literal per-entry read-lock protocol — kept as the comparison
     /// baseline for the equivalence proptest.
     pub meta_lockfree: bool,

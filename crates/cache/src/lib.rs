@@ -12,7 +12,7 @@
 //!   meta area with PCIe atomics and pulling dirty pages by DMA.
 //!
 //! Consistency extends the paper's protocol with a lock-free read plane
-//! (DESIGN.md §11): every entry carries a seqlock version word alongside
+//! (DESIGN.md §4.2): every entry carries a seqlock version word alongside
 //! the paper's read/write lock. Writers (host front-end, DPU flush/evict)
 //! still serialise on the lock word — taking it bumps the version odd,
 //! releasing it bumps it even — while read hits validate the version

@@ -1,5 +1,5 @@
 //! Host-side metadata cache: one name table per directory, one attribute
-//! table, one byte budget (DESIGN.md §14).
+//! table, one byte budget (DESIGN.md §4.7).
 //!
 //! The paper's DFS-offload pillar (§1) moves cache management — data *and*
 //! metadata — next to the client; KucoFS (PAPERS.md) shows client-side

@@ -1,4 +1,4 @@
-//! The host-DMA intent log (DESIGN.md §13): the ops the page pool cannot
+//! The host-DMA intent log (DESIGN.md §13.5): the ops the page pool cannot
 //! express.
 //!
 //! The hybrid cache's data plane is host memory, and host memory survives

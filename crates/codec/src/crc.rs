@@ -2,7 +2,7 @@
 //! protection (DIF/DIX guard tags) and by most storage stacks.
 //! Polynomial 0x1EDC6F41, reflected = 0x82F63B78.
 //!
-//! Two kernels compute the same function (DESIGN.md §16). On x86_64
+//! Two kernels compute the same function (DESIGN.md §11.3). On x86_64
 //! with SSE4.2 the `crc32` instruction — which implements exactly this
 //! polynomial — folds eight bytes per step, on three interleaved lanes
 //! for inputs of 384 bytes and more; everywhere else a portable

@@ -5,7 +5,7 @@
 //! converts everything else into nvme-fs messages. [`DpcFs`] is that
 //! adapter plus a small fd table — the file API applications use.
 //!
-//! Concurrency model (see DESIGN.md §7): the adapter holds **no** big
+//! Concurrency model (see DESIGN.md §4): the adapter holds **no** big
 //! lock. Link round-trips go through the shared
 //! [`ChannelPool`](dpc_nvmefs::ChannelPool) multiplexer, which never
 //! holds a lock across a round-trip; descriptor state lives in a sharded
@@ -21,7 +21,7 @@
 //! it reaches the backend. The flusher writes only each page's valid
 //! prefix, so after a flush the backend normally agrees; the `Fsync`
 //! reply carries the backend's size and `fsync` sends a reconciling
-//! `Truncate` only when it differs (DESIGN.md §9.1).
+//! `Truncate` only when it differs (DESIGN.md §4.1).
 
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
@@ -343,7 +343,7 @@ fn page_span(offset: u64, n: usize, lpn: u64) -> (usize, usize, usize) {
 /// pages it overlaps before it gives up with EBUSY.
 const PREFLUSH_ROUNDS: u32 = 4;
 
-/// Pages one buffered write claims before it lands a byte (DESIGN.md §13).
+/// Pages one buffered write claims before it lands a byte (DESIGN.md §4.4).
 /// A longer write goes window by window, under an intent record.
 const CLAIM_WINDOW: usize = 64;
 
@@ -369,7 +369,7 @@ pub enum IoMode {
     Direct,
 }
 
-/// What `fsync` waits for (DESIGN.md §13).
+/// What `fsync` waits for (DESIGN.md §4.6).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FsyncMode {
     /// Flush dirty pages to the backing store and reconcile the size —
@@ -395,7 +395,7 @@ pub struct DpcFs {
     pub mode: IoMode,
     /// Durability tier `fsync` provides (see [`FsyncMode`]).
     pub fsync_mode: FsyncMode,
-    /// Host-side metadata cache (DESIGN.md §14), shared across every
+    /// Host-side metadata cache (DESIGN.md §4.7), shared across every
     /// adapter of one `Dpc`.
     meta: Arc<MetaCache>,
     /// Per-direction capacity of one transport buffer: what an uncached
@@ -479,7 +479,7 @@ impl DpcFs {
         reply(done).map(|(resp, _)| resp)
     }
 
-    // ---- metadata fast path (DESIGN.md §14) ----------------------------
+    // ---- metadata fast path (DESIGN.md §4.7) ---------------------------
 
     fn meta_to_wire(a: MetaAttr) -> WireAttr {
         WireAttr {
@@ -511,7 +511,7 @@ impl DpcFs {
         }
     }
 
-    // ---- namespace API (DESIGN.md §14) -----------------------------------
+    // ---- namespace API (DESIGN.md §4.8) ----------------------------------
     //
     // Every call below is ONE crossing whatever the path's depth: the
     // request carries `(start ino, rest of the path)` and the DPU walks it
@@ -611,7 +611,7 @@ impl DpcFs {
     /// Resolve `path`, symlinks followed, to its attributes: no crossing
     /// when the name tables and the attr table cover it, one otherwise.
     /// While the inode is open the size is this host's logical one, which
-    /// unflushed writes may have grown past the backend's (DESIGN.md §9.1).
+    /// unflushed writes may have grown past the backend's (DESIGN.md §4.1).
     pub fn stat(&self, path: &str) -> Result<WireAttr, DpcError> {
         let leg = self.enter(path, false)?;
         if leg.rest.is_empty() {
@@ -918,7 +918,7 @@ impl DpcFs {
     }
 
     /// The buffered write of `data` at `offset`, at most [`CLAIM_WINDOW`]
-    /// pages (DESIGN.md §13.2, "A buffered write is its dirty pages"). It
+    /// pages (DESIGN.md §4.4, "A buffered write is its dirty pages"). It
     /// claims every page in ascending order, then makes each crossing it
     /// needs: one `CacheEvictBatch` for the buckets it found full (its
     /// claims dropped across it, then taken again from the first page),
@@ -1420,7 +1420,7 @@ impl DpcFs {
     /// Flush buffered data and, if the backend then disagrees with the
     /// logical size, reconcile it.
     ///
-    /// Two durability tiers (DESIGN.md §13): [`FsyncMode::Data`] flushes
+    /// Two durability tiers (DESIGN.md §4.6): [`FsyncMode::Data`] flushes
     /// dirty pages and reconciles the size; [`FsyncMode::Log`] returns at
     /// once — the acknowledged writes already survive a DPU reset, as dirty
     /// pages or as the records of the ops that bypassed the pool.

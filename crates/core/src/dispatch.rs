@@ -112,7 +112,7 @@ fn dfs_err(e: DfsError) -> FileResponse {
 
 /// The flush sink: dirty hybrid-cache pages persist into KVFS, a batch per
 /// request — its blocks and its inode's attribute in one
-/// ([`Kvfs::write_blocks`], DESIGN.md §9.2). Reports failure (instead of
+/// ([`Kvfs::write_blocks`], DESIGN.md §9.4). Reports failure (instead of
 /// panicking or silently dropping) so the control plane can retry and
 /// leave the pages dirty — a fault-site hit models a transiently
 /// unreachable store. Every flush site builds one: the scoped `Fsync`,
@@ -566,7 +566,7 @@ impl Dispatcher {
                 // post-flush size, each batch's attribute landed with its
                 // blocks: the host compares its logical size with it and
                 // sends a reconciling `Truncate` only on disagreement
-                // (DESIGN.md §9.1).
+                // (DESIGN.md §4.1).
                 match self.kvfs.fsync(*ino) {
                     Ok(attr) => FileResponse::Size(attr.size),
                     Err(e) => fs_err(e),

@@ -42,7 +42,7 @@ pub struct DpcConfig {
     pub cache_pages: usize,
     pub cache_bucket_entries: usize,
     /// Serve cache read hits through the lock-free seqlock meta plane
-    /// (DESIGN.md §11). Off = the paper's literal per-entry read-lock
+    /// (DESIGN.md §4.2). Off = the paper's literal per-entry read-lock
     /// protocol.
     pub cache_lockfree: bool,
     /// Default I/O mode of handed-out adapters.
@@ -76,14 +76,14 @@ pub struct DpcConfig {
     /// reissue and bounded exponential backoff in the channel pool.
     pub retry: RetryPolicy,
     /// Ring capacity of the intent log in bytes (payload + headers). The
-    /// log holds what the page pool cannot (DESIGN.md §13): the uncached
+    /// log holds what the page pool cannot (DESIGN.md §13.5): the uncached
     /// writes and truncates in flight at once, each retired at its ack. A
     /// payload larger than the whole ring is not logged.
     pub wal_bytes: usize,
     /// What `fsync` waits for: the store ([`FsyncMode::Data`]), or nothing
     /// a DPU reset can take ([`FsyncMode::Log`]).
     pub fsync_mode: FsyncMode,
-    /// Lock stripes of the host metadata cache (DESIGN.md §14). The cache
+    /// Lock stripes of the host metadata cache (DESIGN.md §4.7). The cache
     /// itself is not optional and has no size of its own: it may hold one
     /// byte per eight of the data cache ([`DpcConfig::meta_cache_bytes`]).
     pub meta_cache_shards: usize,
@@ -283,7 +283,7 @@ impl Dpc {
     ///
     /// **What sharing does not give you.** Nothing keeps two live
     /// instances coherent. This instance's host metadata cache (names,
-    /// listings, attributes — DESIGN.md §14) is coherent with *its own*
+    /// listings, attributes — DESIGN.md §4.7) is coherent with *its own*
     /// mutations only: it patches or invalidates as they return. What
     /// another client creates, removes, renames or grows is seen when the
     /// cached answer expires — `meta_cache_ttl` logical ticks (local
@@ -303,7 +303,7 @@ impl Dpc {
         Self::fresh(cfg, kv_store, dfs_backend).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Bring `crashed` back after its DPU died (DESIGN.md §13): a DPU
+    /// Bring `crashed` back after its DPU died (DESIGN.md §13.4): a DPU
     /// reset, with host memory and the stores intact. Its DPU threads are
     /// stopped and joined first, so nothing dead touches what survives.
     /// Recovery then adopts the crashed instance's hybrid cache, log

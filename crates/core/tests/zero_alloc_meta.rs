@@ -1,6 +1,6 @@
 //! Steady-state allocation accounting for the warm metadata path.
 //!
-//! Claim under test (DESIGN.md §14): once the host metadata cache holds a
+//! Claim under test (DESIGN.md §4.7): once the host metadata cache holds a
 //! path, `stat`, `open` + `close` and `readdir_into` (into a recycled
 //! buffer) answer without a crossing **and without a heap allocation** —
 //! no `String` per path component, no `Arc` per descriptor, no clone per

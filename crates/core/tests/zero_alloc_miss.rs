@@ -4,7 +4,7 @@
 //! its runs staged through the channel pool, waited in order, each reply
 //! landed from its transport buffer — makes **no heap allocation on the
 //! calling thread**. No result or request vector, no waiter per command,
-//! no completion buffer (DESIGN.md §7, §17). An `IoMode::Direct` read —
+//! no completion buffer (DESIGN.md §5.1, §12.2). An `IoMode::Direct` read —
 //! every read a crossing, landed the same way — makes none either. Those
 //! two count the host CPU only. The DPU's side has its own claim: a warm
 //! `Read`, served straight into its transport buffer and answered with a

@@ -3,7 +3,7 @@
 //! Claim under test: an aligned 8 KiB buffered overwrite of resident pages
 //! makes **no heap allocation on the calling thread**. The write claims
 //! its two pages in a fixed array, crosses nothing, logs nothing (the
-//! dirty pages are the record, DESIGN.md §13.2) and commits. The counting
+//! dirty pages are the record, DESIGN.md §4.4) and commits. The counting
 //! allocator hook is per-binary, which is why this lives in its own
 //! integration-test file.
 

@@ -6,7 +6,7 @@
 //! — the hop the optimized client's metadata view avoids. File data is
 //! erasure-coded `k+m` over stripes of `k` consecutive 8 KiB blocks: each
 //! block is stored whole on a data server of its own, and `m` parity
-//! cells on `m` more (DESIGN.md §18). EC runs on the MDS for standard
+//! cells on `m` more (DESIGN.md §10.1). EC runs on the MDS for standard
 //! clients and on the client (host or DPU) for optimized/DPC clients —
 //! through the same stripe read and stripe write.
 

@@ -1,4 +1,4 @@
-//! The stripe write protocol (DESIGN.md §18): a block is one stripe cell
+//! The stripe write protocol (DESIGN.md §10.1): a block is one stripe cell
 //! on a server of its own, a write is one swap and `m` deltas, and the
 //! repairs a refused swap or delta leaves behind. What must hold:
 //!

@@ -3,7 +3,7 @@
 //!
 //! Scalar multiplication uses compile-time exp/log tables. The bulk
 //! operations (`mul_slice`, `mul_acc_slice`) are the encode/decode hot
-//! loops and use split-nibble product tables instead (DESIGN.md §16):
+//! loops and use split-nibble product tables instead (DESIGN.md §11.3):
 //! `c·x = c·(x & 0x0F) ^ c·(x & 0xF0)`, so two 16-entry tables per
 //! coefficient replace the log/exp walk and its zero test. A 16-entry
 //! byte table is exactly what `pshufb` looks up sixteen (SSSE3) or

@@ -1,6 +1,6 @@
 //! KVFS's two caches — names `(parent, name) → (ino, kind)` and attributes
 //! `ino → FileAttr`, the pair a kernel's VFS would keep — under the one
-//! rule the host's `dpc-cache::meta` already follows (DESIGN.md §14):
+//! rule the host's `dpc-cache::meta` already follows (DESIGN.md §4.7):
 //!
 //! - **The mutator writes store and cache together.** Whichever `Kvfs`
 //!   function writes a name or an attribute KV calls [`Cache::put_name`] /

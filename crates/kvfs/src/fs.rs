@@ -4,7 +4,7 @@
 //! Every file operation becomes KV operations: path resolution recursively
 //! fetches inode KVs from the root (ino 0) using `p_ino + name` keys;
 //! `readdir` is a prefix scan; a namespace mutation is one conditional
-//! multi-key commit (DESIGN.md §14.2); data lives in small-file KVs
+//! multi-key commit (DESIGN.md §9.3); data lives in small-file KVs
 //! (< 8 KiB, whole-value rewrite) or big-file KVs (8 KiB in-place block
 //! updates via the file object). Dentry and inode caches — the ones the
 //! VFS layer would provide — are built in and instrumented.
@@ -779,7 +779,7 @@ impl Kvfs {
 
     /// Lay each `(offset, bytes)` run down, in the order given, under
     /// **one** inode lock, and move the attribute — size, format and
-    /// mtime — in the same KV write request (DESIGN.md §9.2); the whole
+    /// mtime — in the same KV write request (DESIGN.md §9.4); the whole
     /// of a flush batch. A big file's runs and its attribute, last, are
     /// one multi-key sub-write ([`FileObject::write_runs`]), however many
     /// blocks and runs there are. A file under 8 KiB rewrites its whole
@@ -1951,7 +1951,7 @@ mod tests {
     /// a put, or as a delete when it only deletes — on warm caches, where
     /// no name or attribute is read from the store. An rmdir adds its
     /// emptiness scan; a big file losing its last name adds its range
-    /// delete and then its attribute's delete (DESIGN.md §14.2).
+    /// delete and then its attribute's delete (DESIGN.md §9.3).
     #[test]
     fn every_namespace_mutation_is_one_kv_request() {
         let fs = fs();

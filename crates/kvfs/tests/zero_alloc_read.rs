@@ -1,6 +1,6 @@
 //! Steady-state allocation accounting for a big-file read.
 //!
-//! Claim under test (DESIGN.md §17): a warm `Kvfs::read` of a big file is
+//! Claim under test (DESIGN.md §9.4): a warm `Kvfs::read` of a big file is
 //! one multi-key sub-read whose block keys (`0x04 ‖ ino ‖ lbn`) are built
 //! on the stack, so 16 blocks read **without a heap allocation** — one key
 //! per block was allocated when every block was its own request. The

@@ -1,6 +1,6 @@
 //! Steady-state allocation accounting for the DPU-side path walk.
 //!
-//! Claim under test (DESIGN.md §14 "The KVFS side"): once KVFS's name and
+//! Claim under test (DESIGN.md §9.2): once KVFS's name and
 //! attribute caches hold a path, `walk`, `lookup` and `get_attr` answer
 //! **without a heap allocation** — no `String` per component to key the
 //! probe — and so does a `lookup` of a name that is not there, which

@@ -1,6 +1,6 @@
 //! Steady-state allocation accounting for a flush batch.
 //!
-//! Claim under test (DESIGN.md §17): a warm `Kvfs::write_blocks` of
+//! Claim under test (DESIGN.md §9.4): a warm `Kvfs::write_blocks` of
 //! scattered in-place runs over a big file's existing blocks is one
 //! multi-key sub-write whose keys — the blocks', then the attribute's —
 //! are built on the stack, and the store updates each existing key in

@@ -424,7 +424,7 @@ impl FileTarget {
     /// the front, or `None` to refuse the command (`InvalidCommand`, and a
     /// `rejected_sqes`). It runs under the data pool's write guard, so it
     /// must not wait on anything a host thread holds while it reads a
-    /// reply (DESIGN.md §17). The response header is encoded into the
+    /// reply (DESIGN.md §7.2). The response header is encoded into the
     /// target's reused header buffer.
     pub fn reply_with(
         &mut self,

@@ -119,7 +119,7 @@ pub enum FileRequest {
     },
     /// Replies [`FileResponse::Size`], the backend's size of the file once
     /// its dirty pages landed: the one attribute the host reads, to
-    /// reconcile its own size against (DESIGN.md §9.1). 9 bytes, so it
+    /// reconcile its own size against (DESIGN.md §4.1). 9 bytes, so it
     /// rides the CQE. The DFS client, which keeps sizes itself, replies
     /// [`FileResponse::Ok`].
     Fsync {

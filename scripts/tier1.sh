@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the whole workspace must build, pass every test, and be
-# fmt- and clippy-clean (warnings are errors). CI runs exactly this script.
+# fmt- and clippy-clean (warnings are errors); the named tests below run
+# in release, some of them ten times; and DESIGN.md's section references
+# and pinned tests must resolve. CI's `tier1` job runs exactly this
+# script, and nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,35 +33,79 @@ named() {
 }
 
 cargo fmt --all --check
+# Every "DESIGN.md §N" in the live files — the code and tests, the
+# scripts and CI, README, ROADMAP and the verify notes — names a heading
+# of DESIGN.md, lists like "§7, §17" included. CHANGES.md and
+# EXPERIMENTS.md are history and keep the numbers they were written
+# with; the benchmark's own tree is not checked here.
+git ls-files -z -- '*.rs' '*.sh' '*.yml' '*.toml' README.md ROADMAP.md '*/SKILL.md' \
+    ':!dpc-e2e' |
+    xargs -0 perl -CSD -Mutf8 -0777 -ne '
+        BEGIN {
+            open my $d, "<:encoding(UTF-8)", "DESIGN.md" or die;
+            my $design = <$d>;
+            $have{$1} = 1 while $design =~ /^#{2,3} (\d+(?:\.\d+)*)\.? /mg;
+        }
+        my $gap = qr{(?:\s|//[/!]?|#)*};
+        while (/DESIGN\.md$gap(§[\d.]*\d(?:(?:,|\s+and|\s+or)?$gap§[\d.]*\d)*)/g) {
+            my ($refs, $line) = ($1, 1 + (substr($_, 0, $-[0]) =~ tr/\n//));
+            for my $n ($refs =~ /§([\d.]*\d)/g) {
+                next if $have{$n};
+                print STDERR "tier1: DESIGN.md has no §$n ($ARGV:$line)\n";
+                $bad = 1;
+            }
+        }
+        END { exit 1 if $bad }'
 cargo build --workspace --release
+# Every invariant DESIGN.md pins names a test that exists: each name in
+# backticks after "Pinned by" must match a test of the workspace.
+mapfile -t pinned < <(perl -0777 -ne '
+    while (/Pinned by((?:\s*(?:and\s+)?`[^`]+`,?)+)/g) {
+        my $names = $1;
+        print "$1\n" while $names =~ /`([^`]+)`/g;
+    }' DESIGN.md | sort -u)
+check_names --release -q --workspace -- "${pinned[@]}"
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
-# The host metadata cache's coherence and budget, in release (the warm
-# path is nanoseconds there, and the differential makes ~200 instances):
-# warm answers == a cold instance after every op, a tree 4x the budget
-# stays inside it, a cached file's byte cost, the zero-allocation warm
-# path, and an inode drop that visits only what the inode has resident.
-named --release -q --test meta_cache -- \
+# The CRC32C and GF(256) / Reed–Solomon kernels in release, every tier
+# this machine can execute against the bitwise / scalar oracle, plus the
+# pinned parity bytes (DESIGN.md §11.3; the debug run is the workspace's
+# above). Then the transport's own suite as it ships.
+cargo test --release -q -p dpc-codec -p dpc-ec
+check_names --release -q -p dpc-codec --lib -- crc::tests::
+cargo test --release -q -p dpc-nvmefs
+# The host metadata cache's coherence and budget, and the namespace
+# path's crossing budget, in release (the warm path is nanoseconds there,
+# and the differential makes ~200 instances): warm answers == a cold
+# instance after every op, a tree 4x the budget stays inside it, a cached
+# file's byte cost, the zero-allocation warm path, and an inode drop that
+# visits only what the inode has resident. With them the seqlock storms
+# and the seqlock-vs-lock proptest, and the multi-threaded adapter
+# suites on every core.
+cargo test --release -q --test lockfree_meta --test meta_cache --test namespace_crossings \
+    --test stress --test concurrent_adapters
+check_names --release -q --test meta_cache -- \
     warm_answers_equal_a_cold_instance_after_every_op \
     a_tree_four_times_the_budget_stays_inside_it_and_stays_right \
     a_cached_file_costs_under_96_bytes
 cargo test --release -q -p dpc-core --test zero_alloc_meta
 named --release -q -p dpc-cache --lib -- dropping_an_inode_visits
-# KVFS's caches (DESIGN.md §14 "The KVFS side"), in release and by name.
-# The fill fence under two readers racing a create/unlink churner runs ten
-# times in a row: a verdict that needs the scheduler (the unfenced fill
-# stranded the name in 6-8 of 200 runs) must fail here, not pass nine
-# times in ten. Then two hard links unlinked at once, and the warm walk
-# that allocates nothing.
-cargo test --release -q -p dpc-kvfs --lib --no-run
+# KVFS's caches (DESIGN.md §9.2), in release and by name. The fill fence
+# under two readers racing a create/unlink churner runs ten times in a
+# row: a verdict that needs the scheduler (the unfenced fill stranded the
+# name in 6-8 of 200 runs) must fail here, not pass nine times in ten.
+# Then two hard links unlinked at once, and the warm walk that allocates
+# nothing.
+check_names --release -q -p dpc-kvfs --lib -- \
+    a_lookup_racing_create_and_unlink_never_strands_the_name
 for run in $(seq 1 10); do
-    named --release -q -p dpc-kvfs --lib -- \
+    cargo test --release -q -p dpc-kvfs --lib \
         a_lookup_racing_create_and_unlink_never_strands_the_name
 done
 named --release -q -p dpc-kvfs --lib -- \
     two_names_of_one_inode_unlinked_at_once_free_it_exactly_once
 cargo test --release -q -p dpc-kvfs --test zero_alloc_walk
-# One KV request per namespace call (DESIGN.md §14.2), in release and by
+# One KV request per namespace call (DESIGN.md §9.3), in release and by
 # name: each create, link, mkdir, symlink, unlink, rmdir and rename is one
 # conditional multi-key commit (the big file's last name the one
 # exception); a rename over a name never lets it vanish, and a created
@@ -104,7 +151,7 @@ named --release -q --test direct_io -- \
     an_oversize_writev_crosses_in_pieces \
     an_oversize_direct_read_reads_in_pieces \
     a_writev_of_more_segments_than_an_sgl_holds_crosses_in_pieces
-# The attribute rule (DESIGN.md §9.2), in release and by name: a flush
+# The attribute rule (DESIGN.md §9.4), in release and by name: a flush
 # batch of N blocks is one write request of N + 1 keys, the attribute
 # last, and no put; growth and promotion reach the store before the sink
 # returns; a promotion is one get, one sub-write (the small value's bytes,
@@ -160,7 +207,7 @@ cargo test --release -q -p dpc-core --test zero_alloc_write
 named --release -q -p dpc-cache --lib -- \
     wal::tests::a_region_shorter_than_its_header_scans_torn \
     host::tests::a_page_being_claimed_is_waited_for_not_claimed_twice
-# One KV request per big-file read, and per flush batch (DESIGN.md §17),
+# One KV request per big-file read, and per flush batch (DESIGN.md §9.4),
 # in release and by name: a read spanning n blocks is 1 sub-read and n
 # keys; it returns exactly the block-by-block bytes (holes, short values,
 # partial blocks, EOF, a small file); a block rewritten whole during
@@ -169,9 +216,9 @@ named --release -q -p dpc-cache --lib -- \
 # leaving what one write per run leaves, and a warm in-place batch
 # allocates nothing. The store's multi-get and multi-put, its counting
 # rule, and every counted request waiting out a fault. A 0-byte file has
-# no small-file KV (DESIGN.md §14). A miss on a full cache tries no fill.
-# Then the readahead suite ten times in a row: its chaos run must see a
-# fault on every seed.
+# no small-file KV. A miss on a full cache tries no fill. Then the
+# readahead suite ten times in a row: its chaos run must see a fault on
+# every seed.
 named --release -q -p dpc-kvfs --lib -- \
     fs::tests::a_big_read_is_one_sub_read_whatever_blocks_it_spans \
     fs::tests::a_multi_key_read_returns_exactly_the_block_by_block_bytes \
@@ -193,22 +240,19 @@ cargo test --release -q --test readahead --no-run
 for run in $(seq 1 10); do
     cargo test --release -q --test readahead
 done
-# The pool's one staging and one waiting function (DESIGN.md §7), in
-# release and by name: its unit tests (out-of-order routing, stealing a
+# The pool's one staging and one waiting function (DESIGN.md §5.1), in
+# release (the whole `dpc-nvmefs` suite above runs them; these names are
+# the rename guard): its unit tests (out-of-order routing, stealing a
 # full queue, the reissue, a late CQE's CID carrying the next call its own
 # reply, stage-N / wait-N order across two queues with a payload per
 # request, a CID staying taken while its reply is read in the transport
 # buffer, a CQE claiming more reply than its command declared being a
 # transport error), the warm transport and pool allocating nothing (with
-# and without a fault plan on the target), warm
-# 8 KiB buffered read misses and direct reads allocating nothing on the
-# calling thread, warm reads served into their transport buffers
-# allocating nothing on the DPU, and a read the link keeps shedding saying
-# EIO buffered or direct. Then the suites with more threads than cores —
-# where a reader holding the transport buffer's lock too long, or a DPU
-# read taking its locks in the wrong order under that lock's write side,
-# would deadlock — ten times in a row on one core.
-named --release -q -p dpc-nvmefs --lib -- \
+# and without a fault plan on the target). By name: warm 8 KiB buffered
+# read misses and direct reads allocating nothing on the calling thread,
+# and warm reads served into their transport buffers allocating nothing
+# on the DPU.
+check_names --release -q -p dpc-nvmefs --lib -- \
     pool::tests::concurrent_callers_share_one_queue \
     pool::tests::out_of_order_completions_route_by_cid \
     pool::tests::full_preferred_queue_steals_a_neighbour \
@@ -218,7 +262,7 @@ named --release -q -p dpc-nvmefs --lib -- \
     pool::tests::a_cid_stays_taken_while_its_reply_is_read \
     pool::tests::a_cqe_claiming_more_reply_than_its_command_declared_is_a_transport_error \
     pool::tests::a_wide_cqe_claiming_more_header_than_it_holds_is_a_transport_error
-named --release -q -p dpc-nvmefs --test zero_alloc -- \
+check_names --release -q -p dpc-nvmefs --test zero_alloc -- \
     warm_batched_serve_loop_allocates_nothing_per_op \
     warm_serve_loop_with_a_fault_plan_attached_allocates_nothing \
     warm_pool_call_and_eight_staged_reads_allocate_nothing_on_the_host_thread
@@ -226,37 +270,60 @@ named --release -q -p dpc-core --test zero_alloc_miss -- \
     a_warm_8k_read_miss_allocates_nothing_on_the_host_thread \
     a_warm_8k_direct_read_allocates_nothing_on_the_host_thread \
     a_warm_read_served_in_place_allocates_nothing_on_the_dpu
-named --release -q --test fault_recovery -- \
-    a_read_the_link_keeps_shedding_is_eio_buffered_or_direct
-cargo test --release -q --no-run --test concurrent_adapters --test link_wait
-cargo test --release -q -p dpc-kvstore --lib --no-run
+# Who waits on the link and what wakes it (DESIGN.md §5.4), ten runs in a
+# row on ONE core: the doorbell handshake, the pool's check-poll-yield
+# waiter, the service threads' yield tier and doorbell park, the
+# flusher's and prefetcher's parks, shutdown and crash with every thread
+# asleep — then the suites with more threads than anything else. Threads
+# > cores is where a lost wake-up hangs and an unbounded spin shows (each
+# costs a whole timeslice per turn), where `link_wait`'s "a closed-loop
+# stream parks nobody" is an exact zero, and where a reader holding the
+# transport buffer's lock too long, or a DPU read taking its locks in the
+# wrong order under that lock's write side, would deadlock; so would a
+# commit taking its shard guards against a scan's order, and an rmdir
+# racing a name into its victim would orphan it. A read the link keeps
+# shedding says EIO buffered or direct (in `fault_recovery`).
+cargo test --release -q --no-run -p dpc-pcie -p dpc-nvmefs -p dpc-cache -p dpc-core \
+    -p dpc-kvstore -p dpc-kvfs
+cargo test --release -q --no-run --test link_wait --test concurrent_adapters --test stress \
+    --test fault_recovery
+check_names --release -q -p dpc-pcie --lib -- sleeper
+check_names --release -q -p dpc-cache --lib -- a_writer_waiting
+check_names --release -q -p dpc-core --lib -- runtime
 check_names --release -q --test concurrent_adapters -- \
     reads_served_in_place_on_one_queue_stay_byte_exact
+check_names --release -q --test fault_recovery -- \
+    a_read_the_link_keeps_shedding_is_eio_buffered_or_direct
 check_names --release -q -p dpc-kvstore --lib -- \
     commit_never_deadlocks_against_scans_and_sub_writes
 check_names --release -q -p dpc-kvfs --lib -- rmdir_never_orphans_a_concurrent_create
 for run in $(seq 1 10); do
-    taskset -c 0 cargo test --release -q --test concurrent_adapters --test link_wait
-    taskset -c 0 cargo test --release -q --test concurrent_adapters \
-        reads_served_in_place_on_one_queue_stay_byte_exact
+    taskset -c 0 cargo test --release -q -p dpc-pcie --lib sleeper
+    taskset -c 0 cargo test --release -q -p dpc-nvmefs --lib
+    taskset -c 0 cargo test --release -q -p dpc-cache --lib a_writer_waiting
+    taskset -c 0 cargo test --release -q -p dpc-core --lib runtime
+    taskset -c 0 cargo test --release -q --test link_wait --test concurrent_adapters \
+        --test stress --test fault_recovery
     taskset -c 0 cargo test --release -q -p dpc-kvstore --lib \
         commit_never_deadlocks_against_scans_and_sub_writes
     taskset -c 0 cargo test --release -q -p dpc-kvfs --lib \
         rmdir_never_orphans_a_concurrent_create
 done
-# One way across each end of a queue pair (DESIGN.md §17), in release and
-# by name: the raw-header cases in `queue.rs` (the 8 KiB write's 4 DMAs,
-# corrupt SQEs refused, a command too large for its buffer refused before
-# it is sent, the header-DMA and SGL proptests, batched == one-per-doorbell
-# wire bytes, a buffered header's page landing apart, a reply header
-# taking a DMA only when neither CQE form holds it, both CQE forms at
-# every header length, every response round-tripping), the suites ported
-# onto the pool and the file target, the dispatcher's replies, a read
-# served in place charged and answered exactly as one copied in, a read
-# longer than its read side refused before the backend, an uncached
-# readdir sized to the buffer, an oversize command as EINVAL, fig6's 4 vs
-# 11 DMAs and the ablation's doorbells per op.
-named --release -q -p dpc-nvmefs --lib -- \
+# One way across each end of a queue pair, and the link's DMA budget
+# (DESIGN.md §12.3), in release: the exact per-path table by name; the
+# raw-header cases in `queue.rs` (the 8 KiB write's 4 DMAs, corrupt SQEs
+# refused, a command too large for its buffer refused before it is sent,
+# the header-DMA and SGL proptests, batched == one-per-doorbell wire
+# bytes, a buffered header's page landing apart, a reply header taking a
+# DMA only when neither CQE form holds it, both CQE forms at every header
+# length, every response round-tripping), which the whole `dpc-nvmefs`
+# suite above runs; and by name the dispatcher's replies, a read served
+# in place charged and answered exactly as one copied in, a read longer
+# than its read side refused before the backend, an uncached readdir
+# sized to the buffer, an oversize command as EINVAL, fig6's 4 vs 11 DMAs
+# and the ablation's doorbells per op.
+named --release -q --test end_to_end_kvfs -- link_dma_budget_of_each_data_path
+check_names --release -q -p dpc-nvmefs --lib -- \
     queue::tests::raw_8k_write_costs_exactly_4_dmas \
     queue::tests::corrupt_sqe_ranges_are_refused_not_followed \
     queue::tests::oversized_payload_rejected \
@@ -267,7 +334,6 @@ named --release -q -p dpc-nvmefs --lib -- \
     queue::tests::a_reply_header_costs_a_dma_iff_neither_cqe_form_holds_it \
     sqe::tests::every_header_length_round_trips_in_both_forms \
     filemsg::tests::response_round_trips
-cargo test --release -q -p dpc-nvmefs --test batched --test proptest_protocol --test proptest_sgl
 named --release -q -p dpc-core --test dispatcher_unit -- \
     every_reply_fits_what_its_request_declared \
     a_reused_reply_buffer_never_leaks_stale_bytes \
@@ -282,15 +348,15 @@ named --release -q --test direct_io -- \
 named --release -q -p dpc-bench --lib -- \
     fig6::tests::functional_dma_counts_match_figures_2_and_4 \
     ablate::tests::batching_amortizes_doorbells_exactly
-# The DFS stripe path (DESIGN.md §18), in release and by name: a block is
-# one stripe cell, so a healthy read is 1 data-server RPC, an overwrite
-# 1 + m and a degraded read at most k + 1, warm reads and overwrites
-# allocate nothing; interleaved and concurrent overwrites from two clients
-# keep every stripe's parity exact under every <= m loss pattern; a client
-# never reads back a block it owes a restore; a crashed server's cells are
-# lost, not zeros; rot is never blessed with a fresh CRC; the MDS proxy
-# path refuses what it cannot make recoverable, and bad input without a
-# panic; the three-lane CRC kernel; crash and restart heal by read repair.
+# The DFS stripe path (DESIGN.md §10.1), in release and by name: a block
+# is one stripe cell, so a healthy read is 1 data-server RPC, an
+# overwrite 1 + m and a degraded read at most k + 1, warm reads and
+# overwrites allocate nothing; interleaved and concurrent overwrites from
+# two clients keep every stripe's parity exact under every <= m loss
+# pattern; a client never reads back a block it owes a restore; a crashed
+# server's cells are lost, not zeros; rot is never blessed with a fresh
+# CRC; the MDS proxy path refuses what it cannot make recoverable, and
+# bad input without a panic; crash and restart heal by read repair.
 cargo test --release -q -p dpc-dfs --test stripe_protocol --test block_path --test zero_alloc_block
 named --release -q -p dpc-dfs --lib -- \
     backend::tests::a_proxied_write_that_lands_nowhere_is_unrecoverable_and_keeps_the_size \
@@ -298,9 +364,8 @@ named --release -q -p dpc-dfs --lib -- \
     backend::tests::bad_proxied_input_is_invalid_argument_not_a_panic \
     backend::tests::partial_tail_block_round_trips \
     client::packing_tests::spanning_small_io_is_invalid_argument
-named --release -q -p dpc-codec --lib -- crc::tests::
 named --release -q --test multi_server -- data_server_crash_and_restart_heals_through_read_repair
-# A DPU is one DFS client (DESIGN.md §18.1): two host threads on two
+# A DPU is one DFS client (DESIGN.md §10.2): two host threads on two
 # queues share its owed restores, lazy sizes, metadata sync and
 # delegations.
 named --release -q --test end_to_end_dfs -- \
@@ -309,7 +374,13 @@ named --release -q --test end_to_end_dfs -- \
     a_sync_on_one_queue_settles_sizes_written_on_the_other \
     getattrs_from_two_queues_never_recall_the_dpus_own_delegation
 # The benchmark is a workspace of its own built against crates/*: a crate
-# API change that breaks it must fail here, not at review.
+# API change that breaks it must fail here, not at review. Building it
+# rewrites its Cargo.lock, which the benchmark's own change commits; the
+# gate puts the committed one back, so a run leaves the tree clean.
+lock=dpc-e2e/Cargo.lock
+saved_lock=$(mktemp)
+cp "$lock" "$saved_lock"
+trap 'cp "$saved_lock" "$lock"; rm -f "$saved_lock"' EXIT
 cargo build --release --manifest-path dpc-e2e/Cargo.toml
 cargo test --release --manifest-path dpc-e2e/Cargo.toml
 

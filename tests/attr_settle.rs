@@ -1,4 +1,4 @@
-//! The attribute rule (DESIGN.md §9.2): a flush writes each dirty block
+//! The attribute rule (DESIGN.md §9.4): a flush writes each dirty block
 //! once, and each batch's one KV request carries its inode's attribute —
 //! size, format and mtime — as its last key. No flush site writes an
 //! attribute on its own, and a batch the store took has its mtime.

@@ -185,7 +185,7 @@ fn reads_served_in_place_on_one_queue_stay_byte_exact() {
     // A `Read` is served straight into its transport buffer, under the
     // data pool's write guard: KV shard guards — or the DFS client's
     // mutex, then the data servers' locks — are taken inside it, and the
-    // host copies replies out under its read side (DESIGN.md §17). Two
+    // host copies replies out under its read side (DESIGN.md §12.2). Two
     // host threads on ONE queue pair: one streams 128 KiB reads of a file
     // four times the cache, direct and buffered by turns, the other mixes
     // 8 KiB direct KVFS reads with DFS block reads. A lock taken in the wrong order hangs here; a

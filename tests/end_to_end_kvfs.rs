@@ -642,7 +642,7 @@ fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
 
 /// What each data path costs in DMAs per crossing, pinned one row per
 /// path, so a change that moves a crossing's price shows here (DESIGN.md
-/// §15 has the arithmetic). A header costs a DMA of its own only when it
+/// §12.3 has the arithmetic). A header costs a DMA of its own only when it
 /// does not fit its descriptor — none of these requests', and of the
 /// replies only `Attr`. So a namespace mutation in a directory the host
 /// knows, and an fsync with nothing to reconcile, cross in two: the SQE

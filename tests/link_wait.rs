@@ -1,4 +1,4 @@
-//! Who waits on the link, on what event, and what wakes it (DESIGN.md §7).
+//! Who waits on the link, on what event, and what wakes it (DESIGN.md §5.4).
 //!
 //! A host waiter checks, polls and yields; a DPU service thread yields
 //! through a short live-stream tier and then sleeps on its queue's SQ

@@ -1,4 +1,4 @@
-//! Metadata-plane harness: host meta-cache coherence (DESIGN.md §14) +
+//! Metadata-plane harness: host meta-cache coherence (DESIGN.md §4.7) +
 //! sharded MDS namespace equivalence.
 //!
 //! 1. **Negative-entry coherence** — a cached ENOENT must die the moment

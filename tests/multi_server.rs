@@ -189,7 +189,7 @@ fn kvfs_namespaces_are_shared_between_live_servers() {
 
 #[test]
 fn a_second_live_client_sees_remote_changes_only_when_its_ttl_expires() {
-    // The sharing contract (`Dpc::with_shared_storage`, DESIGN.md §14): a
+    // The sharing contract (`Dpc::with_shared_storage`, DESIGN.md §4.7): a
     // client's cached metadata is coherent with its *own* mutations; what
     // another live client does is seen when the cached answer is
     // `meta_cache_ttl` local mutations old, and not before.

@@ -1,4 +1,4 @@
-//! The namespace path's crossing budget and semantics (DESIGN.md §14).
+//! The namespace path's crossing budget and semantics (DESIGN.md §4.8).
 //!
 //! - every path-taking `DpcFs` call is **one** nvme-fs crossing cold,
 //!   whatever the path's depth, symlinked directories included; a

@@ -1,4 +1,4 @@
-//! The size reconcile (DESIGN.md §9.1): the host owns each open file's
+//! The size reconcile (DESIGN.md §4.1): the host owns each open file's
 //! logical size, one cell per inode; `fsync` — and the `close` of a
 //! descriptor whose inode was written since its last fsync — flush, learn
 //! the backend's size from the `Fsync` reply, and send a reconciling
