@@ -56,6 +56,27 @@ git ls-files -z -- '*.rs' '*.sh' '*.yml' '*.toml' README.md ROADMAP.md '*/SKILL.
             }
         }
         END { exit 1 if $bad }'
+# `unsafe` lives in the five files DESIGN.md §3 names, and in no other
+# tracked Rust file outside the benchmark's tree.
+unsafe_files=$(git grep -lE '\bunsafe\s*(\{|fn\b|impl\b)' -- '*.rs' ':!dpc-e2e' || true)
+unsafe_allowed="crates/cache/src/control.rs
+crates/cache/src/host.rs
+crates/codec/src/crc.rs
+crates/ec/src/gf256.rs
+crates/pcie/src/alloc.rs"
+if [ "$unsafe_files" != "$unsafe_allowed" ]; then
+    echo "tier1: \`unsafe\` is in: $(echo $unsafe_files); DESIGN.md §3 allows: $(echo $unsafe_allowed)" >&2
+    exit 1
+fi
+# CI's `chaos` job runs exactly the suites that read the pinned seed: the
+# files under tests/ that call `dpc_testkit::seeds()`.
+chaos=$(sed -n '/^  chaos:/,$p' .github/workflows/ci.yml | grep -o -- '--test [a-z_]*' |
+    cut -d' ' -f2 | sort -u)
+seeded=$(git grep -l 'seeds()' -- tests | sed 's|^tests/||; s|\.rs$||' | sort)
+if [ "$chaos" != "$seeded" ]; then
+    echo "tier1: CI's chaos job runs $(echo $chaos); the seeded suites are $(echo $seeded)" >&2
+    exit 1
+fi
 cargo build --workspace --release
 # Every invariant DESIGN.md pins names a test that exists: each name in
 # backticks after "Pinned by" must match a test of the workspace.
@@ -80,10 +101,11 @@ cargo test --release -q -p dpc-nvmefs
 # instance after every op, a tree 4x the budget stays inside it, a cached
 # file's byte cost, the zero-allocation warm path, and an inode drop that
 # visits only what the inode has resident. With them the seqlock storms
-# and the seqlock-vs-lock proptest, and the multi-threaded adapter
-# suites on every core.
+# and the seqlock-vs-lock proptest, the multi-threaded adapter suites on
+# every core, and the multi-server suite (data-server crash and restart
+# heal through read repair).
 cargo test --release -q --test lockfree_meta --test meta_cache --test namespace_crossings \
-    --test stress --test concurrent_adapters
+    --test stress --test concurrent_adapters --test multi_server
 check_names --release -q --test meta_cache -- \
     warm_answers_equal_a_cold_instance_after_every_op \
     a_tree_four_times_the_budget_stays_inside_it_and_stays_right \
@@ -364,7 +386,8 @@ named --release -q -p dpc-dfs --lib -- \
     backend::tests::bad_proxied_input_is_invalid_argument_not_a_panic \
     backend::tests::partial_tail_block_round_trips \
     client::packing_tests::spanning_small_io_is_invalid_argument
-named --release -q --test multi_server -- data_server_crash_and_restart_heals_through_read_repair
+check_names --release -q --test multi_server -- \
+    data_server_crash_and_restart_heals_through_read_repair
 # A DPU is one DFS client (DESIGN.md §10.2): two host threads on two
 # queues share its owed restores, lazy sizes, metadata sync and
 # delegations.

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use dpc::core::{Dpc, DpcConfig, DpcFs, Fd};
 use dpc::kvstore::KvStore;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::read_file;
 
 const PAGE: usize = 4096;
 const FILES: [&str; 2] = ["/a", "/b"];
@@ -185,14 +186,12 @@ fn a_crash_after_a_batch_lands_leaves_its_blocks_and_its_mtime_together() {
 
     // Recovery gives the oracle's bytes and size.
     let rdpc = Dpc::recover(crashed.unwrap()).unwrap();
-    let rfs = rdpc.fs();
     let mut oracle = vec![1u8; PAGES * PAGE];
     for k in 0..8 {
         oracle[2 * k * PAGE..(2 * k + 1) * PAGE].fill(2);
     }
-    assert_eq!(rfs.stat("/a").unwrap().size, oracle.len() as u64);
-    let fd = rfs.open("/a").unwrap();
-    let mut back = vec![0u8; oracle.len()];
-    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), oracle.len());
-    assert!(back == oracle, "recovered bytes diverge from the oracle");
+    assert!(
+        read_file(&rdpc.fs(), "/a") == oracle,
+        "recovered bytes diverge from the oracle"
+    );
 }

@@ -5,6 +5,7 @@
 use dpc::core::{Dpc, DpcConfig, DpcFs, IoMode};
 use dpc::dfs::DfsConfig;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{read_fd, read_file};
 
 #[test]
 fn standalone_file_lifecycle() {
@@ -53,9 +54,7 @@ fn buffered_writes_hit_the_hybrid_cache() {
     assert!(fs.cache().stats().writes >= 16, "16 pages dirtied");
 
     // Reads are served from the cache — all hits, still no PCIe data.
-    let mut back = vec![0u8; data.len()];
-    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), data.len());
-    assert_eq!(back, data);
+    assert_eq!(read_fd(&fs, fd), data);
     assert!(fs.cache().stats().hits >= 16);
 
     // fsync drains the dirty pages to KVFS via DPU pulls.
@@ -416,9 +415,7 @@ fn prefetched_tail_pages_never_inflate_file_size() {
     assert_eq!(fs.stat("/tail.bin").unwrap().size, 10_000);
     assert_eq!(dpc.kvfs_inner().get_attr(ino).unwrap().size, 10_000);
     // And the edit landed without corrupting the neighbourhood.
-    let mut buf = vec![0u8; 10_000];
-    let fd2 = fs.open("/tail.bin").unwrap();
-    assert_eq!(fs.read(fd2, 0, &mut buf).unwrap(), 10_000);
+    let buf = read_file(&fs, "/tail.bin");
     assert_eq!(buf[8_999], 7);
     assert_eq!(&buf[9_000..9_010], &[9u8; 10]);
     assert_eq!(buf[9_010], 7);
@@ -446,9 +443,7 @@ fn read_filled_tail_pages_never_inflate_file_size() {
     fs.fsync(fd).unwrap();
     assert_eq!(fs.stat("/tail2.bin").unwrap().size, 9_500);
     assert_eq!(dpc.kvfs_inner().get_attr(ino).unwrap().size, 9_500);
-    let mut buf = vec![0u8; 9_500];
-    let fd2 = fs.open("/tail2.bin").unwrap();
-    assert_eq!(fs.read(fd2, 0, &mut buf).unwrap(), 9_500);
+    let buf = read_file(&fs, "/tail2.bin");
     assert_eq!(buf[8_999], 5);
     assert_eq!(&buf[9_000..9_020], &[6u8; 20]);
     assert_eq!(buf[9_020], 5);

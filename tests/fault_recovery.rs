@@ -22,48 +22,20 @@ use dpc::core::{Dpc, DpcConfig, IoMode};
 use dpc::dfs::{ClientCore, DfsBackend, DfsConfig, DfsError, DFS_BLOCK};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{fill, read_fd, read_file, seeds, splitmix};
 use proptest::prelude::*;
-
-const CHAOS_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("DPC_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DPC_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => CHAOS_SEEDS.to_vec(),
-    }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Deterministic full-block payload, unique per (seed, ino, block, version).
 fn block_pattern(seed: u64, ino: u64, block: u64, version: u64) -> Vec<u8> {
-    let mut s = seed ^ ino.rotate_left(17) ^ block.rotate_left(41) ^ version;
-    let mut out = Vec::with_capacity(DFS_BLOCK);
-    while out.len() < DFS_BLOCK {
-        out.extend_from_slice(&splitmix(&mut s).to_le_bytes());
-    }
-    out.truncate(DFS_BLOCK);
-    out
+    fill(
+        seed ^ ino.rotate_left(17) ^ block.rotate_left(41) ^ version,
+        DFS_BLOCK,
+    )
 }
 
 /// Deterministic small-file payload.
 fn file_pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
-    let mut s = seed ^ id.rotate_left(29);
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        out.extend_from_slice(&splitmix(&mut s).to_le_bytes());
-    }
-    out.truncate(len);
-    out
+    fill(seed ^ id.rotate_left(29), len)
 }
 
 /// One seeded chaos run: a mixed KVFS + DFS workload under probabilistic
@@ -131,11 +103,7 @@ fn chaos_run(seed: u64) {
 
     // ---- phase 3: full verification against the model ----------------
     for (path, data) in &files {
-        let fd = fs.open(path).unwrap();
-        let mut buf = vec![0u8; data.len()];
-        assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
-        assert_eq!(&buf, data, "seed {seed}: {path} diverged");
-        fs.close(fd).unwrap();
+        assert_eq!(&read_file(&fs, path), data, "seed {seed}: {path} diverged");
     }
     for (&block, data) in &dfs_model {
         assert_eq!(
@@ -183,9 +151,7 @@ fn fault_free_run_keeps_every_recovery_counter_at_zero() {
     let fd = fs.create("/quiet/f").unwrap();
     fs.write(fd, 0, &data).unwrap();
     fs.fsync(fd).unwrap();
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_fd(&fs, fd), data);
     fs.close(fd).unwrap();
 
     let ino = fs.dfs_create(0, "quiet.bin").unwrap();
@@ -378,9 +344,7 @@ fn a_read_the_link_keeps_shedding_is_eio_buffered_or_direct() {
         assert_eq!(r.link_timeouts, 0, "{r:?}");
     }
     shed.disarm();
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(buffered.read(fds[0], 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_fd(&buffered, fds[0]), data);
 }
 
 // ---- property: degraded reads equal normal reads --------------------

@@ -15,8 +15,9 @@
 //!   over arbitrary single-threaded schedules of reads, writes,
 //!   truncates, evictions and flushes.
 //! - **Seeded chaos** — the PR 3 `FaultPlan` armed at `kv.op` and
-//!   `cache.flush` (seeds 1/7/42) while a Zipfian hot-set stream runs;
-//!   recovery must stay invisible and the hit path lock-free.
+//!   `cache.flush` (seeds 1/7/42, or `DPC_CHAOS_SEED`) while a Zipfian
+//!   hot-set stream runs; recovery must stay invisible and the hit path
+//!   lock-free.
 //!
 //! Throughout, the counter-proof invariant: the front-end hit path takes
 //! a read lock only via the explicit write-hot fallback, so
@@ -32,6 +33,7 @@ use dpc::core::{Dpc, DpcConfig};
 use dpc::pcie::DmaEngine;
 use dpc::sim::{FaultPlan, FaultSpec};
 use dpc::workload::{HotSetGen, HotSetSpec};
+use dpc_testkit::{read_fd, seeds};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -388,14 +390,14 @@ proptest! {
 }
 
 /// The PR 3 chaos harness pointed at the meta plane: `kv.op` latency
-/// spikes and `cache.flush` refusals under seeds 1/7/42 while a Zipfian
-/// hot-set stream (95% reads over a small cached file set) runs. Every
-/// read must return exactly the model's bytes, fsync must survive flush
-/// refusals, and the hit path must stay lock-free modulo the explicit
-/// fallback accounting.
+/// spikes and `cache.flush` refusals under seeds 1/7/42 (or the one
+/// `DPC_CHAOS_SEED` pins) while a Zipfian hot-set stream (95% reads over
+/// a small cached file set) runs. Every read must return exactly the
+/// model's bytes, fsync must survive flush refusals, and the hit path
+/// must stay lock-free modulo the explicit fallback accounting.
 #[test]
 fn chaos_hot_set_reads_survive_kv_and_flush_faults() {
-    for seed in [1u64, 7, 42] {
+    for seed in seeds() {
         let plan = FaultPlan::new(seed);
         plan.arm("kv.op", FaultSpec::probability(0.05).with_delay(2));
         plan.arm("cache.flush", FaultSpec::probability(0.25));
@@ -444,10 +446,11 @@ fn chaos_hot_set_reads_survive_kv_and_flush_faults() {
         }
         for (f, fd) in fds.iter().enumerate() {
             fs.fsync(*fd).unwrap();
-            let mut whole = vec![0u8; FILE_SIZE as usize];
-            let n = fs.read(*fd, 0, &mut whole).unwrap();
-            assert_eq!(n, FILE_SIZE as usize);
-            assert_eq!(&whole, &model[f], "seed {seed}: file {f} final state");
+            assert_eq!(
+                read_fd(&fs, *fd),
+                model[f],
+                "seed {seed}: file {f} final state"
+            );
         }
 
         let c = dpc.metrics().cache;

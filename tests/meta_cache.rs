@@ -29,27 +29,8 @@ use dpc::core::{Dpc, DpcConfig, DpcFs};
 use dpc::dfs::{DfsBackend, DfsConfig, DfsError};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{seeds, splitmix};
 use proptest::prelude::*;
-
-const CHAOS_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("DPC_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DPC_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => CHAOS_SEEDS.to_vec(),
-    }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic, thread-light configuration; the data path stays out
 /// of the way.

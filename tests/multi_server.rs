@@ -17,6 +17,7 @@ use dpc::core::{Dpc, DpcConfig};
 use dpc::dfs::{DfsBackend, DfsConfig};
 use dpc::kvstore::KvStore;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::read_file;
 
 #[test]
 fn diskless_reboot_preserves_the_file_system() {
@@ -36,12 +37,7 @@ fn diskless_reboot_preserves_the_file_system() {
     // Server 2 boots against the same disaggregated store.
     let server2 = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
     let fs = server2.fs();
-    let attr = fs.stat("/var/state.db").unwrap();
-    assert_eq!(attr.size, 50_000);
-    let fd = fs.open("/var/state.db").unwrap();
-    let mut buf = vec![0u8; 50_000];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), 50_000);
-    assert!(buf.iter().all(|&b| b == 0xDB));
+    assert!(read_file(&fs, "/var/state.db") == [0xDB; 50_000]);
 
     // And it can keep writing without inode collisions.
     let fd2 = fs.create("/var/new-after-reboot").unwrap();

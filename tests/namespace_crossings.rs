@@ -18,6 +18,7 @@ use std::sync::Arc;
 use dpc::core::{Dpc, DpcConfig, DpcError, DpcFs};
 use dpc::kvfs::{FileKind, FsError, Kvfs, ROOT_INO};
 use dpc::kvstore::KvStore;
+use dpc_testkit::{cold_read, read_fd, splitmix};
 use proptest::prelude::*;
 
 /// A thread-light instance; with `cached` off its meta cache holds
@@ -297,18 +298,6 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
 }
 
-/// `path` as a second, fresh instance over the same store reads it.
-fn cold_read(dpc: &Dpc, path: &str) -> Vec<u8> {
-    let cold = Dpc::with_shared_storage(DpcConfig::default(), Some(dpc.kv_store()), None);
-    let fs = cold.fs();
-    let size = fs.stat(path).unwrap().size as usize;
-    let fd = fs.open(path).unwrap();
-    let mut buf = vec![0u8; size + 16];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), size);
-    buf.truncate(size);
-    buf
-}
-
 #[test]
 fn unlinking_one_hard_link_keeps_the_other_names_unsynced_bytes() {
     for cache in [false, true] {
@@ -323,9 +312,11 @@ fn unlinking_one_hard_link_keeps_the_other_names_unsynced_bytes() {
 
         // Live: the acknowledged, still-dirty pages are the inode's, and
         // the inode lives on as `/a`.
-        let mut live = vec![0u8; data.len()];
-        assert_eq!(fs.read(fd, 0, &mut live).unwrap(), data.len());
-        assert_eq!(live, data, "cache={cache}: unlink(/b) zeroed /a");
+        assert_eq!(
+            read_fd(&fs, fd),
+            data,
+            "cache={cache}: unlink(/b) zeroed /a"
+        );
         assert_eq!(fs.stat("/a").unwrap().nlink, 1);
         // Cold: after close they are what a new client reads.
         fs.close(fd).unwrap();
@@ -376,9 +367,11 @@ fn rename_over_a_file_drops_the_replaced_inodes_pages() {
         let other = fs.create("/other").unwrap();
         fs.close(other).unwrap();
         fs.rename("/other", "/alias").unwrap();
-        let mut back = vec![0u8; old.len()];
-        assert_eq!(fs.read(keep, 0, &mut back).unwrap(), old.len());
-        assert_eq!(back, old, "cache={cache}: rename over /alias zeroed /keep");
+        assert_eq!(
+            read_fd(&fs, keep),
+            old,
+            "cache={cache}: rename over /alias zeroed /keep"
+        );
         fs.close(keep).unwrap();
         assert_eq!(cold_read(&dpc, "/keep"), old);
     }
@@ -387,14 +380,6 @@ fn rename_over_a_file_drops_the_replaced_inodes_pages() {
 // ---- lockstep: DpcFs (cache off, cache on) vs a bare Kvfs -------------
 
 const NAMES: [&str; 5] = ["a", "b", "c", "l", "m"];
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A path of 1–3 components over a five-name universe: deep enough for
 /// ENOTDIR and symlinked prefixes, small enough to collide constantly.

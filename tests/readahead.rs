@@ -14,36 +14,11 @@ use dpc::cache::{RaConfig, ReadaheadTable, PAGE_SIZE};
 use dpc::core::{Dpc, DpcConfig};
 use dpc::kvfs::ROOT_INO;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{fill, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
 
-const CHAOS_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("DPC_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DPC_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => CHAOS_SEEDS.to_vec(),
-    }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
-    let mut s = seed ^ id.rotate_left(29);
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        out.extend_from_slice(&splitmix(&mut s).to_le_bytes());
-    }
-    out.truncate(len);
-    out
+    fill(seed ^ id.rotate_left(29), len)
 }
 
 /// Write `data` to `path` on a throwaway instance and hand back the KV
@@ -262,10 +237,9 @@ fn async_fill_never_clobbers_concurrent_writes() {
     let overlay = pattern(13, 99, PAGE_SIZE);
     let overlay_pages: Vec<u64> = (0..24).map(|i| (i * 7 + 3) as u64).collect();
 
-    let mut model = base.clone();
+    let mut model = FileModel::new(base);
     for &lpn in &overlay_pages {
-        let off = lpn as usize * PAGE_SIZE;
-        model[off..off + PAGE_SIZE].copy_from_slice(&overlay);
+        model.write(lpn * PAGE_SIZE as u64, &overlay);
     }
 
     let store = {
@@ -317,11 +291,8 @@ fn async_fill_never_clobbers_concurrent_writes() {
 
     // Restart cold: the overlays survived persistently too.
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
-    let fs = dpc.fs();
-    let fd = fs.open("/race").unwrap();
-    let mut got = vec![0u8; model.len()];
-    assert_eq!(fs.read(fd, 0, &mut got).unwrap(), model.len());
-    assert_eq!(got, model, "overlay lost across restart");
+    let got = read_file(&dpc.fs(), "/race");
+    assert_eq!(got, model.bytes(), "overlay lost across restart");
 }
 
 /// Under cache pressure the prefetcher backs off to zero: with the
@@ -434,7 +405,7 @@ fn readahead_chaos_run(seed: u64) {
         // Interleave a stream with scattered writes so prefetch, flush
         // and demand I/O all run under fault pressure at once.
         let mut rng = seed;
-        let mut model = data.clone();
+        let mut model = FileModel::new(data);
         let mut buf = vec![0u8; 4 * PAGE_SIZE];
         let mut off = 0u64;
         loop {
@@ -444,15 +415,15 @@ fn readahead_chaos_run(seed: u64) {
             }
             assert_eq!(
                 &buf[..n],
-                &model[off as usize..off as usize + n],
+                model.read(off, n),
                 "seed {seed}: stream diverged at {off}"
             );
             off += n as u64;
             if splitmix(&mut rng).is_multiple_of(3) {
-                let wof = (splitmix(&mut rng) as usize) % (model.len() - 8000);
+                let wof = splitmix(&mut rng) % (model.bytes().len() as u64 - 8000);
                 let wdata = pattern(seed ^ 0x5A5A, off, 1 + (splitmix(&mut rng) as usize) % 8000);
-                fs.write(fd, wof as u64, &wdata).unwrap();
-                model[wof..wof + wdata.len()].copy_from_slice(&wdata);
+                fs.write(fd, wof, &wdata).unwrap();
+                model.write(wof, &wdata);
             }
         }
         assert!(plan.total_injected() > 0, "seed {seed}: no fault fired");
@@ -463,12 +434,8 @@ fn readahead_chaos_run(seed: u64) {
     // Diskless restart, faults disarmed: the interleaved writes must all
     // have survived the chaos, byte for byte.
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
-    let fs = dpc.fs();
-    let fd = fs.open("/chaos").unwrap();
-    assert_eq!(fs.size(fd).unwrap(), model.len() as u64, "seed {seed}");
-    let mut got = vec![0u8; model.len()];
-    assert_eq!(fs.read(fd, 0, &mut got).unwrap(), model.len());
-    assert_eq!(got, model, "seed {seed}: bytes lost across restart");
+    let got = read_file(&dpc.fs(), "/chaos");
+    assert_eq!(got, model.bytes(), "seed {seed}: bytes lost across restart");
 }
 
 #[test]
@@ -518,15 +485,15 @@ fn stress_mixed_streams_threads_over_queues() {
                 let fs = dpc.fs();
                 let path = format!("/stress{t}");
                 let fd = fs.open(&path).unwrap();
-                let mut model = pattern(77, t, 48 * PAGE_SIZE + (t as usize * 913));
+                let mut model = FileModel::new(pattern(77, t, 48 * PAGE_SIZE + (t as usize * 913)));
                 let mut rng = t ^ 0xDEAD;
                 let mut buf = vec![0u8; 3 * PAGE_SIZE];
                 for round in 0..rounds {
                     // Sequential sweep (drives the prefetcher) ...
                     let mut off = 0usize;
-                    while off < model.len() {
+                    while off < model.bytes().len() {
                         let n = fs.read(fd, off as u64, &mut buf).unwrap();
-                        assert_eq!(&buf[..n], &model[off..off + n], "thread {t} diverged");
+                        assert_eq!(&buf[..n], model.read(off as u64, n), "thread {t} diverged");
                         off += n;
                         // Only a file's first sweep misses, and a 16-read
                         // sweep can finish before a starved prefetcher has
@@ -540,18 +507,16 @@ fn stress_mixed_streams_threads_over_queues() {
                     // ... then scattered overwrites racing everyone else's
                     // prefetch fills and the background flusher.
                     for _ in 0..8 {
-                        let wof = (splitmix(&mut rng) as usize) % (model.len() - 5000);
+                        let wof = splitmix(&mut rng) % (model.bytes().len() as u64 - 5000);
                         let len = 1 + (splitmix(&mut rng) as usize) % 5000;
                         let data = pattern(rng, t, len);
-                        fs.write(fd, wof as u64, &data).unwrap();
-                        model[wof..wof + len].copy_from_slice(&data);
+                        fs.write(fd, wof, &data).unwrap();
+                        model.write(wof, &data);
                     }
                 }
                 fs.fsync(fd).unwrap();
                 // Final pass: everything settled, still byte-exact.
-                let mut got = vec![0u8; model.len()];
-                assert_eq!(fs.read(fd, 0, &mut got).unwrap(), model.len());
-                assert_eq!(got, model, "thread {t} lost bytes");
+                assert_eq!(read_fd(&fs, fd), model.bytes(), "thread {t} lost bytes");
             })
         })
         .collect();

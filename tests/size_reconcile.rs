@@ -12,22 +12,10 @@
 //! - `stat` of an open file reports the host's size, not the backend's.
 
 use dpc::core::{Dpc, DpcConfig};
+use dpc_testkit::{cold_read, read_file};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
-}
-
-/// Size and full content of `path` as a second, fresh instance over the
-/// same store sees them — what actually reached the backend.
-fn cold_read(dpc: &Dpc, path: &str) -> Vec<u8> {
-    let cold = Dpc::with_shared_storage(DpcConfig::default(), Some(dpc.kv_store()), None);
-    let fs = cold.fs();
-    let size = fs.stat(path).unwrap().size as usize;
-    let fd = fs.open(path).unwrap();
-    let mut buf = vec![0u8; size + 16];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), size);
-    buf.truncate(size);
-    buf
 }
 
 #[test]
@@ -50,10 +38,7 @@ fn fsynced_data_survives_the_close_of_a_second_descriptor() {
 
     // Live: a new descriptor reads all 64 KiB back.
     assert_eq!(fs.stat("/f").unwrap().size, data.len() as u64);
-    let c = fs.open("/f").unwrap();
-    let mut live = vec![0u8; data.len()];
-    assert_eq!(fs.read(c, 0, &mut live).unwrap(), data.len());
-    assert_eq!(live, data);
+    assert_eq!(read_file(&fs, "/f"), data);
     // Cold: so does a second instance over the surviving store.
     assert_eq!(cold_read(&dpc, "/f"), data);
 }

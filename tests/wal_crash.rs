@@ -21,37 +21,8 @@
 use dpc::core::{Dpc, DpcConfig, DpcError, FsyncMode};
 use dpc::nvmefs::RetryPolicy;
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{gen_op, payload, read_fd, read_file, seeds, step, CrashOracle, CRASH, FILES};
 use proptest::prelude::*;
-
-const CHAOS_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("DPC_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DPC_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => CHAOS_SEEDS.to_vec(),
-    }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn pattern(seed: u64, tag: u64, len: usize) -> Vec<u8> {
-    let mut s = seed ^ tag.rotate_left(23);
-    let mut out = Vec::with_capacity(len + 8);
-    while out.len() < len {
-        out.extend_from_slice(&splitmix(&mut s).to_le_bytes());
-    }
-    out.truncate(len);
-    out
-}
 
 /// The crash-sweep base configuration: a small log ring, deterministic data path
 /// (no background flusher or prefetcher drawing crash-site faults off
@@ -76,63 +47,7 @@ fn crash_cfg() -> DpcConfig {
     }
 }
 
-const FILES: u64 = 2;
-const MAX_BYTES: u64 = 64 * 1024;
 const OPS: u64 = 24;
-
-/// One schedule op, derived deterministically from the seed stream.
-#[derive(Clone, Debug)]
-enum Op {
-    Write {
-        file: usize,
-        offset: u64,
-        data: Vec<u8>,
-    },
-    Truncate {
-        file: usize,
-        size: u64,
-    },
-    Fsync {
-        file: usize,
-    },
-}
-
-fn gen_op(seed: u64, rng: &mut u64, tag: u64) -> Op {
-    let file = (splitmix(rng) % FILES) as usize;
-    match splitmix(rng) % 10 {
-        0..=5 => {
-            let offset = splitmix(rng) % (MAX_BYTES - 16 * 1024);
-            let len = 1 + (splitmix(rng) % (12 * 1024)) as usize;
-            Op::Write {
-                file,
-                offset,
-                data: pattern(seed, tag, len),
-            }
-        }
-        6..=7 => Op::Truncate {
-            file,
-            size: splitmix(rng) % MAX_BYTES,
-        },
-        _ => Op::Fsync { file },
-    }
-}
-
-/// Apply `op` to the in-memory model (what a crash-free, fully durable
-/// execution would leave behind).
-fn apply_model(model: &mut [Vec<u8>], op: &Op) {
-    match op {
-        Op::Write { file, offset, data } => {
-            let f = &mut model[*file];
-            let end = *offset as usize + data.len();
-            if f.len() < end {
-                f.resize(end, 0);
-            }
-            f[*offset as usize..end].copy_from_slice(data);
-        }
-        Op::Truncate { file, size } => model[*file].resize(*size as usize, 0),
-        Op::Fsync { .. } => {}
-    }
-}
 
 /// One seeded run killed at the `k`-th `dpu.crash` draw, then recovered
 /// and verified. Returns what recovery did — pages it flushed plus records
@@ -148,33 +63,24 @@ fn crash_run(seed: u64, k: u64) -> u64 {
     let fs = dpc.fs();
 
     fs.mkdir("/wal").unwrap();
-    let mut fds = Vec::new();
-    for f in 0..FILES {
-        fds.push(fs.create(&format!("/wal/f{f}")).unwrap());
-    }
+    let fds: Vec<_> = (0..FILES)
+        .map(|f| fs.create(&format!("/wal/f{f}")).unwrap())
+        .collect();
 
-    let mut model: Vec<Vec<u8>> = vec![Vec::new(); FILES as usize];
-    let mut ambiguous: Option<Op> = None;
+    let mut oracle = CrashOracle::new(FILES);
     let mut rng = seed ^ (k << 32);
     for tag in 0..OPS {
-        let op = gen_op(seed, &mut rng, tag);
-        let res = match &op {
-            Op::Write { file, offset, data } => fs.write(fds[*file], *offset, data).map(|_| ()),
-            Op::Truncate { file, size } => fs.truncate(fds[*file], *size),
-            Op::Fsync { file } => fs.fsync(fds[*file]),
-        };
-        match res {
-            Ok(()) => apply_model(&mut model, &op),
-            Err(_) => {
-                // The only legitimate reason an op fails in this sweep is
-                // the injected crash; anything else is a real bug.
-                assert!(
-                    dpc.crashed(),
-                    "seed {seed} k {k}: op {op:?} failed without a crash"
-                );
-                ambiguous = Some(op);
-                break;
-            }
+        let op = gen_op(seed, &mut rng, tag, &CRASH);
+        let ctx = format_args!("seed {seed} k {k} tag {tag}");
+        if step(&fs, &fds, &op, oracle.committed(), ctx).is_err() {
+            // The only legitimate reason an op fails in this sweep is
+            // the injected crash; anything else is a real bug.
+            assert!(
+                dpc.crashed(),
+                "seed {seed} k {k}: {op} failed without a crash"
+            );
+            oracle.in_flight(op);
+            break;
         }
     }
     // Runs where the schedule finished before draw k: kill the DPU at
@@ -189,75 +95,28 @@ fn crash_run(seed: u64, k: u64) -> u64 {
     let m = rdpc.metrics().cache;
     let recovered = m.flushes - flushed + m.wal_replayed_records;
     let rfs = rdpc.fs();
-    for f in 0..FILES as usize {
+    // The in-flight op is ambiguous for its file: it errored, so the host
+    // may not assume either outcome. Everything else is exact.
+    for f in 0..FILES {
         let path = format!("/wal/f{f}");
-        let committed = &model[f];
-        // The in-flight op is ambiguous for its file: it errored, so the
-        // host may not assume either outcome. Everything else is exact.
-        let alt = ambiguous.as_ref().and_then(|op| {
-            let touches = matches!(op,
-                Op::Write { file, .. } | Op::Truncate { file, .. } | Op::Fsync { file }
-                    if *file == f);
-            touches.then(|| {
-                let mut m = model.clone();
-                apply_model(&mut m, op);
-                m[f].clone()
-            })
-        });
-
-        let size = rfs
-            .stat(&path)
-            .unwrap_or_else(|e| panic!("seed {seed} k {k}: stat {path} after recovery: {e}"));
-        let fd = rfs.open(&path).unwrap();
-        let mut buf = vec![0u8; size.size as usize];
-        assert_eq!(rfs.read(fd, 0, &mut buf).unwrap(), buf.len());
-        let exact = buf.len() == committed.len() && buf == *committed;
-        let ambig_ok = alt
-            .as_ref()
-            .is_some_and(|a| buf.len() == a.len() && buf == *a);
-        if !(exact || ambig_ok) {
-            let first_diff = buf
-                .iter()
-                .zip(committed.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or(buf.len().min(committed.len()));
-            let alt_diff = alt.as_ref().map(|a| {
-                buf.iter()
-                    .zip(a.iter())
-                    .position(|(x, y)| x != y)
-                    .unwrap_or(buf.len().min(a.len()))
-            });
-            panic!(
-                "seed {seed} k {k}: {path} diverged after recovery \
-                 (got {} B, committed {} B, ambiguous-alt {:?} B, \
-                 ambiguous op {:?}, \
-                 first diff vs committed at byte {first_diff} \
-                 (got {:?} want {:?}), first diff vs alt at {alt_diff:?})",
-                buf.len(),
-                committed.len(),
-                alt.as_ref().map(|a| a.len()),
-                ambiguous.as_ref().map(|o| match o {
-                    Op::Write { file, offset, data } =>
-                        format!("write f{file} [{offset}..{})", *offset + data.len() as u64),
-                    Op::Truncate { file, size } => format!("truncate f{file} -> {size}"),
-                    Op::Fsync { file } => format!("fsync f{file}"),
-                }),
-                &buf[first_diff..(first_diff + 8).min(buf.len())],
-                &committed[first_diff..(first_diff + 8).min(committed.len())],
-            );
-        }
-        rfs.close(fd).unwrap();
+        oracle.check(
+            f,
+            &read_file(&rfs, &path),
+            format_args!("seed {seed} k {k}: {path}"),
+        );
     }
 
     // The recovered instance must be fully functional: new writes land,
     // flush, and read back (the log is empty under a fresh epoch).
     let fd = rfs.create("/wal/post").unwrap();
-    let post = pattern(seed, 777, 9000);
+    let post = payload(seed, 777, 9000);
     rfs.write(fd, 0, &post).unwrap();
     rfs.fsync(fd).unwrap();
-    let mut buf = vec![0u8; post.len()];
-    assert_eq!(rfs.read(fd, 0, &mut buf).unwrap(), post.len());
-    assert_eq!(buf, post, "seed {seed} k {k}: post-recovery write diverged");
+    assert_eq!(
+        read_fd(&rfs, fd),
+        post,
+        "seed {seed} k {k}: post-recovery write diverged"
+    );
     rfs.close(fd).unwrap();
 
     recovered
@@ -300,12 +159,12 @@ fn a_crash_after_the_store_took_a_batch_recovers_by_re_flushing_it() {
     });
     let fs = dpc.fs();
     let fd = fs.create("/batch").unwrap();
-    let mut want = pattern(23, 0, 64 * 4096);
+    let mut want = payload(23, 0, 64 * 4096);
     fs.write(fd, 0, &want).unwrap();
     fs.fsync(fd).unwrap();
     // Eight scattered one-page overwrites: one fsync, one batch.
     for k in 0..8u64 {
-        let (at, data) = (8 * k as usize * 4096, pattern(23, k + 1, 4096));
+        let (at, data) = (8 * k as usize * 4096, payload(23, k + 1, 4096));
         fs.write(fd, at as u64, &data).unwrap();
         want[at..at + 4096].copy_from_slice(&data);
     }
@@ -344,11 +203,10 @@ fn a_crash_after_the_store_took_a_batch_recovers_by_re_flushing_it() {
         (1, 9)
     );
     assert_eq!(rdpc.cache().dirty_count(), 0);
-    let rfs = rdpc.fs();
-    let fd = rfs.open("/batch").unwrap();
-    let mut back = vec![0u8; want.len()];
-    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), want.len());
-    assert!(back == want, "the re-flushed batch diverged");
+    assert!(
+        read_file(&rdpc.fs(), "/batch") == want,
+        "the re-flushed batch diverged"
+    );
 }
 
 #[test]
@@ -358,15 +216,13 @@ fn buffered_writes_and_fsyncs_log_nothing() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/plain").unwrap();
-    let data = pattern(3, 0, 40_000);
+    let data = payload(3, 0, 40_000);
     fs.write(fd, 0, &data).unwrap();
     fs.write(fd, 5, &data[5..900]).unwrap();
     fs.fsync(fd).unwrap();
     fs.write(fd, 8192, &data[8192..16_384]).unwrap();
     fs.fsync(fd).unwrap();
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_fd(&fs, fd), data);
     fs.close(fd).unwrap();
 
     let c = dpc.metrics().cache;
@@ -379,7 +235,7 @@ fn an_uncached_write_logs_its_payload_and_retires_at_ack() {
     let dpc = Dpc::new(crash_cfg());
     let fs = dpc.fs();
     let fd = fs.create("/logged").unwrap();
-    let (a, b) = (pattern(5, 1, 3000), pattern(5, 2, 5000));
+    let (a, b) = (payload(5, 1, 3000), payload(5, 2, 5000));
     assert_eq!(fs.writev(fd, 0, &[&a, &b]).unwrap(), 8000);
     let c = dpc.metrics().cache;
     assert_eq!(c.wal_appends, 1, "a writev is one record");
@@ -403,16 +259,12 @@ fn oversized_write_bypasses_the_log_durably() {
     });
     let fs = dpc.fs();
     let fd = fs.create("/big").unwrap();
-    let data = pattern(11, 0, 48 * 1024);
+    let data = payload(11, 0, 48 * 1024);
     assert_eq!(fs.writev(fd, 0, &[&data]).unwrap(), data.len());
     assert_eq!(dpc.metrics().cache.wal_appends, 0);
     drop(fs);
     let rdpc = Dpc::recover(dpc).unwrap();
-    let rfs = rdpc.fs();
-    let fd = rfs.open("/big").unwrap();
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(rfs.read(fd, 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_file(&rdpc.fs(), "/big"), data);
 }
 
 #[test]
@@ -426,7 +278,7 @@ fn log_durable_fsync_is_a_noop_that_still_recovers() {
     });
     let fs = dpc.fs();
     let fd = fs.create("/lazy").unwrap();
-    let data = pattern(13, 2, 20_000);
+    let data = payload(13, 2, 20_000);
     fs.write(fd, 0, &data).unwrap();
     fs.write(fd, 7, &data[7..100]).unwrap();
     fs.fsync(fd).unwrap();
@@ -444,11 +296,7 @@ fn log_durable_fsync_is_a_noop_that_still_recovers() {
         5,
         "recovery flushed the pages"
     );
-    let rfs = rdpc.fs();
-    let fd = rfs.open("/lazy").unwrap();
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(rfs.read(fd, 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_file(&rdpc.fs(), "/lazy"), data);
 }
 
 #[test]
@@ -475,20 +323,16 @@ fn a_buffered_write_dead_at_its_rmw_crossing_leaves_none_of_its_bytes() {
     let flushed = dpc.metrics().cache.flushes;
     let rdpc = Dpc::recover(dpc).unwrap();
     assert_eq!(rdpc.metrics().cache.flushes, flushed, "no page was dirtied");
-    let rfs = rdpc.fs();
-    let fd = rfs.open("/rmw").unwrap();
-    let mut back = vec![0u8; 8192];
-    assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), 8192);
     assert!(
-        back.iter().all(|&b| b == 1),
+        read_file(&rdpc.fs(), "/rmw") == [1u8; 8192],
         "a byte of the dead write landed"
     );
 }
 
 #[test]
 fn an_uncached_write_and_a_truncate_in_flight_at_the_crash_replay() {
-    let base = pattern(17, 0, 10_000);
-    let (a, b) = (pattern(17, 1, 3000), pattern(17, 2, 5000));
+    let base = payload(17, 0, 10_000);
+    let (a, b) = (payload(17, 1, 3000), payload(17, 2, 5000));
     for truncate in [false, true] {
         let plan = FaultPlan::new(3);
         let dpc = Dpc::new(DpcConfig {
@@ -517,12 +361,10 @@ fn an_uncached_write_and_a_truncate_in_flight_at_the_crash_replay() {
             want.extend_from_slice(&a);
             want.extend_from_slice(&b);
         }
-        let rfs = rdpc.fs();
-        assert_eq!(rfs.stat("/inflight").unwrap().size, want.len() as u64);
-        let fd = rfs.open("/inflight").unwrap();
-        let mut back = vec![0u8; want.len()];
-        assert_eq!(rfs.read(fd, 0, &mut back).unwrap(), want.len());
-        assert!(back == want, "truncate {truncate}: the replay diverged");
+        assert!(
+            read_file(&rdpc.fs(), "/inflight") == want,
+            "truncate {truncate}: the replay diverged"
+        );
     }
 }
 
@@ -581,7 +423,7 @@ fn truncate_shrink_then_extend_reads_zeros() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/clip").unwrap();
-    fs.write(fd, 0, &pattern(21, 0, 28288)).unwrap();
+    fs.write(fd, 0, &payload(21, 0, 28288)).unwrap();
     fs.truncate(fd, 24810).unwrap();
     fs.truncate(fd, 58140).unwrap();
     let mut buf = vec![1u8; 58140 - 24810];
@@ -593,6 +435,6 @@ fn truncate_shrink_then_extend_reads_zeros() {
     // The kept prefix is untouched by the clip.
     let mut head = vec![0u8; 24810];
     assert_eq!(fs.read(fd, 0, &mut head).unwrap(), head.len());
-    assert_eq!(head, pattern(21, 0, 28288)[..24810]);
+    assert_eq!(head, payload(21, 0, 28288)[..24810]);
     fs.close(fd).unwrap();
 }

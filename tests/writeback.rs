@@ -15,36 +15,11 @@ use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig};
 use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{fill, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
 
-const CHAOS_SEEDS: [u64; 3] = [1, 7, 42];
-
-fn seeds() -> Vec<u64> {
-    match std::env::var("DPC_CHAOS_SEED") {
-        Ok(s) => vec![s
-            .trim()
-            .parse()
-            .expect("DPC_CHAOS_SEED must be an unsigned integer")],
-        Err(_) => CHAOS_SEEDS.to_vec(),
-    }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
-    let mut s = seed ^ id.rotate_left(29);
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        out.extend_from_slice(&splitmix(&mut s).to_le_bytes());
-    }
-    out.truncate(len);
-    out
+    fill(seed ^ id.rotate_left(29), len)
 }
 
 /// One seeded run: dirty-heavy mixed writes racing the watermark-driven
@@ -56,7 +31,7 @@ fn writeback_chaos_run(seed: u64) {
     let plan = FaultPlan::new(seed);
     plan.arm("cache.flush", FaultSpec::probability(0.25));
 
-    let mut files: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut files: HashMap<String, FileModel> = HashMap::new();
     let store = {
         let dpc = Dpc::new(DpcConfig {
             background_flush: true,
@@ -73,24 +48,24 @@ fn writeback_chaos_run(seed: u64) {
             // Sequential dirty run (coalescable) ...
             let base = pattern(seed, id, 16_384 + (splitmix(&mut rng) % 65_536) as usize);
             fs.write(fd, 0, &base).unwrap();
-            let mut model = base;
+            let mut model = FileModel::new(base);
             // ... then scattered overwrites racing the background flusher.
             for v in 0..8u64 {
-                let off = (splitmix(&mut rng) as usize) % model.len();
+                let off = splitmix(&mut rng) % model.bytes().len() as u64;
                 let len = 1 + (splitmix(&mut rng) as usize) % 9_000;
                 let data = pattern(seed ^ 0xA5A5, id * 100 + v, len);
-                fs.write(fd, off as u64, &data).unwrap();
-                let end = (off + len).max(model.len());
-                model.resize(end, 0);
-                model[off..off + len].copy_from_slice(&data);
+                fs.write(fd, off, &data).unwrap();
+                model.write(off, &data);
             }
             if splitmix(&mut rng).is_multiple_of(2) {
                 fs.fsync(fd).unwrap();
             }
             // Live read-back straight through the racing flusher.
-            let mut buf = vec![0u8; model.len()];
-            assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), model.len());
-            assert_eq!(buf, model, "seed {seed}: {path} diverged live");
+            assert_eq!(
+                read_fd(&fs, fd),
+                model.bytes(),
+                "seed {seed}: {path} diverged live"
+            );
             fs.close(fd).unwrap();
             files.insert(path, model);
         }
@@ -116,15 +91,12 @@ fn writeback_chaos_run(seed: u64) {
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
     let fs = dpc.fs();
     for (path, model) in &files {
-        let fd = fs.open(path).unwrap();
-        let mut buf = vec![0u8; model.len()];
+        let back = read_file(&fs, path);
         assert_eq!(
-            fs.read(fd, 0, &mut buf).unwrap(),
-            model.len(),
-            "seed {seed}: {path} short after restart"
+            back,
+            model.bytes(),
+            "seed {seed}: {path} lost pages to chaos"
         );
-        assert_eq!(&buf, model, "seed {seed}: {path} lost pages to chaos");
-        fs.close(fd).unwrap();
     }
 }
 
@@ -154,9 +126,7 @@ fn sequential_dirty_run_flushes_as_one_extent() {
     assert_eq!(m.cache.extent_pages_hist, [0, 0, 0, 0, 1]); // 16+ bucket
     assert!(m.pages_per_extent() > 1.0);
 
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_fd(&fs, fd), data);
 }
 
 /// Eviction pressure takes the batched path: a write burst larger than
@@ -187,9 +157,7 @@ fn overcommitted_write_burst_uses_batched_eviction() {
         "batching must not send more commands than stalls"
     );
 
-    let mut buf = vec![0u8; data.len()];
-    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
-    assert_eq!(buf, data);
+    assert_eq!(read_fd(&fs, fd), data);
 }
 
 /// Fault-free, pressure-free write-back keeps every recovery counter and
@@ -209,9 +177,7 @@ fn fault_free_writeback_keeps_stall_counters_at_zero() {
         let data = pattern(42, id, 100_000);
         fs.write(fd, 0, &data).unwrap();
         fs.fsync(fd).unwrap();
-        let mut buf = vec![0u8; data.len()];
-        assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
-        assert_eq!(buf, data);
+        assert_eq!(read_fd(&fs, fd), data);
         fs.close(fd).unwrap();
     }
 
@@ -265,10 +231,7 @@ fn fsync_reports_a_flush_the_backend_refused() {
     };
 
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
-    let fs = dpc.fs();
-    let fd = fs.open("/refused").unwrap();
-    let mut back = vec![0u8; 4096];
-    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 4096);
+    let back = read_file(&dpc.fs(), "/refused");
     assert_eq!(back, data, "the bytes never reached the store");
 }
 
@@ -349,7 +312,7 @@ proptest! {
         let plan = FaultPlan::new(seed);
         plan.arm("cache.flush", FaultSpec::probability(0.3));
 
-        let mut model: Vec<u8> = Vec::new();
+        let mut model = FileModel::default();
         let store = {
             let dpc = Dpc::new(DpcConfig {
                 background_flush: true,
@@ -361,31 +324,22 @@ proptest! {
             let fd = fs.create("/prop").unwrap();
             let mut rng = seed;
             for v in 0..24u64 {
-                let off = (splitmix(&mut rng) as usize) % 150_000;
+                let off = splitmix(&mut rng) % 150_000;
                 let len = 1 + (splitmix(&mut rng) as usize) % 20_000;
                 let data = pattern(seed, v, len);
-                fs.write(fd, off as u64, &data).unwrap();
-                if model.len() < off + len {
-                    model.resize(off + len, 0);
-                }
-                model[off..off + len].copy_from_slice(&data);
+                fs.write(fd, off, &data).unwrap();
+                model.write(off, &data);
                 if v % 7 == 6 {
                     fs.fsync(fd).unwrap();
                 }
             }
-            let mut buf = vec![0u8; model.len()];
-            prop_assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), model.len());
-            prop_assert_eq!(&buf, &model, "diverged live");
+            prop_assert_eq!(read_fd(&fs, fd), model.bytes(), "diverged live");
             fs.close(fd).unwrap();
             dpc.kvfs_inner().store().clone()
         };
 
         let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
-        let fs = dpc.fs();
-        let fd = fs.open("/prop").unwrap();
-        prop_assert_eq!(fs.size(fd).unwrap(), model.len() as u64);
-        let mut buf = vec![0u8; model.len()];
-        prop_assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), model.len());
-        prop_assert_eq!(&buf, &model, "lost pages across restart");
+        let back = read_file(&dpc.fs(), "/prop");
+        prop_assert_eq!(back, model.bytes(), "lost pages across restart");
     }
 }
