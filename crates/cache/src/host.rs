@@ -17,7 +17,6 @@ use std::cell::UnsafeCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dpc_pcie::Sleeper;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::layout::{
@@ -195,7 +194,7 @@ pub struct CacheStats {
     /// Extent-size histogram: pages-per-extent in 1 / 2–3 / 4–7 / 8–15 /
     /// 16+ buckets.
     pub extent_pages_hist: [u64; 5],
-    /// Pages flushed by the background (watermark-driven) flusher.
+    /// Pages flushed by a drain: an instance's teardown, or `Dpc::recover`.
     pub bg_flush_pages: u64,
     /// Pages flushed on the foreground path (Sync / eviction pressure).
     pub fg_flush_pages: u64,
@@ -339,9 +338,6 @@ pub struct HybridCache {
     resident: Box<[Mutex<DirtyShard>]>,
     /// Pages currently marked dirty (mirror of the index's total size).
     pub(crate) dirty_total: AtomicU64,
-    /// The background flusher, asleep on `dirty_total` while the cache is
-    /// clean; woken by the commit that dirties the first page.
-    flusher: Sleeper,
     /// Per-ino-shard content epochs. Bumped whenever an inode's cached
     /// content moves relative to the backend (a page dirtied, flushed
     /// clean, or invalidated). The background prefetcher snapshots the
@@ -385,7 +381,6 @@ impl HybridCache {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             dirty_total: AtomicU64::new(0),
-            flusher: Sleeper::new(),
             ino_epochs: (0..DIRTY_SHARDS).map(|_| AtomicU64::new(0)).collect(),
             cfg,
         }
@@ -426,18 +421,8 @@ impl HybridCache {
         self.bump_ino_epoch(ino);
         let mut shard = self.dirty_shard(ino).lock();
         if shard.entry(ino).or_default().insert(lpn) {
-            // `SeqCst`: the store a sleeping flusher is woken by
-            // ([`wait_dirty`](Self::wait_dirty)).
-            self.dirty_total.fetch_add(1, Ordering::SeqCst);
+            self.dirty_total.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Flusher side: sleep until a page turns dirty, somebody unparks the
-    /// calling thread, or `timeout` passes. `false` — without sleeping —
-    /// when a page is dirty already.
-    pub fn wait_dirty(&self, timeout: std::time::Duration) -> bool {
-        self.flusher
-            .sleep_unless(timeout, || self.dirty_total.load(Ordering::SeqCst) > 0)
     }
 
     /// Drop `<ino, lpn>` from the range index (flushed clean or
@@ -483,11 +468,6 @@ impl HybridCache {
     /// Pages currently dirty, per the range index (O(1)).
     pub fn dirty_count(&self) -> usize {
         self.dirty_total.load(Ordering::Relaxed) as usize
-    }
-
-    /// Fraction of the cache that is dirty, per the range index (O(1)).
-    pub fn dirty_ratio(&self) -> f64 {
-        self.dirty_total.load(Ordering::Relaxed) as f64 / self.cfg.pages as f64
     }
 
     /// Does any dirty page of `ino` fall within `first_lpn..=last_lpn`?
@@ -1162,10 +1142,6 @@ impl WriteGuard<'_> {
         self.cache.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.committed = true;
         e.write_unlock();
-        if !was_dirty {
-            // After the unlock, so a flusher woken by this page can take it.
-            self.cache.flusher.wake();
-        }
     }
 
     /// Commit as clean (prefetch inserts and host-side read fills).
@@ -1563,14 +1539,14 @@ mod tests {
     }
 
     #[test]
-    fn dirty_ratio_follows_count() {
+    fn dirty_count_follows_commits() {
         let c = small_cache(); // 64 pages
         for lpn in 0..16u64 {
             let mut g = c.begin_write(2, lpn).unwrap();
             g.write(0, &[0xCC; 8]);
             g.commit_dirty();
         }
-        assert!((c.dirty_ratio() - 0.25).abs() < 1e-9);
+        assert_eq!(c.dirty_count(), 16);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! reply carries the backend's size and `fsync` sends a reconciling
 //! `Truncate` only when it differs (DESIGN.md §4.1).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -99,12 +100,18 @@ fn recycled<T>(spare: &mut Vec<Arc<T>>, fresh: T) -> Arc<T> {
 }
 
 impl FdEntry {
-    fn open(sizes: &Arc<InodeSizes>, ino: u64, backend_size: u64) -> FdEntry {
-        FdEntry {
+    /// A hold on `ino`'s cell: see [`InodeSizes::open`].
+    fn open(
+        sizes: &Arc<InodeSizes>,
+        ino: u64,
+        backend_size: u64,
+        seen: Option<u64>,
+    ) -> Option<FdEntry> {
+        Some(FdEntry {
             ino,
-            cell: sizes.open(ino, backend_size),
+            cell: sizes.open(ino, backend_size, seen)?,
             sizes: sizes.clone(),
-        }
+        })
     }
 
     /// Give the hold back now and become a spare: an allocation for the
@@ -134,6 +141,10 @@ pub(crate) struct InodeSizes {
     /// Inodes with a cell, across every shard: with none open, `stat` asks
     /// no shard.
     open: AtomicUsize,
+    /// Cells removed by their last holder, ever. Bumped under the removed
+    /// cell's shard lock and read under the opened one's, so an `open` of
+    /// the same inode sees every removal that beat it to the lock.
+    released: AtomicU64,
     /// What a retired descriptor points at.
     idle: Arc<InodeCell>,
 }
@@ -155,9 +166,22 @@ struct InodeCell {
     size: AtomicU64,
     /// Bumped *before* every `write`/`writev`/`truncate` touches anything.
     mutations: AtomicU64,
-    /// The `mutations` value a successful scoped `Fsync` is known to
-    /// cover: the one sampled before that request was sent.
+    /// Bumped when each of those has landed its pages and its size, or
+    /// failed: never ahead of `mutations`.
+    landed: AtomicU64,
+    /// The `landed` value a successful scoped `Fsync` is known to cover:
+    /// the one sampled before that request was sent.
     synced: AtomicU64,
+}
+
+/// An op on an [`InodeCell`] from its start to its end: see
+/// [`InodeCell::mutation`].
+struct Mutation<'a>(&'a InodeCell);
+
+impl Drop for Mutation<'_> {
+    fn drop(&mut self) {
+        self.0.landed.fetch_add(1, Ordering::AcqRel);
+    }
 }
 
 impl InodeCell {
@@ -165,21 +189,33 @@ impl InodeCell {
         InodeCell {
             size: AtomicU64::new(size),
             mutations: AtomicU64::new(0),
+            landed: AtomicU64::new(0),
             synced: AtomicU64::new(0),
         }
     }
 
-    fn note_mutation(&self) {
+    /// Start a mutation: counted in `mutations` now, and in `landed` when
+    /// the returned guard drops — hold it until the op's pages and size
+    /// are in place.
+    fn mutation(&self) -> Mutation<'_> {
         self.mutations.fetch_add(1, Ordering::AcqRel);
+        Mutation(self)
+    }
+
+    /// No mutation is in flight: every one that started has landed.
+    fn quiescent(&self) -> bool {
+        self.landed.load(Ordering::Acquire) == self.mutations.load(Ordering::Acquire)
     }
 
     /// Nothing was modified since the last covering fsync: no page of
     /// this inode can have been dirtied by this host since, and the
     /// logical size is the one that fsync reconciled — a `close` has
-    /// nothing to flush and nothing to reconcile. (A mutation racing the
-    /// fsync bumps `mutations` past the value the fsync sampled, so it is
-    /// never taken for covered. A fresh cell is clean: whoever closed last
-    /// either was clean or synced on its way out.)
+    /// nothing to flush and nothing to reconcile. An fsync covers only
+    /// the mutations that had landed when it sampled `landed`: one still
+    /// in flight then may dirty its pages after the flush pass, and one
+    /// that starts later bumps `mutations` past the sample. (A fresh cell
+    /// is clean: whoever closed last either was clean or synced on its way
+    /// out.)
     fn is_clean(&self) -> bool {
         self.synced.load(Ordering::Acquire) == self.mutations.load(Ordering::Acquire)
     }
@@ -190,6 +226,7 @@ impl InodeSizes {
         InodeSizes {
             shards: std::array::from_fn(|_| Mutex::default()),
             open: AtomicUsize::new(0),
+            released: AtomicU64::new(0),
             idle: Arc::new(InodeCell::new(0)),
         }
     }
@@ -200,19 +237,32 @@ impl InodeSizes {
 
     /// Take a hold on the cell of `ino`. While some descriptor holds the
     /// inode open its logical size wins (the backend's may lag unflushed
-    /// writes); otherwise the cell starts at `backend_size`.
-    fn open(&self, ino: u64, backend_size: u64) -> Arc<InodeCell> {
+    /// writes); otherwise the cell starts at `backend_size`. `seen` is a
+    /// [`released`](Self::released) sample taken before `backend_size` was
+    /// read: if a last holder has left since, its close may have flushed
+    /// the backend past that size, and `None` says to read it again.
+    fn open(&self, ino: u64, backend_size: u64, seen: Option<u64>) -> Option<Arc<InodeCell>> {
         let mut shard = self.shard(ino).lock();
         let SizeShard { open, spare } = &mut *shard;
-        let cell = open.entry(ino).or_insert_with(|| {
-            self.open.fetch_add(1, Ordering::AcqRel);
-            SizeCell {
-                holders: 0,
-                cell: recycled(spare, InodeCell::new(backend_size)),
+        let cell = match open.entry(ino) {
+            Entry::Occupied(live) => live.into_mut(),
+            Entry::Vacant(_) if seen.is_some_and(|s| s != self.released()) => return None,
+            Entry::Vacant(fresh) => {
+                self.open.fetch_add(1, Ordering::AcqRel);
+                fresh.insert(SizeCell {
+                    holders: 0,
+                    cell: recycled(spare, InodeCell::new(backend_size)),
+                })
             }
-        });
+        };
         cell.holders += 1;
-        cell.cell.clone()
+        Some(cell.cell.clone())
+    }
+
+    /// Cells removed so far: sample it before reading a size to start a
+    /// cell from.
+    fn released(&self) -> u64 {
+        self.released.load(Ordering::Acquire)
     }
 
     /// `attr` as `stat` reports it: while some descriptor holds its inode
@@ -247,6 +297,7 @@ impl InodeSizes {
         if cell.holders == 0 {
             let gone = shard.open.remove(&ino).expect("just seen").cell;
             self.open.fetch_sub(1, Ordering::AcqRel);
+            self.released.fetch_add(1, Ordering::AcqRel);
             if Arc::strong_count(&gone) == 1 && shard.spare.len() < SPARES {
                 shard.spare.push(gone);
             }
@@ -375,10 +426,11 @@ pub enum FsyncMode {
     /// Flush dirty pages to the backing store and reconcile the size —
     /// durable on the store, the default tier.
     Data,
-    /// Return at once. An acknowledged buffered write is its dirty pages
-    /// in host memory, which a DPU crash does not take: `Dpc::recover`
-    /// adopts and flushes them. What bypasses the pool was logged before
-    /// it ran. Durable against a DPU reset, not against losing the host.
+    /// Return at once, and so does `close`. An acknowledged buffered write
+    /// is its dirty pages in host memory, which a DPU crash does not take:
+    /// `Dpc::recover` adopts and flushes them, and a clean teardown drains
+    /// them. What bypasses the pool was logged before it ran. Durable
+    /// against a DPU reset, not against losing the host.
     Log,
 }
 
@@ -665,13 +717,22 @@ impl DpcFs {
             return Err(DpcError::IO);
         };
         self.meta.note_create(parent, leaf, ino, KIND_FILE);
-        Ok(self.fds.insert(FdEntry::open(&self.sizes, ino, 0)))
+        let entry =
+            FdEntry::open(&self.sizes, ino, 0, None).expect("no `seen`: a cell always starts");
+        Ok(self.fds.insert(entry))
     }
 
+    /// Open `path`. With no descriptor of the inode open, its size is the
+    /// one `stat` read — read again if a last `close` of the inode raced
+    /// the read (see [`InodeSizes::open`]).
     pub fn open(&self, path: &str) -> Result<Fd, DpcError> {
-        let attr = self.stat(path)?;
-        let entry = FdEntry::open(&self.sizes, attr.ino, attr.size);
-        Ok(self.fds.insert(entry))
+        loop {
+            let seen = self.sizes.released();
+            let attr = self.stat(path)?;
+            if let Some(entry) = FdEntry::open(&self.sizes, attr.ino, attr.size, Some(seen)) {
+                return Ok(self.fds.insert(entry));
+            }
+        }
     }
 
     /// Make buffered data durable, then drop the descriptor. A descriptor
@@ -896,7 +957,7 @@ impl DpcFs {
             return self.write_direct(&entry, offset, &[data]);
         }
         let ino = entry.ino;
-        entry.cell.note_mutation();
+        let _mutation = entry.cell.mutation();
         // Size/mtime change: the cached attr is stale either way.
         self.meta.invalidate_ino(ino);
         let pages = (end - 1) / PAGE_SIZE as u64 - offset / PAGE_SIZE as u64 + 1;
@@ -1018,8 +1079,7 @@ impl DpcFs {
         }
         offset.checked_add(total as u64).ok_or(DpcError::INVALID)?;
         let ino = entry.ino;
-        entry.cell.note_mutation();
-        self.meta.invalidate_ino(ino);
+        let _mutation = entry.cell.mutation();
         // Replay needs the bytes contiguous: a gather is flattened for the
         // log only; the wire path still crosses as an SGL.
         let seq = match segments {
@@ -1028,6 +1088,8 @@ impl DpcFs {
         };
         let res = self.write_around(ino, offset, segments);
         self.retire(seq, res.is_ok());
+        // After the crossing, as in `fsync`: the size it replaced is stale.
+        self.meta.invalidate_ino(ino);
         let n = res?;
         entry
             .cell
@@ -1430,15 +1492,29 @@ impl DpcFs {
             return Ok(());
         }
         let ino = entry.ino;
-        // The flush rewrites the backend size/mtime.
-        self.meta.invalidate_ino(ino);
         // Sampled before the request leaves: whatever this fsync covers
-        // was written before now (see `InodeCell::is_clean`).
-        let covers = entry.cell.mutations.load(Ordering::Acquire);
+        // had landed before now (see `InodeCell::is_clean`).
+        let covers = entry.cell.landed.load(Ordering::Acquire);
+        let synced = self.sync_and_reconcile(&entry);
+        // The flush and the reconcile rewrote the backend's size and mtime
+        // (even a refused pass may have landed a batch): drop the cached
+        // attribute after them, not before, so a `stat` that raced them
+        // cannot leave the size they replaced behind — an `open` after the
+        // last close starts from it, and its fsync would cut the file.
+        self.meta.invalidate_ino(ino);
+        synced?;
+        entry.cell.synced.fetch_max(covers, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// The scoped `Fsync` of `entry`'s inode, then the `Truncate` that
+    /// puts the backend on the logical size if the reply says it is not.
+    fn sync_and_reconcile(&self, entry: &FdEntry) -> Result<(), DpcError> {
+        let ino = entry.ino;
         let FileResponse::Size(backend) = self.sync_ino(ino)? else {
             return Err(DpcError::IO);
         };
-        // Size reconcile (kernel i_size): the flusher writes each page's
+        // Size reconcile (kernel i_size): a flush writes each page's
         // valid prefix, so the backend normally lands on the logical size
         // and this is the only crossing. It differs when the flush was
         // not the whole story — pages of a write that failed part-way —
@@ -1450,25 +1526,29 @@ impl DpcFs {
         // store, so a descriptor here can cut growth that client fsynced;
         // nothing keeps two clients coherent yet. No intent record: after a
         // crash, the adopted pages' valid prefixes put the size back.
+        // A write still in flight may have landed pages past `size` (its
+        // size goes up once they are all in), which this pass flushed: they
+        // are not a failed write's, so the backend is reconciled only when
+        // nothing is in flight — that write's own `close` comes back here.
         let size = entry.cell.size.load(Ordering::Acquire);
-        if backend != size {
+        if backend != size && entry.cell.quiescent() {
             self.call(&FileRequest::Truncate { ino, size }, b"")?;
         }
-        entry.cell.synced.fetch_max(covers, Ordering::AcqRel);
         Ok(())
     }
 
     pub fn truncate(&self, fd: Fd, size: u64) -> Result<(), DpcError> {
         let entry = self.fds.get(fd)?;
         let (ino, old) = (entry.ino, entry.cell.size.load(Ordering::Acquire));
-        entry.cell.note_mutation();
-        self.meta.invalidate_ino(ino);
+        let _mutation = entry.cell.mutation();
         // The pool cannot express a truncate: its record is appended before
         // the call and retired at ack. Live at a crash, it has recovery
         // truncate the store and drop the inode's adopted pages.
         let seq = self.log_op(WalKind::Truncate, ino, size, b"")?;
         let res = self.call(&FileRequest::Truncate { ino, size }, b"");
         self.retire(seq, res.is_ok());
+        // After the call, as in `fsync`: the size it replaced is stale.
+        self.meta.invalidate_ino(ino);
         res?;
         entry.cell.size.store(size, Ordering::Release);
         // Invalidate cached pages past the new end, and clip the valid
@@ -1619,9 +1699,9 @@ mod tests {
     #[test]
     fn a_size_cell_lives_exactly_as_long_as_its_last_holder() {
         let sizes = Arc::new(InodeSizes::new());
-        let a = Arc::new(FdEntry::open(&sizes, 7, 100));
+        let a = Arc::new(FdEntry::open(&sizes, 7, 100, None).unwrap());
         // A second descriptor adopts the live cell, not the backend size.
-        let b = FdEntry::open(&sizes, 7, 0);
+        let b = FdEntry::open(&sizes, 7, 0, None).unwrap();
         assert_eq!(b.cell.size.load(Ordering::Acquire), 100);
         let in_flight = a.clone();
         drop((a, b));
@@ -1633,11 +1713,50 @@ mod tests {
         assert_eq!(sizes.open.load(Ordering::Acquire), 0);
         assert_eq!(sizes.open_size(7), None);
         assert_eq!(
-            FdEntry::open(&sizes, 7, 5)
+            FdEntry::open(&sizes, 7, 5, None)
+                .unwrap()
                 .cell
                 .size
                 .load(Ordering::Acquire),
             5
         );
+    }
+
+    #[test]
+    fn an_fsync_covers_no_mutation_still_in_flight() {
+        let cell = InodeCell::new(0);
+        let write = cell.mutation();
+        // An fsync samples while the write has not landed its pages, and
+        // reconciles no size while it is in flight…
+        let covers = cell.landed.load(Ordering::Acquire);
+        assert!(!cell.quiescent());
+        drop(write);
+        assert!(cell.quiescent());
+        cell.synced.fetch_max(covers, Ordering::AcqRel);
+        // …so the close after it still flushes.
+        assert!(!cell.is_clean());
+        let covers = cell.landed.load(Ordering::Acquire);
+        cell.synced.fetch_max(covers, Ordering::AcqRel);
+        assert!(cell.is_clean());
+    }
+
+    #[test]
+    fn a_size_read_before_a_last_close_starts_no_cell() {
+        let sizes = Arc::new(InodeSizes::new());
+        let writer = FdEntry::open(&sizes, 7, 0, None).unwrap();
+        writer.cell.size.store(8192, Ordering::Release);
+        // A reader samples, reads the backend's 0 — and the writer's close
+        // (which flushed 8 KiB) removes the cell before the reader's open.
+        let seen = sizes.released();
+        drop(writer);
+        assert!(FdEntry::open(&sizes, 7, 0, Some(seen)).is_none());
+        // Read again after the close: the cell starts from that size.
+        let seen = sizes.released();
+        let reader = FdEntry::open(&sizes, 7, 8192, Some(seen)).unwrap();
+        assert_eq!(reader.cell.size.load(Ordering::Acquire), 8192);
+        // A live cell is adopted whatever was released meanwhile.
+        drop(FdEntry::open(&sizes, 9, 0, None));
+        let again = FdEntry::open(&sizes, 7, 0, Some(seen)).unwrap();
+        assert_eq!(again.cell.size.load(Ordering::Acquire), 8192);
     }
 }

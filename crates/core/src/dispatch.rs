@@ -116,8 +116,7 @@ fn dfs_err(e: DfsError) -> FileResponse {
 /// panicking or silently dropping) so the control plane can retry and
 /// leave the pages dirty — a fault-site hit models a transiently
 /// unreachable store. Every flush site builds one: the scoped `Fsync`,
-/// `CacheEvictBatch`, the background flusher's pass and its shutdown
-/// drain, recovery.
+/// `CacheEvictBatch`, and the drain that teardown and recovery run.
 pub(crate) struct KvfsFlush<'a> {
     pub kvfs: &'a Kvfs,
     pub fault: Option<&'a Arc<FaultSite>>,
@@ -537,8 +536,8 @@ impl Dispatcher {
                 // Persist the hybrid cache's dirty pages into KVFS, then
                 // the (always-durable) store needs no further barrier.
                 // The dirty-range index scopes the flush to this inode
-                // (other files' pages are the background flusher's
-                // problem).
+                // (other files' pages wait for their own fsync, close,
+                // eviction or the teardown drain).
                 if *ino == FSYNC_ALL {
                     // Unscoped sweep (WAL ring back-pressure): flush every
                     // inode, no per-inode barrier.

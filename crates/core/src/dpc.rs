@@ -26,10 +26,14 @@ use dpc_sim::{CrashSwitch, FaultPlan};
 use parking_lot::Mutex;
 
 use crate::adapter::{DpcFs, FsyncMode, InodeSizes, IoMode};
-use crate::dispatch::{Dispatcher, KvfsFlush};
-use crate::runtime::{DpuRuntime, FlusherConfig, PrefetcherConfig};
+use crate::dispatch::Dispatcher;
+use crate::runtime::{DpuRuntime, Drain, PrefetcherConfig};
 
 /// DPC deployment configuration.
+///
+/// There is one write-back policy, not a knob: a dirty page persists at
+/// the `fsync` or `close` of its file, when eviction needs its slot, and
+/// at the instance's teardown (DESIGN.md §8.4).
 #[derive(Clone, Debug)]
 pub struct DpcConfig {
     /// nvme-fs queue pairs the shared channel pool multiplexes over
@@ -58,14 +62,10 @@ pub struct DpcConfig {
     /// cache pages: a window fill never pushes free pages below
     /// `ra_throttle_free * cache_pages` (it shrinks or drops instead).
     pub ra_throttle_free: f64,
-    /// Run a background flusher thread (watermark-driven write-back).
-    /// Off by default: dirty pages then persist on fsync/close/eviction,
-    /// which keeps size reconciliation deterministic.
-    pub background_flush: bool,
-    /// Coalesce adjacent dirty pages into multi-page runs on the fsync and
-    /// background-flusher paths. Off = a run cap of one page on the same
-    /// flush code: every dirty page is a run of its own. Either way an
-    /// inode's runs go to the store batched, one KV request per batch.
+    /// Coalesce adjacent dirty pages into multi-page runs on every flush
+    /// path. Off = a run cap of one page on the same flush code: every
+    /// dirty page is a run of its own. Either way an inode's runs go to
+    /// the store batched, one KV request per batch.
     pub coalesce_flush: bool,
     /// Largest coalesced run, in pages.
     pub flush_extent_pages: usize,
@@ -114,7 +114,6 @@ impl Default for DpcConfig {
             ra_initial_window: 4,
             ra_max_window: 64,
             ra_throttle_free: 0.125,
-            background_flush: false,
             coalesce_flush: true,
             flush_extent_pages: dpc_cache::DEFAULT_EXTENT_PAGES,
             wal_bytes: 4 << 20,
@@ -229,6 +228,21 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
+/// The fault-free flush of `cache`'s dirty pages into `kvfs` that teardown
+/// and recovery run, at `cfg`'s coalescing policy.
+fn drain(cfg: &DpcConfig, cache: &Arc<HybridCache>, kvfs: &Arc<Kvfs>) -> Drain {
+    let mut control = ControlPlane::new(cache.clone(), DmaEngine::new());
+    control.max_extent_pages = if cfg.coalesce_flush {
+        cfg.flush_extent_pages
+    } else {
+        1
+    };
+    Drain {
+        control,
+        kvfs: kvfs.clone(),
+    }
+}
+
 /// Globally unique DFS client identity: delegations are per-client at
 /// the MDS, so two DPC instances must never share an id.
 fn next_dfs_client_id() -> u64 {
@@ -292,8 +306,10 @@ impl Dpc {
     /// attribute is only *asked for* again: this instance's DPU-side KVFS
     /// keeps an inode cache with no expiry.) The same goes for the host
     /// page cache and the per-inode logical sizes. Sequential
-    /// hand-off (populate through one instance, drop it, reopen) is the
-    /// use this is correct for; concurrent writers need a TTL they can
+    /// hand-off is the use this is correct for: populate through one
+    /// instance, drop its adapters and then the instance — whose teardown
+    /// drains every dirty page, closed or not, at any
+    /// [`FsyncMode`] — and reopen. Concurrent writers need a TTL they can
     /// live with, until something (leases) keeps two instances coherent.
     pub fn with_shared_storage(
         cfg: DpcConfig,
@@ -338,16 +354,10 @@ impl Dpc {
         let store = kvfs.store().clone();
         let kvfs = Arc::new(Kvfs::open(store).expect("a store a KVFS ran on holds its root"));
         let scan = IntentLog::scan(log.region());
-        let mut control = ControlPlane::new(cache.clone(), DmaEngine::new());
-        control.max_extent_pages = cfg.flush_extent_pages;
         // Every adopted dirty page holds an acknowledged write, and a live
         // record an op that never answered: the op may be ordered after
         // all of them, so the pages go first.
-        let mut sink = KvfsFlush {
-            kvfs: &kvfs,
-            fault: None,
-        };
-        while control.flush_extents(&mut sink, None, false) > 0 {}
+        drain(&cfg, &cache, &kvfs).run();
         // Each op runs whole, and its inode's pages — clean now, and
         // perhaps older than what the op wrote — leave the cache.
         let mut replayed = 0;
@@ -415,8 +425,9 @@ impl Dpc {
         }
 
         // The DPU kill switch: one shared latch across every service
-        // loop, flusher, prefetcher and log append. Without a fault plan
-        // it is inert and every check is a single relaxed load.
+        // loop, the prefetcher, the log append and the teardown drain.
+        // Without a fault plan it is inert and every check is a single
+        // relaxed load.
         let crash = Arc::new(match &cfg.faults {
             Some(plan) => CrashSwitch::armed_by(plan.site("dpu.crash")),
             None => CrashSwitch::inert(),
@@ -480,23 +491,6 @@ impl Dpc {
             })
             .collect();
 
-        let flusher = if cfg.background_flush {
-            let mut control = ControlPlane::new(cache.clone(), dma.clone());
-            control.max_extent_pages = if cfg.coalesce_flush {
-                cfg.flush_extent_pages
-            } else {
-                1
-            };
-            control.set_crash_switch(Some(crash.clone()));
-            Some(FlusherConfig {
-                control,
-                kvfs: kvfs.clone(),
-                fault: flush_fault,
-            })
-        } else {
-            None
-        };
-
         let prefetcher = ra.as_ref().map(|(_, queue)| {
             let mut control = ControlPlane::new(cache.clone(), dma.clone());
             control.max_extent_pages = cfg.flush_extent_pages;
@@ -509,7 +503,8 @@ impl Dpc {
             }
         });
 
-        let runtime = DpuRuntime::spawn(targets_with_dispatch, flusher, prefetcher, crash.clone());
+        let drain = drain(&cfg, &cache, &kvfs);
+        let runtime = DpuRuntime::spawn(targets_with_dispatch, drain, prefetcher, crash.clone());
 
         let mut pool = ChannelPool::new(channels);
         pool.set_retry(cfg.retry);
@@ -674,10 +669,8 @@ impl Dpc {
             kv,
             meta: self.meta.stats(),
             requests_served: self.runtime.requests_served(),
-            pages_flushed: self.runtime.pages_flushed(),
             svc_parks: self.runtime.svc_parks(),
             doorbell_wakes: pool.doorbell_wakes,
-            flusher_parks: self.runtime.flusher_parks(),
             recovery: crate::metrics::RecoverySnapshot {
                 link_retries: pool.retries,
                 link_timeouts: pool.timeouts,

@@ -6,8 +6,9 @@
 //! nvme-fs messages; the DPU-side **IO-dispatch** ([`Dispatcher`]) that
 //! routes standalone requests to KVFS and distributed requests to the
 //! offloaded DFS client; and the **DPU runtime** ([`DpuRuntime`]) of
-//! service and flusher threads. The calibrated testbed constants of the
-//! virtual-time model (Table 1) live in `dpc-bench`, their only user.
+//! service and prefetcher threads, which drains the cache when it stops.
+//! The calibrated testbed constants of the virtual-time model (Table 1)
+//! live in `dpc-bench`, their only user.
 //!
 //! ```
 //! use dpc_core::{Dpc, DpcConfig};

@@ -82,8 +82,6 @@ pub struct MetricsSnapshot {
     pub meta: MetaStats,
     /// Requests served by the DPU runtime's service threads.
     pub requests_served: u64,
-    /// Pages persisted by the background flusher (0 when disabled).
-    pub pages_flushed: u64,
     /// Times a DPU service thread went to sleep on its queue's SQ doorbell
     /// (each sleep lasts until a doorbell, or 10 ms). Does not move while
     /// a closed-loop stream of calls is live.
@@ -91,9 +89,6 @@ pub struct MetricsSnapshot {
     /// Doorbell rings that found the queue's service thread asleep and
     /// woke it — the calls that paid a wake-up.
     pub doorbell_wakes: u64,
-    /// Times the background flusher went to sleep on a clean cache (0
-    /// when disabled).
-    pub flusher_parks: u64,
     /// Fault-recovery actions across every layer.
     pub recovery: RecoverySnapshot,
 }
@@ -187,7 +182,7 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "write-back: {} extents ({} pages bg / {} fg), pages-per-extent \
+            "write-back: {} extents ({} pages drained / {} fg), pages-per-extent \
              1:{} 2-3:{} 4-7:{} 8-15:{} 16+:{}, {} batched evictions, \
              {} evict stalls, {} write-throughs",
             c.extents_flushed,
@@ -265,13 +260,8 @@ impl core::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "dpu runtime: {} requests served, {} pages flushed, \
-             {} svc parks / {} doorbell wakes, {} flusher parks",
-            self.requests_served,
-            self.pages_flushed,
-            self.svc_parks,
-            self.doorbell_wakes,
-            self.flusher_parks
+            "dpu runtime: {} requests served, {} svc parks / {} doorbell wakes",
+            self.requests_served, self.svc_parks, self.doorbell_wakes
         )?;
         let r = &self.recovery;
         write!(

@@ -1,13 +1,13 @@
-//! The DPU runtime: service threads polling nvme-fs targets, plus the
-//! background cache flusher and the background prefetcher.
+//! The DPU runtime: service threads polling nvme-fs targets, the
+//! background prefetcher, and the teardown drain.
 //!
 //! In the real system these are processes on the DPU's 24 TaiShan cores;
 //! here they are OS threads serving the same roles — each nvme-fs queue
-//! pair gets a service loop running the [`Dispatcher`], one flusher
-//! thread periodically scans the hybrid cache's meta area and persists
-//! dirty pages into KVFS (the paper's back-end write path), and one
+//! pair gets a service loop running the [`Dispatcher`] (whose `Fsync` and
+//! `CacheEvictBatch` arms are the paper's back-end write path), and one
 //! prefetcher thread drains the readahead queue, filling planned windows
 //! into the host cache (the paper's back-end read path).
+//! When the runtime stops, a [`Drain`] persists what is still dirty.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,24 +16,31 @@ use std::thread::JoinHandle;
 use dpc_cache::{ControlPlane, PrefetchQueue};
 use dpc_kvfs::Kvfs;
 use dpc_nvmefs::{FileIncomingBatch, FileTarget};
-use dpc_sim::{CrashSwitch, FaultSite};
+use dpc_sim::CrashSwitch;
 
 use crate::dispatch::{Dispatcher, KvfsFlush, KvfsRead};
 
-/// Everything the background flusher thread needs: its own control-plane
-/// slice (whose `max_extent_pages` is the coalescing policy) and the
-/// KVFS sink.
-pub struct FlusherConfig {
+/// A fault-free flush of every dirty page of a cache into KVFS: what an
+/// instance's teardown and [`Dpc::recover`](crate::Dpc::recover) run. Its
+/// control-plane slice (whose `max_extent_pages` is the coalescing policy)
+/// carries no crash switch — whoever runs the drain has checked it.
+pub struct Drain {
     pub control: ControlPlane,
     pub kvfs: Arc<Kvfs>,
-    pub fault: Option<Arc<FaultSite>>,
 }
 
-/// Background flusher hysteresis band, as dirty ratios: start draining
-/// back-to-back at the high watermark, fall back to trickling once the
-/// ratio is down to the low one.
-const FLUSH_HIGH_WATERMARK: f64 = 0.75;
-const FLUSH_LOW_WATERMARK: f64 = 0.25;
+impl Drain {
+    /// Flush pass after pass while a pass lands pages and leaves some
+    /// refused (the store's own faults stay armed). A page a writer holds
+    /// through a pass, or dirties after it, is not waited for.
+    pub fn run(&mut self) {
+        let mut sink = KvfsFlush {
+            kvfs: &self.kvfs,
+            fault: None,
+        };
+        while self.control.flush_extents(&mut sink, None, true) > 0 && self.control.refused() > 0 {}
+    }
+}
 
 /// Everything the background prefetcher thread needs: its own
 /// control-plane slice, the KVFS page source, the shared job queue, and
@@ -104,39 +111,36 @@ pub struct RuntimeShared {
     pub shutdown: AtomicBool,
     /// Requests served across all service threads.
     pub requests_served: AtomicU64,
-    /// Pages persisted by the flusher.
-    pub pages_flushed: AtomicU64,
     /// Pages inserted by the background prefetcher.
     pub pages_prefetched: AtomicU64,
     /// Times a service thread went to sleep on its queue's SQ doorbell.
     /// Each sleep ends with a doorbell or the [`IDLE_PARK`] re-check.
     pub svc_parks: AtomicU64,
-    /// Times the flusher went to sleep on a clean cache (same bound).
-    pub flusher_parks: AtomicU64,
 }
 
-/// Handle owning the DPU threads; joins them on drop.
+/// Handle owning the DPU threads; joins them and drains the cache on drop.
 pub struct DpuRuntime {
     pub shared: Arc<RuntimeShared>,
     threads: Vec<JoinHandle<()>>,
+    /// Run once by [`stop`](Self::stop), unless the DPU crashed.
+    drain: Option<Drain>,
+    crash: Arc<CrashSwitch>,
 }
 
 impl DpuRuntime {
     /// Spawn one service thread per target (each with its own
-    /// [`Dispatcher`]) and one flusher thread.
+    /// [`Dispatcher`]) and the prefetcher; `drain` runs at [`stop`](Self::stop).
     pub fn spawn(
         targets: Vec<(FileTarget, Dispatcher)>,
-        flusher: Option<FlusherConfig>,
+        drain: Drain,
         prefetcher: Option<PrefetcherConfig>,
         crash: Arc<CrashSwitch>,
     ) -> DpuRuntime {
         let shared = Arc::new(RuntimeShared {
             shutdown: AtomicBool::new(false),
             requests_served: AtomicU64::new(0),
-            pages_flushed: AtomicU64::new(0),
             pages_prefetched: AtomicU64::new(0),
             svc_parks: AtomicU64::new(0),
-            flusher_parks: AtomicU64::new(0),
         });
         let mut threads = Vec::new();
 
@@ -178,71 +182,6 @@ impl DpuRuntime {
                         }
                     })
                     .expect("spawn service thread"),
-            );
-        }
-
-        if let Some(mut f) = flusher {
-            let shared = shared.clone();
-            let crash = crash.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("dpu-flusher".into())
-                    .spawn(move || {
-                        // Watermark pacing with hysteresis: below the
-                        // high watermark the flusher trickles (one pass,
-                        // then a nap — write-back proceeds but host I/O
-                        // keeps the PCIe/KV bandwidth); once the dirty
-                        // ratio crosses it, passes run back-to-back until
-                        // the ratio falls to the low watermark. Foreground
-                        // writes then always find clean evictable pages,
-                        // and fsync only waits for the residual.
-                        let cache = f.control.cache().clone();
-                        let mut urgent = false;
-                        while !shared.shutdown.load(Ordering::Acquire) && !crash.is_tripped() {
-                            let ratio = cache.dirty_ratio();
-                            if ratio >= FLUSH_HIGH_WATERMARK {
-                                urgent = true;
-                            }
-                            if ratio <= FLUSH_LOW_WATERMARK {
-                                urgent = false;
-                            }
-                            let mut sink = KvfsFlush {
-                                kvfs: &f.kvfs,
-                                fault: f.fault.as_ref(),
-                            };
-                            let flushed = f.control.flush_extents(&mut sink, None, true);
-                            shared
-                                .pages_flushed
-                                .fetch_add(flushed as u64, Ordering::Relaxed);
-                            if flushed == 0 && cache.wait_dirty(IDLE_PARK) {
-                                // The cache was clean: slept until a
-                                // write dirtied a page.
-                                shared.flusher_parks.fetch_add(1, Ordering::Relaxed);
-                            } else if flushed == 0 || !urgent {
-                                // Trickling, or every dirty page is
-                                // pinned by a writer: back off.
-                                std::thread::sleep(std::time::Duration::from_micros(200));
-                            }
-                        }
-                        // Final drain so nothing dirty is lost at shutdown.
-                        // Faults stay out of the way here: a refused page
-                        // must not be left dirty at tear-down.
-                        // A tripped crash switch suppresses the drain — a
-                        // dead DPU cannot helpfully persist its dirty set
-                        // on the way out, and doing so would make every
-                        // crash-recovery test vacuous.
-                        if !crash.is_tripped() {
-                            let mut sink = KvfsFlush {
-                                kvfs: &f.kvfs,
-                                fault: None,
-                            };
-                            let flushed = f.control.flush_extents(&mut sink, None, true);
-                            shared
-                                .pages_flushed
-                                .fetch_add(flushed as u64, Ordering::Relaxed);
-                        }
-                    })
-                    .expect("spawn flusher thread"),
             );
         }
 
@@ -288,15 +227,16 @@ impl DpuRuntime {
             );
         }
 
-        DpuRuntime { shared, threads }
+        DpuRuntime {
+            shared,
+            threads,
+            drain: Some(drain),
+            crash,
+        }
     }
 
     pub fn requests_served(&self) -> u64 {
         self.shared.requests_served.load(Ordering::Relaxed)
-    }
-
-    pub fn pages_flushed(&self) -> u64 {
-        self.shared.pages_flushed.load(Ordering::Relaxed)
     }
 
     pub fn pages_prefetched(&self) -> u64 {
@@ -305,10 +245,6 @@ impl DpuRuntime {
 
     pub fn svc_parks(&self) -> u64 {
         self.shared.svc_parks.load(Ordering::Relaxed)
-    }
-
-    pub fn flusher_parks(&self) -> u64 {
-        self.shared.flusher_parks.load(Ordering::Relaxed)
     }
 
     /// Bring every DPU thread asleep on its event back to its loop head,
@@ -320,7 +256,9 @@ impl DpuRuntime {
         }
     }
 
-    /// Stop every DPU thread and join it. What the threads held — their
+    /// Stop every DPU thread and join it, then run the drain (DESIGN.md
+    /// §8.4) unless the crash switch has tripped: a dead DPU persists
+    /// nothing on its way out. What the threads and the drain held —
     /// dispatchers, control planes and the cache handles in them — is
     /// dropped by the time this returns.
     pub(crate) fn stop(&mut self) {
@@ -328,6 +266,11 @@ impl DpuRuntime {
         self.wake_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
+        }
+        if let Some(mut drain) = self.drain.take() {
+            if !self.crash.is_tripped() {
+                drain.run();
+            }
         }
     }
 }
@@ -344,7 +287,6 @@ mod tests {
     use dpc_cache::{CacheConfig, HybridCache, PAGE_SIZE};
     use dpc_kvstore::KvStore;
     use dpc_pcie::DmaEngine;
-    use dpc_sim::{FaultPlan, FaultSpec};
 
     /// A KVFS with two 32-page files, and a cache holding four dirty,
     /// non-adjacent overwrites of each: eight one-page extents, two inodes,
@@ -369,17 +311,14 @@ mod tests {
         (cache, kvfs, inos)
     }
 
-    fn flusher(
-        cache: &Arc<HybridCache>,
-        kvfs: &Arc<Kvfs>,
-        fault: Option<Arc<FaultSite>>,
-    ) -> DpuRuntime {
-        let config = FlusherConfig {
+    /// A runtime with no service thread and no prefetcher: what stopping
+    /// it does is the drain.
+    fn drain_only(cache: &Arc<HybridCache>, kvfs: &Arc<Kvfs>, crash: CrashSwitch) -> DpuRuntime {
+        let drain = Drain {
             control: ControlPlane::new(cache.clone(), DmaEngine::new()),
             kvfs: kvfs.clone(),
-            fault,
         };
-        DpuRuntime::spawn(vec![], Some(config), None, Arc::new(CrashSwitch::inert()))
+        DpuRuntime::spawn(vec![], drain, None, Arc::new(crash))
     }
 
     /// Each file's attribute as a fresh mount of the store reads it.
@@ -389,22 +328,20 @@ mod tests {
     }
 
     #[test]
-    fn the_background_pass_puts_each_inode_attribute_once() {
+    fn the_shutdown_drain_puts_each_inode_attribute_once() {
         let (cache, kvfs, inos) = dirty_overwrites();
         let (attrs, before) = (stored(&kvfs, inos), kvfs.store().stats());
-        // The flusher's first pass finds all eight extents; `pages_flushed`
-        // moves only once the pass has returned.
-        let runtime = flusher(&cache, &kvfs, None);
-        while runtime.pages_flushed() < 8 {
-            std::thread::yield_now();
-        }
+        let runtime = drain_only(&cache, &kvfs, CrashSwitch::inert());
+        assert_eq!(kvfs.store().stats(), before, "nothing flushes before stop");
+        drop(runtime);
+        // One request per inode's batch, its four blocks and its
+        // attribute.
         let after = kvfs.store().stats();
-        // One request per inode's batch (one per extent before batches),
-        // its four blocks and its attribute (a put after the batch before
-        // the attribute rode it).
         assert_eq!(after.sub_writes - before.sub_writes, 2);
         assert_eq!(after.sub_write_keys - before.sub_write_keys, 10);
         assert_eq!(after.puts, before.puts, "the mtime rides each batch");
+        assert_eq!(cache.dirty_count(), 0);
+        assert_eq!(cache.stats().bg_flush_pages, 8);
         for (now, then) in stored(&kvfs, inos).iter().zip(&attrs) {
             assert!(now.mtime > then.mtime);
             assert_eq!(now.size, then.size);
@@ -412,25 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn the_shutdown_drain_puts_each_inode_attribute_once() {
-        let (cache, kvfs, inos) = dirty_overwrites();
-        let (attrs, before) = (stored(&kvfs, inos), kvfs.store().stats());
-        // Every extent the live loop offers is refused, so what reaches the
-        // store is the fault-free drain's one pass.
-        let refuse = FaultPlan::new(1).arm("cache.flush", FaultSpec::always());
-        let runtime = flusher(&cache, &kvfs, Some(refuse));
-        while cache.stats().flush_failures == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(kvfs.store().stats(), before, "refused: nothing written");
-        drop(runtime);
-        let after = kvfs.store().stats();
-        assert_eq!(after.sub_writes - before.sub_writes, 2);
-        assert_eq!(after.sub_write_keys - before.sub_write_keys, 10);
-        assert_eq!(after.puts, before.puts, "the mtime rides each batch");
-        for (now, then) in stored(&kvfs, inos).iter().zip(&attrs) {
-            assert!(now.mtime > then.mtime);
-        }
+    fn a_tripped_crash_switch_suppresses_the_drain() {
+        let (cache, kvfs, _) = dirty_overwrites();
+        let before = kvfs.store().stats();
+        let crash = CrashSwitch::inert();
+        crash.trip();
+        drop(drain_only(&cache, &kvfs, crash));
+        assert_eq!(kvfs.store().stats(), before);
+        assert_eq!(cache.dirty_count(), 8, "recovery adopts these");
     }
 
     #[test]

@@ -5,24 +5,29 @@ use dpc_core::{Dpc, DpcConfig};
 
 #[test]
 fn drop_joins_dpu_threads_and_flushes_nothing_dirty() {
-    let kv_pairs;
-    {
-        let dpc = Dpc::new(DpcConfig {
-            background_flush: true,
-            ..DpcConfig::default()
-        });
+    let store = {
+        let dpc = Dpc::new(DpcConfig::default());
         let fs = dpc.fs();
         let fd = fs.create("/x").unwrap();
         fs.write(fd, 0, &vec![1u8; 30_000]).unwrap();
         fs.fsync(fd).unwrap();
-        kv_pairs = dpc.kvfs_inner().kv_pairs();
-        assert!(kv_pairs > 0);
-        // Dirty some pages *without* fsync; the shutdown drain must not
-        // panic (its final flush runs after service threads stop).
+        assert!(dpc.kvfs_inner().kv_pairs() >= 5);
+        // Dirty a page *without* fsync: the drain that runs once the
+        // service threads have joined must land it.
         fs.write(fd, 0, &vec![2u8; 4096]).unwrap();
-    } // Drop: shutdown flag, join service + flusher threads.
-      // Reaching here without hangs or panics is the assertion.
-    assert!(kv_pairs >= 5);
+        assert_eq!(dpc.cache().dirty_count(), 1);
+        dpc.kv_store()
+    }; // Drop: shutdown flag, join the DPU threads, drain.
+    let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
+    let fs = dpc.fs();
+    let fd = fs.open("/x").unwrap();
+    let mut back = vec![0u8; 30_000];
+    assert_eq!(fs.read(fd, 0, &mut back).unwrap(), 30_000);
+    assert!(
+        back[..4096].iter().all(|&b| b == 2),
+        "the dirty page landed"
+    );
+    assert!(back[4096..].iter().all(|&b| b == 1));
 }
 
 #[test]
@@ -64,9 +69,10 @@ fn requests_served_counts_all_queues() {
 
 #[test]
 fn recover_adopts_the_dirty_pages_and_hands_back_a_drained_log() {
-    // Nothing flushes before the crash (no fsync, no background flusher)
-    // and a buffered write logs nothing: the whole dirty set comes back
-    // from the adopted cache, and `recover` returns a clean client.
+    // Nothing flushes before the crash (no fsync, and a tripped crash
+    // switch suppresses the teardown drain) and a buffered write logs
+    // nothing: the whole dirty set comes back from the adopted cache, and
+    // `recover` returns a clean client.
     let cfg = DpcConfig {
         prefetch: false,
         ..DpcConfig::default()

@@ -1,13 +1,14 @@
 //! The integration suites' one test model: the chaos seeds, the splitmix
 //! byte generator, a file's byte model, the buffered data path's seeded
-//! op schedule and its lockstep, the crash oracle, and whole-file
-//! read-backs.
+//! op schedule and its lockstep, the crash oracle, whole-file read-backs,
+//! and the `fsync` loop that races a suite's writers.
 //!
 //! A suite keeps its own seed mixing (`seed ^ id.rotate_left(29)` and the
 //! like) and hands the mixed state to [`fill`], so every byte it writes is
 //! its own. The op schedule's payloads mix with [`payload`].
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use dpc_core::{Dpc, DpcConfig, DpcError, DpcFs, Fd};
 
@@ -349,6 +350,46 @@ pub fn read_file(fs: &DpcFs, path: &str) -> Vec<u8> {
 pub fn cold_read(dpc: &Dpc, path: &str) -> Vec<u8> {
     let cold = Dpc::with_shared_storage(DpcConfig::default(), Some(dpc.kv_store()), None);
     read_file(&cold.fs(), path)
+}
+
+/// Run `body` while a second adapter loops a scoped `fsync` of every file
+/// listed in `dirs` — open, `fsync`, close, round after round until `body`
+/// returns or panics, and at least once: the DPU flush pass that races a
+/// suite's host writers on their inodes. A file unlinked under the loop is
+/// skipped; any other error fails the test.
+pub fn racing_fsync<R>(dpc: &Dpc, dirs: &[&str], body: impl FnOnce() -> R) -> R {
+    struct Done<'a>(&'a AtomicBool);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let fs = dpc.fs();
+            loop {
+                for dir in dirs {
+                    for entry in fs.readdir(dir).unwrap() {
+                        let path = format!("{}/{}", dir.trim_end_matches('/'), entry.name);
+                        let Ok(fd) = fs.open(&path) else {
+                            continue;
+                        };
+                        match fs.fsync(fd).and_then(|()| fs.close(fd)) {
+                            Ok(()) | Err(DpcError::NOT_FOUND) => {}
+                            Err(e) => panic!("racing fsync of {path}: {e}"),
+                        }
+                    }
+                }
+                if done.load(Ordering::Acquire) {
+                    return;
+                }
+                std::thread::yield_now();
+            }
+        });
+        let _done = Done(&done);
+        body()
+    })
 }
 
 #[cfg(test)]

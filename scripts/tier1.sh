@@ -153,11 +153,16 @@ named --release -q -p dpc-kvstore --lib -- \
 # store took one leaves it dirty for recovery to write again; direct
 # reads, direct writes and writev keep the cache coherent; oversize direct
 # I/O and a writev of more segments than an SGL holds cross in pieces,
-# never panic.
+# never panic. A clean teardown drains every dirty page, closed or not, at
+# either fsync tier.
 named --release -q --test writeback -- \
     fsync_reports_a_flush_the_backend_refused \
     a_scoped_fsync_waits_out_a_writer_holding_its_page \
-    a_scoped_fsync_of_scattered_overwrites_is_one_write_request
+    a_scoped_fsync_of_scattered_overwrites_is_one_write_request \
+    teardown_drains_a_write_that_was_never_closed \
+    teardown_drains_a_log_tier_write_that_was_fsynced_and_closed
+named --release -q -p dpc-core --test runtime_lifecycle -- \
+    drop_joins_dpu_threads_and_flushes_nothing_dirty
 named --release -q -p dpc-cache --lib -- \
     control::tests::a_page_a_writer_holds_is_skipped_and_reported_busy \
     control::tests::an_inodes_runs_are_one_batch_up_to_the_budget \
@@ -180,10 +185,11 @@ named --release -q --test direct_io -- \
 # the runs, the attribute) and then the value's delete, and a reader
 # racing it never reads zeros; a full-length sub-write of the attribute
 # leaves what a put leaves; a switch tripped between two batches leaves
-# the second unwritten; each of the five flush sites moves the mtime with
-# its batch, read through a second instance; a crash after a batch lands
-# leaves its blocks and its mtime together. And `stat` of an open file
-# reports the host's size.
+# the second unwritten; a tripped crash switch drains nothing at teardown;
+# each flush site moves the mtime with its batch, read through a second
+# instance; a crash after a batch lands leaves its blocks and its mtime
+# together. And `stat` of an open file reports the host's size, and a
+# reopen sees every closed write while another adapter fsyncs the file.
 named --release -q -p dpc-kvfs --lib -- \
     fs::tests::n_overwrites_and_their_attribute_are_one_sub_write \
     fs::tests::a_batch_with_growth_puts_the_attribute_once_and_writes_every_run \
@@ -198,15 +204,17 @@ named --release -q -p dpc-core --lib -- \
     dispatch::tests::a_pass_writes_each_block_once_and_each_inode_attribute_once \
     dispatch::tests::a_scoped_fsync_past_a_page_a_writer_holds_is_eagain_until_it_lands \
     dispatch::tests::growth_and_promotion_reach_the_store_before_the_sink_returns \
-    runtime::tests::the_background_pass_puts_each_inode_attribute_once \
-    runtime::tests::the_shutdown_drain_puts_each_inode_attribute_once
+    runtime::tests::the_shutdown_drain_puts_each_inode_attribute_once \
+    runtime::tests::a_tripped_crash_switch_suppresses_the_drain
 named --release -q --test attr_settle -- \
     a_scoped_fsync_puts_its_inode_attribute_once \
     an_eviction_flush_puts_each_inode_attribute_once \
     the_shutdown_drain_puts_each_inode_attribute_once \
     recovery_puts_each_inode_attribute_once \
     a_crash_after_a_batch_lands_leaves_its_blocks_and_its_mtime_together
-named --release -q --test size_reconcile -- stat_of_an_open_file_reports_its_unflushed_growth
+named --release -q --test size_reconcile -- \
+    stat_of_an_open_file_reports_its_unflushed_growth \
+    a_reopen_sees_every_closed_write_while_another_adapter_fsyncs
 # Crash consistency (DESIGN.md §13), in release and by name: buffered
 # writes and fsyncs log nothing; an uncached write logs its payload and
 # retires at its ack; FsyncMode::Log on the default config recovers every
@@ -295,7 +303,7 @@ named --release -q -p dpc-core --test zero_alloc_miss -- \
 # Who waits on the link and what wakes it (DESIGN.md §5.4), ten runs in a
 # row on ONE core: the doorbell handshake, the pool's check-poll-yield
 # waiter, the service threads' yield tier and doorbell park, the
-# flusher's and prefetcher's parks, shutdown and crash with every thread
+# prefetcher's park, shutdown and crash with every thread
 # asleep — then the suites with more threads than anything else. Threads
 # > cores is where a lost wake-up hangs and an unbounded spin shows (each
 # costs a whole timeslice per turn), where `link_wait`'s "a closed-loop

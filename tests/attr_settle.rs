@@ -129,16 +129,8 @@ fn an_eviction_flush_puts_each_inode_attribute_once() {
 #[test]
 fn the_shutdown_drain_puts_each_inode_attribute_once() {
     let store = populated();
-    // The live flusher's every extent is refused; the drain runs
-    // fault-free, so what reaches the store is its one pass.
-    let plan = FaultPlan::new(29);
-    plan.arm("cache.flush", FaultSpec::always());
-    let cfg = DpcConfig {
-        background_flush: true,
-        faults: Some(plan),
-        ..quiet()
-    };
-    let (dpc, fs, _) = dirty(cfg, &store, 8);
+    // Nothing flushes the 16 dirty pages but the drain, in one pass.
+    let (dpc, fs, _) = dirty(quiet(), &store, 8);
     let before = mtimes(&store);
     assert_eq!(cost(&store, move || drop((fs, dpc))), (2, 18, 0));
     assert_moved(before, mtimes(&store));
@@ -151,9 +143,12 @@ fn recovery_puts_each_inode_attribute_once() {
     dpc.trip_crash();
     drop(fs);
     let before = mtimes(&store);
-    // Recovery adopts the 16 dirty pages and flushes them in one pass.
-    let recover = move || drop(Dpc::recover(dpc).unwrap());
+    // Recovery adopts the 16 dirty pages and flushes them in one pass —
+    // before it returns, not at the recovered instance's teardown.
+    let mut recovered = None;
+    let recover = || recovered = Some(Dpc::recover(dpc).unwrap());
     assert_eq!(cost(&store, recover), (2, 18, 0));
+    assert_eq!(recovered.unwrap().cache().dirty_count(), 0);
     assert_moved(before, mtimes(&store));
 }
 

@@ -2,10 +2,10 @@
 //!
 //! A host waiter checks, polls and yields; a DPU service thread yields
 //! through a short live-stream tier and then sleeps on its queue's SQ
-//! doorbell; the prefetcher sleeps on its job queue, the flusher on a clean
-//! cache. Nothing spins and nothing naps on a timer: a closed-loop stream
-//! never puts the service thread to sleep, and an idle instance is woken
-//! by work — not more often than the 10 ms flag re-check otherwise.
+//! doorbell; the prefetcher sleeps on its job queue. Nothing spins and
+//! nothing naps on a timer: a closed-loop stream never puts the service
+//! thread to sleep, and an idle instance is woken by work — not more
+//! often than the 10 ms flag re-check otherwise.
 //!
 //! Every test here is about scheduling, so they run one at a time
 //! ([`serial`]): a sibling test's threads must not be what an "idle"
@@ -68,10 +68,7 @@ fn a_closed_loop_stream_never_parks_the_service_thread() {
 #[test]
 fn an_idle_instance_sleeps_until_a_call_wakes_it() {
     let _one = serial();
-    let dpc = Dpc::new(DpcConfig {
-        background_flush: true,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     let queues = dpc.queue_count() as u64;
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
@@ -79,15 +76,13 @@ fn an_idle_instance_sleeps_until_a_call_wakes_it() {
     std::thread::sleep(IDLE);
     let asleep = dpc.metrics();
     assert!(asleep.svc_parks >= queues, "{asleep:?}");
-    assert!(asleep.flusher_parks >= 1, "{asleep:?}");
 
-    // Nothing rings, nothing is dirtied: nobody is woken, and the flag
+    // Nothing rings: nobody is woken, and the flag
     // re-check is the only reason a thread runs at all.
     std::thread::sleep(IDLE);
     let idle = dpc.metrics();
     assert_eq!(idle.doorbell_wakes, asleep.doorbell_wakes);
     assert!(idle.svc_parks - asleep.svc_parks <= queues * PARKS_PER_IDLE);
-    assert!(idle.flusher_parks - asleep.flusher_parks <= PARKS_PER_IDLE);
     assert_eq!(idle.requests_served, asleep.requests_served);
 
     // The doorbell write is the wake-up.
@@ -126,15 +121,12 @@ fn dpu_timeslices() -> Vec<(String, u64)> {
 #[test]
 fn no_idle_dpu_thread_runs_more_often_than_its_park_expires() {
     let _one = serial();
-    let dpc = Dpc::new(DpcConfig {
-        background_flush: true,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     dpc.fs().mkdir("/d").unwrap();
     std::thread::sleep(IDLE);
     let before = dpu_timeslices();
-    // Two service threads, the flusher, the prefetcher.
-    assert_eq!(before.len(), dpc.queue_count() + 2, "{before:?}");
+    // Two service threads and the prefetcher.
+    assert_eq!(before.len(), dpc.queue_count() + 1, "{before:?}");
     std::thread::sleep(IDLE);
     let after = dpu_timeslices();
     for ((name, was), (_, now)) in before.iter().zip(&after) {
@@ -144,37 +136,9 @@ fn no_idle_dpu_thread_runs_more_often_than_its_park_expires() {
 }
 
 #[test]
-fn the_flusher_wakes_for_the_first_dirty_page() {
-    let _one = serial();
-    let dpc = Dpc::new(DpcConfig {
-        background_flush: true,
-        ..DpcConfig::default()
-    });
-    let fs = dpc.fs();
-    let fd = fs.create("/f").unwrap();
-    std::thread::sleep(IDLE);
-    assert!(dpc.metrics().flusher_parks >= 1);
-    assert_eq!(dpc.metrics().pages_flushed, 0);
-
-    // No fsync, no close: only the flusher can persist this page, and only
-    // the write that dirtied it can have woken the flusher inside 10 ms —
-    // which this cannot tell from the re-check, so it asks for liveness.
-    fs.write(fd, 0, &[7u8; 4096]).unwrap();
-    let start = Instant::now();
-    while dpc.metrics().pages_flushed == 0 {
-        assert!(start.elapsed() < Duration::from_secs(10), "never flushed");
-        std::thread::yield_now();
-    }
-    assert_eq!(dpc.cache().dirty_count(), 0);
-}
-
-#[test]
 fn drop_with_every_dpu_thread_asleep_returns_promptly() {
     let _one = serial();
-    let dpc = Dpc::new(DpcConfig {
-        background_flush: true,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     dpc.fs().mkdir("/d").unwrap();
     std::thread::sleep(IDLE);
     assert!(dpc.metrics().svc_parks >= dpc.queue_count() as u64);

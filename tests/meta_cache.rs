@@ -36,7 +36,6 @@ use proptest::prelude::*;
 /// of the way.
 fn meta_cfg() -> DpcConfig {
     DpcConfig {
-        background_flush: false,
         prefetch: false,
         ..DpcConfig::default()
     }

@@ -25,7 +25,6 @@ use proptest::prelude::*;
 /// nothing (budget 0 — same code path, every call crosses).
 fn quiet(cached: bool) -> Dpc {
     let dpc = Dpc::new(DpcConfig {
-        background_flush: false,
         prefetch: false,
         ..DpcConfig::default()
     });

@@ -14,7 +14,7 @@ use dpc::cache::{RaConfig, ReadaheadTable, PAGE_SIZE};
 use dpc::core::{Dpc, DpcConfig};
 use dpc::kvfs::ROOT_INO;
 use dpc::sim::{FaultPlan, FaultSpec};
-use dpc_testkit::{fill, read_fd, read_file, seeds, splitmix, FileModel};
+use dpc_testkit::{fill, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
 
 fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
@@ -393,7 +393,6 @@ fn readahead_chaos_run(seed: u64) {
         let dpc = Dpc::with_shared_storage(
             DpcConfig {
                 cache_pages: 256,
-                background_flush: true,
                 faults: Some(plan.clone()),
                 ..DpcConfig::default()
             },
@@ -446,9 +445,10 @@ fn readahead_survives_seeded_chaos() {
 }
 
 /// Stress: more host threads than nvme-fs queues, every thread running
-/// its own mixed read/write stream while the shared prefetcher and the
-/// background flusher race them all. Each thread's file must stay
-/// byte-exact against its private model. (CI runs this in release mode.)
+/// its own mixed read/write stream while the shared prefetcher and a
+/// scoped `fsync` loop over every file race them all. Each thread's file
+/// must stay byte-exact against its private model. (CI runs this in
+/// release mode.)
 #[test]
 fn stress_mixed_streams_threads_over_queues() {
     let threads = 6usize; // > the 2 default queues
@@ -470,7 +470,6 @@ fn stress_mixed_streams_threads_over_queues() {
     };
     let dpc = std::sync::Arc::new(Dpc::with_shared_storage(
         DpcConfig {
-            background_flush: true,
             cache_pages: 1024,
             ..DpcConfig::default()
         },
@@ -478,51 +477,54 @@ fn stress_mixed_streams_threads_over_queues() {
         None,
     ));
 
-    let workers: Vec<_> = (0..threads as u64)
-        .map(|t| {
-            let dpc = dpc.clone();
-            std::thread::spawn(move || {
-                let fs = dpc.fs();
-                let path = format!("/stress{t}");
-                let fd = fs.open(&path).unwrap();
-                let mut model = FileModel::new(pattern(77, t, 48 * PAGE_SIZE + (t as usize * 913)));
-                let mut rng = t ^ 0xDEAD;
-                let mut buf = vec![0u8; 3 * PAGE_SIZE];
-                for round in 0..rounds {
-                    // Sequential sweep (drives the prefetcher) ...
-                    let mut off = 0usize;
-                    while off < model.bytes().len() {
-                        let n = fs.read(fd, off as u64, &mut buf).unwrap();
-                        assert_eq!(&buf[..n], model.read(off as u64, n), "thread {t} diverged");
-                        off += n;
-                        // Only a file's first sweep misses, and a 16-read
-                        // sweep can finish before a starved prefetcher has
-                        // landed one page. One stream waits for its windows,
-                        // so that the counts asserted at the end do not hang
-                        // on the scheduler; the other five race freely.
-                        if t == 0 && round == 0 {
-                            dpc.drain_prefetch();
+    racing_fsync(&dpc, &["/"], || {
+        let workers: Vec<_> = (0..threads as u64)
+            .map(|t| {
+                let dpc = dpc.clone();
+                std::thread::spawn(move || {
+                    let fs = dpc.fs();
+                    let path = format!("/stress{t}");
+                    let fd = fs.open(&path).unwrap();
+                    let mut model =
+                        FileModel::new(pattern(77, t, 48 * PAGE_SIZE + (t as usize * 913)));
+                    let mut rng = t ^ 0xDEAD;
+                    let mut buf = vec![0u8; 3 * PAGE_SIZE];
+                    for round in 0..rounds {
+                        // Sequential sweep (drives the prefetcher) ...
+                        let mut off = 0usize;
+                        while off < model.bytes().len() {
+                            let n = fs.read(fd, off as u64, &mut buf).unwrap();
+                            assert_eq!(&buf[..n], model.read(off as u64, n), "thread {t} diverged");
+                            off += n;
+                            // Only a file's first sweep misses, and a 16-read
+                            // sweep can finish before a starved prefetcher has
+                            // landed one page. One stream waits for its windows,
+                            // so that the counts asserted at the end do not hang
+                            // on the scheduler; the other five race freely.
+                            if t == 0 && round == 0 {
+                                dpc.drain_prefetch();
+                            }
+                        }
+                        // ... then scattered overwrites racing everyone else's
+                        // prefetch fills and the fsync loop.
+                        for _ in 0..8 {
+                            let wof = splitmix(&mut rng) % (model.bytes().len() as u64 - 5000);
+                            let len = 1 + (splitmix(&mut rng) as usize) % 5000;
+                            let data = pattern(rng, t, len);
+                            fs.write(fd, wof, &data).unwrap();
+                            model.write(wof, &data);
                         }
                     }
-                    // ... then scattered overwrites racing everyone else's
-                    // prefetch fills and the background flusher.
-                    for _ in 0..8 {
-                        let wof = splitmix(&mut rng) % (model.bytes().len() as u64 - 5000);
-                        let len = 1 + (splitmix(&mut rng) as usize) % 5000;
-                        let data = pattern(rng, t, len);
-                        fs.write(fd, wof, &data).unwrap();
-                        model.write(wof, &data);
-                    }
-                }
-                fs.fsync(fd).unwrap();
-                // Final pass: everything settled, still byte-exact.
-                assert_eq!(read_fd(&fs, fd), model.bytes(), "thread {t} lost bytes");
+                    fs.fsync(fd).unwrap();
+                    // Final pass: everything settled, still byte-exact.
+                    assert_eq!(read_fd(&fs, fd), model.bytes(), "thread {t} lost bytes");
+                })
             })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+    });
 
     dpc.drain_prefetch();
     let m = dpc.metrics();

@@ -9,10 +9,12 @@
 //! - a clean `open`+`close` (one crossing cold, none warm, zero for the
 //!   close) or a no-op `fsync` (always one) leaves the backend alone;
 //! - a non-page-aligned tail still lands byte-exact, in one crossing;
-//! - `stat` of an open file reports the host's size, not the backend's.
+//! - `stat` of an open file reports the host's size, not the backend's;
+//! - a reopen sees every closed write while another adapter fsyncs.
 
 use dpc::core::{Dpc, DpcConfig};
-use dpc_testkit::{cold_read, read_file};
+use dpc::sim::{FaultPlan, FaultSpec};
+use dpc_testkit::{cold_read, racing_fsync, read_file};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
@@ -138,47 +140,56 @@ fn stat_of_an_open_file_reports_its_unflushed_growth() {
 #[test]
 fn unaligned_tail_lands_byte_exact_in_one_crossing() {
     let data = pattern(10_000, 0x77);
-    for background_flush in [false, true] {
-        let cfg = DpcConfig {
-            background_flush,
-            ..DpcConfig::default()
-        };
-        let dpc = Dpc::new(cfg);
-        let fs = dpc.fs();
-        let fd = fs.create("/tail").unwrap();
-        fs.write(fd, 0, &data).unwrap();
+    let dpc = Dpc::new(DpcConfig::default());
+    let fs = dpc.fs();
+    let fd = fs.create("/tail").unwrap();
+    fs.write(fd, 0, &data).unwrap();
 
-        // The flusher writes the tail page's valid prefix, so the backend
-        // lands on 10 000 by itself: one call, no reconcile.
-        let calls = dpc.pool_stats().submitted;
-        fs.fsync(fd).unwrap();
-        assert_eq!(
-            dpc.pool_stats().submitted - calls,
-            1,
-            "background_flush {background_flush}"
-        );
-        assert_eq!(
-            cold_read(&dpc, "/tail"),
-            data,
-            "background_flush {background_flush}"
-        );
+    // The flush writes the tail page's valid prefix, so the backend lands
+    // on 10 000 by itself: one call, no reconcile.
+    let calls = dpc.pool_stats().submitted;
+    fs.fsync(fd).unwrap();
+    assert_eq!(dpc.pool_stats().submitted - calls, 1);
+    assert_eq!(cold_read(&dpc, "/tail"), data);
 
-        // Move the backend size behind the host's back: now the sizes
-        // disagree, and the fsync pays the second call to put it right.
-        let ino = fs.stat("/tail").unwrap().ino;
-        dpc.kvfs_inner().truncate(ino, 20_000).unwrap();
-        let calls = dpc.pool_stats().submitted;
-        fs.fsync(fd).unwrap();
-        assert_eq!(
-            dpc.pool_stats().submitted - calls,
-            2,
-            "background_flush {background_flush}"
-        );
-        assert_eq!(
-            cold_read(&dpc, "/tail"),
-            data,
-            "background_flush {background_flush}"
-        );
-        fs.close(fd).unwrap();
-    }
+    // Move the backend size behind the host's back: now the sizes
+    // disagree, and the fsync pays the second call to put it right.
+    let ino = fs.stat("/tail").unwrap().ino;
+    dpc.kvfs_inner().truncate(ino, 20_000).unwrap();
+    let calls = dpc.pool_stats().submitted;
+    fs.fsync(fd).unwrap();
+    assert_eq!(dpc.pool_stats().submitted - calls, 2);
+    assert_eq!(cold_read(&dpc, "/tail"), data);
+    fs.close(fd).unwrap();
+}
+
+/// Each round reopens the file, checks its size holds every page closed
+/// so far, appends a page and closes, while a second adapter loops open,
+/// `fsync`, close over it. Three races each lost the last page here: a
+/// `stat` served during a flush cached the size the flush replaced; an
+/// `open` started its size from one read before another descriptor's last
+/// `close`; and an `fsync` took a write still in flight for covered, so
+/// the writer's `close` skipped its flush. Stalled KV ops (never refused)
+/// hold the windows open.
+#[test]
+fn a_reopen_sees_every_closed_write_while_another_adapter_fsyncs() {
+    const ROUNDS: u64 = 300;
+    let plan = FaultPlan::new(7);
+    plan.arm("kv.op", FaultSpec::probability(0.5).with_delay(5));
+    let dpc = Dpc::new(DpcConfig {
+        faults: Some(plan),
+        ..DpcConfig::default()
+    });
+    let fs = dpc.fs();
+    fs.close(fs.create("/grow").unwrap()).unwrap();
+    racing_fsync(&dpc, &["/"], || {
+        for round in 0..ROUNDS {
+            let fd = fs.open("/grow").unwrap();
+            assert_eq!(fs.size(fd).unwrap(), round * 4096, "reopened stale");
+            fs.write(fd, round * 4096, &pattern(4096, round as u8))
+                .unwrap();
+            fs.close(fd).unwrap();
+        }
+    });
+    assert_eq!(cold_read(&dpc, "/grow").len() as u64, ROUNDS * 4096);
 }

@@ -1,11 +1,12 @@
 //! Sustained full-stack stress: four host threads hammer one DPC instance
 //! (mixed buffered/direct I/O, metadata churn, fsyncs, truncates, links)
-//! with the background flusher racing them, then everything is verified
-//! against a per-thread model.
+//! with a fifth adapter's scoped `fsync` loop racing them, then everything
+//! is verified against a per-thread model.
 
 use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig};
+use dpc_testkit::racing_fsync;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,107 +16,111 @@ fn sustained_mixed_stress() {
         queues: 4,
         cache_pages: 512, // small: force eviction traffic
         cache_bucket_entries: 8,
-        background_flush: true,
         ..DpcConfig::default()
     }));
 
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let dpc = dpc.clone();
-            s.spawn(move || {
-                let fs = dpc.fs();
-                let dir = format!("/t{t}");
-                fs.mkdir(&dir).unwrap();
-                let mut rng = SmallRng::seed_from_u64(t);
-                // Per-file reference model: name -> content.
-                let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+    let dirs = ["/t0", "/t1", "/t2", "/t3"];
+    for dir in dirs {
+        dpc.fs().mkdir(dir).unwrap();
+    }
+    racing_fsync(&dpc, &dirs, || {
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let dpc = dpc.clone();
+                s.spawn(move || {
+                    let fs = dpc.fs();
+                    let dir = format!("/t{t}");
+                    let mut rng = SmallRng::seed_from_u64(t);
+                    // Per-file reference model: name -> content.
+                    let mut model: HashMap<String, Vec<u8>> = HashMap::new();
 
-                for round in 0..120u32 {
-                    let roll = rng.gen_range(0..100);
-                    if roll < 35 || model.is_empty() {
-                        // Create + write.
-                        let name = format!("{dir}/f{round}");
-                        let fd = fs.create(&name).unwrap();
-                        let len = rng.gen_range(1..20_000);
-                        let fill = (round % 251) as u8;
-                        fs.write(fd, 0, &vec![fill; len]).unwrap();
-                        if rng.gen_bool(0.5) {
-                            fs.fsync(fd).unwrap();
+                    for round in 0..120u32 {
+                        let roll = rng.gen_range(0..100);
+                        if roll < 35 || model.is_empty() {
+                            // Create + write.
+                            let name = format!("{dir}/f{round}");
+                            let fd = fs.create(&name).unwrap();
+                            let len = rng.gen_range(1..20_000);
+                            let fill = (round % 251) as u8;
+                            fs.write(fd, 0, &vec![fill; len]).unwrap();
+                            if rng.gen_bool(0.5) {
+                                fs.fsync(fd).unwrap();
+                            }
+                            model.insert(name, vec![fill; len]);
+                        } else if roll < 60 {
+                            // Overwrite a random range of a random file.
+                            let name = model
+                                .keys()
+                                .nth(rng.gen_range(0..model.len()))
+                                .unwrap()
+                                .clone();
+                            let content = model.get_mut(&name).unwrap();
+                            if content.is_empty() {
+                                continue;
+                            }
+                            let fd = fs.open(&name).unwrap();
+                            let off = rng.gen_range(0..content.len());
+                            let len = rng.gen_range(1..4096.min(content.len() - off + 1).max(2));
+                            let fill = rng.gen();
+                            fs.write(fd, off as u64, &vec![fill; len]).unwrap();
+                            let end = (off + len).min(content.len());
+                            for b in &mut content[off..end] {
+                                *b = fill;
+                            }
+                            if off + len > content.len() {
+                                content.resize(off + len, fill);
+                            }
+                        } else if roll < 80 {
+                            // Verify a random file in full.
+                            let name = model
+                                .keys()
+                                .nth(rng.gen_range(0..model.len()))
+                                .unwrap()
+                                .clone();
+                            let want = &model[&name];
+                            let fd = fs.open(&name).unwrap();
+                            let mut got = vec![0u8; want.len() + 8];
+                            let n = fs.read(fd, 0, &mut got).unwrap();
+                            assert!(n >= want.len(), "{name}: short read {n} < {}", want.len());
+                            assert_eq!(&got[..want.len()], &want[..], "{name} content");
+                        } else if roll < 90 {
+                            // Truncate.
+                            let name = model
+                                .keys()
+                                .nth(rng.gen_range(0..model.len()))
+                                .unwrap()
+                                .clone();
+                            let content = model.get_mut(&name).unwrap();
+                            let new_len = rng.gen_range(0..=content.len());
+                            let fd = fs.open(&name).unwrap();
+                            fs.truncate(fd, new_len as u64).unwrap();
+                            content.truncate(new_len);
+                        } else {
+                            // Delete.
+                            let name = model
+                                .keys()
+                                .nth(rng.gen_range(0..model.len()))
+                                .unwrap()
+                                .clone();
+                            fs.unlink(&name).unwrap();
+                            model.remove(&name);
                         }
-                        model.insert(name, vec![fill; len]);
-                    } else if roll < 60 {
-                        // Overwrite a random range of a random file.
-                        let name = model
-                            .keys()
-                            .nth(rng.gen_range(0..model.len()))
-                            .unwrap()
-                            .clone();
-                        let content = model.get_mut(&name).unwrap();
-                        if content.is_empty() {
-                            continue;
-                        }
-                        let fd = fs.open(&name).unwrap();
-                        let off = rng.gen_range(0..content.len());
-                        let len = rng.gen_range(1..4096.min(content.len() - off + 1).max(2));
-                        let fill = rng.gen();
-                        fs.write(fd, off as u64, &vec![fill; len]).unwrap();
-                        let end = (off + len).min(content.len());
-                        for b in &mut content[off..end] {
-                            *b = fill;
-                        }
-                        if off + len > content.len() {
-                            content.resize(off + len, fill);
-                        }
-                    } else if roll < 80 {
-                        // Verify a random file in full.
-                        let name = model
-                            .keys()
-                            .nth(rng.gen_range(0..model.len()))
-                            .unwrap()
-                            .clone();
-                        let want = &model[&name];
-                        let fd = fs.open(&name).unwrap();
+                    }
+
+                    // Final verification after a full sync of every file.
+                    for (name, want) in &model {
+                        let fd = fs.open(name).unwrap();
+                        fs.fsync(fd).unwrap();
                         let mut got = vec![0u8; want.len() + 8];
                         let n = fs.read(fd, 0, &mut got).unwrap();
-                        assert!(n >= want.len(), "{name}: short read {n} < {}", want.len());
-                        assert_eq!(&got[..want.len()], &want[..], "{name} content");
-                    } else if roll < 90 {
-                        // Truncate.
-                        let name = model
-                            .keys()
-                            .nth(rng.gen_range(0..model.len()))
-                            .unwrap()
-                            .clone();
-                        let content = model.get_mut(&name).unwrap();
-                        let new_len = rng.gen_range(0..=content.len());
-                        let fd = fs.open(&name).unwrap();
-                        fs.truncate(fd, new_len as u64).unwrap();
-                        content.truncate(new_len);
-                    } else {
-                        // Delete.
-                        let name = model
-                            .keys()
-                            .nth(rng.gen_range(0..model.len()))
-                            .unwrap()
-                            .clone();
-                        fs.unlink(&name).unwrap();
-                        model.remove(&name);
+                        assert_eq!(n, want.len(), "{name} final size");
+                        assert_eq!(&got[..n], &want[..], "{name} final content");
                     }
-                }
-
-                // Final verification after a full sync of every file.
-                for (name, want) in &model {
-                    let fd = fs.open(name).unwrap();
-                    fs.fsync(fd).unwrap();
-                    let mut got = vec![0u8; want.len() + 8];
-                    let n = fs.read(fd, 0, &mut got).unwrap();
-                    assert_eq!(n, want.len(), "{name} final size");
-                    assert_eq!(&got[..n], &want[..], "{name} final content");
-                }
-                let listed = fs.readdir(&dir).unwrap();
-                assert_eq!(listed.len(), model.len(), "{dir} listing");
-            });
-        }
+                    let listed = fs.readdir(&dir).unwrap();
+                    assert_eq!(listed.len(), model.len(), "{dir} listing");
+                });
+            }
+        })
     });
 
     let m = dpc.metrics();
@@ -125,8 +130,5 @@ fn sustained_mixed_stress() {
     // file is more than made up by the final open + fsync of every file).
     assert!(m.requests_served > 4 * (1 + 120));
     assert!(m.cache.writes > 100, "buffered path exercised");
-    assert!(
-        m.cache.flushes + m.pages_flushed > 0,
-        "flush paths exercised"
-    );
+    assert!(m.cache.flushes > 0, "flush paths exercised");
 }

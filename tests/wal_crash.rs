@@ -2,7 +2,7 @@
 //! log vs a simulated DPU crash.
 //!
 //! The `dpu.crash` fault site drives a latching [`CrashSwitch`]: service
-//! loops exit, the flusher dies where it stands (mid-flush, mid-append,
+//! loops exit, a flush pass dies where it stands (mid-flush, mid-append,
 //! between EC encode and shard fanout), and nothing drains at teardown.
 //! Host memory survives: an acknowledged buffered write is its dirty
 //! pages, which `Dpc::recover` adopts and flushes, and an uncached write
@@ -25,8 +25,8 @@ use dpc_testkit::{gen_op, payload, read_fd, read_file, seeds, step, CrashOracle,
 use proptest::prelude::*;
 
 /// The crash-sweep base configuration: a small log ring, deterministic data path
-/// (no background flusher or prefetcher drawing crash-site faults off
-/// the op being executed), fast link deadlines so calls into a dead DPU
+/// (no prefetcher drawing crash-site faults off the op being executed),
+/// fast link deadlines so calls into a dead DPU
 /// error in milliseconds instead of minutes — but not so fast that a live
 /// instance's first call, made while its just-spawned service threads
 /// wait for a core beside the suite's other tests, times out: at 10 000
@@ -35,7 +35,6 @@ fn crash_cfg() -> DpcConfig {
     DpcConfig {
         wal_bytes: 256 * 1024,
         cache_pages: 512,
-        background_flush: false,
         prefetch: false,
         retry: RetryPolicy {
             attempts: 2,

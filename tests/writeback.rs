@@ -1,7 +1,8 @@
-//! Write-back verification: background flush + extent coalescing must be
-//! invisible to readers — byte-exact against an in-memory model, with and
-//! without seeded flush chaos — and the write-back machinery must stay
-//! completely off the fast path when idle.
+//! Write-back verification: flush passes racing writers + extent
+//! coalescing must be invisible to readers — byte-exact against an
+//! in-memory model, with and without seeded flush chaos — the write-back
+//! machinery must stay completely off the fast path when idle, and a clean
+//! teardown keeps every acknowledged write.
 //!
 //! Chaos runs use seeds `[1, 7, 42]` by default (`DPC_CHAOS_SEED=<u64>`
 //! pins one), faults drawn from per-site deterministic streams. A refused
@@ -13,20 +14,20 @@
 
 use std::collections::HashMap;
 
-use dpc::core::{Dpc, DpcConfig};
+use dpc::core::{Dpc, DpcConfig, FsyncMode};
 use dpc::sim::{FaultPlan, FaultSpec};
-use dpc_testkit::{fill, read_fd, read_file, seeds, splitmix, FileModel};
+use dpc_testkit::{fill, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
 
 fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
     fill(seed ^ id.rotate_left(29), len)
 }
 
-/// One seeded run: dirty-heavy mixed writes racing the watermark-driven
-/// background flusher, with every extent flush at risk of refusal. The
-/// files must read back byte-exact live, and — after the instance shuts
-/// down (which flushes every page still dirty, fault-free) — from a
-/// second instance reopening the same KV store cold.
+/// One seeded run: dirty-heavy mixed writes racing a second adapter's
+/// scoped `fsync` loop over the same files, with every extent flush at
+/// risk of refusal. The files must read back byte-exact live, and — after
+/// the instance shuts down (which flushes every page still dirty,
+/// fault-free) — from a second instance reopening the same KV store cold.
 fn writeback_chaos_run(seed: u64) {
     let plan = FaultPlan::new(seed);
     plan.arm("cache.flush", FaultSpec::probability(0.25));
@@ -34,46 +35,48 @@ fn writeback_chaos_run(seed: u64) {
     let mut files: HashMap<String, FileModel> = HashMap::new();
     let store = {
         let dpc = Dpc::new(DpcConfig {
-            background_flush: true,
-            cache_pages: 512, // small: eviction pressure races the flusher
+            cache_pages: 512, // small: eviction pressure races the fsyncs
             faults: Some(plan.clone()),
             ..DpcConfig::default()
         });
         let fs = dpc.fs();
         let mut rng = seed;
         fs.mkdir("/wb").unwrap();
-        for id in 0..6u64 {
-            let path = format!("/wb/f{id}");
-            let fd = fs.create(&path).unwrap();
-            // Sequential dirty run (coalescable) ...
-            let base = pattern(seed, id, 16_384 + (splitmix(&mut rng) % 65_536) as usize);
-            fs.write(fd, 0, &base).unwrap();
-            let mut model = FileModel::new(base);
-            // ... then scattered overwrites racing the background flusher.
-            for v in 0..8u64 {
-                let off = splitmix(&mut rng) % model.bytes().len() as u64;
-                let len = 1 + (splitmix(&mut rng) as usize) % 9_000;
-                let data = pattern(seed ^ 0xA5A5, id * 100 + v, len);
-                fs.write(fd, off, &data).unwrap();
-                model.write(off, &data);
+        racing_fsync(&dpc, &["/wb"], || {
+            for id in 0..6u64 {
+                let path = format!("/wb/f{id}");
+                let fd = fs.create(&path).unwrap();
+                // Sequential dirty run (coalescable) ...
+                let base = pattern(seed, id, 16_384 + (splitmix(&mut rng) % 65_536) as usize);
+                fs.write(fd, 0, &base).unwrap();
+                let mut model = FileModel::new(base);
+                // ... then scattered overwrites racing the fsync loop.
+                for v in 0..8u64 {
+                    let off = splitmix(&mut rng) % model.bytes().len() as u64;
+                    let len = 1 + (splitmix(&mut rng) as usize) % 9_000;
+                    let data = pattern(seed ^ 0xA5A5, id * 100 + v, len);
+                    fs.write(fd, off, &data).unwrap();
+                    model.write(off, &data);
+                }
+                if splitmix(&mut rng).is_multiple_of(2) {
+                    fs.fsync(fd).unwrap();
+                }
+                // Live read-back straight through the racing flushes.
+                assert_eq!(
+                    read_fd(&fs, fd),
+                    model.bytes(),
+                    "seed {seed}: {path} diverged live"
+                );
+                fs.close(fd).unwrap();
+                files.insert(path, model);
             }
-            if splitmix(&mut rng).is_multiple_of(2) {
-                fs.fsync(fd).unwrap();
-            }
-            // Live read-back straight through the racing flusher.
-            assert_eq!(
-                read_fd(&fs, fd),
-                model.bytes(),
-                "seed {seed}: {path} diverged live"
-            );
-            fs.close(fd).unwrap();
-            files.insert(path, model);
-        }
+        });
 
         // `cache.flush` draws once per batch attempt, and every pass that
         // lands an inode's pages makes one: six files draw at least six
         // times, and the site first fires on draw 6, 2 and 5 of seeds 1, 7
-        // and 42 (10–19 draws a run, on one core or two).
+        // and 42 (8–23 draws a run with the fsync loop racing, on one core
+        // or two).
         assert!(plan.total_injected() > 0, "seed {seed}: no fault fired");
         let m = dpc.metrics();
         assert!(
@@ -82,7 +85,7 @@ fn writeback_chaos_run(seed: u64) {
             m.recovery
         );
         dpc.kvfs_inner().store().clone()
-        // Drop: the shutdown drain persists every residual dirty page
+        // Drop: the teardown drain persists every residual dirty page
         // with faults disarmed.
     };
 
@@ -101,13 +104,13 @@ fn writeback_chaos_run(seed: u64) {
 }
 
 #[test]
-fn background_coalesced_writeback_survives_flush_chaos() {
+fn coalesced_writeback_survives_flush_chaos_racing_fsync() {
     for seed in seeds() {
         writeback_chaos_run(seed);
     }
 }
 
-/// Deterministic coalescing shape: with no background flusher racing, a
+/// Deterministic coalescing shape: with no flush pass racing, a
 /// sequential dirty run flushes as one multi-page extent, not N
 /// single-page writes.
 #[test]
@@ -166,10 +169,7 @@ fn overcommitted_write_burst_uses_batched_eviction() {
 /// fast path nothing.
 #[test]
 fn fault_free_writeback_keeps_stall_counters_at_zero() {
-    let dpc = Dpc::new(DpcConfig {
-        background_flush: true,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     for id in 0..4u64 {
         let path = format!("/clean{id}");
@@ -301,10 +301,59 @@ fn a_scoped_fsync_of_scattered_overwrites_is_one_write_request() {
     assert_eq!(fs.cache().dirty_count(), 0);
 }
 
+/// What a clean teardown left on `store`: `path` read through a fresh
+/// instance reopening it.
+fn reopened(store: std::sync::Arc<dpc::kvstore::KvStore>, path: &str) -> Vec<u8> {
+    let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
+    read_file(&dpc.fs(), path)
+}
+
+/// A clean teardown keeps every acknowledged write: at the default config
+/// a buffered write that was never closed has sent nothing, and the
+/// instance's drop drains it.
+#[test]
+fn teardown_drains_a_write_that_was_never_closed() {
+    let data = pattern(3, 0, 16_384);
+    let store = {
+        let dpc = Dpc::new(DpcConfig::default());
+        let fs = dpc.fs();
+        let fd = fs.create("/open").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+        assert_eq!(dpc.cache().dirty_count(), 4);
+        dpc.kv_store()
+    };
+    let back = reopened(store, "/open");
+    assert_eq!(back.len(), data.len(), "the size landed");
+    assert!(back == data, "the bytes landed");
+}
+
+/// The same on the log tier, whose `fsync` and `close` send nothing: the
+/// drain lands the pages, and the tail page's valid prefix sets the size.
+#[test]
+fn teardown_drains_a_log_tier_write_that_was_fsynced_and_closed() {
+    let data = pattern(3, 1, 10_000);
+    let store = {
+        let dpc = Dpc::new(DpcConfig {
+            fsync_mode: FsyncMode::Log,
+            ..DpcConfig::default()
+        });
+        let fs = dpc.fs();
+        let fd = fs.create("/log").unwrap();
+        fs.write(fd, 0, &data).unwrap();
+        fs.fsync(fd).unwrap();
+        fs.close(fd).unwrap();
+        assert_eq!(dpc.cache().dirty_count(), 3);
+        dpc.kv_store()
+    };
+    let back = reopened(store, "/log");
+    assert_eq!(back.len(), data.len(), "the size landed");
+    assert!(back == data, "the bytes landed");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Background flush + extent coalescing under seeded chaos is
+    /// A racing `fsync` loop + extent coalescing under seeded chaos is
     /// byte-exact against an in-memory model for arbitrary write
     /// schedules, live and across a restart.
     #[test]
@@ -315,25 +364,27 @@ proptest! {
         let mut model = FileModel::default();
         let store = {
             let dpc = Dpc::new(DpcConfig {
-                background_flush: true,
                 cache_pages: 256,
                 faults: Some(plan),
                 ..DpcConfig::default()
             });
             let fs = dpc.fs();
             let fd = fs.create("/prop").unwrap();
-            let mut rng = seed;
-            for v in 0..24u64 {
-                let off = splitmix(&mut rng) % 150_000;
-                let len = 1 + (splitmix(&mut rng) as usize) % 20_000;
-                let data = pattern(seed, v, len);
-                fs.write(fd, off, &data).unwrap();
-                model.write(off, &data);
-                if v % 7 == 6 {
-                    fs.fsync(fd).unwrap();
+            let live = racing_fsync(&dpc, &["/"], || {
+                let mut rng = seed;
+                for v in 0..24u64 {
+                    let off = splitmix(&mut rng) % 150_000;
+                    let len = 1 + (splitmix(&mut rng) as usize) % 20_000;
+                    let data = pattern(seed, v, len);
+                    fs.write(fd, off, &data).unwrap();
+                    model.write(off, &data);
+                    if v % 7 == 6 {
+                        fs.fsync(fd).unwrap();
+                    }
                 }
-            }
-            prop_assert_eq!(read_fd(&fs, fd), model.bytes(), "diverged live");
+                read_fd(&fs, fd)
+            });
+            prop_assert_eq!(live, model.bytes(), "diverged live");
             fs.close(fd).unwrap();
             dpc.kvfs_inner().store().clone()
         };
