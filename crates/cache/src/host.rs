@@ -479,6 +479,23 @@ impl HybridCache {
             .is_some_and(|set| set.range(first_lpn..=last_lpn).next().is_some())
     }
 
+    /// The byte just past the valid prefix of `ino`'s last dirty page:
+    /// how far its buffered writes reach before any flush. `None` with no
+    /// page of `ino` dirty, after one atomic load when the cache holds no
+    /// dirty page at all. Advisory, like the index: a page flushed clean
+    /// meanwhile is not counted.
+    pub fn dirty_end(&self, ino: u64) -> Option<u64> {
+        if self.dirty_count() == 0 {
+            return None;
+        }
+        let lpn = *self.dirty_shard(ino).lock().get(&ino)?.last()?;
+        let idx = self.chain(self.bucket_of(ino, lpn)).find(|&idx| {
+            let e = &self.entries[idx];
+            e.ino() == ino && e.lpn() == lpn && e.status() == EntryStatus::Dirty
+        })?;
+        Some(lpn * PAGE_SIZE as u64 + self.entries[idx].valid() as u64)
+    }
+
     /// Snapshot the dirty index: `(ino, sorted dirty LPNs)` pairs, sorted
     /// by ino for deterministic extent walks. With `ino_filter`, only that
     /// inode's pages. The snapshot is advisory — pages may be cleaned or
@@ -1547,6 +1564,25 @@ mod tests {
             g.commit_dirty();
         }
         assert_eq!(c.dirty_count(), 16);
+    }
+
+    #[test]
+    fn dirty_end_is_where_the_last_dirty_page_stops() {
+        let c = small_cache();
+        assert_eq!(c.dirty_end(3), None, "an empty cache");
+        for (lpn, len) in [(0, PAGE_SIZE), (2, 1808)] {
+            let mut g = c.begin_write(3, lpn).unwrap();
+            g.write(0, &vec![0xAB; len]);
+            g.commit_dirty();
+        }
+        // A clean page further out is not a write the backend lacks.
+        let mut g = c.begin_write(3, 5).unwrap();
+        g.write(0, &[1; 10]);
+        g.commit_clean();
+        assert_eq!(c.dirty_end(3), Some(2 * PAGE_SIZE as u64 + 1808));
+        assert_eq!(c.dirty_end(4), None, "another inode's pages");
+        c.invalidate(3, 2);
+        assert_eq!(c.dirty_end(3), Some(PAGE_SIZE as u64));
     }
 
     #[test]

@@ -662,13 +662,13 @@ impl DpcFs {
 
     /// Resolve `path`, symlinks followed, to its attributes: no crossing
     /// when the name tables and the attr table cover it, one otherwise.
-    /// While the inode is open the size is this host's logical one, which
-    /// unflushed writes may have grown past the backend's (DESIGN.md §4.1).
+    /// The size is never short of the inode's dirty pages, and while the
+    /// inode is open it is this host's logical one (DESIGN.md §4.1).
     pub fn stat(&self, path: &str) -> Result<WireAttr, DpcError> {
         let leg = self.enter(path, false)?;
         if leg.rest.is_empty() {
             if let Some(a) = self.meta.get_attr(leg.start) {
-                return Ok(self.sizes.sized(Self::meta_to_wire(a)));
+                return Ok(self.sized(Self::meta_to_wire(a)));
             }
         }
         let seen = self.meta.epoch();
@@ -679,8 +679,29 @@ impl DpcFs {
         let (FileResponse::Attr(attr), ..) = self.ns_call(&req, &[leg], 0)? else {
             return Err(DpcError::IO);
         };
-        self.meta.insert_attr_seen(Self::wire_to_meta(&attr), seen);
-        Ok(self.sizes.sized(attr))
+        // A size the inode's dirty pages have passed goes stale when they
+        // are flushed, by an eviction as much as by an fsync: not cached.
+        let lagging = self
+            .cache
+            .dirty_end(attr.ino)
+            .is_some_and(|end| end > attr.size);
+        if !lagging {
+            self.meta.insert_attr_seen(Self::wire_to_meta(&attr), seen);
+        }
+        Ok(self.sized(attr))
+    }
+
+    /// `attr` with the size `stat` reports: the logical size while some
+    /// descriptor holds the inode open, and never short of where its dirty
+    /// pages end — a `close` at [`FsyncMode::Log`] sends nothing, so a
+    /// closed file's writes may be dirty pages alone. With no inode open
+    /// and no page dirty, two atomic loads.
+    fn sized(&self, attr: WireAttr) -> WireAttr {
+        let mut attr = self.sizes.sized(attr);
+        if let Some(end) = self.cache.dirty_end(attr.ino) {
+            attr.size = attr.size.max(end);
+        }
+        attr
     }
 
     /// Send one request that acts on `path`'s final component; returns

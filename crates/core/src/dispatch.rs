@@ -12,7 +12,8 @@
 use std::sync::Arc;
 
 use dpc_cache::{
-    ControlPlane, FlushBackend, PrefetchJob, PrefetchQueue, RaWindow, ReadBackend, ReadaheadTable,
+    ControlPlane, FlushBackend, HybridCache, PrefetchJob, PrefetchQueue, RaWindow, ReadBackend,
+    ReadaheadTable,
 };
 use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
 use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
@@ -174,6 +175,14 @@ impl ReadBackend for KvfsRead<'_> {
     }
 }
 
+/// The prefetcher's free-page floor: an eighth of the cache. A window is
+/// neither queued nor filled past it — a fill shrinks to the headroom
+/// above it, and never evicts — so a reader cannot push out a writer's
+/// working set (DESIGN.md §8.3).
+pub(crate) fn ra_floor(cache: &HybridCache) -> u64 {
+    cache.config().pages as u64 / 8
+}
+
 /// One service thread's dispatcher.
 pub struct Dispatcher {
     kvfs: Arc<Kvfs>,
@@ -185,13 +194,9 @@ pub struct Dispatcher {
     pub(crate) dfs: Option<Arc<Mutex<ClientCore>>>,
     /// Readahead hooks shared across service threads: the per-ino
     /// adaptive-window table plus the queue feeding the background
-    /// prefetcher. `None` = readahead off; demand reads are then pure
-    /// KVFS reads with no state tracking at all.
+    /// prefetcher. Every `Dpc` attaches them; a dispatcher built alone
+    /// has none, and its demand reads are plain KVFS reads.
     ra: Option<(Arc<ReadaheadTable>, Arc<PrefetchQueue>)>,
-    /// Free-page floor of the cache below which a planned window is not
-    /// even queued: the prefetcher would drop it (the same floor is its
-    /// `throttle_free`), so waking it would buy nothing.
-    pub ra_throttle_free: u64,
     /// Coalesce adjacent dirty pages into extent writes on the `Fsync`
     /// flush path; off caps every extent at one page.
     pub coalesce: bool,
@@ -211,7 +216,6 @@ impl Dispatcher {
             control,
             dfs: dfs.map(|client| Arc::new(Mutex::new(client))),
             ra: None,
-            ra_throttle_free: 0,
             coalesce: true,
             flush_fault: None,
             payload_scratch: Vec::new(),
@@ -242,18 +246,16 @@ impl Dispatcher {
     }
 
     /// Hand a planned window to the background prefetcher — unless the
-    /// cache is at its free-page floor, where the prefetcher would only
-    /// wake up to drop it (counted as throttled here instead). A full
-    /// queue drops the job (readahead is best-effort).
+    /// cache is at its free-page floor ([`ra_floor`]), where the
+    /// prefetcher would only wake up to drop it (counted as throttled
+    /// here instead). A full queue drops the job (readahead is
+    /// best-effort).
     fn queue_window(&self, ino: u64, window: RaWindow) {
         let Some((_, queue)) = &self.ra else {
             return;
         };
-        if self
-            .control
-            .window_headroom(self.ra_throttle_free)
-            .is_none()
-        {
+        let floor = ra_floor(self.control.cache());
+        if self.control.window_headroom(floor).is_none() {
             return;
         }
         if !queue.push(PrefetchJob { ino, window }) {

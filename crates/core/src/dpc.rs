@@ -51,17 +51,10 @@ pub struct DpcConfig {
     pub cache_lockfree: bool,
     /// Default I/O mode of handed-out adapters.
     pub io_mode: IoMode,
-    /// Enable the DPU-side adaptive readahead (per-ino window tracking,
-    /// background window fills, marker-driven async triggering).
-    pub prefetch: bool,
     /// First readahead window emitted when a stream is detected (pages).
     pub ra_initial_window: u32,
     /// Cap the adaptive window doubles toward (pages).
     pub ra_max_window: u32,
-    /// Cache-pressure floor for prefetch fills, as a fraction of total
-    /// cache pages: a window fill never pushes free pages below
-    /// `ra_throttle_free * cache_pages` (it shrinks or drops instead).
-    pub ra_throttle_free: f64,
     /// Coalesce adjacent dirty pages into multi-page runs on every flush
     /// path. Off = a run cap of one page on the same flush code: every
     /// dirty page is a run of its own. Either way an inode's runs go to
@@ -110,10 +103,8 @@ impl Default for DpcConfig {
             cache_bucket_entries: 8,
             cache_lockfree: true,
             io_mode: IoMode::Buffered,
-            prefetch: true,
             ra_initial_window: 4,
             ra_max_window: 64,
-            ra_throttle_free: 0.125,
             coalesce_flush: true,
             flush_extent_pages: dpc_cache::DEFAULT_EXTENT_PAGES,
             wal_bytes: 4 << 20,
@@ -172,9 +163,6 @@ impl DpcConfig {
         }
         if !self.cache_pages.is_multiple_of(self.cache_bucket_entries) {
             return err("cache_pages", "must be a multiple of cache_bucket_entries");
-        }
-        if !(0.0..=1.0).contains(&self.ra_throttle_free) {
-            return err("ra_throttle_free", "must be a fraction in 0.0..=1.0");
         }
         if self.max_io_bytes < dpc_nvmefs::READ_HEADER_CAP + 4096 {
             return err(
@@ -259,9 +247,9 @@ pub struct Dpc {
     dfs_backend: Option<Arc<DfsBackend>>,
     pool: Arc<ChannelPool>,
     runtime: DpuRuntime,
-    /// The shared prefetch queue (None with `prefetch` off) — kept for
-    /// [`Dpc::drain_prefetch`] and diagnostics.
-    ra_queue: Option<Arc<PrefetchQueue>>,
+    /// The prefetch queue every dispatcher feeds and the prefetcher
+    /// drains, kept for [`Dpc::drain_prefetch`].
+    ra_queue: Arc<PrefetchQueue>,
     /// The DPU kill switch: armed by the `dpu.crash` fault site when a
     /// fault plan is present, inert otherwise. Shared by every DPU-side
     /// loop and injection point; latches on first fire.
@@ -451,19 +439,12 @@ impl Dpc {
         // One readahead table + job queue shared by every service thread
         // (a stream's reads may land on any queue; the state must follow
         // the inode, not the queue).
-        let ra = if cfg.prefetch {
-            let table = Arc::new(ReadaheadTable::new(RaConfig {
-                initial_window: cfg.ra_initial_window,
-                max_window: cfg.ra_max_window,
-                trigger: 2,
-            }));
-            let queue = Arc::new(PrefetchQueue::new(PREFETCH_QUEUE_CAP));
-            Some((table, queue))
-        } else {
-            None
-        };
-        // Below this many free pages a window fill is dropped, not queued.
-        let ra_throttle_free = (cfg.cache_pages as f64 * cfg.ra_throttle_free) as u64;
+        let ra_table = Arc::new(ReadaheadTable::new(RaConfig {
+            initial_window: cfg.ra_initial_window,
+            max_window: cfg.ra_max_window,
+            trigger: 2,
+        }));
+        let ra_queue = Arc::new(PrefetchQueue::new(PREFETCH_QUEUE_CAP));
         // One DFS client for the whole DPU, whichever queue a request
         // arrives on.
         let dfs = dfs_backend.as_ref().map(|b| {
@@ -481,27 +462,21 @@ impl Dpc {
                 control.set_crash_switch(Some(crash.clone()));
                 let mut dispatcher = Dispatcher::new(kvfs.clone(), control, None);
                 dispatcher.dfs = dfs.clone();
-                if let Some((table, queue)) = &ra {
-                    dispatcher.set_readahead(table.clone(), queue.clone());
-                }
-                dispatcher.ra_throttle_free = ra_throttle_free;
+                dispatcher.set_readahead(ra_table.clone(), ra_queue.clone());
                 dispatcher.coalesce = cfg.coalesce_flush;
                 dispatcher.flush_fault = flush_fault.clone();
                 (t, dispatcher)
             })
             .collect();
 
-        let prefetcher = ra.as_ref().map(|(_, queue)| {
-            let mut control = ControlPlane::new(cache.clone(), dma.clone());
-            control.max_extent_pages = cfg.flush_extent_pages;
-            control.set_crash_switch(Some(crash.clone()));
-            PrefetcherConfig {
-                control,
-                kvfs: kvfs.clone(),
-                queue: queue.clone(),
-                throttle_free: ra_throttle_free,
-            }
-        });
+        let mut fill = ControlPlane::new(cache.clone(), dma.clone());
+        fill.max_extent_pages = cfg.flush_extent_pages;
+        fill.set_crash_switch(Some(crash.clone()));
+        let prefetcher = PrefetcherConfig {
+            control: fill,
+            kvfs: kvfs.clone(),
+            queue: ra_queue.clone(),
+        };
 
         let drain = drain(&cfg, &cache, &kvfs);
         let runtime = DpuRuntime::spawn(targets_with_dispatch, drain, prefetcher, crash.clone());
@@ -524,7 +499,7 @@ impl Dpc {
             dfs_backend,
             pool: Arc::new(pool),
             runtime,
-            ra_queue: ra.map(|(_, q)| q),
+            ra_queue,
             crash,
             log,
             meta,
@@ -534,12 +509,10 @@ impl Dpc {
 
     /// Wait until the background prefetcher has drained every queued
     /// window fill (tests and benchmarks that need deterministic cache
-    /// contents; no-op with `prefetch` off).
+    /// contents).
     pub fn drain_prefetch(&self) {
-        if let Some(q) = &self.ra_queue {
-            while !q.is_idle() {
-                std::thread::yield_now();
-            }
+        while !self.ra_queue.is_idle() {
+            std::thread::yield_now();
         }
     }
 
@@ -698,15 +671,13 @@ mod tests {
     #[test]
     fn bad_configs_are_named_before_anything_is_built() {
         type Case = (fn(&mut DpcConfig), &'static str);
-        let cases: [Case; 13] = [
+        let cases: [Case; 11] = [
             (|c| c.cache_pages = 0, "cache_pages"),
             (|c| c.cache_pages = 3, "cache_pages"),
             (|c| c.cache_bucket_entries = 0, "cache_bucket_entries"),
             (|c| c.queues = 0, "queues"),
             (|c| c.queue_depth = 0, "queue_depth"),
             (|c| c.queue_depth = 1, "queue_depth"),
-            (|c| c.ra_throttle_free = f64::NAN, "ra_throttle_free"),
-            (|c| c.ra_throttle_free = 2.0, "ra_throttle_free"),
             (|c| c.max_io_bytes = 4096, "max_io_bytes"),
             (|c| c.ra_initial_window = 0, "ra_initial_window"),
             (

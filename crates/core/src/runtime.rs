@@ -18,7 +18,7 @@ use dpc_kvfs::Kvfs;
 use dpc_nvmefs::{FileIncomingBatch, FileTarget};
 use dpc_sim::CrashSwitch;
 
-use crate::dispatch::{Dispatcher, KvfsFlush, KvfsRead};
+use crate::dispatch::{ra_floor, Dispatcher, KvfsFlush, KvfsRead};
 
 /// A fault-free flush of every dirty page of a cache into KVFS: what an
 /// instance's teardown and [`Dpc::recover`](crate::Dpc::recover) run. Its
@@ -43,16 +43,12 @@ impl Drain {
 }
 
 /// Everything the background prefetcher thread needs: its own
-/// control-plane slice, the KVFS page source, the shared job queue, and
-/// the cache-pressure floor.
+/// control-plane slice, the KVFS page source and the shared job queue.
+/// Its fills stop at the cache's free-page floor ([`ra_floor`]).
 pub struct PrefetcherConfig {
     pub control: ControlPlane,
     pub kvfs: Arc<Kvfs>,
     pub queue: Arc<PrefetchQueue>,
-    /// Free-page floor: window fills are dropped (or shrunk to the
-    /// headroom) so prefetch never pushes `free` below this watermark —
-    /// a reader must not be able to evict a writer's working set.
-    pub throttle_free: u64,
 }
 
 /// Longest an idle DPU thread sleeps on its event between looks at the
@@ -133,7 +129,7 @@ impl DpuRuntime {
     pub fn spawn(
         targets: Vec<(FileTarget, Dispatcher)>,
         drain: Drain,
-        prefetcher: Option<PrefetcherConfig>,
+        prefetcher: PrefetcherConfig,
         crash: Arc<CrashSwitch>,
     ) -> DpuRuntime {
         let shared = Arc::new(RuntimeShared {
@@ -185,13 +181,15 @@ impl DpuRuntime {
             );
         }
 
-        if let Some(mut p) = prefetcher {
+        {
             let shared = shared.clone();
             let crash = crash.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name("dpu-prefetch".into())
                     .spawn(move || {
+                        let mut p = prefetcher;
+                        let floor = ra_floor(p.control.cache());
                         // Drain the job queue; fills are entirely off the
                         // request path (the dispatcher only plans windows
                         // and pushes jobs). `fill_window` applies the
@@ -212,8 +210,7 @@ impl DpuRuntime {
                             if let Some(job) = job {
                                 backoff.reset();
                                 let mut backend = KvfsRead { kvfs: &p.kvfs };
-                                let inserted =
-                                    p.control.fill_window(&job, &mut backend, p.throttle_free);
+                                let inserted = p.control.fill_window(&job, &mut backend, floor);
                                 shared
                                     .pages_prefetched
                                     .fetch_add(inserted as u64, Ordering::Relaxed);
@@ -311,14 +308,20 @@ mod tests {
         (cache, kvfs, inos)
     }
 
-    /// A runtime with no service thread and no prefetcher: what stopping
-    /// it does is the drain.
+    /// A runtime with no service thread and an idle prefetcher: what
+    /// stopping it does is the drain.
     fn drain_only(cache: &Arc<HybridCache>, kvfs: &Arc<Kvfs>, crash: CrashSwitch) -> DpuRuntime {
+        let control = || ControlPlane::new(cache.clone(), DmaEngine::new());
         let drain = Drain {
-            control: ControlPlane::new(cache.clone(), DmaEngine::new()),
+            control: control(),
             kvfs: kvfs.clone(),
         };
-        DpuRuntime::spawn(vec![], drain, None, Arc::new(crash))
+        let prefetcher = PrefetcherConfig {
+            control: control(),
+            kvfs: kvfs.clone(),
+            queue: Arc::new(PrefetchQueue::new(1)),
+        };
+        DpuRuntime::spawn(vec![], drain, prefetcher, Arc::new(crash))
     }
 
     /// Each file's attribute as a fresh mount of the store reads it.

@@ -73,10 +73,7 @@ fn recover_adopts_the_dirty_pages_and_hands_back_a_drained_log() {
     // switch suppresses the teardown drain) and a buffered write logs
     // nothing: the whole dirty set comes back from the adopted cache, and
     // `recover` returns a clean client.
-    let cfg = DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    };
+    let cfg = DpcConfig::default();
     let dpc = Dpc::new(cfg);
     let fs = dpc.fs();
     let fd = fs.create("/dirty").unwrap();

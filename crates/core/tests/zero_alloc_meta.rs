@@ -17,10 +17,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 #[test]
 fn warm_stat_open_close_and_readdir_allocate_nothing() {
     assert!(counting_enabled(), "counting allocator must be installed");
-    let dpc = Dpc::new(DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     fs.mkdir("/deep").unwrap();
     fs.mkdir("/deep/dir").unwrap();

@@ -61,40 +61,6 @@ impl<'a> FileObject<'a> {
         1
     }
 
-    /// Vectored read: fill `segments` with the bytes at a contiguous
-    /// run starting at `offset`. Unlike calling [`read_at`] per segment,
-    /// the block walk is shared — a block straddling two segments is
-    /// fetched once, so an N-page window over 8 KiB blocks costs
-    /// ⌈N/2⌉ KV reads, not N. Returns the number of KV operations.
-    ///
-    /// [`read_at`]: FileObject::read_at
-    pub fn read_at_vectored(&self, offset: u64, segments: &mut [&mut [u8]]) -> usize {
-        let mut ops = 0;
-        let mut off = offset;
-        let mut block = vec![0u8; BIG_BLOCK];
-        let mut have_lbn = u64::MAX; // lbn currently held in `block`
-        for seg in segments.iter_mut() {
-            let mut pos = 0usize;
-            while pos < seg.len() {
-                let lbn = off / BIG_BLOCK as u64;
-                let in_block = (off % BIG_BLOCK as u64) as usize;
-                let n = (BIG_BLOCK - in_block).min(seg.len() - pos);
-                if lbn != have_lbn {
-                    let key = big_key(self.ino, lbn);
-                    if !self.store.read_sub(&key, 0, &mut block) {
-                        block.fill(0);
-                    }
-                    ops += 1;
-                    have_lbn = lbn;
-                }
-                seg[pos..pos + n].copy_from_slice(&block[in_block..in_block + n]);
-                pos += n;
-                off += n as u64;
-            }
-        }
-        ops
-    }
-
     /// Write `src` at `offset`, in place at 8 KiB granularity: **one**
     /// multi-key sub-write ([`KvStore::write_subs`]) for every block the
     /// range spans, the first and last possibly partial (the in-place

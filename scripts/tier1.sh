@@ -77,6 +77,16 @@ if [ "$chaos" != "$seeded" ]; then
     echo "tier1: CI's chaos job runs $(echo $chaos); the seeded suites are $(echo $seeded)" >&2
     exit 1
 fi
+# Every suite runs the shipped values of the three feature booleans the
+# benchmark's probes still pin (ROADMAP item 1(a)): no tracked Rust file
+# sets one as a field, outside the benchmark, the figures and `DpcConfig`.
+knobs=$(git grep -nE '\b(cache_lockfree|coalesce_flush|meta_neg_cache)\s*:' -- '*.rs' \
+    ':!dpc-e2e' ':!crates/bench' ':!crates/core/src/dpc.rs' || true)
+if [ -n "$knobs" ]; then
+    echo "tier1: only DpcConfig sets cache_lockfree, coalesce_flush or meta_neg_cache:" >&2
+    echo "$knobs" >&2
+    exit 1
+fi
 cargo build --workspace --release
 # Every invariant DESIGN.md pins names a test that exists: each name in
 # backticks after "Pinned by" must match a test of the workspace.
@@ -188,8 +198,9 @@ named --release -q --test direct_io -- \
 # the second unwritten; a tripped crash switch drains nothing at teardown;
 # each flush site moves the mtime with its batch, read through a second
 # instance; a crash after a batch lands leaves its blocks and its mtime
-# together. And `stat` of an open file reports the host's size, and a
-# reopen sees every closed write while another adapter fsyncs the file.
+# together. And `stat` of an open file reports the host's size, a reopen
+# sees every closed write while another adapter fsyncs the file, and a
+# reopen at the log tier sees the dirty pages its last close left.
 named --release -q -p dpc-kvfs --lib -- \
     fs::tests::n_overwrites_and_their_attribute_are_one_sub_write \
     fs::tests::a_batch_with_growth_puts_the_attribute_once_and_writes_every_run \
@@ -214,7 +225,8 @@ named --release -q --test attr_settle -- \
     a_crash_after_a_batch_lands_leaves_its_blocks_and_its_mtime_together
 named --release -q --test size_reconcile -- \
     stat_of_an_open_file_reports_its_unflushed_growth \
-    a_reopen_sees_every_closed_write_while_another_adapter_fsyncs
+    a_reopen_sees_every_closed_write_while_another_adapter_fsyncs \
+    a_log_tier_reopen_sees_what_was_closed
 # Crash consistency (DESIGN.md §13), in release and by name: buffered
 # writes and fsyncs log nothing; an uncached write logs its payload and
 # retires at its ack; FsyncMode::Log on the default config recovers every

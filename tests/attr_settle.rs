@@ -80,17 +80,10 @@ fn dirty(cfg: DpcConfig, store: &Arc<KvStore>, n: usize) -> (Dpc, DpcFs, [Fd; 2]
     (dpc, fs, fds)
 }
 
-fn quiet() -> DpcConfig {
-    DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    }
-}
-
 #[test]
 fn a_scoped_fsync_puts_its_inode_attribute_once() {
     let store = populated();
-    let (_dpc, fs, [a, b]) = dirty(quiet(), &store, 16);
+    let (_dpc, fs, [a, b]) = dirty(DpcConfig::default(), &store, 16);
     let before = mtimes(&store);
     // One batch: the 16 blocks and the attribute.
     assert_eq!(cost(&store, || fs.fsync(a).unwrap()), (1, 17, 0));
@@ -110,7 +103,7 @@ fn an_eviction_flush_puts_each_inode_attribute_once() {
     let cfg = DpcConfig {
         cache_pages: 64,
         cache_bucket_entries: 64,
-        ..quiet()
+        ..DpcConfig::default()
     };
     let (dpc, fs, [a, _]) = dirty(cfg, &store, PAGES / 2 - 1);
     let before = mtimes(&store);
@@ -130,7 +123,7 @@ fn an_eviction_flush_puts_each_inode_attribute_once() {
 fn the_shutdown_drain_puts_each_inode_attribute_once() {
     let store = populated();
     // Nothing flushes the 16 dirty pages but the drain, in one pass.
-    let (dpc, fs, _) = dirty(quiet(), &store, 8);
+    let (dpc, fs, _) = dirty(DpcConfig::default(), &store, 8);
     let before = mtimes(&store);
     assert_eq!(cost(&store, move || drop((fs, dpc))), (2, 18, 0));
     assert_moved(before, mtimes(&store));
@@ -139,7 +132,7 @@ fn the_shutdown_drain_puts_each_inode_attribute_once() {
 #[test]
 fn recovery_puts_each_inode_attribute_once() {
     let store = populated();
-    let (dpc, fs, _) = dirty(quiet(), &store, 8);
+    let (dpc, fs, _) = dirty(DpcConfig::default(), &store, 8);
     dpc.trip_crash();
     drop(fs);
     let before = mtimes(&store);
@@ -158,7 +151,7 @@ fn a_crash_after_a_batch_lands_leaves_its_blocks_and_its_mtime_together() {
     let plan = FaultPlan::new(29);
     let cfg = DpcConfig {
         faults: Some(plan.clone()),
-        ..quiet()
+        ..DpcConfig::default()
     };
     let (dpc, fs, [a, _]) = dirty(cfg, &store, 8);
     let before = mtimes(&store);

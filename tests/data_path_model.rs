@@ -21,7 +21,6 @@ const OPS: u64 = 40;
 fn model_run(seed: u64, chaos: bool, wal: bool) {
     let mut cfg = DpcConfig {
         cache_pages: 256,
-        prefetch: false,
         ..DpcConfig::default()
     };
     if wal {

@@ -133,10 +133,7 @@ fn small_to_big_promotion_through_the_full_stack() {
 
 #[test]
 fn sequential_reads_trigger_dpu_prefetch() {
-    let dpc = Dpc::new(DpcConfig {
-        prefetch: true,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
 
     // Materialise a 1 MiB file in KVFS directly (so reads miss at first).
@@ -424,11 +421,8 @@ fn prefetched_tail_pages_never_inflate_file_size() {
 #[test]
 fn read_filled_tail_pages_never_inflate_file_size() {
     // Same regression class as the prefetch case, through the plain
-    // read-miss fill path (prefetcher disabled).
-    let dpc = Dpc::new(DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    });
+    // read-miss fill path: two reads out of order form no stream.
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let ino = dpc.kvfs_inner().create("/tail2.bin", 0o644).unwrap();
     dpc.kvfs_inner().write(ino, 0, &vec![5u8; 9_500]).unwrap();
@@ -459,7 +453,6 @@ fn a_miss_run_fills_free_slots_clean_and_leaves_a_full_cache_alone() {
     const PAGES: usize = 1024; // four times the cache
     let dpc = Dpc::new(DpcConfig {
         cache_pages: 256,
-        prefetch: false,
         ..DpcConfig::default()
     });
     let data: Vec<u8> = (0..PAGES * PAGE).map(|i| (i / 7 % 251) as u8).collect();
@@ -486,10 +479,12 @@ fn a_miss_run_fills_free_slots_clean_and_leaves_a_full_cache_alone() {
     read(0, 8);
     assert_eq!(dpc.pool_stats().submitted, calls, "the re-read is all hits");
 
-    // Stream the file: every bucket fills.
+    // Stream the file: every bucket fills. The windows the stream queued
+    // are filled or dropped before anything is counted.
     for lpn in (8..PAGES).step_by(8) {
         read(lpn, 8);
     }
+    dpc.drain_prefetch();
     assert_eq!(cache.header().free(), 0, "the stream filled the cache");
     let mut page = vec![0u8; PAGE];
     let resident = |page: &mut [u8]| -> Vec<bool> {
@@ -530,7 +525,6 @@ fn reused_transport_and_reply_buffers_never_leak_stale_bytes() {
         let dpc = Dpc::new(DpcConfig {
             io_mode,
             queues: 1,
-            prefetch: false,
             ..DpcConfig::default()
         });
         let fs = dpc.fs();
@@ -827,7 +821,6 @@ fn link_dma_budget_of_each_data_path() {
     ];
     for (name, path, io_mode, want) in table {
         let dpc = Dpc::new(DpcConfig {
-            prefetch: false,
             io_mode,
             dfs: Some(DfsConfig::default()),
             ..DpcConfig::default()

@@ -218,10 +218,7 @@ fn threads_over_queues_read_ref_hits_stay_consistent() {
 /// zero retries — pure seqlock validation.
 #[test]
 fn hit_path_takes_zero_locks_single_threaded() {
-    let dpc = Dpc::new(DpcConfig {
-        prefetch: false, // no background writer threads at all
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     fs.mkdir("/hot").unwrap();
     let fd = fs.create("/hot/asset.bin").unwrap();

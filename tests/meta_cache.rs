@@ -32,20 +32,11 @@ use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{seeds, splitmix};
 use proptest::prelude::*;
 
-/// A deterministic, thread-light configuration; the data path stays out
-/// of the way.
-fn meta_cfg() -> DpcConfig {
-    DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    }
-}
-
 // ---- negative-entry coherence, live ---------------------------------
 
 #[test]
 fn repeated_enoent_is_served_from_the_negative_cache() {
-    let dpc = Dpc::new(meta_cfg());
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
 
@@ -62,7 +53,7 @@ fn repeated_enoent_is_served_from_the_negative_cache() {
 
 #[test]
 fn cached_enoent_dies_on_create_into_the_name() {
-    let dpc = Dpc::new(meta_cfg());
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
 
@@ -82,7 +73,7 @@ fn cached_enoent_dies_on_create_into_the_name() {
 
 #[test]
 fn cached_enoent_dies_on_rename_into_the_name() {
-    let dpc = Dpc::new(meta_cfg());
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     fs.mkdir("/d").unwrap();
     let fd = fs.create("/d/src").unwrap();
@@ -116,7 +107,7 @@ fn negative_entries_do_not_survive_recovery() {
             backoff_base_us: 20,
             backoff_cap_us: 200,
         },
-        ..meta_cfg()
+        ..DpcConfig::default()
     };
     let dpc = Dpc::new(cfg);
     let fs = dpc.fs();
@@ -162,7 +153,7 @@ fn negative_entries_do_not_survive_recovery() {
 
 #[test]
 fn a_zero_budget_holds_nothing_and_answers_nothing() {
-    let dpc = Dpc::new(meta_cfg());
+    let dpc = Dpc::new(DpcConfig::default());
     dpc.meta_cache().set_budget(0);
     let fs = dpc.fs();
     fs.mkdir("/q").unwrap();
@@ -268,7 +259,7 @@ fn run_trace(cached: bool, chaos_seed: u64, schedule: &[NsOp]) -> (Vec<String>, 
     let dpc = Dpc::new(DpcConfig {
         dfs: Some(DfsConfig::default()),
         faults: Some(plan.clone()),
-        ..meta_cfg()
+        ..DpcConfig::default()
     });
     if !cached {
         dpc.meta_cache().set_budget(0);
@@ -396,7 +387,7 @@ fn cold_over(dpc: &Dpc) -> Dpc {
     let cfg = DpcConfig {
         queues: 1,
         cache_pages: 64,
-        ..meta_cfg()
+        ..DpcConfig::default()
     };
     Dpc::with_shared_storage(cfg, Some(dpc.kv_store()), None)
 }
@@ -447,7 +438,7 @@ fn warm_answers_equal_a_cold_instance_after_every_op() {
         let dpc = Dpc::new(DpcConfig {
             dfs: Some(DfsConfig::default()),
             faults: Some(plan.clone()),
-            ..meta_cfg()
+            ..DpcConfig::default()
         });
         let fs = dpc.fs();
         let mut rng = seed ^ 0xD1FF;
@@ -559,7 +550,7 @@ fn a_tree_four_times_the_budget_stays_inside_it_and_stays_right() {
     const FILES: usize = 100;
     let dpc = Dpc::new(DpcConfig {
         cache_pages: 64,
-        ..meta_cfg()
+        ..DpcConfig::default()
     });
     let budget = dpc.config().meta_cache_bytes() as u64;
     assert_eq!(budget, 32 * 1024);
@@ -611,7 +602,7 @@ fn a_tree_four_times_the_budget_stays_inside_it_and_stays_right() {
 /// (≈ 22 B of name table, 64 B of attribute slot, the slack of both).
 #[test]
 fn a_cached_file_costs_under_96_bytes() {
-    let dpc = Dpc::new(meta_cfg());
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     for d in 0..16 {
         fs.mkdir(&format!("/d{d:02}")).unwrap();
@@ -620,7 +611,7 @@ fn a_cached_file_costs_under_96_bytes() {
             fs.close(fd).unwrap();
         }
     }
-    let cold = Dpc::with_shared_storage(meta_cfg(), Some(dpc.kv_store()), None);
+    let cold = Dpc::with_shared_storage(DpcConfig::default(), Some(dpc.kv_store()), None);
     let fs = cold.fs();
     for d in 0..16 {
         assert_eq!(fs.readdir(&format!("/d{d:02}")).unwrap().len(), 256);

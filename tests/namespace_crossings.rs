@@ -21,13 +21,10 @@ use dpc::kvstore::KvStore;
 use dpc_testkit::{cold_read, read_fd, splitmix};
 use proptest::prelude::*;
 
-/// A thread-light instance; with `cached` off its meta cache holds
-/// nothing (budget 0 — same code path, every call crosses).
+/// A default instance; with `cached` off its meta cache holds nothing
+/// (budget 0 — same code path, every call crosses).
 fn quiet(cached: bool) -> Dpc {
-    let dpc = Dpc::new(DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     if !cached {
         dpc.meta_cache().set_budget(0);
     }

@@ -1,10 +1,9 @@
-//! PR 5 readahead verification: adaptive windows, background fills and
-//! the batched vectored miss path must be invisible to readers — cold
-//! sequential streams come back byte-exact (with readahead on, off, and
-//! under seeded chaos), truncate kills a stream's future, concurrent
-//! writers are never clobbered by async fills, cache pressure throttles
-//! prefetch to zero, and the whole machinery costs exactly nothing when
-//! disabled.
+//! Readahead verification: adaptive windows, background fills and the
+//! batched vectored miss path must be invisible to readers — cold
+//! sequential streams come back byte-exact (plain and under seeded
+//! chaos), truncate kills a stream's future, concurrent writers are never
+//! clobbered by async fills, and cache pressure throttles prefetch to
+//! zero.
 //!
 //! Reuses the PR 3/4 chaos plumbing: seeds `[1, 7, 42]` by default
 //! (`DPC_CHAOS_SEED=<u64>` pins one), faults drawn from per-site
@@ -33,10 +32,10 @@ fn store_with_file(path: &str, data: &[u8]) -> std::sync::Arc<dpc::kvstore::KvSt
     dpc.kvfs_inner().store().clone()
 }
 
-/// Cold sequential stream with readahead on: byte-exact, the background
-/// prefetcher did real work, demand hits consumed its pages — and every
-/// single prefetch insert came from the background thread (the metrics
-/// proof that the demand path performs zero synchronous window fills).
+/// Cold sequential stream: byte-exact, the background prefetcher did real
+/// work, demand hits consumed its pages — and every single prefetch insert
+/// came from the background thread (the metrics proof that the demand path
+/// performs zero synchronous window fills).
 #[test]
 fn cold_sequential_stream_is_byte_exact_and_prefetched() {
     let data = pattern(3, 0, 256 * PAGE_SIZE + 1234);
@@ -84,47 +83,6 @@ fn cold_sequential_stream_is_byte_exact_and_prefetched() {
     );
 }
 
-/// The same stream read page-by-page with readahead disabled: still
-/// byte-exact, and every readahead counter stays exactly zero — the
-/// subsystem off is the subsystem absent.
-#[test]
-fn readahead_off_leaves_all_counters_at_zero() {
-    let data = pattern(5, 0, 64 * PAGE_SIZE + 77);
-    let store = store_with_file("/off", &data);
-
-    let dpc = Dpc::with_shared_storage(
-        DpcConfig {
-            prefetch: false,
-            ..DpcConfig::default()
-        },
-        Some(store),
-        None,
-    );
-    let fs = dpc.fs();
-    let fd = fs.open("/off").unwrap();
-    let mut buf = vec![0u8; PAGE_SIZE];
-    let mut got = Vec::with_capacity(data.len());
-    loop {
-        let n = fs.read(fd, got.len() as u64, &mut buf).unwrap();
-        if n == 0 {
-            break;
-        }
-        got.extend_from_slice(&buf[..n]);
-    }
-    assert_eq!(got, data, "readahead-off stream diverged");
-
-    let m = dpc.metrics();
-    assert_eq!(m.cache.prefetch_inserts, 0);
-    assert_eq!(m.cache.ra_hits, 0);
-    assert_eq!(m.cache.ra_async_fills, 0);
-    assert_eq!(m.cache.ra_throttled, 0);
-    assert_eq!(m.cache.ra_dropped, 0);
-    // Single-page reads never form a multi-page miss run either.
-    assert_eq!(m.cache.demand_vector_fills, 0);
-    assert_eq!(dpc.pages_prefetched(), 0);
-    assert_eq!(m.readahead_hit_rate(), 0.0);
-}
-
 /// A buffered read spanning several missing pages goes out as one
 /// vectored fill (a contiguous run per nvme-fs command), not one
 /// command per page.
@@ -133,14 +91,7 @@ fn spanning_miss_read_takes_the_vectored_path() {
     let data = pattern(9, 0, 32 * PAGE_SIZE);
     let store = store_with_file("/vec", &data);
 
-    let dpc = Dpc::with_shared_storage(
-        DpcConfig {
-            prefetch: false, // isolate the demand path
-            ..DpcConfig::default()
-        },
-        Some(store),
-        None,
-    );
+    let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
     let fs = dpc.fs();
     let fd = fs.open("/vec").unwrap();
     let served_before = dpc.requests_served();
@@ -295,9 +246,10 @@ fn async_fill_never_clobbers_concurrent_writes() {
     assert_eq!(got, model.bytes(), "overlay lost across restart");
 }
 
-/// Under cache pressure the prefetcher backs off to zero: with the
-/// throttle floor at the whole cache, not one page is prefetch-inserted,
-/// every job is throttled away, and reads still come back byte-exact.
+/// Under cache pressure the prefetcher backs off to zero: with the cache
+/// filled past its free-page floor (an eighth of it) before the stream,
+/// not one page is prefetch-inserted, every job is throttled away, and
+/// reads still come back byte-exact.
 #[test]
 fn cache_pressure_throttles_prefetch_to_zero_inserts() {
     let data = pattern(17, 0, 96 * PAGE_SIZE);
@@ -306,15 +258,23 @@ fn cache_pressure_throttles_prefetch_to_zero_inserts() {
     let dpc = Dpc::with_shared_storage(
         DpcConfig {
             cache_pages: 128,
-            // Floor == total pages: free can never exceed it, so every
-            // fill is dropped before reading a single backend byte.
-            ra_throttle_free: 1.0,
             ..DpcConfig::default()
         },
         Some(store),
         None,
     );
     let fs = dpc.fs();
+    // Whole-page writes four times the cache, fsynced: every bucket
+    // holds clean pages of `/fill` and no slot is free. Writes plan no
+    // window, and a demand miss now only ever takes an evicted slot.
+    let fill_fd = fs.create("/fill").unwrap();
+    let page = vec![0x5Au8; PAGE_SIZE];
+    for lpn in 0..512u64 {
+        fs.write(fill_fd, lpn * PAGE_SIZE as u64, &page).unwrap();
+    }
+    fs.fsync(fill_fd).unwrap();
+    assert_eq!(dpc.cache().header().free(), 0, "the cache is full");
+
     let fd = fs.open("/hot").unwrap();
     let mut buf = vec![0u8; PAGE_SIZE];
     let mut got = Vec::with_capacity(data.len());
@@ -540,20 +500,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Arbitrary read schedules over a cold file are byte-exact against
-    /// the in-memory model with readahead on AND off — mixing sequential
-    /// sweeps, strided hops and random seeks so the window logic sees
-    /// every pattern class.
+    /// the in-memory model — mixing sequential sweeps, strided hops and
+    /// random seeks so the window logic sees every pattern class.
     #[test]
-    fn any_read_schedule_matches_model(seed in any::<u64>(), readahead in any::<bool>()) {
+    fn any_read_schedule_matches_model(seed in any::<u64>()) {
         let len = 64 * PAGE_SIZE + (seed % 8192) as usize;
         let data = pattern(seed, 2, len);
         let store = store_with_file("/prop", &data);
 
-        let dpc = Dpc::with_shared_storage(
-            DpcConfig { prefetch: readahead, ..DpcConfig::default() },
-            Some(store),
-            None,
-        );
+        let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
         let fs = dpc.fs();
         let fd = fs.open("/prop").unwrap();
         let mut rng = seed;
@@ -576,15 +531,10 @@ proptest! {
             prop_assert_eq!(
                 &buf[..n],
                 &data[off..off + n],
-                "seed {} step {} (ra={}): bytes diverged",
+                "seed {} step {}: bytes diverged",
                 seed,
-                i,
-                readahead
+                i
             );
-        }
-        dpc.drain_prefetch();
-        if !readahead {
-            prop_assert_eq!(dpc.metrics().cache.prefetch_inserts, 0);
         }
     }
 }

@@ -10,9 +10,11 @@
 //!   close) or a no-op `fsync` (always one) leaves the backend alone;
 //! - a non-page-aligned tail still lands byte-exact, in one crossing;
 //! - `stat` of an open file reports the host's size, not the backend's;
-//! - a reopen sees every closed write while another adapter fsyncs.
+//! - a reopen sees every closed write while another adapter fsyncs;
+//! - at `FsyncMode::Log`, where `close` sends nothing, a reopen on the
+//!   same instance sees the closed write's dirty pages.
 
-use dpc::core::{Dpc, DpcConfig};
+use dpc::core::{Dpc, DpcConfig, FsyncMode};
 use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{cold_read, racing_fsync, read_file};
 
@@ -192,4 +194,47 @@ fn a_reopen_sees_every_closed_write_while_another_adapter_fsyncs() {
         }
     });
     assert_eq!(cold_read(&dpc, "/grow").len() as u64, ROUNDS * 4096);
+}
+
+/// At the log tier `close` sends nothing: the closed write is dirty pages
+/// only, and the backend's size is still 0. `stat` of the closed file, and
+/// the reopen's `size`, `stat` and `read`, see the 10 000 bytes, and so
+/// does a reopen after another file's writes evicted those pages.
+#[test]
+fn a_log_tier_reopen_sees_what_was_closed() {
+    let data = pattern(10_000, 0x26);
+    let dpc = Dpc::new(DpcConfig {
+        fsync_mode: FsyncMode::Log,
+        cache_pages: 128,
+        ..DpcConfig::default()
+    });
+    let fs = dpc.fs();
+    let fd = fs.create("/log").unwrap();
+    fs.write(fd, 0, &data).unwrap();
+    fs.close(fd).unwrap();
+    assert_eq!(fs.stat("/log").unwrap().size, data.len() as u64);
+
+    let reopen = || {
+        let fd = fs.open("/log").unwrap();
+        assert_eq!(fs.size(fd).unwrap(), data.len() as u64);
+        assert_eq!(fs.stat("/log").unwrap().size, data.len() as u64);
+        let mut buf = vec![0u8; data.len() + 100];
+        assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
+        assert_eq!(buf[..data.len()], data);
+        fs.close(fd).unwrap();
+    };
+    reopen();
+    // Four times the cache in another file: `/log`'s pages are flushed
+    // and evicted to make room, and the size cached above stays the file's.
+    let other = fs.create("/other").unwrap();
+    for lpn in 0..512u64 {
+        fs.write(other, lpn * 4096, &pattern(4096, 1)).unwrap();
+    }
+    let ino = fs.stat("/log").unwrap().ino;
+    let mut page = vec![0u8; 4096];
+    assert!(
+        (0..3).all(|lpn| !dpc.cache().lookup_read(ino, lpn, &mut page)),
+        "`/log`'s pages were evicted"
+    );
+    reopen();
 }

@@ -24,9 +24,9 @@ use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{gen_op, payload, read_fd, read_file, seeds, step, CrashOracle, CRASH, FILES};
 use proptest::prelude::*;
 
-/// The crash-sweep base configuration: a small log ring, deterministic data path
-/// (no prefetcher drawing crash-site faults off the op being executed),
-/// fast link deadlines so calls into a dead DPU
+/// The crash-sweep base configuration: a small log ring (the prefetcher
+/// draws no crash-site fault: only flushes and log appends do), fast link
+/// deadlines so calls into a dead DPU
 /// error in milliseconds instead of minutes — but not so fast that a live
 /// instance's first call, made while its just-spawned service threads
 /// wait for a core beside the suite's other tests, times out: at 10 000
@@ -35,7 +35,6 @@ fn crash_cfg() -> DpcConfig {
     DpcConfig {
         wal_bytes: 256 * 1024,
         cache_pages: 512,
-        prefetch: false,
         retry: RetryPolicy {
             attempts: 2,
             deadline_yields: 200_000,

@@ -241,10 +241,7 @@ fn fsync_reports_a_flush_the_backend_refused() {
 /// page lands — here, with the bytes the writer committed meanwhile.
 #[test]
 fn a_scoped_fsync_waits_out_a_writer_holding_its_page() {
-    let dpc = Dpc::new(DpcConfig {
-        prefetch: false,
-        ..DpcConfig::default()
-    });
+    let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/held").unwrap();
     fs.write(fd, 0, &[1u8; 2 * 4096]).unwrap();
