@@ -200,6 +200,7 @@ fn bench_kv(c: &mut Criterion) {
 }
 
 fn bench_codec(c: &mut Criterion) {
+    println!("crc32c tier: {}", dpc_codec::crc32c_tier().name());
     let mut g = c.benchmark_group("codec");
     let page: Vec<u8> = (0..PAGE_SIZE).map(|i| ((i / 16) % 251) as u8).collect();
     g.throughput(Throughput::Bytes(PAGE_SIZE as u64));
@@ -207,6 +208,14 @@ fn bench_codec(c: &mut Criterion) {
     let block = [page.as_slice(), page.as_slice()].concat();
     g.throughput(Throughput::Bytes(block.len() as u64));
     g.bench_function("crc32c_8k", |b| b.iter(|| crc32c(&block)));
+    // The same 8 KiB, but a different cell each call, rotating over 64 MiB
+    // (past the private caches): what a data server pays for a cell that
+    // arrived from the network rather than one it just checksummed.
+    let cells = vec![0xC3u8; 64 << 20];
+    let mut cold = cells.chunks_exact(block.len()).cycle();
+    g.bench_function("crc32c_8k_cold", |b| {
+        b.iter(|| crc32c(cold.next().unwrap()))
+    });
     g.finish();
 }
 

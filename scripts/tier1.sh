@@ -104,13 +104,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 # above). Then the transport's own suite as it ships.
 cargo test --release -q -p dpc-codec -p dpc-ec
 check_names --release -q -p dpc-codec --lib -- crc::tests::
+# The CRC tier this machine detected, printed: the oracle tests above ran
+# every tier up to it, so a runner without AVX-512 and VPCLMULQDQ shows
+# here that it never ran the fold tier's.
+check_names --release -q -p dpc-codec --lib -- crc::tests::update_is_the_detected_tier
+cargo test --release -q -p dpc-codec --lib crc::tests::update_is_the_detected_tier -- \
+    --nocapture 2>&1 | grep '^crc32c tier: '
 cargo test --release -q -p dpc-nvmefs
 # The host metadata cache's coherence and budget, and the namespace
 # path's crossing budget, in release (the warm path is nanoseconds there,
 # and the differential makes ~200 instances): warm answers == a cold
 # instance after every op, a tree 4x the budget stays inside it, a cached
 # file's byte cost, the zero-allocation warm path, and an inode drop that
-# visits only what the inode has resident. With them the seqlock storms
+# visits only what the inode has resident; readers racing the lock-free
+# hit, `lookup_read_hint` and the locked lookup on one readahead marker
+# page consume it exactly once (DESIGN.md §4.2). With them the seqlock storms
 # and the seqlock-vs-lock proptest, the multi-threaded adapter suites on
 # every core, and the multi-server suite (data-server crash and restart
 # heal through read repair).
@@ -121,7 +129,8 @@ check_names --release -q --test meta_cache -- \
     a_tree_four_times_the_budget_stays_inside_it_and_stays_right \
     a_cached_file_costs_under_96_bytes
 cargo test --release -q -p dpc-core --test zero_alloc_meta
-named --release -q -p dpc-cache --lib -- dropping_an_inode_visits
+named --release -q -p dpc-cache --lib -- dropping_an_inode_visits \
+    host::tests::a_readahead_marker_is_consumed_by_exactly_one_racing_reader
 # KVFS's caches (DESIGN.md §9.2), in release and by name. The fill fence
 # under two readers racing a create/unlink churner runs ten times in a
 # row: a verdict that needs the scheduler (the unfenced fill stranded the
