@@ -25,8 +25,8 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use dpc_fault::CrashSwitch;
 use dpc_pcie::DmaEngine;
-use dpc_sim::CrashSwitch;
 
 use crate::host::HybridCache;
 use crate::layout::{EntryStatus, FLAG_MARKER, FLAG_PREFETCHED, PAGE_SIZE};
@@ -350,6 +350,10 @@ impl ControlPlane {
             // of it is marked clean — recovery adopts the dirty pages and
             // flushes them (again: idempotent).
         } else if ok {
+            // Counted before any page turns clean: a `stat` that finds a
+            // page gone from the dirty index sees the count moved
+            // (`HybridCache::flushed`).
+            stats.flushes.fetch_add(pages as u64, Ordering::Relaxed);
             // Clean each run with one dirty-shard acquisition, not one per
             // page. The read locks stay held until every status is Clean
             // and the index entries are gone, so no writer can interleave.
@@ -363,7 +367,6 @@ impl ControlPlane {
                 stats.record_extent(n);
                 locked = next;
             }
-            stats.flushes.fetch_add(pages as u64, Ordering::Relaxed);
             let cell = if background {
                 &stats.bg_flush_pages
             } else {
@@ -1307,7 +1310,7 @@ mod tests {
 
     #[test]
     fn a_crash_after_the_backend_took_a_batch_leaves_it_dirty() {
-        use dpc_sim::{FaultPlan, FaultSpec};
+        use dpc_fault::{FaultPlan, FaultSpec};
         let (cache, mut cp, _) = setup(256, 8);
         for lpn in [0u64, 4, 8] {
             dirty_page(&cache, 3, lpn, 6, PAGE_SIZE);

@@ -433,7 +433,7 @@ impl HybridCache {
         let mut shard = self.dirty_shard(ino).lock();
         if let Some(set) = shard.get_mut(&ino) {
             if set.remove(&lpn) {
-                self.dirty_total.fetch_sub(1, Ordering::Relaxed);
+                self.dirty_total.fetch_sub(1, Ordering::Release);
             }
             if set.is_empty() {
                 shard.remove(&ino);
@@ -457,7 +457,7 @@ impl HybridCache {
                 }
             }
             if removed > 0 {
-                self.dirty_total.fetch_sub(removed, Ordering::Relaxed);
+                self.dirty_total.fetch_sub(removed, Ordering::Release);
             }
             if set.is_empty() {
                 shard.remove(&ino);
@@ -465,9 +465,11 @@ impl HybridCache {
         }
     }
 
-    /// Pages currently dirty, per the range index (O(1)).
+    /// Pages currently dirty, per the range index (O(1)). Acquire: a
+    /// reader that sees a flushed page's removal sees
+    /// [`flushed`](Self::flushed) move with it.
     pub fn dirty_count(&self) -> usize {
-        self.dirty_total.load(Ordering::Relaxed) as usize
+        self.dirty_total.load(Ordering::Acquire) as usize
     }
 
     /// Does any dirty page of `ino` fall within `first_lpn..=last_lpn`?
@@ -494,6 +496,14 @@ impl HybridCache {
             e.ino() == ino && e.lpn() == lpn && e.status() == EntryStatus::Dirty
         })?;
         Some(lpn * PAGE_SIZE as u64 + self.entries[idx].valid() as u64)
+    }
+
+    /// Pages flushed clean, ever. The flush counts its pages before it
+    /// marks any clean, so a reader that finds one gone from
+    /// [`dirty_end`](Self::dirty_end) — by its status, the index or the
+    /// dirty count — reads this moved (DESIGN.md §4.1).
+    pub fn flushed(&self) -> u64 {
+        self.stats.flushes.load(Ordering::Acquire)
     }
 
     /// Snapshot the dirty index: `(ino, sorted dirty LPNs)` pairs, sorted

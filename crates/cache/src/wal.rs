@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_codec::crc32c;
+use dpc_fault::CrashSwitch;
 use dpc_pcie::{DmaEngine, HostRegion};
-use dpc_sim::CrashSwitch;
 use parking_lot::Mutex;
 
 /// Region header bytes preceding the record ring.
@@ -527,7 +527,7 @@ fn seal(h: &mut [u8; REC_HEADER], payload_crc: u32) {
 mod tests {
     use super::*;
     use crate::layout::PAGE_SIZE;
-    use dpc_sim::{FaultPlan, FaultSpec};
+    use dpc_fault::{FaultPlan, FaultSpec};
 
     fn fresh(ring_bytes: usize) -> Arc<IntentLog> {
         IntentLog::create(
@@ -679,7 +679,7 @@ mod tests {
         let plan = FaultPlan::new(1);
         // Each append draws up to four crash checks (entry, reserved,
         // header, whole); the sixth draw is the second append's reserve.
-        let crash = Arc::new(dpc_sim::CrashSwitch::armed_by(
+        let crash = Arc::new(dpc_fault::CrashSwitch::armed_by(
             plan.arm("dpu.crash", FaultSpec::nth(6)),
         ));
         let log = IntentLog::create(
@@ -707,7 +707,7 @@ mod tests {
     #[test]
     fn a_crash_after_the_payload_leaves_a_whole_live_record() {
         let plan = FaultPlan::new(1);
-        let crash = Arc::new(dpc_sim::CrashSwitch::armed_by(
+        let crash = Arc::new(dpc_fault::CrashSwitch::armed_by(
             plan.arm("dpu.crash", FaultSpec::nth(4)),
         ));
         let log = IntentLog::create(

@@ -671,7 +671,7 @@ impl DpcFs {
                 return Ok(self.sized(Self::meta_to_wire(a)));
             }
         }
-        let seen = self.meta.epoch();
+        let (seen, flushed) = (self.meta.epoch(), self.cache.flushed());
         let req = FileRequest::StatAt {
             start: leg.start,
             path: leg.rest.to_string(),
@@ -681,11 +681,13 @@ impl DpcFs {
         };
         // A size the inode's dirty pages have passed goes stale when they
         // are flushed, by an eviction as much as by an fsync: not cached.
+        // Nor is a reply that crossed a flush: it may hold the size from
+        // before pages `dirty_end` no longer sees.
         let lagging = self
             .cache
             .dirty_end(attr.ino)
             .is_some_and(|end| end > attr.size);
-        if !lagging {
+        if !lagging && self.cache.flushed() == flushed {
             self.meta.insert_attr_seen(Self::wire_to_meta(&attr), seen);
         }
         Ok(self.sized(attr))
@@ -979,21 +981,23 @@ impl DpcFs {
         }
         let ino = entry.ino;
         let _mutation = entry.cell.mutation();
-        // Size/mtime change: the cached attr is stale either way.
-        self.meta.invalidate_ino(ino);
         let pages = (end - 1) / PAGE_SIZE as u64 - offset / PAGE_SIZE as u64 + 1;
-        if pages <= CLAIM_WINDOW as u64 {
+        let landed = if pages <= CLAIM_WINDOW as u64 {
             // The dirty pages are the record: nothing is logged.
-            if !self.absorb(ino, offset, data)? {
-                return self.write_direct(&entry, offset, &[data]);
-            }
+            self.absorb(ino, offset, data)
         } else {
             // Too long to claim at once: a crash between two windows would
             // leave part of the write, so a record covers it until the ack.
             let seq = self.log_op(WalKind::Write, ino, offset, data)?;
             let res = self.absorb_windows(ino, offset, data);
             self.retire(seq, res.is_ok());
-            res?;
+            res.map(|()| true)
+        };
+        // Size/mtime change, dropped once the pages have landed: a `stat`
+        // that crossed while they landed saw neither them nor a new size.
+        self.meta.invalidate_ino(ino);
+        if !landed? {
+            return self.write_direct(&entry, offset, &[data]);
         }
         entry.cell.size.fetch_max(end, Ordering::AcqRel);
         Ok(data.len())

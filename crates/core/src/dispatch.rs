@@ -16,12 +16,12 @@ use dpc_cache::{
     ReadaheadTable,
 };
 use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
+use dpc_fault::FaultSite;
 use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
 use dpc_nvmefs::{
     encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
     FileTarget, WireAttr, WireStep,
 };
-use dpc_sim::FaultSite;
 use parking_lot::Mutex;
 
 /// Sentinel inode for `FileRequest::Fsync` meaning "flush every inode's

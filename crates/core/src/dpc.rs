@@ -18,11 +18,11 @@ use dpc_cache::{
     RaConfig, ReadaheadTable, WalKind, PREFETCH_QUEUE_CAP, WAL_HEADER,
 };
 use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
+use dpc_fault::{CrashSwitch, FaultPlan};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{create_fabric, ChannelPool, PoolStats, QueuePairConfig, RetryPolicy};
 use dpc_pcie::{DmaEngine, HostRegion, PcieSnapshot};
-use dpc_sim::{CrashSwitch, FaultPlan};
 use parking_lot::Mutex;
 
 use crate::adapter::{DpcFs, FsyncMode, InodeSizes, IoMode};

@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dpc_cache::{ControlPlane, PrefetchQueue};
+use dpc_fault::CrashSwitch;
 use dpc_kvfs::Kvfs;
 use dpc_nvmefs::{FileIncomingBatch, FileTarget};
-use dpc_sim::CrashSwitch;
 
 use crate::dispatch::{ra_floor, Dispatcher, KvfsFlush, KvfsRead};
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use dpc_codec::crc32c;
 use dpc_ec::{gf256, ReedSolomon};
-use dpc_sim::fault::{FaultPlan, FaultSite};
+use dpc_fault::{FaultPlan, FaultSite};
 use parking_lot::{Mutex, RwLock};
 
 use crate::client::OpTrace;

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use dpc_dfs::{Cell, ClientCore, DfsBackend, DfsConfig, DfsError, Refusal, DFS_BLOCK};
-use dpc_sim::fault::{FaultPlan, FaultSpec};
+use dpc_fault::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
 
 fn block_bytes(tag: u64, len: usize) -> Vec<u8> {

@@ -16,14 +16,11 @@
 //! - in-place sub-value reads/writes (`read_sub`/`write_sub`) used by the
 //!   big-file KV's 8 KiB in-place updates, the multi-get (`read_subs`)
 //!   that reads a big-file read's blocks in one request, and the
-//!   multi-put (`write_subs`) that writes a flush batch's blocks in one,
+//!   multi-put (`write_subs`) that writes a flush batch's blocks in one.
 //!
-//! plus [`KvTimingModel`], the backend/network timing used by the
-//! benchmarks (the paper notes KVFS's bandwidth ceiling *is* the KV
-//! backend, so this model is what bounds Table 2's numbers).
+//! The store's price for the modelled figures, `KvTimingModel`, lives
+//! with the other Table 1 models in `dpc-bench`.
 
-mod model;
 mod store;
 
-pub use model::KvTimingModel;
 pub use store::{Check, KvStats, KvStore, Write};

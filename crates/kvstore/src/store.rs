@@ -34,7 +34,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpc_sim::fault::FaultSite;
+use dpc_fault::FaultSite;
 use parking_lot::{RwLock, RwLockWriteGuard};
 
 const SHARDS: usize = 16;
@@ -846,7 +846,7 @@ mod tests {
 
     #[test]
     fn put_if_absent_waits_out_a_fault_like_every_mutation() {
-        use dpc_sim::fault::{FaultPlan, FaultSpec};
+        use dpc_fault::{FaultPlan, FaultSpec};
         let kv = KvStore::new();
         let plan = FaultPlan::new(1);
         kv.set_fault_site(Some(plan.arm("kv.op", FaultSpec::first_n(1))));
@@ -859,7 +859,7 @@ mod tests {
 
     #[test]
     fn every_counted_request_waits_out_a_fault() {
-        use dpc_sim::fault::{FaultPlan, FaultSpec};
+        use dpc_fault::{FaultPlan, FaultSpec};
         let kv = KvStore::new();
         kv.put(b"k", b"value");
         let plan = FaultPlan::new(1);
@@ -982,7 +982,7 @@ mod tests {
 
     #[test]
     fn a_firing_fault_pauses_a_commit_once() {
-        use dpc_sim::fault::{FaultPlan, FaultSpec};
+        use dpc_fault::{FaultPlan, FaultSpec};
         let kv = KvStore::new();
         let plan = FaultPlan::new(1);
         kv.set_fault_site(Some(plan.arm("kv.op", FaultSpec::first_n(1))));

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dpc_sim::Nanos;
+use dpc_fault::Nanos;
 
 /// Timing model of one RDMA-capable link/fabric path.
 #[derive(Copy, Clone, Debug)]

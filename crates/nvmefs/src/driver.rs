@@ -15,8 +15,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use dpc_fault::{FaultPlan, FaultSite};
 use dpc_pcie::DmaEngine;
-use dpc_sim::fault::{FaultPlan, FaultSite};
 
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
 use crate::queue::{Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, ReadSide, Target};
@@ -720,7 +720,7 @@ pub(crate) mod tests {
     fn a_target_holding_deferred_requests_refuses_to_park() {
         // Deferred requests are released by poll ticks: a target asleep
         // on its doorbell would hold them until the next unrelated ring.
-        use dpc_sim::fault::FaultSpec;
+        use dpc_fault::FaultSpec;
         let (pool, mut tgt, _) = one_pair();
         let plan = FaultPlan::new(3);
         plan.arm("nvmefs.defer", FaultSpec::nth(1).with_delay(5));

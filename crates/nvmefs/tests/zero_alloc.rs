@@ -17,6 +17,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use dpc_fault::FaultPlan;
 use dpc_nvmefs::{
     create_fabric, decode_dirents_into, dirent_iter, encode_dirents, ChannelPool, DispatchType,
     FileIncomingBatch, FileRequest, FileResponse, FileTarget, Payload, QueuePairConfig, Sides,
@@ -24,7 +25,6 @@ use dpc_nvmefs::{
 };
 use dpc_pcie::alloc::{counting_enabled, thread_alloc_count, CountingAllocator};
 use dpc_pcie::DmaEngine;
-use dpc_sim::fault::FaultPlan;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;

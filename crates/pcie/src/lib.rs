@@ -28,7 +28,7 @@ pub use sleeper::Sleeper;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpc_sim::Nanos;
+use dpc_fault::Nanos;
 use parking_lot::RwLock;
 
 /// PCIe generation; fixes the per-lane usable bandwidth.

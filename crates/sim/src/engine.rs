@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 
 use crate::histogram::LatencyHistogram;
 use crate::station::{Station, StationCfg, StationId, StationStats};
-use crate::time::Nanos;
+use crate::Nanos;
 
 /// One step of an operation.
 #[derive(Clone, Debug, PartialEq, Eq)]

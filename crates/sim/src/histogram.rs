@@ -5,7 +5,7 @@
 //! uses log2 major buckets each split into 16 linear sub-buckets, giving a
 //! worst-case quantile error of ~6% while staying a fixed few KiB in size.
 
-use crate::time::Nanos;
+use crate::Nanos;
 
 const SUB_BITS: u32 = 4;
 const SUB_COUNT: usize = 1 << SUB_BITS; // 16 sub-buckets per octave

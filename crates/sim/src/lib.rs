@@ -24,13 +24,12 @@
 //! ```
 
 mod engine;
-pub mod fault;
 mod histogram;
 mod station;
-mod time;
 
 pub use engine::{ClassStats, Flow, Leg, Plan, RunReport, Simulation};
-pub use fault::{CrashSwitch, FaultMode, FaultPlan, FaultSite, FaultSpec};
 pub use histogram::LatencyHistogram;
 pub use station::{StationCfg, StationId, StationStats};
-pub use time::Nanos;
+// Virtual time lives in `dpc-fault`, beside the product it prices; the
+// engine's API speaks it, so it is re-exported here.
+pub use dpc_fault::Nanos;

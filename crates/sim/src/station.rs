@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::time::Nanos;
+use crate::Nanos;
 
 /// Opaque handle to a station registered with a [`crate::Simulation`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]

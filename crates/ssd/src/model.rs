@@ -7,7 +7,7 @@
 //! direction plus a size-proportional transfer term, executed on
 //! `channels`-way internal parallelism (a `dpc-sim` station).
 
-use dpc_sim::Nanos;
+use dpc_fault::Nanos;
 
 #[derive(Copy, Clone, Debug)]
 pub struct SsdModel {

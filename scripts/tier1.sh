@@ -87,6 +87,27 @@ if [ -n "$knobs" ]; then
     echo "$knobs" >&2
     exit 1
 fi
+# The product stands alone (DESIGN.md §3): the modelled testbed — the
+# simulator, the network and SSD models, the two baselines, the workload
+# generators and the figures — is leaves that neither `dpc-core` nor the
+# `dpc` facade reaches through a normal edge, and the base crate
+# `dpc-fault` names no `dpc-*` crate at all.
+leaves="dpc-sim dpc-net dpc-ssd dpc-ext4sim dpc-virtiofs dpc-workload dpc-bench"
+for pkg in dpc-core dpc; do
+    deps=$(cargo tree -e normal --offline -p "$pkg" --prefix none | cut -d' ' -f1 | sort -u)
+    for leaf in $leaves; do
+        if grep -qx -- "$leaf" <<<"$deps"; then
+            echo "tier1: $pkg depends on $leaf; the product names none of: $leaves" >&2
+            exit 1
+        fi
+    done
+done
+base=$(cargo tree -e normal --offline -p dpc-fault --prefix none | cut -d' ' -f1 |
+    grep -x -- 'dpc-.*' | grep -vx dpc-fault || true)
+if [ -n "$base" ]; then
+    echo "tier1: dpc-fault depends on $(echo $base); it names no dpc-* crate" >&2
+    exit 1
+fi
 cargo build --workspace --release
 # Every invariant DESIGN.md pins names a test that exists: each name in
 # backticks after "Pinned by" must match a test of the workspace.
@@ -208,8 +229,10 @@ named --release -q --test direct_io -- \
 # each flush site moves the mtime with its batch, read through a second
 # instance; a crash after a batch lands leaves its blocks and its mtime
 # together. And `stat` of an open file reports the host's size, a reopen
-# sees every closed write while another adapter fsyncs the file, and a
-# reopen at the log tier sees the dirty pages its last close left.
+# sees every closed write while another adapter fsyncs the file, a
+# reopen at the log tier sees the dirty pages its last close left, and a
+# `stat` racing writes and evictions at the log tier never caches a size
+# from before them — ten runs in a row, as it failed 30 runs in 30 before.
 named --release -q -p dpc-kvfs --lib -- \
     fs::tests::n_overwrites_and_their_attribute_are_one_sub_write \
     fs::tests::a_batch_with_growth_puts_the_attribute_once_and_writes_every_run \
@@ -235,7 +258,12 @@ named --release -q --test attr_settle -- \
 named --release -q --test size_reconcile -- \
     stat_of_an_open_file_reports_its_unflushed_growth \
     a_reopen_sees_every_closed_write_while_another_adapter_fsyncs \
-    a_log_tier_reopen_sees_what_was_closed
+    a_log_tier_reopen_sees_what_was_closed \
+    a_stat_racing_writes_and_evictions_never_caches_a_size_from_before
+for run in $(seq 1 10); do
+    cargo test --release -q --test size_reconcile \
+        a_stat_racing_writes_and_evictions_never_caches_a_size_from_before
+done
 # Crash consistency (DESIGN.md §13), in release and by name: buffered
 # writes and fsyncs log nothing; an uncached write logs its payload and
 # retires at its ack; FsyncMode::Log on the default config recovers every

@@ -3,14 +3,14 @@
 //! A from-scratch Rust reproduction of *"DPC: DPU-accelerated
 //! High-Performance File System Client"* (Zhong et al., ICPP 2024).
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the product — the crates a DPC instance
+//! runs — and nothing else:
 //!
 //! - [`core`] — DPC itself: the host-side fs-adapter and the DPU runtime
-//!   with its IO-dispatch. (The calibrated Table 1 testbed constants of
-//!   the figures' virtual-time model live in the `dpc-bench` crate.)
+//!   with its IO-dispatch.
 //! - [`nvmefs`] — the paper's nvme-fs protocol (bidirectional vendor SQE,
-//!   multi-queue, 4-DMA writes) and [`virtiofs`] — the DPFS/virtio-fs
-//!   baseline it replaces (11-DMA writes, single queue).
+//!   multi-queue, 4-DMA writes) over [`pcie`], the host↔DPU link: host
+//!   memory regions, the DMA engine and its timing model.
 //! - [`cache`] — the hybrid cache: host-resident data plane, DPU-resident
 //!   control plane, per-entry PCIe-atomic locks.
 //! - [`kvfs`] — the KV-backed standalone file system (inode / attribute /
@@ -19,11 +19,16 @@
 //! - [`dfs`] — metadata + data servers and the two client types the
 //!   evaluation compares: the standard client and the optimized
 //!   `ClientCore`, which a DPC instance runs on the DPU (one per
-//!   instance), with [`ec`] providing Reed–Solomon erasure coding.
-//! - [`ext4sim`] — the local-file-system baseline on [`ssd`].
-//! - [`sim`], [`pcie`], [`net`] — the discrete-event engine and hardware
-//!   models standing in for the paper's testbed.
-//! - [`workload`] — fio/vdbench-style workload generators.
+//!   instance), with [`ec`] providing Reed–Solomon erasure coding and
+//!   [`codec`] the CRC32C on every cell.
+//! - [`fault`] — the seeded fault plan, the DPU crash switch and virtual
+//!   time, which every product crate shares.
+//!
+//! The modelled testbed is not here. The discrete-event engine
+//! (`dpc-sim`), the network and SSD models (`dpc-net`, `dpc-ssd`), the
+//! baselines (`dpc-virtiofs`, `dpc-ext4sim`), the workload generators
+//! (`dpc-workload`) and the Table 1 constants with every figure
+//! (`dpc-bench`) are leaves that no product crate names.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every figure and table.
@@ -49,13 +54,8 @@ pub use dpc_codec as codec;
 pub use dpc_core as core;
 pub use dpc_dfs as dfs;
 pub use dpc_ec as ec;
-pub use dpc_ext4sim as ext4sim;
+pub use dpc_fault as fault;
 pub use dpc_kvfs as kvfs;
 pub use dpc_kvstore as kvstore;
-pub use dpc_net as net;
 pub use dpc_nvmefs as nvmefs;
 pub use dpc_pcie as pcie;
-pub use dpc_sim as sim;
-pub use dpc_ssd as ssd;
-pub use dpc_virtiofs as virtiofs;
-pub use dpc_workload as workload;

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use dpc::core::{Dpc, DpcConfig, DpcFs, Fd};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::kvstore::KvStore;
-use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::read_file;
 
 const PAGE: usize = 4096;

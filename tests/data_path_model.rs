@@ -10,7 +10,7 @@
 //! records — through those two fault sites.
 
 use dpc::core::{Dpc, DpcConfig, Fd};
-use dpc::sim::{FaultPlan, FaultSpec};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc_testkit::{gen_op, read_fd, seeds, step, FileModel, DATA_PATH, FILES};
 use proptest::prelude::*;
 

@@ -4,7 +4,7 @@
 
 use dpc::core::{Dpc, DpcConfig, DpcFs, IoMode};
 use dpc::dfs::DfsConfig;
-use dpc::sim::{FaultPlan, FaultSpec};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc_testkit::{read_fd, read_file};
 
 #[test]

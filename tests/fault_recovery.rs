@@ -20,8 +20,8 @@ use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig, IoMode};
 use dpc::dfs::{ClientCore, DfsBackend, DfsConfig, DfsError, DFS_BLOCK};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::nvmefs::RetryPolicy;
-use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{fill, read_fd, read_file, seeds, splitmix};
 use proptest::prelude::*;
 

@@ -30,10 +30,10 @@ use std::sync::Arc;
 
 use dpc::cache::{CacheConfig, ControlPlane, HybridCache, WriteError, PAGE_SIZE};
 use dpc::core::{Dpc, DpcConfig};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::pcie::DmaEngine;
-use dpc::sim::{FaultPlan, FaultSpec};
-use dpc::workload::{HotSetGen, HotSetSpec};
 use dpc_testkit::{read_fd, seeds};
+use dpc_workload::{HotSetGen, HotSetSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -27,8 +27,8 @@
 
 use dpc::core::{Dpc, DpcConfig, DpcFs};
 use dpc::dfs::{DfsBackend, DfsConfig, DfsError};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::nvmefs::RetryPolicy;
-use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{seeds, splitmix};
 use proptest::prelude::*;
 

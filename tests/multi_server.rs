@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use dpc::core::{Dpc, DpcConfig};
 use dpc::dfs::{DfsBackend, DfsConfig};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::kvstore::KvStore;
-use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::read_file;
 
 #[test]

@@ -11,8 +11,8 @@
 
 use dpc::cache::{RaConfig, ReadaheadTable, PAGE_SIZE};
 use dpc::core::{Dpc, DpcConfig};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::kvfs::ROOT_INO;
-use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{fill, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
 

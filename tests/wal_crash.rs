@@ -19,8 +19,8 @@
 //! (the CI chaos job fans out over the fixed seeds).
 
 use dpc::core::{Dpc, DpcConfig, DpcError, FsyncMode};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::nvmefs::RetryPolicy;
-use dpc::sim::{FaultPlan, FaultSpec};
 use dpc_testkit::{gen_op, payload, read_fd, read_file, seeds, step, CrashOracle, CRASH, FILES};
 use proptest::prelude::*;
 

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig, FsyncMode};
-use dpc::sim::{FaultPlan, FaultSpec};
+use dpc::fault::{FaultPlan, FaultSpec};
 use dpc_testkit::{fill, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
 
