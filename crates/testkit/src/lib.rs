@@ -352,12 +352,10 @@ pub fn cold_read(dpc: &Dpc, path: &str) -> Vec<u8> {
     read_file(&cold.fs(), path)
 }
 
-/// Run `body` while a second adapter loops a scoped `fsync` of every file
-/// listed in `dirs` — open, `fsync`, close, round after round until `body`
-/// returns or panics, and at least once: the DPU flush pass that races a
-/// suite's host writers on their inodes. A file unlinked under the loop is
-/// skipped; any other error fails the test.
-pub fn racing_fsync<R>(dpc: &Dpc, dirs: &[&str], body: impl FnOnce() -> R) -> R {
+/// Run `body` while a second thread runs `turn` round after round, until
+/// `body` returns or panics, and at least once: the shape of every racing
+/// test here.
+pub fn racing<R>(mut turn: impl FnMut() + Send, body: impl FnOnce() -> R) -> R {
     struct Done<'a>(&'a AtomicBool);
     impl Drop for Done<'_> {
         fn drop(&mut self) {
@@ -366,30 +364,42 @@ pub fn racing_fsync<R>(dpc: &Dpc, dirs: &[&str], body: impl FnOnce() -> R) -> R 
     }
     let done = AtomicBool::new(false);
     std::thread::scope(|s| {
-        s.spawn(|| {
-            let fs = dpc.fs();
-            loop {
-                for dir in dirs {
-                    for entry in fs.readdir(dir).unwrap() {
-                        let path = format!("{}/{}", dir.trim_end_matches('/'), entry.name);
-                        let Ok(fd) = fs.open(&path) else {
-                            continue;
-                        };
-                        match fs.fsync(fd).and_then(|()| fs.close(fd)) {
-                            Ok(()) | Err(DpcError::NOT_FOUND) => {}
-                            Err(e) => panic!("racing fsync of {path}: {e}"),
-                        }
-                    }
-                }
-                if done.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::yield_now();
+        s.spawn(|| loop {
+            turn();
+            if done.load(Ordering::Acquire) {
+                return;
             }
+            std::thread::yield_now();
         });
         let _done = Done(&done);
         body()
     })
+}
+
+/// Run `body` while a second adapter loops a scoped `fsync` of every file
+/// listed in `dirs` — open, `fsync`, close, round after round until `body`
+/// returns or panics, and at least once: the DPU flush pass that races a
+/// suite's host writers on their inodes. A file unlinked under the loop is
+/// skipped; any other error fails the test.
+pub fn racing_fsync<R>(dpc: &Dpc, dirs: &[&str], body: impl FnOnce() -> R) -> R {
+    let fs = dpc.fs();
+    racing(
+        || {
+            for dir in dirs {
+                for entry in fs.readdir(dir).unwrap() {
+                    let path = format!("{}/{}", dir.trim_end_matches('/'), entry.name);
+                    let Ok(fd) = fs.open(&path) else {
+                        continue;
+                    };
+                    match fs.fsync(fd).and_then(|()| fs.close(fd)) {
+                        Ok(()) | Err(DpcError::NOT_FOUND) => {}
+                        Err(e) => panic!("racing fsync of {path}: {e}"),
+                    }
+                }
+            }
+        },
+        body,
+    )
 }
 
 #[cfg(test)]
