@@ -6,10 +6,8 @@
 //! 20.6/26.6 µs R/W, virtio-fs 36.5/34 µs). EXPERIMENTS.md keeps the
 //! inputs-vs-measured distinction explicit.
 
-use dpc_net::NetworkModel;
 use dpc_pcie::PcieModel;
 use dpc_sim::Nanos;
-use dpc_ssd::SsdModel;
 
 /// Host CPU: Intel Xeon Gold 6230R (Table 1).
 #[derive(Copy, Clone, Debug)]
@@ -92,6 +90,94 @@ impl Default for SoftwareCosts {
             mds_data_service: Nanos::from_micros(18.0),
             ds_service: Nanos::from_micros(8.0),
         }
+    }
+}
+
+/// Timing model of the local NVMe SSD, the Ext4 baseline's device.
+///
+/// Table 1 of the paper pins the local SSD to a Huawei ES3600P V5 with
+/// 88 µs read / 14 µs write latency; Figure 7 shows local Ext4's IOPS
+/// saturating once concurrency exceeds the SSD's internal parallelism.
+/// The model is intentionally simple: a fixed per-command service time by
+/// direction plus a size-proportional transfer term, executed on
+/// `channels`-way internal parallelism (a `dpc-sim` station).
+#[derive(Copy, Clone, Debug)]
+pub struct SsdModel {
+    /// Base service time of a small read command.
+    pub read_service: Nanos,
+    /// Base service time of a small write command (cache-absorbed, hence
+    /// much lower than reads on this device).
+    pub write_service: Nanos,
+    /// Internal parallelism: concurrent commands served without queueing.
+    pub channels: usize,
+    /// Sustained media/interface bandwidth for the size-dependent term.
+    pub bandwidth_bytes_per_sec: f64,
+    /// Command size at or below which the transfer term is considered
+    /// included in the base service time.
+    pub base_covers_bytes: u64,
+}
+
+impl Default for SsdModel {
+    /// Calibrated to the ES3600P V5 in Table 1.
+    fn default() -> Self {
+        SsdModel {
+            read_service: Nanos::from_micros(88.0),
+            write_service: Nanos::from_micros(14.0),
+            channels: 16,
+            bandwidth_bytes_per_sec: 3.2e9,
+            base_covers_bytes: 8192,
+        }
+    }
+}
+
+impl SsdModel {
+    /// Service time for one read command of `bytes`.
+    pub fn read_time(&self, bytes: u64) -> Nanos {
+        self.read_service + self.transfer_excess(bytes)
+    }
+
+    /// Service time for one write command of `bytes`.
+    pub fn write_time(&self, bytes: u64) -> Nanos {
+        self.write_service + self.transfer_excess(bytes)
+    }
+
+    fn transfer_excess(&self, bytes: u64) -> Nanos {
+        let excess = bytes.saturating_sub(self.base_covers_bytes);
+        Nanos::for_transfer(excess, self.bandwidth_bytes_per_sec)
+    }
+}
+
+/// Timing model of one RDMA-capable fabric path between a client and the
+/// disaggregated storage (§2.2). Message *contents* move by direct calls
+/// in `dpc-kvstore` and `dpc-dfs`; the figures charge their *time* here.
+#[derive(Copy, Clone, Debug)]
+pub struct NetworkModel {
+    /// Round-trip time of a minimal message (send + completion).
+    pub rtt: Nanos,
+    /// Usable bandwidth of the path.
+    pub bandwidth_bytes_per_sec: f64,
+    /// CPU time to post and reap one message pair (per side; charged at
+    /// whichever CPU station initiates the exchange).
+    pub per_message_cpu: Nanos,
+}
+
+impl Default for NetworkModel {
+    /// A 100 GbE RoCE fabric: 5 µs RTT, 12.5 GB/s.
+    fn default() -> Self {
+        NetworkModel {
+            rtt: Nanos::from_micros(5.0),
+            bandwidth_bytes_per_sec: 12.5e9,
+            per_message_cpu: Nanos::from_micros(0.6),
+        }
+    }
+}
+
+impl NetworkModel {
+    /// Total wire time of a request/response exchange: one RTT plus the
+    /// serialisation time of both payloads.
+    pub fn round_trip(&self, request_bytes: u64, response_bytes: u64) -> Nanos {
+        let bw = self.bandwidth_bytes_per_sec;
+        self.rtt + Nanos::for_transfer(request_bytes, bw) + Nanos::for_transfer(response_bytes, bw)
     }
 }
 
@@ -217,6 +303,43 @@ mod tests {
         assert_eq!(t.ssd.write_service, Nanos::from_micros(14.0));
         let pcie_gbps = t.pcie.bandwidth_bytes_per_sec() / 1e9;
         assert!((15.0..16.5).contains(&pcie_gbps));
+    }
+
+    #[test]
+    fn defaults_match_table1() {
+        let m = SsdModel::default();
+        assert_eq!(m.read_time(4096), Nanos::from_micros(88.0));
+        assert_eq!(m.write_time(4096), Nanos::from_micros(14.0));
+    }
+
+    #[test]
+    fn small_commands_pay_only_base() {
+        let m = SsdModel::default();
+        assert_eq!(m.read_time(512), m.read_time(8192));
+    }
+
+    #[test]
+    fn large_commands_pay_transfer() {
+        let m = SsdModel::default();
+        let t1m = m.read_time(1 << 20);
+        assert!(t1m > m.read_time(8192));
+        // 1MiB - 8KiB at 3.2 GB/s is about 325us of transfer.
+        let extra = (t1m - m.read_time(8192)).as_micros();
+        assert!((300.0..350.0).contains(&extra), "{extra}");
+    }
+
+    #[test]
+    fn minimal_round_trip_is_rtt() {
+        let n = NetworkModel::default();
+        assert_eq!(n.round_trip(0, 0), n.rtt);
+    }
+
+    #[test]
+    fn payload_adds_serialisation() {
+        let n = NetworkModel::default();
+        let t = n.round_trip(0, 1 << 20);
+        // 1 MiB at 12.5 GB/s ≈ 83.9 us on top of 5 us RTT.
+        assert!((t.as_micros() - 88.9).abs() < 1.0, "{t}");
     }
 
     #[test]

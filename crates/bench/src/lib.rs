@@ -7,6 +7,8 @@
 //! `cargo bench -p dpc-bench --bench experiments` regenerates every
 //! table; EXPERIMENTS.md records paper-vs-measured.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod ablate;
 pub mod ablate_cache;
 mod config;

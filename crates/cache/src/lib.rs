@@ -46,6 +46,8 @@
 //! assert_eq!(sink, vec![(7, 0, b"hello page".to_vec())]);
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod control;
 mod host;
 mod layout;

@@ -10,6 +10,8 @@
 //! client; compression and DIF tags on flush are a stated divergence
 //! (DESIGN.md §14.4) and are not implemented here.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod crc;
 
 pub use crc::{crc32c, tier as crc32c_tier, update as crc32c_update, Tier as Crc32cTier};

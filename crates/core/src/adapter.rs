@@ -26,7 +26,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dpc_cache::{
@@ -172,6 +172,10 @@ struct InodeCell {
     /// The `landed` value a successful scoped `Fsync` is known to cover:
     /// the one sampled before that request was sent.
     synced: AtomicU64,
+    /// Set while a size reconcile's `Truncate` is in flight: a mutation
+    /// starting then waits for it, or the `Truncate` could reach the
+    /// backend after that mutation's flushed pages and cut them.
+    reconciling: AtomicBool,
 }
 
 /// An op on an [`InodeCell`] from its start to its end: see
@@ -184,6 +188,16 @@ impl Drop for Mutation<'_> {
     }
 }
 
+/// A size reconcile in flight on an [`InodeCell`]: see
+/// [`InodeCell::quiescent`].
+struct Quiet<'a>(&'a InodeCell);
+
+impl Drop for Quiet<'_> {
+    fn drop(&mut self) {
+        self.0.reconciling.store(false, Ordering::Release);
+    }
+}
+
 impl InodeCell {
     fn new(size: u64) -> InodeCell {
         InodeCell {
@@ -191,20 +205,39 @@ impl InodeCell {
             mutations: AtomicU64::new(0),
             landed: AtomicU64::new(0),
             synced: AtomicU64::new(0),
+            reconciling: AtomicBool::new(false),
         }
     }
 
     /// Start a mutation: counted in `mutations` now, and in `landed` when
     /// the returned guard drops — hold it until the op's pages and size
-    /// are in place.
+    /// are in place. While a reconcile is in flight it waits, counted as
+    /// a mutation that landed nothing.
     fn mutation(&self) -> Mutation<'_> {
-        self.mutations.fetch_add(1, Ordering::AcqRel);
-        Mutation(self)
+        loop {
+            // SeqCst, as in `quiescent`: either this sees the reconcile, or
+            // the reconcile sees this mutation in flight.
+            self.mutations.fetch_add(1, Ordering::SeqCst);
+            if !self.reconciling.load(Ordering::SeqCst) {
+                return Mutation(self);
+            }
+            self.landed.fetch_add(1, Ordering::AcqRel);
+            while self.reconciling.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
     }
 
-    /// No mutation is in flight: every one that started has landed.
-    fn quiescent(&self) -> bool {
-        self.landed.load(Ordering::Acquire) == self.mutations.load(Ordering::Acquire)
+    /// No mutation is in flight — every one that started has landed — and
+    /// none starts until the returned guard drops; `None` if one is in
+    /// flight, or another reconcile is.
+    fn quiescent(&self) -> Option<Quiet<'_>> {
+        if self.reconciling.swap(true, Ordering::SeqCst) {
+            return None;
+        }
+        let quiet = Quiet(self);
+        let landed = self.landed.load(Ordering::SeqCst);
+        (landed == self.mutations.load(Ordering::SeqCst)).then_some(quiet)
     }
 
     /// Nothing was modified since the last covering fsync: no page of
@@ -1555,9 +1588,16 @@ impl DpcFs {
         // size goes up once they are all in), which this pass flushed: they
         // are not a failed write's, so the backend is reconciled only when
         // nothing is in flight — that write's own `close` comes back here.
-        let size = entry.cell.size.load(Ordering::Acquire);
-        if backend != size && entry.cell.quiescent() {
-            self.call(&FileRequest::Truncate { ino, size }, b"")?;
+        // And none starts until the `Truncate` has landed: a write that
+        // began after the size was read, and whose close flushed first,
+        // would lose its pages to it.
+        if backend != entry.cell.size.load(Ordering::Acquire) {
+            if let Some(_quiet) = entry.cell.quiescent() {
+                let size = entry.cell.size.load(Ordering::Acquire);
+                if backend != size {
+                    self.call(&FileRequest::Truncate { ino, size }, b"")?;
+                }
+            }
         }
         Ok(())
     }
@@ -1754,15 +1794,37 @@ mod tests {
         // An fsync samples while the write has not landed its pages, and
         // reconciles no size while it is in flight…
         let covers = cell.landed.load(Ordering::Acquire);
-        assert!(!cell.quiescent());
+        assert!(cell.quiescent().is_none());
         drop(write);
-        assert!(cell.quiescent());
+        assert!(cell.quiescent().is_some());
         cell.synced.fetch_max(covers, Ordering::AcqRel);
         // …so the close after it still flushes.
         assert!(!cell.is_clean());
         let covers = cell.landed.load(Ordering::Acquire);
         cell.synced.fetch_max(covers, Ordering::AcqRel);
         assert!(cell.is_clean());
+    }
+
+    #[test]
+    fn a_mutation_waits_out_a_reconcile_in_flight() {
+        let cell = InodeCell::new(0);
+        let quiet = cell.quiescent().expect("nothing is in flight");
+        // One reconcile at a time.
+        assert!(cell.quiescent().is_none());
+        let started = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _write = cell.mutation();
+                started.store(true, Ordering::Release);
+            });
+            // While the `Truncate` is in flight the write does not start…
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!started.load(Ordering::Acquire));
+            drop(quiet);
+        });
+        // …and once it has landed the write starts, and lands.
+        assert!(started.load(Ordering::Acquire));
+        assert!(cell.quiescent().is_some());
     }
 
     #[test]

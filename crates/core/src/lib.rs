@@ -23,6 +23,8 @@
 //! assert_eq!(&buf, b"threads=8\n");
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod adapter;
 mod dispatch;
 mod dpc;

@@ -21,6 +21,8 @@
 //! like "the optimized client's 8 KiB write issues one swap and `m` delta
 //! RPCs to the data servers and zero MDS RPCs; a healthy read is one".
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod backend;
 mod client;
 

@@ -21,6 +21,8 @@
 //! assert_eq!(damaged[0].as_deref().unwrap(), b"filedata");
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod gf256;
 mod matrix;
 mod rs;

@@ -68,18 +68,6 @@ impl ReedSolomon {
         ReedSolomon { k, m, encode }
     }
 
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
-    pub fn total_shards(&self) -> usize {
-        self.k + self.m
-    }
-
     /// The coefficient data shard `data` carries into parity shard
     /// `parity`: parity `p` is `Σᵢ coefficient(p, i) · dataᵢ`, so a change
     /// `δ` to data shard `i` is `coefficient(p, i) · δ` applied to `p`.

@@ -10,6 +10,8 @@
 //!   price in. The discrete-event simulator (`dpc-sim`) runs on it too,
 //!   and re-exports it.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod fault;
 mod time;
 

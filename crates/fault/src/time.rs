@@ -23,11 +23,6 @@ impl Nanos {
     /// One second.
     pub const SEC: Nanos = Nanos(1_000_000_000);
 
-    #[inline]
-    pub fn from_nanos(n: u64) -> Nanos {
-        Nanos(n)
-    }
-
     /// Build from (possibly fractional) microseconds, rounding to nanos.
     #[inline]
     pub fn from_micros(us: f64) -> Nanos {

@@ -32,6 +32,8 @@
 //! assert_eq!(fs.stat("/etc/app.conf").unwrap().size, 9);
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod cache;
 mod fileobj;
 mod fs;

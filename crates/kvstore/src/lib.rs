@@ -21,6 +21,8 @@
 //! The store's price for the modelled figures, `KvTimingModel`, lives
 //! with the other Table 1 models in `dpc-bench`.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod store;
 
 pub use store::{Check, KvStats, KvStore, Write};

@@ -28,6 +28,8 @@
 //! every reply through its lease; the target fetches through
 //! [`FileTarget::poll_many`].
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod driver;
 mod filemsg;
 mod pool;

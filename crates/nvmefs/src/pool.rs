@@ -258,11 +258,6 @@ impl ChannelPool {
         self.retry = retry;
     }
 
-    /// The recovery policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Number of underlying queue pairs.
     pub fn queue_count(&self) -> usize {
         self.queues.len()

@@ -17,7 +17,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// The calling thread's share of `ALLOCS`. Const-initialised with no
@@ -27,9 +26,8 @@ thread_local! {
 
 /// Count one allocation, globally and for the calling thread (skipped for
 /// a thread whose locals are already torn down).
-fn count(bytes: usize) {
+fn count() {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
@@ -40,7 +38,7 @@ pub struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -49,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,11 +62,6 @@ pub fn alloc_count() -> u64 {
 /// other threads' noise (the test harness, a server thread).
 pub fn thread_alloc_count() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
-}
-
-/// Bytes requested since process start.
-pub fn alloc_bytes() -> u64 {
-    ALLOC_BYTES.load(Ordering::Relaxed)
 }
 
 /// Whether this binary actually routes allocations through the counting

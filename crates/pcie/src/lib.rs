@@ -20,6 +20,8 @@
 //! virtual-time charge are separated so tests can exercise the data path
 //! with real threads while benchmarks replay costs in `dpc-sim`.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod alloc;
 mod sleeper;
 

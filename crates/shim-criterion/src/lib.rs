@@ -11,6 +11,8 @@
 //! `sample_size` samples, and report the median ns/iter (plus derived
 //! throughput) on stdout. No plots, no statistical regression testing.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

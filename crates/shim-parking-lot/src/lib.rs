@@ -7,6 +7,8 @@
 //! unwrapped: a panic while holding a lock does not poison it for later
 //! users, matching parking_lot semantics.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 use std::sync;
 
 /// A mutex with parking_lot's `lock()` signature (no `Result`).

@@ -15,6 +15,8 @@
 //!   module path and name, so runs are reproducible without a persistence
 //!   file (`.proptest-regressions` files are ignored).
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 pub mod strategy;
 pub mod test_runner;
 

@@ -7,6 +7,8 @@
 //! and [`seq::SliceRandom`] (`shuffle`, `choose`). Determinism matters more
 //! than statistical perfection here: every consumer seeds explicitly.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 /// Low-level source of randomness.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;

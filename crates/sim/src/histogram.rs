@@ -120,10 +120,6 @@ impl LatencyHistogram {
         self.quantile(0.50)
     }
 
-    pub fn p95(&self) -> Nanos {
-        self.quantile(0.95)
-    }
-
     pub fn p99(&self) -> Nanos {
         self.quantile(0.99)
     }

@@ -23,6 +23,8 @@
 //! assert!(report.total_throughput() > 100_000.0); // 16-way SSD, 88us service
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod engine;
 mod histogram;
 mod station;

@@ -7,6 +7,8 @@
 //! like) and hands the mixed state to [`fill`], so every byte it writes is
 //! its own. The op schedule's payloads mix with [`payload`].
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 

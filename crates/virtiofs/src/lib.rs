@@ -17,6 +17,8 @@
 //! Layers: [`Virtqueue`]/[`Desc`] (split-ring structures) → FUSE framing
 //! ([`FuseInHeader`] etc.) → [`VirtioFsFront`] / [`DpfsHal`] drivers.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod fuse;
 mod hal;
 mod ring;

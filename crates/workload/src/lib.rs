@@ -7,6 +7,8 @@
 //! it into the read-mostly hot-set stream (Zipfian offsets over a small
 //! file set) that drives the lock-free meta-plane chaos suite.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
 mod fileset;
 mod hotset;
 mod zipf;

@@ -87,12 +87,26 @@ if [ -n "$knobs" ]; then
     echo "$knobs" >&2
     exit 1
 fi
+# DESIGN.md §3's inventory has one row per directory under crates/, the
+# shims sharing one row: a change that adds or deletes a crate updates the
+# table with it.
+listed=$(perl -ne '
+    next unless /^## 3\. / .. /^## 4\. /;
+    next unless /^\|([^|]*)\|/;
+    my $cell = $1;
+    print "$1\n" while $cell =~ /`(crates\/[^`]+)`/g;' DESIGN.md | sort)
+present=$(ls -d crates/*/ | sed 's|/$||; s|^crates/shim-.*|crates/shim-*|' | sort -u)
+if [ "$listed" != "$present" ]; then
+    echo "tier1: DESIGN.md §3 lists $(tr '\n' ' ' <<<"$listed"); crates/ holds" \
+        "$(tr '\n' ' ' <<<"$present")" >&2
+    exit 1
+fi
 # The product stands alone (DESIGN.md §3): the modelled testbed — the
-# simulator, the network and SSD models, the two baselines, the workload
-# generators and the figures — is leaves that neither `dpc-core` nor the
+# simulator, the virtio-fs baseline, the workload generators and the
+# figures with their prices — is leaves that neither `dpc-core` nor the
 # `dpc` facade reaches through a normal edge, and the base crate
 # `dpc-fault` names no `dpc-*` crate at all.
-leaves="dpc-sim dpc-net dpc-ssd dpc-ext4sim dpc-virtiofs dpc-workload dpc-bench"
+leaves="dpc-sim dpc-virtiofs dpc-workload dpc-bench"
 for pkg in dpc-core dpc; do
     deps=$(cargo tree -e normal --offline -p "$pkg" --prefix none | cut -d' ' -f1 | sort -u)
     for leaf in $leaves; do

@@ -25,10 +25,10 @@
 //!   time, which every product crate shares.
 //!
 //! The modelled testbed is not here. The discrete-event engine
-//! (`dpc-sim`), the network and SSD models (`dpc-net`, `dpc-ssd`), the
-//! baselines (`dpc-virtiofs`, `dpc-ext4sim`), the workload generators
-//! (`dpc-workload`) and the Table 1 constants with every figure
-//! (`dpc-bench`) are leaves that no product crate names.
+//! (`dpc-sim`), the virtio-fs baseline (`dpc-virtiofs`), the workload
+//! generators (`dpc-workload`) and the Table 1 constants — the SSD, network
+//! and KV prices among them — with every figure (`dpc-bench`) are leaves
+//! that no product crate names.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every figure and table.
@@ -48,6 +48,8 @@
 //! fs.read(fd, 0, &mut buf).unwrap();
 //! assert_eq!(&buf, b"threads=8\n");
 //! ```
+
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub use dpc_cache as cache;
 pub use dpc_codec as codec;
