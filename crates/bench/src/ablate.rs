@@ -10,40 +10,54 @@
 //! - **small→big promotion threshold** — KV write amplification as the
 //!   small-file rewrite boundary moves.
 
+use crate::link::Link;
 use crate::Testbed;
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{
     create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
-    Payload, QueuePairConfig, Sides, Ticket,
+    Payload, QueuePairConfig, Sides, Ticket, CQE_SIZE, SQE_SIZE,
 };
 use dpc_pcie::DmaEngine;
-use dpc_sim::{Nanos, Plan, Simulation, StationCfg};
+use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 use std::sync::Arc;
 
 use crate::table::{fmt_iops, fmt_us, Table};
 
+struct QueueSt {
+    host: StationId,
+    link: Link,
+    dpu: StationId,
+}
+
+fn build_queues(tb: &Testbed, queues: usize) -> (Simulation, QueueSt) {
+    let mut sim = Simulation::new();
+    let st = QueueSt {
+        host: sim.add_station(StationCfg::new("host-cpu", tb.host.threads)),
+        link: Link::new(&mut sim, tb.pcie),
+        // Service parallelism = min(queues, cores): one service loop per pair.
+        dpu: sim.add_station(StationCfg::new("dpu-svc", queues.min(tb.dpu.cores))),
+    };
+    (sim, st)
+}
+
+/// One 8K nvme-fs write of the queue sweep.
+fn plan_queue_write(tb: &Testbed, st: &QueueSt, plan: &mut Plan) {
+    let c = &tb.costs;
+    plan.service(st.host, c.host_syscall + c.fs_adapter);
+    st.link.submit(8192, plan);
+    plan.service(st.dpu, c.dpu_request + c.dpu_write_extra);
+    st.link.complete(0, plan);
+    plan.service(st.host, c.host_complete);
+}
+
 /// nvme-fs 8K write IOPS at 32 threads with `queues` queue pairs; queue
 /// count bounds the DPU-side service parallelism devoted to this tenant.
 pub fn nvmefs_iops_with_queues(tb: &Testbed, queues: usize) -> f64 {
-    let mut sim = Simulation::new();
-    let host = sim.add_station(StationCfg::new("host-cpu", tb.host.threads));
-    let engines = sim.add_station(StationCfg::new("dma-engines", 8));
-    let wire = sim.add_station(StationCfg::new("pcie-wire", 1));
-    // Service parallelism = min(queues, cores): one service loop per pair.
-    let dpu = sim.add_station(StationCfg::new("dpu-svc", queues.min(tb.dpu.cores)));
+    let (mut sim, st) = build_queues(tb, queues);
     let tb2 = *tb;
     let mut flow = move |_c: usize, _cy: u64, _now: Nanos, plan: &mut Plan| {
-        let c = &tb2.costs;
-        plan.service(host, c.host_syscall + c.fs_adapter);
-        plan.service(engines, tb2.pcie.dma_setup);
-        plan.service(wire, tb2.pcie.transfer_time(64));
-        plan.service(engines, tb2.pcie.dma_setup);
-        plan.service(wire, tb2.pcie.transfer_time(8192));
-        plan.service(dpu, c.dpu_request + c.dpu_write_extra);
-        plan.service(engines, tb2.pcie.dma_setup);
-        plan.service(wire, tb2.pcie.transfer_time(16));
-        plan.service(host, c.host_complete);
+        plan_queue_write(&tb2, &st, plan);
     };
     sim.run(
         &mut flow,
@@ -62,6 +76,9 @@ pub fn latency_vs_dma_cost(tb: &Testbed, dma_ops: u64, setup: Nanos) -> Nanos {
     base + Nanos(setup.as_nanos() * dma_ops) + tb.pcie.transfer_time(8192)
 }
 
+/// Link bytes of one 4 KiB nvme-fs command: SQE, page and CQE.
+const LINK_BYTES_4K: u64 = (SQE_SIZE + 4096 + CQE_SIZE) as u64;
+
 /// PCIe bytes moved per cache *hit* under three cache placements.
 pub fn pcie_bytes_per_hit(placement: &str) -> u64 {
     match placement {
@@ -69,9 +86,9 @@ pub fn pcie_bytes_per_hit(placement: &str) -> u64 {
         "hybrid" => 0,
         // Full-DPU cache: every hit ships the page over the link, plus a
         // command and completion.
-        "dpu" => 64 + 4096 + 16,
+        "dpu" => LINK_BYTES_4K,
         // No cache: full backend round trip, same link cost as a miss.
-        "none" => 64 + 4096 + 16,
+        "none" => LINK_BYTES_4K,
         _ => unreachable!(),
     }
 }
@@ -181,7 +198,7 @@ pub fn batch_submit_stats(batch: usize, ops: usize) -> (f64, f64) {
 pub fn batch_modeled_op_time(tb: &Testbed, doorbells_per_op: f64) -> Nanos {
     let c = &tb.costs;
     let fixed = c.host_syscall + c.fs_adapter + c.dpu_request + c.host_complete;
-    let dma = Nanos(tb.pcie.dma_setup.as_nanos() * 3) + tb.pcie.transfer_time(64 + 4096 + 16);
+    let dma = Nanos(tb.pcie.dma_setup.as_nanos() * 3) + tb.pcie.transfer_time(LINK_BYTES_4K);
     let db = Nanos((tb.pcie.doorbell.as_nanos() as f64 * doorbells_per_op) as u64);
     fixed + dma + db
 }
@@ -291,6 +308,15 @@ pub fn run(tb: &Testbed) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_queue_sweep_write_crosses_the_link_once() {
+        let tb = Testbed::default();
+        let (_sim, st) = build_queues(&tb, 4);
+        let mut plan = Plan::default();
+        plan_queue_write(&tb, &st, &mut plan);
+        st.link.assert_crosses_once(&plan, st.dpu, 8192, 0);
+    }
 
     #[test]
     fn more_queues_more_iops_until_cores() {

@@ -47,25 +47,19 @@ pub struct SoftwareCosts {
     pub fuse_overhead: Nanos,
     /// DPFS-HAL per-request processing on the DPU (single thread!).
     pub hal_request: Nanos,
-    /// Hybrid-cache host-side op (hash, probe, lock, copy) per page.
-    pub cache_host_op: Nanos,
     /// KVFS per-request CPU on the DPU (KV op assembly, attr handling).
     pub kvfs_request: Nanos,
     /// Local FS (Ext4 baseline) per-4K-page CPU on the host.
     pub ext4_page_cpu: Nanos,
     /// Ext4 per-request fixed CPU (syscall, journal bookkeeping).
     pub ext4_request_cpu: Nanos,
-    /// EC encode cost per 8 KiB block (measured class: GF(256) table
-    /// multiply-accumulate) — host and DPU rates differ slightly.
-    pub ec_8k_host: Nanos,
-    pub ec_8k_dpu: Nanos,
-    /// Client RPC issue/reap cost per message.
-    pub rpc_cpu: Nanos,
     /// MDS service time per metadata request.
     pub mds_service: Nanos,
-    /// MDS extra service for proxied data (per 8 KiB, incl. server EC).
+    /// Extra MDS service for a proxied 8 KiB write (gather plus
+    /// server-side EC).
     pub mds_data_service: Nanos,
-    /// Data-server service per shard request.
+    /// Data-server cluster service per stripe: its k + m shard ops spread
+    /// over the servers cost one shard service of latency.
     pub ds_service: Nanos,
 }
 
@@ -79,13 +73,9 @@ impl Default for SoftwareCosts {
             dpu_write_extra: Nanos::from_micros(6.0),
             fuse_overhead: Nanos::from_micros(6.0),
             hal_request: Nanos::from_micros(1.8),
-            cache_host_op: Nanos::from_micros(0.7),
             kvfs_request: Nanos::from_micros(26.0),
             ext4_page_cpu: Nanos::from_micros(1.1),
             ext4_request_cpu: Nanos::from_micros(2.2),
-            ec_8k_host: Nanos::from_micros(6.0),
-            ec_8k_dpu: Nanos::from_micros(9.0), // TaiShan @2GHz vs Xeon
-            rpc_cpu: Nanos::from_micros(2.0),
             mds_service: Nanos::from_micros(12.0),
             mds_data_service: Nanos::from_micros(18.0),
             ds_service: Nanos::from_micros(8.0),
@@ -156,9 +146,6 @@ pub struct NetworkModel {
     pub rtt: Nanos,
     /// Usable bandwidth of the path.
     pub bandwidth_bytes_per_sec: f64,
-    /// CPU time to post and reap one message pair (per side; charged at
-    /// whichever CPU station initiates the exchange).
-    pub per_message_cpu: Nanos,
 }
 
 impl Default for NetworkModel {
@@ -167,7 +154,6 @@ impl Default for NetworkModel {
         NetworkModel {
             rtt: Nanos::from_micros(5.0),
             bandwidth_bytes_per_sec: 12.5e9,
-            per_message_cpu: Nanos::from_micros(0.6),
         }
     }
 }
@@ -225,7 +211,6 @@ impl Default for KvTimingModel {
             network: NetworkModel {
                 rtt: Nanos::from_micros(5.0),
                 bandwidth_bytes_per_sec: 25.0e9,
-                per_message_cpu: Nanos::from_micros(0.6),
             },
         }
     }

@@ -49,7 +49,7 @@ pub fn run_point(tb: &Testbed, client: Client, work: MixWork, threads: usize) ->
                 }
             }
         };
-        crate::fig9::plan_op_public(&tb2, &st, client, w, cycle, plan);
+        crate::fig9::plan_op(&tb2, &st, client, w, cycle, plan);
     };
     let report = sim.run(
         &mut flow,

@@ -13,6 +13,7 @@
 //! 36.5/34 µs; both peak at 32 threads; nvme-fs 2–3× at high concurrency;
 //! bandwidth 15.1/14.3 GB/s (nvme-fs) vs 6.3/5.1 GB/s (virtio-fs).
 
+use crate::link::Link;
 use crate::Testbed;
 use dpc_nvmefs::{
     create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
@@ -53,13 +54,10 @@ const HAL_COPY_WRITE_BPS: f64 = 5.33e9;
 /// Control-DMA count of one virtio-fs request (measured functionally:
 /// 11 total minus the page-granular data DMAs).
 const VIRTIO_CONTROL_DMAS: u64 = 9;
-/// Parallel DMA engines on the DPU.
-const DMA_ENGINES: usize = 8;
 
 struct Stations {
     host: StationId,
-    engines: StationId,
-    wire: StationId,
+    link: Link,
     dpu: StationId,
     hal: StationId,
 }
@@ -68,8 +66,7 @@ fn build_sim(tb: &Testbed) -> (Simulation, Stations) {
     let mut sim = Simulation::new();
     let host =
         sim.add_station(StationCfg::new("host-cpu", tb.host.threads).with_oversub_penalty(0.25));
-    let engines = sim.add_station(StationCfg::new("dma-engines", DMA_ENGINES));
-    let wire = sim.add_station(StationCfg::new("pcie-wire", 1));
+    let link = Link::new(&mut sim, tb.pcie);
     let dpu = sim.add_station(
         StationCfg::new("dpu-cores", tb.dpu.cores).with_oversub_penalty(tb.dpu.oversub_penalty),
     );
@@ -78,8 +75,7 @@ fn build_sim(tb: &Testbed) -> (Simulation, Stations) {
         sim,
         Stations {
             host,
-            engines,
-            wire,
+            link,
             dpu,
             hal,
         },
@@ -89,16 +85,10 @@ fn build_sim(tb: &Testbed) -> (Simulation, Stations) {
 /// Append the legs of one raw nvme-fs command.
 fn plan_nvmefs(tb: &Testbed, st: &Stations, size: usize, is_read: bool, plan: &mut Plan) {
     let c = &tb.costs;
+    let bytes = size as u64;
+    let (write, read) = if is_read { (0, bytes) } else { (bytes, 0) };
     plan.service(st.host, c.host_syscall + c.fs_adapter);
-    plan.delay(tb.pcie.doorbell);
-    // SQE fetch.
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(64));
-    if !is_read && size > 0 {
-        // Data pages host→DPU: one engine transaction, pipelined pages.
-        plan.service(st.engines, tb.pcie.dma_setup);
-        plan.service(st.wire, tb.pcie.transfer_time(size as u64));
-    }
+    st.link.submit(write, plan);
     // The DPU-side virtual client (in-memory echo).
     plan.service(
         st.dpu,
@@ -108,14 +98,7 @@ fn plan_nvmefs(tb: &Testbed, st: &Stations, size: usize, is_read: bool, plan: &m
             c.dpu_request + c.dpu_write_extra
         },
     );
-    if is_read && size > 0 {
-        // Data pages DPU→host.
-        plan.service(st.engines, tb.pcie.dma_setup);
-        plan.service(st.wire, tb.pcie.transfer_time(size as u64));
-    }
-    // CQE.
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(16));
+    st.link.complete(read, plan);
     plan.service(st.host, c.host_complete);
 }
 
@@ -126,7 +109,7 @@ fn plan_virtiofs(tb: &Testbed, st: &Stations, size: usize, is_read: bool, plan: 
     // The chain walk: 9 serial control DMAs issued one by one. They hold
     // one DMA engine for the whole walk (strictly sequential by design).
     plan.service(
-        st.engines,
+        st.link.engines,
         Nanos(tb.pcie.dma_setup.as_nanos() * VIRTIO_CONTROL_DMAS),
     );
     // The single HAL thread processes the request and copies payload
@@ -143,7 +126,7 @@ fn plan_virtiofs(tb: &Testbed, st: &Stations, size: usize, is_read: bool, plan: 
         plan.delay(FUSE_READ_EXTRA);
     }
     // Payload still crosses the link.
-    plan.service(st.wire, tb.pcie.transfer_time(size as u64));
+    plan.service(st.link.wire, tb.pcie.transfer_time(size as u64));
     plan.service(st.host, c.host_complete);
 }
 
@@ -364,6 +347,18 @@ mod tests {
         let v_gbps = v.iops * (1 << 20) as f64 / 1e9;
         assert!((13.0..16.0).contains(&n_gbps), "nvme {n_gbps} GB/s");
         assert!((4.0..8.0).contains(&v_gbps), "virtio {v_gbps} GB/s");
+    }
+
+    #[test]
+    fn a_raw_nvmefs_command_crosses_the_link_once() {
+        let t = tb();
+        for is_read in [true, false] {
+            let (_sim, st) = build_sim(&t);
+            let mut plan = Plan::default();
+            plan_nvmefs(&t, &st, 8192, is_read, &mut plan);
+            let (write, read) = if is_read { (0, 8192) } else { (8192, 0) };
+            st.link.assert_crosses_once(&plan, st.dpu, write, read);
+        }
     }
 
     #[test]

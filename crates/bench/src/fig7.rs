@@ -20,6 +20,7 @@
 //!   24-core DPU the binding resource around 700 K IOPS — matching the
 //!   paper's "CPU usage of DPU reaches 100% [at 128 threads]".
 
+use crate::link::Link;
 use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
@@ -27,7 +28,7 @@ use crate::table::{fmt_iops, fmt_pct, fmt_us, Table};
 
 /// Random-read parallelism of the local SSD (deeper than the write path:
 /// reads hit many dies concurrently).
-const SSD_RAND_READ_SERVERS: usize = 28;
+pub(crate) const SSD_RAND_READ_SERVERS: usize = 28;
 /// Sustained random-write capacity: 8 write-back units at 30 µs each
 /// (≈267 K IOPS sustained — the SLC-cache/GC-limited steady state).
 const SSD_RAND_WRITE_SERVERS: usize = 8;
@@ -61,8 +62,7 @@ struct St {
     host: StationId,
     ssd_r: StationId,
     ssd_w: StationId,
-    engines: StationId,
-    wire: StationId,
+    link: Link,
     dpu: StationId,
     net: StationId,
     kv: StationId,
@@ -74,8 +74,7 @@ fn build(tb: &Testbed) -> (Simulation, St) {
         host: sim.add_station(StationCfg::new("host-cpu", tb.host.threads)),
         ssd_r: sim.add_station(StationCfg::new("ssd-rand-read", SSD_RAND_READ_SERVERS)),
         ssd_w: sim.add_station(StationCfg::new("ssd-rand-write", SSD_RAND_WRITE_SERVERS)),
-        engines: sim.add_station(StationCfg::new("dma-engines", 8)),
-        wire: sim.add_station(StationCfg::new("pcie-wire", 1)),
+        link: Link::new(&mut sim, tb.pcie),
         // KVFS runs a fixed DPU worker pool (one service loop per queue),
         // so host-thread counts beyond the pool queue in nvme-fs rather
         // than oversubscribing DPU cores — no scheduling penalty here
@@ -108,15 +107,9 @@ fn plan_kvfs(tb: &Testbed, st: &St, threads: usize, is_read: bool, plan: &mut Pl
     let c = &tb.costs;
     let host_cpu =
         c.host_syscall + c.fs_adapter + Nanos(KVFS_SCHED_PER_THREAD.as_nanos() * threads as u64);
+    let (write, read) = if is_read { (0, 8192) } else { (8192, 0) };
     plan.service(st.host, host_cpu);
-    plan.delay(tb.pcie.doorbell);
-    // nvme-fs transport (SQE + data + CQE, as in Fig 6).
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(64));
-    if !is_read {
-        plan.service(st.engines, tb.pcie.dma_setup);
-        plan.service(st.wire, tb.pcie.transfer_time(8192));
-    }
+    st.link.submit(write, plan);
     // DPU: dispatch + KVFS request processing.
     let dpu = if is_read {
         c.dpu_request + c.kvfs_request
@@ -139,12 +132,7 @@ fn plan_kvfs(tb: &Testbed, st: &St, threads: usize, is_read: bool, plan: &mut Pl
             tb.kv.random_write_service
         },
     );
-    if is_read {
-        plan.service(st.engines, tb.pcie.dma_setup);
-        plan.service(st.wire, tb.pcie.transfer_time(8192));
-    }
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(16));
+    st.link.complete(read, plan);
     plan.service(st.host, c.host_complete);
 }
 
@@ -243,6 +231,18 @@ mod tests {
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    #[test]
+    fn a_kvfs_op_crosses_the_link_once() {
+        let t = tb();
+        for is_read in [true, false] {
+            let (_sim, st) = build(&t);
+            let mut plan = Plan::default();
+            plan_kvfs(&t, &st, 1, is_read, &mut plan);
+            let (write, read) = if is_read { (0, 8192) } else { (8192, 0) };
+            st.link.assert_crosses_once(&plan, st.dpu, write, read);
+        }
     }
 
     #[test]

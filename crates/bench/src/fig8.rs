@@ -19,10 +19,11 @@
 //!   disaggregated cluster's streaming bandwidth (prefetch over-fetch and
 //!   per-page insert overhead cost ~28%).
 
+use crate::link::Link;
 use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
-use crate::fig7::{self, System};
+use crate::fig7::{self, System, SSD_RAND_READ_SERVERS};
 use crate::table::{fmt_iops, Table};
 
 /// Host fast path for a cache hit — the *entire* cached-read op: light
@@ -40,8 +41,7 @@ const PREFETCH_EFFICIENCY: f64 = 0.72;
 struct St {
     host: StationId,
     ssd_r: StationId,
-    engines: StationId,
-    wire: StationId,
+    link: Link,
     dpu: StationId,
     nic: StationId,
     kv: StationId,
@@ -51,9 +51,8 @@ fn build(tb: &Testbed) -> (Simulation, St) {
     let mut sim = Simulation::new();
     let st = St {
         host: sim.add_station(StationCfg::new("host-cpu", tb.host.threads)),
-        ssd_r: sim.add_station(StationCfg::new("ssd-rand-read", 28)),
-        engines: sim.add_station(StationCfg::new("dma-engines", 8)),
-        wire: sim.add_station(StationCfg::new("pcie-wire", 1)),
+        ssd_r: sim.add_station(StationCfg::new("ssd-rand-read", SSD_RAND_READ_SERVERS)),
+        link: Link::new(&mut sim, tb.pcie),
         dpu: sim.add_station(StationCfg::new("dpu-cores", tb.dpu.cores)),
         nic: sim.add_station(StationCfg::new("storage-nic", 1)),
         kv: sim.add_station(StationCfg::new("kv-backend", tb.kv.servers)),
@@ -63,8 +62,7 @@ fn build(tb: &Testbed) -> (Simulation, St) {
 
 fn miss_legs_kvfs(tb: &Testbed, st: &St, plan: &mut Plan) {
     let c = &tb.costs;
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(64));
+    st.link.submit(0, plan);
     plan.service(st.dpu, c.dpu_request + c.kvfs_request);
     plan.delay(tb.kv.network.rtt);
     plan.service(
@@ -72,10 +70,7 @@ fn miss_legs_kvfs(tb: &Testbed, st: &St, plan: &mut Plan) {
         Nanos::for_transfer(8192 + 128, tb.kv.network.bandwidth_bytes_per_sec),
     );
     plan.service(st.kv, tb.kv.random_read_service);
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(8192));
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(16));
+    st.link.complete(8192, plan);
 }
 
 fn miss_legs_ext4(tb: &Testbed, st: &St, plan: &mut Plan) {
@@ -227,6 +222,15 @@ mod tests {
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    #[test]
+    fn a_kvfs_miss_crosses_the_link_once() {
+        let t = tb();
+        let (_sim, st) = build(&t);
+        let mut plan = Plan::default();
+        miss_legs_kvfs(&t, &st, &mut plan);
+        st.link.assert_crosses_once(&plan, st.dpu, 0, 8192);
     }
 
     #[test]

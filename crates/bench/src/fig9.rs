@@ -16,6 +16,7 @@
 //! direct I/O on the host, and DPC runs the identical logic on the DPU
 //! behind nvme-fs.
 
+use crate::link::Link;
 use crate::Testbed;
 use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, FsClient, StandardClient, DFS_BLOCK};
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
@@ -65,15 +66,9 @@ const DPC_DPU_WRITE: Nanos = Nanos(37_000);
 /// Entry-MDS→home-MDS forwarding probability with 4 MDSes (3 of 4 names
 /// live elsewhere).
 const FWD_PCT: u64 = 75;
-/// Stripe batch service at the data-server cluster: k+m shard ops spread
-/// over the 6 servers ≙ one shard service of latency per stripe.
-const STRIPE_SERVICE: Nanos = Nanos(8_000);
-/// Metadata-op service at one MDS.
-const META_SERVICE: Nanos = Nanos(12_000);
-/// Extra MDS service for proxied 8K data: reads gather/reassemble,
-/// writes additionally run server-side EC.
+/// Extra MDS service for a proxied 8K read (gather and reassemble; a
+/// write's is `SoftwareCosts::mds_data_service`).
 const META_DATA_READ: Nanos = Nanos(10_000);
-const META_DATA_WRITE: Nanos = Nanos(18_000);
 /// Extra host CPU of the optimized client's create path (create RPC +
 /// delegation RPC + dentry bookkeeping).
 const OPT_CREATE_EXTRA: Nanos = Nanos(15_000);
@@ -91,8 +86,7 @@ const DIRECT_STREAM_WRITE_BW: f64 = 4.4e9;
 pub struct St {
     host: StationId,
     dpu: StationId,
-    engines: StationId,
-    wire: StationId,
+    link: Link,
     mds: StationId,
     stripes: StationId,
     mds_stream: StationId,
@@ -110,38 +104,12 @@ pub fn build_stations(sim: &mut Simulation, tb: &Testbed, cfg: &DfsConfig) -> St
     St {
         host: sim.add_station(StationCfg::new("host-cpu", tb.host.threads)),
         dpu: sim.add_station(StationCfg::new("dpu-cores", tb.dpu.cores)),
-        engines: sim.add_station(StationCfg::new("dma-engines", 8)),
-        wire: sim.add_station(StationCfg::new("pcie-wire", 1)),
+        link: Link::new(sim, tb.pcie),
         mds: sim.add_station(StationCfg::new("mds-cluster", cfg.mds_count)),
         stripes: sim.add_station(StationCfg::new("data-servers", cfg.data_server_count)),
         mds_stream: sim.add_station(StationCfg::new("mds-stream", 1)),
         direct_stream: sim.add_station(StationCfg::new("direct-stream", 1)),
     }
-}
-
-/// Public access to the per-op plan builder (used by the Fig 1 mix).
-pub fn plan_op_public(
-    tb: &Testbed,
-    st: &St,
-    client: Client,
-    work: Work,
-    cycle: u64,
-    plan: &mut Plan,
-) {
-    plan_op(tb, st, client, work, cycle, plan)
-}
-
-/// nvme-fs transport legs for a DPC-dispatched op.
-fn transport_legs(tb: &Testbed, st: &St, payload: u64, to_dpu: bool, plan: &mut Plan) {
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(64));
-    if payload > 0 {
-        plan.service(st.engines, tb.pcie.dma_setup);
-        plan.service(st.wire, tb.pcie.transfer_time(payload));
-    }
-    let _ = to_dpu;
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(16));
 }
 
 /// MDS visit with probabilistic forwarding.
@@ -155,7 +123,8 @@ fn mds_legs(tb: &Testbed, st: &St, service: Nanos, cycle: u64, plan: &mut Plan) 
     }
 }
 
-fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: &mut Plan) {
+/// Append the legs of one `client` op of `work` (used by the Fig 1 mix).
+pub fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: &mut Plan) {
     let c = &tb.costs;
     match work {
         Work::SeqRead | Work::SeqWrite => {
@@ -165,7 +134,7 @@ fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: 
                 Client::Standard => {
                     plan.service(st.host, Nanos(STD_HOST_PER_OP.as_nanos() / 4));
                     plan.delay(tb.net.rtt);
-                    plan.service(st.mds, META_SERVICE);
+                    plan.service(st.mds, c.mds_service);
                     plan.service(st.mds_stream, Nanos::for_transfer(chunk, MDS_STREAM_BW));
                 }
                 Client::Optimized => {
@@ -184,8 +153,13 @@ fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: 
                     plan.service(st.direct_stream, Nanos::for_transfer(chunk, bw));
                 }
                 Client::Dpc => {
+                    let (write, read) = if work == Work::SeqRead {
+                        (0, chunk)
+                    } else {
+                        (chunk, 0)
+                    };
                     plan.service(st.host, c.host_syscall + c.fs_adapter);
-                    transport_legs(tb, st, chunk, work == Work::SeqWrite, plan);
+                    st.link.submit(write, plan);
                     let dpu = if work == Work::SeqRead {
                         Nanos(DPC_DPU_READ.as_nanos() / 3)
                     } else {
@@ -199,6 +173,7 @@ fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: 
                         DIRECT_STREAM_WRITE_BW
                     };
                     plan.service(st.direct_stream, Nanos::for_transfer(chunk, bw));
+                    st.link.complete(read, plan);
                     plan.service(st.host, c.host_complete);
                 }
             }
@@ -218,16 +193,17 @@ fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: 
         Client::Standard => {
             plan.service(st.host, STD_HOST_PER_OP);
             for _ in 0..meta_ops {
-                mds_legs(tb, st, META_SERVICE, cycle, plan);
+                mds_legs(tb, st, c.mds_service, cycle, plan);
             }
             // Data proxied through the MDS (server-side EC on writes).
             let data_svc = if is_write {
-                META_DATA_WRITE
+                c.mds_data_service
             } else {
                 META_DATA_READ
             };
-            mds_legs(tb, st, META_SERVICE + data_svc, cycle.rotate_left(13), plan);
-            plan.service(st.stripes, STRIPE_SERVICE);
+            let proxied = c.mds_service + data_svc;
+            mds_legs(tb, st, proxied, cycle.rotate_left(13), plan);
+            plan.service(st.stripes, c.ds_service);
         }
         Client::Optimized => {
             let mut host = if is_write {
@@ -244,16 +220,17 @@ fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: 
                 let hit = cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 100 < META_CACHE_HIT_PCT;
                 if !hit || work == Work::CreateWrite {
                     plan.delay(tb.net.rtt);
-                    plan.service(st.mds, META_SERVICE);
+                    plan.service(st.mds, c.mds_service);
                 }
             }
             // Direct shard I/O (client EC already in the host cost).
             plan.delay(tb.net.rtt);
-            plan.service(st.stripes, STRIPE_SERVICE);
+            plan.service(st.stripes, c.ds_service);
         }
         Client::Dpc => {
+            let (write, read) = if is_write { (8192, 0) } else { (0, 8192) };
             plan.service(st.host, c.host_syscall + c.fs_adapter);
-            transport_legs(tb, st, if is_write { 8192 } else { 0 }, is_write, plan);
+            st.link.submit(write, plan);
             let dpu = if is_write {
                 DPC_DPU_WRITE
             } else {
@@ -264,17 +241,12 @@ fn plan_op(tb: &Testbed, st: &St, client: Client, work: Work, cycle: u64, plan: 
                 let hit = cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 100 < META_CACHE_HIT_PCT;
                 if !hit || work == Work::CreateWrite {
                     plan.delay(tb.net.rtt);
-                    plan.service(st.mds, META_SERVICE);
+                    plan.service(st.mds, c.mds_service);
                 }
             }
             plan.delay(tb.net.rtt);
-            plan.service(st.stripes, STRIPE_SERVICE);
-            if !is_write {
-                plan.service(st.engines, tb.pcie.dma_setup);
-                plan.service(st.wire, tb.pcie.transfer_time(8192));
-            }
-            plan.service(st.engines, tb.pcie.dma_setup);
-            plan.service(st.wire, tb.pcie.transfer_time(16));
+            plan.service(st.stripes, c.ds_service);
+            st.link.complete(read, plan);
             plan.service(st.host, c.host_complete);
         }
     }
@@ -437,6 +409,27 @@ mod tests {
 
     fn tb() -> Testbed {
         Testbed::default()
+    }
+
+    #[test]
+    fn a_dpc_op_crosses_the_link_once() {
+        let t = tb();
+        let (_sim, st) = build(&t, &DfsConfig::default());
+        let chunk = 128 * 1024;
+        for (work, write, read) in [
+            (Work::BigRead, 0, 8192),
+            (Work::BigWrite, 8192, 0),
+            (Work::SmallRead, 0, 8192),
+            (Work::CreateWrite, 8192, 0),
+            (Work::SeqRead, 0, chunk),
+            (Work::SeqWrite, chunk, 0),
+        ] {
+            for cycle in 0..4 {
+                let mut plan = Plan::default();
+                plan_op(&t, &st, Client::Dpc, work, cycle, &mut plan);
+                st.link.assert_crosses_once(&plan, st.dpu, write, read);
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! says exactly this: "limited by the read/write performance of our
 //! disaggregated KV store").
 
+use crate::link::Link;
 use crate::Testbed;
 use dpc_sim::{Nanos, Plan, Simulation, StationCfg, StationId};
 
@@ -31,8 +32,8 @@ const READ_DEPTH: usize = 3;
 /// Write-back pipeline depth per stream.
 const WRITE_DEPTH: usize = 2;
 
-/// SSD media bandwidths (ES3600P-class: ~3.2 GB/s read, ~2.1 GB/s write).
-const SSD_MEDIA_READ_BW: f64 = 3.2e9;
+/// SSD media write bandwidth (ES3600P-class: ~2.1 GB/s; the read side
+/// is `SsdModel::bandwidth_bytes_per_sec`).
 const SSD_MEDIA_WRITE_BW: f64 = 2.1e9;
 
 struct St {
@@ -40,8 +41,7 @@ struct St {
     ssd_cmd: StationId,
     ssd_media_r: StationId,
     ssd_media_w: StationId,
-    engines: StationId,
-    wire: StationId,
+    link: Link,
     dpu: StationId,
     nic: StationId,
     kv_units: StationId,
@@ -56,8 +56,7 @@ fn build(tb: &Testbed) -> (Simulation, St) {
         ssd_cmd: sim.add_station(StationCfg::new("ssd-cmd", tb.ssd.channels)),
         ssd_media_r: sim.add_station(StationCfg::new("ssd-media-read", 1)),
         ssd_media_w: sim.add_station(StationCfg::new("ssd-media-write", 1)),
-        engines: sim.add_station(StationCfg::new("dma-engines", 8)),
-        wire: sim.add_station(StationCfg::new("pcie-wire", 1)),
+        link: Link::new(&mut sim, tb.pcie),
         dpu: sim.add_station(StationCfg::new("dpu-cores", tb.dpu.cores)),
         nic: sim.add_station(StationCfg::new("storage-nic", 1)),
         kv_units: sim.add_station(StationCfg::new("kv-units", tb.kv.servers)),
@@ -76,7 +75,7 @@ fn plan_ext4(tb: &Testbed, st: &St, is_read: bool, plan: &mut Plan) {
         plan.service(st.ssd_cmd, tb.ssd.read_time(CHUNK));
         plan.service(
             st.ssd_media_r,
-            Nanos::for_transfer(CHUNK, SSD_MEDIA_READ_BW),
+            Nanos::for_transfer(CHUNK, tb.ssd.bandwidth_bytes_per_sec),
         );
     } else {
         plan.service(st.ssd_cmd, tb.ssd.write_time(CHUNK));
@@ -91,10 +90,11 @@ fn plan_ext4(tb: &Testbed, st: &St, is_read: bool, plan: &mut Plan) {
 /// One 128 KiB chunk on KVFS (prefetcher / flusher unit).
 fn plan_kvfs(tb: &Testbed, st: &St, is_read: bool, plan: &mut Plan) {
     let c = &tb.costs;
+    // The chunk crosses PCIe out of the hybrid cache on a write, into it
+    // on a read.
+    let (write, read) = if is_read { (0, CHUNK) } else { (CHUNK, 0) };
     plan.service(st.host, c.host_syscall + c.fs_adapter);
-    // nvme-fs transport: SQE + chunk + CQE.
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(64));
+    st.link.submit(write, plan);
     // DPU handles the chunk as one streaming request.
     plan.service(st.dpu, c.dpu_request);
     plan.delay(tb.kv.network.rtt);
@@ -109,9 +109,7 @@ fn plan_kvfs(tb: &Testbed, st: &St, is_read: bool, plan: &mut Plan) {
     } else {
         plan.service(st.kv_stream_w, tb.kv.stream_write_time(CHUNK));
     }
-    // Chunk crosses PCIe into/out of the hybrid cache.
-    plan.service(st.engines, tb.pcie.dma_setup);
-    plan.service(st.wire, tb.pcie.transfer_time(CHUNK));
+    st.link.complete(read, plan);
     plan.service(st.host, c.host_complete);
 }
 
@@ -175,6 +173,18 @@ mod tests {
     }
 
     #[test]
+    fn a_kvfs_chunk_crosses_the_link_once() {
+        let t = tb();
+        for is_read in [true, false] {
+            let (_sim, st) = build(&t);
+            let mut plan = Plan::default();
+            plan_kvfs(&t, &st, is_read, &mut plan);
+            let (write, read) = if is_read { (0, CHUNK) } else { (CHUNK, 0) };
+            st.link.assert_crosses_once(&plan, st.dpu, write, read);
+        }
+    }
+
+    #[test]
     fn kvfs_beats_ext4_in_every_cell() {
         let t = tb();
         for is_read in [true, false] {
@@ -220,10 +230,8 @@ mod tests {
         let t = tb();
         // Ext4 reads at 32 threads sit at the SSD media bandwidth.
         let e = run_seq(&t, System::Ext4, true, 32);
-        assert!(
-            (e - SSD_MEDIA_READ_BW).abs() / SSD_MEDIA_READ_BW < 0.12,
-            "{e:.3e}"
-        );
+        let media = t.ssd.bandwidth_bytes_per_sec;
+        assert!((e - media).abs() / media < 0.12, "{e:.3e}");
         // KVFS reads at the cluster streaming bandwidth.
         let k = run_seq(&t, System::Kvfs, true, 32);
         assert!(

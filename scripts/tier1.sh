@@ -438,9 +438,19 @@ named --release -q -p dpc-pcie --lib -- \
 named --release -q --test direct_io -- \
     an_uncached_readdir_asks_for_what_the_transport_buffer_holds \
     a_command_larger_than_its_transport_buffer_is_einval_not_a_panic
+# The modelled figures (DESIGN.md §14.3): every nvme-fs command crosses
+# the link once, through `dpc_bench::link::Link`; then every figure and
+# ablation table is built once, so a table that panics fails here.
 named --release -q -p dpc-bench --lib -- \
     fig6::tests::functional_dma_counts_match_figures_2_and_4 \
-    ablate::tests::batching_amortizes_doorbells_exactly
+    ablate::tests::batching_amortizes_doorbells_exactly \
+    fig6::tests::a_raw_nvmefs_command_crosses_the_link_once \
+    fig7::tests::a_kvfs_op_crosses_the_link_once \
+    fig8::tests::a_kvfs_miss_crosses_the_link_once \
+    fig9::tests::a_dpc_op_crosses_the_link_once \
+    table2::tests::a_kvfs_chunk_crosses_the_link_once \
+    ablate::tests::a_queue_sweep_write_crosses_the_link_once
+cargo run --release -q -p dpc-bench --bin dpc-experiments -- all >/dev/null
 # The DFS stripe path (DESIGN.md §10.1), in release and by name: a block
 # is one stripe cell, so a healthy read is 1 data-server RPC, an
 # overwrite 1 + m and a degraded read at most k + 1, warm reads and
