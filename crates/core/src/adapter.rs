@@ -19,14 +19,14 @@
 //! file's logical size, one cell per *inode* like the kernel's `i_size`
 //! ([`InodeSizes`]), because buffered writes grow a file before any of
 //! it reaches the backend. The flusher writes only each page's valid
-//! prefix, so after a flush the backend normally agrees; the `Fsync`
-//! reply carries the backend's size and `fsync` sends a reconciling
-//! `Truncate` only when it differs (DESIGN.md §4.1).
+//! prefix, so a flush lands the backend on the size the pages make, and
+//! `fsync` sends nothing but the flush; each op that moves the backend's
+//! size orders itself against the flushes (DESIGN.md §4.1).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::RangeInclusive;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dpc_cache::{
@@ -133,9 +133,8 @@ impl Drop for FdEntry {
 /// Logical file sizes, one cell per open *inode*: every descriptor of an
 /// inode — through any adapter of the same `Dpc` — shares it, so a write
 /// or truncate through one descriptor is what another's `read`, `fsync`
-/// and `close` see. (Per-descriptor sizes made `close` reconcile the
-/// backend to a stale private size and cut another descriptor's fsynced
-/// data.) Each map entry counts its holders; the last one out removes it.
+/// and `close` see. Each map entry counts its holders; the last one out
+/// removes it.
 pub(crate) struct InodeSizes {
     shards: [Mutex<SizeShard>; FD_SHARDS],
     /// Inodes with a cell, across every shard: with none open, `stat` asks
@@ -172,10 +171,6 @@ struct InodeCell {
     /// The `landed` value a successful scoped `Fsync` is known to cover:
     /// the one sampled before that request was sent.
     synced: AtomicU64,
-    /// Set while a size reconcile's `Truncate` is in flight: a mutation
-    /// starting then waits for it, or the `Truncate` could reach the
-    /// backend after that mutation's flushed pages and cut them.
-    reconciling: AtomicBool,
 }
 
 /// An op on an [`InodeCell`] from its start to its end: see
@@ -188,16 +183,6 @@ impl Drop for Mutation<'_> {
     }
 }
 
-/// A size reconcile in flight on an [`InodeCell`]: see
-/// [`InodeCell::quiescent`].
-struct Quiet<'a>(&'a InodeCell);
-
-impl Drop for Quiet<'_> {
-    fn drop(&mut self) {
-        self.0.reconciling.store(false, Ordering::Release);
-    }
-}
-
 impl InodeCell {
     fn new(size: u64) -> InodeCell {
         InodeCell {
@@ -205,45 +190,21 @@ impl InodeCell {
             mutations: AtomicU64::new(0),
             landed: AtomicU64::new(0),
             synced: AtomicU64::new(0),
-            reconciling: AtomicBool::new(false),
         }
     }
 
     /// Start a mutation: counted in `mutations` now, and in `landed` when
     /// the returned guard drops — hold it until the op's pages and size
-    /// are in place. While a reconcile is in flight it waits, counted as
-    /// a mutation that landed nothing.
+    /// are in place.
     fn mutation(&self) -> Mutation<'_> {
-        loop {
-            // SeqCst, as in `quiescent`: either this sees the reconcile, or
-            // the reconcile sees this mutation in flight.
-            self.mutations.fetch_add(1, Ordering::SeqCst);
-            if !self.reconciling.load(Ordering::SeqCst) {
-                return Mutation(self);
-            }
-            self.landed.fetch_add(1, Ordering::AcqRel);
-            while self.reconciling.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// No mutation is in flight — every one that started has landed — and
-    /// none starts until the returned guard drops; `None` if one is in
-    /// flight, or another reconcile is.
-    fn quiescent(&self) -> Option<Quiet<'_>> {
-        if self.reconciling.swap(true, Ordering::SeqCst) {
-            return None;
-        }
-        let quiet = Quiet(self);
-        let landed = self.landed.load(Ordering::SeqCst);
-        (landed == self.mutations.load(Ordering::SeqCst)).then_some(quiet)
+        // Release pairs with `is_clean`'s Acquire load of `mutations`.
+        self.mutations.fetch_add(1, Ordering::AcqRel);
+        Mutation(self)
     }
 
     /// Nothing was modified since the last covering fsync: no page of
-    /// this inode can have been dirtied by this host since, and the
-    /// logical size is the one that fsync reconciled — a `close` has
-    /// nothing to flush and nothing to reconcile. An fsync covers only
+    /// this inode can have been dirtied by this host since, so a `close`
+    /// has nothing to flush. An fsync covers only
     /// the mutations that had landed when it sampled `landed`: one still
     /// in flight then may dirty its pages after the flush pass, and one
     /// that starts later bumps `mutations` past the sample. (A fresh cell
@@ -456,8 +417,8 @@ pub enum IoMode {
 /// What `fsync` waits for (DESIGN.md §4.6).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FsyncMode {
-    /// Flush dirty pages to the backing store and reconcile the size —
-    /// durable on the store, the default tier.
+    /// Flush dirty pages to the backing store — durable on the store, the
+    /// default tier.
     Data,
     /// Return at once, and so does `close`. An acknowledged buffered write
     /// is its dirty pages in host memory, which a DPU crash does not take:
@@ -793,8 +754,7 @@ impl DpcFs {
 
     /// Make buffered data durable, then drop the descriptor. A descriptor
     /// whose inode nobody modified since its last successful `fsync`
-    /// (opened, stat-ed, read) has nothing to flush or reconcile and sends
-    /// nothing.
+    /// (opened, stat-ed, read) has nothing to flush and sends nothing.
     pub fn close(&self, fd: Fd) -> Result<(), DpcError> {
         if !self.fds.get(fd)?.cell.is_clean() {
             self.fsync(fd)?;
@@ -1018,22 +978,39 @@ impl DpcFs {
         let landed = if pages <= CLAIM_WINDOW as u64 {
             // The dirty pages are the record: nothing is logged.
             self.absorb(ino, offset, data)
+                .map(|took| took.then_some(data.len()))
         } else {
             // Too long to claim at once: a crash between two windows would
             // leave part of the write, so a record covers it until the ack.
             let seq = self.log_op(WalKind::Write, ino, offset, data)?;
             let res = self.absorb_windows(ino, offset, data);
             self.retire(seq, res.is_ok());
-            res.map(|()| true)
+            res.map(Some)
         };
         // Size/mtime change, dropped once the pages have landed: a `stat`
         // that crossed while they landed saw neither them nor a new size.
         self.meta.invalidate_ino(ino);
-        if !landed? {
+        let Some(n) = landed? else {
             return self.write_direct(&entry, offset, &[data]);
+        };
+        entry
+            .cell
+            .size
+            .fetch_max(offset + n as u64, Ordering::AcqRel);
+        Ok(n)
+    }
+
+    /// What a write that landed its first `n` bytes and then failed with
+    /// `e` answers: `n`, Linux's short write, so the size covers exactly
+    /// the bytes that landed and no flush publishes a byte past it. Unless
+    /// nothing landed, or the crash is what answered: then `e`, and the
+    /// op's live record has recovery run it whole.
+    fn short(&self, n: usize, e: DpcError) -> Result<usize, DpcError> {
+        if n == 0 || self.log.crashed() {
+            Err(e)
+        } else {
+            Ok(n)
         }
-        entry.cell.size.fetch_max(end, Ordering::AcqRel);
-        Ok(data.len())
     }
 
     /// The buffered write of `data` at `offset`, at most [`CLAIM_WINDOW`]
@@ -1106,19 +1083,27 @@ impl DpcFs {
     }
 
     /// A buffered write longer than [`CLAIM_WINDOW`], one window at a
-    /// time; a window the cache cannot take crosses uncached.
-    fn absorb_windows(&self, ino: u64, offset: u64, data: &[u8]) -> Result<(), DpcError> {
+    /// time; a window the cache cannot take crosses uncached. Returns the
+    /// bytes that landed: short when a later window fails (see
+    /// [`short`](Self::short)).
+    fn absorb_windows(&self, ino: u64, offset: u64, data: &[u8]) -> Result<usize, DpcError> {
         let mut pos = 0;
         while pos < data.len() {
             let at = offset + pos as u64;
             let window_end = (at / PAGE_SIZE as u64 + CLAIM_WINDOW as u64) * PAGE_SIZE as u64;
             let chunk = &data[pos..pos + ((window_end - at) as usize).min(data.len() - pos)];
-            if !self.absorb(ino, at, chunk)? {
-                self.write_around(ino, at, &[chunk])?;
+            let took = match self.absorb(ino, at, chunk) {
+                Ok(true) => Ok(chunk.len()),
+                Ok(false) => self.write_around(ino, at, &[chunk]),
+                Err(e) => Err(e),
+            };
+            match took {
+                Ok(n) if n == chunk.len() => pos += n,
+                Ok(n) => return Ok(pos + n),
+                Err(e) => return self.short(pos, e),
             }
-            pos += chunk.len();
         }
-        Ok(())
+        Ok(pos)
     }
 
     /// The one uncached write: `IoMode::Direct`, `writev`, and a buffered
@@ -1194,9 +1179,7 @@ impl DpcFs {
                 // Some page of the inode was refused; the loop's test says
                 // whether it was one of ours.
                 Err(DpcError::IO) => rounds = PREFLUSH_ROUNDS,
-                res => {
-                    res?;
-                }
+                res => res?,
             }
         }
         Ok(())
@@ -1208,11 +1191,11 @@ impl DpcFs {
     /// host's, holding its claims across a crossing queued behind the
     /// `Fsync` — so the DPU never waits for it, and the host yields
     /// before asking again.
-    fn sync_ino(&self, ino: u64) -> Result<FileResponse, DpcError> {
+    fn sync_ino(&self, ino: u64) -> Result<(), DpcError> {
         loop {
             match self.call(&FileRequest::Fsync { ino }, b"") {
                 Err(DpcError::AGAIN) => std::thread::yield_now(),
-                res => return res,
+                res => return res.map(drop),
             }
         }
     }
@@ -1221,7 +1204,8 @@ impl DpcFs {
     /// that fit a transport buffer (its write half also holds an SGL's
     /// descriptor list and, when it does not ride the SQE, the header): one
     /// piece goes as a plain payload, more as an SGL. Returns the bytes the
-    /// backend took.
+    /// backend took: short when a later command fails (see
+    /// [`short`](Self::short)).
     fn cross_write(&self, ino: u64, offset: u64, segments: &[&[u8]]) -> Result<usize, DpcError> {
         // Page-aligned when the buffer holds a page, so no crossing but
         // the last splits one.
@@ -1255,16 +1239,18 @@ impl DpcFs {
             };
             let resp = match pieces[..count] {
                 [] => return Ok(written),
-                [one] => self.call(&req, one)?,
+                [one] => self.call(&req, one),
                 ref gather => {
                     let done = self
                         .pool
                         .call_sgl(DispatchType::Standalone, &req, gather, 0);
-                    reply(done)?.0
+                    reply(done).map(|(resp, _)| resp)
                 }
             };
-            let FileResponse::Bytes(n) = resp else {
-                return Err(DpcError::IO);
+            let n = match resp {
+                Ok(FileResponse::Bytes(n)) => n,
+                Ok(_) => return self.short(written, DpcError::IO),
+                Err(e) => return self.short(written, e),
             };
             written += n as usize;
             if (n as usize) < len {
@@ -1537,13 +1523,13 @@ impl DpcFs {
         self.write_direct(&*self.fds.get(fd)?, offset, segments)
     }
 
-    /// Flush buffered data and, if the backend then disagrees with the
-    /// logical size, reconcile it.
+    /// Flush buffered data: the scoped `Fsync` of the inode, and nothing
+    /// else — the flush lands the backend on the size the pages make.
     ///
     /// Two durability tiers (DESIGN.md §4.6): [`FsyncMode::Data`] flushes
-    /// dirty pages and reconciles the size; [`FsyncMode::Log`] returns at
-    /// once — the acknowledged writes already survive a DPU reset, as dirty
-    /// pages or as the records of the ops that bypassed the pool.
+    /// dirty pages; [`FsyncMode::Log`] returns at once — the acknowledged
+    /// writes already survive a DPU reset, as dirty pages or as the records
+    /// of the ops that bypassed the pool.
     pub fn fsync(&self, fd: Fd) -> Result<(), DpcError> {
         let entry = self.fds.get(fd)?;
         if self.fsync_mode == FsyncMode::Log {
@@ -1553,52 +1539,15 @@ impl DpcFs {
         // Sampled before the request leaves: whatever this fsync covers
         // had landed before now (see `InodeCell::is_clean`).
         let covers = entry.cell.landed.load(Ordering::Acquire);
-        let synced = self.sync_and_reconcile(&entry);
-        // The flush and the reconcile rewrote the backend's size and mtime
-        // (even a refused pass may have landed a batch): drop the cached
-        // attribute after them, not before, so a `stat` that raced them
-        // cannot leave the size they replaced behind — an `open` after the
-        // last close starts from it, and its fsync would cut the file.
+        let synced = self.sync_ino(ino);
+        // The flush rewrote the backend's size and mtime (even a refused
+        // pass may have landed a batch): drop the cached attribute after
+        // it, not before, so a `stat` that raced it cannot leave the size
+        // it replaced behind — an `open` after the last close starts from
+        // it, and would read the file short.
         self.meta.invalidate_ino(ino);
         synced?;
         entry.cell.synced.fetch_max(covers, Ordering::AcqRel);
-        Ok(())
-    }
-
-    /// The scoped `Fsync` of `entry`'s inode, then the `Truncate` that
-    /// puts the backend on the logical size if the reply says it is not.
-    fn sync_and_reconcile(&self, entry: &FdEntry) -> Result<(), DpcError> {
-        let ino = entry.ino;
-        let FileResponse::Size(backend) = self.sync_ino(ino)? else {
-            return Err(DpcError::IO);
-        };
-        // Size reconcile (kernel i_size): a flush writes each page's
-        // valid prefix, so the backend normally lands on the logical size
-        // and this is the only crossing. It differs when the flush was
-        // not the whole story — pages of a write that failed part-way —
-        // and only then is the backend truncated to the size this host
-        // acknowledged. A flush the backend refused never gets here: the
-        // reply is EIO, the size stays unreconciled and `synced` stays
-        // where it was, so `close` tries again. Known limitation: the
-        // host's size is trusted even over another `Dpc` on the same
-        // store, so a descriptor here can cut growth that client fsynced;
-        // nothing keeps two clients coherent yet. No intent record: after a
-        // crash, the adopted pages' valid prefixes put the size back.
-        // A write still in flight may have landed pages past `size` (its
-        // size goes up once they are all in), which this pass flushed: they
-        // are not a failed write's, so the backend is reconciled only when
-        // nothing is in flight — that write's own `close` comes back here.
-        // And none starts until the `Truncate` has landed: a write that
-        // began after the size was read, and whose close flushed first,
-        // would lose its pages to it.
-        if backend != entry.cell.size.load(Ordering::Acquire) {
-            if let Some(_quiet) = entry.cell.quiescent() {
-                let size = entry.cell.size.load(Ordering::Acquire);
-                if backend != size {
-                    self.call(&FileRequest::Truncate { ino, size }, b"")?;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1607,38 +1556,54 @@ impl DpcFs {
         let (ino, old) = (entry.ino, entry.cell.size.load(Ordering::Acquire));
         let _mutation = entry.cell.mutation();
         // The pool cannot express a truncate: its record is appended before
-        // the call and retired at ack. Live at a crash, it has recovery
-        // truncate the store and drop the inode's adopted pages.
+        // anything moves and retired at ack. Live at a crash, it has
+        // recovery truncate the store and drop the inode's adopted pages.
         let seq = self.log_op(WalKind::Truncate, ino, size, b"")?;
+        let shrinks = size < old;
+        if shrinks {
+            // Before the cut crosses: `invalidate` and the clip's claim wait
+            // out a flush that holds the page, so a flush that took it
+            // earlier lands before the cut, and a later one finds nothing
+            // past the end to grow the file back with. A `Truncate` that
+            // then fails has still dropped them: bytes the caller asked to
+            // cut.
+            self.cut_pages(ino, size, old);
+        }
         let res = self.call(&FileRequest::Truncate { ino, size }, b"");
         self.retire(seq, res.is_ok());
         // After the call, as in `fsync`: the size it replaced is stale.
         self.meta.invalidate_ino(ino);
         res?;
+        if shrinks {
+            // And once it has landed: a fill that read the store before the
+            // cut — a prefetch window, whose epoch check the first pass's
+            // bump came too early for — may have landed pages since.
+            self.cut_pages(ino, size, old);
+        }
         entry.cell.size.store(size, Ordering::Release);
-        // Invalidate cached pages past the new end, and clip the valid
-        // length of the boundary page so a later flush cannot re-extend
-        // the file.
-        if size < old {
-            let first = size.div_ceil(PAGE_SIZE as u64);
-            let last = old.div_ceil(PAGE_SIZE as u64);
-            for lpn in first..=last {
-                self.cache.invalidate(ino, lpn);
-            }
-            let tail = (size % PAGE_SIZE as u64) as usize;
-            if tail != 0 {
-                if let Ok(mut g) = self.cache.begin_write(ino, size / PAGE_SIZE as u64) {
-                    if g.claimed_free() {
-                        // Wasn't cached; roll the claim back.
-                        drop(g);
-                    } else {
-                        g.set_valid(tail);
-                        g.commit_dirty();
-                    }
+        Ok(())
+    }
+
+    /// Drop `ino`'s cached pages past `size` up to `old`, and clip the
+    /// boundary page's valid length to `size`.
+    fn cut_pages(&self, ino: u64, size: u64, old: u64) {
+        let first = size.div_ceil(PAGE_SIZE as u64);
+        let last = old.div_ceil(PAGE_SIZE as u64);
+        for lpn in first..=last {
+            self.cache.invalidate(ino, lpn);
+        }
+        let tail = (size % PAGE_SIZE as u64) as usize;
+        if tail != 0 {
+            if let Ok(mut g) = self.cache.begin_write(ino, size / PAGE_SIZE as u64) {
+                if g.claimed_free() {
+                    // Wasn't cached; roll the claim back.
+                    drop(g);
+                } else {
+                    g.set_valid(tail);
+                    g.commit_dirty();
                 }
             }
         }
-        Ok(())
     }
 
     /// File size as tracked by the adapter.
@@ -1790,41 +1755,19 @@ mod tests {
     #[test]
     fn an_fsync_covers_no_mutation_still_in_flight() {
         let cell = InodeCell::new(0);
+        assert!(cell.is_clean());
         let write = cell.mutation();
-        // An fsync samples while the write has not landed its pages, and
-        // reconciles no size while it is in flight…
+        assert!(!cell.is_clean());
+        // An fsync samples while the write has not landed its pages…
         let covers = cell.landed.load(Ordering::Acquire);
-        assert!(cell.quiescent().is_none());
-        drop(write);
-        assert!(cell.quiescent().is_some());
         cell.synced.fetch_max(covers, Ordering::AcqRel);
+        assert!(!cell.is_clean());
+        drop(write);
         // …so the close after it still flushes.
         assert!(!cell.is_clean());
         let covers = cell.landed.load(Ordering::Acquire);
         cell.synced.fetch_max(covers, Ordering::AcqRel);
         assert!(cell.is_clean());
-    }
-
-    #[test]
-    fn a_mutation_waits_out_a_reconcile_in_flight() {
-        let cell = InodeCell::new(0);
-        let quiet = cell.quiescent().expect("nothing is in flight");
-        // One reconcile at a time.
-        assert!(cell.quiescent().is_none());
-        let started = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _write = cell.mutation();
-                started.store(true, Ordering::Release);
-            });
-            // While the `Truncate` is in flight the write does not start…
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert!(!started.load(Ordering::Acquire));
-            drop(quiet);
-        });
-        // …and once it has landed the write starts, and lands.
-        assert!(started.load(Ordering::Acquire));
-        assert!(cell.quiescent().is_some());
     }
 
     #[test]

@@ -563,13 +563,11 @@ impl Dispatcher {
                 }
                 // The KVFS barrier can genuinely fail (vanished inode, KV
                 // refusal) — swallowing it here once turned fsync into a
-                // false durability promise. The reply carries the
-                // post-flush size, each batch's attribute landed with its
-                // blocks: the host compares its logical size with it and
-                // sends a reconciling `Truncate` only on disagreement
-                // (DESIGN.md §4.1).
+                // false durability promise. Each batch's attribute landed
+                // with its blocks, so the reply has nothing to carry but
+                // `Ok`, in the CQE.
                 match self.kvfs.fsync(*ino) {
-                    Ok(attr) => FileResponse::Size(attr.size),
+                    Ok(()) => FileResponse::Ok,
                     Err(e) => fs_err(e),
                 }
             }
@@ -818,9 +816,9 @@ mod tests {
         assert_eq!(cache.dirty_count(), 1);
         drop(held);
         let (resp, _) = dispatcher.handle(&fsync);
-        let size = (32 * BIG_BLOCK) as u64;
-        assert_eq!(resp, FileResponse::Size(size));
+        assert_eq!(resp, FileResponse::Ok);
         assert_eq!((first_bytes(&kvfs), cache.dirty_count()), ((7, 7), 0));
+        assert_eq!(kvfs.get_attr(a).unwrap().size, (32 * BIG_BLOCK) as u64);
     }
 
     #[test]
@@ -843,8 +841,7 @@ mod tests {
                 request: FileRequest::Fsync { ino: a },
                 ..FileIncoming::default()
             };
-            let size = (32 * BIG_BLOCK) as u64;
-            assert_eq!(dispatcher.handle(&fsync).0, FileResponse::Size(size));
+            assert_eq!(dispatcher.handle(&fsync).0, FileResponse::Ok);
             let after = kvfs.store().stats();
             // Off: four one-page runs, each its own key write (one KV
             // request per page before batches); on: one run of two blocks.

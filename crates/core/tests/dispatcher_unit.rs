@@ -192,8 +192,17 @@ fn standalone_data_requests() {
         FileRequest::Fsync { ino },
         vec![],
     ));
-    // The fsync reply carries the post-flush size (size reconcile).
-    assert_eq!(resp, FileResponse::Size(10));
+    // The fsync reply is `Ok`; the truncated size is the store's.
+    assert_eq!(resp, FileResponse::Ok);
+    let (resp, _) = d.handle(&incoming(
+        DispatchType::Standalone,
+        FileRequest::GetAttr { ino },
+        vec![],
+    ));
+    let FileResponse::Attr(a) = resp else {
+        panic!()
+    };
+    assert_eq!(a.size, 10);
 }
 
 /// One request through a real queue pair: stage it on the pool, serve
@@ -1058,7 +1067,7 @@ fn every_reply_fits_what_its_request_declared() {
             FileResponse::Err(2)
         );
         let fsyncs = [
-            (f, FileResponse::Size(10)),
+            (f, FileResponse::Ok),
             (dpc_core::FSYNC_ALL, FileResponse::Ok),
             (9999, FileResponse::Err(2)),
         ];

@@ -152,19 +152,21 @@ fn hash_name(p_ino: u64, name: &str) -> u64 {
     h
 }
 
+/// Namespace lock stripes per metadata server: dentry stripes keyed by
+/// parent ino, inode stripes by ino.
+const NS_SHARDS: usize = 16;
+
 /// One lock stripe of a server's dentry map: (parent ino, name) → ino.
 type DentryStripe = RwLock<HashMap<(u64, String), u64>>;
 
 /// One metadata server: a hash partition of dentries, inodes, layouts and
 /// delegations.
 ///
-/// The namespace maps are striped into [`DfsConfig::ns_shards`]
-/// hash-sharded stripes (the PR 2 fd-table split, applied server-side):
-/// dentries shard by *parent* ino so one directory's entries colocate in
-/// one stripe — a create storm in `/a` and a stat stampede in `/b` take
-/// different locks — and inodes shard by ino. `ns_shards = 1` degenerates
-/// to the old single-global-lock server and serves as the contention
-/// baseline in benches and equivalence tests.
+/// The namespace maps are striped into `NS_SHARDS` hash-sharded
+/// stripes (the fd-table split, applied server-side): dentries shard by
+/// *parent* ino so one directory's entries colocate in one stripe — a
+/// create storm in `/a` and a stat stampede in `/b` take different locks
+/// — and inodes shard by ino.
 pub struct MetadataServer {
     pub id: usize,
     dentries: Box<[DentryStripe]>,
@@ -183,15 +185,14 @@ pub struct MetadataServer {
 }
 
 impl MetadataServer {
-    fn new(id: usize, ns_shards: usize) -> MetadataServer {
-        let shards = ns_shards.max(1);
+    fn new(id: usize) -> MetadataServer {
         MetadataServer {
             id,
-            dentries: (0..shards)
+            dentries: (0..NS_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            inodes: (0..shards)
+            inodes: (0..NS_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
@@ -565,9 +566,6 @@ pub struct DfsConfig {
     pub ec_k: usize,
     /// EC parity cells per stripe.
     pub ec_m: usize,
-    /// Namespace stripes per MDS (dentry stripes keyed by parent ino,
-    /// inode stripes by ino). `1` is the pre-shard single-lock server.
-    pub ns_shards: usize,
 }
 
 impl Default for DfsConfig {
@@ -577,7 +575,6 @@ impl Default for DfsConfig {
             data_server_count: 6,
             ec_k: 4,
             ec_m: 2,
-            ns_shards: 16,
         }
     }
 }
@@ -660,9 +657,7 @@ impl DfsBackend {
         );
         let recovery = Arc::new(DfsRecoveryStats::default());
         Arc::new(DfsBackend {
-            mdses: (0..cfg.mds_count)
-                .map(|id| MetadataServer::new(id, cfg.ns_shards))
-                .collect(),
+            mdses: (0..cfg.mds_count).map(MetadataServer::new).collect(),
             data_servers: (0..cfg.data_server_count)
                 .map(|id| DataServer::new(id, Arc::clone(&recovery)))
                 .collect(),
@@ -1557,32 +1552,6 @@ mod tests {
         assert_eq!(sub.len(), 1);
         assert_eq!(sub[0].0, "intruder");
         assert!(next.is_none());
-    }
-
-    #[test]
-    fn single_lock_baseline_is_equivalent_to_sharded() {
-        let sharded = DfsBackend::new(DfsConfig::default());
-        let single = DfsBackend::new(DfsConfig {
-            ns_shards: 1,
-            ..DfsConfig::default()
-        });
-        for b in [&sharded, &single] {
-            let dir = b.mds_create(0, 0, "dir").unwrap();
-            for i in 0..25 {
-                b.mds_create(i % 4, dir.ino, &format!("n{i}")).unwrap();
-            }
-            b.mds_create(0, dir.ino, "n3").unwrap_err();
-        }
-        for b in [&sharded, &single] {
-            let dir = b.mds_lookup(0, 0, "dir").unwrap();
-            let (page, next) = b.mds_readdir(0, dir, None, 100).unwrap();
-            assert_eq!(page.len(), 25);
-            assert!(next.is_none());
-            for (name, ino) in page {
-                assert_eq!(b.mds_lookup(2, dir, &name).unwrap(), ino);
-                assert_eq!(b.mds_getattr(1, ino).unwrap().ino, ino);
-            }
-        }
     }
 
     #[test]

@@ -957,7 +957,7 @@ impl Kvfs {
         }
         if size == attr.size {
             // Nothing to cut, nothing to extend: no KV is touched and the
-            // mtime stands (a size reconcile that finds agreement is free).
+            // mtime stands.
             return Ok(());
         }
         let promote = attr.format == DataFormat::Small && size >= SMALL_FILE_MAX;
@@ -990,15 +990,13 @@ impl Kvfs {
     /// the caller (`NotFound`), or the KV service may refuse the barrier
     /// outright (`Io`, modelled by a zero-delay "kv.op" fault fire).
     /// Callers must surface both — PR 8 exists because an earlier version
-    /// swallowed them. On success returns the attribute the barrier
-    /// covers, so a caller tracking its own logical size can tell whether
-    /// the backend agrees without a second request.
-    pub fn fsync(&self, ino: u64) -> Result<FileAttr, FsError> {
-        let attr = self.get_attr(ino)?;
+    /// swallowed them.
+    pub fn fsync(&self, ino: u64) -> Result<(), FsError> {
+        self.get_attr(ino)?;
         if !self.store.barrier() {
             return Err(FsError::Io);
         }
-        Ok(attr)
+        Ok(())
     }
 
     /// Number of KV pairs currently backing the file system (diagnostic).

@@ -117,11 +117,10 @@ pub enum FileRequest {
         new_parent: u64,
         new_name: String,
     },
-    /// Replies [`FileResponse::Size`], the backend's size of the file once
-    /// its dirty pages landed: the one attribute the host reads, to
-    /// reconcile its own size against (DESIGN.md §4.1). 9 bytes, so it
-    /// rides the CQE. The DFS client, which keeps sizes itself, replies
-    /// [`FileResponse::Ok`].
+    /// Make the file's dirty pages durable. Replies [`FileResponse::Ok`]
+    /// once they landed, each batch with the file's size, so the host has
+    /// nothing to learn and nothing to send after it (DESIGN.md §4.6); it
+    /// rides the CQE.
     Fsync {
         ino: u64,
     },
@@ -183,8 +182,6 @@ pub enum FileResponse {
         ino: u64,
         last: bool,
     },
-    /// The backend's size of the file an fsync made durable.
-    Size(u64),
     /// Bytes of payload actually read or written.
     Bytes(u32),
     /// Number of directory entries in the read payload.
@@ -444,7 +441,7 @@ impl FileRequest {
     /// Whether every reply to this request — success and each errno, on
     /// either backend — is a header a CQE carries with no payload beside
     /// it ([`CQE_WIDE_CAP`](crate::CQE_WIDE_CAP) bytes): `Ok`, `Ino`,
-    /// `Removed`, `Size`, `Bytes` or `Err`. Sent with no read payload
+    /// `Removed`, `Bytes` or `Err`. Sent with no read payload
     /// expected, such a request needs no read side at all
     /// ([`ReadSide::None`](crate::ReadSide::None)), and its own header
     /// gets the SQE's PRP-Read Dwords. Only a reply with an `Attr`, or
@@ -587,7 +584,6 @@ const R_ERR: u8 = 5;
 /// `Removed` carries `last` in its tag: it stays 9 bytes.
 const R_REMOVED: u8 = 6;
 const R_REMOVED_LAST: u8 = 7;
-const R_SIZE: u8 = 8;
 
 impl FileResponse {
     pub fn encode(&self, out: &mut Vec<u8>) -> usize {
@@ -615,10 +611,6 @@ impl FileResponse {
             FileResponse::Removed { ino, last } => {
                 w.u8(if *last { R_REMOVED_LAST } else { R_REMOVED });
                 w.u64(*ino);
-            }
-            FileResponse::Size(size) => {
-                w.u8(R_SIZE);
-                w.u64(*size);
             }
             FileResponse::Bytes(n) => {
                 w.u8(R_BYTES);
@@ -657,7 +649,6 @@ impl FileResponse {
                 ino: r.u64()?,
                 last: tag == R_REMOVED_LAST,
             },
-            R_SIZE => FileResponse::Size(r.u64()?),
             R_BYTES => FileResponse::Bytes(r.u32()?),
             R_ENTRIES => FileResponse::Entries(r.u32()?),
             R_ERR => FileResponse::Err(r.i32()?),
@@ -1094,8 +1085,7 @@ mod tests {
                 9,
             ),
             (FileResponse::Removed { ino: 7, last: true }, 9),
-            (FileResponse::Size(0), 9),
-            (FileResponse::Size(u64::MAX), 9),
+            (FileResponse::Ino(u64::MAX), 9),
             (FileResponse::Bytes(8192), 5),
             (FileResponse::Entries(17), 5),
             (FileResponse::Err(-2), 5),

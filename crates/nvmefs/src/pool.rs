@@ -1043,9 +1043,9 @@ mod tests {
             backoff_base_us: 0,
             ..RetryPolicy::default()
         });
-        let mut size = Vec::new();
-        FileResponse::Size(0x0102_0304_0506_0708).encode(&mut size);
-        assert_eq!(size.len(), 9);
+        let mut ino = Vec::new();
+        FileResponse::Ino(0x0102_0304_0506_0708).encode(&mut ino);
+        assert_eq!(ino.len(), 9);
         // Per command, in arrival order: forge `(wide, header length)`
         // into a raw CQE, or answer truthfully.
         let script = [
@@ -1063,7 +1063,7 @@ mod tests {
                 }
                 let (sqe, _) = tgt.fetch(&mut payload).expect("a well-formed command");
                 assert_eq!((sqe.rh_len(), sqe.read_len()), (0, 0), "no read side");
-                let truthful = Cqe::reply(sqe.cid(), CqeStatus::Success, 0, &size);
+                let truthful = Cqe::reply(sqe.cid(), CqeStatus::Success, 0, &ino);
                 assert!(truthful.wide);
                 match forged {
                     Some((wide, hdr_len)) => tgt.post(Cqe {
@@ -1071,18 +1071,21 @@ mod tests {
                         hdr_len,
                         ..truthful
                     }),
-                    None => tgt.complete_copy(sqe.cid(), CqeStatus::Success, &size, b""),
+                    None => tgt.complete_copy(sqe.cid(), CqeStatus::Success, &ino, b""),
                 }
             }
         });
-        let fsync = FileRequest::Fsync { ino: 7 };
+        let lookup = FileRequest::Lookup {
+            parent: 1,
+            name: "x".into(),
+        };
         for forgery in ["a wide CQE claiming 10 bytes", "a narrow CQE claiming 9"] {
             let before = pool.stats();
-            let done = pool.call(DispatchType::Standalone, &fsync, b"", 0);
+            let done = pool.call(DispatchType::Standalone, &lookup, b"", 0);
             let done = done.expect(forgery);
             assert_eq!(
                 done.response,
-                FileResponse::Size(0x0102_0304_0506_0708),
+                FileResponse::Ino(0x0102_0304_0506_0708),
                 "{forgery}"
             );
             let after = pool.stats();

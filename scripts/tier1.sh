@@ -247,6 +247,12 @@ named --release -q --test direct_io -- \
 # reopen at the log tier sees the dirty pages its last close left, and a
 # `stat` racing writes and evictions at the log tier never caches a size
 # from before them — ten runs in a row, as it failed 30 runs in 30 before.
+# A write that fails after part of it landed, buffered or direct, is short
+# and sized to what landed (DESIGN.md §4.1). With no size reconcile after
+# the flush, the racing reopen test and the stress suite, whose final
+# check reads each file back from the store, run ten times in a row too:
+# a truncate that let a racing flush land past its cut failed the stress
+# check in 6 of 50 runs.
 named --release -q -p dpc-kvfs --lib -- \
     fs::tests::n_overwrites_and_their_attribute_are_one_sub_write \
     fs::tests::a_batch_with_growth_puts_the_attribute_once_and_writes_every_run \
@@ -273,10 +279,16 @@ named --release -q --test size_reconcile -- \
     stat_of_an_open_file_reports_its_unflushed_growth \
     a_reopen_sees_every_closed_write_while_another_adapter_fsyncs \
     a_log_tier_reopen_sees_what_was_closed \
-    a_stat_racing_writes_and_evictions_never_caches_a_size_from_before
+    a_stat_racing_writes_and_evictions_never_caches_a_size_from_before \
+    a_buffered_write_whose_later_window_fails_is_short_and_sized_to_what_landed \
+    a_direct_write_whose_later_piece_fails_is_short_and_sized_to_what_landed
+check_names --release -q --test stress -- sustained_mixed_stress
 for run in $(seq 1 10); do
     cargo test --release -q --test size_reconcile \
         a_stat_racing_writes_and_evictions_never_caches_a_size_from_before
+    cargo test --release -q --test size_reconcile \
+        a_reopen_sees_every_closed_write_while_another_adapter_fsyncs
+    cargo test --release -q --test stress sustained_mixed_stress
 done
 # Crash consistency (DESIGN.md §13), in release and by name: buffered
 # writes and fsyncs log nothing; an uncached write logs its payload and

@@ -634,8 +634,8 @@ fn writev_refuses_rather_than_discard_a_page_the_backend_would_not_take() {
 /// §12.3 has the arithmetic). A header costs a DMA of its own only when it
 /// does not fit its descriptor — none of these requests', and of the
 /// replies only `Attr`. So a namespace mutation in a directory the host
-/// knows, and an fsync with nothing to reconcile, cross in two: the SQE
-/// fetch and the CQE.
+/// knows, and an fsync of a clean file, cross in two: the SQE fetch and
+/// the CQE.
 #[test]
 fn link_dma_budget_of_each_data_path() {
     const BLOCK: usize = 8192;
@@ -785,8 +785,7 @@ fn link_dma_budget_of_each_data_path() {
         ("direct write", buffered_write, IoMode::Direct, 4),
         // SQE + descriptor list + 2 segments + CQE.
         ("writev", gather, IoMode::Buffered, 5),
-        // SQE + CQE: the post-flush size the reconcile reads is 9 bytes,
-        // which the CQE holds when no payload comes back (3 while the
+        // SQE + CQE: the reply is `Ok`, which the CQE holds (3 while the
         // reply was the whole `Attr`).
         ("fsync, clean file", clean_fsync, IoMode::Buffered, 2),
         // A mutation under a directory the host knows walks nothing, so it

@@ -17,10 +17,10 @@
 //!    (listings in order, every attribute field) is what a cold second
 //!    instance over the same store answers; the same under a tree four
 //!    times the cache's byte budget, which the cache never exceeds.
-//! 4. **Shard equivalence** — the sharded MDS namespace (`ns_shards=16`)
-//!    and the single-stripe layout (`ns_shards=1`) must serve identical
-//!    namespaces under the same chaos schedule: same listings, same
-//!    lookup results, pagination cursors walking to the same end.
+//! 4. **The sharded MDS namespace** — under `mds.rpc` chaos every
+//!    created name resolves to its ino, and each directory's cursor-paged
+//!    listing is exactly its creates in name order; a create storm from
+//!    eight threads loses nothing.
 //!
 //! Seeds: `[1, 7, 42]` by default; set `DPC_CHAOS_SEED=<u64>` to pin one
 //! (the CI chaos job fans out over the fixed seeds).
@@ -636,7 +636,7 @@ fn a_cached_file_costs_under_96_bytes() {
     assert_eq!(cold.pool_stats().submitted, calls);
 }
 
-// ---- sharded vs single-stripe MDS namespace equivalence -------------
+// ---- the sharded MDS namespace ---------------------------------------
 
 /// Retry a backend call the way the offloaded client does: `Transient`
 /// means the fabric refused the RPC, not that the op failed.
@@ -650,9 +650,6 @@ fn with_retry<T>(mut f: impl FnMut() -> Result<T, DfsError>) -> T {
     }
     panic!("MDS op still transient after 64 retries");
 }
-
-/// One directory's fully-assembled listing, tagged with its parent ino.
-type DirListing = (u64, Vec<(String, u64)>);
 
 /// Full cursor-paginated listing of one directory (page size chosen to
 /// force several cursor hops).
@@ -670,100 +667,84 @@ fn paged_listing(backend: &DfsBackend, p_ino: u64) -> Vec<(String, u64)> {
 }
 
 #[test]
-fn sharded_namespace_equals_single_stripe_under_chaos() {
+fn sharded_namespace_serves_every_create_under_chaos() {
     const DIRS: u64 = 3;
     const FILES: u64 = 23;
     for seed in seeds() {
-        let mut results: Vec<Vec<DirListing>> = Vec::new();
-        for ns_shards in [16usize, 1] {
-            let plan = FaultPlan::new(seed);
-            let backend = DfsBackend::new(DfsConfig {
-                ns_shards,
-                ..DfsConfig::default()
-            });
-            backend.set_fault_plan(&plan);
-            plan.arm("mds.rpc", FaultSpec::probability(0.2));
+        let plan = FaultPlan::new(seed);
+        let backend = DfsBackend::new(DfsConfig::default());
+        backend.set_fault_plan(&plan);
+        plan.arm("mds.rpc", FaultSpec::probability(0.2));
 
-            // Interleave creates across parents so both layouts see the
-            // same op order while the sharded one spreads stripes.
-            let mut created: Vec<(u64, String, u64)> = Vec::new();
-            for f in 0..FILES {
-                for d in 0..DIRS {
-                    let p_ino = 5000 + d;
-                    let name = format!("f{f:03}");
-                    let attr = with_retry(|| backend.mds_create(0, p_ino, &name));
-                    created.push((p_ino, name, attr.ino));
-                }
+        // Interleave creates across parents, so consecutive creates land
+        // in different stripes.
+        let mut created: Vec<(u64, String, u64)> = Vec::new();
+        for f in 0..FILES {
+            for d in 0..DIRS {
+                let p_ino = 5000 + d;
+                let name = format!("f{f:03}");
+                let attr = with_retry(|| backend.mds_create(0, p_ino, &name));
+                created.push((p_ino, name, attr.ino));
             }
-            // Every created name must resolve to the ino create returned.
-            for (p_ino, name, ino) in &created {
-                assert_eq!(
-                    with_retry(|| backend.mds_lookup(0, *p_ino, name)),
-                    *ino,
-                    "seed {seed} shards {ns_shards}: {p_ino}/{name}"
-                );
-            }
-            let listings: Vec<DirListing> = (0..DIRS)
-                .map(|d| (5000 + d, paged_listing(&backend, 5000 + d)))
-                .collect();
-            for (p_ino, l) in &listings {
-                assert_eq!(
-                    l.len(),
-                    FILES as usize,
-                    "seed {seed} shards {ns_shards}: dir {p_ino} count"
-                );
-                // Cursor pagination never duplicates or drops: names are
-                // strictly increasing across page boundaries.
-                for w in l.windows(2) {
-                    assert!(w[0].0 < w[1].0, "ordering broke at {:?}", w);
-                }
-            }
-            assert!(
-                plan.total_injected() > 0,
-                "seed {seed} shards {ns_shards}: no fault ever fired"
-            );
-            results.push(listings);
         }
-        // The two layouts serve the same namespace: same names in the
-        // same (sorted) order with the same inos.
-        assert_eq!(
-            results[0], results[1],
-            "seed {seed}: sharded and single-stripe listings diverged"
+        // Every created name must resolve to the ino create returned.
+        for (p_ino, name, ino) in &created {
+            assert_eq!(
+                with_retry(|| backend.mds_lookup(0, *p_ino, name)),
+                *ino,
+                "seed {seed}: {p_ino}/{name}"
+            );
+        }
+        // Each directory's cursor-paged listing is exactly its creates, in
+        // name order: pagination never duplicates or drops a name.
+        for d in 0..DIRS {
+            let p_ino = 5000 + d;
+            let mut want: Vec<(String, u64)> = created
+                .iter()
+                .filter(|(p, ..)| *p == p_ino)
+                .map(|(_, name, ino)| (name.clone(), *ino))
+                .collect();
+            want.sort();
+            assert_eq!(
+                paged_listing(&backend, p_ino),
+                want,
+                "seed {seed}: dir {p_ino}"
+            );
+        }
+        assert!(
+            plan.total_injected() > 0,
+            "seed {seed}: no fault ever fired"
         );
     }
 }
 
-/// Eight threads untar disjoint directory shards into one MDS: whether
-/// the namespace locks are striped or a single stripe, no create is lost
-/// and every directory lists exactly its own files.
+/// Eight threads untar disjoint directory shards into one MDS: no create
+/// is lost and every directory lists exactly its own files.
 #[test]
-fn concurrent_create_storm_loses_nothing_sharded_or_not() {
+fn concurrent_create_storm_loses_nothing() {
     const THREADS: u64 = 8;
     const DIRS: u64 = 16;
     const FILES: usize = 40;
-    for ns_shards in [16usize, 1] {
-        let backend = DfsBackend::new(DfsConfig {
-            mds_count: 1,
-            ns_shards,
-            ..DfsConfig::default()
-        });
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let backend = &backend;
-                s.spawn(move || {
-                    for d in (t..DIRS).step_by(THREADS as usize) {
-                        for f in 0..FILES {
-                            backend
-                                .mds_create(0, 1_000 + d, &format!("f{f:05}"))
-                                .unwrap();
-                        }
+    let backend = DfsBackend::new(DfsConfig {
+        mds_count: 1,
+        ..DfsConfig::default()
+    });
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let backend = &backend;
+            s.spawn(move || {
+                for d in (t..DIRS).step_by(THREADS as usize) {
+                    for f in 0..FILES {
+                        backend
+                            .mds_create(0, 1_000 + d, &format!("f{f:05}"))
+                            .unwrap();
                     }
-                });
-            }
-        });
-        for d in 0..DIRS {
-            let listed = paged_listing(&backend, 1_000 + d).len();
-            assert_eq!(listed, FILES, "shards {ns_shards}: dir {d}");
+                }
+            });
         }
+    });
+    for d in 0..DIRS {
+        let listed = paged_listing(&backend, 1_000 + d).len();
+        assert_eq!(listed, FILES, "dir {d}");
     }
 }

@@ -31,7 +31,7 @@ fn diskless_reboot_preserves_the_file_system() {
         fs.mkdir("/var").unwrap();
         let fd = fs.create("/var/state.db").unwrap();
         fs.write(fd, 0, &vec![0xDB; 50_000]).unwrap();
-        fs.close(fd).unwrap(); // flush + reconcile size
+        fs.close(fd).unwrap(); // flush
     } // server 1 powers off: Dpc dropped, DPU threads joined, caches gone
 
     // Server 2 boots against the same disaggregated store.

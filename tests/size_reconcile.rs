@@ -1,22 +1,27 @@
-//! The size reconcile (DESIGN.md §4.1): the host owns each open file's
-//! logical size, one cell per inode; `fsync` — and the `close` of a
-//! descriptor whose inode was written since its last fsync — flush, learn
-//! the backend's size from the `Fsync` reply, and send a reconciling
-//! `Truncate` only when the two disagree.
+//! The logical size (DESIGN.md §4.1): the host owns each open file's
+//! size, one cell per inode; `fsync` — and the `close` of a descriptor
+//! whose inode was written since its last fsync — flush, and the flush
+//! lands the backend on the size the pages make: no other crossing, and
+//! the backend's size is never cut or grown to the host's.
 //!
-//! - two descriptors of one file never reconcile the backend to a stale
-//!   private size (acknowledged, fsynced data used to be cut by `close`);
+//! - two descriptors of one file never cut each other's fsynced data;
 //! - a clean `open`+`close` (one crossing cold, none warm, zero for the
 //!   close) or a no-op `fsync` (always one) leaves the backend alone;
-//! - a non-page-aligned tail still lands byte-exact, in one crossing;
+//! - a non-page-aligned tail still lands byte-exact, in one crossing, and
+//!   an `fsync` leaves a backend size it did not write alone;
+//! - a write that fails after part of it landed is short, and the size
+//!   covers exactly what landed, buffered or direct;
 //! - `stat` of an open file reports the host's size, not the backend's;
 //! - a reopen sees every closed write while another adapter fsyncs;
 //! - at `FsyncMode::Log`, where `close` sends nothing, a reopen on the
 //!   same instance sees the closed write's dirty pages, and a `stat`
 //!   racing its writes and evictions never caches a size from before them.
 
-use dpc::core::{Dpc, DpcConfig, FsyncMode};
+use std::sync::Arc;
+
+use dpc::core::{Dpc, DpcConfig, DpcFs, Fd, FsyncMode, IoMode};
 use dpc::fault::{FaultPlan, FaultSpec};
+use dpc::nvmefs::RetryPolicy;
 use dpc_testkit::{cold_read, racing, racing_fsync, read_file};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -135,7 +140,7 @@ fn stat_of_an_open_file_reports_its_unflushed_growth() {
     assert_eq!(other.stat("/f").unwrap().size, 100);
     fs.write(fd, 100, &pattern(4000, 3)).unwrap();
     fs.close(fd).unwrap();
-    // Closed: the backend's size, which the close reconciled.
+    // Closed: the backend's size, which the close's flush landed.
     assert_eq!(fs.stat("/f").unwrap().size, 4100);
     assert_eq!(cold_read(&dpc, "/f").len(), 4100);
 }
@@ -149,21 +154,93 @@ fn unaligned_tail_lands_byte_exact_in_one_crossing() {
     fs.write(fd, 0, &data).unwrap();
 
     // The flush writes the tail page's valid prefix, so the backend lands
-    // on 10 000 by itself: one call, no reconcile.
+    // on 10 000 by itself: one call.
     let calls = dpc.pool_stats().submitted;
     fs.fsync(fd).unwrap();
     assert_eq!(dpc.pool_stats().submitted - calls, 1);
     assert_eq!(cold_read(&dpc, "/tail"), data);
 
-    // Move the backend size behind the host's back: now the sizes
-    // disagree, and the fsync pays the second call to put it right.
+    // Move the backend size behind the host's back: the fsync has nothing
+    // to flush, is still one call, and leaves the size it did not write.
     let ino = fs.stat("/tail").unwrap().ino;
     dpc.kvfs_inner().truncate(ino, 20_000).unwrap();
     let calls = dpc.pool_stats().submitted;
     fs.fsync(fd).unwrap();
-    assert_eq!(dpc.pool_stats().submitted - calls, 2);
-    assert_eq!(cold_read(&dpc, "/tail"), data);
+    assert_eq!(dpc.pool_stats().submitted - calls, 1);
+    assert_eq!(dpc.kvfs_inner().get_attr(ino).unwrap().size, 20_000);
+    let mut grown = data.clone();
+    grown.resize(20_000, 0);
+    assert_eq!(cold_read(&dpc, "/tail"), grown);
     fs.close(fd).unwrap();
+}
+
+/// A DPC with `/short` created and closed, and a fault plan whose link
+/// reissues nothing: the one crossing a test sheds fails, and nothing else.
+fn shedding() -> (Dpc, Arc<FaultPlan>) {
+    let plan = FaultPlan::new(7);
+    let dpc = Dpc::new(DpcConfig {
+        faults: Some(plan.clone()),
+        retry: RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..DpcConfig::default()
+    });
+    let fs = dpc.fs();
+    fs.close(fs.create("/short").unwrap()).unwrap();
+    (dpc, plan)
+}
+
+/// What a short write of `n` bytes of `data` must leave: the host's size,
+/// the store's, and a cold reopen through a second `Dpc` on the store all
+/// see exactly those bytes, after an `fsync` that touches no size.
+fn landed_exactly(dpc: &Dpc, fs: &DpcFs, fd: Fd, path: &str, data: &[u8], n: usize) {
+    assert_eq!(fs.size(fd).unwrap(), n as u64, "host size");
+    fs.fsync(fd).unwrap();
+    fs.close(fd).unwrap();
+    assert_eq!(fs.stat(path).unwrap().size, n as u64);
+    let ino = fs.stat(path).unwrap().ino;
+    assert_eq!(dpc.kvfs_inner().get_attr(ino).unwrap().size, n as u64);
+    assert!(cold_read(dpc, path) == data[..n], "cold reopen");
+}
+
+/// A buffered write longer than the claim window (64 pages, DESIGN.md
+/// §4.4) whose second window fails — its partial page's old-bytes fetch
+/// is shed — returns the first window's bytes, and the size covers
+/// exactly them: Linux's short write, not an error whose landed pages a
+/// later flush publishes past the size.
+#[test]
+fn a_buffered_write_whose_later_window_fails_is_short_and_sized_to_what_landed() {
+    const WINDOW: usize = 64 * 4096;
+    let data = pattern(WINDOW + 100, 0x4B);
+    let (dpc, plan) = shedding();
+    let fs = dpc.fs();
+    let fd = fs.open("/short").unwrap();
+    plan.arm("nvmefs.sqe_error", FaultSpec::nth(1));
+    assert_eq!(fs.write(fd, 0, &data).unwrap(), WINDOW);
+    assert_eq!(
+        plan.total_injected(),
+        1,
+        "the second window's fetch was shed"
+    );
+    landed_exactly(&dpc, &fs, fd, "/short", &data, WINDOW);
+}
+
+/// A direct write that crosses in pieces, whose second piece the link
+/// sheds, returns the first piece's bytes, and the size covers exactly
+/// them.
+#[test]
+fn a_direct_write_whose_later_piece_fails_is_short_and_sized_to_what_landed() {
+    let data = pattern(2 << 20, 0x3C); // twice the transport buffer
+    let (dpc, plan) = shedding();
+    let mut fs = dpc.fs();
+    fs.mode = IoMode::Direct;
+    let fd = fs.open("/short").unwrap();
+    plan.arm("nvmefs.sqe_error", FaultSpec::nth(2));
+    let n = fs.write(fd, 0, &data).unwrap();
+    assert_eq!(plan.total_injected(), 1, "the second piece was shed");
+    assert!(n > 0 && n < data.len(), "one piece of several: {n}");
+    landed_exactly(&dpc, &fs, fd, "/short", &data, n);
 }
 
 /// Each round reopens the file, checks its size holds every page closed

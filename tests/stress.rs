@@ -1,11 +1,12 @@
 //! Sustained full-stack stress: four host threads hammer one DPC instance
 //! (mixed buffered/direct I/O, metadata churn, fsyncs, truncates, links)
 //! with a fifth adapter's scoped `fsync` loop racing them, then everything
-//! is verified against a per-thread model.
+//! is verified against a per-thread model: through the adapter, and once
+//! every descriptor is closed, in the store itself.
 
 use std::collections::HashMap;
 
-use dpc::core::{Dpc, DpcConfig};
+use dpc::core::{Dpc, DpcConfig, DpcError};
 use dpc_testkit::racing_fsync;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +34,8 @@ fn sustained_mixed_stress() {
                     let mut rng = SmallRng::seed_from_u64(t);
                     // Per-file reference model: name -> content.
                     let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+                    // Every descriptor opened, held until the end.
+                    let mut fds = Vec::new();
 
                     for round in 0..120u32 {
                         let roll = rng.gen_range(0..100);
@@ -40,6 +43,7 @@ fn sustained_mixed_stress() {
                             // Create + write.
                             let name = format!("{dir}/f{round}");
                             let fd = fs.create(&name).unwrap();
+                            fds.push(fd);
                             let len = rng.gen_range(1..20_000);
                             let fill = (round % 251) as u8;
                             fs.write(fd, 0, &vec![fill; len]).unwrap();
@@ -59,6 +63,7 @@ fn sustained_mixed_stress() {
                                 continue;
                             }
                             let fd = fs.open(&name).unwrap();
+                            fds.push(fd);
                             let off = rng.gen_range(0..content.len());
                             let len = rng.gen_range(1..4096.min(content.len() - off + 1).max(2));
                             let fill = rng.gen();
@@ -79,6 +84,7 @@ fn sustained_mixed_stress() {
                                 .clone();
                             let want = &model[&name];
                             let fd = fs.open(&name).unwrap();
+                            fds.push(fd);
                             let mut got = vec![0u8; want.len() + 8];
                             let n = fs.read(fd, 0, &mut got).unwrap();
                             assert!(n >= want.len(), "{name}: short read {n} < {}", want.len());
@@ -93,6 +99,7 @@ fn sustained_mixed_stress() {
                             let content = model.get_mut(&name).unwrap();
                             let new_len = rng.gen_range(0..=content.len());
                             let fd = fs.open(&name).unwrap();
+                            fds.push(fd);
                             fs.truncate(fd, new_len as u64).unwrap();
                             content.truncate(new_len);
                         } else {
@@ -110,6 +117,7 @@ fn sustained_mixed_stress() {
                     // Final verification after a full sync of every file.
                     for (name, want) in &model {
                         let fd = fs.open(name).unwrap();
+                        fds.push(fd);
                         fs.fsync(fd).unwrap();
                         let mut got = vec![0u8; want.len() + 8];
                         let n = fs.read(fd, 0, &mut got).unwrap();
@@ -118,6 +126,24 @@ fn sustained_mixed_stress() {
                     }
                     let listed = fs.readdir(&dir).unwrap();
                     assert_eq!(listed.len(), model.len(), "{dir} listing");
+                    // With every descriptor closed, the store holds each
+                    // file's bytes and its size, no more: nothing past a
+                    // truncate's end was flushed back after its cut.
+                    for fd in fds {
+                        match fs.close(fd) {
+                            Ok(()) | Err(DpcError::NOT_FOUND) => {}
+                            Err(e) => panic!("close: {e}"),
+                        }
+                    }
+                    let kvfs = dpc.kvfs_inner();
+                    for (name, want) in &model {
+                        let ino = kvfs.resolve(name).unwrap();
+                        let size = kvfs.get_attr(ino).unwrap().size;
+                        assert_eq!(size, want.len() as u64, "{name} stored size");
+                        let mut got = vec![0u8; want.len()];
+                        assert_eq!(kvfs.read(ino, 0, &mut got).unwrap(), want.len());
+                        assert!(got == *want, "{name} stored content");
+                    }
                 });
             }
         })

@@ -196,9 +196,9 @@ fn fault_free_writeback_keeps_stall_counters_at_zero() {
 }
 
 /// A sync answers for what it made durable. A page the backend refuses
-/// stays dirty and `fsync` says EIO — without reconciling the backend's
-/// size to bytes it does not have; once the backend takes the page, the
-/// next `fsync` is `Ok` and a cold instance reads every byte.
+/// stays dirty and `fsync` says EIO — the backend's size stays where its
+/// bytes end; once the backend takes the page, the next `fsync` is `Ok`
+/// and a cold instance reads every byte.
 #[test]
 fn fsync_reports_a_flush_the_backend_refused() {
     let plan = FaultPlan::new(1);
