@@ -19,9 +19,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::Thread;
 use std::time::Duration;
 
+use dpc_pcie::Sleeper;
 use parking_lot::Mutex;
 
 /// Shards of the readahead table (keyed by ino, like the dirty index).
@@ -254,31 +254,26 @@ pub const PREFETCH_QUEUE_CAP: usize = 256;
 /// `push` never blocks: when full, the job is simply dropped (readahead
 /// is best-effort; the demand path must never wait on it).
 pub struct PrefetchQueue {
-    jobs: Mutex<Jobs>,
+    jobs: Mutex<VecDeque<PrefetchJob>>,
     cap: usize,
     /// Jobs popped but not yet completed.
     in_flight: AtomicU64,
-    /// Lock-free mirror of the queue length (for `is_idle`).
+    /// Lock-free mirror of the queue length (for `is_idle`, and the word
+    /// a consumer asleep in [`pop_or_park`](Self::pop_or_park) re-reads).
     queued: AtomicU64,
-}
-
-#[derive(Default)]
-struct Jobs {
-    queue: VecDeque<PrefetchJob>,
-    /// A consumer parked in [`PrefetchQueue::pop_or_park`], to be woken by
-    /// the next `push`. Lives under the queue's lock so "found it empty"
-    /// and "registered to be woken" are one step: no push can fall
-    /// between them.
-    parked: Option<Thread>,
+    /// The consumer asleep on an empty queue, woken by `push`: the SQ
+    /// doorbell's handshake, `queued` its work word.
+    sleeper: Sleeper,
 }
 
 impl PrefetchQueue {
     pub fn new(cap: usize) -> PrefetchQueue {
         PrefetchQueue {
-            jobs: Mutex::new(Jobs::default()),
+            jobs: Mutex::new(VecDeque::new()),
             cap: cap.max(1),
             in_flight: AtomicU64::new(0),
             queued: AtomicU64::new(0),
+            sleeper: Sleeper::new(),
         }
     }
 
@@ -286,31 +281,24 @@ impl PrefetchQueue {
     /// dropped.
     pub fn push(&self, job: PrefetchJob) -> bool {
         let mut jobs = self.jobs.lock();
-        if jobs.queue.len() >= self.cap {
+        if jobs.len() >= self.cap {
             return false;
         }
-        jobs.queue.push_back(job);
-        self.queued
-            .store(jobs.queue.len() as u64, Ordering::Release);
-        let parked = jobs.parked.take();
+        jobs.push_back(job);
+        // `SeqCst`, then `wake`: the sleeper's contract.
+        self.queued.store(jobs.len() as u64, Ordering::SeqCst);
         drop(jobs);
-        if let Some(consumer) = parked {
-            consumer.unpark();
-        }
+        self.sleeper.wake();
         true
     }
 
     /// Dequeue the next job; the caller owes a [`done`](Self::done) call
     /// once the fill completes.
     pub fn pop(&self) -> Option<PrefetchJob> {
-        self.take(&mut self.jobs.lock())
-    }
-
-    fn take(&self, jobs: &mut Jobs) -> Option<PrefetchJob> {
-        let job = jobs.queue.pop_front()?;
+        let mut jobs = self.jobs.lock();
+        let job = jobs.pop_front()?;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.queued
-            .store(jobs.queue.len() as u64, Ordering::Release);
+        self.queued.store(jobs.len() as u64, Ordering::Release);
         Some(job)
     }
 
@@ -320,14 +308,11 @@ impl PrefetchQueue {
     /// nothing to do": the caller re-checks its exit conditions and
     /// calls again.
     pub fn pop_or_park(&self, timeout: Duration) -> Option<PrefetchJob> {
-        {
-            let mut jobs = self.jobs.lock();
-            if let Some(job) = self.take(&mut jobs) {
-                return Some(job);
-            }
-            jobs.parked = Some(std::thread::current());
+        if let Some(job) = self.pop() {
+            return Some(job);
         }
-        std::thread::park_timeout(timeout);
+        self.sleeper
+            .sleep_unless(timeout, || self.queued.load(Ordering::SeqCst) != 0);
         self.pop()
     }
 
@@ -483,6 +468,24 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
+    /// Whether this process's thread named `name` is asleep (procfs
+    /// state `S`).
+    #[cfg(target_os = "linux")]
+    fn asleep(name: &str) -> bool {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .filter_map(|task| {
+                let dir = task.ok()?.path();
+                let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
+                let stat = std::fs::read_to_string(dir.join("stat")).ok()?;
+                // The state follows the `(comm)` field.
+                let state = stat.rsplit_once(") ")?.1.chars().next()?;
+                Some((comm.trim() == name, state))
+            })
+            .any(|(named, state)| named && state == 'S')
+    }
+
+    #[cfg(target_os = "linux")]
     #[test]
     fn a_parked_consumer_is_woken_by_push_and_by_nothing_else() {
         let job = PrefetchJob {
@@ -495,30 +498,36 @@ mod tests {
             },
         };
         let q = std::sync::Arc::new(PrefetchQueue::new(4));
-        // A queued job is returned without parking, whatever the timeout.
+        // A queued job is returned without parking, whatever the timeout,
+        // and a push that finds nobody asleep wakes nobody.
         assert!(q.push(job));
         assert_eq!(q.pop_or_park(Duration::from_secs(3600)).unwrap().ino, 9);
         q.done();
+        assert_eq!(q.sleeper.wakes(), 0);
         // An empty queue gives the thread back at the timeout.
         assert!(q.pop_or_park(Duration::from_millis(1)).is_none());
         // Parked for an hour: only `push` can end this wait. The producer
-        // pushes once it has seen the consumer registered, i.e. strictly
-        // after the consumer found the queue empty.
+        // pushes once the consumer is asleep — the one place it blocks —
+        // i.e. strictly after it found the queue empty.
         let consumer = {
             let q = q.clone();
-            std::thread::spawn(move || loop {
-                // `park_timeout` may return spuriously: ask again.
-                if let Some(job) = q.pop_or_park(Duration::from_secs(3600)) {
-                    q.done();
-                    return job.ino;
-                }
-            })
+            std::thread::Builder::new()
+                .name("ra-consumer".into())
+                .spawn(move || loop {
+                    // `park_timeout` may return spuriously: ask again.
+                    if let Some(job) = q.pop_or_park(Duration::from_secs(3600)) {
+                        q.done();
+                        return job.ino;
+                    }
+                })
+                .expect("spawn consumer")
         };
-        while q.jobs.lock().parked.is_none() {
+        while !asleep("ra-consumer") {
             std::thread::yield_now();
         }
         assert!(q.push(job));
         assert_eq!(consumer.join().expect("consumer thread"), 9);
+        assert_eq!(q.sleeper.wakes(), 1, "the push found it asleep");
         assert!(q.is_idle());
     }
 }

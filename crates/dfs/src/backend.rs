@@ -956,14 +956,6 @@ impl DfsBackend {
             .sum()
     }
 
-    pub fn mds_release_delegation(&self, ino: u64, client: u64) {
-        let home = self.home_mds_of_ino(ino);
-        let mut del = self.mdses[home].delegations.write();
-        if del.get(&ino) == Some(&client) {
-            del.remove(&ino);
-        }
-    }
-
     // ---- the stripe data path (one read, one write, for every client) ---
 
     /// Serve `op` on data server `server`, reissuing a refusal by a down
@@ -1496,10 +1488,6 @@ mod tests {
         assert!(!b.delegation_revoked(attr.ino, 2), "new holder is clean");
         b.ack_recall(attr.ino, 1);
         assert!(!b.delegation_revoked(attr.ino, 1));
-        // Voluntary release by the new holder.
-        b.mds_release_delegation(attr.ino, 2);
-        b.mds_delegate(0, attr.ino, 1).unwrap();
-        assert_eq!(b.total_recalls(), 1, "no recall on a free delegation");
     }
 
     #[test]

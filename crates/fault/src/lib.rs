@@ -8,12 +8,14 @@
 //!   [`CrashSwitch`], the DPU crash latch (DESIGN.md §13);
 //! - [`Nanos`], the virtual-time type the link and device timing models
 //!   price in. The discrete-event simulator (`dpc-sim`) runs on it too,
-//!   and re-exports it.
+//!   and re-exports it;
+//! - [`splitmix64`], the generator each fault site draws from, which the
+//!   test model (`dpc-testkit`) re-exports for its seeded schedules.
 
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 mod fault;
 mod time;
 
-pub use fault::{CrashSwitch, FaultMode, FaultPlan, FaultSite, FaultSpec};
+pub use fault::{splitmix64, CrashSwitch, FaultMode, FaultPlan, FaultSite, FaultSpec};
 pub use time::Nanos;

@@ -743,15 +743,6 @@ impl Kvfs {
         self.get_attr(ino)
     }
 
-    pub fn set_mode(&self, ino: u64, mode: u32) -> Result<(), FsError> {
-        let _guard = self.ino_lock(ino).lock();
-        let mut attr = self.get_attr(ino)?;
-        attr.mode = mode;
-        attr.ctime = self.now();
-        self.put_attr(&attr);
-        Ok(())
-    }
-
     // ---- data operations ----------------------------------------------
 
     /// Write `data` at `offset`; extends the file. Returns bytes written.
@@ -2291,14 +2282,6 @@ mod tests {
         // Counting a file is an error, same as readdir.
         let f = fs.resolve("/dir/abc").unwrap();
         assert_eq!(fs.dir_entry_count(f), Err(FsError::NotADirectory));
-    }
-
-    #[test]
-    fn set_mode_updates_attr() {
-        let fs = fs();
-        let ino = fs.create("/m", 0o600).unwrap();
-        fs.set_mode(ino, 0o444).unwrap();
-        assert_eq!(fs.get_attr(ino).unwrap().mode, 0o444);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! File-semantic drivers over the nvme-fs queue pair.
 //!
-//! [`FileChannel`] is the host half, driven by the
-//! [`ChannelPool`](crate::ChannelPool): it frames [`FileRequest`]s into the
-//! bidirectional command's write header, and the pool decodes each
+//! The host half is the [`ChannelPool`](crate::ChannelPool) over each
+//! queue's [`Initiator`]: it frames [`FileRequest`]s into the
+//! bidirectional command's write header, and decodes each
 //! [`FileResponse`] from its reply header where the DMA left it.
 //! [`FileTarget`] is the DPU half consumed by the IO-dispatch:
 //! [`FileTarget::poll_many`] fetches every posted command into a
@@ -19,7 +19,7 @@ use dpc_fault::{FaultPlan, FaultSite};
 use dpc_pcie::DmaEngine;
 
 use crate::filemsg::{DecodeError, FileRequest, FileResponse};
-use crate::queue::{Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, ReadSide, Target};
+use crate::queue::{Initiator, Payload, QueuePair, QueuePairConfig, Target};
 use crate::sqe::{CqeStatus, DispatchType};
 
 /// Whether reissuing `req` after a lost/failed completion is safe: the
@@ -42,18 +42,6 @@ pub(crate) fn is_idempotent(req: &FileRequest) -> bool {
     )
 }
 
-/// The read side `req` needs when the caller expects `read_len` payload
-/// bytes back: none at all when it expects none and every reply header
-/// rides the CQE — which leaves the SQE's PRP-Read Dwords to the request
-/// header.
-fn read_side(req: &FileRequest, read_len: u32) -> ReadSide {
-    if read_len == 0 && req.reply_rides_cqe() {
-        ReadSide::None
-    } else {
-        ReadSide::Buffer(read_len)
-    }
-}
-
 /// What a completion with `status` and response `header` says at the
 /// file layer.
 pub(crate) fn decode_reply(status: CqeStatus, header: &[u8]) -> Result<FileResponse, RecvError> {
@@ -74,12 +62,6 @@ pub struct Sides<'a> {
     /// Payload capacity expected back (file data for reads, dirent bytes
     /// for readdir).
     pub read_len: u32,
-}
-
-/// Host-side file channel: one nvme-fs queue pair speaking file semantics.
-pub struct FileChannel {
-    pub(crate) ini: Initiator,
-    hdr_buf: Vec<u8>,
 }
 
 /// Error surfaced by the blocking calls of
@@ -152,64 +134,6 @@ impl From<RecvError> for CallError {
             RecvError::Decode(d) => CallError::Decode(d),
             RecvError::Transport => CallError::Transport,
         }
-    }
-}
-
-impl FileChannel {
-    pub fn new(ini: Initiator) -> FileChannel {
-        FileChannel {
-            ini,
-            hdr_buf: Vec::with_capacity(64),
-        }
-    }
-
-    pub fn queue_id(&self) -> u16 {
-        self.ini.queue_id()
-    }
-
-    pub fn outstanding(&self) -> usize {
-        self.ini.outstanding()
-    }
-
-    /// Commands this queue's target refused as malformed at the transport
-    /// layer (see [`Initiator::rejected_sqes`]).
-    pub fn rejected_sqes(&self) -> u64 {
-        self.ini.rejected_sqes()
-    }
-
-    /// Doorbell rings that found this queue's target asleep and woke it
-    /// (see [`Initiator::doorbell_wakes`]).
-    pub fn doorbell_wakes(&self) -> u64 {
-        self.ini.doorbell_wakes()
-    }
-
-    /// Ring depth of the underlying queue pair (at most `depth - 1`
-    /// commands can be in flight).
-    pub fn depth(&self) -> u16 {
-        self.ini.depth()
-    }
-
-    /// Stage `reqs`, each with `sides`, under one doorbell: as many as the
-    /// ring takes right now. Hands each staged command's index and CID to
-    /// `staged`, in order, and returns how many went — none when the ring
-    /// is full, and then nothing was published.
-    pub(crate) fn stage(
-        &mut self,
-        sides: &Sides<'_>,
-        reqs: &[FileRequest],
-        mut staged: impl FnMut(usize, u16),
-    ) -> usize {
-        let mut batch = self.ini.batch();
-        for (i, req) in reqs.iter().enumerate() {
-            self.hdr_buf.clear();
-            req.encode(&mut self.hdr_buf);
-            let read = read_side(req, sides.read_len);
-            match batch.stage(sides.dispatch, &self.hdr_buf, sides.write, read) {
-                Ok(cid) => staged(i, cid),
-                Err(QueueFull) => break,
-            }
-        }
-        batch.staged()
     }
 }
 
@@ -455,21 +379,22 @@ impl FileTarget {
 
 /// Build `queues` independent file-semantic queue pairs sharing one DMA
 /// engine — nvme-fs's multi-queue deployment (one pair per host thread in
-/// the paper's evaluation).
+/// the paper's evaluation): the host halves for
+/// [`ChannelPool::new`](crate::ChannelPool::new), and the DPU halves.
 pub fn create_fabric(
     queues: usize,
     cfg: QueuePairConfig,
     dma: &DmaEngine,
-) -> (Vec<FileChannel>, Vec<FileTarget>) {
+) -> (Vec<Initiator>, Vec<FileTarget>) {
     assert!(queues > 0);
-    let mut channels = Vec::with_capacity(queues);
+    let mut initiators = Vec::with_capacity(queues);
     let mut targets = Vec::with_capacity(queues);
     for q in 0..queues {
         let (ini, tgt) = QueuePair::new(q as u16, cfg).split(dma.clone());
-        channels.push(FileChannel::new(ini));
+        initiators.push(ini);
         targets.push(FileTarget::new(tgt));
     }
-    (channels, targets)
+    (initiators, targets)
 }
 
 #[cfg(test)]

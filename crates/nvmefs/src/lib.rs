@@ -18,12 +18,13 @@
 //!
 //! Layers: [`Sqe`]/[`Cqe`] (bit-exact entries) → [`QueuePair`] /
 //! [`Initiator`] / [`Target`] (rings over DMA-able host memory) →
-//! [`FileChannel`] / [`FileTarget`] (typed [`FileRequest`] /
-//! [`FileResponse`] framing; the target DMAs each command's payload
-//! straight into the [`FileIncomingBatch`] slot it is served from) →
-//! [`ChannelPool`] (shared multi-threaded multiplexer over all queues:
-//! stage commands, wait on tickets, CQEs matched by CID into a mailbox per
-//! CID, each reply read where the DMA left it, per-thread queue affinity).
+//! [`ChannelPool`] / [`FileTarget`] (typed [`FileRequest`] /
+//! [`FileResponse`] framing). The pool is the host half: a shared
+//! multi-threaded multiplexer over every queue's initiator that stages
+//! commands, waits on tickets, matches CQEs by CID into a mailbox per CID,
+//! reads each reply where the DMA left it and keeps per-thread queue
+//! affinity. The target is the DPU half: it DMAs each command's payload
+//! straight into the [`FileIncomingBatch`] slot it is served from.
 //! Each end has one way across: the host stages through the pool and reads
 //! every reply through its lease; the target fetches through
 //! [`FileTarget::poll_many`].
@@ -37,8 +38,8 @@ mod queue;
 mod sqe;
 
 pub use driver::{
-    create_fabric, CallError, FileChannel, FileCompletion, FileIncoming, FileIncomingBatch,
-    FileTarget, RecvError, Sides,
+    create_fabric, CallError, FileCompletion, FileIncoming, FileIncomingBatch, FileTarget,
+    RecvError, Sides,
 };
 pub use filemsg::{
     decode_dirents, decode_dirents_into, dirent_iter, encode_dirent, encode_dirents, DecodeError,

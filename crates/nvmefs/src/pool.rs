@@ -21,7 +21,7 @@
 //!
 //! Locking discipline, the whole point of this module:
 //!
-//! - Each queue has one small mutex over its [`FileChannel`]. It is held
+//! - Each queue has one small mutex over its [`Initiator`]. It is held
 //!   only to stage commands, or to drain CQEs into their mailboxes. **It
 //!   is never held across a link round-trip.**
 //! - Each queue has one mailbox per CID, allocated with the queue: it
@@ -33,7 +33,7 @@
 //!   late reply never lands in a newer command's mailbox or buffer, and
 //!   no call allocates either. A waiter hands its CID back by setting a
 //!   bit; the next thread to stage on that queue returns it to the
-//!   channel.
+//!   initiator.
 //! - A waiter checks its mailbox, opportunistically `try_lock`s the queue
 //!   to poll-and-deliver, and yields. There is no spin tier: the reply is
 //!   produced by another thread, and whenever that thread shares this
@@ -53,11 +53,9 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::driver::{
-    decode_reply, is_idempotent, CallError, FileChannel, FileCompletion, RecvError, Sides,
-};
+use crate::driver::{decode_reply, is_idempotent, CallError, FileCompletion, RecvError, Sides};
 use crate::filemsg::{FileRequest, FileResponse};
-use crate::queue::{Payload, Replies, Reply, READ_HEADER_CAP};
+use crate::queue::{Initiator, Payload, QueueFull, ReadSide, Replies, Reply, READ_HEADER_CAP};
 use crate::sqe::{Cqe, DispatchType, CQE_SIZE};
 
 /// Mailbox states. A mailbox is `FREE` until a command is staged on its
@@ -73,7 +71,7 @@ const ABANDONED: u8 = 3;
 /// buffer.
 #[derive(Default)]
 struct Mailbox {
-    /// Changed under the channel lock, but for the waiter's `READY` →
+    /// Changed under the queue lock, but for the waiter's `READY` →
     /// `FREE`: `READY` is stored `Release` after the CQE is written and
     /// loaded `Acquire` before it is read; `FREE` reaches the next stager
     /// through the `taken` bit's `Release` / `Acquire`.
@@ -139,22 +137,66 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Per-queue state: the channel under its lock, and beside it — readable
+/// The read side `req` needs when the caller expects `read_len` payload
+/// bytes back: none at all when it expects none and every reply header
+/// rides the CQE — which leaves the SQE's PRP-Read Dwords to the request
+/// header.
+fn read_side(req: &FileRequest, read_len: u32) -> ReadSide {
+    if read_len == 0 && req.reply_rides_cqe() {
+        ReadSide::None
+    } else {
+        ReadSide::Buffer(read_len)
+    }
+}
+
+/// One queue's host end, under the queue's lock: its initiator, and the
+/// buffer each request header is encoded into on its way to the SQE.
+struct HostEnd {
+    ini: Initiator,
+    hdr: Vec<u8>,
+}
+
+impl HostEnd {
+    /// Stage `reqs`, each with `sides`, under one doorbell: as many as the
+    /// ring takes right now. Hands each staged command's index and CID to
+    /// `staged`, in order, and returns how many went — none when the ring
+    /// is full, and then nothing was published.
+    fn stage(
+        &mut self,
+        sides: &Sides<'_>,
+        reqs: &[FileRequest],
+        mut staged: impl FnMut(usize, u16),
+    ) -> usize {
+        let mut batch = self.ini.batch();
+        for (i, req) in reqs.iter().enumerate() {
+            self.hdr.clear();
+            req.encode(&mut self.hdr);
+            let read = read_side(req, sides.read_len);
+            match batch.stage(sides.dispatch, &self.hdr, sides.write, read) {
+                Ok(cid) => staged(i, cid),
+                Err(QueueFull) => break,
+            }
+        }
+        batch.staged()
+    }
+}
+
+/// Per-queue state: the host end under its lock, and beside it — readable
 /// without the lock — one mailbox per CID and the transport buffers the
 /// replies sit in.
 struct PoolQueue {
-    chan: Mutex<FileChannel>,
+    chan: Mutex<HostEnd>,
     boxes: Box<[Mailbox]>,
     replies: Replies,
     /// CIDs whose replies their waiters have read, one bit each: the next
-    /// stager on this queue gives them back to the channel.
+    /// stager on this queue gives them back to the initiator.
     taken: Box<[AtomicU64]>,
 }
 
 impl PoolQueue {
-    /// Lock the channel, first giving back every CID its waiter is done
+    /// Lock the queue, first giving back every CID its waiter is done
     /// with (so the buffer freed last is the next one handed out).
-    fn lock(&self) -> MutexGuard<'_, FileChannel> {
+    fn lock(&self) -> MutexGuard<'_, HostEnd> {
         let mut chan = self.chan.lock();
         for (word, bits) in self.taken.iter().enumerate() {
             if bits.load(Ordering::Relaxed) == 0 {
@@ -232,15 +274,18 @@ pub struct ChannelPool {
 
 impl ChannelPool {
     /// Wrap the fabric's host halves into one shared multiplexer.
-    pub fn new(channels: Vec<FileChannel>) -> ChannelPool {
-        assert!(!channels.is_empty(), "a pool needs at least one queue");
-        let queues = channels
+    pub fn new(initiators: Vec<Initiator>) -> ChannelPool {
+        assert!(!initiators.is_empty(), "a pool needs at least one queue");
+        let queues = initiators
             .into_iter()
-            .map(|chan| {
-                let depth = chan.depth() as usize;
+            .map(|ini| {
+                let depth = ini.depth() as usize;
                 PoolQueue {
-                    replies: chan.ini.replies().clone(),
-                    chan: Mutex::new(chan),
+                    replies: ini.replies().clone(),
+                    chan: Mutex::new(HostEnd {
+                        ini,
+                        hdr: Vec::with_capacity(64),
+                    }),
                     boxes: (0..depth).map(|_| Mailbox::default()).collect(),
                     taken: (0..depth.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
                 }
@@ -266,16 +311,16 @@ impl ChannelPool {
     /// Commands on queue `qid` whose CID is taken: in flight, or replied
     /// to and not yet read.
     pub fn outstanding(&self, qid: usize) -> usize {
-        self.queues[qid].lock().outstanding()
+        self.queues[qid].lock().ini.outstanding()
     }
 
     /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         let (mut rejected_sqes, mut doorbell_wakes) = (0, 0);
         for q in &self.queues {
-            let chan = q.chan.lock();
-            rejected_sqes += chan.rejected_sqes();
-            doorbell_wakes += chan.doorbell_wakes();
+            let ini = &q.chan.lock().ini;
+            rejected_sqes += ini.rejected_sqes();
+            doorbell_wakes += ini.doorbell_wakes();
         }
         PoolStats {
             submitted: self.stats.submitted.load(Ordering::Relaxed),
@@ -306,11 +351,11 @@ impl ChannelPool {
         (TID_HASH.with(|h| *h) as usize) % self.queues.len()
     }
 
-    /// Drain every available CQE on `queue`'s channel into its mailbox —
+    /// Drain every available CQE on `queue` into its mailbox —
     /// the CQE only: the reply stays in the buffer for the waiter. A reply
     /// whose waiter gave up is dropped, and only now that its late CQE has
     /// drained is its CID free again. Caller holds the lock.
-    fn deliver(&self, queue: &PoolQueue, chan: &mut FileChannel) -> usize {
+    fn deliver(&self, queue: &PoolQueue, chan: &mut HostEnd) -> usize {
         let (mut delivered, mut stale) = (0u64, 0u64);
         while let Some(cqe) = chan.ini.reap() {
             let mailbox = &queue.boxes[cqe.cid as usize];
@@ -964,7 +1009,7 @@ mod tests {
             max_io_bytes: 4096,
         };
         let (ini, mut tgt) = QueuePair::new(0, cfg).split(dma);
-        let mut pool = ChannelPool::new(vec![FileChannel::new(ini)]);
+        let mut pool = ChannelPool::new(vec![ini]);
         pool.set_retry(RetryPolicy {
             attempts: 2,
             backoff_base_us: 0,
@@ -1037,7 +1082,7 @@ mod tests {
             max_io_bytes: 4096,
         };
         let (ini, mut tgt) = QueuePair::new(0, cfg).split(dma);
-        let mut pool = ChannelPool::new(vec![FileChannel::new(ini)]);
+        let mut pool = ChannelPool::new(vec![ini]);
         pool.set_retry(RetryPolicy {
             attempts: 2,
             backoff_base_us: 0,

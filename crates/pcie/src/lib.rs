@@ -12,9 +12,10 @@
 //!   budgets and the benchmarks can charge per-op latency,
 //! - [`PcieModel`]: converts operations into virtual-time costs
 //!   (setup latency + bytes / link bandwidth),
-//! - [`Sleeper`]: how a DPU-side thread sleeps on a host-written word and
-//!   is woken by the write itself — the event a real device raises on a
-//!   doorbell, instead of a core polling an idle register.
+//! - [`Sleeper`]: how a DPU-side thread sleeps on a word another thread
+//!   writes and is woken by the write itself — the event a real device
+//!   raises on a doorbell, instead of a core polling an idle register. The
+//!   prefetcher sleeps on its job queue the same way.
 //!
 //! No timing happens here at copy time — the functional copy and the
 //! virtual-time charge are separated so tests can exercise the data path

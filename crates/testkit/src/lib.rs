@@ -25,14 +25,9 @@ pub fn seeds() -> Vec<u64> {
     }
 }
 
-/// SplitMix64: advance `state` and return its next output.
-pub fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64: advance `state` and return its next output — the fault
+/// sites' generator.
+pub use dpc_fault::splitmix64 as splitmix;
 
 /// `len` bytes of the splitmix stream from `state`, each output
 /// little-endian.

@@ -42,27 +42,48 @@ fn a_closed_loop_stream_never_parks_the_service_thread() {
     // The first call of the stream may find the thread asleep; none after.
     fs.readlink("/l").unwrap();
     let before = dpc.metrics();
+    let preempted_before = preemptions();
     for _ in 0..CALLS {
         fs.readlink("/l").unwrap();
     }
+    let preempted = preemptions() - preempted_before;
     let after = dpc.metrics();
     assert_eq!(after.requests_served - before.requests_served, CALLS);
     let parks = after.svc_parks - before.svc_parks;
     let wakes = after.doorbell_wakes - before.doorbell_wakes;
     // Sharing the caller's core (`taskset -c 0`, as CI runs this), an idle
     // round passes only when the scheduler has gone round: the count is
-    // exact. On a core of its own the tier is ≈ 80 µs of yields, and a
-    // host thread the box preempts for longer than that mid-stream costs
-    // one park — where a park per command would read `CALLS`.
+    // exact. On a core of its own the tier is ≈ 80 µs of yields, and each
+    // time another task takes the host thread's core for longer than that
+    // mid-stream, the service thread parks once: such stalls come at a
+    // rate per second, not per call, so they are counted, not assumed
+    // away (a debug stream lasts ≈ 7× a release one; one on a busy 2-vCPU
+    // box read 321 parks). A park per command would read `CALLS`.
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     if cores == 1 {
         assert_eq!((parks, wakes), (0, 0), "parked mid-stream");
     } else {
         assert!(
-            parks.max(wakes) <= CALLS / 100,
-            "{parks} parks, {wakes} wakes"
+            parks.max(wakes) <= CALLS / 100 + preempted,
+            "{parks} parks, {wakes} wakes, the host preempted {preempted} times"
         );
     }
+}
+
+/// Times the calling thread has been taken off its core while it could
+/// still run (`nonvoluntary_ctxt_switches`); 0 where procfs does not say.
+/// Where the service thread shares that core, every hand-off counts too.
+fn preemptions() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("nonvoluntary_ctxt_switches:")?
+                .trim()
+                .parse()
+                .ok()
+        })
+        .unwrap_or(0)
 }
 
 #[test]
