@@ -4,12 +4,13 @@
 //!   1-queue point by construction; multi-queue is most of the win),
 //! - **DMA-op setup cost sensitivity** — how the nvme-fs vs virtio-fs
 //!   latency gap scales with per-op DMA overhead (the gap *is* the op
-//!   count difference: 4 vs 11),
+//!   count difference `fig6::measure_dma_counts` measures),
 //! - **cache-plane placement** — hybrid (paper) vs full-DPU cache vs no
 //!   cache, measuring PCIe traffic per hit,
 //! - **small→big promotion threshold** — KV write amplification as the
 //!   small-file rewrite boundary moves.
 
+use crate::fig6::{measure_dma_counts, DmaCounts};
 use crate::link::Link;
 use crate::Testbed;
 use dpc_kvfs::Kvfs;
@@ -221,14 +222,20 @@ pub fn run(tb: &Testbed) -> Vec<Table> {
         "multi-queue is the structural advantage virtio-fs cannot have (single-queue kernel path)",
     );
 
+    let DmaCounts { nvme, virtio, .. } = measure_dma_counts();
     let mut d = Table::new(
         "Ablation: per-DMA setup cost sensitivity (1-thread 8K write latency)",
-        &["dma setup", "nvme-fs (4 ops)", "virtio-fs (11 ops)", "gap"],
+        &[
+            "dma setup",
+            &format!("nvme-fs ({nvme} ops)"),
+            &format!("virtio-fs ({virtio} ops)"),
+            "gap",
+        ],
     );
     for setup_us in [0.5f64, 1.0, 2.0, 4.0] {
         let s = Nanos::from_micros(setup_us);
-        let n = latency_vs_dma_cost(tb, 4, s);
-        let v = latency_vs_dma_cost(tb, 11, s);
+        let n = latency_vs_dma_cost(tb, nvme, s);
+        let v = latency_vs_dma_cost(tb, virtio, s);
         d.row(vec![
             format!("{setup_us}us"),
             fmt_us(n),
@@ -236,7 +243,10 @@ pub fn run(tb: &Testbed) -> Vec<Table> {
             fmt_us(v - n),
         ]);
     }
-    d.note("the latency gap is exactly 7 DMA setups — protocol structure, not tuning");
+    d.note(format!(
+        "the latency gap is exactly {} DMA setups — protocol structure, not tuning",
+        virtio - nvme
+    ));
 
     let mut c = Table::new(
         "Ablation: cache-plane placement (PCIe bytes per 4K cache hit)",
@@ -334,12 +344,14 @@ mod tests {
     #[test]
     fn dma_gap_scales_with_setup_cost() {
         let tb = Testbed::default();
-        let gap_1 = latency_vs_dma_cost(&tb, 11, Nanos::from_micros(1.0))
-            - latency_vs_dma_cost(&tb, 4, Nanos::from_micros(1.0));
-        let gap_4 = latency_vs_dma_cost(&tb, 11, Nanos::from_micros(4.0))
-            - latency_vs_dma_cost(&tb, 4, Nanos::from_micros(4.0));
-        assert_eq!(gap_1, Nanos::from_micros(7.0));
-        assert_eq!(gap_4, Nanos::from_micros(28.0));
+        let DmaCounts { nvme, virtio, .. } = measure_dma_counts();
+        let gap = |setup: f64| {
+            let s = Nanos::from_micros(setup);
+            latency_vs_dma_cost(&tb, virtio, s) - latency_vs_dma_cost(&tb, nvme, s)
+        };
+        // The measured counts are 4 and 11: seven setups apart.
+        assert_eq!(gap(1.0), Nanos::from_micros(7.0));
+        assert_eq!(gap(4.0), Nanos::from_micros(28.0));
     }
 
     #[test]

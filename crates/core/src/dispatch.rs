@@ -24,12 +24,6 @@ use dpc_nvmefs::{
 };
 use parking_lot::Mutex;
 
-/// Sentinel inode for `FileRequest::Fsync` meaning "flush every inode's
-/// dirty pages" — the WAL back-pressure path frees ring space without
-/// naming a file (and without the per-inode KVFS barrier, which would be
-/// meaningless for a whole-cache sweep).
-pub const FSYNC_ALL: u64 = u64::MAX;
-
 /// Flush passes a scoped `Fsync` runs while its inode's pages are being
 /// refused, before it answers EIO: with the control plane's in-pass
 /// retries, sixteen attempts at each refused batch.
@@ -382,12 +376,12 @@ impl Dispatcher {
         }
     }
 
-    /// One foreground flush of the hybrid cache's dirty pages into KVFS,
-    /// scoped to `ino_filter` when given. With `coalesce` off the extent
-    /// cap is one page: every dirty page is a run of its own (a batch is
-    /// still one request). Returns the pages the backend refused and the
-    /// pages a host writer held; both stay dirty.
-    fn flush(&mut self, ino_filter: Option<u64>) -> (usize, usize) {
+    /// One foreground flush of `ino`'s dirty pages in the hybrid cache
+    /// into KVFS. With `coalesce` off the extent cap is one page: every
+    /// dirty page is a run of its own (a batch is still one request).
+    /// Returns the pages the backend refused and the pages a host writer
+    /// held; both stay dirty.
+    fn flush(&mut self, ino: u64) -> (usize, usize) {
         let cap = self.control.max_extent_pages;
         if !self.coalesce {
             self.control.max_extent_pages = 1;
@@ -396,7 +390,7 @@ impl Dispatcher {
             kvfs: &self.kvfs,
             fault: self.flush_fault.as_ref(),
         };
-        self.control.flush_extents(&mut sink, ino_filter, false);
+        self.control.flush_extents(&mut sink, Some(ino), false);
         self.control.max_extent_pages = cap;
         (self.control.refused(), self.control.busy())
     }
@@ -539,20 +533,16 @@ impl Dispatcher {
                 // the (always-durable) store needs no further barrier.
                 // The dirty-range index scopes the flush to this inode
                 // (other files' pages wait for their own fsync, close,
-                // eviction or the teardown drain).
-                if *ino == FSYNC_ALL {
-                    // Unscoped sweep (WAL ring back-pressure): flush every
-                    // inode, no per-inode barrier.
-                    self.flush(None);
-                    return FileResponse::Ok;
-                }
+                // eviction or the teardown drain); an inode KVFS does not
+                // hold has none, and its barrier answers ENOENT.
+                //
                 // A sync answers for what it made durable: pages the
                 // backend keeps refusing stay dirty, and the reply says EIO;
                 // a page a writer held through the pass is still dirty, and
                 // the reply says "again".
                 let mut passes = 1;
                 let busy = loop {
-                    match self.flush(Some(*ino)) {
+                    match self.flush(*ino) {
                         (0, busy) => break busy,
                         _ if passes == FSYNC_PASSES => return FileResponse::Err(5 /* EIO */),
                         _ => passes += 1,
@@ -819,6 +809,35 @@ mod tests {
         assert_eq!(resp, FileResponse::Ok);
         assert_eq!((first_bytes(&kvfs), cache.dirty_count()), ((7, 7), 0));
         assert_eq!(kvfs.get_attr(a).unwrap().size, (32 * BIG_BLOCK) as u64);
+    }
+
+    #[test]
+    fn an_fsync_of_an_inode_kvfs_does_not_hold_flushes_nothing_and_is_enoent() {
+        let (kvfs, a, b) = two_files();
+        let kvfs = Arc::new(kvfs);
+        let control = control();
+        let cache = control.cache().clone();
+        let mut dispatcher = Dispatcher::new(kvfs.clone(), control, None);
+        for ino in [a, b] {
+            let mut page = cache.begin_write(ino, 0).unwrap();
+            page.write(0, &[7u8; PAGE_SIZE]);
+            page.commit_dirty();
+        }
+        let before = kvfs.store().stats();
+        // `u64::MAX` is an unknown inode like any other: no sweep.
+        for ino in [9999, u64::MAX] {
+            let fsync = FileIncoming {
+                request: FileRequest::Fsync { ino },
+                ..FileIncoming::default()
+            };
+            assert_eq!(dispatcher.handle(&fsync).0, FileResponse::Err(2), "{ino}");
+        }
+        let after = kvfs.store().stats();
+        assert_eq!(cache.dirty_count(), 2, "both files' pages are still dirty");
+        assert_eq!(
+            (after.sub_writes, after.puts),
+            (before.sub_writes, before.puts)
+        );
     }
 
     #[test]

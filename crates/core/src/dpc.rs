@@ -542,11 +542,6 @@ impl Dpc {
         &self.meta
     }
 
-    /// Convenience alias emphasising the standalone (KVFS) service.
-    pub fn kvfs(&self) -> DpcFs {
-        self.fs()
-    }
-
     /// Number of nvme-fs queue pairs the shared channel pool multiplexes
     /// over (the host-side scaling knee).
     pub fn queue_count(&self) -> usize {

@@ -14,7 +14,7 @@
 //! use dpc_core::{Dpc, DpcConfig};
 //!
 //! let dpc = Dpc::new(DpcConfig::default());
-//! let fs = dpc.kvfs();
+//! let fs = dpc.fs();
 //! fs.mkdir("/etc").unwrap();
 //! let fd = fs.create("/etc/app.conf").unwrap();
 //! fs.write(fd, 0, b"threads=8\n").unwrap();
@@ -32,7 +32,7 @@ mod metrics;
 mod runtime;
 
 pub use adapter::{DpcError, DpcFs, Fd, FsyncMode, IoMode};
-pub use dispatch::{Dispatcher, FSYNC_ALL};
+pub use dispatch::Dispatcher;
 pub use dpc::{ConfigError, Dpc, DpcConfig, RecoverError};
 pub use metrics::{MetricsSnapshot, RecoverySnapshot};
 pub use runtime::{DpuRuntime, RuntimeShared};

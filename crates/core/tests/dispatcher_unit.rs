@@ -1068,7 +1068,7 @@ fn every_reply_fits_what_its_request_declared() {
         );
         let fsyncs = [
             (f, FileResponse::Ok),
-            (dpc_core::FSYNC_ALL, FileResponse::Ok),
+            (u64::MAX, FileResponse::Err(2)),
             (9999, FileResponse::Err(2)),
         ];
         for (ino, want) in fsyncs {

@@ -1294,64 +1294,6 @@ impl DfsBackend {
         }
     }
 
-    /// Small-I/O packing (§2.1 "Direct I/O"): the client packs several
-    /// sub-block writes into a single message; the MDS consolidates them
-    /// into whole-block updates (read-modify-write per touched block) and
-    /// writes each block once. Returns the number of consolidated block
-    /// writes — the client paid *one* RPC for all of it. An I/O spanning
-    /// two blocks is `InvalidArgument`, refused before anything is
-    /// written; a block that cannot be read or written stops the message
-    /// there, and the size grows only past blocks that landed.
-    pub fn mds_write_packed(
-        &self,
-        via: usize,
-        ino: u64,
-        ios: &[(u64, Vec<u8>)], // (byte offset, data), each within one block
-    ) -> Result<usize, DfsError> {
-        let fits = |(offset, data): &(u64, Vec<u8>)| {
-            (offset % DFS_BLOCK as u64) as usize + data.len() <= DFS_BLOCK
-                && block_end(offset / DFS_BLOCK as u64, DFS_BLOCK).is_some()
-        };
-        if !ios.iter().all(fits) {
-            return Err(DfsError::InvalidArgument);
-        }
-        self.mds_fault()?;
-        let home = self.home_mds_of_ino(ino);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        // Group the small I/Os by the block they touch.
-        let mut blocks: std::collections::BTreeMap<u64, Vec<(usize, &[u8])>> =
-            std::collections::BTreeMap::new();
-        for (offset, data) in ios {
-            let block = offset / DFS_BLOCK as u64;
-            let in_block = (offset % DFS_BLOCK as u64) as usize;
-            blocks.entry(block).or_default().push((in_block, data));
-        }
-        // Consolidate: one read-modify-write per touched block.
-        let consolidated = blocks.len();
-        let mut io = self.mds_io.lock();
-        let mut buf = vec![0; DFS_BLOCK];
-        for (block, writes) in blocks {
-            // The old block, zero-padded to a whole one.
-            buf.fill(0);
-            match self.stripe_read(ino, block, &mut buf, &mut io) {
-                Ok(_) | Err(DfsError::NotFound) => {}
-                Err(e) => return Err(e),
-            }
-            let mut end = 0;
-            for (in_block, data) in writes {
-                buf[in_block..in_block + data.len()].copy_from_slice(data);
-                end = end.max(block * DFS_BLOCK as u64 + (in_block + data.len()) as u64);
-            }
-            self.stripe_write(ino, block, &buf, &mut io)?;
-            self.grow(home, ino, end);
-        }
-        Ok(consolidated)
-    }
-
     /// Standard-client read: the MDS reads the block through the stripe
     /// read (reconstructing it if need be) and returns it.
     pub fn mds_read_block(&self, via: usize, ino: u64, block: u64) -> Result<Vec<u8>, DfsError> {
@@ -1608,11 +1550,6 @@ mod tests {
         );
         assert_eq!(
             b.mds_write_block(0, attr.ino, u64::MAX / 4096, &[0; 16]),
-            Err(DfsError::InvalidArgument)
-        );
-        let spanning = [(DFS_BLOCK as u64 - 4, vec![0u8; 16])];
-        assert_eq!(
-            b.mds_write_packed(0, attr.ino, &spanning),
             Err(DfsError::InvalidArgument)
         );
         assert_eq!(b.total_mds_rpcs(), before, "refused before it was served");

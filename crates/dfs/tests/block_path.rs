@@ -1,7 +1,7 @@
 //! The DFS client's block data path, driven through `ClientCore` against
 //! a live backend: what a healthy read or write costs in data-server
 //! RPCs (one block is one stripe cell on a server of its own), that
-//! `read_block` and `read_block_into` are one function, and that every
+//! `read_block` returns what `read_block_to` writes, and that every
 //! integrity check still stands between a rotten cell and the caller.
 
 use std::sync::atomic::Ordering;
@@ -34,7 +34,7 @@ fn healthy_block_io_costs_one_read_and_one_plus_m_writes() {
     let mut core = ClientCore::new(b.clone(), 1);
     let (attr, _) = core.create(0, "f").unwrap();
     let data = block_bytes(1, DFS_BLOCK);
-    let mut out = Vec::new();
+    let mut out = vec![0u8; DFS_BLOCK];
     for round in 0..3u64 {
         // Round 0 inserts the block and its parity, later rounds swap and
         // delta them in place: the same RPCs either way.
@@ -48,9 +48,9 @@ fn healthy_block_io_costs_one_read_and_one_plus_m_writes() {
         assert_eq!(t.bytes_in, old, "round {round}");
 
         let before = ds_rpcs(&b);
-        let t = core.read_block_into(attr.ino, 5, &mut out).unwrap();
+        let (n, t) = core.read_block_to(attr.ino, 5, &mut out).unwrap();
         assert_eq!(ds_rpcs(&b) - before, 1, "round {round}");
-        assert_eq!((t.ds_rpcs, t.bytes_in), (1, DFS_BLOCK as u64));
+        assert_eq!((n, t.ds_rpcs, t.bytes_in), (DFS_BLOCK, 1, DFS_BLOCK as u64));
         assert_eq!(out, data);
     }
     let snap = b.recovery().snapshot();
@@ -84,7 +84,7 @@ fn a_degraded_read_is_at_most_k_plus_one_rpcs() {
 }
 
 #[test]
-fn read_block_and_read_block_into_are_one_function() {
+fn read_block_returns_what_read_block_to_writes() {
     let b = backend();
     let mut core = ClientCore::new(b.clone(), 1);
     let (attr, _) = core.create(0, "f").unwrap();
@@ -95,17 +95,22 @@ fn read_block_and_read_block_into_are_one_function() {
     core.write_block(ino, 0, &full).unwrap();
     core.write_block(ino, 1, &tail).unwrap();
 
-    // A recycled buffer holding something else entirely: `into` replaces.
+    // A recycled buffer holding something else entirely: the block lands
+    // at its front, and nothing past the block's length is touched.
     let mut out = vec![0xEEu8; 3 * DFS_BLOCK];
     for (block, want) in [(0u64, &full), (1, &tail)] {
         let (fresh, t_fresh) = core.read_block(ino, block).unwrap();
-        let t_into = core.read_block_into(ino, block, &mut out).unwrap();
+        out.fill(0xEE);
+        let (n, t_to) = core.read_block_to(ino, block, &mut out).unwrap();
         assert_eq!(&fresh, want, "block {block}");
-        assert_eq!(out, fresh, "block {block}");
-        assert_eq!(t_into, t_fresh, "block {block}");
+        assert_eq!((n, &out[..n]), (fresh.len(), &fresh[..]), "block {block}");
+        assert!(out[n..].iter().all(|&x| x == 0xEE), "block {block}");
+        assert_eq!(t_to, t_fresh, "block {block}");
     }
     assert!(core.read_block(ino, 3).is_err());
-    assert!(core.read_block_into(ino, 3, &mut out).is_err());
+    out.fill(0xEE);
+    assert!(core.read_block_to(ino, 3, &mut out).is_err());
+    assert!(out.iter().all(|&x| x == 0xEE), "an error writes nothing");
 }
 
 #[test]
@@ -129,9 +134,9 @@ fn rotten_shards_are_rejected_reconstructed_and_repaired() {
             assert!(b.data_server(placement[block as usize]).corrupt(cell));
         }
         let n_rotten = rotten.len() as u64;
-        let mut out = Vec::new();
+        let mut out = vec![0u8; DFS_BLOCK];
         let before = ds_rpcs(&b);
-        let t = core.read_block_into(attr.ino, rotten[0], &mut out).unwrap();
+        let (_, t) = core.read_block_to(attr.ino, rotten[0], &mut out).unwrap();
         assert_eq!(out, blocks[rotten[0] as usize], "rotten {rotten:?}");
         // The rejected get and k survivors: a second rotten block is one
         // more rejected survivor, replaced by the next cell of the stripe.

@@ -4,8 +4,7 @@
 //!   (one standard, two optimized) against one backend agree with a
 //!   reference model — the clients are interchangeable views of one
 //!   file system;
-//! - reads stay correct under any failure pattern of ≤ m data servers;
-//! - packed small writes are equivalent to the individual writes.
+//! - reads stay correct under any failure pattern of ≤ m data servers.
 
 use std::collections::HashMap;
 
@@ -93,47 +92,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn packed_small_writes_equal_individual_writes(
-        ios in proptest::collection::vec(
-            (0u64..4, 0usize..7000, 1usize..1192, any::<u8>()),
-            1..12
-        ),
-    ) {
-        // Two identical backends: one takes a packed message, the other
-        // takes the same I/Os one by one; resulting blocks must agree.
-        let b_packed = DfsBackend::new(DfsConfig::default());
-        let b_single = DfsBackend::new(DfsConfig::default());
-        let mut c_packed = StandardClient::new(b_packed.clone(), 0);
-        let mut c_single = StandardClient::new(b_single.clone(), 0);
-        let (a1, _) = c_packed.create(0, "f").unwrap();
-        let (a2, _) = c_single.create(0, "f").unwrap();
-
-        let packed: Vec<(u64, Vec<u8>)> = ios
-            .iter()
-            .map(|&(block, in_block, len, fill)| {
-                let in_block = in_block.min(DFS_BLOCK - len);
-                (
-                    block * DFS_BLOCK as u64 + in_block as u64,
-                    vec![fill; len],
-                )
-            })
-            .collect();
-        c_packed.write_small_packed(a1.ino, &packed).unwrap();
-        for (offset, data) in &packed {
-            c_single
-                .write_small_packed(a2.ino, &[(*offset, data.clone())])
-                .unwrap();
-        }
-        let blocks: std::collections::BTreeSet<u64> =
-            packed.iter().map(|(o, _)| o / DFS_BLOCK as u64).collect();
-        for block in blocks {
-            let (p, _) = c_packed.read_block(a1.ino, block).unwrap();
-            let (s, _) = c_single.read_block(a2.ino, block).unwrap();
-            prop_assert_eq!(p, s, "block {} diverged", block);
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Claim under test: once the client's recycled swap and delta buffers,
 //! the caller's read buffer and the data servers' stored cells exist, a
-//! healthy `read_block_into` and an in-place overwrite `write_block` —
+//! healthy `read_block_to` and an in-place overwrite `write_block` —
 //! lazy metadata flushes included — perform **zero** heap allocations;
 //! the read is exactly one data-server RPC and the overwrite `1 + m`.
 //!
@@ -38,19 +38,19 @@ fn warm_block_reads_and_overwrites_allocate_nothing() {
     let mut core = ClientCore::new(backend.clone(), 1);
     let (attr, _) = core.create(0, "f").unwrap();
     let data: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 31 % 251) as u8).collect();
-    let mut out = Vec::new();
+    let mut out = vec![0u8; DFS_BLOCK];
     // Warm-up: first writes insert the cells and size every buffer; two
     // passes so the lazy metadata batch has flushed at least once.
     for _ in 0..2 {
         for b in 0..BLOCKS {
             core.write_block(attr.ino, b, &data).unwrap();
-            core.read_block_into(attr.ino, b, &mut out).unwrap();
+            core.read_block_to(attr.ino, b, &mut out).unwrap();
         }
     }
 
     let (before, rpcs_before) = (thread_alloc_count(), ds_rpcs());
     for b in 0..BLOCKS {
-        core.read_block_into(attr.ino, b, &mut out).unwrap();
+        core.read_block_to(attr.ino, b, &mut out).unwrap();
     }
     assert_eq!(thread_alloc_count() - before, 0, "healthy reads allocated");
     assert_eq!(

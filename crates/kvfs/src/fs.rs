@@ -478,8 +478,8 @@ impl Kvfs {
     }
 
     /// Number of entries in a directory, without materialising them.
-    /// Existence / emptiness checks should use this (or
-    /// [`Kvfs::entry_exists`]) instead of `readdir` — a listing
+    /// Emptiness checks should use this (and existence checks
+    /// [`Kvfs::lookup`]) instead of `readdir` — a listing
     /// allocates a name `String` and an attribute fetch per entry just
     /// to be thrown away.
     pub fn dir_entry_count(&self, dir: u64) -> Result<u64, FsError> {
@@ -497,12 +497,6 @@ impl Kvfs {
         self.store
             .scan_prefix_with(&inode_prefix(dir), |_, _| entries += 1);
         entries
-    }
-
-    /// Does `name` exist under `parent`? An exact dentry-KV probe — one
-    /// get, no directory scan, no `Vec<Dirent>`.
-    pub fn entry_exists(&self, parent: u64, name: &str) -> bool {
-        self.store.contains(&inode_key(parent, name))
     }
 
     /// Remove a regular file.
@@ -863,16 +857,15 @@ impl Kvfs {
         let blocks = FileObject::new(&self.store, ino);
         match attr.format {
             DataFormat::Small => {
-                // Bytes the value does not cover read as zeros. No value is
-                // a hole — unless a promotion moved the bytes into blocks
+                // Bytes the value does not cover read as zeros, and no value
+                // is a hole — unless a promotion moved the bytes into blocks
                 // since the attribute was read: it deletes the value last.
-                if !self.store.read_sub(&small_key(ino), offset as usize, dst) {
-                    match self.get_attr(ino) {
-                        Ok(now) if now.format == DataFormat::Big => {
-                            blocks.read_at(offset, dst);
-                        }
-                        _ => dst.fill(0),
-                    }
+                if !self.store.read_sub(&small_key(ino), offset as usize, dst)
+                    && self
+                        .get_attr(ino)
+                        .is_ok_and(|now| now.format == DataFormat::Big)
+                {
+                    blocks.read_at(offset, dst);
                 }
             }
             DataFormat::Big => {
@@ -882,59 +875,24 @@ impl Kvfs {
         Ok(n)
     }
 
-    /// Vectored read: fill `segments` with the contiguous byte run
-    /// starting at `offset`, under **one** attribute read. Mirror of
-    /// [`write_extent`] — an N-page readahead window costs one
-    /// `read_extent` instead of N `read` calls, each of which would
-    /// re-fetch the attribute KV. Bytes past EOF are zero-filled;
-    /// returns the number of valid bytes (0 at or past EOF).
-    ///
-    /// [`write_extent`]: Kvfs::write_extent
+    /// [`Kvfs::read`] scattered into `segments`: the run at `offset`,
+    /// zero-filled past EOF; returns the number of valid bytes (0 at or
+    /// past EOF). No product path calls it — the prefetcher reads a window
+    /// as one contiguous `read` — it stays because the benchmark's probe
+    /// prices it.
     pub fn read_extent(
         &self,
         ino: u64,
         offset: u64,
         segments: &mut [&mut [u8]],
     ) -> Result<usize, FsError> {
-        let total: u64 = segments.iter().map(|s| s.len() as u64).sum();
-        let attr = self.get_attr(ino)?;
-        if attr.is_dir() {
-            return Err(FsError::IsADirectory);
-        }
-        offset.checked_add(total).ok_or(FsError::InvalidOperation)?;
-        if offset >= attr.size || total == 0 {
-            for seg in segments.iter_mut() {
-                seg.fill(0);
-            }
-            return Ok(0);
-        }
-        let valid = (attr.size - offset).min(total) as usize;
-        match attr.format {
-            DataFormat::Small => {
-                let key = small_key(ino);
-                let mut pos = offset;
-                for seg in segments.iter_mut() {
-                    // Segments past EOF are padding: no KV op for them.
-                    if pos >= attr.size || !self.store.read_sub(&key, pos as usize, seg) {
-                        seg.fill(0);
-                    }
-                    pos += seg.len() as u64;
-                }
-            }
-            DataFormat::Big => {
-                // The run is one multi-key read, like `read`'s.
-                let mut run = vec![0u8; total as usize];
-                FileObject::new(&self.store, ino).read_at(offset, &mut run);
-                // Blocks written while the file was larger may retain
-                // stale bytes past EOF; never leak them to the cache.
-                run[valid..].fill(0);
-                let mut rest = &run[..];
-                for seg in segments.iter_mut() {
-                    let (head, tail) = rest.split_at(seg.len());
-                    seg.copy_from_slice(head);
-                    rest = tail;
-                }
-            }
+        let mut run = vec![0u8; segments.iter().map(|s| s.len()).sum()];
+        let valid = self.read(ino, offset, &mut run)?;
+        let mut rest = &run[..];
+        for seg in segments.iter_mut() {
+            let (head, tail) = rest.split_at(seg.len());
+            seg.copy_from_slice(head);
+            rest = tail;
         }
         Ok(valid)
     }
@@ -1007,6 +965,12 @@ mod tests {
 
     fn fs() -> Kvfs {
         Kvfs::new(Arc::new(KvStore::new()))
+    }
+
+    /// Whether the store holds `name`'s dentry under `parent`: one exact
+    /// get, past KVFS's caches.
+    fn stored_entry(fs: &Kvfs, parent: u64, name: &str) -> bool {
+        fs.store().get(&inode_key(parent, name)).is_some()
     }
 
     #[test]
@@ -1407,7 +1371,7 @@ mod tests {
             ),
             (1, 1, 4, 1, 0)
         );
-        assert!(!fs.store().contains(&small_key(ino)));
+        assert_eq!(fs.store().get(&small_key(ino)), None);
         // A second KVFS over the store reads every byte back.
         let cold = Kvfs::open(fs.store().clone()).unwrap();
         let attr = cold.get_attr(ino).unwrap();
@@ -1933,10 +1897,10 @@ mod tests {
             assert_eq!(stranded, None, "run {run}: the churner's (cycle, result)");
             assert_eq!(
                 fs.lookup(ROOT_INO, "x").is_ok(),
-                fs.entry_exists(ROOT_INO, "x"),
+                stored_entry(&fs, ROOT_INO, "x"),
                 "run {run}: the cache and the store disagree after quiesce"
             );
-            assert_eq!(fs.entry_exists(ROOT_INO, "x"), run % 2 == 1);
+            assert_eq!(stored_entry(&fs, ROOT_INO, "x"), run % 2 == 1);
         }
     }
 
@@ -2145,7 +2109,7 @@ mod tests {
         other.unlink("/f").unwrap();
         assert_eq!(fs.lookup(ROOT_INO, "f"), Ok(f), "this cache is stale");
         assert_eq!(fs.rename("/f", "/g"), Err(FsError::NotFound));
-        assert!(!fs.entry_exists(ROOT_INO, "g"));
+        assert!(!stored_entry(&fs, ROOT_INO, "g"));
     }
 
     /// A create publishes its name and its attribute in one commit: a
@@ -2270,14 +2234,18 @@ mod tests {
         assert_eq!(fs.dir_entry_count(dir).unwrap(), 0);
         // "ab" is a byte prefix of "abc": the exact-key probe must tell
         // them apart (a prefix count would conflate them).
-        fs.create("/dir/ab", 0o644).unwrap();
-        fs.create("/dir/abc", 0o644).unwrap();
+        let ab = fs.create("/dir/ab", 0o644).unwrap();
+        let abc = fs.create("/dir/abc", 0o644).unwrap();
         assert_eq!(fs.dir_entry_count(dir).unwrap(), 2);
-        assert!(fs.entry_exists(dir, "ab"));
-        assert!(fs.entry_exists(dir, "abc"));
+        assert_eq!(
+            (fs.lookup(dir, "ab"), fs.lookup(dir, "abc")),
+            (Ok(ab), Ok(abc))
+        );
+        assert!(stored_entry(&fs, dir, "ab") && stored_entry(&fs, dir, "abc"));
         fs.unlink("/dir/ab").unwrap();
-        assert!(!fs.entry_exists(dir, "ab"));
-        assert!(fs.entry_exists(dir, "abc"));
+        assert_eq!(fs.lookup(dir, "ab"), Err(FsError::NotFound));
+        assert_eq!(fs.lookup(dir, "abc"), Ok(abc));
+        assert!(!stored_entry(&fs, dir, "ab") && stored_entry(&fs, dir, "abc"));
         assert_eq!(fs.dir_entry_count(dir).unwrap(), 1);
         // Counting a file is an error, same as readdir.
         let f = fs.resolve("/dir/abc").unwrap();

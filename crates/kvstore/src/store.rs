@@ -6,26 +6,25 @@
 //! store's internals, so we provide a correct, concurrent, ordered map
 //! with the operations KVFS needs:
 //!
-//! - `get` / `put` / `put_if_absent` / `delete` — whole-value ops
-//!   (inode, attribute and small-file KVs),
+//! - `get` / `put` / `delete` — whole-value ops (inode, attribute and
+//!   small-file KVs),
 //! - `commit` — the conditional multi-key whole-value write: one request
 //!   that checks some keys and, only if every check holds, puts and
 //!   deletes others, atomically (a namespace mutation's dentries and
-//!   attributes); `put`, `put_if_absent` and `delete` are one-write
-//!   commits,
+//!   attributes); `put` and `delete` are one-write commits,
 //! - `scan_prefix` / `scan_prefix_with` — ordered prefix scan (directory
 //!   listing via the `p_ino` key prefix); the visitor form lends each
 //!   key/value under the shard read guards instead of cloning it,
 //! - `delete_range` — ordered, key-only range delete (a seek per shard,
 //!   no value is ever copied: truncate and unlink of a big file cost what
 //!   they drop, not what the file holds),
-//! - `read_sub` / `write_sub` — in-place sub-value access at byte
-//!   granularity (the big-file KV's 8 KiB in-place updates),
 //! - `read_subs` — the multi-get: one request that reads a sub-value
-//!   range from each of many keys (a big-file read's blocks),
+//!   range from each of many keys (a big-file read's blocks, a small
+//!   file's value),
 //! - `write_subs` — its mirror, the multi-put: one request that writes a
 //!   sub-value range into each of many keys (a flush batch's blocks and,
-//!   last, its inode's attribute).
+//!   last, its inode's attribute); `read_sub` / `write_sub` are the
+//!   one-key forms of the two.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -162,13 +161,12 @@ impl Write<'_> {
 /// sub-write of 65 keys. `sub_read_keys` and `sub_write_keys` are the
 /// per-key counts beside them.
 ///
-/// What counts as what: `get`, `contains` and `value_len` are gets; `put`
-/// and `put_if_absent` puts; `delete` a delete; a `commit` a delete when
-/// every write it carries is a delete and a put otherwise — refused or
-/// applied, however many keys it names; `delete_range` one scan plus a
-/// delete per key dropped; `scan_prefix*` a scan; `read_sub`
-/// and `read_subs` a sub-read; `write_sub`, `write_subs` and
-/// `truncate_value` a sub-write. Every counted request first waits out a
+/// What counts as what: `get` and `value_len` are gets; `put` a put;
+/// `delete` a delete; a `commit` a delete when every write it carries is
+/// a delete and a put otherwise — refused or applied, however many keys
+/// it names; `delete_range` one scan plus a delete per key dropped;
+/// `scan_prefix*` a scan; `read_sub` and `read_subs` a sub-read;
+/// `write_sub`, `write_subs` and `truncate_value` a sub-write. Every counted request first waits out a
 /// firing "kv.op" fault. The diagnostics — `len`, `is_empty`,
 /// `count_prefix` — are uncounted, and no fault stalls them.
 #[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
@@ -179,15 +177,15 @@ pub struct KvStats {
     pub scans: u64,
     pub sub_reads: u64,
     pub sub_writes: u64,
-    /// Keys visited by sub-read requests: one per `read_sub`, one per key
-    /// of a `read_subs`.
+    /// Keys visited by sub-read requests: one per key of a `read_subs`,
+    /// so one per `read_sub`.
     pub sub_read_keys: u64,
     /// Keys written by sub-write requests: one per `write_sub` and
     /// `truncate_value`, one per key of a `write_subs`.
     pub sub_write_keys: u64,
     /// Keys written by whole-value requests: one per write of an applied
-    /// `commit`, so one per `put`, `delete` and applied `put_if_absent`;
-    /// a refused commit writes none.
+    /// `commit`, so one per `put` and `delete`; a refused commit writes
+    /// none.
     pub commit_keys: u64,
     /// Operations that had to wait out a transient fault ("kv.op" site):
     /// each stalled re-check counts one retry.
@@ -306,13 +304,6 @@ impl KvStore {
         self.shard(key).read().get(key).cloned()
     }
 
-    /// Whether `key` holds a value; counted as a get.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.fault_pause();
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.shard(key).read().contains_key(key)
-    }
-
     /// Length of the value under `key`, without copying it; counted as a
     /// get.
     pub fn value_len(&self, key: &[u8]) -> Option<usize> {
@@ -324,12 +315,6 @@ impl KvStore {
     /// A one-write [`KvStore::commit`].
     pub fn put(&self, key: &[u8], value: &[u8]) {
         self.write_whole(&[], &[Write::Put(key, value)]);
-    }
-
-    /// Insert only if absent; returns whether the insert happened. A
-    /// one-write [`KvStore::commit`] with one check.
-    pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> bool {
-        self.commit(&[Check::Absent(key)], &[Write::Put(key, value)])
     }
 
     /// Returns whether the key existed. A one-write [`KvStore::commit`].
@@ -466,14 +451,10 @@ impl KvStore {
             .sum()
     }
 
-    /// Read `len` bytes at `offset` inside the value under `key`.
-    /// Reads past the end of the value return zeros (sparse semantics,
-    /// matching the big-file KV's block space).
+    /// Read the `dst.len()` bytes at `offset` inside `key`'s value; whether
+    /// the key was found. A one-key [`KvStore::read_subs`].
     pub fn read_sub(&self, key: &[u8], offset: usize, dst: &mut [u8]) -> bool {
-        self.fault_pause();
-        self.sub_reads.fetch_add(1, Ordering::Relaxed);
-        self.sub_read_keys.fetch_add(1, Ordering::Relaxed);
-        self.copy_sub(key, offset, dst)
+        self.read_subs([(key, offset, dst)]) == 1
     }
 
     /// The multi-get: one request that reads, for each `(key, offset,
@@ -482,9 +463,9 @@ impl KvStore {
     /// fault pause and one `sub_reads` count for the lot; `sub_read_keys`
     /// counts each key. Each key is read under its own shard's read guard,
     /// taken and dropped before the next key's: one key's range is exactly
-    /// as atomic as a [`KvStore::read_sub`] of it, the set is not a
-    /// snapshot, and no writer ever waits behind a guard held for another
-    /// key. Returns the number of keys read; an empty set is no request.
+    /// as atomic as any other read of it, the set is not a snapshot, and no
+    /// writer ever waits behind a guard held for another key. Returns the
+    /// number of keys found; an empty set is no request.
     pub fn read_subs<'d, K: AsRef<[u8]>>(
         &self,
         reads: impl IntoIterator<Item = (K, usize, &'d mut [u8])>,
@@ -495,15 +476,17 @@ impl KvStore {
         }
         self.fault_pause();
         self.sub_reads.fetch_add(1, Ordering::Relaxed);
-        let mut keys = 0;
+        let (mut keys, mut found) = (0, 0);
         for (key, offset, dst) in reads {
-            if !self.copy_sub(key.as_ref(), offset, dst) {
+            if self.copy_sub(key.as_ref(), offset, dst) {
+                found += 1;
+            } else {
                 dst.fill(0);
             }
             keys += 1;
         }
-        self.sub_read_keys.fetch_add(keys as u64, Ordering::Relaxed);
-        keys
+        self.sub_read_keys.fetch_add(keys, Ordering::Relaxed);
+        found
     }
 
     /// Copy the range at `offset` of `key`'s value into `dst` under the
@@ -613,11 +596,16 @@ mod tests {
         assert_eq!(kv.get(b"a"), None);
     }
 
+    /// A put-if-absent: a one-write commit with one check.
+    fn put_if_absent(kv: &KvStore, key: &[u8], value: &[u8]) -> bool {
+        kv.commit(&[Check::Absent(key)], &[Write::Put(key, value)])
+    }
+
     #[test]
     fn put_if_absent_semantics() {
         let kv = KvStore::new();
-        assert!(kv.put_if_absent(b"k", b"first"));
-        assert!(!kv.put_if_absent(b"k", b"second"));
+        assert!(put_if_absent(&kv, b"k", b"first"));
+        assert!(!put_if_absent(&kv, b"k", b"second"));
         assert_eq!(kv.get(b"k").as_deref(), Some(&b"first"[..]));
     }
 
@@ -701,9 +689,9 @@ mod tests {
         assert_eq!(after.scans - before.scans, 1);
         assert_eq!(after.deletes - before.deletes, 11);
         assert_eq!(kv.count_prefix(prefix), 30);
-        assert!(kv.contains(&block_key(7, 29)));
-        assert!(!kv.contains(&block_key(7, 30)));
-        assert!(!kv.contains(&block_key(7, u64::MAX)));
+        assert!(kv.get(&block_key(7, 29)).is_some());
+        assert_eq!(kv.get(&block_key(7, 30)), None);
+        assert_eq!(kv.get(&block_key(7, u64::MAX)), None);
         // Nothing at or past `from`: a seek per shard, no delete.
         assert_eq!(kv.delete_range(prefix, &block_key(7, 30)), 0);
         assert_eq!(kv.stats().deletes, after.deletes);
@@ -732,8 +720,9 @@ mod tests {
         assert!(kv.read_sub(b"big", 16380, &mut tail));
         assert_eq!(&tail[..4], &[7, 7, 7, 7]);
         assert_eq!(&tail[4..], &[0, 0, 0, 0]);
-        // Missing keys report false.
+        // Missing keys report false and read zeros.
         assert!(!kv.read_sub(b"nothere", 0, &mut tail));
+        assert_eq!(tail, [0u8; 8]);
     }
 
     #[test]
@@ -748,7 +737,8 @@ mod tests {
             (b"short", 4, &mut b[..]),
             (b"absent", 0, &mut c[..]),
         ];
-        assert_eq!(kv.read_subs(reads), 3);
+        // Three keys read, two of them found.
+        assert_eq!(kv.read_subs(reads), 2);
         let after = kv.stats();
         assert_eq!(after.sub_reads - before.sub_reads, 1);
         assert_eq!(after.sub_read_keys - before.sub_read_keys, 3);
@@ -826,7 +816,7 @@ mod tests {
         let kv = KvStore::new();
         kv.put(b"v", b"hello");
         let before = kv.stats();
-        assert!(kv.contains(b"v"));
+        assert_eq!(kv.get(b"v").as_deref(), Some(&b"hello"[..]));
         assert_eq!(kv.value_len(b"v"), Some(5));
         kv.truncate_value(b"v", 2);
         kv.write_subs([(&b"v"[..], 0, &b"h"[..]), (b"w", 0, b"x")]);
@@ -850,7 +840,7 @@ mod tests {
         let kv = KvStore::new();
         let plan = FaultPlan::new(1);
         kv.set_fault_site(Some(plan.arm("kv.op", FaultSpec::first_n(1))));
-        assert!(kv.put_if_absent(b"k", b"v"));
+        assert!(put_if_absent(&kv, b"k", b"v"));
         assert_eq!(kv.stats().retries, 1, "the create stalled once");
         plan.arm("kv.op", FaultSpec::first_n(1));
         kv.truncate_value(b"k", 0);
@@ -871,9 +861,7 @@ mod tests {
             kv.stats().retries - before
         };
         assert_eq!(stalls(&|| drop(kv.get(b"k"))), 1);
-        // Until these paused too, they were the two counted requests a
-        // firing fault never stalled.
-        assert_eq!(stalls(&|| assert!(kv.contains(b"k"))), 1);
+        assert_eq!(stalls(&|| assert!(kv.read_sub(b"k", 1, &mut [0u8; 2]))), 1);
         assert_eq!(stalls(&|| assert_eq!(kv.value_len(b"k"), Some(5))), 1);
         assert_eq!(
             stalls(&|| assert_eq!(kv.write_subs([(&b"k"[..], 0, &b"V"[..])]), 1)),
@@ -929,7 +917,7 @@ mod tests {
         ));
         assert_eq!(kv.get(b"new").as_deref(), Some(&b"2"[..]));
         assert_eq!(kv.get(b"attr").as_deref(), Some(&b"newer"[..]));
-        assert!(!kv.contains(b"dentry"));
+        assert_eq!(kv.get(b"dentry"), None);
         assert_eq!(kv.stats().commit_keys - after.commit_keys, 4);
     }
 
@@ -972,7 +960,7 @@ mod tests {
         );
         // The one-write forms are one-write commits, counted as before.
         kv.put(b"k", b"v");
-        assert!(!kv.put_if_absent(b"k", b"w"));
+        assert!(!put_if_absent(&kv, b"k", b"w"));
         assert!(kv.delete(b"k"));
         assert!(!kv.delete(b"k"));
         let s = kv.stats();

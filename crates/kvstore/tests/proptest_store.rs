@@ -132,7 +132,7 @@ proptest! {
                 }
                 Op::PutIfAbsent(k, v) => {
                     let free = !model.contains_key(&k);
-                    prop_assert_eq!(kv.put_if_absent(&k, &v), free);
+                    prop_assert_eq!(kv.commit(&[Check::Absent(&k)], &[Write::Put(&k, &v)]), free);
                     if free {
                         model.insert(k, v);
                     }
@@ -176,7 +176,10 @@ proptest! {
                     let mut got = vec![0xAA; len];
                     let present = kv.read_sub(&k, off, &mut got);
                     match model.get(&k) {
-                        None => prop_assert!(!present),
+                        None => {
+                            prop_assert!(!present);
+                            prop_assert!(got.iter().all(|&b| b == 0));
+                        }
                         Some(v) => {
                             prop_assert!(present);
                             let want: Vec<u8> = (0..len)
@@ -192,7 +195,8 @@ proptest! {
                     let mut bufs: Vec<Vec<u8>> = ranges.iter().map(|r| vec![0xAA; r.2]).collect();
                     let before = kv.stats();
                     let reads = ranges.iter().zip(bufs.iter_mut()).map(|((k, off, _), b)| (k, *off, b.as_mut_slice()));
-                    prop_assert_eq!(kv.read_subs(reads), ranges.len());
+                    let found = ranges.iter().filter(|(k, _, _)| model.contains_key(k)).count();
+                    prop_assert_eq!(kv.read_subs(reads), found);
                     let after = kv.stats();
                     prop_assert_eq!(after.sub_reads - before.sub_reads, u64::from(!ranges.is_empty()));
                     prop_assert_eq!(after.sub_read_keys - before.sub_read_keys, ranges.len() as u64);

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     let dpc = Dpc::new(DpcConfig::default());
-    let fs = dpc.kvfs();
+    let fs = dpc.fs();
     let mut rng = SmallRng::seed_from_u64(2024);
 
     // A tiny image registry: images are directories of layer blobs.

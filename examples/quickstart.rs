@@ -15,7 +15,7 @@ use dpc::core::{Dpc, DpcConfig};
 fn main() {
     // A DPC instance: DPU runtime threads + nvme-fs fabric + hybrid cache.
     let dpc = Dpc::new(DpcConfig::default());
-    let fs = dpc.kvfs();
+    let fs = dpc.fs();
 
     // Plain file API, POSIX-style.
     fs.mkdir("/etc").unwrap();

@@ -9,19 +9,31 @@ cd "$(dirname "$0")/.."
 
 # `cargo test ARGS -- NAME` passes when NAME matches no test, so a rename
 # would quietly turn a by-name step into a no-op. `check_names ARGS --
-# NAMES` lists the tests ARGS select and fails unless each NAME matches
-# at least one of them.
-check_names() {
-    local args=()
+# NAMES` lists the tests ARGS select and fails unless each NAME is one of
+# them whole: its full path, or a `::`-suffix of it (`fs::tests::x` names
+# `kvfs::fs::tests::x` and never `fs::tests::x_v2`). `check_filters` is
+# the same for a loop's filter, which matches any test whose name holds
+# it, as `cargo test ARGS FILTER` selects.
+check_names() { match_tests whole "$@"; }
+check_filters() { match_tests part "$@"; }
+match_tests() {
+    local how=$1 args=()
+    shift
     while [ "$1" != -- ]; do
         args+=("$1")
         shift
     done
     shift
-    local listed
+    local listed found
     listed=$(cargo test "${args[@]}" -- --list | sed -n 's/: test$//p')
     for name in "$@"; do
-        if ! grep -qF -- "$name" <<<"$listed"; then
+        if [ "$how" = whole ]; then
+            found=$(awk -v n="$name" '$0 == n || substr($0, length($0) - length(n) - 1) == "::" n' \
+                <<<"$listed")
+        else
+            found=$(grep -F -- "$name" <<<"$listed" || true)
+        fi
+        if [ -z "$found" ]; then
             echo "tier1: no test matches '$name' in: cargo test ${args[*]}" >&2
             exit 1
         fi
@@ -190,9 +202,9 @@ cargo test --release -q --no-run -p dpc-pcie -p dpc-nvmefs -p dpc-cache -p dpc-c
     -p dpc-kvstore -p dpc-kvfs
 cargo test --release -q --no-run --test link_wait --test concurrent_adapters --test stress \
     --test fault_recovery
-check_names --release -q -p dpc-pcie --lib -- sleeper
-check_names --release -q -p dpc-cache --lib -- a_writer_waiting
-check_names --release -q -p dpc-core --lib -- runtime
+check_filters --release -q -p dpc-pcie --lib -- sleeper
+check_filters --release -q -p dpc-cache --lib -- a_writer_waiting
+check_filters --release -q -p dpc-core --lib -- runtime
 check_names --release -q -p dpc-kvstore --lib -- \
     commit_never_deadlocks_against_scans_and_sub_writes
 check_names --release -q -p dpc-kvfs --lib -- rmdir_never_orphans_a_concurrent_create

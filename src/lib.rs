@@ -40,7 +40,7 @@
 //!
 //! // Bring up a DPC instance (DPU runtime + KVFS standalone service).
 //! let dpc = Dpc::new(DpcConfig::default());
-//! let fs = dpc.kvfs();
+//! let fs = dpc.fs();
 //! fs.mkdir("/etc").unwrap();
 //! let fd = fs.create("/etc/app.conf").unwrap();
 //! fs.write(fd, 0, b"threads=8\n").unwrap();

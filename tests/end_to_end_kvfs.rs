@@ -10,7 +10,7 @@ use dpc_testkit::{read_fd, read_file};
 #[test]
 fn standalone_file_lifecycle() {
     let dpc = Dpc::new(DpcConfig::default());
-    let fs = dpc.kvfs();
+    let fs = dpc.fs();
 
     fs.mkdir("/etc").unwrap();
     fs.mkdir("/etc/app").unwrap();
