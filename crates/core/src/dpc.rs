@@ -182,6 +182,24 @@ impl DpcConfig {
         if self.wal_bytes < 4096 {
             return err("wal_bytes", "must be at least 4096");
         }
+        if let Some(dfs) = &self.dfs {
+            if dfs.mds_count == 0 {
+                return err("dfs.mds_count", "must be at least 1");
+            }
+            if dfs.ec_k == 0 {
+                return err("dfs.ec_k", "must be at least 1");
+            }
+            if dfs.ec_m == 0 {
+                return err("dfs.ec_m", "must be at least 1");
+            }
+            let stripe = dfs.ec_k.saturating_add(dfs.ec_m);
+            if stripe > dfs.data_server_count || stripe > 256 {
+                return err(
+                    "dfs.data_server_count",
+                    "must be at least ec_k + ec_m, and ec_k + ec_m at most 256",
+                );
+            }
+        }
         Ok(())
     }
 }
@@ -666,7 +684,12 @@ mod tests {
     #[test]
     fn bad_configs_are_named_before_anything_is_built() {
         type Case = (fn(&mut DpcConfig), &'static str);
-        let cases: [Case; 11] = [
+        fn dfs(c: &mut DpcConfig, f: fn(&mut DfsConfig)) {
+            let mut d = DfsConfig::default();
+            f(&mut d);
+            c.dfs = Some(d);
+        }
+        let cases: [Case; 15] = [
             (|c| c.cache_pages = 0, "cache_pages"),
             (|c| c.cache_pages = 3, "cache_pages"),
             (|c| c.cache_bucket_entries = 0, "cache_bucket_entries"),
@@ -681,6 +704,13 @@ mod tests {
             ),
             (|c| c.flush_extent_pages = 0, "flush_extent_pages"),
             (|c| c.wal_bytes = 4095, "wal_bytes"),
+            (|c| dfs(c, |d| d.mds_count = 0), "dfs.mds_count"),
+            (|c| dfs(c, |d| d.ec_k = 0), "dfs.ec_k"),
+            (|c| dfs(c, |d| d.ec_m = 0), "dfs.ec_m"),
+            (
+                |c| dfs(c, |d| d.data_server_count = d.ec_k + d.ec_m - 1),
+                "dfs.data_server_count",
+            ),
         ];
         for (mutate, field) in cases {
             let mut cfg = DpcConfig::default();

@@ -1,14 +1,12 @@
 //! The distributed-file-system backend: metadata servers and data servers.
 //!
 //! The paper's client-side optimizations only make sense against a real
-//! backend shape (§2.1): metadata is hash-partitioned across MDSes, so a
-//! request sent to the wrong ("entry") MDS is *forwarded* to its home MDS
-//! — the hop the optimized client's metadata view avoids. File data is
-//! erasure-coded `k+m` over stripes of `k` consecutive 8 KiB blocks: each
-//! block is stored whole on a data server of its own, and `m` parity
-//! cells on `m` more (DESIGN.md §10.1). EC runs on the MDS for standard
-//! clients and on the client (host or DPU) for optimized/DPC clients —
-//! through the same stripe read and stripe write.
+//! backend shape (§2.1): metadata is hash-partitioned across MDSes, and
+//! each MDS op is served at its home MDS, which the client's metadata
+//! view computes. File data is erasure-coded `k+m` over stripes of `k`
+//! consecutive 8 KiB blocks: each block is stored whole on a data server
+//! of its own, and `m` parity cells on `m` more (DESIGN.md §10.1). EC runs
+//! on the client, through the one stripe read and stripe write.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -18,7 +16,7 @@ use std::sync::Arc;
 use dpc_codec::crc32c;
 use dpc_ec::{gf256, ReedSolomon};
 use dpc_fault::{FaultPlan, FaultSite};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::client::OpTrace;
 
@@ -168,7 +166,6 @@ type DentryStripe = RwLock<HashMap<(u64, String), u64>>;
 /// create storm in `/a` and a stat stampede in `/b` take different locks
 /// — and inodes shard by ino.
 pub struct MetadataServer {
-    pub id: usize,
     dentries: Box<[DentryStripe]>,
     inodes: Box<[RwLock<HashMap<u64, DfsAttr>>]>,
     /// ino → client id currently holding the delegation.
@@ -176,18 +173,15 @@ pub struct MetadataServer {
     /// Delegations revoked by a recall, pending acknowledgement by their
     /// former holder: (ino, old holder).
     revoked: RwLock<std::collections::HashSet<(u64, u64)>>,
-    /// RPCs served (including forwarded ones landing here).
+    /// RPCs served.
     pub rpcs: AtomicU64,
-    /// Requests this MDS had to forward to the home MDS.
-    pub forwarded: AtomicU64,
     /// Delegation recalls performed.
     pub recalls: AtomicU64,
 }
 
 impl MetadataServer {
-    fn new(id: usize) -> MetadataServer {
+    fn new() -> MetadataServer {
         MetadataServer {
-            id,
             dentries: (0..NS_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect::<Vec<_>>()
@@ -199,7 +193,6 @@ impl MetadataServer {
             delegations: RwLock::new(HashMap::new()),
             revoked: RwLock::new(std::collections::HashSet::new()),
             rpcs: AtomicU64::new(0),
-            forwarded: AtomicU64::new(0),
             recalls: AtomicU64::new(0),
         }
     }
@@ -477,9 +470,8 @@ enum Repair {
     Rebuild { ino: u64, stripe: u64, p: usize },
 }
 
-/// What a stripe client — a [`ClientCore`](crate::ClientCore), or the
-/// MDS's proxy path — carries between operations: recycled buffers and
-/// the repairs it owes.
+/// What a stripe client, a [`ClientCore`](crate::ClientCore), carries
+/// between operations: recycled buffers and the repairs it owes.
 #[derive(Default)]
 pub(crate) struct StripeIo {
     /// A write's new block on its way to the swap, its old one back.
@@ -644,9 +636,6 @@ pub struct DfsBackend {
     /// of any stripe are one contiguous slice of it: placements are
     /// borrowed from here instead of collected per call.
     ring: Vec<usize>,
-    /// The MDS proxy path's stripe client (standard clients' reads and
-    /// writes, one at a time).
-    mds_io: Mutex<StripeIo>,
 }
 
 impl DfsBackend {
@@ -657,7 +646,7 @@ impl DfsBackend {
         );
         let recovery = Arc::new(DfsRecoveryStats::default());
         Arc::new(DfsBackend {
-            mdses: (0..cfg.mds_count).map(MetadataServer::new).collect(),
+            mdses: (0..cfg.mds_count).map(|_| MetadataServer::new()).collect(),
             data_servers: (0..cfg.data_server_count)
                 .map(|id| DataServer::new(id, Arc::clone(&recovery)))
                 .collect(),
@@ -670,7 +659,6 @@ impl DfsBackend {
             ring: (0..cfg.data_server_count + cfg.ec_k + cfg.ec_m)
                 .map(|i| i % cfg.data_server_count)
                 .collect(),
-            mds_io: Mutex::new(StripeIo::default()),
             cfg,
         })
     }
@@ -778,19 +766,20 @@ impl DfsBackend {
         }
     }
 
-    // ---- MDS-side operations (each counts an RPC at the serving MDS) ----
+    // ---- MDS-side operations (each served and counted at its home MDS) --
 
-    /// Create a file. `via` is the MDS the client contacted; forwarding to
-    /// the home MDS is counted there.
-    pub fn mds_create(&self, via: usize, p_ino: u64, name: &str) -> Result<DfsAttr, DfsError> {
+    /// MDS `home`, once the op has passed its `mds.rpc` fault check, with
+    /// the op's RPC counted there.
+    fn serve_mds(&self, home: usize) -> Result<&MetadataServer, DfsError> {
         self.mds_fault()?;
-        let home = self.home_mds_of_name(p_ino, name);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
         let mds = &self.mdses[home];
+        mds.rpcs.fetch_add(1, Ordering::Relaxed);
+        Ok(mds)
+    }
+
+    /// Create a file at its dentry's home MDS.
+    pub fn mds_create(&self, p_ino: u64, name: &str) -> Result<DfsAttr, DfsError> {
+        let mds = self.serve_mds(self.home_mds_of_name(p_ino, name))?;
         let mut dentries = mds.dentry_shard(p_ino).write();
         if dentries.contains_key(&(p_ino, name.to_string())) {
             return Err(DfsError::AlreadyExists);
@@ -810,15 +799,8 @@ impl DfsBackend {
     }
 
     /// Lookup a dentry.
-    pub fn mds_lookup(&self, via: usize, p_ino: u64, name: &str) -> Result<u64, DfsError> {
-        self.mds_fault()?;
-        let home = self.home_mds_of_name(p_ino, name);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.mdses[home]
+    pub fn mds_lookup(&self, p_ino: u64, name: &str) -> Result<u64, DfsError> {
+        self.serve_mds(self.home_mds_of_name(p_ino, name))?
             .dentry_shard(p_ino)
             .read()
             .get(&(p_ino, name.to_string()))
@@ -827,15 +809,8 @@ impl DfsBackend {
     }
 
     /// Fetch attributes.
-    pub fn mds_getattr(&self, via: usize, ino: u64) -> Result<DfsAttr, DfsError> {
-        self.mds_fault()?;
-        let home = self.home_mds_of_ino(ino);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.mdses[home]
+    pub fn mds_getattr(&self, ino: u64) -> Result<DfsAttr, DfsError> {
+        self.serve_mds(self.home_mds_of_ino(ino))?
             .inode_shard(ino)
             .read()
             .get(&ino)
@@ -843,18 +818,12 @@ impl DfsBackend {
             .ok_or(DfsError::NotFound)
     }
 
-    /// Update size/mtime after a write (direct to the home MDS: this path
-    /// is used by lazily-batched metadata updates too).
-    pub fn mds_update_size(&self, via: usize, ino: u64, end: u64) -> Result<(), DfsError> {
-        self.mds_fault()?;
-        let home = self.home_mds_of_ino(ino);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Raise `ino`'s size to `end` (never lower it) and stamp its mtime:
+    /// the lazily batched size update of a client's writes.
+    pub fn mds_update_size(&self, ino: u64, end: u64) -> Result<(), DfsError> {
+        let mds = self.serve_mds(self.home_mds_of_ino(ino))?;
         let now = self.now();
-        let mut inodes = self.mdses[home].inode_shard(ino).write();
+        let mut inodes = mds.inode_shard(ino).write();
         let attr = inodes.get_mut(&ino).ok_or(DfsError::NotFound)?;
         if end > attr.size {
             attr.size = end;
@@ -863,67 +832,17 @@ impl DfsBackend {
         Ok(())
     }
 
-    /// List directory `p_ino`, paginated under a name cursor. Dentries
-    /// are hash-partitioned *across* MDSes, so one page visits every MDS
-    /// — but on each it touches exactly the parent's dentry stripe, takes
-    /// a scoped snapshot of the matching entries under that one read
-    /// lock, and releases it before merging. No lock is ever held across
-    /// the whole scan (let alone across pages), so a concurrent create in
-    /// another directory — even a 1M-entry walk of this one — never
-    /// blocks behind it.
-    ///
-    /// Returns up to `max` `(name, ino)` pairs in name order, strictly
-    /// after `cursor` (`None` starts from the beginning), plus the cursor
-    /// for the next page (`None` when the listing is exhausted).
-    #[allow(clippy::type_complexity)]
-    pub fn mds_readdir(
-        &self,
-        via: usize,
-        p_ino: u64,
-        cursor: Option<&str>,
-        max: usize,
-    ) -> Result<(Vec<(String, u64)>, Option<String>), DfsError> {
-        self.mds_fault()?;
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        let mut entries: Vec<(String, u64)> = Vec::new();
-        for mds in &self.mdses {
-            if mds.id != via {
-                // The entry MDS fans the scan out to every partition.
-                self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-                mds.rpcs.fetch_add(1, Ordering::Relaxed);
-            }
-            // Scoped snapshot: clone only this directory's entries past
-            // the cursor, then drop the stripe lock immediately.
-            let shard = mds.dentry_shard(p_ino).read();
-            entries.extend(shard.iter().filter_map(|((p, name), &ino)| {
-                let past = cursor.is_none_or(|c| name.as_str() > c);
-                (*p == p_ino && past).then(|| (name.clone(), ino))
-            }));
-        }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let more = entries.len() > max;
-        entries.truncate(max);
-        let next = (more && max > 0).then(|| entries[max - 1].0.clone());
-        Ok((entries, next))
-    }
-
     /// Acquire (or confirm) a delegation of `ino` for `client`.
-    pub fn mds_delegate(&self, via: usize, ino: u64, client: u64) -> Result<(), DfsError> {
-        self.mds_fault()?;
-        let home = self.home_mds_of_ino(ino);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut del = self.mdses[home].delegations.write();
+    pub fn mds_delegate(&self, ino: u64, client: u64) -> Result<(), DfsError> {
+        let mds = self.serve_mds(self.home_mds_of_ino(ino))?;
+        let mut del = mds.delegations.write();
         match del.get(&ino).copied() {
             Some(holder) if holder != client => {
                 // Recall: revoke the current holder's delegation (it will
                 // observe the revocation on its next lease check and drop
                 // its cached state), then grant to the requester.
-                self.mdses[home].revoked.write().insert((ino, holder));
-                self.mdses[home].recalls.fetch_add(1, Ordering::Relaxed);
+                mds.revoked.write().insert((ino, holder));
+                mds.recalls.fetch_add(1, Ordering::Relaxed);
                 del.insert(ino, client);
                 Ok(())
             }
@@ -1256,131 +1175,54 @@ impl DfsBackend {
             })
             .collect()
     }
-
-    // ---- server-side data path (standard client: MDS proxies + EC) -----
-
-    /// Standard-client write: the MDS receives the whole block and writes
-    /// it through the stripe write, EC computed server-side. A write that
-    /// landed nowhere is `Unrecoverable` and leaves the size alone.
-    pub fn mds_write_block(
-        &self,
-        via: usize,
-        ino: u64,
-        block: u64,
-        data: &[u8],
-    ) -> Result<(), DfsError> {
-        let end = block_end(block, data.len()).ok_or(DfsError::InvalidArgument)?;
-        self.mds_fault()?;
-        let home = self.home_mds_of_ino(ino);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stripe_write(ino, block, data, &mut self.mds_io.lock())?;
-        self.grow(home, ino, end);
-        Ok(())
-    }
-
-    /// Raise `ino`'s size to `end` (never lower it) and stamp its mtime.
-    fn grow(&self, home: usize, ino: u64, end: u64) {
-        let now = self.now();
-        let mut inodes = self.mdses[home].inode_shard(ino).write();
-        if let Some(attr) = inodes.get_mut(&ino) {
-            if end > attr.size {
-                attr.size = end;
-            }
-            attr.mtime = now;
-        }
-    }
-
-    /// Standard-client read: the MDS reads the block through the stripe
-    /// read (reconstructing it if need be) and returns it.
-    pub fn mds_read_block(&self, via: usize, ino: u64, block: u64) -> Result<Vec<u8>, DfsError> {
-        self.mds_fault()?;
-        let home = self.home_mds_of_ino(ino);
-        self.mdses[via].rpcs.fetch_add(1, Ordering::Relaxed);
-        if home != via {
-            self.mdses[via].forwarded.fetch_add(1, Ordering::Relaxed);
-            self.mdses[home].rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.gather_block(ino, block)
-    }
-
-    /// One block as the MDS proxy path reads it: the stripe read, with
-    /// the repairs the MDS owes.
-    pub fn gather_block(&self, ino: u64, block: u64) -> Result<Vec<u8>, DfsError> {
-        let mut out = vec![0; DFS_BLOCK];
-        let (n, _) = self.stripe_read(ino, block, &mut out, &mut self.mds_io.lock())?;
-        out.truncate(n);
-        Ok(out)
-    }
-
-    /// Total RPCs served across all MDSes.
-    pub fn total_mds_rpcs(&self) -> u64 {
-        self.mdses
-            .iter()
-            .map(|m| m.rpcs.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total forwarding hops across all MDSes.
-    pub fn total_forwards(&self) -> u64 {
-        self.mdses
-            .iter()
-            .map(|m| m.forwarded.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClientCore;
 
-    #[test]
-    fn create_lookup_getattr() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "file").unwrap();
-        assert_eq!(b.mds_lookup(0, 0, "file").unwrap(), attr.ino);
-        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, 0);
-        assert_eq!(b.mds_create(0, 0, "file"), Err(DfsError::AlreadyExists));
-        assert_eq!(b.mds_lookup(0, 0, "nope"), Err(DfsError::NotFound));
+    fn backend() -> Arc<DfsBackend> {
+        DfsBackend::new(DfsConfig::default())
+    }
+
+    fn ds_rpcs(b: &DfsBackend) -> u64 {
+        (0..b.data_server_count())
+            .map(|i| b.data_server(i).rpcs.load(Ordering::Relaxed))
+            .sum()
     }
 
     #[test]
-    fn forwarding_counted_when_entry_is_not_home() {
-        let b = DfsBackend::new(DfsConfig::default());
-        // Find a name whose home is not MDS 0, then contact via MDS 0.
-        let name = (0..100)
-            .map(|i| format!("f{i}"))
-            .find(|n| b.home_mds_of_name(0, n) != 0)
-            .unwrap();
-        b.mds_create(0, 0, &name).unwrap();
-        assert_eq!(b.total_forwards(), 1);
-        // Contacting the home directly forwards nothing.
-        let home = b.home_mds_of_name(0, "direct");
-        let before = b.total_forwards();
-        b.mds_create(home, 0, "direct").unwrap();
-        assert_eq!(b.total_forwards(), before);
+    fn create_lookup_getattr() {
+        let b = backend();
+        let attr = b.mds_create(0, "file").unwrap();
+        assert_eq!(b.mds_lookup(0, "file").unwrap(), attr.ino);
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, 0);
+        assert_eq!(b.mds_create(0, "file"), Err(DfsError::AlreadyExists));
+        assert_eq!(b.mds_lookup(0, "nope"), Err(DfsError::NotFound));
     }
 
     #[test]
     fn server_side_write_then_read() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "data").unwrap();
+        let b = backend();
+        let mut writer = ClientCore::new(b.clone(), 1);
+        let mut reader = ClientCore::new(b.clone(), 2);
+        let (attr, _) = writer.create(0, "data").unwrap();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 251) as u8).collect();
-        b.mds_write_block(1, attr.ino, 0, &block).unwrap();
-        let back = b.mds_read_block(2, attr.ino, 0).unwrap();
+        writer.write_block(attr.ino, 0, &block).unwrap();
+        writer.sync_meta().unwrap();
+        let (back, _) = reader.read_block(attr.ino, 0).unwrap();
         assert_eq!(back, block);
-        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, DFS_BLOCK as u64);
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, DFS_BLOCK as u64);
     }
 
     #[test]
     fn shards_spread_across_servers() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "spread").unwrap();
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "spread").unwrap();
         for block in 0..12u64 {
-            b.mds_write_block(0, attr.ino, block, &vec![1u8; DFS_BLOCK])
+            c.write_block(attr.ino, block, &vec![1u8; DFS_BLOCK])
                 .unwrap();
         }
         // Every data server should hold some cells: 12 blocks are 3
@@ -1396,32 +1238,33 @@ mod tests {
 
     #[test]
     fn degraded_read_survives_m_failures() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "resilient").unwrap();
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "resilient").unwrap();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 7 % 253) as u8).collect();
-        b.mds_write_block(0, attr.ino, 0, &block).unwrap();
+        c.write_block(attr.ino, 0, &block).unwrap();
         // Fail two (m = 2) data servers.
         b.data_server(0).set_failed(true);
         b.data_server(1).set_failed(true);
-        assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), block);
+        assert_eq!(c.read_block(attr.ino, 0).unwrap().0, block);
         // A third failure makes the block unrecoverable.
         b.data_server(2).set_failed(true);
         assert!(matches!(
-            b.mds_read_block(0, attr.ino, 0),
+            c.read_block(attr.ino, 0),
             Err(DfsError::Unrecoverable) | Err(DfsError::NotFound)
         ));
     }
 
     #[test]
     fn delegation_recall_semantics() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "locked").unwrap();
-        b.mds_delegate(0, attr.ino, 1).unwrap();
-        b.mds_delegate(0, attr.ino, 1).unwrap(); // re-confirm is fine
+        let b = backend();
+        let attr = b.mds_create(0, "locked").unwrap();
+        b.mds_delegate(attr.ino, 1).unwrap();
+        b.mds_delegate(attr.ino, 1).unwrap(); // re-confirm is fine
         assert_eq!(b.total_recalls(), 0);
         assert!(!b.delegation_revoked(attr.ino, 1));
         // A competing client triggers a recall and takes the delegation.
-        b.mds_delegate(0, attr.ino, 2).unwrap();
+        b.mds_delegate(attr.ino, 2).unwrap();
         assert_eq!(b.total_recalls(), 1);
         assert!(
             b.delegation_revoked(attr.ino, 1),
@@ -1434,10 +1277,11 @@ mod tests {
 
     #[test]
     fn corrupt_shard_detected_and_reconstructed() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "rotten").unwrap();
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "rotten").unwrap();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i * 13 % 241) as u8).collect();
-        b.mds_write_block(0, attr.ino, 0, &block).unwrap();
+        c.write_block(attr.ino, 0, &block).unwrap();
         // Flip a payload bit in block 0 without touching its CRC.
         let server0 = b.placement(attr.ino, 0)[0];
         let cell = Cell::Block {
@@ -1448,48 +1292,20 @@ mod tests {
         assert_eq!(b.recovery().snapshot().crc_rejects, 0);
         // The read still returns correct bytes: the corrupt block reads
         // as rotten and reconstructs from the rest of its stripe.
-        assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), block);
+        assert_eq!(c.read_block(attr.ino, 0).unwrap().0, block);
         let snap = b.recovery().snapshot();
         assert_eq!(snap.crc_rejects, 1);
         assert_eq!(snap.reconstructions, 1);
     }
 
     #[test]
-    fn readdir_paginates_in_name_order_across_partitions() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let mut want: Vec<String> = (0..37).map(|i| format!("f{i:03}")).collect();
-        for name in &want {
-            b.mds_create(0, 0, name).unwrap();
-        }
-        // Another directory's entries never leak in.
-        let dir2 = b.mds_create(0, 0, "other-dir").unwrap();
-        b.mds_create(0, dir2.ino, "intruder").unwrap();
-        want.push("other-dir".to_string());
-        want.sort_unstable();
-        let mut got = Vec::new();
-        let mut cursor: Option<String> = None;
-        loop {
-            let (page, next) = b.mds_readdir(1, 0, cursor.as_deref(), 10).unwrap();
-            assert!(page.len() <= 10);
-            got.extend(page.into_iter().map(|(n, _)| n));
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
-            }
-        }
-        assert_eq!(got, want);
-        let (sub, next) = b.mds_readdir(0, dir2.ino, None, 100).unwrap();
-        assert_eq!(sub.len(), 1);
-        assert_eq!(sub[0].0, "intruder");
-        assert!(next.is_none());
-    }
-
-    #[test]
     fn a_proxied_write_that_lands_nowhere_is_unrecoverable_and_keeps_the_size() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "refused").unwrap();
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "refused").unwrap();
         let old: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 199) as u8).collect();
-        b.mds_write_block(0, attr.ino, 1, &old).unwrap();
+        c.write_block(attr.ino, 1, &old).unwrap();
+        c.sync_meta().unwrap();
         // The block's own server and two more of its stripe are down: the
         // swap is refused and the old block cannot be rebuilt from the 3
         // cells left, so the write must not be acknowledged.
@@ -1499,23 +1315,21 @@ mod tests {
         }
         let new = vec![0x5A; DFS_BLOCK];
         assert_eq!(
-            b.mds_write_block(0, attr.ino, 1, &new),
+            c.write_block(attr.ino, 1, &new),
             Err(DfsError::Unrecoverable)
         );
         assert_eq!(
-            b.mds_write_block(0, attr.ino, 2, &new),
+            c.write_block(attr.ino, 2, &new),
             Err(DfsError::Unrecoverable),
             "a never-written block's old bytes are unknown too"
         );
-        assert_eq!(
-            b.mds_getattr(0, attr.ino).unwrap().size,
-            2 * DFS_BLOCK as u64
-        );
+        c.sync_meta().unwrap();
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, 2 * DFS_BLOCK as u64);
         for s in [1, 2, 4] {
             b.data_server(placement[s]).set_failed(false);
         }
-        assert_eq!(b.mds_read_block(0, attr.ino, 1).unwrap(), old);
-        assert_eq!(b.mds_read_block(0, attr.ino, 2), Err(DfsError::NotFound));
+        assert_eq!(c.read_block(attr.ino, 1).unwrap().0, old);
+        assert_eq!(c.read_block(attr.ino, 2), Err(DfsError::NotFound));
         let cells = b.stripe_cells(attr.ino, 0).unwrap();
         assert!(b.ec().verify(&cells).unwrap(), "the stripe still verifies");
     }
@@ -1523,50 +1337,54 @@ mod tests {
     #[test]
     fn an_acknowledged_proxied_write_reads_back_once_the_servers_return() {
         // Three of six servers down, the block's own server up: the swap
-        // lands, the deltas that miss queue parity rebuilds at the MDS.
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "acked").unwrap();
+        // lands, the deltas that miss queue parity rebuilds at the client.
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "acked").unwrap();
         let placement = b.placement(attr.ino, 0).to_vec();
         for s in [1, 4, 5] {
             b.data_server(placement[s]).set_failed(true);
         }
         let data: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 241) as u8).collect();
-        b.mds_write_block(0, attr.ino, 0, &data).unwrap();
-        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, DFS_BLOCK as u64);
+        c.write_block(attr.ino, 0, &data).unwrap();
+        c.sync_meta().unwrap();
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, DFS_BLOCK as u64);
         for s in [1, 4, 5] {
             b.data_server(placement[s]).set_failed(false);
         }
-        assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), data);
+        assert_eq!(c.read_block(attr.ino, 0).unwrap().0, data);
     }
 
     #[test]
     fn bad_proxied_input_is_invalid_argument_not_a_panic() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "bad").unwrap();
-        let before = b.total_mds_rpcs();
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "bad").unwrap();
+        let before = ds_rpcs(&b);
         assert_eq!(
-            b.mds_write_block(0, attr.ino, 0, &vec![0; DFS_BLOCK + 1]),
+            c.write_block(attr.ino, 0, &vec![0; DFS_BLOCK + 1]),
             Err(DfsError::InvalidArgument)
         );
         assert_eq!(
-            b.mds_write_block(0, attr.ino, u64::MAX / 4096, &[0; 16]),
+            c.write_block(attr.ino, u64::MAX / 4096, &[0; 16]),
             Err(DfsError::InvalidArgument)
         );
-        assert_eq!(b.total_mds_rpcs(), before, "refused before it was served");
-        assert_eq!(b.mds_getattr(0, attr.ino).unwrap().size, 0);
+        assert_eq!(ds_rpcs(&b), before, "refused before it was served");
+        c.sync_meta().unwrap();
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, 0);
     }
 
     #[test]
     fn partial_tail_block_round_trips() {
-        let b = DfsBackend::new(DfsConfig::default());
-        let attr = b.mds_create(0, 0, "tail").unwrap();
+        let b = backend();
+        let mut c = ClientCore::new(b.clone(), 1);
+        let (attr, _) = c.create(0, "tail").unwrap();
         let data = vec![0xEE; 5000];
-        b.mds_write_block(0, attr.ino, 0, &data).unwrap();
-        let back = b.mds_read_block(0, attr.ino, 0).unwrap();
-        assert_eq!(back, data);
+        c.write_block(attr.ino, 0, &data).unwrap();
+        assert_eq!(c.read_block(attr.ino, 0).unwrap().0, data);
         // Degraded, the same bytes and the same length: the parity cells
         // carry the block's length tag.
         b.data_server(b.placement(attr.ino, 0)[0]).set_failed(true);
-        assert_eq!(b.mds_read_block(0, attr.ino, 0).unwrap(), data);
+        assert_eq!(c.read_block(attr.ino, 0).unwrap().0, data);
     }
 }

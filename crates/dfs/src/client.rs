@@ -1,18 +1,12 @@
-//! The two fs-client types the evaluation compares (Fig 1, Fig 9):
-//!
-//! - [`StandardClient`] — NFS-like: every operation is one RPC to the
-//!   client's *entry* MDS (forwarded server-side when the metadata lives
-//!   elsewhere); data is proxied through the MDS, which computes EC
-//!   server-side. Minimal host CPU, minimal performance.
-//! - [`ClientCore`] — the optimized client: a metadata view routes
-//!   requests straight to home MDSes, EC is computed on the client,
-//!   direct I/O sends blocks and parity deltas straight to data servers,
-//!   metadata updates batch lazily, and delegations let attributes be
-//!   cached locally. 4–5× the IOPS. On the host it is the "datacenter
-//!   tax" in host CPU; a `Dpc` runs one on the DPU, where the same logic
-//!   costs the host nothing. The functional behaviour is the same
-//!   either way; *where* the cycles land differs, which the benchmarks
-//!   express by charging DPU stations instead of host stations.
+//! The DFS client, [`ClientCore`]: the paper's optimized fs-client
+//! (Fig 1, Fig 9). A metadata view routes requests straight to home
+//! MDSes, EC is computed on the client, direct I/O sends blocks and
+//! parity deltas straight to data servers, metadata updates batch
+//! lazily, and delegations let attributes be cached locally. On the
+//! host it is the "datacenter tax" in host CPU; a `Dpc` runs one on the
+//! DPU, where the same logic costs the host nothing. The standard
+//! NFS-like client the figures compare against is priced from a model
+//! in `dpc-bench`; no functional client runs it.
 //!
 //! Every operation returns an [`OpTrace`] describing exactly what crossed
 //! the network and what was computed locally, so the benchmarks can
@@ -63,7 +57,7 @@ pub struct OpTrace {
     pub mds_rpcs: u32,
     /// RPCs the client issued directly to data servers.
     pub ds_rpcs: u32,
-    /// Bytes erasure-coded *on the client* (0 for the standard client).
+    /// Bytes erasure-coded on the client.
     pub ec_bytes: u64,
     /// Payload bytes sent / received by the client.
     pub bytes_out: u64,
@@ -81,104 +75,6 @@ impl OpTrace {
         self.bytes_in += other.bytes_in;
     }
 }
-
-/// The uniform client interface (block-granular data path, as the
-/// evaluation drives 8 KiB I/O).
-pub trait FsClient {
-    fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError>;
-    fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError>;
-    fn getattr(&mut self, ino: u64) -> Result<(DfsAttr, OpTrace), DfsError>;
-    fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError>;
-    fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError>;
-    /// Flush any lazily batched metadata updates.
-    fn sync_meta(&mut self) -> Result<OpTrace, DfsError>;
-}
-
-// ---------------------------------------------------------------------
-// Standard (NFS-like) client
-// ---------------------------------------------------------------------
-
-pub struct StandardClient {
-    backend: Arc<DfsBackend>,
-    entry_mds: usize,
-}
-
-impl StandardClient {
-    pub fn new(backend: Arc<DfsBackend>, entry_mds: usize) -> StandardClient {
-        StandardClient { backend, entry_mds }
-    }
-}
-
-impl FsClient for StandardClient {
-    fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
-        let attr = self.backend.mds_create(self.entry_mds, parent, name)?;
-        Ok((
-            attr,
-            OpTrace {
-                mds_rpcs: 1,
-                bytes_out: name.len() as u64 + 16,
-                ..Default::default()
-            },
-        ))
-    }
-
-    fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError> {
-        let ino = self.backend.mds_lookup(self.entry_mds, parent, name)?;
-        Ok((
-            ino,
-            OpTrace {
-                mds_rpcs: 1,
-                bytes_out: name.len() as u64 + 16,
-                bytes_in: 8,
-                ..Default::default()
-            },
-        ))
-    }
-
-    fn getattr(&mut self, ino: u64) -> Result<(DfsAttr, OpTrace), DfsError> {
-        let attr = self.backend.mds_getattr(self.entry_mds, ino)?;
-        Ok((
-            attr,
-            OpTrace {
-                mds_rpcs: 1,
-                bytes_in: 64,
-                ..Default::default()
-            },
-        ))
-    }
-
-    fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError> {
-        // Whole block to the MDS; EC happens server-side.
-        self.backend
-            .mds_write_block(self.entry_mds, ino, block, data)?;
-        Ok(OpTrace {
-            mds_rpcs: 1,
-            bytes_out: data.len() as u64,
-            ..Default::default()
-        })
-    }
-
-    fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        let data = self.backend.mds_read_block(self.entry_mds, ino, block)?;
-        let n = data.len() as u64;
-        Ok((
-            data,
-            OpTrace {
-                mds_rpcs: 1,
-                bytes_in: n,
-                ..Default::default()
-            },
-        ))
-    }
-
-    fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {
-        Ok(OpTrace::default()) // nothing batched
-    }
-}
-
-// ---------------------------------------------------------------------
-// Optimized client (on the host, or offloaded to the DPU)
-// ---------------------------------------------------------------------
 
 /// The optimized fs-client logic: metadata view, client-side EC + direct
 /// I/O, delegation-backed attribute caching, lazy metadata batching.
@@ -220,15 +116,11 @@ impl ClientCore {
     }
 
     pub fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
-        // Metadata view: go straight to the home MDS — no forwarding hop.
-        let home = self.backend.home_mds_of_name(parent, name);
-        let attr = retry_mds(&self.backend, || {
-            self.backend.mds_create(home, parent, name)
-        })?;
+        // Metadata view: straight to the home MDS — no forwarding hop.
+        let attr = retry_mds(&self.backend, || self.backend.mds_create(parent, name))?;
         // Take the delegation immediately (create-and-write pattern).
-        let ihome = self.backend.home_mds_of_ino(attr.ino);
         retry_mds(&self.backend, || {
-            self.backend.mds_delegate(ihome, attr.ino, self.client_id)
+            self.backend.mds_delegate(attr.ino, self.client_id)
         })?;
         self.attr_cache.insert(attr.ino, attr);
         Ok((
@@ -242,10 +134,7 @@ impl ClientCore {
     }
 
     pub fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError> {
-        let home = self.backend.home_mds_of_name(parent, name);
-        let ino = retry_mds(&self.backend, || {
-            self.backend.mds_lookup(home, parent, name)
-        })?;
+        let ino = retry_mds(&self.backend, || self.backend.mds_lookup(parent, name))?;
         Ok((
             ino,
             OpTrace {
@@ -266,10 +155,7 @@ impl ClientCore {
         }
         self.attr_cache.remove(&ino);
         if let Some(end) = self.pending_meta.remove(&ino) {
-            let home = self.backend.home_mds_of_ino(ino);
-            retry_mds(&self.backend, || {
-                self.backend.mds_update_size(home, ino, end)
-            })?;
+            retry_mds(&self.backend, || self.backend.mds_update_size(ino, end))?;
         }
         self.backend.ack_recall(ino, self.client_id);
         Ok(true)
@@ -291,8 +177,7 @@ impl ClientCore {
                 },
             ));
         }
-        let home = self.backend.home_mds_of_ino(ino);
-        let attr = retry_mds(&self.backend, || self.backend.mds_getattr(home, ino))?;
+        let attr = retry_mds(&self.backend, || self.backend.mds_getattr(ino))?;
         // Acquire a delegation so subsequent getattrs are local.
         let mut trace = OpTrace {
             mds_rpcs: 1,
@@ -300,7 +185,7 @@ impl ClientCore {
             ..Default::default()
         };
         if retry_mds(&self.backend, || {
-            self.backend.mds_delegate(home, ino, self.client_id)
+            self.backend.mds_delegate(ino, self.client_id)
         })
         .is_ok()
         {
@@ -333,9 +218,9 @@ impl ClientCore {
     }
 
     /// One block in a buffer of its own: [`read_block_to`](Self::read_block_to)
-    /// into a whole block, cut to the block's length: the [`FsClient`] view
-    /// the figures drive, which the benchmark's probe prices too. The
-    /// dispatcher reads through `read_block_to` itself.
+    /// into a whole block, cut to the block's length: the form the
+    /// benchmark's probe prices. The dispatcher reads through
+    /// `read_block_to` itself.
     pub fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
         let mut out = vec![0; DFS_BLOCK];
         let (n, trace) = self.read_block_to(ino, block, &mut out)?;
@@ -367,35 +252,11 @@ impl ClientCore {
         // after a metadata flush allocates no more than any other.
         let backend = &self.backend;
         for (ino, end) in self.pending_meta.drain() {
-            let home = backend.home_mds_of_ino(ino);
-            retry_mds(backend, || backend.mds_update_size(home, ino, end))?;
+            retry_mds(backend, || backend.mds_update_size(ino, end))?;
             trace.mds_rpcs += 1;
         }
         self.batched = 0;
         Ok(trace)
-    }
-}
-
-/// The trait view of the inherent methods, which callers that hold a
-/// `ClientCore` use without importing [`FsClient`].
-impl FsClient for ClientCore {
-    fn create(&mut self, parent: u64, name: &str) -> Result<(DfsAttr, OpTrace), DfsError> {
-        ClientCore::create(self, parent, name)
-    }
-    fn lookup(&mut self, parent: u64, name: &str) -> Result<(u64, OpTrace), DfsError> {
-        ClientCore::lookup(self, parent, name)
-    }
-    fn getattr(&mut self, ino: u64) -> Result<(DfsAttr, OpTrace), DfsError> {
-        ClientCore::getattr(self, ino)
-    }
-    fn write_block(&mut self, ino: u64, block: u64, data: &[u8]) -> Result<OpTrace, DfsError> {
-        ClientCore::write_block(self, ino, block, data)
-    }
-    fn read_block(&mut self, ino: u64, block: u64) -> Result<(Vec<u8>, OpTrace), DfsError> {
-        ClientCore::read_block(self, ino, block)
-    }
-    fn sync_meta(&mut self) -> Result<OpTrace, DfsError> {
-        ClientCore::sync_meta(self)
     }
 }
 
@@ -412,39 +273,17 @@ mod tests {
     fn all_clients_round_trip_data() {
         let b = backend();
         let block: Vec<u8> = (0..DFS_BLOCK).map(|i| (i % 241) as u8).collect();
-        let mut clients: Vec<Box<dyn FsClient>> = vec![
-            Box::new(StandardClient::new(b.clone(), 0)),
-            Box::new(ClientCore::new(b.clone(), 1)),
-        ];
+        let mut clients = [ClientCore::new(b.clone(), 0), ClientCore::new(b.clone(), 1)];
         for (i, c) in clients.iter_mut().enumerate() {
             let (attr, _) = c.create(0, &format!("f{i}")).unwrap();
             c.write_block(attr.ino, 0, &block).unwrap();
             let (back, _) = c.read_block(attr.ino, 0).unwrap();
             assert_eq!(back, block, "client {i}");
-            // Cross-client visibility: the standard client can read what
-            // the optimized client wrote.
         }
-        let mut std_client = StandardClient::new(b.clone(), 0);
-        let (ino, _) = std_client.lookup(0, "f1").unwrap();
-        let (back, _) = std_client.read_block(ino, 0).unwrap();
+        // Cross-client visibility: one client reads what the other wrote.
+        let (ino, _) = clients[0].lookup(0, "f1").unwrap();
+        let (back, _) = clients[0].read_block(ino, 0).unwrap();
         assert_eq!(back, block);
-    }
-
-    #[test]
-    fn standard_client_generates_forwards_optimized_does_not() {
-        let b = backend();
-        let mut std_c = StandardClient::new(b.clone(), 0);
-        for i in 0..40 {
-            std_c.create(0, &format!("std{i}")).unwrap();
-        }
-        let fwd_std = b.total_forwards();
-        assert!(fwd_std > 0, "entry-MDS routing must forward sometimes");
-
-        let mut opt = ClientCore::new(b.clone(), 1);
-        for i in 0..40 {
-            opt.create(0, &format!("opt{i}")).unwrap();
-        }
-        assert_eq!(b.total_forwards(), fwd_std, "metadata view avoids forwards");
     }
 
     #[test]
@@ -462,19 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn standard_write_proxies_via_mds() {
-        let b = backend();
-        let mut std_c = StandardClient::new(b.clone(), 0);
-        let (attr, _) = std_c.create(0, "f").unwrap();
-        let t = std_c
-            .write_block(attr.ino, 0, &vec![1u8; DFS_BLOCK])
-            .unwrap();
-        assert_eq!(t.mds_rpcs, 1);
-        assert_eq!(t.ds_rpcs, 0, "client never touches data servers");
-        assert_eq!(t.ec_bytes, 0, "EC is server-side");
-    }
-
-    #[test]
     fn delegation_makes_getattr_local() {
         let b = backend();
         let mut opt = ClientCore::new(b.clone(), 1);
@@ -482,11 +308,6 @@ mod tests {
         let (_, t1) = opt.getattr(attr.ino).unwrap();
         assert!(t1.meta_cache_hit, "create already took the delegation");
         assert_eq!(t1.mds_rpcs, 0);
-        // The standard client always pays an RPC.
-        let mut std_c = StandardClient::new(b.clone(), 0);
-        let (_, t2) = std_c.getattr(attr.ino).unwrap();
-        assert!(!t2.meta_cache_hit);
-        assert_eq!(t2.mds_rpcs, 1);
     }
 
     #[test]
@@ -501,15 +322,14 @@ mod tests {
         }
         // Not flushed yet: the MDS still sees size 0, but the client's own
         // cached view reflects the writes.
-        let home = b.home_mds_of_ino(attr.ino);
-        assert_eq!(b.mds_getattr(home, attr.ino).unwrap().size, 0);
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, 0);
         let (local, _) = opt.getattr(attr.ino).unwrap();
         assert_eq!(local.size, last * DFS_BLOCK as u64);
         // The sixteenth write triggers the batch flush.
         opt.write_block(attr.ino, last, &vec![1u8; DFS_BLOCK])
             .unwrap();
         assert_eq!(
-            b.mds_getattr(home, attr.ino).unwrap().size,
+            b.mds_getattr(attr.ino).unwrap().size,
             META_BATCH as u64 * DFS_BLOCK as u64
         );
     }
@@ -550,8 +370,7 @@ mod recall_tests {
         for blk in 0..3u64 {
             a.write_block(attr.ino, blk, &vec![1u8; BLK]).unwrap();
         }
-        let home = b.home_mds_of_ino(attr.ino);
-        assert_eq!(b.mds_getattr(home, attr.ino).unwrap().size, 0, "lazy");
+        assert_eq!(b.mds_getattr(attr.ino).unwrap().size, 0, "lazy");
 
         // B getattrs: the MDS recalls A's delegation and grants B's.
         let (seen_by_b, _) = c.getattr(attr.ino).unwrap();
@@ -564,7 +383,7 @@ mod recall_tests {
         // its cache.
         assert!(a.check_lease(attr.ino).unwrap());
         assert_eq!(
-            b.mds_getattr(home, attr.ino).unwrap().size,
+            b.mds_getattr(attr.ino).unwrap().size,
             3 * BLK as u64,
             "recall forced the lazy metadata out"
         );

@@ -1,14 +1,13 @@
 //! Property tests for the DFS substrate:
 //!
 //! - arbitrary block write/read sequences through *any mix of clients*
-//!   (one standard, two optimized) against one backend agree with a
-//!   reference model — the clients are interchangeable views of one
-//!   file system;
+//!   (three `ClientCore`s) against one backend agree with a reference
+//!   model — the clients are interchangeable views of one file system;
 //! - reads stay correct under any failure pattern of ≤ m data servers.
 
 use std::collections::HashMap;
 
-use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, FsClient, StandardClient, DFS_BLOCK};
+use dpc_dfs::{ClientCore, DfsBackend, DfsConfig, DFS_BLOCK};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -33,11 +32,7 @@ proptest! {
     #[test]
     fn clients_are_interchangeable_views(ops in proptest::collection::vec(arb_op(), 1..50)) {
         let backend = DfsBackend::new(DfsConfig::default());
-        let mut clients: Vec<Box<dyn FsClient>> = vec![
-            Box::new(StandardClient::new(backend.clone(), 0)),
-            Box::new(ClientCore::new(backend.clone(), 10)),
-            Box::new(ClientCore::new(backend.clone(), 11)),
-        ];
+        let mut clients = [0, 10, 11].map(|id| ClientCore::new(backend.clone(), id));
         let (attr, _) = clients[0].create(0, "shared").unwrap();
         let ino = attr.ino;
         let mut model: HashMap<u64, u8> = HashMap::new();

@@ -1,20 +1,22 @@
 //! The DFS client comparison (paper §4.3, Figure 9) — functional view.
 //!
-//! Runs the same workload through the three fs-client flavours against
-//! identical backends (the optimized and the DPC flavour are the same
-//! `ClientCore`: DPC runs it on the DPU) and prints what each one *did*: RPCs, forwarding
-//! hops, bytes moved, and where the erasure coding ran. The timing view
-//! of the same comparison is `cargo bench -p dpc-bench` (fig9).
+//! Runs the same workload through the optimized fs-client, `ClientCore`,
+//! against identical backends, once as the host-side "NFS+opt" client
+//! and once as the DPU-side DPC client (the same `ClientCore`: DPC runs
+//! it on the DPU), and prints what each one *did*: RPCs, bytes moved,
+//! and where the erasure coding ran. The standard NFS-like client is
+//! priced from a model only; the timing view of the whole comparison is
+//! `cargo run -p dpc-bench --release --bin dpc-experiments -- fig9`.
 //!
 //! ```sh
 //! cargo run --example dfs_offload
 //! ```
 
-use dpc::dfs::{ClientCore, DfsBackend, DfsConfig, FsClient, OpTrace, StandardClient, DFS_BLOCK};
+use dpc::dfs::{ClientCore, DfsBackend, DfsConfig, OpTrace, DFS_BLOCK};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn run_workload(client: &mut dyn FsClient, ops: usize) -> (OpTrace, u64) {
+fn run_workload(client: &mut ClientCore, ops: usize) -> (OpTrace, u64) {
     let mut rng = SmallRng::seed_from_u64(7);
     let mut total = OpTrace::default();
     let add = |t: OpTrace, total: &mut OpTrace| {
@@ -59,47 +61,31 @@ fn main() {
     const OPS: usize = 2000;
     println!("workload: 64-block fill + {OPS} random 8K ops (70% read) + periodic stat\n");
     println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>11} {:>11} {:>10} {:>9}",
-        "client",
-        "mds-rpcs",
-        "ds-rpcs",
-        "forwards",
-        "bytes-out",
-        "bytes-in",
-        "ec-bytes",
-        "stat-hits"
+        "{:<16} {:>9} {:>9} {:>11} {:>11} {:>10} {:>9}",
+        "client", "mds-rpcs", "ds-rpcs", "bytes-out", "bytes-in", "ec-bytes", "stat-hits"
     );
 
-    for flavour in ["standard", "optimized", "dpc"] {
+    for flavour in ["optimized (host)", "dpc (dpu)"] {
         // Fresh, identical backend per client so counters are comparable.
         let backend = DfsBackend::new(DfsConfig::default());
-        let mut client: Box<dyn FsClient> = match flavour {
-            "standard" => Box::new(StandardClient::new(backend.clone(), 0)),
-            _ => Box::new(ClientCore::new(backend.clone(), 1)),
-        };
-        let (t, stat_hits) = run_workload(client.as_mut(), OPS);
+        let mut client = ClientCore::new(backend, 1);
+        let (t, stat_hits) = run_workload(&mut client, OPS);
         println!(
-            "{:<16} {:>9} {:>9} {:>9} {:>11} {:>11} {:>10} {:>9}",
-            flavour,
-            t.mds_rpcs,
-            t.ds_rpcs,
-            backend.total_forwards(),
-            t.bytes_out,
-            t.bytes_in,
-            t.ec_bytes,
-            stat_hits
+            "{:<16} {:>9} {:>9} {:>11} {:>11} {:>10} {:>9}",
+            flavour, t.mds_rpcs, t.ds_rpcs, t.bytes_out, t.bytes_in, t.ec_bytes, stat_hits
         );
     }
 
     println!(
         "\nreading the table:
-  - the standard client funnels everything through its entry MDS: high
-    mds-rpcs, forwarding hops, zero client-side EC — and on real hardware,
-    an MDS bottleneck;
   - the optimized client and DPC do the same work as each other (metadata
-    view -> no forwards, client-side EC, direct I/O: a read is 1 data-server
-    RPC, a write 1 swap + m parity deltas; delegated stats): identical rows. The difference Figure 9 measures is *where*
-    those cycles run — host cores for the optimized client, DPU cores for
-    DPC. Run `cargo bench -p dpc-bench` to see that in time and CPU."
+    view -> each op at its home MDS, client-side EC, direct I/O: a read is
+    1 data-server RPC, a write 1 swap + m parity deltas; delegated stats):
+    identical rows. The difference Figure 9 measures is *where* those
+    cycles run: host cores for the optimized client, DPU cores for DPC;
+  - the standard NFS-like client, which funnels everything through its
+    entry MDS, is priced from a model only. Run
+    `cargo run -p dpc-bench --release --bin dpc-experiments -- fig9` to
+    see all three in time and CPU."
     );
 }

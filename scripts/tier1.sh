@@ -2,8 +2,9 @@
 # Tier-1 gate: the whole workspace must build, pass every test in debug
 # and again in release, and be fmt- and clippy-clean (warnings are
 # errors); DESIGN.md's section references and pinned tests must resolve;
-# the racing tests run ten times in a row, some on one core. CI's `tier1`
-# job runs exactly this script, and nothing else.
+# the racing tests run ten times in a row, some on one core; every figure
+# table and every example runs once. CI's `tier1` job runs exactly this
+# script, and nothing else.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -223,6 +224,11 @@ done
 # Every figure and ablation table of the modelled testbed (DESIGN.md
 # §14.3) is built once, so a table that panics fails here.
 cargo run --release -q -p dpc-bench --bin dpc-experiments -- all >/dev/null
+# Every example runs once, as the README runs it, so an example that
+# panics fails here; the test suites only compile them.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 # The benchmark is a workspace of its own built against crates/*: a crate
 # API change that breaks it must fail here, not at review. Building it
 # rewrites its Cargo.lock, which the benchmark's own change commits; the

