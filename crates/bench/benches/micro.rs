@@ -26,14 +26,8 @@ fn bench_ec(c: &mut Criterion) {
     g.bench_function("rs_4p2_encode_8k", |b| {
         b.iter(|| rs.encode(&mut shards).unwrap())
     });
-    // What `ClientCore::write_block` runs: split an 8 KiB block into
-    // recycled stripe buffers, then encode.
-    let block: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
-    let mut recycled = Vec::new();
-    g.bench_function("rs_encode_8k", |b| {
-        b.iter(|| rs.encode_buffer_into(&block, &mut recycled).unwrap())
-    });
     // One (coefficient, data shard) pass of that encode.
+    let block: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
     let mut acc = vec![0u8; 2048];
     g.throughput(Throughput::Bytes(2048));
     g.bench_function("gf_mul_acc_2k", |b| {

@@ -11,7 +11,7 @@ use dpc_cache::{
     CacheConfig, ControlPlane, HybridCache, PrefetchJob, RaConfig, ReadaheadTable, PAGE_SIZE,
 };
 use dpc_pcie::DmaEngine;
-use dpc_workload::Zipf;
+use dpc_testkit::Zipf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

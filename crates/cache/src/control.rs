@@ -500,20 +500,10 @@ impl ControlPlane {
     /// could not make one; `true` when the page is cached afterwards —
     /// which includes the already-present case, where the fill is
     /// *discarded* (the cached copy is at least as new as the backend's,
-    /// and may hold an unflushed write). The whole of `data` is stored;
-    /// all of it is marked valid — use
-    /// [`insert_clean_valid`](Self::insert_clean_valid) for tail pages
-    /// whose padding must not count.
+    /// and may hold an unflushed write). The whole of `data` is stored,
+    /// and all of it is marked valid.
     pub fn insert_clean(&self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-        self.insert_clean_valid(ino, lpn, data, data.len())
-    }
-
-    /// Insert a zero-padded page as clean, marking only the first `valid`
-    /// bytes as meaningful (a later host write that dirties this page will
-    /// flush exactly the meaningful prefix, never the padding).
-    pub fn insert_clean_valid(&self, ino: u64, lpn: u64, data: &[u8], valid: usize) -> bool {
         assert!(data.len() <= PAGE_SIZE);
-        assert!(valid <= data.len());
         let mut guard = match self.cache.begin_write(ino, lpn) {
             Ok(g) => g,
             Err(crate::host::WriteError::NeedEviction { bucket }) => {
@@ -536,7 +526,7 @@ impl ControlPlane {
             return true;
         }
         guard.write(0, data);
-        guard.set_valid(valid);
+        guard.set_valid(data.len());
         self.dma.record_external_dma(data.len() as u64);
         guard.commit_clean();
         self.cache
@@ -546,11 +536,10 @@ impl ControlPlane {
         true
     }
 
-    /// Prefetch insert: like [`insert_clean_valid`] but it never evicts
-    /// (readahead must not force out pages an application put there) and
-    /// it tags the entry's readahead flag bits before committing.
-    ///
-    /// [`insert_clean_valid`]: Self::insert_clean_valid
+    /// Prefetch insert: like [`insert_clean`](Self::insert_clean), but
+    /// only the first `valid` bytes count, it never evicts (readahead
+    /// must not force out pages an application put there) and it tags the
+    /// entry's readahead flag bits before committing.
     fn insert_prefetched(
         &self,
         ino: u64,

@@ -387,7 +387,7 @@ impl HybridCache {
     }
 
     /// Current content epoch of `ino`'s shard (see `ino_epochs`).
-    pub fn ino_epoch(&self, ino: u64) -> u64 {
+    pub(crate) fn ino_epoch(&self, ino: u64) -> u64 {
         self.ino_epochs[(ino as usize) % DIRTY_SHARDS].load(Ordering::Acquire)
     }
 
@@ -963,14 +963,9 @@ impl core::fmt::Debug for ReadRef<'_> {
 }
 
 impl ReadRef<'_> {
-    /// The entry/page index this guard refers to.
-    pub fn page_index(&self) -> usize {
-        self.idx
-    }
-
     /// True when this guard pins the entry with a legacy read lock
     /// (lock-based mode, or the write-hot fallback path).
-    pub fn is_locked(&self) -> bool {
+    fn is_locked(&self) -> bool {
         self.locked
     }
 
@@ -1076,12 +1071,6 @@ impl core::fmt::Debug for WriteGuard<'_> {
 }
 
 impl WriteGuard<'_> {
-    /// The entry/page index (the paper's "position of the cache entry
-    /// locates the cache page").
-    pub fn page_index(&self) -> usize {
-        self.idx
-    }
-
     /// True when this guard claimed a fresh (free) entry — the page
     /// content is undefined and the writer must fill it (or fetch the old
     /// page for a partial overwrite). False when overwriting an entry
@@ -1102,7 +1091,7 @@ impl WriteGuard<'_> {
     /// Grow the entry's valid length (meaningful page bytes) to at least
     /// `end`. `write` does this automatically; callers use it to mark
     /// ranges that are logically valid without rewriting them.
-    pub fn extend_valid(&mut self, end: usize) {
+    fn extend_valid(&mut self, end: usize) {
         assert!(end <= PAGE_SIZE);
         let e = &self.cache.entries[self.idx];
         if e.valid.load(std::sync::atomic::Ordering::Relaxed) < end as u32 {
@@ -1327,7 +1316,7 @@ mod tests {
 
         let r = c.lookup_read_ref(4, 2).expect("resident");
         assert!(!r.is_locked());
-        assert_eq!(c.entries[r.page_index()].valid() as usize, PAGE_SIZE);
+        assert_eq!(c.entries[r.idx].valid() as usize, PAGE_SIZE);
         let mut mid = [0u8; 100];
         r.read(37, &mut mid);
         assert!(r.finish().is_some());

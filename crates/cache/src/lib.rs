@@ -56,13 +56,10 @@ mod readahead;
 mod wal;
 
 pub use control::{ControlPlane, FlushBackend, ReadBackend, DEFAULT_EXTENT_PAGES};
-pub use host::{CacheStats, HybridCache, ReadHint, ReadRef, WriteError, WriteGuard};
-pub use layout::{CacheConfig, CacheEntry, CacheHeader, EntryStatus, PAGE_SIZE};
-pub use meta::{
-    MetaAttr, MetaCache, MetaConfig, MetaStats, NameLookup, DEFAULT_META_BUDGET, KIND_DIR,
-    KIND_FILE,
-};
+pub use host::{CacheStats, HybridCache, ReadRef, WriteError, WriteGuard};
+pub use layout::{CacheConfig, PAGE_SIZE};
+pub use meta::{MetaAttr, MetaCache, MetaConfig, MetaStats, NameLookup, KIND_DIR, KIND_FILE};
 pub use readahead::{
     PrefetchJob, PrefetchQueue, RaConfig, RaWindow, ReadaheadTable, PREFETCH_QUEUE_CAP,
 };
-pub use wal::{IntentLog, WalError, WalKind, WalRecord, WalScan, WalStats, REC_HEADER, WAL_HEADER};
+pub use wal::{IntentLog, WalError, WalKind, WAL_HEADER};

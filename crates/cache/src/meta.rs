@@ -554,7 +554,10 @@ impl MetaCache {
         attr
     }
 
-    /// Record an attribute, unconditionally.
+    /// Record an attribute, unconditionally. No product path calls it (a
+    /// reply's attribute goes in through
+    /// [`insert_attr_seen`](Self::insert_attr_seen)); it stays only
+    /// because the benchmark's probe (`dpc-e2e`) fills a cache with it.
     pub fn insert_attr(&self, attr: MetaAttr) {
         self.insert_attr_seen(attr, u64::MAX);
     }

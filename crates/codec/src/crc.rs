@@ -96,7 +96,7 @@ pub fn tier() -> Tier {
 
 /// Streaming update: feed chunks, starting from `!0` and finishing with
 /// a final XOR (use [`crc32c`] for the one-shot form).
-pub fn update(state: u32, data: &[u8]) -> u32 {
+pub(crate) fn update(state: u32, data: &[u8]) -> u32 {
     match tier() {
         // SAFETY: `tier` reports AVX-512F, VPCLMULQDQ, PCLMULQDQ and
         // SSE4.2, the requirements of `update_fold512`.

@@ -1,6 +1,6 @@
 //! # dpc-codec — data-integrity checksums
 //!
-//! [`crc32c`] / [`crc32c_update`]: the CRC32C (Castagnoli) guard every
+//! [`crc32c`]: the CRC32C (Castagnoli) guard every
 //! DFS shard and every WAL record carries, computed by carry-less-multiply
 //! folding or the `crc32` instruction where the CPU has them; and
 //! [`crc32c_tier`], which names the tier this CPU runs (DESIGN.md §11.3).
@@ -14,4 +14,4 @@
 
 mod crc;
 
-pub use crc::{crc32c, tier as crc32c_tier, update as crc32c_update, Tier as Crc32cTier};
+pub use crc::{crc32c, tier as crc32c_tier};

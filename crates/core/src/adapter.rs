@@ -53,7 +53,6 @@ impl DpcError {
     }
 
     pub const NOT_FOUND: DpcError = DpcError(2);
-    pub const EXISTS: DpcError = DpcError(17);
     pub const INVALID: DpcError = DpcError(22);
     pub const IO: DpcError = DpcError(5);
     pub const AGAIN: DpcError = DpcError(11);
@@ -1632,8 +1631,10 @@ impl DpcFs {
         )
     }
 
-    /// Create a DFS file; returns its inode.
+    /// Create a DFS file; returns its inode. A name over
+    /// [`MAX_NAME_LEN`] is ENAMETOOLONG, as KVFS answers it.
     pub fn dfs_create(&self, parent: u64, name: &str) -> Result<u64, DpcError> {
+        Self::dfs_name(name)?;
         let (resp, _) = self.dfs_call(
             &FileRequest::Create {
                 parent,
@@ -1649,7 +1650,10 @@ impl DpcFs {
         }
     }
 
+    /// The inode of DFS file `name` under `parent`; a name over
+    /// [`MAX_NAME_LEN`] is ENAMETOOLONG.
     pub fn dfs_lookup(&self, parent: u64, name: &str) -> Result<u64, DpcError> {
+        Self::dfs_name(name)?;
         let (resp, _) = self.dfs_call(
             &FileRequest::Lookup {
                 parent,
@@ -1670,6 +1674,15 @@ impl DpcFs {
             FileResponse::Attr(a) => Ok(a),
             _ => Err(DpcError::IO),
         }
+    }
+
+    /// ENAMETOOLONG for a name too long to encode; the DPU answers the
+    /// rest of the KVFS name rule.
+    fn dfs_name(name: &str) -> Result<(), DpcError> {
+        if name.len() > MAX_NAME_LEN {
+            return Err(DpcError::NAME_TOO_LONG);
+        }
+        Ok(())
     }
 
     /// Byte offset of DFS block `block`; EINVAL when it does not fit.

@@ -17,7 +17,7 @@ use dpc_cache::{
 };
 use dpc_dfs::{ClientCore, DfsError, DFS_BLOCK};
 use dpc_fault::FaultSite;
-use dpc_kvfs::{FileAttr, FsError, Kvfs, WalkStep};
+use dpc_kvfs::{validate_name, FileAttr, FsError, Kvfs, WalkStep};
 use dpc_nvmefs::{
     encode_dirent, DispatchType, FileIncoming, FileIncomingBatch, FileRequest, FileResponse,
     FileTarget, WireAttr, WireStep,
@@ -624,6 +624,14 @@ impl Dispatcher {
         let Some(dfs) = &self.dfs else {
             return FileResponse::Err(EOPNOTSUPP);
         };
+        if let FileRequest::Create { name, .. } | FileRequest::Lookup { name, .. } = &inc.request {
+            // A DFS name follows the KVFS name rule: the host wrote it, so
+            // a name KVFS would refuse is refused here, before the MDS
+            // can store it.
+            if let Err(e) = validate_name(name) {
+                return FileResponse::Err(e.errno());
+            }
+        }
         let mut dfs = dfs.lock();
         match &inc.request {
             FileRequest::Create { parent, name, .. } => match dfs.create(*parent, name) {

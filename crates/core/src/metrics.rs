@@ -124,15 +124,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Average PCIe DMA bytes per served request.
-    pub fn pcie_bytes_per_request(&self) -> f64 {
-        if self.requests_served == 0 {
-            0.0
-        } else {
-            self.pcie.dma_bytes as f64 / self.requests_served as f64
-        }
-    }
-
     /// Host metadata-cache attr hit rate, in [0, 1].
     pub fn meta_attr_hit_rate(&self) -> f64 {
         let total = self.meta.attr_hits + self.meta.attr_misses;
@@ -294,7 +285,6 @@ mod tests {
         let m = MetricsSnapshot::default();
         assert_eq!(m.cache_hit_rate(), 0.0);
         assert_eq!(m.dentry_hit_rate(), 0.0);
-        assert_eq!(m.pcie_bytes_per_request(), 0.0);
     }
 
     #[test]
@@ -305,15 +295,9 @@ mod tests {
                 misses: 25,
                 ..Default::default()
             },
-            pcie: PcieSnapshot {
-                dma_bytes: 1000,
-                ..Default::default()
-            },
-            requests_served: 10,
             ..Default::default()
         };
         assert_eq!(m.cache_hit_rate(), 0.75);
-        assert_eq!(m.pcie_bytes_per_request(), 100.0);
     }
 
     #[test]

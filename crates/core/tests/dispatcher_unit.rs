@@ -10,9 +10,9 @@ use dpc_dfs::{ClientCore, DfsBackend, DfsConfig};
 use dpc_kvfs::Kvfs;
 use dpc_kvstore::KvStore;
 use dpc_nvmefs::{
-    create_fabric, decode_dirents, decode_dirents_into, ChannelPool, DispatchType, FileIncoming,
-    FileIncomingBatch, FileRequest, FileResponse, FileTarget, Payload, QueuePairConfig, Sides,
-    Ticket, WireStep, CQE_SIZE, SQE_SIZE,
+    create_fabric, decode_dirents_into, ChannelPool, DispatchType, FileIncoming, FileIncomingBatch,
+    FileRequest, FileResponse, FileTarget, Payload, QueuePairConfig, Sides, Ticket, WireStep,
+    CQE_SIZE, SQE_SIZE,
 };
 use dpc_pcie::{DmaEngine, DMA_PAGE};
 
@@ -94,7 +94,8 @@ fn standalone_namespace_requests() {
     let FileResponse::Entries(n) = resp else {
         panic!("{resp:?}")
     };
-    let entries = decode_dirents(&payload, n as usize).unwrap();
+    let mut entries = Vec::new();
+    decode_dirents_into(&payload, n as usize, &mut entries).unwrap();
     assert_eq!(entries.len(), 1);
     assert_eq!(entries[0].name, "file");
 
@@ -577,7 +578,9 @@ fn path_requests_walk_on_the_dpu_and_report_the_trail() {
         },
     );
     assert_eq!(resp, FileResponse::Entries(1));
-    assert_eq!(decode_dirents(&listing, 1).unwrap()[0].name, "f");
+    let mut entries = Vec::new();
+    decode_dirents_into(&listing, 1, &mut entries).unwrap();
+    assert_eq!(entries[0].name, "f");
     assert_eq!(trail, [WireStep::Entry(a), WireStep::Followed(b)]);
     let (resp, _, _) = ask(
         &mut d,
@@ -816,6 +819,56 @@ fn dfs_oversize_and_overflowing_writes_are_einval() {
     ));
     assert_eq!(resp, FileResponse::Err(2), "block 0 was never written");
     assert!(payload.is_empty());
+}
+
+#[test]
+fn dfs_names_from_the_wire_follow_the_kvfs_name_rule() {
+    // A Create or Lookup name comes from the host. Whatever its bytes, the
+    // DPU answers the errno KVFS answers for it — EINVAL for an empty name,
+    // `.`, `..`, or one holding `/` or NUL, ENAMETOOLONG past 1024 bytes —
+    // before the DFS client sees it, so no such name is ever created.
+    let (mut d, _) = dispatcher(true);
+    let cases = [
+        (String::new(), 22),
+        (".".to_string(), 22),
+        ("..".to_string(), 22),
+        ("a/b".to_string(), 22),
+        ("a\0b".to_string(), 22),
+        ("x".repeat(1025), 36),
+        ("x".repeat(2000), 36),
+    ];
+    for (name, errno) in cases {
+        let create = FileRequest::Create {
+            parent: 0,
+            name: name.clone(),
+            mode: 0o644,
+        };
+        let lookup = FileRequest::Lookup { parent: 0, name };
+        for req in [create, lookup] {
+            let (resp, _) = d.handle(&incoming(DispatchType::Distributed, req.clone(), vec![]));
+            assert_eq!(resp, FileResponse::Err(errno), "{req:?}");
+        }
+    }
+    // The longest legal name is created and found.
+    let name = "x".repeat(1024);
+    let (resp, _) = d.handle(&incoming(
+        DispatchType::Distributed,
+        FileRequest::Create {
+            parent: 0,
+            name: name.clone(),
+            mode: 0o644,
+        },
+        vec![],
+    ));
+    let FileResponse::Ino(ino) = resp else {
+        panic!("{resp:?}")
+    };
+    let (resp, _) = d.handle(&incoming(
+        DispatchType::Distributed,
+        FileRequest::Lookup { parent: 0, name },
+        vec![],
+    ));
+    assert_eq!(resp, FileResponse::Ino(ino));
 }
 
 #[test]

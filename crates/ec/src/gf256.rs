@@ -53,13 +53,13 @@ const fn build_log() -> [u8; 256] {
 
 /// Addition in GF(2^8) is XOR.
 #[inline]
-pub fn add(a: u8, b: u8) -> u8 {
+pub(crate) fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
 /// Multiplication via log/exp tables.
 #[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
         0
     } else {
@@ -69,25 +69,14 @@ pub fn mul(a: u8, b: u8) -> u8 {
 
 /// Multiplicative inverse. Panics on zero.
 #[inline]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no inverse in GF(256)");
     EXP[255 - LOG[a as usize] as usize]
 }
 
-/// Division `a / b`. Panics when `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero in GF(256)");
-    if a == 0 {
-        0
-    } else {
-        EXP[(LOG[a as usize] as usize + 255 - LOG[b as usize] as usize) % 255]
-    }
-}
-
 /// `a^n` by square-and-multiply on the log representation.
 #[inline]
-pub fn pow(a: u8, n: usize) -> u8 {
+pub(crate) fn pow(a: u8, n: usize) -> u8 {
     if n == 0 {
         return 1;
     }
@@ -130,7 +119,7 @@ const fn build_nibbles() -> [Nibbles; 256] {
 }
 
 /// `dst[i] = c * src[i]` for whole slices.
-pub fn mul_slice(c: u8, src: &[u8], dst: &mut [u8]) {
+pub(crate) fn mul_slice(c: u8, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len());
     match c {
         0 => dst.fill(0),
@@ -275,8 +264,6 @@ mod tests {
         for a in 1..=255u8 {
             let ia = inv(a);
             assert_eq!(mul(a, ia), 1, "a={a} inv={ia}");
-            assert_eq!(div(1, a), ia);
-            assert_eq!(div(a, a), 1);
         }
     }
 
@@ -406,11 +393,5 @@ mod tests {
     #[should_panic(expected = "zero has no inverse")]
     fn inv_zero_panics() {
         inv(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn div_zero_panics() {
-        div(3, 0);
     }
 }

@@ -27,5 +27,4 @@ pub mod gf256;
 mod matrix;
 mod rs;
 
-pub use matrix::Matrix;
 pub use rs::{EcError, ReedSolomon};

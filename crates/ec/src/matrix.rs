@@ -6,7 +6,7 @@ use crate::gf256;
 
 /// A row-major matrix over GF(2^8).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<u8>,
@@ -41,26 +41,6 @@ impl Matrix {
             }
         }
         m
-    }
-
-    pub fn from_rows(rows: Vec<Vec<u8>>) -> Matrix {
-        let r = rows.len();
-        assert!(r > 0);
-        let c = rows[0].len();
-        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        Matrix {
-            rows: r,
-            cols: c,
-            data: rows.into_iter().flatten().collect(),
-        }
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     #[inline]
@@ -173,6 +153,16 @@ impl Matrix {
 mod tests {
     use super::*;
 
+    fn from_rows(rows: &[&[u8]]) -> Matrix {
+        let mut m = Matrix::zero(rows.len(), rows[0].len());
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                m.set(r, c, v);
+            }
+        }
+        m
+    }
+
     #[test]
     fn identity_times_anything() {
         let v = Matrix::vandermonde(4, 3);
@@ -221,7 +211,7 @@ mod tests {
 
     #[test]
     fn singular_matrix_detected() {
-        let m = Matrix::from_rows(vec![vec![1, 2], vec![1, 2]]);
+        let m = from_rows(&[&[1, 2], &[1, 2]]);
         assert!(m.invert().is_none());
         let z = Matrix::zero(3, 3);
         assert!(z.invert().is_none());
@@ -229,17 +219,11 @@ mod tests {
 
     #[test]
     fn mul_against_hand_example() {
-        let a = Matrix::from_rows(vec![vec![1, 2], vec![3, 4]]);
-        let b = Matrix::from_rows(vec![vec![5, 6], vec![7, 8]]);
+        let a = from_rows(&[&[1, 2], &[3, 4]]);
+        let b = from_rows(&[&[5, 6], &[7, 8]]);
         let c = a.mul(&b);
         // c[0][0] = 1*5 ^ 2*7
         assert_eq!(c.get(0, 0), gf256::add(gf256::mul(1, 5), gf256::mul(2, 7)));
         assert_eq!(c.get(1, 1), gf256::add(gf256::mul(3, 6), gf256::mul(4, 8)));
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_rejected() {
-        Matrix::from_rows(vec![vec![1, 2], vec![3]]);
     }
 }

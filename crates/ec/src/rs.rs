@@ -194,8 +194,9 @@ impl ReedSolomon {
     }
 
     /// Split a buffer into `k` equal data shards (zero-padded) and append
-    /// `m` freshly encoded parity shards. Convenience used by the DFS
-    /// clients' stripe path.
+    /// `m` freshly encoded parity shards. No product path calls it: it
+    /// stays only because the benchmark's probe (`dpc-e2e`) prices it as
+    /// `ec.encode_8k_us`.
     pub fn encode_buffer(&self, buf: &[u8]) -> Result<Vec<Vec<u8>>, EcError> {
         let shard_len = buf.len().div_ceil(self.k).max(1);
         let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.k + self.m);
@@ -209,25 +210,6 @@ impl ReedSolomon {
         shards.resize(self.k + self.m, vec![0u8; shard_len]);
         self.encode(&mut shards)?;
         Ok(shards)
-    }
-
-    /// [`encode_buffer`](Self::encode_buffer) into caller-owned shard
-    /// buffers: once `shards` has grown to `k + m` entries of the
-    /// working size, repeated calls perform no allocation. Used by
-    /// `ClientCore::write_block`'s steady state.
-    pub fn encode_buffer_into(&self, buf: &[u8], shards: &mut Vec<Vec<u8>>) -> Result<(), EcError> {
-        let shard_len = buf.len().div_ceil(self.k).max(1);
-        shards.resize(self.k + self.m, Vec::new());
-        for (i, s) in shards.iter_mut().enumerate() {
-            s.clear();
-            if i < self.k {
-                let start = (i * shard_len).min(buf.len());
-                let end = ((i + 1) * shard_len).min(buf.len());
-                s.extend_from_slice(&buf[start..end]);
-            }
-            s.resize(shard_len, 0);
-        }
-        self.encode(shards)
     }
 }
 
@@ -391,18 +373,6 @@ mod tests {
         rebuilt.truncate(1000);
         assert_eq!(rebuilt, data);
         assert_eq!(shard_len, 250);
-    }
-
-    #[test]
-    fn encode_buffer_into_matches_encode_buffer() {
-        let rs = ReedSolomon::new(4, 2);
-        let mut reused: Vec<Vec<u8>> = Vec::new();
-        // Shrinking then growing inputs across the same reused buffers.
-        for len in [1000usize, 64, 1, 4096, 777] {
-            let data: Vec<u8> = (0..len as u32).map(|i| (i * 17 % 256) as u8).collect();
-            rs.encode_buffer_into(&data, &mut reused).unwrap();
-            assert_eq!(reused, rs.encode_buffer(&data).unwrap(), "len {len}");
-        }
     }
 
     #[test]

@@ -118,7 +118,6 @@ impl Default for FaultSpec {
 /// One named injection point. Obtained from [`FaultPlan::site`]; hot
 /// paths hold the `Arc` and call [`check`](FaultSite::check) per pass.
 pub struct FaultSite {
-    name: String,
     spec: Mutex<FaultSpec>,
     rng: Mutex<u64>,
     /// Hits while armed (Off hits are not counted, so `Nth`/`FirstN`
@@ -128,10 +127,6 @@ pub struct FaultSite {
 }
 
 impl FaultSite {
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// (Re)arm the site. Counters keep accumulating; `Nth`/`FirstN`
     /// schedules restart because hits are only counted while armed.
     pub fn arm(&self, spec: FaultSpec) {
@@ -144,15 +139,6 @@ impl FaultSite {
 
     pub fn disarm(&self) {
         *lock(&self.spec) = FaultSpec::off();
-    }
-
-    pub fn spec(&self) -> FaultSpec {
-        *lock(&self.spec)
-    }
-
-    /// Hits observed while armed.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 
     /// Faults actually injected.
@@ -269,10 +255,6 @@ impl FaultPlan {
         })
     }
 
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Get-or-create the site named `name` (created `Off`).
     pub fn site(&self, name: &str) -> Arc<FaultSite> {
         let mut sites = lock(&self.sites);
@@ -280,7 +262,6 @@ impl FaultPlan {
             .entry(name.to_string())
             .or_insert_with(|| {
                 Arc::new(FaultSite {
-                    name: name.to_string(),
                     spec: Mutex::new(FaultSpec::off()),
                     rng: Mutex::new(self.seed ^ fnv1a(name)),
                     hits: AtomicU64::new(0),
@@ -323,7 +304,7 @@ mod tests {
         for _ in 0..100 {
             assert!(site.check().is_none());
         }
-        assert_eq!(site.hits(), 0);
+        assert_eq!(site.hits.load(Ordering::Relaxed), 0);
         assert_eq!(site.injected(), 0);
         assert_eq!(plan.total_injected(), 0);
     }

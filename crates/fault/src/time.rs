@@ -16,13 +16,6 @@ pub struct Nanos(pub u64);
 impl Nanos {
     pub const ZERO: Nanos = Nanos(0);
 
-    /// One microsecond.
-    pub const MICRO: Nanos = Nanos(1_000);
-    /// One millisecond.
-    pub const MILLI: Nanos = Nanos(1_000_000);
-    /// One second.
-    pub const SEC: Nanos = Nanos(1_000_000_000);
-
     /// Build from (possibly fractional) microseconds, rounding to nanos.
     #[inline]
     pub fn from_micros(us: f64) -> Nanos {
@@ -51,7 +44,7 @@ impl Nanos {
     }
 
     #[inline]
-    pub fn as_millis(self) -> f64 {
+    fn as_millis(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -153,7 +146,7 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(Nanos::from_micros(20.6).as_nanos(), 20_600);
         assert_eq!(Nanos::from_millis(1.5).as_nanos(), 1_500_000);
-        assert_eq!(Nanos::from_secs(2.0), Nanos::SEC * 2);
+        assert_eq!(Nanos::from_secs(2.0), Nanos(2_000_000_000));
         assert!((Nanos(1_234_567).as_millis() - 1.234567).abs() < 1e-9);
     }
 

@@ -31,13 +31,13 @@ impl AsRef<[u8]> for BatchKey {
 }
 
 /// Byte-addressed access to one big file's block space.
-pub struct FileObject<'a> {
+pub(crate) struct FileObject<'a> {
     store: &'a KvStore,
     ino: u64,
 }
 
 impl<'a> FileObject<'a> {
-    pub fn new(store: &'a KvStore, ino: u64) -> FileObject<'a> {
+    pub(crate) fn new(store: &'a KvStore, ino: u64) -> FileObject<'a> {
         FileObject { store, ino }
     }
 
@@ -46,7 +46,7 @@ impl<'a> FileObject<'a> {
     /// and last possibly partial, each landing straight in its place in
     /// `dst`. Holes (never-written blocks) read as zeros. Returns the
     /// number of KV operations performed: 1, or 0 for an empty `dst`.
-    pub fn read_at(&self, offset: u64, dst: &mut [u8]) -> usize {
+    pub(crate) fn read_at(&self, offset: u64, dst: &mut [u8]) -> usize {
         if dst.is_empty() {
             return 0;
         }
@@ -61,15 +61,6 @@ impl<'a> FileObject<'a> {
         1
     }
 
-    /// Write `src` at `offset`, in place at 8 KiB granularity: **one**
-    /// multi-key sub-write ([`KvStore::write_subs`]) for every block the
-    /// range spans, the first and last possibly partial (the in-place
-    /// capability the paper adds for big-file KVs). Returns the number of
-    /// KV operations performed: 1, or 0 for an empty `src`.
-    pub fn write_at(&self, offset: u64, src: &[u8]) -> usize {
-        self.write_runs(&[], [(offset, src)], None)
-    }
-
     /// Write `promoted` at offset 0, then each `(offset, src)` run in
     /// place, in the order given, then `attr` as the file's whole
     /// attribute value: **one** multi-key sub-write for every block of
@@ -81,7 +72,7 @@ impl<'a> FileObject<'a> {
     /// so it replaces the value as a `put` would, and it lands no earlier
     /// than the blocks it describes. Returns the number of KV operations
     /// performed: 1, or 0 when there is nothing to write.
-    pub fn write_runs<'s>(
+    pub(crate) fn write_runs<'s>(
         &self,
         promoted: &[u8],
         runs: impl IntoIterator<Item = (u64, &'s [u8])>,
@@ -110,7 +101,7 @@ impl<'a> FileObject<'a> {
     /// Drop every block at or beyond `new_size`, and trim the boundary
     /// block. An ordered range delete from the first dropped block: blocks
     /// that stay are never visited, and no block value is ever copied.
-    pub fn truncate(&self, new_size: u64) {
+    pub(crate) fn truncate(&self, new_size: u64) {
         let keep_blocks = new_size.div_ceil(BIG_BLOCK as u64);
         self.store
             .delete_range(&big_prefix(self.ino), &big_key(self.ino, keep_blocks));
@@ -124,20 +115,28 @@ impl<'a> FileObject<'a> {
     }
 
     /// Remove every block (unlink).
-    pub fn delete_all(&self) {
+    pub(crate) fn delete_all(&self) {
         let prefix = big_prefix(self.ino);
         self.store.delete_range(&prefix, &prefix);
-    }
-
-    /// Number of allocated blocks (diagnostic).
-    pub fn block_count(&self) -> usize {
-        self.store.count_prefix(&big_prefix(self.ino))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FileObject<'_> {
+        /// Write `src` at `offset` in place, as one run of
+        /// [`write_runs`](FileObject::write_runs).
+        fn write_at(&self, offset: u64, src: &[u8]) -> usize {
+            self.write_runs(&[], [(offset, src)], None)
+        }
+
+        /// Number of allocated blocks.
+        fn block_count(&self) -> usize {
+            self.store.count_prefix(&big_prefix(self.ino))
+        }
+    }
 
     #[test]
     fn block_aligned_round_trip() {

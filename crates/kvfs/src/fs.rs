@@ -506,7 +506,8 @@ impl Kvfs {
     }
 
     /// Remove a name. Data is reclaimed only when the last hard link to
-    /// the inode goes away.
+    /// the inode goes away. [`Kvfs::unlink`] is its product caller; it is
+    /// public only because the benchmark's probe (`dpc-e2e`) prices it.
     pub fn unlink_in(&self, parent: u64, name: &str) -> Result<(), FsError> {
         self.unlink_entry(parent, name).map(drop)
     }
@@ -747,7 +748,9 @@ impl Kvfs {
     /// Vectored write: lay `segments` down contiguously starting at
     /// `offset` ([`Kvfs::write_blocks`] of one run per segment). N
     /// segments cost one `write_extent` instead of N `write` calls.
-    /// Returns total bytes written.
+    /// Returns total bytes written. [`Kvfs::write`] is its product
+    /// caller; it is public only because the benchmark's probe
+    /// (`dpc-e2e`) prices it.
     pub fn write_extent(
         &self,
         ino: u64,

@@ -37,7 +37,7 @@ pub fn validate_name(name: &str) -> Result<(), FsError> {
 
 /// Inode KV key: `p_ino + name` (max 1088 bytes with the paper's 1024-byte
 /// name bound; ours adds one tag byte).
-pub fn inode_key(p_ino: u64, name: &str) -> Vec<u8> {
+pub(crate) fn inode_key(p_ino: u64, name: &str) -> Vec<u8> {
     let mut k = Vec::with_capacity(9 + name.len());
     k.push(TAG_INODE);
     k.extend_from_slice(&p_ino.to_be_bytes());
@@ -55,7 +55,7 @@ pub(crate) fn with_inode_key<R>(p_ino: u64, name: &str, f: impl FnOnce(&[u8]) ->
 }
 
 /// The prefix of every inode KV key under `p_ino` (directory scan).
-pub fn inode_prefix(p_ino: u64) -> Vec<u8> {
+pub(crate) fn inode_prefix(p_ino: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);
     k.push(TAG_INODE);
     k.extend_from_slice(&p_ino.to_be_bytes());
@@ -63,7 +63,7 @@ pub fn inode_prefix(p_ino: u64) -> Vec<u8> {
 }
 
 /// Recover the name component from an inode KV key.
-pub fn name_from_inode_key(key: &[u8]) -> Option<&str> {
+pub(crate) fn name_from_inode_key(key: &[u8]) -> Option<&str> {
     if key.len() < 10 || key[0] != TAG_INODE {
         return None;
     }
@@ -71,7 +71,7 @@ pub fn name_from_inode_key(key: &[u8]) -> Option<&str> {
 }
 
 /// Inode KV value: `ino (8 B LE) ‖ kind`.
-pub fn dentry_value(ino: u64, kind: FileKind) -> [u8; 9] {
+pub(crate) fn dentry_value(ino: u64, kind: FileKind) -> [u8; 9] {
     let mut v = [0u8; 9];
     v[..8].copy_from_slice(&ino.to_le_bytes());
     v[8] = kind.to_byte();
@@ -79,7 +79,7 @@ pub fn dentry_value(ino: u64, kind: FileKind) -> [u8; 9] {
 }
 
 /// Decode an inode KV value; `None` for a malformed (wrong-width) one.
-pub fn parse_dentry(value: &[u8]) -> Option<(u64, FileKind)> {
+pub(crate) fn parse_dentry(value: &[u8]) -> Option<(u64, FileKind)> {
     let (ino, kind) = value.split_first_chunk::<8>()?;
     match kind {
         [k] => Some((u64::from_le_bytes(*ino), FileKind::from_byte(*k))),
@@ -88,12 +88,12 @@ pub fn parse_dentry(value: &[u8]) -> Option<(u64, FileKind)> {
 }
 
 /// Attribute KV key, built on the stack.
-pub fn attr_key(ino: u64) -> [u8; 9] {
+pub(crate) fn attr_key(ino: u64) -> [u8; 9] {
     tagged(TAG_ATTR, ino)
 }
 
 /// Small-file KV key, built on the stack.
-pub fn small_key(ino: u64) -> [u8; 9] {
+pub(crate) fn small_key(ino: u64) -> [u8; 9] {
     tagged(TAG_SMALL, ino)
 }
 
@@ -105,7 +105,7 @@ fn tagged(tag: u8, ino: u64) -> [u8; 9] {
 
 /// Big-file block key for logical block `lbn`, built on the stack: a block
 /// read or write allocates no key.
-pub fn big_key(ino: u64, lbn: u64) -> [u8; 17] {
+pub(crate) fn big_key(ino: u64, lbn: u64) -> [u8; 17] {
     let mut k = [TAG_BIG; 17];
     k[1..9].copy_from_slice(&ino.to_be_bytes());
     k[9..].copy_from_slice(&lbn.to_be_bytes());
@@ -113,7 +113,7 @@ pub fn big_key(ino: u64, lbn: u64) -> [u8; 17] {
 }
 
 /// Prefix of all big-file block keys of one inode.
-pub fn big_prefix(ino: u64) -> Vec<u8> {
+pub(crate) fn big_prefix(ino: u64) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);
     k.push(TAG_BIG);
     k.extend_from_slice(&ino.to_be_bytes());

@@ -13,8 +13,8 @@
 //! - **small-file KV** `ino → data` for files under 8 KiB (whole-value
 //!   rewrite on update; a 0-byte file has none),
 //! - **big-file KV** for larger files — 8 KiB blocks updated in place
-//!   through the file object (see [`FileObject`]'s module docs), read
-//!   with one multi-key request per read.
+//!   through the file object (`fileobj.rs`), read with one multi-key
+//!   request per read.
 //!
 //! Path resolution recursively fetches inode KVs from the root (ino 0);
 //! built-in dentry and inode caches play the role the VFS caches play for
@@ -41,10 +41,8 @@ mod keys;
 mod types;
 
 pub use cache::LookupStats;
-pub use fileobj::FileObject;
 pub use fs::Kvfs;
-pub use keys::{attr_key, big_key, inode_key, inode_prefix, small_key, validate_name};
+pub use keys::validate_name;
 pub use types::{
-    DataFormat, Dirent, FileAttr, FileKind, FsError, WalkStep, BIG_BLOCK, MAX_NAME_LEN, ROOT_INO,
-    SMALL_FILE_MAX,
+    DataFormat, FileAttr, FileKind, FsError, WalkStep, BIG_BLOCK, MAX_NAME_LEN, ROOT_INO,
 };

@@ -9,7 +9,7 @@ pub const MAX_NAME_LEN: usize = 1024;
 
 /// Small files (< 8 KiB) live in a single small-file KV; at and beyond
 /// this size the file is promoted to the big-file KV layout.
-pub const SMALL_FILE_MAX: u64 = 8192;
+pub(crate) const SMALL_FILE_MAX: u64 = 8192;
 
 /// Big-file KVs update in place at this granularity (paper: 8 KiB).
 pub const BIG_BLOCK: usize = 8192;
@@ -101,7 +101,7 @@ impl FileAttr {
         }
     }
 
-    pub fn is_dir(&self) -> bool {
+    pub(crate) fn is_dir(&self) -> bool {
         self.kind == FileKind::Dir
     }
 

@@ -120,7 +120,7 @@ pub struct FileCompletion {
 /// pool routes the failure to the owning waiter, which decides whether the
 /// command can be reissued.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum RecvError {
+pub(crate) enum RecvError {
     /// The response header failed to decode.
     Decode(DecodeError),
     /// The DPU posted [`CqeStatus::TransportError`]: the command was shed
@@ -263,10 +263,6 @@ impl FileTarget {
         });
     }
 
-    pub fn queue_id(&self) -> u16 {
-        self.tgt.queue_id()
-    }
-
     /// Consult the fault sites for the request just decoded into `out`'s
     /// last slot. An injected fault consumes it: it is shed with a
     /// transport-error CQE, or moved — not copied — onto the deferral list.
@@ -389,8 +385,8 @@ pub fn create_fabric(
     assert!(queues > 0);
     let mut initiators = Vec::with_capacity(queues);
     let mut targets = Vec::with_capacity(queues);
-    for q in 0..queues {
-        let (ini, tgt) = QueuePair::new(q as u16, cfg).split(dma.clone());
+    for _ in 0..queues {
+        let (ini, tgt) = QueuePair::new(cfg).split(dma.clone());
         initiators.push(ini);
         targets.push(FileTarget::new(tgt));
     }
@@ -402,6 +398,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::filemsg::WireAttr;
     use crate::pool::{ChannelPool, Ticket};
+    use crate::queue::ReadSide;
 
     /// One queue pair behind a pool, and its target.
     fn one_pair() -> (ChannelPool, FileTarget, DmaEngine) {
@@ -590,7 +587,7 @@ pub(crate) mod tests {
     #[test]
     fn an_inline_header_that_does_not_decode_is_refused_and_counted() {
         let dma = DmaEngine::new();
-        let (mut ini, tgt) = QueuePair::new(0, QueuePairConfig::default()).split(dma);
+        let (mut ini, tgt) = QueuePair::new(QueuePairConfig::default()).split(dma);
         let mut tgt = FileTarget::new(tgt);
         let mut good = Vec::new();
         FileRequest::Fsync { ino: 7 }.encode(&mut good);
@@ -602,7 +599,12 @@ pub(crate) mod tests {
         for (i, header) in bad.into_iter().enumerate() {
             let cid = ini
                 .batch()
-                .submit(DispatchType::Standalone, header, b"", 0)
+                .stage(
+                    DispatchType::Standalone,
+                    header,
+                    Payload::Flat(b""),
+                    ReadSide::Buffer(0),
+                )
                 .unwrap();
             assert!(serve_one(&mut tgt).is_none());
             let done = ini.reap().expect("refusal posted");
@@ -612,7 +614,12 @@ pub(crate) mod tests {
             assert_eq!(ini.rejected_sqes(), i as u64 + 1);
         }
         ini.batch()
-            .submit(DispatchType::Standalone, &good, b"", 0)
+            .stage(
+                DispatchType::Standalone,
+                &good,
+                Payload::Flat(b""),
+                ReadSide::Buffer(0),
+            )
             .unwrap();
         assert_eq!(
             serve_one(&mut tgt).unwrap().request,

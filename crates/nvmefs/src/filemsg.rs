@@ -675,13 +675,6 @@ pub fn encode_dirent(ino: u64, kind: u8, name: &str, out: &mut Vec<u8>) {
     w.name(name);
 }
 
-/// Encode a list of directory entries into a payload buffer.
-pub fn encode_dirents(entries: &[WireDirent], out: &mut Vec<u8>) {
-    for e in entries {
-        encode_dirent(e.ino, e.kind, &e.name, out);
-    }
-}
-
 /// One component of the DPU-side path walk, as the reply's trail reports
 /// it. The trail is the tail of the read payload — after the entries of a
 /// listing or the bytes of a link target — one step per component walked,
@@ -731,68 +724,6 @@ impl WireStep {
     }
 }
 
-/// Borrowed view of one directory entry: the name points straight into
-/// the payload buffer — no per-entry allocation.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct WireDirentRef<'a> {
-    pub ino: u64,
-    pub kind: u8,
-    pub name: &'a str,
-}
-
-impl WireDirentRef<'_> {
-    pub fn to_owned(&self) -> WireDirent {
-        WireDirent {
-            ino: self.ino,
-            kind: self.kind,
-            name: self.name.to_owned(),
-        }
-    }
-}
-
-/// Zero-allocation streaming decoder over an encoded dirent payload.
-/// Probe-sized consumers (existence checks, first-page peeks) walk only
-/// as far as they need instead of materializing the full
-/// `Vec<WireDirent>`.
-pub struct DirentIter<'a> {
-    r: Reader<'a>,
-    remaining: usize,
-}
-
-/// Iterate `count` directory entries in place.
-pub fn dirent_iter(buf: &[u8], count: usize) -> DirentIter<'_> {
-    DirentIter {
-        r: Reader { buf, pos: 0 },
-        remaining: count,
-    }
-}
-
-impl<'a> Iterator for DirentIter<'a> {
-    type Item = Result<WireDirentRef<'a>, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let one = (|| {
-            Ok(WireDirentRef {
-                ino: self.r.u64()?,
-                kind: self.r.u8()?,
-                name: self.r.name_ref()?,
-            })
-        })();
-        if one.is_err() {
-            self.remaining = 0; // poisoned: stop at the first bad entry
-        }
-        Some(one)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining))
-    }
-}
-
 /// Decode `count` directory entries into `out`, reusing its entries and
 /// their name buffers — steady-state zero allocations once warmed.
 /// Returns how many bytes of `buf` the entries took (whatever follows is
@@ -802,10 +733,9 @@ pub fn decode_dirents_into(
     count: usize,
     out: &mut Vec<WireDirent>,
 ) -> Result<usize, DecodeError> {
-    let mut n = 0usize;
-    let mut entries = dirent_iter(buf, count);
-    for ent in entries.by_ref() {
-        let ent = ent?;
+    let mut r = Reader { buf, pos: 0 };
+    for n in 0..count {
+        let (ino, kind, name) = (r.u64()?, r.u8()?, r.name_ref()?);
         if n == out.len() {
             out.push(WireDirent {
                 ino: 0,
@@ -814,21 +744,13 @@ pub fn decode_dirents_into(
             });
         }
         let slot = &mut out[n];
-        slot.ino = ent.ino;
-        slot.kind = ent.kind;
+        slot.ino = ino;
+        slot.kind = kind;
         slot.name.clear();
-        slot.name.push_str(ent.name);
-        n += 1;
+        slot.name.push_str(name);
     }
-    out.truncate(n);
-    Ok(entries.r.pos)
-}
-
-/// Decode `count` directory entries from a payload buffer.
-pub fn decode_dirents(buf: &[u8], count: usize) -> Result<Vec<WireDirent>, DecodeError> {
-    dirent_iter(buf, count)
-        .map(|e| e.map(|r| r.to_owned()))
-        .collect()
+    out.truncate(count);
+    Ok(r.pos)
 }
 
 #[cfg(test)]
@@ -1162,6 +1084,12 @@ mod tests {
         .encode(&mut buf);
     }
 
+    fn encode_dirents(entries: &[WireDirent], out: &mut Vec<u8>) {
+        for e in entries {
+            encode_dirent(e.ino, e.kind, &e.name, out);
+        }
+    }
+
     #[test]
     fn dirent_list_round_trips() {
         let entries = vec![
@@ -1178,37 +1106,12 @@ mod tests {
         ];
         let mut buf = Vec::new();
         encode_dirents(&entries, &mut buf);
-        assert_eq!(decode_dirents(&buf, 2).unwrap(), entries);
-        assert!(decode_dirents(&buf, 3).is_err());
-    }
-
-    #[test]
-    fn dirent_iter_streams_in_place() {
-        let entries: Vec<WireDirent> = (0..20)
-            .map(|i| WireDirent {
-                ino: i,
-                kind: (i % 2) as u8,
-                name: format!("entry-{i}"),
-            })
-            .collect();
-        let mut buf = Vec::new();
-        encode_dirents(&entries, &mut buf);
-        // A probe-sized consumer stops after the first hit without
-        // touching the rest of the page.
-        let hit = dirent_iter(&buf, 20)
-            .map(|e| e.unwrap())
-            .find(|e| e.name == "entry-3")
-            .unwrap();
-        assert_eq!(hit.ino, 3);
-        // Full walk matches the owned decode.
-        let all: Vec<WireDirent> = dirent_iter(&buf, 20)
-            .map(|e| e.unwrap().to_owned())
-            .collect();
-        assert_eq!(all, entries);
-        // Truncated payload: errors once, then stops (no infinite loop).
-        let errs: Vec<_> = dirent_iter(&buf[..buf.len() - 1], 20).collect();
-        assert!(errs.last().unwrap().is_err());
-        assert!(errs.len() <= 20);
+        let mut out = Vec::new();
+        assert_eq!(decode_dirents_into(&buf, 2, &mut out).unwrap(), buf.len());
+        assert_eq!(out, entries);
+        assert!(decode_dirents_into(&buf, 3, &mut out).is_err());
+        // A truncated payload is an error, not a short listing.
+        assert!(decode_dirents_into(&buf[..buf.len() - 1], 2, &mut out).is_err());
     }
 
     #[test]

@@ -38,20 +38,15 @@ mod queue;
 mod sqe;
 
 pub use driver::{
-    create_fabric, CallError, FileCompletion, FileIncoming, FileIncomingBatch, FileTarget,
-    RecvError, Sides,
+    create_fabric, CallError, FileCompletion, FileIncoming, FileIncomingBatch, FileTarget, Sides,
 };
 pub use filemsg::{
-    decode_dirents, decode_dirents_into, dirent_iter, encode_dirent, encode_dirents, DecodeError,
-    DirentIter, FileRequest, FileResponse, WireAttr, WireDirent, WireDirentRef, WireStep,
-    MAX_NAME_LEN, MAX_PATH_LEN,
+    decode_dirents_into, encode_dirent, DecodeError, FileRequest, FileResponse, WireAttr,
+    WireDirent, WireStep, MAX_NAME_LEN, MAX_PATH_LEN,
 };
 pub use pool::{ChannelPool, PoolStats, RetryPolicy, Ticket};
 pub use queue::{
     DoorbellGuard, Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, ReadSide, Reply,
     Target, READ_HEADER_CAP, SGL_LIST_CAP, SGL_MAX_SEGMENTS,
 };
-pub use sqe::{
-    Cqe, CqeStatus, DispatchType, Psdt, Sqe, CQE_INLINE_CAP, CQE_SIZE, CQE_WIDE_CAP, OPCODE_NVMEFS,
-    SQE_SIZE,
-};
+pub use sqe::{DispatchType, Sqe, CQE_SIZE, CQE_WIDE_CAP, SQE_SIZE};

@@ -1008,7 +1008,7 @@ mod tests {
             depth: 4,
             max_io_bytes: 4096,
         };
-        let (ini, mut tgt) = QueuePair::new(0, cfg).split(dma);
+        let (ini, mut tgt) = QueuePair::new(cfg).split(dma);
         let mut pool = ChannelPool::new(vec![ini]);
         pool.set_retry(RetryPolicy {
             attempts: 2,
@@ -1081,7 +1081,7 @@ mod tests {
             depth: 4,
             max_io_bytes: 4096,
         };
-        let (ini, mut tgt) = QueuePair::new(0, cfg).split(dma);
+        let (ini, mut tgt) = QueuePair::new(cfg).split(dma);
         let mut pool = ChannelPool::new(vec![ini]);
         pool.set_retry(RetryPolicy {
             attempts: 2,

@@ -19,7 +19,7 @@
 //! Headers travel in the descriptors whenever they fit (the inline form,
 //! `sqe.rs` module docs): a request header in the SQE's idle Dwords, a
 //! reply header in the CQE — up to
-//! [`CQE_INLINE_CAP`](crate::CQE_INLINE_CAP) bytes beside a payload, up
+//! [`CQE_INLINE_CAP`](crate::sqe::CQE_INLINE_CAP) bytes beside a payload, up
 //! to [`CQE_WIDE_CAP`](crate::CQE_WIDE_CAP) when there is none and the
 //! CQE's Dword 0 is free. Neither then costs a DMA of its own, and the write
 //! payload starts page-aligned in its buffer: a command with neither
@@ -138,7 +138,6 @@ impl Default for QueuePairConfig {
 
 /// Shared ring state (host memory + doorbell registers).
 pub(crate) struct QpShared {
-    pub(crate) id: u16,
     pub(crate) cfg: QueuePairConfig,
     pub(crate) sq_mem: HostRegion,
     pub(crate) cq_mem: HostRegion,
@@ -163,12 +162,11 @@ pub struct QueuePair {
 }
 
 impl QueuePair {
-    pub fn new(id: u16, cfg: QueuePairConfig) -> QueuePair {
+    pub fn new(cfg: QueuePairConfig) -> QueuePair {
         assert!(cfg.depth >= 2, "queue depth must be at least 2");
         let depth = cfg.depth as usize;
         QueuePair {
             shared: Arc::new(QpShared {
-                id,
                 cfg,
                 sq_mem: HostRegion::new(depth * SQE_SIZE),
                 cq_mem: HostRegion::new(depth * CQE_SIZE),
@@ -305,16 +303,11 @@ impl Reply<'_> {
         self.pool.read_local(self.at + from, dst);
     }
 
-    /// Append the whole payload to `out`: each byte written once, no
-    /// zero-fill first.
-    pub fn append_to(&self, out: &mut Vec<u8>) {
-        self.pool.read_local_extend(self.at, self.len, out);
-    }
-
-    /// The payload, owned: one allocation, none for an empty payload.
+    /// The payload, owned: one allocation, none for an empty payload,
+    /// and each byte written once, with no zero-fill first.
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.append_to(&mut out);
+        self.pool.read_local_extend(self.at, self.len, &mut out);
         out
     }
 }
@@ -374,10 +367,6 @@ pub struct Initiator {
 }
 
 impl Initiator {
-    pub fn queue_id(&self) -> u16 {
-        self.shared.id
-    }
-
     pub fn depth(&self) -> u16 {
         self.shared.cfg.depth
     }
@@ -521,7 +510,7 @@ impl Initiator {
     /// Open a deferred-doorbell batch — the one way to stage commands:
     /// every command staged through the guard is written into the ring
     /// immediately, but the tail doorbell is published (and rung) only
-    /// once, when the guard commits or drops.
+    /// once, when the guard drops.
     pub fn batch(&mut self) -> DoorbellGuard<'_> {
         DoorbellGuard {
             opened_at: self.sq_tail,
@@ -596,8 +585,8 @@ impl Initiator {
 /// Deferred-doorbell submission batch from [`Initiator::batch`].
 ///
 /// Commands staged through the guard land in the ring immediately; the SQ
-/// tail doorbell is published exactly once when the guard commits (or is
-/// dropped), so a batch of N commands costs one MMIO doorbell instead of N
+/// tail doorbell is published exactly once when the guard is dropped, so a
+/// batch of N commands costs one MMIO doorbell instead of N
 /// — and a batch that wrote no SQE rings none.
 pub struct DoorbellGuard<'a> {
     ini: &'a mut Initiator,
@@ -607,41 +596,15 @@ pub struct DoorbellGuard<'a> {
 }
 
 impl DoorbellGuard<'_> {
-    /// Stage one bidirectional command: `write_payload` (behind `header`,
-    /// when that does not fit the SQE) goes into a transport buffer's
-    /// write half; `read` says what is expected back in its read half — a
-    /// plain `read_len` is [`ReadSide::Buffer`]. Returns the CID (the
-    /// buffer's index). A command that does not fit its buffer is
-    /// refused, not sent: its CID comes back as `InvalidCommand`.
-    pub fn submit(
-        &mut self,
-        dispatch: DispatchType,
-        header: &[u8],
-        write_payload: &[u8],
-        read: impl Into<ReadSide>,
-    ) -> Result<u16, QueueFull> {
-        self.stage(dispatch, header, Payload::Flat(write_payload), read.into())
-    }
-
-    /// Stage one command whose write side is described by a scatter-gather
-    /// list instead of a contiguous PRP range (PSDT = `SglWrite`). Each
-    /// segment is an independently-addressed buffer; the target fetches
-    /// the descriptor list (one DMA) and then each segment (one DMA per
-    /// segment), as a real SGL engine would. The logical payload is the
-    /// concatenation of all segments, exactly as in
-    /// [`submit`](Self::submit).
-    pub fn submit_sgl(
-        &mut self,
-        dispatch: DispatchType,
-        header: &[u8],
-        segments: &[&[u8]],
-        read: impl Into<ReadSide>,
-    ) -> Result<u16, QueueFull> {
-        self.stage(dispatch, header, Payload::Gather(segments), read.into())
-    }
-
-    /// Stage one command with either kind of write side.
-    pub(crate) fn stage(
+    /// Stage one command: `write` (behind `header`, when that does not
+    /// fit the SQE) goes into a transport buffer's write half — a flat
+    /// payload as a PRP range, a gathered one as a scatter-gather list
+    /// (PSDT = `SglWrite`) whose segments the target fetches one DMA
+    /// each; `read` says what is expected back in its read half. Returns
+    /// the CID (the buffer's index). A command that does not fit its
+    /// buffer is refused, not sent: its CID comes back as
+    /// `InvalidCommand`.
+    pub fn stage(
         &mut self,
         dispatch: DispatchType,
         header: &[u8],
@@ -657,10 +620,6 @@ impl DoorbellGuard<'_> {
     pub fn staged(&self) -> usize {
         self.staged
     }
-
-    /// Publish the tail and ring the doorbell (once). Equivalent to
-    /// dropping the guard; provided for explicit call sites.
-    pub fn commit(self) {}
 }
 
 impl Drop for DoorbellGuard<'_> {
@@ -700,10 +659,6 @@ pub struct Target {
 }
 
 impl Target {
-    pub fn queue_id(&self) -> u16 {
-        self.shared.id
-    }
-
     /// `[addr, addr + len)` as a range of the data pool, if it is one no
     /// longer than a transport buffer. Every address and length an SQE
     /// (or an SGL descriptor) carries is host-written: nothing is read
@@ -1015,13 +970,10 @@ mod tests {
 
     fn pair(depth: u16, max_io: usize) -> (Initiator, Target, DmaEngine) {
         let dma = DmaEngine::new();
-        let (ini, tgt) = QueuePair::new(
-            0,
-            QueuePairConfig {
-                depth,
-                max_io_bytes: max_io,
-            },
-        )
+        let (ini, tgt) = QueuePair::new(QueuePairConfig {
+            depth,
+            max_io_bytes: max_io,
+        })
         .split(dma.clone());
         (ini, tgt, dma)
     }
@@ -1034,7 +986,8 @@ mod tests {
         payload: &[u8],
         read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        ini.batch().submit(dispatch, header, payload, read)
+        ini.batch()
+            .stage(dispatch, header, Payload::Flat(payload), read.into())
     }
 
     /// Stage one SGL command under a doorbell of its own.
@@ -1045,7 +998,8 @@ mod tests {
         segments: &[&[u8]],
         read: impl Into<ReadSide>,
     ) -> Result<u16, QueueFull> {
-        ini.batch().submit_sgl(dispatch, header, segments, read)
+        ini.batch()
+            .stage(dispatch, header, Payload::Gather(segments), read.into())
     }
 
     /// A command as the target fetched it.
@@ -2094,12 +2048,12 @@ mod tests {
         }
         let mut batch = ini.batch();
         batch
-            .submit(DispatchType::Standalone, b"", b"a", 1)
+            .stage(DispatchType::Standalone, b"", Payload::Flat(b"a"), 1.into())
             .unwrap();
         batch
-            .submit(DispatchType::Standalone, b"", b"b", 1)
+            .stage(DispatchType::Standalone, b"", Payload::Flat(b"b"), 1.into())
             .unwrap();
-        batch.commit();
+        drop(batch);
         assert_eq!(ini.doorbell_wakes(), 0);
     }
 
@@ -2232,11 +2186,12 @@ mod tests {
             // Pair B: one doorbell for the whole batch.
             let mut batch = ini_b.batch();
             for i in 0..n_ops {
+                let write = Payload::Flat(&payloads[i]);
                 batch
-                    .submit(DispatchType::Standalone, &headers[i], &payloads[i], read_lens[i])
+                    .stage(DispatchType::Standalone, &headers[i], write, read_lens[i].into())
                     .unwrap();
             }
-            batch.commit();
+            drop(batch);
 
             let inb = fetch_all(&mut tgt_b);
             prop_assert_eq!(inb.len(), n_ops);

@@ -67,7 +67,7 @@
 //! form's room says so.
 
 /// The vendor-specific bidirectional nvme-fs opcode.
-pub const OPCODE_NVMEFS: u8 = 0xA3;
+const OPCODE_NVMEFS: u8 = 0xA3;
 
 /// Size of one submission queue entry, per the NVMe spec.
 pub const SQE_SIZE: usize = 64;
@@ -85,7 +85,7 @@ pub enum DispatchType {
 
 /// Data-buffer descriptor selector (Dword0 bits 14–15, the PSDT field).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Psdt {
+pub(crate) enum Psdt {
     /// Physical Region Page entries — the nvme-fs default.
     Prp,
     /// Scatter-gather list (write direction).
@@ -104,7 +104,7 @@ const INLINE_BIT: u32 = 1 << 11;
 const INLINE_DWORDS: [usize; 12] = [1, 12, 14, 15, 2, 3, 4, 5, 6, 7, 8, 9];
 
 /// Reply-header bytes a CQE carries beside a payload (the narrow form).
-pub const CQE_INLINE_CAP: usize = 5;
+pub(crate) const CQE_INLINE_CAP: usize = 5;
 
 /// Reply-header bytes a CQE carries when the reply has no payload (the
 /// wide form: Dword 0 holds four of them).
@@ -138,21 +138,6 @@ impl Sqe {
         (self.dwords[0] & 0xFF) as u8
     }
 
-    /// True when the low opcode bits select bidirectional transfer (`11b`).
-    pub fn is_bidirectional(&self) -> bool {
-        self.opcode() & 0b11 == 0b11
-    }
-
-    /// The vendor function number (opcode bits 2–6). nvme-fs uses `01000b`.
-    pub fn function(&self) -> u8 {
-        (self.opcode() >> 2) & 0x1F
-    }
-
-    /// True when opcode bit 7 marks the command as vendor-customised.
-    pub fn is_vendor(&self) -> bool {
-        self.opcode() & 0x80 != 0
-    }
-
     pub fn set_dispatch(&mut self, d: DispatchType) -> &mut Self {
         match d {
             DispatchType::Standalone => self.dwords[0] &= !(1 << 10),
@@ -161,7 +146,7 @@ impl Sqe {
         self
     }
 
-    pub fn dispatch(&self) -> DispatchType {
+    pub(crate) fn dispatch(&self) -> DispatchType {
         if self.dwords[0] & (1 << 10) == 0 {
             DispatchType::Standalone
         } else {
@@ -169,7 +154,7 @@ impl Sqe {
         }
     }
 
-    pub fn set_psdt(&mut self, p: Psdt) -> &mut Self {
+    pub(crate) fn set_psdt(&mut self, p: Psdt) -> &mut Self {
         let bits = match p {
             Psdt::Prp => 0b00,
             Psdt::SglWrite => 0b01,
@@ -180,7 +165,7 @@ impl Sqe {
         self
     }
 
-    pub fn psdt(&self) -> Psdt {
+    pub(crate) fn psdt(&self) -> Psdt {
         match (self.dwords[0] >> 14) & 0b11 {
             0b00 => Psdt::Prp,
             0b01 => Psdt::SglWrite,
@@ -194,7 +179,7 @@ impl Sqe {
         self
     }
 
-    pub fn cid(&self) -> u16 {
+    pub(crate) fn cid(&self) -> u16 {
         (self.dwords[0] >> 16) as u16
     }
 
@@ -207,7 +192,7 @@ impl Sqe {
         self
     }
 
-    pub fn prp_write(&self) -> (u64, u64) {
+    pub(crate) fn prp_write(&self) -> (u64, u64) {
         (
             self.dwords[2] as u64 | ((self.dwords[3] as u64) << 32),
             self.dwords[4] as u64 | ((self.dwords[5] as u64) << 32),
@@ -223,7 +208,7 @@ impl Sqe {
         self
     }
 
-    pub fn prp_read(&self) -> (u64, u64) {
+    pub(crate) fn prp_read(&self) -> (u64, u64) {
         (
             self.dwords[6] as u64 | ((self.dwords[7] as u64) << 32),
             self.dwords[8] as u64 | ((self.dwords[9] as u64) << 32),
@@ -236,7 +221,7 @@ impl Sqe {
         self
     }
 
-    pub fn write_len(&self) -> u32 {
+    pub(crate) fn write_len(&self) -> u32 {
         self.dwords[10]
     }
 
@@ -246,18 +231,18 @@ impl Sqe {
         self
     }
 
-    pub fn read_len(&self) -> u32 {
+    pub(crate) fn read_len(&self) -> u32 {
         self.dwords[11]
     }
 
     /// Number of scatter-gather segments in the write-side SGL
     /// (Dword 12; meaningful only when PSDT selects SGL).
-    pub fn set_sgl_count(&mut self, n: u32) -> &mut Self {
+    pub(crate) fn set_sgl_count(&mut self, n: u32) -> &mut Self {
         self.dwords[12] = n;
         self
     }
 
-    pub fn sgl_count(&self) -> u32 {
+    pub(crate) fn sgl_count(&self) -> u32 {
         self.dwords[12]
     }
 
@@ -267,7 +252,7 @@ impl Sqe {
         self
     }
 
-    pub fn wh_len(&self) -> u16 {
+    pub(crate) fn wh_len(&self) -> u16 {
         (self.dwords[13] & 0xFFFF) as u16
     }
 
@@ -277,7 +262,7 @@ impl Sqe {
         self
     }
 
-    pub fn rh_len(&self) -> u16 {
+    pub(crate) fn rh_len(&self) -> u16 {
         (self.dwords[13] >> 16) as u16
     }
 
@@ -297,14 +282,14 @@ impl Sqe {
 
     /// Request-header bytes this entry has room for, given its PSDT,
     /// `Write_len`, `Read_len` and `RH_len`.
-    pub fn inline_capacity(&self) -> usize {
+    fn inline_capacity(&self) -> usize {
         self.inline_dwords().count() * 4
     }
 
     /// Carry `header` in the entry itself. Call once every other field is
     /// set: the room depends on them. `false` (entry untouched) when the
     /// header does not fit.
-    pub fn set_inline_header(&mut self, header: &[u8]) -> bool {
+    pub(crate) fn set_inline_header(&mut self, header: &[u8]) -> bool {
         if header.len() > self.inline_capacity() {
             return false;
         }
@@ -319,14 +304,14 @@ impl Sqe {
     }
 
     /// Whether the request header rides in this entry.
-    pub fn is_inline(&self) -> bool {
+    pub(crate) fn is_inline(&self) -> bool {
         self.dwords[0] & INLINE_BIT != 0
     }
 
     /// Append the inline request header to `out`. `false` (nothing
     /// appended) when the entry is not inline, or claims more header
     /// bytes than its own fields leave room for.
-    pub fn inline_header(&self, out: &mut Vec<u8>) -> bool {
+    pub(crate) fn inline_header(&self, out: &mut Vec<u8>) -> bool {
         let len = self.wh_len() as usize;
         if !self.is_inline() || len > self.inline_capacity() {
             return false;
@@ -455,7 +440,7 @@ impl Cqe {
         (len <= self.inline_cap()).then(|| &self.inline[..len])
     }
 
-    pub fn to_bytes(&self) -> [u8; CQE_SIZE] {
+    pub fn to_bytes(self) -> [u8; CQE_SIZE] {
         let mut out = [0u8; CQE_SIZE];
         if self.wide {
             out[0..4].copy_from_slice(&self.inline[5..]);
@@ -503,11 +488,11 @@ mod tests {
 
     #[test]
     fn opcode_bit_layout_matches_paper() {
-        let s = Sqe::new();
-        assert_eq!(s.opcode(), 0xA3);
-        assert!(s.is_bidirectional(), "low bits must be 11b");
-        assert_eq!(s.function(), 0b01000, "function field must be 01000b");
-        assert!(s.is_vendor(), "high bit must mark vendor command");
+        let op = Sqe::new().opcode();
+        assert_eq!(op, 0xA3);
+        assert_eq!(op & 0b11, 0b11, "low bits must be 11b (bidirectional)");
+        assert_eq!((op >> 2) & 0x1F, 0b01000, "function field must be 01000b");
+        assert_ne!(op & 0x80, 0, "high bit must mark vendor command");
     }
 
     #[test]

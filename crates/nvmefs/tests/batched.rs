@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use dpc_nvmefs::{
     create_fabric, ChannelPool, DispatchType, FileIncomingBatch, FileRequest, FileResponse,
-    FileTarget, Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, Sides, Ticket,
+    FileTarget, Initiator, Payload, QueueFull, QueuePair, QueuePairConfig, ReadSide, Sides, Ticket,
 };
 use dpc_pcie::DmaEngine;
 
@@ -21,10 +21,13 @@ fn cfg(depth: u16, max_io: usize) -> QueuePairConfig {
     }
 }
 
+/// A one-byte write that expects nothing back.
+const X: Payload<'static> = Payload::Flat(b"x");
+
 /// A bare initiator, for what the doorbell guard does on its own.
 fn initiator(depth: u16, max_io: usize) -> (Initiator, DmaEngine) {
     let dma = DmaEngine::new();
-    let (ini, _) = QueuePair::new(0, cfg(depth, max_io)).split(dma.clone());
+    let (ini, _) = QueuePair::new(cfg(depth, max_io)).split(dma.clone());
     (ini, dma)
 }
 
@@ -114,17 +117,17 @@ fn a_batch_rings_exactly_one_doorbell() {
 fn a_batch_stages_only_what_the_ring_holds() {
     let (mut ini, dma) = initiator(4, 4096);
     // depth-1 = 3 usable slots: the fourth op is refused, the three that
-    // fit go out under one doorbell — rung when the guard commits, not
+    // fit go out under one doorbell — rung when the guard drops, not
     // before.
     let before = dma.snapshot();
     let mut batch = ini.batch();
     for _ in 0..3 {
         batch
-            .submit(DispatchType::Standalone, b"", b"x", 0)
+            .stage(DispatchType::Standalone, b"", X, ReadSide::Buffer(0))
             .unwrap();
     }
     assert_eq!(
-        batch.submit(DispatchType::Standalone, b"", b"x", 0),
+        batch.stage(DispatchType::Standalone, b"", X, ReadSide::Buffer(0)),
         Err(QueueFull)
     );
     assert_eq!(batch.staged(), 3);
@@ -133,15 +136,15 @@ fn a_batch_stages_only_what_the_ring_holds() {
         0,
         "nothing rung yet"
     );
-    batch.commit();
+    drop(batch);
     assert_eq!(ini.outstanding(), 3);
     assert_eq!(dma.snapshot().since(&before).doorbells, 1);
     // A batch on a full ring stages nothing and rings nothing.
     let mut batch = ini.batch();
     assert!(batch
-        .submit(DispatchType::Standalone, b"", b"x", 0)
+        .stage(DispatchType::Standalone, b"", X, ReadSide::Buffer(0))
         .is_err());
-    batch.commit();
+    drop(batch);
     assert_eq!(ini.outstanding(), 3);
     assert_eq!(dma.snapshot().since(&before).doorbells, 1);
 }

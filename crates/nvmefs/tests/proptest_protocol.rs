@@ -139,8 +139,6 @@ proptest! {
         let back = Sqe::from_bytes(&s.to_bytes());
         prop_assert_eq!(back, s);
         prop_assert_eq!(back.opcode(), 0xA3);
-        prop_assert!(back.is_bidirectional());
-        prop_assert!(back.is_vendor());
     }
 
     #[test]

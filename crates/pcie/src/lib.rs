@@ -34,32 +34,16 @@ use std::sync::Arc;
 use dpc_fault::Nanos;
 use parking_lot::RwLock;
 
-/// PCIe generation; fixes the per-lane usable bandwidth.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum PcieGen {
-    Gen3,
-    Gen4,
-    Gen5,
-}
-
-impl PcieGen {
-    /// Usable bytes/sec per lane after 128b/130b encoding and protocol
-    /// overhead (approximately 0.985 GB/s for Gen3).
-    pub fn per_lane_bytes_per_sec(self) -> f64 {
-        match self {
-            PcieGen::Gen3 => 0.985e9,
-            PcieGen::Gen4 => 1.969e9,
-            PcieGen::Gen5 => 3.938e9,
-        }
-    }
-}
+/// Usable bytes/sec of one PCIe 3.0 lane after 128b/130b encoding and
+/// protocol overhead.
+const GEN3_LANE_BYTES_PER_SEC: f64 = 0.985e9;
 
 /// Timing model for the link. Defaults match the paper's testbed
 /// (PCIe 3.0 x16 ≈ 15.75 GB/s; §4.1 reports nvme-fs saturating it at
 /// 15.1/14.3 GB/s).
 #[derive(Copy, Clone, Debug)]
 pub struct PcieModel {
-    pub gen: PcieGen,
+    /// PCIe 3.0 lanes.
     pub lanes: u32,
     /// Fixed cost to set up and complete one DMA operation (descriptor
     /// fetch, TLP round trip, engine scheduling).
@@ -73,7 +57,6 @@ pub struct PcieModel {
 impl Default for PcieModel {
     fn default() -> Self {
         PcieModel {
-            gen: PcieGen::Gen3,
             lanes: 16,
             dma_setup: Nanos::from_micros(2.0),
             doorbell: Nanos::from_micros(0.4),
@@ -84,7 +67,7 @@ impl Default for PcieModel {
 
 impl PcieModel {
     pub fn bandwidth_bytes_per_sec(&self) -> f64 {
-        self.gen.per_lane_bytes_per_sec() * self.lanes as f64
+        GEN3_LANE_BYTES_PER_SEC * self.lanes as f64
     }
 
     /// Virtual-time cost of one DMA operation moving `bytes`.
@@ -101,14 +84,15 @@ impl PcieModel {
 
 /// Monotonic counters for everything that crossed the link.
 #[derive(Default, Debug)]
-pub struct PcieCounters {
+struct PcieCounters {
     dma_ops: AtomicU64,
     dma_bytes: AtomicU64,
     doorbells: AtomicU64,
     atomics: AtomicU64,
 }
 
-/// A point-in-time copy of [`PcieCounters`], used to diff around a request.
+/// A point-in-time copy of a [`DmaEngine`]'s counters, used to diff
+/// around a request.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
 pub struct PcieSnapshot {
     pub dma_ops: u64,
@@ -130,21 +114,13 @@ impl PcieSnapshot {
 }
 
 impl PcieCounters {
-    pub fn snapshot(&self) -> PcieSnapshot {
+    fn snapshot(&self) -> PcieSnapshot {
         PcieSnapshot {
             dma_ops: self.dma_ops.load(Ordering::Relaxed),
             dma_bytes: self.dma_bytes.load(Ordering::Relaxed),
             doorbells: self.doorbells.load(Ordering::Relaxed),
             atomics: self.atomics.load(Ordering::Relaxed),
         }
-    }
-
-    pub fn record_doorbell(&self) {
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_atomic(&self) {
-        self.atomics.fetch_add(1, Ordering::Relaxed);
     }
 
     fn record_dma(&self, bytes: u64) {
@@ -221,8 +197,7 @@ impl HostRegion {
     /// of the region. Callers whose offsets come from *trusted* layout
     /// math (queue rings, fixed headers) use this form; anything parsing
     /// offsets out of region *contents* — e.g. the intent-log recovery
-    /// scan walking a possibly-corrupt tail — must use
-    /// [`try_write_local`](Self::try_write_local) /
+    /// scan walking a possibly-corrupt tail — must read through
     /// [`try_read_local`](Self::try_read_local) instead, so corrupt
     /// lengths surface as typed errors rather than panics.
     pub fn write_local(&self, offset: usize, src: &[u8]) {
@@ -245,7 +220,7 @@ impl HostRegion {
     /// Fallible host-CPU store: a range that overflows or falls outside
     /// the region returns [`RegionError`] and writes nothing (never a
     /// partial copy).
-    pub fn try_write_local(&self, offset: usize, src: &[u8]) -> Result<(), RegionError> {
+    fn try_write_local(&self, offset: usize, src: &[u8]) -> Result<(), RegionError> {
         let mut guard = self.inner.write();
         let dst = Self::checked_range(guard.len(), offset, src.len())?;
         guard[dst].copy_from_slice(src);
@@ -346,10 +321,6 @@ impl DmaEngine {
         Self::default()
     }
 
-    pub fn counters(&self) -> &PcieCounters {
-        &self.counters
-    }
-
     pub fn snapshot(&self) -> PcieSnapshot {
         self.counters.snapshot()
     }
@@ -403,7 +374,7 @@ impl DmaEngine {
     /// PCIe atomic fetch-add on a host-memory u32 (used by the hybrid cache
     /// lock protocol accounting).
     pub fn record_atomic(&self) {
-        self.counters.record_atomic();
+        self.counters.atomics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Account one DMA operation over memory this engine does not manage
@@ -415,7 +386,7 @@ impl DmaEngine {
 
     /// Doorbell ring (host notifying the DPU, or vice versa).
     pub fn ring_doorbell(&self) {
-        self.counters.record_doorbell();
+        self.counters.doorbells.fetch_add(1, Ordering::Relaxed);
     }
 }
 

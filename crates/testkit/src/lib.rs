@@ -3,11 +3,25 @@
 //! op schedule and its lockstep, the crash oracle, whole-file read-backs,
 //! and the `fsync` loop that races a suite's writers.
 //!
-//! A suite keeps its own seed mixing (`seed ^ id.rotate_left(29)` and the
-//! like) and hands the mixed state to [`fill`], so every byte it writes is
-//! its own. The op schedule's payloads mix with [`payload`].
+//! Every suite takes its bytes from [`fill`]: a bare seed, or a seed and
+//! an object id mixed by [`fill_for`], so every byte it writes is its own.
+//! The op schedule's payloads mix with [`payload`].
+//!
+//! Beside the model, the seeded workload shapes: [`FileSetGen`] drives
+//! the file-set churn suite with vdbench-style namespace op mixes,
+//! [`Zipf`] adds skew for the cache-policy ablation, and [`HotSetGen`]
+//! composes it into the read-mostly hot-set stream (Zipfian offsets over
+//! a small file set) that drives the lock-free meta-plane chaos suite.
 
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
+
+mod fileset;
+mod hotset;
+mod zipf;
+
+pub use fileset::{FileOp, FileSetGen, FileSetMix};
+pub use hotset::{HotSetGen, HotSetOp, HotSetSpec};
+pub use zipf::Zipf;
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,6 +52,11 @@ pub fn fill(mut state: u64, len: usize) -> Vec<u8> {
     }
     out.truncate(len);
     out
+}
+
+/// `len` bytes of object `id`'s stream under `seed`.
+pub fn fill_for(seed: u64, id: u64, len: usize) -> Vec<u8> {
+    fill(seed ^ id.rotate_left(29), len)
 }
 
 /// The bytes of op `tag` of `seed`'s schedule.

@@ -110,12 +110,12 @@ if [ "$listed" != "$present" ]; then
         "$(tr '\n' ' ' <<<"$present")" >&2
     exit 1
 fi
-# The product stands alone (DESIGN.md §3): the modelled testbed — the
-# simulator, the virtio-fs baseline, the workload generators and the
-# figures with their prices — is leaves that neither `dpc-core` nor the
-# `dpc` facade reaches through a normal edge, and the base crate
-# `dpc-fault` names no `dpc-*` crate at all.
-leaves="dpc-sim dpc-virtiofs dpc-workload dpc-bench"
+# The product stands alone (DESIGN.md §3): the modelled testbed and the
+# tests' model — the simulator, the virtio-fs baseline, the testkit with
+# its workload generators, and the figures with their prices — are leaves
+# that neither `dpc-core` nor the `dpc` facade reaches through a normal
+# edge, and the base crate `dpc-fault` names no `dpc-*` crate at all.
+leaves="dpc-sim dpc-virtiofs dpc-testkit dpc-bench"
 for pkg in dpc-core dpc; do
     deps=$(cargo tree -e normal --offline -p "$pkg" --prefix none | cut -d' ' -f1 | sort -u)
     for leaf in $leaves; do
@@ -239,5 +239,9 @@ cp "$lock" "$saved_lock"
 trap 'cp "$saved_lock" "$lock"; rm -f "$saved_lock"' EXIT
 cargo build --release --manifest-path dpc-e2e/Cargo.toml
 cargo test --release --manifest-path dpc-e2e/Cargo.toml
+# The count ledger: every workload's three per-op counts at seed 7 and
+# `--seconds 1` equal scripts/counts.tsv to the last digit, so a change
+# that moves a count says so in that file's diff.
+scripts/counts.sh
 
 echo "tier1: OK"

@@ -8,6 +8,7 @@
 //! a command larger than its buffer is EINVAL.
 
 use dpc::core::{Dpc, DpcConfig, DpcError, DpcFs, IoMode};
+use dpc_testkit::fill;
 
 /// A buffered and a direct adapter over one instance.
 fn adapters(dpc: &Dpc) -> (DpcFs, DpcFs) {
@@ -17,12 +18,6 @@ fn adapters(dpc: &Dpc) -> (DpcFs, DpcFs) {
 }
 
 /// Bytes that differ page to page, so a misplaced piece shows.
-fn pattern(len: usize, seed: u32) -> Vec<u8> {
-    (0..len as u32)
-        .map(|i| (i.wrapping_add(seed).wrapping_mul(2_654_435_761) >> 24) as u8)
-        .collect()
-}
-
 /// What the store itself holds for `path`.
 fn stored(dpc: &Dpc, path: &str, len: usize) -> Vec<u8> {
     let kvfs = dpc.kvfs_inner();
@@ -87,7 +82,7 @@ fn an_oversize_direct_write_crosses_in_pieces() {
     let (fs, direct) = adapters(&dpc);
     fs.close(fs.create("/big").unwrap()).unwrap();
     let fd = direct.open("/big").unwrap();
-    let data = pattern(OVERSIZE, 1);
+    let data = fill(1, OVERSIZE);
     assert_eq!(direct.write(fd, 0, &data).unwrap(), OVERSIZE);
     assert_eq!(direct.size(fd).unwrap(), OVERSIZE as u64);
     assert_eq!(stored(&dpc, "/big", OVERSIZE), data);
@@ -98,7 +93,7 @@ fn an_oversize_writev_crosses_in_pieces() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/big").unwrap();
-    let data = pattern(OVERSIZE, 2);
+    let data = fill(2, OVERSIZE);
     let (a, b) = data.split_at(OVERSIZE / 2);
     assert_eq!(fs.writev(fd, 0, &[a, b]).unwrap(), OVERSIZE);
     assert_eq!(stored(&dpc, "/big", OVERSIZE), data);
@@ -107,7 +102,7 @@ fn an_oversize_writev_crosses_in_pieces() {
 #[test]
 fn an_oversize_direct_read_reads_in_pieces() {
     let dpc = Dpc::new(DpcConfig::default());
-    let data = pattern(OVERSIZE, 3);
+    let data = fill(3, OVERSIZE);
     let ino = dpc.kvfs_inner().create("/big", 0o644).unwrap();
     dpc.kvfs_inner().write(ino, 0, &data).unwrap();
     let (_, direct) = adapters(&dpc);
@@ -122,7 +117,7 @@ fn a_writev_of_more_segments_than_an_sgl_holds_crosses_in_pieces() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/gather").unwrap();
-    let data = pattern(16 * 4096, 4);
+    let data = fill(4, 16 * 4096);
     let segments: Vec<&[u8]> = data.chunks(4096).collect();
     assert_eq!(fs.writev(fd, 0, &segments).unwrap(), data.len());
     assert_eq!(stored(&dpc, "/gather", data.len()), data);

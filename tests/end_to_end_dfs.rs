@@ -6,8 +6,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 
-use dpc::core::{Dpc, DpcConfig, DpcFs};
+use dpc::core::{Dpc, DpcConfig, DpcError, DpcFs};
 use dpc::dfs::DfsConfig;
+use dpc::nvmefs::{MAX_NAME_LEN, MAX_PATH_LEN};
+use dpc_testkit::fill;
 
 fn dfs_dpc() -> Dpc {
     Dpc::new(DpcConfig {
@@ -132,6 +134,41 @@ fn dfs_lazy_metadata_sync() {
 }
 
 #[test]
+fn dfs_names_answer_what_kvfs_names_answer() {
+    let dpc = dfs_dpc();
+    let fs = dpc.fs();
+    // Past 1024 bytes a name is ENAMETOOLONG, as the KVFS create of the
+    // same name is, and nothing crosses: no panic, no inode to lose.
+    for len in [MAX_NAME_LEN + 1, 2000, 5000, MAX_PATH_LEN + 1] {
+        let name = "x".repeat(len);
+        assert_eq!(
+            fs.dfs_create(0, &name),
+            Err(DpcError::NAME_TOO_LONG),
+            "{len}"
+        );
+        assert_eq!(
+            fs.dfs_lookup(0, &name),
+            Err(DpcError::NAME_TOO_LONG),
+            "{len}"
+        );
+        assert_eq!(
+            fs.create(&format!("/{name}")).err(),
+            Some(DpcError::NAME_TOO_LONG),
+            "{len}"
+        );
+    }
+    // A name KVFS refuses as invalid, the DPU refuses as invalid.
+    for name in ["", ".", "..", "a/b", "a\0b"] {
+        assert_eq!(fs.dfs_create(0, name), Err(DpcError::INVALID), "{name:?}");
+        assert_eq!(fs.dfs_lookup(0, name), Err(DpcError::INVALID), "{name:?}");
+    }
+    // The longest legal name is created and looked up.
+    let longest = "x".repeat(MAX_NAME_LEN);
+    let ino = fs.dfs_create(0, &longest).unwrap();
+    assert_eq!(fs.dfs_lookup(0, &longest), Ok(ino));
+}
+
+#[test]
 fn standalone_dpc_rejects_distributed_requests() {
     let dpc = Dpc::new(DpcConfig::default()); // no DFS backend
     let fs = dpc.fs();
@@ -232,10 +269,6 @@ fn two_queue_dfs() -> Dpc {
     dpc
 }
 
-fn pattern(seed: u8) -> Vec<u8> {
-    (0..8192u32).map(|i| (i as u8).wrapping_mul(seed)).collect()
-}
-
 #[test]
 fn a_restore_owed_on_one_queue_is_read_on_the_other() {
     let dpc = two_queue_dfs();
@@ -243,7 +276,7 @@ fn a_restore_owed_on_one_queue_is_read_on_the_other() {
     on_two_queues(&dpc, |a, b| {
         let ino = a.run(|fs| {
             let ino = fs.dfs_create(0, "restore").unwrap();
-            fs.dfs_write_block(ino, 0, &pattern(3)).unwrap();
+            fs.dfs_write_block(ino, 0, &fill(3, 8192)).unwrap();
             ino
         });
         // Block 0's server refuses the overwrite: the client rebuilds the
@@ -251,12 +284,15 @@ fn a_restore_owed_on_one_queue_is_read_on_the_other() {
         // server a restore of the new bytes.
         let server = backend.data_server(backend.placement(ino, 0)[0]);
         server.set_failed(true);
-        a.run(move |fs| fs.dfs_write_block(ino, 0, &pattern(5)).unwrap());
+        a.run(move |fs| fs.dfs_write_block(ino, 0, &fill(5, 8192)).unwrap());
         // Back up, still holding the old block: only the owed restore
         // knows the new one.
         server.restart();
         let back = b.run(move |fs| fs.dfs_read_block(ino, 0).unwrap());
-        assert!(back == pattern(5), "read the block the overwrite replaced");
+        assert!(
+            back == fill(5, 8192),
+            "read the block the overwrite replaced"
+        );
     });
 }
 
@@ -267,7 +303,7 @@ fn a_getattr_on_one_queue_sees_growth_written_on_the_other() {
         let ino = a.run(|fs| {
             let ino = fs.dfs_create(0, "grow").unwrap();
             for block in 0..3 {
-                fs.dfs_write_block(ino, block, &pattern(7)).unwrap();
+                fs.dfs_write_block(ino, block, &fill(7, 8192)).unwrap();
             }
             ino
         });
@@ -284,7 +320,7 @@ fn a_sync_on_one_queue_settles_sizes_written_on_the_other() {
         let ino = b.run(|fs| {
             let ino = fs.dfs_create(0, "settle").unwrap();
             for block in 0..3 {
-                fs.dfs_write_block(ino, block, &pattern(9)).unwrap();
+                fs.dfs_write_block(ino, block, &fill(9, 8192)).unwrap();
             }
             ino
         });

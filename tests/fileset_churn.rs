@@ -1,11 +1,11 @@
 //! Full-stack metadata churn: a vdbench-style create/read/stat/delete mix
-//! generated by `dpc-workload` runs against a live DPC instance, with a
+//! generated by `dpc-testkit` runs against a live DPC instance, with a
 //! shadow model verifying every result.
 
 use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig};
-use dpc_workload::{FileOp, FileSetGen, FileSetMix};
+use dpc_testkit::{FileOp, FileSetGen, FileSetMix};
 
 #[test]
 fn churn_mix_through_the_full_stack() {

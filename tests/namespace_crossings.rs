@@ -18,7 +18,7 @@ use std::sync::Arc;
 use dpc::core::{Dpc, DpcConfig, DpcError, DpcFs};
 use dpc::kvfs::{FileKind, FsError, Kvfs, ROOT_INO};
 use dpc::kvstore::KvStore;
-use dpc_testkit::{cold_read, read_fd, splitmix};
+use dpc_testkit::{cold_read, fill, read_fd, splitmix};
 use proptest::prelude::*;
 
 /// A default instance; with `cached` off its meta cache holds nothing
@@ -290,16 +290,12 @@ fn errnos_match_the_dpu_side_walk() {
 
 // ---- hard links and rename-over: who dies -----------------------------
 
-fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
-}
-
 #[test]
 fn unlinking_one_hard_link_keeps_the_other_names_unsynced_bytes() {
     for cache in [false, true] {
         let dpc = quiet(cache);
         let fs = dpc.fs();
-        let data = pattern(8192, 0x3C);
+        let data = fill(0x3C, 8192);
         let fd = fs.create("/a").unwrap();
         fs.link("/a", "/b").unwrap();
         fs.write(fd, 0, &data).unwrap();
@@ -332,7 +328,7 @@ fn rename_over_a_file_drops_the_replaced_inodes_pages() {
     for cache in [false, true] {
         let dpc = quiet(cache);
         let fs = dpc.fs();
-        let (old, new) = (pattern(20_000, 1), pattern(9_000, 2));
+        let (old, new) = (fill(1, 20_000), fill(2, 9_000));
         let victim = fs.create("/dst").unwrap();
         fs.write(victim, 0, &old).unwrap();
         let dead = fs.stat("/dst").unwrap().ino;

@@ -13,12 +13,8 @@ use dpc::cache::{RaConfig, ReadaheadTable, PAGE_SIZE};
 use dpc::core::{Dpc, DpcConfig};
 use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::kvfs::ROOT_INO;
-use dpc_testkit::{fill, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
+use dpc_testkit::{fill_for, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
-
-fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
-    fill(seed ^ id.rotate_left(29), len)
-}
 
 /// Write `data` to `path` on a throwaway instance and hand back the KV
 /// store, so a second instance can stream it *cold* — readahead only
@@ -38,7 +34,7 @@ fn store_with_file(path: &str, data: &[u8]) -> std::sync::Arc<dpc::kvstore::KvSt
 /// performs zero synchronous window fills).
 #[test]
 fn cold_sequential_stream_is_byte_exact_and_prefetched() {
-    let data = pattern(3, 0, 256 * PAGE_SIZE + 1234);
+    let data = fill_for(3, 0, 256 * PAGE_SIZE + 1234);
     let store = store_with_file("/seq", &data);
 
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
@@ -88,7 +84,7 @@ fn cold_sequential_stream_is_byte_exact_and_prefetched() {
 /// command per page.
 #[test]
 fn spanning_miss_read_takes_the_vectored_path() {
-    let data = pattern(9, 0, 32 * PAGE_SIZE);
+    let data = fill_for(9, 0, 32 * PAGE_SIZE);
     let store = store_with_file("/vec", &data);
 
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
@@ -126,7 +122,7 @@ fn spanning_miss_read_takes_the_vectored_path() {
 #[test]
 fn truncate_mid_stream_leaves_no_pages_past_new_size() {
     let pages = 128usize;
-    let data = pattern(11, 0, pages * PAGE_SIZE);
+    let data = fill_for(11, 0, pages * PAGE_SIZE);
     let store = store_with_file("/trunc", &data);
 
     let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);
@@ -182,10 +178,10 @@ fn truncate_mid_stream_leaves_no_pages_past_new_size() {
 #[test]
 fn async_fill_never_clobbers_concurrent_writes() {
     let pages = 192usize;
-    let base = pattern(13, 0, pages * PAGE_SIZE);
+    let base = fill_for(13, 0, pages * PAGE_SIZE);
     let store = store_with_file("/race", &base);
 
-    let overlay = pattern(13, 99, PAGE_SIZE);
+    let overlay = fill_for(13, 99, PAGE_SIZE);
     let overlay_pages: Vec<u64> = (0..24).map(|i| (i * 7 + 3) as u64).collect();
 
     let mut model = FileModel::new(base);
@@ -252,7 +248,7 @@ fn async_fill_never_clobbers_concurrent_writes() {
 /// reads still come back byte-exact.
 #[test]
 fn cache_pressure_throttles_prefetch_to_zero_inserts() {
-    let data = pattern(17, 0, 96 * PAGE_SIZE);
+    let data = fill_for(17, 0, 96 * PAGE_SIZE);
     let store = store_with_file("/hot", &data);
 
     let dpc = Dpc::with_shared_storage(
@@ -346,7 +342,7 @@ fn readahead_chaos_run(seed: u64) {
     plan.arm("kv.op", FaultSpec::probability(0.2).with_delay(2));
     plan.arm("cache.flush", FaultSpec::probability(0.2));
 
-    let data = pattern(seed, 1, 256 * PAGE_SIZE + 321);
+    let data = fill_for(seed, 1, 256 * PAGE_SIZE + 321);
     let store = store_with_file("/chaos", &data);
 
     let (store, model) = {
@@ -380,7 +376,7 @@ fn readahead_chaos_run(seed: u64) {
             off += n as u64;
             if splitmix(&mut rng).is_multiple_of(3) {
                 let wof = splitmix(&mut rng) % (model.bytes().len() as u64 - 8000);
-                let wdata = pattern(seed ^ 0x5A5A, off, 1 + (splitmix(&mut rng) as usize) % 8000);
+                let wdata = fill_for(seed ^ 0x5A5A, off, 1 + (splitmix(&mut rng) as usize) % 8000);
                 fs.write(fd, wof, &wdata).unwrap();
                 model.write(wof, &wdata);
             }
@@ -422,7 +418,7 @@ fn stress_mixed_streams_threads_over_queues() {
         let fs = setup.fs();
         for t in 0..threads as u64 {
             let fd = fs.create(&format!("/stress{t}")).unwrap();
-            fs.write(fd, 0, &pattern(77, t, 48 * PAGE_SIZE + (t as usize * 913)))
+            fs.write(fd, 0, &fill_for(77, t, 48 * PAGE_SIZE + (t as usize * 913)))
                 .unwrap();
             fs.close(fd).unwrap();
         }
@@ -446,7 +442,7 @@ fn stress_mixed_streams_threads_over_queues() {
                     let path = format!("/stress{t}");
                     let fd = fs.open(&path).unwrap();
                     let mut model =
-                        FileModel::new(pattern(77, t, 48 * PAGE_SIZE + (t as usize * 913)));
+                        FileModel::new(fill_for(77, t, 48 * PAGE_SIZE + (t as usize * 913)));
                     let mut rng = t ^ 0xDEAD;
                     let mut buf = vec![0u8; 3 * PAGE_SIZE];
                     for round in 0..rounds {
@@ -470,7 +466,7 @@ fn stress_mixed_streams_threads_over_queues() {
                         for _ in 0..8 {
                             let wof = splitmix(&mut rng) % (model.bytes().len() as u64 - 5000);
                             let len = 1 + (splitmix(&mut rng) as usize) % 5000;
-                            let data = pattern(rng, t, len);
+                            let data = fill_for(rng, t, len);
                             fs.write(fd, wof, &data).unwrap();
                             model.write(wof, &data);
                         }
@@ -505,7 +501,7 @@ proptest! {
     #[test]
     fn any_read_schedule_matches_model(seed in any::<u64>()) {
         let len = 64 * PAGE_SIZE + (seed % 8192) as usize;
-        let data = pattern(seed, 2, len);
+        let data = fill_for(seed, 2, len);
         let store = store_with_file("/prop", &data);
 
         let dpc = Dpc::with_shared_storage(DpcConfig::default(), Some(store), None);

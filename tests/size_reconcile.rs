@@ -22,17 +22,13 @@ use std::sync::Arc;
 use dpc::core::{Dpc, DpcConfig, DpcFs, Fd, FsyncMode, IoMode};
 use dpc::fault::{FaultPlan, FaultSpec};
 use dpc::nvmefs::RetryPolicy;
-use dpc_testkit::{cold_read, racing, racing_fsync, read_file};
-
-fn pattern(len: usize, salt: u8) -> Vec<u8> {
-    (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
-}
+use dpc_testkit::{cold_read, fill, racing, racing_fsync, read_file};
 
 #[test]
 fn fsynced_data_survives_the_close_of_a_second_descriptor() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
-    let data = pattern(64 * 1024, 0x5A);
+    let data = fill(0x5A, 64 * 1024);
 
     let a = fs.create("/f").unwrap();
     fs.write(a, 0, &data[..8192]).unwrap();
@@ -57,7 +53,7 @@ fn fsynced_data_survives_the_close_of_a_second_descriptor() {
 fn a_truncate_through_one_descriptor_is_what_the_other_syncs() {
     let dpc = Dpc::new(DpcConfig::default());
     let (fs_a, fs_b) = (dpc.fs(), dpc.fs()); // two adapters of one Dpc
-    let data = pattern(64 * 1024, 0x33);
+    let data = fill(0x33, 64 * 1024);
 
     let a = fs_a.create("/t").unwrap();
     fs_a.write(a, 0, &data).unwrap();
@@ -80,7 +76,7 @@ fn clean_close_and_noop_fsync_leave_the_backend_alone() {
     let fs = dpc.fs();
     for (path, len) in [("/empty", 0usize), ("/small", 5_000), ("/big", 40_000)] {
         let fd = fs.create(path).unwrap();
-        fs.write(fd, 0, &pattern(len, 1)).unwrap();
+        fs.write(fd, 0, &fill(1, len)).unwrap();
         fs.close(fd).unwrap();
 
         // The close flushed, so the size the host had cached is void: a
@@ -125,11 +121,11 @@ fn stat_of_an_open_file_reports_its_unflushed_growth() {
     let dpc = Dpc::new(DpcConfig::default());
     let (fs, other) = (dpc.fs(), dpc.fs()); // two adapters of one Dpc
     let fd = fs.create("/f").unwrap();
-    fs.write(fd, 0, &pattern(8192, 1)).unwrap();
+    fs.write(fd, 0, &fill(1, 8192)).unwrap();
     // Nothing is flushed: the backend still says 0, the host says 8 KiB.
     assert_eq!(fs.size(fd).unwrap(), 8192);
     assert_eq!(fs.stat("/f").unwrap().size, 8192);
-    fs.write(fd, 8192, &pattern(100, 2)).unwrap();
+    fs.write(fd, 8192, &fill(2, 100)).unwrap();
     for adapter in [&fs, &other] {
         assert_eq!(adapter.stat("/f").unwrap().size, 8292);
     }
@@ -138,7 +134,7 @@ fn stat_of_an_open_file_reports_its_unflushed_growth() {
     // A truncate through the descriptor is what `stat` sees, too.
     fs.truncate(fd, 100).unwrap();
     assert_eq!(other.stat("/f").unwrap().size, 100);
-    fs.write(fd, 100, &pattern(4000, 3)).unwrap();
+    fs.write(fd, 100, &fill(3, 4000)).unwrap();
     fs.close(fd).unwrap();
     // Closed: the backend's size, which the close's flush landed.
     assert_eq!(fs.stat("/f").unwrap().size, 4100);
@@ -147,7 +143,7 @@ fn stat_of_an_open_file_reports_its_unflushed_growth() {
 
 #[test]
 fn unaligned_tail_lands_byte_exact_in_one_crossing() {
-    let data = pattern(10_000, 0x77);
+    let data = fill(0x77, 10_000);
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/tail").unwrap();
@@ -212,7 +208,7 @@ fn landed_exactly(dpc: &Dpc, fs: &DpcFs, fd: Fd, path: &str, data: &[u8], n: usi
 #[test]
 fn a_buffered_write_whose_later_window_fails_is_short_and_sized_to_what_landed() {
     const WINDOW: usize = 64 * 4096;
-    let data = pattern(WINDOW + 100, 0x4B);
+    let data = fill(0x4B, WINDOW + 100);
     let (dpc, plan) = shedding();
     let fs = dpc.fs();
     let fd = fs.open("/short").unwrap();
@@ -231,7 +227,7 @@ fn a_buffered_write_whose_later_window_fails_is_short_and_sized_to_what_landed()
 /// them.
 #[test]
 fn a_direct_write_whose_later_piece_fails_is_short_and_sized_to_what_landed() {
-    let data = pattern(2 << 20, 0x3C); // twice the transport buffer
+    let data = fill(0x3C, 2 << 20); // twice the transport buffer
     let (dpc, plan) = shedding();
     let mut fs = dpc.fs();
     fs.mode = IoMode::Direct;
@@ -266,8 +262,7 @@ fn a_reopen_sees_every_closed_write_while_another_adapter_fsyncs() {
         for round in 0..ROUNDS {
             let fd = fs.open("/grow").unwrap();
             assert_eq!(fs.size(fd).unwrap(), round * 4096, "reopened stale");
-            fs.write(fd, round * 4096, &pattern(4096, round as u8))
-                .unwrap();
+            fs.write(fd, round * 4096, &fill(round, 4096)).unwrap();
             fs.close(fd).unwrap();
         }
     });
@@ -280,7 +275,7 @@ fn a_reopen_sees_every_closed_write_while_another_adapter_fsyncs() {
 /// does a reopen after another file's writes evicted those pages.
 #[test]
 fn a_log_tier_reopen_sees_what_was_closed() {
-    let data = pattern(10_000, 0x26);
+    let data = fill(0x26, 10_000);
     let dpc = Dpc::new(DpcConfig {
         fsync_mode: FsyncMode::Log,
         cache_pages: 128,
@@ -306,7 +301,7 @@ fn a_log_tier_reopen_sees_what_was_closed() {
     // and evicted to make room, and the size cached above stays the file's.
     let other = fs.create("/other").unwrap();
     for lpn in 0..512u64 {
-        fs.write(other, lpn * 4096, &pattern(4096, 1)).unwrap();
+        fs.write(other, lpn * 4096, &fill(1, 4096)).unwrap();
     }
     let ino = fs.stat("/log").unwrap().ino;
     let mut page = vec![0u8; 4096];
@@ -346,13 +341,11 @@ fn a_stat_racing_writes_and_evictions_never_caches_a_size_from_before() {
             for round in 0..ROUNDS {
                 let fd = fs.open("/grow").unwrap();
                 assert_eq!(fs.size(fd).unwrap(), round * 4096, "reopened stale");
-                fs.write(fd, round * 4096, &pattern(4096, round as u8))
-                    .unwrap();
+                fs.write(fd, round * 4096, &fill(round, 4096)).unwrap();
                 fs.close(fd).unwrap();
                 let half = (round % 2) * 256;
                 for lpn in half..half + 256 {
-                    fs.write(other, lpn * 4096, &pattern(4096, lpn as u8))
-                        .unwrap();
+                    fs.write(other, lpn * 4096, &fill(lpn, 4096)).unwrap();
                 }
             }
         },

@@ -16,12 +16,8 @@ use std::collections::HashMap;
 
 use dpc::core::{Dpc, DpcConfig, FsyncMode};
 use dpc::fault::{FaultPlan, FaultSpec};
-use dpc_testkit::{fill, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
+use dpc_testkit::{fill_for, racing_fsync, read_fd, read_file, seeds, splitmix, FileModel};
 use proptest::prelude::*;
-
-fn pattern(seed: u64, id: u64, len: usize) -> Vec<u8> {
-    fill(seed ^ id.rotate_left(29), len)
-}
 
 /// One seeded run: dirty-heavy mixed writes racing a second adapter's
 /// scoped `fsync` loop over the same files, with every extent flush at
@@ -47,14 +43,14 @@ fn writeback_chaos_run(seed: u64) {
                 let path = format!("/wb/f{id}");
                 let fd = fs.create(&path).unwrap();
                 // Sequential dirty run (coalescable) ...
-                let base = pattern(seed, id, 16_384 + (splitmix(&mut rng) % 65_536) as usize);
+                let base = fill_for(seed, id, 16_384 + (splitmix(&mut rng) % 65_536) as usize);
                 fs.write(fd, 0, &base).unwrap();
                 let mut model = FileModel::new(base);
                 // ... then scattered overwrites racing the fsync loop.
                 for v in 0..8u64 {
                     let off = splitmix(&mut rng) % model.bytes().len() as u64;
                     let len = 1 + (splitmix(&mut rng) as usize) % 9_000;
-                    let data = pattern(seed ^ 0xA5A5, id * 100 + v, len);
+                    let data = fill_for(seed ^ 0xA5A5, id * 100 + v, len);
                     fs.write(fd, off, &data).unwrap();
                     model.write(off, &data);
                 }
@@ -118,7 +114,7 @@ fn sequential_dirty_run_flushes_as_one_extent() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/seq").unwrap();
-    let data = pattern(7, 0, 32 * 4096);
+    let data = fill_for(7, 0, 32 * 4096);
     fs.write(fd, 0, &data).unwrap();
     fs.fsync(fd).unwrap();
 
@@ -144,7 +140,7 @@ fn overcommitted_write_burst_uses_batched_eviction() {
     });
     let fs = dpc.fs();
     let fd = fs.create("/burst").unwrap();
-    let data = pattern(11, 3, 1 << 20); // 256 pages through a 128-page cache
+    let data = fill_for(11, 3, 1 << 20); // 256 pages through a 128-page cache
     fs.write(fd, 0, &data).unwrap();
     fs.fsync(fd).unwrap();
 
@@ -174,7 +170,7 @@ fn fault_free_writeback_keeps_stall_counters_at_zero() {
     for id in 0..4u64 {
         let path = format!("/clean{id}");
         let fd = fs.create(&path).unwrap();
-        let data = pattern(42, id, 100_000);
+        let data = fill_for(42, id, 100_000);
         fs.write(fd, 0, &data).unwrap();
         fs.fsync(fd).unwrap();
         assert_eq!(read_fd(&fs, fd), data);
@@ -202,7 +198,7 @@ fn fault_free_writeback_keeps_stall_counters_at_zero() {
 #[test]
 fn fsync_reports_a_flush_the_backend_refused() {
     let plan = FaultPlan::new(1);
-    let data = pattern(25, 0, 4096);
+    let data = fill_for(25, 0, 4096);
     let store = {
         let dpc = Dpc::new(DpcConfig {
             faults: Some(plan.clone()),
@@ -275,13 +271,13 @@ fn a_scoped_fsync_of_scattered_overwrites_is_one_write_request() {
     let dpc = Dpc::new(DpcConfig::default());
     let fs = dpc.fs();
     let fd = fs.create("/scatter").unwrap();
-    fs.write(fd, 0, &pattern(9, 0, 256 * 8192)).unwrap();
+    fs.write(fd, 0, &fill_for(9, 0, 256 * 8192)).unwrap();
     fs.fsync(fd).unwrap();
     let mut rng = 9u64;
     let mut blocks = std::collections::BTreeSet::new();
     for v in 0..64u64 {
         let block = splitmix(&mut rng) % 256;
-        fs.write(fd, block * 8192, &pattern(9, v + 1, 8192))
+        fs.write(fd, block * 8192, &fill_for(9, v + 1, 8192))
             .unwrap();
         blocks.insert(block);
     }
@@ -310,7 +306,7 @@ fn reopened(store: std::sync::Arc<dpc::kvstore::KvStore>, path: &str) -> Vec<u8>
 /// instance's drop drains it.
 #[test]
 fn teardown_drains_a_write_that_was_never_closed() {
-    let data = pattern(3, 0, 16_384);
+    let data = fill_for(3, 0, 16_384);
     let store = {
         let dpc = Dpc::new(DpcConfig::default());
         let fs = dpc.fs();
@@ -328,7 +324,7 @@ fn teardown_drains_a_write_that_was_never_closed() {
 /// drain lands the pages, and the tail page's valid prefix sets the size.
 #[test]
 fn teardown_drains_a_log_tier_write_that_was_fsynced_and_closed() {
-    let data = pattern(3, 1, 10_000);
+    let data = fill_for(3, 1, 10_000);
     let store = {
         let dpc = Dpc::new(DpcConfig {
             fsync_mode: FsyncMode::Log,
@@ -372,7 +368,7 @@ proptest! {
                 for v in 0..24u64 {
                     let off = splitmix(&mut rng) % 150_000;
                     let len = 1 + (splitmix(&mut rng) as usize) % 20_000;
-                    let data = pattern(seed, v, len);
+                    let data = fill_for(seed, v, len);
                     fs.write(fd, off, &data).unwrap();
                     model.write(off, &data);
                     if v % 7 == 6 {
