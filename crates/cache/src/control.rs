@@ -74,24 +74,22 @@ const FLUSH_RETRIES: u32 = 3;
 
 /// Back-end source for prefetched pages.
 pub trait ReadBackend {
-    /// Fill `out` with the page and return how many bytes are *valid*
-    /// (a file's tail page is valid only up to its logical end; the rest
-    /// of `out` must be zeroed padding). `None` when the page does not
-    /// exist at all (past EOF) — it is then not inserted.
-    fn read_page(&mut self, ino: u64, lpn: u64, out: &mut [u8]) -> Option<usize>;
+    /// Read `out.len() / PAGE_SIZE` consecutive pages of `ino` starting at
+    /// `start` into `out`, returning total *valid* bytes (short at EOF; the
+    /// rest of the page EOF falls in is zeroed padding). `out` arrives
+    /// holding whatever the last fill left in it and pages wholly past EOF
+    /// need not be touched — the caller never looks at them.
+    fn read_pages(&mut self, ino: u64, start: u64, out: &mut [u8]) -> usize;
+}
 
-    /// Vectored fill: read `out.len() / PAGE_SIZE` consecutive pages
-    /// starting at `start` into `out`, returning total *valid* bytes
-    /// (short at EOF; the rest of the page EOF falls in is zeroed
-    /// padding). `out` arrives holding whatever the last fill left in it
-    /// and pages wholly past EOF need not be touched — the caller never
-    /// looks at them. The default decomposes into per-page reads;
-    /// backends with a cheaper multi-page path (one contiguous KVFS
-    /// `read`) override it.
+/// A per-page source: the closure fills one page and returns its valid
+/// bytes, or `None` past EOF. The window is read page by page and stops at
+/// the first short or missing page.
+impl<F: FnMut(u64, u64, &mut [u8]) -> Option<usize>> ReadBackend for F {
     fn read_pages(&mut self, ino: u64, start: u64, out: &mut [u8]) -> usize {
         let mut total = 0;
         for (k, page) in out.chunks_mut(PAGE_SIZE).enumerate() {
-            match self.read_page(ino, start + k as u64, page) {
+            match self(ino, start + k as u64, page) {
                 Some(v) => {
                     total += v;
                     if v < page.len() {
@@ -102,12 +100,6 @@ pub trait ReadBackend {
             }
         }
         total
-    }
-}
-
-impl<F: FnMut(u64, u64, &mut [u8]) -> Option<usize>> ReadBackend for F {
-    fn read_page(&mut self, ino: u64, lpn: u64, out: &mut [u8]) -> Option<usize> {
-        self(ino, lpn, out)
     }
 }
 
@@ -131,15 +123,15 @@ struct Batch {
     pages: Vec<usize>,
 }
 
-/// Outcome of a single prefetch-insert attempt.
+/// Outcome of landing one DPU-filled page ([`ControlPlane::land_page`]).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum PrefetchInsert {
+enum Landing {
     /// A fresh entry was claimed and filled.
-    Inserted,
+    Landed,
     /// The page is already cached (possibly dirty) — the fill was
     /// discarded, per the no-clobber rule.
     Present,
-    /// No free slot in the bucket. Prefetch never evicts to make room.
+    /// No free slot in the bucket, and none was made.
     NoSlot,
 }
 
@@ -494,80 +486,61 @@ impl ControlPlane {
             .any(|idx| self.cache.entries[idx].status() != EntryStatus::Free)
     }
 
-    /// Insert a page fetched from the backend as *clean* (prefetch /
-    /// read-miss fill). DMA-writes the page into the host data area.
-    /// Returns `false` when the bucket has no free slot and eviction
-    /// could not make one; `true` when the page is cached afterwards —
-    /// which includes the already-present case, where the fill is
-    /// *discarded* (the cached copy is at least as new as the backend's,
-    /// and may hold an unflushed write). The whole of `data` is stored,
-    /// and all of it is marked valid.
+    /// Land a page fetched from the backend as *clean*, evicting to make
+    /// room if its bucket is full: [`land_page`](Self::land_page)'s
+    /// evicting form. Returns `false` when no slot could be had; `true`
+    /// when the page is cached afterwards, which includes the
+    /// already-present case. The whole of `data` is stored, and all of it
+    /// is marked valid.
     pub fn insert_clean(&self, ino: u64, lpn: u64, data: &[u8]) -> bool {
-        assert!(data.len() <= PAGE_SIZE);
-        let mut guard = match self.cache.begin_write(ino, lpn) {
-            Ok(g) => g,
-            Err(crate::host::WriteError::NeedEviction { bucket }) => {
-                if !self.evict_one(bucket) {
-                    return false;
-                }
-                match self.cache.begin_write(ino, lpn) {
-                    Ok(g) => g,
-                    Err(_) => return false,
-                }
-            }
-        };
-        if !guard.claimed_free() {
-            // The page is already cached — and the cached copy is at
-            // least as new as what the backend returned (a host write may
-            // have dirtied it after this fill's backend read). Clobbering
-            // it with backend bytes and committing *clean* would silently
-            // destroy an unflushed write. Dropping the guard just
-            // releases the lock; the entry is untouched.
-            return true;
-        }
-        guard.write(0, data);
-        guard.set_valid(data.len());
-        self.dma.record_external_dma(data.len() as u64);
-        guard.commit_clean();
-        self.cache
-            .stats
-            .prefetch_inserts
-            .fetch_add(1, Ordering::Relaxed);
-        true
+        self.land_page(ino, lpn, data, data.len(), 0, true) != Landing::NoSlot
     }
 
-    /// Prefetch insert: like [`insert_clean`](Self::insert_clean), but
-    /// only the first `valid` bytes count, it never evicts (readahead
-    /// must not force out pages an application put there) and it tags the
-    /// entry's readahead flag bits before committing.
-    fn insert_prefetched(
+    /// Land one page the DPU filled from the backend in the host data
+    /// area, clean, with its first `valid` bytes valid and its readahead
+    /// `flags` tagged. A page already cached is left alone: the cached
+    /// copy is at least as new as the backend's (a host write may have
+    /// dirtied it after the backend read), so clobbering it and committing
+    /// *clean* would destroy an unflushed write. A full bucket gets one
+    /// eviction when `evict` asks for it; readahead never asks, so it can
+    /// never force out a page an application put there. Each page landed
+    /// is one DMA (DESIGN.md §12.3).
+    fn land_page(
         &self,
         ino: u64,
         lpn: u64,
         data: &[u8],
         valid: usize,
         flags: u32,
-    ) -> PrefetchInsert {
-        debug_assert!(valid <= data.len() && data.len() <= PAGE_SIZE);
-        match self.cache.begin_write(ino, lpn) {
-            Ok(mut guard) => {
-                if !guard.claimed_free() {
-                    // Already cached — the cached copy is at least as new
-                    // (no-clobber rule); dropping the guard just unlocks.
-                    return PrefetchInsert::Present;
+        evict: bool,
+    ) -> Landing {
+        assert!(valid <= data.len() && data.len() <= PAGE_SIZE);
+        let mut guard = match self.cache.begin_write(ino, lpn) {
+            Ok(g) => g,
+            Err(crate::host::WriteError::NeedEviction { bucket }) => {
+                if !(evict && self.evict_one(bucket)) {
+                    return Landing::NoSlot;
                 }
-                guard.write(0, data);
-                guard.set_valid(valid);
-                guard.set_flags(flags);
-                guard.commit_clean();
-                self.cache
-                    .stats
-                    .prefetch_inserts
-                    .fetch_add(1, Ordering::Relaxed);
-                PrefetchInsert::Inserted
+                match self.cache.begin_write(ino, lpn) {
+                    Ok(g) => g,
+                    Err(_) => return Landing::NoSlot,
+                }
             }
-            Err(crate::host::WriteError::NeedEviction { .. }) => PrefetchInsert::NoSlot,
+        };
+        if !guard.claimed_free() {
+            // Dropping the guard just releases the lock.
+            return Landing::Present;
         }
+        guard.write(0, data);
+        guard.set_valid(valid);
+        guard.set_flags(flags);
+        self.dma.record_external_dma(valid as u64);
+        guard.commit_clean();
+        self.cache
+            .stats
+            .prefetch_inserts
+            .fetch_add(1, Ordering::Relaxed);
+        Landing::Landed
     }
 
     /// Free pages a window fill may take right now without pushing the
@@ -591,23 +564,23 @@ impl ControlPlane {
     /// Fill one planned readahead window from the backend — the body of
     /// the background prefetcher thread. Returns pages inserted.
     ///
+    /// A window is one vectored [`ReadBackend::read_pages`] call into the
+    /// control plane's buffer, then one [`land_page`](Self::land_page) per
+    /// page: one DMA for each page that lands. A window whose `stride` is
+    /// not 1 is refused: nothing plans one, and nothing of it is filled.
     /// Three rules keep this strictly best-effort:
     ///
     /// - **Cache-pressure throttling**: with `free <= throttle_free` the
     ///   job is dropped outright; otherwise it shrinks to the headroom
-    ///   above the watermark. Combined with the no-evict insert, a
+    ///   above the watermark. Combined with the no-evict landing, a
     ///   prefetch can never force eviction (let alone of dirty pages).
     /// - **Epoch check**: the inode's content epoch is snapshotted before
-    ///   the backend read and re-checked before every insert; any
+    ///   the backend read and re-checked before every page lands; any
     ///   concurrent write, flush or invalidate of the inode bumps it and
-    ///   aborts the remaining inserts — bytes read before the change
-    ///   must not overwrite (or resurrect next to) newer data.
+    ///   aborts the rest — bytes read before the change must not
+    ///   overwrite (or resurrect next to) newer data.
     /// - **No-clobber**: an already-present page is skipped, never
-    ///   overwritten ([`insert_prefetched`](Self::insert_prefetched)).
-    ///
-    /// Sequential windows (`stride == 1`) cost one vectored
-    /// [`ReadBackend::read_pages`] call and one DMA; strided windows
-    /// fall back to per-page reads.
+    ///   overwritten.
     pub fn fill_window(
         &mut self,
         job: &PrefetchJob,
@@ -615,6 +588,9 @@ impl ControlPlane {
         throttle_free: u64,
     ) -> usize {
         let win = &job.window;
+        if win.stride != 1 {
+            return 0;
+        }
         let Some(headroom) = self.window_headroom(throttle_free) else {
             return 0;
         };
@@ -626,63 +602,36 @@ impl ControlPlane {
             stats.ra_throttled.fetch_add(1, Ordering::Relaxed);
         }
         let epoch = self.cache.ino_epoch(job.ino);
+        let want = pages as usize * PAGE_SIZE;
+        let mut buf = std::mem::take(&mut self.batch.buf);
+        if buf.len() < want {
+            buf.resize(want, 0);
+        }
+        let valid_total = backend.read_pages(job.ino, win.start, &mut buf[..want]);
         let mut inserted = 0usize;
-        if win.stride == 1 {
-            let want = pages as usize * PAGE_SIZE;
-            let mut buf = std::mem::take(&mut self.batch.buf);
-            if buf.len() < want {
-                buf.resize(want, 0);
+        for k in 0..pages {
+            let off = k as usize * PAGE_SIZE;
+            let valid = valid_total.saturating_sub(off).min(PAGE_SIZE);
+            if valid == 0 {
+                break; // EOF inside the window
             }
-            let valid_total = backend.read_pages(job.ino, win.start, &mut buf[..want]);
-            // One DMA pushes the whole window into the host data area.
-            self.dma.record_external_dma(valid_total as u64);
-            for k in 0..pages {
-                let off = k as usize * PAGE_SIZE;
-                let valid = valid_total.saturating_sub(off).min(PAGE_SIZE);
-                if valid == 0 {
-                    break; // EOF inside the window
-                }
-                if self.cache.ino_epoch(job.ino) != epoch {
-                    stats.ra_dropped.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                let lpn = win.start + k;
-                let mut flags = FLAG_PREFETCHED;
-                if win.marker == Some(lpn) {
-                    flags |= FLAG_MARKER;
-                }
-                match self.insert_prefetched(job.ino, lpn, &buf[off..off + PAGE_SIZE], valid, flags)
-                {
-                    PrefetchInsert::Inserted => inserted += 1,
-                    PrefetchInsert::Present => {}
-                    PrefetchInsert::NoSlot => break,
-                }
+            if self.cache.ino_epoch(job.ino) != epoch {
+                stats.ra_dropped.fetch_add(1, Ordering::Relaxed);
+                break;
             }
-            self.batch.buf = buf;
-        } else {
-            let mut page = [0u8; PAGE_SIZE];
-            for k in 0..pages {
-                let pos = win.start as i64 + k as i64 * win.stride;
-                if pos < 0 {
-                    break;
-                }
-                let lpn = pos as u64;
-                if self.cache.ino_epoch(job.ino) != epoch {
-                    stats.ra_dropped.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                page.fill(0);
-                let Some(valid) = backend.read_page(job.ino, lpn, &mut page) else {
-                    break;
-                };
-                self.dma.record_external_dma(valid as u64);
-                match self.insert_prefetched(job.ino, lpn, &page, valid, FLAG_PREFETCHED) {
-                    PrefetchInsert::Inserted => inserted += 1,
-                    PrefetchInsert::Present => {}
-                    PrefetchInsert::NoSlot => break,
-                }
+            let lpn = win.start + k;
+            let mut flags = FLAG_PREFETCHED;
+            if win.marker == Some(lpn) {
+                flags |= FLAG_MARKER;
+            }
+            let page = &buf[off..off + PAGE_SIZE];
+            match self.land_page(job.ino, lpn, page, valid, flags, false) {
+                Landing::Landed => inserted += 1,
+                Landing::Present => {}
+                Landing::NoSlot => break,
             }
         }
+        self.batch.buf = buf;
         stats.ra_async_fills.fetch_add(1, Ordering::Relaxed);
         inserted
     }
@@ -796,15 +745,6 @@ mod tests {
         assert!(cache.lookup_read(1, 99, &mut buf));
     }
 
-    /// Per-page closure backend, usable where a `ReadBackend` is needed.
-    struct PageSource<F: FnMut(u64, u64, &mut [u8]) -> Option<usize>>(F);
-
-    impl<F: FnMut(u64, u64, &mut [u8]) -> Option<usize>> ReadBackend for PageSource<F> {
-        fn read_page(&mut self, ino: u64, lpn: u64, out: &mut [u8]) -> Option<usize> {
-            (self.0)(ino, lpn, out)
-        }
-    }
-
     fn job(ino: u64, start: u64, pages: u32, stride: i64, marker: Option<u64>) -> PrefetchJob {
         PrefetchJob {
             ino,
@@ -820,16 +760,16 @@ mod tests {
     #[test]
     fn fill_window_inserts_and_flags_marker() {
         let (cache, mut cp, dma) = setup(256, 8);
-        let mut backend = PageSource(|ino: u64, lpn: u64, out: &mut [u8]| {
+        let mut backend = |ino: u64, lpn: u64, out: &mut [u8]| {
             out.fill((ino * 100 + lpn) as u8);
             Some(out.len())
-        });
+        };
         let inserted = cp.fill_window(&job(3, 2, 8, 1, Some(6)), &mut backend, 0);
         assert_eq!(inserted, 8);
         assert_eq!(cache.stats().prefetch_inserts, 8);
         assert_eq!(cache.stats().ra_async_fills, 1);
-        // One DMA for the whole window, not eight.
-        assert_eq!(dma.snapshot().dma_ops, 1);
+        // One DMA per page landed.
+        assert_eq!(dma.snapshot().dma_ops, 8);
         // Pages 2..10 are now host hits; the first consumption of each
         // scores a readahead hit, and lpn 6 reports the marker.
         let mut buf = vec![0u8; PAGE_SIZE];
@@ -846,12 +786,34 @@ mod tests {
     }
 
     #[test]
+    fn a_prefetched_window_costs_one_dma_per_page_it_lands() {
+        let (cache, mut cp, dma) = setup(256, 8);
+        // A host write holds lpn 3; the file ends half-way into lpn 8.
+        let mut g = cache.begin_write(1, 3).unwrap();
+        g.write(0, &[0xDD; PAGE_SIZE]);
+        g.commit_dirty();
+        let mut backend = |_: u64, lpn: u64, out: &mut [u8]| match lpn {
+            0..=7 => Some(out.len()),
+            8 => {
+                out[PAGE_SIZE / 2..].fill(0);
+                Some(PAGE_SIZE / 2)
+            }
+            _ => None,
+        };
+        // Ten pages asked, nine exist, eight land: 0-2, 4-7 and the tail.
+        assert_eq!(cp.fill_window(&job(1, 0, 10, 1, None), &mut backend, 0), 8);
+        let moved = dma.snapshot();
+        assert_eq!(moved.dma_ops, 8, "one DMA per landed page");
+        assert_eq!(moved.dma_bytes, (7 * PAGE_SIZE + PAGE_SIZE / 2) as u64);
+    }
+
+    #[test]
     fn fill_window_stops_at_backend_eof() {
         let (cache, mut cp, _) = setup(256, 8);
-        let mut backend = PageSource(|_ino: u64, lpn: u64, out: &mut [u8]| {
+        let mut backend = |_ino: u64, lpn: u64, out: &mut [u8]| {
             out.fill(1);
             (lpn < 4).then_some(out.len())
-        });
+        };
         let inserted = cp.fill_window(&job(1, 2, 8, 1, None), &mut backend, 0);
         assert_eq!(inserted, 2); // lpns 2,3 exist; 4 is EOF
         assert_eq!(cache.stats().prefetch_inserts, 2);
@@ -861,7 +823,7 @@ mod tests {
     fn fill_window_tail_page_keeps_valid_prefix() {
         let (cache, mut cp, _) = setup(256, 8);
         // 2.5 pages of file: lpn 2 ends after PAGE_SIZE/2 bytes.
-        let mut backend = PageSource(|_ino: u64, lpn: u64, out: &mut [u8]| match lpn {
+        let mut backend = |_ino: u64, lpn: u64, out: &mut [u8]| match lpn {
             0..=1 => {
                 out.fill(7);
                 Some(out.len())
@@ -872,7 +834,7 @@ mod tests {
                 Some(PAGE_SIZE / 2)
             }
             _ => None,
-        });
+        };
         assert_eq!(cp.fill_window(&job(1, 0, 4, 1, None), &mut backend, 0), 3);
         // The tail entry records only the valid prefix, so a later dirty
         // flush of it can never write padding past the logical end.
@@ -895,7 +857,7 @@ mod tests {
             g.write(0, &[1; 8]);
             g.commit_dirty();
         }
-        let mut backend = PageSource(|_: u64, _: u64, out: &mut [u8]| Some(out.len()));
+        let mut backend = |_: u64, _: u64, out: &mut [u8]| Some(out.len());
         // Free (4) at/below the watermark (4): dropped outright.
         assert_eq!(cp.fill_window(&job(1, 0, 8, 1, None), &mut backend, 4), 0);
         assert_eq!(cache.stats().prefetch_inserts, 0);
@@ -914,10 +876,10 @@ mod tests {
         g.write(0, &[0xDD; PAGE_SIZE]);
         g.commit_dirty();
         let epoch_after_write = cache.ino_epoch(1);
-        let mut backend = PageSource(|_: u64, _: u64, out: &mut [u8]| {
+        let mut backend = |_: u64, _: u64, out: &mut [u8]| {
             out.fill(0xBB);
             Some(out.len())
-        });
+        };
         assert_eq!(cache.ino_epoch(1), epoch_after_write);
         let inserted = cp.fill_window(&job(1, 4, 4, 1, None), &mut backend, 0);
         // lpns 4,6,7 inserted; 5 skipped (Present), not overwritten.
@@ -936,7 +898,7 @@ mod tests {
         // The backend read races a host write: the write lands *after*
         // the backend returned its (now stale) bytes. The epoch bump
         // must abort the remaining inserts.
-        let mut backend = PageSource(move |_: u64, lpn: u64, out: &mut [u8]| {
+        let mut backend = move |_: u64, lpn: u64, out: &mut [u8]| {
             out.fill(0x11);
             if !fired && lpn == 0 {
                 fired = true;
@@ -945,7 +907,7 @@ mod tests {
                 g.commit_dirty();
             }
             Some(out.len())
-        });
+        };
         let inserted = cp.fill_window(&job(1, 0, 4, 1, None), &mut backend, 0);
         assert_eq!(inserted, 0, "epoch moved mid-fill: all inserts aborted");
         assert_eq!(cache.stats().ra_dropped, 1);
@@ -956,18 +918,17 @@ mod tests {
     }
 
     #[test]
-    fn fill_window_strided_uses_per_page_reads() {
-        let (cache, mut cp, _) = setup(256, 8);
-        let mut backend = PageSource(|_: u64, lpn: u64, out: &mut [u8]| {
-            out.fill(lpn as u8);
+    fn fill_window_refuses_a_strided_window() {
+        let (cache, mut cp, dma) = setup(256, 8);
+        let mut asked = 0;
+        let mut backend = |_: u64, _: u64, out: &mut [u8]| {
+            asked += 1;
             Some(out.len())
-        });
-        assert_eq!(cp.fill_window(&job(1, 10, 4, 10, None), &mut backend, 0), 4);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for lpn in [10u64, 20, 30, 40] {
-            assert!(cache.lookup_read(1, lpn, &mut buf), "lpn={lpn}");
-            assert_eq!(buf[0], lpn as u8);
-        }
+        };
+        assert_eq!(cp.fill_window(&job(1, 10, 4, 10, None), &mut backend, 0), 0);
+        assert_eq!(asked, 0, "the backend was never asked");
+        assert_eq!(cache.stats().prefetch_inserts, 0);
+        assert_eq!(dma.snapshot().dma_ops, 0);
     }
 
     /// A flush sink recording each batch's runs as whole extents; refuses

@@ -4,9 +4,9 @@
 //! the paper's control plane implies and Linux-style readahead refined:
 //!
 //! - a **sharded per-ino stream table** ([`ReadaheadTable`]) tracking the
-//!   last access, the detected stride, and an adaptive window that
-//!   doubles on sequential progress (up to a cap) and resets to the
-//!   initial size on random access;
+//!   last access and an adaptive window that doubles on sequential
+//!   progress (up to a cap) and resets to the initial size on any other
+//!   access;
 //! - an **async-trigger marker**: each emitted window nominates a marker
 //!   page (the analogue of `PG_readahead`); the demand hit that consumes
 //!   it prompts the host to hint the DPU, which plans the *next* window
@@ -48,15 +48,17 @@ impl Default for RaConfig {
     }
 }
 
-/// One prefetch decision: `pages` positions starting at `start`, spaced
-/// `stride` pages apart (`stride == 1` is a contiguous window eligible
-/// for a single vectored backend read). `marker` is the page whose
-/// demand hit should trigger planning of the next window (sequential
-/// streams only).
+/// One prefetch decision: `pages` consecutive pages starting at `start`,
+/// filled by one vectored backend read. `marker` is the page whose demand
+/// hit should trigger planning of the next window.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RaWindow {
     pub start: u64,
     pub pages: u32,
+    /// Always 1: the planner emits contiguous windows only, and
+    /// [`fill_window`](crate::ControlPlane::fill_window) fills nothing of
+    /// a window with any other stride. The field stays only because
+    /// `dpc-e2e`'s probe builds a window with it.
     pub stride: i64,
     pub marker: Option<u64>,
 }
@@ -66,19 +68,33 @@ struct RaStream {
     /// First LPN of the last observed access.
     last_start: u64,
     /// Pages the last access spanned (multi-page demand reads count as
-    /// one sequential step of their full span, not a stride-N jump).
+    /// one sequential step of their full span).
     last_span: u32,
-    /// Detected access stride in pages (1 = sequential).
-    stride: i64,
-    /// Consecutive accesses that followed the detected pattern.
+    /// Consecutive accesses that were sequential progress.
     run: u32,
     /// Current adaptive window size (pages).
     window: u32,
-    /// Sequential streams: first LPN not yet covered by an emitted
-    /// window (the readahead frontier).
+    /// First LPN not yet covered by an emitted window (the readahead
+    /// frontier).
     planned_next: u64,
-    /// Strided streams: predicted positions still ahead of the reader.
-    ahead: i64,
+}
+
+impl RaStream {
+    /// Plan the next window: it starts at the frontier or at `from`,
+    /// whichever is further, flags its middle page as the marker, and
+    /// doubles the window after it up to `max_window`.
+    fn plan(&mut self, from: u64, max_window: u32) -> RaWindow {
+        let start = self.planned_next.max(from);
+        let pages = self.window;
+        self.planned_next = start + pages as u64;
+        self.window = (pages * 2).min(max_window);
+        RaWindow {
+            start,
+            pages,
+            stride: 1,
+            marker: Some(start + pages as u64 / 2),
+        }
+    }
 }
 
 /// Sharded per-ino readahead state table. Shared (via `Arc`) by every
@@ -96,10 +112,6 @@ impl ReadaheadTable {
         }
     }
 
-    pub fn config(&self) -> &RaConfig {
-        &self.cfg
-    }
-
     fn shard(&self, ino: u64) -> &Mutex<HashMap<u64, RaStream>> {
         &self.shards[(ino as usize) % RA_SHARDS]
     }
@@ -109,7 +121,7 @@ impl ReadaheadTable {
     /// pattern warrants one. Only *misses* reach the DPU, so between two
     /// calls the reader may have consumed any number of cached pages —
     /// a miss landing anywhere inside the planned frontier still counts
-    /// as sequential progress.
+    /// as sequential progress. Any other miss starts the stream over.
     pub fn on_read(&self, ino: u64, lpn: u64, span: u32) -> Option<RaWindow> {
         let span = span.max(1);
         let cfg = self.cfg;
@@ -117,41 +129,26 @@ impl ReadaheadTable {
         let s = shard.entry(ino).or_insert(RaStream {
             last_start: lpn,
             last_span: span,
-            stride: 1,
             run: 0,
             window: cfg.initial_window,
             planned_next: 0,
-            ahead: 0,
         });
         if s.run == 0 {
             // Fresh stream: this access is its first evidence.
             s.run = 1;
         } else {
-            let delta = lpn as i64 - s.last_start as i64;
-            if delta == 0 {
+            if lpn == s.last_start {
                 return None; // re-read of the same position: no evidence
             }
             let frontier = s.planned_next.max(s.last_start + s.last_span as u64);
-            let seq = lpn > s.last_start && lpn <= frontier;
-            if seq {
-                if s.stride == 1 {
-                    s.run += 1;
-                } else {
-                    s.stride = 1;
-                    s.run = 2;
-                    s.ahead = 0;
-                }
-            } else if delta == s.stride && s.stride != 1 {
+            if lpn > s.last_start && lpn <= frontier {
                 s.run += 1;
-                s.ahead = (s.ahead - 1).max(0);
             } else {
-                // Random jump: shrink back to the initial window and
-                // start over with this delta as the tentative stride.
-                s.stride = delta;
+                // Not sequential progress: shrink back to the initial
+                // window and start over from this access.
                 s.run = 1;
                 s.window = cfg.initial_window;
                 s.planned_next = 0;
-                s.ahead = 0;
             }
             s.last_start = lpn;
             s.last_span = span;
@@ -159,42 +156,13 @@ impl ReadaheadTable {
         if s.run < cfg.trigger {
             return None;
         }
-        if s.stride == 1 {
-            let pos_end = lpn + span as u64;
-            if s.planned_next > pos_end {
-                // A window is already planned ahead; its marker page
-                // will extend the stream asynchronously.
-                return None;
-            }
-            let start = s.planned_next.max(pos_end);
-            let pages = s.window;
-            s.planned_next = start + pages as u64;
-            let marker = Some(start + pages as u64 / 2);
-            s.window = (s.window * 2).min(cfg.max_window);
-            Some(RaWindow {
-                start,
-                pages,
-                stride: 1,
-                marker,
-            })
-        } else {
-            if s.ahead > 0 {
-                return None; // predicted positions still ahead of the reader
-            }
-            let start = lpn as i64 + s.stride;
-            if start < 0 {
-                return None;
-            }
-            let pages = s.window;
-            s.ahead = pages as i64;
-            s.window = (s.window * 2).min(cfg.max_window);
-            Some(RaWindow {
-                start: start as u64,
-                pages,
-                stride: s.stride,
-                marker: None,
-            })
+        let pos_end = lpn + span as u64;
+        if s.planned_next > pos_end {
+            // A window is already planned ahead; its marker page will
+            // extend the stream asynchronously.
+            return None;
         }
+        Some(s.plan(pos_end, cfg.max_window))
     }
 
     /// The host consumed a window's async-trigger marker page: plan the
@@ -206,7 +174,7 @@ impl ReadaheadTable {
         let cfg = self.cfg;
         let mut shard = self.shard(ino).lock();
         let s = shard.get_mut(&ino)?;
-        if s.stride != 1 || s.run < cfg.trigger {
+        if s.run < cfg.trigger {
             return None;
         }
         // Marker consumption is sequential progress in itself.
@@ -214,17 +182,7 @@ impl ReadaheadTable {
             s.last_start = lpn;
             s.last_span = 1;
         }
-        let start = s.planned_next.max(lpn + 1);
-        let pages = s.window;
-        s.planned_next = start + pages as u64;
-        let marker = Some(start + pages as u64 / 2);
-        s.window = (s.window * 2).min(cfg.max_window);
-        Some(RaWindow {
-            start,
-            pages,
-            stride: 1,
-            marker,
-        })
+        Some(s.plan(lpn + 1, cfg.max_window))
     }
 
     /// Forget `ino`'s stream (truncate/unlink/invalidate): a stale
@@ -391,32 +349,23 @@ mod tests {
     fn multi_page_reads_count_as_sequential_spans() {
         let t = table(4, 64);
         // An 8-page buffered read followed by the next 8 pages is one
-        // sequential stream, not a stride-8 pattern.
+        // sequential stream, not a jump of 8.
         assert_eq!(t.on_read(1, 0, 8), None);
         let w = t.on_read(1, 8, 8).unwrap();
         assert_eq!((w.start, w.stride), (16, 1));
     }
 
     #[test]
-    fn stride_detection_emits_strided_window() {
+    fn a_fixed_stride_starts_the_stream_over_at_every_miss() {
         let t = table(4, 64);
-        assert_eq!(t.on_read(1, 0, 1), None);
-        assert_eq!(t.on_read(1, 100, 1), None); // tentative stride 100
-        let w = t.on_read(1, 200, 1).unwrap();
-        assert_eq!((w.start, w.pages, w.stride), (300, 4, 100));
-        assert_eq!(w.marker, None);
-        // While the predictions hold, no duplicate windows fire.
-        assert_eq!(t.on_read(1, 300, 1), None);
-        assert_eq!(t.on_read(1, 400, 1), None);
-    }
-
-    #[test]
-    fn backward_stride_is_tracked() {
-        let t = table(4, 64);
-        t.on_read(1, 1000, 1);
-        t.on_read(1, 990, 1);
-        let w = t.on_read(1, 980, 1).unwrap();
-        assert_eq!((w.start, w.stride), (970, -10));
+        // Forward and backward strides are random jumps, each one: no
+        // window fires, however long the pattern holds.
+        for lpn in [0, 100, 200, 300, 400, 1000, 990, 980, 970] {
+            assert_eq!(t.on_read(1, lpn, 1), None, "lpn={lpn}");
+        }
+        // A sequential step after them triggers at the initial window.
+        let w = t.on_read(1, 971, 1).unwrap();
+        assert_eq!((w.start, w.pages, w.stride), (972, 4, 1));
     }
 
     #[test]

@@ -149,16 +149,6 @@ pub(crate) struct KvfsRead<'a> {
 }
 
 impl ReadBackend for KvfsRead<'_> {
-    fn read_page(&mut self, ino: u64, lpn: u64, out: &mut [u8]) -> Option<usize> {
-        match self.kvfs.read(ino, lpn * dpc_cache::PAGE_SIZE as u64, out) {
-            Ok(n) if n > 0 => {
-                out[n..].fill(0);
-                Some(n)
-            }
-            _ => None,
-        }
-    }
-
     fn read_pages(&mut self, ino: u64, start: u64, out: &mut [u8]) -> usize {
         let page = dpc_cache::PAGE_SIZE;
         let n = self.kvfs.read(ino, start * page as u64, out).unwrap_or(0);

@@ -31,28 +31,6 @@ pub struct FileSetMix {
 }
 
 impl FileSetMix {
-    /// The paper's small-file read test: pure reads over a pre-created set.
-    pub fn read_only() -> FileSetMix {
-        FileSetMix {
-            create_pct: 0,
-            read_pct: 100,
-            stat_pct: 0,
-            delete_pct: 0,
-            list_pct: 0,
-        }
-    }
-
-    /// The paper's file-creation test: pure create+write.
-    pub fn create_only() -> FileSetMix {
-        FileSetMix {
-            create_pct: 100,
-            read_pct: 0,
-            stat_pct: 0,
-            delete_pct: 0,
-            list_pct: 0,
-        }
-    }
-
     /// A general metadata-churn mix (fileserver-like).
     pub fn churn() -> FileSetMix {
         FileSetMix {
@@ -126,10 +104,6 @@ impl FileSetGen {
         Some(self.live[i].clone())
     }
 
-    pub fn live_files(&self) -> usize {
-        self.live.len()
-    }
-
     pub fn next_op(&mut self) -> FileOp {
         if self.live.len() >= self.max_files {
             let i = self.rng.gen_range(0..self.live.len());
@@ -174,10 +148,32 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// The paper's small-file read test: pure reads over a pre-created set.
+    fn read_only() -> FileSetMix {
+        FileSetMix {
+            create_pct: 0,
+            read_pct: 100,
+            stat_pct: 0,
+            delete_pct: 0,
+            list_pct: 0,
+        }
+    }
+
+    /// The paper's file-creation test: pure create+write.
+    fn create_only() -> FileSetMix {
+        FileSetMix {
+            create_pct: 100,
+            read_pct: 0,
+            stat_pct: 0,
+            delete_pct: 0,
+            list_pct: 0,
+        }
+    }
+
     #[test]
     fn mixes_validate() {
-        FileSetMix::read_only().validate();
-        FileSetMix::create_only().validate();
+        read_only().validate();
+        create_only().validate();
         FileSetMix::churn().validate();
     }
 
@@ -224,12 +220,27 @@ mod tests {
                 FileOp::List => {}
             }
         }
-        assert_eq!(g.live_files(), live.len());
+        // The generator's live set is the model's. Capped at zero, it
+        // deletes a live name at every op; capped at one, an empty set is
+        // no longer forced to delete.
+        g.max_files = 0;
+        for _ in 0..live.len() {
+            match g.next_op() {
+                FileOp::Delete { name } => assert!(live.remove(&name), "{name} was not live"),
+                other => panic!("a generator over its cap produced {other:?}"),
+            }
+        }
+        g.max_files = 1;
+        let op = g.next_op();
+        assert!(
+            !matches!(op, FileOp::Delete { .. }),
+            "a name the model lacks: {op:?}"
+        );
     }
 
     #[test]
     fn read_only_mix_never_mutates_after_population() {
-        let mut g = FileSetGen::new(FileSetMix::read_only(), 8192, 7);
+        let mut g = FileSetGen::new(read_only(), 8192, 7);
         g.populate(50);
         for _ in 0..1000 {
             match g.next_op() {
@@ -241,7 +252,7 @@ mod tests {
 
     #[test]
     fn max_files_forces_deletes() {
-        let mut g = FileSetGen::new(FileSetMix::create_only(), 1024, 9);
+        let mut g = FileSetGen::new(create_only(), 1024, 9);
         g.max_files = 10;
         let mut live = 0i64;
         for _ in 0..100 {

@@ -80,10 +80,6 @@ impl HotSetGen {
         }
     }
 
-    pub fn spec(&self) -> &HotSetSpec {
-        &self.spec
-    }
-
     pub fn next_op(&mut self) -> HotSetOp {
         let file = self.file_dist.sample(&mut self.rng);
         let block = self.block_dist.sample(&mut self.rng);
@@ -94,13 +90,6 @@ impl HotSetGen {
             offset: block * self.spec.block_size as u64,
             len: self.spec.block_size,
         }
-    }
-}
-
-impl Iterator for HotSetGen {
-    type Item = HotSetOp;
-    fn next(&mut self) -> Option<HotSetOp> {
-        Some(self.next_op())
     }
 }
 
@@ -125,9 +114,11 @@ mod tests {
 
     #[test]
     fn deterministic_under_same_seed() {
-        let a: Vec<HotSetOp> = HotSetGen::new(spec(), 7).take(200).collect();
-        let b: Vec<HotSetOp> = HotSetGen::new(spec(), 7).take(200).collect();
-        let c: Vec<HotSetOp> = HotSetGen::new(spec(), 8).take(200).collect();
+        let ops = |seed| -> Vec<HotSetOp> {
+            let mut g = HotSetGen::new(spec(), seed);
+            (0..200).map(|_| g.next_op()).collect()
+        };
+        let (a, b, c) = (ops(7), ops(7), ops(8));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

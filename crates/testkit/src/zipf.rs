@@ -17,7 +17,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -35,7 +34,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -68,20 +66,6 @@ impl Zipf {
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         v.min(self.n - 1)
     }
-
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Theoretical probability of the hottest item (diagnostic).
-    pub fn p_hottest(&self) -> f64 {
-        1.0 / self.zetan
-    }
-
-    #[allow(dead_code)]
-    fn zeta2(&self) -> f64 {
-        self.zeta2
-    }
 }
 
 #[cfg(test)]
@@ -89,6 +73,11 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    /// Theoretical probability of the hottest item: 1 / ζ(n, θ).
+    fn p_hottest(z: &Zipf) -> f64 {
+        1.0 / z.zetan
+    }
 
     #[test]
     fn samples_stay_in_range() {
@@ -136,7 +125,7 @@ mod tests {
         const N: usize = 200_000;
         let zeros = (0..N).filter(|_| z.sample(&mut rng) == 0).count();
         let observed = zeros as f64 / N as f64;
-        let expect = z.p_hottest();
+        let expect = p_hottest(&z);
         assert!(
             (observed - expect).abs() / expect < 0.2,
             "observed {observed}, expected {expect}"

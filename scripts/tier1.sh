@@ -65,6 +65,36 @@ git ls-files -z -- '*.rs' '*.sh' '*.yml' '*.toml' README.md ROADMAP.md '*/SKILL.
             }
         }
         END { exit 1 if $bad }'
+# The EXPERIMENTS.md citations in the same files and in DESIGN.md resolve.
+# From each mention of that file to the end of its sentence, a quoted PR
+# number names one of its `## PR N` sections or an entry of its History
+# list, and each PR in parentheses after a quoted History names a History
+# entry. CHANGES.md's citations are history.
+git ls-files -z -- '*.rs' '*.sh' '*.yml' '*.toml' README.md ROADMAP.md DESIGN.md \
+    '*/SKILL.md' ':!dpc-e2e' |
+    xargs -0 perl -CSD -Mutf8 -0777 -ne '
+        BEGIN {
+            open my $e, "<:encoding(UTF-8)", "EXPERIMENTS.md" or die;
+            my $exp = <$e>;
+            $section{$1} = 1 while $exp =~ /^## PR (\d+) /mg;
+            my ($list) = $exp =~ /^## History\b(.*?)^## /ms or die "no History list";
+            $history{$1} = 1 while $list =~ /^- \*\*PR (\d+)\*\*/mg;
+        }
+        while (/EXPERIMENTS\.md((?:(?!\.(?:\s|$)|;|\n\s*\n|CHANGES\.md).)*)/gs) {
+            my ($refs, $at) = ($1, $-[1]);
+            while ($refs =~ /"PR (\d+)"|"History"\s*\(([^)]*)\)/g) {
+                my @missing = defined $1
+                    ? map { "section or History entry PR $_" }
+                        grep { !$section{$_} && !$history{$_} } $1
+                    : map { "History entry PR $_" } grep { !$history{$_} } $2 =~ /PR (\d+)/g;
+                my $line = 1 + (substr($_, 0, $at + $-[0]) =~ tr/\n//);
+                for my $what (@missing) {
+                    print STDERR "tier1: EXPERIMENTS.md has no $what ($ARGV:$line)\n";
+                    $bad = 1;
+                }
+            }
+        }
+        END { exit 1 if $bad }'
 # `unsafe` lives in the five files DESIGN.md §3 names, and in no other
 # tracked Rust file outside the benchmark's tree.
 unsafe_files=$(git grep -lE '\bunsafe\s*(\{|fn\b|impl\b)' -- '*.rs' ':!dpc-e2e' || true)
