@@ -62,10 +62,9 @@ fn lock_entry(mut try_lock: impl FnMut() -> bool) {
 /// pages without penalising the common case (zero retries).
 const FINISH_RETRIES: usize = 8;
 
-/// One cache page, page-aligned so the optimistic word-wise copy in
-/// [`PagePool::read_unsynced`] always operates on naturally-aligned u64s
-/// (and so the pool's layout matches the DMA-mapped region the paper
-/// describes).
+/// One cache page, page-aligned so the word loads of the optimistic copy
+/// in [`PagePool::read_unsynced`] are naturally-aligned u64s (and so the
+/// pool's layout matches the DMA-mapped region the paper describes).
 #[repr(align(4096))]
 struct PageBuf([u8; PAGE_SIZE]);
 
@@ -77,19 +76,21 @@ struct PageBuf([u8; PAGE_SIZE]);
 /// Synchronised reads ([`read`](Self::read)) require the entry's read or
 /// write lock. Optimistic reads ([`read_unsynced`](Self::read_unsynced))
 /// take **no** lock: they may race a writer at the byte level, so they
-/// use volatile word-sized loads and their caller must validate the
-/// entry's seqlock version afterwards, discarding the snapshot on a
-/// mismatch (DESIGN.md §4.2). With those protocols observed, no thread
-/// ever *acts on* bytes that raced a writer, which is what justifies the
-/// `Sync` impl.
+/// copy with loads the compiler can neither elide nor merge (64-byte
+/// `asm!` blocks on x86_64, then volatile words and bytes) and their
+/// caller must validate the entry's seqlock version afterwards,
+/// discarding the snapshot on a mismatch (DESIGN.md §4.2). With those
+/// protocols observed, no thread ever *acts on* bytes that raced a
+/// writer, which is what justifies the `Sync` impl.
 pub(crate) struct PagePool {
     pages: Box<[UnsafeCell<PageBuf>]>,
 }
 
 // SAFETY: see the struct-level contract — mutation always holds the
 // owning entry's write lock; synchronised reads hold a lock that excludes
-// writers; unsynchronised reads are volatile and seqlock-validated before
-// use, so a racing snapshot is never observed by the caller.
+// writers; unsynchronised reads are `asm!` or volatile loads,
+// seqlock-validated before use, so a racing snapshot is never observed by
+// the caller.
 unsafe impl Sync for PagePool {}
 unsafe impl Send for PagePool {}
 
@@ -132,12 +133,14 @@ impl PagePool {
 
     /// Optimistic (seqlock) copy out of page `i` with **no** lock held.
     ///
-    /// A concurrent writer may be mutating the page during the copy. The
-    /// copy is performed with volatile loads — bytes up to the source's
-    /// 8-byte alignment boundary, then aligned words, then a byte tail —
-    /// so the race stays at the machine level: each load observes *some*
+    /// A concurrent writer may be mutating the page during the copy, so
+    /// the race stays at the machine level: each load observes *some*
     /// stable value rather than inviting the optimiser to assume the
-    /// memory is quiescent.
+    /// memory is quiescent. On x86_64 the bulk of the range moves in
+    /// 64-byte blocks ([`copy_blocks`]); what is left, fewer than 64
+    /// bytes (the whole range elsewhere), moves with volatile loads —
+    /// bytes up to the source's 8-byte alignment boundary, then aligned
+    /// words, then a byte tail.
     ///
     /// # Safety
     /// The caller must validate the owning entry's seqlock version after
@@ -152,6 +155,14 @@ impl PagePool {
             let mut src = (self.pages[i].get() as *const u8).add(offset);
             let mut out = dst.as_mut_ptr();
             let mut n = dst.len();
+            #[cfg(target_arch = "x86_64")]
+            if n >= 64 {
+                let blocks = n / 64;
+                copy_blocks(src, out, blocks);
+                src = src.add(blocks * 64);
+                out = out.add(blocks * 64);
+                n -= blocks * 64;
+            }
             while n > 0 && (src as usize) & 7 != 0 {
                 out.write(src.read_volatile());
                 src = src.add(1);
@@ -172,6 +183,52 @@ impl PagePool {
                 n -= 1;
             }
         }
+    }
+}
+
+/// Copy `blocks` 64-byte blocks from `src` to `dst`, each as four 16-byte
+/// `movdqu` loads and four stores: the bulk of
+/// [`PagePool::read_unsynced`]. SSE2 is part of the x86_64 baseline, so
+/// there is nothing to detect. The loads are ordinary x86 loads, which
+/// TSO keeps ordered before the version re-load in
+/// [`CacheEntry::version_validate`], as it does the volatile word loads;
+/// and the `asm!` block names neither `nomem` nor `readonly`, so the
+/// compiler treats it as touching any memory and moves no load or store
+/// across it (DESIGN.md §4.2).
+///
+/// # Safety
+/// `blocks` is at least 1; `src` is readable and `dst` writable for
+/// `blocks * 64` bytes, and the two do not overlap. Neither needs any
+/// alignment.
+///
+/// [`CacheEntry::version_validate`]: crate::layout::CacheEntry
+#[cfg(target_arch = "x86_64")]
+unsafe fn copy_blocks(src: *const u8, dst: *mut u8, blocks: usize) {
+    debug_assert!(blocks > 0);
+    unsafe {
+        std::arch::asm!(
+            "2:",
+            "movdqu {a}, xmmword ptr [{src}]",
+            "movdqu {b}, xmmword ptr [{src} + 16]",
+            "movdqu {c}, xmmword ptr [{src} + 32]",
+            "movdqu {d}, xmmword ptr [{src} + 48]",
+            "movdqu xmmword ptr [{dst}], {a}",
+            "movdqu xmmword ptr [{dst} + 16], {b}",
+            "movdqu xmmword ptr [{dst} + 32], {c}",
+            "movdqu xmmword ptr [{dst} + 48], {d}",
+            "add {src}, 64",
+            "add {dst}, 64",
+            "dec {n}",
+            "jnz 2b",
+            src = inout(reg) src => _,
+            dst = inout(reg) dst => _,
+            n = inout(reg) blocks => _,
+            a = out(xmm_reg) _,
+            b = out(xmm_reg) _,
+            c = out(xmm_reg) _,
+            d = out(xmm_reg) _,
+            options(nostack),
+        );
     }
 }
 
@@ -1687,6 +1744,99 @@ mod tests {
             });
         });
     }
+
+    /// A page of bytes no shift of a few blocks maps onto itself: a copy
+    /// that moves a block to the wrong place, or drops or repeats one,
+    /// reads back wrong.
+    fn distinct_page(salt: u8) -> Vec<u8> {
+        (0..PAGE_SIZE)
+            .map(|i| (i as u8) ^ ((i >> 8) as u8).wrapping_mul(37) ^ salt)
+            .collect()
+    }
+
+    #[test]
+    fn block_copy_agrees_with_the_locked_copy_at_every_offset_and_length() {
+        let c = small_cache();
+        let page = distinct_page(0);
+        let mut g = c.begin_write(6, 3).unwrap();
+        g.write(0, &page);
+        g.commit_dirty();
+
+        let fast = c.lookup_read_ref(6, 3).expect("resident");
+        let locked = c.lookup_read_locked(6, 3, true).expect("resident");
+        assert!(!fast.is_locked() && locked.is_locked());
+        // Sentinels on both sides of the destination catch a store past
+        // either end; the destination's own alignment moves with the
+        // offset.
+        let mut got = vec![0u8; PAGE_SIZE + 64];
+        let mut want = vec![0u8; PAGE_SIZE + 64];
+        for offset in (0..=127).chain(PAGE_SIZE - 127..PAGE_SIZE) {
+            let rest = PAGE_SIZE - offset;
+            let at = 16 + offset % 13;
+            for len in (0..=rest.min(300)).chain([rest]) {
+                got.fill(0xA5);
+                want.fill(0xA5);
+                fast.read(offset, &mut got[at..at + len]);
+                locked.read(offset, &mut want[at..at + len]);
+                assert!(got == want, "offset {offset}, length {len}");
+                assert_eq!(&got[at..at + len], &page[offset..offset + len]);
+            }
+        }
+        assert!(fast.finish().is_some(), "no writer moved the page");
+        assert!(locked.finish().is_some());
+    }
+
+    #[test]
+    fn unaligned_partial_reads_racing_whole_page_writes_never_pass_finish_torn() {
+        // A writer alternates two whole-page fills; readers copy ranges
+        // that start off any alignment and cover at least one 64-byte
+        // block plus a tail. Whatever `finish` accepts is one fill's
+        // bytes, never a mix.
+        let fills = [distinct_page(0), distinct_page(0xFF)];
+        let c = std::sync::Arc::new(small_cache());
+        let mut g = c.begin_write(5, 5).unwrap();
+        g.write(0, &fills[0]);
+        g.commit_dirty();
+
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (stop, fills) = (&stop, &fills);
+        std::thread::scope(|s| {
+            let cw = c.clone();
+            s.spawn(move || {
+                for i in 1..4000usize {
+                    let mut g = cw.begin_write(5, 5).unwrap();
+                    g.write(0, &fills[i % 2]);
+                    g.commit_dirty();
+                }
+                stop.store(true, std::sync::atomic::Ordering::Release);
+            });
+            for reader in 0..2usize {
+                let cr = c.clone();
+                s.spawn(move || {
+                    let mut buf = vec![0u8; PAGE_SIZE];
+                    let mut k = reader * 31;
+                    while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                        k += 1;
+                        let offset = 1 + k % 63;
+                        let len = 64 * (1 + k % 7) + 1 + k % 63;
+                        let Some(r) = cr.lookup_read_ref(5, 5) else {
+                            continue;
+                        };
+                        r.read(offset, &mut buf[..len]);
+                        if r.finish().is_none() {
+                            continue; // torn, and thrown away
+                        }
+                        let got = &buf[..len];
+                        assert!(
+                            fills.iter().any(|f| got == &f[offset..offset + len]),
+                            "torn read passed finish at offset {offset}, length {len}"
+                        );
+                    }
+                });
+            }
+        });
+    }
+
     /// Pin the calling thread — and every thread it spawns from here on —
     /// to one CPU of those it may run on. `false` when the kernel refuses.
     #[cfg(target_os = "linux")]

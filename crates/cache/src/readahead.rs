@@ -185,6 +185,23 @@ impl ReadaheadTable {
         Some(s.plan(lpn + 1, cfg.max_window))
     }
 
+    /// The window [`on_read`](Self::on_read) or
+    /// [`on_marker`](Self::on_marker) just returned was not queued (the
+    /// cache was at its free-page floor, or the queue was full): take it
+    /// back, so the stream's frontier covers only windows that were
+    /// queued. The frontier returns to the window's start and the window
+    /// to its size, and the next miss in it plans it again. A stream
+    /// that has since reset or planned further is left as it is.
+    pub fn withdraw(&self, ino: u64, window: &RaWindow) {
+        let mut shard = self.shard(ino).lock();
+        if let Some(s) = shard.get_mut(&ino) {
+            if s.planned_next == window.start + window.pages as u64 {
+                s.planned_next = window.start;
+                s.window = window.pages;
+            }
+        }
+    }
+
     /// Forget `ino`'s stream (truncate/unlink/invalidate): a stale
     /// stream must not prefetch beyond a new EOF or resurrect freed
     /// pages.
@@ -366,6 +383,26 @@ mod tests {
         // A sequential step after them triggers at the initial window.
         let w = t.on_read(1, 971, 1).unwrap();
         assert_eq!((w.start, w.pages, w.stride), (972, 4, 1));
+    }
+
+    #[test]
+    fn a_withdrawn_window_is_planned_again_and_a_stale_one_is_ignored() {
+        let t = table(4, 64);
+        t.on_read(1, 0, 1);
+        let w = t.on_read(1, 1, 1).unwrap();
+        assert_eq!((w.start, w.pages), (2, 4));
+        t.withdraw(1, &w);
+        // The next miss inside the withdrawn window plans it again, at
+        // the size it had.
+        let again = t.on_read(1, 2, 1).unwrap();
+        assert_eq!((again.start, again.pages), (3, 4));
+        // Once the stream has planned past a window, withdrawing that
+        // window moves nothing: the frontier stays where the later
+        // window put it.
+        let next = t.on_marker(1, again.marker.unwrap()).unwrap();
+        assert_eq!((next.start, next.pages), (7, 8));
+        t.withdraw(1, &again);
+        assert_eq!(t.on_read(1, 8, 1), None, "a window is still planned");
     }
 
     #[test]

@@ -233,17 +233,21 @@ impl Dispatcher {
     /// cache is at its free-page floor ([`ra_floor`]), where the
     /// prefetcher would only wake up to drop it (counted as throttled
     /// here instead). A full queue drops the job (readahead is
-    /// best-effort).
+    /// best-effort). A window not queued is withdrawn from its stream, so
+    /// the stream plans it again at its next miss instead of waiting for
+    /// a marker page nobody fills.
     fn queue_window(&self, ino: u64, window: RaWindow) {
-        let Some((_, queue)) = &self.ra else {
+        let Some((table, queue)) = &self.ra else {
             return;
         };
         let floor = ra_floor(self.control.cache());
         if self.control.window_headroom(floor).is_none() {
+            table.withdraw(ino, &window);
             return;
         }
         if !queue.push(PrefetchJob { ino, window }) {
             self.control.cache().note_ra_dropped();
+            table.withdraw(ino, &window);
         }
     }
 
@@ -877,5 +881,67 @@ mod tests {
             kvfs.read(a, 0, &mut back).unwrap();
             assert!(back.iter().all(|&b| b == 9));
         }
+    }
+
+    #[test]
+    fn a_window_dropped_at_the_floor_is_planned_again_once_headroom_returns() {
+        let (kvfs, a, _) = two_files();
+        let mut dispatcher = Dispatcher::new(Arc::new(kvfs), control(), None);
+        let table = Arc::new(ReadaheadTable::new(dpc_cache::RaConfig::default()));
+        let queue = Arc::new(PrefetchQueue::new(dpc_cache::PREFETCH_QUEUE_CAP));
+        dispatcher.set_readahead(table, queue.clone());
+        let cache = dispatcher.control.cache().clone();
+        // Hold clean pages of another inode until the cache is at its
+        // floor (8 free of 64).
+        let floor = ra_floor(&cache);
+        let mut held = Vec::new();
+        for lpn in 0.. {
+            if cache.header().free() <= floor {
+                break;
+            }
+            if let Ok(mut page) = cache.begin_write(99, lpn) {
+                page.write(0, &[7u8; PAGE_SIZE]);
+                page.commit_clean();
+                held.push(lpn);
+            }
+        }
+        let read = |lpn: u64| FileIncoming {
+            request: FileRequest::Read {
+                ino: a,
+                offset: lpn * PAGE_SIZE as u64,
+                len: PAGE_SIZE as u32,
+            },
+            read_len: PAGE_SIZE as u32,
+            ..FileIncoming::default()
+        };
+        // Misses at lpn 0 and 1 plan the stream's first window, [2, 6),
+        // and the floor drops it.
+        for lpn in [0, 1] {
+            assert!(matches!(
+                dispatcher.handle(&read(lpn)).0,
+                FileResponse::Bytes(_)
+            ));
+        }
+        assert!(queue.is_empty(), "the floor drops the window");
+        // Headroom returns; the reader's next miss, lpn 2, is inside the
+        // dropped window and plans it again from there.
+        for lpn in held.iter().take(4) {
+            assert!(cache.invalidate(99, *lpn));
+        }
+        assert!(matches!(
+            dispatcher.handle(&read(2)).0,
+            FileResponse::Bytes(_)
+        ));
+        let window = queue.pop().map(|job| job.window);
+        assert_eq!(
+            window,
+            Some(RaWindow {
+                start: 3,
+                pages: 4,
+                stride: 1,
+                marker: Some(5),
+            }),
+            "the miss plans the dropped window again, at its first size"
+        );
     }
 }

@@ -194,6 +194,20 @@ for run in $(seq 1 10); do
     cargo test --release -q -p dpc-kvfs --lib \
         a_lookup_racing_create_and_unlink_never_strands_the_name
 done
+# A hit's lock-free page copy (DESIGN.md §4.2) racing writers, ten times
+# in a row: whole pages, and unaligned partial ranges that cover 64-byte
+# blocks and a tail, never get past `finish` torn.
+check_names --release -q --test lockfree_meta -- write_storm_readers_never_see_torn_pages
+check_names --release -q -p dpc-cache --lib -- \
+    host::tests::concurrent_same_page_write_and_read_never_tears \
+    host::tests::unaligned_partial_reads_racing_whole_page_writes_never_pass_finish_torn
+for run in $(seq 1 10); do
+    cargo test --release -q --test lockfree_meta write_storm_readers_never_see_torn_pages
+    cargo test --release -q -p dpc-cache --lib \
+        host::tests::concurrent_same_page_write_and_read_never_tears
+    cargo test --release -q -p dpc-cache --lib \
+        host::tests::unaligned_partial_reads_racing_whole_page_writes_never_pass_finish_torn
+done
 # The logical size (DESIGN.md §4.1), ten times in a row: a `stat` racing
 # writes and evictions at the log tier never caches a size from before
 # them (it failed 30 runs in 30 before); with no size reconcile after the
